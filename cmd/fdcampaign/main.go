@@ -123,7 +123,6 @@ func main() {
 		seeds       = flag.Int("seeds", 10, "seeded repetitions per configuration")
 		workers     = flag.Int("workers", 0, "worker shards (0 = one per CPU)")
 		setupCache  = flag.Bool("setupcache", true, "reuse key material and established clusters across seeds (false = regenerate per instance; reports are byte-identical either way)")
-		sharedKeys  = flag.Bool("sharedkeys", false, "share generated key material across workers via a process-global cache (each cell's keys are generated once, not once per worker; reports are byte-identical either way)")
 		jsonOut     = flag.String("json", "", "write the machine-readable report to this path ('-' = stdout)")
 		csv         = flag.Bool("csv", false, "render the summary table as CSV")
 		strict      = flag.Bool("strict", false, "exit with status 2 when any instance violates a conformance predicate")
@@ -146,7 +145,6 @@ func main() {
 	if !*setupCache {
 		runOpts = append(runOpts, campaign.WithoutSetupCache())
 	}
-	protocol.SetSharedKeyWarmup(*sharedKeys)
 	if *instTimeout > 0 {
 		runOpts = append(runOpts, campaign.WithInstanceTimeout(*instTimeout))
 	}

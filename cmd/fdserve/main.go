@@ -13,7 +13,6 @@
 //
 //	fdserve -addr :9100                         # serve agreement requests
 //	fdserve -addr :9100 -shards 8 -queue 128    # executor shards, per-tenant queue bound
-//	fdserve -addr :9100 -rekey-every 1000       # rotate warm-pool key epochs
 //	fdserve -addr :9100 -debug-addr :9190       # live /debug/serve + pprof
 //	fdserve -addr :9100 -trace-out serve.jsonl  # per-request spans (obs JSONL)
 //	fdserve -addr :9100 -stats-out stats.json   # final snapshot on shutdown
@@ -53,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/protocol"
 	"repro/internal/service"
 	"repro/internal/sig"
 	"repro/internal/transport"
@@ -62,15 +60,12 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "", "server mode: listen for agreement clients on this address")
-		shards     = flag.Int("shards", 0, "server: executor shards (0 = default 4)")
+		shards     = flag.Int("shards", 0, "server: executor shards, and warm setups parked per pool cell (0 = default 4)")
 		queue      = flag.Int("queue", 0, "server: per-tenant FIFO bound per shard (0 = default 64)")
-		poolIdle   = flag.Int("pool-idle", 0, "server: warm setup caches parked per pool cell (0 = default 2)")
-		rekeyEvery = flag.Int("rekey-every", 0, "server: rotate a pool cell's key epoch every this many served requests (0 = never)")
 		retryAfter = flag.Duration("retry-after", 0, "server: backoff hint sent with busy rejections (0 = default 50ms)")
 		debugAddr  = flag.String("debug-addr", "", "server: serve live telemetry over HTTP (/debug/serve snapshot, /debug/vars, /debug/pprof)")
 		traceOut   = flag.String("trace-out", "", "server: write per-request spans as obs JSONL to this path")
 		statsOut   = flag.String("stats-out", "", "server: write the final stats snapshot JSON here on graceful shutdown ('-' = stdout)")
-		sharedKeys = flag.Bool("sharedkeys", false, "server: share generated key material across executors via the process-global signer cache (verdict bytes unchanged)")
 
 		connect  = flag.String("connect", "", "client mode: drive the fdserve daemon at this address")
 		tenant   = flag.String("tenant", "default", "client: tenant name for the connection handshake")
@@ -92,10 +87,8 @@ func main() {
 		fatal(errors.New("-addr and -connect are mutually exclusive"))
 	case *addr != "":
 		os.Exit(serverMode(serverFlags{
-			addr: *addr, shards: *shards, queue: *queue, poolIdle: *poolIdle,
-			rekeyEvery: *rekeyEvery, retryAfter: *retryAfter,
+			addr: *addr, shards: *shards, queue: *queue, retryAfter: *retryAfter,
 			debugAddr: *debugAddr, traceOut: *traceOut, statsOut: *statsOut,
-			sharedKeys: *sharedKeys,
 		}))
 	case *connect != "":
 		os.Exit(clientMode(clientFlags{
@@ -113,20 +106,15 @@ type serverFlags struct {
 	addr       string
 	shards     int
 	queue      int
-	poolIdle   int
-	rekeyEvery int
 	retryAfter time.Duration
 	debugAddr  string
 	traceOut   string
 	statsOut   string
-	sharedKeys bool
 }
 
 func serverMode(f serverFlags) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	protocol.SetSharedKeyWarmup(f.sharedKeys)
 
 	var rec *obs.Recorder
 	if f.traceOut != "" {
@@ -138,8 +126,7 @@ func serverMode(f serverFlags) int {
 	}
 
 	srv := service.NewServer(service.Config{
-		Shards: f.shards, QueueDepth: f.queue, PoolIdle: f.poolIdle,
-		RekeyEvery: f.rekeyEvery, RetryAfter: f.retryAfter, Recorder: rec,
+		Shards: f.shards, QueueDepth: f.queue, RetryAfter: f.retryAfter, Recorder: rec,
 	})
 
 	ln, err := transport.ListenConn(f.addr)

@@ -3,8 +3,6 @@ package ba
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/model"
@@ -40,13 +38,7 @@ import (
 // path maps to (level, rank) by pure arithmetic (rankOf), so ingest is
 // an array write instead of a map insert and resolution never touches a
 // hash table — and the per-round relay and message slices are reused
-// across rounds. Within a round the slot layout makes the heavy phases
-// parallel: entries from different senders can never address the same
-// slot (a valid path ends with its sender), so ingest fans sender groups
-// across goroutines with lock-free disjoint writes, and the bottom-up
-// resolution is embarrassingly parallel within each level. Both engage
-// only past size thresholds and are byte-identical to the serial paths
-// at any worker count (SetEIGParallelism, differential-tested).
+// across rounds.
 
 // maxEIGNodes bounds the system size so a node ID always packs into one
 // key byte. OM(t) is O(n^t); anywhere near this bound it is unrunnable
@@ -162,9 +154,7 @@ func EIGEntries(n, t int) int {
 }
 
 // eigLevel is one depth level of the EIG tree: every possible vertex has
-// a pre-assigned slot, addressed by rankOf. occ marks filled slots ([]bool
-// rather than a bitset so concurrent ingest goroutines writing disjoint
-// slots touch disjoint bytes).
+// a pre-assigned slot, addressed by rankOf. occ marks filled slots.
 type eigLevel struct {
 	count int
 	occ   []bool
@@ -220,9 +210,7 @@ func (n *EIGNode) rankOf(path []model.NodeID) int {
 }
 
 // storePath inserts a reported value at its path's slot, first report
-// wins. It reports whether the slot was fresh. Concurrent calls are safe
-// when no two goroutines can hold the same path (the per-sender ingest
-// partition guarantees it: a valid path ends with its sender).
+// wins. It reports whether the slot was fresh.
 func (n *EIGNode) storePath(path []model.NodeID, v []byte) bool {
 	d := len(path) - 1
 	if d < 0 || d >= len(n.levels) {
@@ -347,40 +335,6 @@ func unmarshalOralEntries(data []byte) ([]OralEntry, error) {
 	return out, nil
 }
 
-// eigWorkers holds the configured EIG parallelism; 0 means GOMAXPROCS.
-var eigWorkers atomic.Int32
-
-// SetEIGParallelism bounds the goroutines EIG ingest and resolution fan
-// out across. n <= 0 restores the default, GOMAXPROCS; n == 1 keeps both
-// phases fully serial. Decisions (and therefore reports) are
-// byte-identical at any setting; the knob trades wall-clock for cores.
-func SetEIGParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	eigWorkers.Store(int32(n))
-}
-
-// EIGParallelism returns the effective EIG worker bound.
-func EIGParallelism() int {
-	if w := int(eigWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Parallelism engages only past these sizes: below them the goroutine
-// fan-out costs more than the work. Small instances (the campaign grids'
-// n<=10 cells, whose workers are already busy in parallel) stay serial.
-const (
-	// eigParallelIngestBytes is the minimum total oral payload volume in
-	// a round before sender groups ingest concurrently.
-	eigParallelIngestBytes = 32 << 10
-	// eigParallelResolveMin is the minimum leaf count before per-level
-	// parallel resolution engages.
-	eigParallelResolveMin = 2048
-)
-
 // Step implements the sim Process contract.
 func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 	t := n.cfg.T
@@ -397,19 +351,8 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 	}
 	// Ingest reports from the previous round. Oral messages carry no
 	// signatures: a node can only sanity-check structure, not content —
-	// that weakness is the whole point of OM(t)'s redundancy. Large
-	// rounds ingest sender groups in parallel (disjoint slots — see
-	// ingestParallel); the fallback and small rounds take the serial
-	// loop. Both produce identical tree state and fresh order.
-	fresh := n.freshBuf[:0]
-	if workers := EIGParallelism(); workers > 1 {
-		var ok bool
-		if fresh, ok = n.ingestParallel(round, received, workers); !ok {
-			fresh = n.ingestSerial(round, received, n.freshBuf[:0])
-		}
-	} else {
-		fresh = n.ingestSerial(round, received, fresh)
-	}
+	// that weakness is the whole point of OM(t)'s redundancy.
+	fresh := n.ingestSerial(round, received, n.freshBuf[:0])
 	n.freshBuf = fresh
 
 	switch {
@@ -453,7 +396,7 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 	return nil
 }
 
-// ingestSerial is the reference ingest loop: decode, validate, store,
+// ingestSerial is the relay-round ingest loop: decode, validate, store,
 // collect fresh entries, in arrival order.
 func (n *EIGNode) ingestSerial(round int, received []model.Message, fresh []OralEntry) []OralEntry {
 	for _, m := range received {
@@ -477,167 +420,11 @@ func (n *EIGNode) ingestSerial(round int, received []model.Message, fresh []Oral
 	return fresh
 }
 
-// ingestParallel groups the round's oral messages by sender and ingests
-// the groups concurrently. This is lock-free by construction: a valid
-// path's last element is its immediate sender (validPath), so entries
-// from different senders can never address the same tree slot, and
-// first-report-wins dedup within one sender stays serial inside its
-// group. Fresh entries are concatenated in group order — identical to
-// the serial loop's arrival order because the engine's inboxes are
-// sorted by sender. Returns ok=false (caller takes the serial loop) when
-// the round's volume is below eigParallelIngestBytes, when fewer than
-// two senders contributed, or when the inbox interleaves senders (never
-// the case for engine-fed inboxes; direct Step calls in tests may).
-func (n *EIGNode) ingestParallel(round int, received []model.Message, workers int) ([]OralEntry, bool) {
-	totalBytes, oralMsgs := 0, 0
-	for _, m := range received {
-		if m.Kind == model.KindOral {
-			totalBytes += len(m.Payload)
-			oralMsgs++
-		}
-	}
-	if totalBytes < eigParallelIngestBytes || oralMsgs < 2 {
-		return nil, false
-	}
-	groups, ok := oralGroups(received, n.cfg.N)
-	if !ok || len(groups) < 2 {
-		return nil, false
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	results := make([][]OralEntry, len(groups))
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	work := func() {
-		for {
-			g := int(next.Add(1)) - 1
-			if g >= len(groups) {
-				return
-			}
-			var out []OralEntry
-			for _, m := range received[groups[g][0]:groups[g][1]] {
-				if m.Kind != model.KindOral {
-					continue
-				}
-				entries, err := unmarshalOralEntries(m.Payload)
-				if err != nil {
-					continue
-				}
-				for _, en := range entries {
-					if !n.validPath(en.Path, round-1, m.From) {
-						continue
-					}
-					if !n.storePath(en.Path, en.Value) {
-						continue
-					}
-					out = append(out, en)
-				}
-			}
-			results[g] = out
-		}
-	}
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	fresh := n.freshBuf[:0]
-	for _, r := range results {
-		fresh = append(fresh, r...)
-	}
-	return fresh, true
-}
-
-// oralGroups partitions received into contiguous same-sender spans of
-// oral messages — the unit of lock-free parallel ingest (entries from
-// different senders can never address the same tree slot). ok=false when
-// a sender reappears after its span closed (an interleaved inbox — never
-// the case for engine-fed inboxes, possible for direct Step calls) or a
-// sender ID is out of range; callers must then take the serial loop
-// rather than reorder anything.
-func oralGroups(received []model.Message, size int) ([][2]int, bool) {
-	var groups [][2]int
-	var closed [maxEIGNodes]bool
-	curFrom := model.NoNode
-	for i, m := range received {
-		if m.Kind != model.KindOral {
-			continue
-		}
-		if !m.From.Valid(size) {
-			return nil, false
-		}
-		if curFrom != model.NoNode && m.From == curFrom {
-			groups[len(groups)-1][1] = i + 1
-			continue
-		}
-		if closed[m.From] {
-			return nil, false
-		}
-		if curFrom != model.NoNode {
-			closed[curFrom] = true
-		}
-		groups = append(groups, [2]int{i, i + 1})
-		curFrom = m.From
-	}
-	return groups, true
-}
-
 // ingestFinal ingests the resolve round's inbox with the streaming
 // decoder: every entry goes straight into its tree slot, nothing is
-// collected for relay. Large inboxes fan sender groups across workers
-// exactly like ingestParallel; the tree state is byte-identical to the
-// []OralEntry-building ingest (differential-tested) because the decode,
-// validation, and first-report-wins order within each sender is
-// unchanged and slots across senders are disjoint.
+// collected for relay. The tree state is byte-identical to the
+// []OralEntry-building ingest (differential-tested).
 func (n *EIGNode) ingestFinal(round int, received []model.Message) {
-	if workers := EIGParallelism(); workers > 1 {
-		totalBytes, oralMsgs := 0, 0
-		for _, m := range received {
-			if m.Kind == model.KindOral {
-				totalBytes += len(m.Payload)
-				oralMsgs++
-			}
-		}
-		if totalBytes >= eigParallelIngestBytes && oralMsgs >= 2 {
-			if groups, ok := oralGroups(received, n.cfg.N); ok && len(groups) >= 2 {
-				if workers > len(groups) {
-					workers = len(groups)
-				}
-				var next atomic.Int32
-				var wg sync.WaitGroup
-				work := func() {
-					var pathBuf []model.NodeID
-					for {
-						g := int(next.Add(1)) - 1
-						if g >= len(groups) {
-							return
-						}
-						for _, m := range received[groups[g][0]:groups[g][1]] {
-							if m.Kind != model.KindOral {
-								continue
-							}
-							pathBuf = n.storeOralEntries(m.Payload, round, m.From, pathBuf)
-						}
-					}
-				}
-				wg.Add(workers - 1)
-				for w := 0; w < workers-1; w++ {
-					go func() {
-						defer wg.Done()
-						work()
-					}()
-				}
-				work()
-				wg.Wait()
-				return
-			}
-		}
-	}
 	for _, m := range received {
 		if m.Kind != model.KindOral {
 			continue
@@ -751,11 +538,6 @@ func (n *EIGNode) resolve() {
 		n.decision.Value = append([]byte(nil), n.value...)
 		return
 	}
-	workers := EIGParallelism()
-	if workers > 1 && n.levels[len(n.levels)-1].count >= eigParallelResolveMin {
-		n.decision.Value = append([]byte(nil), n.resolveTreeParallel(workers)...)
-		return
-	}
 	n.decision.Value = append([]byte(nil), n.resolveTree()...)
 }
 
@@ -763,8 +545,7 @@ func (n *EIGNode) resolve() {
 // the rank-indexed levels. The slots of level d are already in
 // generation order and every vertex of level d has exactly n-d-2
 // children, laid out contiguously in level d+1, so parent→child indexing
-// is pure arithmetic — no keys, no hashing, no recursion. This serial
-// sweep is the differential oracle for resolveTreeParallel.
+// is pure arithmetic — no keys, no hashing, no recursion.
 func (n *EIGNode) resolveTree() []byte {
 	t, size := n.cfg.T, n.cfg.N
 	// Leaves: the stored value or the default.
@@ -797,77 +578,6 @@ func (n *EIGNode) resolveTree() []byte {
 		vals = up
 	}
 	return vals[0]
-}
-
-// resolveTreeParallel is resolveTree with each level's vertex range
-// chunked across workers. Within a level every vertex resolution reads
-// only the frozen level below and writes only its own up-slot, so the
-// level is embarrassingly parallel; the per-level barrier preserves the
-// bottom-up order. Vertex results are pure functions of the tree, so the
-// output is byte-identical to resolveTree at any worker count — pinned
-// by the differential test.
-func (n *EIGNode) resolveTreeParallel(workers int) []byte {
-	t, size := n.cfg.T, n.cfg.N
-	leaf := &n.levels[t]
-	vals := make([][]byte, leaf.count)
-	parallelRange(workers, leaf.count, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if leaf.occ[i] {
-				vals[i] = leaf.val[i]
-			} else {
-				vals[i] = DefaultValue
-			}
-		}
-	})
-	for d := t - 1; d >= 0; d-- {
-		lv := &n.levels[d]
-		perVertex := size - d - 2
-		up := make([][]byte, lv.count)
-		children := vals
-		parallelRange(workers, lv.count, func(lo, hi int) {
-			votes := make([][]byte, 0, size)
-			for i := lo; i < hi; i++ {
-				votes = votes[:0]
-				if lv.occ[i] {
-					votes = append(votes, lv.val[i])
-				} else {
-					votes = append(votes, DefaultValue)
-				}
-				votes = append(votes, children[i*perVertex:(i+1)*perVertex]...)
-				up[i] = majority(votes)
-			}
-		})
-		vals = up
-	}
-	return vals[0]
-}
-
-// parallelRange splits [0, count) into one contiguous chunk per worker
-// and runs fn on each concurrently (one chunk inline), returning when
-// all complete.
-func parallelRange(workers, count int, fn func(lo, hi int)) {
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		fn(0, count)
-		return
-	}
-	chunk := (count + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < count; lo += chunk {
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	fn(0, chunk)
-	wg.Wait()
 }
 
 // majority returns the strict-majority value of votes, or DefaultValue if

@@ -261,18 +261,9 @@ func (n *FDBANode) presentEvidence() []model.Message {
 }
 
 // ingestFlood processes flood messages for hop-round hop and returns any
-// re-relays. The round's structurally plausible chains are collected
-// first and verified as one batch — sig.VerifyChains checks distinct
-// chains concurrently and dedups layers against the verified memo — then
-// the surviving chains fold into the flood state in arrival order, so the
-// result is byte-identical to verifying one message at a time. (The
-// serial loop also verified every plausible chain before any state it
-// could affect, so batching reorders no observable effect.)
+// re-relays.
 func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Message {
-	var (
-		chains  []*sig.Chain
-		senders []model.NodeID
-	)
+	var out []model.Message
 	for _, m := range received {
 		if m.Kind != model.KindFallback {
 			continue
@@ -281,19 +272,10 @@ func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Messag
 		if err != nil || hopChain.Len() != hop {
 			continue
 		}
-		chains = append(chains, hopChain)
-		senders = append(senders, m.From)
-	}
-	if len(chains) == 0 {
-		return nil
-	}
-	errs := sig.VerifyChains(chains, senders, n.dir)
-	var out []model.Message
-	for i, hopChain := range chains {
-		if errs[i] != nil {
+		hopSigners, err := hopChain.Verify(m.From, n.dir)
+		if err != nil {
 			continue
 		}
-		hopSigners := hopChain.Signers(senders[i])
 		if !distinctValid(hopSigners, n.cfg.N) || containsID(hopSigners, n.id) {
 			continue
 		}
@@ -305,7 +287,7 @@ func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Messag
 			continue // invalid evidence: ignore, do not relay
 		}
 		if hop <= n.cfg.T {
-			ext, err := hopChain.Extend(senders[i], n.signer)
+			ext, err := hopChain.Extend(m.From, n.signer)
 			if err != nil {
 				panic(fmt.Sprintf("ba: %v extending flood: %v", n.id, err))
 			}

@@ -446,56 +446,6 @@ func TestReportSetupCacheInvariance(t *testing.T) {
 	}
 }
 
-// TestReportSharedKeyWarmupInvariance is the shared-key determinism
-// contract: a sweep whose workers draw key material from the
-// process-global signer cache (each cell generated once, shared across
-// workers) must emit a report byte-identical to one where every worker
-// generates its own — at several worker counts, with and without the
-// per-worker setup cache, and from both cold and warm global caches.
-func TestReportSharedKeyWarmupInvariance(t *testing.T) {
-	spec := Spec{
-		Name:        "sharedkeys-differential",
-		Protocols:   []string{ProtoChain, ProtoVector, ProtoFDBA},
-		Sizes:       []int{4, 6},
-		Schemes:     []string{sig.SchemeToy, sig.SchemeEd25519},
-		Adversaries: []string{AdvNone, AdvCrashRelay},
-		SeedBase:    23,
-		SeedCount:   3,
-	}
-	fresh, err := Run(spec, 2)
-	if err != nil {
-		t.Fatalf("Run(fresh): %v", err)
-	}
-	jFresh, err := fresh.CanonicalJSON()
-	if err != nil {
-		t.Fatalf("CanonicalJSON: %v", err)
-	}
-	protocol.SetSharedKeyWarmup(true)
-	defer protocol.SetSharedKeyWarmup(false)
-	protocol.ResetSharedSigners()
-	for _, run := range []struct {
-		name    string
-		workers int
-		opts    []Option
-	}{
-		{"cold/workers=1", 1, nil},
-		{"warm/workers=3", 3, nil},
-		{"warm/workers=2/nocache", 2, []Option{WithoutSetupCache()}},
-	} {
-		shared, err := Run(spec, run.workers, run.opts...)
-		if err != nil {
-			t.Fatalf("Run(shared, %s): %v", run.name, err)
-		}
-		jShared, err := shared.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("CanonicalJSON: %v", err)
-		}
-		if !bytes.Equal(jFresh, jShared) {
-			t.Fatalf("%s: shared-key report differs from fresh-key report; the global signer cache changed what the campaign measured", run.name)
-		}
-	}
-}
-
 // TestReportSetupCacheInvarianceUnderEviction forces the per-worker cache
 // down to one entry, so every cell change evicts and rebuilds: the report
 // must still match the fully cached one.

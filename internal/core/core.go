@@ -129,12 +129,6 @@ type Cluster struct {
 	// options came in.
 	keyPinned bool
 
-	// pregenSigners, when set, supplies each node's already-generated key
-	// pair to EstablishAuthentication instead of generating from
-	// keyEntropy (WithPregeneratedSigners). Cleared by Rekey: a new key
-	// epoch must regenerate from its own seed.
-	pregenSigners []sig.Signer
-
 	nodes []*keydist.Node
 	// established marks that EstablishAuthentication completed.
 	established bool
@@ -196,23 +190,6 @@ func WithKeySeed(keySeed int64) Option {
 	return func(c *Cluster) error {
 		c.keyPinned = true
 		c.keyEntropy = keyEntropyFor(keySeed)
-		return nil
-	}
-}
-
-// WithPregeneratedSigners hands the cluster one already-generated signer
-// per node; EstablishAuthentication adopts signers[i] for node i instead
-// of generating from the key-entropy stream. The caller owns the
-// equivalence claim: byte-identity with a generating cluster holds
-// exactly when the signers were drawn from the same key-material streams
-// (the shared key-material warmup's contract). Rekey discards them — a
-// new key epoch regenerates from its own seed.
-func WithPregeneratedSigners(signers []sig.Signer) Option {
-	return func(c *Cluster) error {
-		if len(signers) != c.cfg.N {
-			return fmt.Errorf("core: %d pregenerated signers for n=%d", len(signers), c.cfg.N)
-		}
-		c.pregenSigners = signers
 		return nil
 	}
 }
@@ -379,7 +356,6 @@ func (c *Cluster) Reset(seed int64) {
 func (c *Cluster) Rekey(keySeed int64) {
 	c.nodes = nil
 	c.established = false
-	c.pregenSigners = nil
 	c.ledger.Reset()
 	if c.runDeterministic {
 		c.runEntropy = runEntropyFor(keySeed)
@@ -444,13 +420,7 @@ func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error)
 			procs[i] = p
 			continue
 		}
-		var n *keydist.Node
-		var err error
-		if c.pregenSigners != nil {
-			n, err = keydist.NewNode(c.cfg, id, c.scheme, c.runEntropy(i), keydist.WithSigner(c.pregenSigners[i]))
-		} else {
-			n, err = keydist.NewNode(c.cfg, id, c.scheme, c.runEntropy(i), keydist.WithKeyRand(c.keyEntropy(i)))
-		}
+		n, err := keydist.NewNode(c.cfg, id, c.scheme, c.runEntropy(i), keydist.WithKeyRand(c.keyEntropy(i)))
 		if err != nil {
 			return Report{}, fmt.Errorf("core: build keydist node %v: %w", id, err)
 		}

@@ -65,7 +65,6 @@ type NodeOption func(*nodeConfig)
 
 type nodeConfig struct {
 	keyRand io.Reader
-	signer  sig.Signer
 }
 
 // WithKeyRand draws key-generation entropy from r instead of the node's
@@ -75,16 +74,6 @@ type nodeConfig struct {
 // derive byte-identical signatures, whatever run seed drew the nonces.
 func WithKeyRand(r io.Reader) NodeOption {
 	return func(c *nodeConfig) { c.keyRand = r }
-}
-
-// WithSigner adopts an already-generated key pair instead of generating
-// one, overriding WithKeyRand. The caller owns the equivalence claim: a
-// run is byte-identical to a generating one exactly when the signer was
-// drawn from the entropy the node would have used — the shared
-// key-material warmup (protocol.SetSharedKeyWarmup) generates from the
-// same sim.KeyMaterialSeed streams for exactly this reason.
-func WithSigner(s sig.Signer) NodeOption {
-	return func(c *nodeConfig) { c.signer = s }
 }
 
 // NewNode creates a correct key-distribution participant. It generates the
@@ -102,13 +91,9 @@ func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reade
 	for _, opt := range opts {
 		opt(&nc)
 	}
-	signer := nc.signer
-	if signer == nil {
-		var err error
-		signer, err = scheme.Generate(nc.keyRand)
-		if err != nil {
-			return nil, fmt.Errorf("keydist: generate key for %v: %w", id, err)
-		}
+	signer, err := scheme.Generate(nc.keyRand)
+	if err != nil {
+		return nil, fmt.Errorf("keydist: generate key for %v: %w", id, err)
 	}
 	n := &Node{
 		id:      id,

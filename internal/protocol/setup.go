@@ -112,45 +112,6 @@ func (sc *SetupCache) Len() int { return len(sc.entries) }
 // of Get calls; a warm sweep shows hits ≈ instances − cells.
 func (sc *SetupCache) Stats() (hits, misses int) { return sc.hits, sc.misses }
 
-// Rekey starts a fresh key epoch for every cached setup: each cluster
-// cell is core.Rekey'd onto its own cell's KeySeed — regenerating
-// identical deterministic key material, so runs served before and after
-// a rekey stay byte-identical — and re-established when its cell was
-// established. Non-cluster setups (vector material embeds key material
-// immutably) are dropped and rebuilt on next use. The agreement
-// service's warm-cluster pool calls this on its rekey interval: the
-// in-memory secrets are discarded and rederived rather than living for
-// the daemon's whole lifetime. Returns the number of clusters rekeyed.
-func (sc *SetupCache) Rekey() (int, error) {
-	order := append([]SetupKey(nil), sc.order...)
-	keep := sc.order[:0]
-	rekeyed := 0
-	var firstErr error
-	for _, k := range order {
-		c, ok := sc.entries[k].(*core.Cluster)
-		if !ok {
-			delete(sc.entries, k)
-			continue
-		}
-		c.Rekey(k.KeySeed)
-		if k.Established {
-			if _, err := c.EstablishAuthentication(); err != nil {
-				// A cluster that failed to re-establish must not be handed
-				// out; drop the cell so the next run rebuilds from scratch.
-				delete(sc.entries, k)
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		rekeyed++
-		keep = append(keep, k)
-	}
-	sc.order = keep
-	return rekeyed, firstErr
-}
-
 // ClusterSetup returns the instance's cluster, established when
 // establish is set. With a cache, the (scheme, n, t, keySeed) cell is
 // reused when warm — built and cached on a miss — and the cluster is
@@ -189,13 +150,6 @@ func EstablishedCluster(inst Instance, establish bool) (*core.Cluster, error) {
 	opts := []core.Option{core.WithSeed(inst.Seed), core.WithKeySeed(inst.KeySeed)}
 	if inst.Scheme != "" {
 		opts = append(opts, core.WithScheme(inst.Scheme))
-	}
-	if SharedKeyWarmup() {
-		signers, err := sharedSigners(instSchemeName(inst), inst.N, inst.KeySeed)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, core.WithPregeneratedSigners(signers))
 	}
 	c, err := core.New(inst.Config(), opts...)
 	if err != nil {
@@ -240,21 +194,12 @@ func newVectorMaterial(inst Instance) ([]*keydist.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var shared []sig.Signer
-	if SharedKeyWarmup() {
-		if shared, err = sharedSigners(instSchemeName(inst), inst.N, inst.KeySeed); err != nil {
-			return nil, err
-		}
-	}
 	kdNodes := make([]*keydist.Node, inst.N)
 	kdProcs := make([]sim.Process, inst.N)
 	for i := 0; i < inst.N; i++ {
-		keyOpt := keydist.WithKeyRand(sim.SeededReader(sim.KeyMaterialSeed(inst.KeySeed, i)))
-		if shared != nil {
-			keyOpt = keydist.WithSigner(shared[i])
-		}
 		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme,
-			sim.SeededReader(sim.NodeSeed(inst.Seed, i)), keyOpt)
+			sim.SeededReader(sim.NodeSeed(inst.Seed, i)),
+			keydist.WithKeyRand(sim.SeededReader(sim.KeyMaterialSeed(inst.KeySeed, i))))
 		if err != nil {
 			return nil, err
 		}

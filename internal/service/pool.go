@@ -20,10 +20,7 @@ import (
 //
 // Checked-out caches are exclusively owned (SetupCache is single-owner
 // by contract); the pool's lock covers only the idle lists, so
-// executors never serialize behind each other's runs. Every rekeyEvery
-// check-ins of a cell the pool starts a fresh key epoch for that cell
-// (SetupCache.Rekey): long-lived in-memory key material is discarded
-// and rederived from the same seeds, so hygiene costs no determinism.
+// executors never serialize behind each other's runs.
 
 // cellKey identifies one warm-pool cell. Protocol rides along even
 // though cluster cells are shareable across the cluster-driver family:
@@ -36,34 +33,22 @@ type cellKey struct {
 	KeySeed  int64
 }
 
-// cell is one key's pooled state.
-type cell struct {
-	idle []*protocol.SetupCache
-	runs int64 // lifetime check-ins, drives the rekey interval
-}
-
-// pool is the concurrency-safe warm-setup store.
+// pool is the concurrency-safe warm-setup store. Each cell parks at most
+// idlePerKey caches: the server passes its shard count, because at most
+// that many executors can hold one cell's setups at once — so every
+// cache an executor built finds room on check-in, and the steady state
+// of any cell is all hits.
 type pool struct {
 	mu         sync.Mutex
 	idlePerKey int
-	rekeyEvery int64
-	cells      map[cellKey]*cell
+	cells      map[cellKey][]*protocol.SetupCache
 
-	hits      int64
-	misses    int64
-	rekeys    int64
-	rekeyErrs int64
+	hits   int64
+	misses int64
 }
 
-func newPool(idlePerKey, rekeyEvery int) *pool {
-	if idlePerKey < 1 {
-		idlePerKey = 2
-	}
-	return &pool{
-		idlePerKey: idlePerKey,
-		rekeyEvery: int64(rekeyEvery),
-		cells:      make(map[cellKey]*cell),
-	}
+func newPool(idlePerKey int) *pool {
+	return &pool{idlePerKey: idlePerKey, cells: make(map[cellKey][]*protocol.SetupCache)}
 }
 
 // checkout hands the caller an exclusively owned setup cache for the
@@ -73,10 +58,9 @@ func newPool(idlePerKey, rekeyEvery int) *pool {
 func (p *pool) checkout(k cellKey) (sc *protocol.SetupCache, warm bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := p.cells[k]
-	if c != nil && len(c.idle) > 0 {
-		sc = c.idle[len(c.idle)-1]
-		c.idle = c.idle[:len(c.idle)-1]
+	if idle := p.cells[k]; len(idle) > 0 {
+		sc = idle[len(idle)-1]
+		p.cells[k] = idle[:len(idle)-1]
 		p.hits++
 		return sc, true
 	}
@@ -86,41 +70,15 @@ func (p *pool) checkout(k cellKey) (sc *protocol.SetupCache, warm bool) {
 	return protocol.NewSetupCache(2), false
 }
 
-// checkin returns a checked-out cache to its cell, rekeying it first
-// when the cell's check-in count crosses the rekey interval. Returns
-// how many clusters were rekeyed (0 outside the interval). A cache that
-// fails to rekey, or arrives when the cell's idle list is full, is
-// dropped — the next checkout rebuilds from seeds.
-func (p *pool) checkin(k cellKey, sc *protocol.SetupCache) (rekeyed int, err error) {
-	p.mu.Lock()
-	c := p.cells[k]
-	if c == nil {
-		c = &cell{}
-		p.cells[k] = c
-	}
-	c.runs++
-	rekey := p.rekeyEvery > 0 && c.runs%p.rekeyEvery == 0
-	p.mu.Unlock()
-
-	if rekey {
-		// Re-establishing clusters is expensive; do it outside the pool
-		// lock. The cache is still exclusively ours.
-		rekeyed, err = sc.Rekey()
-	}
-
+// checkin returns a checked-out cache to its cell. A cache that arrives
+// when the cell's idle list is full is dropped — the next checkout
+// rebuilds from seeds.
+func (p *pool) checkin(k cellKey, sc *protocol.SetupCache) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if rekey {
-		p.rekeys += int64(rekeyed)
-		if err != nil {
-			p.rekeyErrs++
-			return rekeyed, err
-		}
+	if idle := p.cells[k]; len(idle) < p.idlePerKey {
+		p.cells[k] = append(idle, sc)
 	}
-	if len(c.idle) < p.idlePerKey {
-		c.idle = append(c.idle, sc)
-	}
-	return rekeyed, nil
 }
 
 // PoolSnapshot is the pool's row in the stats snapshot.
@@ -131,27 +89,17 @@ type PoolSnapshot struct {
 	Cells int `json:"cells"`
 	Idle  int `json:"idle"`
 	// Hits and Misses count checkouts that found, respectively missed, a
-	// warm cache. RekeyedClusters counts clusters rotated onto a fresh
-	// key epoch; RekeyErrors counts caches dropped because re-keying
-	// failed.
-	Hits            int64 `json:"hits"`
-	Misses          int64 `json:"misses"`
-	RekeyedClusters int64 `json:"rekeyed_clusters"`
-	RekeyErrors     int64 `json:"rekey_errors,omitempty"`
+	// warm cache.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }
 
 func (p *pool) snapshot() PoolSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := PoolSnapshot{
-		Cells:           len(p.cells),
-		Hits:            p.hits,
-		Misses:          p.misses,
-		RekeyedClusters: p.rekeys,
-		RekeyErrors:     p.rekeyErrs,
-	}
-	for _, c := range p.cells {
-		s.Idle += len(c.idle)
+	s := PoolSnapshot{Cells: len(p.cells), Hits: p.hits, Misses: p.misses}
+	for _, idle := range p.cells {
+		s.Idle += len(idle)
 	}
 	return s
 }

@@ -9,8 +9,7 @@
 //     requests and verdict/latency replies;
 //   - a warm-cluster pool (pool.go) keyed by (protocol, scheme, n, t,
 //     keySeed) cells, so a sustained request stream pays keygen and the
-//     authentication handshake once per cell, with periodic
-//     deterministic re-keying;
+//     authentication handshake once per cell;
 //   - instance-ID-sharded executors with bounded per-tenant FIFO queues
 //     and round-robin tenant service, so one flooding tenant can
 //     neither starve another nor buffer without bound — the full queue
@@ -80,22 +79,17 @@ type Reply struct {
 // defaults.
 type Config struct {
 	// Shards is the executor count; requests are sharded by instance ID
-	// (default 4).
+	// (default 4). It is also the number of warm setups a pool cell may
+	// park: no more executors than that can hold one cell's at once.
 	Shards int
 	// QueueDepth bounds each tenant's FIFO on each shard (default 64).
 	// A full queue rejects with RETRY-AFTER instead of buffering.
 	QueueDepth int
-	// PoolIdle bounds the warm setup caches parked per pool cell
-	// (default 2).
-	PoolIdle int
-	// RekeyEvery rotates a pool cell's clusters onto a fresh key epoch
-	// every that many served requests of the cell; 0 never rekeys.
-	RekeyEvery int
 	// RetryAfter is the backoff hint sent with busy rejections
 	// (default 50ms).
 	RetryAfter time.Duration
 	// Recorder receives per-request "service.request" spans and
-	// reject/rekey/drain points; nil disables tracing (the default).
+	// reject/panic/drain points; nil disables tracing (the default).
 	Recorder *obs.Recorder
 }
 
@@ -105,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 64
-	}
-	if c.PoolIdle < 1 {
-		c.PoolIdle = 2
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 50 * time.Millisecond
@@ -228,6 +219,7 @@ type Server struct {
 	shards   []*shard
 	nextInst atomic.Int64
 	draining atomic.Bool
+	panics   atomic.Int64
 	wg       sync.WaitGroup // shard executors
 	connWG   sync.WaitGroup // connection handlers
 
@@ -244,7 +236,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		rec:   cfg.Recorder,
-		pool:  newPool(cfg.PoolIdle, cfg.RekeyEvery),
+		pool:  newPool(cfg.Shards),
 		stats: newServerStats(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -418,8 +410,8 @@ func (s *Server) reject(sess *session, reqID int, code string, retryAfter time.D
 
 // execute runs one admitted task on its executor shard: check a warm
 // setup out of the pool (cacheable drivers), run through the exact
-// campaign result/conformance path, check the setup back in (rekeying
-// on the interval), and answer the client.
+// campaign result/conformance path, check the setup back in, and answer
+// the client.
 func (s *Server) execute(t task) {
 	if s.execGate != nil {
 		<-s.execGate
@@ -440,14 +432,12 @@ func (s *Server) execute(t task) {
 		}
 	}
 	runStart := time.Now()
-	res := campaign.RunInstanceWith(t.inst, sc)
+	res, panicked := s.run(t.inst, sc)
 	runDur := time.Since(runStart)
-	if t.cacheable {
-		rekeyed, err := s.pool.checkin(key, sc)
-		if (rekeyed > 0 || err != nil) && s.rec.Enabled() {
-			s.rec.Point("service.rekey", obs.Attrs("protocol", key.Protocol, "n", key.N,
-				"rekeyed", rekeyed, "err", err != nil))
-		}
+	if t.cacheable && !panicked {
+		// A setup a panic interrupted is in an unknown state: drop it and
+		// let the next checkout rebuild from seeds.
+		s.pool.checkin(key, sc)
 	}
 	reply := Reply{Result: res, QueueNS: queueWait.Nanoseconds(), RunNS: runDur.Nanoseconds(), Source: source}
 	payload, err := json.Marshal(reply)
@@ -462,6 +452,29 @@ func (s *Server) execute(t task) {
 	s.stats.served(t.sess.tenant, res.Err != "", conformant, latency, queueWait)
 	t.span.End(obs.Attrs("conformant", conformant, "source", source,
 		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
+}
+
+// errDriverPanic is the fixed Err string of a request whose driver
+// panicked. Fixed, like campaign.ErrInstanceTimeout, so the reply does
+// not carry memory addresses or stack text to the client.
+const errDriverPanic = "service: driver panicked"
+
+// run executes one instance, containing a driver panic to its request:
+// the client is answered with errDriverPanic and the daemon — every
+// other tenant's queue with it — keeps serving.
+func (s *Server) run(inst campaign.Instance, sc *protocol.SetupCache) (res campaign.Result, panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			if s.rec.Enabled() {
+				s.rec.Point("service.panic", obs.Attrs("protocol", inst.Protocol,
+					"n", inst.N, "t", inst.T, "seed", inst.Seed, "panic", r))
+			}
+			res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: errDriverPanic}
+			panicked = true
+		}
+	}()
+	return campaign.RunInstanceWith(inst, sc), false
 }
 
 // Drain gracefully shuts the server down: admission stops (new submits
@@ -490,6 +503,7 @@ func (s *Server) Snapshot() Snapshot {
 		UpdatedAt: time.Now().UTC(),
 		Draining:  s.draining.Load(),
 		Shards:    len(s.shards),
+		Panics:    s.panics.Load(),
 		Pool:      s.pool.snapshot(),
 	}
 	for _, sh := range s.shards {

@@ -315,3 +315,48 @@ func TestCustomValueRoundTrip(t *testing.T) {
 		t.Fatalf("custom value had no observable effect on the run")
 	}
 }
+
+// A panicking driver costs its own request an error, not the daemon its
+// life: the client gets the fixed error string, the snapshot counts the
+// panic, the interrupted setup is dropped rather than parked, and the
+// next request is served as if nothing happened.
+func TestDriverPanicContained(t *testing.T) {
+	sink := &obs.MemorySink{}
+	rec := obs.NewRecorder(sink)
+	srv, _, cl := startServer(t, Config{Shards: 1, Recorder: rec}, "alpha")
+
+	reply, err := cl.Do(Request{Index: 7, Protocol: "test-panic", N: 4, T: 1, Seed: 3, KeySeed: 1})
+	if err != nil {
+		t.Fatalf("panicking request got no reply: %v", err)
+	}
+	if reply.Result.Err != errDriverPanic || reply.Result.Conformance != nil {
+		t.Fatalf("result = %+v, want Err %q and no verdict", reply.Result, errDriverPanic)
+	}
+	if reply.Result.Index != 7 || reply.Result.Seed != 3 {
+		t.Fatalf("result lost its coordinates: %+v", reply.Result)
+	}
+
+	good, err := cl.Do(chainRequest(1))
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	if good.Result.Err != "" || !good.Result.Conformance.Conformant() {
+		t.Fatalf("request after the panic = %+v", good.Result)
+	}
+
+	snap := srv.Snapshot()
+	if snap.Panics != 1 || snap.Errors != 1 || snap.Served != 2 {
+		t.Fatalf("snapshot = panics %d errors %d served %d, want 1/1/2", snap.Panics, snap.Errors, snap.Served)
+	}
+	// Two checkouts, both misses; only the chain request's setup parked.
+	if snap.Pool.Misses != 2 || snap.Pool.Idle != 1 || snap.Pool.Cells != 1 {
+		t.Fatalf("pool = %+v, want the panicked setup dropped", snap.Pool)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	points := sink.Scoped("service.panic")
+	if len(points) != 1 || !strings.Contains(points[0].Attrs, "panic=driver bug") {
+		t.Fatalf("service.panic points = %+v", points)
+	}
+}

@@ -50,6 +50,9 @@ type Snapshot struct {
 	Rejected  int64 `json:"rejected"`
 	Errors    int64 `json:"errors"`
 	Queued    int64 `json:"queued"`
+	// Panics counts requests whose driver panicked; each was answered
+	// with an error (and is in Errors too) and its pooled setup dropped.
+	Panics int64 `json:"panics"`
 
 	Pool    PoolSnapshot     `json:"pool"`
 	Tenants []TenantSnapshot `json:"tenants,omitempty"`

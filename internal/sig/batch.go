@@ -1,12 +1,6 @@
 package sig
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/model"
-)
+import "sync"
 
 // Batch signature verification.
 //
@@ -14,17 +8,11 @@ import (
 // checks K triples, and an ingest round checks every flooded chain at
 // once. VerifyBatch takes the whole set, dedups it against the
 // verified-signature memo first (the common steady state is every triple
-// memoized — no public-key work at all), and fans the residual checks
-// across a bounded worker pool. Per-key single-flight in the memo keeps
-// concurrent workers from duplicating a test that appears twice in (or
-// across) batches.
-//
-// Determinism: the verdict of each check is a pure function of its
-// (predicate, payload, signature) triple, so the reported first-failure
-// index is independent of worker count and scheduling — a requirement for
-// byte-identical reports at any parallelism. Workers may evaluate checks
-// AFTER the first failing one that a serial verifier would have skipped;
-// the only effect is extra memo fills, which are unobservable.
+// memoized — no public-key work at all), and runs the residual checks in
+// order on the caller's goroutine. Callers that verify concurrently
+// (campaign workers, service shards) meet in the memo, whose per-key
+// single-flight keeps them from duplicating a test that appears in more
+// than one batch.
 
 // Check is one pending signature verification: Pred must accept Sig over
 // Payload.
@@ -34,44 +22,18 @@ type Check struct {
 	Sig     []byte
 }
 
-// verifyWorkers holds the configured verification parallelism; 0 means
-// "use GOMAXPROCS".
-var verifyWorkers atomic.Int32
-
-// SetVerifyParallelism bounds the worker pool VerifyBatch fans residual
-// (non-memoized) checks across. n <= 0 restores the default, GOMAXPROCS.
-// n == 1 makes batch verification fully serial. Reports are byte-identical
-// at any setting; the knob trades wall-clock for cores.
-func SetVerifyParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	verifyWorkers.Store(int32(n))
-}
-
-// VerifyParallelism returns the effective worker bound.
-func VerifyParallelism() int {
-	if n := int(verifyWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // batchScratch recycles the per-batch bookkeeping slices so the warm path
 // (everything memoized) allocates nothing.
 type batchScratch struct {
 	keys []memoKey
 	miss []int
-	res  []bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // VerifyBatch checks every triple and returns the index of the first
 // failing check, or -1 if all pass. Checks already in the verified memo
-// are skipped; the rest run on up to VerifyParallelism() goroutines
-// (including the caller's). The first-failure index is deterministic —
-// identical to running the checks one by one in order.
+// are skipped; the rest run one by one in order.
 func VerifyBatch(checks []Check) int {
 	s := batchScratchPool.Get().(*batchScratch)
 	bad := verifyBatch(checks, s)
@@ -82,7 +44,7 @@ func VerifyBatch(checks []Check) int {
 func verifyBatch(checks []Check, s *batchScratch) int {
 	memo := chainVerifyMemo
 	if len(checks) == 1 {
-		// One check: the pool machinery is pure overhead.
+		// One check: the pre-pass bookkeeping is pure overhead.
 		c := &checks[0]
 		if memo.test(c.Pred, c.Payload, c.Sig) {
 			return -1
@@ -92,7 +54,6 @@ func verifyBatch(checks []Check, s *batchScratch) int {
 	if cap(s.keys) < len(checks) {
 		s.keys = make([]memoKey, len(checks))
 		s.miss = make([]int, 0, len(checks))
-		s.res = make([]bool, len(checks))
 	}
 	keys := s.keys[:len(checks)]
 	miss := s.miss[:0]
@@ -104,108 +65,11 @@ func verifyBatch(checks []Check, s *batchScratch) int {
 			miss = append(miss, i)
 		}
 	}
-	if len(miss) == 0 {
-		return -1
-	}
-	workers := VerifyParallelism()
-	if workers > len(miss) {
-		workers = len(miss)
-	}
-	if workers <= 1 {
-		for _, idx := range miss {
-			c := &checks[idx]
-			if !memo.testKey(keys[idx], c.Pred, c.Payload, c.Sig) {
-				return idx
-			}
-		}
-		return -1
-	}
-	res := s.res[:len(checks)]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(miss) {
-				return
-			}
-			idx := miss[i]
-			c := &checks[idx]
-			res[idx] = memo.testKey(keys[idx], c.Pred, c.Payload, c.Sig)
-		}
-	}
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 	for _, idx := range miss {
-		if !res[idx] {
+		c := &checks[idx]
+		if !memo.testKey(keys[idx], c.Pred, c.Payload, c.Sig) {
 			return idx
 		}
 	}
 	return -1
-}
-
-// VerifyChains batch-verifies a round's worth of chains: errs[i] is
-// exactly chains[i].Verify(senders[i], dir). Distinct chains verify
-// concurrently on up to VerifyParallelism() goroutines (each chain's own
-// layers additionally dedup against the memo and fan out inside Verify),
-// so a round that floods several cold chains at a node verifies on all
-// cores instead of one. Verdicts are pure per-chain functions, so the
-// error slots are deterministic at any worker count.
-//
-// Nil chains are skipped (errs entry stays nil), letting ingest loops
-// batch a sparse candidate set without compacting it. The chains must be
-// distinct values — Verify fills each chain's nested-encoding cache — and
-// dir must be safe for concurrent reads, as every Directory in this
-// repository is.
-func VerifyChains(chains []*Chain, senders []model.NodeID, dir Directory) []error {
-	errs := make([]error, len(chains))
-	live := 0
-	for _, c := range chains {
-		if c != nil {
-			live++
-		}
-	}
-	workers := VerifyParallelism()
-	if workers > live {
-		workers = live
-	}
-	if workers <= 1 {
-		for i, c := range chains {
-			if c != nil {
-				_, errs[i] = c.Verify(senders[i], dir)
-			}
-		}
-		return errs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(chains) {
-				return
-			}
-			if chains[i] == nil {
-				continue
-			}
-			_, errs[i] = chains[i].Verify(senders[i], dir)
-		}
-	}
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return errs
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,8 +149,8 @@ func (o chainVerifyOutcome) equal(p chainVerifyOutcome) bool {
 // TestChainVerifyBatchMatchesSerial is the batch-verification differential
 // oracle: for well-formed and adversarial chains alike, the batched Verify
 // must return the same signers and the SAME error (sentinel and layer) as
-// the serial reference implementation, at every parallelism setting and
-// GOMAXPROCS — signature verification order must be unobservable.
+// the serial reference implementation (verify_oracle_test.go), cold and
+// warm — the memo pre-pass must be unobservable.
 func TestChainVerifyBatchMatchesSerial(t *testing.T) {
 	const hops = 6
 	f := newChainFixture(t, hops)
@@ -191,31 +190,20 @@ func TestChainVerifyBatchMatchesSerial(t *testing.T) {
 		{"unknown1-then-bad4", func() *Chain { c := tamper(4); return c }(), without(1)},
 	}
 
-	oldMaxProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(oldMaxProcs)
-	defer SetVerifyParallelism(0)
-	for _, procs := range []int{1, oldMaxProcs} {
-		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 2, 8} {
-			SetVerifyParallelism(workers)
-			for _, sc := range scenarios {
-				// Serial reference, cold.
-				ResetVerifyMemo()
-				want := verifyOutcome(sc.chain.verifySerial(sender, sc.dir))
-				// Batched, cold (exercises the fan-out) then warm
-				// (exercises the memo pre-pass).
-				ResetVerifyMemo()
-				gotCold := verifyOutcome(sc.chain.Verify(sender, sc.dir))
-				gotWarm := verifyOutcome(sc.chain.Verify(sender, sc.dir))
-				if !gotCold.equal(want) {
-					t.Errorf("procs=%d workers=%d %s: cold batch %+v != serial %+v",
-						procs, workers, sc.name, gotCold, want)
-				}
-				if !gotWarm.equal(want) {
-					t.Errorf("procs=%d workers=%d %s: warm batch %+v != serial %+v",
-						procs, workers, sc.name, gotWarm, want)
-				}
-			}
+	for _, sc := range scenarios {
+		// Serial reference, cold.
+		ResetVerifyMemo()
+		want := verifyOutcome(sc.chain.verifySerial(sender, sc.dir))
+		// Batched, cold (every layer a residual check) then warm
+		// (everything resolved by the memo pre-pass).
+		ResetVerifyMemo()
+		gotCold := verifyOutcome(sc.chain.Verify(sender, sc.dir))
+		gotWarm := verifyOutcome(sc.chain.Verify(sender, sc.dir))
+		if !gotCold.equal(want) {
+			t.Errorf("%s: cold batch %+v != serial %+v", sc.name, gotCold, want)
+		}
+		if !gotWarm.equal(want) {
+			t.Errorf("%s: warm batch %+v != serial %+v", sc.name, gotWarm, want)
 		}
 	}
 }
@@ -238,10 +226,9 @@ func TestChainVerifyFillsNestedCache(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchFirstFailure pins VerifyBatch's deterministic result:
-// the index of the first failing check, independent of worker count.
+// TestVerifyBatchFirstFailure pins VerifyBatch's result: the index of
+// the first failing check, cold and with the passing checks memoized.
 func TestVerifyBatchFirstFailure(t *testing.T) {
-	defer SetVerifyParallelism(0)
 	good := &countingPred{id: "good", verdict: true}
 	bad := &countingPred{id: "bad", verdict: false}
 	mk := func(preds ...*countingPred) []Check {
@@ -263,54 +250,18 @@ func TestVerifyBatchFirstFailure(t *testing.T) {
 		{mk(bad, good, bad, good), 0},
 		{mk(good, good, good, bad), 3},
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		SetVerifyParallelism(workers)
-		for ci, tc := range cases {
-			for rep := 0; rep < 3; rep++ {
-				if got := VerifyBatch(tc.checks); got != tc.want {
-					t.Errorf("workers=%d case=%d rep=%d: VerifyBatch=%d, want %d", workers, ci, rep, got, tc.want)
-				}
+	for ci, tc := range cases {
+		for rep := 0; rep < 3; rep++ {
+			if got := VerifyBatch(tc.checks); got != tc.want {
+				t.Errorf("case=%d rep=%d: VerifyBatch=%d, want %d", ci, rep, got, tc.want)
 			}
-		}
-	}
-}
-
-// TestVerifyChainsMatchesLoop checks the round-level helper returns
-// exactly what a per-chain Verify loop would, including nil skips.
-func TestVerifyChainsMatchesLoop(t *testing.T) {
-	const hops = 4
-	f := newChainFixture(t, hops)
-	goodChain := f.buildChain(t, []byte("round"), hops)
-	badChain := f.buildChain(t, []byte("round"), hops).clone()
-	badChain.sigs[2][0] ^= 0x01
-	otherChain := f.buildChain(t, []byte("other round"), hops)
-	chains := []*Chain{goodChain, nil, badChain, otherChain}
-	senders := []model.NodeID{hops - 1, 0, hops - 1, hops - 1}
-
-	errs := VerifyChains(chains, senders, f.dir)
-	if len(errs) != len(chains) {
-		t.Fatalf("VerifyChains returned %d errors for %d chains", len(errs), len(chains))
-	}
-	for i, c := range chains {
-		if c == nil {
-			if errs[i] != nil {
-				t.Errorf("chain %d: nil chain got error %v", i, errs[i])
-			}
-			continue
-		}
-		_, want := c.Verify(senders[i], f.dir)
-		switch {
-		case want == nil && errs[i] == nil:
-		case want != nil && errs[i] != nil && want.Error() == errs[i].Error():
-		default:
-			t.Errorf("chain %d: VerifyChains err %v, loop err %v", i, errs[i], want)
 		}
 	}
 }
 
 // TestVerifyBatchWarmAllocs pins the allocation budget of the fully
 // memoized batch path: the dedup pre-pass must resolve everything without
-// spawning workers or allocating.
+// allocating.
 func TestVerifyBatchWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")

@@ -342,12 +342,10 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 //
 // The per-layer payloads are built in a single forward pass into a pooled
 // arena and the layer checks handed to VerifyBatch, which dedups against
-// the verified-signature memo and fans residual public-key work across
-// the verification worker pool — so re-verifying a chain the process has
-// already seen costs hashing, and cold multi-layer chains verify on all
-// cores. The result (including which error, at which layer) is identical
-// to checking the layers one by one in order; verifySerial below is that
-// reference implementation, kept as the differential oracle. On success
+// the verified-signature memo — so re-verifying a chain the process has
+// already seen costs hashing. The result (including which error, at which
+// layer) is identical to checking the layers one by one in order;
+// verifySerial in the tests is that reference implementation. On success
 // the chain's nested-encoding cache is filled, making a subsequent Extend
 // allocation-minimal.
 func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
@@ -413,55 +411,6 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 		// The forward pass ended on the full chain's nested encoding;
 		// keep it so a following Extend skips computeNested.
 		c.nested = append([]byte(nil), ne...)
-	}
-	return signers, nil
-}
-
-// verifySerial is the pre-batch reference implementation of Verify: one
-// memoized test per layer, in order, stopping at the first failure. It is
-// kept verbatim as the differential oracle — Verify must return the same
-// signers and the same error (same sentinel, same layer) for every input.
-func (c *Chain) verifySerial(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
-	if len(c.sigs) == 0 {
-		return nil, ErrChainEmpty
-	}
-	if len(c.names) != len(c.sigs)-1 {
-		return nil, fmt.Errorf("%w: %d names for %d signatures",
-			ErrChainEncoding, len(c.names), len(c.sigs))
-	}
-	signers := c.Signers(sender)
-	const tagLen = 4 + len(tagChainLink)
-	pe, ne := GetEncoder(), GetEncoder()
-	defer pe.Release()
-	defer ne.Release()
-	pe.Grow(BytesFieldSize(len(tagChainValue)) + BytesFieldSize(len(c.value)))
-	pe.Raw(appendValuePayload(pe.Encoding(), c.value))
-	ne.Grow(BytesFieldSize(len(c.value)) + BytesFieldSize(len(c.sigs[0])))
-	ne.Raw(appendNestedRoot(ne.Encoding(), c.value, c.sigs[0]))
-	for k := 0; k < len(c.sigs); k++ {
-		who := signers[k]
-		pred, ok := dir.PredicateOf(who)
-		if !ok {
-			return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, k, who)
-		}
-		if !chainVerifyMemo.test(pred, pe.Encoding(), c.sigs[k]) {
-			return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, k, who)
-		}
-		if k+1 < len(c.sigs) {
-			pe.Reset()
-			pe.Grow(tagLen + IntFieldSize + BytesFieldSize(ne.Len()))
-			pe.Raw(appendLinkPayload(pe.Encoding(), c.names[k], ne.Encoding()))
-			// nested_{k+1} is appendNestedLayer(name_k, nested_k, sig_{k+1});
-			// its (name, nested) body is payload_{k+1} minus the tag field,
-			// so splice it from pe instead of re-encoding.
-			body := pe.Encoding()[tagLen:]
-			ne.Reset()
-			ne.Grow(len(body) + BytesFieldSize(len(c.sigs[k+1])))
-			ne.Raw(body).Bytes(c.sigs[k+1])
-		}
-	}
-	if c.nested == nil {
-		c.nested = ne.AppendTo(nil)
 	}
 	return signers, nil
 }

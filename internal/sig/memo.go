@@ -39,8 +39,8 @@ import (
 // separate memos.)
 //
 // Concurrency: the memo is sharded by key digest, each shard under its
-// own mutex, so parallel verifiers (VerifyBatch's worker pool, campaign
-// workers) do not serialize on one lock. Misses are single-flighted per
+// own mutex, so parallel verifiers (campaign workers, service shards) do
+// not serialize on one lock. Misses are single-flighted per
 // key: the first goroutine to miss runs pred.Test and every concurrent
 // miss on the same key waits for and adopts its verdict. Adoption is
 // sound for failures too — the key pins scheme AND key bytes AND payload
