@@ -342,6 +342,19 @@ func BenchmarkKeydistRoundTrip(b *testing.B) {
 	b.Run("toy", perfbench.HandshakeRoundTrip(sig.SchemeToy))
 }
 
+// BenchmarkNetcondFates measures opening every directed link of a lossy
+// n=16 instance: NewModel plus one Fate per link, each building the
+// link's seeded stream.
+func BenchmarkNetcondFates(b *testing.B) {
+	b.Run("n=16", perfbench.NetcondFates(16))
+}
+
+// BenchmarkSeededReader measures one node entropy stream as setup
+// builds it: construct, read 32 bytes.
+func BenchmarkSeededReader(b *testing.B) {
+	b.Run("32B", perfbench.SeededReader)
+}
+
 // BenchmarkCampaignChainSweep measures the many-runs-one-setup workload:
 // a 100-seed chain sweep at one (scheme, n, t) cell, with per-instance
 // setup (cold) vs the per-worker setup cache (warm).

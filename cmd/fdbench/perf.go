@@ -49,6 +49,8 @@ func perfSuite() []namedBench {
 		{"fd_chain_run/n=16_t=5", perfbench.FDRun(16, 5)},
 		{"keydist_handshake/n=16_t=5", perfbench.KeydistHandshake(16, 5)},
 		{"keydist_roundtrip/ed25519", perfbench.HandshakeRoundTrip(sig.SchemeEd25519)},
+		{"netcond_fates/n=16", perfbench.NetcondFates(16)},
+		{"seeded_reader/32B", perfbench.SeededReader},
 		{"campaign_chain_sweep_cold/n=8_t=2_seeds=100", perfbench.CampaignChainSweep(8, 2, 100, false)},
 		{"campaign_chain_sweep_warm/n=8_t=2_seeds=100", perfbench.CampaignChainSweep(8, 2, 100, true)},
 		{"campaign_fdba_sweep_cold/n=8_t=2_seeds=100", perfbench.CampaignFDBASweep(8, 2, 100, false)},

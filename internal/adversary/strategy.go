@@ -261,7 +261,7 @@ func (s Strategy) CorruptSet(n int, seed int64) model.NodeSet {
 		if size > n {
 			size = n
 		}
-		rng := rand.New(rand.NewSource(sim.CoalitionSeed(seed)))
+		rng := rand.New(sim.SeededSource(sim.CoalitionSeed(seed)))
 		for _, v := range rng.Perm(n)[:size] {
 			set.Add(model.NodeID(v))
 		}

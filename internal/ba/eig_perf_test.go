@@ -266,3 +266,21 @@ func TestEIGMaxNodesEnforced(t *testing.T) {
 		t.Error("NewEIGNode accepted n=300; packed path keys need n <= 256")
 	}
 }
+
+// pathKey canonically encodes a path as a byte-packed string: one byte
+// per node ID, injective because NewEIGNode bounds n at maxEIGNodes.
+// The tree itself is rank-indexed and no longer keyed by strings; the
+// packed key remains for diagnostics and the key-structure tests.
+func pathKey(path []model.NodeID) string {
+	return string(appendPathKey(nil, path))
+}
+
+// appendPathKey appends the packed key of path to dst. Hot paths call it
+// with a reused buffer and look the result up via the zero-copy
+// map[string(buf)] form.
+func appendPathKey(dst []byte, path []model.NodeID) []byte {
+	for _, p := range path {
+		dst = append(dst, byte(p))
+	}
+	return dst
+}

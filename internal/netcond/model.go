@@ -67,7 +67,7 @@ func (m *Model) link(from, to int) *linkState {
 	k := linkKey{from, to}
 	ls := m.links[k]
 	if ls == nil {
-		ls = &linkState{rng: rand.New(rand.NewSource(sim.NetLinkSeed(m.seed, from, to)))}
+		ls = &linkState{rng: rand.New(sim.SeededSource(sim.NetLinkSeed(m.seed, from, to)))}
 		m.links[k] = ls
 	}
 	return ls

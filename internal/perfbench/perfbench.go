@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/keydist"
 	"repro/internal/model"
+	"repro/internal/netcond"
 	"repro/internal/sched"
 	"repro/internal/sig"
 	"repro/internal/sim"
@@ -225,6 +226,40 @@ func HandshakeRoundTrip(schemeName string) func(b *testing.B) {
 			if err := keydist.VerifyResponse(issued, echoed, pred); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// NetcondFates measures what a lossy instance pays to open its links:
+// NewModel plus one lossy, uniform-latency Fate on each of the n(n−1)
+// directed links, whose first draw builds the link's seeded stream.
+// This is the netcond share of every link-degrading cell in a campaign
+// grid, where most links carry one or two messages per run.
+func NetcondFates(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		spec := netcond.Spec{Latency: &netcond.LatencySpec{Dist: netcond.DistUniform, Min: 0, Max: 2}, Loss: 0.05}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := netcond.NewModel(spec, n, int64(i))
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					if from != to {
+						m.Fate(model.Message{From: model.NodeID(from), To: model.NodeID(to)}, 1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// SeededReader measures one node's entropy stream as cluster setup
+// builds it (two per node): construct, read 32 bytes.
+func SeededReader(b *testing.B) {
+	var buf [32]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.SeededReader(int64(i)).Read(buf[:]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -256,7 +256,10 @@ func (c *Coordinator) Execute(_ campaign.Spec, instances []campaign.Instance) ([
 			default:
 			}
 		}
-		wake.Reset(r.nextWake(time.Now()))
+		// The same instant dispatch judged backoffs against: a later one
+		// could fall past a notBefore that dispatch saw as still ahead,
+		// and the batch would be neither leased nor woken for.
+		wake.Reset(r.nextWake(now))
 		select {
 		case l := <-c.join:
 			r.addWorker(l)

@@ -25,9 +25,10 @@ func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 	sink := &obs.MemorySink{}
 	rec := obs.NewRecorder(sink)
 	cfg := sched.Config{
-		BatchSize: 4,
-		LeaseTTL:  5 * time.Second,
-		Observer:  rec,
+		BatchSize:  4,
+		LeaseTTL:   5 * time.Second,
+		MinWorkers: 2, // both joins precede the first lease, so both are recorded
+		Observer:   rec,
 	}
 	spec := schedSpec()
 	ctx := context.Background()

@@ -49,6 +49,21 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 	}()
 
 	exec := campaign.NewExecutor(cfg.Options...)
+	// run contains a driver panic to its instance, as service.Server.run
+	// does: the instance reports errDriverPanic, the rest of the batch
+	// and every later lease still execute. The setup the driver died on
+	// may be half-stepped, so the executor and its cache are replaced.
+	// (Under campaign.WithInstanceTimeout the driver runs on the
+	// watchdog's goroutine, which no recover here can reach.)
+	run := func(inst campaign.Instance) (res campaign.Result) {
+		defer func() {
+			if recover() != nil {
+				exec = campaign.NewExecutor(cfg.Options...)
+				res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: errDriverPanic}
+			}
+		}()
+		return exec.Run(inst)
+	}
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
@@ -72,7 +87,7 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 				conn.Send(encodeNack(lease.ID, "undecodable batch payload: "+err.Error()))
 				continue
 			}
-			if err := runLease(conn, exec, cfg, lease, instances); err != nil {
+			if err := runLease(conn, run, cfg, lease, instances); err != nil {
 				conn.Close()
 				if ctx.Err() != nil {
 					return ctx.Err()
@@ -89,9 +104,15 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 	}
 }
 
+// errDriverPanic is the fixed Err string of an instance whose driver
+// panicked on a worker. Fixed, like campaign.ErrInstanceTimeout, so the
+// report's bytes do not depend on which worker ran it or what the panic
+// value was.
+const errDriverPanic = "sched: driver panicked"
+
 // runLease executes one leased batch under a heartbeat, then reports the
 // results. Errors mean the link is unusable.
-func runLease(conn transport.Conn, exec *campaign.Executor, cfg WorkerConfig, lease leaseMsg, instances []campaign.Instance) error {
+func runLease(conn transport.Conn, run func(campaign.Instance) campaign.Result, cfg WorkerConfig, lease leaseMsg, instances []campaign.Instance) error {
 	interval := cfg.Heartbeat
 	if interval <= 0 {
 		interval = time.Duration(lease.Deadline) * time.Millisecond / 3
@@ -118,7 +139,7 @@ func runLease(conn transport.Conn, exec *campaign.Executor, cfg WorkerConfig, le
 
 	results := make([]campaign.Result, len(instances))
 	for i, inst := range instances {
-		results[i] = exec.Run(inst)
+		results[i] = run(inst)
 	}
 	payload, err := json.Marshal(results)
 	if err != nil {

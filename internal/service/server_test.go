@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -120,17 +121,23 @@ func TestBadRequestRejected(t *testing.T) {
 	}
 }
 
-// waitQueued polls until the server's queue depth reaches want.
-func waitQueued(t *testing.T, srv *Server, want int64) {
+// waitSnapshot polls until the server's snapshot satisfies ok.
+func waitSnapshot(t *testing.T, srv *Server, what string, ok func(Snapshot) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.Snapshot().Queued == want {
+		if ok(srv.Snapshot()) {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("queue depth never reached %d (now %d)", want, srv.Snapshot().Queued)
+	t.Fatalf("never saw %s (snapshot now %+v)", what, srv.Snapshot())
+}
+
+// waitQueued polls until the server's queue depth reaches want.
+func waitQueued(t *testing.T, srv *Server, want int64) {
+	t.Helper()
+	waitSnapshot(t, srv, fmt.Sprintf("queue depth %d", want), func(s Snapshot) bool { return s.Queued == want })
 }
 
 // Backpressure: with the executor gated shut, a tenant's queue fills to
@@ -155,9 +162,12 @@ func TestBackpressureRejectsBusy(t *testing.T) {
 			results <- err
 		}()
 		if seed == 1 {
-			// Wait for the executor to pop it so queue accounting below
-			// is deterministic.
-			waitQueued(t, srv, 0)
+			// Wait for it to be admitted and for the executor to pop it
+			// so queue accounting below is deterministic (an empty
+			// queue alone also describes a request still on the wire).
+			waitSnapshot(t, srv, "request 1 admitted and popped", func(s Snapshot) bool {
+				return s.Submitted >= 1 && s.Queued == 0
+			})
 		}
 	}
 	waitQueued(t, srv, 2)

@@ -17,7 +17,100 @@ import (
 // from the given seed. It is NOT cryptographically secure; it exists so
 // simulated runs are reproducible.
 func SeededReader(seed int64) io.Reader {
-	return &rngReader{rng: rand.New(rand.NewSource(seed))}
+	return &rngReader{rng: rand.New(SeededSource(seed))}
+}
+
+// math/rand's seeded generator: an additive lagged-Fibonacci register
+// of rngLen words with taps rngLen and rngTap, filled at Seed time from
+// a Lehmer stream x·seedA^j mod seedM.
+const (
+	rngLen = 607
+	rngTap = 273
+	seedA  = 48271
+	seedM  = 1<<31 - 1
+	seedA3 = seedA * seedA % seedM * seedA % seedM // one register word's worth of steps
+)
+
+// seedPow[i] is seedA^(21+3i) mod seedM: math/rand discards 20 Lehmer
+// steps and then spends three on each register word, so word i is built
+// from x·seedPow[i] and its two successors. A static array, not heap.
+var seedPow = func() (pow [rngLen]uint32) {
+	p := uint64(1)
+	for j := 0; j < 21; j++ {
+		p = p * seedA % seedM
+	}
+	for i := range pow {
+		pow[i] = uint32(p)
+		p = p * seedA3 % seedM
+	}
+	return pow
+}()
+
+// seededSource is math/rand's NewSource(seed) without the 4.9 KB
+// register and the 1,841-step seeding loop. The generator's first
+// rngTap outputs never read a register word it has already overwritten,
+// so output k is word(334-k)+word(607-k) of the freshly seeded register
+// — a pure function of (seed, k), answered here with six modular
+// multiplications. Every stream the system seeds per link, per node
+// and per coalition draws a handful of values; the few that run past
+// rngTap (RSA key generation, long nonce streams) switch to the real
+// generator, fast-forwarded, so the sequence is math/rand's bit for
+// bit at any length. It is not safe for concurrent use, like the
+// source it replaces.
+type seededSource struct {
+	x    uint32        // seed normalised into [1, seedM), which seeds the same sequence
+	k    uint32        // outputs drawn so far, while tail is nil
+	tail rand.Source64 // the real generator, from output rngTap+1 on
+}
+
+// SeededSource returns a source whose output is exactly that of
+// math/rand's NewSource(seed), built in O(1) and 24 bytes. It is the
+// one seeded stream behind SeededReader and the NetLinkSeed, NodeSeed,
+// KeyMaterialSeed and CoalitionSeed draws.
+func SeededSource(seed int64) rand.Source64 {
+	s := new(seededSource)
+	s.Seed(seed)
+	return s
+}
+
+// Seed resets the stream to the start of seed's sequence.
+func (s *seededSource) Seed(seed int64) {
+	x := seed % seedM
+	if x < 0 {
+		x += seedM
+	}
+	if x == 0 {
+		x = 89482311
+	}
+	*s = seededSource{x: uint32(x)}
+}
+
+// word returns word i of the freshly seeded register.
+func (s *seededSource) word(i int) int64 {
+	a := uint64(s.x) * uint64(seedPow[i]) % seedM
+	b := a * seedA % seedM
+	c := b * seedA % seedM
+	return int64(a<<40^b<<20^c) ^ rngCooked[i]
+}
+
+func (s *seededSource) Uint64() uint64 {
+	if s.tail != nil {
+		return s.tail.Uint64()
+	}
+	if s.k == rngTap {
+		s.tail = rand.NewSource(int64(s.x)).(rand.Source64)
+		for i := 0; i < rngTap; i++ {
+			s.tail.Uint64()
+		}
+		return s.tail.Uint64()
+	}
+	s.k++
+	k := int(s.k)
+	return uint64(s.word(rngLen-rngTap-k) + s.word(rngLen-k))
+}
+
+func (s *seededSource) Int63() int64 {
+	return int64(s.Uint64() & (1<<63 - 1))
 }
 
 // keyDomain separates the key-material seed domain from the run-entropy
