@@ -120,7 +120,7 @@ func run(ctx context.Context, n, tol int, value, trace, netcondStr string, seed 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := transport.NewTCPMesh(model.NodeID(i), addrs, transport.WithMeshStats(&wire))
+			m, err := transport.NewTCPMesh(model.NodeID(i), addrs, transport.WithConnStats(&wire))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && meshErr == nil {

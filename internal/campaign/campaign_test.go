@@ -462,7 +462,7 @@ func TestReportSetupCacheInvarianceUnderEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	tight, err := Run(spec, 1, WithSetupCacheCap(1))
+	tight, err := Run(spec, 1, func(c *runConfig) { c.cacheCap = 1 })
 	if err != nil {
 		t.Fatalf("Run(cap=1): %v", err)
 	}

@@ -104,17 +104,17 @@ func WithoutSetupCache() Option {
 	return func(c *runConfig) { c.setupCache = false }
 }
 
-// WithSetupCacheCap bounds each worker's setup cache to n entries
-// (default protocol.DefaultSetupCacheCap). Mostly for tests that force
-// eviction.
-func WithSetupCacheCap(n int) Option {
-	return func(c *runConfig) { c.cacheCap = n }
-}
-
 // ErrInstanceTimeout is the fixed Err string recorded for instances the
 // watchdog parked. Fixed so a timed-out instance contributes the same
 // report bytes no matter which worker hit the deadline.
 const ErrInstanceTimeout = "campaign: instance watchdog timeout"
+
+// ErrDriverPanic is the fixed Err string recorded for an instance whose
+// driver panicked, whichever layer contained it: the watchdog goroutine
+// here, sched.RunWorker, or service.Server. Fixed so a report's bytes
+// depend neither on that layer nor on the panic value, and a reply
+// carries no memory addresses or stack text to a client.
+const ErrDriverPanic = "campaign: driver panicked"
 
 // WithInstanceTimeout arms a per-instance watchdog: an instance still
 // running after d is abandoned and recorded as an error with
@@ -178,31 +178,46 @@ func (e *Executor) Run(inst Instance) Result {
 	return e.runWatched(inst)
 }
 
-// runWatched races the instance against the armed watchdog timer.
+// runWatched races the instance against the armed watchdog timer. The
+// driver runs on a goroutine of its own, out of reach of any caller's
+// recover, so a panic is contained there and reported like a timeout:
+// a fixed Err, and a cache the abandoned run can no longer touch.
 func (e *Executor) runWatched(inst Instance) Result {
 	cache := e.cache
 	done := make(chan Result, 1)
-	go func() { done <- e.run(inst, cache) }()
+	panicked := make(chan struct{})
+	go func() {
+		defer func() {
+			if recover() != nil {
+				close(panicked)
+			}
+		}()
+		done <- e.run(inst, cache)
+	}()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
+	var failed string
 	select {
 	case res := <-done:
 		return res
+	case <-panicked:
+		failed = ErrDriverPanic
 	case <-timer.C:
-		if cache != nil {
-			// The parked goroutine still holds the old cache; hand the
-			// next instance a fresh one so the two can never race.
-			e.cache = protocol.NewSetupCache(e.cacheCap)
-		}
+		failed = ErrInstanceTimeout
 		if e.rec.Enabled() {
 			e.rec.Emit(obs.Event{Kind: obs.KindPoint, Scope: "campaign.watchdog",
 				Inst: inst.Index, Proto: inst.Protocol, Node: -1,
 				Attrs: obs.Attrs("group", inst.GroupKey(), "seed", inst.Seed,
 					"timeout", e.timeout.String())})
 		}
-		return Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed,
-			Err: ErrInstanceTimeout}
 	}
+	if cache != nil {
+		// The parked goroutine still holds the old cache, and a panic
+		// may have left a setup in it half-stepped; hand the next
+		// instance a fresh one so the two can never race.
+		e.cache = protocol.NewSetupCache(e.cacheCap)
+	}
+	return Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: failed}
 }
 
 // run executes one instance against an explicit cache. With an observer

@@ -464,7 +464,6 @@ type fdRun struct {
 	protocol  Protocol
 	overrides map[model.NodeID]sim.Process
 	wrappers  map[model.NodeID]func(sim.Process) sim.Process
-	defBit    byte
 	network   sim.Network
 	churn     map[model.NodeID]netcond.ChurnSpec
 }
@@ -519,12 +518,6 @@ func WithChurn(spec netcond.ChurnSpec) RunOption {
 	}
 }
 
-// WithSmallRangeDefault sets the silence-encoded bit for
-// ProtocolSmallRange runs.
-func WithSmallRangeDefault(d byte) RunOption {
-	return func(r *fdRun) { r.defBit = d & 1 }
-}
-
 // RunFailureDiscovery executes one failure-discovery run with P_0 as the
 // sender of value. The authenticated protocols require
 // EstablishAuthentication to have run first; the non-authenticated
@@ -561,7 +554,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 			procs[i] = p
 			continue
 		}
-		p, out, err := c.buildNode(run.protocol, run.defBit, value, id)
+		p, out, err := c.buildNode(run.protocol, value, id)
 		if err != nil {
 			return Report{}, fmt.Errorf("core: build %v node %v: %w", run.protocol, id, err)
 		}
@@ -571,9 +564,9 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 			outcomers[i] = nil // wrapped nodes are faulty: no outcome obligation
 		}
 		if ch, ok := run.churn[id]; ok {
-			proto, defBit := run.protocol, run.defBit
+			proto := run.protocol
 			rebuild := func() (sim.Process, error) {
-				np, _, err := c.buildNode(proto, defBit, value, id)
+				np, _, err := c.buildNode(proto, value, id)
 				return np, err
 			}
 			p = netcond.NewChurner(p, ch, rebuild, emitter)
@@ -619,7 +612,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 // exactly restart-with-recovery: the netcond churn wrapper uses it as
 // the rebuild hook when a crashed node rejoins. A method rather than a
 // per-run closure so the ideal path stays allocation-flat.
-func (c *Cluster) buildNode(proto Protocol, defBit byte, value []byte, id model.NodeID) (sim.Process, fd.Outcomer, error) {
+func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.Process, fd.Outcomer, error) {
 	i := int(id)
 	switch proto {
 	case ProtocolChain:
@@ -643,7 +636,7 @@ func (c *Cluster) buildNode(proto Protocol, defBit byte, value []byte, id model.
 		}
 		return n, n, nil
 	case ProtocolSmallRange:
-		nodeOpts := []fd.SmallRangeOption{fd.WithDefault(defBit)}
+		var nodeOpts []fd.SmallRangeOption
 		if id == fd.Sender {
 			if len(value) != 1 {
 				return nil, nil, fmt.Errorf("core: small-range values are single bits, got %d bytes", len(value))

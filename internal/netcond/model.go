@@ -102,7 +102,7 @@ func (m *Model) Fate(msg model.Message, round int) int {
 		if d < 0 {
 			d = 0
 		}
-		if d > 0 {
+		if d > 0 && m.emit != nil {
 			m.point("net.delay", round, from, fmt.Sprintf("reason=partition d=%d", d), msg)
 		}
 		return d
@@ -151,7 +151,10 @@ func (m *Model) Fate(msg model.Message, round int) int {
 		// later, and so on.
 		d += (ls.wndUsed - 1) / bw
 	}
-	if d > 0 {
+	if d > 0 && m.emit != nil {
+		// Checked here, not only in point: an untraced run must not
+		// format an attribute nobody reads — one allocation per
+		// delayed message.
 		m.point("net.delay", round, from, fmt.Sprintf("d=%d", d), msg)
 	}
 	return d

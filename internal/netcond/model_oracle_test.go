@@ -134,3 +134,22 @@ func TestModelLinkBytes(t *testing.T) {
 		t.Fatalf("opening a link allocates %d B (model included), want at most 256", perLink)
 	}
 }
+
+// TestFateAllocatesNothingUntraced pins the untraced hot path: with no
+// emitter attached and the link already open, a delayed message's Fate
+// allocates nothing — the net.delay attribute is formatted only for an
+// emitter that will take it (it used to be one string per delayed
+// message on every untraced sweep).
+func TestFateAllocatesNothingUntraced(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflate under -race")
+	}
+	m := NewModel(Spec{Latency: &LatencySpec{Dist: DistFixed, Rounds: 2}}, 4, 7)
+	msg := model.Message{From: 0, To: 1, Kind: model.KindPlainValue}
+	if d := m.Fate(msg, 1); d != 2 { // opens the link
+		t.Fatalf("fate = %d, want the fixed 2-round delay", d)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Fate(msg, 1) }); allocs != 0 {
+		t.Fatalf("untraced Fate of a delayed message allocates %v times, want 0", allocs)
+	}
+}

@@ -92,7 +92,7 @@ func (c *Coordinator) Attach(conn transport.Conn) error {
 		conn.Close()
 		return err
 	}
-	name, err := decodeHello(frame)
+	name, err := transport.DecodeHello(frame, KindHello, wireTag)
 	if err != nil {
 		conn.Close()
 		return err
@@ -462,7 +462,7 @@ func (r *runLoop) handle(ev event) {
 		// a (stale) terminal message or disconnects.
 		r.failAttempt(l, "lease expired without result or heartbeat")
 	case evMsg:
-		switch FrameKind(ev.frame) {
+		switch transport.FrameKind(ev.frame) {
 		case KindHeartbeat:
 			if id, err := decodeHeartbeat(ev.frame); err == nil {
 				if l := r.inflight[id]; l != nil && l.w == ev.w {
@@ -491,7 +491,7 @@ func (r *runLoop) handle(ev event) {
 
 // handleResult validates and stores one result frame.
 func (r *runLoop) handleResult(w *workerState, frame []byte) {
-	msg, err := decodeResult(frame)
+	id, payload, err := transport.DecodePayload(frame, KindResult, "sched result")
 	if err != nil {
 		// Corrupt frame: attribute it to the worker's current lease.
 		r.outcome.Stats.CorruptResults++
@@ -503,19 +503,19 @@ func (r *runLoop) handleResult(w *workerState, frame []byte) {
 		}
 		return
 	}
-	l := r.inflight[msg.ID]
+	l := r.inflight[id]
 	if l == nil || l.w != w {
 		// A revoked lease finishing late (stall recovery): the batch has
 		// been reassigned; drop the result, free the zombie worker.
 		r.outcome.Stats.StaleResults++
-		if w.busy != nil && w.busy.id == msg.ID {
+		if w.busy != nil && w.busy.id == id {
 			w.busy = nil
 		}
 		return
 	}
 	w.busy = nil
 	var results []campaign.Result
-	if err := json.Unmarshal(msg.Payload, &results); err != nil {
+	if err := json.Unmarshal(payload, &results); err != nil {
 		r.outcome.Stats.CorruptResults++
 		r.failAttempt(l, "undecodable result payload: "+err.Error())
 		return

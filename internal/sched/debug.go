@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"repro/internal/metrics"
@@ -103,28 +100,10 @@ func (r *runLoop) publish(now time.Time) {
 	r.snap.Store(s)
 }
 
-// DebugMux returns the coordinator's debug HTTP surface:
-//
-//	/debug/sched  — the live DebugSnapshot as JSON
-//	/debug/vars   — stdlib expvar (cmdline, memstats)
-//	/debug/pprof/ — stdlib pprof profiles
-//
-// cmd/fdcampaign serves it behind -debug-addr while a distributed
-// campaign runs; everything on it is advisory telemetry, so exposing it
-// can never perturb the campaign's results.
+// DebugMux returns the coordinator's debug HTTP surface: the live
+// DebugSnapshot as JSON at /debug/sched beside the expvar and pprof
+// routes of transport.DebugMux. cmd/fdcampaign serves it behind
+// -debug-addr while a distributed campaign runs.
 func (c *Coordinator) DebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/sched", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(c.Debug())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return transport.DebugMux("/debug/sched", func() any { return c.Debug() })
 }

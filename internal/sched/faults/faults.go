@@ -108,7 +108,7 @@ type crashAtBatch struct {
 }
 
 func (c *crashAtBatch) Inbound(f []byte) ([]byte, error) {
-	if sched.FrameKind(f) == sched.KindLease {
+	if transport.FrameKind(f) == sched.KindLease {
 		c.seen++
 		if c.seen >= c.k {
 			return nil, fmt.Errorf("%w: crash at batch %d", ErrInjected, c.seen)
@@ -130,7 +130,7 @@ type stallAtBatch struct {
 }
 
 func (s *stallAtBatch) Inbound(f []byte) ([]byte, error) {
-	if sched.FrameKind(f) == sched.KindLease {
+	if transport.FrameKind(f) == sched.KindLease {
 		s.seen++
 		if s.seen >= s.k {
 			s.stalling = true
@@ -157,7 +157,7 @@ type disconnectAtResult struct {
 }
 
 func (d *disconnectAtResult) Outbound(f []byte) ([]byte, error) {
-	if sched.FrameKind(f) == sched.KindResult {
+	if transport.FrameKind(f) == sched.KindResult {
 		d.seen++
 		if d.seen >= d.k {
 			return nil, fmt.Errorf("%w: disconnect at result %d", ErrInjected, d.seen)
@@ -183,7 +183,7 @@ type corruptResult struct {
 }
 
 func (c *corruptResult) Outbound(f []byte) ([]byte, error) {
-	if sched.FrameKind(f) != sched.KindResult {
+	if transport.FrameKind(f) != sched.KindResult {
 		return f, nil
 	}
 	c.seen++

@@ -1,24 +1,23 @@
 package sched
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/sig"
+	"repro/internal/transport"
 )
 
 // The scheduler wire protocol: six framed message kinds multiplexed over
-// one transport.Conn per worker. Frames reuse the repository's canonical
-// length-delimited codec (internal/sig), and the two payload-bearing
-// kinds — lease and result — carry a SHA-256 checksum over the payload,
-// so a corrupted frame is DETECTED and treated as a worker fault
-// (requeue elsewhere) instead of silently poisoning the aggregate
-// report. Determinism by construction is only as good as the integrity
-// of the bytes it aggregates.
+// one transport.Conn per worker. The envelope — the tagged hello and the
+// SHA-256-checksummed payload frame that lease and result ride — is
+// transport/rpc.go's, called where the frames are sent and received; a
+// corrupted lease or result is DETECTED there and treated as a worker
+// fault (requeue elsewhere). This file holds the kind table, the lease's
+// extra fields and the three small frames that are the scheduler's own.
 
 // Frame kinds. Exported so the fault-injection harness (sched/faults)
-// can trigger on specific traffic without re-parsing whole messages.
+// can trigger on specific traffic (transport.FrameKind) without
+// re-parsing whole messages.
 const (
 	// KindHello is the worker's first frame: protocol tag + worker name.
 	KindHello = 1
@@ -34,43 +33,9 @@ const (
 	KindShutdown = 6
 )
 
-// wireTag guards against cross-protocol connections.
+// wireTag, carried in the hello, guards against cross-protocol
+// connections.
 const wireTag = "fdsched/v1"
-
-// FrameKind peeks a frame's kind without decoding the rest (-1 when the
-// frame is too short to carry one).
-func FrameKind(frame []byte) int {
-	if len(frame) < sig.IntFieldSize {
-		return -1
-	}
-	d := sig.NewDecoder(frame)
-	return d.Int()
-}
-
-func encodeHello(name string) []byte {
-	out := make([]byte, 0, sig.IntFieldSize+sig.BytesFieldSize(len(wireTag))+sig.BytesFieldSize(len(name)))
-	out = sig.AppendInt(out, KindHello)
-	out = sig.AppendString(out, wireTag)
-	return sig.AppendString(out, name)
-}
-
-func decodeHello(frame []byte) (name string, err error) {
-	d := sig.NewDecoder(frame)
-	if kind := d.Int(); kind != KindHello {
-		return "", fmt.Errorf("sched: expected hello, got frame kind %d", kind)
-	}
-	if tag := d.String(); tag != wireTag {
-		return "", fmt.Errorf("sched: bad protocol tag %q (want %s)", tag, wireTag)
-	}
-	name = d.String()
-	if ferr := d.Finish(); ferr != nil {
-		return "", fmt.Errorf("sched: bad hello: %w", ferr)
-	}
-	if name == "" {
-		return "", fmt.Errorf("sched: hello with empty worker name")
-	}
-	return name, nil
-}
 
 // leaseMsg is a decoded lease frame.
 type leaseMsg struct {
@@ -81,69 +46,14 @@ type leaseMsg struct {
 }
 
 func encodeLease(id, attempt, deadlineMS int, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, 4*sig.IntFieldSize+sig.BytesFieldSize(len(sum))+sig.BytesFieldSize(len(payload)))
-	out = sig.AppendInt(out, KindLease)
-	out = sig.AppendInt(out, id)
-	out = sig.AppendInt(out, attempt)
-	out = sig.AppendInt(out, deadlineMS)
-	out = sig.AppendBytes(out, sum[:])
-	return sig.AppendBytes(out, payload)
+	return transport.EncodePayload(KindLease, id, payload, attempt, deadlineMS)
 }
 
-func decodeLease(frame []byte) (leaseMsg, error) {
-	d := sig.NewDecoder(frame)
-	var m leaseMsg
-	if kind := d.Int(); kind != KindLease {
-		return m, fmt.Errorf("sched: expected lease, got frame kind %d", kind)
-	}
-	m.ID = d.Int()
-	m.Attempt = d.Int()
-	m.Deadline = d.Int()
-	sum := d.Bytes()
-	m.Payload = d.Bytes()
-	if err := d.Finish(); err != nil {
-		return m, fmt.Errorf("sched: bad lease frame: %w", err)
-	}
-	want := sha256.Sum256(m.Payload)
-	if !bytes.Equal(sum, want[:]) {
-		return m, fmt.Errorf("sched: lease %d payload checksum mismatch", m.ID)
-	}
-	return m, nil
-}
-
-// resultMsg is a decoded result frame.
-type resultMsg struct {
-	ID      int
-	Payload []byte
-}
-
-func encodeResult(id int, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, 2*sig.IntFieldSize+sig.BytesFieldSize(len(sum))+sig.BytesFieldSize(len(payload)))
-	out = sig.AppendInt(out, KindResult)
-	out = sig.AppendInt(out, id)
-	out = sig.AppendBytes(out, sum[:])
-	return sig.AppendBytes(out, payload)
-}
-
-func decodeResult(frame []byte) (resultMsg, error) {
-	d := sig.NewDecoder(frame)
-	var m resultMsg
-	if kind := d.Int(); kind != KindResult {
-		return m, fmt.Errorf("sched: expected result, got frame kind %d", kind)
-	}
-	m.ID = d.Int()
-	sum := d.Bytes()
-	m.Payload = d.Bytes()
-	if err := d.Finish(); err != nil {
-		return m, fmt.Errorf("sched: bad result frame: %w", err)
-	}
-	want := sha256.Sum256(m.Payload)
-	if !bytes.Equal(sum, want[:]) {
-		return m, fmt.Errorf("sched: result %d payload checksum mismatch", m.ID)
-	}
-	return m, nil
+// decodeLease keeps the ID of a lease that fails its checksum, so the
+// worker can NACK it precisely.
+func decodeLease(frame []byte) (m leaseMsg, err error) {
+	m.ID, m.Payload, err = transport.DecodePayload(frame, KindLease, "sched lease", &m.Attempt, &m.Deadline)
+	return m, err
 }
 
 func encodeNack(id int, msg string) []byte {

@@ -33,7 +33,7 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 	if cfg.Name == "" {
 		cfg.Name = "worker"
 	}
-	if err := conn.Send(encodeHello(cfg.Name)); err != nil {
+	if err := conn.Send(transport.EncodeHello(KindHello, wireTag, cfg.Name)); err != nil {
 		conn.Close()
 		return fmt.Errorf("sched: worker hello: %w", err)
 	}
@@ -50,16 +50,17 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 
 	exec := campaign.NewExecutor(cfg.Options...)
 	// run contains a driver panic to its instance, as service.Server.run
-	// does: the instance reports errDriverPanic, the rest of the batch
-	// and every later lease still execute. The setup the driver died on
-	// may be half-stepped, so the executor and its cache are replaced.
-	// (Under campaign.WithInstanceTimeout the driver runs on the
-	// watchdog's goroutine, which no recover here can reach.)
+	// does: the instance reports campaign.ErrDriverPanic, the rest of
+	// the batch and every later lease still execute. The setup the
+	// driver died on may be half-stepped, so the executor and its cache
+	// are replaced. (Under campaign.WithInstanceTimeout the driver runs
+	// on the watchdog's goroutine, which no recover here can reach; the
+	// executor contains it there, to the same Err.)
 	run := func(inst campaign.Instance) (res campaign.Result) {
 		defer func() {
 			if recover() != nil {
 				exec = campaign.NewExecutor(cfg.Options...)
-				res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: errDriverPanic}
+				res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: campaign.ErrDriverPanic}
 			}
 		}()
 		return exec.Run(inst)
@@ -73,7 +74,7 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 			}
 			return fmt.Errorf("sched: worker link lost: %w", err)
 		}
-		switch FrameKind(frame) {
+		switch transport.FrameKind(frame) {
 		case KindLease:
 			lease, err := decodeLease(frame)
 			if err != nil {
@@ -103,12 +104,6 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 		}
 	}
 }
-
-// errDriverPanic is the fixed Err string of an instance whose driver
-// panicked on a worker. Fixed, like campaign.ErrInstanceTimeout, so the
-// report's bytes do not depend on which worker ran it or what the panic
-// value was.
-const errDriverPanic = "sched: driver panicked"
 
 // runLease executes one leased batch under a heartbeat, then reports the
 // results. Errors mean the link is unusable.
@@ -150,7 +145,7 @@ func runLease(conn transport.Conn, run func(campaign.Instance) campaign.Result, 
 		}
 		return nil
 	}
-	if err := conn.Send(encodeResult(lease.ID, payload)); err != nil {
+	if err := conn.Send(transport.EncodePayload(KindResult, lease.ID, payload)); err != nil {
 		return fmt.Errorf("sched: worker result send: %w", err)
 	}
 	return nil

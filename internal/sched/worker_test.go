@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/protocol"
@@ -33,7 +34,16 @@ func init() { protocol.Register(panicDriver{}) }
 // slot and clean verdicts around it, and the worker takes the next
 // lease. (Uncontained, the worker process dies and the coordinator
 // learns of it only when the lease expires.)
-func TestWorkerContainsDriverPanic(t *testing.T) {
+func TestWorkerContainsDriverPanic(t *testing.T) { workerContainsDriverPanic(t) }
+
+// The same under -inst-timeout: the driver then runs on the campaign
+// watchdog's goroutine, which RunWorker's recover cannot reach, so the
+// executor has to contain the panic there — to the same Err.
+func TestWatchdogContainsDriverPanic(t *testing.T) {
+	workerContainsDriverPanic(t, campaign.WithInstanceTimeout(time.Minute))
+}
+
+func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
 	chain, err := campaign.Expand(campaign.Spec{
 		Protocols: []string{campaign.ProtoChain}, Sizes: []int{4}, Schemes: []string{sig.SchemeToy},
 		SeedBase: 11, SeedCount: 3,
@@ -45,9 +55,9 @@ func TestWorkerContainsDriverPanic(t *testing.T) {
 
 	coord, conn := transport.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- RunWorker(context.Background(), conn, WorkerConfig{Name: "w"}) }()
-	if frame, err := coord.Recv(); err != nil || FrameKind(frame) != KindHello {
-		t.Fatalf("hello: kind %d, %v", FrameKind(frame), err)
+	go func() { done <- RunWorker(context.Background(), conn, WorkerConfig{Name: "w", Options: opts}) }()
+	if frame, err := coord.Recv(); err != nil || transport.FrameKind(frame) != KindHello {
+		t.Fatalf("hello: kind %d, %v", transport.FrameKind(frame), err)
 	}
 	// lease sends one batch and returns the results the worker reports.
 	lease := func(id int, batch ...campaign.Instance) []campaign.Result {
@@ -64,15 +74,15 @@ func TestWorkerContainsDriverPanic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lease %d: worker link lost: %v", id, err)
 			}
-			if FrameKind(frame) == KindHeartbeat {
+			if transport.FrameKind(frame) == KindHeartbeat {
 				continue
 			}
-			msg, err := decodeResult(frame)
-			if err != nil || msg.ID != id {
-				t.Fatalf("lease %d: got kind %d id %d, %v", id, FrameKind(frame), msg.ID, err)
+			gotID, resPayload, err := transport.DecodePayload(frame, KindResult, "sched result")
+			if err != nil || gotID != id {
+				t.Fatalf("lease %d: got kind %d id %d, %v", id, transport.FrameKind(frame), gotID, err)
 			}
 			var results []campaign.Result
-			if err := json.Unmarshal(msg.Payload, &results); err != nil {
+			if err := json.Unmarshal(resPayload, &results); err != nil {
 				t.Fatal(err)
 			}
 			return results
@@ -84,8 +94,8 @@ func TestWorkerContainsDriverPanic(t *testing.T) {
 	if len(got) != 3 || !clean(got[0]) || !clean(got[2]) {
 		t.Fatalf("batch around the panic = %+v", got)
 	}
-	if got[1].Err != errDriverPanic || got[1].Conformance != nil || got[1].Index != 1 || got[1].Seed != 3 || got[1].Group != bad.GroupKey() {
-		t.Fatalf("panicked instance = %+v, want Err %q at its own coordinates", got[1], errDriverPanic)
+	if got[1].Err != campaign.ErrDriverPanic || got[1].Conformance != nil || got[1].Index != 1 || got[1].Seed != 3 || got[1].Group != bad.GroupKey() {
+		t.Fatalf("panicked instance = %+v, want Err %q at its own coordinates", got[1], campaign.ErrDriverPanic)
 	}
 	if next := lease(2, chain[1]); len(next) != 1 || !clean(next[0]) {
 		t.Fatalf("lease after the panic = %+v", next)

@@ -53,7 +53,7 @@ type response struct {
 // NewClient performs the hello handshake on conn and starts the reader.
 // The client owns the connection from here; Close releases it.
 func NewClient(conn transport.Conn, tenant string) (*Client, error) {
-	if err := conn.Send(encodeHello(tenant)); err != nil {
+	if err := conn.Send(transport.EncodeHello(KindHello, wireTag, tenant)); err != nil {
 		return nil, fmt.Errorf("service: hello: %w", err)
 	}
 	frame, err := conn.Recv()
@@ -112,9 +112,9 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("service: connection lost: %w", err))
 			return
 		}
-		switch FrameKind(frame) {
+		switch transport.FrameKind(frame) {
 		case KindResult:
-			id, payload, err := decodeResult(frame)
+			id, payload, err := transport.DecodePayload(frame, KindResult, "service result")
 			if err != nil {
 				c.fail(err)
 				return
@@ -129,7 +129,7 @@ func (c *Client) readLoop() {
 			rej := &RejectError{Code: code, RetryAfter: time.Duration(retryMS) * time.Millisecond, Msg: msg}
 			c.deliver(id, response{rej: rej})
 		case KindStatsReply:
-			payload, err := decodeStatsReply(frame)
+			_, payload, err := transport.DecodePayload(frame, KindStatsReply, "service stats reply")
 			if err != nil {
 				c.fail(err)
 				return
@@ -145,7 +145,7 @@ func (c *Client) readLoop() {
 				ch <- response{payload: payload}
 			}
 		default:
-			c.fail(fmt.Errorf("service: unexpected frame kind %d", FrameKind(frame)))
+			c.fail(fmt.Errorf("service: unexpected frame kind %d", transport.FrameKind(frame)))
 			return
 		}
 	}
@@ -200,7 +200,7 @@ func (c *Client) Do(req Request) (*Reply, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if err := c.conn.Send(encodeSubmit(id, payload)); err != nil {
+	if err := c.conn.Send(transport.EncodePayload(KindSubmit, id, payload)); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()

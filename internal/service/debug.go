@@ -1,35 +1,14 @@
 package service
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http"
-	"net/http/pprof"
+
+	"repro/internal/transport"
 )
 
-// DebugMux returns the daemon's debug HTTP surface:
-//
-//	/debug/serve  — the live service Snapshot as JSON
-//	/debug/vars   — stdlib expvar (cmdline, memstats)
-//	/debug/pprof/ — stdlib pprof profiles
-//
-// cmd/fdserve serves it behind -debug-addr. Everything on it is
-// advisory telemetry (wall-clock latency, queue depth, pool
-// amortization) — served verdict bytes never depend on it, so exposing
-// the mux can never perturb a result.
+// DebugMux returns the daemon's debug HTTP surface: the live service
+// Snapshot as JSON at /debug/serve beside the expvar and pprof routes of
+// transport.DebugMux. cmd/fdserve serves it behind -debug-addr.
 func (s *Server) DebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/serve", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.Snapshot())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return transport.DebugMux("/debug/serve", func() any { return s.Snapshot() })
 }

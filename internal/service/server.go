@@ -292,7 +292,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 	if err != nil {
 		return
 	}
-	tenant, err := decodeHello(frame)
+	tenant, err := transport.DecodeHello(frame, KindHello, wireTag)
 	if err != nil {
 		return
 	}
@@ -305,9 +305,9 @@ func (s *Server) handleConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		switch FrameKind(frame) {
+		switch transport.FrameKind(frame) {
 		case KindSubmit:
-			reqID, payload, err := decodeSubmit(frame)
+			reqID, payload, err := transport.DecodePayload(frame, KindSubmit, "service submit")
 			if err != nil {
 				return
 			}
@@ -317,7 +317,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 			if err != nil {
 				return
 			}
-			if err := conn.Send(encodeStatsReply(data)); err != nil {
+			if err := conn.Send(transport.EncodePayload(KindStatsReply, 0, data)); err != nil {
 				return
 			}
 		default:
@@ -446,7 +446,7 @@ func (s *Server) execute(t task) {
 	}
 	// A send failure means the client went away mid-request; the run
 	// still counts (the work was done).
-	_ = t.sess.conn.Send(encodeResult(t.reqID, payload))
+	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
 	latency := time.Since(t.enqueued)
 	conformant := res.Err == "" && res.Conformance != nil && res.Conformance.Conformant()
 	s.stats.served(t.sess.tenant, res.Err != "", conformant, latency, queueWait)
@@ -454,14 +454,9 @@ func (s *Server) execute(t task) {
 		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
 }
 
-// errDriverPanic is the fixed Err string of a request whose driver
-// panicked. Fixed, like campaign.ErrInstanceTimeout, so the reply does
-// not carry memory addresses or stack text to the client.
-const errDriverPanic = "service: driver panicked"
-
 // run executes one instance, containing a driver panic to its request:
-// the client is answered with errDriverPanic and the daemon — every
-// other tenant's queue with it — keeps serving.
+// the client is answered with campaign.ErrDriverPanic and the daemon —
+// every other tenant's queue with it — keeps serving.
 func (s *Server) run(inst campaign.Instance, sc *protocol.SetupCache) (res campaign.Result, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -470,7 +465,7 @@ func (s *Server) run(inst campaign.Instance, sc *protocol.SetupCache) (res campa
 				s.rec.Point("service.panic", obs.Attrs("protocol", inst.Protocol,
 					"n", inst.N, "t", inst.T, "seed", inst.Seed, "panic", r))
 			}
-			res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: errDriverPanic}
+			res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: campaign.ErrDriverPanic}
 			panicked = true
 		}
 	}()

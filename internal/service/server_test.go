@@ -339,8 +339,8 @@ func TestDriverPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatalf("panicking request got no reply: %v", err)
 	}
-	if reply.Result.Err != errDriverPanic || reply.Result.Conformance != nil {
-		t.Fatalf("result = %+v, want Err %q and no verdict", reply.Result, errDriverPanic)
+	if reply.Result.Err != campaign.ErrDriverPanic || reply.Result.Conformance != nil {
+		t.Fatalf("result = %+v, want Err %q and no verdict", reply.Result, campaign.ErrDriverPanic)
 	}
 	if reply.Result.Index != 7 || reply.Result.Seed != 3 {
 		t.Fatalf("result lost its coordinates: %+v", reply.Result)

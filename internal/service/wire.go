@@ -1,20 +1,19 @@
 package service
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 
 	"repro/internal/sig"
 )
 
 // The agreement-service wire protocol: framed request/response kinds
-// multiplexed over one transport.Conn per client connection. Frames
-// reuse the repository's canonical length-delimited codec
-// (internal/sig), following the sched wire protocol's shape: a tagged
-// hello handshake, then payload-bearing kinds carrying a SHA-256
-// checksum over the payload so a corrupted frame is DETECTED and fails
-// the request instead of silently corrupting a verdict. Many requests
+// multiplexed over one transport.Conn per client connection. The
+// envelope — the tagged hello and the SHA-256-checksummed payload frame
+// that submit, result and stats-reply ride — is transport/rpc.go's,
+// called where the frames are sent and received, so a corrupted frame
+// is DETECTED there and fails the request instead of silently
+// corrupting a verdict. This file holds the kind table, the reject
+// codes and the frames that are the service's own. Many requests
 // may be in flight on one connection at once — responses carry the
 // client-chosen request ID, and arrive in completion order, not
 // submission order.
@@ -35,7 +34,7 @@ const (
 	KindReject = 5
 	// KindStats asks for the live server snapshot.
 	KindStats = 6
-	// KindStatsReply carries the snapshot JSON server → client.
+	// KindStatsReply carries the snapshot JSON server → client (ID 0).
 	KindStatsReply = 7
 )
 
@@ -52,43 +51,9 @@ const (
 	RejectBadRequest = "bad-request"
 )
 
-// wireTag guards against cross-protocol connections.
+// wireTag, carried in the hello and its ack, guards against
+// cross-protocol connections.
 const wireTag = "fdserve/v1"
-
-// FrameKind peeks a frame's kind without decoding the rest (-1 when the
-// frame is too short to carry one).
-func FrameKind(frame []byte) int {
-	if len(frame) < sig.IntFieldSize {
-		return -1
-	}
-	d := sig.NewDecoder(frame)
-	return d.Int()
-}
-
-func encodeHello(tenant string) []byte {
-	out := make([]byte, 0, sig.IntFieldSize+sig.BytesFieldSize(len(wireTag))+sig.BytesFieldSize(len(tenant)))
-	out = sig.AppendInt(out, KindHello)
-	out = sig.AppendString(out, wireTag)
-	return sig.AppendString(out, tenant)
-}
-
-func decodeHello(frame []byte) (tenant string, err error) {
-	d := sig.NewDecoder(frame)
-	if kind := d.Int(); kind != KindHello {
-		return "", fmt.Errorf("service: expected hello, got frame kind %d", kind)
-	}
-	if tag := d.String(); tag != wireTag {
-		return "", fmt.Errorf("service: bad protocol tag %q (want %s)", tag, wireTag)
-	}
-	tenant = d.String()
-	if ferr := d.Finish(); ferr != nil {
-		return "", fmt.Errorf("service: bad hello: %w", ferr)
-	}
-	if tenant == "" {
-		return "", fmt.Errorf("service: hello with empty tenant name")
-	}
-	return tenant, nil
-}
 
 func encodeHelloAck(shards int) []byte {
 	out := make([]byte, 0, 2*sig.IntFieldSize+sig.BytesFieldSize(len(wireTag)))
@@ -110,48 +75,6 @@ func decodeHelloAck(frame []byte) (shards int, err error) {
 		return 0, fmt.Errorf("service: bad hello ack: %w", ferr)
 	}
 	return shards, nil
-}
-
-// encodePayload frames one checksummed payload-bearing kind: the kind,
-// the request ID, a SHA-256 over the payload, and the payload itself.
-func encodePayload(kind, id int, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, 2*sig.IntFieldSize+sig.BytesFieldSize(len(sum))+sig.BytesFieldSize(len(payload)))
-	out = sig.AppendInt(out, kind)
-	out = sig.AppendInt(out, id)
-	out = sig.AppendBytes(out, sum[:])
-	return sig.AppendBytes(out, payload)
-}
-
-// decodePayload decodes and checksum-verifies one payload-bearing frame.
-func decodePayload(frame []byte, wantKind int, what string) (id int, payload []byte, err error) {
-	d := sig.NewDecoder(frame)
-	if kind := d.Int(); kind != wantKind {
-		return 0, nil, fmt.Errorf("service: expected %s, got frame kind %d", what, kind)
-	}
-	id = d.Int()
-	sum := d.Bytes()
-	payload = d.Bytes()
-	if ferr := d.Finish(); ferr != nil {
-		return 0, nil, fmt.Errorf("service: bad %s frame: %w", what, ferr)
-	}
-	want := sha256.Sum256(payload)
-	if !bytes.Equal(sum, want[:]) {
-		return 0, nil, fmt.Errorf("service: %s %d payload checksum mismatch", what, id)
-	}
-	return id, payload, nil
-}
-
-func encodeSubmit(id int, payload []byte) []byte { return encodePayload(KindSubmit, id, payload) }
-
-func decodeSubmit(frame []byte) (id int, payload []byte, err error) {
-	return decodePayload(frame, KindSubmit, "submit")
-}
-
-func encodeResult(id int, payload []byte) []byte { return encodePayload(KindResult, id, payload) }
-
-func decodeResult(frame []byte) (id int, payload []byte, err error) {
-	return decodePayload(frame, KindResult, "result")
 }
 
 func encodeReject(id int, code string, retryAfterMS int, msg string) []byte {
@@ -181,11 +104,4 @@ func decodeReject(frame []byte) (id int, code string, retryAfterMS int, msg stri
 func encodeStats() []byte {
 	out := make([]byte, 0, sig.IntFieldSize)
 	return sig.AppendInt(out, KindStats)
-}
-
-func encodeStatsReply(payload []byte) []byte { return encodePayload(KindStatsReply, 0, payload) }
-
-func decodeStatsReply(frame []byte) (payload []byte, err error) {
-	_, payload, err = decodePayload(frame, KindStatsReply, "stats reply")
-	return payload, err
 }

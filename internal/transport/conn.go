@@ -11,13 +11,14 @@ import (
 
 // Point-to-point framed connections. The mesh types (MemoryMesh, TCPMesh)
 // model the all-to-all topology the agreement protocols need; the
-// campaign scheduler (internal/sched) instead needs plain client/server
-// links — a coordinator accepting many workers — so this file provides
-// the minimal framed-connection vocabulary: an in-memory Pipe for tests
-// and a TCP implementation with configurable I/O deadlines and
-// capped-backoff connect retry, reusing the mesh's length-prefixed
-// framing (writeFrame/readFrame) so both families speak the same wire
-// format.
+// campaign scheduler (internal/sched) and the agreement service
+// (internal/service) instead need plain client/server links — a
+// coordinator accepting many workers — so this file provides the
+// minimal framed-connection vocabulary: an in-memory Pipe for tests and
+// a TCP implementation with configurable I/O deadlines and
+// capped-backoff connect retry over length-prefixed frames
+// (writeFrame/readFrame). It is the only framed-socket implementation:
+// TCPMesh's links are these Conns too.
 
 // Conn is one bidirectional framed link. Send and Recv must be safe for
 // concurrent use (a worker heartbeats while its main loop sends results).
@@ -139,23 +140,23 @@ func (a *PipeAcceptor) Close() error {
 }
 
 // connConfig carries the tunable Conn behaviors; the zero value is the
-// historical behavior (no deadlines, 10 s dial window).
+// historical behavior (no deadlines, no counting).
 type connConfig struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
-	dialWindow   time.Duration
 	stats        *ConnStats
 }
 
-func (c connConfig) withDefaults() connConfig {
-	if c.dialWindow == 0 {
-		c.dialWindow = dialRetryWindow
-	}
-	return c
-}
-
-// ConnOption configures DialConn, ListenConn, and NewTCPConn.
+// ConnOption configures DialConn, ListenConn, NewTCPConn and NewTCPMesh.
 type ConnOption func(*connConfig)
+
+func newConnConfig(opts []ConnOption) connConfig {
+	var cfg connConfig
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
 
 // WithConnReadTimeout bounds each Recv: a peer that goes silent for d
 // fails the read instead of blocking forever. Leave unset for links
@@ -171,38 +172,21 @@ func WithConnWriteTimeout(d time.Duration) ConnOption {
 	return func(c *connConfig) { c.writeTimeout = d }
 }
 
-// WithConnDialWindow bounds how long DialConn keeps retrying a refused
-// connection (default 10 s).
-func WithConnDialWindow(d time.Duration) ConnOption {
-	return func(c *connConfig) { c.dialWindow = d }
-}
-
 // DialConn connects to a listening peer, retrying refused connections
-// with capped exponential backoff for the configured window — a worker
-// started moments before its coordinator must converge, not die.
+// with capped exponential backoff for dialRetryWindow — a worker started
+// moments before its coordinator must converge, not die.
 func DialConn(addr string, opts ...ConnOption) (Conn, error) {
-	var cfg connConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg = cfg.withDefaults()
-	raw, retries, err := dialBackoff(addr, cfg.dialWindow)
-	if cfg.stats != nil {
-		cfg.stats.Redials.Add(int64(retries))
-	}
+	cfg := newConnConfig(opts)
+	raw, err := dialBackoff(addr, cfg.stats)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return NewTCPConn(raw, opts...), nil
+	return &tcpConn{raw: raw, cfg: cfg}, nil
 }
 
 // NewTCPConn wraps an established net.Conn as a framed Conn.
 func NewTCPConn(raw net.Conn, opts ...ConnOption) Conn {
-	var cfg connConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return &tcpConn{raw: raw, cfg: cfg}
+	return &tcpConn{raw: raw, cfg: newConnConfig(opts)}
 }
 
 type tcpConn struct {
@@ -285,24 +269,30 @@ func (l *TCPConnListener) Addr() string { return l.ln.Addr().String() }
 // Close stops accepting; established Conns are unaffected.
 func (l *TCPConnListener) Close() error { return l.ln.Close() }
 
+// dialRetryWindow bounds how long a boot-time dial keeps retrying.
+const dialRetryWindow = 10 * time.Second
+
 // dialBackoff dials addr with capped exponential backoff: 10 ms doubling
-// to 640 ms between attempts, for up to window. retries counts the
-// failed attempts (0 when the first dial connects).
-func dialBackoff(addr string, window time.Duration) (conn net.Conn, retries int, err error) {
+// to 640 ms between attempts, for up to dialRetryWindow. The failed
+// attempts (none when the first dial connects) are added to
+// stats.Redials when stats is non-nil.
+func dialBackoff(addr string, stats *ConnStats) (net.Conn, error) {
 	const (
 		backoffStart = 10 * time.Millisecond
 		backoffCap   = 640 * time.Millisecond
 	)
-	deadline := time.Now().Add(window)
+	deadline := time.Now().Add(dialRetryWindow)
 	delay := backoffStart
 	for {
-		conn, err = net.Dial("tcp", addr)
+		conn, err := net.Dial("tcp", addr)
 		if err == nil {
-			return conn, retries, nil
+			return conn, nil
 		}
-		retries++
+		if stats != nil {
+			stats.Redials.Add(1)
+		}
 		if time.Now().After(deadline) {
-			return nil, retries, err
+			return nil, err
 		}
 		time.Sleep(delay)
 		if delay < backoffCap {

@@ -119,7 +119,7 @@ func TestDialConnRetriesUntilListenerAppears(t *testing.T) {
 	}
 	ch := make(chan dialed, 1)
 	go func() {
-		c, err := DialConn(addr, WithConnDialWindow(5*time.Second))
+		c, err := DialConn(addr)
 		ch <- dialed{c, err}
 	}()
 	time.Sleep(100 * time.Millisecond)

@@ -74,7 +74,7 @@ func TestDialConnCountsRedials(t *testing.T) {
 	var stats ConnStats
 	done := make(chan error, 1)
 	go func() {
-		c, err := DialConn(addr, WithConnDialWindow(5*time.Second), WithConnStats(&stats))
+		c, err := DialConn(addr, WithConnStats(&stats))
 		if c != nil {
 			c.Close()
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -15,18 +14,25 @@ import (
 // TCPMesh is a Transport over real TCP sockets. Each node listens on its
 // own address; the mesh is completed by having every node dial all peers
 // with a LOWER node ID (so each unordered pair gets exactly one
-// connection), exchanging a hello frame that names the dialer.
+// connection), exchanging a hello frame that names the dialer. After
+// the hello each socket is a Conn (NewTCPConn), the same framed link
+// the scheduler and the agreement service speak over, so deadlines,
+// per-link send serialization and traffic counting are Conn's.
 //
 // Framing: 4-byte big-endian length prefix per frame, capped at
 // maxFrameSize to stop a hostile peer from forcing huge allocations.
 type TCPMesh struct {
-	self  model.NodeID
-	n     int
-	cfg   meshConfig
-	conns map[model.NodeID]net.Conn
-
-	mu     sync.Mutex
-	sendMu []sync.Mutex
+	self model.NodeID
+	n    int
+	// conns is complete, and only read, once NewTCPMesh returns.
+	conns map[model.NodeID]Conn
+	// failFast is set when the links carry a read timeout. Without one a
+	// single dead peer blocks its reader (and the lockstep barrier behind
+	// it) forever; with one the silence is detected, the mesh shuts down,
+	// and Recv returns an error naming the peer — the runner fails fast
+	// instead of hanging. Pick a timeout comfortably above the slowest
+	// expected round.
+	failFast bool
 
 	inbox   chan envelope
 	closed  chan struct{}
@@ -37,47 +43,6 @@ type TCPMesh struct {
 	failErr error
 }
 
-// meshConfig carries the mesh tunables; the zero value preserves the
-// historical behavior (no I/O deadlines, 10 s dial window).
-type meshConfig struct {
-	ioTimeout  time.Duration
-	dialWindow time.Duration
-	stats      *ConnStats
-}
-
-func (c meshConfig) withDefaults() meshConfig {
-	if c.dialWindow == 0 {
-		c.dialWindow = dialRetryWindow
-	}
-	return c
-}
-
-// MeshOption configures NewTCPMesh.
-type MeshOption func(*meshConfig)
-
-// WithMeshIOTimeout bounds every read and write on the mesh's
-// connections. Without it a single dead peer blocks its reader (and the
-// lockstep barrier behind it) forever; with it the silence is detected,
-// the mesh shuts down, and Recv returns an error naming the peer — the
-// runner fails fast instead of hanging. Pick a deadline comfortably
-// above the slowest expected round.
-func WithMeshIOTimeout(d time.Duration) MeshOption {
-	return func(c *meshConfig) { c.ioTimeout = d }
-}
-
-// WithMeshDialWindow bounds how long boot-time dials keep retrying
-// (default 10 s).
-func WithMeshDialWindow(d time.Duration) MeshOption {
-	return func(c *meshConfig) { c.dialWindow = d }
-}
-
-// WithMeshStats counts the mesh's wire traffic (frames, bytes, dial
-// retries) into s. Observation only — framing and failure behavior are
-// unchanged.
-func WithMeshStats(s *ConnStats) MeshOption {
-	return func(c *meshConfig) { c.stats = s }
-}
-
 // maxFrameSize bounds one frame (16 MiB), matching the codec's field cap.
 const maxFrameSize = 16 << 20
 
@@ -85,25 +50,22 @@ const maxFrameSize = 16 << 20
 const tcpInboxBuffer = 4096
 
 // NewTCPMesh constructs the mesh for node self. addrs maps every node ID
-// (including self) to its listen address. The call blocks until the full
-// mesh is connected, so all nodes must be started concurrently.
-func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...MeshOption) (*TCPMesh, error) {
+// (including self) to its listen address; opts configure every link, as
+// they do for DialConn. The call blocks until the full mesh is
+// connected, so all nodes must be started concurrently.
+func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOption) (*TCPMesh, error) {
 	n := len(addrs)
 	if !self.Valid(n) {
 		return nil, fmt.Errorf("transport: self %v out of range for %d nodes", self, n)
 	}
-	var cfg meshConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := newConnConfig(opts)
 	m := &TCPMesh{
-		self:   self,
-		n:      n,
-		cfg:    cfg.withDefaults(),
-		conns:  make(map[model.NodeID]net.Conn, n-1),
-		sendMu: make([]sync.Mutex, n),
-		inbox:  make(chan envelope, tcpInboxBuffer),
-		closed: make(chan struct{}),
+		self:     self,
+		n:        n,
+		conns:    make(map[model.NodeID]Conn, n-1),
+		failFast: cfg.readTimeout > 0,
+		inbox:    make(chan envelope, tcpInboxBuffer),
+		closed:   make(chan struct{}),
 	}
 
 	ln, err := net.Listen("tcp", addrs[self])
@@ -114,23 +76,24 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...MeshOp
 
 	// Accept connections from higher-ID peers (they dial us)...
 	expectAccept := n - 1 - int(self)
+	var mu sync.Mutex // guards m.conns while the acceptor and the dialer both fill it
 	acceptErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < expectAccept; i++ {
-			conn, err := ln.Accept()
+			raw, err := ln.Accept()
 			if err != nil {
 				acceptErr <- err
 				return
 			}
-			peer, err := readHello(conn)
+			peer, err := readHello(raw)
 			if err != nil || !peer.Valid(n) || peer <= self {
-				conn.Close()
+				raw.Close()
 				acceptErr <- fmt.Errorf("transport: bad hello: %v (peer %v)", err, peer)
 				return
 			}
-			m.mu.Lock()
-			m.conns[peer] = conn
-			m.mu.Unlock()
+			mu.Lock()
+			m.conns[peer] = NewTCPConn(raw, opts...)
+			mu.Unlock()
 		}
 		acceptErr <- nil
 	}()
@@ -139,37 +102,29 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...MeshOp
 	// when a whole cluster boots concurrently, a peer's listener may come
 	// up a moment after our first attempt.
 	for p := model.NodeID(0); p < self; p++ {
-		conn, retries, err := dialBackoff(addrs[p], m.cfg.dialWindow)
-		if m.cfg.stats != nil {
-			m.cfg.stats.Redials.Add(int64(retries))
-		}
+		raw, err := dialBackoff(addrs[p], cfg.stats)
 		if err != nil {
 			return nil, fmt.Errorf("transport: dial %v at %s: %w", p, addrs[p], err)
 		}
-		if err := writeHello(conn, self); err != nil {
-			conn.Close()
+		if err := writeHello(raw, self); err != nil {
+			raw.Close()
 			return nil, fmt.Errorf("transport: hello to %v: %w", p, err)
 		}
-		m.mu.Lock()
-		m.conns[p] = conn
-		m.mu.Unlock()
+		mu.Lock()
+		m.conns[p] = NewTCPConn(raw, opts...)
+		mu.Unlock()
 	}
 	if err := <-acceptErr; err != nil {
 		return nil, err
 	}
 
 	// Start one reader per connection.
-	m.mu.Lock()
 	for peer, conn := range m.conns {
 		m.readers.Add(1)
 		go m.readLoop(peer, conn)
 	}
-	m.mu.Unlock()
 	return m, nil
 }
-
-// dialRetryWindow bounds how long a boot-time dial keeps retrying.
-const dialRetryWindow = 10 * time.Second
 
 var _ Transport = (*TCPMesh)(nil)
 
@@ -189,27 +144,11 @@ func (m *TCPMesh) Peers() []model.NodeID {
 
 // Send implements Transport.
 func (m *TCPMesh) Send(to model.NodeID, frame []byte) error {
-	m.mu.Lock()
 	conn, ok := m.conns[to]
-	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("transport: no connection to %v", to)
 	}
-	m.sendMu[to].Lock()
-	defer m.sendMu[to].Unlock()
-	if m.cfg.ioTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(m.cfg.ioTimeout)); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(conn, frame); err != nil {
-		return err
-	}
-	if s := m.cfg.stats; s != nil {
-		s.FramesSent.Add(1)
-		s.BytesSent.Add(int64(len(frame)))
-	}
-	return nil
+	return conn.Send(frame)
 }
 
 // Recv implements Transport.
@@ -254,11 +193,9 @@ func (m *TCPMesh) failure() error {
 func (m *TCPMesh) shutdown() {
 	m.once.Do(func() {
 		close(m.closed)
-		m.mu.Lock()
 		for _, c := range m.conns {
 			c.Close()
 		}
-		m.mu.Unlock()
 	})
 }
 
@@ -270,28 +207,18 @@ func (m *TCPMesh) Close() error {
 }
 
 // readLoop pumps frames from one connection into the shared inbox. With
-// an I/O deadline configured, a peer that stays silent past it is
+// a read timeout configured, a peer that stays silent past it is
 // reported through fail, which shuts the whole mesh down — the lockstep
 // barrier cannot make progress without every peer anyway.
-func (m *TCPMesh) readLoop(peer model.NodeID, conn net.Conn) {
+func (m *TCPMesh) readLoop(peer model.NodeID, conn Conn) {
 	defer m.readers.Done()
 	for {
-		if m.cfg.ioTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(m.cfg.ioTimeout)); err != nil {
-				m.fail(peer, err)
-				return
-			}
-		}
-		frame, err := readFrame(conn)
+		frame, err := conn.Recv()
 		if err != nil {
-			if m.cfg.ioTimeout > 0 {
+			if m.failFast {
 				m.fail(peer, err)
 			}
 			return // without a deadline: closed or corrupted; barrier times out
-		}
-		if s := m.cfg.stats; s != nil {
-			s.FramesRecv.Add(1)
-			s.BytesRecv.Add(int64(len(frame)))
 		}
 		select {
 		case m.inbox <- envelope{from: peer, frame: frame}:

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fd"
 	"repro/internal/keydist"
@@ -15,8 +17,9 @@ import (
 	"repro/internal/transport"
 )
 
-// buildEndpoints returns one Transport per node for the given mesh kind.
-func buildEndpoints(t *testing.T, kind string, n int) []transport.Transport {
+// buildEndpoints returns one Transport per node for the given mesh kind;
+// opts configure the tcp mesh's links.
+func buildEndpoints(t *testing.T, kind string, n int, opts ...transport.ConnOption) []transport.Transport {
 	t.Helper()
 	switch kind {
 	case "memory":
@@ -36,7 +39,7 @@ func buildEndpoints(t *testing.T, kind string, n int) []transport.Transport {
 		errCh := make(chan error, n)
 		for i := 0; i < n; i++ {
 			go func(i int) {
-				m, err := transport.NewTCPMesh(model.NodeID(i), addrs)
+				m, err := transport.NewTCPMesh(model.NodeID(i), addrs, opts...)
 				if err != nil {
 					errCh <- fmt.Errorf("node %d: %w", i, err)
 					return
@@ -187,4 +190,17 @@ func TestTCPMeshCloseUnblocksRecv(t *testing.T) {
 		t.Error("Recv not unblocked by Close")
 	}
 	endpoints[1].Close()
+}
+
+// With a read timeout on its links, a mesh whose peer stays silent must
+// fail — Recv returning an error that names the peer — instead of
+// blocking its reader, and the lockstep barrier behind it, forever.
+func TestTCPMeshSilentPeerFailsMesh(t *testing.T) {
+	endpoints := buildEndpoints(t, "tcp", 2, transport.WithConnReadTimeout(50*time.Millisecond))
+	defer endpoints[0].Close()
+	defer endpoints[1].Close()
+	_, _, err := endpoints[0].Recv()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("peer %v failed", model.NodeID(1))) {
+		t.Fatalf("Recv beside a silent peer = %v, want an error naming peer %v", err, model.NodeID(1))
+	}
 }
