@@ -2,7 +2,9 @@
 // EXPERIMENTS.md. Each benchmark reports the experiment's headline metric
 // (messages, entries, or crossover) via b.ReportMetric alongside wall
 // time, so `go test -bench=. -benchmem` regenerates the paper's
-// quantitative story.
+// quantitative story. The hot-path micro benchmarks live in the test
+// files of the package each one measures, beside its allocation pin
+// (sig, ba, core, keydist, netcond, sim — PERF.md lists them).
 package repro
 
 import (
@@ -17,7 +19,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/model"
-	"repro/internal/perfbench"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
@@ -36,11 +37,15 @@ func mustCluster(b *testing.B, n, t int, seed int64) *core.Cluster {
 }
 
 // BenchmarkE1KeyDistribution measures the cost of establishing local
-// authentication (paper claim: 3n(n−1) messages, 3 rounds).
+// authentication (paper claim: 3n(n−1) messages, 3 rounds): n key
+// generations plus the handshake, on a fresh cluster every iteration —
+// exactly what Cluster.Reset and the campaign setup cache amortize
+// away.
 func BenchmarkE1KeyDistribution(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var msgs int
+			want := keydist.ExpectedMessages(n)
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c, err := core.New(model.Config{N: n, T: (n - 1) / 3}, core.WithSeed(int64(i)))
 				if err != nil {
@@ -50,10 +55,12 @@ func BenchmarkE1KeyDistribution(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				msgs = rep.Snapshot.Messages
+				if got := rep.Snapshot.Messages; got != want {
+					b.Fatalf("handshake sent %d messages, want %d", got, want)
+				}
 			}
-			b.ReportMetric(float64(msgs), "messages")
-			b.ReportMetric(float64(keydist.ExpectedMessages(n)), "paper-3n(n-1)")
+			b.ReportMetric(float64(want), "messages")
+			b.ReportMetric(float64(want), "paper-3n(n-1)")
 		})
 	}
 }
@@ -230,17 +237,6 @@ func BenchmarkE10Verify(b *testing.B) {
 	}
 }
 
-// BenchmarkE10ChainVerify measures full chain verification as a function
-// of chain length (bytes grow linearly; verification cost with it),
-// cold (memo reset each iteration) and warm (memoized re-verification).
-// The bodies live in internal/perfbench, shared with `fdbench -perf`.
-func BenchmarkE10ChainVerify(b *testing.B) {
-	for _, hops := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("hops=%d/cold", hops), perfbench.ChainVerify(hops, true))
-		b.Run(fmt.Sprintf("hops=%d/warm", hops), perfbench.ChainVerify(hops, false))
-	}
-}
-
 // BenchmarkE5E6E7Properties runs the adversarial property matrices once
 // per iteration — the Monte-Carlo engines behind experiments E5–E7.
 func BenchmarkE5E6E7Properties(b *testing.B) {
@@ -303,87 +299,4 @@ func BenchmarkE12VectorFD(b *testing.B) {
 			b.ReportMetric(float64(fd.VectorMessages(n)), "messages")
 		})
 	}
-}
-
-// BenchmarkChainExtend measures one chain extension (sign + derive the
-// next nested encoding) at several chain lengths.
-func BenchmarkChainExtend(b *testing.B) {
-	for _, hops := range []int{1, 8, 16} {
-		b.Run(fmt.Sprintf("hops=%d", hops), perfbench.ChainExtend(hops))
-	}
-}
-
-// BenchmarkEIG runs a full failure-free OM(t) agreement at n=16 — the
-// EIG hot path: path-keyed tree ingestion, relaying, and the bottom-up
-// resolve.
-func BenchmarkEIG(b *testing.B) {
-	for _, bc := range []struct{ n, t int }{{10, 3}, {16, 3}, {16, 5}, {64, 2}, {128, 2}} {
-		b.Run(fmt.Sprintf("n=%d_t=%d", bc.n, bc.t), perfbench.EIG(bc.n, bc.t))
-	}
-}
-
-// BenchmarkFDRun measures authenticated failure-discovery runs with
-// fresh values (no memo riding) on an established n=16 cluster.
-func BenchmarkFDRun(b *testing.B) {
-	b.Run("n=16_t=5", perfbench.FDRun(16, 5))
-}
-
-// BenchmarkKeydistHandshake measures the full local-authentication setup
-// (n key generations + the 3n(n−1)-message handshake) that
-// Cluster.Reset and the campaign setup cache amortize away.
-func BenchmarkKeydistHandshake(b *testing.B) {
-	b.Run("n=16_t=5", perfbench.KeydistHandshake(16, 5))
-}
-
-// BenchmarkKeydistRoundTrip measures the per-peer challenge→respond→
-// verify unit on the zero-alloc codec path.
-func BenchmarkKeydistRoundTrip(b *testing.B) {
-	b.Run("ed25519", perfbench.HandshakeRoundTrip(sig.SchemeEd25519))
-	b.Run("toy", perfbench.HandshakeRoundTrip(sig.SchemeToy))
-}
-
-// BenchmarkNetcondFates measures opening every directed link of a lossy
-// n=16 instance: NewModel plus one Fate per link, each building the
-// link's seeded stream.
-func BenchmarkNetcondFates(b *testing.B) {
-	b.Run("n=16", perfbench.NetcondFates(16))
-}
-
-// BenchmarkSeededReader measures one node entropy stream as setup
-// builds it: construct, read 32 bytes.
-func BenchmarkSeededReader(b *testing.B) {
-	b.Run("32B", perfbench.SeededReader)
-}
-
-// BenchmarkCampaignChainSweep measures the many-runs-one-setup workload:
-// a 100-seed chain sweep at one (scheme, n, t) cell, with per-instance
-// setup (cold) vs the per-worker setup cache (warm).
-func BenchmarkCampaignChainSweep(b *testing.B) {
-	b.Run("cold/n=8_t=2_seeds=100", perfbench.CampaignChainSweep(8, 2, 100, false))
-	b.Run("warm/n=8_t=2_seeds=100", perfbench.CampaignChainSweep(8, 2, 100, true))
-}
-
-// BenchmarkCampaignFDBASweep is the same workload over the FDBA
-// agreement extension: identical setup cell, 2t+6-round agreement runs.
-func BenchmarkCampaignFDBASweep(b *testing.B) {
-	b.Run("cold/n=8_t=2_seeds=100", perfbench.CampaignFDBASweep(8, 2, 100, false))
-	b.Run("warm/n=8_t=2_seeds=100", perfbench.CampaignFDBASweep(8, 2, 100, true))
-}
-
-// BenchmarkSchedChainSweep is the warm chain sweep again, dispatched
-// through the coordinator/worker scheduler over an in-memory pipe: the
-// delta against BenchmarkCampaignChainSweep/warm is the lease/checksum/
-// JSON overhead of crash tolerance when nothing crashes.
-func BenchmarkSchedChainSweep(b *testing.B) {
-	b.Run("n=8_t=2_seeds=100", perfbench.SchedChainSweep(8, 2, 100))
-}
-
-// BenchmarkServeSustained measures the agreement service under
-// sustained concurrent load: 8 client connections across 2 tenants
-// hammering one warm pool cell through an in-memory fdserve daemon.
-// Reports p50-ns/p99-ns per-request latency and inst/sec throughput
-// alongside wall time — the service-level numbers the BENCH trajectory
-// tracks from PR 10 on.
-func BenchmarkServeSustained(b *testing.B) {
-	b.Run("chain/n=8_t=2_clients=8", perfbench.ServeChainSustained(8, 2, 8, 200))
 }

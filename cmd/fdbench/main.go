@@ -8,9 +8,6 @@
 //	fdbench -e E4           # one experiment
 //	fdbench -e E10 -rsa     # include the (slow) RSA scheme in E10
 //	fdbench -csv            # emit CSV instead of aligned tables
-//	fdbench -perf BENCH_1.json   # run only the headline hot-path
-//	                             # benchmarks and write them as JSON
-//	                             # (the perf trajectory; see PERF.md)
 package main
 
 import (
@@ -28,18 +25,8 @@ func main() {
 		quick   = flag.Bool("quick", false, "reduced Monte-Carlo counts")
 		csv     = flag.Bool("csv", false, "emit CSV")
 		withRSA = flag.Bool("rsa", false, "include RSA in E10 (slow)")
-		perf    = flag.String("perf", "", "run the headline hot-path benchmarks and write them as JSON to this path (skips the experiment tables)")
-		label   = flag.String("perf-label", "", "label stamped into the -perf report, e.g. BENCH_7 (default $BENCH_LABEL)")
 	)
 	flag.Parse()
-
-	if *perf != "" {
-		if err := runPerfSuite(*perf, *label); err != nil {
-			fmt.Fprintf(os.Stderr, "fdbench: perf suite: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var tables []*metrics.Table
 	switch {

@@ -1,27 +1,21 @@
-// Command fdreport is the analytics companion to fdcampaign, fdbench,
-// and the obs trace layer: it turns the JSON artifacts the other tools
-// emit into human tables and CI verdicts.
+// Command fdreport is the analytics companion to fdcampaign and the obs
+// trace layer: it turns the JSON artifacts they emit into human tables
+// and CI verdicts.
 //
 // Usage:
 //
-//	fdreport diff [-threshold PCT] OLD NEW   # compare two artifacts
+//	fdreport diff [-threshold PCT] OLD NEW   # compare two campaign reports
 //	fdreport table REPORT.json               # render a campaign sweep table
 //	fdreport table -csv REPORT.json          # ... as CSV
 //	fdreport trace TRACE.jsonl               # aggregate an obs trace by scope
 //
-// diff autodetects the shared schema of its two inputs:
+// diff takes two fdcampaign/v1 reports and refuses anything else by
+// naming the schema it found: conformance is gated exactly (a lost
+// conformant run, a new violated predicate, or an agreement drop always
+// fails), and the per-group cost means (messages, bytes, rounds) are
+// gated against -threshold percent growth.
 //
-//   - fdcampaign/v1 reports: conformance is gated exactly (a lost
-//     conformant run, a new violated predicate, or an agreement drop
-//     always fails), and the per-group cost means (messages, bytes,
-//     rounds) are gated against -threshold percent growth.
-//   - fdbench-perf/v1 suites: ns/op and allocs/op per benchmark are
-//     gated against -threshold; a benchmark missing from the new suite
-//     fails too, so the gate cannot silently lose coverage.
-//
-// Exit status: 0 clean, 1 usage or I/O error, 2 regression detected —
-// which is what lets CI use `fdreport diff` as the perf regression gate
-// on the committed BENCH_<pr>.json trajectory.
+// Exit status: 0 clean, 1 usage or I/O error, 2 regression detected.
 package main
 
 import (
@@ -60,9 +54,8 @@ func run(args []string) int {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  fdreport diff [-threshold PCT] OLD NEW   compare two fdcampaign/v1 or
-                                           fdbench-perf/v1 files; exit 2
-                                           on regression
+  fdreport diff [-threshold PCT] OLD NEW   compare two fdcampaign/v1
+                                           reports; exit 2 on regression
   fdreport table [-csv] REPORT.json        render a campaign report table
   fdreport trace TRACE.jsonl               aggregate an obs JSONL trace
 `)
@@ -70,7 +63,7 @@ func usage() {
 
 func runDiff(args []string) int {
 	fs := flag.NewFlagSet("fdreport diff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 10, "regression threshold in percent for cost/perf metrics")
+	threshold := fs.Float64("threshold", 10, "regression threshold in percent for cost metrics")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}

@@ -6,14 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/report"
+	"repro/internal/campaign"
+	"repro/internal/metrics"
 )
 
-func writePerf(t *testing.T, dir, name string, ns float64) string {
+// writeReport writes a one-group fdcampaign/v1 report whose mean
+// message count is msgs.
+func writeReport(t *testing.T, dir, name string, msgs float64) string {
 	t.Helper()
-	rep := report.PerfReport{
-		Schema: report.PerfSchema, GoVersion: "go1.24",
-		Benchmarks: []report.PerfResult{{Name: "bench", NsPerOp: ns, Iterations: 10}},
+	rep := campaign.Report{
+		Schema: campaign.ReportSchema, Name: name,
+		Groups: []campaign.GroupSummary{{
+			Key: "chain/n=4/t=1/toy/none", Instances: 4, Conformant: 4, AgreeRate: 1,
+			Messages: metrics.Dist{Count: 4, Mean: msgs},
+		}},
 	}
 	data, err := json.Marshal(rep)
 	if err != nil {
@@ -30,9 +36,9 @@ func writePerf(t *testing.T, dir, name string, ns float64) string {
 // 2 regression.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	old := writePerf(t, dir, "old.json", 1000)
-	same := writePerf(t, dir, "same.json", 1000)
-	slow := writePerf(t, dir, "slow.json", 2000)
+	old := writeReport(t, dir, "old.json", 1000)
+	same := writeReport(t, dir, "same.json", 1000)
+	slow := writeReport(t, dir, "slow.json", 2000)
 
 	if code := run([]string{"diff", old, same}); code != 0 {
 		t.Errorf("clean diff exited %d, want 0", code)
@@ -45,6 +51,13 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"diff", old, filepath.Join(dir, "missing.json")}); code != 1 {
 		t.Errorf("missing file exited %d, want 1", code)
+	}
+	foreign := filepath.Join(dir, "foreign.json")
+	if err := os.WriteFile(foreign, []byte(`{"schema":"nope/v9"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"diff", old, foreign}); code != 1 {
+		t.Errorf("foreign-schema diff exited %d, want 1", code)
 	}
 	if code := run([]string{"bogus"}); code != 1 {
 		t.Errorf("unknown subcommand exited %d, want 1", code)

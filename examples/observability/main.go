@@ -15,6 +15,8 @@
 //  4. attach the engine tracer to a single cluster run for per-round
 //     spans.
 //
+// Run it with:
+//
 //	go run ./examples/observability
 package main
 

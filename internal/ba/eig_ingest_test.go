@@ -127,7 +127,7 @@ func TestEIGIngestFinalMatchesIngestSerial(t *testing.T) {
 
 // runEIGCluster runs a failure-free OM(t) cluster to completion and
 // returns every node's decision plus the total relayed-entry count.
-func runEIGCluster(t *testing.T, cfg model.Config, value []byte) ([][]byte, int64) {
+func runEIGCluster(t testing.TB, cfg model.Config, value []byte) ([][]byte, int64) {
 	t.Helper()
 	var entries atomic.Int64
 	procs := make([]sim.Process, cfg.N)
@@ -201,5 +201,27 @@ func TestEIGAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Fatalf("allocs per run: %d at GOMAXPROCS=1, %d at GOMAXPROCS=2", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkEIG runs a full failure-free OM(t) agreement — path-keyed
+// tree ingestion, relaying and the bottom-up resolve across all n nodes
+// — at the deep (n=16), O(n^t) stress (t=5) and wide (n=64, n=128) grid
+// points. Every iteration asserts that all nodes decided the sender's
+// value, so it cannot keep timing a silently broken agreement.
+func BenchmarkEIG(b *testing.B) {
+	value := []byte("v")
+	for _, cfg := range []model.Config{{N: 10, T: 3}, {N: 16, T: 3}, {N: 16, T: 5}, {N: 64, T: 2}, {N: 128, T: 2}} {
+		b.Run(fmt.Sprintf("n=%d_t=%d", cfg.N, cfg.T), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decisions, _ := runEIGCluster(b, cfg, value)
+				for node, d := range decisions {
+					if !bytes.Equal(d, value) {
+						b.Fatalf("node %d decided %q, want %q", node, d, value)
+					}
+				}
+			}
+		})
 	}
 }

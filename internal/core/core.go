@@ -106,7 +106,7 @@ func EngineRounds(p Protocol, t int) int {
 // Entropy is split into two independent domains so key material and run
 // randomness can be reseeded separately: keyEntropy feeds key generation
 // only, runEntropy feeds everything per-run (handshake nonces). The split
-// is what makes Reset/Rekey and the campaign setup cache sound: a cluster
+// is what makes Reset and the campaign setup cache sound: a cluster
 // whose keys derive from key seed k behaves byte-identically in every
 // post-establishment run to a fresh cluster built with the same k,
 // regardless of which run seeds drew the nonces along the way.
@@ -121,10 +121,10 @@ type Cluster struct {
 	// defaults to crypto/rand, overridden by WithSeed and Reset.
 	runEntropy func(node int) io.Reader
 	// runDeterministic marks a WithSeed cluster; only such clusters
-	// reseed run entropy on Reset/Rekey (clusters without WithSeed keep
+	// reseed run entropy on Reset (clusters without WithSeed keep
 	// drawing nonces from crypto/rand, even when their keys are pinned).
 	runDeterministic bool
-	// keyPinned marks that WithKeySeed (or Rekey) set the key domain
+	// keyPinned marks that WithKeySeed set the key domain
 	// explicitly, so WithSeed must not override it whatever order the
 	// options came in.
 	keyPinned bool
@@ -164,9 +164,8 @@ func WithScheme(name string) Option {
 // WithSeed makes all key generation and nonces deterministic from the
 // given seed, for reproducible experiments. Key material draws from the
 // seed's key domain (sim.KeyMaterialSeed) and per-run randomness from its
-// run domain (sim.NodeSeed), so the two can later be reseeded
-// independently via Reset and Rekey. Production clusters should not set
-// it.
+// run domain (sim.NodeSeed), so Reset can reseed the second and leave
+// the first alone. Production clusters should not set it.
 func WithSeed(seed int64) Option {
 	return func(c *Cluster) error {
 		c.runDeterministic = true
@@ -328,7 +327,7 @@ func (c *Cluster) netEmitter() netcond.Emitter {
 // campaign setup cache relies on exactly that. Clusters not created with
 // WithSeed keep drawing run entropy from crypto/rand — for them Reset
 // only clears the ledger, even when their keys are pinned. Runs that
-// need fresh keys use Rekey instead.
+// need fresh keys build a fresh cluster with another WithKeySeed.
 //
 // The ledger is cleared in place: handles returned by Ledger() earlier
 // stay valid and observe the new run sequence.
@@ -337,31 +336,6 @@ func (c *Cluster) Reset(seed int64) {
 	if c.runDeterministic {
 		c.runEntropy = runEntropyFor(seed)
 	}
-}
-
-// Rekey is the explicit re-keying path: it discards the cluster's key
-// material, established state, and ledger (a new key epoch starts its
-// accounting from zero), and pins key generation to the given key seed —
-// exactly as constructing with WithKeySeed would, on any cluster — so
-// the next EstablishAuthentication regenerates everything. Use it when
-// runs must not share keys with earlier ones; Reset deliberately never
-// does this.
-//
-// On a WithSeed cluster the run entropy is reseeded onto the key seed
-// too, so the new epoch's handshake draws fresh nonces instead of
-// replaying the previous epoch's (the two seed domains stay
-// independent); follow with Reset to choose a different run seed.
-// Clusters without WithSeed keep drawing nonces from crypto/rand, before
-// and after Rekey.
-func (c *Cluster) Rekey(keySeed int64) {
-	c.nodes = nil
-	c.established = false
-	c.ledger.Reset()
-	if c.runDeterministic {
-		c.runEntropy = runEntropyFor(keySeed)
-	}
-	c.keyPinned = true
-	c.keyEntropy = keyEntropyFor(keySeed)
 }
 
 // Directory returns node id's accepted predicate directory. Only valid
@@ -503,7 +477,7 @@ func WithNetwork(net sim.Network) RunOption {
 // the node is down from spec.Crash and — if spec.Restart is set —
 // rejoins at that round rebuilt from its durable state (signer,
 // directory, key material), with all volatile protocol state lost.
-// This is restart-with-recovery on top of the cluster's Reset/Rekey
+// This is restart-with-recovery on top of the cluster's Reset
 // machinery: recovery re-runs node construction against the already
 // established authentication setup, so the rejoined node authenticates
 // exactly as before the crash. A churned node is treated as faulty for

@@ -108,7 +108,7 @@ type Ledger struct {
 func NewLedger() *Ledger { return &Ledger{} }
 
 // Reset clears the ledger in place, so handles previously returned by
-// Cluster.Ledger stay valid across Cluster.Reset/Rekey.
+// Cluster.Ledger stay valid across Cluster.Reset.
 func (l *Ledger) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -96,77 +96,6 @@ func TestLedgerHandleSurvivesReset(t *testing.T) {
 	}
 }
 
-// TestRekeyOnProductionCluster pins that Rekey pins the key seed on ANY
-// cluster (matching WithKeySeed), not just WithSeed ones, and starts a
-// clean ledger for the new key epoch.
-func TestRekeyOnProductionCluster(t *testing.T) {
-	fingerprintAfterRekey := func() string {
-		c, err := core.New(model.Config{N: 3, T: 1}) // crypto/rand cluster
-		if err != nil {
-			t.Fatalf("core.New: %v", err)
-		}
-		if _, err := c.EstablishAuthentication(); err != nil {
-			t.Fatalf("EstablishAuthentication: %v", err)
-		}
-		led := c.Ledger()
-		c.Rekey(42)
-		if led.KeyDistMessages() != 0 {
-			t.Fatal("Rekey did not clear the old epoch's ledger")
-		}
-		if _, err := c.EstablishAuthentication(); err != nil {
-			t.Fatalf("re-establish: %v", err)
-		}
-		d, _ := c.Directory(0)
-		p, _ := d.PredicateOf(1)
-		return p.Fingerprint()
-	}
-	if fingerprintAfterRekey() != fingerprintAfterRekey() {
-		t.Error("Rekey(42) on a production cluster did not pin key material to the key seed")
-	}
-}
-
-// TestClusterRekeyRegeneratesKeys checks the explicit re-keying path:
-// after Rekey the cluster demands re-establishment and the new key
-// material differs from the old.
-func TestClusterRekeyRegeneratesKeys(t *testing.T) {
-	c, err := core.New(model.Config{N: 4, T: 1}, core.WithSeed(5), core.WithKeySeed(100))
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	if _, err := c.EstablishAuthentication(); err != nil {
-		t.Fatalf("EstablishAuthentication: %v", err)
-	}
-	d, _ := c.Directory(0)
-	before, _ := d.PredicateOf(1)
-
-	c.Rekey(101)
-	if c.Established() {
-		t.Fatal("Rekey left the cluster established")
-	}
-	if _, err := c.RunFailureDiscovery([]byte("v")); err == nil {
-		t.Fatal("authenticated run succeeded after Rekey without re-establishment")
-	}
-	if _, err := c.EstablishAuthentication(); err != nil {
-		t.Fatalf("re-establish after Rekey: %v", err)
-	}
-	d2, _ := c.Directory(0)
-	after, _ := d2.PredicateOf(1)
-	if before.Fingerprint() == after.Fingerprint() {
-		t.Error("Rekey(101) regenerated identical key material")
-	}
-
-	// Rekey back to the original key seed: keys must round-trip.
-	c.Rekey(100)
-	if _, err := c.EstablishAuthentication(); err != nil {
-		t.Fatalf("re-establish: %v", err)
-	}
-	d3, _ := c.Directory(0)
-	again, _ := d3.PredicateOf(1)
-	if before.Fingerprint() != again.Fingerprint() {
-		t.Error("key material is not a pure function of the key seed")
-	}
-}
-
 // TestWithKeySeedIndependentOfRunSeed pins the entropy-domain split: two
 // clusters differing only in run seed share keys when the key seed
 // matches, and differ when it does not.

@@ -98,8 +98,31 @@ func TestModelFatesMatchMathRandOracle(t *testing.T) {
 	}
 }
 
-// TestModelLinkBytes bounds what a lossy instance pays to open its
-// links: NewModel plus one Fate on each of the 240 directed links at
+// openLinks is what a lossy instance pays to open its links: NewModel
+// plus one lossy, uniform-latency Fate on each of the n(n−1) directed
+// links, whose first draw builds the link's seeded stream. This is the
+// netcond share of every link-degrading cell in a campaign grid, where
+// most links carry one or two messages per run.
+func openLinks(n int, seed int64) {
+	m := NewModel(Spec{Latency: &LatencySpec{Dist: DistUniform, Min: 0, Max: 2}, Loss: 0.05}, n, seed)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				m.Fate(model.Message{From: model.NodeID(from), To: model.NodeID(to)}, 1)
+			}
+		}
+	}
+}
+
+// BenchmarkNetcondFates times openLinks at n=16.
+func BenchmarkNetcondFates(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		openLinks(16, int64(i))
+	}
+}
+
+// TestModelLinkBytes bounds openLinks in bytes: the 240 directed links at
 // n=16. With math/rand's own source every link carried a 4.9 KB
 // register (~5.4 KB per link); sim.SeededSource holds 24 bytes.
 // MemStats counts the whole process, so the collector is off and the
@@ -109,17 +132,7 @@ func TestModelLinkBytes(t *testing.T) {
 		t.Skip("allocation sizes inflate under -race")
 	}
 	const n = 16
-	spec := Spec{Latency: &LatencySpec{Dist: DistUniform, Min: 0, Max: 2}, Loss: 0.05}
-	run := func() {
-		m := NewModel(spec, n, 7)
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				if from != to {
-					m.Fate(model.Message{From: model.NodeID(from), To: model.NodeID(to)}, 1)
-				}
-			}
-		}
-	}
+	run := func() { openLinks(n, 7) }
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // warm up
 	var before, after runtime.MemStats

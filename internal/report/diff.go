@@ -1,3 +1,10 @@
+// Package report implements the analytics layer over the repository's
+// JSON artifacts: fdcampaign/v1 campaign reports and obs JSONL traces.
+// It diffs two campaign reports for conformance deltas and cost-metric
+// regressions against a threshold, renders sweep tables, and aggregates
+// traces by scope — cmd/fdreport is a thin CLI over it. Performance
+// numbers are not its business: time, throughput and heap come from
+// `go run -C benchmark .`, exact allocation counts from `go test`.
 package report
 
 import (
@@ -10,10 +17,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Entry is one comparison between the old and the new artifact: a cell
-// (campaign group key or benchmark name), a metric within it, and the
-// two values. Regressed entries fail the gate; Note carries structural
-// findings (cells appearing or disappearing) that have no numeric pair.
+// Entry is one comparison between the old and the new report: a cell
+// (campaign group key), a metric within it, and the two values.
+// Regressed entries fail the gate; Note carries structural findings
+// (cells appearing or disappearing) that have no numeric pair.
 type Entry struct {
 	Cell      string  `json:"cell"`
 	Metric    string  `json:"metric"`
@@ -24,10 +31,10 @@ type Entry struct {
 	Note      string  `json:"note,omitempty"`
 }
 
-// Diff is the outcome of comparing two artifacts of the same schema.
-// Entries lists only the comparisons that changed (or are structural
-// notes); Compared counts every comparison made, changed or not, so the
-// summary can say how much ground the gate actually covered.
+// Diff is the outcome of comparing two campaign reports. Entries lists
+// only the comparisons that changed (or are structural notes); Compared
+// counts every comparison made, changed or not, so the summary can say
+// how much ground the gate actually covered.
 type Diff struct {
 	Schema    string  `json:"schema"`
 	Threshold float64 `json:"threshold_pct"`
@@ -63,7 +70,7 @@ func pctDelta(old, new float64) float64 {
 
 // compare appends an entry when the value changed, marking it regressed
 // when it grew past the threshold (all gated metrics here are
-// smaller-is-better: ns/op, allocs, messages, bytes, rounds).
+// smaller-is-better: messages, bytes, rounds).
 func (d *Diff) compare(cell, metric string, old, new float64) {
 	d.Compared++
 	if old == new {
@@ -74,21 +81,6 @@ func (d *Diff) compare(cell, metric string, old, new float64) {
 		Cell: cell, Metric: metric, Old: old, New: new,
 		DeltaPct:  delta,
 		Regressed: delta > d.Threshold,
-	})
-}
-
-// compareRate is compare for larger-is-better metrics (throughput): an
-// entry regresses when the value FELL past the threshold.
-func (d *Diff) compareRate(cell, metric string, old, new float64) {
-	d.Compared++
-	if old == new {
-		return
-	}
-	delta := pctDelta(old, new)
-	d.Entries = append(d.Entries, Entry{
-		Cell: cell, Metric: metric, Old: old, New: new,
-		DeltaPct:  delta,
-		Regressed: delta < -d.Threshold,
 	})
 }
 
@@ -172,84 +164,6 @@ func newViolations(old, new []string) []string {
 	return out
 }
 
-// DiffPerf compares two fdbench-perf/v1 suites benchmark by benchmark:
-// ns/op and allocs/op against the percent threshold, plus — for
-// sustained-throughput rows that carry them — p50/p99 latency
-// (smaller-is-better) and ops/sec (larger-is-better). A benchmark that
-// disappeared regresses (the gate lost coverage), and so does a row
-// that silently lost its service-level metrics; a new one is noted.
-func DiffPerf(old, new *PerfReport, thresholdPct float64) *Diff {
-	d := &Diff{Schema: PerfSchema, Threshold: thresholdPct,
-		OldLabel: labelOf(old), NewLabel: labelOf(new)}
-	newBench := make(map[string]PerfResult, len(new.Benchmarks))
-	for _, b := range new.Benchmarks {
-		newBench[b.Name] = b
-	}
-	seen := make(map[string]bool, len(old.Benchmarks))
-	for _, ob := range old.Benchmarks {
-		seen[ob.Name] = true
-		nb, ok := newBench[ob.Name]
-		if !ok {
-			d.note(ob.Name, "benchmark", "missing in new suite", true)
-			continue
-		}
-		d.compare(ob.Name, "ns_per_op", ob.NsPerOp, nb.NsPerOp)
-		d.compare(ob.Name, "allocs_per_op", float64(ob.AllocsPerOp), float64(nb.AllocsPerOp))
-		if ob.P50Ns > 0 && nb.P50Ns > 0 {
-			d.compare(ob.Name, "p50_ns", ob.P50Ns, nb.P50Ns)
-		}
-		if ob.P99Ns > 0 && nb.P99Ns > 0 {
-			d.compare(ob.Name, "p99_ns", ob.P99Ns, nb.P99Ns)
-		}
-		if ob.OpsPerSec > 0 && nb.OpsPerSec > 0 {
-			d.compareRate(ob.Name, "ops_per_sec", ob.OpsPerSec, nb.OpsPerSec)
-		}
-		if ob.OpsPerSec > 0 && nb.OpsPerSec == 0 {
-			d.note(ob.Name, "ops_per_sec", "service-level metrics missing in new suite", true)
-		}
-	}
-	for _, nb := range new.Benchmarks {
-		if !seen[nb.Name] {
-			d.note(nb.Name, "benchmark", "new benchmark (not in old suite)", false)
-		}
-	}
-	return d
-}
-
-// labelOf names a perf report for the diff header: its label if
-// stamped, else its commit, else its timestamp.
-func labelOf(r *PerfReport) string {
-	switch {
-	case r.Label != "":
-		return r.Label
-	case r.GitCommit != "":
-		return r.GitCommit
-	default:
-		return r.Timestamp
-	}
-}
-
-// schemaProbe extracts just the schema tag for autodetection.
-type schemaProbe struct {
-	Schema string `json:"schema"`
-}
-
-// Detect returns the schema tag of a JSON artifact file.
-func Detect(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var p schemaProbe
-	if err := json.Unmarshal(data, &p); err != nil {
-		return "", fmt.Errorf("report: parse %s: %w", path, err)
-	}
-	if p.Schema == "" {
-		return "", fmt.Errorf("report: %s has no schema tag", path)
-	}
-	return p.Schema, nil
-}
-
 // LoadCampaign reads and validates an fdcampaign/v1 report file.
 func LoadCampaign(path string) (*campaign.Report, error) {
 	data, err := os.ReadFile(path)
@@ -266,44 +180,18 @@ func LoadCampaign(path string) (*campaign.Report, error) {
 	return &rep, nil
 }
 
-// DiffFiles autodetects the shared schema of two artifact files and
-// dispatches to the matching differ.
+// DiffFiles diffs two fdcampaign/v1 report files; LoadCampaign refuses
+// any other artifact by naming the schema it carries.
 func DiffFiles(oldPath, newPath string, thresholdPct float64) (*Diff, error) {
-	oldSchema, err := Detect(oldPath)
+	old, err := LoadCampaign(oldPath)
 	if err != nil {
 		return nil, err
 	}
-	newSchema, err := Detect(newPath)
+	new, err := LoadCampaign(newPath)
 	if err != nil {
 		return nil, err
 	}
-	if oldSchema != newSchema {
-		return nil, fmt.Errorf("report: schema mismatch: %s is %q, %s is %q", oldPath, oldSchema, newPath, newSchema)
-	}
-	switch oldSchema {
-	case campaign.ReportSchema:
-		o, err := LoadCampaign(oldPath)
-		if err != nil {
-			return nil, err
-		}
-		n, err := LoadCampaign(newPath)
-		if err != nil {
-			return nil, err
-		}
-		return DiffCampaign(o, n, thresholdPct), nil
-	case PerfSchema:
-		o, err := LoadPerf(oldPath)
-		if err != nil {
-			return nil, err
-		}
-		n, err := LoadPerf(newPath)
-		if err != nil {
-			return nil, err
-		}
-		return DiffPerf(o, n, thresholdPct), nil
-	default:
-		return nil, fmt.Errorf("report: cannot diff schema %q", oldSchema)
-	}
+	return DiffCampaign(old, new, thresholdPct), nil
 }
 
 // Table renders the diff for humans: one row per changed comparison or

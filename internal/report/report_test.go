@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,86 +102,6 @@ func TestDiffCampaignStructuralChanges(t *testing.T) {
 	}
 }
 
-func perfFixture(ns float64, allocs int64) *PerfReport {
-	return &PerfReport{
-		Schema: PerfSchema, GoVersion: "go1.24", Label: "BENCH_test",
-		Benchmarks: []PerfResult{
-			{Name: "chain_n4_t1", NsPerOp: ns, AllocsPerOp: allocs, Iterations: 100},
-			{Name: "vector_n4_t1", NsPerOp: 2 * ns, AllocsPerOp: 2 * allocs, Iterations: 100},
-		},
-	}
-}
-
-func TestDiffPerfThreshold(t *testing.T) {
-	old := perfFixture(1000, 50)
-	new := perfFixture(1100, 50) // +10% ns/op
-	if d := DiffPerf(old, new, 5); len(d.Regressions()) == 0 {
-		t.Error("10% slowdown passed a 5% threshold")
-	}
-	if d := DiffPerf(old, new, 50); len(d.Regressions()) != 0 {
-		t.Error("10% slowdown failed a 50% threshold")
-	}
-	faster := DiffPerf(old, perfFixture(800, 50), 5)
-	if len(faster.Regressions()) != 0 {
-		t.Error("improvement flagged as regression")
-	}
-	if len(faster.Entries) == 0 {
-		t.Error("improvement not reported at all")
-	}
-}
-
-func TestDiffPerfMissingBenchmarkRegresses(t *testing.T) {
-	old := perfFixture(1000, 50)
-	new := perfFixture(1000, 50)
-	new.Benchmarks = new.Benchmarks[:1]
-	d := DiffPerf(old, new, 50)
-	reg := d.Regressions()
-	if len(reg) != 1 || reg[0].Cell != "vector_n4_t1" {
-		t.Errorf("dropped benchmark should regress, got %+v", reg)
-	}
-}
-
-// servicePerfFixture is a suite with one sustained-throughput row
-// carrying service-level metrics.
-func servicePerfFixture(p50, p99, ops float64) *PerfReport {
-	return &PerfReport{
-		Schema: PerfSchema, GoVersion: "go1.24", Label: "BENCH_test",
-		Benchmarks: []PerfResult{
-			{Name: "serve_sustained/chain/n=8_t=2_clients=8", NsPerOp: 1000, AllocsPerOp: 10,
-				Iterations: 100, P50Ns: p50, P99Ns: p99, OpsPerSec: ops},
-		},
-	}
-}
-
-func TestDiffPerfServiceMetrics(t *testing.T) {
-	old := servicePerfFixture(1e6, 5e6, 400)
-	// Latency up 50%, throughput down 25%: both must regress at 10%.
-	worse := servicePerfFixture(1.5e6, 7.5e6, 300)
-	d := DiffPerf(old, worse, 10)
-	regressed := map[string]bool{}
-	for _, e := range d.Regressions() {
-		regressed[e.Metric] = true
-	}
-	if !regressed["p50_ns"] || !regressed["p99_ns"] || !regressed["ops_per_sec"] {
-		t.Errorf("service regressions not gated: %+v", d.Regressions())
-	}
-
-	// Faster and higher-throughput must pass, and throughput direction
-	// must not be inverted (more ops/sec is better).
-	better := servicePerfFixture(0.5e6, 2e6, 800)
-	if d := DiffPerf(old, better, 10); len(d.Regressions()) != 0 {
-		t.Errorf("service improvement flagged as regression: %+v", d.Regressions())
-	}
-
-	// A row that silently lost its service metrics regresses: the gate
-	// would otherwise stop covering the daemon without anyone noticing.
-	lost := servicePerfFixture(1e6, 5e6, 400)
-	lost.Benchmarks[0].P50Ns, lost.Benchmarks[0].P99Ns, lost.Benchmarks[0].OpsPerSec = 0, 0, 0
-	if d := DiffPerf(old, lost, 10); len(d.Regressions()) == 0 {
-		t.Error("vanished service metrics passed the gate")
-	}
-}
-
 func writeJSON(t *testing.T, dir, name string, v any) string {
 	t.Helper()
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -194,35 +115,32 @@ func writeJSON(t *testing.T, dir, name string, v any) string {
 	return path
 }
 
+// TestDiffFilesAutodetect: two fdcampaign/v1 files diff; anything else
+// is refused with the schema it carries named in the error.
 func TestDiffFilesAutodetect(t *testing.T) {
 	dir := t.TempDir()
-	oldPerf := writeJSON(t, dir, "old.json", perfFixture(1000, 50))
-	newPerf := writeJSON(t, dir, "new.json", perfFixture(1200, 50))
-	d, err := DiffFiles(oldPerf, newPerf, 5)
-	if err != nil {
-		t.Fatalf("DiffFiles(perf): %v", err)
-	}
-	if d.Schema != PerfSchema || len(d.Regressions()) == 0 {
-		t.Errorf("perf diff = %+v", d)
-	}
-
 	oldCamp := writeJSON(t, dir, "oldc.json", campaignFixture(100, 4, nil))
 	newCamp := writeJSON(t, dir, "newc.json", campaignFixture(100, 4, nil))
-	d, err = DiffFiles(oldCamp, newCamp, 5)
+	d, err := DiffFiles(oldCamp, newCamp, 5)
 	if err != nil {
 		t.Fatalf("DiffFiles(campaign): %v", err)
 	}
 	if d.Schema != campaign.ReportSchema || len(d.Entries) != 0 {
 		t.Errorf("campaign diff = %+v", d)
 	}
-
-	if _, err := DiffFiles(oldPerf, newCamp, 5); err == nil {
-		t.Error("cross-schema diff should fail")
+	grown := writeJSON(t, dir, "grown.json", campaignFixture(120, 4, nil))
+	if d, err = DiffFiles(oldCamp, grown, 5); err != nil || len(d.Regressions()) == 0 {
+		t.Errorf("20%% message growth across files: diff = %+v, err = %v", d, err)
 	}
-	bogus := filepath.Join(dir, "bogus.json")
-	os.WriteFile(bogus, []byte(`{"schema":"nope/v9"}`), 0o644)
-	if _, err := DiffFiles(bogus, bogus, 5); err == nil {
-		t.Error("unknown schema should fail")
+
+	for _, schema := range []string{"fdserve-stats/v1", "nope/v9"} {
+		other := writeJSON(t, dir, "other.json", map[string]string{"schema": schema})
+		for _, pair := range [][2]string{{other, newCamp}, {oldCamp, other}} {
+			_, err := DiffFiles(pair[0], pair[1], 5)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(schema)) {
+				t.Errorf("diff against a %s file = %v, want a refusal naming the schema", schema, err)
+			}
+		}
 	}
 }
 
@@ -254,11 +172,11 @@ func TestAggregateTrace(t *testing.T) {
 }
 
 func TestDiffRenderShowsRegression(t *testing.T) {
-	d := DiffPerf(perfFixture(1000, 50), perfFixture(1500, 50), 10)
+	d := DiffCampaign(campaignFixture(100, 4, nil), campaignFixture(150, 4, nil), 10)
 	var buf strings.Builder
 	d.Render(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "ns_per_op") {
+	if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "messages.mean") {
 		t.Errorf("render missing regression markers:\n%s", out)
 	}
 }

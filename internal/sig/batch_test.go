@@ -107,10 +107,11 @@ func TestVerifyMemoShardedContention(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	filled := pred.calls.Load()
 	for i := 0; i < keys; i++ {
 		payload := []byte(fmt.Sprintf("payload-%d", i))
-		if !m.hit(m.keyOf(pred, payload, []byte("sig"))) {
-			t.Errorf("key %d not memoized after concurrent fill", i)
+		if !m.test(pred, payload, []byte("sig")) || pred.calls.Load() != filled {
+			t.Fatalf("key %d not memoized after concurrent fill", i)
 		}
 	}
 }
@@ -260,7 +261,7 @@ func TestVerifyBatchFirstFailure(t *testing.T) {
 }
 
 // TestVerifyBatchWarmAllocs pins the allocation budget of the fully
-// memoized batch path: the dedup pre-pass must resolve everything without
+// memoized batch path: every check resolves in the memo without
 // allocating.
 func TestVerifyBatchWarmAllocs(t *testing.T) {
 	if raceEnabled {

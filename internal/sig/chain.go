@@ -318,14 +318,13 @@ func UnmarshalChain(data []byte) (*Chain, error) {
 // chainScratch recycles the per-Verify working set: resolved predicates,
 // the payload arena (all layer payloads packed end to end, addressed by
 // offsets so arena growth cannot invalidate them), the evolving nested
-// encoding, the assembled checks, and the VerifyBatch scratch.
+// encoding and the assembled checks.
 type chainScratch struct {
 	preds  []TestPredicate
 	offs   []int
 	arena  []byte
 	ne     []byte
 	checks []Check
-	batch  batchScratch
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
@@ -341,13 +340,13 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // same assignments or some correct node discovers a failure.
 //
 // The per-layer payloads are built in a single forward pass into a pooled
-// arena and the layer checks handed to VerifyBatch, which dedups against
-// the verified-signature memo — so re-verifying a chain the process has
-// already seen costs hashing. The result (including which error, at which
-// layer) is identical to checking the layers one by one in order;
-// verifySerial in the tests is that reference implementation. On success
-// the chain's nested-encoding cache is filled, making a subsequent Extend
-// allocation-minimal.
+// arena and the layer checks handed to VerifyBatch, which runs them
+// through the verified-signature memo — so re-verifying a chain the
+// process has already seen costs hashing. The result (including which
+// error, at which layer) is identical to checking the layers one by one
+// in order; verifySerial in the tests is that reference implementation.
+// On success the chain's nested-encoding cache is filled, making a
+// subsequent Extend allocation-minimal.
 func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	if len(c.sigs) == 0 {
 		return nil, ErrChainEmpty
@@ -400,8 +399,7 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 		checks = append(checks, Check{Pred: preds[k], Payload: arena[offs[k]:offs[k+1]], Sig: c.sigs[k]})
 	}
 	s.checks = checks
-	bad := verifyBatch(checks, &s.batch)
-	if bad >= 0 {
+	if bad := VerifyBatch(checks); bad >= 0 {
 		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, bad, signers[bad])
 	}
 	if limit < len(c.sigs) {

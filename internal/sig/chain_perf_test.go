@@ -2,6 +2,7 @@ package sig
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/model"
@@ -159,6 +160,54 @@ func TestChainVerifyAllocs(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("warm Chain.Verify allocates %.1f times per op, want <= 8", allocs)
+	}
+}
+
+// BenchmarkChainVerify measures full chain verification as a function
+// of chain length (bytes grow linearly; verification cost with it). cold
+// resets the verified-signature memo every iteration (the first
+// receiver's cost: every layer pays a public-key verification); warm
+// leaves it in place (every re-verification of a chain the process has
+// already seen).
+func BenchmarkChainVerify(b *testing.B) {
+	for _, hops := range []int{1, 4, 8, 16} {
+		for _, memo := range []string{"cold", "warm"} {
+			b.Run(fmt.Sprintf("hops=%d/%s", hops, memo), func(b *testing.B) {
+				f := newChainFixture(b, hops)
+				chain := f.buildChain(b, []byte("value"), hops)
+				b.ReportMetric(float64(len(chain.Marshal())), "wire-bytes")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if memo == "cold" {
+						b.StopTimer()
+						ResetVerifyMemo()
+						b.StartTimer()
+					}
+					if _, err := chain.Verify(model.NodeID(hops-1), f.dir); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkChainExtend measures one chain extension (sign + derive the
+// next nested encoding) at several chain lengths.
+func BenchmarkChainExtend(b *testing.B) {
+	for _, hops := range []int{1, 8, 16} {
+		b.Run(fmt.Sprintf("hops=%d", hops), func(b *testing.B) {
+			f := newChainFixture(b, hops+1)
+			chain := f.buildChain(b, []byte("value"), hops)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := chain.Extend(model.NodeID(hops-1), f.signers[hops]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

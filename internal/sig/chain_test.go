@@ -16,7 +16,7 @@ type chainFixture struct {
 	dir     MapDirectory
 }
 
-func newChainFixture(t *testing.T, n int) *chainFixture {
+func newChainFixture(t testing.TB, n int) *chainFixture {
 	t.Helper()
 	scheme, err := ByName(SchemeEd25519)
 	if err != nil {
@@ -36,7 +36,7 @@ func newChainFixture(t *testing.T, n int) *chainFixture {
 
 // buildChain signs value by node 0 and extends through nodes 1..k-1, each
 // naming its predecessor, as the FD protocol does.
-func (f *chainFixture) buildChain(t *testing.T, value []byte, k int) *Chain {
+func (f *chainFixture) buildChain(t testing.TB, value []byte, k int) *Chain {
 	t.Helper()
 	c, err := NewChain(value, f.signers[0])
 	if err != nil {

@@ -138,35 +138,15 @@ func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
 	return d
 }
 
-// keyOf builds the memo key for one (predicate, payload, signature)
-// triple.
-func (m *verifyMemo) keyOf(pred TestPredicate, payload, sg []byte) memoKey {
-	return memoKey{pred: m.digestOf(pred), payload: sha256.Sum256(payload), sig: sha256.Sum256(sg)}
-}
-
 // shardOf picks the shard for a key. The signature digest is already
 // uniform, so its low bits are the shard index.
 func (m *verifyMemo) shardOf(key *memoKey) *memoShard {
 	return &m.shards[key.sig[0]&(memoShardCount-1)]
 }
 
-// hit reports whether the key is already memoized, without running or
-// waiting on any test. VerifyBatch's dedup pre-pass uses it to split a
-// batch into memo hits and residual work.
-func (m *verifyMemo) hit(key memoKey) bool {
-	s := m.shardOf(&key)
-	s.mu.Lock()
-	_, ok := s.cur[key]
-	if !ok {
-		_, ok = s.prev[key]
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// testKey is testMemo for callers that already computed the key (the
-// batch path computes every key up front for its dedup pre-pass).
-func (m *verifyMemo) testKey(key memoKey, pred TestPredicate, payload, sg []byte) bool {
+// test is the memoized counterpart of pred.Test.
+func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
+	key := memoKey{pred: m.digestOf(pred), payload: sha256.Sum256(payload), sig: sha256.Sum256(sg)}
 	s := m.shardOf(&key)
 	s.mu.Lock()
 	if _, ok := s.cur[key]; ok {
@@ -205,11 +185,6 @@ func (m *verifyMemo) testKey(key memoKey, pred TestPredicate, payload, sg []byte
 	fl.ok = ok
 	close(fl.done)
 	return ok
-}
-
-// test is the memoized counterpart of pred.Test.
-func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
-	return m.testKey(m.keyOf(pred, payload, sg), pred, payload, sg)
 }
 
 // reset drops every memoized verification. The predicate digest cache

@@ -101,20 +101,34 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOp
 	// ...and dial all lower-ID peers. Dials retry with capped backoff:
 	// when a whole cluster boots concurrently, a peer's listener may come
 	// up a moment after our first attempt.
-	for p := model.NodeID(0); p < self; p++ {
-		raw, err := dialBackoff(addrs[p], cfg.stats)
-		if err != nil {
-			return nil, fmt.Errorf("transport: dial %v at %s: %w", p, addrs[p], err)
+	err = func() error {
+		for p := model.NodeID(0); p < self; p++ {
+			raw, err := dialBackoff(addrs[p], cfg.stats)
+			if err != nil {
+				return fmt.Errorf("transport: dial %v at %s: %w", p, addrs[p], err)
+			}
+			if err := writeHello(raw, self); err != nil {
+				raw.Close()
+				return fmt.Errorf("transport: hello to %v: %w", p, err)
+			}
+			mu.Lock()
+			m.conns[p] = NewTCPConn(raw, opts...)
+			mu.Unlock()
 		}
-		if err := writeHello(raw, self); err != nil {
-			raw.Close()
-			return nil, fmt.Errorf("transport: hello to %v: %w", p, err)
-		}
-		mu.Lock()
-		m.conns[p] = NewTCPConn(raw, opts...)
-		mu.Unlock()
+		return nil
+	}()
+	if err != nil {
+		ln.Close() // boot is abandoned: stop the acceptor waiting for more
 	}
-	if err := <-acceptErr; err != nil {
+	// The acceptor has reported before any link is closed, so it cannot
+	// add one afterwards.
+	if aerr := <-acceptErr; err == nil {
+		err = aerr
+	}
+	if err != nil {
+		for _, conn := range m.conns {
+			conn.Close()
+		}
 		return nil, err
 	}
 

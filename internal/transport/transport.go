@@ -61,15 +61,20 @@ func encodeFrame(ftype int, round int, kind model.MessageKind, payload []byte) [
 	return sig.AppendBytes(out, payload)
 }
 
-// decodeFrame unpacks a frame.
+// decodeFrame unpacks a frame. A kind the message-kind type cannot hold
+// is refused rather than truncated onto a valid one, so every accepted
+// frame is the encoding of exactly what is returned.
 func decodeFrame(frame []byte) (ftype, round int, kind model.MessageKind, payload []byte, err error) {
 	d := sig.NewDecoder(frame)
 	ftype = d.Int()
 	round = d.Int()
-	kind = model.MessageKind(d.Int())
+	k := d.Int()
 	payload = d.Bytes()
 	if ferr := d.Finish(); ferr != nil {
 		return 0, 0, 0, nil, fmt.Errorf("transport: bad frame: %w", ferr)
+	}
+	if kind = model.MessageKind(k); int(kind) != k {
+		return 0, 0, 0, nil, fmt.Errorf("transport: bad frame: message kind %d out of range", k)
 	}
 	return ftype, round, kind, payload, nil
 }
