@@ -406,8 +406,8 @@ func TestReportJSONRoundTrips(t *testing.T) {
 // clusters must emit a report byte-identical to one that regenerates all
 // setup per instance — across every cluster-backed protocol, both
 // deterministic signature schemes, and every adversary mix. It runs the
-// cached side at two worker counts so cache population order (which
-// depends on sharding) is also shown not to matter.
+// cached side at two worker counts so which worker builds a cell, and
+// under which instance's run seed, is also shown not to matter.
 func TestReportSetupCacheInvariance(t *testing.T) {
 	spec := Spec{
 		Name:        "setup-cache-differential",
@@ -446,9 +446,10 @@ func TestReportSetupCacheInvariance(t *testing.T) {
 	}
 }
 
-// TestReportSetupCacheInvarianceUnderEviction forces the per-worker cache
-// down to one entry, so every cell change evicts and rebuilds: the report
-// must still match the fully cached one.
+// TestReportSetupCacheInvarianceUnderEviction forces the sweep's store
+// down to one cell, so every cell change evicts and rebuilds — with two
+// workers, out from under a cell the other is still using or still
+// building: the report must still match the fully cached one.
 func TestReportSetupCacheInvarianceUnderEviction(t *testing.T) {
 	spec := Spec{
 		Name:      "eviction-differential",
@@ -462,14 +463,16 @@ func TestReportSetupCacheInvarianceUnderEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	tight, err := Run(spec, 1, func(c *runConfig) { c.cacheCap = 1 })
-	if err != nil {
-		t.Fatalf("Run(cap=1): %v", err)
-	}
 	jRoomy, _ := roomy.CanonicalJSON()
-	jTight, _ := tight.CanonicalJSON()
-	if !bytes.Equal(jRoomy, jTight) {
-		t.Fatal("cache eviction changed the report")
+	for _, workers := range []int{1, 2} {
+		tight, err := Run(spec, workers, func(c *runConfig) { c.cacheCap = 1 })
+		if err != nil {
+			t.Fatalf("Run(cap=1, workers=%d): %v", workers, err)
+		}
+		jTight, _ := tight.CanonicalJSON()
+		if !bytes.Equal(jRoomy, jTight) {
+			t.Fatalf("cache eviction changed the report (workers=%d)", workers)
+		}
 	}
 }
 

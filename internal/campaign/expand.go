@@ -50,8 +50,8 @@ type Instance struct {
 	// streams of sim.KeyMaterialSeed. Expansion sets it to the spec's
 	// SeedBase for every instance, so a seed sweep over one configuration
 	// shares key material — the paper's pay-for-authentication-once
-	// economics — and the per-worker setup cache can reuse one established
-	// cluster for the whole sweep without changing a single report byte.
+	// economics — and the setup store can reuse one handshake's nodes for
+	// the whole sweep without changing a single report byte.
 	KeySeed int64 `json:"key_seed"`
 	// Value, when non-empty, overrides the protocol's canonical sender
 	// proposal. Expansion never sets it — sweeps measure the canonical
@@ -76,6 +76,13 @@ func (i Instance) GroupKey() string {
 		key += "/" + i.NetCond
 	}
 	return key
+}
+
+// sameGroup reports whether two instances share a GroupKey, without
+// formatting either.
+func (i Instance) sameGroup(o Instance) bool {
+	return i.Protocol == o.Protocol && i.N == o.N && i.T == o.T &&
+		i.Scheme == o.Scheme && i.Adversary == o.Adversary && i.NetCond == o.NetCond
 }
 
 // capabilities resolves a protocol name's declared capabilities through

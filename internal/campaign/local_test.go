@@ -1,0 +1,249 @@
+package campaign
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/protocol"
+	"repro/internal/sig"
+)
+
+// onExecutor is Local with the executor supplied, so a test can read the
+// store the sweep ran over.
+type onExecutor struct {
+	workers int
+	exec    *Executor
+}
+
+func (s onExecutor) Execute(_ Spec, instances []Instance) ([]Result, error) {
+	return NewLocal(s.workers).executeOn(s.exec, instances), nil
+}
+
+// TestSetupPaidOncePerSweep is the paper's economics as a count: a sweep
+// runs the handshake once per distinct (scheme, n, keySeed) among its
+// instances that have one to run — not once per worker, per protocol or
+// per driver family — at every worker count, and what it reports is what
+// one worker, or no store at all, reports.
+func TestSetupPaidOncePerSweep(t *testing.T) {
+	spec := Spec{
+		Name:        "setup-once",
+		Protocols:   []string{ProtoChain, ProtoFDBA, ProtoSM, ProtoSmallRange, ProtoVector, ProtoNonAuth, ProtoEIG},
+		Sizes:       []int{4, 7},
+		Schemes:     []string{sig.SchemeToy, sig.SchemeEd25519},
+		Adversaries: []string{AdvNone, AdvCrashRelay},
+		SeedBase:    41,
+		SeedCount:   3,
+	}
+	instances, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make(map[protocol.SetupKey]bool)
+	cacheable := 0
+	for _, inst := range instances {
+		if capabilities(inst.Protocol).CacheableSetup {
+			cacheable++
+			cells[protocol.SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}] = true
+		}
+	}
+	if len(cells) != 4 || cacheable == len(instances) {
+		t.Fatalf("spec has %d cells and %d/%d cacheable instances; the test wants 4 and a mix", len(cells), cacheable, len(instances))
+	}
+
+	uncached, err := Run(spec, 2, WithoutSetupCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uncached.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		exec := NewExecutor()
+		rep, err := RunWith(spec, onExecutor{workers, exec})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		hits, misses := exec.cache.Stats()
+		if misses != len(cells) || hits != cacheable-len(cells) {
+			t.Errorf("workers=%d: %d handshakes and %d hits; want %d (the distinct cells) and %d",
+				workers, misses, hits, len(cells), cacheable-len(cells))
+		}
+		got, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: report differs from the one built without a store", workers)
+		}
+	}
+}
+
+// TestBlocksHandOutEveryChunkOnce drives take as a pure function of the
+// block state, with no goroutines: whoever asks, and in whatever order,
+// each chunk is handed out exactly once; a worker gets its own block
+// first, front to back, and after that the last chunk of whichever block
+// has the most left.
+func TestBlocksHandOutEveryChunkOnce(t *testing.T) {
+	orders := map[string]func(step, workers int, rng *rand.Rand) int{
+		"round-robin": func(step, workers int, _ *rand.Rand) int { return step % workers },
+		"last-only":   func(_, workers int, _ *rand.Rand) int { return workers - 1 },
+		"first-only":  func(int, int, *rand.Rand) int { return 0 },
+		"random":      func(_, workers int, rng *rand.Rand) int { return rng.Intn(workers) },
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, chunks := range []int{8, 9, 10, 11, 23, 64, 65} {
+			for name, order := range orders {
+				b := newBlocks(chunks, workers)
+				owner := make([]int, chunks)
+				for w := range b.next {
+					for c := b.next[w]; c < b.end[w]; c++ {
+						owner[c] = w
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(workers*1000 + chunks)))
+				handed := make([]int, chunks)
+				for step := 0; ; step++ {
+					w := order(step, workers, rng)
+					before := blocks{append([]int(nil), b.next...), append([]int(nil), b.end...)}
+					c, ok := b.take(w)
+					if !ok {
+						break
+					}
+					handed[c]++
+					switch left := before.end[w] - before.next[w]; {
+					case left > 0 && c != before.next[w]:
+						t.Fatalf("%s w=%d/%d chunks=%d: own block starts at %d, got %d", name, w, workers, chunks, before.next[w], c)
+					case left == 0:
+						v := owner[c]
+						if c != before.end[v]-1 {
+							t.Fatalf("%s w=%d/%d chunks=%d: stole %d, not the tail %d of block %d", name, w, workers, chunks, c, before.end[v]-1, v)
+						}
+						for u := range before.next {
+							if more := before.end[u] - before.next[u]; more > before.end[v]-before.next[v] ||
+								(more == before.end[v]-before.next[v] && u < v) {
+								t.Fatalf("%s w=%d/%d chunks=%d: stole from block %d though block %d had more left", name, w, workers, chunks, v, u)
+							}
+						}
+					}
+				}
+				for c, n := range handed {
+					if n != 1 {
+						t.Fatalf("%s workers=%d chunks=%d: chunk %d handed out %d times", name, workers, chunks, c, n)
+					}
+				}
+				for w := range b.next {
+					if _, ok := b.take(w); ok {
+						t.Fatalf("%s workers=%d chunks=%d: a chunk was left after take said done", name, workers, chunks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChunkCuts: the chunks tile the instance order, none straddles a
+// group, and none is longer than its share of the sweep — so a grid of
+// short seed sweeps is cut at its group boundaries only, while one
+// configuration swept over many seeds, a single group, still comes out as
+// enough chunks that every worker's block holds some.
+func TestChunkCuts(t *testing.T) {
+	grid, err := Expand(toySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := func(sizes ...int) []Instance {
+		instances, err := Expand(Spec{Protocols: []string{ProtoChain}, Sizes: sizes,
+			Schemes: []string{sig.SchemeToy}, SeedBase: 1, SeedCount: 1000 / len(sizes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return instances
+	}
+	for _, tc := range []struct {
+		name      string
+		instances []Instance
+		workers   int
+		chunks    int
+	}{
+		{"grid of short sweeps", grid, 2, len(grid) / toySpec().SeedCount},
+		{"one group of 1000 seeds", long(4), 8, 32},    // ceil(1000/32) = 32 a chunk: 31 full and one of 8
+		{"two groups of 500 seeds", long(4, 5), 8, 32}, // 15 full and one of 20, twice
+		{"one group, one worker", long(4), 1, 4},
+		{"fewer instances than chunks", long(4)[:5], 2, 5},
+		{"nothing", nil, 0, 0},
+	} {
+		cuts := chunkCuts(tc.instances, tc.workers)
+		if len(cuts)-1 != tc.chunks || cuts[0] != 0 || cuts[len(cuts)-1] != len(tc.instances) {
+			t.Errorf("%s: %d chunks over %v..%v, want %d over 0..%d", tc.name, len(cuts)-1, cuts[0], cuts[len(cuts)-1], tc.chunks, len(tc.instances))
+			continue
+		}
+		longest := 0
+		for c := 0; c+1 < len(cuts); c++ {
+			longest = max(longest, cuts[c+1]-cuts[c])
+			for i := cuts[c]; i < cuts[c+1]; i++ {
+				if !tc.instances[i].sameGroup(tc.instances[cuts[c]]) {
+					t.Errorf("%s: chunk %d mixes groups %s and %s", tc.name, c, tc.instances[cuts[c]].GroupKey(), tc.instances[i].GroupKey())
+				}
+			}
+		}
+		for c := 1; c+1 < len(cuts); c++ {
+			if tc.instances[cuts[c]].sameGroup(tc.instances[cuts[c]-1]) && cuts[c]-cuts[c-1] != longest {
+				t.Errorf("%s: chunks %d and %d split a group though the first holds %d, under the longest %d", tc.name, c-1, c, cuts[c]-cuts[c-1], longest)
+			}
+		}
+		if tc.workers > 0 && longest > (len(tc.instances)+tc.workers*chunksPerWorker-1)/(tc.workers*chunksPerWorker) {
+			t.Errorf("%s: a chunk of %d instances is more than a worker's share", tc.name, longest)
+		}
+		b := newBlocks(tc.chunks, tc.workers)
+		for w := range b.next {
+			if tc.chunks >= tc.workers && b.next[w] == b.end[w] {
+				t.Errorf("%s: worker %d of %d starts with an empty block", tc.name, w, tc.workers)
+			}
+		}
+	}
+}
+
+// TestLocalSkewedSweepFillsEverySlot puts every expensive instance in the
+// last worker's block, so the others run dry and steal from it: whoever
+// ran what, slot i holds instance i's result, and the results are the
+// ones a single worker produces.
+func TestLocalSkewedSweepFillsEverySlot(t *testing.T) {
+	cheap, err := Expand(Spec{Protocols: []string{ProtoNonAuth}, Sizes: []int{4},
+		Adversaries: []string{AdvNone, AdvCrashRelay, AdvEquivocate}, SeedBase: 3, SeedCount: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dear, err := Expand(Spec{Protocols: []string{ProtoVector, ProtoSM}, Sizes: []int{10},
+		Schemes: []string{sig.SchemeEd25519}, SeedBase: 3, SeedCount: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := append(cheap, dear...)
+	for i := range instances {
+		instances[i].Index = i
+	}
+	want, err := NewLocal(1).Execute(Spec{}, instances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		got, err := NewLocal(workers).Execute(Spec{}, instances)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(instances) {
+			t.Fatalf("workers=%d: %d results for %d instances", workers, len(got), len(instances))
+		}
+		for i, res := range got {
+			if res.Index != i || res.Err != "" {
+				t.Fatalf("workers=%d: slot %d holds index %d (err %q)", workers, i, res.Index, res.Err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: results differ from one worker's", workers)
+		}
+	}
+}

@@ -51,13 +51,14 @@ func TestReportObserverInvariance(t *testing.T) {
 	}
 
 	// The trace must be real, not vacuous: one begin/end span pair per
-	// instance, every verdict ok, and at least one setup-cache hit (the
-	// seed sweep revisits each cell).
+	// instance, every verdict ok, and each instance's own setup lookup —
+	// the two workers share one store, so exactly one instance per
+	// (scheme, n) cell built it and every other was served by that build.
 	spans := sink.Scoped("campaign.instance")
 	if got, want := len(spans), 2*observed.Instances; got != want {
 		t.Fatalf("trace has %d campaign.instance events, want %d (begin+end per instance)", got, want)
 	}
-	hits := 0
+	hits, misses, served := 0, 0, 0
 	for _, e := range spans {
 		if e.Kind != obs.KindEnd {
 			continue
@@ -68,12 +69,24 @@ func TestReportObserverInvariance(t *testing.T) {
 		if e.Dur <= 0 {
 			t.Errorf("instance %d span has non-positive duration %d", e.Inst, e.Dur)
 		}
-		if strings.Contains(e.Attrs, "cache=hit") {
+		switch {
+		case strings.Contains(e.Attrs, "cache=hit"):
 			hits++
+			served++
+		case strings.Contains(e.Attrs, "cache=wait"):
+			served++
+		case strings.Contains(e.Attrs, "cache=miss"):
+			misses++
+		default:
+			t.Errorf("instance %d end attrs %q name no setup lookup", e.Inst, e.Attrs)
 		}
 	}
 	if hits == 0 {
 		t.Error("no instance recorded a setup-cache hit; cache attribution is broken or the sweep never warmed")
+	}
+	if cells := len(spec.Sizes); misses != cells || served != observed.Instances-cells {
+		t.Errorf("trace attributes %d builds and %d served lookups; want %d (one per cell) and %d",
+			misses, served, cells, observed.Instances-cells)
 	}
 }
 

@@ -69,32 +69,29 @@ func countSigned(s metrics.Snapshot) int {
 // concurrently. Errors are reported in Result.Err rather than aborting —
 // one misconfigured combination must not kill a thousand-instance sweep.
 //
-// RunInstance always performs fresh setup (keygen + handshake); the
-// worker loop in Run passes a per-worker setup cache through runInstance
-// instead. Both paths derive identical wire bytes, because key material
-// is a pure function of (Scheme, N, KeySeed) either way — the
-// cached-vs-fresh differential test pins that equivalence.
-func RunInstance(inst Instance) Result { return runInstance(inst, nil) }
+// RunInstance always performs fresh setup (keygen + handshake); see
+// RunInstanceWith for the amortized form.
+func RunInstance(inst Instance) Result { return RunInstanceWith(inst, nil) }
 
-// RunInstanceWith executes one instance like RunInstance but consults
-// the caller-owned setup cache (when the driver declares cacheable
-// setup), so long-lived callers — the agreement service's warm-cluster
-// pool — reuse established clusters across requests while producing the
-// same Result bytes RunInstance would. The cache is single-owner: the
-// caller must serialize calls sharing one cache.
+// RunInstanceWith executes one instance like RunInstance but, when cache
+// is non-nil and the driver declares cacheable setup, over the store's
+// established material — the sweep's store in Run's worker loop, a
+// pooled one in the agreement service. Both paths derive identical wire
+// bytes, because key material is a pure function of (Scheme, N, KeySeed)
+// either way — the cached-vs-fresh differential test pins it — and any
+// number of goroutines may share one store. There is no per-protocol
+// branching: every protocol the registry knows, drivers registered
+// outside this repository included, runs, aggregates and is
+// conformance-scored identically.
 func RunInstanceWith(inst Instance, cache *protocol.SetupCache) Result {
-	return runInstance(inst, cache)
+	return runInstance(inst, cache, nil)
 }
 
-// runInstance dispatches one instance through the protocol driver
-// registry, reusing cached setup when cache is non-nil and the driver
-// declares cacheable setup. There is no per-protocol branching here:
-// every protocol the registry knows — including drivers registered
-// outside this repository — runs, aggregates, and is conformance-scored
-// identically.
-func runInstance(inst Instance, cache *protocol.SetupCache) Result {
+// runInstance is RunInstanceWith for a tracer: served, when non-nil, is
+// handed to the driver as protocol.Instance.SetupServed.
+func runInstance(inst Instance, cache *protocol.SetupCache, served *string) Result {
 	res := Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed}
-	if err := runInto(inst, cache, &res); err != nil {
+	if err := runInto(inst, cache, served, &res); err != nil {
 		res.Err = err.Error()
 		res.Conformance = nil
 	}
@@ -103,7 +100,7 @@ func runInstance(inst Instance, cache *protocol.SetupCache) Result {
 
 // runInto executes the instance and fills the result's measurement and
 // conformance fields.
-func runInto(inst Instance, cache *protocol.SetupCache, res *Result) error {
+func runInto(inst Instance, cache *protocol.SetupCache, served *string, res *Result) error {
 	drv, err := protocol.Lookup(inst.Protocol)
 	if err != nil {
 		return err
@@ -117,14 +114,15 @@ func runInto(inst Instance, cache *protocol.SetupCache, res *Result) error {
 		return err
 	}
 	pinst := protocol.Instance{
-		N:        inst.N,
-		T:        inst.T,
-		Scheme:   inst.Scheme,
-		Value:    inst.Value,
-		Strategy: strat,
-		Net:      net,
-		Seed:     inst.Seed,
-		KeySeed:  inst.KeySeed,
+		N:           inst.N,
+		T:           inst.T,
+		Scheme:      inst.Scheme,
+		Value:       inst.Value,
+		Strategy:    strat,
+		Net:         net,
+		Seed:        inst.Seed,
+		KeySeed:     inst.KeySeed,
+		SetupServed: served,
 	}
 	out, err := protocol.RunInstance(drv, pinst, cache)
 	if err != nil {

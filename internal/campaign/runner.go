@@ -93,10 +93,10 @@ func WithObserver(rec *obs.Recorder) Option {
 	return func(c *runConfig) { c.rec = rec }
 }
 
-// WithoutSetupCache disables the per-worker amortized-setup cache,
-// forcing every instance to regenerate key material and redo the
-// key-distribution handshake from scratch. It exists as the differential
-// baseline: a cached and an uncached run of the same spec must produce
+// WithoutSetupCache runs without a setup store at all, forcing every
+// instance to regenerate key material and redo the key-distribution
+// handshake from scratch. It exists as the differential baseline: a
+// cached and an uncached run of the same spec must produce
 // byte-identical reports (TestReportSetupCacheInvariance and the CI
 // campaign differential enforce it), so setup reuse can never silently
 // change what a campaign measures.
@@ -140,50 +140,51 @@ type Scheduler interface {
 	Execute(spec Spec, instances []Instance) ([]Result, error)
 }
 
-// Executor runs instances one at a time over a private amortized-setup
-// cache; it is the per-worker execution unit every Scheduler builds on
-// (one Executor per local shard, one per remote worker process). Not
-// safe for concurrent use — give each worker its own.
+// Executor runs instances over one amortized-setup store; it is the
+// execution unit every Scheduler builds on (one per Local sweep, shared
+// by its workers; one per remote worker process). It holds nothing an
+// instance can change — the store's material is read-only and each
+// instance gets its own cluster around it — so it is safe for concurrent
+// use, and a panicked or abandoned run leaves nothing to repair.
 type Executor struct {
-	cache    *protocol.SetupCache
-	cacheCap int
-	rec      *obs.Recorder
-	timeout  time.Duration
+	cache   *protocol.SetupCache
+	rec     *obs.Recorder
+	timeout time.Duration
 }
 
-// NewExecutor builds an executor honoring the run options (setup cache
+// NewExecutor builds an executor honoring the run options (setup store
 // enabled by default).
 func NewExecutor(opts ...Option) *Executor {
 	cfg := runConfig{setupCache: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	e := &Executor{rec: cfg.rec, cacheCap: cfg.cacheCap, timeout: cfg.instTimeout}
+	e := &Executor{rec: cfg.rec, timeout: cfg.instTimeout}
 	if cfg.setupCache {
 		e.cache = protocol.NewSetupCache(cfg.cacheCap)
 	}
 	return e
 }
 
-// Run executes one instance, reusing the executor's cached setup where
-// the driver allows it. With an instance timeout armed, the run is raced
-// against the watchdog (see WithInstanceTimeout). The watchdog branch
-// lives in its own method so the goroutine closure there cannot make
-// inst escape on this, the default, path — escape analysis is
+// Run executes one instance, reusing the store's established material
+// where the driver allows it. With an instance timeout armed, the run is
+// raced against the watchdog (see WithInstanceTimeout). The watchdog
+// branch lives in its own method so the goroutine closure there cannot
+// make inst escape on this, the default, path — escape analysis is
 // function-wide, and the sweep benchmarks hold this path allocation-flat.
 func (e *Executor) Run(inst Instance) Result {
 	if e.timeout <= 0 {
-		return e.run(inst, e.cache)
+		return e.run(inst)
 	}
 	return e.runWatched(inst)
 }
 
 // runWatched races the instance against the armed watchdog timer. The
 // driver runs on a goroutine of its own, out of reach of any caller's
-// recover, so a panic is contained there and reported like a timeout:
-// a fixed Err, and a cache the abandoned run can no longer touch.
+// recover, so a panic is contained there and reported like a timeout: a
+// fixed Err. The parked goroutine keeps running over material nobody
+// writes, so the store stays in service.
 func (e *Executor) runWatched(inst Instance) Result {
-	cache := e.cache
 	done := make(chan Result, 1)
 	panicked := make(chan struct{})
 	go func() {
@@ -192,7 +193,7 @@ func (e *Executor) runWatched(inst Instance) Result {
 				close(panicked)
 			}
 		}()
-		done <- e.run(inst, cache)
+		done <- e.run(inst)
 	}()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
@@ -211,60 +212,47 @@ func (e *Executor) runWatched(inst Instance) Result {
 					"timeout", e.timeout.String())})
 		}
 	}
-	if cache != nil {
-		// The parked goroutine still holds the old cache, and a panic
-		// may have left a setup in it half-stepped; hand the next
-		// instance a fresh one so the two can never race.
-		e.cache = protocol.NewSetupCache(e.cacheCap)
-	}
 	return Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: failed}
 }
 
-// run executes one instance against an explicit cache. With an observer
-// attached it brackets the run in a "campaign.instance" span carrying
-// the wall-time and verdict the deterministic report cannot.
-func (e *Executor) run(inst Instance, cache *protocol.SetupCache) Result {
+// run executes one instance. With an observer attached it brackets the
+// run in a "campaign.instance" span carrying the wall-time and verdict
+// the deterministic report cannot, and how this instance's own setup
+// lookup was served (cache=hit|miss|wait, off when it made none) — read
+// off the lookup, not the store's counters, which every worker moves.
+func (e *Executor) run(inst Instance) Result {
 	if !e.rec.Enabled() {
-		return runInstance(inst, cache)
+		return RunInstanceWith(inst, e.cache)
 	}
-	hitsBefore := 0
-	if cache != nil {
-		hitsBefore, _ = cache.Stats()
-	}
+	served := "off"
 	span := e.rec.Begin(obs.Event{Scope: "campaign.instance",
 		Inst: inst.Index, Proto: inst.Protocol, Node: -1,
 		Attrs: obs.Attrs("group", inst.GroupKey(), "seed", inst.Seed)})
-	res := runInstance(inst, cache)
+	res := runInstance(inst, e.cache, &served)
 	verdict := "ok"
 	if res.Err != "" {
 		verdict = "err"
 	}
-	cacheState := "off"
-	if cache != nil {
-		if hits, _ := cache.Stats(); hits > hitsBefore {
-			cacheState = "hit"
-		} else {
-			cacheState = "miss"
-		}
-	}
 	span.End(obs.Attrs("verdict", verdict, "agreed", res.Agreed,
 		"discovered", res.Discovered, "conformant", res.Conformance.Conformant(),
-		"cache", cacheState))
+		"cache", served))
 	return res
 }
 
-// Local is the in-process sharded Scheduler: workers goroutines, worker
-// w owning the instances with Index ≡ w (mod workers). Sharding balances
-// the load (expansion order interleaves cheap and expensive
-// configurations) without a shared work queue, and since every result
-// lands in its instance's slot, the aggregate is identical no matter how
-// the shards raced. workers < 1 means one worker per CPU.
+// Local is the in-process Scheduler: workers goroutines (one per CPU if
+// workers < 1) over one Executor, so one setup store — a sweep pays key
+// generation and the handshake once per (scheme, n, keySeed) cell,
+// whatever the worker count. The store cannot affect the report: key
+// material is pinned by Instance.KeySeed whether or not it is cached.
 //
-// Each shard owns an Executor (bounded protocol.SetupCache), so a seed
-// sweep pays key generation and the authentication handshake once per
-// (scheme, n, t) cell per shard instead of once per instance. The cache
-// cannot affect the report: key material is pinned by Instance.KeySeed
-// whether or not it is cached.
+// Each worker walks its own contiguous block of the expansion order (see
+// blocks), so workers sit in different cells instead of reaching every
+// new cell together and queueing on its build; one that finishes early
+// steals from the far end of the fullest block left. The blocks are made
+// of chunks (see chunkCuts), which follow the groups but are cut from the
+// sweep's length, not its shape: a sweep of one group runs on every
+// worker too. Every result lands in its instance's slot, so the aggregate
+// is identical however they raced.
 type Local struct {
 	workers int
 	opts    []Option
@@ -277,6 +265,11 @@ func NewLocal(workers int, opts ...Option) *Local {
 
 // Execute implements Scheduler.
 func (l *Local) Execute(_ Spec, instances []Instance) ([]Result, error) {
+	return l.executeOn(NewExecutor(l.opts...), instances), nil
+}
+
+// executeOn runs the instances on the workers, all sharing exec.
+func (l *Local) executeOn(exec *Executor, instances []Instance) []Result {
 	workers := l.workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -284,20 +277,93 @@ func (l *Local) Execute(_ Spec, instances []Instance) ([]Result, error) {
 	if workers > len(instances) {
 		workers = len(instances)
 	}
+	cuts := chunkCuts(instances, workers)
 	results := make([]Result, len(instances))
+	var mu sync.Mutex // guards left
+	left := newBlocks(len(cuts)-1, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(w int) {
 			defer wg.Done()
-			exec := NewExecutor(l.opts...)
-			for i := shard; i < len(instances); i += workers {
-				results[i] = exec.Run(instances[i])
+			for {
+				mu.Lock()
+				c, ok := left.take(w)
+				mu.Unlock()
+				if !ok {
+					return
+				}
+				for i := cuts[c]; i < cuts[c+1]; i++ {
+					results[i] = exec.Run(instances[i])
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return results, nil
+	return results
+}
+
+// chunksPerWorker caps a chunk's length: a sweep is cut into at least this
+// many chunks per worker, so that one configuration swept over many seeds
+// — a single group — still spreads over all of them, and what a worker
+// can be left finishing alone is a quarter of its share.
+const chunksPerWorker = 4
+
+// chunkCuts cuts the instance order into chunks: runs of consecutive
+// instances of one group — in expansion order (seeds innermost) one
+// configuration's seed sweep — split further wherever a run outgrows
+// ceil(len(instances) / (workers × chunksPerWorker)). Chunk c is
+// instances[cuts[c]:cuts[c+1]].
+func chunkCuts(instances []Instance, workers int) []int {
+	if len(instances) == 0 {
+		return []int{0}
+	}
+	longest := (len(instances) + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
+	cuts := []int{0}
+	for i := 1; i < len(instances); i++ {
+		if i-cuts[len(cuts)-1] == longest || !instances[i].sameGroup(instances[i-1]) {
+			cuts = append(cuts, i)
+		}
+	}
+	return append(cuts, len(instances))
+}
+
+// blocks is the work left in a sweep: worker w owns the chunks
+// [next[w], end[w]), one contiguous stretch of the order per worker —
+// the batch shape sched's leases have.
+type blocks struct {
+	next, end []int
+}
+
+// newBlocks splits chunks 0..chunks-1 evenly into one block per worker.
+func newBlocks(chunks, workers int) blocks {
+	b := blocks{next: make([]int, workers), end: make([]int, workers)}
+	for w := range b.next {
+		b.next[w], b.end[w] = w*chunks/workers, (w+1)*chunks/workers
+	}
+	return b
+}
+
+// take hands worker w its next chunk: the head of its own block, in
+// order, and once that is empty the tail chunk of the fullest block
+// left (the lowest-numbered on a tie) — the far end from where that
+// block's owner is working. ok is false when every chunk is handed out.
+func (b blocks) take(w int) (chunk int, ok bool) {
+	if b.next[w] < b.end[w] {
+		b.next[w]++
+		return b.next[w] - 1, true
+	}
+	victim, most := 0, 0
+	for v := range b.next {
+		if left := b.end[v] - b.next[v]; left > most {
+			victim, most = v, left
+		}
+	}
+	if most == 0 {
+		return 0, false
+	}
+	b.end[victim]--
+	return b.end[victim], true
 }
 
 // RunWith expands the spec, executes every instance through the given

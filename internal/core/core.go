@@ -106,19 +106,20 @@ func EngineRounds(p Protocol, t int) int {
 // Entropy is split into two independent domains so key material and run
 // randomness can be reseeded separately: keyEntropy feeds key generation
 // only, runEntropy feeds everything per-run (handshake nonces). The split
-// is what makes Reset and the campaign setup cache sound: a cluster
-// whose keys derive from key seed k behaves byte-identically in every
-// post-establishment run to a fresh cluster built with the same k,
-// regardless of which run seeds drew the nonces along the way.
+// is what makes Reset, NewEstablished and the campaign setup store
+// sound: a cluster whose keys derive from key seed k behaves
+// byte-identically in every post-establishment run to a fresh cluster
+// built with the same k, regardless of which run seeds drew the nonces
+// along the way.
 type Cluster struct {
 	cfg    model.Config
 	scheme sig.Scheme
-	// keyEntropy returns node i's key-generation entropy; defaults to
-	// crypto/rand, overridden by WithSeed/WithKeySeed for reproducible,
+	// keyEntropy returns node i's key-generation entropy; nil draws from
+	// crypto/rand, WithSeed/WithKeySeed set it for reproducible,
 	// cacheable key material.
 	keyEntropy func(node int) io.Reader
 	// runEntropy returns node i's per-run entropy (handshake nonces);
-	// defaults to crypto/rand, overridden by WithSeed and Reset.
+	// nil draws from crypto/rand, WithSeed and Reset set it.
 	runEntropy func(node int) io.Reader
 	// runDeterministic marks a WithSeed cluster; only such clusters
 	// reseed run entropy on Reset (clusters without WithSeed keep
@@ -133,7 +134,7 @@ type Cluster struct {
 	// established marks that EstablishAuthentication completed.
 	established bool
 
-	ledger *Ledger
+	ledger Ledger
 
 	// rec receives structured phase spans and per-round engine events
 	// when set (WithObserver); nil — the default — is the disabled
@@ -180,9 +181,9 @@ func WithSeed(seed int64) Option {
 // WithKeySeed pins the cluster's key material to its own seed,
 // independent of the run seed: two clusters sharing a key seed generate
 // identical keys even when WithSeed differs. This is the amortization
-// hook — the campaign engine gives every instance of a (scheme, n, t)
-// cell the same key seed, so one established cluster can be Reset and
-// reused for the whole seed sweep while staying byte-identical to
+// hook — the campaign engine gives every instance of a sweep the same
+// key seed, so one handshake's nodes can back every instance of their
+// (scheme, n) cell (NewEstablished) while staying byte-identical to
 // per-instance fresh setup. WithKeySeed wins over WithSeed's key domain
 // in either order.
 func WithKeySeed(keySeed int64) Option {
@@ -229,17 +230,21 @@ func runEntropyFor(seed int64) func(node int) io.Reader {
 	}
 }
 
+// entropy resolves node's stream in one of the cluster's entropy
+// domains; an unset domain is crypto/rand.
+func entropy(domain func(node int) io.Reader, node int) io.Reader {
+	if domain == nil {
+		return rand.Reader
+	}
+	return domain(node)
+}
+
 // New creates a cluster of n correct nodes with fault bound t.
 func New(cfg model.Config, opts ...Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		cfg:        cfg,
-		keyEntropy: func(int) io.Reader { return rand.Reader },
-		runEntropy: func(int) io.Reader { return rand.Reader },
-		ledger:     NewLedger(),
-	}
+	c := &Cluster{cfg: cfg}
 	defaultScheme, err := sig.ByName(sig.SchemeEd25519)
 	if err != nil {
 		return nil, err
@@ -253,6 +258,30 @@ func New(cfg model.Config, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
+// NewEstablished wraps another cluster's established nodes (see Nodes) in
+// a fresh cluster with an empty ledger of its own: the
+// many-instances-one-setup constructor. Signers and directories are
+// read-only once the handshake has run, so any number of clusters, on any
+// number of goroutines, may adopt one slice; each behaves byte for byte
+// like a cluster that generated the same keys itself. Only cfg.N must
+// match the material (key distribution never reads the fault bound). The
+// cluster costs one allocation and holds no entropy of its own:
+// re-establishing it draws from crypto/rand.
+func NewEstablished(cfg model.Config, nodes []*keydist.Node) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(nodes) != cfg.N {
+		return nil, fmt.Errorf("core: %d established nodes for n=%d", len(nodes), cfg.N)
+	}
+	for i, n := range nodes {
+		if n == nil {
+			return nil, fmt.Errorf("core: established node %d is missing", i)
+		}
+	}
+	return &Cluster{cfg: cfg, scheme: nodes[0].Scheme(), nodes: nodes, established: true}, nil
+}
+
 // Config returns the cluster configuration.
 func (c *Cluster) Config() model.Config { return c.cfg }
 
@@ -260,10 +289,15 @@ func (c *Cluster) Config() model.Config { return c.cfg }
 func (c *Cluster) Scheme() sig.Scheme { return c.scheme }
 
 // Ledger returns the cumulative message ledger.
-func (c *Cluster) Ledger() *Ledger { return c.ledger }
+func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 
 // Established reports whether local authentication has been set up.
 func (c *Cluster) Established() bool { return c.established }
+
+// Nodes returns the established key-distribution nodes by node ID (nil
+// where WithKeyDistProcess replaced one; nil before establishment).
+// Callers must not modify them: NewEstablished shares them.
+func (c *Cluster) Nodes() []*keydist.Node { return c.nodes }
 
 // engineTracer combines the cluster's message tracer and, when an
 // observer is attached, a fresh per-run obs.EngineTracer. nil when the
@@ -323,11 +357,12 @@ func (c *Cluster) netEmitter() netcond.Emitter {
 // batches instead of rebuilding the cluster.
 //
 // A Reset cluster is byte-equivalent to a fresh one only when its key
-// material is pinned independently of the run seed (WithKeySeed); the
-// campaign setup cache relies on exactly that. Clusters not created with
-// WithSeed keep drawing run entropy from crypto/rand — for them Reset
-// only clears the ledger, even when their keys are pinned. Runs that
-// need fresh keys build a fresh cluster with another WithKeySeed.
+// material is pinned independently of the run seed (WithKeySeed).
+// Clusters not created with WithSeed keep drawing run entropy from
+// crypto/rand — for them Reset only clears the ledger, even when their
+// keys are pinned. Runs that need fresh keys build a fresh cluster with
+// another WithKeySeed; many concurrent run sequences over one setup use
+// NewEstablished.
 //
 // The ledger is cleared in place: handles returned by Ledger() earlier
 // stay valid and observe the new run sequence.
@@ -394,7 +429,7 @@ func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error)
 			procs[i] = p
 			continue
 		}
-		n, err := keydist.NewNode(c.cfg, id, c.scheme, c.runEntropy(i), keydist.WithKeyRand(c.keyEntropy(i)))
+		n, err := keydist.NewNode(c.cfg, id, c.scheme, entropy(c.runEntropy, i), keydist.WithKeyRand(entropy(c.keyEntropy, i)))
 		if err != nil {
 			return Report{}, fmt.Errorf("core: build keydist node %v: %w", id, err)
 		}
@@ -466,8 +501,8 @@ func WithWrappedProcess(id model.NodeID, wrap func(sim.Process) sim.Process) Run
 // *netcond.Model) under this run's engine: message delivery follows the
 // model's fates instead of the ideal next-round schedule. The
 // authentication phase is never degraded — the paper's setup assumes an
-// intact network, and the campaign's setup cache shares established
-// clusters across conditions. When an observer is attached and the
+// intact network, and the campaign's setup store shares established
+// nodes across conditions. When an observer is attached and the
 // network supports it, partition/heal/drop/delay events are emitted.
 func WithNetwork(net sim.Network) RunOption {
 	return func(r *fdRun) { r.network = net }
@@ -477,8 +512,8 @@ func WithNetwork(net sim.Network) RunOption {
 // the node is down from spec.Crash and — if spec.Restart is set —
 // rejoins at that round rebuilt from its durable state (signer,
 // directory, key material), with all volatile protocol state lost.
-// This is restart-with-recovery on top of the cluster's Reset
-// machinery: recovery re-runs node construction against the already
+// This is restart-with-recovery on top of the cluster's durable
+// state: recovery re-runs node construction against the already
 // established authentication setup, so the rejoined node authenticates
 // exactly as before the crash. A churned node is treated as faulty for
 // outcome collection (the model has no honest-but-silent nodes); later

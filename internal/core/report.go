@@ -98,14 +98,12 @@ func (r Report) String() string {
 // Ledger accumulates per-phase traffic across a cluster's lifetime and
 // answers the paper's amortization question: after how many
 // failure-discovery runs has the one-off key-distribution cost paid for
-// itself against the non-authenticated baseline?
+// itself against the non-authenticated baseline? The zero value is an
+// empty ledger.
 type Ledger struct {
 	mu      sync.Mutex
 	reports []Report
 }
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{} }
 
 // Reset clears the ledger in place, so handles previously returned by
 // Cluster.Ledger stay valid across Cluster.Reset.

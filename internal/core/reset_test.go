@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
 )
@@ -138,5 +140,109 @@ func TestWithKeySeedIndependentOfRunSeed(t *testing.T) {
 	p, _ := d.PredicateOf(1)
 	if p.Fingerprint() != pred(1, 42) {
 		t.Error("WithSeed after WithKeySeed overrode the pinned key domain")
+	}
+}
+
+// establishedCluster runs the handshake once under the given seeds and
+// returns the cluster holding the nodes it leaves behind.
+func establishedCluster(t testing.TB, cfg model.Config, seed, keySeed int64, scheme string) *core.Cluster {
+	t.Helper()
+	c, err := core.New(cfg, core.WithSeed(seed), core.WithKeySeed(keySeed), core.WithScheme(scheme))
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	if _, err := c.EstablishAuthentication(); err != nil {
+		t.Fatalf("EstablishAuthentication: %v", err)
+	}
+	return c
+}
+
+// TestNewEstablishedSharesSetup is the adoption contract: clusters
+// wrapped around one handshake's nodes — several at once, under a fault
+// bound other than the one the handshake ran with — each produce the run
+// a fresh cluster with the same key seed produces, start with an empty
+// ledger of their own, and leave the donor's untouched. Under -race this
+// is also the proof that established nodes are safe to share.
+func TestNewEstablishedSharesSetup(t *testing.T) {
+	for _, scheme := range []string{sig.SchemeToy, sig.SchemeEd25519} {
+		t.Run(scheme, func(t *testing.T) {
+			const keySeed = 77
+			donor := establishedCluster(t, model.Config{N: 6, T: 1}, 1, keySeed, scheme)
+			cfg := model.Config{N: 6, T: 2}
+			want := runTraffic(t, establishedCluster(t, cfg, 2, keySeed, scheme), []byte("measured"))
+
+			const sharers = 4
+			got := make([]core.Report, sharers)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c, err := core.NewEstablished(cfg, donor.Nodes())
+					if err != nil {
+						t.Errorf("NewEstablished: %v", err)
+						return
+					}
+					if !c.Established() || c.Scheme().Name() != scheme || c.Ledger().TotalMessages() != 0 {
+						t.Errorf("adopted cluster: established=%v scheme=%s ledger=%d msgs",
+							c.Established(), c.Scheme().Name(), c.Ledger().TotalMessages())
+					}
+					rep, err := c.RunFailureDiscovery([]byte("measured"))
+					if err != nil {
+						t.Errorf("RunFailureDiscovery: %v", err)
+						return
+					}
+					got[i] = rep
+					if c.Ledger().FDRuns() != 1 {
+						t.Errorf("adopted cluster's ledger holds %d FD runs, want its own 1", c.Ledger().FDRuns())
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, rep := range got {
+				if !reflect.DeepEqual(rep, want) {
+					t.Errorf("sharer %d differs from a fresh cluster:\n got %+v\nwant %+v", i, rep, want)
+				}
+			}
+			if runs := donor.Ledger().FDRuns(); runs != 0 {
+				t.Errorf("sharers left %d FD runs in the donor's ledger", runs)
+			}
+		})
+	}
+}
+
+// TestNewEstablishedRefusesMismatchedMaterial: the wrong number of nodes
+// or a missing one is an error, not a panic on the first run.
+func TestNewEstablishedRefusesMismatchedMaterial(t *testing.T) {
+	nodes := establishedCluster(t, model.Config{N: 4, T: 1}, 1, 1, sig.SchemeToy).Nodes()
+	if _, err := core.NewEstablished(model.Config{N: 5, T: 1}, nodes); err == nil {
+		t.Error("4 nodes adopted as n=5")
+	}
+	holed := append([]*keydist.Node(nil), nodes...)
+	holed[2] = nil
+	if _, err := core.NewEstablished(model.Config{N: 4, T: 1}, holed); err == nil {
+		t.Error("a missing node was adopted")
+	}
+	if _, err := core.NewEstablished(model.Config{N: 4, T: 4}, nodes); err == nil {
+		t.Error("an invalid config was adopted")
+	}
+}
+
+// TestNewEstablishedAllocs pins the per-instance price of sharing setup:
+// the cluster itself, ledger included — what Reset's reseeding closure
+// cost when clusters were reused instead.
+func TestNewEstablishedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	cfg := model.Config{N: 8, T: 2}
+	nodes := establishedCluster(t, cfg, 1, 1, sig.SchemeToy).Nodes()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := core.NewEstablished(cfg, nodes); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("NewEstablished allocates %.0f times, pin is 1", allocs)
 	}
 }

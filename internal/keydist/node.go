@@ -112,6 +112,9 @@ func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reade
 // ID returns the node's identity.
 func (n *Node) ID() model.NodeID { return n.id }
 
+// Scheme returns the signature scheme the node's key pair belongs to.
+func (n *Node) Scheme() sig.Scheme { return n.scheme }
+
 // Signer returns the node's secret-key handle for use by later protocols.
 func (n *Node) Signer() sig.Signer { return n.signer }
 

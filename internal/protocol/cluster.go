@@ -38,8 +38,8 @@ func (d *clusterDriver) Verdicts() VerdictMapper    { return d.verdicts }
 
 // Prepare implements Driver. nonauth ignores keys entirely, so its setup
 // is free, skips establishment, and declares CacheableSetup false; the
-// authenticated protocols reuse an established cluster when their
-// (scheme, n, t, keySeed) cell is cached, paying keygen and the
+// authenticated protocols wrap the shared nodes of their
+// (scheme, n, keySeed) cell when the store has it, paying keygen and the
 // 3n(n−1)-message handshake once per cell instead of once per seed.
 func (d *clusterDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
 	return ClusterSetup(inst, cache, d.proto != core.ProtocolNonAuth)

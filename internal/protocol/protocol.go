@@ -60,6 +60,13 @@ type Instance struct {
 	// the engine, and churn entries wrap the named honest nodes with
 	// scripted crash/restart. nil is the ideal network.
 	Net *netcond.Spec
+	// SetupServed, when non-nil, receives how the instance's own lookup
+	// in the setup store was served: "hit", "miss" (it built the cell) or
+	// "wait" (it blocked on another goroutine's build). A run that makes
+	// no lookup leaves it alone. The store's counters move with every
+	// goroutine sharing it, so a tracer attributing setup to one instance
+	// reads it here.
+	SetupServed *string
 }
 
 // Config returns the instance's model configuration.
@@ -91,10 +98,10 @@ type Capabilities struct {
 	// scheme. Unsigned drivers run once per configuration with Scheme ""
 	// instead of once per scheme (their runs would be identical).
 	UsesSignatures bool
-	// CacheableSetup reports whether Prepare may reuse per-worker cached
-	// setup (established clusters, key-distribution material). Drivers
-	// whose setup is free (nonauth, eig) declare false, making the skip
-	// explicit rather than an implicit branch in the runner.
+	// CacheableSetup reports whether Prepare may reuse the setup store's
+	// established key-distribution material. Drivers whose setup is free
+	// (nonauth, eig) declare false, making the skip explicit rather than
+	// an implicit branch in the runner.
 	CacheableSetup bool
 	// SupportsEquivocate reports whether the driver can express a
 	// two-faced sender: a distinguished sender with a value range wider
@@ -292,8 +299,8 @@ type Driver interface {
 	Capabilities() Capabilities
 	// Verdicts is the driver's conformance reading; see VerdictMapper.
 	Verdicts() VerdictMapper
-	// Prepare resolves the instance's setup, reusing the per-worker cache
-	// when non-nil (callers pass nil unless Capabilities().CacheableSetup).
+	// Prepare resolves the instance's setup, reusing the setup store when
+	// non-nil (callers pass nil unless Capabilities().CacheableSetup).
 	// The returned Setup must make Run byte-equivalent to a fresh build —
 	// key material pinned by Instance.KeySeed is what guarantees it.
 	Prepare(inst Instance, cache *SetupCache) (Setup, error)

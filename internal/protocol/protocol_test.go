@@ -75,8 +75,8 @@ func TestDeclaredCapabilities(t *testing.T) {
 }
 
 // TestUncacheableDriversNeverTouchTheCache: RunInstance must enforce a
-// driver's declared skip — an eig or nonauth run offered a cache leaves
-// it untouched.
+// driver's declared skip — an eig or nonauth run offered a store makes no
+// lookup in it and leaves it empty.
 func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -93,12 +93,15 @@ func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 			t.Fatalf("%s declares cacheable setup; this test pins the opposite", tc.name)
 		}
 		cache := NewSetupCache(4)
+		seen := "untouched"
+		tc.inst.SetupServed = &seen
 		out, err := RunInstance(drv, tc.inst, cache)
 		if err != nil {
 			t.Fatalf("%s: RunInstance: %v", tc.name, err)
 		}
-		if cache.Len() != 0 {
-			t.Errorf("%s: declared-uncacheable driver populated the cache (%d entries)", tc.name, cache.Len())
+		if hits, misses := cache.Stats(); cache.Len() != 0 || hits+misses != 0 || seen != "untouched" {
+			t.Errorf("%s: declared-uncacheable driver touched the store (%d cells, %d hits, %d misses, lookup %v)",
+				tc.name, cache.Len(), hits, misses, seen)
 		}
 		if !out.Agreed {
 			t.Errorf("%s: honest run did not agree", tc.name)
@@ -106,62 +109,76 @@ func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 	}
 }
 
-// TestCacheableDriversShareClusterCells: the cluster-backed drivers key
-// their setup by kind, not name, so a grid revisiting one
-// (scheme, n, t, keySeed) cell pays a single handshake across chain,
-// smallrange, fdba, and sm.
+// TestCacheableDriversShareClusterCells: every driver that runs over
+// established authentication reads the cell of its (scheme, n, keySeed)
+// coordinates — not one per driver, not one per family, and whatever the
+// fault bound — so a grid revisiting a cell pays a single handshake
+// across chain, smallrange, fdba, sm and vector.
 func TestCacheableDriversShareClusterCells(t *testing.T) {
 	cache := NewSetupCache(4)
-	inst := Instance{N: 4, T: 1, Scheme: sig.SchemeToy, Seed: 3, KeySeed: 9}
-	for _, name := range []string{NameChain, NameSmallRange, NameFDBA, NameSM} {
+	inst := Instance{N: 5, T: 1, Scheme: sig.SchemeToy, Seed: 3, KeySeed: 9}
+	names := []string{NameChain, NameSmallRange, NameFDBA, NameSM, NameVector}
+	for i, name := range names {
 		drv, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
 		}
-		if _, err := RunInstance(drv, inst, cache); err != nil {
+		inst.T = 1 + i%2
+		inst.Seed++
+		out, err := RunInstance(drv, inst, cache)
+		if err != nil {
 			t.Fatalf("%s: RunInstance: %v", name, err)
 		}
+		fresh, err := RunInstance(drv, inst, nil)
+		if err != nil {
+			t.Fatalf("%s: RunInstance(fresh): %v", name, err)
+		}
+		if !reflect.DeepEqual(out, fresh) {
+			t.Errorf("%s: run over the shared cell differs from a fresh build:\n got %+v\nwant %+v", name, out, fresh)
+		}
 	}
-	if cache.Len() != 1 {
-		t.Errorf("four cluster drivers filled %d cache cells, want 1 shared cell", cache.Len())
+	hits, misses := cache.Stats()
+	if cache.Len() != 1 || misses != 1 || hits != len(names)-1 {
+		t.Errorf("five drivers: %d cells, %d handshakes, %d hits; want 1 shared cell, 1, %d",
+			cache.Len(), misses, hits, len(names)-1)
 	}
 }
 
-// TestSetupCacheBounded pins the eviction mechanics directly.
+// TestSetupCacheBounded pins the eviction mechanics through the public
+// lookup: first in, first out, and a hit does not renew a cell's lease.
 func TestSetupCacheBounded(t *testing.T) {
 	sc := NewSetupCache(2)
-	mk := func(n int) SetupKey {
-		return SetupKey{Kind: SetupKindCluster, Scheme: "toy", N: n, T: 1, KeySeed: 1}
+	lookup := func(n int) string {
+		t.Helper()
+		var seen string
+		nodes, err := sc.Established(Instance{N: n, T: 1, Scheme: sig.SchemeToy, Seed: 1, KeySeed: 1, SetupServed: &seen})
+		if err != nil || len(nodes) != n {
+			t.Fatalf("Established(n=%d): %d nodes, %v", n, len(nodes), err)
+		}
+		return seen
 	}
-	sc.Put(mk(4), 4)
-	sc.Put(mk(5), 5)
-	sc.Put(mk(6), 6) // evicts n=4
-	if sc.Len() != 2 {
-		t.Fatalf("cache holds %d entries, cap is 2", sc.Len())
-	}
-	if _, ok := sc.Get(mk(4)); ok {
-		t.Error("oldest entry was not evicted")
-	}
-	for _, n := range []int{5, 6} {
-		if _, ok := sc.Get(mk(n)); !ok {
-			t.Errorf("entry n=%d missing after eviction", n)
+	for _, step := range []struct {
+		n    int
+		want string
+	}{
+		{4, "miss"}, {5, "miss"},
+		{6, "miss"}, // evicts n=4
+		{5, "hit"}, {6, "hit"},
+		{7, "miss"}, // evicts n=5, the oldest, though it was just read
+		{6, "hit"},
+		{5, "miss"}, // evicts n=6
+		{7, "hit"},
+		{4, "miss"},
+	} {
+		if got := lookup(step.n); got != step.want {
+			t.Fatalf("lookup n=%d was a %v, want %v", step.n, got, step.want)
+		}
+		if sc.Len() > 2 {
+			t.Fatalf("store holds %d cells, cap is 2", sc.Len())
 		}
 	}
-	// Re-putting an existing key replaces in place: no duplicate in the
-	// eviction order, and the NEXT eviction still removes the true oldest.
-	sc.Put(mk(5), 55)
-	if got, _ := sc.Get(mk(5)); got != 55 {
-		t.Errorf("re-put did not replace value: %v", got)
-	}
-	if len(sc.order) != 2 {
-		t.Fatalf("re-put duplicated the eviction order: %v", sc.order)
-	}
-	sc.Put(mk(7), 7) // must evict n=5 (oldest), keep n=6 and n=7
-	if _, ok := sc.Get(mk(5)); ok {
-		t.Error("eviction after re-put removed the wrong entry")
-	}
-	if _, ok := sc.Get(mk(6)); !ok {
-		t.Error("live entry n=6 was evicted")
+	if hits, misses := sc.Stats(); hits != 4 || misses != 6 {
+		t.Errorf("Stats() = %d hits, %d misses; want 4, 6", hits, misses)
 	}
 }
 

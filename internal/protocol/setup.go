@@ -2,217 +2,188 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/keydist"
-	"repro/internal/model"
-	"repro/internal/sig"
-	"repro/internal/sim"
 )
 
-// The amortized-setup cache. RSA/ECDSA/Ed25519 key generation plus the
+// The amortized-setup store. RSA/ECDSA/Ed25519 key generation plus the
 // 3n(n−1)-message handshake dwarf the n−1-message protocol being
-// measured, and a seed sweep regenerates both per instance even though
-// key material is a pure function of (scheme, n, keySeed) — constant
-// across the sweep. Each campaign worker owns one bounded cache of
-// established setups; an instance whose cell is cached skips keygen and
-// the handshake entirely and just Resets the cluster onto its run seed.
-// The cache is deliberately single-owner (no locks, no cross-shard
-// coupling), and because keys are pinned by Instance.KeySeed, a cached
-// run derives byte-identical wire traffic to a fresh one — the
+// measured, and key material is a pure function of (scheme, n, keySeed)
+// — constant across a seed sweep. What the handshake leaves behind, each
+// node's stateless signer and its keydist.Directory, is read-only from
+// then on, so one bounded store holds it for every worker of a sweep and
+// every driver that runs over established authentication (chain,
+// smallrange, fdba, sm, vector): the handshake is paid once per cell per
+// sweep. Because keys are pinned by Instance.KeySeed, a run over a warm
+// cell derives byte-identical wire traffic to a fresh one — the
 // cached-vs-fresh differential test and CI step keep that true forever.
-//
-// Cache cells are keyed by Kind, not by driver name: every driver whose
-// setup is an established cluster (chain, smallrange, fdba, sm) shares
-// the SetupKindCluster cell of its (scheme, n, t, keySeed) coordinates,
-// so a multi-protocol grid pays one handshake per cell, not one per
-// driver.
 
-// Setup kinds cached per (scheme, n, t, keySeed) cell.
-const (
-	// SetupKindCluster is an established core.Cluster.
-	SetupKindCluster = "cluster"
-	// SetupKindVectorMaterial is the keydist node set backing vector runs.
-	SetupKindVectorMaterial = "vector-material"
-)
-
-// SetupKey identifies one cached setup cell. T rides along even though
-// key material does not depend on it, so a cached cluster's Config
-// always matches the instance exactly; Established keeps clusters that
-// ran the authentication handshake in separate cells from ones that did
-// not, so drivers with different establish choices can never hand each
-// other the wrong cluster state.
+// SetupKey identifies one cell of established material: exactly what
+// key material is a function of (key distribution never reads the fault
+// bound).
 type SetupKey struct {
-	Kind        string
-	Scheme      string
-	N, T        int
-	KeySeed     int64
-	Established bool
+	Scheme  string
+	N       int
+	KeySeed int64
 }
 
-// DefaultSetupCacheCap bounds each cache. A sweep iterates the grid cell
-// by cell (seeds innermost), so even 1 entry captures the amortization
-// within a cell; a few more keep multi-protocol grids that revisit cells
-// warm. Bounded per PERF.md ground rules.
+// DefaultSetupCacheCap bounds a store. A sweep shares one key seed, so
+// its cells are its (scheme, n) pairs; a grid with more than eight
+// re-pays a handshake when it returns to an evicted one. Bounded per
+// PERF.md ground rules.
 const DefaultSetupCacheCap = 8
 
-// SetupCache is one worker's bounded FIFO setup store. Not safe for
-// concurrent use — every worker owns its own.
+// SetupCache is a bounded FIFO store of established material, safe for
+// concurrent use. A cold cell is built once however many goroutines ask
+// for it together — the rest block until it is ready — and a build that
+// errors or panics leaves nothing behind, so the next lookup builds again.
 type SetupCache struct {
-	cap     int
-	entries map[SetupKey]any
-	order   []SetupKey // insertion order; index 0 evicts first
-	hits    int
-	misses  int
+	mu           sync.Mutex
+	cap          int
+	cells        map[SetupKey]*setupCell
+	order        []SetupKey // insertion order; index 0 evicts first
+	hits, misses int
 }
 
-// NewSetupCache returns an empty cache bounded to capacity entries
+// setupCell is in flight until ready is closed; nodes is written before
+// the close and never after, and stays nil if the build failed.
+type setupCell struct {
+	ready chan struct{}
+	nodes []*keydist.Node
+}
+
+// NewSetupCache returns an empty store bounded to capacity cells
 // (DefaultSetupCacheCap if capacity < 1).
 func NewSetupCache(capacity int) *SetupCache {
 	if capacity < 1 {
 		capacity = DefaultSetupCacheCap
 	}
-	return &SetupCache{cap: capacity, entries: make(map[SetupKey]any, capacity)}
+	return &SetupCache{cap: capacity, cells: make(map[SetupKey]*setupCell, capacity)}
 }
 
-// Get returns the cached value under k, if any, counting the lookup as
-// a hit or miss for the Stats amortization readout.
-func (sc *SetupCache) Get(k SetupKey) (any, bool) {
-	v, ok := sc.entries[k]
-	if ok {
-		sc.hits++
-	} else {
-		sc.misses++
-	}
-	return v, ok
+// Len returns the number of cells, in-flight builds included.
+func (sc *SetupCache) Len() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return len(sc.cells)
 }
 
-// Put stores v under k, evicting the oldest entry at capacity. Storing
-// an existing key replaces its value without duplicating it in the
-// eviction order.
-func (sc *SetupCache) Put(k SetupKey, v any) {
-	if _, ok := sc.entries[k]; ok {
-		sc.entries[k] = v
-		return
+// Stats returns the lifetime lookup counts — the measured form of the
+// amortization the store exists for: misses is the builds started, hits
+// the lookups served by someone else's build (waits included). A sweep
+// shows misses = distinct cells.
+func (sc *SetupCache) Stats() (hits, misses int) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.hits, sc.misses
+}
+
+// Established returns the shared, read-only established nodes of the
+// instance's cell, building them on a miss, and says how through
+// inst.SetupServed. A nil store builds fresh from the instance's seeds;
+// the two derive identical wire bytes, because key material is a pure
+// function of the cell either way.
+func (sc *SetupCache) Established(inst Instance) ([]*keydist.Node, error) {
+	if sc == nil {
+		return establish(inst)
 	}
-	if len(sc.entries) >= sc.cap {
-		oldest := sc.order[0]
+	nodes, served, err := sc.lookup(inst)
+	if inst.SetupServed != nil {
+		*inst.SetupServed = served
+	}
+	return nodes, err
+}
+
+func (sc *SetupCache) lookup(inst Instance) (nodes []*keydist.Node, served string, err error) {
+	k := SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}
+	served = "hit"
+	sc.mu.Lock()
+	for cell := sc.cells[k]; cell != nil; cell = sc.cells[k] {
+		select {
+		case <-cell.ready:
+		default:
+			served = "wait"
+			sc.mu.Unlock()
+			<-cell.ready
+			sc.mu.Lock()
+		}
+		if cell.nodes != nil {
+			sc.hits++
+			sc.mu.Unlock()
+			return cell.nodes, served, nil
+		}
+		// The build waited on failed and took its cell with it: look
+		// again, and build under this instance's own seeds if nobody has.
+	}
+	cell := &setupCell{ready: make(chan struct{})}
+	if len(sc.cells) >= sc.cap {
+		// An evicted cell still in flight finishes for those holding it.
+		delete(sc.cells, sc.order[0])
 		sc.order = sc.order[1:]
-		delete(sc.entries, oldest)
 	}
-	sc.entries[k] = v
+	sc.cells[k] = cell
 	sc.order = append(sc.order, k)
-}
+	sc.misses++
+	sc.mu.Unlock()
 
-// Len returns the number of cached cells (for tests).
-func (sc *SetupCache) Len() int { return len(sc.entries) }
-
-// Stats returns the lifetime hit/miss lookup counts — the measured form
-// of the amortization the cache exists for. hits+misses is the number
-// of Get calls; a warm sweep shows hits ≈ instances − cells.
-func (sc *SetupCache) Stats() (hits, misses int) { return sc.hits, sc.misses }
-
-// ClusterSetup returns the instance's cluster, established when
-// establish is set. With a cache, the (scheme, n, t, keySeed) cell is
-// reused when warm — built and cached on a miss — and the cluster is
-// Reset onto the instance's run seed either way; clusters are handed out
-// serially within one worker, never shared across workers. Without a
-// cache the cluster is built fresh from the instance's seeds directly.
-// Both paths derive identical wire bytes, because key material is a pure
-// function of (Scheme, N, KeySeed) either way.
-func ClusterSetup(inst Instance, cache *SetupCache, establish bool) (*core.Cluster, error) {
-	if cache == nil {
-		return EstablishedCluster(inst, establish)
-	}
-	k := SetupKey{Kind: SetupKindCluster, Scheme: inst.Scheme, N: inst.N, T: inst.T,
-		KeySeed: inst.KeySeed, Established: establish}
-	if v, ok := cache.Get(k); ok {
-		c := v.(*core.Cluster)
-		c.Reset(inst.Seed)
-		return c, nil
-	}
-	c, err := EstablishedCluster(inst, establish)
-	if err != nil {
-		return nil, err
-	}
-	cache.Put(k, c)
-	c.Reset(inst.Seed)
-	return c, nil
-}
-
-// EstablishedCluster builds the instance's cluster with split entropy —
-// run randomness from Seed, key material pinned to KeySeed — and, when
-// establish is set, runs the authentication handshake. This is the
-// single construction site shared by the fresh execution path and the
-// cache-miss path, which is what makes the two structurally
-// interchangeable (the differential tests then prove it byte for byte).
-func EstablishedCluster(inst Instance, establish bool) (*core.Cluster, error) {
-	opts := []core.Option{core.WithSeed(inst.Seed), core.WithKeySeed(inst.KeySeed)}
-	if inst.Scheme != "" {
-		opts = append(opts, core.WithScheme(inst.Scheme))
-	}
-	c, err := core.New(inst.Config(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if establish {
-		if _, err := c.EstablishAuthentication(); err != nil {
-			return nil, err
+	defer func() {
+		if cell.nodes == nil { // the build failed or panicked
+			sc.mu.Lock()
+			if sc.cells[k] == cell { // not evicted meanwhile
+				delete(sc.cells, k)
+				sc.order = slices.DeleteFunc(sc.order, func(o SetupKey) bool { return o == k })
+			}
+			sc.mu.Unlock()
 		}
-	}
-	return c, nil
+		close(cell.ready)
+	}()
+	cell.nodes, err = establish(inst)
+	return cell.nodes, "miss", err
 }
 
-// VectorMaterial returns the established keydist node set (signers and
-// directories) for a vector instance's cell, reusing the cache when warm
-// and building on a miss. The material is handshake output and is
-// read-only during vector runs, so any number of sequential runs may
-// share it.
-func VectorMaterial(inst Instance, cache *SetupCache) ([]*keydist.Node, error) {
-	if cache == nil {
-		return newVectorMaterial(inst)
+// establish is the one place setup is paid: generate the instance's key
+// material, run the honest Fig. 1 handshake, return the established nodes.
+func establish(inst Instance) ([]*keydist.Node, error) {
+	c, err := newCluster(inst)
+	if err == nil {
+		_, err = c.EstablishAuthentication()
 	}
-	k := SetupKey{Kind: SetupKindVectorMaterial, Scheme: inst.Scheme, N: inst.N, T: inst.T,
-		KeySeed: inst.KeySeed, Established: true}
-	if v, ok := cache.Get(k); ok {
-		return v.([]*keydist.Node), nil
-	}
-	nodes, err := newVectorMaterial(inst)
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(k, nodes)
-	return nodes, nil
-}
-
-// newVectorMaterial generates a vector instance's key material and runs
-// the honest key-distribution phase (the paper's once-amortized setup),
-// returning the established nodes.
-func newVectorMaterial(inst Instance) ([]*keydist.Node, error) {
-	cfg := inst.Config()
-	scheme, err := sig.ByName(inst.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	kdNodes := make([]*keydist.Node, inst.N)
-	kdProcs := make([]sim.Process, inst.N)
-	for i := 0; i < inst.N; i++ {
-		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme,
-			sim.SeededReader(sim.NodeSeed(inst.Seed, i)),
-			keydist.WithKeyRand(sim.SeededReader(sim.KeyMaterialSeed(inst.KeySeed, i))))
-		if err != nil {
-			return nil, err
-		}
-		kdNodes[i] = node
-		kdProcs[i] = node
-	}
-	if _, err := sim.RunInstance(cfg, kdProcs, keydist.RoundsTotal); err != nil {
-		return nil, err
-	}
-	for _, node := range kdNodes {
+	for _, node := range c.Nodes() {
 		if !node.Accepted() {
 			return nil, fmt.Errorf("protocol: honest key distribution left node %v unestablished", node.ID())
 		}
 	}
-	return kdNodes, nil
+	return c.Nodes(), nil
+}
+
+// ClusterSetup returns the instance's own cluster: a fresh shell around
+// established nodes — its store cell's, or without a store ones built
+// for it, so cached and fresh runs share one construction path (the
+// differential tests then prove them equal byte for byte) — or, when
+// establish is unset, a bare cluster that has nothing to share.
+func ClusterSetup(inst Instance, cache *SetupCache, establish bool) (*core.Cluster, error) {
+	if !establish {
+		return newCluster(inst)
+	}
+	nodes, err := cache.Established(inst)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewEstablished(inst.Config(), nodes)
+}
+
+// newCluster builds the instance's unestablished cluster with split
+// entropy: run randomness from Seed, key material pinned to KeySeed.
+func newCluster(inst Instance) (*core.Cluster, error) {
+	opts := []core.Option{core.WithSeed(inst.Seed), core.WithKeySeed(inst.KeySeed)}
+	if inst.Scheme != "" {
+		opts = append(opts, core.WithScheme(inst.Scheme))
+	}
+	return core.New(inst.Config(), opts...)
 }

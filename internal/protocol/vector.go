@@ -14,9 +14,9 @@ import (
 )
 
 // vectorDriver runs the all-senders vector composition: one honest key
-// distribution (the paper's once-amortized setup phase — reused from the
-// worker's cache when the cell is warm), then the vector round with the
-// adversary strategy applied. Every node is a sender of its own rotated
+// distribution (the paper's once-amortized setup phase — the same store
+// cell the cluster drivers read, so a warm one is reused), then the
+// vector round with the adversary strategy applied. Every node is a sender of its own rotated
 // chain instance, so the driver returns one conformance SubRun per
 // sender and the scorer requires all of them to pass.
 type vectorDriver struct{}
@@ -35,7 +35,7 @@ func (vectorDriver) Capabilities() Capabilities {
 func (vectorDriver) Verdicts() VerdictMapper { return VerdictsAuthenticatedFD }
 
 func (vectorDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
-	return VectorMaterial(inst, cache)
+	return cache.Established(inst)
 }
 
 func (vectorDriver) Run(inst Instance, setup Setup) (Outcome, error) {

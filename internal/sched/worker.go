@@ -51,15 +51,15 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 	exec := campaign.NewExecutor(cfg.Options...)
 	// run contains a driver panic to its instance, as service.Server.run
 	// does: the instance reports campaign.ErrDriverPanic, the rest of
-	// the batch and every later lease still execute. The setup the
-	// driver died on may be half-stepped, so the executor and its cache
-	// are replaced. (Under campaign.WithInstanceTimeout the driver runs
-	// on the watchdog's goroutine, which no recover here can reach; the
-	// executor contains it there, to the same Err.)
+	// the batch and every later lease still execute, over the same
+	// executor — its store holds only read-only material, and the cluster
+	// the driver died on was that instance's own. (Under
+	// campaign.WithInstanceTimeout the driver runs on the watchdog's
+	// goroutine, which no recover here can reach; the executor contains
+	// it there, to the same Err.)
 	run := func(inst campaign.Instance) (res campaign.Result) {
 		defer func() {
 			if recover() != nil {
-				exec = campaign.NewExecutor(cfg.Options...)
 				res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: campaign.ErrDriverPanic}
 			}
 		}()

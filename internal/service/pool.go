@@ -12,15 +12,18 @@ import (
 // property. The pool keeps idle *protocol.SetupCache values per
 // (protocol, scheme, n, t, keySeed) cell: an executor checks one out,
 // runs the request through the ordinary driver Prepare path (a warm
-// cache Resets its established cluster onto the request's run seed, a
-// cold one builds and caches it), and checks it back in. Because key
-// material is a pure function of (Scheme, N, KeySeed), a served verdict
-// is byte-identical to a one-shot campaign.Run of the same instance —
-// the differential test pins that.
+// cache wraps its established nodes in the request's own cluster, a
+// cold one runs the handshake and keeps them), and checks it back in.
+// Because key material is a pure function of (Scheme, N, KeySeed), a
+// served verdict is byte-identical to a one-shot campaign.Run of the
+// same instance — the differential test pins that.
 //
-// Checked-out caches are exclusively owned (SetupCache is single-owner
-// by contract); the pool's lock covers only the idle lists, so
-// executors never serialize behind each other's runs.
+// A checked-out cache has one user at a time. SetupCache does not need
+// that, but the hit/miss/idle bookkeeping below is defined by it;
+// the pool's lock covers only the idle lists, so executors never
+// serialize behind each other's runs. (One store for the whole daemon —
+// one handshake per key set instead of one per cell and shard — is
+// ROADMAP item 2's open remainder.)
 
 // cellKey identifies one warm-pool cell. Protocol rides along even
 // though cluster cells are shareable across the cluster-driver family:
@@ -65,8 +68,8 @@ func (p *pool) checkout(k cellKey) (sc *protocol.SetupCache, warm bool) {
 		return sc, true
 	}
 	p.misses++
-	// Small per-cache bound: one cell's setups are (cluster, vector
-	// material) at most, and the pool bounds cache count per cell.
+	// Small per-cache bound: a cell reads one (scheme, n, keySeed) key
+	// set, and the pool bounds cache count per cell.
 	return protocol.NewSetupCache(2), false
 }
 

@@ -148,7 +148,7 @@ func newShard(depth int) *shard {
 	return sh
 }
 
-func (sh *shard) enqueue(tenant string, t task) int {
+func (sh *shard) enqueue(tenant string, t task, stats *serverStats) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.stopped {
@@ -163,6 +163,9 @@ func (sh *shard) enqueue(tenant string, t task) int {
 	}
 	sh.queues[tenant] = append(q, t)
 	sh.pending++
+	// Counted before an executor can pop the task, so no snapshot shows
+	// more served than submitted (TestSnapshotNeverServesMoreThanSubmitted).
+	stats.submitted(tenant)
 	sh.cond.Signal()
 	return enqueueOK
 }
@@ -353,9 +356,8 @@ func (s *Server) admit(sess *session, reqID int, payload []byte) {
 			Attrs: obs.Attrs("tenant", sess.tenant, "n", req.N, "t", req.T, "seed", req.Seed),
 		})
 	}
-	switch sh.enqueue(sess.tenant, t) {
+	switch sh.enqueue(sess.tenant, t, s.stats) {
 	case enqueueOK:
-		s.stats.submitted(sess.tenant)
 	case enqueueFull:
 		t.span.End(obs.Attrs("rejected", RejectBusy))
 		s.reject(sess, reqID, RejectBusy, s.cfg.RetryAfter, fmt.Sprintf("tenant %s queue full on shard %d", sess.tenant, instID%int64(len(s.shards))))
@@ -444,12 +446,14 @@ func (s *Server) execute(t task) {
 	if err != nil {
 		payload = nil // impossible for plain-data Result; fail the frame below
 	}
+	// Counted before the reply leaves, so a client holding its reply
+	// finds it in the very next snapshot; latency therefore runs from
+	// admission to the reply being ready to send.
+	conformant := res.Err == "" && res.Conformance != nil && res.Conformance.Conformant()
+	s.stats.served(t.sess.tenant, res.Err != "", conformant, time.Since(t.enqueued), queueWait)
 	// A send failure means the client went away mid-request; the run
 	// still counts (the work was done).
 	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
-	latency := time.Since(t.enqueued)
-	conformant := res.Err == "" && res.Conformance != nil && res.Conformance.Conformant()
-	s.stats.served(t.sess.tenant, res.Err != "", conformant, latency, queueWait)
 	t.span.End(obs.Attrs("conformant", conformant, "source", source,
 		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
 }

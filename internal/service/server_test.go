@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +101,47 @@ func TestServeBasic(t *testing.T) {
 		t.Fatalf("latency dist = %+v", snap.LatencyMS)
 	}
 	_ = srv
+}
+
+// TestSnapshotNeverServesMoreThanSubmitted polls snapshots while three
+// tenants keep requests in flight: a request is counted submitted before
+// an executor can take it, so no snapshot — whole or per tenant — shows
+// more served than submitted.
+func TestSnapshotNeverServesMoreThanSubmitted(t *testing.T) {
+	srv, acc, alpha := startServer(t, Config{Shards: 2}, "alpha")
+	clients := []*Client{alpha, dialTenant(t, acc, "beta"), dialTenant(t, acc, "gamma")}
+	var wg sync.WaitGroup
+	for _, cl := range clients {
+		wg.Add(1)
+		go func(cl *Client) {
+			defer wg.Done()
+			for seed := int64(1); seed <= 100; seed++ {
+				if _, err := cl.Do(chainRequest(seed)); err != nil {
+					t.Errorf("%s seed %d: %v", cl.Tenant(), seed, err)
+					return
+				}
+			}
+		}(cl)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling && !t.Failed(); {
+		select {
+		case <-done:
+			polling = false // and look once more, at the final counts
+		default:
+		}
+		snap := srv.Snapshot()
+		if snap.Served > snap.Submitted {
+			t.Errorf("snapshot shows %d served of %d submitted", snap.Served, snap.Submitted)
+		}
+		for _, tn := range snap.Tenants {
+			if tn.Served > tn.Submitted {
+				t.Errorf("snapshot shows tenant %s with %d served of %d submitted", tn.Tenant, tn.Served, tn.Submitted)
+			}
+		}
+	}
+	<-done
 }
 
 func TestBadRequestRejected(t *testing.T) {

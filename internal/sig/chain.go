@@ -285,21 +285,27 @@ func (c *Chain) MarshalSize() int {
 }
 
 // UnmarshalChain parses a flat wire encoding. It validates structure only;
-// signature checking is Verify's job.
+// signature checking is Verify's job. The chain does not alias data: one
+// copy of the encoding backs the value and every signature, each sliced
+// out of it at full capacity so appending to one cannot reach the next.
 func UnmarshalChain(data []byte) (*Chain, error) {
-	d := NewDecoder(data)
-	value := d.Bytes()
+	d := NewDecoder(append([]byte(nil), data...))
+	field := func() []byte {
+		f := d.Bytes()
+		return f[:len(f):len(f)]
+	}
+	value := field()
 	nsigs := d.Int()
 	if d.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, d.Err())
 	}
 	// A chain never exceeds one signature per node plus slack; reject
-	// absurd counts before allocating.
+	// absurd counts before sizing the spines by them.
 	if nsigs < 1 || nsigs > 1<<16 {
 		return nil, fmt.Errorf("%w: implausible signature count %d", ErrChainEncoding, nsigs)
 	}
 	c := &Chain{
-		value: append([]byte(nil), value...),
+		value: value,
 		names: make([]model.NodeID, 0, nsigs-1),
 		sigs:  make([][]byte, 0, nsigs),
 	}
@@ -307,7 +313,7 @@ func UnmarshalChain(data []byte) (*Chain, error) {
 		c.names = append(c.names, model.NodeID(d.Int()))
 	}
 	for k := 0; k < nsigs; k++ {
-		c.sigs = append(c.sigs, append([]byte(nil), d.Bytes()...))
+		c.sigs = append(c.sigs, field())
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, err)

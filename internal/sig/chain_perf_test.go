@@ -163,6 +163,54 @@ func TestChainVerifyAllocs(t *testing.T) {
 	}
 }
 
+// TestUnmarshalChainAllocs pins the parse a receiver does per hop: the
+// chain, its two spines and ONE copy of the encoding that the value and
+// all signatures are sliced from — flat in the chain's length. A copy per
+// signature (K+4 allocations at K hops) was a fifth of a sweep's
+// allocated bytes.
+func TestUnmarshalChainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	f := newChainFixture(t, 10)
+	for _, hops := range []int{1, 10} {
+		wire := f.buildChain(t, []byte("alloc probe"), hops).Marshal()
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := UnmarshalChain(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("UnmarshalChain at %d hops allocates %.1f times per op, want <= 4", hops, allocs)
+		}
+	}
+}
+
+// TestUnmarshalChainOwnsItsBytes: the parsed chain shares nothing with
+// the caller's buffer, and its fields cannot grow into one another.
+func TestUnmarshalChainOwnsItsBytes(t *testing.T) {
+	f := newChainFixture(t, 4)
+	c := f.buildChain(t, []byte("wire"), 4)
+	wire := c.Marshal()
+	parsed, err := UnmarshalChain(wire)
+	if err != nil {
+		t.Fatalf("UnmarshalChain: %v", err)
+	}
+	for i := range wire {
+		wire[i] ^= 0xff
+	}
+	_ = append(parsed.value, "overrun"...)
+	for _, s := range parsed.sigs {
+		_ = append(s, "overrun"...)
+	}
+	if !bytes.Equal(parsed.Marshal(), c.Marshal()) {
+		t.Error("parsed chain changed when the input buffer or a field's spare capacity was written")
+	}
+	if _, err := parsed.Verify(3, f.dir); err != nil {
+		t.Errorf("parsed chain no longer verifies: %v", err)
+	}
+}
+
 // BenchmarkChainVerify measures full chain verification as a function
 // of chain length (bytes grow linearly; verification cost with it). cold
 // resets the verified-signature memo every iteration (the first

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -76,6 +77,10 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOp
 
 	// Accept connections from higher-ID peers (they dial us)...
 	expectAccept := n - 1 - int(self)
+	helloTimeout := cfg.readTimeout
+	if helloTimeout <= 0 {
+		helloTimeout = helloBootTimeout
+	}
 	var mu sync.Mutex // guards m.conns while the acceptor and the dialer both fill it
 	acceptErr := make(chan error, 1)
 	go func() {
@@ -85,10 +90,13 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOp
 				acceptErr <- err
 				return
 			}
-			peer, err := readHello(raw)
-			if err != nil || !peer.Valid(n) || peer <= self {
+			peer, err := readHello(raw, helloTimeout)
+			if err == nil && (!peer.Valid(n) || peer <= self) {
+				err = fmt.Errorf("from %v, who does not dial node %v of %d", peer, self, n)
+			}
+			if err != nil {
 				raw.Close()
-				acceptErr <- fmt.Errorf("transport: bad hello: %v (peer %v)", err, peer)
+				acceptErr <- fmt.Errorf("transport: bad hello: %w", err)
 				return
 			}
 			mu.Lock()
@@ -278,8 +286,18 @@ func writeHello(conn net.Conn, self model.NodeID) error {
 	return writeFrame(conn, sig.NewEncoder().String("hello/v1").Int(int(self)).Encoding())
 }
 
-// readHello parses the dialer's identity.
-func readHello(conn net.Conn) (model.NodeID, error) {
+// helloBootTimeout bounds a connected peer's hello when the links carry
+// no read timeout of their own: a mesh boots all at once, and a dialer
+// that has not identified itself within seconds never will.
+const helloBootTimeout = 5 * time.Second
+
+// readHello parses the dialer's identity, which must arrive within
+// timeout; the deadline covers the hello only and is cleared after it.
+func readHello(conn net.Conn, timeout time.Duration) (model.NodeID, error) {
+	// A deadline only fails to set on a closed socket, and then so does
+	// the read.
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	defer conn.SetReadDeadline(time.Time{})
 	frame, err := readFrame(conn)
 	if err != nil {
 		return model.NoNode, err

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -44,7 +45,7 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	if peer, err := readHello(link); err != nil || peer != 1 {
+	if peer, err := readHello(link, helloBootTimeout); err != nil || peer != 1 {
 		t.Fatalf("hello on the lower peer's side = %v, %v; want node 1", peer, err)
 	}
 
@@ -74,5 +75,44 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 			t.Errorf("%d goroutines after the failed boot, %d before", runtime.NumGoroutine(), before)
 			break
 		}
+	}
+}
+
+// A peer that connects and never says hello must fail the boot, not hang
+// it: with a read timeout on the links the hello gets that long.
+func TestTCPMeshSilentDialerFailsBoot(t *testing.T) {
+	reserve, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := reserve.Addr().String()
+	reserve.Close()
+
+	const timeout = 200 * time.Millisecond
+	booted := make(chan error, 1)
+	go func() {
+		m, err := NewTCPMesh(0, map[model.NodeID]string{0: self, 1: "127.0.0.1:1"}, WithConnReadTimeout(timeout))
+		if err == nil {
+			m.Close()
+		}
+		booted <- err
+	}()
+	silent, err := dialBackoff(self, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	select {
+	case err := <-booted:
+		var nerr net.Error
+		if !errors.As(err, &nerr) || !nerr.Timeout() {
+			t.Fatalf("boot with a silent dialer = %v, want the hello's read timeout", err)
+		}
+		if waited := time.Since(start); waited < timeout/2 {
+			t.Errorf("boot failed after %v, before the %v hello deadline could have passed", waited, timeout)
+		}
+	case <-time.After(helloBootTimeout / 2):
+		t.Fatalf("NewTCPMesh still waiting for a hello %v after a %v read timeout", helloBootTimeout/2, timeout)
 	}
 }
