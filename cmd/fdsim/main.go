@@ -157,8 +157,12 @@ func buildFault(c *core.Cluster, name, value string) ([]core.RunOption, error) {
 		if err != nil {
 			return nil, err
 		}
+		faceOne, err := adversary.PartitionFaceOne(adversary.PartitionHalves, c.Config().N)
+		if err != nil {
+			return nil, err
+		}
 		return []core.RunOption{core.WithProcess(0,
-			adversary.NewEquivocatingSender(c.Config(), signer, []byte(value), []byte(value+"'"), model.NodeID(c.Config().N/2)))}, nil
+			adversary.NewEquivocatingSenderFaces(c.Config(), signer, []byte(value), []byte(value+"'"), faceOne))}, nil
 	default:
 		return nil, fmt.Errorf("unknown fault %q", name)
 	}

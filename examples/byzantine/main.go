@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		return []core.RunOption{core.WithProcess(0,
-			adversary.NewEquivocatingSender(c.Config(), signer, []byte("yes"), []byte("no"), 4))}
+			adversary.NewEquivocatingSenderFaces(c.Config(), signer, []byte("yes"), []byte("no"), model.NewNodeSet(0, 1, 2, 3)))}
 	})
 
 	mixedPredicateScenario()

@@ -23,7 +23,7 @@ import (
 	"os"
 
 	"repro/internal/campaign"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -104,52 +104,37 @@ func (floodDriver) Verdicts() protocol.VerdictMapper {
 	return protocol.VerdictsUnauthenticatedFD
 }
 
-func (floodDriver) Prepare(protocol.Instance, *protocol.SetupCache) (protocol.Setup, error) {
-	return nil, nil
+// Prepare: flood holds no keys, so its cluster is a bare one.
+func (floodDriver) Prepare(inst protocol.Instance, cache *protocol.SetupCache) (protocol.Setup, error) {
+	return protocol.ClusterSetup(inst, cache, false)
 }
 
-func (floodDriver) Run(inst protocol.Instance, _ protocol.Setup) (protocol.Outcome, error) {
-	cfg := inst.Config()
-	faulty := inst.Faulty()
+// Run hands protocol.RunNodes the one thing only this file knows — what
+// a correct flood node is — and gets the whole strategy grammar and
+// network axis wired for it: crashes, delays, tampering, churn, loss.
+func (floodDriver) Run(inst protocol.Instance, setup protocol.Setup) (protocol.Outcome, error) {
 	value := []byte("value")
-	procs := make([]sim.Process, inst.N)
-	nodes := make([]*floodNode, inst.N)
-	for i := 0; i < inst.N; i++ {
-		node := &floodNode{id: model.NodeID(i), cfg: cfg, value: value}
-		if faulty.Contains(model.NodeID(i)) {
-			// The simplest wiring: corrupt nodes crash. A full driver would
-			// compile inst.Strategy.Behaviors like the built-ins do.
-			procs[i] = sim.Silent{}
-			continue
-		}
-		nodes[i] = node
-		procs[i] = node
-	}
-	counters := metrics.NewCounters()
-	res, err := sim.RunInstance(cfg, procs, 3, sim.WithCounters(counters))
+	rep, honest, err := protocol.RunNodes(inst, setup.(*core.Cluster), "flood", 3,
+		func(id model.NodeID) (sim.Process, error) {
+			return &floodNode{id: id, cfg: inst.Config(), value: value}, nil
+		})
 	if err != nil {
 		return protocol.Outcome{}, err
 	}
 	outcomes := make([]model.Outcome, 0, inst.N)
 	agreed := true
-	var first []byte
-	for i, node := range nodes {
-		if node == nil {
-			continue
+	for _, p := range honest {
+		if p == nil {
+			continue // faulty: no outcome owed
 		}
-		outcomes = append(outcomes, model.Outcome{
-			Node: model.NodeID(i), Decided: node.decided != nil, Value: node.decided,
-		})
-		if first == nil {
-			first = node.decided
-		} else if !bytes.Equal(node.decided, first) {
-			agreed = false
-		}
+		node := p.(*floodNode)
+		outcomes = append(outcomes, model.Outcome{Node: node.id, Decided: node.decided != nil, Value: node.decided})
+		agreed = agreed && bytes.Equal(node.decided, outcomes[0].Value)
 	}
 	return protocol.Outcome{
-		Rounds:     res.Rounds,
+		Rounds:     rep.Rounds,
 		RoundBound: 3,
-		Snapshot:   counters.Snapshot(),
+		Snapshot:   rep.Snapshot,
 		Agreed:     agreed,
 		SubRuns:    []protocol.SubRun{{Sender: 0, Initial: value, Outcomes: outcomes}},
 	}, nil
@@ -161,12 +146,15 @@ func main() {
 	protocol.Register(floodDriver{})
 
 	spec := campaign.Spec{
-		Name:        "custom-driver-demo",
-		Protocols:   []string{"flood", campaign.ProtoChain},
-		Sizes:       []int{4, 7},
-		Adversaries: []string{campaign.AdvNone, campaign.AdvCrashSender, campaign.AdvCrashRelay},
-		SeedBase:    7,
-		SeedCount:   5,
+		Name:      "custom-driver-demo",
+		Protocols: []string{"flood", campaign.ProtoChain},
+		Sizes:     []int{4, 7},
+		Adversaries: []string{
+			campaign.AdvNone, campaign.AdvCrashSender, campaign.AdvCrashRelay,
+			"coalition:size=1,behavior=delay,delay=1", // any strategy: RunNodes wires it
+		},
+		SeedBase:  7,
+		SeedCount: 5,
 	}
 	report, err := campaign.Run(spec, 2)
 	if err != nil {

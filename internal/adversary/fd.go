@@ -29,26 +29,10 @@ type EquivocatingSender struct {
 	faceOne model.NodeSet
 }
 
-// NewEquivocatingSender builds the faulty sender; for the t=0 split,
-// nodes below splitAt receive v1 and the rest v2.
-func NewEquivocatingSender(cfg model.Config, signer sig.Signer, v1, v2 []byte, splitAt model.NodeID) *EquivocatingSender {
-	return NewEquivocatingSenderFaces(cfg, signer, v1, v2, splitBelow(cfg.N, splitAt))
-}
-
-// NewEquivocatingSenderFaces builds the faulty sender with an arbitrary
-// two-faced partition: faceOne receives v1, its complement v2.
+// NewEquivocatingSenderFaces builds the faulty sender; in the t=0 split
+// faceOne receives v1, its complement v2.
 func NewEquivocatingSenderFaces(cfg model.Config, signer sig.Signer, v1, v2 []byte, faceOne model.NodeSet) *EquivocatingSender {
 	return &EquivocatingSender{cfg: cfg, signer: signer, v1: v1, v2: v2, faceOne: faceOne}
-}
-
-// splitBelow is the legacy partition form: nodes below splitAt make up
-// face one.
-func splitBelow(n int, splitAt model.NodeID) model.NodeSet {
-	faceOne := model.NewNodeSet()
-	for id := model.NodeID(0); id < splitAt && int(id) < n; id++ {
-		faceOne.Add(id)
-	}
-	return faceOne
 }
 
 // Step implements sim.Process.
@@ -204,14 +188,8 @@ type EquivocatingPlainSender struct {
 	faceOne model.NodeSet
 }
 
-// NewEquivocatingPlainSender builds the faulty sender; nodes below splitAt
-// receive v1, the rest v2.
-func NewEquivocatingPlainSender(cfg model.Config, v1, v2 []byte, splitAt model.NodeID) *EquivocatingPlainSender {
-	return NewEquivocatingPlainSenderFaces(cfg, v1, v2, splitBelow(cfg.N, splitAt))
-}
-
-// NewEquivocatingPlainSenderFaces builds the faulty sender with an
-// arbitrary two-faced partition: faceOne receives v1, its complement v2.
+// NewEquivocatingPlainSenderFaces builds the faulty sender: faceOne
+// receives v1, its complement v2.
 func NewEquivocatingPlainSenderFaces(cfg model.Config, v1, v2 []byte, faceOne model.NodeSet) *EquivocatingPlainSender {
 	return &EquivocatingPlainSender{cfg: cfg, v1: v1, v2: v2, faceOne: faceOne}
 }

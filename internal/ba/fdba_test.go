@@ -197,7 +197,7 @@ func TestFDBAEquivocatingSenderDefaultsOrAgrees(t *testing.T) {
 	signers, dir := globalAuth(t, 6, 53)
 	procs, nodes := fdbaProcs(t, cfg, signers, func(int) sig.Directory { return dir }, []byte("ignored"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingSender(cfg, signers[0], []byte("a"), []byte("b"), 3)
+	procs[0] = adversary.NewEquivocatingSenderFaces(cfg, signers[0], []byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2))
 	nodes[0] = nil
 	runBA(t, cfg, procs, ba.FDBAEngineRounds(cfg.T))
 

@@ -506,11 +506,29 @@ func TestInstanceKeySeedPinsKeyMaterial(t *testing.T) {
 // is arbitrary by the invariance contract; two counts are exercised so a
 // regression cannot hide behind scheduling.
 func TestGoldenReportByteIdentical(t *testing.T) {
-	spec, err := LoadSpec("testdata/golden_spec.json")
+	assertGoldenReport(t, "testdata/golden_spec.json", "testdata/golden_report.json")
+}
+
+// TestGoldenWiringReportByteIdentical is the one-wiring-loop
+// differential: testdata/golden_wiring_report.json was written by the
+// fdcampaign built at 1896a55, when the cluster drivers, vector and eig
+// each had their own per-node fault loop, over what golden_spec.json
+// leaves out — all seven drivers (fdba and sm included) × a partitioned
+// equivocating coalition and a delay+tamper stack × churn, seeded
+// latency/loss and a healing partition.
+func TestGoldenWiringReportByteIdentical(t *testing.T) {
+	assertGoldenReport(t, "testdata/golden_wiring_spec.json", "testdata/golden_wiring_report.json")
+}
+
+// assertGoldenReport runs the spec at 1 and 4 workers and requires the
+// canonical report to equal the committed one byte for byte.
+func assertGoldenReport(t *testing.T, specPath, reportPath string) {
+	t.Helper()
+	spec, err := LoadSpec(specPath)
 	if err != nil {
 		t.Fatalf("LoadSpec: %v", err)
 	}
-	want, err := os.ReadFile("testdata/golden_report.json")
+	want, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatalf("read golden report: %v", err)
 	}
@@ -524,7 +542,7 @@ func TestGoldenReportByteIdentical(t *testing.T) {
 			t.Fatalf("CanonicalJSON: %v", err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("registry-backed report (workers=%d) differs from the pre-registry golden report", workers)
+			t.Fatalf("report of %s (workers=%d) differs from %s", specPath, workers, reportPath)
 		}
 	}
 }

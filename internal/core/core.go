@@ -17,6 +17,12 @@
 // any phase with the WithProcess run option (or WithKeyDistProcess for the
 // authentication phase), which is how the experiments wire in package
 // adversary's behaviours.
+//
+// RunFailureDiscovery is a wrapper. The run itself — per node: replaced,
+// wrapped, churned or honest; then engine, counters, ledger, span — is
+// Cluster.Run, which takes any protocol as a NodeBuilder and a round
+// bound and hands back the honest processes for the caller to read.
+// Every protocol driver in internal/protocol runs through it.
 package core
 
 import (
@@ -39,7 +45,8 @@ import (
 // Protocol selects which failure-discovery protocol a run uses.
 type Protocol uint8
 
-// Protocols runnable through Cluster.RunFailureDiscovery.
+// Protocols runnable through Cluster.RunFailureDiscovery, and the mark
+// of one that is not.
 const (
 	// ProtocolChain is the authenticated chain protocol of paper Fig. 2
 	// (n−1 messages). The default.
@@ -59,6 +66,10 @@ const (
 	// SM(t) of Lamport, Shostak & Pease: O(n²) messages, tolerates any
 	// t < n under authentication.
 	ProtocolSM
+	// ProtocolCustom marks the report of a Cluster.Run: a protocol whose
+	// nodes and round bound the caller supplied (vector, eig, any
+	// registered driver). Not runnable through RunFailureDiscovery.
+	ProtocolCustom
 )
 
 // String implements fmt.Stringer.
@@ -74,6 +85,8 @@ func (p Protocol) String() string {
 		return "fdba"
 	case ProtocolSM:
 		return "sm"
+	case ProtocolCustom:
+		return "custom"
 	default:
 		return fmt.Sprintf("protocol(%d)", uint8(p))
 	}
@@ -104,8 +117,9 @@ func EngineRounds(p Protocol, t int) int {
 // ledger spanning all protocol phases.
 //
 // Entropy is split into two independent domains so key material and run
-// randomness can be reseeded separately: keyEntropy feeds key generation
-// only, runEntropy feeds everything per-run (handshake nonces). The split
+// randomness can be reseeded separately: the key domain feeds key
+// generation only, the run domain everything per-run (handshake nonces);
+// a domain never seeded draws from crypto/rand. The split
 // is what makes Reset, NewEstablished and the campaign setup store
 // sound: a cluster whose keys derive from key seed k behaves
 // byte-identically in every post-establishment run to a fresh cluster
@@ -114,21 +128,19 @@ func EngineRounds(p Protocol, t int) int {
 type Cluster struct {
 	cfg    model.Config
 	scheme sig.Scheme
-	// keyEntropy returns node i's key-generation entropy; nil draws from
-	// crypto/rand, WithSeed/WithKeySeed set it for reproducible,
-	// cacheable key material.
-	keyEntropy func(node int) io.Reader
-	// runEntropy returns node i's per-run entropy (handshake nonces);
-	// nil draws from crypto/rand, WithSeed and Reset set it.
-	runEntropy func(node int) io.Reader
-	// runDeterministic marks a WithSeed cluster; only such clusters
-	// reseed run entropy on Reset (clusters without WithSeed keep
-	// drawing nonces from crypto/rand, even when their keys are pinned).
-	runDeterministic bool
+	// keySeed seeds key generation once keySeeded is set (WithSeed,
+	// WithKeySeed): reproducible, cacheable key material.
+	keySeed   int64
+	keySeeded bool
 	// keyPinned marks that WithKeySeed set the key domain
 	// explicitly, so WithSeed must not override it whatever order the
 	// options came in.
 	keyPinned bool
+	// runSeed seeds per-run entropy once runSeeded is set (WithSeed);
+	// only such clusters reseed on Reset (clusters without WithSeed keep
+	// drawing nonces from crypto/rand, even when their keys are pinned).
+	runSeed   int64
+	runSeeded bool
 
 	nodes []*keydist.Node
 	// established marks that EstablishAuthentication completed.
@@ -169,11 +181,10 @@ func WithScheme(name string) Option {
 // the first alone. Production clusters should not set it.
 func WithSeed(seed int64) Option {
 	return func(c *Cluster) error {
-		c.runDeterministic = true
+		c.runSeed, c.runSeeded = seed, true
 		if !c.keyPinned {
-			c.keyEntropy = keyEntropyFor(seed)
+			c.keySeed, c.keySeeded = seed, true
 		}
-		c.runEntropy = runEntropyFor(seed)
 		return nil
 	}
 }
@@ -188,8 +199,7 @@ func WithSeed(seed int64) Option {
 // in either order.
 func WithKeySeed(keySeed int64) Option {
 	return func(c *Cluster) error {
-		c.keyPinned = true
-		c.keyEntropy = keyEntropyFor(keySeed)
+		c.keySeed, c.keySeeded, c.keyPinned = keySeed, true, true
 		return nil
 	}
 }
@@ -216,27 +226,20 @@ func WithTracer(t sim.Tracer) Option {
 	}
 }
 
-// keyEntropyFor returns the per-node key-generation streams of a key seed.
-func keyEntropyFor(keySeed int64) func(node int) io.Reader {
-	return func(node int) io.Reader {
-		return sim.SeededReader(sim.KeyMaterialSeed(keySeed, node))
-	}
-}
-
-// runEntropyFor returns the per-node run-entropy streams of a run seed.
-func runEntropyFor(seed int64) func(node int) io.Reader {
-	return func(node int) io.Reader {
-		return sim.SeededReader(sim.NodeSeed(seed, node))
-	}
-}
-
-// entropy resolves node's stream in one of the cluster's entropy
-// domains; an unset domain is crypto/rand.
-func entropy(domain func(node int) io.Reader, node int) io.Reader {
-	if domain == nil {
+// keyRand is node's key-generation stream.
+func (c *Cluster) keyRand(node int) io.Reader {
+	if !c.keySeeded {
 		return rand.Reader
 	}
-	return domain(node)
+	return sim.SeededReader(sim.KeyMaterialSeed(c.keySeed, node))
+}
+
+// runRand is node's per-run entropy stream.
+func (c *Cluster) runRand(node int) io.Reader {
+	if !c.runSeeded {
+		return rand.Reader
+	}
+	return sim.SeededReader(sim.NodeSeed(c.runSeed, node))
 }
 
 // New creates a cluster of n correct nodes with fault bound t.
@@ -368,8 +371,8 @@ func (c *Cluster) netEmitter() netcond.Emitter {
 // stay valid and observe the new run sequence.
 func (c *Cluster) Reset(seed int64) {
 	c.ledger.Reset()
-	if c.runDeterministic {
-		c.runEntropy = runEntropyFor(seed)
+	if c.runSeeded {
+		c.runSeed = seed
 	}
 }
 
@@ -429,7 +432,7 @@ func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error)
 			procs[i] = p
 			continue
 		}
-		n, err := keydist.NewNode(c.cfg, id, c.scheme, entropy(c.runEntropy, i), keydist.WithKeyRand(entropy(c.keyEntropy, i)))
+		n, err := keydist.NewNode(c.cfg, id, c.scheme, c.runRand(i), keydist.WithKeyRand(c.keyRand(i)))
 		if err != nil {
 			return Report{}, fmt.Errorf("core: build keydist node %v: %w", id, err)
 		}
@@ -458,18 +461,19 @@ func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error)
 			rep.Discoveries = append(rep.Discoveries, d)
 		}
 	}
-	c.ledger.Add(rep)
-	if c.rec.Enabled() {
-		span.End(obs.Attrs("rounds", rep.Rounds, "msgs", rep.Snapshot.Messages,
-			"bytes", rep.Snapshot.Bytes, "discoveries", len(rep.Discoveries)))
-	}
+	c.finish(span, rep)
 	return rep, nil
 }
 
-// RunOption configures one failure-discovery run.
+// RunOption configures one run.
 type RunOption func(*fdRun)
 
+// fdRun is one run's options. RunFailureDiscovery also parks its cluster
+// and value here, which makes the struct — on the heap anyway, options
+// take its address — the run's node builder at no further allocation.
 type fdRun struct {
+	cluster   *Cluster
+	value     []byte
 	protocol  Protocol
 	overrides map[model.NodeID]sim.Process
 	wrappers  map[model.NodeID]func(sim.Process) sim.Process
@@ -477,7 +481,8 @@ type fdRun struct {
 	churn     map[model.NodeID]netcond.ChurnSpec
 }
 
-// WithProtocol selects the protocol (default ProtocolChain).
+// WithProtocol selects the protocol RunFailureDiscovery runs (default
+// ProtocolChain). Run ignores it: its builder is the protocol.
 func WithProtocol(p Protocol) RunOption {
 	return func(r *fdRun) { r.protocol = p }
 }
@@ -485,7 +490,12 @@ func WithProtocol(p Protocol) RunOption {
 // WithProcess replaces node id's process for this run with an arbitrary
 // (typically adversarial) one.
 func WithProcess(id model.NodeID, p sim.Process) RunOption {
-	return func(r *fdRun) { r.overrides[id] = p }
+	return func(r *fdRun) {
+		if r.overrides == nil {
+			r.overrides = make(map[model.NodeID]sim.Process)
+		}
+		r.overrides[id] = p
+	}
 }
 
 // WithWrappedProcess builds node id's protocol process as usual (honoring
@@ -494,7 +504,12 @@ func WithProcess(id model.NodeID, p sim.Process) RunOption {
 // otherwise correct node. The wrapped node is treated as faulty — its
 // outcome is not collected, exactly as for WithProcess overrides.
 func WithWrappedProcess(id model.NodeID, wrap func(sim.Process) sim.Process) RunOption {
-	return func(r *fdRun) { r.wrappers[id] = wrap }
+	return func(r *fdRun) {
+		if r.wrappers == nil {
+			r.wrappers = make(map[model.NodeID]func(sim.Process) sim.Process)
+		}
+		r.wrappers[id] = wrap
+	}
 }
 
 // WithNetwork layers a network-condition model (typically a
@@ -527,23 +542,85 @@ func WithChurn(spec netcond.ChurnSpec) RunOption {
 	}
 }
 
+// NodeBuilder constructs node id's correct process for a run. It must
+// build from durable state only (keys, directory, the proposal), so that
+// calling it again mid-run is exactly restart-with-recovery: the churn
+// wrapper uses it as the rebuild hook when a crashed node rejoins.
+type NodeBuilder func(id model.NodeID) (sim.Process, error)
+
+// nodeBuilder is what run calls; an interface rather than the func type
+// so RunFailureDiscovery can hand over its options struct instead of a
+// per-run closure.
+type nodeBuilder interface {
+	buildNode(id model.NodeID) (sim.Process, error)
+}
+
+func (b NodeBuilder) buildNode(id model.NodeID) (sim.Process, error) { return b(id) }
+
+func (r *fdRun) buildNode(id model.NodeID) (sim.Process, error) {
+	return r.cluster.buildNode(r.protocol, r.value, id)
+}
+
+// Run executes one run of any lockstep protocol over the cluster's
+// engine, observers and ledger: build says what a correct node is, the
+// options say which nodes are not (WithProcess, WithWrappedProcess,
+// WithChurn) and what the network does to them (WithNetwork), and
+// maxRounds is the protocol's deadline. label names the protocol in
+// spans and engine events. It returns the metered report (PhaseFD,
+// ProtocolCustom, no outcomes — reading them is the caller's protocol
+// knowledge) and the processes build returned by node ID, nil where the
+// node was overridden, wrapped or churned: the honest nodes, whose
+// terminal state the caller scores.
+func (c *Cluster) Run(label string, maxRounds int, build NodeBuilder, opts ...RunOption) (Report, []sim.Process, error) {
+	var run fdRun
+	for _, opt := range opts {
+		opt(&run)
+	}
+	run.protocol = ProtocolCustom
+	rep, honest, span, err := c.run(&run, label, maxRounds, build)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	c.finish(span, rep)
+	return rep, honest, nil
+}
+
 // RunFailureDiscovery executes one failure-discovery run with P_0 as the
 // sender of value. The authenticated protocols require
 // EstablishAuthentication to have run first; the non-authenticated
 // baseline does not.
 func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, error) {
-	run := fdRun{
-		overrides: make(map[model.NodeID]sim.Process),
-		wrappers:  make(map[model.NodeID]func(sim.Process) sim.Process),
-	}
+	run := fdRun{cluster: c, value: value}
 	for _, opt := range opts {
 		opt(&run)
 	}
 	if run.protocol != ProtocolNonAuth && !c.established {
 		return Report{}, errors.New("core: establish authentication before running an authenticated protocol")
 	}
-	span := c.rec.Begin(obs.Event{Scope: "core.fdrun", Inst: -1, Node: -1,
-		Proto: run.protocol.String()})
+	rep, honest, span, err := c.run(&run, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
+	if err != nil {
+		return Report{}, err
+	}
+	for _, p := range honest {
+		if p == nil {
+			continue
+		}
+		out := p.(fd.Outcomer).Outcome()
+		rep.Outcomes = append(rep.Outcomes, out)
+		if out.Discovery != nil {
+			rep.Discoveries = append(rep.Discoveries, *out.Discovery)
+		}
+	}
+	c.finish(span, rep)
+	return rep, nil
+}
+
+// run is the one wiring loop: per node it decides overridden, wrapped,
+// churned or honest, then runs the engine to the round bound. Faulty
+// nodes — everything but the last case — owe no outcome, so honest is
+// nil at their slots. The caller completes the report and finishes it.
+func (c *Cluster) run(run *fdRun, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, obs.Span, error) {
+	span := c.rec.Begin(obs.Event{Scope: "core.fdrun", Inst: -1, Node: -1, Proto: label})
 
 	emitter := c.netEmitter()
 	if run.network != nil && emitter != nil {
@@ -553,7 +630,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 	}
 
 	procs := make([]sim.Process, c.cfg.N)
-	outcomers := make([]fd.Outcomer, c.cfg.N)
+	honest := make([]sim.Process, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
 		id := model.NodeID(i)
 		if p, ok := run.overrides[id]; ok {
@@ -563,56 +640,45 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 			procs[i] = p
 			continue
 		}
-		p, out, err := c.buildNode(run.protocol, value, id)
+		p, err := b.buildNode(id)
 		if err != nil {
-			return Report{}, fmt.Errorf("core: build %v node %v: %w", run.protocol, id, err)
+			return Report{}, nil, span, fmt.Errorf("core: build %s node %v: %w", label, id, err)
 		}
-		outcomers[i] = out
+		honest[i] = p
 		if wrap, ok := run.wrappers[id]; ok {
 			p = wrap(p)
-			outcomers[i] = nil // wrapped nodes are faulty: no outcome obligation
+			honest[i] = nil
 		}
 		if ch, ok := run.churn[id]; ok {
-			proto := run.protocol
-			rebuild := func() (sim.Process, error) {
-				np, _, err := c.buildNode(proto, value, id)
-				return np, err
-			}
+			rebuild := func() (sim.Process, error) { return b.buildNode(id) }
 			p = netcond.NewChurner(p, ch, rebuild, emitter)
-			outcomers[i] = nil // churned nodes are faulty: no outcome obligation
+			honest[i] = nil
 		}
 		procs[i] = p
 	}
 
 	counters := metrics.NewCounters()
-	engine, err := c.newEngine(run.protocol.String(), procs, counters, run.network)
+	engine, err := c.newEngine(label, procs, counters, run.network)
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, span, err
 	}
-	res := engine.Run(EngineRounds(run.protocol, c.cfg.T))
-
-	rep := Report{
+	res := engine.Run(maxRounds)
+	return Report{
 		Phase:    PhaseFD,
 		Protocol: run.protocol,
 		Rounds:   res.Rounds,
 		Snapshot: counters.Snapshot(),
-	}
-	for _, o := range outcomers {
-		if o == nil {
-			continue
-		}
-		out := o.Outcome()
-		rep.Outcomes = append(rep.Outcomes, out)
-		if out.Discovery != nil {
-			rep.Discoveries = append(rep.Discoveries, *out.Discovery)
-		}
-	}
+	}, honest, span, nil
+}
+
+// finish books a completed phase: the report joins the ledger and the
+// phase span closes with its traffic summary.
+func (c *Cluster) finish(span obs.Span, rep Report) {
 	c.ledger.Add(rep)
 	if c.rec.Enabled() {
 		span.End(obs.Attrs("rounds", rep.Rounds, "msgs", rep.Snapshot.Messages,
 			"bytes", rep.Snapshot.Bytes, "discoveries", len(rep.Discoveries)))
 	}
-	return rep, nil
 }
 
 // buildNode constructs node id's protocol process from the cluster's
@@ -621,7 +687,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 // exactly restart-with-recovery: the netcond churn wrapper uses it as
 // the rebuild hook when a crashed node rejoins. A method rather than a
 // per-run closure so the ideal path stays allocation-flat.
-func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.Process, fd.Outcomer, error) {
+func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.Process, error) {
 	i := int(id)
 	switch proto {
 	case ProtocolChain:
@@ -629,51 +695,31 @@ func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.
 		if id == fd.Sender {
 			nodeOpts = append(nodeOpts, fd.WithValue(value))
 		}
-		n, err := fd.NewChainNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, n, nil
+		return fd.NewChainNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
 	case ProtocolNonAuth:
 		var nodeOpts []fd.NonAuthOption
 		if id == fd.Sender {
 			nodeOpts = append(nodeOpts, fd.WithNonAuthValue(value))
 		}
-		n, err := fd.NewNonAuthNode(c.cfg, id, nodeOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, n, nil
+		return fd.NewNonAuthNode(c.cfg, id, nodeOpts...)
 	case ProtocolSmallRange:
 		var nodeOpts []fd.SmallRangeOption
 		if id == fd.Sender {
 			if len(value) != 1 {
-				return nil, nil, fmt.Errorf("core: small-range values are single bits, got %d bytes", len(value))
+				return nil, fmt.Errorf("core: small-range values are single bits, got %d bytes", len(value))
 			}
 			nodeOpts = append(nodeOpts, fd.WithBinaryValue(value[0]))
 		}
-		n, err := fd.NewSmallRangeNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, n, nil
+		return fd.NewSmallRangeNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
 	case ProtocolFDBA:
-		n, err := ba.NewFDBANode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), value)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, n, nil
+		return ba.NewFDBANode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), value)
 	case ProtocolSM:
 		var nodeOpts []ba.SMOption
 		if id == fd.Sender {
 			nodeOpts = append(nodeOpts, ba.WithSMValue(value))
 		}
-		n, err := ba.NewSMNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, n, nil
+		return ba.NewSMNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
 	default:
-		return nil, nil, fmt.Errorf("core: unknown protocol %v", proto)
+		return nil, fmt.Errorf("core: unknown protocol %v", proto)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/model"
+	"repro/internal/netcond"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
@@ -282,4 +284,63 @@ func newChainFor(mixed *adversary.MixedPredicateNode, to model.NodeID, v []byte)
 		return nil, err
 	}
 	return c.Marshal(), nil
+}
+
+// TestRunIsTheFailureDiscoveryRunMadeGeneric drives Cluster.Run with the
+// non-authenticated protocol's own nodes: same options, same traffic as
+// RunFailureDiscovery, the honest processes handed back with nil at
+// every faulty slot, and one PhaseFD entry in the ledger.
+func TestRunIsTheFailureDiscoveryRunMadeGeneric(t *testing.T) {
+	cfg := model.Config{N: 7, T: 2}
+	value := []byte("v")
+	opts := []core.RunOption{
+		core.WithProcess(1, sim.Silent{}),
+		core.WithWrappedProcess(3, func(p sim.Process) sim.Process { return adversary.Wrap(p, adversary.DropAll(2)) }),
+		core.WithChurn(netcond.ChurnSpec{Node: 5, Crash: 2, Restart: 3}),
+	}
+	want, err := newCluster(t, cfg.N, cfg.T, 4).RunFailureDiscovery(value,
+		append(opts, core.WithProtocol(core.ProtocolNonAuth))...)
+	if err != nil {
+		t.Fatalf("RunFailureDiscovery: %v", err)
+	}
+
+	c := newCluster(t, cfg.N, cfg.T, 4)
+	built := 0
+	rep, honest, err := c.Run("nonauth-by-hand", fd.NonAuthEngineRounds(cfg.T), func(id model.NodeID) (sim.Process, error) {
+		built++
+		if id == fd.Sender {
+			return fd.NewNonAuthNode(cfg, id, fd.WithNonAuthValue(value))
+		}
+		return fd.NewNonAuthNode(cfg, id)
+	}, opts...)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Rounds != want.Rounds || !reflect.DeepEqual(rep.Snapshot, want.Snapshot) {
+		t.Errorf("Run = %d rounds, %+v; RunFailureDiscovery = %d rounds, %+v",
+			rep.Rounds, rep.Snapshot, want.Rounds, want.Snapshot)
+	}
+	if rep.Phase != core.PhaseFD || rep.Protocol != core.ProtocolCustom || rep.Outcomes != nil {
+		t.Errorf("report = %+v, want a bare PhaseFD/ProtocolCustom report", rep)
+	}
+	// The overridden node is never built; the churned one is built twice.
+	if built != cfg.N {
+		t.Errorf("builder ran %d times, want %d", built, cfg.N)
+	}
+	var outcomes []model.Outcome
+	for i, p := range honest {
+		faulty := i == 1 || i == 3 || i == 5
+		if (p == nil) != faulty {
+			t.Errorf("honest[%d] = %v, faulty = %v", i, p, faulty)
+		}
+		if p != nil {
+			outcomes = append(outcomes, p.(fd.Outcomer).Outcome())
+		}
+	}
+	if !reflect.DeepEqual(outcomes, want.Outcomes) {
+		t.Errorf("outcomes read off honest = %v, want %v", outcomes, want.Outcomes)
+	}
+	if got := c.Ledger().FDRuns(); got != 1 {
+		t.Errorf("ledger holds %d FD runs, want 1", got)
+	}
 }

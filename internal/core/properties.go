@@ -94,17 +94,6 @@ func CheckF3(outcomes []model.Outcome, faulty model.NodeSet, sender model.NodeID
 	return nil
 }
 
-// CheckAll runs F1, F2 and F3 and returns the first violation.
-func CheckAll(outcomes []model.Outcome, faulty model.NodeSet, sender model.NodeID, initial []byte) error {
-	if err := CheckF1(outcomes, faulty); err != nil {
-		return err
-	}
-	if err := CheckF2(outcomes, faulty); err != nil {
-		return err
-	}
-	return CheckF3(outcomes, faulty, sender, initial)
-}
-
 func anyCorrectDiscovered(outcomes []model.Outcome, faulty model.NodeSet) bool {
 	for _, o := range outcomes {
 		if !faulty.Contains(o.Node) && o.Discovery != nil {

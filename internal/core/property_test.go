@@ -165,8 +165,11 @@ func TestPropertyF1F2F3RandomizedNonAuth(t *testing.T) {
 				case 2:
 					p = adversary.NewLyingEchoer(c.Config(), id, []byte("lie"), randomSubset(rng, n))
 				default:
-					p = adversary.NewEquivocatingPlainSender(c.Config(), []byte("a"), []byte("b"),
-						model.NodeID(rng.Intn(n)))
+					faceOne := model.NewNodeSet()
+					for id, split := 0, rng.Intn(n); id < split; id++ {
+						faceOne.Add(model.NodeID(id))
+					}
+					p = adversary.NewEquivocatingPlainSenderFaces(c.Config(), []byte("a"), []byte("b"), faceOne)
 				}
 				opts = append(opts, core.WithProcess(id, p))
 			}

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/adversary"
 	"repro/internal/ba"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/keydist"
@@ -76,7 +78,7 @@ func fdAttacks() []fdAttack {
 			if err != nil {
 				panic(err)
 			}
-			return map[model.NodeID]sim.Process{0: adversary.NewEquivocatingSender(c.Config(), signer, []byte("a"), []byte("b"), 3)}
+			return map[model.NodeID]sim.Process{0: adversary.NewEquivocatingSenderFaces(c.Config(), signer, []byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2))}
 		}),
 		mk("split-disseminator", 7, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
 			return map[model.NodeID]sim.Process{2: adversary.Wrap(chainNodeFor(c, 2),
@@ -136,17 +138,38 @@ func E6E7Properties(runs int) *metrics.Table {
 
 // E8Baselines contrasts the agreement substrate costs: OM(t)'s exponential
 // relayed entries, SM(t)'s quadratic messages, and FD's linear messages.
+// The SM(t) and FDBA columns are one campaign sweep: failure-free message
+// counts do not depend on how authentication was established.
 func E8Baselines() *metrics.Table {
 	tbl := metrics.NewTable(
 		"E8 — Protocol cost context ([4] OM/SM vs failure discovery)",
 		"n", "t", "OM(t) entries", "SM(t) messages", "FDBA failure-free msgs", "FD messages")
-	for _, tc := range []struct{ n, t int }{{4, 1}, {7, 2}, {10, 3}, {13, 4}} {
-		cfg := model.Config{N: tc.n, T: tc.t}
+	cases := []campaign.Case{{N: 4, T: 1}, {N: 7, T: 2}, {N: 10, T: 3}, {N: 13, T: 4}}
+	rep, err := campaign.Run(campaign.Spec{
+		Name:      "e8-baselines",
+		Protocols: []string{campaign.ProtoSM, campaign.ProtoFDBA},
+		Cases:     cases,
+		SeedBase:  Seed,
+		SeedCount: 1,
+	}, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: e8 campaign: %v", err))
+	}
+	type cell struct {
+		proto string
+		campaign.Case
+	}
+	msgs := make(map[cell]int)
+	for _, g := range mustCleanGroups(rep) {
+		msgs[cell{g.Protocol, campaign.Case{N: g.N, T: g.T}}] = int(g.Messages.Mean)
+	}
+	for _, tc := range cases {
+		cfg := model.Config{N: tc.N, T: tc.T}
 
 		// OM(t): measure relayed entries.
 		entries := new(atomic.Int64)
-		procs := make([]sim.Process, tc.n)
-		for i := 0; i < tc.n; i++ {
+		procs := make([]sim.Process, tc.N)
+		for i := 0; i < tc.N; i++ {
 			opts := []ba.EIGOption{ba.WithEntryCounter(entries)}
 			if model.NodeID(i) == ba.Sender {
 				opts = append(opts, ba.WithEIGValue([]byte("v")))
@@ -161,80 +184,11 @@ func E8Baselines() *metrics.Table {
 		if err != nil {
 			panic(err)
 		}
-		eng.Run(ba.EIGEngineRounds(tc.t))
+		eng.Run(ba.EIGEngineRounds(tc.T))
 
-		// SM(t) and FDBA: measured over global auth.
-		smMsgs := runSMMeasured(tc.n, tc.t)
-		fdbaMsgs := runFDBAMeasured(tc.n, tc.t)
-
-		tbl.AddRow(tc.n, tc.t, entries.Load(), smMsgs, fdbaMsgs, tc.n-1)
+		tbl.AddRow(tc.N, tc.T, entries.Load(), msgs[cell{campaign.ProtoSM, tc}], msgs[cell{campaign.ProtoFDBA, tc}], tc.N-1)
 	}
 	return tbl
-}
-
-// runSMMeasured runs a failure-free SM(t) and returns its message count.
-func runSMMeasured(n, t int) int {
-	cfg := model.Config{N: n, T: t}
-	signers, dir := globalSigners(n, Seed+int64(n))
-	procs := make([]sim.Process, n)
-	for i := 0; i < n; i++ {
-		var opts []ba.SMOption
-		if model.NodeID(i) == ba.Sender {
-			opts = append(opts, ba.WithSMValue([]byte("v")))
-		}
-		node, err := ba.NewSMNode(cfg, model.NodeID(i), signers[i], dir, opts...)
-		if err != nil {
-			panic(err)
-		}
-		procs[i] = node
-	}
-	counters := metrics.NewCounters()
-	eng, err := sim.New(cfg, procs, sim.WithCounters(counters))
-	if err != nil {
-		panic(err)
-	}
-	eng.Run(ba.SMEngineRounds(t))
-	return counters.Messages()
-}
-
-// runFDBAMeasured runs a failure-free FDBA and returns its message count.
-func runFDBAMeasured(n, t int) int {
-	cfg := model.Config{N: n, T: t}
-	signers, dir := globalSigners(n, Seed+int64(2*n))
-	procs := make([]sim.Process, n)
-	for i := 0; i < n; i++ {
-		node, err := ba.NewFDBANode(cfg, model.NodeID(i), signers[i], dir, []byte("v"))
-		if err != nil {
-			panic(err)
-		}
-		procs[i] = node
-	}
-	counters := metrics.NewCounters()
-	eng, err := sim.New(cfg, procs, sim.WithCounters(counters))
-	if err != nil {
-		panic(err)
-	}
-	eng.Run(ba.FDBAEngineRounds(t))
-	return counters.Messages()
-}
-
-// globalSigners builds a shared-directory signer set.
-func globalSigners(n int, seed int64) ([]sig.Signer, sig.MapDirectory) {
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		panic(err)
-	}
-	dir := make(sig.MapDirectory, n)
-	signers := make([]sig.Signer, n)
-	for i := 0; i < n; i++ {
-		s, err := scheme.Generate(sim.SeededReader(sim.NodeSeed(seed, i)))
-		if err != nil {
-			panic(err)
-		}
-		signers[i] = s
-		dir[model.NodeID(i)] = s.Predicate()
-	}
-	return signers, dir
 }
 
 // E9SmallRange measures the small-range variant's savings and documents

@@ -272,7 +272,7 @@ func TestChainEquivocatingSenderDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 5)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingSender(f.cfg, f.signers[0], []byte("v1"), []byte("v2"), 3)
+	procs[0] = adversary.NewEquivocatingSenderFaces(f.cfg, f.signers[0], []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
 	nodes[0] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 

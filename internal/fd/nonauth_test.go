@@ -75,7 +75,7 @@ func TestNonAuthEquivocatingSenderDiscovered(t *testing.T) {
 	cfg := model.Config{N: 6, T: 2}
 	procs, nodes := nonAuthProcs(t, cfg, []byte("ignored"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingPlainSender(cfg, []byte("v1"), []byte("v2"), 3)
+	procs[0] = adversary.NewEquivocatingPlainSenderFaces(cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
 	nodes[0] = nil
 	runFD(t, cfg, procs, fd.NonAuthEngineRounds(cfg.T))
 

@@ -42,19 +42,15 @@ import (
 // concurrent use.
 type Directory struct {
 	mu    sync.RWMutex
-	owner model.NodeID
 	preds map[model.NodeID]sig.TestPredicate
 }
 
 var _ sig.Directory = (*Directory)(nil)
 
-// NewDirectory creates an empty directory owned by the given node.
-func NewDirectory(owner model.NodeID) *Directory {
-	return &Directory{owner: owner, preds: make(map[model.NodeID]sig.TestPredicate)}
+// NewDirectory creates an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{preds: make(map[model.NodeID]sig.TestPredicate)}
 }
-
-// Owner returns the node whose view this directory represents.
-func (d *Directory) Owner() model.NodeID { return d.owner }
 
 // Accept records pred as belonging to node, as the final step of the
 // challenge/response exchange. Accepting a second predicate for the same

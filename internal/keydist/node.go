@@ -101,7 +101,7 @@ func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reade
 		scheme:  scheme,
 		signer:  signer,
 		rand:    rand,
-		dir:     NewDirectory(id),
+		dir:     NewDirectory(),
 		pending: make(map[model.NodeID]*pendingPeer),
 	}
 	// A node trivially knows its own predicate.

@@ -5,23 +5,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/model"
-	"repro/internal/netcond"
 	"repro/internal/sim"
 )
 
-// The cluster driver family: every protocol that runs through
-// core.Cluster.RunFailureDiscovery — the chain FD protocol, the
-// non-authenticated baseline, the binary small-range variant, and the
-// two full agreement protocols FDBA and SM(t) — shares this one Driver
-// implementation, parameterized by the core protocol selector, the
-// sender's proposal, its capabilities, its verdict profile, and (where
-// supported) a bespoke two-faced sender constructor. Adding another
-// cluster-backed protocol is one registration below plus its
-// core.Protocol case.
-
-// equivocatorFunc builds a protocol's bespoke two-faced sender showing
-// senderValue to faceOne and altSenderValue to everyone else.
-type equivocatorFunc func(c *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error)
+// Seven drivers, one loop. The five protocols core.Cluster builds nodes
+// for itself — the chain FD protocol, the non-authenticated baseline,
+// the binary small-range variant, and the two full agreement protocols
+// FDBA and SM(t) — share the Driver implementation below, parameterized
+// by the core protocol selector, the sender's proposal, its
+// capabilities, its verdict profile, and (where supported) a bespoke
+// two-faced sender constructor; vector and eig bring their own node
+// builder and outcome reading instead (vector.go, eig.go). All of them
+// wire faults and network through runOptions and reach the engine
+// through the cluster's one run loop.
 
 type clusterDriver struct {
 	name        string
@@ -48,33 +44,12 @@ func (d *clusterDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error)
 // Run implements Driver.
 func (d *clusterDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 	c := setup.(*core.Cluster)
-	value := d.value
-	if len(inst.Value) > 0 {
-		value = inst.Value
+	value := proposal(inst, d.value)
+	opts, err := runOptions(inst, c, d.equivocator)
+	if err != nil {
+		return Outcome{}, err
 	}
-	corrupt := inst.Strategy.CorruptSet(inst.N, inst.Seed)
-	runOpts := []core.RunOption{core.WithProtocol(d.proto)}
-	for _, id := range corrupt.Sorted() {
-		opt, err := d.faultOption(inst, c, id)
-		if err != nil {
-			return Outcome{}, err
-		}
-		runOpts = append(runOpts, opt)
-	}
-	if net := inst.Net; net != nil {
-		// Churn wraps only nodes the strategy left honest: a node the
-		// adversary already corrupted has no correct process to crash
-		// and restart (and Faulty() counts it once either way).
-		for _, ch := range net.Churn {
-			if id := model.NodeID(ch.Node); id.Valid(inst.N) && !corrupt.Contains(id) {
-				runOpts = append(runOpts, core.WithChurn(ch))
-			}
-		}
-		if net.DegradesLinks() {
-			runOpts = append(runOpts, core.WithNetwork(netcond.NewModel(*net, inst.N, inst.Seed)))
-		}
-	}
-	rep, err := c.RunFailureDiscovery(value, runOpts...)
+	rep, err := c.RunFailureDiscovery(value, append(opts, core.WithProtocol(d.proto))...)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -86,40 +61,6 @@ func (d *clusterDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 		Discovered: len(rep.Discoveries) > 0,
 		SubRuns:    []SubRun{{Sender: fd.Sender, Initial: value, Outcomes: rep.Outcomes}},
 	}, nil
-}
-
-// faultOption builds the run option that corrupts node id under the
-// instance's strategy. An equivocating sender gets the protocol's
-// bespoke two-faced process (remaining behaviors wrap it); a
-// from-the-start crash runs silent; every other stack wraps the node's
-// correct process with the compiled behavior filters.
-func (d *clusterDriver) faultOption(inst Instance, c *core.Cluster, id model.NodeID) (core.RunOption, error) {
-	strat := inst.Strategy
-	if id == fd.Sender && strat.HasBehavior(adversary.BehaviorEquivocate) && d.equivocator != nil {
-		faceOne, err := adversary.PartitionFaceOne(equivocatePartition(strat), inst.N)
-		if err != nil {
-			return nil, err
-		}
-		sender, err := d.equivocator(c, inst, faceOne)
-		if err != nil {
-			return nil, err
-		}
-		sender, err = wrapRemaining(sender, strat.Behaviors, inst.N)
-		if err != nil {
-			return nil, err
-		}
-		return core.WithProcess(id, sender), nil
-	}
-	if pureCrash(strat.Behaviors) {
-		return core.WithProcess(id, sim.Silent{}), nil
-	}
-	behaviors, err := adversary.BuildBehaviors(strat.Behaviors, inst.N)
-	if err != nil {
-		return nil, err
-	}
-	return core.WithWrappedProcess(id, func(p sim.Process) sim.Process {
-		return adversary.WrapBehaviors(p, behaviors...)
-	}), nil
 }
 
 // chainEquivocator is the two-faced sender of the chain-signed

@@ -1,21 +1,18 @@
 package protocol
 
 import (
-	"bytes"
-
 	"repro/internal/adversary"
 	"repro/internal/ba"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/netcond"
 	"repro/internal/sim"
 )
 
 // eigDriver runs the OM(t) oral-messages baseline. It has no setup phase
-// at all — nodes hold no keys — so its Capabilities declare
-// CacheableSetup false explicitly: the setup-cache skip is a published
-// property of the driver, asserted by tests, not an implicit branch in
-// the runner.
+// at all — nodes hold no keys, its cluster is a bare one like nonauth's
+// — so its Capabilities declare CacheableSetup false explicitly: the
+// setup-cache skip is a published property of the driver, asserted by
+// tests, not an implicit branch in the runner.
 type eigDriver struct{}
 
 func (eigDriver) Name() string { return NameEIG }
@@ -30,15 +27,29 @@ func (eigDriver) Capabilities() Capabilities {
 
 func (eigDriver) Verdicts() VerdictMapper { return VerdictsUnauthenticatedFD }
 
-// Prepare implements Driver: OM(t) has nothing to prepare.
-func (eigDriver) Prepare(Instance, *SetupCache) (Setup, error) { return nil, nil }
+// Prepare implements Driver: OM(t) has nothing to establish.
+func (eigDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
+	return ClusterSetup(inst, cache, false)
+}
 
-// equivocateOral is the sender-side equivocation filter for eig: in
-// round 1 the faulty sender reports senderValue to faceOne and
-// altSenderValue to everyone else.
-func equivocateOral(faceOne model.NodeSet) adversary.Filter {
+// eigNode builds node id's correct OM(t) process.
+func eigNode(inst Instance, id model.NodeID) (*ba.EIGNode, error) {
+	if id == ba.Sender {
+		return ba.NewEIGNode(inst.Config(), id, ba.WithEIGValue(proposal(inst, senderValue)))
+	}
+	return ba.NewEIGNode(inst.Config(), id)
+}
+
+// oralEquivocator is the two-faced OM(t) sender: a correct sender whose
+// round-1 reports are rewritten to altSenderValue for everyone outside
+// faceOne — a proper second face, not a tampered payload.
+func oralEquivocator(_ *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error) {
+	sender, err := eigNode(inst, ba.Sender)
+	if err != nil {
+		return nil, err
+	}
 	alt := ba.MarshalOralEntries([]ba.OralEntry{{Path: []model.NodeID{ba.Sender}, Value: altSenderValue}})
-	return func(round int, out []model.Message) []model.Message {
+	return adversary.Wrap(sender, func(round int, out []model.Message) []model.Message {
 		if round != 1 {
 			return out
 		}
@@ -48,114 +59,37 @@ func equivocateOral(faceOne model.NodeSet) adversary.Filter {
 			}
 		}
 		return out
-	}
+	}), nil
 }
 
-func (eigDriver) Run(inst Instance, _ Setup) (Outcome, error) {
-	cfg := inst.Config()
-	value := senderValue
-	if len(inst.Value) > 0 {
-		value = inst.Value
-	}
-	strat := inst.Strategy
-	corruptSet := strat.CorruptSet(inst.N, inst.Seed)
-	churn := churnByNode(inst, corruptSet)
-	procs := make([]sim.Process, inst.N)
-	nodes := make([]*ba.EIGNode, inst.N)
-	for i := 0; i < inst.N; i++ {
-		id := model.NodeID(i)
-		corrupt := corruptSet.Contains(id)
-		if corrupt && pureCrash(strat.Behaviors) {
-			procs[i] = sim.Silent{}
-			continue
-		}
-		var opts []ba.EIGOption
-		if id == ba.Sender {
-			opts = append(opts, ba.WithEIGValue(value))
-		}
-		node, err := ba.NewEIGNode(cfg, id, opts...)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if ch, ok := churn[id]; ok {
-			// Churned honest node: scripted crash/restart; its decision
-			// does not count (nodes[i] stays nil — it is faulty).
-			rebuild := func() (sim.Process, error) { return ba.NewEIGNode(cfg, id, opts...) }
-			procs[i] = netcond.NewChurner(node, ch, rebuild, nil)
-			continue
-		}
-		if corrupt {
-			// A corrupt node runs OM(t) correctly under its behavior stack;
-			// its own decision does not count (nodes[i] stays nil). The
-			// sender's equivocation uses the oral-entry rewrite — a proper
-			// second face, not a tampered payload.
-			var stack []adversary.Behavior
-			if id == ba.Sender && strat.HasBehavior(adversary.BehaviorEquivocate) {
-				faceOne, err := adversary.PartitionFaceOne(equivocatePartition(strat), inst.N)
-				if err != nil {
-					return Outcome{}, err
-				}
-				stack = append(stack, equivocateOral(faceOne))
-				rest, err := adversary.BuildBehaviors(withoutEquivocate(strat.Behaviors), inst.N)
-				if err != nil {
-					return Outcome{}, err
-				}
-				stack = append(stack, rest...)
-			} else {
-				stack, err = adversary.BuildBehaviors(strat.Behaviors, inst.N)
-				if err != nil {
-					return Outcome{}, err
-				}
-			}
-			procs[i] = adversary.WrapBehaviors(node, stack...)
-			continue
-		}
-		nodes[i] = node
-		procs[i] = node
-	}
-	counters := metrics.NewCounters()
-	maxRounds := ba.EIGEngineRounds(inst.T)
-	simOpts := []sim.Option{sim.WithCounters(counters)}
-	if net := netModel(inst); net != nil {
-		simOpts = append(simOpts, sim.WithNetwork(net))
-	}
-	simRes, err := sim.RunInstance(cfg, procs, maxRounds, simOpts...)
+func (eigDriver) Run(inst Instance, setup Setup) (Outcome, error) {
+	c := setup.(*core.Cluster)
+	opts, err := runOptions(inst, c, oralEquivocator)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := Outcome{
-		Rounds:     simRes.Rounds,
-		RoundBound: maxRounds,
-		Snapshot:   counters.Snapshot(),
+	maxRounds := ba.EIGEngineRounds(inst.T)
+	rep, honest, err := c.Run(NameEIG, maxRounds, func(id model.NodeID) (sim.Process, error) {
+		return eigNode(inst, id)
+	}, opts...)
+	if err != nil {
+		return Outcome{}, err
 	}
-
-	agreed := true
-	var first []byte
-	haveFirst := false
 	outcomes := make([]model.Outcome, 0, inst.N)
-	for i, node := range nodes {
-		if node == nil {
+	for i, p := range honest {
+		if p == nil {
 			continue
 		}
-		d := node.Decision()
-		outcomes = append(outcomes, model.Outcome{
-			Node:    model.NodeID(i),
-			Decided: d.Value != nil,
-			Value:   d.Value,
-		})
-		if d.Value == nil {
-			agreed = false
-			continue
-		}
-		if !haveFirst {
-			first, haveFirst = d.Value, true
-		} else if !bytes.Equal(d.Value, first) {
-			agreed = false
-		}
+		d := p.(*ba.EIGNode).Decision()
+		outcomes = append(outcomes, model.Outcome{Node: model.NodeID(i), Decided: d.Value != nil, Value: d.Value})
 	}
-	out.Agreed = agreed && haveFirst
-	out.SubRuns = []SubRun{{Sender: ba.Sender, Initial: value, Outcomes: outcomes}}
-	return out, nil
+	return Outcome{
+		Rounds:     rep.Rounds,
+		RoundBound: maxRounds,
+		Snapshot:   rep.Snapshot,
+		Agreed:     outcomesAgree(outcomes),
+		SubRuns:    []SubRun{{Sender: ba.Sender, Initial: proposal(inst, senderValue), Outcomes: outcomes}},
+	}, nil
 }
 
 func init() { Register(eigDriver{}) }

@@ -19,6 +19,15 @@
 // beyond-paper vector composition, the OM(t) oral-messages baseline, and
 // the two full agreement protocols — FDBA (the §4 failure-discovery-to-
 // Byzantine-agreement extension) and SM(t) (signed messages).
+//
+// Seven drivers, one loop: no driver wires faults. Each prepares a
+// core.Cluster (ClusterSetup), and one function compiles the instance's
+// adversary strategy and network condition into core run options
+// (wiring.go) for the cluster's run loop, which decides silent, wrapped,
+// churned or honest per node. A driver supplies only what is its own —
+// what a correct node is, a bespoke two-faced sender where it has one,
+// and how its nodes' terminal state maps to SubRuns. RunNodes is that
+// path in the form a driver registered from outside needs.
 package protocol
 
 import (
@@ -284,9 +293,9 @@ var (
 	VerdictsAgreement = VerdictProfile{strict: true}
 )
 
-// Setup is the opaque prepared state Prepare hands to Run: an
-// established cluster, key-distribution material, or nil for drivers
-// with no setup phase.
+// Setup is the opaque prepared state Prepare hands to Run. Every
+// built-in driver's is a *core.Cluster from ClusterSetup — established,
+// or bare for the drivers with no setup phase.
 type Setup any
 
 // Driver is the uniform run path of one agreement protocol. Drivers are

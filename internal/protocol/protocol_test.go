@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/model"
+	"repro/internal/netcond"
 	"repro/internal/sig"
+	"repro/internal/sim"
 )
 
 // TestRegistryCompleteness pins the built-in driver set: the seven
@@ -246,4 +249,57 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 		}
 	}()
 	Register(eigDriver{})
+}
+
+// TestRunNodesWiresStrategyAndChurn: a driver that brings nothing but a
+// node builder gets the instance's whole fault model from RunNodes — the
+// honest processes come back with nil exactly at inst.Faulty(), a
+// pure-crash node is never built, and a churned one is built twice.
+func TestRunNodesWiresStrategyAndChurn(t *testing.T) {
+	net, err := netcond.Parse("churn=3@2-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		adversary string
+		builds    int // of n = 7: corrupt node 1 and churned node 3
+	}{
+		{"nodes=1:behavior=crash", 7},         // silent: 1 never built, 3 twice
+		{"nodes=1:behavior=delay,delay=1", 8}, // wrapped: 1 built once, 3 twice
+		{"nodes=1:behavior=crash,round=2", 8}, // a later crash is a wrapped node
+		{"nodes=1:behavior=tamper,behavior=drop,victims=2", 8},
+	} {
+		strat, err := adversary.ParseStrategy(tc.adversary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := Instance{N: 7, T: 2, Strategy: strat, Seed: 5, Net: &net}
+		c, err := ClusterSetup(inst, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds := 0
+		rep, honest, err := RunNodes(inst, c, "test-idle", 4, func(model.NodeID) (sim.Process, error) {
+			builds++
+			return sim.Silent{}, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: RunNodes: %v", tc.adversary, err)
+		}
+		if builds != tc.builds {
+			t.Errorf("%s: builder ran %d times, want %d", tc.adversary, builds, tc.builds)
+		}
+		faulty := inst.Faulty()
+		if !reflect.DeepEqual(faulty, model.NewNodeSet(1, 3)) {
+			t.Fatalf("%s: faulty set %v, want {1, 3}", tc.adversary, faulty.Sorted())
+		}
+		for i, p := range honest {
+			if (p == nil) != faulty.Contains(model.NodeID(i)) {
+				t.Errorf("%s: honest[%d] = %v with faulty set %v", tc.adversary, i, p, faulty.Sorted())
+			}
+		}
+		if rep.Rounds < 1 || rep.Rounds > 4 {
+			t.Errorf("%s: ran %d rounds under a bound of 4", tc.adversary, rep.Rounds)
+		}
+	}
 }

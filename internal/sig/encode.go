@@ -236,9 +236,6 @@ func (d *Decoder) Uint64() uint64 {
 // Int reads an int field written by Encoder.Int.
 func (d *Decoder) Int() int { return int(int64(d.Uint64())) }
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // Finish returns an error if decoding failed or if unread bytes remain.
 // Protocols call Finish to reject payloads with trailing garbage, which a
 // failure-free run never produces.
