@@ -1,8 +1,9 @@
 package ba
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/model"
@@ -34,16 +35,26 @@ import (
 // messages.
 //
 // Because the tree is exponential, the representation is deliberately
-// lean: the tree is stored as rank-indexed per-level slot arrays — a
-// path maps to (level, rank) by pure arithmetic (rankOf), so ingest is
-// an array write instead of a map insert and resolution never touches a
-// hash table — and the per-round relay and message slices are reused
-// across rounds.
+// lean. A node sees a handful of distinct values, so each is interned
+// once in a per-node table and a tree slot holds its small integer id:
+// the slot arrays are pointer-free and resolution votes over integers.
+// The tree is stored as rank-indexed per-level slot arrays — a path maps
+// to (level, rank) by pure arithmetic (rankOf), so ingest is an array
+// write instead of a map insert and resolution never touches a hash
+// table. The leaf level, all but a sliver of the tree, is filled and
+// resolved inside the final round's Step, so it is borrowed for that one
+// call instead of owned for the whole run.
 
-// maxEIGNodes bounds the system size so a node ID always packs into one
-// key byte. OM(t) is O(n^t); anywhere near this bound it is unrunnable
-// anyway, so the bound costs nothing real.
+// maxEIGNodes is an admission bound: OM(t) is O(n^t), so anywhere near it
+// a run is unrunnable anyway and the bound costs nothing real.
 const maxEIGNodes = 256
+
+// maxEIGPath is the longest tree path: t+1, where n > 3t.
+const maxEIGPath = (maxEIGNodes-1)/3 + 1
+
+// defaultID is DefaultValue's id in every node's value table. A tree
+// slot holds 0 while empty, else the id of the value reported for it.
+const defaultID = 1
 
 // EIGNode is a correct OM(t) participant.
 type EIGNode struct {
@@ -52,24 +63,21 @@ type EIGNode struct {
 
 	// value is the sender's initial value (sender only).
 	value []byte
-	// levels[d] holds every depth-d tree vertex (path length d+1) in
-	// resolveTree's enumeration order, addressed by rankOf.
-	levels []eigLevel
+	// levels[d] holds the slot of every depth-d inner vertex (path length
+	// d+1 ≤ t) in resolveTree's enumeration order, addressed by rankOf.
+	// The sender has none: it decides its own value.
+	levels [][]uint32
+	// vals is the value table and ids its index; last is the id interned
+	// most recently — in an honest run, the only one there is.
+	vals []string
+	ids  map[string]uint32
+	last uint32
 	// entries counts the path entries this node has relayed (the classical
 	// OM(t) cost metric).
 	entries *atomic.Int64
-
-	// Per-round scratch, reused across Step calls to keep the relay loop
-	// allocation-flat: ingested-entry and relay-entry slices, the arena
-	// backing extended paths, the path buffer of the final-round streaming
-	// ingest, and the outgoing message slice (the engine consumes returned
-	// messages before the next round, so the backing array can be
-	// recycled).
-	freshBuf    []OralEntry
-	relayBuf    []OralEntry
-	extArena    []model.NodeID
-	pathScratch []model.NodeID
-	msgBuf      []model.Message
+	// msgBuf is the outgoing message slice, reused across rounds: the
+	// engine consumes returned messages before the next round.
+	msgBuf []model.Message
 
 	decision Decision
 	finished bool
@@ -105,19 +113,24 @@ func NewEIGNode(cfg model.Config, id model.NodeID, opts ...EIGOption) (*EIGNode,
 	if !id.Valid(cfg.N) {
 		return nil, fmt.Errorf("ba: node id %v out of range for n=%d", id, cfg.N)
 	}
-	n := &EIGNode{
-		id:      id,
-		cfg:     cfg,
-		levels:  makeEIGLevels(cfg),
-		entries: new(atomic.Int64),
-	}
+	n := &EIGNode{id: id, cfg: cfg, entries: new(atomic.Int64)}
 	n.decision.Node = id
 	for _, opt := range opts {
 		opt(n)
 	}
-	if id == Sender && n.value == nil {
-		return nil, fmt.Errorf("ba: sender needs WithEIGValue")
+	if id == Sender {
+		if n.value == nil {
+			return nil, fmt.Errorf("ba: sender needs WithEIGValue")
+		}
+		return n, nil
 	}
+	n.levels = make([][]uint32, cfg.T)
+	for d := range n.levels {
+		n.levels[d] = make([]uint32, n.levelSize(d))
+	}
+	n.vals = []string{defaultID: string(DefaultValue)}
+	n.ids = map[string]uint32{n.vals[defaultID]: defaultID}
+	n.last = defaultID
 	return n, nil
 }
 
@@ -131,49 +144,44 @@ func (n *EIGNode) Finished() bool { return n.finished }
 // communication rounds plus the resolution step.
 func EIGEngineRounds(t int) int { return t + 2 }
 
-// EIGEntries returns the classical OM(t) relayed-entry count for a
-// failure-free run: sum over rounds r=1..t+1 of n·(n−1)⋯ falling
-// factorial terms. Round 1 contributes n−1 entries (the sender's
-// broadcast); round r>1 contributes (n−1)(n−2)⋯(n−r+1)·(n−r)… — computed
-// exactly by simulating the path counts.
+// EIGEntries returns the classical OM(t) relayed-entry count of a
+// failure-free run. There are (n−1)(n−2)⋯(n−r+1) sender-rooted paths of r
+// distinct nodes, and in round r each is reported, by the node that
+// extended it, to n−1 destinations.
 func EIGEntries(n, t int) int {
-	// paths[r] = number of distinct paths of length r (starting at the
-	// sender, distinct nodes). Each such path is relayed to n-1
-	// destinations... counted as entries delivered.
-	total := 0
-	paths := 1 // the sender's root path of length 1 ("0")
-	// Round 1: sender sends the root value to n-1 nodes.
-	total += n - 1
-	for r := 2; r <= t+1; r++ {
-		// Each node not on a path of length r-1 extends it and broadcasts
-		// to n-1 destinations. Number of length-r paths: paths * (n-(r-1)).
-		paths *= n - (r - 1)
+	total, paths := 0, 1
+	for r := 1; r <= t+1; r++ {
 		total += paths * (n - 1)
+		paths *= n - r
 	}
 	return total
 }
 
-// eigLevel is one depth level of the EIG tree: every possible vertex has
-// a pre-assigned slot, addressed by rankOf. occ marks filled slots.
-type eigLevel struct {
-	count int
-	occ   []bool
-	val   [][]byte
+// levelSize is the number of depth-d tree vertices: the sender-rooted
+// paths of d+1 distinct nodes that exclude the resolver.
+func (n *EIGNode) levelSize(d int) int {
+	size := 1
+	for i := 0; i < d; i++ {
+		size *= n.cfg.N - i - 2
+	}
+	return size
 }
 
-// makeEIGLevels sizes the slot arrays: level d holds every length-(d+1)
-// sender-rooted path of distinct nodes excluding the resolver, so
-// count(0)=1 and count(d+1) = count(d) * (n-d-2).
-func makeEIGLevels(cfg model.Config) []eigLevel {
-	levels := make([]eigLevel, cfg.T+1)
-	count := 1
-	for d := 0; d <= cfg.T; d++ {
-		if d > 0 {
-			count *= cfg.N - d - 1
-		}
-		levels[d] = eigLevel{count: count, occ: make([]bool, count), val: make([][]byte, count)}
+// leafPool lends out leaf levels. A Step returns its buffer before it
+// returns itself, so a serial engine reuses one buffer for every node of
+// every run while nodes stepping concurrently each hold their own, and
+// the pool keeps nothing past the collections that follow a run.
+var leafPool sync.Pool
+
+// borrowLeaf returns an empty leaf level of the given size.
+func borrowLeaf(size int) *[]uint32 {
+	if p, _ := leafPool.Get().(*[]uint32); p != nil && cap(*p) >= size {
+		*p = (*p)[:size]
+		clear(*p)
+		return p
 	}
-	return levels
+	leaf := make([]uint32, size)
+	return &leaf
 }
 
 // rankOf maps a tree path to its slot index within level len(path)-1.
@@ -209,35 +217,20 @@ func (n *EIGNode) rankOf(path []model.NodeID) int {
 	return rank
 }
 
-// storePath inserts a reported value at its path's slot, first report
-// wins. It reports whether the slot was fresh.
-func (n *EIGNode) storePath(path []model.NodeID, v []byte) bool {
-	d := len(path) - 1
-	if d < 0 || d >= len(n.levels) {
-		return false
+// intern returns v's id in the value table, copying v into the table the
+// first time it is seen.
+func (n *EIGNode) intern(v []byte) uint32 {
+	if string(v) == n.vals[n.last] {
+		return n.last
 	}
-	lv := &n.levels[d]
-	idx := n.rankOf(path)
-	if idx < 0 || idx >= lv.count || lv.occ[idx] {
-		return false
+	id, ok := n.ids[string(v)]
+	if !ok {
+		id = uint32(len(n.vals))
+		n.vals = append(n.vals, string(v))
+		n.ids[n.vals[id]] = id
 	}
-	lv.occ[idx] = true
-	lv.val[idx] = v
-	return true
-}
-
-// loadPath returns the value stored at path, if any.
-func (n *EIGNode) loadPath(path []model.NodeID) ([]byte, bool) {
-	d := len(path) - 1
-	if d < 0 || d >= len(n.levels) {
-		return nil, false
-	}
-	lv := &n.levels[d]
-	idx := n.rankOf(path)
-	if idx < 0 || idx >= lv.count || !lv.occ[idx] {
-		return nil, false
-	}
-	return lv.val[idx], true
+	n.last = id
+	return id
 }
 
 // OralEntry is one (path, value) report on the wire. Exported so
@@ -247,7 +240,9 @@ type OralEntry struct {
 	Value []byte
 }
 
-// MarshalOralEntries batches path entries into one exactly-sized payload.
+// MarshalOralEntries batches path entries into one exactly-sized payload:
+// the entry count, then per entry the path length, the path's node IDs
+// and the length-prefixed value, every integer a fixed-width field.
 func MarshalOralEntries(entries []OralEntry) []byte {
 	size := sig.IntFieldSize
 	for _, en := range entries {
@@ -265,222 +260,164 @@ func MarshalOralEntries(entries []OralEntry) []byte {
 	return out
 }
 
-// unmarshalOralEntries decodes a batched payload in two passes: the
-// first validates the structure and sizes the backing arenas, the second
-// fills them. Every entry's path (and value) is a subslice of one shared
-// buffer, so decoding k entries costs at most four allocations (decoder,
-// entry slice, path arena, value arena) instead of 2k+1 — the per-entry
-// churn was a ROADMAP hot spot, and OM(t) decodes O(n^t) entries per run.
-func unmarshalOralEntries(data []byte) ([]OralEntry, error) {
-	d := sig.NewDecoder(data)
-	count := d.Int()
-	if d.Err() != nil {
-		return nil, d.Err()
+// What one oral payload may claim; beyond these it is malformed.
+const (
+	maxOralEntries  = 1 << 22
+	maxOralPathLen  = 1 << 10
+	maxOralValueLen = 16 << 20 // sig's bound on one encoded field
+)
+
+// oralEntryCount walks the length fields of one oral payload — entry
+// count, path lengths, value lengths — without reading a path or a
+// value, and returns the entry count. ok is false for a malformed
+// payload: truncated, trailing bytes, or a count or length past its limit.
+func oralEntryCount(data []byte) (count int, ok bool) {
+	if len(data) < sig.IntFieldSize {
+		return 0, false
 	}
-	if count < 0 || count > 1<<22 {
-		return nil, fmt.Errorf("ba: implausible entry count %d", count)
+	claimed := binary.BigEndian.Uint64(data)
+	if claimed > maxOralEntries {
+		return 0, false
 	}
-	totalPath, totalVal := 0, 0
-	for i := 0; i < count; i++ {
-		plen := d.Int()
-		if d.Err() != nil {
-			return nil, d.Err()
+	off := sig.IntFieldSize
+	for i := 0; i < int(claimed); i++ {
+		if len(data)-off < sig.IntFieldSize {
+			return 0, false
 		}
-		if plen < 1 || plen > 1<<10 {
-			return nil, fmt.Errorf("ba: implausible path length %d", plen)
+		plen := binary.BigEndian.Uint64(data[off:])
+		if plen < 1 || plen > maxOralPathLen {
+			return 0, false
 		}
-		for j := 0; j < plen; j++ {
-			d.Int()
+		off += sig.IntFieldSize * (1 + int(plen))
+		if len(data)-off < sig.BytesFieldSize(0) {
+			return 0, false
 		}
-		totalVal += len(d.Bytes())
-		totalPath += plen
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	out := make([]OralEntry, count)
-	pathArena := make([]model.NodeID, totalPath)
-	valArena := make([]byte, 0, totalVal)
-	d.Reset(data)
-	d.Int() // count, validated above
-	for i := range out {
-		plen := d.Int()
-		path := pathArena[:plen:plen]
-		pathArena = pathArena[plen:]
-		for j := range path {
-			path[j] = model.NodeID(d.Int())
+		vlen := binary.BigEndian.Uint32(data[off:])
+		if vlen > maxOralValueLen {
+			return 0, false
 		}
-		valStart := len(valArena)
-		valArena = append(valArena, d.Bytes()...)
-		out[i] = OralEntry{Path: path, Value: valArena[valStart:len(valArena):len(valArena)]}
+		off += sig.BytesFieldSize(int(vlen))
+		if off > len(data) {
+			return 0, false
+		}
 	}
-	return out, nil
+	return int(claimed), off == len(data)
 }
 
 // Step implements the sim Process contract.
 func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 	t := n.cfg.T
-	if round == EIGEngineRounds(t) {
-		// Final round: ingest straight into the tree and resolve. Entries
-		// arriving now are never relayed again, so building []OralEntry
-		// batches (and their path/value arenas) for them — the single
-		// largest allocation of a whole run — would be pure garbage; the
-		// streaming ingest copies only the values that land in fresh slots.
-		n.ingestFinal(round, received)
-		n.resolve()
-		n.finished = true
-		return nil
-	}
-	// Ingest reports from the previous round. Oral messages carry no
-	// signatures: a node can only sanity-check structure, not content —
-	// that weakness is the whole point of OM(t)'s redundancy.
-	fresh := n.ingestSerial(round, received, n.freshBuf[:0])
-	n.freshBuf = fresh
-
-	switch {
-	case round == 1 && n.id == Sender:
-		n.storePath([]model.NodeID{Sender}, n.value)
-		if t == 0 {
+	final := round == EIGEngineRounds(t)
+	if n.id == Sender {
+		// The commander only speaks. Every tree path starts with it and no
+		// node stores a path through itself (validPath), so nothing it is
+		// sent could be stored or relayed; as in Lamport's formulation it
+		// decides its own value, and validity is immediate.
+		switch {
+		case round == 1:
+			n.entries.Add(int64(n.cfg.N - 1))
+			return n.broadcast(MarshalOralEntries([]OralEntry{{Path: []model.NodeID{Sender}, Value: n.value}}))
+		case final:
+			n.decision.Value = append([]byte(nil), n.value...)
 			n.finished = true
 		}
-		root := OralEntry{Path: []model.NodeID{Sender}, Value: n.value}
-		n.entries.Add(int64(n.cfg.N - 1))
-		return n.broadcast([]OralEntry{root})
-	case round >= 2 && round <= t+1:
-		// Relay every fresh path that does not contain us, extended by us.
-		// All extensions this round have length `round`; they live in one
-		// arena sized up front so the entry slices never move. The
-		// extensions are NOT stored in the tree: every path through our
-		// own tree excludes us (validPath), so resolution never reads
-		// them — storing them was dead weight.
-		if cap(n.extArena) < len(fresh)*round {
-			n.extArena = make([]model.NodeID, len(fresh)*round)
-		}
-		arena := n.extArena[:0]
-		relay := n.relayBuf[:0]
-		for _, en := range fresh {
-			if containsNode(en.Path, n.id) {
-				continue
-			}
-			start := len(arena)
-			arena = append(arena, en.Path...)
-			arena = append(arena, n.id)
-			ext := arena[start:len(arena):len(arena)]
-			relay = append(relay, OralEntry{Path: ext, Value: en.Value})
-		}
-		n.relayBuf = relay
-		if len(relay) == 0 {
-			return nil
-		}
-		n.entries.Add(int64(len(relay) * (n.cfg.N - 1)))
-		return n.broadcast(relay)
+		return nil
 	}
-	return nil
+	// Round r delivers the reports sent in round r−1: paths of length r−1,
+	// the vertices of tree level r−2. The last level is the leaves.
+	plen := round - 1
+	if plen < 1 || plen > t+1 {
+		return nil
+	}
+	if final {
+		leaf := borrowLeaf(n.levelSize(t))
+		n.ingest(received, plen, *leaf, nil)
+		n.decision.Value = append([]byte(nil), n.vals[n.resolveTree(*leaf)]...)
+		n.finished = true
+		leafPool.Put(leaf)
+		return nil
+	}
+	// An extended entry is 8 bytes longer than the entry it extends, which
+	// is at least 20, so 7/5 of the inbox holds the whole batch.
+	size := sig.IntFieldSize
+	for _, m := range received {
+		size += len(m.Payload) * 7 / 5
+	}
+	relay, relayed := n.ingest(received, plen, n.levels[plen-1], make([]byte, sig.IntFieldSize, size))
+	if relayed == 0 {
+		return nil
+	}
+	n.entries.Add(int64(relayed * (n.cfg.N - 1)))
+	return n.broadcast(relay)
 }
 
-// ingestSerial is the relay-round ingest loop: decode, validate, store,
-// collect fresh entries, in arrival order.
-func (n *EIGNode) ingestSerial(round int, received []model.Message, fresh []OralEntry) []OralEntry {
+// ingest streams one round's inbox into level, the tree level of paths of
+// length plen; the first report of a path wins. Oral messages carry no
+// signatures: a node can only sanity-check structure, not content — that
+// weakness is the whole point of OM(t)'s redundancy. A malformed payload
+// stores nothing; the majority vote absorbs the silence.
+//
+// A relay round passes the outgoing batch, its count field in place, as
+// relay: every report stored is appended to it extended by this node, and
+// the batch comes back with the count filled in. The extensions are NOT
+// stored in the tree: every path through our own tree excludes us
+// (validPath), so resolution never reads them. The final round passes nil.
+func (n *EIGNode) ingest(received []model.Message, plen int, level []uint32, relay []byte) ([]byte, int) {
+	var pathBuf [maxEIGPath]model.NodeID
+	path := pathBuf[:plen]
+	relayed := 0
 	for _, m := range received {
 		if m.Kind != model.KindOral {
 			continue // not a protocol message; OM ignores it
 		}
-		entries, err := unmarshalOralEntries(m.Payload)
-		if err != nil {
-			continue // malformed: ignore, the majority vote absorbs it
+		data := m.Payload
+		count, ok := oralEntryCount(data)
+		if !ok {
+			continue
 		}
-		for _, en := range entries {
-			if !n.validPath(en.Path, round-1, m.From) {
+		// The structure is sound, so every field lies where the length
+		// fields before it say.
+		next := sig.IntFieldSize
+		for ; count > 0; count-- {
+			hops := next + sig.IntFieldSize
+			val := hops + sig.IntFieldSize*int(binary.BigEndian.Uint64(data[next:]))
+			next = val + sig.BytesFieldSize(int(binary.BigEndian.Uint32(data[val:])))
+			if val-hops != sig.IntFieldSize*plen {
 				continue
 			}
-			if !n.storePath(en.Path, en.Value) {
-				continue // first report wins; duplicates are faulty noise
+			for j := range path {
+				path[j] = model.NodeID(binary.BigEndian.Uint64(data[hops+sig.IntFieldSize*j:]))
 			}
-			fresh = append(fresh, en)
+			if !n.validPath(path, m.From) {
+				continue
+			}
+			slot := &level[n.rankOf(path)]
+			if *slot != 0 {
+				continue // duplicates are faulty noise
+			}
+			*slot = n.intern(data[val+sig.BytesFieldSize(0) : next])
+			if relay != nil {
+				relay = sig.AppendInt(relay, plen+1)
+				relay = append(relay, data[hops:val]...)
+				relay = sig.AppendInt(relay, int(n.id))
+				relay = append(relay, data[val:next]...)
+				relayed++
+			}
 		}
 	}
-	return fresh
+	if relay != nil {
+		binary.BigEndian.PutUint64(relay, uint64(relayed))
+	}
+	return relay, relayed
 }
 
-// ingestFinal ingests the resolve round's inbox with the streaming
-// decoder: every entry goes straight into its tree slot, nothing is
-// collected for relay. The tree state is byte-identical to the
-// []OralEntry-building ingest (differential-tested).
-func (n *EIGNode) ingestFinal(round int, received []model.Message) {
-	for _, m := range received {
-		if m.Kind != model.KindOral {
-			continue
-		}
-		n.pathScratch = n.storeOralEntries(m.Payload, round, m.From, n.pathScratch)
-	}
-}
-
-// storeOralEntries decodes one oral payload directly into the tree. The
-// first pass validates the full structure (a malformed payload stores
-// nothing, exactly like the unmarshalOralEntries path); the second pass
-// streams entries through a reused path buffer and copies only the
-// values that actually land in a fresh slot into one arena. pathBuf is
-// caller-owned scratch, returned (possibly grown) for reuse.
-func (n *EIGNode) storeOralEntries(data []byte, round int, from model.NodeID, pathBuf []model.NodeID) []model.NodeID {
-	d := sig.NewDecoder(data)
-	count := d.Int()
-	if d.Err() != nil || count < 0 || count > 1<<22 {
-		return pathBuf
-	}
-	totalVal := 0
-	for i := 0; i < count; i++ {
-		plen := d.Int()
-		if d.Err() != nil || plen < 1 || plen > 1<<10 {
-			return pathBuf
-		}
-		for j := 0; j < plen; j++ {
-			d.Int()
-		}
-		totalVal += len(d.Bytes())
-	}
-	if d.Finish() != nil {
-		return pathBuf
-	}
-	// Sized to hold every value, so stored subslices never move when later
-	// values append behind them.
-	valArena := make([]byte, 0, totalVal)
-	d.Reset(data)
-	d.Int() // count, validated above
-	for i := 0; i < count; i++ {
-		plen := d.Int()
-		if cap(pathBuf) < plen {
-			pathBuf = make([]model.NodeID, plen)
-		}
-		path := pathBuf[:plen]
-		for j := range path {
-			path[j] = model.NodeID(d.Int())
-		}
-		v := d.Bytes()
-		if !n.validPath(path, round-1, from) {
-			continue
-		}
-		start := len(valArena)
-		valArena = append(valArena, v...)
-		if !n.storePath(path, valArena[start:len(valArena):len(valArena)]) {
-			valArena = valArena[:start] // duplicate: reclaim the copy
-		}
-	}
-	return pathBuf
-}
-
-// validPath checks that a reported path is structurally possible for this
-// round: correct length, starts at the sender, distinct nodes, and its
-// last element is the immediate sender (a node can only report paths it
-// itself extended). These checks need no cryptography — they are the only
-// defense oral messages afford.
-func (n *EIGNode) validPath(path []model.NodeID, sentRound int, from model.NodeID) bool {
-	if len(path) != sentRound {
-		return false
-	}
-	if path[0] != Sender {
-		return false
-	}
-	if path[len(path)-1] != from {
+// validPath checks that a path reported by from is structurally possible:
+// it starts at the sender, its nodes are distinct, and its last element is
+// from (a node can only report paths it itself extended). The caller has
+// checked the round's length. These checks need no cryptography — they
+// are the only defense oral messages afford.
+func (n *EIGNode) validPath(path []model.NodeID, from model.NodeID) bool {
+	if path[0] != Sender || path[len(path)-1] != from {
 		return false
 	}
 	// Paths are at most t+1 long, so the quadratic distinctness scan beats
@@ -498,10 +435,9 @@ func (n *EIGNode) validPath(path []model.NodeID, sentRound int, from model.NodeI
 	return true
 }
 
-// broadcast sends the batched entries to every other node. The returned
-// slice is reused next round; the engine consumes it before then.
-func (n *EIGNode) broadcast(entries []OralEntry) []model.Message {
-	payload := MarshalOralEntries(entries)
+// broadcast sends one payload to every other node. The returned slice is
+// reused next round; the engine consumes it before then.
+func (n *EIGNode) broadcast(payload []byte) []model.Message {
 	if cap(n.msgBuf) < n.cfg.N-1 {
 		n.msgBuf = make([]model.Message, 0, n.cfg.N-1)
 	}
@@ -510,94 +446,56 @@ func (n *EIGNode) broadcast(entries []OralEntry) []model.Message {
 	return out
 }
 
-// resolve computes the node's decision by the classical EIG bottom-up
-// majority rule. The sender is special: as in Lamport's formulation, the
-// commander uses its own value (validity is then immediate), and the
-// lieutenants resolve their trees (every path through the tree excludes
-// the resolver itself, so the sender could not resolve the root anyway).
-func (n *EIGNode) resolve() {
-	if n.id == Sender && n.value != nil {
-		n.decision.Value = append([]byte(nil), n.value...)
-		return
+// resolveTree runs the classical EIG bottom-up majority resolution over
+// the rank-indexed levels and returns the root's value id. The slots of
+// level d are in generation order and every vertex of level d has exactly
+// n-d-2 children, laid out contiguously in level d+1, so parent→child
+// indexing is pure arithmetic — no keys, no hashing, no recursion. Each
+// inner slot is overwritten by its resolution: a vertex's votes are its
+// own stored value (what the resolver received directly) and its
+// children's resolutions, and a run resolves once.
+func (n *EIGNode) resolveTree(leaf []uint32) uint32 {
+	below := leaf
+	for d := n.cfg.T - 1; d >= 0; d-- {
+		perVertex := n.cfg.N - d - 2
+		for i, own := range n.levels[d] {
+			n.levels[d][i] = majority(own, below[i*perVertex:(i+1)*perVertex])
+		}
+		below = n.levels[d]
 	}
-	n.decision.Value = append([]byte(nil), n.resolveTree()...)
+	return max(below[0], defaultID)
 }
 
-// resolveTree runs the bottom-up majority resolution iteratively over
-// the rank-indexed levels. The slots of level d are already in
-// generation order and every vertex of level d has exactly n-d-2
-// children, laid out contiguously in level d+1, so parent→child indexing
-// is pure arithmetic — no keys, no hashing, no recursion.
-func (n *EIGNode) resolveTree() []byte {
-	t, size := n.cfg.T, n.cfg.N
-	// Leaves: the stored value or the default.
-	leaf := &n.levels[t]
-	vals := make([][]byte, leaf.count)
-	for i := range vals {
-		if leaf.occ[i] {
-			vals[i] = leaf.val[i]
-		} else {
-			vals[i] = DefaultValue
-		}
-	}
-	// Inner levels: each vertex's votes are its own stored value for the
-	// path (what it received directly) plus its children's resolutions.
-	votes := make([][]byte, 0, size)
-	for d := t - 1; d >= 0; d-- {
-		lv := &n.levels[d]
-		perVertex := size - d - 2
-		up := make([][]byte, lv.count)
-		for i := 0; i < lv.count; i++ {
-			votes = votes[:0]
-			if lv.occ[i] {
-				votes = append(votes, lv.val[i])
-			} else {
-				votes = append(votes, DefaultValue)
-			}
-			votes = append(votes, vals[i*perVertex:(i+1)*perVertex]...)
-			up[i] = majority(votes)
-		}
-		vals = up
-	}
-	return vals[0]
-}
-
-// majority returns the strict-majority value of votes, or DefaultValue if
-// none exists. Boyer–Moore candidate selection plus one confirmation pass:
-// no counting map, no allocation, and the same result as exhaustive
-// counting (a strict majority is unique when it exists).
-func majority(votes [][]byte) []byte {
-	var cand []byte
-	count := 0
-	for _, v := range votes {
+// majority returns the strict-majority id among own and kids, or
+// defaultID if none exists. An empty slot votes for the default; it is
+// counted apart from defaultID all the same, because that can only cost
+// the default a majority, and no majority resolves to the default anyway.
+// Boyer–Moore candidate selection plus one confirmation pass: no counting
+// map, and the same result as exhaustive counting (a strict majority is
+// unique when it exists).
+func majority(own uint32, kids []uint32) uint32 {
+	cand, count := own, 1
+	for _, v := range kids {
 		switch {
 		case count == 0:
 			cand, count = v, 1
-		case bytes.Equal(cand, v):
+		case v == cand:
 			count++
 		default:
 			count--
 		}
 	}
-	if count > 0 {
-		total := 0
-		for _, v := range votes {
-			if bytes.Equal(cand, v) {
-				total++
-			}
-		}
-		if 2*total > len(votes) {
-			return cand
+	total := 0
+	if own == cand {
+		total = 1
+	}
+	for _, v := range kids {
+		if v == cand {
+			total++
 		}
 	}
-	return DefaultValue
-}
-
-func containsNode(path []model.NodeID, id model.NodeID) bool {
-	for _, p := range path {
-		if p == id {
-			return true
-		}
+	if 2*total > len(kids)+1 {
+		return max(cand, defaultID)
 	}
-	return false
+	return defaultID
 }

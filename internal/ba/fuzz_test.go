@@ -5,35 +5,83 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sig"
 )
 
-// FuzzUnmarshalOralEntries feeds arbitrary bytes to the oral-entry batch
-// decoder — the one parser in OM(t) that reads what a faulty node sent.
-// It must never panic, and a batch it accepts must re-marshal to the
-// bytes it came from (the encoding is canonical: fixed-width ints,
-// length-prefixed values, no trailing bytes). The streaming decoder of
-// the final round reads the same format and rides along for panics.
+// FuzzUnmarshalOralEntries feeds arbitrary bytes to OM(t)'s one parser
+// of what a faulty node sent, differentially: streamed into a fresh
+// node, as the first relay round's report from the sender, a later relay
+// round's and the final round's, the payload must leave the tree, the
+// relay batch and the resolution that the reference decoder and node
+// (eig_ref_test.go) leave — and never panic. A batch the reference
+// accepts must re-marshal to the bytes it came from (the encoding is
+// canonical: fixed-width ints, length-prefixed values, no trailing
+// bytes).
 func FuzzUnmarshalOralEntries(f *testing.F) {
 	many := make([]OralEntry, 9)
 	for i := range many {
 		many[i] = OralEntry{Path: []model.NodeID{Sender, model.NodeID(i + 1)}, Value: bytes.Repeat([]byte{byte(i)}, i)}
 	}
+	// Final-round reports with several values, one of them repeated for a
+	// path already told, one the default, one empty.
+	multi := []OralEntry{
+		{Path: []model.NodeID{Sender, 3, 1}, Value: []byte("a")},
+		{Path: []model.NodeID{Sender, 4, 1}, Value: []byte("b")},
+		{Path: []model.NodeID{Sender, 3, 1}, Value: []byte("c")},
+		{Path: []model.NodeID{Sender, 5, 1}, Value: DefaultValue},
+		{Path: []model.NodeID{Sender, 6, 1}, Value: nil},
+		{Path: []model.NodeID{Sender, 4, 3}, Value: []byte("a")},
+	}
 	for _, entries := range [][]OralEntry{
 		nil,
 		{{Path: []model.NodeID{Sender}, Value: []byte("value")}},
 		many,
+		multi,
+		// An empty path makes a payload malformed, the entry before it too.
+		{{Path: []model.NodeID{Sender}, Value: []byte("lost")}, {Value: []byte("no path")}},
 	} {
 		data := MarshalOralEntries(entries)
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(data[:len(data)-1])
 	}
-	node, err := NewEIGNode(model.Config{N: 4, T: 1}, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// One entry whose value claims a byte more than any field may hold.
+	overlong := sig.AppendInt(sig.AppendInt(sig.AppendInt(nil, 1), 1), int(Sender))
+	f.Add(sig.AppendUint32(overlong, maxOralValueLen+1))
+
+	cfg := model.Config{N: 7, T: 2}
+	const resolver = model.NodeID(2)
+	final := EIGEngineRounds(cfg.T)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		node.storeOralEntries(data, 2, 1, nil)
+		for round := 2; round <= final; round++ {
+			node, err := NewEIGNode(cfg, resolver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefEIG(cfg, resolver, nil)
+			inbox := []model.Message{{From: 1, To: resolver, Round: round, Kind: model.KindOral, Payload: data}}
+			if round == 2 {
+				inbox[0].From = Sender
+			}
+			level := make([]uint32, node.levelSize(round-2))
+			var relay []byte
+			if round < final {
+				relay = make([]byte, sig.IntFieldSize)
+			}
+			relay, relayed := node.ingest(inbox, round-1, level, relay)
+			sent := ref.Step(round, inbox)
+			if _, err := diffLevel(node, ref, round-1, level); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if (relayed != 0) != (len(sent) != 0) || relayed != 0 && !bytes.Equal(relay, sent[0].Payload) {
+				t.Fatalf("round %d: relays %d entries as %x, reference sends %v", round, relayed, relay, sent)
+			}
+			if round == final {
+				if got := node.vals[node.resolveTree(level)]; got != string(ref.decision) {
+					t.Fatalf("decides %q, reference decides %q", got, ref.decision)
+				}
+			}
+		}
 		entries, err := unmarshalOralEntries(data)
 		if err != nil {
 			return

@@ -21,7 +21,7 @@ func (eigDriver) Capabilities() Capabilities {
 	return Capabilities{
 		SupportsEquivocate:    true,
 		RequiresSupermajority: true, // OM(t) needs n > 3t even to run
-		MaxN:                  256,  // byte-packed tree path keys
+		MaxN:                  256,  // admission bound on an O(n^t) protocol
 	}
 }
 

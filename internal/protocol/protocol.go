@@ -120,8 +120,8 @@ type Capabilities struct {
 	// RequiresSupermajority restricts the (n, t) axis to n > 3t — the
 	// classical resilience bound OM(t) needs even to run.
 	RequiresSupermajority bool
-	// MaxN bounds the system size (0 = unbounded). eig's byte-packed
-	// tree keys cap it at 256.
+	// MaxN bounds the system size (0 = unbounded). eig is O(n^t) and
+	// admits at most 256 nodes.
 	MaxN int
 }
 
