@@ -4,139 +4,59 @@
 // over the wire, then runs failure discovery twice: once failure-free and
 // once with node 2 replaced by a silent Byzantine process. The second run
 // shows discovery working over a real network exactly as in the
-// simulator.
+// simulator — the cluster is the same core.Cluster, on the mesh engine.
 //
 //	go run ./examples/tcpcluster
 package main
 
 import (
-	"crypto/rand"
+	"context"
 	"fmt"
 	"log"
-	"net"
-	"sync"
 
-	"repro/internal/fd"
-	"repro/internal/keydist"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sig"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
-const (
-	clusterN = 6
-	clusterT = 2
-)
-
 func main() {
-	cfg := model.Config{N: clusterN, T: clusterT}
-	scheme, err := sig.ByName(sig.SchemeEd25519)
+	cfg := model.Config{N: 6, T: 2}
+	mesh, err := transport.BootLoopback(context.Background(), cfg.N)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mesh.Close()
+	cluster, err := core.New(cfg, core.WithEngine(transport.MeshEngine(mesh.Endpoints)))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	endpoints := bootMesh(cfg.N)
-	defer func() {
-		for _, ep := range endpoints {
-			ep.Close()
-		}
-	}()
-
 	// Local authentication over TCP.
-	kdNodes := make([]*keydist.Node, cfg.N)
-	kdProcs := make([]sim.Process, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, rand.Reader)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kdNodes[i] = node
-		kdProcs[i] = node
-	}
-	counters := metrics.NewCounters()
-	if _, err := transport.RunCluster(endpoints, kdProcs, keydist.RoundsTotal, counters); err != nil {
+	kd, err := cluster.EstablishAuthentication()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("key distribution over TCP: %s\n\n", counters.Snapshot())
+	fmt.Printf("key distribution over TCP: %s\n\n", kd.Snapshot)
 
-	// Run 1: failure-free.
-	outcomes := runFD(cfg, endpoints, kdNodes, nil)
-	fmt.Println("run 1 (failure-free):")
-	for _, o := range outcomes {
-		fmt.Printf("  %s\n", o)
+	// Run 1: failure-free. Run 2: node 2 (a relay) turns Byzantine-silent;
+	// the faulty node reports nothing, so only correct outcomes print.
+	runs := []struct {
+		label string
+		opts  []core.RunOption
+	}{
+		{"failure-free", nil},
+		{"node P2 silent", []core.RunOption{core.WithProcess(2, sim.Silent{})}},
 	}
-
-	// Run 2: node 2 (a relay) turns Byzantine-silent.
-	outcomes = runFD(cfg, endpoints, kdNodes, map[model.NodeID]sim.Process{2: sim.Silent{}})
-	fmt.Println("\nrun 2 (node P2 silent):")
-	for _, o := range outcomes {
-		if o.Node == 2 {
-			continue // the faulty node reports nothing meaningful
-		}
-		fmt.Printf("  %s\n", o)
-	}
-}
-
-// bootMesh starts one TCPMesh per node, concurrently, on free ports.
-func bootMesh(n int) []transport.Transport {
-	addrs := make(map[model.NodeID]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for i, run := range runs {
+		rep, err := cluster.RunFailureDiscovery([]byte("replicate: x=42"), run.opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		addrs[model.NodeID(i)] = ln.Addr().String()
-		ln.Close()
-	}
-	endpoints := make([]transport.Transport, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := transport.NewTCPMesh(model.NodeID(i), addrs)
-			if err != nil {
-				log.Fatalf("node %d: %v", i, err)
-			}
-			endpoints[i] = m
-		}(i)
-	}
-	wg.Wait()
-	return endpoints
-}
-
-// runFD executes one chain failure-discovery run over the mesh, with
-// optional process overrides, and returns the correct nodes' outcomes.
-func runFD(cfg model.Config, endpoints []transport.Transport, kdNodes []*keydist.Node, overrides map[model.NodeID]sim.Process) []model.Outcome {
-	procs := make([]sim.Process, cfg.N)
-	nodes := make([]*fd.ChainNode, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		id := model.NodeID(i)
-		if p, ok := overrides[id]; ok {
-			procs[i] = p
-			continue
+		fmt.Printf("run %d (%s):\n", i+1, run.label)
+		for _, o := range rep.Outcomes {
+			fmt.Printf("  %s\n", o)
 		}
-		var opts []fd.ChainOption
-		if id == fd.Sender {
-			opts = append(opts, fd.WithValue([]byte("replicate: x=42")))
-		}
-		node, err := fd.NewChainNode(cfg, id, kdNodes[i].Signer(), kdNodes[i].Directory(), opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nodes[i] = node
-		procs[i] = node
+		fmt.Println()
 	}
-	if _, err := transport.RunCluster(endpoints, procs, fd.ChainEngineRounds(cfg.T), nil); err != nil {
-		log.Fatal(err)
-	}
-	var out []model.Outcome
-	for _, n := range nodes {
-		if n != nil {
-			out = append(out, n.Outcome())
-		}
-	}
-	return out
 }

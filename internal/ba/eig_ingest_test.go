@@ -393,7 +393,7 @@ func runEIGClusterConcurrently(cfg model.Config, value []byte) error {
 // the serial engine (run it under -race): clusters of different sizes —
 // so a borrowed buffer is as often too small as too large — run side by
 // side, as campaign workers run them, next to clusters whose nodes all
-// step at once, as fdnet's do.
+// step at once, as the mesh engine's runners step them.
 func TestEIGConcurrentSteppers(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, cfg := range []model.Config{{N: 7, T: 2}, {N: 10, T: 3}, {N: 13, T: 2}, {N: 3, T: 0}, {N: 10, T: 3}, {N: 16, T: 2}} {

@@ -98,32 +98,41 @@ func runInstance(inst Instance, cache *protocol.SetupCache, served *string) Resu
 	return res
 }
 
-// runInto executes the instance and fills the result's measurement and
-// conformance fields.
-func runInto(inst Instance, cache *protocol.SetupCache, served *string, res *Result) error {
+// resolve returns the instance's driver and its protocol-level form:
+// adversary and network condition parsed, seeds and value carried over.
+func (inst Instance) resolve() (protocol.Driver, protocol.Instance, error) {
 	drv, err := protocol.Lookup(inst.Protocol)
 	if err != nil {
-		return err
+		return nil, protocol.Instance{}, err
 	}
 	strat, err := inst.strategy()
 	if err != nil {
-		return err
+		return nil, protocol.Instance{}, err
 	}
 	net, err := inst.netcondSpec()
 	if err != nil {
+		return nil, protocol.Instance{}, err
+	}
+	return drv, protocol.Instance{
+		N:        inst.N,
+		T:        inst.T,
+		Scheme:   inst.Scheme,
+		Value:    inst.Value,
+		Strategy: strat,
+		Net:      net,
+		Seed:     inst.Seed,
+		KeySeed:  inst.KeySeed,
+	}, nil
+}
+
+// runInto executes the instance and fills the result's measurement and
+// conformance fields.
+func runInto(inst Instance, cache *protocol.SetupCache, served *string, res *Result) error {
+	drv, pinst, err := inst.resolve()
+	if err != nil {
 		return err
 	}
-	pinst := protocol.Instance{
-		N:           inst.N,
-		T:           inst.T,
-		Scheme:      inst.Scheme,
-		Value:       inst.Value,
-		Strategy:    strat,
-		Net:         net,
-		Seed:        inst.Seed,
-		KeySeed:     inst.KeySeed,
-		SetupServed: served,
-	}
+	pinst.SetupServed = served
 	out, err := protocol.RunInstance(drv, pinst, cache)
 	if err != nil {
 		return err

@@ -156,6 +156,9 @@ type Cluster struct {
 	// tracer additionally observes every delivered message in both
 	// phases (WithTracer), e.g. a sim.WriterTracer behind a -trace flag.
 	tracer sim.Tracer
+	// engine, when set (WithEngine), runs both phases in place of the
+	// lockstep simulator.
+	engine Engine
 }
 
 // Option configures a Cluster.
@@ -222,6 +225,29 @@ func WithObserver(rec *obs.Recorder) Option {
 func WithTracer(t sim.Tracer) Option {
 	return func(c *Cluster) error {
 		c.tracer = t
+		return nil
+	}
+}
+
+// Engine runs one phase: procs, indexed by node ID, for at most maxRounds
+// lockstep rounds, recording every sent message in counters, reporting
+// every delivery to tracer (nil: none) and asking net (nil: the ideal
+// network) for each message's fate exactly as sim.Engine does — same
+// stamps, same order per sender. It returns the rounds executed, which
+// must be sim.Engine's count: it stops at the first round after which no
+// message is in flight and every sim.Finisher is done.
+type Engine func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (rounds int, err error)
+
+// WithEngine runs every phase of the cluster — key distribution and each
+// later run — on e instead of the in-process lockstep simulator; nil
+// keeps the simulator. transport.MeshEngine is the other implementation:
+// one goroutine per node over real links, the same reports message for
+// message. Per-round "sim.round" spans (WithObserver) are the
+// simulator's: an engine without a global round loop emits none, and the
+// phase spans, network points and WithTracer deliveries stay.
+func WithEngine(e Engine) Option {
+	return func(c *Cluster) error {
+		c.engine = e
 		return nil
 	}
 }
@@ -321,21 +347,31 @@ func (c *Cluster) engineTracer(proto string) sim.Tracer {
 	}
 }
 
-// newEngine builds the run engine, attaching the tracer and network
-// seams only when live — the disabled path must not pay even the
-// options-slice allocation (one per instance adds up across a sweep).
-func (c *Cluster) newEngine(proto string, procs []sim.Process, counters *metrics.Counters, net sim.Network) (*sim.Engine, error) {
+// runEngine runs procs to the round bound on the cluster's engine and
+// returns the rounds executed. On the simulator the tracer and network
+// seams are attached only when live — the disabled path must not pay even
+// the options-slice allocation (one per instance adds up across a sweep).
+func (c *Cluster) runEngine(proto string, procs []sim.Process, maxRounds int, counters *metrics.Counters, net sim.Network) (int, error) {
 	t := c.engineTracer(proto)
+	if c.engine != nil {
+		return c.engine(procs, maxRounds, counters, t, net)
+	}
+	var engine *sim.Engine
+	var err error
 	switch {
 	case t == nil && net == nil:
-		return sim.New(c.cfg, procs, sim.WithCounters(counters))
+		engine, err = sim.New(c.cfg, procs, sim.WithCounters(counters))
 	case net == nil:
-		return sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithTracer(t))
+		engine, err = sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithTracer(t))
 	case t == nil:
-		return sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithNetwork(net))
+		engine, err = sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithNetwork(net))
 	default:
-		return sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithTracer(t), sim.WithNetwork(net))
+		engine, err = sim.New(c.cfg, procs, sim.WithCounters(counters), sim.WithTracer(t), sim.WithNetwork(net))
 	}
+	if err != nil {
+		return 0, err
+	}
+	return engine.Run(maxRounds).Rounds, nil
 }
 
 // netEmitter adapts the cluster's observer into a netcond.Emitter for
@@ -440,17 +476,16 @@ func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error)
 		procs[i] = n
 	}
 	counters := metrics.NewCounters()
-	engine, err := c.newEngine("keydist", procs, counters, nil)
+	rounds, err := c.runEngine("keydist", procs, keydist.RoundsTotal, counters, nil)
 	if err != nil {
 		return Report{}, err
 	}
-	res := engine.Run(keydist.RoundsTotal)
 	c.nodes = nodes
 	c.established = true
 
 	rep := Report{
 		Phase:    PhaseKeyDist,
-		Rounds:   res.Rounds,
+		Rounds:   rounds,
 		Snapshot: counters.Snapshot(),
 	}
 	for _, n := range nodes {
@@ -658,15 +693,14 @@ func (c *Cluster) run(run *fdRun, label string, maxRounds int, b nodeBuilder) (R
 	}
 
 	counters := metrics.NewCounters()
-	engine, err := c.newEngine(label, procs, counters, run.network)
+	rounds, err := c.runEngine(label, procs, maxRounds, counters, run.network)
 	if err != nil {
 		return Report{}, nil, span, err
 	}
-	res := engine.Run(maxRounds)
 	return Report{
 		Phase:    PhaseFD,
 		Protocol: run.protocol,
-		Rounds:   res.Rounds,
+		Rounds:   rounds,
 		Snapshot: counters.Snapshot(),
 	}, honest, span, nil
 }

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/fd"
-	"repro/internal/keydist"
 	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/sig"
-	"repro/internal/sim"
 )
 
 // E12VectorFD — beyond-paper composition: all n nodes propose at once
@@ -16,58 +13,31 @@ import (
 // failure-discovery analogue of interactive consistency). The point is
 // the amortization argument at full tilt: ONE key distribution, then a
 // whole vector round costs n(n−1) messages in t+1 rounds, versus
-// n·(t+1)(n−1) for n baseline runs.
+// n·(t+1)(n−1) for n baseline runs. The rows are one campaign sweep over
+// the vector driver, one seeded instance per size.
 func E12VectorFD(sizes []int) *metrics.Table {
 	tbl := metrics.NewTable(
 		"E12 — Vector failure discovery (n simultaneous senders, beyond-paper)",
 		"n", "t", "messages", "n(n-1)", "match", "rounds", "baseline n runs")
-	for _, n := range sizes {
-		t := tolFor(n)
-		cfg := model.Config{N: n, T: t}
-		scheme, err := sig.ByName(sig.SchemeEd25519)
-		if err != nil {
-			panic(err)
-		}
-
-		// Key distribution (local authentication) once.
-		kdProcs := make([]sim.Process, n)
-		kdNodes := make([]*keydist.Node, n)
-		for i := 0; i < n; i++ {
-			node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(Seed+12, i)))
-			if err != nil {
-				panic(err)
-			}
-			kdNodes[i] = node
-			kdProcs[i] = node
-		}
-		eng, err := sim.New(cfg, kdProcs)
-		if err != nil {
-			panic(err)
-		}
-		eng.Run(keydist.RoundsTotal)
-
-		// One vector round: everyone proposes.
-		procs := make([]sim.Process, n)
-		for i := 0; i < n; i++ {
-			node, err := fd.NewVectorNode(cfg, model.NodeID(i), kdNodes[i].Signer(), kdNodes[i].Directory(),
-				[]byte(fmt.Sprintf("proposal-%d", i)))
-			if err != nil {
-				panic(err)
-			}
-			procs[i] = node
-		}
-		counters := metrics.NewCounters()
-		eng, err = sim.New(cfg, procs, sim.WithCounters(counters))
-		if err != nil {
-			panic(err)
-		}
-		eng.Run(fd.ChainEngineRounds(t))
-
-		want := fd.VectorMessages(n)
-		tbl.AddRow(n, t, counters.Messages(), want,
-			counters.Messages() == want,
-			counters.CommunicationRounds(),
-			n*fd.NonAuthMessages(n, t))
+	cases := make([]campaign.Case, len(sizes))
+	for i, n := range sizes {
+		cases[i] = campaign.Case{N: n, T: tolFor(n)}
+	}
+	rep, err := campaign.Run(campaign.Spec{
+		Name:      "e12-vector-fd",
+		Protocols: []string{campaign.ProtoVector},
+		Cases:     cases,
+		SeedBase:  Seed + 12,
+		SeedCount: 1,
+	}, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: e12 campaign: %v", err))
+	}
+	for _, g := range mustCleanGroups(rep) {
+		msgs := int(g.Messages.Mean)
+		want := fd.VectorMessages(g.N)
+		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,
+			int(g.CommRounds.Mean), g.N*fd.NonAuthMessages(g.N, g.T))
 	}
 	return tbl
 }

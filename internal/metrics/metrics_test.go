@@ -67,8 +67,8 @@ func TestCountersConcurrent(t *testing.T) {
 
 // TestCountersConcurrentReadersAndWriters interleaves Record with
 // Snapshot and the scalar accessors from concurrent goroutines: the
-// transport runners share one Counters across nodes while fdnet reads
-// progress, so the mixed read/write path must be race-clean (this test
+// transport runners share one Counters across nodes while a caller may
+// read progress, so the mixed read/write path must be race-clean (this test
 // is the -race probe for it).
 func TestCountersConcurrentReadersAndWriters(t *testing.T) {
 	c := NewCounters()

@@ -15,9 +15,10 @@ const defaultLognormalCap = 8
 // Model compiles a Spec into a sim.Network: a deterministic
 // per-message fate function. One Model serves one run instance and is
 // NOT safe for concurrent use — the lockstep engine calls Fate from one
-// goroutine, and the transport layer builds one Model per runner so
-// each sender only ever touches its own outgoing links' streams (the
-// property that makes socket runs match simulator runs byte for byte).
+// goroutine, and the transport layer's runners call it under the run's
+// one lock. A link's fate depends only on what its sender pushed through
+// it, never on how senders interleave (the property that makes socket
+// runs match simulator runs byte for byte).
 type Model struct {
 	spec Spec
 	n    int

@@ -32,7 +32,7 @@ type Process interface {
 	// only sets To, Kind, and Payload. Callers must consume the returned
 	// slice before the next Step call: processes may reuse its backing
 	// array across rounds (the engine and the transport runner both copy
-	// or send the messages immediately). Symmetrically, the engine may
+	// the messages immediately). Symmetrically, the engine may
 	// reuse received's backing array after Step returns, so a process must
 	// not retain the slice itself across rounds; the Payload bytes are
 	// never modified and are safe to alias.
@@ -80,10 +80,10 @@ const Drop = -1
 //
 // A nil Network is the ideal network of the paper's model (§2, N1).
 // Implementations may keep per-link state (seeded RNG streams,
-// bandwidth windows); the engine never calls Fate concurrently.
+// bandwidth windows); no engine calls Fate concurrently.
 // internal/netcond compiles declarative condition specs into this
-// interface; internal/transport applies the same fates sender-side so
-// socket runs degrade identically.
+// interface; internal/transport's runners consult the same one Network
+// sender-side, one at a time, so socket runs degrade identically.
 type Network interface {
 	Fate(m model.Message, round int) int
 }

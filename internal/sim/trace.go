@@ -9,8 +9,10 @@ import (
 	"repro/internal/model"
 )
 
-// Tracer observes message deliveries. Implementations must be safe for
-// concurrent use (the TCP transport shares them across goroutines).
+// Tracer observes message deliveries. Neither engine calls one
+// concurrently: the lockstep engine is one goroutine, and the transport
+// runners that share a run's tracer report under the run's one lock. Only
+// a tracer handed to several runs at once must synchronise itself.
 type Tracer interface {
 	// Delivered is called once per delivered message.
 	Delivered(m model.Message)

@@ -19,6 +19,7 @@ func FuzzRunnerFrame(f *testing.F) {
 	aliased := encodeFrame(frameMessage, 2, model.KindChainValue, nil)
 	aliased[3*sig.IntFieldSize-2] = 1
 	f.Add(aliased)
+	f.Add(encodeFrame(frameDone, 3, doneQuiet, nil))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		ftype, round, kind, payload, err := decodeFrame(frame)
 		if err != nil {

@@ -42,6 +42,15 @@ func NewMemoryMesh(n int) *MemoryMesh {
 	return m
 }
 
+// Endpoints returns every node's Transport view, indexed by node ID.
+func (m *MemoryMesh) Endpoints() []Transport {
+	out := make([]Transport, m.n)
+	for i := range out {
+		out[i] = m.Endpoint(model.NodeID(i))
+	}
+	return out
+}
+
 // Endpoint returns node id's Transport view of the mesh.
 func (m *MemoryMesh) Endpoint(id model.NodeID) Transport {
 	return &memoryEndpoint{mesh: m, self: id}

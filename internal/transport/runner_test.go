@@ -1,47 +1,56 @@
-package transport_test
+package transport
 
 import (
 	"bytes"
 	"testing"
 
-	"repro/internal/fd"
-	"repro/internal/keydist"
+	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sig"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
-// byzantineEndpointProc drives raw garbage frames and spoof attempts
-// through a real transport while correct peers run the chain protocol:
-// the runner and decoders must neither panic nor mis-deliver.
+// junkEndpoint is a faulty node's raw access to its links. Around every
+// DONE marker its runner sends it writes frames no correct runner would:
+// bytes that do not decode, a message and a marker for a round already
+// passed, a message and a marker for a round far past any bound, and —
+// after the honest marker — one more for the same round claiming the node
+// was quiet, though it sends every round.
+type junkEndpoint struct{ Transport }
+
+func (j junkEndpoint) Send(to model.NodeID, frame []byte) error {
+	ftype, round, _, _, err := decodeFrame(frame)
+	if err != nil || ftype != frameDone {
+		return j.Transport.Send(to, frame)
+	}
+	const farFuture = 1 << 30
+	for _, junk := range [][]byte{
+		{0xff, 0x00, 0x13},
+		encodeFrame(frameMessage, round-2, model.KindChainValue, []byte("stale")),
+		encodeFrame(frameDone, round-2, doneQuiet, nil),
+		encodeFrame(frameMessage, farFuture, model.KindChainValue, []byte("never due")),
+		encodeFrame(frameDone, farFuture, doneQuiet, nil),
+		frame,
+		encodeFrame(frameDone, round, doneQuiet, nil),
+	} {
+		if err := j.Transport.Send(to, junk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestRunnerSurvivesGarbageFrames drives junk payloads and raw junk
+// frames through a real transport while correct peers run the whole
+// lifecycle: the runners and decoders must neither panic, hang nor
+// mis-deliver.
 func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 	n, tol := 5, 1
-	cfg := model.Config{N: n, T: tol}
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-	mesh := transport.NewMemoryMesh(n)
+	endpoints := NewMemoryMesh(n).Endpoints()
+	endpoints[1] = junkEndpoint{endpoints[1]}
 
-	// Correct nodes 0,2,3,4 run key distribution + FD; node 1 is a raw
-	// byzantine endpoint that sends garbage frames directly.
-	kdNodes := make([]*keydist.Node, n)
-	for i := 0; i < n; i++ {
-		if i == 1 {
-			continue
-		}
-		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(int64(i)))
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		kdNodes[i] = node
-	}
-
-	// The garbage node: floods junk, then plays DONE markers correctly so
-	// the barrier still advances. It uses the Runner with a process that
-	// emits junk payloads of a VALID frame shape plus raw junk frames via
-	// the endpoint directly.
+	// Correct nodes 0,2,3,4 run key distribution + FD; node 1 floods
+	// junk payloads of a VALID frame shape in every round of both, over
+	// an endpoint that adds the raw junk.
 	garbage := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		var out []model.Message
 		for to := 0; to < n; to++ {
@@ -57,20 +66,14 @@ func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 		return out
 	})
 
-	procs := make([]sim.Process, n)
-	endpoints := make([]transport.Transport, n)
-	for i := 0; i < n; i++ {
-		endpoints[i] = mesh.Endpoint(model.NodeID(i))
-		if i == 1 {
-			procs[i] = garbage
-		} else {
-			procs[i] = kdNodes[i]
-		}
+	c, err := core.New(model.Config{N: n, T: tol}, core.WithSeed(1), core.WithEngine(MeshEngine(endpoints)))
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
 	}
-	if _, err := transport.RunCluster(endpoints, procs, keydist.RoundsTotal, nil); err != nil {
-		t.Fatalf("RunCluster(keydist): %v", err)
+	if _, err := c.EstablishAuthentication(core.WithKeyDistProcess(1, garbage)); err != nil {
+		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	for i, node := range kdNodes {
+	for i, node := range c.Nodes() {
 		if node == nil {
 			continue
 		}
@@ -91,93 +94,16 @@ func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 	// FD run over the same mesh with node 1 still spraying junk: the
 	// chain routes P0→P1→… so with P1 byzantine the chain dies — but
 	// every correct node must terminate with decide-or-discover.
-	fdNodes := make([]*fd.ChainNode, n)
-	for i := 0; i < n; i++ {
-		if i == 1 {
-			procs[i] = garbage
-			continue
-		}
-		var opts []fd.ChainOption
-		if model.NodeID(i) == fd.Sender {
-			opts = append(opts, fd.WithValue([]byte("v")))
-		}
-		node, err := fd.NewChainNode(cfg, model.NodeID(i), kdNodes[i].Signer(), kdNodes[i].Directory(), opts...)
-		if err != nil {
-			t.Fatalf("NewChainNode: %v", err)
-		}
-		fdNodes[i] = node
-		procs[i] = node
+	rep, err := c.RunFailureDiscovery([]byte("v"), core.WithProcess(1, garbage))
+	if err != nil {
+		t.Fatalf("RunFailureDiscovery: %v", err)
 	}
-	if _, err := transport.RunCluster(endpoints, procs, fd.ChainEngineRounds(tol), nil); err != nil {
-		t.Fatalf("RunCluster(fd): %v", err)
+	if len(rep.Outcomes) != n-1 {
+		t.Errorf("%d outcomes, want the %d correct nodes'", len(rep.Outcomes), n-1)
 	}
-	for _, node := range fdNodes {
-		if node == nil {
-			continue
-		}
-		o := node.Outcome()
+	for _, o := range rep.Outcomes {
 		if !o.Decided && o.Discovery == nil {
 			t.Errorf("%v neither decided nor discovered (F1 over transport)", o.Node)
-		}
-	}
-}
-
-func TestRunnerViewMatchesSimulator(t *testing.T) {
-	// The same deterministic processes produce the same outcomes under
-	// the simulator and over the memory transport.
-	n, tol := 4, 1
-	cfg := model.Config{N: n, T: tol}
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		t.Fatalf("ByName: %v", err)
-	}
-
-	build := func() ([]sim.Process, []*fd.ChainNode, []*keydist.Node) {
-		kd := make([]*keydist.Node, n)
-		for i := 0; i < n; i++ {
-			node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(9, i)))
-			if err != nil {
-				t.Fatalf("NewNode: %v", err)
-			}
-			kd[i] = node
-		}
-		procs := make([]sim.Process, n)
-		for i := range kd {
-			procs[i] = kd[i]
-		}
-		return procs, nil, kd
-	}
-
-	// Simulator path.
-	procsA, _, kdA := build()
-	engine, err := sim.New(cfg, procsA)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	engine.Run(keydist.RoundsTotal)
-
-	// Transport path.
-	procsB, _, kdB := build()
-	mesh := transport.NewMemoryMesh(n)
-	endpoints := make([]transport.Transport, n)
-	for i := range endpoints {
-		endpoints[i] = mesh.Endpoint(model.NodeID(i))
-	}
-	if _, err := transport.RunCluster(endpoints, procsB, keydist.RoundsTotal, nil); err != nil {
-		t.Fatalf("RunCluster: %v", err)
-	}
-
-	// Identical directories (same seeds → same keys → same fingerprints).
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			pa, oka := kdA[i].Directory().PredicateOf(model.NodeID(j))
-			pb, okb := kdB[i].Directory().PredicateOf(model.NodeID(j))
-			if oka != okb {
-				t.Fatalf("presence mismatch at (%d,%d)", i, j)
-			}
-			if oka && pa.Fingerprint() != pb.Fingerprint() {
-				t.Errorf("fingerprint mismatch at (%d,%d)", i, j)
-			}
 		}
 	}
 }

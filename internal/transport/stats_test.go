@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -122,15 +123,14 @@ func TestCountConnWrapsAnyConn(t *testing.T) {
 // must reach it, mirroring sim.WithTracer's contract.
 func TestRunnerTracerSeesDeliveries(t *testing.T) {
 	const rounds = 3
-	mesh := NewMemoryMesh(2)
-	endpoints := []Transport{mesh.Endpoint(0), mesh.Endpoint(1)}
+	endpoints := NewMemoryMesh(2).Endpoints()
 	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		return []model.Message{{To: 1, Kind: model.KindEcho, Payload: []byte{byte(round)}}}
 	})
 	procs := []sim.Process{sender, sim.Silent{}}
 	tracer := &sim.RecordingTracer{}
-	if _, err := RunCluster(endpoints, procs, rounds, nil, WithRunnerTracer(tracer)); err != nil {
-		t.Fatalf("RunCluster: %v", err)
+	if _, err := MeshEngine(endpoints)(procs, rounds, metrics.NewCounters(), tracer, nil); err != nil {
+		t.Fatalf("MeshEngine: %v", err)
 	}
 	msgs := tracer.Messages()
 	// Round r sends are delivered at step r+1, so the last round's send

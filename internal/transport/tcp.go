@@ -55,10 +55,20 @@ const tcpInboxBuffer = 4096
 // they do for DialConn. The call blocks until the full mesh is
 // connected, so all nodes must be started concurrently.
 func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOption) (*TCPMesh, error) {
-	n := len(addrs)
-	if !self.Valid(n) {
-		return nil, fmt.Errorf("transport: self %v out of range for %d nodes", self, n)
+	if !self.Valid(len(addrs)) {
+		return nil, fmt.Errorf("transport: self %v out of range for %d nodes", self, len(addrs))
 	}
+	ln, err := net.Listen("tcp", addrs[self])
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addrs[self], err)
+	}
+	return newTCPMesh(self, ln, addrs, opts...)
+}
+
+// newTCPMesh is NewTCPMesh over node self's already bound listener,
+// which it closes.
+func newTCPMesh(self model.NodeID, ln net.Listener, addrs map[model.NodeID]string, opts ...ConnOption) (*TCPMesh, error) {
+	n := len(addrs)
 	cfg := newConnConfig(opts)
 	m := &TCPMesh{
 		self:     self,
@@ -67,11 +77,6 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOp
 		failFast: cfg.readTimeout > 0,
 		inbox:    make(chan envelope, tcpInboxBuffer),
 		closed:   make(chan struct{}),
-	}
-
-	ln, err := net.Listen("tcp", addrs[self])
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addrs[self], err)
 	}
 	defer ln.Close() // the mesh is fixed-size; once complete, stop accepting
 
@@ -109,7 +114,7 @@ func NewTCPMesh(self model.NodeID, addrs map[model.NodeID]string, opts ...ConnOp
 	// ...and dial all lower-ID peers. Dials retry with capped backoff:
 	// when a whole cluster boots concurrently, a peer's listener may come
 	// up a moment after our first attempt.
-	err = func() error {
+	err := func() error {
 		for p := model.NodeID(0); p < self; p++ {
 			raw, err := dialBackoff(addrs[p], cfg.stats)
 			if err != nil {

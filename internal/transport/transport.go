@@ -1,7 +1,10 @@
 // Package transport runs the lockstep protocols over real byte transports
 // — an in-memory mesh for tests and a TCP mesh (stdlib net) for actual
 // sockets — demonstrating that nothing in the library depends on the
-// simulator.
+// simulator. MeshEngine is the entry point: the run engine a core.Cluster
+// takes in place of the simulator (core.WithEngine), which is how
+// `fdsim -transport tcp` and examples/tcpcluster put whole lifecycles on
+// sockets.
 //
 // The model's synchronous rounds are recovered over an asynchronous
 // transport with a standard synchronizer: each node sends its round-r
@@ -9,13 +12,20 @@
 // advances to round r+1 only after collecting DONE(r) from all peers.
 // Reliable in-order delivery (TCP / channels) plus the barrier gives
 // exactly the delivery guarantee N1 demands; the identity of the immediate
-// sender (N2) is the connection's identity.
+// sender (N2) is the connection's identity. Each marker also says whether
+// its sender was quiet — finished, nothing of its own in flight — and a
+// run ends after the first round everyone was, which is the simulator's
+// early exit.
 //
 // Trust note: the TCP mesh authenticates peers by a plaintext hello frame,
-// which is fine for the single-trust-domain demos in cmd/fdnet and the
-// tests. A hostile-network deployment would pin peer identity with mTLS;
-// that is orthogonal to the paper's protocols, which only need N2 as an
-// oracle for the OUTERMOST hop — everything else rides on the signatures.
+// and the runners believe a peer's quiet bit; both are fine for the
+// single-trust-domain runs of `fdsim -transport tcp` and the tests. A
+// peer lying "not quiet" costs rounds up to the protocol's bound, never
+// correctness; one lying "quiet" to some peers only can strand the rest on
+// a barrier until the transport closes. A hostile-network deployment would
+// pin peer identity with mTLS; that is orthogonal to the paper's
+// protocols, which only need N2 as an oracle for the OUTERMOST hop —
+// everything else rides on the signatures.
 package transport
 
 import (
@@ -48,7 +58,7 @@ var ErrClosed = errors.New("transport: closed")
 // Frame types multiplexed on the wire.
 const (
 	frameMessage = 1 // a protocol message
-	frameDone    = 2 // round-completion marker
+	frameDone    = 2 // round-completion marker; its kind field is the quiet bit
 )
 
 // encodeFrame packs a protocol message or DONE marker in one
