@@ -1,5 +1,5 @@
 // Package repro's root benchmarks: one testing.B target per experiment in
-// EXPERIMENTS.md. Each benchmark reports the experiment's headline metric
+// internal/experiments' index. Each benchmark reports the experiment's headline metric
 // (messages, entries, or crossover) via b.ReportMetric alongside wall
 // time, so `go test -bench=. -benchmem` regenerates the paper's
 // quantitative story. The hot-path micro benchmarks live in the test

@@ -1,5 +1,5 @@
 // Command fdbench regenerates every experiment table from the paper's
-// evaluation (see EXPERIMENTS.md for the index).
+// evaluation (package internal/experiments' comment is the index).
 //
 // Usage:
 //
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("e", "", "experiment ID (E1..E12); empty = all")
+		exp     = flag.String("e", "", "experiment ID (E1..E13); empty = all")
 		quick   = flag.Bool("quick", false, "reduced Monte-Carlo counts")
 		csv     = flag.Bool("csv", false, "emit CSV")
 		withRSA = flag.Bool("rsa", false, "include RSA in E10 (slow)")

@@ -9,6 +9,9 @@
 //  4. the key-distribution G3 attack (mixed
 //     predicates) followed by a chain run    → Theorem 4 discovery
 //
+// all through one option: core.WithProcess replaces a node in either
+// phase, key distribution (scenario 4) as much as a failure-discovery run;
+//
 // then the same machinery driven declaratively: composable adversary
 // strategies (seeded coalitions, delayed delivery, behavior stacks)
 // parsed from the campaign syntax and scored against the paper's
@@ -153,7 +156,7 @@ func mixedPredicateScenario() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cluster.EstablishAuthentication(core.WithKeyDistProcess(0, mixed)); err != nil {
+	if _, err := cluster.EstablishAuthentication(core.WithProcess(0, mixed)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("  key distribution completed — the G3 split is invisible so far")

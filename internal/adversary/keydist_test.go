@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -78,40 +79,15 @@ func TestKeydistHonestHandshake(t *testing.T) {
 	}
 }
 
-// checkG1G2 asserts the Theorem 2 guarantees after an adversarial run:
-// no correct node accepted a correct node's predicate FOR the faulty
-// identity (G1), and all correct nodes accepted each other's predicates,
-// identically (G2).
-func checkG1G2(t *testing.T, nodes []*keydist.Node, faulty model.NodeID) {
+// checkG1G2 asserts the Theorem 2 guarantees after an adversarial run
+// over nodes, nil at the faulty slots.
+func checkG1G2(t *testing.T, nodes []*keydist.Node) {
 	t.Helper()
-	for _, node := range nodes {
-		if node == nil {
-			continue
-		}
-		if p, ok := node.Directory().PredicateOf(faulty); ok {
-			for _, victim := range nodes {
-				if victim == nil {
-					continue
-				}
-				if p.Fingerprint() == victim.Signer().Predicate().Fingerprint() {
-					t.Errorf("G1 violated: %v accepted %v's predicate for faulty %v",
-						node.ID(), victim.ID(), faulty)
-				}
-			}
-		}
-		for _, peer := range nodes {
-			if peer == nil {
-				continue
-			}
-			p, ok := node.Directory().PredicateOf(peer.ID())
-			if !ok {
-				t.Errorf("G2 violated: %v did not accept correct %v", node.ID(), peer.ID())
-				continue
-			}
-			if p.Fingerprint() != peer.Signer().Predicate().Fingerprint() {
-				t.Errorf("G2 violated: %v holds a wrong predicate for %v", node.ID(), peer.ID())
-			}
-		}
+	if err := core.CheckG1(nodes); err != nil {
+		t.Error(err)
+	}
+	if err := core.CheckG2(nodes); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -128,7 +104,7 @@ func TestKeydistForeignClaimInterleaving(t *testing.T) {
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
-	checkG1G2(t, nodes, faulty)
+	checkG1G2(t, nodes)
 	// Stronger than G1: the unanswered claim must not be accepted at all.
 	for _, node := range nodes {
 		if node == nil {
@@ -153,7 +129,7 @@ func TestKeydistChallengeRelayInterleaving(t *testing.T) {
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
-	checkG1G2(t, nodes, faulty)
+	checkG1G2(t, nodes)
 	for _, node := range nodes {
 		if node == nil || node.ID() == victim {
 			continue

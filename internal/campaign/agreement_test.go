@@ -120,8 +120,9 @@ func TestAgreementVerdictIsStrict(t *testing.T) {
 	}
 	faulty := model.NewNodeSet(2)
 
-	fdbaInst := Instance{Protocol: ProtoFDBA, N: 4, T: 1, Adversary: AdvCrashRelay}
-	v := evaluateOutcomes(fdbaInst, outcomes, faulty, 0, []byte("v"), 3, 8)
+	const crashP2 = "nodes=2:behavior=crash"
+	fdbaInst := Instance{Protocol: ProtoFDBA, N: 4, T: 1, Adversary: crashP2}
+	v := scoreSynthetic(t, fdbaInst, faulty, outcomes, 3, 8)
 	if v.Conformant() {
 		t.Errorf("fdba split decision under discovery was not a violation: %+v", v)
 	}
@@ -129,8 +130,8 @@ func TestAgreementVerdictIsStrict(t *testing.T) {
 		t.Errorf("fdba verdict did not check agreement/validity strictly: %+v", v)
 	}
 
-	chainInst := Instance{Protocol: ProtoChain, N: 4, T: 1, Adversary: AdvCrashRelay}
-	v = evaluateOutcomes(chainInst, outcomes, faulty, 0, []byte("v"), 3, 3)
+	chainInst := Instance{Protocol: ProtoChain, N: 4, T: 1, Adversary: crashP2}
+	v = scoreSynthetic(t, chainInst, faulty, outcomes, 3, 3)
 	if !v.Conformant() {
 		t.Errorf("chain split decision under discovery must be vacuously conformant (weak F2): %+v", v)
 	}

@@ -93,25 +93,19 @@ func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool) 
 	return v
 }
 
-// mayDisagree resolves the excusal for one instance: honest
-// configurations are never excused (a fault-free run that fails to agree
-// is a bug regardless of protocol); otherwise the driver's verdict
-// mapper decides.
-func mayDisagree(verdicts protocol.VerdictMapper, n, t int, honest bool) bool {
-	return !honest && verdicts.MayDisagree(n, t)
-}
-
 // scoreOutcome derives one instance's verdict from a driver outcome:
 // every SubRun is evaluated against F1–F3 plus the round bound, and the
 // predicates must hold in all of them (vector's rotated sub-instances).
 func scoreOutcome(drv protocol.Driver, pinst protocol.Instance, out protocol.Outcome) *Verdict {
 	verdicts := drv.Verdicts()
-	// An instance is "honest" for excusal purposes only when neither the
-	// strategy nor the network injects faults: churn makes nodes faulty,
-	// so a churned run may legitimately hit the driver's MayDisagree
-	// regime even under an honest strategy.
+	// Honest configurations are never excused (a fault-free run that fails
+	// to agree is a bug regardless of protocol); otherwise the driver's
+	// verdict mapper decides. "Honest" means neither the strategy nor the
+	// network injects faults: churn makes nodes faulty, so a churned run
+	// may legitimately hit the driver's MayDisagree regime even under an
+	// honest strategy.
 	honest := pinst.Strategy.IsHonest() && (pinst.Net == nil || pinst.Net.IsIdeal())
-	may := mayDisagree(verdicts, pinst.N, pinst.T, honest)
+	may := !honest && verdicts.MayDisagree(pinst.N, pinst.T)
 	netExcused := pinst.Net != nil && pinst.Net.DegradesLinks()
 	if len(out.SubRuns) == 0 {
 		// No conformance material is itself a violation: a driver that
@@ -167,30 +161,4 @@ func withoutDiscoveries(outcomes []model.Outcome) []model.Outcome {
 		stripped[i].Discovery = nil
 	}
 	return stripped
-}
-
-// evaluateOutcomes derives the verdict for one set of per-node outcomes,
-// resolving the instance's driver for the verdict mapping. It is the
-// single-sub-run entry point kept for tests and hand-built evaluations;
-// campaign runs score through scoreOutcome.
-func evaluateOutcomes(inst Instance, outcomes []model.Outcome, faulty model.NodeSet,
-	sender model.NodeID, initial []byte, rounds, roundBound int) *Verdict {
-	drv, err := protocol.Lookup(inst.Protocol)
-	if err != nil {
-		// Unknown protocols cannot excuse anything; score strictly.
-		t := core.CheckF1(outcomes, faulty) == nil && rounds <= roundBound
-		a := core.CheckF2(outcomes, faulty) == nil
-		v := core.CheckF3(outcomes, faulty, sender, initial) == nil
-		return newVerdict(t, a, v, false, false)
-	}
-	verdicts := drv.Verdicts()
-	t, a, v := evaluateSubRun(protocol.SubRun{Sender: sender, Initial: initial, Outcomes: outcomes},
-		faulty, rounds, roundBound, verdicts.DiscoveryExempts())
-	return newVerdict(t, a, v, mayDisagree(verdicts, inst.N, inst.T, inst.honestAdversary()), false)
-}
-
-// honestAdversary reports whether the instance injects no faults.
-func (inst Instance) honestAdversary() bool {
-	strat, err := inst.strategy()
-	return err == nil && strat.IsHonest()
 }

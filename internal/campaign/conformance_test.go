@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,8 +21,25 @@ func decidedOutcomes(values ...string) []model.Outcome {
 	return out
 }
 
-// TestVerdictPredicates drives evaluateOutcomes with synthetic outcomes:
-// the predicate logic, including the expected-failure excusals, without
+// scoreSynthetic scores one hand-built sub-run (sender P0 proposing "v")
+// the way campaigns score a driver's: through scoreOutcome, on the
+// instance's resolved driver and strategy. wantFaulty pins the faulty set
+// the instance's strategy yields, which the outcomes were written against.
+func scoreSynthetic(t *testing.T, inst Instance, wantFaulty model.NodeSet, outcomes []model.Outcome, rounds, bound int) *Verdict {
+	t.Helper()
+	drv, pinst, err := inst.resolve()
+	if err != nil {
+		t.Fatalf("resolve %+v: %v", inst, err)
+	}
+	if got := pinst.Faulty(); !reflect.DeepEqual(got, wantFaulty) {
+		t.Fatalf("adversary %q corrupts %v, want %v", inst.Adversary, got.Sorted(), wantFaulty.Sorted())
+	}
+	return scoreOutcome(drv, pinst, protocol.Outcome{Rounds: rounds, RoundBound: bound,
+		SubRuns: []protocol.SubRun{{Sender: 0, Initial: []byte("v"), Outcomes: outcomes}}})
+}
+
+// TestVerdictPredicates drives the scorer with synthetic outcomes: the
+// predicate logic, including the expected-failure excusals, without
 // running a protocol.
 func TestVerdictPredicates(t *testing.T) {
 	faultySender := model.NewNodeSet(0)
@@ -75,7 +93,7 @@ func TestVerdictPredicates(t *testing.T) {
 			Instance{Protocol: ProtoChain, N: 4, T: 1, Adversary: AdvCrashSender},
 			decidedOutcomes("x", "x", "x"), faultySender, 3, 3, true, nil, false},
 	} {
-		v := evaluateOutcomes(tc.inst, tc.outcomes, tc.faulty, 0, []byte("v"), tc.rounds, tc.bound)
+		v := scoreSynthetic(t, tc.inst, tc.faulty, tc.outcomes, tc.rounds, tc.bound)
 		if v.Conformant() != tc.wantConformant {
 			t.Errorf("%s: conformant = %v, want %v (verdict %+v)", tc.name, v.Conformant(), tc.wantConformant, v)
 		}

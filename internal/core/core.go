@@ -14,11 +14,11 @@
 // protocols") is directly observable via Cluster.Ledger.
 //
 // Fault injection: any node can be replaced by an arbitrary process for
-// any phase with the WithProcess run option (or WithKeyDistProcess for the
-// authentication phase), which is how the experiments wire in package
+// either phase with the WithProcess run option, or wrapped with
+// WithWrappedProcess, which is how the experiments wire in package
 // adversary's behaviours.
 //
-// RunFailureDiscovery is a wrapper. The run itself — per node: replaced,
+// Both phases are wrappers. The run itself — per node: replaced,
 // wrapped, churned or honest; then engine, counters, ledger, span — is
 // Cluster.Run, which takes any protocol as a NodeBuilder and a round
 // bound and hands back the honest processes for the caller to read.
@@ -324,8 +324,9 @@ func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 func (c *Cluster) Established() bool { return c.established }
 
 // Nodes returns the established key-distribution nodes by node ID (nil
-// where WithKeyDistProcess replaced one; nil before establishment).
-// Callers must not modify them: NewEstablished shares them.
+// where a run option made the node faulty during key distribution; nil
+// before establishment) — what CheckG1 and CheckG2 read. Callers must
+// not modify them: NewEstablished shares them.
 func (c *Cluster) Nodes() []*keydist.Node { return c.nodes }
 
 // engineTracer combines the cluster's message tracer and, when an
@@ -412,90 +413,75 @@ func (c *Cluster) Reset(seed int64) {
 	}
 }
 
-// Directory returns node id's accepted predicate directory. Only valid
-// after EstablishAuthentication.
-func (c *Cluster) Directory(id model.NodeID) (*keydist.Directory, error) {
+// node returns id's established key-distribution node, or why none.
+func (c *Cluster) node(id model.NodeID) (*keydist.Node, error) {
 	if !c.established {
 		return nil, errors.New("core: authentication not yet established")
 	}
 	if !id.Valid(c.cfg.N) {
 		return nil, fmt.Errorf("core: node id %v out of range", id)
 	}
-	return c.nodes[id].Directory(), nil
+	if c.nodes[id] == nil {
+		return nil, fmt.Errorf("core: node %v holds no keys: replaced during key distribution", id)
+	}
+	return c.nodes[id], nil
+}
+
+// Directory returns node id's accepted predicate directory. Only valid
+// after EstablishAuthentication, for a node correct in it.
+func (c *Cluster) Directory(id model.NodeID) (*keydist.Directory, error) {
+	n, err := c.node(id)
+	if err != nil {
+		return nil, err
+	}
+	return n.Directory(), nil
 }
 
 // Signer returns node id's secret-key handle. Only valid after
-// EstablishAuthentication.
+// EstablishAuthentication, for a node correct in it.
 func (c *Cluster) Signer(id model.NodeID) (sig.Signer, error) {
-	if !c.established {
-		return nil, errors.New("core: authentication not yet established")
+	n, err := c.node(id)
+	if err != nil {
+		return nil, err
 	}
-	if !id.Valid(c.cfg.N) {
-		return nil, fmt.Errorf("core: node id %v out of range", id)
-	}
-	return c.nodes[id].Signer(), nil
+	return n.Signer(), nil
 }
 
-// KeyDistOption configures the authentication phase.
-type KeyDistOption func(*keyDistRun)
+// keydistBuilder is the cluster as key distribution's node builder: a
+// fresh keydist.Node over the two entropy domains. A named pointer type
+// rather than a closure, so the handshake pays no allocation for it.
+type keydistBuilder Cluster
 
-type keyDistRun struct {
-	overrides map[model.NodeID]sim.Process
-}
-
-// WithKeyDistProcess replaces node id's key-distribution process with an
-// arbitrary (typically adversarial) one. The replaced node has no keys
-// afterwards; later runs must also override it.
-func WithKeyDistProcess(id model.NodeID, p sim.Process) KeyDistOption {
-	return func(r *keyDistRun) { r.overrides[id] = p }
+func (b *keydistBuilder) buildNode(id model.NodeID) (sim.Process, error) {
+	c := (*Cluster)(b)
+	return keydist.NewNode(c.cfg, id, c.scheme, c.runRand(int(id)), keydist.WithKeyRand(c.keyRand(int(id))))
 }
 
 // EstablishAuthentication runs the paper's Fig. 1 key-distribution
 // protocol across the cluster and retains each correct node's signer and
-// directory. It returns the phase report; the traffic is also added to
-// the cluster ledger under PhaseKeyDist.
-func (c *Cluster) EstablishAuthentication(opts ...KeyDistOption) (Report, error) {
-	span := c.rec.Begin(obs.Event{Scope: "core.keydist", Inst: -1, Node: -1, Proto: "keydist"})
-	run := keyDistRun{overrides: make(map[model.NodeID]sim.Process)}
+// directory. The options mean what they mean to Run (WithProtocol is
+// ignored likewise); a node they make faulty has no keys afterwards, and
+// later authenticated runs must replace it too. It returns the phase
+// report; the traffic is also added to the ledger under PhaseKeyDist.
+func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
+	var run fdRun
 	for _, opt := range opts {
 		opt(&run)
 	}
-	procs := make([]sim.Process, c.cfg.N)
-	nodes := make([]*keydist.Node, c.cfg.N)
-	for i := 0; i < c.cfg.N; i++ {
-		id := model.NodeID(i)
-		if p, ok := run.overrides[id]; ok {
-			procs[i] = p
-			continue
-		}
-		n, err := keydist.NewNode(c.cfg, id, c.scheme, c.runRand(i), keydist.WithKeyRand(c.keyRand(i)))
-		if err != nil {
-			return Report{}, fmt.Errorf("core: build keydist node %v: %w", id, err)
-		}
-		nodes[i] = n
-		procs[i] = n
-	}
-	counters := metrics.NewCounters()
-	rounds, err := c.runEngine("keydist", procs, keydist.RoundsTotal, counters, nil)
+	run.protocol = 0 // Report.Protocol is PhaseFD's
+	rep, honest, span, err := c.run(&run, PhaseKeyDist, "keydist", keydist.RoundsTotal, (*keydistBuilder)(c))
 	if err != nil {
 		return Report{}, err
 	}
-	c.nodes = nodes
-	c.established = true
-
-	rep := Report{
-		Phase:    PhaseKeyDist,
-		Rounds:   rounds,
-		Snapshot: counters.Snapshot(),
-	}
-	for _, n := range nodes {
-		if n == nil {
+	nodes := make([]*keydist.Node, c.cfg.N)
+	for i, p := range honest {
+		if p == nil {
 			continue
 		}
-		for _, d := range n.Discoveries() {
-			rep.Discoveries = append(rep.Discoveries, d)
-		}
+		nodes[i] = p.(*keydist.Node)
+		rep.Discoveries = append(rep.Discoveries, nodes[i].Discoveries()...)
 	}
+	c.nodes, c.established = nodes, true
 	c.finish(span, rep)
 	return rep, nil
 }
@@ -522,8 +508,8 @@ func WithProtocol(p Protocol) RunOption {
 	return func(r *fdRun) { r.protocol = p }
 }
 
-// WithProcess replaces node id's process for this run with an arbitrary
-// (typically adversarial) one.
+// WithProcess replaces node id's process for this run — key distribution
+// or any later one — with an arbitrary (typically adversarial) one.
 func WithProcess(id model.NodeID, p sim.Process) RunOption {
 	return func(r *fdRun) {
 		if r.overrides == nil {
@@ -549,10 +535,10 @@ func WithWrappedProcess(id model.NodeID, wrap func(sim.Process) sim.Process) Run
 
 // WithNetwork layers a network-condition model (typically a
 // *netcond.Model) under this run's engine: message delivery follows the
-// model's fates instead of the ideal next-round schedule. The
-// authentication phase is never degraded — the paper's setup assumes an
-// intact network, and the campaign's setup store shares established
-// nodes across conditions. When an observer is attached and the
+// model's fates instead of the ideal next-round schedule. The protocol
+// drivers pass key distribution no option — the paper's setup assumes an
+// intact network — which is what keeps the campaign's setup store
+// condition-independent. When an observer is attached and the
 // network supports it, partition/heal/drop/delay events are emitted.
 func WithNetwork(net sim.Network) RunOption {
 	return func(r *fdRun) { r.network = net }
@@ -612,7 +598,7 @@ func (c *Cluster) Run(label string, maxRounds int, build NodeBuilder, opts ...Ru
 		opt(&run)
 	}
 	run.protocol = ProtocolCustom
-	rep, honest, span, err := c.run(&run, label, maxRounds, build)
+	rep, honest, span, err := c.run(&run, PhaseFD, label, maxRounds, build)
 	if err != nil {
 		return Report{}, nil, err
 	}
@@ -632,7 +618,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 	if run.protocol != ProtocolNonAuth && !c.established {
 		return Report{}, errors.New("core: establish authentication before running an authenticated protocol")
 	}
-	rep, honest, span, err := c.run(&run, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
+	rep, honest, span, err := c.run(&run, PhaseFD, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
 	if err != nil {
 		return Report{}, err
 	}
@@ -650,12 +636,17 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 	return rep, nil
 }
 
-// run is the one wiring loop: per node it decides overridden, wrapped,
-// churned or honest, then runs the engine to the round bound. Faulty
-// nodes — everything but the last case — owe no outcome, so honest is
-// nil at their slots. The caller completes the report and finishes it.
-func (c *Cluster) run(run *fdRun, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, obs.Span, error) {
-	span := c.rec.Begin(obs.Event{Scope: "core.fdrun", Inst: -1, Node: -1, Proto: label})
+// run is the one wiring loop of both phases: per node it decides
+// overridden, wrapped, churned or honest, then runs the engine to the
+// round bound. Faulty nodes — everything but the last case — owe no
+// outcome and keep no keys, so honest is nil at their slots. The caller
+// completes the report and finishes it.
+func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, obs.Span, error) {
+	scope := "core.fdrun"
+	if phase == PhaseKeyDist {
+		scope = "core.keydist"
+	}
+	span := c.rec.Begin(obs.Event{Scope: scope, Inst: -1, Node: -1, Proto: label})
 
 	emitter := c.netEmitter()
 	if run.network != nil && emitter != nil {
@@ -698,7 +689,7 @@ func (c *Cluster) run(run *fdRun, label string, maxRounds int, b nodeBuilder) (R
 		return Report{}, nil, span, err
 	}
 	return Report{
-		Phase:    PhaseFD,
+		Phase:    phase,
 		Protocol: run.protocol,
 		Rounds:   rounds,
 		Snapshot: counters.Snapshot(),
@@ -722,20 +713,25 @@ func (c *Cluster) finish(span obs.Span, rep Report) {
 // the rebuild hook when a crashed node rejoins. A method rather than a
 // per-run closure so the ideal path stays allocation-flat.
 func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.Process, error) {
-	i := int(id)
+	if proto == ProtocolNonAuth {
+		var nodeOpts []fd.NonAuthOption
+		if id == fd.Sender {
+			nodeOpts = append(nodeOpts, fd.WithNonAuthValue(value))
+		}
+		return fd.NewNonAuthNode(c.cfg, id, nodeOpts...)
+	}
+	n, err := c.node(id)
+	if err != nil {
+		return nil, err
+	}
+	signer, dir := n.Signer(), n.Directory()
 	switch proto {
 	case ProtocolChain:
 		var nodeOpts []fd.ChainOption
 		if id == fd.Sender {
 			nodeOpts = append(nodeOpts, fd.WithValue(value))
 		}
-		return fd.NewChainNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
-	case ProtocolNonAuth:
-		var nodeOpts []fd.NonAuthOption
-		if id == fd.Sender {
-			nodeOpts = append(nodeOpts, fd.WithNonAuthValue(value))
-		}
-		return fd.NewNonAuthNode(c.cfg, id, nodeOpts...)
+		return fd.NewChainNode(c.cfg, id, signer, dir, nodeOpts...)
 	case ProtocolSmallRange:
 		var nodeOpts []fd.SmallRangeOption
 		if id == fd.Sender {
@@ -744,15 +740,15 @@ func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.
 			}
 			nodeOpts = append(nodeOpts, fd.WithBinaryValue(value[0]))
 		}
-		return fd.NewSmallRangeNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
+		return fd.NewSmallRangeNode(c.cfg, id, signer, dir, nodeOpts...)
 	case ProtocolFDBA:
-		return ba.NewFDBANode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), value)
+		return ba.NewFDBANode(c.cfg, id, signer, dir, value)
 	case ProtocolSM:
 		var nodeOpts []ba.SMOption
 		if id == fd.Sender {
 			nodeOpts = append(nodeOpts, ba.WithSMValue(value))
 		}
-		return ba.NewSMNode(c.cfg, id, c.nodes[i].Signer(), c.nodes[i].Directory(), nodeOpts...)
+		return ba.NewSMNode(c.cfg, id, signer, dir, nodeOpts...)
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %v", proto)
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -162,17 +163,27 @@ func TestClusterFaultInjection(t *testing.T) {
 
 func TestClusterKeyDistFaultInjection(t *testing.T) {
 	c := newCluster(t, 5, 1, 7)
-	rep, err := c.EstablishAuthentication(core.WithKeyDistProcess(4, sim.Silent{}))
-	if err != nil {
+	if _, err := c.EstablishAuthentication(core.WithProcess(4, sim.Silent{})); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	_ = rep
 	dir, err := c.Directory(0)
 	if err != nil {
 		t.Fatalf("Directory: %v", err)
 	}
 	if _, ok := dir.PredicateOf(4); ok {
 		t.Error("silent node has an accepted predicate")
+	}
+	// The replaced node holds no keys: asking for them, or running an
+	// authenticated protocol that needs them, is an error naming the node.
+	const noKeys = "P4 holds no keys: replaced during key distribution"
+	if _, err := c.Signer(4); err == nil || !strings.Contains(err.Error(), noKeys) {
+		t.Errorf("Signer(4) error = %v, want %q", err, noKeys)
+	}
+	if _, err := c.Directory(4); err == nil || !strings.Contains(err.Error(), noKeys) {
+		t.Errorf("Directory(4) error = %v, want %q", err, noKeys)
+	}
+	if _, err := c.RunFailureDiscovery([]byte("v")); err == nil || !strings.Contains(err.Error(), noKeys) {
+		t.Errorf("chain run with keyless P4 left honest: error = %v, want %q", err, noKeys)
 	}
 	// FD must still work if the silent node is overridden in the run too
 	// (it has no keys, so it cannot be a correct chain node).
@@ -189,6 +200,31 @@ func TestClusterKeyDistFaultInjection(t *testing.T) {
 	}
 	if agreed != 4 {
 		t.Errorf("%d correct nodes decided, want 4", agreed)
+	}
+
+	// A wrapped key-distribution node is faulty like a replaced one: P2
+	// runs the correct protocol but never talks to P4, so P4 cannot accept
+	// it, P2 keeps no keys, and G1/G2 hold over the other four.
+	c = newCluster(t, 5, 1, 7)
+	mute := func(p sim.Process) sim.Process { return adversary.Wrap(p, adversary.DropTo(model.NewNodeSet(4))) }
+	if _, err := c.EstablishAuthentication(core.WithWrappedProcess(2, mute)); err != nil {
+		t.Fatalf("EstablishAuthentication: %v", err)
+	}
+	nodes := c.Nodes()
+	if nodes[2] != nil {
+		t.Error("wrapped P2 kept its keys")
+	}
+	if _, ok := nodes[4].Directory().PredicateOf(2); ok {
+		t.Error("P4 accepted P2, which never sent it a message")
+	}
+	if _, ok := nodes[0].Directory().PredicateOf(2); !ok {
+		t.Error("P0 did not accept P2, which answered its challenge")
+	}
+	if err := core.CheckG1(nodes); err != nil {
+		t.Error(err)
+	}
+	if err := core.CheckG2(nodes); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -255,7 +291,7 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMixedPredicateNode: %v", err)
 	}
-	if _, err := c.EstablishAuthentication(core.WithKeyDistProcess(0, mixed)); err != nil {
+	if _, err := c.EstablishAuthentication(core.WithProcess(0, mixed)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
 	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {

@@ -4,20 +4,25 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/keydist"
 	"repro/internal/model"
 )
 
-// Property checkers for the paper's F1–F3 (Failure Discovery) conditions.
-// Tests and the experiment harness assert THESE, the paper's theorems,
-// rather than implementation details: an outcome set that passes all
-// three is a witness that the protocol run met its specification.
+// Property checkers for the paper's F1–F3 (Failure Discovery) and G1–G2
+// (key distribution, Theorem 2) conditions. Tests and the experiment
+// harness assert THESE, the paper's theorems, rather than implementation
+// details: an outcome set that passes F1–F3, or a set of post-setup
+// directories that passes G1–G2, is a witness that the run met its
+// specification. G3 — one predicate per node at all correct nodes — has
+// no checker: local authentication does not promise it.
 //
-// The checkers take the set of faulty node IDs so they can restrict the
-// conditions to correct nodes, exactly as the definitions do.
+// The F-checkers take the set of faulty node IDs so they can restrict the
+// conditions to correct nodes, exactly as the definitions do; the
+// G-checkers take Cluster.Nodes, where a nil slot is a faulty node.
 
-// PropertyViolation describes a failed F-condition for diagnostics.
+// PropertyViolation describes a failed F- or G-condition for diagnostics.
 type PropertyViolation struct {
-	// Property names the violated condition ("F1", "F2", "F3").
+	// Property names the violated condition ("F1".."F3", "G1", "G2").
 	Property string
 	// Detail explains the violation.
 	Detail string
@@ -101,4 +106,51 @@ func anyCorrectDiscovered(outcomes []model.Outcome, faulty model.NodeSet) bool {
 		}
 	}
 	return false
+}
+
+// CheckG1 verifies that no faulty node passes for a correct one: no
+// correct node accepted a correct node's predicate under a faulty node's
+// identity.
+func CheckG1(nodes []*keydist.Node) error {
+	for _, holder := range nodes {
+		for id, claimant := range nodes {
+			if holder == nil || claimant != nil {
+				continue
+			}
+			p, ok := holder.Directory().PredicateOf(model.NodeID(id))
+			if !ok {
+				continue
+			}
+			for _, victim := range nodes {
+				if victim != nil && p.Fingerprint() == victim.Signer().Predicate().Fingerprint() {
+					return &PropertyViolation{
+						Property: "G1",
+						Detail: fmt.Sprintf("%v accepted %v's predicate for faulty %v",
+							holder.ID(), victim.ID(), model.NodeID(id)),
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// CheckG2 verifies that every correct node accepted, under every correct
+// node's identity, that node's own predicate.
+func CheckG2(nodes []*keydist.Node) error {
+	for _, holder := range nodes {
+		for _, peer := range nodes {
+			if holder == nil || peer == nil {
+				continue
+			}
+			p, ok := holder.Directory().PredicateOf(peer.ID())
+			if !ok || p.Fingerprint() != peer.Signer().Predicate().Fingerprint() {
+				return &PropertyViolation{
+					Property: "G2",
+					Detail:   fmt.Sprintf("%v does not hold correct %v's own predicate", holder.ID(), peer.ID()),
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fd"
+	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -218,33 +220,95 @@ func TestPropertyKeyDistChaos(t *testing.T) {
 		for len(faulty) < 1+rng.Intn(n-1) {
 			faulty.Add(model.NodeID(rng.Intn(n)))
 		}
-		var opts []core.KeyDistOption
+		var opts []core.RunOption
 		for _, id := range faulty.Sorted() {
-			opts = append(opts, core.WithKeyDistProcess(id, chaosProcess(rng, cfg)))
+			opts = append(opts, core.WithProcess(id, chaosProcess(rng, cfg)))
 		}
-		rep, err := c.EstablishAuthentication(opts...)
-		if err != nil {
+		if _, err := c.EstablishAuthentication(opts...); err != nil {
 			t.Fatalf("EstablishAuthentication: %v", err)
 		}
-		_ = rep
-		// Correct nodes must have accepted each other (G2) regardless of
-		// the chaos — unless n-|faulty| < 2, where there is nothing to check.
-		for i := 0; i < n; i++ {
-			if faulty.Contains(model.NodeID(i)) {
-				continue
-			}
-			dir, err := c.Directory(model.NodeID(i))
-			if err != nil {
-				t.Fatalf("Directory: %v", err)
-			}
-			for j := 0; j < n; j++ {
-				if faulty.Contains(model.NodeID(j)) {
-					continue
-				}
-				if _, ok := dir.PredicateOf(model.NodeID(j)); !ok {
-					t.Errorf("seed %d: %v lost %v's key to chaos", s, model.NodeID(i), model.NodeID(j))
-				}
-			}
+		// Theorem 2 regardless of the chaos: no chaos node passes for a
+		// correct one, and correct nodes hold each other's true keys.
+		if err := core.CheckG1(c.Nodes()); err != nil {
+			t.Errorf("seed %d: %v", s, err)
+		}
+		if err := core.CheckG2(c.Nodes()); err != nil {
+			t.Errorf("seed %d: %v", s, err)
+		}
+	}
+}
+
+// TestCheckG1G2 shows the Theorem 2 checkers can fail — on honestly
+// established directories doctored by hand — and hold under each of
+// experiment E5's key-distribution attacks.
+func TestCheckG1G2(t *testing.T) {
+	cfg := model.Config{N: 6, T: 2}
+	property := func(err error) string {
+		var v *core.PropertyViolation
+		if errors.As(err, &v) {
+			return v.Property
+		}
+		return ""
+	}
+	// established returns a seeded cluster's post-setup nodes; P1's
+	// predicate is the same in every one of them (same key seed).
+	established := func(opts ...core.RunOption) []*keydist.Node {
+		c := newCluster(t, cfg.N, cfg.T, 31)
+		if _, err := c.EstablishAuthentication(opts...); err != nil {
+			t.Fatalf("EstablishAuthentication: %v", err)
+		}
+		return c.Nodes()
+	}
+	honest := established()
+	victim, scheme := honest[1].Signer().Predicate(), honest[1].Scheme()
+	mixed, err := adversary.NewMixedPredicateNode(cfg, 5, scheme, sim.SeededReader(32), model.NewNodeSet(0, 1))
+	if err != nil {
+		t.Fatalf("NewMixedPredicateNode: %v", err)
+	}
+	shared, err := adversary.NewSharedKeyGroup(cfg, scheme, sim.SeededReader(32), 4, 5)
+	if err != nil {
+		t.Fatalf("NewSharedKeyGroup: %v", err)
+	}
+	for _, tc := range []struct {
+		name           string
+		nodes          func() []*keydist.Node
+		wantG1, wantG2 string
+	}{
+		{"honest", func() []*keydist.Node { return honest }, "", ""},
+		{"a correct node's predicate accepted under a faulty id", func() []*keydist.Node {
+			nodes := append([]*keydist.Node(nil), established()...)
+			nodes[5] = nil // P5 turns out to be faulty …
+			nodes[0].Directory().Accept(5, nodes[1].Signer().Predicate())
+			return nodes // … and P0 took P1's key for P5's
+		}, "G1", ""},
+		{"a correct node's entry replaced", func() []*keydist.Node {
+			nodes := established()
+			nodes[0].Directory().Accept(1, nodes[2].Signer().Predicate())
+			return nodes
+		}, "", "G2"},
+		{"foreign-claim", func() []*keydist.Node {
+			return established(core.WithProcess(5, adversary.NewForeignClaimNode(cfg, 5, victim)))
+		}, "", ""},
+		{"challenge-relay", func() []*keydist.Node {
+			return established(core.WithProcess(5, adversary.NewChallengeRelayNode(cfg, 5, 1, victim)))
+		}, "", ""},
+		{"mixed-predicate", func() []*keydist.Node { return established(core.WithProcess(5, mixed)) }, "", ""},
+		{"shared-key", func() []*keydist.Node {
+			return established(core.WithProcess(4, shared[0]), core.WithProcess(5, shared[1]))
+		}, "", ""},
+		{"silent", func() []*keydist.Node { return established(core.WithProcess(5, sim.Silent{})) }, "", ""},
+	} {
+		nodes := tc.nodes()
+		// The stolen predicate is the one P1 holds in this very run: key
+		// material is a pure function of the seed.
+		if nodes[1].Signer().Predicate().Fingerprint() != victim.Fingerprint() {
+			t.Fatalf("%s: P1's predicate differs from the honest establishment's", tc.name)
+		}
+		if err := core.CheckG1(nodes); property(err) != tc.wantG1 {
+			t.Errorf("%s: CheckG1 = %v, want %q", tc.name, err, tc.wantG1)
+		}
+		if err := core.CheckG2(nodes); property(err) != tc.wantG2 {
+			t.Errorf("%s: CheckG2 = %v, want %q", tc.name, err, tc.wantG2)
 		}
 	}
 }

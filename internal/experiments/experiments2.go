@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -18,82 +17,50 @@ import (
 )
 
 // fdAttack describes one adversarial failure-discovery scenario for
-// E6/E7: which processes to replace and which property question to ask.
+// E6/E7: which nodes are faulty and what they run instead.
 type fdAttack struct {
-	name  string
-	n, t  int
-	value []byte
-	// build returns the overrides, given the established cluster.
-	build func(c *core.Cluster, seed int64) map[model.NodeID]sim.Process
+	name   string
+	n, t   int
+	faulty model.NodeSet
+	// build returns the run options that make faulty so, given the
+	// honestly established cluster.
+	build func(c *core.Cluster) []core.RunOption
 }
 
 // fdAttacks is the E6/E7 scenario matrix.
 func fdAttacks() []fdAttack {
-	mk := func(name string, n, t int, value []byte,
-		build func(c *core.Cluster, seed int64) map[model.NodeID]sim.Process) fdAttack {
-		return fdAttack{name: name, n: n, t: t, value: value, build: build}
-	}
-	chainNodeFor := func(c *core.Cluster, id model.NodeID) *fd.ChainNode {
-		signer, err := c.Signer(id)
-		if err != nil {
-			panic(err)
-		}
-		dir, err := c.Directory(id)
-		if err != nil {
-			panic(err)
-		}
-		node, err := fd.NewChainNode(c.Config(), id, signer, dir)
-		if err != nil {
-			panic(err)
-		}
-		return node
+	wrap := func(id model.NodeID, filters ...adversary.Filter) core.RunOption {
+		return core.WithWrappedProcess(id, func(p sim.Process) sim.Process { return adversary.Wrap(p, filters...) })
 	}
 	return []fdAttack{
-		mk("silent-relay", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			return map[model.NodeID]sim.Process{1: sim.Silent{}}
-		}),
-		mk("silent-sender", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			return map[model.NodeID]sim.Process{0: sim.Silent{}}
-		}),
-		mk("tamper-relay", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			return map[model.NodeID]sim.Process{1: adversary.Wrap(chainNodeFor(c, 1),
-				adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(9)))}
-		}),
-		mk("resign-relay", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			signer, err := c.Signer(1)
-			if err != nil {
-				panic(err)
+		{"silent-relay", 6, 2, model.NewNodeSet(1), func(*core.Cluster) []core.RunOption {
+			return []core.RunOption{core.WithProcess(1, sim.Silent{})}
+		}},
+		{"silent-sender", 6, 2, model.NewNodeSet(0), func(*core.Cluster) []core.RunOption {
+			return []core.RunOption{core.WithProcess(0, sim.Silent{})}
+		}},
+		{"tamper-relay", 6, 2, model.NewNodeSet(1), func(*core.Cluster) []core.RunOption {
+			return []core.RunOption{wrap(1, adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(9)))}
+		}},
+		{"resign-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
+			return []core.RunOption{core.WithProcess(1, adversary.NewResignRelay(c.Config(), 1, c.Nodes()[1].Signer(), []byte("forged")))}
+		}},
+		{"wrong-name-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
+			return []core.RunOption{core.WithProcess(1, adversary.NewWrongNameRelay(c.Config(), 1, c.Nodes()[1].Signer(), 4))}
+		}},
+		{"equivocating-sender", 6, 2, model.NewNodeSet(0), func(c *core.Cluster) []core.RunOption {
+			return []core.RunOption{core.WithProcess(0, adversary.NewEquivocatingSenderFaces(c.Config(), c.Nodes()[0].Signer(),
+				[]byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2)))}
+		}},
+		{"split-disseminator", 7, 2, model.NewNodeSet(2), func(*core.Cluster) []core.RunOption {
+			return []core.RunOption{wrap(2, adversary.DropTo(model.NewNodeSet(4, 5)))}
+		}},
+		{"colluding-pair", 6, 2, model.NewNodeSet(0, 2), func(c *core.Cluster) []core.RunOption {
+			return []core.RunOption{
+				core.WithProcess(0, sim.Silent{}),
+				core.WithProcess(2, adversary.NewResignRelay(c.Config(), 2, c.Nodes()[0].Signer(), []byte("forged"))),
 			}
-			return map[model.NodeID]sim.Process{1: adversary.NewResignRelay(c.Config(), 1, signer, []byte("forged"))}
-		}),
-		mk("wrong-name-relay", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			signer, err := c.Signer(1)
-			if err != nil {
-				panic(err)
-			}
-			return map[model.NodeID]sim.Process{1: adversary.NewWrongNameRelay(c.Config(), 1, signer, 4)}
-		}),
-		mk("equivocating-sender", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			signer, err := c.Signer(0)
-			if err != nil {
-				panic(err)
-			}
-			return map[model.NodeID]sim.Process{0: adversary.NewEquivocatingSenderFaces(c.Config(), signer, []byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2))}
-		}),
-		mk("split-disseminator", 7, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			return map[model.NodeID]sim.Process{2: adversary.Wrap(chainNodeFor(c, 2),
-				adversary.DropTo(model.NewNodeSet(4, 5)))}
-		}),
-		mk("colluding-pair", 6, 2, []byte("v"), func(c *core.Cluster, _ int64) map[model.NodeID]sim.Process {
-			signer0, err := c.Signer(0)
-			if err != nil {
-				panic(err)
-			}
-			return map[model.NodeID]sim.Process{
-				0: sim.Silent{},
-				2: adversary.NewResignRelay(c.Config(), 2, signer0, []byte("forged")),
-			}
-		}),
+		}},
 	}
 }
 
@@ -103,28 +70,22 @@ func E6E7Properties(runs int) *metrics.Table {
 	tbl := metrics.NewTable(
 		"E6/E7 — Theorem 4 and F1–F3 under chain-protocol attacks (local authentication)",
 		"attack", "runs", "F1 viol", "F2 viol", "F3 viol", "runs w/ discovery")
+	value := []byte("v")
 	for _, atk := range fdAttacks() {
 		var f1, f2, f3, disc int
 		for r := 0; r < runs; r++ {
-			seed := Seed + int64(1000+r)
-			c := mustCluster(atk.n, atk.t, seed)
-			faulty := model.NewNodeSet()
-			var opts []core.RunOption
-			for id, p := range atk.build(c, seed) {
-				opts = append(opts, core.WithProcess(id, p))
-				faulty.Add(id)
-			}
-			rep, err := c.RunFailureDiscovery(atk.value, opts...)
+			c := mustCluster(atk.n, atk.t, Seed+int64(1000+r))
+			rep, err := c.RunFailureDiscovery(value, atk.build(c)...)
 			if err != nil {
 				panic(err)
 			}
-			if core.CheckF1(rep.Outcomes, faulty) != nil {
+			if core.CheckF1(rep.Outcomes, atk.faulty) != nil {
 				f1++
 			}
-			if core.CheckF2(rep.Outcomes, faulty) != nil {
+			if core.CheckF2(rep.Outcomes, atk.faulty) != nil {
 				f2++
 			}
-			if core.CheckF3(rep.Outcomes, faulty, fd.Sender, atk.value) != nil {
+			if core.CheckF3(rep.Outcomes, atk.faulty, fd.Sender, value) != nil {
 				f3++
 			}
 			if rep.FailureDiscovered() {
@@ -166,25 +127,21 @@ func E8Baselines() *metrics.Table {
 	for _, tc := range cases {
 		cfg := model.Config{N: tc.N, T: tc.T}
 
-		// OM(t): measure relayed entries.
+		// OM(t): measure relayed entries (no keys, so no establishment).
 		entries := new(atomic.Int64)
-		procs := make([]sim.Process, tc.N)
-		for i := 0; i < tc.N; i++ {
-			opts := []ba.EIGOption{ba.WithEntryCounter(entries)}
-			if model.NodeID(i) == ba.Sender {
-				opts = append(opts, ba.WithEIGValue([]byte("v")))
-			}
-			n, err := ba.NewEIGNode(cfg, model.NodeID(i), opts...)
-			if err != nil {
-				panic(err)
-			}
-			procs[i] = n
-		}
-		eng, err := sim.New(cfg, procs)
+		c, err := core.New(cfg)
 		if err != nil {
 			panic(err)
 		}
-		eng.Run(ba.EIGEngineRounds(tc.T))
+		if _, _, err := c.Run(campaign.ProtoEIG, ba.EIGEngineRounds(tc.T), func(id model.NodeID) (sim.Process, error) {
+			opts := []ba.EIGOption{ba.WithEntryCounter(entries)}
+			if id == ba.Sender {
+				opts = append(opts, ba.WithEIGValue([]byte("v")))
+			}
+			return ba.NewEIGNode(cfg, id, opts...)
+		}); err != nil {
+			panic(err)
+		}
 
 		tbl.AddRow(tc.N, tc.T, entries.Load(), msgs[cell{campaign.ProtoSM, tc}], msgs[cell{campaign.ProtoFDBA, tc}], tc.N-1)
 	}
@@ -258,6 +215,7 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 		panic(err)
 	}
 	cfg := model.Config{N: 4, T: 1}
+	faulty := model.NewNodeSet(0)
 
 	var smViol, smSilent, smDisc int
 	var fdViol, fdSilent, fdDisc int
@@ -267,63 +225,30 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 		if err != nil {
 			panic(err)
 		}
-		signers, dirs := localAuthWith(cfg, seed, map[model.NodeID]sim.Process{0: mixed})
+		c := mustCluster(cfg.N, cfg.T, seed, core.WithProcess(0, mixed))
 
 		// SM(t) run with the equivocating mixed-key sender.
-		smNodes := make([]*ba.SMNode, cfg.N)
-		procs := make([]sim.Process, cfg.N)
-		for i := 1; i < cfg.N; i++ {
-			node, err := ba.NewSMNode(cfg, model.NodeID(i), signers[i], dirs[i])
-			if err != nil {
-				panic(err)
-			}
-			smNodes[i] = node
-			procs[i] = node
-		}
-		procs[0] = mixedSMSender(mixed, cfg, []byte("v"), []byte("u"))
-		eng, err := sim.New(cfg, procs)
+		sm, err := c.RunFailureDiscovery(nil, core.WithProtocol(core.ProtocolSM),
+			core.WithProcess(0, mixedSMSender(mixed, cfg, []byte("v"), []byte("u"))))
 		if err != nil {
 			panic(err)
 		}
-		eng.Run(ba.SMEngineRounds(cfg.T))
-		if !bytes.Equal(smNodes[1].Decision().Value, smNodes[2].Decision().Value) {
+		if core.CheckF2(sm.Outcomes, faulty) != nil {
 			smViol++
 			smSilent++ // SM has no discovery notion at all
 		}
 
 		// Chain FD run with the same attack shape.
-		fdNodes := make([]*fd.ChainNode, cfg.N)
-		procs = make([]sim.Process, cfg.N)
-		for i := 1; i < cfg.N; i++ {
-			node, err := fd.NewChainNode(cfg, model.NodeID(i), signers[i], dirs[i])
-			if err != nil {
-				panic(err)
-			}
-			fdNodes[i] = node
-			procs[i] = node
-		}
-		procs[0] = mixedChainSender(mixed, []byte("v"))
-		eng, err = sim.New(cfg, procs)
+		chain, err := c.RunFailureDiscovery(nil, core.WithProcess(0, mixedChainSender(mixed, []byte("v"))))
 		if err != nil {
 			panic(err)
 		}
-		eng.Run(fd.ChainEngineRounds(cfg.T))
-
-		discovered := false
-		var outcomes []model.Outcome
-		for i := 1; i < cfg.N; i++ {
-			o := fdNodes[i].Outcome()
-			outcomes = append(outcomes, o)
-			if o.Discovery != nil {
-				discovered = true
-			}
-		}
-		if discovered {
+		if chain.FailureDiscovered() {
 			fdDisc++
 		}
-		if core.CheckF2(outcomes, model.NewNodeSet(0)) != nil {
+		if core.CheckF2(chain.Outcomes, faulty) != nil {
 			fdViol++
-			if !discovered {
+			if !chain.FailureDiscovered() {
 				fdSilent++
 			}
 		}
@@ -370,45 +295,6 @@ func mixedChainSender(mixed *adversary.MixedPredicateNode, v []byte) sim.Process
 		}
 		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: c.Marshal()}}
 	})
-}
-
-// localAuthWith runs key distribution with overrides and returns signers
-// and directories (nil entries for overridden slots).
-func localAuthWith(cfg model.Config, seed int64, overrides map[model.NodeID]sim.Process) ([]sig.Signer, []sig.Directory) {
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		panic(err)
-	}
-	procs := make([]sim.Process, cfg.N)
-	nodes := make([]*keydist.Node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		id := model.NodeID(i)
-		if p, ok := overrides[id]; ok {
-			procs[i] = p
-			continue
-		}
-		n, err := keydist.NewNode(cfg, id, scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
-		if err != nil {
-			panic(err)
-		}
-		nodes[i] = n
-		procs[i] = n
-	}
-	eng, err := sim.New(cfg, procs)
-	if err != nil {
-		panic(err)
-	}
-	eng.Run(keydist.RoundsTotal)
-	signers := make([]sig.Signer, cfg.N)
-	dirs := make([]sig.Directory, cfg.N)
-	for i, n := range nodes {
-		if n == nil {
-			continue
-		}
-		signers[i] = n.Signer()
-		dirs[i] = n.Directory()
-	}
-	return signers, dirs
 }
 
 // RoundsTable summarizes round counts per protocol (part of E8's context).

@@ -104,7 +104,7 @@ func All(quick bool) []*metrics.Table {
 }
 
 // ByID returns the tables for one experiment ID ("E1".."E13"), matching
-// the index in EXPERIMENTS.md.
+// the index in the package comment.
 func ByID(id string, quick bool) ([]*metrics.Table, error) {
 	runs := 200
 	sizes := DefaultSizes

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -146,8 +148,36 @@ func TestE12VectorMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestFrontDoorTablesMatchParentBuild pins E5, E6/E7, E8 and E11 — the
+// tables that stopped building their own engines and nodes and run
+// through core.Cluster instead — by bytes: the golden file is `fdbench
+// -quick -e ID` for the four IDs in order, written by the build at
+// fdc3c33, before the move. Never regenerate it to make this pass.
+func TestFrontDoorTablesMatchParentBuild(t *testing.T) {
+	want, err := os.ReadFile("testdata/tables_e5_e6_e8_e11.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, id := range []string{"E5", "E6", "E8", "E11"} {
+		tbls, err := ByID(id, true)
+		if err != nil {
+			t.Fatalf("ByID(%s): %v", id, err)
+		}
+		for i, tbl := range tbls {
+			if i > 0 {
+				got.WriteByte('\n')
+			}
+			tbl.Render(&got)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("tables differ from the parent build's:\n--- got\n%s--- want\n%s", got.Bytes(), want)
+	}
+}
+
 func TestByIDKnownAndUnknown(t *testing.T) {
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"} {
 		tbls, err := ByID(id, true)
 		if err != nil {
 			t.Errorf("ByID(%s): %v", id, err)

@@ -26,8 +26,8 @@ import (
 // simplified variant does not, so a faulty disseminator can deliver the
 // non-default chain to only part of the tail and leave the rest deciding
 // the default with no correct node discovering a failure. The test
-// TestSmallRangeSplitAttack exhibits exactly that run, and EXPERIMENTS.md
-// discusses why the citation's machinery is needed to close the gap.
+// TestSmallRangeSplitAttack exhibits exactly that run; closing the gap
+// needs the citation's machinery.
 type SmallRangeNode struct {
 	id     model.NodeID
 	cfg    model.Config

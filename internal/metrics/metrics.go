@@ -5,7 +5,7 @@
 // (3n(n−1) for key distribution, n−1 for authenticated failure discovery,
 // O(n·t) without authentication) and round counts. The counters here make
 // those quantities directly observable from real executions so every claim
-// in EXPERIMENTS.md is measured, not assumed.
+// package experiments tabulates is measured, not assumed.
 package metrics
 
 import (

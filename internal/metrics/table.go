@@ -7,7 +7,7 @@ import (
 )
 
 // Table renders experiment results as aligned text (for terminals and
-// EXPERIMENTS.md) or CSV (for downstream plotting). It deliberately has no
+// goldens) or CSV (for downstream plotting). It deliberately has no
 // dependencies beyond fmt so every cmd/ binary can use it.
 type Table struct {
 	// Title is printed above the table.

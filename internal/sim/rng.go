@@ -11,7 +11,7 @@ import (
 // Protocol code that needs entropy (key generation, challenge nonces)
 // takes an io.Reader. Production paths pass crypto/rand.Reader; the
 // experiment harness passes per-node seeded readers from this file so
-// every run in EXPERIMENTS.md is exactly reproducible from its seed.
+// every run of package experiments is exactly reproducible from its seed.
 
 // SeededReader returns an io.Reader producing a deterministic byte stream
 // from the given seed. It is NOT cryptographically secure; it exists so

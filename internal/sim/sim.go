@@ -11,7 +11,7 @@
 //
 // Determinism: processes are stepped in node-ID order and inboxes are
 // sorted by sender, so a run is a pure function of (processes, seeds).
-// Every experiment in EXPERIMENTS.md is therefore exactly reproducible.
+// Every table of package experiments is therefore exactly reproducible.
 package sim
 
 import (

@@ -70,7 +70,7 @@ func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	if _, err := c.EstablishAuthentication(core.WithKeyDistProcess(1, garbage)); err != nil {
+	if _, err := c.EstablishAuthentication(core.WithProcess(1, garbage)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
 	for i, node := range c.Nodes() {

@@ -9,12 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/netcond"
 	"repro/internal/obs"
+	"repro/internal/sig"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -39,18 +41,54 @@ func buildEndpoints(t *testing.T, kind string, n int, opts ...transport.ConnOpti
 	}
 }
 
+// faults builds, fresh for each lifecycle, the run options that make
+// nodes faulty in key distribution and in the FD run; nil is the honest
+// lifecycle.
+type faults func(t *testing.T, cfg model.Config) (setup, run []core.RunOption)
+
+// mixedSender is the paper's G3 attacker as P0: it hands P1 one predicate
+// and everyone else another during key distribution, then starts the
+// chain signed with the key only P1 can verify.
+func mixedSender(t *testing.T, cfg model.Config) (setup, run []core.RunOption) {
+	t.Helper()
+	scheme, err := sig.ByName(sig.SchemeEd25519)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := adversary.NewMixedPredicateNode(cfg, 0, scheme, sim.SeededReader(78), model.NewNodeSet(1))
+	if err != nil {
+		t.Fatalf("NewMixedPredicateNode: %v", err)
+	}
+	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
+		if round != 1 {
+			return nil
+		}
+		chain, err := sig.NewChain([]byte("v"), mixed.SignerFor(1))
+		if err != nil {
+			t.Errorf("NewChain: %v", err)
+			return nil
+		}
+		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: chain.Marshal()}}
+	})
+	return []core.RunOption{core.WithProcess(0, mixed)}, []core.RunOption{core.WithProcess(0, sender)}
+}
+
 // lifecycle runs key distribution and one chain FD run of value on a
-// seeded cluster over engine (nil: the simulator).
-func lifecycle(t *testing.T, cfg model.Config, engine core.Engine, value []byte) (c *core.Cluster, kd, fdRep core.Report) {
+// seeded cluster over engine (nil: the simulator), under f's faults.
+func lifecycle(t *testing.T, cfg model.Config, engine core.Engine, value []byte, f faults) (c *core.Cluster, kd, fdRep core.Report) {
 	t.Helper()
 	c, err := core.New(cfg, core.WithSeed(77), core.WithEngine(engine))
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	if kd, err = c.EstablishAuthentication(); err != nil {
+	var kdOpts, runOpts []core.RunOption
+	if f != nil {
+		kdOpts, runOpts = f(t, cfg)
+	}
+	if kd, err = c.EstablishAuthentication(kdOpts...); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	if fdRep, err = c.RunFailureDiscovery(value); err != nil {
+	if fdRep, err = c.RunFailureDiscovery(value, runOpts...); err != nil {
 		t.Fatalf("RunFailureDiscovery: %v", err)
 	}
 	return c, kd, fdRep
@@ -66,7 +104,7 @@ func TestFullLifecycleOverTransports(t *testing.T) {
 			n, tol := 5, 1
 			value := []byte("over the wire")
 			engine := transport.MeshEngine(buildEndpoints(t, kind, n))
-			c, kd, rep := lifecycle(t, model.Config{N: n, T: tol}, engine, value)
+			c, kd, rep := lifecycle(t, model.Config{N: n, T: tol}, engine, value, nil)
 
 			if got, want := kd.Snapshot.Messages, keydist.ExpectedMessages(n); got != want {
 				t.Errorf("keydist messages = %d, want %d", got, want)
@@ -93,32 +131,55 @@ func TestFullLifecycleOverTransports(t *testing.T) {
 
 // TestRunnerViewMatchesSimulator: the same seeded cluster produces the
 // same directories and the same reports — rounds included — under the
-// simulator and over each transport.
+// simulator and over each transport, with honest key distribution and
+// with a corrupt one (the G3 attacker as sender, discovered in the run).
 func TestRunnerViewMatchesSimulator(t *testing.T) {
 	n, tol := 4, 1
 	cfg := model.Config{N: n, T: tol}
-	simC, simKD, simFD := lifecycle(t, cfg, nil, []byte("v"))
-	for _, kind := range []string{"memory", "tcp"} {
-		c, kd, rep := lifecycle(t, cfg, transport.MeshEngine(buildEndpoints(t, kind, n)), []byte("v"))
-		if !reflect.DeepEqual(kd, simKD) {
-			t.Errorf("keydist report over %s = %v, simulator's %v", kind, kd, simKD)
-		}
-		if !reflect.DeepEqual(rep, simFD) {
-			t.Errorf("fd report over %s = %v, simulator's %v", kind, rep, simFD)
-		}
-		// Identical directories (same seeds → same keys → same fingerprints).
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				pa, oka := simC.Nodes()[i].Directory().PredicateOf(model.NodeID(j))
-				pb, okb := c.Nodes()[i].Directory().PredicateOf(model.NodeID(j))
-				if oka != okb {
-					t.Fatalf("%s: presence mismatch at (%d,%d)", kind, i, j)
+	for _, tc := range []struct {
+		name     string
+		faults   faults
+		survived int
+	}{
+		{"honest", nil, n},
+		{"mixed-predicate sender", mixedSender, n - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			simC, simKD, simFD := lifecycle(t, cfg, nil, []byte("v"), tc.faults)
+			if simFD.FailureDiscovered() != (tc.faults != nil) {
+				t.Errorf("simulator run discovered = %v", simFD.FailureDiscovered())
+			}
+			for _, kind := range []string{"memory", "tcp"} {
+				c, kd, rep := lifecycle(t, cfg, transport.MeshEngine(buildEndpoints(t, kind, n)), []byte("v"), tc.faults)
+				if !reflect.DeepEqual(kd, simKD) {
+					t.Errorf("keydist report over %s = %v, simulator's %v", kind, kd, simKD)
 				}
-				if oka && pa.Fingerprint() != pb.Fingerprint() {
-					t.Errorf("%s: fingerprint mismatch at (%d,%d)", kind, i, j)
+				if !reflect.DeepEqual(rep, simFD) {
+					t.Errorf("fd report over %s = %v, simulator's %v", kind, rep, simFD)
+				}
+				// Identical surviving directories (same seeds → same keys →
+				// same fingerprints), the faulty node's entries included.
+				survived := 0
+				for i := 0; i < n; i++ {
+					a, b := simC.Nodes()[i], c.Nodes()[i]
+					if (a == nil) != (b == nil) {
+						t.Fatalf("%s: P%d kept its keys on one engine only", kind, i)
+					}
+					if a == nil {
+						continue
+					}
+					survived++
+					for j := 0; j < n; j++ {
+						if !a.Directory().AgreesWith(b.Directory(), model.NodeID(j)) {
+							t.Errorf("%s: presence or fingerprint mismatch at (%d,%d)", kind, i, j)
+						}
+					}
+				}
+				if survived != tc.survived {
+					t.Errorf("%s: %d directories survived key distribution, want %d", kind, survived, tc.survived)
 				}
 			}
-		}
+		})
 	}
 }
 
