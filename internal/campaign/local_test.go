@@ -81,6 +81,58 @@ func TestSetupPaidOncePerSweep(t *testing.T) {
 	}
 }
 
+// TestSweepSignsEachStatementOnce is the other half of the same economics:
+// a sweep pins key material and never sets Value, so its instances ask the
+// same keys for the same statements over and over, and the ed25519 signers
+// of the store's cells compute only a fraction of what they are asked for.
+// The spec is the whole-stack benchmark's campaign_grid sweep 0 at its
+// default seed; requested is exact (it is the protocols' own sign count,
+// handshake included), computed is bounded (PERF.md "PR 22": 1,640 of
+// 9,297 on one worker), and no byte of the report depends on either.
+func TestSweepSignsEachStatementOnce(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// One worker leaves the detector nothing to find, and the sweep
+		// without a store takes over a minute under it.
+		t.Skip("runs a 1,100-instance sweep twice")
+	}
+	spec := Spec{
+		Name:      "campaign_grid",
+		Protocols: []string{ProtoChain, ProtoFDBA, ProtoSM, ProtoSmallRange, ProtoVector, ProtoNonAuth},
+		Cases:     []Case{{N: 8, T: 2}, {N: 16, T: 5}},
+		Schemes:   []string{sig.SchemeEd25519, sig.SchemeHMAC},
+		Adversaries: []string{AdvNone, AdvCrashRelay, AdvEquivocate,
+			"coalition:size=2,behavior=equivocate,partition=even-odd",
+			"coalition:size=1,behavior=delay,delay=2"},
+		NetConds:  []string{"ideal", "latency=uniform-0-2,loss=0.05", "churn=2@2-4"},
+		SeedBase:  1995,
+		SeedCount: 4,
+	}
+	exec := NewExecutor()
+	rep, err := RunWith(spec, onExecutor{1, exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requested, computed := exec.cache.SignCounts()
+	if requested != 9297 || computed > 1800 {
+		t.Errorf("sweep requested %d ed25519 signatures and computed %d; want 9297 and at most 1800", requested, computed)
+	}
+	got, err := rep.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := Run(spec, 1, WithoutSetupCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uncached.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("report differs from the one built without a store, where every signer is new and remembers nothing")
+	}
+}
+
 // TestBlocksHandOutEveryChunkOnce drives take as a pure function of the
 // block state, with no goroutines: whoever asks, and in whatever order,
 // each chunk is handed out exactly once; a worker gets its own block

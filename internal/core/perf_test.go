@@ -46,13 +46,15 @@ func BenchmarkFDRun(b *testing.B) {
 }
 
 // TestFDRunAllocs pins the run's allocation count as an upper bound.
-// 409 is what every measurement since PR 10 has read in steady state
-// (the value's Sprintf included). The 200 runs counted here start from
-// an empty verify memo, so that a rerun cannot ride the previous one's
-// entries; its shard maps growing back adds 0.9 per run (81,979 mallocs
-// over the 200), and the average truncates to 409 or 410. The collector
-// is off because a cycle empties the sync.Pools, and the few runs before
-// the count fill them.
+// 221 is the steady state (the value's Sprintf included); it read 409
+// from PR 10 until PR 22 took out what the engine allocated per node per
+// round — a view copy nobody read and a reflective sort's closure and
+// swapper — and the nested-encoding copy per verified chain. The 200 runs
+// counted here start from an empty verify memo, so that a rerun cannot
+// ride the previous one's entries; its shard maps growing back adds 0.9
+// per run, and the average truncates to 221 or 222. The collector is off
+// because a cycle empties the sync.Pools, and the few runs before the
+// count fill them.
 func TestFDRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -63,7 +65,7 @@ func TestFDRunAllocs(t *testing.T) {
 	}
 	sig.ResetVerifyMemo()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, run); allocs > 410 {
-		t.Errorf("a chain run at n=16, t=5 allocates %.0f times, pin is 410", allocs)
+	if allocs := testing.AllocsPerRun(200, run); allocs > 222 {
+		t.Errorf("a chain run at n=16, t=5 allocates %.0f times, pin is 222", allocs)
 	}
 }

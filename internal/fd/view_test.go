@@ -35,12 +35,13 @@ func runViews(t *testing.T, f *fixture, overrides map[model.NodeID]sim.Process, 
 		procs[id] = p
 		nodes[id] = nil
 	}
-	eng, err := sim.New(f.cfg, procs)
+	rec := &sim.RecordingTracer{}
+	eng, err := sim.New(f.cfg, procs, sim.WithTracer(rec))
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
-	res := eng.Run(fd.ChainEngineRounds(f.cfg.T))
-	return res.Views, nodes
+	eng.Run(fd.ChainEngineRounds(f.cfg.T))
+	return rec.Views(f.cfg.N), nodes
 }
 
 // viewsEqual compares two views round-by-round, message-by-message.

@@ -128,13 +128,6 @@ type View struct {
 	Rounds [][]Message
 }
 
-// Append records the messages received in the next round.
-func (v *View) Append(msgs []Message) {
-	cp := make([]Message, len(msgs))
-	copy(cp, msgs)
-	v.Rounds = append(v.Rounds, cp)
-}
-
 // Len returns the number of completed rounds in the view.
 func (v *View) Len() int { return len(v.Rounds) }
 

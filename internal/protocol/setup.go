@@ -7,19 +7,22 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/keydist"
+	"repro/internal/sig"
 )
 
 // The amortized-setup store. RSA/ECDSA/Ed25519 key generation plus the
 // 3n(n−1)-message handshake dwarf the n−1-message protocol being
 // measured, and key material is a pure function of (scheme, n, keySeed)
 // — constant across a seed sweep. What the handshake leaves behind, each
-// node's stateless signer and its keydist.Directory, is read-only from
-// then on, so one bounded store holds it for every worker of a sweep and
-// every driver that runs over established authentication (chain,
-// smallrange, fdba, sm, vector): the handshake is paid once per cell per
-// sweep. Because keys are pinned by Instance.KeySeed, a run over a warm
-// cell derives byte-identical wire traffic to a fresh one — the
-// cached-vs-fresh differential test and CI step keep that true forever.
+// node's key pair and its keydist.Directory, never changes from then on
+// (a signer may keep a synchronized memory of what it has signed, which
+// no byte of any signature depends on), so one bounded store holds it for
+// every worker of a sweep and every driver that runs over established
+// authentication (chain, smallrange, fdba, sm, vector): the handshake is
+// paid once per cell per sweep. Because keys are pinned by
+// Instance.KeySeed, a run over a warm cell derives byte-identical wire
+// traffic to a fresh one — the cached-vs-fresh differential test and CI
+// step keep that true forever.
 
 // SetupKey identifies one cell of established material: exactly what
 // key material is a function of (key distribution never reads the fault
@@ -79,6 +82,27 @@ func (sc *SetupCache) Stats() (hits, misses int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.hits, sc.misses
+}
+
+// SignCounts sums sig.SignCounts over the signers of every live, built
+// cell: the signatures the store's key sets were asked for, handshake
+// included, and how many of those they had to compute.
+func (sc *SetupCache) SignCounts() (requested, computed uint64) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for _, cell := range sc.cells {
+		select {
+		case <-cell.ready:
+		default:
+			continue // still building: nodes is not ours to read yet
+		}
+		for _, node := range cell.nodes {
+			r, c := sig.SignCounts(node.Signer())
+			requested += r
+			computed += c
+		}
+	}
+	return requested, computed
 }
 
 // Established returns the shared, read-only established nodes of the

@@ -85,6 +85,78 @@ func TestVerifyMemoSingleFlight(t *testing.T) {
 	}
 }
 
+// panicOncePred panics in its first Test — after saying it got there and
+// being told to go on — and passes every later one.
+type panicOncePred struct {
+	entered, release chan struct{}
+	calls            atomic.Int32
+}
+
+func (p *panicOncePred) Test(msg, sg []byte) bool {
+	if p.calls.Add(1) == 1 {
+		close(p.entered)
+		<-p.release
+		panic("predicate bug")
+	}
+	return true
+}
+func (p *panicOncePred) Bytes() []byte       { return []byte("panic-once-pred") }
+func (p *panicOncePred) Fingerprint() string { return "panic-once" }
+
+// TestVerifyMemoSurvivesPanickingPredicate: a Test that panics takes its
+// in-flight entry with it. The panic reaches the leader's caller, a
+// concurrent waiter on the same triple returns instead of blocking on a
+// leader that is gone, and the next lookup runs Test again.
+func TestVerifyMemoSurvivesPanickingPredicate(t *testing.T) {
+	m := newVerifyMemo()
+	pred := &panicOncePred{entered: make(chan struct{}), release: make(chan struct{})}
+	type outcome struct {
+		ok       bool
+		panicked any
+	}
+	lookup := func() <-chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			var o outcome
+			defer func() {
+				o.panicked = recover()
+				ch <- o
+			}()
+			o.ok = m.test(pred, []byte("payload"), []byte("sig"))
+		}()
+		return ch
+	}
+	await := func(ch <-chan outcome, who string) outcome {
+		select {
+		case o := <-ch:
+			return o
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned: the panicking Test left its in-flight entry behind", who)
+			return outcome{}
+		}
+	}
+	leader := lookup()
+	<-pred.entered
+	waiter := lookup()
+	// Let the waiter reach the in-flight entry. Should it be late instead
+	// it finds no entry, runs the second Test itself and passes: every
+	// assertion below holds in either order.
+	time.Sleep(50 * time.Millisecond)
+	close(pred.release)
+	if o := await(leader, "the leader"); o.panicked == nil {
+		t.Error("the predicate's panic did not reach the leader's caller")
+	}
+	if o := await(waiter, "the waiter"); o.panicked != nil {
+		t.Errorf("the waiter panicked: %v", o.panicked)
+	}
+	if o := await(lookup(), "a later lookup"); !o.ok || o.panicked != nil {
+		t.Errorf("a later lookup of the same triple = %+v, want a pass", o)
+	}
+	if got := pred.calls.Load(); got != 2 {
+		t.Errorf("Test ran %d times, want 2: the panic, then one pass that is memoized", got)
+	}
+}
+
 // TestVerifyMemoShardedContention hammers the memo from many goroutines
 // over many distinct keys; under -race this pins the shard locking, and
 // the final assertions check hits land regardless of shard.
@@ -209,10 +281,10 @@ func TestChainVerifyBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestChainVerifyFillsNestedCache checks the batched Verify still fills
-// the nested-encoding cache identically to the slow oracle (the serial
-// path's side effect Extend depends on).
-func TestChainVerifyFillsNestedCache(t *testing.T) {
+// TestNestedEncodingAfterVerifyMatchesSlowOracle: Verify leaves a chain
+// off the wire without a nested-encoding cache, and what the following
+// Extend computes for itself is the slow oracle's encoding.
+func TestNestedEncodingAfterVerifyMatchesSlowOracle(t *testing.T) {
 	f := newChainFixture(t, 5)
 	c := f.buildChain(t, []byte("cache fill"), 5)
 	parsed, err := UnmarshalChain(c.Marshal())
@@ -222,8 +294,24 @@ func TestChainVerifyFillsNestedCache(t *testing.T) {
 	if _, err := parsed.Verify(4, f.dir); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if !bytes.Equal(parsed.nested, slowEncodeNested(parsed)) {
-		t.Error("batched Verify filled a nested cache that diverges from the slow oracle")
+	if parsed.nested != nil {
+		t.Error("Verify copied a nested encoding into the chain it accepted")
+	}
+	if !bytes.Equal(parsed.nestedEncoding(), slowEncodeNested(parsed)) {
+		t.Error("nested encoding computed after Verify diverges from the slow oracle")
+	}
+	// The relay's hop end to end: extending the verified wire chain signs
+	// the same statement as extending the chain it was marshalled from.
+	viaWire, err := parsed.Extend(4, f.signers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := c.Extend(4, f.signers[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaWire.Marshal(), direct.Marshal()) {
+		t.Error("extending a verified wire chain and extending its source chain disagree")
 	}
 }
 

@@ -30,10 +30,11 @@ import (
 // own nested encoding: Extend derives the next one from the cache with a
 // single append-style pass instead of re-encoding every layer, and Verify
 // recomputes the per-layer payloads in one forward sweep over two pooled
-// scratch buffers. A chain built by NewChain/Extend carries the cache from
-// birth; one parsed by UnmarshalChain fills it on first use (Verify or
-// Extend), so the usual receive→verify→extend hop never encodes the same
-// layer twice.
+// scratch buffers that it keeps to itself. A chain built by
+// NewChain/Extend carries the cache from birth; one parsed by
+// UnmarshalChain fills it on its first Extend, in one exactly-sized
+// allocation — only relays ever extend, so the many receivers that verify
+// and decide never pay for an encoding they would not use.
 
 // Domain-separation tags for chain signature payloads. Distinct tags keep
 // a signature obtained in one context (e.g. a key-distribution challenge
@@ -74,7 +75,7 @@ type Directory interface {
 // Chain is a parsed chain-signed message. The zero value is not useful;
 // build chains with NewChain and Chain.Extend. A Chain is immutable after
 // construction except for its lazily-filled nested-encoding cache, so a
-// single Chain must not be verified from multiple goroutines concurrently.
+// single Chain must not be extended from multiple goroutines concurrently.
 type Chain struct {
 	// value is the innermost payload m.
 	value []byte
@@ -241,14 +242,30 @@ func (c *Chain) nestedEncoding() []byte {
 	return c.nested
 }
 
-// computeNested rebuilds the nested encoding bottom-up. Only chains
-// parsed from the wire and extended without an intervening Verify pay
-// this cost; everything else rides the cache.
+// computeNested rebuilds the nested encoding of a chain parsed from the
+// wire, in one exactly-sized allocation written outside-in: every layer's
+// size is known up front, so the layers' headers (assignee, length of the
+// enclosed encoding) go first, outermost first, then the root, then the
+// signatures innermost first — the same bytes appendNestedLayer produces
+// bottom-up (slowEncodeNested in the tests is that oracle).
 func (c *Chain) computeNested() []byte {
-	enc := appendNestedRoot(nil, c.value, c.sigs[0])
-	for k := 1; k < len(c.sigs); k++ {
-		next := make([]byte, 0, IntFieldSize+BytesFieldSize(len(enc))+BytesFieldSize(len(c.sigs[k])))
-		enc = appendNestedLayer(next, c.names[k-1], enc, c.sigs[k])
+	// layerOverhead is what one outer layer adds around the encoding it
+	// encloses, its signature's bytes aside: the assignee and two length
+	// prefixes.
+	layerOverhead := IntFieldSize + 2*BytesFieldSize(0)
+	size := BytesFieldSize(len(c.value)) + BytesFieldSize(len(c.sigs[0]))
+	for _, sg := range c.sigs[1:] {
+		size += layerOverhead + len(sg)
+	}
+	enc := make([]byte, 0, size)
+	for k := len(c.sigs) - 1; k >= 1; k-- {
+		size -= layerOverhead + len(c.sigs[k])
+		enc = AppendInt(enc, int(c.names[k-1]))
+		enc = AppendUint32(enc, uint32(size))
+	}
+	enc = appendNestedRoot(enc, c.value, c.sigs[0])
+	for _, sg := range c.sigs[1:] {
+		enc = AppendBytes(enc, sg)
 	}
 	return enc
 }
@@ -351,8 +368,7 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // process has already seen costs hashing. The result (including which
 // error, at which layer) is identical to checking the layers one by one
 // in order; verifySerial in the tests is that reference implementation.
-// On success the chain's nested-encoding cache is filled, making a
-// subsequent Extend allocation-minimal.
+// The chain itself is left untouched.
 func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	if len(c.sigs) == 0 {
 		return nil, ErrChainEmpty
@@ -395,9 +411,11 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 		start := len(arena)
 		arena = appendLinkPayload(arena, c.names[k], ne)
 		offs = append(offs, len(arena))
-		body := arena[start+tagLen:]
-		ne = append(ne[:0], body...)
-		ne = AppendBytes(ne, c.sigs[k+1])
+		if k+2 < limit { // the last payload has no successor to feed
+			body := arena[start+tagLen:]
+			ne = append(ne[:0], body...)
+			ne = AppendBytes(ne, c.sigs[k+1])
+		}
 	}
 	s.arena, s.ne, s.offs = arena, ne, offs
 	checks := s.checks[:0]
@@ -410,11 +428,6 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 	}
 	if limit < len(c.sigs) {
 		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, limit, signers[limit])
-	}
-	if c.nested == nil {
-		// The forward pass ended on the full chain's nested encoding;
-		// keep it so a following Extend skips computeNested.
-		c.nested = append([]byte(nil), ne...)
 	}
 	return signers, nil
 }

@@ -78,8 +78,9 @@ const (
 )
 
 // inflightTest is one in-progress pred.Test: the leader closes done after
-// publishing ok, and every waiter that found the key in the shard's
-// inflight table adopts ok instead of re-running the test.
+// publishing ok (still false if Test panicked), and every waiter that
+// found the key in the shard's inflight table adopts ok instead of
+// re-running the test.
 type inflightTest struct {
 	done chan struct{}
 	ok   bool
@@ -170,21 +171,26 @@ func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
 	s.inflight[key] = fl
 	s.mu.Unlock()
 
-	ok := pred.Test(payload, sg)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if ok {
-		if len(s.cur) >= memoGenerationLimit {
-			s.prev = s.cur
-			s.cur = make(map[memoKey]struct{}, memoGenerationLimit)
+	// Deferred, so a predicate that panics (the service, the campaign
+	// watchdog and the sched worker all recover and carry on) still retires
+	// its entry: waiters see a failure, nothing is memoized, the panic
+	// reaches this caller — and the next lookup of the triple runs Test
+	// again instead of waiting forever on a leader that is gone.
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, key)
+		if fl.ok {
+			if len(s.cur) >= memoGenerationLimit {
+				s.prev = s.cur
+				s.cur = make(map[memoKey]struct{}, memoGenerationLimit)
+			}
+			s.cur[key] = struct{}{}
 		}
-		s.cur[key] = struct{}{}
-	}
-	s.mu.Unlock()
-	fl.ok = ok
-	close(fl.done)
-	return ok
+		s.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.ok = pred.Test(payload, sg)
+	return fl.ok
 }
 
 // reset drops every memoized verification. The predicate digest cache

@@ -57,10 +57,26 @@ type TestPredicate interface {
 // package exercises exactly that.
 type Signer interface {
 	// Sign produces {m}_S. Implementations may randomize; the returned
-	// signature must satisfy the paired predicate's Test.
+	// signature must satisfy the paired predicate's Test, and the caller
+	// owns the returned slice. A deterministic scheme may hand back a copy
+	// of the signature it computed for the same message before (S1 limits
+	// who can produce {m}_S, not how often it is computed); a randomized
+	// one must not, or two requests would stop being independent draws.
+	// Implementations must be safe for concurrent use: established
+	// signers are shared by every worker of a sweep.
 	Sign(msg []byte) ([]byte, error)
 	// Predicate returns the test predicate paired with this secret key.
 	Predicate() TestPredicate
+}
+
+// SignCounts returns how many signatures s has been asked for and how many
+// of those it computed, for a signer that remembers what it signed; both
+// are zero for one that computes every request.
+func SignCounts(s Signer) (requested, computed uint64) {
+	if c, ok := s.(interface{ signCounts() (uint64, uint64) }); ok {
+		return c.signCounts()
+	}
+	return 0, 0
 }
 
 // Scheme generates key pairs and parses wire-encoded predicates. Scheme

@@ -122,27 +122,28 @@ func TestNetworkDelayPastMaxRoundsNeverDelivers(t *testing.T) {
 
 func TestNetworkIdealFatesMatchNilNetwork(t *testing.T) {
 	// A network that answers 0 for everything must leave the run
-	// byte-identical to no network at all — views, rounds, counters.
-	run := func(opts ...Option) *Result {
+	// byte-identical to no network at all — deliveries, rounds, counters.
+	run := func(opts ...Option) (*Result, []model.Message) {
 		cfg := model.Config{N: 3, T: 0}
 		procs := []Process{
 			&echoProc{id: 0, peer: 1},
 			&echoProc{id: 1, peer: 2},
 			&echoProc{id: 2, peer: 0},
 		}
-		eng, err := New(cfg, procs, opts...)
+		rec := &RecordingTracer{}
+		eng, err := New(cfg, procs, append(opts, WithTracer(rec))...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		return eng.Run(5)
+		return eng.Run(5), rec.Messages()
 	}
-	ideal := run(WithNetwork(fateFunc(func(model.Message, int) int { return 0 })))
-	bare := run()
+	ideal, idealMsgs := run(WithNetwork(fateFunc(func(model.Message, int) int { return 0 })))
+	bare, bareMsgs := run()
 	if ideal.Rounds != bare.Rounds {
 		t.Errorf("Rounds: ideal-net %d, nil-net %d", ideal.Rounds, bare.Rounds)
 	}
-	if !reflect.DeepEqual(ideal.Views, bare.Views) {
-		t.Errorf("views diverge under an all-zero-fate network")
+	if len(bareMsgs) == 0 || !reflect.DeepEqual(idealMsgs, bareMsgs) {
+		t.Errorf("deliveries diverge under an all-zero-fate network")
 	}
 	if !reflect.DeepEqual(ideal.Counters.Snapshot(), bare.Counters.Snapshot()) {
 		t.Errorf("counters diverge: %v vs %v", ideal.Counters.Snapshot(), bare.Counters.Snapshot())

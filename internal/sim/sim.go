@@ -15,8 +15,10 @@
 package sim
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -94,15 +96,12 @@ type Result struct {
 	Rounds int
 	// Counters holds the traffic statistics for the run.
 	Counters *metrics.Counters
-	// Views holds each node's view of the run, indexed by node ID.
-	Views []model.View
 }
 
 // Engine drives a set of processes in lockstep rounds.
 type Engine struct {
 	cfg    model.Config
 	procs  []Process
-	views  []model.View
 	count  *metrics.Counters
 	tracer Tracer
 	// rounds is tracer when it also implements RoundTracer, resolved
@@ -163,11 +162,7 @@ func New(cfg model.Config, procs []Process, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:   cfg,
 		procs: procs,
-		views: make([]model.View, cfg.N),
 		count: metrics.NewCounters(),
-	}
-	for i := range e.views {
-		e.views[i].Node = model.NodeID(i)
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -229,7 +224,6 @@ func (e *Engine) Run(maxRounds int) *Result {
 			id := model.NodeID(i)
 			inbox := inFlight[i]
 			SortMessages(inbox)
-			e.views[i].Append(inbox)
 			for _, m := range inbox {
 				if e.tracer != nil {
 					e.tracer.Delivered(m)
@@ -280,7 +274,7 @@ func (e *Engine) Run(maxRounds int) *Result {
 			break
 		}
 	}
-	return &Result{Rounds: rounds, Counters: e.count, Views: e.views}
+	return &Result{Rounds: rounds, Counters: e.count}
 }
 
 // RunInstance is the one-shot entry point for an isolated simulation
@@ -314,13 +308,16 @@ func (e *Engine) allFinished() bool {
 // engine applies it to every inbox; the transport runner does the same so
 // socket runs match simulator runs exactly.
 func SortMessages(msgs []model.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
+	if len(msgs) < 2 { // most inboxes of most rounds
+		return
+	}
+	slices.SortStableFunc(msgs, func(a, b model.Message) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		if msgs[i].Kind != msgs[j].Kind {
-			return msgs[i].Kind < msgs[j].Kind
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		return string(msgs[i].Payload) < string(msgs[j].Payload)
+		return bytes.Compare(a.Payload, b.Payload)
 	})
 }

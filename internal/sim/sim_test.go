@@ -2,7 +2,9 @@ package sim
 
 import (
 	"io"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -121,15 +123,17 @@ func TestEngineViewsRecorded(t *testing.T) {
 	cfg := model.Config{N: 2, T: 0}
 	a := &echoProc{id: 0, peer: 1}
 	b := &echoProc{id: 1, peer: 0}
-	eng, err := New(cfg, []Process{a, b})
+	rec := &RecordingTracer{}
+	eng, err := New(cfg, []Process{a, b}, WithTracer(rec))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res := eng.Run(2)
-	if len(res.Views) != 2 {
-		t.Fatalf("got %d views", len(res.Views))
+	eng.Run(2)
+	views := rec.Views(cfg.N)
+	if len(views) != 2 {
+		t.Fatalf("got %d views", len(views))
 	}
-	v := res.Views[0]
+	v := views[0]
 	if v.Len() != 2 {
 		t.Fatalf("view rounds = %d, want 2", v.Len())
 	}
@@ -213,30 +217,32 @@ func (p *chatterProc) Step(round int, received []model.Message) []model.Message 
 }
 
 func TestEngineRunDeterministicAcrossRuns(t *testing.T) {
-	// Two identically-seeded runs must produce byte-identical views and
-	// counters; the inbox buffers reused across rounds must not leak state
-	// between rounds or runs.
-	run := func() *Result {
+	// Two identically-seeded runs must produce byte-identical deliveries
+	// and counters; the inbox buffers reused across rounds must not leak
+	// state between rounds or runs.
+	run := func() (*Result, []model.Message) {
 		cfg := model.Config{N: 5, T: 1}
 		procs := make([]Process, cfg.N)
 		for i := range procs {
 			procs[i] = &chatterProc{id: model.NodeID(i), n: cfg.N, rng: SeededReader(NodeSeed(99, i))}
 		}
-		res, err := RunInstance(cfg, procs, 6)
+		rec := &RecordingTracer{}
+		res, err := RunInstance(cfg, procs, 6, WithTracer(rec))
 		if err != nil {
 			t.Fatalf("RunInstance: %v", err)
 		}
-		return res
+		return res, rec.Messages()
 	}
-	a, b := run(), run()
+	a, aMsgs := run()
+	b, bMsgs := run()
 	if a.Rounds != b.Rounds {
 		t.Fatalf("rounds differ: %d vs %d", a.Rounds, b.Rounds)
 	}
 	if !reflect.DeepEqual(a.Counters.Snapshot(), b.Counters.Snapshot()) {
 		t.Errorf("counter snapshots differ:\n%v\n%v", a.Counters.Snapshot(), b.Counters.Snapshot())
 	}
-	if !reflect.DeepEqual(a.Views, b.Views) {
-		t.Error("views differ between identically-seeded runs")
+	if len(aMsgs) == 0 || !reflect.DeepEqual(aMsgs, bMsgs) {
+		t.Errorf("deliveries differ between identically-seeded runs (%d vs %d messages)", len(aMsgs), len(bMsgs))
 	}
 }
 
@@ -310,5 +316,55 @@ func TestKeyMaterialSeedDomainSeparation(t *testing.T) {
 	}
 	if KeyMaterialSeed(7, 3) != KeyMaterialSeed(7, 3) {
 		t.Fatal("KeyMaterialSeed is not deterministic")
+	}
+}
+
+// sortMessagesReflect is the sort.SliceStable form SortMessages had, kept
+// as the oracle for its order.
+func sortMessagesReflect(msgs []model.Message) {
+	sort.SliceStable(msgs, func(i, j int) bool {
+		if msgs[i].From != msgs[j].From {
+			return msgs[i].From < msgs[j].From
+		}
+		if msgs[i].Kind != msgs[j].Kind {
+			return msgs[i].Kind < msgs[j].Kind
+		}
+		return string(msgs[i].Payload) < string(msgs[j].Payload)
+	})
+}
+
+// TestSortMessagesMatchesOracle: same order as the reflective sort on
+// inboxes full of ties (Round tells equal-keyed messages apart, so a lost
+// stability shows), and no allocation at any length.
+func TestSortMessagesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	payloads := [][]byte{nil, {}, []byte("a"), []byte("ab"), []byte("b"), {0xff}}
+	for _, n := range []int{0, 1, 2, 3, 17, 64, 300} {
+		msgs := make([]model.Message, n)
+		for i := range msgs {
+			msgs[i] = model.Message{
+				From:    model.NodeID(rng.Intn(4)),
+				Kind:    model.MessageKind(rng.Intn(3)),
+				Payload: payloads[rng.Intn(len(payloads))],
+				Round:   i,
+			}
+		}
+		want := append([]model.Message(nil), msgs...)
+		sortMessagesReflect(want)
+		got := append([]model.Message(nil), msgs...)
+		SortMessages(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: order departs from the sort.SliceStable oracle", n)
+		}
+		if raceEnabled {
+			continue
+		}
+		scratch := make([]model.Message, n)
+		if allocs := testing.AllocsPerRun(20, func() {
+			copy(scratch, msgs)
+			SortMessages(scratch)
+		}); allocs != 0 {
+			t.Errorf("n=%d: SortMessages allocates %.1f times", n, allocs)
+		}
 	}
 }

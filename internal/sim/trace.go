@@ -114,6 +114,28 @@ func (t *RecordingTracer) Messages() []model.Message {
 	return out
 }
 
+// Views rebuilds each of n nodes' view of the run (paper §2) from the
+// recorded deliveries: a message stamped with round r was received in
+// round r+1, so it lands in Received(r+1) of its destination's view, in
+// delivery order. A view ends at the last round its node received
+// anything in.
+func (t *RecordingTracer) Views(n int) []model.View {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	views := make([]model.View, n)
+	for i := range views {
+		views[i].Node = model.NodeID(i)
+	}
+	for _, m := range t.msgs {
+		v := &views[m.To]
+		for len(v.Rounds) <= m.Round {
+			v.Rounds = append(v.Rounds, nil)
+		}
+		v.Rounds[m.Round] = append(v.Rounds[m.Round], m)
+	}
+	return views
+}
+
 // MultiTracer fans deliveries out to several tracers, forwarding round
 // boundaries to the members that implement RoundTracer. It lets a run
 // carry a human trace (WriterTracer) and a structured one
