@@ -257,7 +257,7 @@ func (n *FDBANode) presentEvidence() []model.Message {
 	if err != nil {
 		panic(fmt.Sprintf("ba: %v signing evidence: %v", n.id, err))
 	}
-	return n.floodTo(hop, nil)
+	return n.floodTo(make([]model.Message, 0, n.cfg.N-1), hop, nil)
 }
 
 // ingestFlood processes flood messages for hop-round hop and returns any
@@ -266,6 +266,10 @@ func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Messag
 	var out []model.Message
 	for _, m := range received {
 		if m.Kind != model.KindFallback {
+			continue
+		}
+		// Seen evidence is discarded whatever wraps it: ask before parsing.
+		if ev, ok := sig.PeekChainValue(m.Payload); !ok || n.seenEvidence[string(ev)] {
 			continue
 		}
 		hopChain, err := sig.UnmarshalChain(m.Payload)
@@ -279,11 +283,7 @@ func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Messag
 		if !distinctValid(hopSigners, n.cfg.N) || containsID(hopSigners, n.id) {
 			continue
 		}
-		evBytes := hopChain.Value()
-		if n.seenEvidence[string(evBytes)] {
-			continue
-		}
-		if !n.noteEvidence(evBytes) {
+		if !n.noteEvidence(hopChain.Value()) {
 			continue // invalid evidence: ignore, do not relay
 		}
 		if hop <= n.cfg.T {
@@ -291,13 +291,7 @@ func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Messag
 			if err != nil {
 				panic(fmt.Sprintf("ba: %v extending flood: %v", n.id, err))
 			}
-			payload := ext.Marshal()
-			for _, to := range n.cfg.Nodes() {
-				if to == n.id || containsID(hopSigners, to) {
-					continue
-				}
-				out = append(out, model.Message{To: to, Kind: model.KindFallback, Payload: payload})
-			}
+			out = n.floodTo(out, ext, hopSigners)
 		}
 	}
 	return out
@@ -338,15 +332,14 @@ func (n *FDBANode) noteEvidence(evBytes []byte) bool {
 	return true
 }
 
-// floodTo broadcasts a flood chain to every node not among exclude.
-func (n *FDBANode) floodTo(hop *sig.Chain, exclude []model.NodeID) []model.Message {
+// floodTo appends a flood chain, addressed to every node but us and
+// exclude, to out.
+func (n *FDBANode) floodTo(out []model.Message, hop *sig.Chain, exclude []model.NodeID) []model.Message {
 	payload := hop.Marshal()
-	out := make([]model.Message, 0, n.cfg.N-1)
 	for _, to := range n.cfg.Nodes() {
-		if to == n.id || containsID(exclude, to) {
-			continue
+		if to != n.id && !containsID(exclude, to) {
+			out = append(out, model.Message{To: to, Kind: model.KindFallback, Payload: payload})
 		}
-		out = append(out, model.Message{To: to, Kind: model.KindFallback, Payload: payload})
 	}
 	return out
 }
@@ -372,12 +365,10 @@ func (n *FDBANode) decide() {
 
 // distinctValid reports whether ids are pairwise distinct and in range.
 func distinctValid(ids []model.NodeID, n int) bool {
-	seen := make(map[model.NodeID]bool, len(ids))
-	for _, id := range ids {
-		if !id.Valid(n) || seen[id] {
+	for i, id := range ids {
+		if !id.Valid(n) || containsID(ids[:i], id) {
 			return false
 		}
-		seen[id] = true
 	}
 	return true
 }

@@ -135,6 +135,10 @@ func (n *SMNode) Step(round int, received []model.Message) []model.Message {
 // handle processes one signed message per the SM acceptance rule.
 func (n *SMNode) handle(round int, m model.Message) []model.Message {
 	t := n.cfg.T
+	// "If v ∉ V_i": a held value is discarded whatever signs it — ask first.
+	if v, ok := sig.PeekChainValue(m.Payload); !ok || n.values[string(v)] {
+		return nil
+	}
 	chain, err := sig.UnmarshalChain(m.Payload)
 	if err != nil {
 		return nil // malformed: SM silently ignores (no discovery here)
@@ -152,21 +156,10 @@ func (n *SMNode) handle(round int, m model.Message) []model.Message {
 	}
 	// Signers must be distinct, start at the sender, and not include us
 	// (we never relay to ourselves).
-	if signers[0] != Sender {
+	if signers[0] != Sender || !distinctValid(signers, n.cfg.N) || containsID(signers, n.id) {
 		return nil
 	}
-	seen := make(map[model.NodeID]bool, len(signers))
-	for _, s := range signers {
-		if !s.Valid(n.cfg.N) || seen[s] || s == n.id {
-			return nil
-		}
-		seen[s] = true
-	}
-	v := string(chain.Value())
-	if n.values[v] {
-		return nil // not a new value: no relay
-	}
-	n.values[v] = true
+	n.values[string(chain.Value())] = true
 	if k > t {
 		return nil // full chain; everyone correct already has it
 	}
@@ -175,10 +168,10 @@ func (n *SMNode) handle(round int, m model.Message) []model.Message {
 		panic(fmt.Sprintf("ba: %v extending chain: %v", n.id, err))
 	}
 	payload := ext.Marshal()
-	out := make([]model.Message, 0, n.cfg.N-1-len(seen))
+	out := make([]model.Message, 0, n.cfg.N-1-len(signers))
 	for q := 0; q < n.cfg.N; q++ {
 		to := model.NodeID(q)
-		if to == n.id || seen[to] {
+		if to == n.id || containsID(signers, to) {
 			continue
 		}
 		out = append(out, model.Message{To: to, Kind: model.KindSigned, Payload: payload})

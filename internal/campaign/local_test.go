@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/protocol"
@@ -81,6 +83,24 @@ func TestSetupPaidOncePerSweep(t *testing.T) {
 	}
 }
 
+// benchmarkGridSweep0 is the whole-stack benchmark's campaign_grid sweep 0
+// at its default seed (benchmark/gen.go gridSpec), over the two schemes
+// given.
+func benchmarkGridSweep0(ed25519, hmac string) Spec {
+	return Spec{
+		Name:      "campaign_grid",
+		Protocols: []string{ProtoChain, ProtoFDBA, ProtoSM, ProtoSmallRange, ProtoVector, ProtoNonAuth},
+		Cases:     []Case{{N: 8, T: 2}, {N: 16, T: 5}},
+		Schemes:   []string{ed25519, hmac},
+		Adversaries: []string{AdvNone, AdvCrashRelay, AdvEquivocate,
+			"coalition:size=2,behavior=equivocate,partition=even-odd",
+			"coalition:size=1,behavior=delay,delay=2"},
+		NetConds:  []string{"ideal", "latency=uniform-0-2,loss=0.05", "churn=2@2-4"},
+		SeedBase:  1995,
+		SeedCount: 4,
+	}
+}
+
 // TestSweepSignsEachStatementOnce is the other half of the same economics:
 // a sweep pins key material and never sets Value, so its instances ask the
 // same keys for the same statements over and over, and the ed25519 signers
@@ -95,18 +115,7 @@ func TestSweepSignsEachStatementOnce(t *testing.T) {
 		// without a store takes over a minute under it.
 		t.Skip("runs a 1,100-instance sweep twice")
 	}
-	spec := Spec{
-		Name:      "campaign_grid",
-		Protocols: []string{ProtoChain, ProtoFDBA, ProtoSM, ProtoSmallRange, ProtoVector, ProtoNonAuth},
-		Cases:     []Case{{N: 8, T: 2}, {N: 16, T: 5}},
-		Schemes:   []string{sig.SchemeEd25519, sig.SchemeHMAC},
-		Adversaries: []string{AdvNone, AdvCrashRelay, AdvEquivocate,
-			"coalition:size=2,behavior=equivocate,partition=even-odd",
-			"coalition:size=1,behavior=delay,delay=2"},
-		NetConds:  []string{"ideal", "latency=uniform-0-2,loss=0.05", "churn=2@2-4"},
-		SeedBase:  1995,
-		SeedCount: 4,
-	}
+	spec := benchmarkGridSweep0(sig.SchemeEd25519, sig.SchemeHMAC)
 	exec := NewExecutor()
 	rep, err := RunWith(spec, onExecutor{1, exec})
 	if err != nil {
@@ -130,6 +139,87 @@ func TestSweepSignsEachStatementOnce(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("report differs from the one built without a store, where every signer is new and remembers nothing")
+	}
+}
+
+// testCountingScheme is the benchmark's countsig.go in a test file: it
+// forwards to a real scheme — keys, signatures, fingerprints and wire
+// bytes are the inner scheme's — and counts the predicate tests that
+// reach it. A verify-memo hit never does, so the count is the public-key
+// verifications a sweep really performs.
+type testCountingScheme struct {
+	sig.Scheme
+	tests atomic.Int64
+}
+
+func (s *testCountingScheme) Name() string { return "test-counted-" + s.Scheme.Name() }
+
+func (s *testCountingScheme) Generate(rand io.Reader) (sig.Signer, error) {
+	signer, err := s.Scheme.Generate(rand)
+	if err != nil {
+		return nil, err
+	}
+	return testCountingSigner{signer, &testCountingPred{signer.Predicate(), &s.tests}}, nil
+}
+
+func (s *testCountingScheme) ParsePredicate(data []byte) (sig.TestPredicate, error) {
+	pred, err := s.Scheme.ParsePredicate(data)
+	if err != nil {
+		return nil, err
+	}
+	return &testCountingPred{pred, &s.tests}, nil
+}
+
+type testCountingSigner struct {
+	sig.Signer
+	pred *testCountingPred
+}
+
+func (s testCountingSigner) Predicate() sig.TestPredicate { return s.pred }
+
+type testCountingPred struct {
+	sig.TestPredicate
+	tests *atomic.Int64
+}
+
+func (p *testCountingPred) Test(msg, sg []byte) bool {
+	p.tests.Add(1)
+	return p.TestPredicate.Test(msg, sg)
+}
+
+var countedEd25519, countedHMAC = new(testCountingScheme), new(testCountingScheme)
+
+func init() {
+	for name, s := range map[string]*testCountingScheme{sig.SchemeEd25519: countedEd25519, sig.SchemeHMAC: countedHMAC} {
+		inner, err := sig.ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		s.Scheme = inner
+		sig.Register(s)
+	}
+}
+
+// TestSweepVerifiesEachPrefixOnce is the verifying half of
+// TestSweepSignsEachStatementOnce, as an exact count: the predicate tests
+// the same sweep runs on one worker from an empty verify memo, handshakes
+// included. A chain prefix is tested the first time any node of any
+// instance meets it and never again, and SM and FDBA test nothing they
+// are about to discard (PERF.md "PR 23": 848 of each scheme before, when
+// both verified every relay of a value they already held).
+func TestSweepVerifiesEachPrefixOnce(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs a 1,100-instance sweep; one worker leaves the detector nothing to find")
+	}
+	sig.ResetVerifyMemo()
+	countedEd25519.tests.Store(0)
+	countedHMAC.tests.Store(0)
+	spec := benchmarkGridSweep0(countedEd25519.Name(), countedHMAC.Name())
+	if _, err := RunWith(spec, onExecutor{1, NewExecutor()}); err != nil {
+		t.Fatal(err)
+	}
+	if ed, hm := countedEd25519.tests.Load(), countedHMAC.tests.Load(); ed != 581 || hm != 581 {
+		t.Errorf("sweep ran %d ed25519 and %d hmac predicate tests; want 581 and 581", ed, hm)
 	}
 }
 

@@ -338,16 +338,25 @@ func UnmarshalChain(data []byte) (*Chain, error) {
 	return c, nil
 }
 
+// PeekChainValue returns the value of a flat wire encoding (its first
+// field, aliasing data) and whether there is one, reading nothing behind
+// it: a receiver whose rule begins "if the value is new" asks this before
+// it pays for UnmarshalChain and Verify.
+func PeekChainValue(data []byte) ([]byte, bool) {
+	d := Decoder{buf: data}
+	value := d.Bytes()
+	return value, d.err == nil
+}
+
 // chainScratch recycles the per-Verify working set: resolved predicates,
-// the payload arena (all layer payloads packed end to end, addressed by
-// offsets so arena growth cannot invalidate them), the evolving nested
-// encoding and the assembled checks.
+// their prefix keys and the preimage buffer; for a Verify that has to
+// test something, the current layer's payload and nested encoding too.
 type chainScratch struct {
-	preds  []TestPredicate
-	offs   []int
-	arena  []byte
-	ne     []byte
-	checks []Check
+	preds   []TestPredicate
+	keys    []memoKey
+	kbuf    []byte
+	payload []byte
+	ne      []byte
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
@@ -362,13 +371,14 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // to its stated node; Theorem 4 then guarantees all correct nodes make the
 // same assignments or some correct node discovers a failure.
 //
-// The per-layer payloads are built in a single forward pass into a pooled
-// arena and the layer checks handed to VerifyBatch, which runs them
-// through the verified-signature memo — so re-verifying a chain the
-// process has already seen costs hashing. The result (including which
-// error, at which layer) is identical to checking the layers one by one
-// in order; verifySerial in the tests is that reference implementation.
-// The chain itself is left untouched.
+// Verification goes through the verified-prefix memo (memo.go): one small
+// hash per layer derives the chain's prefix keys, and a chain the process
+// has already verified under the same predicates costs those and one map
+// probe. Otherwise the layers above the longest memoized prefix are
+// tested in order. The result (including which error, at which layer) is
+// identical to checking the layers one by one in order; verifySerial in
+// the tests is that reference implementation. The chain itself is left
+// untouched.
 func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	if len(c.sigs) == 0 {
 		return nil, ErrChainEmpty
@@ -378,53 +388,46 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 			ErrChainEncoding, len(c.names), len(c.sigs))
 	}
 	signers := c.Signers(sender)
-	// Resolve predicates up front. A serial verifier tests layers in order
-	// and stops at the first layer with no accepted predicate, so only
+	// Resolve predicates and derive the prefix keys up front. A serial
+	// verifier stops at the first layer with no accepted predicate, so only
 	// layers below that bound ("limit") are ever tested.
 	s := chainScratchPool.Get().(*chainScratch)
 	defer chainScratchPool.Put(s)
-	preds := s.preds[:0]
+	memo := chainVerifyMemo
+	s.preds, s.keys = s.preds[:0], s.keys[:0]
 	limit := len(c.sigs)
-	for k := 0; k < len(c.sigs); k++ {
+	var key memoKey
+	for k := range c.sigs {
 		pred, ok := dir.PredicateOf(signers[k])
 		if !ok {
 			limit = k
 			break
 		}
-		preds = append(preds, pred)
+		key, s.kbuf = c.prefixKey(s.kbuf, k, &key, memo.digestOf(pred))
+		s.preds, s.keys = append(s.preds, pred), append(s.keys, key)
 	}
-	s.preds = preds
-	if limit == 0 {
-		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, 0, signers[0])
+	// Layers 0…verified-1 are memoized as one prefix. The top key is asked
+	// first, so a chain seen before costs a single probe.
+	verified := limit
+	for verified > 0 && !memo.has(s.keys[verified-1]) {
+		verified--
 	}
-	// Forward pass: pack payload_0..payload_{limit-1} into the arena
-	// (recording offsets — the arena may reallocate as it grows) while ne
-	// evolves through the nested encodings. payload_{k+1} is the link tag
-	// plus (name_k, nested_k), and nested_{k+1} is that same (name_k,
-	// nested_k) body plus sig_{k+1} — so each step encodes the body once
-	// in the arena and copies it into ne instead of re-encoding.
-	const tagLen = 4 + len(tagChainLink)
-	arena := appendValuePayload(s.arena[:0], c.value)
-	offs := append(s.offs[:0], 0, len(arena))
-	ne := appendNestedRoot(s.ne[:0], c.value, c.sigs[0])
-	for k := 0; k+1 < limit; k++ {
-		start := len(arena)
-		arena = appendLinkPayload(arena, c.names[k], ne)
-		offs = append(offs, len(arena))
-		if k+2 < limit { // the last payload has no successor to feed
-			body := arena[start+tagLen:]
-			ne = append(ne[:0], body...)
-			ne = AppendBytes(ne, c.sigs[k+1])
+	if verified < limit {
+		// One forward sweep over two buffers: payload_k is the link tag plus
+		// (name_{k-1}, nested_{k-1}), and nested_k is that same body plus
+		// sig_k — so each step encodes the body once and copies it.
+		const tagLen = 4 + len(tagChainLink)
+		s.payload = appendValuePayload(s.payload[:0], c.value)
+		s.ne = appendNestedRoot(s.ne[:0], c.value, c.sigs[0])
+		for k := 0; k < limit; k++ {
+			if k > 0 {
+				s.payload = appendLinkPayload(s.payload[:0], c.names[k-1], s.ne)
+				s.ne = AppendBytes(append(s.ne[:0], s.payload[tagLen:]...), c.sigs[k])
+			}
+			if k >= verified && !memo.test(s.keys[k], s.preds[k], s.payload, c.sigs[k]) {
+				return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, k, signers[k])
+			}
 		}
-	}
-	s.arena, s.ne, s.offs = arena, ne, offs
-	checks := s.checks[:0]
-	for k := 0; k < limit; k++ {
-		checks = append(checks, Check{Pred: preds[k], Payload: arena[offs[k]:offs[k+1]], Sig: c.sigs[k]})
-	}
-	s.checks = checks
-	if bad := VerifyBatch(checks); bad >= 0 {
-		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, bad, signers[bad])
 	}
 	if limit < len(c.sigs) {
 		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, limit, signers[limit])

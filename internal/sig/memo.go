@@ -3,74 +3,101 @@ package sig
 import (
 	"crypto/sha256"
 	"io"
+	"reflect"
 	"sync"
 )
 
-// Verified-signature memo.
+// Verified-prefix memo.
 //
-// Every receiver of a chain re-verifies the same (predicate, payload,
-// signature) triples: a relay verifies layers the previous relay already
-// verified, the tail nodes all verify the identical disseminated chain,
-// and the vector protocol multiplies that by n instances per round. The
-// signatures are immutable and the predicates deterministic, so a triple
-// that verified once verifies forever — memoizing successful checks turns
-// the O(K) public-key verifies a hop performs on a K-layer chain into
-// cache hits everywhere but the first verifier.
+// Every receiver of a chain re-verifies what another already verified: a
+// relay the layers the previous relay checked, the tail nodes all the
+// same disseminated chain, the vector protocol n instances of both per
+// round. Signatures are immutable and predicates deterministic, so what
+// verified once verifies forever, and the memo remembers verified chain
+// PREFIXES, one 32-byte key per layer:
 //
-// Soundness: entries are keyed by SHA-256 digests of the predicate
-// (scheme-qualified Fingerprint plus full canonical key bytes — the
-// fingerprint alone is truncated, the key bytes alone lack scheme domain
-// separation; together a collision needs same scheme AND same key), the
-// payload, and the signature. Only SUCCESSFUL verifications are stored.
-// Equal scheme + key bytes parse to the same verification function, so
-// replaying a memoized triple is exactly re-presenting a signature that
-// already passed the same predicate; no forgery becomes acceptable that
-// Test itself would not accept (up to SHA-256 collisions, which the
-// schemes' own security already assumes away). Failures are deliberately
-// not cached so a predicate swap mid-run (tests do this) cannot mask a
-// later success.
+//	key_0 = SHA-256(0x00 ‖ len‖value ‖ predDigest_0 ‖ len‖sig_0)
+//	key_k = SHA-256(0x01 ‖ key_{k-1} ‖ name_{k-1} ‖ predDigest_k ‖ len‖sig_k)
 //
-// Keying by content digest rather than predicate pointer identity is
-// what makes cross-node hits real: under local authentication every node
-// parses its own TestPredicate instance from the key-distribution wire
-// bytes, so the n tail receivers of one disseminated chain hold n
-// different pointers to the same key. (Hits span nodes only when they
-// share a process, as the simulator's do; separate OS processes keep
-// separate memos.)
+// key_k in the memo means "layers 0…k of this value, under these names
+// and signatures, passed exactly these predicates". Chain.Verify derives
+// the keys bottom-up (one hash of ~140 bytes per ed25519 layer) and asks
+// for the top one: a hit answers for the whole chain after one lock and
+// one map probe, and no signature payload is built. On a miss it walks
+// down to the longest memoized prefix and runs pred.Test only on the
+// layers above it, in order, inserting each layer's key as it passes.
 //
-// Concurrency: the memo is sharded by key digest, each shard under its
-// own mutex, so parallel verifiers (campaign workers, service shards) do
-// not serialize on one lock. Misses are single-flighted per
-// key: the first goroutine to miss runs pred.Test and every concurrent
-// miss on the same key waits for and adopts its verdict. Adoption is
-// sound for failures too — the key pins scheme AND key bytes AND payload
-// AND signature, and every scheme's Test is a deterministic function of
-// exactly those, so two goroutines holding the same key would compute
-// the same verdict. (Failures are still not MEMOIZED; only concurrent
-// waiters observe them.)
+// What a key commits to: the payload layer k signs is a function of the
+// value, names 0…k-1 and signatures 0…k-1, all of which key_{k-1} and
+// name_{k-1} pin by induction; so key_k pins layer k's (predicate,
+// payload, signature) triple and the triple of every layer below.
+// predDigest is SHA-256 over the scheme-qualified Fingerprint, a zero
+// byte and the full canonical key bytes — the fingerprint alone is
+// truncated, the key bytes alone lack scheme separation; together a
+// collision needs same scheme AND same key. The encoding is injective:
+// the domain byte keeps a chosen value from posing as an upper layer's
+// preimage, and within a layer every field has a fixed width (key,
+// digest, name) or carries its length (value, signature).
 //
-// All tables are bounded. Each shard's memo is two-generation: inserts go
-// to the current generation, and when it fills the previous generation
-// is dropped and the current one takes its place — lookups consult both,
-// so the hot working set survives rotation. The per-instance predicate
-// digest cache is cleared wholesale when it exceeds its limit, so
-// Monte-Carlo workloads that mint predicates forever cannot pin them all
-// in memory.
+// Soundness: only SUCCESSFUL verifications are stored, and key_k is
+// inserted only by a Verify that held layers 0…k-1 verified — by its own
+// tests or by key_{k-1}'s entry. Equal scheme + key bytes parse to the
+// same verification function, so a hit replays signatures that already
+// passed the same predicates over the same payloads; nothing becomes
+// acceptable that Test itself would not accept (up to SHA-256 collisions,
+// which the schemes' own security already assumes away). Failures are not
+// cached, so a predicate swap mid-run (tests do this) cannot mask a later
+// success. An evicted key_{k-1} under a surviving key_k costs a re-test
+// at most: each entry's meaning is self-contained.
+//
+// Binding the lower layers' predicates is strictly tighter than keying
+// layer by layer. Two correct nodes may hold different predicates for a
+// FAULTY node (the G3 gap): a chain one has verified is no hit for the
+// other from the first layer their directories differ on, and every layer
+// above it — correct nodes' included, which a per-triple memo shared — is
+// tested again under the second node's own predicates. That is the whole
+// cost, paid only after a corrupted key distribution.
+//
+// Keying by content digest, not predicate pointer, is what makes
+// cross-node hits real: every node parses its own TestPredicate instance
+// from the key-distribution wire bytes, so the n receivers of one chain
+// hold n pointers to the same key. (Hits span nodes only when they share
+// a process, as the simulator's do.)
+//
+// Concurrency: the memo is sharded by key, each shard under its own
+// mutex. Misses are single-flighted per key: the first goroutine to miss
+// runs pred.Test and every concurrent miss on the same key adopts its
+// verdict — failures too, since the key pins everything Test is a
+// deterministic function of (they are still not MEMOIZED).
+//
+// All tables are bounded. Each shard is two-generation: inserts go to the
+// current generation, and when it fills the previous one is dropped and
+// the current one takes its place — lookups consult both, so the hot
+// working set survives rotation. The predicate digest cache is cleared
+// wholesale at its limit.
 
-// memoKey identifies one verification by content digests alone; it
-// retains no pointers.
-type memoKey struct {
-	pred    [sha256.Size]byte
-	payload [sha256.Size]byte
-	sig     [sha256.Size]byte
+// memoKey identifies one verified chain prefix; it retains no pointers.
+type memoKey [sha256.Size]byte
+
+// prefixKey derives key_k of c for a layer-k predicate with digest pd,
+// from below = key_{k-1} (unread at k = 0). The preimage is assembled in
+// buf, which is returned for reuse.
+func (c *Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byte) (memoKey, []byte) {
+	if k == 0 {
+		buf = AppendBytes(append(buf[:0], 0x00), c.value)
+	} else {
+		buf = append(append(buf[:0], 0x01), below[:]...)
+		buf = AppendInt(buf, int(c.names[k-1]))
+	}
+	buf = AppendBytes(append(buf, pd[:]...), c.sigs[k])
+	return sha256.Sum256(buf), buf
 }
 
-// memoShardCount shards the memo by signature digest (a power of two).
+// memoShardCount shards the memo by key (a power of two).
 // memoGenerationLimit bounds each shard generation so the memo holds at
-// most 2*memoShardCount*memoGenerationLimit entries — the same total
-// bound the pre-sharding single-map memo had. predCacheLimit bounds the
-// predicate digest cache (and therefore how many predicate instances it
-// retains).
+// most 2*memoShardCount*memoGenerationLimit entries. predCacheLimit
+// bounds the predicate digest cache (and therefore how many predicate
+// instances it retains).
 const (
 	memoShardCount      = 16
 	memoGenerationLimit = (1 << 14) / memoShardCount
@@ -91,6 +118,15 @@ type memoShard struct {
 	cur      map[memoKey]struct{}
 	prev     map[memoKey]struct{}
 	inflight map[memoKey]*inflightTest
+}
+
+// holds reports whether key is in either generation; the caller holds mu.
+func (s *memoShard) holds(key memoKey) bool {
+	if _, ok := s.cur[key]; ok {
+		return true
+	}
+	_, ok := s.prev[key]
+	return ok
 }
 
 type verifyMemo struct {
@@ -121,8 +157,15 @@ func computePredDigest(pred TestPredicate) [sha256.Size]byte {
 }
 
 // digestOf returns the predicate's memo digest, cached per instance so
-// the steady-state cost is one read-locked map read per layer.
+// the steady-state cost is one read-locked map read per layer. A
+// predicate of a non-comparable dynamic type (a struct value holding a
+// slice — Register is public) cannot key a map, so its digest is computed
+// every time; the test costs two loads and has to come first, because a
+// map read with an unhashable key panics even when the key is absent.
 func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
+	if !reflect.TypeOf(pred).Comparable() {
+		return computePredDigest(pred)
+	}
 	m.predMu.RLock()
 	d, ok := m.preds[pred]
 	m.predMu.RUnlock()
@@ -139,22 +182,26 @@ func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
 	return d
 }
 
-// shardOf picks the shard for a key. The signature digest is already
-// uniform, so its low bits are the shard index.
+// shardOf picks a key's shard: SHA-256 output is uniform, so by low bits.
 func (m *verifyMemo) shardOf(key *memoKey) *memoShard {
-	return &m.shards[key.sig[0]&(memoShardCount-1)]
+	return &m.shards[key[0]&(memoShardCount-1)]
 }
 
-// test is the memoized counterpart of pred.Test.
-func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
-	key := memoKey{pred: m.digestOf(pred), payload: sha256.Sum256(payload), sig: sha256.Sum256(sg)}
+// has reports whether the prefix key names is memoized as verified.
+func (m *verifyMemo) has(key memoKey) bool {
 	s := m.shardOf(&key)
 	s.mu.Lock()
-	if _, ok := s.cur[key]; ok {
-		s.mu.Unlock()
-		return true
-	}
-	if _, ok := s.prev[key]; ok {
+	defer s.mu.Unlock()
+	return s.holds(key)
+}
+
+// test is the memoized counterpart of pred.Test for the top layer of the
+// prefix key names. The caller vouches for the layers below it; key is
+// inserted when — and only when — the test passes.
+func (m *verifyMemo) test(key memoKey, pred TestPredicate, payload, sg []byte) bool {
+	s := m.shardOf(&key)
+	s.mu.Lock()
+	if s.holds(key) {
 		s.mu.Unlock()
 		return true
 	}
@@ -174,7 +221,7 @@ func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
 	// Deferred, so a predicate that panics (the service, the campaign
 	// watchdog and the sched worker all recover and carry on) still retires
 	// its entry: waiters see a failure, nothing is memoized, the panic
-	// reaches this caller — and the next lookup of the triple runs Test
+	// reaches this caller — and the next lookup of the key runs Test
 	// again instead of waiting forever on a leader that is gone.
 	defer func() {
 		s.mu.Lock()
@@ -197,8 +244,7 @@ func (m *verifyMemo) test(pred TestPredicate, payload, sg []byte) bool {
 // survives: digests are pure functions of their predicates, so keeping
 // them is always sound, and reset exists to measure cold VERIFICATION —
 // a long-lived process has its peers' digests cached even when every
-// chain is new. The cache stays bounded by predCacheLimit regardless.
-// In-flight tests are untouched; they complete into the fresh maps.
+// chain is new. In-flight tests complete into the fresh maps.
 func (m *verifyMemo) reset() {
 	for i := range m.shards {
 		s := &m.shards[i]

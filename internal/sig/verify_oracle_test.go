@@ -6,10 +6,10 @@ import (
 	"repro/internal/model"
 )
 
-// verifySerial is the pre-batch reference implementation of Verify: one
-// memoized test per layer, in order, stopping at the first failure. It is
-// kept verbatim as the differential oracle — Verify must return the same
-// signers and the same error (same sentinel, same layer) for every input.
+// verifySerial is the reference implementation of Verify: one predicate
+// test per layer, in order, stopping at the first failure — no memo. It
+// is the differential oracle: Verify must return the same signers and the
+// same error (same sentinel, same layer) for every input.
 func (c *Chain) verifySerial(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	if len(c.sigs) == 0 {
 		return nil, ErrChainEmpty
@@ -33,7 +33,7 @@ func (c *Chain) verifySerial(sender model.NodeID, dir Directory) ([]model.NodeID
 		if !ok {
 			return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, k, who)
 		}
-		if !chainVerifyMemo.test(pred, pe.Encoding(), c.sigs[k]) {
+		if !pred.Test(pe.Encoding(), c.sigs[k]) {
 			return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, k, who)
 		}
 		if k+1 < len(c.sigs) {
