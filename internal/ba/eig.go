@@ -39,11 +39,23 @@ import (
 // once in a per-node table and a tree slot holds its small integer id:
 // the slot arrays are pointer-free and resolution votes over integers.
 // The tree is stored as rank-indexed per-level slot arrays — a path maps
-// to (level, rank) by pure arithmetic (rankOf), so ingest is an array
+// to (level, rank) by pure arithmetic (pathRank), so ingest is an array
 // write instead of a map insert and resolution never touches a hash
 // table. The leaf level, all but a sliver of the tree, is filled and
 // resolved inside the final round's Step, so it is borrowed for that one
 // call instead of owned for the whole run.
+//
+// Ingest walks runs, not entries. A run is a maximal stretch of
+// consecutive entries of one shape — the same path length and the same
+// value length, so the same size on the wire. A correct relay's batch is
+// one run when every report carries the same value and two under a
+// two-faced sender, and inside a run the next entry lies one fixed stride
+// ahead: the walker (oralRun) reads the shape once and then only compares
+// each entry's two length fields against it, where an entry-at-a-time walk
+// must load a length to learn where the next length lies. A payload that
+// changes shape at every entry is runs of one, each costing what an entry
+// cost that walk plus one failed comparison — there is one walker for all
+// traffic, not a fast path beside a slow one.
 
 // maxEIGNodes is an admission bound: OM(t) is O(n^t), so anywhere near it
 // a run is unrunnable anyway and the bound costs nothing real.
@@ -51,6 +63,13 @@ const maxEIGNodes = 256
 
 // maxEIGPath is the longest tree path: t+1, where n > 3t.
 const maxEIGPath = (maxEIGNodes-1)/3 + 1
+
+// maxEIGLeaf is the second admission bound: the slots of the leaf level,
+// which every stepping node borrows whole (64 MiB at the bound). The
+// largest trees the repository runs are far below it — n=16 t=5 has
+// 240,240 leaves, n=256 t=3 has 16.2 M — and the first one above it,
+// n=256 t=4, would borrow 16 GiB.
+const maxEIGLeaf = 1 << 24
 
 // defaultID is DefaultValue's id in every node's value table. A tree
 // slot holds 0 while empty, else the id of the value reported for it.
@@ -64,7 +83,7 @@ type EIGNode struct {
 	// value is the sender's initial value (sender only).
 	value []byte
 	// levels[d] holds the slot of every depth-d inner vertex (path length
-	// d+1 ≤ t) in resolveTree's enumeration order, addressed by rankOf.
+	// d+1 ≤ t) in resolveTree's enumeration order, addressed by pathRank.
 	// The sender has none: it decides its own value.
 	levels [][]uint32
 	// vals is the value table and ids its index; last is the id interned
@@ -114,6 +133,9 @@ func NewEIGNode(cfg model.Config, id model.NodeID, opts ...EIGOption) (*EIGNode,
 		return nil, fmt.Errorf("ba: node id %v out of range for n=%d", id, cfg.N)
 	}
 	n := &EIGNode{id: id, cfg: cfg, entries: new(atomic.Int64)}
+	if n.levelSize(cfg.T) > maxEIGLeaf {
+		return nil, fmt.Errorf("ba: OM(t) at n=%d t=%d needs more than %d leaf slots per node", cfg.N, cfg.T, maxEIGLeaf)
+	}
 	n.decision.Node = id
 	for _, opt := range opts {
 		opt(n)
@@ -158,11 +180,16 @@ func EIGEntries(n, t int) int {
 }
 
 // levelSize is the number of depth-d tree vertices: the sender-rooted
-// paths of d+1 distinct nodes that exclude the resolver.
+// paths of d+1 distinct nodes that exclude the resolver. It saturates at
+// maxEIGLeaf+1, so no configuration overflows it.
 func (n *EIGNode) levelSize(d int) int {
 	size := 1
 	for i := 0; i < d; i++ {
-		size *= n.cfg.N - i - 2
+		children := n.cfg.N - i - 2
+		if size > maxEIGLeaf/children {
+			return maxEIGLeaf + 1
+		}
+		size *= children
 	}
 	return size
 }
@@ -184,37 +211,51 @@ func borrowLeaf(size int) *[]uint32 {
 	return &leaf
 }
 
-// rankOf maps a tree path to its slot index within level len(path)-1.
+// pathRank checks, in one sweep over its hops as they lie on the wire,
+// that a path reported by from is structurally possible, and maps it to
+// its slot index within level len(hops)-1. Possible means: it starts at
+// the sender, its last hop is from (a node can only report paths it
+// itself extended), and its hops are distinct nodes of the cluster, none
+// of them this node — every path through our own tree excludes us. The
+// caller has checked the round's length. These checks need no
+// cryptography — they are the only defense oral messages afford.
+//
 // The rank is the path's mixed-radix position in resolveTree's
 // enumeration order: the children of the vertex at (level d, rank i)
 // occupy slots [i*(n-d-2), (i+1)*(n-d-2)) of level d+1, ordered by
 // ascending node ID among the IDs not excluded (the path prefix and the
-// resolver). Precondition: the path is valid in validPath's sense —
-// sender-rooted, distinct, no element equal to the resolver — otherwise
-// the arithmetic may alias a valid path's slot.
-func (n *EIGNode) rankOf(path []model.NodeID) int {
-	r := int(n.id)
-	size := n.cfg.N
-	rank := 0
-	for i := 1; i < len(path); i++ {
-		q := int(path[i])
-		below := 0
-		rIn := false
-		for j := 0; j < i; j++ {
-			pj := int(path[j])
-			if pj < q {
-				below++
-			}
-			if pj == r {
-				rIn = true
-			}
-		}
-		if !rIn && r < q {
-			below++
-		}
-		rank = rank*(size-i-1) + q - below
+// resolver). So hop i contributes its ID less the excluded IDs below it,
+// which the distinctness scan counts as it goes; paths are at most t+1
+// long, so the quadratic scan beats a set. A hop is compared unsigned: an
+// ID of 2⁶³ and up is out of range, not negative. hops is the caller's
+// scratch for the decoded path, len(hops) its length. The receiver is a
+// lieutenant: the sender holds no tree.
+func (n *EIGNode) pathRank(wire []byte, from model.NodeID, hops []uint64) (rank int, ok bool) {
+	last := len(hops) - 1
+	if binary.BigEndian.Uint64(wire) != uint64(Sender) ||
+		binary.BigEndian.Uint64(wire[sig.IntFieldSize*last:]) != uint64(from) {
+		return 0, false
 	}
-	return rank
+	size, self := uint64(n.cfg.N), uint64(n.id)
+	hops[0] = uint64(Sender)
+	for i := 1; i <= last; i++ {
+		h := binary.BigEndian.Uint64(wire[sig.IntFieldSize*i:])
+		if h >= size || h == self {
+			return 0, false
+		}
+		// Both sides are below 2⁶³, so the difference's top bit says
+		// which is the smaller.
+		below := (self - h) >> 63
+		for _, p := range hops[:i] {
+			if p == h {
+				return 0, false
+			}
+			below += (p - h) >> 63
+		}
+		hops[i] = h
+		rank = rank*(n.cfg.N-i-1) + int(h-below)
+	}
+	return rank, true
 }
 
 // intern returns v's id in the value table, copying v into the table the
@@ -267,10 +308,53 @@ const (
 	maxOralValueLen = 16 << 20 // sig's bound on one encoded field
 )
 
-// oralEntryCount walks the length fields of one oral payload — entry
-// count, path lengths, value lengths — without reading a path or a
-// value, and returns the entry count. ok is false for a malformed
-// payload: truncated, trailing bytes, or a count or length past its limit.
+// oralRun reads the run that opens at data[off:], of at most left
+// entries: its shape — path length, the value field's offset inside an
+// entry, the entry's size — and how many entries it holds. It checks the
+// first entry's two length fields against their limits and the payload's
+// end, then steps from entry to entry at the fixed stride while the next
+// one fits and both its length fields equal the run's; such an entry is
+// as well-formed as the first. Splitting on both fields, never on the
+// stride, is what keeps the walk exact: a path one hop longer under a
+// value eight bytes shorter has the same stride and is another shape.
+// Whatever ends the run — another shape, a bad length, the payload's end
+// — is the next call's first entry and gets the full checks there.
+// entries is 0 when the first entry is malformed.
+func oralRun(data []byte, off, left int) (plen uint64, val, stride, entries int) {
+	if len(data)-off < sig.IntFieldSize {
+		return 0, 0, 0, 0
+	}
+	plen = binary.BigEndian.Uint64(data[off:])
+	if plen < 1 || plen > maxOralPathLen {
+		return 0, 0, 0, 0
+	}
+	val = sig.IntFieldSize * (1 + int(plen))
+	if len(data)-off-val < sig.BytesFieldSize(0) {
+		return 0, 0, 0, 0
+	}
+	vlen := binary.BigEndian.Uint32(data[off+val:])
+	if vlen > maxOralValueLen {
+		return 0, 0, 0, 0
+	}
+	stride = val + sig.BytesFieldSize(int(vlen))
+	if len(data)-off < stride {
+		return 0, 0, 0, 0
+	}
+	left = min(left, (len(data)-off)/stride)
+	for entries = 1; entries < left; entries++ {
+		off += stride
+		if binary.BigEndian.Uint64(data[off:]) != plen || binary.BigEndian.Uint32(data[off+val:]) != vlen {
+			break
+		}
+	}
+	return plen, val, stride, entries
+}
+
+// oralEntryCount is the structural pass over one oral payload: it walks
+// the payload run by run, reading no path and no value, and returns the
+// entry count. ok is false for a malformed payload: truncated, trailing
+// bytes, or a count or length past its limit. Ingest stores nothing from
+// a payload before this pass has seen all of it.
 func oralEntryCount(data []byte) (count int, ok bool) {
 	if len(data) < sig.IntFieldSize {
 		return 0, false
@@ -280,26 +364,13 @@ func oralEntryCount(data []byte) (count int, ok bool) {
 		return 0, false
 	}
 	off := sig.IntFieldSize
-	for i := 0; i < int(claimed); i++ {
-		if len(data)-off < sig.IntFieldSize {
+	for left := int(claimed); left > 0; {
+		_, _, stride, entries := oralRun(data, off, left)
+		if entries == 0 {
 			return 0, false
 		}
-		plen := binary.BigEndian.Uint64(data[off:])
-		if plen < 1 || plen > maxOralPathLen {
-			return 0, false
-		}
-		off += sig.IntFieldSize * (1 + int(plen))
-		if len(data)-off < sig.BytesFieldSize(0) {
-			return 0, false
-		}
-		vlen := binary.BigEndian.Uint32(data[off:])
-		if vlen > maxOralValueLen {
-			return 0, false
-		}
-		off += sig.BytesFieldSize(int(vlen))
-		if off > len(data) {
-			return 0, false
-		}
+		off += entries * stride
+		left -= entries
 	}
 	return int(claimed), off == len(data)
 }
@@ -310,7 +381,7 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 	final := round == EIGEngineRounds(t)
 	if n.id == Sender {
 		// The commander only speaks. Every tree path starts with it and no
-		// node stores a path through itself (validPath), so nothing it is
+		// node stores a path through itself (pathRank), so nothing it is
 		// sent could be stored or relayed; as in Lamport's formulation it
 		// decides its own value, and validity is immediate.
 		switch {
@@ -357,51 +428,57 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 // weakness is the whole point of OM(t)'s redundancy. A malformed payload
 // stores nothing; the majority vote absorbs the silence.
 //
+// The storing pass walks the runs the structural pass walked: a run of
+// another round's path length is stepped over whole, a run of this
+// round's is stored entry by entry at its fixed stride — path validity
+// and rank in one sweep over the wire bytes (pathRank), no decoded path
+// in between.
+//
 // A relay round passes the outgoing batch, its count field in place, as
 // relay: every report stored is appended to it extended by this node, and
 // the batch comes back with the count filled in. The extensions are NOT
 // stored in the tree: every path through our own tree excludes us
-// (validPath), so resolution never reads them. The final round passes nil.
+// (pathRank), so resolution never reads them. The final round passes nil.
 func (n *EIGNode) ingest(received []model.Message, plen int, level []uint32, relay []byte) ([]byte, int) {
-	var pathBuf [maxEIGPath]model.NodeID
-	path := pathBuf[:plen]
+	// Declared once per call: as a local of a per-entry function its 688
+	// bytes would be zeroed per entry.
+	var hopBuf [maxEIGPath]uint64
+	hops := hopBuf[:plen]
 	relayed := 0
 	for _, m := range received {
 		if m.Kind != model.KindOral {
 			continue // not a protocol message; OM ignores it
 		}
 		data := m.Payload
-		count, ok := oralEntryCount(data)
+		left, ok := oralEntryCount(data)
 		if !ok {
 			continue
 		}
-		// The structure is sound, so every field lies where the length
-		// fields before it say.
-		next := sig.IntFieldSize
-		for ; count > 0; count-- {
-			hops := next + sig.IntFieldSize
-			val := hops + sig.IntFieldSize*int(binary.BigEndian.Uint64(data[next:]))
-			next = val + sig.BytesFieldSize(int(binary.BigEndian.Uint32(data[val:])))
-			if val-hops != sig.IntFieldSize*plen {
+		for off := sig.IntFieldSize; left > 0; {
+			runPlen, val, stride, entries := oralRun(data, off, left)
+			left -= entries
+			if runPlen != uint64(plen) {
+				off += entries * stride
 				continue
 			}
-			for j := range path {
-				path[j] = model.NodeID(binary.BigEndian.Uint64(data[hops+sig.IntFieldSize*j:]))
-			}
-			if !n.validPath(path, m.From) {
-				continue
-			}
-			slot := &level[n.rankOf(path)]
-			if *slot != 0 {
-				continue // duplicates are faulty noise
-			}
-			*slot = n.intern(data[val+sig.BytesFieldSize(0) : next])
-			if relay != nil {
-				relay = sig.AppendInt(relay, plen+1)
-				relay = append(relay, data[hops:val]...)
-				relay = sig.AppendInt(relay, int(n.id))
-				relay = append(relay, data[val:next]...)
-				relayed++
+			for ; entries > 0; entries, off = entries-1, off+stride {
+				en := data[off : off+stride]
+				rank, ok := n.pathRank(en[sig.IntFieldSize:val], m.From, hops)
+				if !ok {
+					continue
+				}
+				slot := &level[rank]
+				if *slot != 0 {
+					continue // duplicates are faulty noise
+				}
+				*slot = n.intern(en[val+sig.BytesFieldSize(0):])
+				if relay != nil {
+					relay = sig.AppendInt(relay, plen+1)
+					relay = append(relay, en[sig.IntFieldSize:val]...)
+					relay = sig.AppendInt(relay, int(n.id))
+					relay = append(relay, en[val:]...)
+					relayed++
+				}
 			}
 		}
 	}
@@ -409,30 +486,6 @@ func (n *EIGNode) ingest(received []model.Message, plen int, level []uint32, rel
 		binary.BigEndian.PutUint64(relay, uint64(relayed))
 	}
 	return relay, relayed
-}
-
-// validPath checks that a path reported by from is structurally possible:
-// it starts at the sender, its nodes are distinct, and its last element is
-// from (a node can only report paths it itself extended). The caller has
-// checked the round's length. These checks need no cryptography — they
-// are the only defense oral messages afford.
-func (n *EIGNode) validPath(path []model.NodeID, from model.NodeID) bool {
-	if path[0] != Sender || path[len(path)-1] != from {
-		return false
-	}
-	// Paths are at most t+1 long, so the quadratic distinctness scan beats
-	// a set allocation.
-	for i, p := range path {
-		if !p.Valid(n.cfg.N) || p == n.id {
-			return false
-		}
-		for j := 0; j < i; j++ {
-			if path[j] == p {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // broadcast sends one payload to every other node. The returned slice is

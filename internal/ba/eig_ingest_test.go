@@ -445,36 +445,34 @@ func TestEIGClusterAllocs(t *testing.T) {
 // TestEIGFinalPayloadAllocs pins the hot loop of a run — a final-round
 // payload streamed into the leaf level — at zero allocations once its
 // values are in the table: no decoder, no entry slice, no path or value
-// arena, no copy per stored slot.
+// arena, no copy per stored slot. Three values cycling make every batch
+// runs of one or two entries; the two-run inbox is a two-faced sender's.
 func TestEIGFinalPayloadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}
 	cfg := model.Config{N: 16, T: 3}
 	resolver := model.NodeID(15)
-	final := EIGEngineRounds(cfg.T)
-	bySender := make(map[model.NodeID][]OralEntry)
-	for i, p := range enumPaths(cfg, resolver, final-1) {
-		from := p[len(p)-1]
-		bySender[from] = append(bySender[from], OralEntry{Path: p, Value: []byte(fmt.Sprintf("v-%d", i%3))})
-	}
-	inbox := oralInbox(cfg, resolver, final, bySender)
-	node, err := NewEIGNode(cfg, resolver)
-	if err != nil {
-		t.Fatalf("NewEIGNode: %v", err)
-	}
-	leaf := make([]uint32, node.levelSize(cfg.T))
-	allocs := testing.AllocsPerRun(20, func() {
-		clear(leaf)
-		node.ingest(inbox, final-1, leaf, nil)
-	})
-	for rank, id := range leaf {
-		if id == 0 {
-			t.Fatalf("leaf slot %d left empty", rank)
+	for _, shape := range []ingestShape{
+		{"three values", func(k, _ int) []byte { return []byte(fmt.Sprintf("v-%d", k%3)) }},
+		ingestShapes[1], // two-run
+	} {
+		inbox, _ := finalInbox(cfg, resolver, shape.value)
+		node, err := NewEIGNode(cfg, resolver)
+		if err != nil {
+			t.Fatalf("NewEIGNode: %v", err)
 		}
-	}
-	if allocs != 0 {
-		t.Errorf("ingesting %d final-round payloads allocates %.1f times, want 0", len(inbox), allocs)
+		leaf := make([]uint32, node.levelSize(cfg.T))
+		allocs := testing.AllocsPerRun(20, func() {
+			clear(leaf)
+			node.ingest(inbox, cfg.T+1, leaf, nil)
+		})
+		if rank := slices.Index(leaf, 0); rank >= 0 {
+			t.Fatalf("%s: leaf slot %d left empty", shape.name, rank)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: ingesting %d final-round payloads allocates %.1f times, want 0", shape.name, len(inbox), allocs)
+		}
 	}
 }
 
@@ -492,6 +490,83 @@ func BenchmarkEIG(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// finalInbox is a final-round inbox for `resolver` in which every leaf
+// path is reported once by its last hop, in enumeration order; value
+// picks the report of the k-th of a relay's count entries, so it alone
+// decides how a batch falls into runs.
+func finalInbox(cfg model.Config, resolver model.NodeID, value func(k, count int) []byte) (inbox []model.Message, entries int) {
+	final := EIGEngineRounds(cfg.T)
+	bySender := make(map[model.NodeID][]OralEntry)
+	for _, p := range enumPaths(cfg, resolver, final-1) {
+		from := p[len(p)-1]
+		bySender[from] = append(bySender[from], OralEntry{Path: p})
+		entries++
+	}
+	for _, batch := range bySender {
+		for k := range batch {
+			batch[k].Value = value(k, len(batch))
+		}
+	}
+	return oralInbox(cfg, resolver, final, bySender), entries
+}
+
+// ingestShape names a value picker for finalInbox.
+type ingestShape struct {
+	name  string
+	value func(k, count int) []byte
+}
+
+// The three ways a final-round batch falls into runs: one run (every
+// relay honest), two (the sender two-faced: a relay reports the nodes of
+// one face, then of the other), and runs of one (a relay that changes the
+// value's length at every entry — the walker's worst case).
+var ingestShapes = []ingestShape{
+	{"uniform", func(int, int) []byte { return []byte("value") }},
+	{"two-run", func(k, count int) []byte {
+		if k < count/2 {
+			return []byte("value")
+		}
+		return []byte("forged")
+	}},
+	{"alternating", func(k, _ int) []byte {
+		if k%2 == 0 {
+			return []byte("value")
+		}
+		return []byte("forged")
+	}},
+}
+
+// BenchmarkEIGIngest streams one final-round inbox at n=64 t=2 — 62
+// payloads, 3,782 entries — into the leaf level, in each of ingestShapes,
+// and reports the time per entry: the hostile shape's cost is a row of
+// its own beside the two a correct relay produces.
+func BenchmarkEIGIngest(b *testing.B) {
+	cfg := model.Config{N: 64, T: 2}
+	resolver := model.NodeID(63)
+	for _, shape := range ingestShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			inbox, entries := finalInbox(cfg, resolver, shape.value)
+			node, err := NewEIGNode(cfg, resolver)
+			if err != nil {
+				b.Fatal(err)
+			}
+			leaf := make([]uint32, node.levelSize(cfg.T))
+			node.ingest(inbox, cfg.T+1, leaf, nil) // interns the values
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(leaf)
+				node.ingest(inbox, cfg.T+1, leaf, nil)
+			}
+			b.StopTimer()
+			if slices.Contains(leaf, 0) {
+				b.Fatal("a leaf slot was left empty")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -95,5 +96,48 @@ func TestUnmarshalOralEntriesRoundTrip(t *testing.T) {
 func TestEIGMaxNodesEnforced(t *testing.T) {
 	if _, err := NewEIGNode(model.Config{N: 300, T: 1}, 0, WithEIGValue([]byte("v"))); err == nil {
 		t.Error("NewEIGNode accepted n=300; the admission bound is n <= 256")
+	}
+}
+
+// TestEIGTreeSizeBound pins the other admission bound: a tree whose leaf
+// level passes maxEIGLeaf slots is refused with an error before a level
+// is allocated — at n=256 t=12 the size does not fit an int, and make on
+// what it wrapped to was a fatal error no recover contains — while
+// everything up to the bound, n=256 t=3 the largest, still constructs.
+func TestEIGTreeSizeBound(t *testing.T) {
+	for _, tc := range []struct {
+		n, t   int
+		leaves int // 0: refused
+	}{
+		{128, 2, 15_750},
+		{16, 5, 240_240},
+		{256, 3, 16_194_024},
+		{256, 4, 0},
+		{256, 12, 0},
+		{256, 85, 0},
+	} {
+		cfg := model.Config{N: tc.n, T: tc.t}
+		for _, id := range []model.NodeID{Sender, 1} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			node, err := NewEIGNode(cfg, id, WithEIGValue([]byte("v")))
+			runtime.ReadMemStats(&after)
+			if (err == nil) != (tc.leaves != 0) {
+				t.Errorf("NewEIGNode(n=%d t=%d, %v): err = %v, want a tree of %d leaves", tc.n, tc.t, id, err, tc.leaves)
+				continue
+			}
+			if err != nil {
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+					t.Errorf("NewEIGNode(n=%d t=%d, %v) allocated %d bytes on its way to %v", tc.n, tc.t, id, grew, err)
+				}
+				continue
+			}
+			if got := node.levelSize(tc.t); got != tc.leaves {
+				t.Errorf("n=%d t=%d: leaf level of %d slots, want %d", tc.n, tc.t, got, tc.leaves)
+			}
+		}
+	}
+	if got := (&EIGNode{cfg: model.Config{N: 256, T: 85}}).levelSize(85); got != maxEIGLeaf+1 {
+		t.Errorf("levelSize past the bound = %d, want it saturated at %d", got, maxEIGLeaf+1)
 	}
 }

@@ -173,3 +173,55 @@ func enumPaths(cfg model.Config, skip model.NodeID, length int) [][]model.NodeID
 	walk([]model.NodeID{Sender})
 	return out
 }
+
+// rankOf maps a tree path to its slot index within level len(path)-1:
+// the path's mixed-radix position in resolveTree's enumeration order,
+// hop i contributing its ID less the excluded IDs (path prefix and
+// resolver) below it. It is the rank half of eig.go's pathRank as it
+// stood before the two were fused, kept as the oracle. Precondition: the
+// path is valid in validPath's sense, otherwise the arithmetic may alias
+// a valid path's slot.
+func (n *EIGNode) rankOf(path []model.NodeID) int {
+	r := int(n.id)
+	size := n.cfg.N
+	rank := 0
+	for i := 1; i < len(path); i++ {
+		q := int(path[i])
+		below := 0
+		rIn := false
+		for j := 0; j < i; j++ {
+			pj := int(path[j])
+			if pj < q {
+				below++
+			}
+			if pj == r {
+				rIn = true
+			}
+		}
+		if !rIn && r < q {
+			below++
+		}
+		rank = rank*(size-i-1) + q - below
+	}
+	return rank
+}
+
+// validPath is the validity half of pathRank, likewise kept as it stood:
+// the path starts at the sender, its nodes are distinct, in range and not
+// the resolver, and its last element is from.
+func (n *EIGNode) validPath(path []model.NodeID, from model.NodeID) bool {
+	if path[0] != Sender || path[len(path)-1] != from {
+		return false
+	}
+	for i, p := range path {
+		if !p.Valid(n.cfg.N) || p == n.id {
+			return false
+		}
+		for j := 0; j < i; j++ {
+			if path[j] == p {
+				return false
+			}
+		}
+	}
+	return true
+}

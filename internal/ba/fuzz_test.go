@@ -16,7 +16,7 @@ import (
 // (eig_ref_test.go) leave — and never panic. A batch the reference
 // accepts must re-marshal to the bytes it came from (the encoding is
 // canonical: fixed-width ints, length-prefixed values, no trailing
-// bytes).
+// bytes). diffOralPayload (eig_run_test.go) is the comparison.
 func FuzzUnmarshalOralEntries(f *testing.F) {
 	many := make([]OralEntry, 9)
 	for i := range many {
@@ -48,40 +48,14 @@ func FuzzUnmarshalOralEntries(f *testing.F) {
 	// One entry whose value claims a byte more than any field may hold.
 	overlong := sig.AppendInt(sig.AppendInt(sig.AppendInt(nil, 1), 1), int(Sender))
 	f.Add(sig.AppendUint32(overlong, maxOralValueLen+1))
+	// What the run walker could get wrong: shapes that change at every
+	// entry, share a stride, belong to another round, end early.
+	for _, tc := range runWalkerPayloads() {
+		f.Add(tc.data)
+	}
 
-	cfg := model.Config{N: 7, T: 2}
-	const resolver = model.NodeID(2)
-	final := EIGEngineRounds(cfg.T)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for round := 2; round <= final; round++ {
-			node, err := NewEIGNode(cfg, resolver)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefEIG(cfg, resolver, nil)
-			inbox := []model.Message{{From: 1, To: resolver, Round: round, Kind: model.KindOral, Payload: data}}
-			if round == 2 {
-				inbox[0].From = Sender
-			}
-			level := make([]uint32, node.levelSize(round-2))
-			var relay []byte
-			if round < final {
-				relay = make([]byte, sig.IntFieldSize)
-			}
-			relay, relayed := node.ingest(inbox, round-1, level, relay)
-			sent := ref.Step(round, inbox)
-			if _, err := diffLevel(node, ref, round-1, level); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if (relayed != 0) != (len(sent) != 0) || relayed != 0 && !bytes.Equal(relay, sent[0].Payload) {
-				t.Fatalf("round %d: relays %d entries as %x, reference sends %v", round, relayed, relay, sent)
-			}
-			if round == final {
-				if got := node.vals[node.resolveTree(level)]; got != string(ref.decision) {
-					t.Fatalf("decides %q, reference decides %q", got, ref.decision)
-				}
-			}
-		}
+		diffOralPayload(t, data)
 		entries, err := unmarshalOralEntries(data)
 		if err != nil {
 			return

@@ -368,6 +368,34 @@ func TestCustomValueRoundTrip(t *testing.T) {
 	}
 }
 
+// A request for a tree no machine holds costs its sender an errored
+// reply, not every tenant the daemon: eig at n=256 t=12 passes admission
+// (MaxN and n > 3t are the only bounds there), and before ba bounded the
+// tree in NewEIGNode it died in make — a fatal error, which the panic
+// containment below cannot catch.
+func TestOversizedEIGRequestErrors(t *testing.T) {
+	srv, _, cl := startServer(t, Config{Shards: 1}, "alpha")
+	for _, tolerated := range []int{12, 4} {
+		reply, err := cl.Do(Request{Index: 9, Protocol: campaign.ProtoEIG, N: 256, T: tolerated, Seed: 1, KeySeed: 1})
+		if err != nil {
+			t.Fatalf("eig n=256 t=%d got no reply: %v", tolerated, err)
+		}
+		if !strings.Contains(reply.Result.Err, "leaf slots") || reply.Result.Conformance != nil {
+			t.Fatalf("eig n=256 t=%d: result = %+v, want the tree-size error and no verdict", tolerated, reply.Result)
+		}
+	}
+	good, err := cl.Do(Request{Protocol: campaign.ProtoEIG, N: 7, T: 2, Seed: 1, KeySeed: 1})
+	if err != nil {
+		t.Fatalf("request after the oversized ones: %v", err)
+	}
+	if good.Result.Err != "" || !good.Result.Conformance.Conformant() {
+		t.Fatalf("request after the oversized ones = %+v", good.Result)
+	}
+	if snap := srv.Snapshot(); snap.Panics != 0 || snap.Errors != 2 || snap.Served != 3 {
+		t.Fatalf("snapshot = panics %d errors %d served %d, want 0/2/3", snap.Panics, snap.Errors, snap.Served)
+	}
+}
+
 // A panicking driver costs its own request an error, not the daemon its
 // life: the client gets the fixed error string, the snapshot counts the
 // panic, the interrupted setup is dropped rather than parked, and the

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -335,36 +336,50 @@ func sortMessagesReflect(msgs []model.Message) {
 
 // TestSortMessagesMatchesOracle: same order as the reflective sort on
 // inboxes full of ties (Round tells equal-keyed messages apart, so a lost
-// stability shows), and no allocation at any length.
+// stability shows) — shuffled, already sorted (the early return), reverse
+// sorted, and sorted but for one late arrival — and no allocation at any
+// length.
 func TestSortMessagesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	payloads := [][]byte{nil, {}, []byte("a"), []byte("ab"), []byte("b"), {0xff}}
 	for _, n := range []int{0, 1, 2, 3, 17, 64, 300} {
-		msgs := make([]model.Message, n)
-		for i := range msgs {
-			msgs[i] = model.Message{
+		shuffled := make([]model.Message, n)
+		for i := range shuffled {
+			shuffled[i] = model.Message{
 				From:    model.NodeID(rng.Intn(4)),
 				Kind:    model.MessageKind(rng.Intn(3)),
 				Payload: payloads[rng.Intn(len(payloads))],
 				Round:   i,
 			}
 		}
-		want := append([]model.Message(nil), msgs...)
-		sortMessagesReflect(want)
-		got := append([]model.Message(nil), msgs...)
-		SortMessages(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: order departs from the sort.SliceStable oracle", n)
+		sorted := slices.Clone(shuffled)
+		sortMessagesReflect(sorted)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		late := slices.Clone(sorted)
+		if n > 1 {
+			late = append(late[1:], late[0])
 		}
-		if raceEnabled {
-			continue
-		}
-		scratch := make([]model.Message, n)
-		if allocs := testing.AllocsPerRun(20, func() {
-			copy(scratch, msgs)
-			SortMessages(scratch)
-		}); allocs != 0 {
-			t.Errorf("n=%d: SortMessages allocates %.1f times", n, allocs)
+		for name, msgs := range map[string][]model.Message{
+			"shuffled": shuffled, "sorted": sorted, "reversed": reversed, "one late arrival": late,
+		} {
+			want := slices.Clone(msgs)
+			sortMessagesReflect(want)
+			got := slices.Clone(msgs)
+			SortMessages(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: order departs from the sort.SliceStable oracle", n, name)
+			}
+			if raceEnabled {
+				continue
+			}
+			scratch := make([]model.Message, n)
+			if allocs := testing.AllocsPerRun(20, func() {
+				copy(scratch, msgs)
+				SortMessages(scratch)
+			}); allocs != 0 {
+				t.Errorf("n=%d %s: SortMessages allocates %.1f times", n, name, allocs)
+			}
 		}
 	}
 }
