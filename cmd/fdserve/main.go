@@ -60,7 +60,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "", "server mode: listen for agreement clients on this address")
-		shards     = flag.Int("shards", 0, "server: executor shards, and warm setups parked per pool cell (0 = default 4)")
+		shards     = flag.Int("shards", 0, "server: executor shards, and warm setups parked per key set (0 = default 4)")
 		queue      = flag.Int("queue", 0, "server: per-tenant FIFO bound per shard (0 = default 64)")
 		retryAfter = flag.Duration("retry-after", 0, "server: backoff hint sent with busy rejections (0 = default 50ms)")
 		debugAddr  = flag.String("debug-addr", "", "server: serve live telemetry over HTTP (/debug/serve snapshot, /debug/vars, /debug/pprof)")

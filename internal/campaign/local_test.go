@@ -107,7 +107,7 @@ func benchmarkGridSweep0(ed25519, hmac string) Spec {
 // of the store's cells compute only a fraction of what they are asked for.
 // The spec is the whole-stack benchmark's campaign_grid sweep 0 at its
 // default seed; requested is exact (it is the protocols' own sign count,
-// handshake included), computed is bounded (PERF.md "PR 22": 1,640 of
+// handshake included), computed is bounded (perf/PR-22.md: 1,640 of
 // 9,297 on one worker), and no byte of the report depends on either.
 func TestSweepSignsEachStatementOnce(t *testing.T) {
 	if testing.Short() || raceEnabled {
@@ -205,7 +205,7 @@ func init() {
 // the same sweep runs on one worker from an empty verify memo, handshakes
 // included. A chain prefix is tested the first time any node of any
 // instance meets it and never again, and SM and FDBA test nothing they
-// are about to discard (PERF.md "PR 23": 848 of each scheme before, when
+// are about to discard (perf/PR-23.md: 848 of each scheme before, when
 // both verified every relay of a value they already held).
 func TestSweepVerifiesEachPrefixOnce(t *testing.T) {
 	if testing.Short() || raceEnabled {

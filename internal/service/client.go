@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -233,6 +234,10 @@ func (c *Client) Stats() (Snapshot, error) {
 	c.mu.Unlock()
 
 	if err := c.conn.Send(encodeStats()); err != nil {
+		// No reply will come for ch; queued, it would take the next one.
+		c.mu.Lock()
+		c.stats = slices.DeleteFunc(c.stats, func(q chan response) bool { return q == ch })
+		c.mu.Unlock()
 		return Snapshot{}, err
 	}
 	r := <-ch

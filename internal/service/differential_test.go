@@ -21,7 +21,7 @@ func diffSpec() campaign.Spec {
 		Name: "service-differential",
 		Protocols: []string{
 			campaign.ProtoChain, campaign.ProtoFDBA, campaign.ProtoVector,
-			campaign.ProtoEIG, campaign.ProtoSmallRange,
+			campaign.ProtoEIG, campaign.ProtoSmallRange, campaign.ProtoSM,
 		},
 		Sizes:     []int{4, 7},
 		Schemes:   []string{sig.SchemeToy},
@@ -89,5 +89,10 @@ func TestServedVerdictsMatchFreshRuns(t *testing.T) {
 	assertIdentical(t, rep.Results, served)
 	if snap.Served != int64(len(insts)) || snap.Errors != 0 {
 		t.Fatalf("snapshot = %+v, want %d served with 0 errors", snap, len(insts))
+	}
+	// Requests go one at a time, so each key set — (toy, 4, 1) and
+	// (toy, 7, 1) — is built once, whatever protocol and t ride on it.
+	if snap.Pool.Misses != 2 {
+		t.Fatalf("pool = %+v, want 2 misses (one per key set)", snap.Pool)
 	}
 }

@@ -9,32 +9,26 @@ import (
 // The warm-cluster pool. A long-lived daemon serving a sustained
 // request stream must not pay keygen plus the 3n(n−1)-message handshake
 // per request — the paper's amortization argument, made a service
-// property. The pool keeps idle *protocol.SetupCache values per
-// (protocol, scheme, n, t, keySeed) cell: an executor checks one out,
-// runs the request through the ordinary driver Prepare path (a warm
-// cache wraps its established nodes in the request's own cluster, a
-// cold one runs the handshake and keeps them), and checks it back in.
-// Because key material is a pure function of (Scheme, N, KeySeed), a
-// served verdict is byte-identical to a one-shot campaign.Run of the
-// same instance — the differential test pins that.
+// property. Idle *protocol.SetupCache values are pooled per key set
+// (scheme, n, keySeed), at most 64 key sets, least recently used
+// evicted: an executor checks one out, runs the request through the
+// ordinary driver Prepare path (a warm cache wraps its established nodes
+// in the request's own cluster, a cold one runs the handshake and keeps
+// them), and checks it back in. Key material is a pure function of the
+// key set, so every cluster-backed driver at any t shares its cell, and
+// a served verdict is byte-identical to a one-shot campaign.Run of the
+// same instance — the differential tests pin that.
 //
 // A checked-out cache has one user at a time. SetupCache does not need
 // that, but the hit/miss/idle bookkeeping below is defined by it;
 // the pool's lock covers only the idle lists, so executors never
 // serialize behind each other's runs. (One store for the whole daemon —
-// one handshake per key set instead of one per cell and shard — is
-// ROADMAP item 2's open remainder.)
+// one handshake per key set, not per shard — is ROADMAP item 11(c),
+// blocked on 9(c): serve_steady's warm-up gates on Pool.Idle.)
 
-// cellKey identifies one warm-pool cell. Protocol rides along even
-// though cluster cells are shareable across the cluster-driver family:
-// per-protocol cells keep checkout fair under mixed workloads and make
-// the /debug/serve cell listing legible.
-type cellKey struct {
-	Protocol string
-	Scheme   string
-	N, T     int
-	KeySeed  int64
-}
+// maxPoolCells bounds the pool. Key seeds are client-chosen: one-off
+// seeds evict each other, not the recurring key sets.
+const maxPoolCells = 64
 
 // pool is the concurrency-safe warm-setup store. Each cell parks at most
 // idlePerKey caches: the server passes its shard count, because at most
@@ -44,65 +38,90 @@ type cellKey struct {
 type pool struct {
 	mu         sync.Mutex
 	idlePerKey int
-	cells      map[cellKey][]*protocol.SetupCache
+	cells      map[protocol.SetupKey]*poolCell
+	clock      int64 // checkouts so far
 
-	hits   int64
-	misses int64
+	hits, misses, evictions int64
+}
+
+// poolCell is one key set's parked caches and the clock at its latest checkout.
+type poolCell struct {
+	idle []*protocol.SetupCache
+	used int64
 }
 
 func newPool(idlePerKey int) *pool {
-	return &pool{idlePerKey: idlePerKey, cells: make(map[cellKey][]*protocol.SetupCache)}
+	return &pool{idlePerKey: idlePerKey, cells: make(map[protocol.SetupKey]*poolCell)}
 }
 
 // checkout hands the caller an exclusively owned setup cache for the
-// cell: a warm idle one when available (hit), a fresh empty one
+// key set: a warm idle one when available (hit), a fresh empty one
 // otherwise (miss — the first run through it pays setup once and leaves
 // it warm for check-in).
-func (p *pool) checkout(k cellKey) (sc *protocol.SetupCache, warm bool) {
+func (p *pool) checkout(k protocol.SetupKey) (sc *protocol.SetupCache, warm bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if idle := p.cells[k]; len(idle) > 0 {
-		sc = idle[len(idle)-1]
-		p.cells[k] = idle[:len(idle)-1]
-		p.hits++
-		return sc, true
+	p.clock++
+	if c := p.cells[k]; c != nil {
+		c.used = p.clock
+		if n := len(c.idle); n > 0 {
+			sc, c.idle = c.idle[n-1], c.idle[:n-1]
+			p.hits++
+			return sc, true
+		}
 	}
 	p.misses++
-	// Small per-cache bound: a cell reads one (scheme, n, keySeed) key
-	// set, and the pool bounds cache count per cell.
-	return protocol.NewSetupCache(2), false
+	return protocol.NewSetupCache(1), false
 }
 
-// checkin returns a checked-out cache to its cell. A cache that arrives
-// when the cell's idle list is full is dropped — the next checkout
-// rebuilds from seeds.
-func (p *pool) checkin(k cellKey, sc *protocol.SetupCache) {
+// checkin returns a checked-out cache to its cell. A new key set enters
+// as the most recently used, evicting the least recently used cell when
+// the pool is full; a cache that arrives when its cell's idle list is
+// full is dropped — the next checkout rebuilds from seeds.
+func (p *pool) checkin(k protocol.SetupKey, sc *protocol.SetupCache) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if idle := p.cells[k]; len(idle) < p.idlePerKey {
-		p.cells[k] = append(idle, sc)
+	c := p.cells[k]
+	if c == nil {
+		if len(p.cells) >= maxPoolCells {
+			// A linear scan: inserts follow a miss that just paid a handshake.
+			var victim protocol.SetupKey
+			oldest := p.clock + 1
+			for key, cell := range p.cells {
+				if cell.used < oldest {
+					victim, oldest = key, cell.used
+				}
+			}
+			delete(p.cells, victim)
+			p.evictions++
+		}
+		c = &poolCell{used: p.clock}
+		p.cells[k] = c
+	}
+	if len(c.idle) < p.idlePerKey {
+		c.idle = append(c.idle, sc)
 	}
 }
 
 // PoolSnapshot is the pool's row in the stats snapshot.
 type PoolSnapshot struct {
-	// Cells is the number of distinct (protocol, scheme, n, t, keySeed)
-	// cells the pool has seen; Idle counts the warm caches parked across
-	// them right now.
+	// Cells counts the key sets (scheme, n, keySeed) held, at most 64;
+	// Idle the warm caches parked across them right now.
 	Cells int `json:"cells"`
 	Idle  int `json:"idle"`
 	// Hits and Misses count checkouts that found, respectively missed, a
-	// warm cache.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	// warm cache; Evictions counts cells dropped to admit a new key set.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 }
 
 func (p *pool) snapshot() PoolSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := PoolSnapshot{Cells: len(p.cells), Hits: p.hits, Misses: p.misses}
-	for _, idle := range p.cells {
-		s.Idle += len(idle)
+	s := PoolSnapshot{Cells: len(p.cells), Hits: p.hits, Misses: p.misses, Evictions: p.evictions}
+	for _, c := range p.cells {
+		s.Idle += len(c.idle)
 	}
 	return s
 }

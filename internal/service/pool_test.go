@@ -8,16 +8,16 @@ import (
 	"repro/internal/sig"
 )
 
-func poolCell() cellKey {
-	return cellKey{Protocol: campaign.ProtoChain, Scheme: sig.SchemeToy, N: 4, T: 1, KeySeed: 1}
+func poolKey() protocol.SetupKey {
+	return protocol.SetupKey{Scheme: sig.SchemeToy, N: 4, KeySeed: 1}
 }
 
-// run pushes one instance through a checked-out cache, warming it.
-func poolRun(t *testing.T, p *pool, k cellKey, seed int64) (warm bool) {
+// poolRun pushes one chain instance through a checked-out cache, warming it.
+func poolRun(t *testing.T, p *pool, k protocol.SetupKey, seed int64) (warm bool) {
 	t.Helper()
 	sc, warm := p.checkout(k)
 	inst := campaign.Instance{
-		Protocol: k.Protocol, N: k.N, T: k.T, Scheme: k.Scheme,
+		Protocol: campaign.ProtoChain, N: k.N, T: 1, Scheme: k.Scheme,
 		Adversary: campaign.AdvNone, Seed: seed, KeySeed: k.KeySeed,
 	}
 	res := campaign.RunInstanceWith(inst, sc)
@@ -30,7 +30,7 @@ func poolRun(t *testing.T, p *pool, k cellKey, seed int64) (warm bool) {
 
 func TestPoolHitMissAccounting(t *testing.T) {
 	p := newPool(2)
-	k := poolCell()
+	k := poolKey()
 	if warm := poolRun(t, p, k, 1); warm {
 		t.Fatalf("first checkout reported warm")
 	}
@@ -54,7 +54,7 @@ func TestPoolIdleBound(t *testing.T) {
 	const shards = 3
 	srv := NewServer(Config{Shards: shards})
 	defer srv.Drain()
-	p, k := srv.pool, poolCell()
+	p, k := srv.pool, poolKey()
 	// One cache more than the executors could hold at once (all miss);
 	// returned together, the extra one must be dropped, not parked.
 	var out []*protocol.SetupCache
@@ -144,5 +144,115 @@ func TestPoolSteadyStateAllHits(t *testing.T) {
 	second := srv.Snapshot().Pool
 	if second.Misses != first.Misses || second.Hits != shards {
 		t.Fatalf("second pass pool = %+v, want %d hits and no new miss", second, shards)
+	}
+}
+
+// Key material is a function of (scheme, n, keySeed) alone, so every
+// cluster-backed driver at every fault bound rides one key set's cell:
+// ten requests over five protocols and two values of t pay setup once,
+// and each verdict is still the fresh run's, byte for byte.
+func TestPoolSharesKeySetAcrossProtocols(t *testing.T) {
+	srv, _, cl := startServer(t, Config{Shards: 1}, "alpha")
+	protocols := []string{campaign.ProtoChain, campaign.ProtoFDBA, campaign.ProtoSM,
+		campaign.ProtoSmallRange, campaign.ProtoVector}
+	seed := int64(0)
+	for _, tol := range []int{1, 2} {
+		for _, proto := range protocols {
+			seed++
+			req := Request{Index: int(seed), Protocol: proto, N: 7, T: tol, Scheme: sig.SchemeToy, Seed: seed, KeySeed: 5}
+			reply, err := cl.Do(req)
+			if err != nil {
+				t.Fatalf("%s t=%d: %v", proto, tol, err)
+			}
+			fresh := campaign.RunInstance(campaign.Instance{
+				Index: req.Index, Protocol: proto, N: req.N, T: tol, Scheme: req.Scheme,
+				Adversary: campaign.AdvNone, Seed: seed, KeySeed: req.KeySeed,
+			})
+			if got, want := mustJSON(t, reply.Result), mustJSON(t, fresh); got != want {
+				t.Fatalf("%s t=%d served over a shared key set diverges:\nserved %s\nfresh  %s", proto, tol, got, want)
+			}
+		}
+	}
+	if s := srv.Snapshot().Pool; s.Misses != 1 || s.Hits != 9 || s.Cells != 1 {
+		t.Fatalf("pool = %+v, want 1 miss, 9 hits, 1 cell", s)
+	}
+}
+
+// With the pool full, a new key set evicts the one checked out least
+// recently — not the one inserted first.
+func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
+	p := newPool(1)
+	key := func(i int) protocol.SetupKey {
+		return protocol.SetupKey{Scheme: sig.SchemeToy, N: 4, KeySeed: int64(i)}
+	}
+	cycle := func(k protocol.SetupKey) (warm bool) {
+		sc, warm := p.checkout(k)
+		p.checkin(k, sc)
+		return warm
+	}
+	for i := 0; i < maxPoolCells; i++ {
+		cycle(key(i))
+	}
+	if !cycle(key(0)) { // the oldest insert is now the most recently used
+		t.Fatalf("key set 0 missed before the pool was full")
+	}
+	cycle(key(maxPoolCells)) // evicts key set 1
+	if s := p.snapshot(); s.Cells != maxPoolCells || s.Evictions != 1 {
+		t.Fatalf("pool = %+v, want %d cells and 1 eviction", s, maxPoolCells)
+	}
+	if !cycle(key(0)) {
+		t.Fatalf("the most recently used key set was evicted")
+	}
+	if cycle(key(1)) {
+		t.Fatalf("the least recently used key set survived the insert")
+	}
+}
+
+// Sixteen recurring key sets interleaved with three pools' worth of
+// one-off key seeds: the bound holds, every recurring key set hits after
+// its first use (FIFO would evict them), and an evicted key set's next
+// request rebuilds to the fresh run's verdict.
+func TestPoolKeepsRecurringKeySetsUnderChurn(t *testing.T) {
+	const shards, recurring, oneOffs = 2, 16, 3 * maxPoolCells
+	srv, _, cl := startServer(t, Config{Shards: shards}, "alpha")
+	do := func(keySeed int64) *Reply {
+		t.Helper()
+		req := chainRequest(keySeed)
+		req.KeySeed = keySeed
+		reply, err := cl.Do(req)
+		if err != nil {
+			t.Fatalf("key seed %d: %v", keySeed, err)
+		}
+		return reply
+	}
+	sent := 0
+	for round := 0; sent < oneOffs; round++ {
+		for k := int64(1); k <= recurring; k++ {
+			if reply := do(k); round > 0 && reply.Source != "pool-hit" {
+				t.Fatalf("round %d: recurring key seed %d was %s", round, k, reply.Source)
+			}
+		}
+		for i := 0; i < recurring && sent < oneOffs; i++ {
+			sent++
+			do(int64(1000 + sent))
+		}
+	}
+	s := srv.Snapshot().Pool
+	if s.Cells > maxPoolCells || s.Idle > maxPoolCells*shards {
+		t.Fatalf("pool = %+v, want ≤ %d cells and ≤ %d parked", s, maxPoolCells, maxPoolCells*shards)
+	}
+	if want := int64(recurring + oneOffs - s.Cells); s.Evictions != want {
+		t.Fatalf("evictions = %d, want %d (key sets seen − cells held)", s.Evictions, want)
+	}
+	reply := do(1001) // the first one-off, long evicted
+	if reply.Source != "pool-miss" {
+		t.Fatalf("evicted key set served as %s", reply.Source)
+	}
+	fresh := campaign.RunInstance(campaign.Instance{
+		Protocol: campaign.ProtoChain, N: 4, T: 1, Scheme: sig.SchemeToy,
+		Adversary: campaign.AdvNone, Seed: 1001, KeySeed: 1001,
+	})
+	if got, want := mustJSON(t, reply.Result), mustJSON(t, fresh); got != want {
+		t.Fatalf("evicted key set's rebuild diverges:\nserved %s\nfresh  %s", got, want)
 	}
 }

@@ -7,9 +7,10 @@
 //   - a checksummed request/response wire protocol over transport.Conn
 //     (wire.go), carrying (tenant, protocol, n, t, scheme, value, seed)
 //     requests and verdict/latency replies;
-//   - a warm-cluster pool (pool.go) keyed by (protocol, scheme, n, t,
-//     keySeed) cells, so a sustained request stream pays keygen and the
-//     authentication handshake once per cell;
+//   - a warm-cluster pool (pool.go), pooled per key set (scheme, n,
+//     keySeed), at most 64 key sets, least recently used evicted, so a
+//     sustained request stream pays keygen and the authentication
+//     handshake once per key set, whichever protocol and t ride on it;
 //   - instance-ID-sharded executors with bounded per-tenant FIFO queues
 //     and round-robin tenant service, so one flooding tenant can
 //     neither starve another nor buffer without bound — the full queue
@@ -58,8 +59,7 @@ type Request struct {
 	// proposal.
 	Value []byte `json:"value,omitempty"`
 	// Seed drives the run's randomness; KeySeed pins its key material
-	// (requests sharing (Protocol, Scheme, N, T, KeySeed) share a warm
-	// pool cell).
+	// (requests sharing (Scheme, N, KeySeed) share a warm pool cell).
 	Seed    int64 `json:"seed"`
 	KeySeed int64 `json:"key_seed"`
 }
@@ -79,8 +79,9 @@ type Reply struct {
 // defaults.
 type Config struct {
 	// Shards is the executor count; requests are sharded by instance ID
-	// (default 4). It is also the number of warm setups a pool cell may
-	// park: no more executors than that can hold one cell's at once.
+	// (default 4). It is also the number of warm setups the pool may
+	// park per key set: no more executors than that can hold one key
+	// set's at once.
 	Shards int
 	// QueueDepth bounds each tenant's FIFO on each shard (default 64).
 	// A full queue rejects with RETRY-AFTER instead of buffering.
@@ -421,10 +422,8 @@ func (s *Server) execute(t task) {
 	queueWait := time.Since(t.enqueued)
 	source := "none"
 	var sc *protocol.SetupCache
-	var key cellKey
+	key := protocol.SetupKey{Scheme: t.inst.Scheme, N: t.inst.N, KeySeed: t.inst.KeySeed}
 	if t.cacheable {
-		key = cellKey{Protocol: t.inst.Protocol, Scheme: t.inst.Scheme,
-			N: t.inst.N, T: t.inst.T, KeySeed: t.inst.KeySeed}
 		var warm bool
 		sc, warm = s.pool.checkout(key)
 		if warm {

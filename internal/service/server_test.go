@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +102,56 @@ func TestServeBasic(t *testing.T) {
 		t.Fatalf("latency dist = %+v", snap.LatencyMS)
 	}
 	_ = srv
+}
+
+// statsDropConn fails its first stats Send without writing a byte, as a
+// write deadline that expires before the frame starts would; the link
+// stays usable.
+type statsDropConn struct {
+	transport.Conn
+	dropped atomic.Bool
+}
+
+func (c *statsDropConn) Send(frame []byte) error {
+	if transport.FrameKind(frame) == KindStats && c.dropped.CompareAndSwap(false, true) {
+		return errors.New("write deadline exceeded")
+	}
+	return c.Conn.Send(frame)
+}
+
+// A Stats call whose request never left must not leave its reply slot
+// queued: the next call's reply would be routed to it, and that caller
+// would block until the connection died.
+func TestStatsSendFailureDoesNotStrandNextCall(t *testing.T) {
+	srv := NewServer(Config{Shards: 1})
+	acc := transport.NewPipeAcceptor()
+	go srv.Serve(acc)
+	defer acc.Close()
+	conn, err := acc.Dial()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	cl, err := NewClient(&statsDropConn{Conn: conn}, "alpha")
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	defer cl.Close()
+	if _, err := cl.Stats(); err == nil {
+		t.Fatalf("first Stats succeeded through a failing Send")
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := cl.Stats()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("second Stats: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("second Stats never returned: its reply went to the failed call")
+	}
 }
 
 // TestSnapshotNeverServesMoreThanSubmitted polls snapshots while three

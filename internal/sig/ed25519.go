@@ -54,7 +54,7 @@ func (ed25519Scheme) ParsePredicate(data []byte) (TestPredicate, error) {
 // its signature, in a slice of at most signedLimit entries with the oldest
 // overwritten. A prefix collision (or the all-zero prefix against an empty
 // slot) admits a statement one request early and nothing else. Both sizes
-// were chosen from the hit-share table in PERF.md "PR 22".
+// were chosen from the hit-share table in perf/PR-22.md.
 const (
 	seenRing    = 8
 	signedLimit = 64
