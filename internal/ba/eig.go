@@ -195,9 +195,11 @@ func (n *EIGNode) levelSize(d int) int {
 }
 
 // leafPool lends out leaf levels. A Step returns its buffer before it
-// returns itself, so a serial engine reuses one buffer for every node of
-// every run while nodes stepping concurrently each hold their own, and
-// the pool keeps nothing past the collections that follow a run.
+// returns itself, so each goroutine stepping final rounds holds at most
+// one: a serial round reuses one buffer for every node, the engine's
+// goroutine and each parked helper of a parallel round hold one each, and
+// nodes stepping on a transport's goroutines hold their own. The pool
+// keeps nothing past the collections that follow a run.
 var leafPool sync.Pool
 
 // borrowLeaf returns an empty leaf level of the given size.
@@ -228,7 +230,8 @@ func borrowLeaf(size int) *[]uint32 {
 // which the distinctness scan counts as it goes; paths are at most t+1
 // long, so the quadratic scan beats a set. A hop is compared unsigned: an
 // ID of 2⁶³ and up is out of range, not negative. hops is the caller's
-// scratch for the decoded path, len(hops) its length. The receiver is a
+// scratch for the decoded path, len(hops) its length; hops[0] is never
+// written, since the sender is below every later hop. The receiver is a
 // lieutenant: the sender holds no tree.
 func (n *EIGNode) pathRank(wire []byte, from model.NodeID, hops []uint64) (rank int, ok bool) {
 	last := len(hops) - 1
@@ -237,16 +240,17 @@ func (n *EIGNode) pathRank(wire []byte, from model.NodeID, hops []uint64) (rank 
 		return 0, false
 	}
 	size, self := uint64(n.cfg.N), uint64(n.id)
-	hops[0] = uint64(Sender)
 	for i := 1; i <= last; i++ {
 		h := binary.BigEndian.Uint64(wire[sig.IntFieldSize*i:])
-		if h >= size || h == self {
+		// Hop 0 is the sender, ID 0: one unsigned compare rejects a repeat
+		// of it and an ID out of range alike, and counts it below h.
+		if h-1 >= size-1 || h == self {
 			return 0, false
 		}
 		// Both sides are below 2⁶³, so the difference's top bit says
 		// which is the smaller.
-		below := (self - h) >> 63
-		for _, p := range hops[:i] {
+		below := 1 + (self-h)>>63
+		for _, p := range hops[1:i] {
 			if p == h {
 				return 0, false
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -440,6 +442,55 @@ func TestEIGClusterAllocs(t *testing.T) {
 			t.Errorf("n=%d t=%d: one cluster run allocates %.0f times, pinned at %.0f", tc.cfg.N, tc.cfg.T, allocs, tc.want)
 		}
 	}
+}
+
+// TestParallelRoundsLeaveNoGrowth pins what stepping OM(t)'s final round
+// on parked helpers may cost beyond the serial engine: no goroutine past
+// the GOMAXPROCS−1 helpers, no live heap once two collections have
+// emptied the leaf pool (a goroutine started per parallel round left dead
+// goroutines' structs behind), and at most two allocations per run — the
+// run's hand-off and its slice of per-node sends, measured once thirty
+// runs have refilled the pools a GOMAXPROCS change empties (a quarter of
+// an allocation is left for a late refill). testing.AllocsPerRun would
+// pin GOMAXPROCS to 1, so it counts Mallocs with the collector off.
+func TestParallelRoundsLeaveNoGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflate under -race")
+	}
+	cfg := model.Config{N: 16, T: 3}
+	value := []byte("one-value-interned-once-per-node")
+	measure := func(procs int) (live uint64, allocs float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		const runs = 100
+		var before, after runtime.MemStats
+		for i := -30; i < runs; i++ {
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if err := runEIGCluster(cfg, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return after.HeapAlloc, float64(after.Mallocs-before.Mallocs) / runs
+	}
+	goroutines := runtime.NumGoroutine()
+	serialLive, serialAllocs := measure(1)
+	parallelLive, parallelAllocs := measure(2)
+	if got := runtime.NumGoroutine(); got > goroutines+1 {
+		t.Errorf("%d goroutines after the parallel runs, %d before: more than one helper", got, goroutines)
+	}
+	if parallelLive > serialLive+16<<10 {
+		t.Errorf("live heap %d B after parallel runs, %d B after serial ones", parallelLive, serialLive)
+	}
+	if parallelAllocs > serialAllocs+2.25 {
+		t.Errorf("a parallel run allocates %.1f times, a serial one %.1f", parallelAllocs, serialAllocs)
+	}
+	t.Logf("live heap %d → %d B, allocations per run %.1f → %.1f", serialLive, parallelLive, serialAllocs, parallelAllocs)
 }
 
 // TestEIGFinalPayloadAllocs pins the hot loop of a run — a final-round

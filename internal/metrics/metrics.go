@@ -27,20 +27,22 @@ import (
 type Counters struct {
 	mu sync.Mutex
 
-	messages     int
-	bytes        int
-	byKind       map[model.MessageKind]int
-	bySender     map[model.NodeID]int
-	trafficRound map[int]bool
-	maxRound     int
+	messages int
+	bytes    int
+	byKind   map[model.MessageKind]int
+	bySender map[model.NodeID]int
+	// roundBytes holds the payload bytes sent under each round stamp; a
+	// round with traffic has a key even when its payloads are empty.
+	roundBytes map[int]int
+	maxRound   int
 }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
 	return &Counters{
-		byKind:       make(map[model.MessageKind]int),
-		bySender:     make(map[model.NodeID]int),
-		trafficRound: make(map[int]bool),
+		byKind:     make(map[model.MessageKind]int),
+		bySender:   make(map[model.NodeID]int),
+		roundBytes: make(map[int]int),
 	}
 }
 
@@ -52,7 +54,7 @@ func (c *Counters) Record(m model.Message) {
 	c.bytes += len(m.Payload)
 	c.byKind[m.Kind]++
 	c.bySender[m.From]++
-	c.trafficRound[m.Round] = true
+	c.roundBytes[m.Round] += len(m.Payload)
 	if m.Round > c.maxRound {
 		c.maxRound = m.Round
 	}
@@ -79,9 +81,12 @@ func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
 		Messages:            c.messages,
 		Bytes:               c.bytes,
-		CommunicationRounds: len(c.trafficRound),
+		CommunicationRounds: len(c.roundBytes),
 		LastRound:           c.maxRound,
 		ByKind:              make(map[model.MessageKind]int, len(c.byKind)),
+	}
+	for _, b := range c.roundBytes {
+		s.MaxRoundBytes = max(s.MaxRoundBytes, b)
 	}
 	for k, v := range c.byKind {
 		s.ByKind[k] = v
@@ -99,7 +104,12 @@ type Snapshot struct {
 	// fourth, message-free step.
 	CommunicationRounds int
 	LastRound           int
-	ByKind              map[model.MessageKind]int
+	// MaxRoundBytes is the largest payload sum sent under one round
+	// stamp. Every message the lockstep engine delivers in round r+1 was
+	// stamped r, so it bounds what any one round delivers — the quantity
+	// sim.ParallelRoundBytes is compared with.
+	MaxRoundBytes int
+	ByKind        map[model.MessageKind]int
 }
 
 // String summarizes the snapshot on one line.

@@ -1,0 +1,170 @@
+package sim
+
+import (
+	"hash/fnv"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/model"
+)
+
+// bulkProc sends every peer a payload large enough that a round of them
+// crosses ParallelRoundBytes, its bytes a function of everything the
+// node received so far — so an inbox in another order, or a message
+// lost or added, changes every later payload. It sleeps inside Step so
+// that rounds stepped on two goroutines overlap, which active measures.
+type bulkProc struct {
+	n      int
+	digest uint64
+	seen   []uint64 // digest after each round
+	active *atomic.Int32
+	most   *atomic.Int32
+}
+
+const bulkPayload = 40 << 10
+
+func (p *bulkProc) Step(round int, received []model.Message) []model.Message {
+	now := p.active.Add(1)
+	defer p.active.Add(-1)
+	for most := p.most.Load(); now > most && !p.most.CompareAndSwap(most, now); most = p.most.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	h := fnv.New64a()
+	h.Write([]byte{byte(p.digest), byte(p.digest >> 8), byte(round)})
+	for _, m := range received {
+		h.Write([]byte{byte(m.From), byte(m.Round)})
+		h.Write(m.Payload)
+	}
+	p.digest = h.Sum64()
+	p.seen = append(p.seen, p.digest)
+	if round > 5 {
+		return nil
+	}
+	var out []model.Message
+	for to := 0; to < p.n; to++ {
+		payload := make([]byte, bulkPayload+to)
+		for i := range payload {
+			payload[i] = byte(p.digest >> (i % 8 * 8))
+		}
+		out = append(out, model.Message{To: model.NodeID(to), Kind: model.KindPlainValue, Payload: payload})
+	}
+	return out
+}
+
+// fateLog is a lossy, delaying network that remembers every Fate call.
+type fateLog struct{ calls []model.Message }
+
+func (f *fateLog) Fate(m model.Message, round int) int {
+	f.calls = append(f.calls, model.Message{From: m.From, To: m.To, Round: round, Payload: m.Payload[:8]})
+	switch (int(m.From)*7 + int(m.To)*3 + round) % 5 {
+	case 0:
+		return Drop
+	case 1:
+		return 1
+	}
+	return 0
+}
+
+// bulkRun is everything a run of the bulk cluster makes observable.
+type bulkRun struct {
+	rounds    int
+	snapshot  metrics.Snapshot
+	delivered []model.Message
+	views     []model.View
+	digests   [][]uint64
+	fates     []model.Message
+	overlap   int32
+}
+
+func runBulk(t *testing.T, procs int) bulkRun {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const n = 8
+	var active, most atomic.Int32
+	nodes := make([]*bulkProc, n)
+	ps := make([]Process, n)
+	for i := range nodes {
+		nodes[i] = &bulkProc{n: n, active: &active, most: &most}
+		ps[i] = nodes[i]
+	}
+	rec, net := &RecordingTracer{}, &fateLog{}
+	res, err := RunInstance(model.Config{N: n, T: 2}, ps, 10, WithTracer(rec), WithNetwork(net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := bulkRun{rounds: res.Rounds, snapshot: res.Counters.Snapshot(), delivered: rec.Messages(),
+		views: rec.Views(n), fates: net.calls, overlap: most.Load()}
+	for _, p := range nodes {
+		run.digests = append(run.digests, p.seen)
+	}
+	return run
+}
+
+// TestParallelRoundsMatchSerial: a run whose rounds cross
+// ParallelRoundBytes under a lossy, delaying network delivers, fates,
+// counts and ends exactly as at GOMAXPROCS 1, and every node sees the
+// same view — while at GOMAXPROCS 2 its Step calls did overlap.
+func TestParallelRoundsMatchSerial(t *testing.T) {
+	serial := runBulk(t, 1)
+	parallel := runBulk(t, 2)
+	if serial.snapshot.MaxRoundBytes < 4*ParallelRoundBytes/3 {
+		t.Fatalf("largest round sent %d bytes: too few to cross ParallelRoundBytes after losses", serial.snapshot.MaxRoundBytes)
+	}
+	if serial.overlap != 1 {
+		t.Errorf("GOMAXPROCS 1: %d Step calls overlapped", serial.overlap)
+	}
+	if parallel.overlap < 2 {
+		t.Errorf("GOMAXPROCS 2: Step calls never overlapped")
+	}
+	serial.overlap, parallel.overlap = 0, 0
+	if serial.rounds != parallel.rounds {
+		t.Errorf("rounds: %d serial, %d parallel", serial.rounds, parallel.rounds)
+	}
+	for name, pair := range map[string][2]any{
+		"counters":     {serial.snapshot, parallel.snapshot},
+		"delivery":     {serial.delivered, parallel.delivered},
+		"views":        {serial.views, parallel.views},
+		"node digests": {serial.digests, parallel.digests},
+		"Fate calls":   {serial.fates, parallel.fates},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s differ between GOMAXPROCS 1 and 2", name)
+		}
+	}
+}
+
+// TestParallelRoundPanicReachesCaller: a Step that panics on a helper is
+// re-raised on the goroutine that called Run, where a campaign's recover
+// contains it, instead of killing the process.
+func TestParallelRoundPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 4
+	var active, most atomic.Int32
+	ps := make([]Process, n)
+	for i := range ps {
+		bulk := &bulkProc{n: n, active: &active, most: &most}
+		ps[i] = ProcessFunc(func(round int, received []model.Message) []model.Message {
+			if round == 2 && i == n-1 {
+				panic("node fails")
+			}
+			out := bulk.Step(round, received)
+			for j := range out {
+				out[j].Payload = append(out[j].Payload, make([]byte, 3*bulkPayload)...)
+			}
+			return out
+		})
+	}
+	defer func() {
+		if p := recover(); p != "node fails" {
+			t.Errorf("recovered %v, want the Step's panic", p)
+		}
+	}()
+	if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 4); err != nil {
+		t.Fatal(err)
+	}
+	t.Error("Run returned despite a panicking Step")
+}

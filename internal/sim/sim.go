@@ -9,9 +9,20 @@
 // from the protocol; they control only their own messages (Byzantine
 // behaviour), never the network.
 //
-// Determinism: processes are stepped in node-ID order and inboxes are
-// sorted by sender, so a run is a pure function of (processes, seeds).
-// Every table of package experiments is therefore exactly reproducible.
+// Determinism: inboxes are sorted by sender, and everything the engine
+// does with messages — delivery tracing, network fates, counting and
+// queueing — happens serially in node-ID order, so a run is a pure
+// function of (processes, seeds) at any GOMAXPROCS. Every table of
+// package experiments is therefore exactly reproducible.
+//
+// Concurrency: the Step calls of different nodes in one round may run at
+// the same time, on both engines. The transport runners step every node
+// on its own goroutine; this engine steps a round's nodes on several
+// cores when the round delivers at least ParallelRoundBytes, and in node
+// order on one goroutine otherwise. Processes of one run may therefore
+// share only values that are safe for concurrent use and whose result
+// does not depend on the order of use, such as ba's shared relayed-entry
+// counter (an atomic.Int64) and its pool of leaf levels.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - RecordingTracer and its methods: the delivery record and Views the behaviour tests read.
@@ -22,6 +33,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/metrics"
@@ -41,7 +53,9 @@ type Process interface {
 	// the messages immediately). Symmetrically, the engine may
 	// reuse received's backing array after Step returns, so a process must
 	// not retain the slice itself across rounds; the Payload bytes are
-	// never modified and are safe to alias.
+	// never modified and are safe to alias. Step calls of different
+	// nodes may run concurrently (see the package doc); one node's calls
+	// never overlap, and each sees the previous one's effects.
 	Step(round int, received []model.Message) []model.Message
 }
 
@@ -181,6 +195,16 @@ func New(cfg model.Config, procs []Process, opts ...Option) (*Engine, error) {
 // time: a protocol's deadline is a round number, and "nothing arrived by
 // the deadline" is itself observable, which is what lets silence be
 // discovered as a failure.
+//
+// A round runs in three phases. First, serially in node order, every
+// inbox is sorted and traced and its payload bytes summed. Then every
+// process steps: in node order on this goroutine, or — when the round
+// delivers at least ParallelRoundBytes and GOMAXPROCS > 1 — on this
+// goroutine and the parked helpers at once (see stepJob). Last, serially
+// in node order, each node's sends are stamped, given their fates,
+// counted and queued. Only the middle phase can run concurrently, so every
+// Fate call, counter update, delivery and trace event happens in the same
+// order at any GOMAXPROCS.
 func (e *Engine) Run(maxRounds int) *Result {
 	if maxRounds < 1 {
 		maxRounds = 1
@@ -188,9 +212,8 @@ func (e *Engine) Run(maxRounds int) *Result {
 	// Per-node inboxes, double-buffered: inFlight holds this round's
 	// deliveries, next collects the sends. Both keep their backing arrays
 	// across rounds (truncate, don't reallocate), which is what keeps a
-	// long run allocation-flat; delivery order is unchanged (appends happen
-	// in the same order the map version produced, and every inbox is sorted
-	// before delivery anyway), so seeded runs are byte-identical.
+	// long run allocation-flat; every inbox is sorted before delivery, so
+	// seeded runs are byte-identical.
 	inFlight := make([][]model.Message, e.cfg.N)
 	next := make([][]model.Message, e.cfg.N)
 	// delayed is the virtual-clock delivery queue, keyed by delivery
@@ -201,6 +224,9 @@ func (e *Engine) Run(maxRounds int) *Result {
 	if e.net != nil {
 		delayed = make(map[int][]model.Message)
 	}
+	// job is the parallel step phase's hand-off, built on the first round
+	// that takes it and reused by every later one.
+	var job *stepJob
 	rounds := 0
 	for round := 1; round <= maxRounds; round++ {
 		rounds = round
@@ -222,18 +248,33 @@ func (e *Engine) Run(maxRounds int) *Result {
 				delete(delayed, round)
 			}
 		}
-		sentAny := false
-		sent := 0
-		for i, p := range e.procs {
-			id := model.NodeID(i)
-			inbox := inFlight[i]
+		delivered := 0
+		for _, inbox := range inFlight {
 			SortMessages(inbox)
 			for _, m := range inbox {
 				if e.tracer != nil {
 					e.tracer.Delivered(m)
 				}
+				delivered += len(m.Payload)
 			}
-			out := p.Step(round, inbox)
+		}
+		parallel := delivered >= ParallelRoundBytes && runtime.GOMAXPROCS(0) > 1
+		if parallel {
+			if job == nil {
+				job = &stepJob{procs: e.procs, outs: make([][]model.Message, e.cfg.N)}
+			}
+			job.step(round, inFlight)
+		}
+		sentAny := false
+		sent := 0
+		for i, p := range e.procs {
+			id := model.NodeID(i)
+			var out []model.Message
+			if parallel {
+				out = job.outs[i]
+			} else {
+				out = p.Step(round, inFlight[i])
+			}
 			for _, m := range out {
 				if !m.To.Valid(e.cfg.N) || m.To == id {
 					// Sends to invalid destinations or to self are dropped:

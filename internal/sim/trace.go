@@ -10,7 +10,8 @@ import (
 )
 
 // Tracer observes message deliveries. Neither engine calls one
-// concurrently: the lockstep engine is one goroutine, and the transport
+// concurrently: the lockstep engine traces a round's deliveries from its
+// own goroutine, in node order, before any node steps, and the transport
 // runners that share a run's tracer report under the run's one lock. Only
 // a tracer handed to several runs at once must synchronise itself.
 type Tracer interface {
