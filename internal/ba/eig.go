@@ -45,17 +45,22 @@ import (
 // resolved inside the final round's Step, so it is borrowed for that one
 // call instead of owned for the whole run.
 //
-// Ingest walks runs, not entries. A run is a maximal stretch of
+// Ingest reads each payload once, by runs. A run is a maximal stretch of
 // consecutive entries of one shape — the same path length and the same
 // value length, so the same size on the wire. A correct relay's batch is
 // one run when every report carries the same value and two under a
 // two-faced sender, and inside a run the next entry lies one fixed stride
-// ahead: the walker (oralRun) reads the shape once and then only compares
-// each entry's two length fields against it, where an entry-at-a-time walk
-// must load a length to learn where the next length lies. A payload that
-// changes shape at every entry is runs of one, each costing what an entry
-// cost that walk plus one failed comparison — there is one walker for all
-// traffic, not a fast path beside a slow one.
+// ahead: the walk checks an entry's length fields against their limits
+// only where the shape changes (shapeAt), and inside a run compares the
+// two fields against the run's and stores the entry on the spot. A
+// payload that changes shape at every entry is runs of one, each paying
+// the full checks — one walk for all traffic, not a fast path beside a
+// slow one. Storing before the payload's end is seen makes each payload a
+// transaction: the ranks it stored go into an undo log, and a payload
+// that proves malformed gives back its slots, its relayed entries and the
+// values it interned. Checks on the reporter are made once per payload
+// (reporterOf), so the per-entry sweep (pathRank) covers the hops between
+// the sender and the reporter.
 
 // maxEIGNodes is an admission bound: OM(t) is O(n^t), so anywhere near it
 // a run is unrunnable anyway and the bound costs nothing real.
@@ -202,49 +207,81 @@ func (n *EIGNode) levelSize(d int) int {
 // keeps nothing past the collections that follow a run.
 var leafPool sync.Pool
 
-// borrowLeaf returns an empty leaf level of the given size.
-func borrowLeaf(size int) *[]uint32 {
-	if p, _ := leafPool.Get().(*[]uint32); p != nil && cap(*p) >= size {
+// undoPool lends out undo logs, the ranks one payload has stored so far,
+// held for one ingest call as a leaf level is for one Step.
+var undoPool sync.Pool
+
+// borrow returns a zeroed slice of the given size from one of the pools.
+func borrow(pool *sync.Pool, size int) *[]uint32 {
+	if p, _ := pool.Get().(*[]uint32); p != nil && cap(*p) >= size {
 		*p = (*p)[:size]
 		clear(*p)
 		return p
 	}
-	leaf := make([]uint32, size)
-	return &leaf
+	s := make([]uint32, size)
+	return &s
+}
+
+// reporter is what pathRank needs of a payload's sender, worked out once
+// per payload: the ID every path it reports must end at, and how many of
+// the IDs excluded below that last hop are known before a path is read —
+// the sender's and, if lower, this node's.
+type reporter struct {
+	id, below uint64
+}
+
+// reporterOf returns what pathRank needs of from, or false when no path
+// of length plen that from could report is one this node stores: only
+// the sender reports a path of one hop, and a longer path ends at a node
+// of the cluster that is neither the sender nor this one. A payload from
+// such a sender can store nothing, so ingest does not read it.
+func (n *EIGNode) reporterOf(from model.NodeID, plen int) (reporter, bool) {
+	f, self := uint64(from), uint64(n.id)
+	if plen == 1 {
+		return reporter{id: f}, from == Sender
+	}
+	// One unsigned compare rejects the sender and an ID out of range alike.
+	if f-1 >= uint64(n.cfg.N)-1 || f == self {
+		return reporter{}, false
+	}
+	return reporter{id: f, below: 1 + (self-f)>>63}, true
 }
 
 // pathRank checks, in one sweep over its hops as they lie on the wire,
 // that a path reported by from is structurally possible, and maps it to
 // its slot index within level len(hops)-1. Possible means: it starts at
-// the sender, its last hop is from (a node can only report paths it
-// itself extended), and its hops are distinct nodes of the cluster, none
-// of them this node — every path through our own tree excludes us. The
-// caller has checked the round's length. These checks need no
-// cryptography — they are the only defense oral messages afford.
+// the sender, its last hop is the reporter (a node can only report paths
+// it itself extended), and its hops are distinct nodes of the cluster,
+// none of them this node — every path through our own tree excludes us.
+// The caller has checked the round's length, and reporterOf that the
+// reporter is a possible last hop, so the sweep covers only the hops in
+// between. These checks need no cryptography — they are the only defense
+// oral messages afford.
 //
 // The rank is the path's mixed-radix position in resolveTree's
 // enumeration order: the children of the vertex at (level d, rank i)
 // occupy slots [i*(n-d-2), (i+1)*(n-d-2)) of level d+1, ordered by
 // ascending node ID among the IDs not excluded (the path prefix and the
 // resolver). So hop i contributes its ID less the excluded IDs below it,
-// which the distinctness scan counts as it goes; paths are at most t+1
-// long, so the quadratic scan beats a set. A hop is compared unsigned: an
-// ID of 2⁶³ and up is out of range, not negative. hops is the caller's
-// scratch for the decoded path, len(hops) its length; hops[0] is never
-// written, since the sender is below every later hop. The receiver is a
-// lieutenant: the sender holds no tree.
-func (n *EIGNode) pathRank(wire []byte, from model.NodeID, hops []uint64) (rank int, ok bool) {
+// which the distinctness scan counts as it goes; the middle hops below
+// the last one are counted into from's share on the way. Paths are at
+// most t+1 long, so the quadratic scan beats a set. A hop is compared
+// unsigned: an ID of 2⁶³ and up is out of range, not negative. hops is
+// the caller's scratch for the decoded path, len(hops) its length; only
+// the middle hops are written. The receiver is a lieutenant: the sender
+// holds no tree.
+func (n *EIGNode) pathRank(wire []byte, from reporter, hops []uint64) (rank int, ok bool) {
 	last := len(hops) - 1
 	if binary.BigEndian.Uint64(wire) != uint64(Sender) ||
-		binary.BigEndian.Uint64(wire[sig.IntFieldSize*last:]) != uint64(from) {
+		binary.BigEndian.Uint64(wire[sig.IntFieldSize*last:]) != from.id {
 		return 0, false
 	}
-	size, self := uint64(n.cfg.N), uint64(n.id)
-	for i := 1; i <= last; i++ {
+	size, self, fromBelow := uint64(n.cfg.N), uint64(n.id), from.below
+	for i := 1; i < last; i++ {
 		h := binary.BigEndian.Uint64(wire[sig.IntFieldSize*i:])
 		// Hop 0 is the sender, ID 0: one unsigned compare rejects a repeat
 		// of it and an ID out of range alike, and counts it below h.
-		if h-1 >= size-1 || h == self {
+		if h-1 >= size-1 || h == self || h == from.id {
 			return 0, false
 		}
 		// Both sides are below 2⁶³, so the difference's top bit says
@@ -256,10 +293,12 @@ func (n *EIGNode) pathRank(wire []byte, from model.NodeID, hops []uint64) (rank 
 			}
 			below += (p - h) >> 63
 		}
+		fromBelow += (h - from.id) >> 63
 		hops[i] = h
 		rank = rank*(n.cfg.N-i-1) + int(h-below)
 	}
-	return rank, true
+	// A one-hop path is the sender's: id and below are 0, and so is rank.
+	return rank*(n.cfg.N-last-1) + int(from.id-fromBelow), true
 }
 
 // intern returns v's id in the value table, copying v into the table the
@@ -276,6 +315,17 @@ func (n *EIGNode) intern(v []byte) uint32 {
 	}
 	n.last = id
 	return id
+}
+
+// forget drops the values interned since the table held mark of them and
+// makes last the most recent again: what a malformed payload interned
+// leaves with it.
+func (n *EIGNode) forget(mark int, last uint32) {
+	for _, v := range n.vals[mark:] {
+		delete(n.ids, v)
+	}
+	clear(n.vals[mark:])
+	n.vals, n.last = n.vals[:mark], last
 }
 
 // OralEntry is one (path, value) report on the wire. Exported so
@@ -312,71 +362,49 @@ const (
 	maxOralValueLen = 16 << 20 // sig's bound on one encoded field
 )
 
-// oralRun reads the run that opens at data[off:], of at most left
-// entries: its shape — path length, the value field's offset inside an
-// entry, the entry's size — and how many entries it holds. It checks the
-// first entry's two length fields against their limits and the payload's
-// end, then steps from entry to entry at the fixed stride while the next
-// one fits and both its length fields equal the run's; such an entry is
-// as well-formed as the first. Splitting on both fields, never on the
-// stride, is what keeps the walk exact: a path one hop longer under a
-// value eight bytes shorter has the same stride and is another shape.
-// Whatever ends the run — another shape, a bad length, the payload's end
-// — is the next call's first entry and gets the full checks there.
-// entries is 0 when the first entry is malformed.
-func oralRun(data []byte, off, left int) (plen uint64, val, stride, entries int) {
-	if len(data)-off < sig.IntFieldSize {
-		return 0, 0, 0, 0
-	}
-	plen = binary.BigEndian.Uint64(data[off:])
-	if plen < 1 || plen > maxOralPathLen {
-		return 0, 0, 0, 0
-	}
-	val = sig.IntFieldSize * (1 + int(plen))
-	if len(data)-off-val < sig.BytesFieldSize(0) {
-		return 0, 0, 0, 0
-	}
-	vlen := binary.BigEndian.Uint32(data[off+val:])
-	if vlen > maxOralValueLen {
-		return 0, 0, 0, 0
-	}
-	stride = val + sig.BytesFieldSize(int(vlen))
-	if len(data)-off < stride {
-		return 0, 0, 0, 0
-	}
-	left = min(left, (len(data)-off)/stride)
-	for entries = 1; entries < left; entries++ {
-		off += stride
-		if binary.BigEndian.Uint64(data[off:]) != plen || binary.BigEndian.Uint32(data[off+val:]) != vlen {
-			break
-		}
-	}
-	return plen, val, stride, entries
+// entryShape is what the entries of one run share: the path length and
+// the value length, and from them the value field's offset inside an
+// entry and the entry's size on the wire.
+type entryShape struct {
+	plen        uint64
+	vlen        uint32
+	val, stride int
 }
 
-// oralEntryCount is the structural pass over one oral payload: it walks
-// the payload run by run, reading no path and no value, and returns the
-// entry count. ok is false for a malformed payload: truncated, trailing
-// bytes, or a count or length past its limit. Ingest stores nothing from
-// a payload before this pass has seen all of it.
-func oralEntryCount(data []byte) (count int, ok bool) {
-	if len(data) < sig.IntFieldSize {
-		return 0, false
+// shapeAt reads the shape of the entry at data[off:], checking both its
+// length fields against their limits and the payload's end — the full
+// checks, made where a run opens. ok is false when the entry is
+// malformed.
+func shapeAt(data []byte, off int) (s entryShape, ok bool) {
+	if len(data)-off < sig.IntFieldSize {
+		return s, false
 	}
-	claimed := binary.BigEndian.Uint64(data)
-	if claimed > maxOralEntries {
-		return 0, false
+	s.plen = binary.BigEndian.Uint64(data[off:])
+	if s.plen < 1 || s.plen > maxOralPathLen {
+		return s, false
 	}
-	off := sig.IntFieldSize
-	for left := int(claimed); left > 0; {
-		_, _, stride, entries := oralRun(data, off, left)
-		if entries == 0 {
-			return 0, false
-		}
-		off += entries * stride
-		left -= entries
+	s.val = sig.IntFieldSize * (1 + int(s.plen))
+	if len(data)-off-s.val < sig.BytesFieldSize(0) {
+		return s, false
 	}
-	return int(claimed), off == len(data)
+	s.vlen = binary.BigEndian.Uint32(data[off+s.val:])
+	if s.vlen > maxOralValueLen {
+		return s, false
+	}
+	s.stride = s.val + sig.BytesFieldSize(int(s.vlen))
+	return s, len(data)-off >= s.stride
+}
+
+// continues reports whether the payload holds an entry of shape s at
+// data[off:]: it fits, and both its length fields equal the run's, which
+// makes it as well-formed as the run's first entry. Splitting on both
+// fields, never on the stride, is what keeps the walk exact: a path one
+// hop longer under a value eight bytes shorter has the same stride and is
+// another shape.
+func (s entryShape) continues(data []byte, off int) bool {
+	return len(data)-off >= s.stride &&
+		binary.BigEndian.Uint64(data[off:]) == s.plen &&
+		binary.BigEndian.Uint32(data[off+s.val:]) == s.vlen
 }
 
 // Step implements the sim Process contract.
@@ -405,7 +433,7 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 		return nil
 	}
 	if final {
-		leaf := borrowLeaf(n.levelSize(t))
+		leaf := borrow(&leafPool, n.levelSize(t))
 		n.ingest(received, plen, *leaf, nil)
 		n.decision.Value = append([]byte(nil), n.vals[n.resolveTree(*leaf)]...)
 		n.finished = true
@@ -432,11 +460,13 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 // weakness is the whole point of OM(t)'s redundancy. A malformed payload
 // stores nothing; the majority vote absorbs the silence.
 //
-// The storing pass walks the runs the structural pass walked: a run of
-// another round's path length is stepped over whole, a run of this
-// round's is stored entry by entry at its fixed stride — path validity
-// and rank in one sweep over the wire bytes (pathRank), no decoded path
-// in between.
+// Each payload is read once (ingestPayload) and stored as it is read, so
+// each is a transaction: the ranks it stored are logged, and if it proves
+// malformed — a bad length field, truncation, a count mismatch, trailing
+// bytes — its slots are zeroed, its relayed entries cut off the batch and
+// the values it interned forgotten, as if it had never come. A payload
+// whose sender can report no path this node stores is not read at all
+// (reporterOf).
 //
 // A relay round passes the outgoing batch, its count field in place, as
 // relay: every report stored is appended to it extended by this node, and
@@ -448,48 +478,85 @@ func (n *EIGNode) ingest(received []model.Message, plen int, level []uint32, rel
 	// bytes would be zeroed per entry.
 	var hopBuf [maxEIGPath]uint64
 	hops := hopBuf[:plen]
+	// A payload stores only paths that end at its sender, and the n−2
+	// possible last hops share a level of longer paths evenly, so a log
+	// of this size never grows.
+	undoLog := borrow(&undoPool, len(level)/max(n.cfg.N-2, 1)+1)
+	undo := (*undoLog)[:0]
 	relayed := 0
 	for _, m := range received {
 		if m.Kind != model.KindOral {
 			continue // not a protocol message; OM ignores it
 		}
-		data := m.Payload
-		left, ok := oralEntryCount(data)
+		from, ok := n.reporterOf(m.From, plen)
 		if !ok {
 			continue
 		}
-		for off := sig.IntFieldSize; left > 0; {
-			runPlen, val, stride, entries := oralRun(data, off, left)
-			left -= entries
-			if runPlen != uint64(plen) {
-				off += entries * stride
-				continue
+		vals, last, mark := len(n.vals), n.last, len(relay)
+		if undo, relay, ok = n.ingestPayload(m.Payload, from, level, hops, undo[:0], relay); ok {
+			if relay != nil {
+				relayed += len(undo)
 			}
-			for ; entries > 0; entries, off = entries-1, off+stride {
-				en := data[off : off+stride]
-				rank, ok := n.pathRank(en[sig.IntFieldSize:val], m.From, hops)
-				if !ok {
-					continue
-				}
-				slot := &level[rank]
-				if *slot != 0 {
-					continue // duplicates are faulty noise
-				}
-				*slot = n.intern(en[val+sig.BytesFieldSize(0):])
-				if relay != nil {
-					relay = sig.AppendInt(relay, plen+1)
-					relay = append(relay, en[sig.IntFieldSize:val]...)
-					relay = sig.AppendInt(relay, int(n.id))
-					relay = append(relay, en[val:]...)
-					relayed++
-				}
-			}
+			continue
 		}
+		for _, rank := range undo {
+			level[rank] = 0
+		}
+		n.forget(vals, last)
+		relay = relay[:mark]
 	}
+	*undoLog = undo[:0]
+	undoPool.Put(undoLog)
 	if relay != nil {
 		binary.BigEndian.PutUint64(relay, uint64(relayed))
 	}
 	return relay, relayed
+}
+
+// ingestPayload walks one payload, sent by from, into level, run by run:
+// entries of the round's path length are stored as the walk reaches them
+// — path validity and rank in one sweep over the wire bytes (pathRank),
+// no decoded path in between — each stored rank appended to undo and, in
+// a relay round, the extended entry to relay. Runs of another length are
+// stepped over. It returns false as soon as the payload proves
+// malformed; undoing what it stored is the caller's.
+func (n *EIGNode) ingestPayload(data []byte, from reporter, level []uint32, hops []uint64, undo []uint32, relay []byte) ([]uint32, []byte, bool) {
+	if len(data) < sig.IntFieldSize {
+		return undo, relay, false
+	}
+	left := binary.BigEndian.Uint64(data)
+	if left > maxOralEntries {
+		return undo, relay, false
+	}
+	plen := uint64(len(hops))
+	off := sig.IntFieldSize
+	for left > 0 {
+		s, ok := shapeAt(data, off)
+		if !ok {
+			return undo, relay, false
+		}
+		for {
+			if s.plen == plen {
+				en := data[off : off+s.stride]
+				// A path already told is faulty noise: the first report wins.
+				if rank, ok := n.pathRank(en[sig.IntFieldSize:s.val], from, hops); ok && level[rank] == 0 {
+					level[rank] = n.intern(en[s.val+sig.BytesFieldSize(0):])
+					undo = append(undo, uint32(rank))
+					if relay != nil {
+						relay = sig.AppendInt(relay, int(plen)+1)
+						relay = append(relay, en[sig.IntFieldSize:s.val]...)
+						relay = sig.AppendInt(relay, int(n.id))
+						relay = append(relay, en[s.val:]...)
+					}
+				}
+			}
+			off += s.stride
+			if left--; left == 0 || !s.continues(data, off) {
+				break
+			}
+		}
+	}
+	return undo, relay, off == len(data)
 }
 
 // broadcast sends one payload to every other node. The returned slice is

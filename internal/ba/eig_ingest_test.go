@@ -2,6 +2,7 @@ package ba
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -496,31 +498,25 @@ func TestParallelRoundsLeaveNoGrowth(t *testing.T) {
 // TestEIGFinalPayloadAllocs pins the hot loop of a run — a final-round
 // payload streamed into the leaf level — at zero allocations once its
 // values are in the table: no decoder, no entry slice, no path or value
-// arena, no copy per stored slot. Three values cycling make every batch
-// runs of one or two entries; the two-run inbox is a two-faced sender's.
+// arena, no copy per stored slot, and no undo log of its own. Three
+// values cycling make every batch runs of one or two entries; the two-run
+// inbox is a two-faced sender's; a malformed-tail inbox is stored whole
+// and undone whole, payload by payload.
 func TestEIGFinalPayloadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}
 	cfg := model.Config{N: 16, T: 3}
 	resolver := model.NodeID(15)
-	for _, shape := range []ingestShape{
-		{"three values", func(k, _ int) []byte { return []byte(fmt.Sprintf("v-%d", k%3)) }},
-		ingestShapes[1], // two-run
-	} {
-		inbox, _ := finalInbox(cfg, resolver, shape.value)
-		node, err := NewEIGNode(cfg, resolver)
-		if err != nil {
-			t.Fatalf("NewEIGNode: %v", err)
-		}
-		leaf := make([]uint32, node.levelSize(cfg.T))
+	threeValues := ingestShape{"three values", func(k, _ int) []byte { return []byte(fmt.Sprintf("v-%d", k%3)) }, false}
+	for _, shape := range append([]ingestShape{threeValues}, ingestShapes...) {
+		inbox, _ := finalInbox(cfg, resolver, shape)
+		node, leaf := ingestNode(t, cfg, resolver, shape)
 		allocs := testing.AllocsPerRun(20, func() {
 			clear(leaf)
 			node.ingest(inbox, cfg.T+1, leaf, nil)
 		})
-		if rank := slices.Index(leaf, 0); rank >= 0 {
-			t.Fatalf("%s: leaf slot %d left empty", shape.name, rank)
-		}
+		checkLeaf(t, shape, leaf)
 		if allocs != 0 {
 			t.Errorf("%s: ingesting %d final-round payloads allocates %.1f times, want 0", shape.name, len(inbox), allocs)
 		}
@@ -546,10 +542,11 @@ func BenchmarkEIG(b *testing.B) {
 }
 
 // finalInbox is a final-round inbox for `resolver` in which every leaf
-// path is reported once by its last hop, in enumeration order; value
-// picks the report of the k-th of a relay's count entries, so it alone
-// decides how a batch falls into runs.
-func finalInbox(cfg model.Config, resolver model.NodeID, value func(k, count int) []byte) (inbox []model.Message, entries int) {
+// path is reported once by its last hop, in enumeration order; the
+// shape's value picks the report of the k-th of a relay's count entries,
+// so it alone decides how a batch falls into runs. A malformed shape's
+// payloads each end in an entry whose value length is past the limit.
+func finalInbox(cfg model.Config, resolver model.NodeID, shape ingestShape) (inbox []model.Message, entries int) {
 	final := EIGEngineRounds(cfg.T)
 	bySender := make(map[model.NodeID][]OralEntry)
 	for _, p := range enumPaths(cfg, resolver, final-1) {
@@ -559,54 +556,94 @@ func finalInbox(cfg model.Config, resolver model.NodeID, value func(k, count int
 	}
 	for _, batch := range bySender {
 		for k := range batch {
-			batch[k].Value = value(k, len(batch))
+			batch[k].Value = shape.value(k, len(batch))
 		}
 	}
-	return oralInbox(cfg, resolver, final, bySender), entries
+	inbox = oralInbox(cfg, resolver, final, bySender)
+	if shape.malformed {
+		for _, m := range inbox {
+			batch := bySender[m.From]
+			last := sig.BytesFieldSize(len(batch[len(batch)-1].Value))
+			binary.BigEndian.PutUint32(m.Payload[len(m.Payload)-last:], maxOralValueLen+1)
+		}
+	}
+	return inbox, entries
 }
 
-// ingestShape names a value picker for finalInbox.
+// ingestShape names a value picker for finalInbox, and whether every
+// payload is cut off by a malformed last entry.
 type ingestShape struct {
-	name  string
-	value func(k, count int) []byte
+	name      string
+	value     func(k, count int) []byte
+	malformed bool
 }
+
+func sameValue(int, int) []byte { return []byte("value") }
 
 // The three ways a final-round batch falls into runs: one run (every
 // relay honest), two (the sender two-faced: a relay reports the nodes of
 // one face, then of the other), and runs of one (a relay that changes the
-// value's length at every entry — the walker's worst case).
+// value's length at every entry — the walk's worst case for a payload
+// that is well-formed); and one run that proves malformed in its last
+// entry, every entry before it stored and then undone — the worst case a
+// payload that stores nothing can cost.
 var ingestShapes = []ingestShape{
-	{"uniform", func(int, int) []byte { return []byte("value") }},
+	{"uniform", sameValue, false},
 	{"two-run", func(k, count int) []byte {
 		if k < count/2 {
 			return []byte("value")
 		}
 		return []byte("forged")
-	}},
+	}, false},
 	{"alternating", func(k, _ int) []byte {
 		if k%2 == 0 {
 			return []byte("value")
 		}
 		return []byte("forged")
-	}},
+	}, false},
+	{"malformed-tail", sameValue, true},
+}
+
+// ingestNode builds the resolver of finalInbox and a leaf level, and
+// interns the values shape carries as a well-formed inbox would: a node
+// hears the sender's value in round 2, long before a final-round payload
+// can be malformed.
+func ingestNode(tb testing.TB, cfg model.Config, resolver model.NodeID, shape ingestShape) (*EIGNode, []uint32) {
+	node, err := NewEIGNode(cfg, resolver)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	leaf := make([]uint32, node.levelSize(cfg.T))
+	shape.malformed = false
+	inbox, _ := finalInbox(cfg, resolver, shape)
+	node.ingest(inbox, cfg.T+1, leaf, nil)
+	return node, leaf
+}
+
+// checkLeaf requires every leaf slot stored, or for a malformed shape
+// none.
+func checkLeaf(tb testing.TB, shape ingestShape, leaf []uint32) {
+	tb.Helper()
+	if shape.malformed {
+		if rank := slices.IndexFunc(leaf, func(id uint32) bool { return id != 0 }); rank >= 0 {
+			tb.Fatalf("%s: leaf slot %d still holds value %d", shape.name, rank, leaf[rank])
+		}
+	} else if rank := slices.Index(leaf, 0); rank >= 0 {
+		tb.Fatalf("%s: leaf slot %d left empty", shape.name, rank)
+	}
 }
 
 // BenchmarkEIGIngest streams one final-round inbox at n=64 t=2 — 62
 // payloads, 3,782 entries — into the leaf level, in each of ingestShapes,
-// and reports the time per entry: the hostile shape's cost is a row of
+// and reports the time per entry: each hostile shape's cost is a row of
 // its own beside the two a correct relay produces.
 func BenchmarkEIGIngest(b *testing.B) {
 	cfg := model.Config{N: 64, T: 2}
 	resolver := model.NodeID(63)
 	for _, shape := range ingestShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			inbox, entries := finalInbox(cfg, resolver, shape.value)
-			node, err := NewEIGNode(cfg, resolver)
-			if err != nil {
-				b.Fatal(err)
-			}
-			leaf := make([]uint32, node.levelSize(cfg.T))
-			node.ingest(inbox, cfg.T+1, leaf, nil) // interns the values
+			inbox, entries := finalInbox(cfg, resolver, shape)
+			node, leaf := ingestNode(b, cfg, resolver, shape)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -614,9 +651,7 @@ func BenchmarkEIGIngest(b *testing.B) {
 				node.ingest(inbox, cfg.T+1, leaf, nil)
 			}
 			b.StopTimer()
-			if slices.Contains(leaf, 0) {
-				b.Fatal("a leaf slot was left empty")
-			}
+			checkLeaf(b, shape, leaf)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 		})
 	}

@@ -3,6 +3,7 @@ package ba
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 	"repro/internal/sig"
 )
 
-// Tests for the run walker (oralRun, and the two passes built on it) and
-// the fused path check (pathRank), all differential: against the
-// reference decoder and node, and against rankOf/validPath, the two
+// Tests for the single walk over a payload (ingestPayload, by runs, each
+// payload a transaction undone if it proves malformed) and the fused path
+// check (reporterOf, then pathRank per entry), all differential: against
+// the reference decoder and node, and against rankOf/validPath, the two
 // functions pathRank replaced (eig_ref_test.go).
 
 // The cluster diffOralPayload plays a payload into: node 2 of ten
@@ -29,28 +31,34 @@ const (
 // each round from the first relay round to the final one, and requires
 // what the reference decoder and node leave: the same tree level, the
 // same relay batch byte for byte, in the final round the same decision.
-// It returns the slots each round stored, indexed by round.
+// A payload the reference decoder rejects must also leave the value
+// table, its index and the relay batch as a fresh node has them: what it
+// stored before proving malformed is undone. It returns the slots each
+// round stored, indexed by round.
 func diffOralPayload(t testing.TB, data []byte) []int {
 	t.Helper()
 	cfg, resolver := oralDiffCfg, oralDiffResolver
 	final := EIGEngineRounds(cfg.T)
 	stored := make([]int, final+1)
+	_, err := unmarshalOralEntries(data)
+	malformed := err != nil
+	fresh, err := NewEIGNode(cfg, resolver)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 2; round <= final; round++ {
-		node, err := NewEIGNode(cfg, resolver)
-		if err != nil {
-			t.Fatal(err)
-		}
+		node, _ := NewEIGNode(cfg, resolver)
 		ref := newRefEIG(cfg, resolver, nil)
 		inbox := []model.Message{{From: oralDiffRelay, To: resolver, Round: round, Kind: model.KindOral, Payload: data}}
 		if round == 2 {
 			inbox[0].From = Sender
 		}
 		level := make([]uint32, node.levelSize(round-2))
-		var relay []byte
+		var batch []byte
 		if round < final {
-			relay = make([]byte, sig.IntFieldSize)
+			batch = make([]byte, sig.IntFieldSize)
 		}
-		relay, relayed := node.ingest(inbox, round-1, level, relay)
+		relay, relayed := node.ingest(inbox, round-1, level, batch)
 		sent := ref.Step(round, inbox)
 		if stored[round], err = diffLevel(node, ref, round-1, level); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -61,6 +69,11 @@ func diffOralPayload(t testing.TB, data []byte) []int {
 		if round < final && relayed != stored[round] {
 			t.Fatalf("round %d: stores %d slots, relays %d entries", round, stored[round], relayed)
 		}
+		if malformed && (len(node.vals) != len(fresh.vals) || !maps.Equal(node.ids, fresh.ids) || node.last != fresh.last ||
+			relayed != 0 || len(relay) != len(batch)) {
+			t.Fatalf("round %d: a malformed payload leaves values %q indexed %v, last %d, %d relayed in a %d-byte batch; a fresh node has %q indexed %v, last %d, a %d-byte batch",
+				round, node.vals, node.ids, node.last, relayed, len(relay), fresh.vals, fresh.ids, fresh.last, len(batch))
+		}
 		if round == final {
 			if got := node.vals[node.resolveTree(level)]; got != string(ref.decision) {
 				t.Fatalf("decides %q, reference decides %q", got, ref.decision)
@@ -70,7 +83,7 @@ func diffOralPayload(t testing.TB, data []byte) []int {
 	return stored
 }
 
-// runWalkerCase is one payload aimed at the run walker: what each round
+// runWalkerCase is one payload aimed at the walk by runs: what each round
 // must store of it (rounds 2 to 5 of diffOralPayload's cluster), or that
 // it is malformed and no round may store anything.
 type runWalkerCase struct {
@@ -89,13 +102,28 @@ func runWalkerPayloads() []runWalkerCase {
 	four := func(x, y model.NodeID, v string) OralEntry {
 		return OralEntry{Path: []model.NodeID{Sender, x, y, oralDiffRelay}, Value: []byte(v)}
 	}
-	// One run of four entries, and where its last entry begins.
+	// Where the path and the value length of a payload's last entry lie.
+	lastPath := func(data []byte, last OralEntry) []byte {
+		return data[len(data)-len(MarshalOralEntries([]OralEntry{last}))+sig.IntFieldSize:]
+	}
+	lastValue := func(data []byte, last OralEntry) []byte {
+		return data[len(data)-sig.BytesFieldSize(len(last.Value)):]
+	}
+	// One run of four entries.
 	run := MarshalOralEntries([]OralEntry{three(3, "value"), three(4, "value"), three(5, "value"), three(6, "value")})
-	lastEntry := len(run) - len(MarshalOralEntries([]OralEntry{three(6, "value")})) + sig.IntFieldSize
 	badPath := bytes.Clone(run)
-	binary.BigEndian.PutUint64(badPath[lastEntry:], 0)
+	binary.BigEndian.PutUint64(lastPath(badPath, three(6, "value")), 0)
 	badValue := bytes.Clone(run)
-	binary.BigEndian.PutUint32(badValue[len(run)-sig.BytesFieldSize(len("value")):], maxOralValueLen+1)
+	binary.BigEndian.PutUint32(lastValue(badValue, three(6, "value")), maxOralValueLen+1)
+
+	// Payloads that store entries — in rounds 4 and 5, under values a fresh
+	// node has not interned, relayed in round 4 — before they prove
+	// malformed: every one of those effects must be undone.
+	twoRuns := []OralEntry{three(3, "new"), three(4, "new"), four(3, 4, "newer"), four(3, 5, "newer")}
+	nextRun := MarshalOralEntries(append(twoRuns, three(5, "bad")))
+	binary.BigEndian.PutUint32(lastValue(nextRun, three(5, "bad")), maxOralValueLen+1)
+	ownLast := MarshalOralEntries([]OralEntry{three(3, "new"), three(4, "new"), three(5, "new"), three(6, "new")})
+	binary.BigEndian.PutUint64(lastPath(ownLast, three(6, "new")), maxOralPathLen+1)
 	return []runWalkerCase{
 		{name: "a new shape at every entry", stored: [4]int{0, 0, 3, 3}, data: MarshalOralEntries([]OralEntry{
 			three(3, ""), four(3, 4, "a"), three(4, "bb"), four(3, 5, "ccc"), three(5, "dddd"), four(3, 6, ""),
@@ -120,22 +148,24 @@ func runWalkerPayloads() []runWalkerCase {
 		{name: "a run of empty values", stored: [4]int{0, 0, 4, 0}, data: MarshalOralEntries([]OralEntry{
 			three(3, ""), three(4, ""), three(5, ""), three(6, ""),
 		})},
+		{name: "two runs stored, the next one past the value limit", malformed: true, data: nextRun},
+		{name: "a run stored, its own last entry past the path limit", malformed: true, data: ownLast},
+		{name: "two runs stored, then a trailing byte", malformed: true, data: append(MarshalOralEntries(twoRuns), 0)},
 	}
 }
 
-// TestEIGRunWalkerMatchesReference plays the run walker's hard cases
-// through the differential: a well-formed payload stores exactly the
-// entries of the round's length whatever the runs around them look like,
-// and a payload that goes wrong in the last entry of a run stores and
-// relays nothing — the structural pass saw the whole payload first.
+// TestEIGRunWalkerMatchesReference plays the walk's hard cases through
+// the differential: a well-formed payload stores exactly the entries of
+// the round's length whatever the runs around them look like, and a
+// payload that goes wrong anywhere — in its last entry, in a run after
+// the ones it stored, in a byte past its last entry — leaves no slot, no
+// relayed entry and no interned value behind. Whether a case is malformed
+// is the reference decoder's call.
 func TestEIGRunWalkerMatchesReference(t *testing.T) {
 	for _, tc := range runWalkerPayloads() {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := unmarshalOralEntries(tc.data); (err != nil) != tc.malformed {
 				t.Fatalf("reference decoder: %v, malformed = %v", err, tc.malformed)
-			}
-			if count, ok := oralEntryCount(tc.data); ok == tc.malformed {
-				t.Fatalf("oralEntryCount = %d, %v, malformed = %v", count, ok, tc.malformed)
 			}
 			if got := diffOralPayload(t, tc.data); [4]int(got[2:]) != tc.stored {
 				t.Errorf("rounds 2 to 5 store %v slots, want %v", got[2:], tc.stored)
@@ -150,10 +180,21 @@ func TestEIGRunWalkerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRankValidMatchesOracles: pathRank accepts a path exactly when
-// validPath does and then returns rankOf — for every hop sequence of
-// length 1…t+1 over the ids −1…n at two small sizes and a seeded sample
-// at a third, every lieutenant resolving, every claimed reporter.
+// rankFrom is the path check as ingest makes it: once per payload on the
+// reporter (reporterOf), then per entry on the wire bytes (pathRank).
+func (n *EIGNode) rankFrom(wire []byte, from model.NodeID, plen int) (rank int, ok bool) {
+	rep, ok := n.reporterOf(from, plen)
+	if !ok {
+		return 0, false
+	}
+	return n.pathRank(wire, rep, make([]uint64, plen))
+}
+
+// TestRankValidMatchesOracles: reporterOf and pathRank together accept a
+// path exactly when validPath does and then return rankOf — for every hop
+// sequence of length 1…t+1 over the ids −1…n at two small sizes and a
+// seeded sample at a third, every lieutenant resolving, every claimed
+// reporter.
 func TestRankValidMatchesOracles(t *testing.T) {
 	check := func(node *EIGNode, path []model.NodeID, from model.NodeID) {
 		t.Helper()
@@ -161,7 +202,7 @@ func TestRankValidMatchesOracles(t *testing.T) {
 		for _, p := range path {
 			wire = sig.AppendInt(wire, int(p))
 		}
-		rank, ok := node.pathRank(wire, from, make([]uint64, len(path)))
+		rank, ok := node.rankFrom(wire, from, len(path))
 		if want := node.validPath(path, from); ok != want {
 			t.Fatalf("n=%d resolver %v: pathRank(%v from %v) valid = %v, validPath = %v", node.cfg.N, node.id, path, from, ok, want)
 		}
@@ -222,11 +263,11 @@ func TestRankValidMatchesOracles(t *testing.T) {
 	wire := sig.AppendInt(nil, int(Sender))
 	wire = sig.AppendUint64(wire, 1<<63|3)
 	wire = sig.AppendInt(wire, 1)
-	if rank, ok := node.pathRank(wire, 1, make([]uint64, 3)); ok {
+	if rank, ok := node.rankFrom(wire, 1, 3); ok {
 		t.Errorf("pathRank accepts a hop of 2⁶³+3, at rank %d", rank)
 	}
 	wire = sig.AppendUint64(sig.AppendInt(sig.AppendInt(nil, int(Sender)), 3), 1<<63|1)
-	if rank, ok := node.pathRank(wire, model.NodeID(-1<<63|1), make([]uint64, 3)); ok {
+	if rank, ok := node.rankFrom(wire, model.NodeID(-1<<63|1), 3); ok {
 		t.Errorf("pathRank accepts a last hop of 2⁶³+1 from a reporter of that id, at rank %d", rank)
 	}
 }

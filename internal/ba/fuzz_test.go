@@ -16,7 +16,9 @@ import (
 // (eig_ref_test.go) leave — and never panic. A batch the reference
 // accepts must re-marshal to the bytes it came from (the encoding is
 // canonical: fixed-width ints, length-prefixed values, no trailing
-// bytes). diffOralPayload (eig_run_test.go) is the comparison.
+// bytes). diffOralPayload (eig_run_test.go) is the comparison; for a
+// payload the reference rejects it also requires the value table and the
+// relay batch a fresh node has.
 func FuzzUnmarshalOralEntries(f *testing.F) {
 	many := make([]OralEntry, 9)
 	for i := range many {
@@ -48,8 +50,10 @@ func FuzzUnmarshalOralEntries(f *testing.F) {
 	// One entry whose value claims a byte more than any field may hold.
 	overlong := sig.AppendInt(sig.AppendInt(sig.AppendInt(nil, 1), 1), int(Sender))
 	f.Add(sig.AppendUint32(overlong, maxOralValueLen+1))
-	// What the run walker could get wrong: shapes that change at every
-	// entry, share a stride, belong to another round, end early.
+	// What the single walk could get wrong: shapes that change at every
+	// entry, share a stride, belong to another round, end early — and
+	// payloads that store entries before they prove malformed, which must
+	// be undone.
 	for _, tc := range runWalkerPayloads() {
 		f.Add(tc.data)
 	}

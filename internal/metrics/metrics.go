@@ -46,7 +46,10 @@ func NewCounters() *Counters {
 	}
 }
 
-// Record accounts for one delivered message.
+// Record accounts for one sent message. Both engines call it for every
+// send, a message the network then loses included, so every count here is
+// of sends, not deliveries; a delayed message counts under the round
+// stamp it is delivered with.
 func (c *Counters) Record(m model.Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
