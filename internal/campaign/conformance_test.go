@@ -188,6 +188,23 @@ func TestErroredInstanceHasNoVerdict(t *testing.T) {
 	}
 }
 
+// TestSmallRangeNonBitValueErrors pins that a small-range value other than
+// 0 or 1 errors the instance: reduced to its low bit, it used to run
+// honestly and be scored as a validity violation against the caller's
+// value.
+func TestSmallRangeNonBitValueErrors(t *testing.T) {
+	for _, v := range []byte{2, 3} {
+		res := RunInstance(Instance{Protocol: ProtoSmallRange, N: 7, T: 2, Scheme: sig.SchemeEd25519,
+			Adversary: AdvNone, Seed: 1, Value: []byte{v}})
+		if res.Err == "" {
+			t.Errorf("value %d: no error, verdict %+v", v, res.Conformance)
+		}
+		if res.Conformance != nil {
+			t.Errorf("value %d: errored instance carries a verdict: %+v", v, res.Conformance)
+		}
+	}
+}
+
 // TestReportConformanceAggregation feeds assemble synthetic results and
 // checks the group tallies and the report-level violation count.
 func TestReportConformanceAggregation(t *testing.T) {

@@ -29,15 +29,111 @@ import (
 // sub-message to the same node or some correct node discovers a failure —
 // which is exactly what makes the protocol sound under mere local
 // authentication (paper §4.1).
+//
+// The protocol itself is chainRun, this node's seat in one run; the
+// small-range and vector nodes sit in the same runs with other data.
 type ChainNode struct {
-	id     model.NodeID
+	params chainParams
+	run    chainRun
+}
+
+// ChainOption configures a ChainNode.
+type ChainOption func(*ChainNode)
+
+// WithValue sets the sender's initial value. Only meaningful for P_0.
+func WithValue(v []byte) ChainOption {
+	return func(n *ChainNode) { n.params.value = append([]byte(nil), v...) }
+}
+
+// NewChainNode builds a correct participant for one chain-protocol run.
+// The signer and directory normally come from a completed key-distribution
+// run (local authentication); a shared MapDirectory models global
+// authentication instead.
+func NewChainNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, opts ...ChainOption) (*ChainNode, error) {
+	p, err := newChainParams(cfg, id, signer, dir, "chain")
+	if err != nil {
+		return nil, err
+	}
+	n := &ChainNode{params: p}
+	for _, opt := range opts {
+		opt(n)
+	}
+	if id == Sender && n.params.value == nil {
+		return nil, errors.New("fd: sender needs WithValue")
+	}
+	n.run = newChainRun(&n.params, Sender)
+	return n, nil
+}
+
+// Outcome implements Outcomer.
+func (n *ChainNode) Outcome() model.Outcome { return n.run.outcome }
+
+// Finished implements sim.Finisher.
+func (n *ChainNode) Finished() bool { return n.run.finished }
+
+// EvidenceChain returns the strongest chain this node can present for its
+// accepted value: its signer sequence is the consecutive prefix
+// P_0 … P_{k-1}. It is nil when the node accepted nothing.
+func (n *ChainNode) EvidenceChain() *sig.Chain { return n.run.evidence }
+
+// Step implements the sim Process contract.
+func (n *ChainNode) Step(round int, received []model.Message) []model.Message {
+	r := &n.run
+	if r.stopped {
+		// "discover failure and stop": a stopped node ignores the rest of
+		// the run.
+		return nil
+	}
+	var out []model.Message
+	for _, m := range received {
+		out = append(out, r.deliver(round, m, m.Payload)...)
+		if r.stopped {
+			// Stopping withdraws what this round already produced.
+			return nil
+		}
+	}
+	return append(out, r.tick(round)...)
+}
+
+// chainParams is what one node brings to every Fig. 2 run it sits in:
+// its keys, its own value, and the variant's reading of the wire.
+type chainParams struct {
 	cfg    model.Config
+	id     model.NodeID
 	signer sig.Signer
 	dir    sig.Directory
-	role   Role
-
-	// value is the initial value (sender only).
+	// value is what this node sends in the run it starts (position 0).
 	value []byte
+	// silence, when non-nil, is the value a missing chain stands for
+	// (paper §5, small range): a sender holding it sends nothing, and a
+	// chain carrying it, or any value that is not a single bit, is a
+	// deviation.
+	silence []byte
+	// framed chains travel in the vector's (instance, chain) envelope.
+	framed bool
+}
+
+func newChainParams(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, what string) (chainParams, error) {
+	if err := cfg.Validate(); err != nil {
+		return chainParams{}, err
+	}
+	if !id.Valid(cfg.N) {
+		return chainParams{}, fmt.Errorf("fd: node id %v out of range for n=%d", id, cfg.N)
+	}
+	if signer == nil || dir == nil {
+		return chainParams{}, fmt.Errorf("fd: %s node needs a signer and a directory", what)
+	}
+	return chainParams{cfg: cfg, id: id, signer: signer, dir: dir}, nil
+}
+
+// chainRun is one node's seat in one run of Fig. 2. The run's sender is
+// origin and position p is node (origin + p) mod n, so Fig. 2 is origin
+// P_0 and every other origin is a relabeling of it: position 0 sends,
+// positions 1 … t−1 relay, position t disseminates, the rest are the tail.
+type chainRun struct {
+	*chainParams
+	origin model.NodeID
+	pos    int
 
 	outcome  model.Outcome
 	stopped  bool
@@ -51,148 +147,116 @@ type ChainNode struct {
 	evidence *sig.Chain
 }
 
-// ChainOption configures a ChainNode.
-type ChainOption func(*ChainNode)
-
-// WithValue sets the sender's initial value. Only meaningful for P_0.
-func WithValue(v []byte) ChainOption {
-	return func(n *ChainNode) { n.value = append([]byte(nil), v...) }
+func newChainRun(p *chainParams, origin model.NodeID) chainRun {
+	return chainRun{
+		chainParams: p,
+		origin:      origin,
+		pos:         (int(p.id) - int(origin) + p.cfg.N) % p.cfg.N,
+		outcome:     model.Outcome{Node: p.id},
+	}
 }
 
-// NewChainNode builds a correct participant for one chain-protocol run.
-// The signer and directory normally come from a completed key-distribution
-// run (local authentication); a shared MapDirectory models global
-// authentication instead.
-func NewChainNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, opts ...ChainOption) (*ChainNode, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// at returns the node sitting at position p.
+func (r *chainRun) at(p int) model.NodeID { return model.NodeID((int(r.origin) + p) % r.cfg.N) }
+
+// expectRound returns the engine round in which this seat's chain message
+// arrives in failure-free runs: position p receives in round p+1 (the
+// sender's message is sent in round 1, delivered at the round-2 step), and
+// the tail receives the disseminated chain in round t+2.
+func (r *chainRun) expectRound() int {
+	if r.pos > r.cfg.T {
+		return r.cfg.T + 2
 	}
-	if !id.Valid(cfg.N) {
-		return nil, fmt.Errorf("fd: node id %v out of range for n=%d", id, cfg.N)
-	}
-	if signer == nil || dir == nil {
-		return nil, errors.New("fd: chain node needs a signer and a directory")
-	}
-	n := &ChainNode{
-		id:     id,
-		cfg:    cfg,
-		signer: signer,
-		dir:    dir,
-		role:   RoleOf(id, cfg.T),
-	}
-	n.outcome.Node = id
-	for _, opt := range opts {
-		opt(n)
-	}
-	if id == Sender && n.value == nil {
-		return nil, errors.New("fd: sender needs WithValue")
-	}
-	return n, nil
+	return r.pos + 1
 }
 
-// Outcome implements Outcomer.
-func (n *ChainNode) Outcome() model.Outcome { return n.outcome }
+// expectFrom returns the node this seat's chain message must come from:
+// the previous position, or the disseminator for the tail.
+func (r *chainRun) expectFrom() model.NodeID { return r.at(min(r.pos-1, r.cfg.T)) }
 
-// Finished implements sim.Finisher.
-func (n *ChainNode) Finished() bool { return n.finished }
-
-// expectRound returns the engine round in which this node's chain message
-// arrives in failure-free runs: P_i receives in round i+1 (the sender's
-// message is sent in round 1, delivered at the round-2 step), and the tail
-// receives the disseminated chain in round t+2.
-func (n *ChainNode) expectRound() int {
-	if n.role == RoleTail {
-		return n.cfg.T + 2
-	}
-	return int(n.id) + 1
-}
-
-// expectFrom returns the sender this node's chain message must come from.
-func (n *ChainNode) expectFrom() model.NodeID {
-	if n.role == RoleTail {
-		return model.NodeID(n.cfg.T)
-	}
-	return n.id - 1
-}
-
-// Step implements the sim Process contract.
-func (n *ChainNode) Step(round int, received []model.Message) []model.Message {
-	if n.stopped {
-		// "discover failure and stop": a stopped node ignores the rest of
-		// the run.
+// deliver files one message of this run, payload being its chain bytes.
+// Any message outside the seat's single expected (round, sender, kind)
+// slot deviates from every failure-free run.
+func (r *chainRun) deliver(round int, m model.Message, payload []byte) []model.Message {
+	if r.stopped {
 		return nil
 	}
-	// Any message outside the node's single expected (round, sender, kind)
-	// slot deviates from every failure-free run.
+	if r.pos == 0 || round != r.expectRound() || m.From != r.expectFrom() ||
+		m.Kind != model.KindChainValue || r.gotChain {
+		r.discover(round, model.ReasonUnexpectedMessage,
+			fmt.Sprintf("%v message from %v in round %d", m.Kind, m.From, round))
+		return nil
+	}
+	r.gotChain = true
+	return r.receive(round, m.From, payload)
+}
+
+// tick takes the round's own step once its messages are filed: position 0
+// starts the run in round 1, and a seat whose chain is missing at its
+// deadline discovers a failure — no failure-free run is silent there —
+// or, under small range, reads the silence as its value.
+func (r *chainRun) tick(round int) []model.Message {
+	if r.stopped {
+		return nil
+	}
 	var out []model.Message
-	for _, m := range received {
-		if n.stopped {
+	switch {
+	case round == 1 && r.pos == 0:
+		out = r.start()
+	case round == r.expectRound() && !r.gotChain && r.pos != 0:
+		if r.silence == nil {
+			r.discover(round, model.ReasonMissingMessage,
+				fmt.Sprintf("no chain message from %v by round %d", r.expectFrom(), round))
 			break
 		}
-		if round == n.expectRound() && m.From == n.expectFrom() &&
-			m.Kind == model.KindChainValue && !n.gotChain {
-			n.gotChain = true
-			out = append(out, n.handleChain(round, m)...)
-			continue
-		}
-		n.discover(round, model.ReasonUnexpectedMessage,
-			fmt.Sprintf("%v message from %v in round %d", m.Kind, m.From, round))
+		// Under small range the silence is the value. A relay or the
+		// disseminator that reads it forwards nothing — downstream silence
+		// means the same — and listens on to the last round; a tail is done.
+		r.decide(r.silence)
+		r.finished = r.pos > r.cfg.T
 	}
-	if n.stopped {
-		return nil
-	}
-	switch {
-	case round == 1 && n.id == Sender:
-		out = append(out, n.startChain()...)
-		n.finished = true
-	case round == n.expectRound() && !n.gotChain && n.id != Sender:
-		// Deadline passed with no chain message: no failure-free run is
-		// silent here, so the absence itself is a discovered failure.
-		n.discover(round, model.ReasonMissingMessage,
-			fmt.Sprintf("no chain message from %v by round %d", n.expectFrom(), round))
-	}
-	if round >= ChainEngineRounds(n.cfg.T) {
-		n.finished = true
+	if round >= ChainEngineRounds(r.cfg.T) {
+		r.finished = true
 	}
 	return out
 }
 
-// startChain is P_0's single action: sign the value and send it to P_1,
-// or — when t = 0 — disseminate it to everyone directly.
-func (n *ChainNode) startChain() []model.Message {
-	chain, err := sig.NewChain(n.value, n.signer)
+// start is position 0's single action: sign the value and send it to
+// position 1, or — when t = 0 — to everyone directly, in node-ID order.
+func (r *chainRun) start() []model.Message {
+	r.decide(r.value)
+	r.finished = true
+	if r.silence != nil && r.value[0] == r.silence[0] {
+		return nil
+	}
+	chain, err := sig.NewChain(r.value, r.signer)
 	if err != nil {
-		panic(fmt.Sprintf("fd: %v signing value: %v", n.id, err))
+		panic(fmt.Sprintf("fd: %v signing value: %v", r.id, err))
 	}
-	n.evidence = chain
-	n.decide(n.value)
-	payload := chain.Marshal()
-	if n.cfg.T == 0 {
-		return model.AppendBroadcast(make([]model.Message, 0, n.cfg.N-1), n.cfg.N, n.id, model.KindChainValue, payload)
+	r.evidence = chain
+	payload := r.wire(chain)
+	if r.cfg.T == 0 {
+		return model.AppendBroadcast(make([]model.Message, 0, r.cfg.N-1), r.cfg.N, r.id, model.KindChainValue, payload)
 	}
-	return []model.Message{{To: Sender + 1, Kind: model.KindChainValue, Payload: payload}}
+	return []model.Message{{To: r.at(1), Kind: model.KindChainValue, Payload: payload}}
 }
 
-// handleChain performs the "check the signatures of the message and the
-// submessages" step and the role-specific continuation.
-func (n *ChainNode) handleChain(round int, m model.Message) []model.Message {
-	chain, err := sig.UnmarshalChain(m.Payload)
+// receive performs the "check the signatures of the message and the
+// submessages" step and the position's continuation.
+func (r *chainRun) receive(round int, from model.NodeID, payload []byte) []model.Message {
+	chain, err := sig.UnmarshalChain(payload)
 	if err != nil {
-		n.discover(round, model.ReasonBadFormat, fmt.Sprintf("chain from %v: %v", m.From, err))
+		r.discover(round, model.ReasonBadFormat, fmt.Sprintf("chain from %v: %v", from, err))
 		return nil
 	}
-	// In a failure-free run P_i's chain has exactly i signatures
-	// (S_0 … S_{i-1}); the tail's has t+1.
-	wantLen := int(n.id)
-	if n.role == RoleTail {
-		wantLen = n.cfg.T + 1
-	}
-	if chain.Len() != wantLen {
-		n.discover(round, model.ReasonBadChain,
-			fmt.Sprintf("chain from %v has %d signatures, want %d", m.From, chain.Len(), wantLen))
+	// In a failure-free run position p's chain has exactly p signatures
+	// (S_0 … S_{p-1}); the tail's has t+1.
+	if want := min(r.pos, r.cfg.T+1); chain.Len() != want {
+		r.discover(round, model.ReasonBadChain,
+			fmt.Sprintf("chain from %v has %d signatures, want %d", from, chain.Len(), want))
 		return nil
 	}
-	if err := n.verifyChain(chain, m.From); err != nil {
+	if err := r.verify(chain, from); err != nil {
 		reason := model.ReasonBadChain
 		switch {
 		case errors.Is(err, sig.ErrChainUnknownSigner):
@@ -200,75 +264,82 @@ func (n *ChainNode) handleChain(round int, m model.Message) []model.Message {
 		case errors.Is(err, sig.ErrChainBadSignature):
 			reason = model.ReasonBadSignature
 		}
-		n.discover(round, reason, fmt.Sprintf("chain from %v: %v", m.From, err))
+		r.discover(round, reason, fmt.Sprintf("chain from %v: %v", from, err))
 		return nil
 	}
-	n.decide(chain.Value())
-	switch n.role {
-	case RoleRelay:
-		next, err := chain.Extend(m.From, n.signer)
-		if err != nil {
-			panic(fmt.Sprintf("fd: %v extending chain: %v", n.id, err))
-		}
-		n.evidence = next
-		n.finished = true
-		return []model.Message{{To: n.id + 1, Kind: model.KindChainValue, Payload: next.Marshal()}}
-	case RoleDisseminator:
-		next, err := chain.Extend(m.From, n.signer)
-		if err != nil {
-			panic(fmt.Sprintf("fd: %v extending chain: %v", n.id, err))
-		}
-		n.evidence = next
-		payload := next.Marshal()
-		out := make([]model.Message, 0, n.cfg.N-1-n.cfg.T)
-		for j := n.cfg.T + 1; j < n.cfg.N; j++ {
-			out = append(out, model.Message{To: model.NodeID(j), Kind: model.KindChainValue, Payload: payload})
-		}
-		n.finished = true
-		return out
-	default: // RoleTail
-		n.evidence = chain
-		n.finished = true
+	if v := chain.Value(); r.silence != nil && (len(v) != 1 || v[0] > 1 || v[0] == r.silence[0]) {
+		// A chain carrying the silence value (or a non-bit) never occurs
+		// in a failure-free run: that value flows as silence.
+		r.discover(round, model.ReasonProtocol,
+			fmt.Sprintf("chain from %v carries invalid small-range value %v", from, v))
 		return nil
 	}
+	r.decide(chain.Value())
+	r.finished = true
+	role := RoleOf(model.NodeID(r.pos), r.cfg.T)
+	if role == RoleTail {
+		r.evidence = chain
+		return nil
+	}
+	next, err := chain.Extend(from, r.signer)
+	if err != nil {
+		panic(fmt.Sprintf("fd: %v extending chain: %v", r.id, err))
+	}
+	r.evidence = next
+	payload = r.wire(next)
+	if role == RoleRelay {
+		return []model.Message{{To: r.at(r.pos + 1), Kind: model.KindChainValue, Payload: payload}}
+	}
+	out := make([]model.Message, 0, r.cfg.N-1-r.cfg.T)
+	for q := r.cfg.T + 1; q < r.cfg.N; q++ {
+		out = append(out, model.Message{To: r.at(q), Kind: model.KindChainValue, Payload: payload})
+	}
+	return out
 }
 
-// EvidenceChain returns the strongest chain this node can present for its
-// accepted value: its signer sequence is the consecutive prefix
-// P_0 … P_{k-1}. It is nil when the node accepted nothing.
-func (n *ChainNode) EvidenceChain() *sig.Chain { return n.evidence }
-
-// verifyChain checks every layer of the chain and that the signer
-// sequence is exactly P_0 … P_{len-1} — the only sequence a failure-free
-// run of Fig. 2 produces.
-func (n *ChainNode) verifyChain(chain *sig.Chain, from model.NodeID) error {
-	signers, err := chain.Verify(from, n.dir)
+// verify checks every layer of the chain and that the signer sequence is
+// exactly positions 0 … len−1 — the only sequence a failure-free run of
+// Fig. 2 produces.
+func (r *chainRun) verify(chain *sig.Chain, from model.NodeID) error {
+	signers, err := chain.Verify(from, r.dir)
 	if err != nil {
 		return err
 	}
 	for k, s := range signers {
-		if s != model.NodeID(k) {
+		if want := r.at(k); s != want {
 			return fmt.Errorf("%w: layer %d assigned to %v, want %v",
-				sig.ErrChainBadSignature, k, s, model.NodeID(k))
+				sig.ErrChainBadSignature, k, s, want)
 		}
 	}
 	return nil
 }
 
-// decide records the node's decision value ("accept v").
-func (n *ChainNode) decide(v []byte) {
-	n.outcome.Decided = true
-	n.outcome.Value = append([]byte(nil), v...)
+// wire encodes a chain for this run's traffic.
+func (r *chainRun) wire(c *sig.Chain) []byte {
+	if r.framed {
+		return marshalVectorChain(r.origin, c)
+	}
+	return c.Marshal()
 }
 
-// discover records a discovered failure and stops the node, per Fig. 2's
+// decide records the node's decision value ("accept v").
+func (r *chainRun) decide(v []byte) {
+	r.outcome.Decided = true
+	r.outcome.Value = append([]byte(nil), v...)
+}
+
+// discover records a discovered failure and stops the seat, per Fig. 2's
 // "discover failure and stop". Discovery overrides any earlier decision:
-// the node's view has left every failure-free run.
-func (n *ChainNode) discover(round int, reason model.FailureReason, detail string) {
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
-	n.outcome.Decided = false
-	n.outcome.Value = nil
-	n.outcome.Discovery = &d
-	n.stopped = true
-	n.finished = true
+// the node's view has left every failure-free run. Only the first
+// discovery counts.
+func (r *chainRun) discover(round int, reason model.FailureReason, detail string) {
+	if r.stopped {
+		return
+	}
+	d := model.Discovery{Node: r.id, Round: round, Reason: reason, Detail: detail}
+	r.outcome.Decided = false
+	r.outcome.Value = nil
+	r.outcome.Discovery = &d
+	r.stopped = true
+	r.finished = true
 }

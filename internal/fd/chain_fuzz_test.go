@@ -1,0 +1,356 @@
+package fd_test
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/fd"
+	"repro/internal/model"
+	"repro/internal/sig"
+	"repro/internal/sim"
+)
+
+// The differential harness below runs every correct slot twice — the node
+// type under test and its reference twin from chain_ref_test.go — on the
+// same inboxes, and requires the same outbox (to, kind, payload bytes, in
+// order), the same Finished() and the same outcome after every step. An
+// input picks the variant, n ≤ 7, t < n, one faulty slot out of the
+// scenarios fd_test.go builds, the sender's bit, and a script of extra
+// deliveries drawn from a bank of valid chains for every position (and,
+// for the vector, every instance), each delivered as is, tampered,
+// truncated or under the wrong kind, in any round from 2 on, from any
+// sender, before or after the honest traffic.
+
+const (
+	variantChain = iota
+	variantSmallRange
+	variantVector
+	variantCount
+)
+
+var variantNames = [variantCount]string{"chain", "smallrange", "vector"}
+
+// buildVariant returns node id's correct process for variant v, or its
+// reference twin when ref is set.
+func buildVariant(t *testing.T, v int, f *fixture, cfg model.Config, id model.NodeID, bit byte, ref bool) sim.Process {
+	t.Helper()
+	var (
+		p   sim.Process
+		err error
+	)
+	signer, dir := f.signers[id], f.dirs[id]
+	switch {
+	case v == variantChain && ref:
+		var opts []refChainOption
+		if id == fd.Sender {
+			opts = append(opts, refWithValue([]byte("v")))
+		}
+		p, err = newRefChainNode(cfg, id, signer, dir, opts...)
+	case v == variantChain:
+		var opts []fd.ChainOption
+		if id == fd.Sender {
+			opts = append(opts, fd.WithValue([]byte("v")))
+		}
+		p, err = fd.NewChainNode(cfg, id, signer, dir, opts...)
+	case v == variantSmallRange && ref:
+		var opts []refSmallRangeOption
+		if id == fd.Sender {
+			opts = append(opts, refWithBinaryValue(bit))
+		}
+		p, err = newRefSmallRangeNode(cfg, id, signer, dir, opts...)
+	case v == variantSmallRange:
+		var opts []fd.SmallRangeOption
+		if id == fd.Sender {
+			opts = append(opts, fd.WithBinaryValue(bit))
+		}
+		p, err = fd.NewSmallRangeNode(cfg, id, signer, dir, opts...)
+	case ref:
+		p, err = newRefVectorNode(cfg, id, signer, dir, proposal(id))
+	default:
+		p, err = fd.NewVectorNode(cfg, id, signer, dir, proposal(id))
+	}
+	if err != nil {
+		t.Fatalf("%s node %v: %v", variantNames[v], id, err)
+	}
+	return p
+}
+
+func proposal(id model.NodeID) []byte { return []byte(fmt.Sprintf("from-P%d", id)) }
+
+// outcomesOf reads a node's outcome, or a vector node's n of them.
+func outcomesOf(p sim.Process, n int) []model.Outcome {
+	switch p := p.(type) {
+	case interface{ Outcome() model.Outcome }:
+		return []model.Outcome{p.Outcome()}
+	case interface {
+		Outcome(model.NodeID) model.Outcome
+	}:
+		out := make([]model.Outcome, n)
+		for s := range out {
+			out[s] = p.Outcome(model.NodeID(s))
+		}
+		return out
+	}
+	panic(fmt.Sprintf("no outcome on %T", p))
+}
+
+// chainScenario puts one faulty process in one slot; honest builds that
+// slot's correct node of the variant under test.
+type chainScenario struct {
+	name   string
+	faulty func(cfg model.Config, f *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process)
+}
+
+var chainScenarios = []chainScenario{
+	{"failure-free", nil},
+	{"silent relay", func(model.Config, *fixture, func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, sim.Silent{}
+	}},
+	{"tampered payload", func(_ model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.Wrap(honest(1), adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(10)))
+	}},
+	{"re-signing relay", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.NewResignRelay(cfg, 1, f.signers[1], []byte("forged"))
+	}},
+	{"wrong-name relay", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.NewWrongNameRelay(cfg, 1, f.signers[1], model.NodeID(4%cfg.N))
+	}},
+	{"equivocating sender", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 0, adversary.NewEquivocatingSenderFaces(cfg, f.signers[0], []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
+	}},
+	{"split disseminator", func(cfg model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		d := model.NodeID(cfg.T)
+		return d, adversary.Wrap(honest(d), adversary.DropTo(model.NewNodeSet(model.NodeID(cfg.N-2), model.NodeID(cfg.N-1))))
+	}},
+	{"delayed relay", func(_ model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.WrapBehaviors(honest(1), adversary.DelayBy(1))
+	}},
+	{"duplicate dissemination", func(cfg model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		d := model.NodeID(cfg.T)
+		return d, adversary.Wrap(honest(d), func(_ int, out []model.Message) []model.Message {
+			if len(out) == 0 {
+				return out
+			}
+			return append(out, out[0])
+		})
+	}},
+}
+
+var (
+	fuzzMu       sync.Mutex
+	fuzzFixtures = map[int]*fixture{}
+	fuzzBanks    = map[[2]int][][]byte{}
+)
+
+// fuzzBank returns the fixture for n nodes and variant v's bank: for
+// every run origin (P_0, or every node for the vector), two values and
+// every chain length 1 … n, the valid chain message that position would
+// receive, framed as the variant frames it. Both are built once per
+// process.
+func fuzzBank(t *testing.T, v, n int) (*fixture, [][]byte) {
+	fuzzMu.Lock()
+	defer fuzzMu.Unlock()
+	f := fuzzFixtures[n]
+	if f == nil {
+		f = newFixture(t, n, 0, int64(900+n))
+		fuzzFixtures[n] = f
+	}
+	if bank, ok := fuzzBanks[[2]int{v, n}]; ok {
+		return f, bank
+	}
+	origins := []model.NodeID{fd.Sender}
+	if v == variantVector {
+		origins = f.cfg.Nodes()
+	}
+	var bank [][]byte
+	for _, s := range origins {
+		values := [][]byte{[]byte("v"), []byte("w")}
+		switch v {
+		case variantSmallRange:
+			values = [][]byte{{0}, {1}, {2}}
+		case variantVector:
+			values = [][]byte{proposal(s), []byte("w")}
+		}
+		for _, value := range values {
+			c, err := sig.NewChain(value, f.signers[s])
+			for k := 1; k <= n && err == nil; k++ {
+				if k > 1 {
+					at := func(p int) model.NodeID { return model.NodeID((int(s) + p) % n) }
+					c, err = c.Extend(at(k-2), f.signers[at(k-1)])
+				}
+				payload := c.Marshal()
+				if v == variantVector {
+					payload = fd.MarshalVectorPayload(s, payload)
+				}
+				bank = append(bank, payload)
+			}
+			if err != nil {
+				t.Fatalf("bank: %v", err)
+			}
+		}
+	}
+	fuzzBanks[[2]int{v, n}] = bank
+	return f, bank
+}
+
+// scriptedDelivery is one extra message a fuzz input delivers.
+type scriptedDelivery struct {
+	round int
+	first bool // before the round's honest traffic
+	msg   model.Message
+}
+
+// decodeScript reads four bytes per delivery: round, receiver, sender
+// (its top bit: deliver first), and bank item (its two low bits: as is,
+// tampered, truncated, wrong kind).
+func decodeScript(data []byte, n, rounds int, bank [][]byte) []scriptedDelivery {
+	var script []scriptedDelivery
+	for ; len(data) >= 4 && len(script) < 32; data = data[4:] {
+		item := bank[int(data[3]>>2)%len(bank)]
+		m := model.Message{
+			From:    model.NodeID(int(data[2]&0x7f) % n),
+			To:      model.NodeID(int(data[1]) % n),
+			Kind:    model.KindChainValue,
+			Payload: append([]byte(nil), item...),
+		}
+		switch data[3] & 3 {
+		case 1:
+			m.Payload[int(data[0])*7%len(m.Payload)] ^= 0x01
+		case 2:
+			m.Payload = m.Payload[:len(m.Payload)/2]
+		case 3:
+			m.Kind = model.KindEcho
+		}
+		// No engine delivers in round 1: messages sent there land in 2.
+		script = append(script, scriptedDelivery{round: 2 + int(data[0])%(rounds-1), first: data[2]&0x80 != 0, msg: m})
+	}
+	return script
+}
+
+// sameOutcome compares two outcomes; loose lets the node under test name
+// a bad chain by its cause (unknown key, bad signature) where the
+// reference said bad chain.
+func sameOutcome(got, want model.Outcome, loose bool) bool {
+	if got.Node != want.Node || got.Decided != want.Decided || !bytes.Equal(got.Value, want.Value) ||
+		(got.Discovery == nil) != (want.Discovery == nil) {
+		return false
+	}
+	if got.Discovery == nil {
+		return true
+	}
+	g, w := got.Discovery, want.Discovery
+	if g.Round != w.Round {
+		return false
+	}
+	return g.Reason == w.Reason || (loose && w.Reason == model.ReasonBadChain &&
+		(g.Reason == model.ReasonUnknownKey || g.Reason == model.ReasonBadSignature))
+}
+
+// runAgainstReference plays one fuzz input; see the comment at the top of
+// the file.
+func runAgainstReference(t *testing.T, data []byte) {
+	if len(data) < 5 {
+		return
+	}
+	v := int(data[0]) % variantCount
+	n := 2 + int(data[1])%6
+	cfg := model.Config{N: n, T: int(data[2]) % n}
+	sc := chainScenarios[int(data[3])%len(chainScenarios)]
+	bit := data[4] & 1
+	f, bank := fuzzBank(t, v, n)
+	rounds := fd.ChainEngineRounds(cfg.T) + 1
+	script := decodeScript(data[5:], n, rounds, bank)
+
+	nodes := make([]sim.Process, n)
+	refs := make([]sim.Process, n)
+	for i := range nodes {
+		nodes[i] = buildVariant(t, v, f, cfg, model.NodeID(i), bit, false)
+		refs[i] = buildVariant(t, v, f, cfg, model.NodeID(i), bit, true)
+	}
+	if sc.faulty != nil {
+		id, p := sc.faulty(cfg, f, func(id model.NodeID) sim.Process {
+			return buildVariant(t, v, f, cfg, id, bit, false)
+		})
+		nodes[id], refs[id] = p, nil
+	}
+
+	inbox := make([][]model.Message, n)
+	for round := 1; round <= rounds; round++ {
+		cur := inbox
+		inbox = make([][]model.Message, n)
+		for _, d := range script {
+			switch {
+			case d.round != round:
+			case d.first:
+				cur[d.msg.To] = append([]model.Message{d.msg}, cur[d.msg.To]...)
+			default:
+				cur[d.msg.To] = append(cur[d.msg.To], d.msg)
+			}
+		}
+		for i, node := range nodes {
+			out := node.Step(round, append([]model.Message(nil), cur[i]...))
+			if ref := refs[i]; ref != nil {
+				where := fmt.Sprintf("%s n=%d t=%d %s bit=%d: P%d round %d", variantNames[v], n, cfg.T, sc.name, bit, i, round)
+				want := ref.Step(round, append([]model.Message(nil), cur[i]...))
+				if len(out) != len(want) {
+					t.Fatalf("%s: %d messages, reference %d", where, len(out), len(want))
+				}
+				for k := range out {
+					if out[k].To != want[k].To || out[k].Kind != want[k].Kind || !bytes.Equal(out[k].Payload, want[k].Payload) {
+						t.Fatalf("%s: message %d is %v→%v, reference %v→%v", where, k, out[k].Kind, out[k].To, want[k].Kind, want[k].To)
+					}
+				}
+				if got, want := node.(sim.Finisher).Finished(), ref.(sim.Finisher).Finished(); got != want {
+					t.Fatalf("%s: Finished() = %v, reference %v", where, got, want)
+				}
+				got, wantOut := outcomesOf(node, n), outcomesOf(ref, n)
+				for s := range got {
+					if !sameOutcome(got[s], wantOut[s], v != variantChain) {
+						t.Fatalf("%s: outcome[%d] = %v, reference %v", where, s, got[s], wantOut[s])
+					}
+				}
+			}
+			for _, m := range out {
+				if m.To.Valid(n) {
+					m.From = model.NodeID(i)
+					inbox[m.To] = append(inbox[m.To], m)
+				}
+			}
+		}
+	}
+}
+
+// FuzzChainVariantsMatchReference checks the chain, small-range and vector
+// nodes, all one chain run, against the three separate implementations
+// they replaced.
+func FuzzChainVariantsMatchReference(f *testing.F) {
+	// Every scenario of fd_test.go at its n=6 t=2, for every variant and
+	// both bits.
+	for v := 0; v < variantCount; v++ {
+		for sc := range chainScenarios {
+			for bit := byte(0); bit < 2; bit++ {
+				f.Add([]byte{byte(v), 4, 2, byte(sc), bit})
+			}
+		}
+		// The split disseminator as fd_test.go runs it, at n=7.
+		f.Add([]byte{byte(v), 5, 2, 6, 1})
+		// Bank item 1, the two-signature chain of run 0 (what P_2
+		// receives), delivered to P_2 as is, tampered, truncated and under
+		// the wrong kind, on time; then early, a three-signature chain
+		// late at P_3, from the wrong sender, and ahead of the honest copy.
+		f.Add([]byte{byte(v), 4, 2, 0, 1,
+			1, 2, 1, 4, 1, 2, 1, 5, 1, 2, 1, 6, 1, 2, 1, 7})
+		f.Add([]byte{byte(v), 4, 2, 0, 1,
+			0, 2, 1, 4, 2, 3, 2, 8, 1, 2, 3, 4, 1, 2, 0x81, 4})
+		// Fault bounds at the edges: t = 0 and t = n−1.
+		f.Add([]byte{byte(v), 2, 0, 0, 1, 0, 1, 0, 0})
+		f.Add([]byte{byte(v), 3, 4, 1, 1, 1, 4, 3, 4})
+	}
+	// Small range: a chain carrying 2, the value no bit is, reaches P_1
+	// on time from a sender that kept silent (bank item 12).
+	f.Add([]byte{variantSmallRange, 4, 2, 0, 0, 0, 1, 0, 48})
+	f.Fuzz(runAgainstReference)
+}

@@ -12,24 +12,26 @@
 //	    sender is correct, no correct node chooses a value different from
 //	    the sender's initial value.
 //
-// Three protocols live here:
+// The authenticated protocol of paper Fig. 2 — n−1 messages, the minimum,
+// correct under global authentication and, by the paper's Theorems 2 and
+// 4, equally correct under the local authentication established by
+// package keydist — is written once, as one node's seat in one run
+// (chainRun, chain.go), and run three ways:
 //
-//   - ChainNode (chain.go): the authenticated protocol of paper Fig. 2 —
-//     n−1 messages, the minimum — correct under global authentication and,
-//     by the paper's Theorems 2 and 4, equally correct under the local
-//     authentication established by package keydist.
-//   - NonAuthNode (nonauth.go): a non-authenticated baseline with
-//     (t+1)(n−1) = O(n·t) messages, the complexity class the paper quotes
-//     for non-authenticated solutions.
-//   - SmallRangeNode (smallrange.go): the "assign values to missing
-//     messages" idea the paper cites from Hadzilacos & Halpern for small
-//     value ranges, as a documented simplified variant.
+//   - ChainNode (chain.go): Fig. 2 itself, sender P_0 as in the paper.
+//   - SmallRangeNode (smallrange.go): the same run where silence stands
+//     for the default bit, the "assign values to missing messages" idea
+//     the paper cites from Hadzilacos & Halpern, simplified (§5).
+//   - VectorNode (vector.go): n runs in the same rounds, instance s sent
+//     by P_s, each chain framed with its instance.
 //
-// The sender is always node P_0, as in the paper's figures.
+// Beside it, NonAuthNode (nonauth.go) is the non-authenticated baseline
+// with (t+1)(n−1) = O(n·t) messages, the complexity class the paper
+// quotes for non-authenticated solutions.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - SmallRangeMessages: the cost formula the unit tests assert.
-//   - MarshalVectorPayload: the encoder the adversarial tests rewrite vector traffic with.
+//   - MarshalVectorPayload, UnmarshalVectorPayload: the codec the adversarial tests rewrite vector traffic with.
 //   - Role.String: a String method.
 package fd
 

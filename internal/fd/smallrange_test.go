@@ -30,36 +30,38 @@ func smallRangeProcs(t *testing.T, f *fixture, value byte) ([]sim.Process, []*fd
 	return procs, nodes
 }
 
-func TestSmallRangeDefaultValueIsFree(t *testing.T) {
-	// Sending the default value costs ZERO messages: silence encodes it.
-	f := newFixture(t, 8, 2, 100)
-	procs, nodes := smallRangeProcs(t, f, 0)
+// smallRangeCases are the fault bounds the failure-free small-range tests
+// run: the usual (8,2), and t = 0 and t = n−1 at the edges.
+var smallRangeCases = []struct{ n, t int }{{8, 2}, {3, 0}, {4, 3}, {8, 7}}
+
+// checkSmallRangeFailureFree runs a failure-free small-range instance on
+// bit and checks the message count and every node's decision.
+func checkSmallRangeFailureFree(t *testing.T, f *fixture, bit byte, wantMessages int) {
+	t.Helper()
+	procs, nodes := smallRangeProcs(t, f, bit)
 	counters := runFD(t, f.cfg, procs, fd.ChainEngineRounds(f.cfg.T))
 
-	if got := counters.Messages(); got != 0 {
-		t.Errorf("messages = %d, want 0", got)
+	if got := counters.Messages(); got != wantMessages {
+		t.Errorf("n=%d t=%d: messages = %d, want %d", f.cfg.N, f.cfg.T, got, wantMessages)
 	}
 	for _, n := range nodes {
 		o := n.Outcome()
-		if !o.Decided || len(o.Value) != 1 || o.Value[0] != 0 {
-			t.Errorf("%v outcome = %v, want decided 0", o.Node, o)
+		if !o.Decided || len(o.Value) != 1 || o.Value[0] != bit {
+			t.Errorf("n=%d t=%d: %v outcome = %v, want decided %d", f.cfg.N, f.cfg.T, o.Node, o, bit)
 		}
 	}
 }
 
-func TestSmallRangeNonDefaultCostsChain(t *testing.T) {
-	f := newFixture(t, 8, 2, 101)
-	procs, nodes := smallRangeProcs(t, f, 1)
-	counters := runFD(t, f.cfg, procs, fd.ChainEngineRounds(f.cfg.T))
-
-	if got, want := counters.Messages(), f.cfg.N-1; got != want {
-		t.Errorf("messages = %d, want %d", got, want)
+func TestSmallRangeDefaultValueIsFree(t *testing.T) {
+	// Sending the default value costs ZERO messages: silence encodes it.
+	for i, tc := range smallRangeCases {
+		checkSmallRangeFailureFree(t, newFixture(t, tc.n, tc.t, int64(100+10*i)), 0, 0)
 	}
-	for _, n := range nodes {
-		o := n.Outcome()
-		if !o.Decided || len(o.Value) != 1 || o.Value[0] != 1 {
-			t.Errorf("%v outcome = %v, want decided 1", o.Node, o)
-		}
+}
+
+func TestSmallRangeNonDefaultCostsChain(t *testing.T) {
+	for i, tc := range smallRangeCases {
+		checkSmallRangeFailureFree(t, newFixture(t, tc.n, tc.t, int64(101+10*i)), 1, tc.n-1)
 	}
 }
 
@@ -167,5 +169,11 @@ func TestSmallRangeConstructorValidation(t *testing.T) {
 	}
 	if _, err := fd.NewSmallRangeNode(f.cfg, 1, nil, f.dirs[1]); err == nil {
 		t.Error("nil signer accepted")
+	}
+	// A byte other than 0 or 1 is refused, not reduced to its low bit.
+	for _, v := range []byte{2, 3, 255} {
+		if _, err := fd.NewSmallRangeNode(f.cfg, 0, f.signers[0], f.dirs[0], fd.WithBinaryValue(v)); err == nil {
+			t.Errorf("sender bit %d accepted", v)
+		}
 	}
 }

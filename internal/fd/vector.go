@@ -23,53 +23,30 @@ import (
 // Wire format: each message carries (instance, chain bytes) so the
 // instances stay unambiguous while sharing rounds.
 
-// VectorNode is a correct participant in all n instances at once.
+// VectorNode is a correct participant in all n instances at once: its
+// seat in instance s is the Fig. 2 run whose origin is P_s.
 type VectorNode struct {
-	id     model.NodeID
-	cfg    model.Config
-	signer sig.Signer
-	dir    sig.Directory
-
-	// value is this node's own proposal (it is the sender of instance id).
-	value []byte
-
-	// inst[s] is the per-instance state for sender s.
-	inst []vectorInstance
+	params chainParams
+	// inst[s] is this node's seat in the instance whose sender is s.
+	inst []chainRun
 
 	finished bool
 }
 
-// vectorInstance tracks one rotated chain instance at this node.
-type vectorInstance struct {
-	outcome  model.Outcome
-	stopped  bool
-	gotChain bool
-}
-
 // NewVectorNode builds a correct participant proposing value.
 func NewVectorNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (*VectorNode, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := newChainParams(cfg, id, signer, dir, "vector")
+	if err != nil {
 		return nil, err
-	}
-	if !id.Valid(cfg.N) {
-		return nil, fmt.Errorf("fd: node id %v out of range for n=%d", id, cfg.N)
-	}
-	if signer == nil || dir == nil {
-		return nil, errors.New("fd: vector node needs a signer and a directory")
 	}
 	if value == nil {
 		return nil, errors.New("fd: vector node needs a proposal value")
 	}
-	n := &VectorNode{
-		id:     id,
-		cfg:    cfg,
-		signer: signer,
-		dir:    dir,
-		value:  append([]byte(nil), value...),
-		inst:   make([]vectorInstance, cfg.N),
-	}
+	p.value = append([]byte(nil), value...)
+	p.framed = true
+	n := &VectorNode{params: p, inst: make([]chainRun, cfg.N)}
 	for s := range n.inst {
-		n.inst[s].outcome.Node = id
+		n.inst[s] = newChainRun(&n.params, model.NodeID(s))
 	}
 	return n, nil
 }
@@ -78,36 +55,16 @@ func NewVectorNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig
 // protocol per sender.
 func VectorMessages(n int) int { return n * (n - 1) }
 
-// Finished implements sim.Finisher.
+// Finished implements sim.Finisher. A vector node listens to the last
+// round, whatever its instances have settled.
 func (n *VectorNode) Finished() bool { return n.finished }
 
 // Outcome returns this node's outcome for the instance whose sender is s.
 func (n *VectorNode) Outcome(s model.NodeID) model.Outcome {
-	if !s.Valid(n.cfg.N) {
-		return model.Outcome{Node: n.id}
+	if !s.Valid(n.params.cfg.N) {
+		return model.Outcome{Node: n.params.id}
 	}
 	return n.inst[s].outcome
-}
-
-// position returns this node's rotated position in instance s: 0 for the
-// sender, 1..t for the chain, >t for the tail.
-func (n *VectorNode) position(s model.NodeID) int {
-	return (int(n.id) - int(s) + n.cfg.N) % n.cfg.N
-}
-
-// nodeAt returns the node sitting at rotated position p of instance s.
-func (n *VectorNode) nodeAt(s model.NodeID, p int) model.NodeID {
-	return model.NodeID((int(s) + p) % n.cfg.N)
-}
-
-// expectRound returns the engine round in which instance s's chain
-// message reaches this node in failure-free runs.
-func (n *VectorNode) expectRound(s model.NodeID) int {
-	p := n.position(s)
-	if p > n.cfg.T {
-		return n.cfg.T + 2
-	}
-	return p + 1
 }
 
 // MarshalVectorPayload packs (instance, chain) into one exactly-sized
@@ -131,16 +88,24 @@ func marshalVectorChain(s model.NodeID, chain *sig.Chain) []byte {
 // UnmarshalVectorPayload unpacks a vector payload; the returned chain is
 // a fresh copy safe to mutate.
 func UnmarshalVectorPayload(data []byte) (model.NodeID, []byte, error) {
-	d := sig.NewDecoder(data)
-	s := model.NodeID(d.Int())
-	chain := append([]byte(nil), d.Bytes()...)
-	if err := d.Finish(); err != nil {
+	s, chain, err := splitVectorPayload(data)
+	if err != nil {
 		return model.NoNode, nil, err
 	}
-	return s, chain, nil
+	return s, append([]byte(nil), chain...), nil
 }
 
-// Step implements the sim Process contract.
+// splitVectorPayload unpacks a vector payload, the chain aliasing data:
+// the receive path hands it to sig.UnmarshalChain, which copies once.
+func splitVectorPayload(data []byte) (model.NodeID, []byte, error) {
+	d := sig.NewDecoder(data)
+	s := model.NodeID(d.Int())
+	chain := d.Bytes()
+	return s, chain, d.Finish()
+}
+
+// Step implements the sim Process contract. Unlike a single run, an
+// instance that stops keeps what the other instances sent this round.
 func (n *VectorNode) Step(round int, received []model.Message) []model.Message {
 	var out []model.Message
 	for _, m := range received {
@@ -149,160 +114,30 @@ func (n *VectorNode) Step(round int, received []model.Message) []model.Message {
 				fmt.Sprintf("%v message from %v", m.Kind, m.From))
 			continue
 		}
-		s, chainBytes, err := UnmarshalVectorPayload(m.Payload)
-		if err != nil || !s.Valid(n.cfg.N) {
+		s, chain, err := splitVectorPayload(m.Payload)
+		if err != nil || !s.Valid(n.params.cfg.N) {
 			n.discoverAll(round, model.ReasonBadFormat,
 				fmt.Sprintf("unparsable vector payload from %v", m.From))
 			continue
 		}
-		out = append(out, n.handleInstance(round, s, m.From, chainBytes)...)
+		out = append(out, n.inst[s].deliver(round, m, chain)...)
 	}
-	// Round 1: start our own instance.
-	if round == 1 {
-		out = append(out, n.startOwnInstance()...)
+	for s := range n.inst {
+		out = append(out, n.inst[s].tick(round)...)
 	}
-	// Deadline checks: any instance whose chain is overdue.
-	for s := 0; s < n.cfg.N; s++ {
-		sid := model.NodeID(s)
-		inst := &n.inst[s]
-		if inst.stopped || inst.gotChain || sid == n.id {
-			continue
-		}
-		if round == n.expectRound(sid) {
-			n.discoverInstance(sid, round, model.ReasonMissingMessage,
-				fmt.Sprintf("no chain for instance %v by round %d", sid, round))
-		}
-	}
-	if round >= ChainEngineRounds(n.cfg.T) {
+	if round >= ChainEngineRounds(n.params.cfg.T) {
 		n.finished = true
 	}
 	return out
-}
-
-// startOwnInstance signs and launches this node's proposal.
-func (n *VectorNode) startOwnInstance() []model.Message {
-	chain, err := sig.NewChain(n.value, n.signer)
-	if err != nil {
-		panic(fmt.Sprintf("fd: %v signing vector value: %v", n.id, err))
-	}
-	inst := &n.inst[n.id]
-	inst.outcome.Decided = true
-	inst.outcome.Value = append([]byte(nil), n.value...)
-	payload := marshalVectorChain(n.id, chain)
-	if n.cfg.T == 0 {
-		return model.AppendBroadcast(make([]model.Message, 0, n.cfg.N-1), n.cfg.N, n.id, model.KindChainValue, payload)
-	}
-	return []model.Message{{To: n.nodeAt(n.id, 1), Kind: model.KindChainValue, Payload: payload}}
-}
-
-// handleInstance processes instance s's chain message arriving from
-// `from`, applying the same checks as the single-instance protocol with
-// rotated expected signers.
-func (n *VectorNode) handleInstance(round int, s, from model.NodeID, chainBytes []byte) []model.Message {
-	inst := &n.inst[s]
-	if inst.stopped {
-		return nil
-	}
-	p := n.position(s)
-	if p == 0 {
-		// We are the sender of this instance; nobody sends us its chain.
-		n.discoverInstance(s, round, model.ReasonUnexpectedMessage,
-			fmt.Sprintf("chain for our own instance from %v", from))
-		return nil
-	}
-	wantFrom := n.nodeAt(s, p-1)
-	if p > n.cfg.T {
-		wantFrom = n.nodeAt(s, n.cfg.T)
-	}
-	if inst.gotChain || round != n.expectRound(s) || from != wantFrom {
-		n.discoverInstance(s, round, model.ReasonUnexpectedMessage,
-			fmt.Sprintf("instance %v chain from %v in round %d", s, from, round))
-		return nil
-	}
-	inst.gotChain = true
-
-	chain, err := sig.UnmarshalChain(chainBytes)
-	if err != nil {
-		n.discoverInstance(s, round, model.ReasonBadFormat, err.Error())
-		return nil
-	}
-	wantLen := p
-	if p > n.cfg.T {
-		wantLen = n.cfg.T + 1
-	}
-	if chain.Len() != wantLen {
-		n.discoverInstance(s, round, model.ReasonBadChain,
-			fmt.Sprintf("instance %v chain has %d signatures, want %d", s, chain.Len(), wantLen))
-		return nil
-	}
-	signers, err := chain.Verify(from, n.dir)
-	if err != nil {
-		n.discoverInstance(s, round, model.ReasonBadChain, err.Error())
-		return nil
-	}
-	for k, got := range signers {
-		if got != n.nodeAt(s, k) {
-			n.discoverInstance(s, round, model.ReasonBadChain,
-				fmt.Sprintf("instance %v layer %d assigned to %v, want %v", s, k, got, n.nodeAt(s, k)))
-			return nil
-		}
-	}
-
-	inst.outcome.Decided = true
-	inst.outcome.Value = append([]byte(nil), chain.Value()...)
-
-	switch {
-	case p < n.cfg.T:
-		next, err := chain.Extend(from, n.signer)
-		if err != nil {
-			panic(fmt.Sprintf("fd: %v extending vector chain: %v", n.id, err))
-		}
-		return []model.Message{{
-			To:      n.nodeAt(s, p+1),
-			Kind:    model.KindChainValue,
-			Payload: marshalVectorChain(s, next),
-		}}
-	case p == n.cfg.T:
-		next, err := chain.Extend(from, n.signer)
-		if err != nil {
-			panic(fmt.Sprintf("fd: %v extending vector chain: %v", n.id, err))
-		}
-		payload := marshalVectorChain(s, next)
-		out := make([]model.Message, 0, n.cfg.N-1-n.cfg.T)
-		for q := n.cfg.T + 1; q < n.cfg.N; q++ {
-			out = append(out, model.Message{
-				To:      n.nodeAt(s, q),
-				Kind:    model.KindChainValue,
-				Payload: payload,
-			})
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// discoverInstance marks instance s as failed at this node.
-func (n *VectorNode) discoverInstance(s model.NodeID, round int, reason model.FailureReason, detail string) {
-	inst := &n.inst[s]
-	if inst.stopped {
-		return
-	}
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
-	inst.outcome.Decided = false
-	inst.outcome.Value = nil
-	inst.outcome.Discovery = &d
-	inst.stopped = true
 }
 
 // discoverAll marks every still-open instance failed: used for messages
 // that cannot be attributed to any instance (no failure-free run of ANY
 // instance contains them).
 func (n *VectorNode) discoverAll(round int, reason model.FailureReason, detail string) {
-	for s := 0; s < n.cfg.N; s++ {
-		if model.NodeID(s) == n.id {
-			continue // our own proposal stands regardless
+	for s := range n.inst {
+		if model.NodeID(s) != n.params.id { // our own proposal stands regardless
+			n.inst[s].discover(round, reason, detail)
 		}
-		n.discoverInstance(model.NodeID(s), round, reason, detail)
 	}
 }

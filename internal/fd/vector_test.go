@@ -29,7 +29,7 @@ func vectorProcs(t *testing.T, f *fixture) ([]sim.Process, []*fd.VectorNode) {
 }
 
 func TestVectorFailureFree(t *testing.T) {
-	for _, tc := range []struct{ n, t int }{{3, 0}, {4, 1}, {6, 2}, {10, 3}} {
+	for _, tc := range []struct{ n, t int }{{3, 0}, {4, 1}, {6, 2}, {10, 3}, {2, 0}, {4, 3}, {8, 7}} {
 		f := newFixture(t, tc.n, tc.t, int64(600+tc.n))
 		procs, nodes := vectorProcs(t, f)
 		counters := runFD(t, f.cfg, procs, fd.ChainEngineRounds(tc.t))
