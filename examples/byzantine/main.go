@@ -52,12 +52,25 @@ func main() {
 	})
 
 	runScenario("equivocating sender P0", func(c *core.Cluster) []core.RunOption {
+		// The correct sender of "yes", plus a second chain, of "no", to P1.
 		signer, err := c.Signer(0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return []core.RunOption{core.WithProcess(0,
-			adversary.NewEquivocatingSenderFaces(c.Config(), signer, []byte("yes"), []byte("no"), model.NewNodeSet(0, 1, 2, 3)))}
+		dir, err := c.Directory(0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sender, err := fd.NewChainNode(c.Config(), 0, signer, dir, fd.WithValue([]byte("yes")))
+		if err != nil {
+			log.Fatal(err)
+		}
+		second, err := sig.NewChain([]byte("no"), signer)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return []core.RunOption{core.WithProcess(0, adversary.Wrap(sender,
+			adversary.InjectAt(1, model.Message{To: 1, Kind: model.KindChainValue, Payload: second.Marshal()})))}
 	})
 
 	mixedPredicateScenario()

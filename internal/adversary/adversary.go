@@ -7,17 +7,18 @@
 // collusion, key sharing, mixed key distribution — is fair game, and each
 // has a constructor here.
 //
-// Two styles coexist:
-//
-//   - Filters wrap a CORRECT process and distort its outbox (drop,
-//     redirect, tamper). They model faults that are deviations of an
-//     otherwise protocol-following node and compose freely.
-//   - Bespoke processes implement coordinated attacks that need their own
-//     protocol logic (mixed predicate distribution, equivocating senders,
-//     lying echoers).
+// Production fault wiring is filters only: a corrupt node is its CORRECT
+// process under a behavior stack that distorts its outbox (drop, delay,
+// redirect, tamper, inject, show a second face), and a two-faced sender
+// is its protocol's own sender under TwoFaced or InjectAt. The bespoke
+// processes of fd.go and keydist.go serve experiments and tests only,
+// each for what no filter over its correct process can do: re-sign a
+// chain (ResignRelay), sign a wrong assignee (WrongNameRelay), echo with
+// nothing received (LyingEchoer), and claim, relay, mix or share keys in
+// key distribution.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - OnlyTo, DuplicateTo, InjectAt, LyingEchoer and its methods: fault injectors the unit tests of adversary, core, ba and fd compose.
+//   - OnlyTo, DuplicateTo, LyingEchoer and its methods: fault injectors the unit tests of adversary, core, ba and fd compose.
 //   - SharedKeyNode.Signer: the shared-key attacker's test accessor; no campaign strategy runs the keydist attackers yet.
 package adversary
 
@@ -141,29 +142,32 @@ func OnlyTo(recipients model.NodeSet) Filter {
 	}
 }
 
-// TamperPayload rewrites the payload of every message matching kind. The
-// mutation receives a copy, so the original buffer is never shared.
+// TamperPayload rewrites the payload of every message matching kind.
+// The mutation receives the original buffer and must not write to it
+// (FlipByte copies).
 func TamperPayload(kind model.MessageKind, mutate func([]byte) []byte) Filter {
 	return func(_ int, out []model.Message) []model.Message {
 		for i := range out {
 			if out[i].Kind == kind {
-				cp := append([]byte(nil), out[i].Payload...)
-				out[i].Payload = mutate(cp)
+				out[i].Payload = mutate(out[i].Payload)
 			}
 		}
 		return out
 	}
 }
 
-// FlipByte is a convenient TamperPayload mutation: it flips one bit of the
-// byte at index i (modulo length), voiding any signature over the payload.
+// FlipByte is a convenient payload mutation: it returns a copy with one
+// bit of the byte at index i (modulo length) flipped, voiding any
+// signature over the payload. The original buffer — which a protocol may
+// broadcast to many recipients — is never written.
 func FlipByte(i int) func([]byte) []byte {
 	return func(p []byte) []byte {
 		if len(p) == 0 {
 			return p
 		}
-		p[i%len(p)] ^= 0x01
-		return p
+		cp := append([]byte(nil), p...)
+		cp[i%len(cp)] ^= 0x01
+		return cp
 	}
 }
 
@@ -251,14 +255,12 @@ func FloodTo(victims []model.NodeID) Filter {
 }
 
 // TamperAll rewrites the payload of every outgoing message regardless of
-// kind. Each mutation receives its own copy, so the original buffers are
-// never shared — important when a protocol broadcasts one payload slice
-// to many recipients.
+// kind, under TamperPayload's rule: mutate must not write to the buffer
+// it is given.
 func TamperAll(mutate func([]byte) []byte) Filter {
 	return func(_ int, out []model.Message) []model.Message {
 		for i := range out {
-			cp := append([]byte(nil), out[i].Payload...)
-			out[i].Payload = mutate(cp)
+			out[i].Payload = mutate(out[i].Payload)
 		}
 		return out
 	}
@@ -266,18 +268,17 @@ func TamperAll(mutate func([]byte) []byte) Filter {
 
 // TwoFaced models a node that shows different faces to different peers:
 // messages to faceOne pass untouched while messages to everyone else have
-// their payload rewritten through mutate (on a private copy). It is the
-// generic equivocation primitive for corrupt nodes without a bespoke
-// equivocating process — a two-faced relay's second face is a payload no
-// failure-free run produces, so receivers on that side can discover it.
+// their payload rewritten through mutate, under TamperPayload's rule. It
+// is the one equivocation primitive. A two-faced sender's mutate returns
+// a constant — the payload its correct process sends for a second value
+// — and a two-faced relay's (FlipByte) a payload no failure-free run
+// produces, so receivers on that side can discover it.
 func TwoFaced(faceOne model.NodeSet, mutate func([]byte) []byte) Filter {
 	return func(_ int, out []model.Message) []model.Message {
 		for i := range out {
-			if faceOne.Contains(out[i].To) {
-				continue
+			if !faceOne.Contains(out[i].To) {
+				out[i].Payload = mutate(out[i].Payload)
 			}
-			cp := append([]byte(nil), out[i].Payload...)
-			out[i].Payload = mutate(cp)
 		}
 		return out
 	}

@@ -63,6 +63,22 @@ func TestTamperPayloadCopies(t *testing.T) {
 	}
 }
 
+// TwoFaced copies nothing: face one keeps the protocol's own buffer and
+// everyone else gets the constant second face itself, so a two-faced
+// sender costs no allocation per message.
+func TestTwoFacedConstantFaceCopiesNothing(t *testing.T) {
+	first, second := []byte("one"), []byte("two")
+	out := []model.Message{{To: 1, Payload: first}, {To: 2, Payload: first}, {To: 3, Payload: first}}
+	f := TwoFaced(model.NewNodeSet(0, 1), func([]byte) []byte { return second })
+	got := f(1, out)
+	if &got[0].Payload[0] != &first[0] || &got[1].Payload[0] != &second[0] || &got[2].Payload[0] != &second[0] {
+		t.Errorf("faces = %q %q %q, want the first buffer then the constant twice", got[0].Payload, got[1].Payload, got[2].Payload)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f(1, out) }); allocs != 0 {
+		t.Errorf("TwoFaced allocates %v per outbox", allocs)
+	}
+}
+
 func TestFlipByteEmpty(t *testing.T) {
 	if got := FlipByte(3)(nil); got != nil {
 		t.Errorf("FlipByte(nil) = %v", got)

@@ -37,9 +37,9 @@ const (
 	// BehaviorTamper flips a payload bit of every outgoing message.
 	BehaviorTamper = "tamper"
 	// BehaviorEquivocate shows different faces to the two sides of
-	// Partition: protocol wirings substitute a bespoke two-faced sender
-	// where one exists (chain, nonauth); everywhere else the generic
-	// payload-rewriting TwoFaced filter applies.
+	// Partition: on a sender whose driver supports equivocation the
+	// second face is the protocol's own payload for a second value;
+	// everywhere else TwoFaced flips a payload bit.
 	BehaviorEquivocate = "equivocate"
 )
 
@@ -294,10 +294,10 @@ func PartitionFaceOne(partition string, n int) (model.NodeSet, error) {
 }
 
 // BuildBehaviors compiles a behavior-spec stack into runtime Behaviors
-// for one corrupt node in a system of n nodes. Equivocate compiles to the
-// generic TwoFaced payload rewrite; wirings with a bespoke equivocating
-// process for the node substitute it upstream and pass the remaining
-// specs here.
+// for one corrupt node in a system of n nodes. Equivocate compiles to
+// TwoFaced with a bit flip; a wiring that gives the node a second value's
+// payload as its second face builds that filter itself and passes the
+// remaining specs here.
 func BuildBehaviors(specs []BehaviorSpec, n int) ([]Behavior, error) {
 	var out []Behavior
 	for _, spec := range specs {

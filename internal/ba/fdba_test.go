@@ -197,7 +197,17 @@ func TestFDBAEquivocatingSenderDefaultsOrAgrees(t *testing.T) {
 	signers, dir := globalAuth(t, 6, 53)
 	procs, nodes := fdbaProcs(t, cfg, signers, func(int) sig.Directory { return dir }, []byte("ignored"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingSenderFaces(cfg, signers[0], []byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2))
+	// The correct chain sender of "a" — no fallback part — plus a chain
+	// of "b" to P_1.
+	sender, err := fd.NewChainNode(cfg, 0, signers[0], dir, fd.WithValue([]byte("a")))
+	if err != nil {
+		t.Fatalf("NewChainNode: %v", err)
+	}
+	second, err := sig.NewChain([]byte("b"), signers[0])
+	if err != nil {
+		t.Fatalf("NewChain: %v", err)
+	}
+	procs[0] = adversary.Wrap(sender, adversary.InjectAt(1, model.Message{To: 1, Kind: model.KindChainValue, Payload: second.Marshal()}))
 	nodes[0] = nil
 	runBA(t, cfg, procs, ba.FDBAEngineRounds(cfg.T))
 

@@ -465,7 +465,7 @@ func TestReportSetupCacheInvarianceUnderEviction(t *testing.T) {
 	}
 	jRoomy, _ := roomy.CanonicalJSON()
 	for _, workers := range []int{1, 2} {
-		tight, err := Run(spec, workers, func(c *runConfig) { c.cacheCap = 1 })
+		tight, err := RunWith(spec, onExecutor{workers, &Executor{cache: protocol.NewSetupCache(1)}})
 		if err != nil {
 			t.Fatalf("Run(cap=1, workers=%d): %v", workers, err)
 		}

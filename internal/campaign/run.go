@@ -88,9 +88,18 @@ func RunInstanceWith(inst Instance, cache *protocol.SetupCache) Result {
 }
 
 // runInstance is RunInstanceWith for a tracer: served, when non-nil, is
-// handed to the driver as protocol.Instance.SetupServed.
-func runInstance(inst Instance, cache *protocol.SetupCache, served *string) Result {
-	res := Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed}
+// handed to the driver as protocol.Instance.SetupServed. Every caller's
+// run passes here, so here a driver panic is contained to its instance:
+// the result is ErrDriverPanic, and the store stays in service — its
+// material is read-only, and the cluster the driver died on was the
+// instance's own.
+func runInstance(inst Instance, cache *protocol.SetupCache, served *string) (res Result) {
+	defer func() {
+		if recover() != nil {
+			res = Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: ErrDriverPanic}
+		}
+	}()
+	res = Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed}
 	if err := runInto(inst, cache, served, &res); err != nil {
 		res.Err = err.Error()
 		res.Conformance = nil

@@ -77,7 +77,6 @@ type Option func(*runConfig)
 
 type runConfig struct {
 	setupCache  bool
-	cacheCap    int
 	rec         *obs.Recorder
 	instTimeout time.Duration
 }
@@ -110,10 +109,11 @@ func WithoutSetupCache() Option {
 const ErrInstanceTimeout = "campaign: instance watchdog timeout"
 
 // ErrDriverPanic is the fixed Err string recorded for an instance whose
-// driver panicked, whichever layer contained it: the watchdog goroutine
-// here, sched.RunWorker, or service.Server. Fixed so a report's bytes
-// depend neither on that layer nor on the panic value, and a reply
-// carries no memory addresses or stack text to a client.
+// driver panicked. runInstance contains the panic, so a sweep, a
+// scheduler worker and the agreement service all see this one Result.
+// Fixed so a report's bytes depend neither on the caller nor on the
+// panic value, and a reply carries no memory addresses or stack text to
+// a client.
 const ErrDriverPanic = "campaign: driver panicked"
 
 // WithInstanceTimeout arms a per-instance watchdog: an instance still
@@ -161,7 +161,7 @@ func NewExecutor(opts ...Option) *Executor {
 	}
 	e := &Executor{rec: cfg.rec, timeout: cfg.instTimeout}
 	if cfg.setupCache {
-		e.cache = protocol.NewSetupCache(cfg.cacheCap)
+		e.cache = protocol.NewSetupCache(0)
 	}
 	return e
 }
@@ -180,39 +180,26 @@ func (e *Executor) Run(inst Instance) Result {
 }
 
 // runWatched races the instance against the armed watchdog timer. The
-// driver runs on a goroutine of its own, out of reach of any caller's
-// recover, so a panic is contained there and reported like a timeout: a
-// fixed Err. The parked goroutine keeps running over material nobody
-// writes, so the store stays in service.
+// driver runs on a goroutine of its own, where runInstance contains a
+// panic as anywhere else. An abandoned goroutine keeps running over
+// material nobody writes, so the store stays in service.
 func (e *Executor) runWatched(inst Instance) Result {
 	done := make(chan Result, 1)
-	panicked := make(chan struct{})
-	go func() {
-		defer func() {
-			if recover() != nil {
-				close(panicked)
-			}
-		}()
-		done <- e.run(inst)
-	}()
+	go func() { done <- e.run(inst) }()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
-	var failed string
 	select {
 	case res := <-done:
 		return res
-	case <-panicked:
-		failed = ErrDriverPanic
 	case <-timer.C:
-		failed = ErrInstanceTimeout
-		if e.rec.Enabled() {
-			e.rec.Emit(obs.Event{Kind: obs.KindPoint, Scope: "campaign.watchdog",
-				Inst: inst.Index, Proto: inst.Protocol, Node: -1,
-				Attrs: obs.Attrs("group", inst.GroupKey(), "seed", inst.Seed,
-					"timeout", e.timeout.String())})
-		}
 	}
-	return Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: failed}
+	if e.rec.Enabled() {
+		e.rec.Emit(obs.Event{Kind: obs.KindPoint, Scope: "campaign.watchdog",
+			Inst: inst.Index, Proto: inst.Protocol, Node: -1,
+			Attrs: obs.Attrs("group", inst.GroupKey(), "seed", inst.Seed,
+				"timeout", e.timeout.String())})
+	}
+	return Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: ErrInstanceTimeout}
 }
 
 // run executes one instance. With an observer attached it brackets the

@@ -74,8 +74,8 @@ const (
 	// AdvCrashRelay replaces the first relay P_1 with a silent node.
 	AdvCrashRelay = "crash-relay"
 	// AdvEquivocate makes the sender two-faced: one value to the first
-	// half of the nodes, another to the rest. Supported for chain,
-	// nonauth, and eig (smallrange carries one bit and vector has no
+	// half of the nodes, another to the rest. Supported for chain, fdba,
+	// nonauth, sm and eig (smallrange carries one bit and vector has no
 	// distinguished sender, so the mix is skipped there).
 	AdvEquivocate = "equivocate"
 )

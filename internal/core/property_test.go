@@ -171,7 +171,13 @@ func TestPropertyF1F2F3RandomizedNonAuth(t *testing.T) {
 					for id, split := 0, rng.Intn(n); id < split; id++ {
 						faceOne.Add(model.NodeID(id))
 					}
-					p = adversary.NewEquivocatingPlainSenderFaces(c.Config(), []byte("a"), []byte("b"), faceOne)
+					// The sender's broadcast of "a" from any slot, "b"
+					// outside faceOne.
+					sender, err := fd.NewNonAuthNode(model.Config{N: n}, fd.Sender, fd.WithNonAuthValue([]byte("a")))
+					if err != nil {
+						t.Fatalf("NewNonAuthNode: %v", err)
+					}
+					p = adversary.Wrap(sender, adversary.TwoFaced(faceOne, func([]byte) []byte { return []byte("b") }))
 				}
 				opts = append(opts, core.WithProcess(id, p))
 			}

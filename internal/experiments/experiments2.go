@@ -49,8 +49,18 @@ func fdAttacks() []fdAttack {
 			return []core.RunOption{core.WithProcess(1, adversary.NewWrongNameRelay(c.Config(), 1, c.Nodes()[1].Signer(), 4))}
 		}},
 		{"equivocating-sender", 6, 2, model.NewNodeSet(0), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithProcess(0, adversary.NewEquivocatingSenderFaces(c.Config(), c.Nodes()[0].Signer(),
-				[]byte("a"), []byte("b"), model.NewNodeSet(0, 1, 2)))}
+			// A correct sender of "a" that also sends P_1 a chain of "b".
+			keys := c.Nodes()[0]
+			sender, err := fd.NewChainNode(c.Config(), 0, keys.Signer(), keys.Directory(), fd.WithValue([]byte("a")))
+			if err != nil {
+				panic(err)
+			}
+			second, err := sig.NewChain([]byte("b"), keys.Signer())
+			if err != nil {
+				panic(err)
+			}
+			return []core.RunOption{core.WithProcess(0, adversary.Wrap(sender, adversary.InjectAt(1,
+				model.Message{To: 1, Kind: model.KindChainValue, Payload: second.Marshal()})))}
 		}},
 		{"split-disseminator", 7, 2, model.NewNodeSet(2), func(*core.Cluster) []core.RunOption {
 			return []core.RunOption{wrap(2, adversary.DropTo(model.NewNodeSet(4, 5)))}

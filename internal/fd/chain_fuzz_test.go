@@ -119,7 +119,7 @@ var chainScenarios = []chainScenario{
 		return 1, adversary.NewWrongNameRelay(cfg, 1, f.signers[1], model.NodeID(4%cfg.N))
 	}},
 	{"equivocating sender", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
-		return 0, adversary.NewEquivocatingSenderFaces(cfg, f.signers[0], []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
+		return 0, f.equivocatingSender(cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
 	}},
 	{"split disseminator", func(cfg model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
 		d := model.NodeID(cfg.T)

@@ -74,6 +74,27 @@ func (f *fixture) chainProcs(t testing.TB, value []byte) ([]sim.Process, []*fd.C
 	return procs, nodes
 }
 
+// equivocatingSender is P_0 two-faced as the protocol drivers build it:
+// the correct chain sender of v1, whose second face is v2's chain. When
+// it disseminates (t = 0) everyone outside faceOne gets the second
+// chain; with relays P_1 gets it after the first, a duplicate it
+// discovers. The fixture's keys always sign, so it panics on error.
+func (f *fixture) equivocatingSender(cfg model.Config, v1, v2 []byte, faceOne model.NodeSet) sim.Process {
+	sender, err := fd.NewChainNode(cfg, fd.Sender, f.signers[0], f.dirs[0], fd.WithValue(v1))
+	if err != nil {
+		panic(err)
+	}
+	second, err := newTestChain(f, v2)
+	if err != nil {
+		panic(err)
+	}
+	payload := second.Marshal()
+	if cfg.T == 0 {
+		return adversary.Wrap(sender, adversary.TwoFaced(faceOne, func([]byte) []byte { return payload }))
+	}
+	return adversary.Wrap(sender, adversary.InjectAt(1, model.Message{To: 1, Kind: model.KindChainValue, Payload: payload}))
+}
+
 // newTestChain signs value with the fixture's sender key, for crafting
 // protocol messages in adversarial tests.
 func newTestChain(f *fixture, value []byte) (*sig.Chain, error) {
@@ -272,7 +293,7 @@ func TestChainEquivocatingSenderDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 5)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingSenderFaces(f.cfg, f.signers[0], []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
+	procs[0] = f.equivocatingSender(f.cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
 	nodes[0] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 

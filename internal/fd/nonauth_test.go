@@ -75,7 +75,11 @@ func TestNonAuthEquivocatingSenderDiscovered(t *testing.T) {
 	cfg := model.Config{N: 6, T: 2}
 	procs, nodes := nonAuthProcs(t, cfg, []byte("ignored"))
 	faulty := model.NewNodeSet(0)
-	procs[0] = adversary.NewEquivocatingPlainSenderFaces(cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
+	sender, err := fd.NewNonAuthNode(cfg, fd.Sender, fd.WithNonAuthValue([]byte("v1")))
+	if err != nil {
+		t.Fatalf("NewNonAuthNode: %v", err)
+	}
+	procs[0] = adversary.Wrap(sender, adversary.TwoFaced(model.NewNodeSet(0, 1, 2), func([]byte) []byte { return []byte("v2") }))
 	nodes[0] = nil
 	runFD(t, cfg, procs, fd.NonAuthEngineRounds(cfg.T))
 

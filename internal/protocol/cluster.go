@@ -2,9 +2,11 @@ package protocol
 
 import (
 	"repro/internal/adversary"
+	"repro/internal/ba"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -13,11 +15,11 @@ import (
 // the binary small-range variant, and the two full agreement protocols
 // FDBA and SM(t) — share the Driver implementation below, parameterized
 // by the core protocol selector, the sender's proposal, its
-// capabilities, its verdict profile, and (where supported) a bespoke
-// two-faced sender constructor; vector and eig bring their own node
-// builder and outcome reading instead (vector.go, eig.go). All of them
-// wire faults and network through runOptions and reach the engine
-// through the cluster's one run loop.
+// capabilities, its verdict profile, and (where supported) its two-faced
+// sender, the correct sender under a second-face filter; vector and eig
+// bring their own node builder and outcome reading instead (vector.go,
+// eig.go). All of them wire faults and network through runOptions and
+// reach the engine through the cluster's one run loop.
 
 type clusterDriver struct {
 	name        string
@@ -64,32 +66,73 @@ func (d *clusterDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 }
 
 // chainEquivocator is the two-faced sender of the chain-signed
-// protocols (chain, and fdba's chain phase 1): both signed chains pass
-// through P_1, whose duplicate check discovers the deviation. The FDBA
-// case then plays no fallback part — a faulty node owes the protocol
+// protocols (chain, and fdba's chain phase 1): a correct chain sender of
+// senderValue whose second face is altSenderValue's chain. At t = 0 it
+// disseminates, and everyone outside faceOne gets the second chain; with
+// relays it sends the second chain to P_1 after the first, and P_1's
+// duplicate check discovers the deviation. fdba's sender is a chain node
+// too, so it plays no fallback part — a faulty node owes the protocol
 // nothing, and the correct nodes' fallback must align without it.
 func chainEquivocator(c *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error) {
-	signer, err := c.Signer(fd.Sender)
+	signer, dir, second, err := senderKeys(c)
 	if err != nil {
 		return nil, err
 	}
-	return adversary.NewEquivocatingSenderFaces(c.Config(), signer, senderValue, altSenderValue, faceOne), nil
+	sender, err := fd.NewChainNode(c.Config(), fd.Sender, signer, dir, fd.WithValue(senderValue))
+	if err != nil {
+		return nil, err
+	}
+	if inst.T == 0 {
+		return adversary.Wrap(sender, secondFace(faceOne, second)), nil
+	}
+	return adversary.Wrap(sender, adversary.InjectAt(1,
+		model.Message{To: fd.Sender + 1, Kind: model.KindChainValue, Payload: second})), nil
 }
 
-// plainEquivocator is the unsigned two-faced sender of the
-// non-authenticated baseline.
+// plainEquivocator is the two-faced sender of the non-authenticated
+// baseline: its correct sender, altSenderValue outside faceOne. The
+// sender is the one of the t = 0 run, which broadcasts and is done — a
+// faulty sender owes the echo round's cross-check nothing, and waiting
+// for it would hold the run open a round after every correct node
+// stopped.
 func plainEquivocator(c *core.Cluster, _ Instance, faceOne model.NodeSet) (sim.Process, error) {
-	return adversary.NewEquivocatingPlainSenderFaces(c.Config(), senderValue, altSenderValue, faceOne), nil
-}
-
-// signedEquivocator is the two-faced SM(t) sender: one signed value per
-// face, broadcast in round 1.
-func signedEquivocator(c *core.Cluster, _ Instance, faceOne model.NodeSet) (sim.Process, error) {
-	signer, err := c.Signer(fd.Sender)
+	sender, err := fd.NewNonAuthNode(model.Config{N: c.Config().N}, fd.Sender, fd.WithNonAuthValue(senderValue))
 	if err != nil {
 		return nil, err
 	}
-	return adversary.NewEquivocatingSignedSenderFaces(c.Config(), signer, senderValue, altSenderValue, faceOne), nil
+	return adversary.Wrap(sender, secondFace(faceOne, altSenderValue)), nil
+}
+
+// signedEquivocator is the two-faced SM(t) sender: its correct sender,
+// altSenderValue's chain outside faceOne.
+func signedEquivocator(c *core.Cluster, _ Instance, faceOne model.NodeSet) (sim.Process, error) {
+	signer, dir, second, err := senderKeys(c)
+	if err != nil {
+		return nil, err
+	}
+	sender, err := ba.NewSMNode(c.Config(), fd.Sender, signer, dir, ba.WithSMValue(senderValue))
+	if err != nil {
+		return nil, err
+	}
+	return adversary.Wrap(sender, secondFace(faceOne, second)), nil
+}
+
+// senderKeys returns P_0's signer and directory, and altSenderValue's
+// chain signed by P_0: a signing sender's second face.
+func senderKeys(c *core.Cluster) (sig.Signer, sig.Directory, []byte, error) {
+	signer, err := c.Signer(fd.Sender)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dir, err := c.Directory(fd.Sender)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	second, err := sig.NewChain(altSenderValue, signer)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return signer, dir, second.Marshal(), nil
 }
 
 func init() {

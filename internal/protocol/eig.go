@@ -41,25 +41,15 @@ func eigNode(inst Instance, id model.NodeID) (*ba.EIGNode, error) {
 }
 
 // oralEquivocator is the two-faced OM(t) sender: a correct sender whose
-// round-1 reports are rewritten to altSenderValue for everyone outside
-// faceOne — a proper second face, not a tampered payload.
+// round-1 report is altSenderValue's for everyone outside faceOne — a
+// proper second face, not a tampered payload.
 func oralEquivocator(_ *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error) {
 	sender, err := eigNode(inst, ba.Sender)
 	if err != nil {
 		return nil, err
 	}
-	alt := ba.MarshalOralEntries([]ba.OralEntry{{Path: []model.NodeID{ba.Sender}, Value: altSenderValue}})
-	return adversary.Wrap(sender, func(round int, out []model.Message) []model.Message {
-		if round != 1 {
-			return out
-		}
-		for i := range out {
-			if out[i].Kind == model.KindOral && !faceOne.Contains(out[i].To) {
-				out[i].Payload = alt
-			}
-		}
-		return out
-	}), nil
+	second := ba.MarshalOralEntries([]ba.OralEntry{{Path: []model.NodeID{ba.Sender}, Value: altSenderValue}})
+	return adversary.Wrap(sender, secondFace(faceOne, second)), nil
 }
 
 func (eigDriver) Run(inst Instance, setup Setup) (Outcome, error) {

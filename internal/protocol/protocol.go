@@ -55,8 +55,8 @@ type Instance struct {
 	// proposal — the agreement service threads caller-supplied values
 	// through here. Empty keeps each driver's built-in proposal, so every
 	// pre-existing campaign expansion is byte-identical. Custom values
-	// compose with the honest path; the bespoke equivocating senders keep
-	// their canonical two faces.
+	// compose with the honest path; a two-faced sender keeps its driver's
+	// canonical faces.
 	Value []byte
 	// Strategy is the resolved composable adversary (the zero value runs
 	// every node honestly).

@@ -15,7 +15,8 @@ import (
 // network condition compile to core run options, and core.Cluster's run
 // loop decides silent / wrapped / churned / honest per node. The rules
 // here are protocol-agnostic; the protocol-specific parts — what a
-// correct node is, and a bespoke two-faced sender — come from the driver.
+// correct node is, and the second face of a two-faced sender — come from
+// the driver.
 
 // senderValue is the sender's proposal in multi-byte-value protocols. It
 // matches the value package experiments always sent, so campaign-ported
@@ -35,9 +36,16 @@ func proposal(inst Instance, def []byte) []byte {
 	return def
 }
 
-// equivocatorFunc builds a protocol's bespoke two-faced sender: one
-// value for faceOne, altSenderValue for everyone else.
+// equivocatorFunc builds a protocol's two-faced sender: its correct
+// sender under filters that show everyone outside faceOne the payload it
+// would send for altSenderValue.
 type equivocatorFunc func(c *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error)
+
+// secondFace shows payload, built once per run, to everyone outside
+// faceOne: TwoFaced with a constant, so no message pays a copy.
+func secondFace(faceOne model.NodeSet, payload []byte) adversary.Filter {
+	return adversary.TwoFaced(faceOne, func([]byte) []byte { return payload })
+}
 
 // RunNodes runs the instance over c — its cluster from ClusterSetup —
 // as a protocol whose correct node is what build returns and whose
@@ -87,9 +95,9 @@ func runOptions(inst Instance, c *core.Cluster, equivocator equivocatorFunc) ([]
 // appendFault appends the run options that corrupt node id under the
 // instance's strategy. A from-the-start crash runs silent — cheaper
 // than stepping a wrapped node whose every send is dropped anyway.
-// Otherwise the node's process — the correct one, or for an
-// equivocating sender the protocol's bespoke two-faced one in place of
-// the generic payload rewrite — runs under the compiled behavior stack.
+// Otherwise the node's correct process runs under the compiled behavior
+// stack; an equivocating sender's stack opens with its driver's second
+// face in place of the bit-flipping TwoFaced.
 func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id model.NodeID, equivocator equivocatorFunc) ([]core.RunOption, error) {
 	specs := inst.Strategy.Behaviors
 	if len(specs) == 1 && specs[0].Name == adversary.BehaviorCrash && specs[0].Round <= 1 {
@@ -120,9 +128,9 @@ func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id model
 	})), nil
 }
 
-// splitEquivocate takes equivocate out of a behavior stack — a bespoke
-// two-faced process replaces it — and returns the rest with the first
-// equivocate's partition.
+// splitEquivocate takes equivocate out of a behavior stack — the
+// driver's two-faced sender replaces it — and returns the rest with the
+// first equivocate's partition.
 func splitEquivocate(specs []adversary.BehaviorSpec) (rest []adversary.BehaviorSpec, partition string) {
 	seen := false
 	for _, b := range specs {

@@ -48,23 +48,10 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 		}
 	}()
 
+	// A driver panic costs its instance campaign.ErrDriverPanic (the
+	// executor contains it); the rest of the batch and every later lease
+	// still execute over the same executor.
 	exec := campaign.NewExecutor(cfg.Options...)
-	// run contains a driver panic to its instance, as service.Server.run
-	// does: the instance reports campaign.ErrDriverPanic, the rest of
-	// the batch and every later lease still execute, over the same
-	// executor — its store holds only read-only material, and the cluster
-	// the driver died on was that instance's own. (Under
-	// campaign.WithInstanceTimeout the driver runs on the watchdog's
-	// goroutine, which no recover here can reach; the executor contains
-	// it there, to the same Err.)
-	run := func(inst campaign.Instance) (res campaign.Result) {
-		defer func() {
-			if recover() != nil {
-				res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: campaign.ErrDriverPanic}
-			}
-		}()
-		return exec.Run(inst)
-	}
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
@@ -88,7 +75,7 @@ func RunWorker(ctx context.Context, conn transport.Conn, cfg WorkerConfig) error
 				conn.Send(encodeNack(lease.ID, "undecodable batch payload: "+err.Error()))
 				continue
 			}
-			if err := runLease(conn, run, cfg, lease, instances); err != nil {
+			if err := runLease(conn, exec.Run, cfg, lease, instances); err != nil {
 				conn.Close()
 				if ctx.Err() != nil {
 					return ctx.Err()

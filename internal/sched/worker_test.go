@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -37,8 +38,8 @@ func init() { protocol.Register(panicDriver{}) }
 func TestWorkerContainsDriverPanic(t *testing.T) { workerContainsDriverPanic(t) }
 
 // The same under -inst-timeout: the driver then runs on the campaign
-// watchdog's goroutine, which RunWorker's recover cannot reach, so the
-// executor has to contain the panic there — to the same Err.
+// watchdog's goroutine, and the panic is contained there — to the same
+// Err.
 func TestWatchdogContainsDriverPanic(t *testing.T) {
 	workerContainsDriverPanic(t, campaign.WithInstanceTimeout(time.Minute))
 }
@@ -106,5 +107,38 @@ func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("worker exit: %v", err)
+	}
+}
+
+// The in-process sweep contains a driver panic too, with no instance
+// timeout armed: one instance reports campaign.ErrDriverPanic, the
+// sweep completes, and its report is the same at one worker and two.
+func TestLocalSweepContainsDriverPanic(t *testing.T) {
+	spec := campaign.Spec{Name: "panic", Protocols: []string{campaign.ProtoChain, "test-sched-panic"},
+		Sizes: []int{4}, Schemes: []string{sig.SchemeToy}, SeedBase: 1, SeedCount: 1}
+	var reports [][]byte
+	for _, workers := range []int{1, 2} {
+		rep, err := campaign.Run(spec, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var failed []campaign.Result
+		for _, res := range rep.Results {
+			if res.Err != "" {
+				failed = append(failed, res)
+			}
+		}
+		if len(rep.Results) != 2 || len(failed) != 1 || failed[0].Err != campaign.ErrDriverPanic || failed[0].Conformance != nil {
+			t.Fatalf("workers=%d: %d results, failed %+v, want 2 results and one %q with no verdict",
+				workers, len(rep.Results), failed, campaign.ErrDriverPanic)
+		}
+		data, err := rep.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, data)
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Error("the report differs between one worker and two")
 	}
 }

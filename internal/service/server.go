@@ -437,11 +437,18 @@ func (s *Server) execute(t task) {
 		}
 	}
 	runStart := time.Now()
-	res, panicked := s.run(t.inst, sc)
+	res := campaign.RunInstanceWith(t.inst, sc)
 	runDur := time.Since(runStart)
-	if t.cacheable && !panicked {
-		// A setup a panic interrupted is in an unknown state: drop it and
-		// let the next checkout rebuild from seeds.
+	if res.Err == campaign.ErrDriverPanic {
+		// The driver panicked (the campaign layer contained it): count
+		// it, and drop the setup it interrupted — its state is unknown —
+		// so the next checkout rebuilds from seeds.
+		s.panics.Add(1)
+		if s.rec.Enabled() {
+			s.rec.Point("service.panic", obs.Attrs("protocol", t.inst.Protocol,
+				"n", t.inst.N, "t", t.inst.T, "seed", t.inst.Seed))
+		}
+	} else if t.cacheable {
 		s.pool.checkin(key, sc)
 	}
 	reply := Reply{Result: res, QueueNS: queueWait.Nanoseconds(), RunNS: runDur.Nanoseconds(), Source: source}
@@ -459,24 +466,6 @@ func (s *Server) execute(t task) {
 	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
 	t.span.End(obs.Attrs("conformant", conformant, "source", source,
 		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
-}
-
-// run executes one instance, containing a driver panic to its request:
-// the client is answered with campaign.ErrDriverPanic and the daemon —
-// every other tenant's queue with it — keeps serving.
-func (s *Server) run(inst campaign.Instance, sc *protocol.SetupCache) (res campaign.Result, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			if s.rec.Enabled() {
-				s.rec.Point("service.panic", obs.Attrs("protocol", inst.Protocol,
-					"n", inst.N, "t", inst.T, "seed", inst.Seed, "panic", r))
-			}
-			res = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: campaign.ErrDriverPanic}
-			panicked = true
-		}
-	}()
-	return campaign.RunInstanceWith(inst, sc), false
 }
 
 // Drain gracefully shuts the server down: admission stops (new submits

@@ -449,8 +449,9 @@ func TestOversizedEIGRequestErrors(t *testing.T) {
 
 // A panicking driver costs its own request an error, not the daemon its
 // life: the client gets the fixed error string, the snapshot counts the
-// panic, the interrupted setup is dropped rather than parked, and the
-// next request is served as if nothing happened.
+// panic and a trace point names its instance, the interrupted setup is
+// dropped rather than parked, and the next request is served as if
+// nothing happened.
 func TestDriverPanicContained(t *testing.T) {
 	sink := &obs.MemorySink{}
 	rec := obs.NewRecorder(sink)
@@ -487,7 +488,7 @@ func TestDriverPanicContained(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 	points := sink.Scoped("service.panic")
-	if len(points) != 1 || !strings.Contains(points[0].Attrs, "panic=driver bug") {
+	if len(points) != 1 || !strings.Contains(points[0].Attrs, "protocol=test-panic") {
 		t.Fatalf("service.panic points = %+v", points)
 	}
 }
