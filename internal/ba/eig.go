@@ -440,18 +440,33 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 		leafPool.Put(leaf)
 		return nil
 	}
-	// An extended entry is 8 bytes longer than the entry it extends, which
-	// is at least 20, so 7/5 of the inbox holds the whole batch.
-	size := sig.IntFieldSize
-	for _, m := range received {
-		size += len(m.Payload) * 7 / 5
-	}
-	relay, relayed := n.ingest(received, plen, n.levels[plen-1], make([]byte, sig.IntFieldSize, size))
+	relay, relayed := n.ingest(received, plen, n.levels[plen-1], make([]byte, sig.IntFieldSize, relayBound(received)))
 	if relayed == 0 {
 		return nil
 	}
 	n.entries.Add(int64(relayed * (n.cfg.N - 1)))
 	return n.broadcast(relay)
+}
+
+// relayBound is an exact upper bound on the relay batch one round's inbox
+// can produce, so the batch is allocated once and never grows: the count
+// field, and per oral payload its body plus 8 bytes per entry — a relayed
+// entry is the entry it extends plus one hop. The entries counted are the
+// payload's own claim, capped at what its body can hold, so a lying count
+// cannot inflate the batch: the smallest entry on the wire is a one-hop
+// path under an empty value.
+func relayBound(received []model.Message) int {
+	minEntry := sig.IntFieldSize*2 + sig.BytesFieldSize(0)
+	size := sig.IntFieldSize
+	for _, m := range received {
+		if m.Kind != model.KindOral || len(m.Payload) < sig.IntFieldSize {
+			continue
+		}
+		body := len(m.Payload) - sig.IntFieldSize
+		claimed := binary.BigEndian.Uint64(m.Payload)
+		size += body + sig.IntFieldSize*int(min(claimed, uint64(body/minEntry)))
+	}
+	return size
 }
 
 // ingest streams one round's inbox into level, the tree level of paths of

@@ -9,12 +9,14 @@
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - Counters.MessagesFrom: the per-sender count a bound on what correct nodes send needs; only tests read it yet.
+//   - tally.addFar: a key no engine stamps (a negative one, a round far past any deadline), kept so Record stays exact and bounded for any caller; the map-reference differential reaches it.
 //   - Table.RenderCSV: the -csv output of fdbench, fdcampaign and fdreport table.
 //   - Dist.String, Table.String: String methods.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -23,28 +25,24 @@ import (
 
 // Counters accumulates traffic statistics for one protocol run. It is safe
 // for concurrent use, so the same type serves the lockstep simulator and
-// the TCP transport.
+// the TCP transport. Each count lives in a tally indexed by its key — the
+// message kind, the sender, the round stamp — so a send costs three slice
+// writes under the lock, never a hash.
 type Counters struct {
 	mu sync.Mutex
 
 	messages int
 	bytes    int
-	byKind   map[model.MessageKind]int
-	bySender map[model.NodeID]int
-	// roundBytes holds the payload bytes sent under each round stamp; a
-	// round with traffic has a key even when its payloads are empty.
-	roundBytes map[int]int
-	maxRound   int
+	byKind   tally
+	bySender tally
+	// byRound holds the sends and payload bytes under each round stamp; a
+	// round with traffic has sends even when its payloads are empty.
+	byRound  tally
+	maxRound int
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{
-		byKind:     make(map[model.MessageKind]int),
-		bySender:   make(map[model.NodeID]int),
-		roundBytes: make(map[int]int),
-	}
-}
+func NewCounters() *Counters { return new(Counters) }
 
 // Record accounts for one sent message. Both engines call it for every
 // send, a message the network then loses included, so every count here is
@@ -55,9 +53,9 @@ func (c *Counters) Record(m model.Message) {
 	defer c.mu.Unlock()
 	c.messages++
 	c.bytes += len(m.Payload)
-	c.byKind[m.Kind]++
-	c.bySender[m.From]++
-	c.roundBytes[m.Round] += len(m.Payload)
+	c.byKind.add(int(m.Kind), 0)
+	c.bySender.add(int(m.From), 0)
+	c.byRound.add(m.Round, len(m.Payload))
 	if m.Round > c.maxRound {
 		c.maxRound = m.Round
 	}
@@ -74,7 +72,7 @@ func (c *Counters) Messages() int {
 func (c *Counters) MessagesFrom(id model.NodeID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bySender[id]
+	return c.bySender.get(int(id)).sends
 }
 
 // Snapshot returns an immutable copy of the counters for reporting.
@@ -82,29 +80,115 @@ func (c *Counters) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Snapshot{
-		Messages:            c.messages,
-		Bytes:               c.bytes,
-		CommunicationRounds: len(c.roundBytes),
-		LastRound:           c.maxRound,
-		ByKind:              make(map[model.MessageKind]int, len(c.byKind)),
+		Messages:  c.messages,
+		Bytes:     c.bytes,
+		LastRound: c.maxRound,
 	}
-	for _, b := range c.roundBytes {
-		s.MaxRoundBytes = max(s.MaxRoundBytes, b)
-	}
-	for k, v := range c.byKind {
-		s.ByKind[k] = v
-	}
+	kinds := 0
+	c.byKind.each(func(int, count) { kinds++ })
+	s.ByKind = make(map[model.MessageKind]int, kinds)
+	c.byRound.each(func(_ int, n count) {
+		s.CommunicationRounds++
+		s.MaxRoundBytes = max(s.MaxRoundBytes, n.bytes)
+	})
+	c.byKind.each(func(k int, n count) { s.ByKind[model.MessageKind(k)] = n.sends })
 	return s
+}
+
+// count is what a tally holds per key: the sends and their payload bytes.
+type count struct{ sends, bytes int }
+
+// tally counts sends per key. A key in [0, len(near)) indexes near
+// directly; near grows geometrically to reach a new key up to nearLimit,
+// or up to twice its length, so node IDs of any system size and every
+// round stamp a run can reach stay slice writes. Any other key — a
+// negative one, or a stamp absurdly far ahead, which neither engine
+// stamps — goes to far, searched linearly, so counting stays exact for
+// every key without a map.
+type tally struct {
+	near []count
+	far  []keyedCount
+}
+
+type keyedCount struct {
+	key int
+	count
+}
+
+// nearLimit is how far a tally's slice grows for a key beyond twice its
+// length: 64 KiB of counts.
+const nearLimit = 1 << 12
+
+// add counts one send of the given payload bytes under key.
+func (t *tally) add(key, bytes int) {
+	if uint(key) >= uint(len(t.near)) {
+		if key < 0 || key >= max(nearLimit, 2*len(t.near)) {
+			t.addFar(key, bytes)
+			return
+		}
+		grown := make([]count, max(key+1, 2*len(t.near), 8))
+		copy(grown, t.near)
+		// A far key the slice now reaches moves in, so no key is in both.
+		t.far = slices.DeleteFunc(t.far, func(f keyedCount) bool {
+			if f.key < len(grown) && f.key >= 0 {
+				grown[f.key] = f.count
+				return true
+			}
+			return false
+		})
+		t.near = grown
+	}
+	t.near[key].sends++
+	t.near[key].bytes += bytes
+}
+
+func (t *tally) addFar(key, bytes int) {
+	for i := range t.far {
+		if t.far[i].key == key {
+			t.far[i].sends++
+			t.far[i].bytes += bytes
+			return
+		}
+	}
+	t.far = append(t.far, keyedCount{key, count{1, bytes}})
+}
+
+// get returns the count under key.
+func (t *tally) get(key int) count {
+	if uint(key) < uint(len(t.near)) {
+		return t.near[key]
+	}
+	for _, f := range t.far {
+		if f.key == key {
+			return f.count
+		}
+	}
+	return count{}
+}
+
+// each calls fn for every key with at least one send.
+func (t *tally) each(fn func(key int, n count)) {
+	for k, n := range t.near {
+		if n.sends > 0 {
+			fn(k, n)
+		}
+	}
+	for _, f := range t.far {
+		fn(f.key, f.count)
+	}
 }
 
 // Snapshot is a point-in-time copy of a Counters.
 type Snapshot struct {
 	Messages int
 	Bytes    int
-	// CommunicationRounds counts the rounds in which at least one message
-	// was delivered: the paper's counting, in which key distribution
-	// "takes 3 rounds of communication" though acceptance happens in a
-	// fourth, message-free step.
+	// CommunicationRounds counts the distinct round stamps under which at
+	// least one message was sent: the paper's counting, in which key
+	// distribution "takes 3 rounds of communication" though acceptance
+	// happens in a fourth, message-free step. Like every count here it is
+	// of sends (see Record), so a round whose every send the network
+	// dropped still counts, and a delayed message counts under the stamp
+	// it is delivered with, not the round it was sent in.
 	CommunicationRounds int
 	LastRound           int
 	// MaxRoundBytes is the largest payload sum sent under one round

@@ -23,16 +23,16 @@ type Model struct {
 	spec Spec
 	n    int
 	seed int64
-	// links holds lazily created per-directed-link state; the map is
-	// small (at most n·(n-1) entries) and touched only by the owner.
-	links map[linkKey]*linkState
+	// links holds the state of directed link from→to at from·n+to. The
+	// table is allocated on the first fate that draws from a link, so a
+	// run on an ideal or partition-only network allocates none, and a
+	// link's stream is seeded on its own first draw.
+	links []linkState
 	emit  Emitter
 	// partition bookkeeping for one-shot begin/heal events.
 	began  []bool
 	healed []bool
 }
-
-type linkKey struct{ from, to int }
 
 // linkState is one directed link's fate stream and bandwidth window.
 type linkState struct {
@@ -50,7 +50,6 @@ func NewModel(spec Spec, n int, seed int64) *Model {
 		spec:   spec,
 		n:      n,
 		seed:   seed,
-		links:  make(map[linkKey]*linkState),
 		began:  make([]bool, len(spec.Partitions)),
 		healed: make([]bool, len(spec.Partitions)),
 	}
@@ -60,13 +59,14 @@ func NewModel(spec Spec, n int, seed int64) *Model {
 // delay points. Emission never changes a fate.
 func (m *Model) SetEmitter(e Emitter) { m.emit = e }
 
-// link returns (creating on first use) the state for from→to.
+// link returns the state for from→to, seeding its stream on first use.
 func (m *Model) link(from, to int) *linkState {
-	k := linkKey{from, to}
-	ls := m.links[k]
-	if ls == nil {
-		ls = &linkState{rng: rand.New(sim.SeededSource(sim.NetLinkSeed(m.seed, from, to)))}
-		m.links[k] = ls
+	if m.links == nil {
+		m.links = make([]linkState, m.n*m.n)
+	}
+	ls := &m.links[from*m.n+to]
+	if ls.rng == nil {
+		ls.rng = rand.New(sim.SeededSource(sim.NetLinkSeed(m.seed, from, to)))
 	}
 	return ls
 }

@@ -70,8 +70,10 @@ func TestNetworkDelayShiftsDeliveryRound(t *testing.T) {
 	if res.Rounds != 4 {
 		t.Errorf("Rounds = %d, want 4 (early exit must wait for the delivery queue)", res.Rounds)
 	}
-	if res.Counters.Snapshot().Messages != 1 {
-		t.Errorf("messages = %d, want 1", res.Counters.Snapshot().Messages)
+	// Counted under the stamp it is delivered with, not the round it
+	// was sent in.
+	if s := res.Counters.Snapshot(); s.Messages != 1 || s.CommunicationRounds != 1 || s.LastRound != 3 {
+		t.Errorf("snapshot %+v, want 1 message in 1 communication round, stamped 3", s)
 	}
 }
 
@@ -91,8 +93,10 @@ func TestNetworkDropLosesMessageButCountsIt(t *testing.T) {
 	}
 	// The send happened and is counted; a dropped message puts nothing
 	// in flight, so the run exits the moment everyone is finished.
-	if res.Counters.Snapshot().Messages != 1 {
-		t.Errorf("messages = %d, want 1 (drops count as sent)", res.Counters.Snapshot().Messages)
+	// Round 1's only send was dropped, and the round still counts as a
+	// communication round: the counters count sends.
+	if s := res.Counters.Snapshot(); s.Messages != 1 || s.CommunicationRounds != 1 || s.LastRound != 1 {
+		t.Errorf("snapshot %+v, want 1 message in 1 communication round (drops count as sent)", s)
 	}
 	if res.Rounds != 1 {
 		t.Errorf("Rounds = %d, want 1", res.Rounds)

@@ -18,7 +18,8 @@ const ParallelRoundBytes = 1 << 20
 // stepJob is one run's parallel step phase: the engine's goroutine and
 // whichever parked helpers are idle claim node indices from one counter
 // and store each node's sends in outs, which the engine then consumes in
-// node order. A run builds one on its first parallel round and reuses it.
+// node order. Each run store holds one (see runStore), which a run arms on
+// its first parallel round and reuses for every later one.
 type stepJob struct {
 	procs []Process
 	outs  [][]model.Message

@@ -139,7 +139,9 @@ func TestParallelRoundsMatchSerial(t *testing.T) {
 
 // TestParallelRoundPanicReachesCaller: a Step that panics on a helper is
 // re-raised on the goroutine that called Run, where a campaign's recover
-// contains it, instead of killing the process.
+// contains it, instead of killing the process. The run's store goes back
+// to the pool all the same, and the next parallel run that borrows it
+// must not re-raise the old panic.
 func TestParallelRoundPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n = 4
@@ -158,13 +160,18 @@ func TestParallelRoundPanicReachesCaller(t *testing.T) {
 			return out
 		})
 	}
-	defer func() {
-		if p := recover(); p != "node fails" {
-			t.Errorf("recovered %v, want the Step's panic", p)
+	func() {
+		defer func() {
+			if p := recover(); p != "node fails" {
+				t.Errorf("recovered %v, want the Step's panic", p)
+			}
+		}()
+		if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 4); err != nil {
+			t.Fatal(err)
 		}
+		t.Error("Run returned despite a panicking Step")
 	}()
-	if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 4); err != nil {
-		t.Fatal(err)
+	if run := runBulk(t, 2); run.rounds == 0 {
+		t.Error("the run after a panicking one did not run")
 	}
-	t.Error("Run returned despite a panicking Step")
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -50,9 +51,10 @@ type Process interface {
 	// only sets To, Kind, and Payload. Callers must consume the returned
 	// slice before the next Step call: processes may reuse its backing
 	// array across rounds (the engine and the transport runner both copy
-	// the messages immediately). Symmetrically, the engine may
-	// reuse received's backing array after Step returns, so a process must
-	// not retain the slice itself across rounds; the Payload bytes are
+	// the messages immediately). Symmetrically, the engine reuses
+	// received's backing array after Step returns — in later rounds and,
+	// since inboxes are pooled, in later runs of other engines — so a
+	// process must not retain the slice itself; the Payload bytes are
 	// never modified and are safe to alias. Step calls of different
 	// nodes may run concurrently (see the package doc); one node's calls
 	// never overlap, and each sees the previous one's effects.
@@ -210,12 +212,13 @@ func (e *Engine) Run(maxRounds int) *Result {
 		maxRounds = 1
 	}
 	// Per-node inboxes, double-buffered: inFlight holds this round's
-	// deliveries, next collects the sends. Both keep their backing arrays
-	// across rounds (truncate, don't reallocate), which is what keeps a
-	// long run allocation-flat; every inbox is sorted before delivery, so
-	// seeded runs are byte-identical.
-	inFlight := make([][]model.Message, e.cfg.N)
-	next := make([][]model.Message, e.cfg.N)
+	// deliveries, next collects the sends. Both come from the run store
+	// and keep their backing arrays across rounds and runs (truncate,
+	// don't reallocate), which is what keeps a run allocation-flat; every
+	// inbox is sorted before delivery, so seeded runs are byte-identical.
+	store := borrowStore(e.cfg.N)
+	defer store.release(e.cfg.N)
+	inFlight, next := store.inFlight[:e.cfg.N], store.next[:e.cfg.N]
 	// delayed is the virtual-clock delivery queue, keyed by delivery
 	// round; it exists only under a network-condition model, so the
 	// ideal path allocates nothing extra.
@@ -224,7 +227,7 @@ func (e *Engine) Run(maxRounds int) *Result {
 	if e.net != nil {
 		delayed = make(map[int][]model.Message)
 	}
-	// job is the parallel step phase's hand-off, built on the first round
+	// job is the parallel step phase's hand-off, armed on the first round
 	// that takes it and reused by every later one.
 	var job *stepJob
 	rounds := 0
@@ -233,9 +236,9 @@ func (e *Engine) Run(maxRounds int) *Result {
 		if e.rounds != nil {
 			e.rounds.RoundStart(round)
 		}
-		for i := range next {
-			next[i] = next[i][:0]
-		}
+		// Cleared as well as truncated: a slot past an inbox's length
+		// holds no message, so no payload outlives the run in the pool.
+		empty(next)
 		if pending > 0 {
 			if late := delayed[round]; len(late) > 0 {
 				// Late arrivals join this round's inboxes before the
@@ -261,7 +264,8 @@ func (e *Engine) Run(maxRounds int) *Result {
 		parallel := delivered >= ParallelRoundBytes && runtime.GOMAXPROCS(0) > 1
 		if parallel {
 			if job == nil {
-				job = &stepJob{procs: e.procs, outs: make([][]model.Message, e.cfg.N)}
+				job = &store.job
+				job.procs = e.procs
 			}
 			job.step(round, inFlight)
 		}
@@ -320,6 +324,55 @@ func (e *Engine) Run(maxRounds int) *Result {
 		}
 	}
 	return &Result{Rounds: rounds, Counters: e.count}
+}
+
+// runStore is the storage a run moves its messages through: the two
+// inbox arrays and the parallel step phase's hand-off with its slice of
+// per-node sends. Runs borrow one from storePool and give it back, so a
+// run re-grows nothing an earlier run of its size has grown: a store
+// keeps the largest n it has served, and each inbox the largest backing
+// array it has needed. Every message a store held is cleared before it
+// goes back, so the pool keeps no payload reachable, and the collections
+// that empty a sync.Pool take the stores with them.
+type runStore struct {
+	inFlight, next [][]model.Message
+	job            stepJob
+}
+
+var storePool sync.Pool
+
+// borrowStore returns a store with room for n nodes.
+func borrowStore(n int) *runStore {
+	s, _ := storePool.Get().(*runStore)
+	if s == nil {
+		s = new(runStore)
+	}
+	if len(s.inFlight) < n {
+		grow := func(a [][]model.Message) [][]model.Message {
+			return append(a, make([][]model.Message, n-len(a))...)
+		}
+		s.inFlight, s.next, s.job.outs = grow(s.inFlight), grow(s.next), grow(s.job.outs)
+	}
+	return s
+}
+
+// release clears the first n inboxes, in whichever order the run left
+// them, and the hand-off — a panicking round's included — and returns
+// the store to the pool.
+func (s *runStore) release(n int) {
+	empty(s.inFlight[:n])
+	empty(s.next[:n])
+	clear(s.job.outs[:n])
+	s.job.procs, s.job.inboxes, s.job.panicked = nil, nil, nil
+	storePool.Put(s)
+}
+
+// empty clears and truncates every inbox.
+func empty(inboxes [][]model.Message) {
+	for i, inbox := range inboxes {
+		clear(inbox)
+		inboxes[i] = inbox[:0]
+	}
 }
 
 // RunInstance is the one-shot entry point for an isolated simulation
