@@ -262,20 +262,17 @@ func main() {
 }
 
 // listProtocols renders the driver registry: one row per registered
-// protocol with its declared scheme use, setup-cache eligibility,
-// equivocation support, and (n, t) axis constraints.
+// protocol with its declared scheme use (a signing protocol is also the
+// one that runs over cached setup), equivocation support, and (n, t)
+// axis constraints.
 func listProtocols(w io.Writer) {
-	fmt.Fprintf(w, "%-12s %-9s %-12s %-11s %s\n",
-		"protocol", "schemes", "setup-cache", "equivocate", "axes")
+	fmt.Fprintf(w, "%-12s %-9s %-11s %s\n",
+		"protocol", "schemes", "equivocate", "axes")
 	for _, d := range protocol.Drivers() {
 		caps := d.Capabilities()
 		schemes := "unsigned"
 		if caps.UsesSignatures {
 			schemes = "signed"
-		}
-		cache := "fresh"
-		if caps.CacheableSetup {
-			cache = "cacheable"
 		}
 		equivocate := "no"
 		if caps.SupportsEquivocate {
@@ -291,8 +288,8 @@ func listProtocols(w io.Writer) {
 		if len(axes) == 0 {
 			axes = append(axes, "any t<n")
 		}
-		fmt.Fprintf(w, "%-12s %-9s %-12s %-11s %s\n",
-			d.Name(), schemes, cache, equivocate, strings.Join(axes, ", "))
+		fmt.Fprintf(w, "%-12s %-9s %-11s %s\n",
+			d.Name(), schemes, equivocate, strings.Join(axes, ", "))
 	}
 }
 

@@ -92,8 +92,9 @@ type floodDriver struct{}
 
 func (floodDriver) Name() string { return "flood" }
 
-// Capabilities: unsigned (no scheme axis), nothing to cache, and no
-// bespoke two-faced sender — so expansion skips equivocate mixes.
+// Capabilities: unsigned — no scheme axis, and a bare cluster with no
+// keys to establish or cache — and no bespoke two-faced sender, so
+// expansion skips equivocate mixes.
 func (floodDriver) Capabilities() protocol.Capabilities {
 	return protocol.Capabilities{}
 }
@@ -104,17 +105,12 @@ func (floodDriver) Verdicts() protocol.VerdictMapper {
 	return protocol.VerdictsUnauthenticatedFD
 }
 
-// Prepare: flood holds no keys, so its cluster is a bare one.
-func (floodDriver) Prepare(inst protocol.Instance, cache *protocol.SetupCache) (protocol.Setup, error) {
-	return protocol.ClusterSetup(inst, cache, false)
-}
-
 // Run hands protocol.RunNodes the one thing only this file knows — what
 // a correct flood node is — and gets the whole strategy grammar and
 // network axis wired for it: crashes, delays, tampering, churn, loss.
-func (floodDriver) Run(inst protocol.Instance, setup protocol.Setup) (protocol.Outcome, error) {
+func (floodDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Outcome, error) {
 	value := []byte("value")
-	rep, honest, err := protocol.RunNodes(inst, setup.(*core.Cluster), "flood", 3,
+	rep, honest, err := protocol.RunNodes(inst, c, "flood", 3,
 		func(id model.NodeID) (sim.Process, error) {
 			return &floodNode{id: id, cfg: inst.Config(), value: value}, nil
 		})

@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	value, ok := rep.AgreedValue()
+	value, ok := model.AgreedValue(rep.Outcomes)
 	fmt.Printf("failure discovery: %d messages, agreed=%v value=%q\n",
 		rep.Snapshot.Messages, ok, value)
 

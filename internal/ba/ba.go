@@ -12,6 +12,11 @@
 //     fall back to a signed-message flood. Failure-free runs cost the same
 //     n−1 messages as failure discovery.
 //
+// SM(t) and FDBA's fallback are one signed flood (flood.go): open signs
+// and broadcasts, relay applies the acceptance rule and extends what it
+// accepts. Each owner brings only its admit rule — SM's "the chain starts
+// at P_0 and its value joins V", FDBA's "the value is valid FD evidence".
+//
 // Byzantine Agreement requires, with up to t faulty nodes:
 //
 //	BA1 (agreement):  all correct nodes decide the same value;
@@ -58,10 +63,4 @@ func (d Decision) String() string {
 		return fmt.Sprintf("%v decided DEFAULT", d.Node)
 	}
 	return fmt.Sprintf("%v decided %q", d.Node, d.Value)
-}
-
-// Decider is implemented by every agreement node in this package.
-type Decider interface {
-	// Decision returns the node's decision after the run completes.
-	Decision() Decision
 }

@@ -26,11 +26,12 @@ import (
 //	                            a fault signal" becomes "every correct node
 //	                            saw one" — within these two rounds;
 //	rounds t+5 … 2t+5 (FLOOD):  fallback participants flood their FD
-//	                            evidence chains SM(t)-style: each hop adds
-//	                            a signature, a message with h hop
-//	                            signatures is accepted only in hop-round h,
-//	                            and new evidence is re-relayed. The classic
-//	                            SM argument gives all correct fallback
+//	                            evidence chains through SM(t)'s own signed
+//	                            flood (flood.go): each hop adds a
+//	                            signature, a message with h hop signatures
+//	                            is accepted only in hop-round h, and new
+//	                            evidence is re-relayed. The classic SM
+//	                            argument gives all correct fallback
 //	                            participants the same evidence set;
 //	round 2t+6 (decide):        fallback nodes decide by *strongest
 //	                            evidence* — the valid chain with the
@@ -61,8 +62,9 @@ type FDBANode struct {
 
 	// inFallback marks that the node joined the fallback flood.
 	inFallback bool
-	// seenEvidence dedupes flooded evidence by marshaled bytes.
-	seenEvidence map[string]bool
+	// flood is the fallback flood; its held set dedupes evidence by
+	// marshaled bytes.
+	flood signedFlood
 	// best tracks the strongest evidence: longest consecutive-prefix chain.
 	bestStrength int
 	bestValue    []byte
@@ -91,18 +93,18 @@ func NewFDBANode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.D
 		return nil, err
 	}
 	n := &FDBANode{
-		id:           id,
-		cfg:          cfg,
-		signer:       signer,
-		dir:          dir,
-		fdNode:       fdNode,
-		seenEvidence: make(map[string]bool),
+		id:     id,
+		cfg:    cfg,
+		signer: signer,
+		dir:    dir,
+		fdNode: fdNode,
+		flood:  newSignedFlood(cfg, id, signer, dir, model.KindFallback),
 	}
 	n.decision.Node = id
 	return n, nil
 }
 
-// Decision implements Decider.
+// Decision returns the node's decision after the run completes.
 func (n *FDBANode) Decision() Decision { return n.decision }
 
 // Outcome implements fd.Outcomer, letting FDBA runs flow through
@@ -170,10 +172,10 @@ func (n *FDBANode) Step(round int, received []model.Message) []model.Message {
 			return nil
 		}
 		hop := round - (echoRound + 1) // evidence with h hop sigs arrives at hop-round h
-		return n.ingestFlood(hop, received)
+		return n.flood.relay(nil, hop, received, n.admit)
 
 	case round == decideRound:
-		n.ingestFlood(round-(echoRound+1), received)
+		n.flood.relay(nil, round-(echoRound+1), received, n.admit)
 		n.decide()
 		n.finished = true
 	}
@@ -203,14 +205,7 @@ func (n *FDBANode) broadcastFault(inner *sig.Chain, announcer model.NodeID) []mo
 	if err != nil {
 		panic(fmt.Sprintf("ba: %v signing fault: %v", n.id, err))
 	}
-	payload := chain.Marshal()
-	out := make([]model.Message, 0, n.cfg.N-1)
-	for _, to := range n.cfg.Nodes() {
-		if to != n.id {
-			out = append(out, model.Message{To: to, Kind: kind, Payload: payload})
-		}
-	}
-	return out
+	return model.AppendBroadcast(make([]model.Message, 0, n.cfg.N-1), n.cfg.N, n.id, kind, chain.Marshal())
 }
 
 // firstValidFault scans received for a fault message with the expected
@@ -253,55 +248,18 @@ func (n *FDBANode) presentEvidence() []model.Message {
 	}
 	evBytes := ev.Marshal()
 	n.noteEvidence(evBytes)
-	hop, err := sig.NewChain(evBytes, n.signer)
-	if err != nil {
-		panic(fmt.Sprintf("ba: %v signing evidence: %v", n.id, err))
-	}
-	return n.floodTo(make([]model.Message, 0, n.cfg.N-1), hop, nil)
+	return n.flood.open(nil, evBytes)
 }
 
-// ingestFlood processes flood messages for hop-round hop and returns any
-// re-relays.
-func (n *FDBANode) ingestFlood(hop int, received []model.Message) []model.Message {
-	var out []model.Message
-	for _, m := range received {
-		if m.Kind != model.KindFallback {
-			continue
-		}
-		// Seen evidence is discarded whatever wraps it: ask before parsing.
-		if ev, ok := sig.PeekChainValue(m.Payload); !ok || n.seenEvidence[string(ev)] {
-			continue
-		}
-		hopChain, err := sig.UnmarshalChain(m.Payload)
-		if err != nil || hopChain.Len() != hop {
-			continue
-		}
-		hopSigners, err := hopChain.Verify(m.From, n.dir)
-		if err != nil {
-			continue
-		}
-		if !distinctValid(hopSigners, n.cfg.N) || containsID(hopSigners, n.id) {
-			continue
-		}
-		if !n.noteEvidence(hopChain.Value()) {
-			continue // invalid evidence: ignore, do not relay
-		}
-		if hop <= n.cfg.T {
-			ext, err := hopChain.Extend(m.From, n.signer)
-			if err != nil {
-				panic(fmt.Sprintf("ba: %v extending flood: %v", n.id, err))
-			}
-			out = n.floodTo(out, ext, hopSigners)
-		}
-	}
-	return out
-}
+// admit is the fallback flood's admit rule: the flooded value must be
+// valid FD evidence (noteEvidence).
+func (n *FDBANode) admit(evBytes []byte, _ []model.NodeID) bool { return n.noteEvidence(evBytes) }
 
 // noteEvidence validates an evidence chain under our directory and folds
 // it into the strongest-evidence state. It reports whether the evidence
 // was valid.
 func (n *FDBANode) noteEvidence(evBytes []byte) bool {
-	n.seenEvidence[string(evBytes)] = true
+	n.flood.held[string(evBytes)] = true
 	ev, err := sig.UnmarshalChain(evBytes)
 	if err != nil {
 		return false
@@ -332,18 +290,6 @@ func (n *FDBANode) noteEvidence(evBytes []byte) bool {
 	return true
 }
 
-// floodTo appends a flood chain, addressed to every node but us and
-// exclude, to out.
-func (n *FDBANode) floodTo(out []model.Message, hop *sig.Chain, exclude []model.NodeID) []model.Message {
-	payload := hop.Marshal()
-	for _, to := range n.cfg.Nodes() {
-		if to != n.id && !containsID(exclude, to) {
-			out = append(out, model.Message{To: to, Kind: model.KindFallback, Payload: payload})
-		}
-	}
-	return out
-}
-
 // decide fixes the node's final value: fallback nodes use the
 // strongest-evidence rule, others keep their FD decision.
 func (n *FDBANode) decide() {
@@ -361,23 +307,4 @@ func (n *FDBANode) decide() {
 		return
 	}
 	n.decision.Value = n.bestValue
-}
-
-// distinctValid reports whether ids are pairwise distinct and in range.
-func distinctValid(ids []model.NodeID, n int) bool {
-	for i, id := range ids {
-		if !id.Valid(n) || containsID(ids[:i], id) {
-			return false
-		}
-	}
-	return true
-}
-
-func containsID(ids []model.NodeID, id model.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

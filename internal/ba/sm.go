@@ -26,18 +26,16 @@ import (
 //	after round t+1: decide the unique element of V, or the default when
 //	         V is empty or has several elements.
 //
-// The signature chains reuse package sig's chain messages, so assignee
-// names ride along exactly as in the failure-discovery protocol.
+// The relay rule is the signed flood FDBA's fallback also runs
+// (flood.go); SM brings its admit rule — the chain starts at the sender,
+// and its value joins V — and keeps V as the flood's held set.
 type SMNode struct {
-	id     model.NodeID
-	cfg    model.Config
-	signer sig.Signer
-	dir    sig.Directory
+	id    model.NodeID
+	cfg   model.Config
+	flood signedFlood
 
 	// value is the sender's initial value (sender only).
 	value []byte
-	// values is the extracted set V, keyed by value bytes.
-	values map[string]bool
 
 	decision Decision
 	finished bool
@@ -64,13 +62,7 @@ func NewSMNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Dir
 	if signer == nil || dir == nil {
 		return nil, fmt.Errorf("ba: SM node needs a signer and a directory")
 	}
-	n := &SMNode{
-		id:     id,
-		cfg:    cfg,
-		signer: signer,
-		dir:    dir,
-		values: make(map[string]bool),
-	}
+	n := &SMNode{id: id, cfg: cfg, flood: newSignedFlood(cfg, id, signer, dir, model.KindSigned)}
 	n.decision.Node = id
 	for _, opt := range opts {
 		opt(n)
@@ -81,7 +73,7 @@ func NewSMNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Dir
 	return n, nil
 }
 
-// Decision implements Decider.
+// Decision returns the node's decision after the run completes.
 func (n *SMNode) Decision() Decision { return n.decision }
 
 // Outcome implements fd.Outcomer, letting SM(t) runs flow through
@@ -107,82 +99,35 @@ func SMMessagesFailureFree(n, t int) int {
 	return (n - 1) + (n-1)*(n-2)
 }
 
-// Step implements the sim Process contract.
+// Step implements the sim Process contract. A chain with k signatures
+// was sent in round k, so round r's inbox is hop-round r−1.
 func (n *SMNode) Step(round int, received []model.Message) []model.Message {
-	t := n.cfg.T
-	var out []model.Message
-	for _, m := range received {
-		if m.Kind != model.KindSigned {
-			continue // not a protocol message; SM ignores it
-		}
-		out = append(out, n.handle(round, m)...)
-	}
+	out := n.flood.relay(nil, round-1, received, n.admit)
 	switch {
 	case round == 1 && n.id == Sender:
-		n.values[string(n.value)] = true
-		chain, err := sig.NewChain(n.value, n.signer)
-		if err != nil {
-			panic(fmt.Sprintf("ba: %v signing value: %v", n.id, err))
-		}
-		out = model.AppendBroadcast(out, n.cfg.N, n.id, model.KindSigned, chain.Marshal())
-	case round == SMEngineRounds(t):
+		n.flood.held[string(n.value)] = true
+		out = n.flood.open(out, n.value)
+	case round == SMEngineRounds(n.cfg.T):
 		n.decide()
 		n.finished = true
 	}
 	return out
 }
 
-// handle processes one signed message per the SM acceptance rule.
-func (n *SMNode) handle(round int, m model.Message) []model.Message {
-	t := n.cfg.T
-	// "If v ∉ V_i": a held value is discarded whatever signs it — ask first.
-	if v, ok := sig.PeekChainValue(m.Payload); !ok || n.values[string(v)] {
-		return nil
+// admit is SM's admit rule: a chain must start at the sender, and its
+// value joins V.
+func (n *SMNode) admit(value []byte, signers []model.NodeID) bool {
+	if signers[0] != Sender {
+		return false
 	}
-	chain, err := sig.UnmarshalChain(m.Payload)
-	if err != nil {
-		return nil // malformed: SM silently ignores (no discovery here)
-	}
-	// A chain with k signatures was sent in round k, so it must arrive in
-	// round k+1. Late chains are ignored; this is what defeats
-	// last-moment value injection.
-	k := chain.Len()
-	if k != round-1 || k < 1 || k > t+1 {
-		return nil
-	}
-	signers, err := chain.Verify(m.From, n.dir)
-	if err != nil {
-		return nil // unverifiable under OUR directory: ignore
-	}
-	// Signers must be distinct, start at the sender, and not include us
-	// (we never relay to ourselves).
-	if signers[0] != Sender || !distinctValid(signers, n.cfg.N) || containsID(signers, n.id) {
-		return nil
-	}
-	n.values[string(chain.Value())] = true
-	if k > t {
-		return nil // full chain; everyone correct already has it
-	}
-	ext, err := chain.Extend(m.From, n.signer)
-	if err != nil {
-		panic(fmt.Sprintf("ba: %v extending chain: %v", n.id, err))
-	}
-	payload := ext.Marshal()
-	out := make([]model.Message, 0, n.cfg.N-1-len(signers))
-	for q := 0; q < n.cfg.N; q++ {
-		to := model.NodeID(q)
-		if to == n.id || containsID(signers, to) {
-			continue
-		}
-		out = append(out, model.Message{To: to, Kind: model.KindSigned, Payload: payload})
-	}
-	return out
+	n.flood.held[string(value)] = true
+	return true
 }
 
 // decide applies choice(V): the unique value, or the default.
 func (n *SMNode) decide() {
-	if len(n.values) == 1 {
-		for v := range n.values {
+	if len(n.flood.held) == 1 {
+		for v := range n.flood.held {
 			n.decision.Value = []byte(v)
 			return
 		}
@@ -193,8 +138,8 @@ func (n *SMNode) decide() {
 // ValueSet returns the node's extracted set V in sorted order, for
 // experiment assertions.
 func (n *SMNode) ValueSet() []string {
-	out := make([]string, 0, len(n.values))
-	for v := range n.values {
+	out := make([]string, 0, len(n.flood.held))
+	for v := range n.flood.held {
 		out = append(out, v)
 	}
 	sort.Strings(out)

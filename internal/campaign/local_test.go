@@ -45,7 +45,7 @@ func TestSetupPaidOncePerSweep(t *testing.T) {
 	cells := make(map[protocol.SetupKey]bool)
 	cacheable := 0
 	for _, inst := range instances {
-		if capabilities(inst.Protocol).CacheableSetup {
+		if capabilities(inst.Protocol).UsesSignatures {
 			cacheable++
 			cells[protocol.SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}] = true
 		}

@@ -74,12 +74,12 @@ func countSigned(s metrics.Snapshot) int {
 func RunInstance(inst Instance) Result { return RunInstanceWith(inst, nil) }
 
 // RunInstanceWith executes one instance like RunInstance but, when cache
-// is non-nil and the driver declares cacheable setup, over the store's
-// established material — the sweep's store in Run's worker loop, a
-// pooled one in the agreement service. Both paths derive identical wire
-// bytes, because key material is a pure function of (Scheme, N, KeySeed)
-// either way — the cached-vs-fresh differential test pins it — and any
-// number of goroutines may share one store. There is no per-protocol
+// is non-nil and the driver signs, over the store's established
+// material — the sweep's store in Run's worker loop, a pooled one in the
+// agreement service. Both paths derive identical wire bytes, because
+// key material is a pure function of (Scheme, N, KeySeed) either way —
+// the cached-vs-fresh differential test pins it — and any number of
+// goroutines may share one store. There is no per-protocol
 // branching: every protocol the registry knows, drivers registered
 // outside this repository included, runs, aggregates and is
 // conformance-scored identically.

@@ -52,7 +52,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if got, want := fdRep.Snapshot.Messages, 7; got != want {
 		t.Errorf("fd messages = %d, want %d", got, want)
 	}
-	agreed, ok := fdRep.AgreedValue()
+	agreed, ok := model.AgreedValue(fdRep.Outcomes)
 	if !ok || !bytes.Equal(agreed, value) {
 		t.Errorf("AgreedValue = %q/%v, want %q", agreed, ok, value)
 	}
@@ -108,7 +108,7 @@ func TestClusterNonAuthMatchesFormula(t *testing.T) {
 	if got, want := rep.Snapshot.Messages, fd.NonAuthMessages(16, 5); got != want {
 		t.Errorf("messages = %d, want %d", got, want)
 	}
-	if _, ok := rep.AgreedValue(); !ok {
+	if _, ok := model.AgreedValue(rep.Outcomes); !ok {
 		t.Error("no agreement in failure-free baseline run")
 	}
 }

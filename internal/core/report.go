@@ -53,23 +53,6 @@ type Report struct {
 // FailureDiscovered reports whether any correct node discovered a failure.
 func (r Report) FailureDiscovered() bool { return len(r.Discoveries) > 0 }
 
-// AgreedValue returns the common decision value if every correct node
-// decided and all values agree. ok is false otherwise.
-func (r Report) AgreedValue() (value []byte, ok bool) {
-	if len(r.Outcomes) == 0 {
-		return nil, false
-	}
-	for i, o := range r.Outcomes {
-		if !o.Decided {
-			return nil, false
-		}
-		if i > 0 && string(o.Value) != string(r.Outcomes[0].Value) {
-			return nil, false
-		}
-	}
-	return r.Outcomes[0].Value, true
-}
-
 // String summarizes the report.
 func (r Report) String() string {
 	var b strings.Builder

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/rand"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -75,69 +76,58 @@ func E10Schemes(includeRSA bool) *metrics.Table {
 	return tbl
 }
 
-// All runs every experiment at report scale and returns the tables in
-// index order. quick trims the Monte-Carlo counts for fast test runs.
-func All(quick bool) []*metrics.Table {
-	runs := 100
-	sizes := DefaultSizes
-	if quick {
-		runs = 5
-		sizes = []int{4, 8, 16}
-	}
-	return []*metrics.Table{
-		E1KeyDistribution(sizes),
-		E2AuthenticatedFD(sizes),
-		E3NonAuthFD(sizes),
-		E4Amortization([]int{16, 32, 64}, []int{1, 5, 10, 20, 50}),
-		E4Measured(8, 2, 15),
-		E5Theorem2(runs),
-		E6E7Properties(runs),
-		E8Baselines(),
-		RoundsTable(),
-		E9SmallRange(),
-		E10Schemes(false),
-		E10Bytes(),
-		E11LocalAuthBA(runs),
-		E12VectorFD(sizes),
-		E13AdversaryGrid(runs / 20),
-	}
+// index is the experiment index of the package comment, in order: each
+// entry's IDs and its tables after runs Monte-Carlo runs over sizes.
+var index = []struct {
+	ids    []string
+	tables func(runs int, sizes []int) []*metrics.Table
+}{
+	{[]string{"E1"}, func(_ int, sizes []int) []*metrics.Table { return tables(E1KeyDistribution(sizes)) }},
+	{[]string{"E2"}, func(_ int, sizes []int) []*metrics.Table { return tables(E2AuthenticatedFD(sizes)) }},
+	{[]string{"E3"}, func(_ int, sizes []int) []*metrics.Table { return tables(E3NonAuthFD(sizes)) }},
+	{[]string{"E4"}, func(int, []int) []*metrics.Table {
+		return tables(E4Amortization([]int{16, 32, 64}, []int{1, 5, 10, 20, 50}), E4Measured(8, 2, 15))
+	}},
+	{[]string{"E5"}, func(runs int, _ []int) []*metrics.Table { return tables(E5Theorem2(runs)) }},
+	{[]string{"E6", "E7"}, func(runs int, _ []int) []*metrics.Table { return tables(E6E7Properties(runs)) }},
+	{[]string{"E8"}, func(int, []int) []*metrics.Table { return tables(E8Baselines(), RoundsTable()) }},
+	{[]string{"E9"}, func(int, []int) []*metrics.Table { return tables(E9SmallRange()) }},
+	{[]string{"E10"}, func(int, []int) []*metrics.Table { return tables(E10Schemes(false), E10Bytes()) }},
+	{[]string{"E11"}, func(runs int, _ []int) []*metrics.Table { return tables(E11LocalAuthBA(runs)) }},
+	{[]string{"E12"}, func(_ int, sizes []int) []*metrics.Table { return tables(E12VectorFD(sizes)) }},
+	{[]string{"E13"}, func(runs int, _ []int) []*metrics.Table { return tables(E13AdversaryGrid(runs / 20)) }},
 }
 
-// ByID returns the tables for one experiment ID ("E1".."E13"), matching
-// the index in the package comment.
-func ByID(id string, quick bool) ([]*metrics.Table, error) {
-	runs := 200
-	sizes := DefaultSizes
+func tables(t ...*metrics.Table) []*metrics.Table { return t }
+
+// scale returns the Monte-Carlo run count and the system sizes of a
+// report-scale or quick run.
+func scale(quick bool) (runs int, sizes []int) {
 	if quick {
-		runs = 10
-		sizes = []int{4, 8, 16}
+		return 10, []int{4, 8, 16}
 	}
-	switch id {
-	case "E1":
-		return []*metrics.Table{E1KeyDistribution(sizes)}, nil
-	case "E2":
-		return []*metrics.Table{E2AuthenticatedFD(sizes)}, nil
-	case "E3":
-		return []*metrics.Table{E3NonAuthFD(sizes)}, nil
-	case "E4":
-		return []*metrics.Table{E4Amortization([]int{16, 32, 64}, []int{1, 5, 10, 20, 50}), E4Measured(8, 2, 15)}, nil
-	case "E5":
-		return []*metrics.Table{E5Theorem2(runs)}, nil
-	case "E6", "E7":
-		return []*metrics.Table{E6E7Properties(runs)}, nil
-	case "E8":
-		return []*metrics.Table{E8Baselines(), RoundsTable()}, nil
-	case "E9":
-		return []*metrics.Table{E9SmallRange()}, nil
-	case "E10":
-		return []*metrics.Table{E10Schemes(false), E10Bytes()}, nil
-	case "E11":
-		return []*metrics.Table{E11LocalAuthBA(runs)}, nil
-	case "E12":
-		return []*metrics.Table{E12VectorFD(sizes)}, nil
-	case "E13":
-		return []*metrics.Table{E13AdversaryGrid(runs / 20)}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	return 200, DefaultSizes
+}
+
+// All runs every experiment and returns the tables in index order.
+// quick trims the Monte-Carlo counts and sizes for fast runs.
+func All(quick bool) []*metrics.Table {
+	runs, sizes := scale(quick)
+	var out []*metrics.Table
+	for _, e := range index {
+		out = append(out, e.tables(runs, sizes)...)
 	}
+	return out
+}
+
+// ByID returns the tables for one experiment ID ("E1".."E13"), as All
+// prints them.
+func ByID(id string, quick bool) ([]*metrics.Table, error) {
+	runs, sizes := scale(quick)
+	for _, e := range index {
+		if slices.Contains(e.ids, id) {
+			return e.tables(runs, sizes), nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }

@@ -245,6 +245,22 @@ func (o Outcome) String() string {
 	}
 }
 
+// AgreedValue returns the value every outcome decided, when every
+// outcome decided and all on one identical value; ok is false otherwise,
+// and for no outcomes at all. It is the agreement predicate every
+// consumer of outcomes (reports, protocol drivers) shares.
+func AgreedValue(outcomes []Outcome) (value []byte, ok bool) {
+	if len(outcomes) == 0 {
+		return nil, false
+	}
+	for _, o := range outcomes {
+		if !o.Decided || string(o.Value) != string(outcomes[0].Value) {
+			return nil, false
+		}
+	}
+	return outcomes[0].Value, true
+}
+
 // NodeSet is an ordered set of node IDs, used to describe fault placements
 // and dissemination targets deterministically.
 type NodeSet map[NodeID]bool

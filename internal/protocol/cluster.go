@@ -34,18 +34,11 @@ func (d *clusterDriver) Name() string               { return d.name }
 func (d *clusterDriver) Capabilities() Capabilities { return d.caps }
 func (d *clusterDriver) Verdicts() VerdictMapper    { return d.verdicts }
 
-// Prepare implements Driver. nonauth ignores keys entirely, so its setup
-// is free, skips establishment, and declares CacheableSetup false; the
-// authenticated protocols wrap the shared nodes of their
-// (scheme, n, keySeed) cell when the store has it, paying keygen and the
+// Run implements Driver. nonauth ignores keys entirely and runs over a
+// bare cluster; the authenticated protocols run over the shared nodes of
+// their (scheme, n, keySeed) cell, paying keygen and the
 // 3n(n−1)-message handshake once per cell instead of once per seed.
-func (d *clusterDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
-	return ClusterSetup(inst, cache, d.proto != core.ProtocolNonAuth)
-}
-
-// Run implements Driver.
-func (d *clusterDriver) Run(inst Instance, setup Setup) (Outcome, error) {
-	c := setup.(*core.Cluster)
+func (d *clusterDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 	value := proposal(inst, d.value)
 	opts, err := runOptions(inst, c, d.equivocator)
 	if err != nil {
@@ -55,11 +48,12 @@ func (d *clusterDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
+	_, agreed := model.AgreedValue(rep.Outcomes)
 	return Outcome{
 		Rounds:     rep.Rounds,
 		RoundBound: core.EngineRounds(d.proto, inst.T),
 		Snapshot:   rep.Snapshot,
-		Agreed:     outcomesAgree(rep.Outcomes),
+		Agreed:     agreed,
 		Discovered: len(rep.Discoveries) > 0,
 		SubRuns:    []SubRun{{Sender: fd.Sender, Initial: value, Outcomes: rep.Outcomes}},
 	}, nil
@@ -142,7 +136,6 @@ func init() {
 		value: senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
-			CacheableSetup:     true,
 			SupportsEquivocate: true,
 		},
 		verdicts:    VerdictsAuthenticatedFD,
@@ -164,7 +157,6 @@ func init() {
 		value: []byte{1},
 		caps: Capabilities{
 			UsesSignatures: true,
-			CacheableSetup: true,
 		},
 		verdicts: VerdictsSilenceDefault,
 	})
@@ -174,7 +166,6 @@ func init() {
 		value: senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
-			CacheableSetup:     true,
 			SupportsEquivocate: true,
 		},
 		verdicts:    VerdictsAgreement,
@@ -186,7 +177,6 @@ func init() {
 		value: senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
-			CacheableSetup:     true,
 			SupportsEquivocate: true,
 		},
 		verdicts:    VerdictsAgreement,

@@ -9,10 +9,9 @@ import (
 )
 
 // eigDriver runs the OM(t) oral-messages baseline. It has no setup phase
-// at all — nodes hold no keys, its cluster is a bare one like nonauth's
-// — so its Capabilities declare CacheableSetup false explicitly: the
-// setup-cache skip is a published property of the driver, asserted by
-// tests, not an implicit branch in the runner.
+// at all — nodes hold no keys, so it does not declare UsesSignatures and
+// RunInstance hands it a bare cluster like nonauth's, never touching the
+// setup store.
 type eigDriver struct{}
 
 func (eigDriver) Name() string { return NameEIG }
@@ -26,11 +25,6 @@ func (eigDriver) Capabilities() Capabilities {
 }
 
 func (eigDriver) Verdicts() VerdictMapper { return VerdictsUnauthenticatedFD }
-
-// Prepare implements Driver: OM(t) has nothing to establish.
-func (eigDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
-	return ClusterSetup(inst, cache, false)
-}
 
 // eigNode builds node id's correct OM(t) process.
 func eigNode(inst Instance, id model.NodeID) (*ba.EIGNode, error) {
@@ -52,8 +46,7 @@ func oralEquivocator(_ *core.Cluster, inst Instance, faceOne model.NodeSet) (sim
 	return adversary.Wrap(sender, secondFace(faceOne, second)), nil
 }
 
-func (eigDriver) Run(inst Instance, setup Setup) (Outcome, error) {
-	c := setup.(*core.Cluster)
+func (eigDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 	opts, err := runOptions(inst, c, oralEquivocator)
 	if err != nil {
 		return Outcome{}, err
@@ -73,11 +66,12 @@ func (eigDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 		d := p.(*ba.EIGNode).Decision()
 		outcomes = append(outcomes, model.Outcome{Node: model.NodeID(i), Decided: d.Value != nil, Value: d.Value})
 	}
+	_, agreed := model.AgreedValue(outcomes)
 	return Outcome{
 		Rounds:     rep.Rounds,
 		RoundBound: maxRounds,
 		Snapshot:   rep.Snapshot,
-		Agreed:     outcomesAgree(outcomes),
+		Agreed:     agreed,
 		SubRuns:    []SubRun{{Sender: ba.Sender, Initial: proposal(inst, senderValue), Outcomes: outcomes}},
 	}, nil
 }

@@ -1,8 +1,9 @@
 // Package protocol is the extension API every agreement protocol in the
 // repository plugs into. A Driver packages one protocol's run path —
-// setup preparation, fault wiring, execution, and the raw material the
-// conformance predicates score — behind a uniform interface, and the
-// package-level registry makes the set of drivers discoverable by name.
+// its correct nodes, their execution over the instance's cluster, and
+// the raw material the conformance predicates score — behind a uniform
+// interface, and the package-level registry makes the set of drivers
+// discoverable by name.
 //
 // The campaign engine (internal/campaign) is the primary consumer: it
 // expands declarative sweeps over the registry and runs every instance
@@ -20,14 +21,17 @@
 // the two full agreement protocols — FDBA (the §4 failure-discovery-to-
 // Byzantine-agreement extension) and SM(t) (signed messages).
 //
-// Seven drivers, one loop: no driver wires faults. Each prepares a
-// core.Cluster (ClusterSetup), and one function compiles the instance's
-// adversary strategy and network condition into core run options
-// (wiring.go) for the cluster's run loop, which decides silent, wrapped,
-// churned or honest per node. A driver supplies only what is its own —
-// what a correct node is, a bespoke two-faced sender where it has one,
-// and how its nodes' terminal state maps to SubRuns. RunNodes is that
-// path in the form a driver registered from outside needs.
+// One setup step, seven drivers, one loop: no driver prepares setup or
+// wires faults. RunInstance hands each driver its instance's cluster
+// (ClusterSetup) — established authentication from the setup store for
+// a driver that signs, a bare cluster for one that does not — and one
+// function compiles the instance's adversary strategy and network
+// condition into core run options (wiring.go) for the cluster's run
+// loop, which decides silent, wrapped, churned or honest per node. A
+// driver supplies only what is its own — what a correct node is, a
+// bespoke two-faced sender where it has one, and how its nodes'
+// terminal state maps to SubRuns. RunNodes is that path in the form a
+// driver registered from outside needs.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - SetupCache.Len, SetupCache.SignCounts: accessors the setup-store and signing-count tests read.
@@ -35,6 +39,7 @@ package protocol
 
 import (
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/netcond"
@@ -104,17 +109,15 @@ func (inst Instance) Faulty() model.NodeSet {
 // (sweep expansion, the setup cache, adversary wiring) never need
 // protocol-specific branches. Every field is a declaration, not a hint:
 // expansion skips combinations a driver cannot express, and the runner
-// only offers a setup cache to drivers that declare eligibility.
+// only consults the setup store for drivers that sign.
 type Capabilities struct {
 	// UsesSignatures reports whether the protocol consumes a signature
 	// scheme. Unsigned drivers run once per configuration with Scheme ""
-	// instead of once per scheme (their runs would be identical).
+	// instead of once per scheme (their runs would be identical). It is
+	// also the setup declaration: RunInstance runs a signing driver over
+	// established authentication from the setup store, and an unsigned
+	// one (nonauth, eig) over a bare cluster that never touches it.
 	UsesSignatures bool
-	// CacheableSetup reports whether Prepare may reuse the setup store's
-	// established key-distribution material. Drivers whose setup is free
-	// (nonauth, eig) declare false, making the skip explicit rather than
-	// an implicit branch in the runner.
-	CacheableSetup bool
 	// SupportsEquivocate reports whether the driver can express a
 	// two-faced sender: a distinguished sender with a value range wider
 	// than the protocol's silence encoding. smallrange (one bit) and
@@ -296,14 +299,9 @@ var (
 	VerdictsAgreement = VerdictProfile{strict: true}
 )
 
-// Setup is the opaque prepared state Prepare hands to Run. Every
-// built-in driver's is a *core.Cluster from ClusterSetup — established,
-// or bare for the drivers with no setup phase.
-type Setup any
-
 // Driver is the uniform run path of one agreement protocol. Drivers are
 // stateless and safe for concurrent use: any per-run state lives in the
-// Setup value and the processes built inside Run.
+// cluster and the processes built inside Run.
 type Driver interface {
 	// Name is the registry key — the protocol name campaign specs use.
 	Name() string
@@ -311,26 +309,19 @@ type Driver interface {
 	Capabilities() Capabilities
 	// Verdicts is the driver's conformance reading; see VerdictMapper.
 	Verdicts() VerdictMapper
-	// Prepare resolves the instance's setup, reusing the setup store when
-	// non-nil (callers pass nil unless Capabilities().CacheableSetup).
-	// The returned Setup must make Run byte-equivalent to a fresh build —
-	// key material pinned by Instance.KeySeed is what guarantees it.
-	Prepare(inst Instance, cache *SetupCache) (Setup, error)
-	// Run executes the instance over the prepared setup.
-	Run(inst Instance, setup Setup) (Outcome, error)
+	// Run executes the instance over c, the instance's own cluster from
+	// ClusterSetup.
+	Run(inst Instance, c *core.Cluster) (Outcome, error)
 }
 
-// RunInstance prepares and runs one instance through its driver,
-// consulting the cache only when the driver declares cacheable setup —
-// so a driver's declared skip (eig, nonauth) is enforced here, not by
-// convention.
+// RunInstance runs one instance through its driver over the instance's
+// own cluster: established from the setup store when the driver signs,
+// bare — the store untouched — when it does not. It is the one setup
+// step; no driver prepares its own, so none can bypass it.
 func RunInstance(d Driver, inst Instance, cache *SetupCache) (Outcome, error) {
-	if !d.Capabilities().CacheableSetup {
-		cache = nil
-	}
-	setup, err := d.Prepare(inst, cache)
+	c, err := ClusterSetup(inst, cache, d.Capabilities().UsesSignatures)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return d.Run(inst, setup)
+	return d.Run(inst, c)
 }

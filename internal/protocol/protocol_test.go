@@ -51,21 +51,21 @@ func TestLookupErrorEnumeratesRegistry(t *testing.T) {
 }
 
 // TestDeclaredCapabilities pins each built-in driver's declared axes —
-// in particular the explicit setup-cache skips: eig has no setup at all
-// and nonauth's is free, so both declare CacheableSetup false rather
-// than relying on an implicit branch in the runner.
+// in particular UsesSignatures, which is also the setup declaration: eig
+// and nonauth hold no keys, so they do not declare it and RunInstance
+// runs them over a bare cluster.
 func TestDeclaredCapabilities(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want Capabilities
 	}{
-		{NameChain, Capabilities{UsesSignatures: true, CacheableSetup: true, SupportsEquivocate: true}},
+		{NameChain, Capabilities{UsesSignatures: true, SupportsEquivocate: true}},
 		{NameNonAuth, Capabilities{SupportsEquivocate: true}},
-		{NameSmallRange, Capabilities{UsesSignatures: true, CacheableSetup: true}},
-		{NameVector, Capabilities{UsesSignatures: true, CacheableSetup: true}},
+		{NameSmallRange, Capabilities{UsesSignatures: true}},
+		{NameVector, Capabilities{UsesSignatures: true}},
 		{NameEIG, Capabilities{SupportsEquivocate: true, RequiresSupermajority: true, MaxN: 256}},
-		{NameFDBA, Capabilities{UsesSignatures: true, CacheableSetup: true, SupportsEquivocate: true}},
-		{NameSM, Capabilities{UsesSignatures: true, CacheableSetup: true, SupportsEquivocate: true}},
+		{NameFDBA, Capabilities{UsesSignatures: true, SupportsEquivocate: true}},
+		{NameSM, Capabilities{UsesSignatures: true, SupportsEquivocate: true}},
 	} {
 		drv, err := Lookup(tc.name)
 		if err != nil {
@@ -77,8 +77,8 @@ func TestDeclaredCapabilities(t *testing.T) {
 	}
 }
 
-// TestUncacheableDriversNeverTouchTheCache: RunInstance must enforce a
-// driver's declared skip — an eig or nonauth run offered a store makes no
+// TestUncacheableDriversNeverTouchTheCache: RunInstance must enforce an
+// unsigned driver's skip — an eig or nonauth run offered a store makes no
 // lookup in it and leaves it empty.
 func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 	for _, tc := range []struct {
@@ -92,8 +92,8 @@ func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", tc.name, err)
 		}
-		if drv.Capabilities().CacheableSetup {
-			t.Fatalf("%s declares cacheable setup; this test pins the opposite", tc.name)
+		if drv.Capabilities().UsesSignatures {
+			t.Fatalf("%s declares it signs; this test pins the opposite", tc.name)
 		}
 		cache := NewSetupCache(4)
 		seen := "untouched"
@@ -103,7 +103,7 @@ func TestUncacheableDriversNeverTouchTheCache(t *testing.T) {
 			t.Fatalf("%s: RunInstance: %v", tc.name, err)
 		}
 		if hits, misses := cache.Stats(); cache.Len() != 0 || hits+misses != 0 || seen != "untouched" {
-			t.Errorf("%s: declared-uncacheable driver touched the store (%d cells, %d hits, %d misses, lookup %v)",
+			t.Errorf("%s: unsigned driver touched the store (%d cells, %d hits, %d misses, lookup %v)",
 				tc.name, cache.Len(), hits, misses, seen)
 		}
 		if !out.Agreed {

@@ -191,6 +191,8 @@ func establish(inst Instance) ([]*keydist.Node, error) {
 // for it, so cached and fresh runs share one construction path (the
 // differential tests then prove them equal byte for byte) — or, when
 // establish is unset, a bare cluster that has nothing to share.
+// RunInstance calls it for every run, with establish set when the driver
+// signs.
 func ClusterSetup(inst Instance, cache *SetupCache, establish bool) (*core.Cluster, error) {
 	if !establish {
 		return newCluster(inst)

@@ -22,7 +22,6 @@ func (vectorDriver) Name() string { return NameVector }
 func (vectorDriver) Capabilities() Capabilities {
 	return Capabilities{
 		UsesSignatures: true,
-		CacheableSetup: true,
 		// No distinguished multi-valued sender: all nodes send, so the
 		// equivocate behavior is inexpressible.
 	}
@@ -30,15 +29,10 @@ func (vectorDriver) Capabilities() Capabilities {
 
 func (vectorDriver) Verdicts() VerdictMapper { return VerdictsAuthenticatedFD }
 
-func (vectorDriver) Prepare(inst Instance, cache *SetupCache) (Setup, error) {
-	return ClusterSetup(inst, cache, true)
-}
-
 // vectorProposal is node id's own proposal.
 func vectorProposal(id model.NodeID) []byte { return []byte(fmt.Sprintf("proposal-%d", id)) }
 
-func (vectorDriver) Run(inst Instance, setup Setup) (Outcome, error) {
-	c := setup.(*core.Cluster)
+func (vectorDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 	maxRounds := fd.ChainEngineRounds(inst.T)
 	rep, honest, err := RunNodes(inst, c, NameVector, maxRounds, func(id model.NodeID) (sim.Process, error) {
 		kd := c.Nodes()[id]
@@ -67,7 +61,7 @@ func (vectorDriver) Run(inst Instance, setup Setup) (Outcome, error) {
 			}
 		}
 		// A faulty sender carries no agreement obligation.
-		if !faulty.Contains(sid) && !outcomesAgree(outcomes) {
+		if _, agreed := model.AgreedValue(outcomes); !agreed && !faulty.Contains(sid) {
 			out.Agreed = false
 		}
 		out.SubRuns = append(out.SubRuns, SubRun{Sender: sid, Initial: vectorProposal(sid), Outcomes: outcomes})

@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"bytes"
-
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fd"
@@ -141,27 +139,4 @@ func splitEquivocate(specs []adversary.BehaviorSpec) (rest []adversary.BehaviorS
 		}
 	}
 	return rest, partition
-}
-
-// outcomesAgree reports whether every outcome decided on one identical
-// value. Outcomes belong to correct nodes only (overridden processes
-// report none).
-func outcomesAgree(outcomes []model.Outcome) bool {
-	if len(outcomes) == 0 {
-		return false
-	}
-	var first []byte
-	for i, o := range outcomes {
-		if !o.Decided {
-			return false
-		}
-		if i == 0 {
-			first = o.Value
-			continue
-		}
-		if !bytes.Equal(o.Value, first) {
-			return false
-		}
-	}
-	return true
 }

@@ -8,23 +8,22 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/transport"
 )
 
-// panicDriver stands in for a driver bug on a worker.
+// panicDriver stands in for a driver bug on a worker. It signs, so it
+// panics after a real handshake, over its cell's setup.
 type panicDriver struct{}
 
 func (panicDriver) Name() string { return "test-sched-panic" }
 func (panicDriver) Capabilities() protocol.Capabilities {
-	return protocol.Capabilities{CacheableSetup: true}
+	return protocol.Capabilities{UsesSignatures: true}
 }
 func (panicDriver) Verdicts() protocol.VerdictMapper { return protocol.VerdictsAuthenticatedFD }
-func (panicDriver) Prepare(protocol.Instance, *protocol.SetupCache) (protocol.Setup, error) {
-	return nil, nil
-}
-func (panicDriver) Run(protocol.Instance, protocol.Setup) (protocol.Outcome, error) {
+func (panicDriver) Run(protocol.Instance, *core.Cluster) (protocol.Outcome, error) {
 	panic("driver bug")
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/sig"
 )
@@ -70,8 +71,9 @@ func TestPoolIdleBound(t *testing.T) {
 	}
 }
 
-// testDriver is a cacheable, setup-free driver registered from the test
-// files; run is all its Run does.
+// testDriver is a signing driver registered from the test files, so it
+// runs over a setup checked out of the pool (a real handshake on a
+// miss); run is all its Run does.
 type testDriver struct {
 	name string
 	run  func()
@@ -79,13 +81,10 @@ type testDriver struct {
 
 func (d testDriver) Name() string { return d.name }
 func (testDriver) Capabilities() protocol.Capabilities {
-	return protocol.Capabilities{CacheableSetup: true}
+	return protocol.Capabilities{UsesSignatures: true}
 }
 func (testDriver) Verdicts() protocol.VerdictMapper { return protocol.VerdictsAuthenticatedFD }
-func (testDriver) Prepare(protocol.Instance, *protocol.SetupCache) (protocol.Setup, error) {
-	return nil, nil
-}
-func (d testDriver) Run(protocol.Instance, protocol.Setup) (protocol.Outcome, error) {
+func (d testDriver) Run(protocol.Instance, *core.Cluster) (protocol.Outcome, error) {
 	d.run()
 	return protocol.Outcome{}, nil
 }

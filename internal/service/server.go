@@ -71,7 +71,7 @@ type Request struct {
 // Reply is one served request's response payload: the full campaign
 // result (verdict, conformance, traffic) plus the service-side latency
 // split and where the setup came from ("pool-hit", "pool-miss", or
-// "none" for drivers without cacheable setup).
+// "none" for unsigned drivers, which have no setup to pool).
 type Reply struct {
 	Result  campaign.Result `json:"result"`
 	QueueNS int64           `json:"queue_ns"`
@@ -373,7 +373,8 @@ func (s *Server) admit(sess *session, reqID int, payload []byte) {
 }
 
 // resolve maps a wire request onto a runnable campaign instance,
-// rejecting combinations no driver can execute.
+// rejecting combinations no driver can execute, and reports whether its
+// driver signs — and so runs over a setup checked out of the pool.
 func (s *Server) resolve(req Request) (campaign.Instance, bool, error) {
 	drv, err := protocol.Lookup(req.Protocol)
 	if err != nil {
@@ -403,7 +404,7 @@ func (s *Server) resolve(req Request) (campaign.Instance, bool, error) {
 		KeySeed:   req.KeySeed,
 		Value:     req.Value,
 	}
-	return inst, caps.CacheableSetup, nil
+	return inst, caps.UsesSignatures, nil
 }
 
 func (s *Server) reject(sess *session, reqID int, code string, retryAfter time.Duration, msg string) {
@@ -416,7 +417,7 @@ func (s *Server) reject(sess *session, reqID int, code string, retryAfter time.D
 }
 
 // execute runs one admitted task on its executor shard: check a warm
-// setup out of the pool (cacheable drivers), run through the exact
+// setup out of the pool (signing drivers), run through the exact
 // campaign result/conformance path, check the setup back in, and answer
 // the client.
 func (s *Server) execute(t task) {
