@@ -9,8 +9,9 @@
 //  4. the key-distribution G3 attack (mixed
 //     predicates) followed by a chain run    → Theorem 4 discovery
 //
-// all through one option: core.WithProcess replaces a node in either
-// phase, key distribution (scenario 4) as much as a failure-discovery run;
+// all through two options, in either phase — key distribution
+// (scenario 4) as much as a failure-discovery run: core.WithProcess
+// replaces a node, core.WithWrappedProcess filters its correct process;
 //
 // then the same machinery driven declaratively: composable adversary
 // strategies (seeded coalitions, delayed delivery, behavior stacks)
@@ -32,6 +33,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fd"
+	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
@@ -165,25 +167,21 @@ func mixedPredicateScenario() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mixed, err := adversary.NewMixedPredicateNode(cfg, 0, cluster.Scheme(), sim.SeededReader(99), model.NewNodeSet(1, 2))
+	faces, err := adversary.NewKeyFaces(cluster.Scheme(), sim.SeededReader(99), model.NewNodeSet(1, 2))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := cluster.EstablishAuthentication(core.WithProcess(0, mixed)); err != nil {
+	if _, err := cluster.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("  key distribution completed — the G3 split is invisible so far")
 
-	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		chain, err := sig.NewChain([]byte("v"), mixed.SignerFor(1))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: chain.Marshal()}}
-	})
+	// The correct sender, signing with the key P1 accepted; it reads no
+	// directory.
+	sender, err := fd.NewChainNode(cfg, fd.Sender, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	if err != nil {
+		log.Fatal(err)
+	}
 	rep, err := cluster.RunFailureDiscovery(nil, core.WithProcess(0, sender))
 	if err != nil {
 		log.Fatal(err)

@@ -10,16 +10,16 @@
 // Production fault wiring is filters only: a corrupt node is its CORRECT
 // process under a behavior stack that distorts its outbox (drop, delay,
 // redirect, tamper, inject, show a second face), and a two-faced sender
-// is its protocol's own sender under TwoFaced or InjectAt. The bespoke
-// processes of fd.go and keydist.go serve experiments and tests only,
-// each for what no filter over its correct process can do: re-sign a
-// chain (ResignRelay), sign a wrong assignee (WrongNameRelay), echo with
-// nothing received (LyingEchoer), and claim, relay, mix or share keys in
-// key distribution.
+// is its protocol's own sender under TwoFaced or InjectAt; so are the
+// key-distribution attackers that claim, mix or share keys (ForeignClaim,
+// KeyFaces). The bespoke processes of fd.go and keydist.go serve
+// experiments and tests only, each for what no filter over its correct
+// process can do: re-sign a chain (ResignRelay), sign a wrong assignee
+// (WrongNameRelay), echo with nothing received (LyingEchoer), and relay
+// challenges in key distribution (ChallengeRelayNode).
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - OnlyTo, DuplicateTo, LyingEchoer and its methods: fault injectors the unit tests of adversary, core, ba and fd compose.
-//   - SharedKeyNode.Signer: the shared-key attacker's test accessor; no campaign strategy runs the keydist attackers yet.
 package adversary
 
 import (

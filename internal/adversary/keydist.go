@@ -7,55 +7,33 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
+	"repro/internal/sim"
 )
 
 // Adversaries against the key-distribution protocol (paper Fig. 1). They
 // probe exactly the properties Theorem 2 claims:
 //
 //	G1: a faulty node must not get a correct node's key accepted for
-//	    itself (ForeignClaimNode, ChallengeRelayNode try);
+//	    itself (ForeignClaim, ChallengeRelayNode try);
 //	G2: a correct node's key must be accepted by all correct nodes
 //	    (nothing an adversary does below can prevent it, tested in E5);
-//	G3 (absent): MixedPredicateNode and SharedKeyNode realize the two
-//	    G3-violating behaviours the paper describes — distributing
-//	    different predicates to different nodes, and giving one's secret
-//	    key to an accomplice.
+//	G3 (absent): KeyFaces shows peers different keys, or one shared key.
+//
+// ForeignClaim and KeyFaces filter the node's correct Fig. 1 process;
+// ChallengeRelayNode forwards what it receives, which no filter can do.
 
-// ForeignClaimNode broadcasts a VICTIM's test predicate as its own. It
-// cannot answer the resulting challenges (it does not hold the victim's
-// secret key — property S3), so no correct node ever accepts the claim;
-// this is the G1 guarantee in action.
-type ForeignClaimNode struct {
-	id     model.NodeID
-	cfg    model.Config
-	victim sig.TestPredicate
-}
-
-// NewForeignClaimNode builds the claiming node. victim is the predicate of
-// the node whose identity it tries to steal.
-func NewForeignClaimNode(cfg model.Config, id model.NodeID, victim sig.TestPredicate) *ForeignClaimNode {
-	return &ForeignClaimNode{id: id, cfg: cfg, victim: victim}
-}
-
-// Step implements sim.Process.
-func (a *ForeignClaimNode) Step(round int, received []model.Message) []model.Message {
-	if round != keydist.RoundBroadcast {
-		// It cannot sign responses, so it stays silent afterwards. (It
-		// could relay the challenges to the victim — ChallengeRelayNode
-		// tries exactly that.)
-		return nil
+// ForeignClaim wraps a correct node to broadcast a VICTIM's predicate as
+// its own and then say nothing: it holds no matching secret key (S3), so
+// no correct node ever accepts the claim — G1 in action. Pass it to
+// core.WithWrappedProcess.
+func ForeignClaim(victim sig.TestPredicate) func(sim.Process) sim.Process {
+	claim := victim.Bytes()
+	return func(p sim.Process) sim.Process {
+		return Wrap(p,
+			TamperPayload(model.KindTestPredicate, func([]byte) []byte { return claim }),
+			DropAll(keydist.RoundChallenge))
 	}
-	out := make([]model.Message, 0, a.cfg.N-1)
-	for _, to := range a.cfg.Nodes() {
-		if to != a.id {
-			out = append(out, model.Message{To: to, Kind: model.KindTestPredicate, Payload: a.victim.Bytes()})
-		}
-	}
-	return out
 }
-
-// Finished implements sim.Finisher.
-func (a *ForeignClaimNode) Finished() bool { return true }
 
 // ChallengeRelayNode claims a victim's predicate and then tries to launder
 // the challenges through the victim itself: when challenger C sends it
@@ -69,20 +47,11 @@ type ChallengeRelayNode struct {
 	cfg    model.Config
 	victim model.NodeID
 	pred   sig.TestPredicate
-	// pendingByChallenger remembers who challenged us so harvested
-	// signatures can be routed back.
-	pending map[model.NodeID]keydist.Challenge
 }
 
 // NewChallengeRelayNode builds the relaying claimant.
 func NewChallengeRelayNode(cfg model.Config, id, victim model.NodeID, victimPred sig.TestPredicate) *ChallengeRelayNode {
-	return &ChallengeRelayNode{
-		id:      id,
-		cfg:     cfg,
-		victim:  victim,
-		pred:    victimPred,
-		pending: make(map[model.NodeID]keydist.Challenge),
-	}
+	return &ChallengeRelayNode{id: id, cfg: cfg, victim: victim, pred: victimPred}
 }
 
 // Step implements sim.Process.
@@ -114,24 +83,14 @@ func (a *ChallengeRelayNode) Step(round int, received []model.Message) []model.M
 	case keydist.RoundResponse:
 		// Real challenges addressed to us arrive now; forward them to the
 		// victim verbatim (they will arrive a round late AND misnamed —
-		// doubly refused). Also replay any harvested response to every
-		// challenger; the nonce/name binding makes each replay fail.
+		// doubly refused). What the victim signs for our own probe
+		// arrives after the response round: too late to replay.
 		for _, m := range received {
-			switch m.Kind {
-			case model.KindChallenge:
-				ch, err := keydist.UnmarshalChallenge(m.Payload)
-				if err != nil {
-					continue
-				}
-				a.pending[m.From] = ch
+			if m.Kind != model.KindChallenge {
+				continue
+			}
+			if _, err := keydist.ParseChallenge(m.Payload); err == nil {
 				out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: m.Payload})
-			case model.KindChallengeResponse:
-				if m.From != a.victim {
-					continue
-				}
-				for challenger := range a.pending {
-					out = append(out, model.Message{To: challenger, Kind: model.KindChallengeResponse, Payload: m.Payload})
-				}
 			}
 		}
 	}
@@ -141,156 +100,75 @@ func (a *ChallengeRelayNode) Step(round int, received []model.Message) []model.M
 // Finished implements sim.Finisher.
 func (a *ChallengeRelayNode) Finished() bool { return true }
 
-// MixedPredicateNode generates TWO key pairs and distributes one predicate
-// to group A and the other to everyone else, answering each node's
-// challenge with the matching secret key. Both groups accept "a"
-// predicate for this node, but different ones: the canonical G3 violation
-// the paper describes ("a faulty node distributes different test
-// predicates to the correct nodes"). Key distribution alone cannot detect
-// it; Theorem 4 shows the chain-signed failure-discovery protocol turns
-// any later *use* of the split into a discovered failure.
-type MixedPredicateNode struct {
-	id      model.NodeID
-	cfg     model.Config
-	groupA  model.NodeSet
-	signerA sig.Signer
-	signerB sig.Signer
+// KeyFaces holds the key pairs a faulty node shows in key distribution,
+// chosen by recipient: faceOne sees key one, everyone else key two. Its
+// wrapped correct node sends each peer that peer's predicate, answers its
+// challenges with the matching key, and challenges nobody. Two keys are
+// the paper's G3 violation, undetectable here and discovered by the chain
+// protocol once used (Theorem 4); one key around every member of a
+// coalition is key sharing, which leaves G1/G2 intact.
+type KeyFaces struct {
+	faceOne  model.NodeSet
+	one, two sig.Signer
 }
 
-// NewMixedPredicateNode builds the node. groupA receives predicate A;
-// everyone else receives predicate B.
-func NewMixedPredicateNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reader, groupA model.NodeSet) (*MixedPredicateNode, error) {
-	sa, err := scheme.Generate(rand)
+// NewKeyFaces draws key one, then key two, from rand: the
+// mixed-predicate attacker showing key one to faceOne.
+func NewKeyFaces(scheme sig.Scheme, rand io.Reader, faceOne model.NodeSet) (*KeyFaces, error) {
+	one, err := scheme.Generate(rand)
 	if err != nil {
-		return nil, fmt.Errorf("adversary: generate key A: %w", err)
+		return nil, fmt.Errorf("adversary: generate key one: %w", err)
 	}
-	sb, err := scheme.Generate(rand)
+	two, err := scheme.Generate(rand)
 	if err != nil {
-		return nil, fmt.Errorf("adversary: generate key B: %w", err)
+		return nil, fmt.Errorf("adversary: generate key two: %w", err)
 	}
-	return &MixedPredicateNode{id: id, cfg: cfg, groupA: groupA, signerA: sa, signerB: sb}, nil
+	return &KeyFaces{faceOne: faceOne, one: one, two: two}, nil
 }
 
-// SignerFor returns the signer whose predicate the given node accepted,
-// letting tests craft messages that verify for a chosen victim group.
-func (a *MixedPredicateNode) SignerFor(node model.NodeID) sig.Signer {
-	if a.groupA.Contains(node) {
-		return a.signerA
-	}
-	return a.signerB
-}
-
-// Step implements sim.Process.
-func (a *MixedPredicateNode) Step(round int, received []model.Message) []model.Message {
-	var out []model.Message
-	switch round {
-	case keydist.RoundBroadcast:
-		for _, to := range a.cfg.Nodes() {
-			if to == a.id {
-				continue
-			}
-			out = append(out, model.Message{
-				To:      to,
-				Kind:    model.KindTestPredicate,
-				Payload: a.SignerFor(to).Predicate().Bytes(),
-			})
-		}
-	case keydist.RoundResponse:
-		// Answer each challenge with the key whose predicate the
-		// challenger holds — a perfectly consistent-looking response.
-		for _, m := range received {
-			if m.Kind != model.KindChallenge {
-				continue
-			}
-			ch, err := keydist.UnmarshalChallenge(m.Payload)
-			if err != nil {
-				continue
-			}
-			if !keydist.ShouldSign(ch, a.id, m.From) {
-				continue
-			}
-			resp, err := keydist.Respond(ch, a.SignerFor(m.From))
-			if err != nil {
-				continue
-			}
-			out = append(out, model.Message{To: m.From, Kind: model.KindChallengeResponse, Payload: resp.Marshal()})
-		}
-	case keydist.RoundChallenge:
-		// Challenge nobody: the adversary does not need to authenticate
-		// its peers. (Correct nodes do not care whether IT accepted them.)
-	}
-	return out
-}
-
-// Finished implements sim.Finisher.
-func (a *MixedPredicateNode) Finished() bool { return true }
-
-// SharedKeyNode participates in key distribution with a key pair that is
-// SHARED with one or more accomplices: the paper's other G3 scenario
-// ("some faulty node gives its secret key to some other faulty node").
-// Every sharer runs the protocol correctly with the same key, so each is
-// accepted by every correct node — with identical predicates. Signed
-// messages from any sharer then verify as ANY sharer, so a message's
-// assignment is ambiguous among the coalition, yet (per the paper's
-// remark after G3) all correct recipients still assign it consistently to
-// whichever sharer sent it — that is what keeps G1/G2 intact.
-type SharedKeyNode struct {
-	id     model.NodeID
-	cfg    model.Config
-	signer sig.Signer
-}
-
-// NewSharedKeyGroup generates one key pair and returns a SharedKeyNode for
-// each of the given IDs, all holding the same secret key.
-func NewSharedKeyGroup(cfg model.Config, scheme sig.Scheme, rand io.Reader, ids ...model.NodeID) ([]*SharedKeyNode, error) {
-	signer, err := scheme.Generate(rand)
+// NewSharedKey draws one key from rand, shown to every recipient.
+func NewSharedKey(scheme sig.Scheme, rand io.Reader) (*KeyFaces, error) {
+	key, err := scheme.Generate(rand)
 	if err != nil {
 		return nil, fmt.Errorf("adversary: generate shared key: %w", err)
 	}
-	out := make([]*SharedKeyNode, len(ids))
-	for i, id := range ids {
-		out[i] = &SharedKeyNode{id: id, cfg: cfg, signer: signer}
-	}
-	return out, nil
+	return &KeyFaces{one: key, two: key}, nil
 }
 
-// Signer exposes the shared signer for test assertions.
-func (a *SharedKeyNode) Signer() sig.Signer { return a.signer }
+// SignerFor returns the signer whose predicate the given node accepted,
+// for signing messages that verify for a chosen group.
+func (k *KeyFaces) SignerFor(node model.NodeID) sig.Signer {
+	if k.faceOne.Contains(node) {
+		return k.one
+	}
+	return k.two
+}
 
-// Step implements sim.Process: the node follows Fig. 1 faithfully except
-// that its "own" key is the coalition's shared key and it skips
-// challenging others.
-func (a *SharedKeyNode) Step(round int, received []model.Message) []model.Message {
-	var out []model.Message
-	switch round {
-	case keydist.RoundBroadcast:
-		pred := a.signer.Predicate().Bytes()
-		for _, to := range a.cfg.Nodes() {
-			if to != a.id {
-				out = append(out, model.Message{To: to, Kind: model.KindTestPredicate, Payload: pred})
-			}
-		}
-	case keydist.RoundResponse:
-		for _, m := range received {
-			if m.Kind != model.KindChallenge {
-				continue
-			}
-			ch, err := keydist.UnmarshalChallenge(m.Payload)
+// Wrap runs a correct key-distribution node under the faces' filter: the
+// shape core.WithWrappedProcess takes.
+func (k *KeyFaces) Wrap(p sim.Process) sim.Process { return Wrap(p, k.filter) }
+
+// filter shows each recipient its face: the predicate and a response
+// re-signed with its key. Challenges are dropped.
+func (k *KeyFaces) filter(_ int, out []model.Message) []model.Message {
+	kept := out[:0]
+	for _, m := range out {
+		switch m.Kind {
+		case model.KindChallenge:
+			continue
+		case model.KindTestPredicate:
+			m.Payload = k.SignerFor(m.To).Predicate().Bytes()
+		case model.KindChallengeResponse:
+			resp, err := keydist.ParseResponse(m.Payload)
 			if err != nil {
 				continue
 			}
-			if !keydist.ShouldSign(ch, a.id, m.From) {
+			if resp, err = keydist.Respond(resp.Challenge, k.SignerFor(m.To)); err != nil {
 				continue
 			}
-			resp, err := keydist.Respond(ch, a.signer)
-			if err != nil {
-				continue
-			}
-			out = append(out, model.Message{To: m.From, Kind: model.KindChallengeResponse, Payload: resp.Marshal()})
+			m.Payload = resp.Marshal()
 		}
+		kept = append(kept, m)
 	}
-	return out
+	return kept
 }
-
-// Finished implements sim.Finisher.
-func (a *SharedKeyNode) Finished() bool { return true }

@@ -16,9 +16,10 @@ import (
 // adversarial interleavings probing the G1/G2 guarantees the handshake's
 // challenge-response step exists to provide.
 
-// buildKeydist returns n keydist processes, the honest node handles, and
-// the scheme, with overrides applied (overridden slots have a nil Node).
-func buildKeydist(t *testing.T, n int, seed int64, overrides map[model.NodeID]sim.Process) ([]sim.Process, []*keydist.Node, sig.Scheme) {
+// buildKeydist returns n correct keydist processes, their node handles
+// and the scheme; a test corrupts a slot by replacing or wrapping its
+// process and nil-ing its node.
+func buildKeydist(t *testing.T, n int, seed int64) ([]sim.Process, []*keydist.Node, sig.Scheme) {
 	t.Helper()
 	scheme, err := sig.ByName(sig.SchemeEd25519)
 	if err != nil {
@@ -28,14 +29,9 @@ func buildKeydist(t *testing.T, n int, seed int64, overrides map[model.NodeID]si
 	procs := make([]sim.Process, n)
 	nodes := make([]*keydist.Node, n)
 	for i := 0; i < n; i++ {
-		id := model.NodeID(i)
-		if p, ok := overrides[id]; ok {
-			procs[i] = p
-			continue
-		}
-		node, err := keydist.NewNode(cfg, id, scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
+		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
 		if err != nil {
-			t.Fatalf("NewNode %v: %v", id, err)
+			t.Fatalf("NewNode %v: %v", i, err)
 		}
 		nodes[i] = node
 		procs[i] = node
@@ -45,7 +41,7 @@ func buildKeydist(t *testing.T, n int, seed int64, overrides map[model.NodeID]si
 
 func TestKeydistHonestHandshake(t *testing.T) {
 	const n = 5
-	procs, nodes, _ := buildKeydist(t, n, 11, nil)
+	procs, nodes, _ := buildKeydist(t, n, 11)
 	counters := metrics.NewCounters()
 	cfg := model.Config{N: n, T: 1}
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal, sim.WithCounters(counters)); err != nil {
@@ -97,10 +93,8 @@ func TestKeydistForeignClaimInterleaving(t *testing.T) {
 	// the claim.
 	const n, faulty = 5, model.NodeID(4)
 	cfg := model.Config{N: n, T: 1}
-	// Two-phase build: the adversary needs its victim's predicate, which
-	// exists only after the honest nodes are built.
-	procs, nodes, _ := buildKeydist(t, n, 23, map[model.NodeID]sim.Process{faulty: sim.Silent{}})
-	procs[faulty] = NewForeignClaimNode(cfg, faulty, nodes[1].Signer().Predicate())
+	procs, nodes, _ := buildKeydist(t, n, 23)
+	procs[faulty], nodes[faulty] = ForeignClaim(nodes[1].Signer().Predicate())(procs[faulty]), nil
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
@@ -124,8 +118,8 @@ func TestKeydistChallengeRelayInterleaving(t *testing.T) {
 	const n, faulty = 5, model.NodeID(4)
 	const victim = model.NodeID(1)
 	cfg := model.Config{N: n, T: 1}
-	procs, nodes, _ := buildKeydist(t, n, 37, map[model.NodeID]sim.Process{faulty: sim.Silent{}})
-	procs[faulty] = NewChallengeRelayNode(cfg, faulty, victim, nodes[victim].Signer().Predicate())
+	procs, nodes, _ := buildKeydist(t, n, 37)
+	procs[faulty], nodes[faulty] = NewChallengeRelayNode(cfg, faulty, victim, nodes[victim].Signer().Predicate()), nil
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
@@ -146,18 +140,14 @@ func TestKeydistSharedKeyGroupAcceptedConsistently(t *testing.T) {
 	// predicates — while G1/G2 stay intact for the correct nodes.
 	const n = 6
 	cfg := model.Config{N: n, T: 2}
-	scheme, err := sig.ByName(sig.SchemeEd25519)
+	procs, nodes, scheme := buildKeydist(t, n, 53)
+	shared, err := NewSharedKey(scheme, sim.SeededReader(101))
 	if err != nil {
-		t.Fatalf("scheme: %v", err)
+		t.Fatalf("NewSharedKey: %v", err)
 	}
-	group, err := NewSharedKeyGroup(cfg, scheme, sim.SeededReader(101), 4, 5)
-	if err != nil {
-		t.Fatalf("NewSharedKeyGroup: %v", err)
+	for _, id := range []model.NodeID{4, 5} {
+		procs[id], nodes[id] = shared.Wrap(procs[id]), nil
 	}
-	procs, nodes, _ := buildKeydist(t, n, 53, map[model.NodeID]sim.Process{
-		4: group[0],
-		5: group[1],
-	})
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
@@ -173,7 +163,7 @@ func TestKeydistSharedKeyGroupAcceptedConsistently(t *testing.T) {
 		if p4.Fingerprint() != p5.Fingerprint() {
 			t.Errorf("%v holds different predicates for the sharers", node.ID())
 		}
-		if p4.Fingerprint() != group[0].Signer().Predicate().Fingerprint() {
+		if p4.Fingerprint() != shared.SignerFor(4).Predicate().Fingerprint() {
 			t.Errorf("%v holds a predicate that is not the shared key's", node.ID())
 		}
 	}

@@ -34,8 +34,9 @@ func globalAuth(t testing.TB, n int, seed int64) ([]sig.Signer, sig.MapDirectory
 	return signers, dir
 }
 
-// localAuth runs key distribution and returns per-node directories.
-func localAuth(t testing.TB, cfg model.Config, seed int64, overrides map[model.NodeID]sim.Process) ([]sig.Signer, []sig.Directory) {
+// localAuth runs key distribution, a node under wrap faulty in it, and
+// returns per-node signers and directories, nil at the faulty nodes.
+func localAuth(t testing.TB, cfg model.Config, seed int64, wrap map[model.NodeID]func(sim.Process) sim.Process) ([]sig.Signer, []sig.Directory) {
 	t.Helper()
 	scheme, err := sig.ByName(sig.SchemeEd25519)
 	if err != nil {
@@ -45,16 +46,15 @@ func localAuth(t testing.TB, cfg model.Config, seed int64, overrides map[model.N
 	nodes := make([]*keydist.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		id := model.NodeID(i)
-		if p, ok := overrides[id]; ok {
-			procs[i] = p
-			continue
-		}
 		n, err := keydist.NewNode(cfg, id, scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
 		nodes[i] = n
 		procs[i] = n
+		if w, ok := wrap[id]; ok {
+			procs[i], nodes[i] = w(n), nil
+		}
 	}
 	eng, err := sim.New(cfg, procs)
 	if err != nil {

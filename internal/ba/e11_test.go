@@ -30,7 +30,7 @@ import (
 //     chain's signature rejects it and discovers.
 
 // e11Fixture runs key distribution with a mixed-predicate faulty sender.
-func e11Fixture(t *testing.T, n, tol int, seed int64) (signers []sig.Signer, dirs []sig.Directory, mixed *adversary.MixedPredicateNode) {
+func e11Fixture(t *testing.T, n, tol int, seed int64) (signers []sig.Signer, dirs []sig.Directory, mixed *adversary.KeyFaces) {
 	t.Helper()
 	cfg := model.Config{N: n, T: tol}
 	scheme, err := sig.ByName(sig.SchemeEd25519)
@@ -38,18 +38,18 @@ func e11Fixture(t *testing.T, n, tol int, seed int64) (signers []sig.Signer, dir
 		t.Fatalf("ByName: %v", err)
 	}
 	groupA := model.NewNodeSet(1) // P_1 gets predicate A, the rest B
-	mixed, err = adversary.NewMixedPredicateNode(cfg, 0, scheme, sim.SeededReader(seed), groupA)
+	mixed, err = adversary.NewKeyFaces(scheme, sim.SeededReader(seed), groupA)
 	if err != nil {
-		t.Fatalf("NewMixedPredicateNode: %v", err)
+		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	signers, dirs = localAuth(t, cfg, seed, map[model.NodeID]sim.Process{0: mixed})
+	signers, dirs = localAuth(t, cfg, seed, map[model.NodeID]func(sim.Process) sim.Process{0: mixed.Wrap})
 	return signers, dirs, mixed
 }
 
 // e11SenderRun drives one agreement run where the faulty sender signs v
 // with key A toward P_1 and u with key B toward the others, using the
 // given message kind.
-func e11Sender(mixed *adversary.MixedPredicateNode, cfg model.Config, kind model.MessageKind, v, u []byte, direct bool) sim.Process {
+func e11Sender(mixed *adversary.KeyFaces, cfg model.Config, kind model.MessageKind, v, u []byte, direct bool) sim.Process {
 	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		if round != 1 {
 			return nil

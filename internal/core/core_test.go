@@ -12,7 +12,6 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/netcond"
-	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -287,24 +286,17 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 	cfg := model.Config{N: n, T: tol}
 	c := newCluster(t, n, tol, 10)
 	scheme := c.Scheme()
-	mixed, err := adversary.NewMixedPredicateNode(cfg, 0, scheme, sim.SeededReader(123), model.NewNodeSet(1))
+	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(123), model.NewNodeSet(1))
 	if err != nil {
-		t.Fatalf("NewMixedPredicateNode: %v", err)
+		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	if _, err := c.EstablishAuthentication(core.WithProcess(0, mixed)); err != nil {
+	if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		chain, err := newChainFor(mixed, 1, []byte("v"))
-		if err != nil {
-			t.Errorf("chain: %v", err)
-			return nil
-		}
-		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: chain}}
-	})
+	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	if err != nil {
+		t.Fatalf("NewChainNode: %v", err)
+	}
 	rep, err := c.RunFailureDiscovery(nil, core.WithProcess(0, sender))
 	if err != nil {
 		t.Fatalf("RunFailureDiscovery: %v", err)
@@ -312,14 +304,6 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 	if !rep.FailureDiscovered() {
 		t.Error("mixed-predicate use not discovered via cluster API")
 	}
-}
-
-func newChainFor(mixed *adversary.MixedPredicateNode, to model.NodeID, v []byte) ([]byte, error) {
-	c, err := sig.NewChain(v, mixed.SignerFor(to))
-	if err != nil {
-		return nil, err
-	}
-	return c.Marshal(), nil
 }
 
 // TestRunIsTheFailureDiscoveryRunMadeGeneric drives Cluster.Run with the

@@ -267,13 +267,13 @@ func TestCheckG1G2(t *testing.T) {
 	}
 	honest := established()
 	victim, scheme := honest[1].Signer().Predicate(), honest[1].Scheme()
-	mixed, err := adversary.NewMixedPredicateNode(cfg, 5, scheme, sim.SeededReader(32), model.NewNodeSet(0, 1))
+	mixed, err := adversary.NewKeyFaces(scheme, sim.SeededReader(32), model.NewNodeSet(0, 1))
 	if err != nil {
-		t.Fatalf("NewMixedPredicateNode: %v", err)
+		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	shared, err := adversary.NewSharedKeyGroup(cfg, scheme, sim.SeededReader(32), 4, 5)
+	shared, err := adversary.NewSharedKey(scheme, sim.SeededReader(32))
 	if err != nil {
-		t.Fatalf("NewSharedKeyGroup: %v", err)
+		t.Fatalf("NewSharedKey: %v", err)
 	}
 	for _, tc := range []struct {
 		name           string
@@ -293,14 +293,14 @@ func TestCheckG1G2(t *testing.T) {
 			return nodes
 		}, "", "G2"},
 		{"foreign-claim", func() []*keydist.Node {
-			return established(core.WithProcess(5, adversary.NewForeignClaimNode(cfg, 5, victim)))
+			return established(core.WithWrappedProcess(5, adversary.ForeignClaim(victim)))
 		}, "", ""},
 		{"challenge-relay", func() []*keydist.Node {
 			return established(core.WithProcess(5, adversary.NewChallengeRelayNode(cfg, 5, 1, victim)))
 		}, "", ""},
-		{"mixed-predicate", func() []*keydist.Node { return established(core.WithProcess(5, mixed)) }, "", ""},
+		{"mixed-predicate", func() []*keydist.Node { return established(core.WithWrappedProcess(5, mixed.Wrap)) }, "", ""},
 		{"shared-key", func() []*keydist.Node {
-			return established(core.WithProcess(4, shared[0]), core.WithProcess(5, shared[1]))
+			return established(core.WithWrappedProcess(4, shared.Wrap), core.WithWrappedProcess(5, shared.Wrap))
 		}, "", ""},
 		{"silent", func() []*keydist.Node { return established(core.WithProcess(5, sim.Silent{})) }, "", ""},
 	} {

@@ -227,24 +227,24 @@ func E5Theorem2(runs int) *metrics.Table {
 		build func(seed int64) []core.RunOption
 	}{
 		{"foreign-claim", func(seed int64) []core.RunOption {
-			return []core.RunOption{core.WithProcess(5, adversary.NewForeignClaimNode(cfg, 5, victim(seed)))}
+			return []core.RunOption{core.WithWrappedProcess(5, adversary.ForeignClaim(victim(seed)))}
 		}},
 		{"challenge-relay", func(seed int64) []core.RunOption {
 			return []core.RunOption{core.WithProcess(5, adversary.NewChallengeRelayNode(cfg, 5, 1, victim(seed)))}
 		}},
 		{"mixed-predicate", func(seed int64) []core.RunOption {
-			m, err := adversary.NewMixedPredicateNode(cfg, 5, scheme, sim.SeededReader(seed+7), model.NewNodeSet(0, 1))
+			f, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed+7), model.NewNodeSet(0, 1))
 			if err != nil {
 				panic(err)
 			}
-			return []core.RunOption{core.WithProcess(5, m)}
+			return []core.RunOption{core.WithWrappedProcess(5, f.Wrap)}
 		}},
 		{"shared-key", func(seed int64) []core.RunOption {
-			g, err := adversary.NewSharedKeyGroup(cfg, scheme, sim.SeededReader(seed+7), 4, 5)
+			k, err := adversary.NewSharedKey(scheme, sim.SeededReader(seed+7))
 			if err != nil {
 				panic(err)
 			}
-			return []core.RunOption{core.WithProcess(4, g[0]), core.WithProcess(5, g[1])}
+			return []core.RunOption{core.WithWrappedProcess(4, k.Wrap), core.WithWrappedProcess(5, k.Wrap)}
 		}},
 		{"silent", func(int64) []core.RunOption {
 			return []core.RunOption{core.WithProcess(5, sim.Silent{})}

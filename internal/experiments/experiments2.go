@@ -231,15 +231,15 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 	var fdViol, fdSilent, fdDisc int
 	for r := 0; r < runs; r++ {
 		seed := Seed + int64(1100+r)
-		mixed, err := adversary.NewMixedPredicateNode(cfg, 0, scheme, sim.SeededReader(seed), model.NewNodeSet(1))
+		faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed), model.NewNodeSet(1))
 		if err != nil {
 			panic(err)
 		}
-		c := mustCluster(cfg.N, cfg.T, seed, core.WithProcess(0, mixed))
+		c := mustCluster(cfg.N, cfg.T, seed, core.WithWrappedProcess(0, faces.Wrap))
+		smSender, chainSender := e11Senders(cfg, faces, []byte("v"), []byte("u"))
 
 		// SM(t) run with the equivocating mixed-key sender.
-		sm, err := c.RunFailureDiscovery(nil, core.WithProtocol(core.ProtocolSM),
-			core.WithProcess(0, mixedSMSender(mixed, cfg, []byte("v"), []byte("u"))))
+		sm, err := c.RunFailureDiscovery(nil, core.WithProtocol(core.ProtocolSM), core.WithProcess(0, smSender))
 		if err != nil {
 			panic(err)
 		}
@@ -249,7 +249,7 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 		}
 
 		// Chain FD run with the same attack shape.
-		chain, err := c.RunFailureDiscovery(nil, core.WithProcess(0, mixedChainSender(mixed, []byte("v"))))
+		chain, err := c.RunFailureDiscovery(nil, core.WithProcess(0, chainSender))
 		if err != nil {
 			panic(err)
 		}
@@ -268,43 +268,26 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 	return tbl
 }
 
-// mixedSMSender equivocates with the mixed keys over KindSigned.
-func mixedSMSender(mixed *adversary.MixedPredicateNode, cfg model.Config, v, u []byte) sim.Process {
-	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		var out []model.Message
-		for _, to := range cfg.Nodes() {
-			if to == 0 {
-				continue
-			}
-			value := u
-			if to == 1 {
-				value = v
-			}
-			c, err := sig.NewChain(value, mixed.SignerFor(to))
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, model.Message{To: to, Kind: model.KindSigned, Payload: c.Marshal()})
-		}
-		return out
-	})
-}
-
-// mixedChainSender starts the FD chain signed with P_1's key variant.
-func mixedChainSender(mixed *adversary.MixedPredicateNode, v []byte) sim.Process {
-	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		c, err := sig.NewChain(v, mixed.SignerFor(1))
-		if err != nil {
-			panic(err)
-		}
-		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: c.Marshal()}}
-	})
+// e11Senders returns E11's two mixed-key senders of v: the correct SM
+// and chain senders, signing with key one (the key P_1 accepted) over an
+// empty directory, which neither reads. The SM sender shows everyone but
+// P_1 the chain of u under key two.
+func e11Senders(cfg model.Config, faces *adversary.KeyFaces, v, u []byte) (sm, chain sim.Process) {
+	keyOne, keyTwo := faces.SignerFor(1), faces.SignerFor(2)
+	second, err := sig.NewChain(u, keyTwo)
+	if err != nil {
+		panic(err)
+	}
+	smSender, err := ba.NewSMNode(cfg, 0, keyOne, keydist.NewDirectory(), ba.WithSMValue(v))
+	if err != nil {
+		panic(err)
+	}
+	chainSender, err := fd.NewChainNode(cfg, 0, keyOne, keydist.NewDirectory(), fd.WithValue(v))
+	if err != nil {
+		panic(err)
+	}
+	payload := second.Marshal()
+	return adversary.Wrap(smSender, adversary.TwoFaced(model.NewNodeSet(1), func([]byte) []byte { return payload })), chainSender
 }
 
 // RoundsTable summarizes round counts per protocol (part of E8's context).

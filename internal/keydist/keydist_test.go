@@ -96,8 +96,7 @@ func TestG1ForeignClaimRejected(t *testing.T) {
 	cfg := model.Config{N: 4, T: 1}
 	nodes, procs := correctNodes(t, cfg, 7)
 	victimPred := nodes[1].Signer().Predicate()
-	procs[3] = adversary.NewForeignClaimNode(cfg, 3, victimPred)
-	nodes[3] = nil
+	procs[3], nodes[3] = adversary.ForeignClaim(victimPred)(procs[3]), nil
 	runKeyDist(t, cfg, procs)
 
 	for i, node := range nodes {
@@ -161,12 +160,11 @@ func TestG3GapMixedPredicates(t *testing.T) {
 	}
 	nodes, procs := correctNodes(t, cfg, 13)
 	groupA := model.NewNodeSet(0, 1, 2)
-	mixed, err := adversary.NewMixedPredicateNode(cfg, 5, scheme, sim.SeededReader(99), groupA)
+	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(99), groupA)
 	if err != nil {
-		t.Fatalf("NewMixedPredicateNode: %v", err)
+		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	procs[5] = mixed
-	nodes[5] = nil
+	procs[5], nodes[5] = faces.Wrap(procs[5]), nil
 	runKeyDist(t, cfg, procs)
 
 	// Every correct node accepted SOME predicate for node 5 (it answered
@@ -208,11 +206,11 @@ func TestSharedKeyCoalitionAccepted(t *testing.T) {
 		t.Fatalf("ByName: %v", err)
 	}
 	nodes, procs := correctNodes(t, cfg, 17)
-	sharers, err := adversary.NewSharedKeyGroup(cfg, scheme, sim.SeededReader(5), 3, 4)
+	shared, err := adversary.NewSharedKey(scheme, sim.SeededReader(5))
 	if err != nil {
-		t.Fatalf("NewSharedKeyGroup: %v", err)
+		t.Fatalf("NewSharedKey: %v", err)
 	}
-	procs[3], procs[4] = sharers[0], sharers[1]
+	procs[3], procs[4] = shared.Wrap(procs[3]), shared.Wrap(procs[4])
 	nodes[3], nodes[4] = nil, nil
 	runKeyDist(t, cfg, procs)
 

@@ -11,11 +11,11 @@ import (
 // per request — the paper's amortization argument, made a service
 // property. Idle *protocol.SetupCache values are pooled per key set
 // (scheme, n, keySeed), at most 64 key sets, least recently used
-// evicted: an executor checks one out, runs the request through the
-// ordinary driver Prepare path (a warm cache wraps its established nodes
-// in the request's own cluster, a cold one runs the handshake and keeps
-// them), and checks it back in. Key material is a pure function of the
-// key set, so every cluster-backed driver at any t shares its cell, and
+// evicted: an executor checks one out, runs the request through
+// protocol.RunInstance → ClusterSetup (a warm cache wraps its established
+// nodes in the request's own cluster, a cold one runs the handshake and
+// keeps them), and checks it back in. Key material is a pure function of
+// the key set, so every cluster-backed driver at any t shares its cell, and
 // a served verdict is byte-identical to a one-shot campaign.Run of the
 // same instance — the differential tests pin that.
 //

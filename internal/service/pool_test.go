@@ -177,6 +177,31 @@ func TestPoolSharesKeySetAcrossProtocols(t *testing.T) {
 	}
 }
 
+// An empty scheme is ed25519, the core default: a signing request that
+// leaves it empty and one that names it share one key set's cell, and
+// both report the group a campaign run of the named scheme reports.
+func TestPoolEmptySchemeIsEd25519(t *testing.T) {
+	srv, _, cl := startServer(t, Config{Shards: 1}, "alpha")
+	named := campaign.Instance{Protocol: campaign.ProtoChain, N: 4, T: 1, Scheme: sig.SchemeEd25519, Adversary: campaign.AdvNone}
+	for i, scheme := range []string{"", sig.SchemeEd25519} {
+		req := chainRequest(int64(i + 1))
+		req.Scheme = scheme
+		reply, err := cl.Do(req)
+		if err != nil {
+			t.Fatalf("scheme %q: %v", scheme, err)
+		}
+		if want := []string{"pool-miss", "pool-hit"}[i]; reply.Source != want {
+			t.Errorf("scheme %q served as %s, want %s", scheme, reply.Source, want)
+		}
+		if got, want := reply.Result.Group, named.GroupKey(); got != want {
+			t.Errorf("scheme %q reports group %q, want %q", scheme, got, want)
+		}
+	}
+	if s := srv.Snapshot().Pool; s.Cells != 1 {
+		t.Fatalf("pool = %+v, want 1 cell", s)
+	}
+}
+
 // With the pool full, a new key set evicts the one checked out least
 // recently — not the one inserted first.
 func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {

@@ -55,8 +55,9 @@ type Request struct {
 	// N and T are the system size and fault bound.
 	N int `json:"n"`
 	T int `json:"t"`
-	// Scheme is the signature-scheme registry name; empty selects the
-	// core default for signing drivers and is forced empty for unsigned
+	// Scheme is the signature-scheme registry name; empty means
+	// sig.SchemeEd25519 (the core default) for signing drivers, so both
+	// spellings share one pool cell, and is forced empty for unsigned
 	// ones.
 	Scheme string `json:"scheme,omitempty"`
 	// Value optionally overrides the protocol's canonical sender
@@ -229,7 +230,6 @@ type Server struct {
 	draining atomic.Bool
 	panics   atomic.Int64
 	wg       sync.WaitGroup // shard executors
-	connWG   sync.WaitGroup // connection handlers
 
 	// execGate, when non-nil, makes every executor receive a token
 	// before running a task — an in-package test hook that makes queue
@@ -283,11 +283,7 @@ func (s *Server) Serve(acc transport.Acceptor) error {
 
 // Attach adopts one established connection (the in-memory test path).
 func (s *Server) Attach(conn transport.Conn) {
-	s.connWG.Add(1)
-	go func() {
-		defer s.connWG.Done()
-		s.handleConn(conn)
-	}()
+	go s.handleConn(conn)
 }
 
 // handleConn speaks the wire protocol on one connection: hello/ack,
@@ -382,9 +378,12 @@ func (s *Server) resolve(req Request) (campaign.Instance, bool, error) {
 	}
 	caps := drv.Capabilities()
 	scheme := req.Scheme
-	if !caps.UsesSignatures {
+	switch {
+	case !caps.UsesSignatures:
 		scheme = ""
-	} else if scheme != "" {
+	case scheme == "":
+		scheme = sig.SchemeEd25519
+	default:
 		if _, err := sig.ByName(scheme); err != nil {
 			return campaign.Instance{}, false, err
 		}

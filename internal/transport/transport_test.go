@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -55,22 +56,15 @@ func mixedSender(t *testing.T, cfg model.Config) (setup, run []core.RunOption) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := adversary.NewMixedPredicateNode(cfg, 0, scheme, sim.SeededReader(78), model.NewNodeSet(1))
+	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(78), model.NewNodeSet(1))
 	if err != nil {
-		t.Fatalf("NewMixedPredicateNode: %v", err)
+		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		chain, err := sig.NewChain([]byte("v"), mixed.SignerFor(1))
-		if err != nil {
-			t.Errorf("NewChain: %v", err)
-			return nil
-		}
-		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: chain.Marshal()}}
-	})
-	return []core.RunOption{core.WithProcess(0, mixed)}, []core.RunOption{core.WithProcess(0, sender)}
+	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	if err != nil {
+		t.Fatalf("NewChainNode: %v", err)
+	}
+	return []core.RunOption{core.WithWrappedProcess(0, faces.Wrap)}, []core.RunOption{core.WithProcess(0, sender)}
 }
 
 // lifecycle runs key distribution and one chain FD run of value on a
@@ -177,6 +171,89 @@ func TestRunnerViewMatchesSimulator(t *testing.T) {
 				}
 				if survived != tc.survived {
 					t.Errorf("%s: %d directories survived key distribution, want %d", kind, survived, tc.survived)
+				}
+			}
+		})
+	}
+}
+
+// TestCorruptSetupMatchesSimulator runs key distribution under each of
+// the four setup attacks — claim a victim's key, relay its challenges,
+// show two keys, share one — on the simulator, the memory mesh and TCP
+// loopback: every engine gives the same report (messages, bytes, rounds
+// and discoveries), the same surviving directories and the same G1/G2
+// verdicts.
+func TestCorruptSetupMatchesSimulator(t *testing.T) {
+	const n = 5
+	cfg := model.Config{N: n, T: 1}
+	scheme, err := sig.ByName(sig.SchemeEd25519)
+	if err != nil {
+		t.Fatal(err)
+	}
+	establish := func(t *testing.T, engine core.Engine, opts ...core.RunOption) (*core.Cluster, core.Report) {
+		t.Helper()
+		c, err := core.New(cfg, core.WithSeed(79), core.WithEngine(engine))
+		if err != nil {
+			t.Fatalf("core.New: %v", err)
+		}
+		rep, err := c.EstablishAuthentication(opts...)
+		if err != nil {
+			t.Fatalf("EstablishAuthentication: %v", err)
+		}
+		return c, rep
+	}
+	// P1's predicate is public; key material being a pure function of
+	// the seed, an honest establishment reads it.
+	honest, _ := establish(t, nil)
+	victim := honest.Nodes()[1].Signer().Predicate()
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) []core.RunOption
+	}{
+		{"claim", func(*testing.T) []core.RunOption {
+			return []core.RunOption{core.WithWrappedProcess(4, adversary.ForeignClaim(victim))}
+		}},
+		{"relay", func(*testing.T) []core.RunOption {
+			return []core.RunOption{core.WithProcess(4, adversary.NewChallengeRelayNode(cfg, 4, 1, victim))}
+		}},
+		{"mixed", func(t *testing.T) []core.RunOption {
+			faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(80), model.NewNodeSet(0, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []core.RunOption{core.WithWrappedProcess(4, faces.Wrap)}
+		}},
+		{"shared", func(t *testing.T) []core.RunOption {
+			shared, err := adversary.NewSharedKey(scheme, sim.SeededReader(80))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []core.RunOption{core.WithWrappedProcess(3, shared.Wrap), core.WithWrappedProcess(4, shared.Wrap)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			simC, simRep := establish(t, nil, tc.opts(t)...)
+			for _, kind := range []string{"memory", "tcp"} {
+				c, rep := establish(t, transport.MeshEngine(buildEndpoints(t, kind, n)), tc.opts(t)...)
+				if !reflect.DeepEqual(rep, simRep) {
+					t.Errorf("%s: keydist report %v, simulator's %v", kind, rep, simRep)
+				}
+				for i := 0; i < n; i++ {
+					a, b := simC.Nodes()[i], c.Nodes()[i]
+					if (a == nil) != (b == nil) {
+						t.Fatalf("%s: P%d kept its keys on one engine only", kind, i)
+					}
+					for j := 0; a != nil && j < n; j++ {
+						if !a.Directory().AgreesWith(b.Directory(), model.NodeID(j)) {
+							t.Errorf("%s: presence or fingerprint mismatch at (%d,%d)", kind, i, j)
+						}
+					}
+				}
+				if got, want := fmt.Sprint(core.CheckG1(c.Nodes())), fmt.Sprint(core.CheckG1(simC.Nodes())); got != want {
+					t.Errorf("%s: CheckG1 = %s, simulator's %s", kind, got, want)
+				}
+				if got, want := fmt.Sprint(core.CheckG2(c.Nodes())), fmt.Sprint(core.CheckG2(simC.Nodes())); got != want {
+					t.Errorf("%s: CheckG2 = %s, simulator's %s", kind, got, want)
 				}
 			}
 		})
