@@ -49,8 +49,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return []core.RunOption{core.WithProcess(1,
-			adversary.NewResignRelay(c.Config(), 1, signer, []byte("forged value")))}
+		return []core.RunOption{core.WithWrappedProcess(1,
+			adversary.Resign(c.Config(), 1, signer, []byte("forged value")))}
 	})
 
 	runScenario("equivocating sender P0", func(c *core.Cluster) []core.RunOption {

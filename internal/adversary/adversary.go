@@ -4,22 +4,16 @@
 // immediate sender (N2, enforced by the simulator), they cannot block
 // other nodes' messages (N1), and they cannot forge signatures they do
 // not hold (S1–S3). Everything else — silence, lies, equivocation,
-// collusion, key sharing, mixed key distribution — is fair game, and each
-// has a constructor here.
+// collusion, key sharing, mixed key distribution — is fair game.
 //
-// Production fault wiring is filters only: a corrupt node is its CORRECT
-// process under a behavior stack that distorts its outbox (drop, delay,
-// redirect, tamper, inject, show a second face), and a two-faced sender
-// is its protocol's own sender under TwoFaced or InjectAt; so are the
-// key-distribution attackers that claim, mix or share keys (ForeignClaim,
-// KeyFaces). The bespoke processes of fd.go and keydist.go serve
-// experiments and tests only, each for what no filter over its correct
-// process can do: re-sign a chain (ResignRelay), sign a wrong assignee
-// (WrongNameRelay), echo with nothing received (LyingEchoer), and relay
-// challenges in key distribution (ChallengeRelayNode).
+// Every attacker is a filter: a corrupt node is its CORRECT process under
+// a behavior stack that distorts its outbox (drop, delay, redirect,
+// tamper, inject, show a second face, forward what it received). Wrapped
+// is the one process type here; fd.go and keydist.go compose the named
+// attacks of E5–E7 from the filters below.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - OnlyTo, DuplicateTo, LyingEchoer and its methods: fault injectors the unit tests of adversary, core, ba and fd compose.
+//   - LyingEcho: a fault injector the unit tests of adversary, core and fd compose.
 package adversary
 
 import (
@@ -27,13 +21,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Filter transforms the outbox of a wrapped process each round. A Filter
-// is the stateless special case of Behavior: it never buffers messages
-// across rounds.
-type Filter func(round int, out []model.Message) []model.Message
+// Filter transforms the outbox of a wrapped process each round, given
+// the round's inbox too: a filter may forward what the node received. A
+// Filter is the stateless special case of Behavior: it never buffers
+// messages across rounds.
+type Filter func(round int, in, out []model.Message) []model.Message
 
 // Apply implements Behavior.
-func (f Filter) Apply(round int, out []model.Message) []model.Message { return f(round, out) }
+func (f Filter) Apply(round int, in, out []model.Message) []model.Message { return f(round, in, out) }
 
 // Holding implements Behavior; a plain Filter never buffers messages.
 func (Filter) Holding() bool { return false }
@@ -46,7 +41,7 @@ func (Filter) Holding() bool { return false }
 // buffered traffic has drained.
 type Behavior interface {
 	// Apply transforms one round's outbox, exactly like Filter.
-	Apply(round int, out []model.Message) []model.Message
+	Apply(round int, in, out []model.Message) []model.Message
 	// Holding reports whether the behavior buffers messages that later
 	// Apply calls will still release.
 	Holding() bool
@@ -54,7 +49,7 @@ type Behavior interface {
 
 // Wrapped runs an inner process and applies a chain of behaviors to every
 // outbox. The inner process's inbox is untouched: a Byzantine node sees
-// everything sent to it.
+// everything sent to it, and so does every behavior.
 type Wrapped struct {
 	inner     sim.Process
 	behaviors []Behavior
@@ -83,7 +78,7 @@ func WrapBehaviors(inner sim.Process, behaviors ...Behavior) *Wrapped {
 func (w *Wrapped) Step(round int, received []model.Message) []model.Message {
 	out := w.inner.Step(round, received)
 	for _, b := range w.behaviors {
-		out = b.Apply(round, out)
+		out = b.Apply(round, received, out)
 	}
 	return out
 }
@@ -107,7 +102,7 @@ func (w *Wrapped) Finished() bool {
 
 // DropAll silences the node from the given round on (crash fault).
 func DropAll(fromRound int) Filter {
-	return func(round int, out []model.Message) []model.Message {
+	return func(round int, _, out []model.Message) []model.Message {
 		if round >= fromRound {
 			return nil
 		}
@@ -118,23 +113,10 @@ func DropAll(fromRound int) Filter {
 // DropTo suppresses messages to the given victims: the "split" primitive —
 // e.g. a disseminator that withholds the chain from part of the tail.
 func DropTo(victims model.NodeSet) Filter {
-	return func(_ int, out []model.Message) []model.Message {
+	return func(_ int, _, out []model.Message) []model.Message {
 		kept := out[:0]
 		for _, m := range out {
 			if !victims.Contains(m.To) {
-				kept = append(kept, m)
-			}
-		}
-		return kept
-	}
-}
-
-// OnlyTo suppresses messages to everyone except the chosen recipients.
-func OnlyTo(recipients model.NodeSet) Filter {
-	return func(_ int, out []model.Message) []model.Message {
-		kept := out[:0]
-		for _, m := range out {
-			if recipients.Contains(m.To) {
 				kept = append(kept, m)
 			}
 		}
@@ -146,7 +128,7 @@ func OnlyTo(recipients model.NodeSet) Filter {
 // The mutation receives the original buffer and must not write to it
 // (FlipByte copies).
 func TamperPayload(kind model.MessageKind, mutate func([]byte) []byte) Filter {
-	return func(_ int, out []model.Message) []model.Message {
+	return func(_ int, _, out []model.Message) []model.Message {
 		for i := range out {
 			if out[i].Kind == kind {
 				out[i].Payload = mutate(out[i].Payload)
@@ -168,21 +150,6 @@ func FlipByte(i int) func([]byte) []byte {
 		cp := append([]byte(nil), p...)
 		cp[i%len(cp)] ^= 0x01
 		return cp
-	}
-}
-
-// DuplicateTo appends a copy of each outgoing message redirected to extra,
-// modelling a node that leaks protocol traffic to an accomplice or spams a
-// victim with duplicates.
-func DuplicateTo(extra model.NodeID) Filter {
-	return func(_ int, out []model.Message) []model.Message {
-		dup := make([]model.Message, 0, len(out))
-		for _, m := range out {
-			cp := m
-			cp.To = extra
-			dup = append(dup, cp)
-		}
-		return append(out, dup...)
 	}
 }
 
@@ -213,7 +180,7 @@ func DelayBy(rounds int) *Delayer {
 
 // Apply implements Behavior: it buffers this round's outbox and releases
 // the messages that were due this round.
-func (d *Delayer) Apply(round int, out []model.Message) []model.Message {
+func (d *Delayer) Apply(round int, _, out []model.Message) []model.Message {
 	if len(out) > 0 {
 		d.held[round+d.rounds] = append(d.held[round+d.rounds], out...)
 	}
@@ -227,7 +194,7 @@ func (d *Delayer) Holding() bool { return len(d.held) > 0 }
 
 // InjectAt adds fabricated messages to the outbox of the given round.
 func InjectAt(round int, msgs ...model.Message) Filter {
-	return func(r int, out []model.Message) []model.Message {
+	return func(r int, _, out []model.Message) []model.Message {
 		if r == round {
 			return append(out, msgs...)
 		}
@@ -236,12 +203,11 @@ func InjectAt(round int, msgs ...model.Message) Filter {
 }
 
 // FloodTo appends, for each victim in order, one copy of every message
-// in the original outbox. Unlike stacking one DuplicateTo per victim —
-// where each later filter re-copies the duplicates the earlier ones just
-// appended, giving victim k 2^(k-1) copies — every victim receives
+// in the original outbox: a node that leaks protocol traffic to an
+// accomplice or spams victims with duplicates. Every victim receives
 // exactly one copy of each original message.
 func FloodTo(victims []model.NodeID) Filter {
-	return func(_ int, out []model.Message) []model.Message {
+	return func(_ int, _, out []model.Message) []model.Message {
 		orig := len(out)
 		for _, v := range victims {
 			for i := 0; i < orig; i++ {
@@ -254,27 +220,16 @@ func FloodTo(victims []model.NodeID) Filter {
 	}
 }
 
-// TamperAll rewrites the payload of every outgoing message regardless of
-// kind, under TamperPayload's rule: mutate must not write to the buffer
-// it is given.
-func TamperAll(mutate func([]byte) []byte) Filter {
-	return func(_ int, out []model.Message) []model.Message {
-		for i := range out {
-			out[i].Payload = mutate(out[i].Payload)
-		}
-		return out
-	}
-}
-
 // TwoFaced models a node that shows different faces to different peers:
 // messages to faceOne pass untouched while messages to everyone else have
 // their payload rewritten through mutate, under TamperPayload's rule. It
-// is the one equivocation primitive. A two-faced sender's mutate returns
+// is the one equivocation primitive, and with faceOne empty the one
+// tamper-everything primitive. A two-faced sender's mutate returns
 // a constant — the payload its correct process sends for a second value
 // — and a two-faced relay's (FlipByte) a payload no failure-free run
 // produces, so receivers on that side can discover it.
 func TwoFaced(faceOne model.NodeSet, mutate func([]byte) []byte) Filter {
-	return func(_ int, out []model.Message) []model.Message {
+	return func(_ int, _, out []model.Message) []model.Message {
 		for i := range out {
 			if !faceOne.Contains(out[i].To) {
 				out[i].Payload = mutate(out[i].Payload)

@@ -30,17 +30,12 @@ func TestDropAll(t *testing.T) {
 	}
 }
 
-func TestDropToAndOnlyTo(t *testing.T) {
+func TestDropTo(t *testing.T) {
 	out := []model.Message{{To: 1}, {To: 2}, {To: 3}}
 	p := Wrap(constProc(out), DropTo(model.NewNodeSet(2)))
 	got := p.Step(1, nil)
 	if len(got) != 2 || got[0].To != 1 || got[1].To != 3 {
 		t.Errorf("DropTo result: %v", got)
-	}
-	p = Wrap(constProc(out), OnlyTo(model.NewNodeSet(2)))
-	got = p.Step(1, nil)
-	if len(got) != 1 || got[0].To != 2 {
-		t.Errorf("OnlyTo result: %v", got)
 	}
 }
 
@@ -70,11 +65,11 @@ func TestTwoFacedConstantFaceCopiesNothing(t *testing.T) {
 	first, second := []byte("one"), []byte("two")
 	out := []model.Message{{To: 1, Payload: first}, {To: 2, Payload: first}, {To: 3, Payload: first}}
 	f := TwoFaced(model.NewNodeSet(0, 1), func([]byte) []byte { return second })
-	got := f(1, out)
+	got := f(1, nil, out)
 	if &got[0].Payload[0] != &first[0] || &got[1].Payload[0] != &second[0] || &got[2].Payload[0] != &second[0] {
 		t.Errorf("faces = %q %q %q, want the first buffer then the constant twice", got[0].Payload, got[1].Payload, got[2].Payload)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { f(1, out) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { f(1, nil, out) }); allocs != 0 {
 		t.Errorf("TwoFaced allocates %v per outbox", allocs)
 	}
 }
@@ -87,10 +82,10 @@ func TestFlipByteEmpty(t *testing.T) {
 
 func TestDuplicateTo(t *testing.T) {
 	out := []model.Message{{To: 1, Payload: []byte("x")}}
-	p := Wrap(constProc(out), DuplicateTo(4))
+	p := Wrap(constProc(out), FloodTo([]model.NodeID{4}))
 	got := p.Step(1, nil)
 	if len(got) != 2 || got[1].To != 4 || !bytes.Equal(got[1].Payload, []byte("x")) {
-		t.Errorf("DuplicateTo result: %v", got)
+		t.Errorf("FloodTo result: %v", got)
 	}
 }
 
@@ -109,10 +104,10 @@ func TestFiltersCompose(t *testing.T) {
 	out := []model.Message{{To: 1}, {To: 2}}
 	p := Wrap(constProc(out),
 		DropTo(model.NewNodeSet(1)),
-		DuplicateTo(3),
+		FloodTo([]model.NodeID{3}),
 	)
 	got := p.Step(1, nil)
-	// After DropTo: [{To:2}]; after DuplicateTo: [{To:2},{To:3}].
+	// After DropTo: [{To:2}]; after FloodTo: [{To:2},{To:3}].
 	if len(got) != 2 || got[0].To != 2 || got[1].To != 3 {
 		t.Errorf("composition result: %v", got)
 	}

@@ -3,164 +3,73 @@ package adversary
 import (
 	"fmt"
 
-	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/sig"
+	"repro/internal/sim"
 )
 
-// Adversaries against the failure-discovery protocols. They probe F1–F3
-// (paper §4) and Theorem 4's discovery guarantee. Each either fails to
-// affect correct nodes' agreement or provably causes some correct node to
-// discover a failure — that dichotomy is what experiments E6/E7 measure.
+// Adversaries against the failure-discovery protocols (F1–F3, paper §4;
+// Theorem 4): each leaves correct nodes agreeing or makes one discover a
+// failure, the dichotomy E6/E7 measure. Pass them to core.WithWrappedProcess.
 
-// ResignRelay is a faulty relay that discards the incoming chain and
-// starts a fresh chain over its own value, signed only by itself. The
-// replacement lacks the signatures of P_0 … P_{i-1}, so the next hop's
-// sub-message check (Fig. 2's "check the signatures of the message and
-// the submessages") rejects it.
-type ResignRelay struct {
-	id     model.NodeID
-	cfg    model.Config
-	signer sig.Signer
-	value  []byte
-}
-
-// NewResignRelay builds the chain-replacing relay.
-func NewResignRelay(cfg model.Config, id model.NodeID, signer sig.Signer, value []byte) *ResignRelay {
-	return &ResignRelay{id: id, cfg: cfg, signer: signer, value: value}
-}
-
-// Step implements sim.Process.
-func (a *ResignRelay) Step(round int, received []model.Message) []model.Message {
-	if round != int(a.id)+1 {
-		return nil
+// Resign silences relay id of Fig. 2 and, in its round, sends in its
+// place a fresh chain over value signed by signer alone, padded with
+// self-extensions to the length the next hop expects: only the signer
+// identities are wrong, isolating the sub-message check as the detecting
+// mechanism.
+func Resign(cfg model.Config, id model.NodeID, signer sig.Signer, value []byte) func(sim.Process) sim.Process {
+	chain, err := sig.NewChain(value, signer)
+	for err == nil && chain.Len() <= int(id) {
+		chain, err = chain.Extend(id, signer)
 	}
-	chain, err := sig.NewChain(a.value, a.signer)
 	if err != nil {
 		panic(fmt.Sprintf("adversary: resign: %v", err))
 	}
-	// Pad the chain with self-extensions so the LENGTH matches what the
-	// next hop expects; only the signer identities are wrong, isolating
-	// the sub-message check as the detecting mechanism.
-	for len(chainSigners(chain, a.id)) < int(a.id)+1 {
-		chain, err = chain.Extend(a.id, a.signer)
-		if err != nil {
-			panic(fmt.Sprintf("adversary: pad chain: %v", err))
+	var sends []model.Message
+	for _, q := range cfg.Nodes()[id+1:] {
+		if q == id+1 || int(id) == cfg.T {
+			sends = append(sends, model.Message{To: q, Kind: model.KindChainValue, Payload: chain.Marshal()})
 		}
 	}
-	next := a.id + 1
-	if int(a.id) == a.cfg.T {
-		var out []model.Message
-		for j := a.cfg.T + 1; j < a.cfg.N; j++ {
-			out = append(out, model.Message{To: model.NodeID(j), Kind: model.KindChainValue, Payload: chain.Marshal()})
+	return func(p sim.Process) sim.Process { return Wrap(p, DropAll(1), InjectAt(int(id)+1, sends...)) }
+}
+
+// WrongName re-signs a relay's outgoing chain naming wrongName, not its
+// true predecessor, as the assignee of the chain it received — the exact
+// misbehaviour the "signed together with the name of the node it is
+// assigned to" rule exists to expose (Theorem 4's assignment check).
+func WrongName(signer sig.Signer, wrongName model.NodeID) func(sim.Process) sim.Process {
+	rename := func(payload []byte) []byte {
+		chain, err := sig.UnmarshalChain(payload)
+		if err == nil && chain.Len() > 1 {
+			if chain, err = chain.Inner().Extend(wrongName, signer); err == nil {
+				return chain.Marshal()
+			}
+		}
+		return payload
+	}
+	return func(p sim.Process) sim.Process { return Wrap(p, TamperPayload(model.KindChainValue, rename)) }
+}
+
+// LyingEcho makes echoer id of the NON-authenticated baseline echo forged
+// to the victims, and to everyone when it has nothing to echo. Without
+// signatures nothing stops the lie itself; the victims discover the
+// mismatch against the sender's value, which is why the baseline needs t
+// echoers and O(n·t) messages to begin with.
+func LyingEcho(cfg model.Config, id model.NodeID, forged []byte, victims model.NodeSet) func(sim.Process) sim.Process {
+	truthful := model.NewNodeSet()
+	for _, q := range cfg.Nodes() {
+		if !victims.Contains(q) {
+			truthful.Add(q)
+		}
+	}
+	orForged := func(round int, _, out []model.Message) []model.Message {
+		if round == 2 && len(out) == 0 {
+			return model.AppendBroadcast(out, cfg.N, id, model.KindEcho, forged)
 		}
 		return out
 	}
-	return []model.Message{{To: next, Kind: model.KindChainValue, Payload: chain.Marshal()}}
-}
-
-// Finished implements sim.Finisher.
-func (a *ResignRelay) Finished() bool { return true }
-
-func chainSigners(c *sig.Chain, sender model.NodeID) []model.NodeID {
-	return c.Signers(sender)
-}
-
-// LyingEchoer is a faulty echoer for the NON-authenticated baseline: it
-// echoes the true value to some nodes and a forged value to the victims.
-// Without signatures nothing stops the lie itself; the victims discover
-// the mismatch against the sender's value, which is why the baseline
-// needs t echoers and O(n·t) messages to begin with.
-type LyingEchoer struct {
-	id      model.NodeID
-	cfg     model.Config
-	forged  []byte
-	victims model.NodeSet
-	got     []byte
-}
-
-// NewLyingEchoer builds the echoer; victims receive forged instead of the
-// received value.
-func NewLyingEchoer(cfg model.Config, id model.NodeID, forged []byte, victims model.NodeSet) *LyingEchoer {
-	return &LyingEchoer{id: id, cfg: cfg, forged: forged, victims: victims}
-}
-
-// Step implements sim.Process.
-func (a *LyingEchoer) Step(round int, received []model.Message) []model.Message {
-	for _, m := range received {
-		if m.Kind == model.KindPlainValue && m.From == fd.Sender {
-			a.got = append([]byte(nil), m.Payload...)
-		}
+	return func(p sim.Process) sim.Process {
+		return Wrap(p, orForged, TwoFaced(truthful, func([]byte) []byte { return forged }))
 	}
-	if round != 2 {
-		return nil
-	}
-	truth := a.got
-	if truth == nil {
-		truth = a.forged
-	}
-	out := make([]model.Message, 0, a.cfg.N-1)
-	for _, to := range a.cfg.Nodes() {
-		if to == a.id {
-			continue
-		}
-		payload := truth
-		if a.victims.Contains(to) {
-			payload = a.forged
-		}
-		out = append(out, model.Message{To: to, Kind: model.KindEcho, Payload: payload})
-	}
-	return out
 }
-
-// Finished implements sim.Finisher.
-func (a *LyingEchoer) Finished() bool { return true }
-
-// WrongNameRelay extends the chain correctly except that it embeds a
-// WRONG assignee name for its predecessor — the exact misbehaviour the
-// "signed together with the name of the node it is assigned to" rule
-// exists to expose (Theorem 4's sub-message assignment check).
-type WrongNameRelay struct {
-	id        model.NodeID
-	cfg       model.Config
-	signer    sig.Signer
-	wrongName model.NodeID
-}
-
-// NewWrongNameRelay builds the relay; it attributes the received chain to
-// wrongName instead of its true predecessor.
-func NewWrongNameRelay(cfg model.Config, id model.NodeID, signer sig.Signer, wrongName model.NodeID) *WrongNameRelay {
-	return &WrongNameRelay{id: id, cfg: cfg, signer: signer, wrongName: wrongName}
-}
-
-// Step implements sim.Process.
-func (a *WrongNameRelay) Step(round int, received []model.Message) []model.Message {
-	if round != int(a.id)+1 {
-		return nil
-	}
-	for _, m := range received {
-		if m.Kind != model.KindChainValue {
-			continue
-		}
-		chain, err := sig.UnmarshalChain(m.Payload)
-		if err != nil {
-			continue
-		}
-		ext, err := chain.Extend(a.wrongName, a.signer)
-		if err != nil {
-			continue
-		}
-		if int(a.id) == a.cfg.T {
-			var out []model.Message
-			for j := a.cfg.T + 1; j < a.cfg.N; j++ {
-				out = append(out, model.Message{To: model.NodeID(j), Kind: model.KindChainValue, Payload: ext.Marshal()})
-			}
-			return out
-		}
-		return []model.Message{{To: a.id + 1, Kind: model.KindChainValue, Payload: ext.Marshal()}}
-	}
-	return nil
-}
-
-// Finished implements sim.Finisher.
-func (a *WrongNameRelay) Finished() bool { return true }

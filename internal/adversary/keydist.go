@@ -14,13 +14,12 @@ import (
 // probe exactly the properties Theorem 2 claims:
 //
 //	G1: a faulty node must not get a correct node's key accepted for
-//	    itself (ForeignClaim, ChallengeRelayNode try);
+//	    itself (ForeignClaim, ChallengeRelay try);
 //	G2: a correct node's key must be accepted by all correct nodes
 //	    (nothing an adversary does below can prevent it, tested in E5);
 //	G3 (absent): KeyFaces shows peers different keys, or one shared key.
 //
-// ForeignClaim and KeyFaces filter the node's correct Fig. 1 process;
-// ChallengeRelayNode forwards what it receives, which no filter can do.
+// Each filters the node's correct Fig. 1 process.
 
 // ForeignClaim wraps a correct node to broadcast a VICTIM's predicate as
 // its own and then say nothing: it holds no matching secret key (S3), so
@@ -35,70 +34,41 @@ func ForeignClaim(victim sig.TestPredicate) func(sim.Process) sim.Process {
 	}
 }
 
-// ChallengeRelayNode claims a victim's predicate and then tries to launder
-// the challenges through the victim itself: when challenger C sends it
-// {C, A, r}, it forwards the challenge to the victim V hoping V signs
-// something usable. A correct victim signs only challenges of the form
-// {sender, V, r} naming itself and the true immediate sender, so the
-// harvested signature (if any) never matches what C expects — the reason
-// the challenge carries BOTH names (paper §3.1).
-type ChallengeRelayNode struct {
-	id     model.NodeID
-	cfg    model.Config
-	victim model.NodeID
-	pred   sig.TestPredicate
-}
-
-// NewChallengeRelayNode builds the relaying claimant.
-func NewChallengeRelayNode(cfg model.Config, id, victim model.NodeID, victimPred sig.TestPredicate) *ChallengeRelayNode {
-	return &ChallengeRelayNode{id: id, cfg: cfg, victim: victim, pred: victimPred}
-}
-
-// Step implements sim.Process.
-func (a *ChallengeRelayNode) Step(round int, received []model.Message) []model.Message {
-	var out []model.Message
-	switch round {
-	case keydist.RoundBroadcast:
-		for _, to := range a.cfg.Nodes() {
-			if to != a.id {
-				out = append(out, model.Message{To: to, Kind: model.KindTestPredicate, Payload: a.pred.Bytes()})
-			}
-		}
-	case keydist.RoundChallenge:
-		// Preemptively probe the victim with misdirected challenges,
-		// hoping to harvest a signature usable toward some challenger C:
-		// one challenge names C as challenger (the victim must refuse: C
-		// is not the immediate sender), one names ourselves (the victim
-		// signs, but the signature binds OUR name and OUR nonce, so it can
-		// never satisfy C's verification).
-		for _, c := range a.cfg.Nodes() {
-			if c == a.id || c == a.victim {
-				continue
-			}
-			forged := keydist.Challenge{Challenger: c, Challenged: a.victim, Nonce: make([]byte, keydist.NonceSize)}
-			out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: forged.Marshal()})
-		}
-		own := keydist.Challenge{Challenger: a.id, Challenged: a.victim, Nonce: make([]byte, keydist.NonceSize)}
-		out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: own.Marshal()})
-	case keydist.RoundResponse:
-		// Real challenges addressed to us arrive now; forward them to the
-		// victim verbatim (they will arrive a round late AND misnamed —
-		// doubly refused). What the victim signs for our own probe
-		// arrives after the response round: too late to replay.
-		for _, m := range received {
-			if m.Kind != model.KindChallenge {
-				continue
-			}
-			if _, err := keydist.ParseChallenge(m.Payload); err == nil {
-				out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: m.Payload})
-			}
+// ChallengeRelay claims a victim's predicate (ForeignClaim) and tries to
+// launder challenges through the victim: in round 2 it probes the victim
+// with challenges naming each challenger C (refused: C is not the
+// immediate sender) and itself (signed, but binding its own name and
+// nonce, and too late to replay); in round 3 it forwards each challenge
+// it receives to the victim, a round late and misnamed. Nothing harvested
+// matches what C expects — why a challenge names BOTH parties (§3.1).
+func ChallengeRelay(cfg model.Config, id, victim model.NodeID, victimPred sig.TestPredicate) func(sim.Process) sim.Process {
+	probe := func(challenger model.NodeID) model.Message {
+		ch := keydist.Challenge{Challenger: challenger, Challenged: victim, Nonce: make([]byte, keydist.NonceSize)}
+		return model.Message{To: victim, Kind: model.KindChallenge, Payload: ch.Marshal()}
+	}
+	var probes []model.Message
+	for _, c := range cfg.Nodes() {
+		if c != id && c != victim {
+			probes = append(probes, probe(c))
 		}
 	}
-	return out
+	probes = append(probes, probe(id))
+	forward := func(round int, in, out []model.Message) []model.Message {
+		if round != keydist.RoundResponse {
+			return out
+		}
+		for _, m := range in {
+			if _, err := keydist.ParseChallenge(m.Payload); m.Kind == model.KindChallenge && err == nil {
+				out = append(out, model.Message{To: victim, Kind: model.KindChallenge, Payload: m.Payload})
+			}
+		}
+		return out
+	}
+	claim := ForeignClaim(victimPred)
+	return func(p sim.Process) sim.Process {
+		return Wrap(claim(p), InjectAt(keydist.RoundChallenge, probes...), forward)
+	}
 }
-
-// Finished implements sim.Finisher.
-func (a *ChallengeRelayNode) Finished() bool { return true }
 
 // KeyFaces holds the key pairs a faulty node shows in key distribution,
 // chosen by recipient: faceOne sees key one, everyone else key two. Its
@@ -150,7 +120,7 @@ func (k *KeyFaces) Wrap(p sim.Process) sim.Process { return Wrap(p, k.filter) }
 
 // filter shows each recipient its face: the predicate and a response
 // re-signed with its key. Challenges are dropped.
-func (k *KeyFaces) filter(_ int, out []model.Message) []model.Message {
+func (k *KeyFaces) filter(_ int, _, out []model.Message) []model.Message {
 	kept := out[:0]
 	for _, m := range out {
 		switch m.Kind {

@@ -7,9 +7,11 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -17,10 +19,11 @@ import (
 	"repro/internal/transport"
 )
 
-// The three hand-written key-distribution attackers that ForeignClaim
-// and KeyFaces replaced, kept as the oracles their filter forms are
-// checked against: each copies Fig. 1's broadcast and respond rounds
-// instead of filtering the correct node's.
+// The four hand-written key-distribution attackers that ForeignClaim,
+// KeyFaces and ChallengeRelay replaced, kept as the oracles their filter
+// forms are checked against: each copies Fig. 1's rounds instead of
+// filtering the correct node's. The harness below also runs the
+// failure-discovery oracles of fd_ref_test.go.
 
 // refForeignClaimNode broadcasts a victim's test predicate as its own
 // and stays silent afterwards.
@@ -166,23 +169,107 @@ func (a *refSharedKeyNode) Step(round int, received []model.Message) []model.Mes
 
 func (a *refSharedKeyNode) Finished() bool { return true }
 
-// attackCase is one key-distribution attack on one seeded cluster.
+// refChallengeRelayNode claims a victim's predicate and then tries to launder
+// the challenges through the victim itself: when challenger C sends it
+// {C, A, r}, it forwards the challenge to the victim V hoping V signs
+// something usable. A correct victim signs only challenges of the form
+// {sender, V, r} naming itself and the true immediate sender, so the
+// harvested signature (if any) never matches what C expects — the reason
+// the challenge carries BOTH names (paper §3.1).
+type refChallengeRelayNode struct {
+	id     model.NodeID
+	cfg    model.Config
+	victim model.NodeID
+	pred   sig.TestPredicate
+}
+
+// newRefChallengeRelayNode builds the relaying claimant.
+func newRefChallengeRelayNode(cfg model.Config, id, victim model.NodeID, victimPred sig.TestPredicate) *refChallengeRelayNode {
+	return &refChallengeRelayNode{id: id, cfg: cfg, victim: victim, pred: victimPred}
+}
+
+// Step implements sim.Process.
+func (a *refChallengeRelayNode) Step(round int, received []model.Message) []model.Message {
+	var out []model.Message
+	switch round {
+	case keydist.RoundBroadcast:
+		for _, to := range a.cfg.Nodes() {
+			if to != a.id {
+				out = append(out, model.Message{To: to, Kind: model.KindTestPredicate, Payload: a.pred.Bytes()})
+			}
+		}
+	case keydist.RoundChallenge:
+		// Preemptively probe the victim with misdirected challenges,
+		// hoping to harvest a signature usable toward some challenger C:
+		// one challenge names C as challenger (the victim must refuse: C
+		// is not the immediate sender), one names ourselves (the victim
+		// signs, but the signature binds OUR name and OUR nonce, so it can
+		// never satisfy C's verification).
+		for _, c := range a.cfg.Nodes() {
+			if c == a.id || c == a.victim {
+				continue
+			}
+			forged := keydist.Challenge{Challenger: c, Challenged: a.victim, Nonce: make([]byte, keydist.NonceSize)}
+			out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: forged.Marshal()})
+		}
+		own := keydist.Challenge{Challenger: a.id, Challenged: a.victim, Nonce: make([]byte, keydist.NonceSize)}
+		out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: own.Marshal()})
+	case keydist.RoundResponse:
+		// Real challenges addressed to us arrive now; forward them to the
+		// victim verbatim (they will arrive a round late AND misnamed —
+		// doubly refused). What the victim signs for our own probe
+		// arrives after the response round: too late to replay.
+		for _, m := range received {
+			if m.Kind != model.KindChallenge {
+				continue
+			}
+			if _, err := keydist.ParseChallenge(m.Payload); err == nil {
+				out = append(out, model.Message{To: a.victim, Kind: model.KindChallenge, Payload: m.Payload})
+			}
+		}
+	}
+	return out
+}
+
+// Finished implements sim.Finisher.
+func (a *refChallengeRelayNode) Finished() bool { return true }
+
+// attackCase is one attack on one seeded cluster: on its key
+// distribution, or — for the fdAttacks — on a failure-discovery run
+// after an honest one.
 type attackCase struct {
-	attack  string // "claim", "mixed" or "shared"
-	n       int
-	seed    int64
-	faulty  model.NodeID
+	attack string
+	n, t   int
+	seed   int64
+	faulty model.NodeID
+	// faceOne is the group the mixed attacker shows key one, and the
+	// echoer's victims.
 	faceOne model.NodeSet
 	scheme  string
 	mesh    bool
 }
+
+var (
+	// setupAttacks corrupt key distribution. "relay-misnamed" adds a
+	// faulty challenger whose challenges name the wrong challenged node:
+	// the relay forwards them, though its correct process refuses to sign
+	// them, so no filter of its responses could — the case that gives a
+	// Filter the round's inbox.
+	setupAttacks = []string{"claim", "mixed", "shared", "relay", "relay-misnamed"}
+	// fdAttacks corrupt a chain run of the value "v" — the echo attacks a
+	// non-authenticated one — after an honest key distribution; "collude"
+	// and "echo-silent" silence the sender too.
+	fdAttacks = []string{"resign", "collude", "wrong-name", "echo", "echo-silent"}
+)
+
+func (c attackCase) onFD() bool { return slices.Contains(fdAttacks, c.attack) }
 
 func (c attackCase) String() string {
 	engine := "sim"
 	if c.mesh {
 		engine = "mesh"
 	}
-	return fmt.Sprintf("%s/n=%d/seed=%d/P%d/faceOne=%v/%s/%s", c.attack, c.n, c.seed, c.faulty, c.faceOne, c.scheme, engine)
+	return fmt.Sprintf("%s/n=%d/t=%d/seed=%d/P%d/faceOne=%v/%s/%s", c.attack, c.n, c.t, c.seed, c.faulty, c.faceOne, c.scheme, engine)
 }
 
 // faceOneShapes are the recipient groups the mixed attacker shows key
@@ -201,48 +288,103 @@ func faceOneShapes(n int, faulty model.NodeID) []model.NodeSet {
 	return []model.NodeSet{model.NewNodeSet(), model.NewNodeSet(peer), half, allButOne}
 }
 
-// attackEstablishment is what a corrupt key distribution leaves behind.
+// slot is one faulty node in one form of an attack: a process that
+// replaces it (a reference) or a wrap of its correct process (a filter
+// form).
+type slot struct {
+	id   model.NodeID
+	proc sim.Process
+	wrap func(sim.Process) sim.Process
+}
+
+// attackEstablishment is what an attacked run leaves behind.
 type attackEstablishment struct {
 	delivered []model.Message
 	report    core.Report
 	nodes     []*keydist.Node
+	// finished counts the faulty slots whose process is Finished at the
+	// end of the run.
+	finished int
 }
 
-// establish runs key distribution under opts on the case's seeded
-// cluster, recording every delivered message.
-func (c attackCase) establish(t testing.TB, opts ...core.RunOption) attackEstablishment {
+// establish runs the case's cluster with the faulty slots attack puts
+// in it (none when attack is nil), recording every delivered message of
+// key distribution and, for an fdAttack, of the failure-discovery run
+// that follows it.
+func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) attackEstablishment {
 	t.Helper()
 	rec := &sim.RecordingTracer{}
 	clusterOpts := []core.Option{core.WithSeed(c.seed), core.WithScheme(c.scheme), core.WithTracer(rec)}
 	if c.mesh {
 		clusterOpts = append(clusterOpts, core.WithEngine(transport.MeshEngine(transport.NewMemoryMesh(c.n).Endpoints())))
 	}
-	cl, err := core.New(model.Config{N: c.n, T: 1}, clusterOpts...)
+	cl, err := core.New(model.Config{N: c.n, T: c.t}, clusterOpts...)
 	if err != nil {
 		t.Fatalf("%v: core.New: %v", c, err)
 	}
-	rep, err := cl.EstablishAuthentication(opts...)
+	var faulty []sim.Process
+	options := func() []core.RunOption {
+		var opts []core.RunOption
+		for _, s := range attack(cl) {
+			if s.proc != nil {
+				faulty = append(faulty, s.proc)
+				opts = append(opts, core.WithProcess(s.id, s.proc))
+				continue
+			}
+			opts = append(opts, core.WithWrappedProcess(s.id, func(p sim.Process) sim.Process {
+				w := s.wrap(p)
+				faulty = append(faulty, w)
+				return w
+			}))
+		}
+		return opts
+	}
+	var setup []core.RunOption
+	if attack != nil && !c.onFD() {
+		setup = options()
+	}
+	rep, err := cl.EstablishAuthentication(setup...)
 	if err != nil {
 		t.Fatalf("%v: EstablishAuthentication: %v", c, err)
 	}
-	return attackEstablishment{delivered: rec.Messages(), report: rep, nodes: cl.Nodes()}
+	if attack != nil && c.onFD() {
+		opts := options()
+		if strings.HasPrefix(c.attack, "echo") {
+			opts = append(opts, core.WithProtocol(core.ProtocolNonAuth))
+		}
+		if rep, err = cl.RunFailureDiscovery([]byte("v"), opts...); err != nil {
+			t.Fatalf("%v: RunFailureDiscovery: %v", c, err)
+		}
+	}
+	done := 0
+	for _, p := range faulty {
+		if p.(sim.Finisher).Finished() {
+			done++
+		}
+	}
+	return attackEstablishment{delivered: rec.Messages(), report: rep, nodes: cl.Nodes(), finished: done}
 }
 
-// refAndFilter returns the case's attack as its reference process and
-// as its filter form, each as setup run options.
-func (c attackCase) refAndFilter(t testing.TB) (ref, filter []core.RunOption) {
+// refAndFilter returns the case's attack in its reference form and in
+// its filter form.
+func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) []slot) {
 	t.Helper()
-	cfg := model.Config{N: c.n, T: 1}
+	cfg := model.Config{N: c.n, T: c.t}
 	scheme, err := sig.ByName(c.scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := func() io.Reader { return sim.SeededReader(c.seed + 7) }
+	peer := func(k int) model.NodeID { return (c.faulty + model.NodeID(k)) % model.NodeID(c.n) }
+	// The attacker in both forms, and the faulty bystanders both share.
+	var refProc func(*core.Cluster) sim.Process
+	var wrap func(*core.Cluster) func(sim.Process) sim.Process
+	var bystanders []slot
 	switch c.attack {
 	case "claim":
-		victim := c.establish(t).nodes[(c.faulty+1)%model.NodeID(c.n)].Signer().Predicate()
-		return []core.RunOption{core.WithProcess(c.faulty, &refForeignClaimNode{id: c.faulty, cfg: cfg, victim: victim})},
-			[]core.RunOption{core.WithWrappedProcess(c.faulty, ForeignClaim(victim))}
+		victim := c.establish(t, nil).nodes[peer(1)].Signer().Predicate()
+		refProc = func(*core.Cluster) sim.Process { return &refForeignClaimNode{id: c.faulty, cfg: cfg, victim: victim} }
+		wrap = func(*core.Cluster) func(sim.Process) sim.Process { return ForeignClaim(victim) }
 	case "mixed":
 		mixed, err := newRefMixedPredicateNode(cfg, c.faulty, scheme, keys(), c.faceOne)
 		if err != nil {
@@ -252,11 +394,10 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter []core.RunOption) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []core.RunOption{core.WithProcess(c.faulty, mixed)},
-			[]core.RunOption{core.WithWrappedProcess(c.faulty, faces.Wrap)}
+		refProc = func(*core.Cluster) sim.Process { return mixed }
+		wrap = func(*core.Cluster) func(sim.Process) sim.Process { return faces.Wrap }
 	case "shared":
-		other := (c.faulty + 1) % model.NodeID(c.n)
-		group, err := newRefSharedKeyGroup(cfg, scheme, keys(), c.faulty, other)
+		group, err := newRefSharedKeyGroup(cfg, scheme, keys(), c.faulty, peer(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +405,56 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter []core.RunOption) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []core.RunOption{core.WithProcess(c.faulty, group[0]), core.WithProcess(other, group[1])},
-			[]core.RunOption{core.WithWrappedProcess(c.faulty, shared.Wrap), core.WithWrappedProcess(other, shared.Wrap)}
+		return func(*core.Cluster) []slot {
+				return []slot{{id: c.faulty, proc: group[0]}, {id: peer(1), proc: group[1]}}
+			},
+			func(*core.Cluster) []slot {
+				return []slot{{id: c.faulty, wrap: shared.Wrap}, {id: peer(1), wrap: shared.Wrap}}
+			}
+	case "relay", "relay-misnamed":
+		victim := c.establish(t, nil).nodes[peer(2)].Signer().Predicate()
+		refProc = func(*core.Cluster) sim.Process { return newRefChallengeRelayNode(cfg, c.faulty, peer(2), victim) }
+		wrap = func(*core.Cluster) func(sim.Process) sim.Process {
+			return ChallengeRelay(cfg, c.faulty, peer(2), victim)
+		}
+		if c.attack == "relay-misnamed" {
+			// Byte 15 is the last byte of the challenged node's name.
+			bystanders = []slot{{id: peer(1), wrap: func(p sim.Process) sim.Process {
+				return Wrap(p, TamperPayload(model.KindChallenge, FlipByte(15)))
+			}}}
+		}
+	case "resign", "collude":
+		signer := func(cl *core.Cluster) sig.Signer { return cl.Nodes()[c.faulty].Signer() }
+		if c.attack == "collude" {
+			signer = func(cl *core.Cluster) sig.Signer { return cl.Nodes()[fd.Sender].Signer() }
+			bystanders = []slot{{id: fd.Sender, proc: sim.Silent{}}}
+		}
+		refProc = func(cl *core.Cluster) sim.Process {
+			return newRefResignRelay(cfg, c.faulty, signer(cl), []byte("forged"))
+		}
+		wrap = func(cl *core.Cluster) func(sim.Process) sim.Process {
+			return Resign(cfg, c.faulty, signer(cl), []byte("forged"))
+		}
+	case "wrong-name":
+		refProc = func(cl *core.Cluster) sim.Process {
+			return newRefWrongNameRelay(cfg, c.faulty, cl.Nodes()[c.faulty].Signer(), peer(3))
+		}
+		wrap = func(cl *core.Cluster) func(sim.Process) sim.Process {
+			return WrongName(cl.Nodes()[c.faulty].Signer(), peer(3))
+		}
+	case "echo", "echo-silent":
+		refProc = func(*core.Cluster) sim.Process { return newRefLyingEchoer(cfg, c.faulty, []byte("lie"), c.faceOne) }
+		wrap = func(*core.Cluster) func(sim.Process) sim.Process {
+			return LyingEcho(cfg, c.faulty, []byte("lie"), c.faceOne)
+		}
+		if c.attack == "echo-silent" {
+			bystanders = []slot{{id: fd.Sender, proc: sim.Silent{}}}
+		}
+	default:
+		t.Fatalf("unknown attack %q", c.attack)
 	}
-	t.Fatalf("unknown attack %q", c.attack)
-	return nil, nil
+	return func(cl *core.Cluster) []slot { return append([]slot{{id: c.faulty, proc: refProc(cl)}}, bystanders...) },
+		func(cl *core.Cluster) []slot { return append([]slot{{id: c.faulty, wrap: wrap(cl)}}, bystanders...) }
 }
 
 // compareMessage orders delivered messages canonically: a mesh delivers
@@ -279,12 +465,14 @@ func compareMessage(a, b model.Message) int {
 }
 
 // checkAttackMatchesReference runs the case's reference attacker and its
-// filter form and asserts the same delivered traffic, report, surviving
+// filter form and asserts the same delivered traffic (every round's
+// messages, payload bytes included), report (rounds executed, traffic,
+// outcomes and discoveries), faulty processes finished, surviving
 // directories and G1/G2 verdicts.
 func checkAttackMatchesReference(t testing.TB, c attackCase) {
 	t.Helper()
-	refOpts, filterOpts := c.refAndFilter(t)
-	want, got := c.establish(t, refOpts...), c.establish(t, filterOpts...)
+	ref, filter := c.refAndFilter(t)
+	want, got := c.establish(t, ref), c.establish(t, filter)
 	slices.SortFunc(want.delivered, compareMessage)
 	slices.SortFunc(got.delivered, compareMessage)
 	if !reflect.DeepEqual(got.delivered, want.delivered) {
@@ -292,6 +480,9 @@ func checkAttackMatchesReference(t testing.TB, c attackCase) {
 	}
 	if !reflect.DeepEqual(got.report, want.report) {
 		t.Fatalf("%v: report %+v, reference %+v", c, got.report, want.report)
+	}
+	if got.finished != want.finished {
+		t.Fatalf("%v: %d faulty processes finished, reference %d", c, got.finished, want.finished)
 	}
 	for i := range want.nodes {
 		a, b := want.nodes[i], got.nodes[i]
@@ -319,17 +510,30 @@ func checkAttackMatchesReference(t testing.TB, c attackCase) {
 	}
 }
 
-// attackCases covers n = 4…10 at five seeds each: the faulty node walks
-// from P_0 down from the top, the schemes rotate, and the mixed attack
-// shows every faceOne shape at every size; every case runs on the
+// attackCases covers n = 4…10: the first three setup attacks at five
+// seeds each, the faulty node walking from P_0 down from the top, the
+// schemes rotating and the mixed attack showing every faceOne shape at
+// every size; then the rest at three seeds each, t = 2, the challenge
+// relay's faulty node walking the same way and every fdAttack's on the
+// relay P_1 and the disseminator P_2, the echoer lying to every faceOne
+// shape; last, E5's challenge relay (n=6, P5, victim P1) and E6/E7's
+// relays (n=6: P1 re-signing or naming P4, P2 re-signing with P0's key)
+// as the experiments run them, under ed25519. Every case runs on the
 // simulator and on the memory mesh.
 func attackCases() []attackCase {
 	schemes := []string{sig.SchemeEd25519, sig.SchemeHMAC, sig.SchemeToy}
 	var cases []attackCase
+	add := func(variants ...attackCase) {
+		for _, v := range variants {
+			onMesh := v
+			onMesh.mesh = true
+			cases = append(cases, v, onMesh)
+		}
+	}
 	for n := 4; n <= 10; n++ {
 		for seed := int64(0); seed < 5; seed++ {
 			faulty := model.NodeID((int(seed) * (n - 1)) % n)
-			base := attackCase{n: n, seed: 300 + seed, faulty: faulty, scheme: schemes[(n+int(seed))%len(schemes)]}
+			base := attackCase{n: n, t: 1, seed: 300 + seed, faulty: faulty, scheme: schemes[(n+int(seed))%len(schemes)]}
 			variants := []attackCase{base, base}
 			variants[0].attack, variants[1].attack = "claim", "shared"
 			for _, faceOne := range faceOneShapes(n, faulty) {
@@ -337,12 +541,36 @@ func attackCases() []attackCase {
 				mixed.attack, mixed.faceOne = "mixed", faceOne
 				variants = append(variants, mixed)
 			}
-			for _, v := range variants {
-				onMesh := v
-				onMesh.mesh = true
-				cases = append(cases, v, onMesh)
+			add(variants...)
+		}
+	}
+	for n := 4; n <= 10; n++ {
+		for seed := int64(0); seed < 3; seed++ {
+			base := attackCase{n: n, t: 2, seed: 300 + seed, scheme: schemes[(n+int(seed))%len(schemes)]}
+			for _, attack := range append(setupAttacks[3:], fdAttacks...) {
+				v := base
+				v.attack, v.faulty = attack, model.NodeID((int(seed)*(n-1))%n)
+				if v.onFD() {
+					v.faulty = model.NodeID(1 + seed%2)
+				}
+				if !strings.HasPrefix(attack, "echo") {
+					add(v)
+					continue
+				}
+				for _, victims := range faceOneShapes(n, v.faulty) {
+					v.faceOne = victims
+					add(v)
+				}
 			}
 		}
+	}
+	experiment := attackCase{n: 6, t: 2, seed: 1995, scheme: sig.SchemeEd25519}
+	for _, e := range []struct {
+		attack string
+		faulty model.NodeID
+	}{{"relay", 5}, {"resign", 1}, {"wrong-name", 1}, {"collude", 2}} {
+		experiment.attack, experiment.faulty = e.attack, e.faulty
+		add(experiment)
 	}
 	return cases
 }
@@ -356,27 +584,35 @@ func TestKeydistAttacksMatchReference(t *testing.T) {
 // FuzzKeydistAttacksMatchReference draws the attack, size, seed, faulty
 // node, faceOne (a bit mask), scheme and engine; every draw's filter
 // form must match its reference as TestKeydistAttacksMatchReference
-// asserts.
+// asserts. The first three setup attacks run at t = 1 with any faulty
+// node; the rest at t = 2, an fdAttack's faulty node being P_1 or P_2.
 func FuzzKeydistAttacksMatchReference(f *testing.F) {
-	attacks := []string{"claim", "mixed", "shared"}
+	attacks := append(slices.Clone(setupAttacks), fdAttacks...)
 	schemes := []string{sig.SchemeEd25519, sig.SchemeHMAC, sig.SchemeToy}
 	for _, c := range attackCases() {
 		var mask uint16
 		for _, id := range c.faceOne.Sorted() {
 			mask |= 1 << id
 		}
-		f.Add(uint8(slices.Index(attacks, c.attack)), uint8(c.n), c.seed, uint8(c.faulty), mask,
+		f.Add(uint8(slices.Index(attacks, c.attack)), uint8(c.n-4), c.seed, uint8(c.faulty), mask,
 			uint8(slices.Index(schemes, c.scheme)), c.mesh)
 	}
 	f.Fuzz(func(t *testing.T, attack, n uint8, seed int64, faulty uint8, mask uint16, scheme uint8, mesh bool) {
 		c := attackCase{
 			attack: attacks[int(attack)%len(attacks)],
 			n:      4 + int(n)%7,
+			t:      1,
 			seed:   seed,
 			scheme: schemes[int(scheme)%len(schemes)],
 			mesh:   mesh,
 		}
 		c.faulty = model.NodeID(int(faulty) % c.n)
+		if !slices.Contains(setupAttacks[:3], c.attack) {
+			c.t = 2
+		}
+		if c.onFD() {
+			c.faulty = model.NodeID(1 + (int(faulty)+1)%2)
+		}
 		c.faceOne = model.NewNodeSet()
 		for id := 0; id < c.n; id++ {
 			if mask&(1<<id) != 0 {

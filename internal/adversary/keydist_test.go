@@ -119,7 +119,7 @@ func TestKeydistChallengeRelayInterleaving(t *testing.T) {
 	const victim = model.NodeID(1)
 	cfg := model.Config{N: n, T: 1}
 	procs, nodes, _ := buildKeydist(t, n, 37)
-	procs[faulty], nodes[faulty] = NewChallengeRelayNode(cfg, faulty, victim, nodes[victim].Signer().Predicate()), nil
+	procs[faulty], nodes[faulty] = ChallengeRelay(cfg, faulty, victim, nodes[victim].Signer().Predicate())(procs[faulty]), nil
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}

@@ -15,6 +15,7 @@ package adversary
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,39 +111,23 @@ func (s Strategy) CorruptSize() int {
 
 // HasBehavior reports whether the stack contains the named behavior.
 func (s Strategy) HasBehavior(name string) bool {
-	for _, b := range s.Behaviors {
-		if b.Name == name {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.Behaviors, func(b BehaviorSpec) bool { return b.Name == name })
 }
 
 // CorruptsNonSender reports whether the strategy can corrupt a node other
 // than the distinguished sender P_0: true for every coalition (membership
 // is seed-driven) and for fixed sets naming a non-zero node.
 func (s Strategy) CorruptsNonSender() bool {
-	if s.Coalition > 0 {
-		return true
-	}
-	for _, id := range s.Nodes {
-		if id != 0 {
-			return true
-		}
-	}
-	return false
+	return s.Coalition > 0 || slices.ContainsFunc(s.Nodes, func(id int) bool { return id != 0 })
 }
 
 // MaxFixedNode returns the largest fixed corrupt node ID (-1 when the
 // strategy has none).
 func (s Strategy) MaxFixedNode() int {
-	maxID := -1
-	for _, id := range s.Nodes {
-		if id > maxID {
-			maxID = id
-		}
+	if len(s.Nodes) == 0 {
+		return -1
 	}
-	return maxID
+	return slices.Max(s.Nodes)
 }
 
 // Validate checks the strategy's internal consistency. It does not check
@@ -294,10 +279,10 @@ func PartitionFaceOne(partition string, n int) (model.NodeSet, error) {
 }
 
 // BuildBehaviors compiles a behavior-spec stack into runtime Behaviors
-// for one corrupt node in a system of n nodes. Equivocate compiles to
-// TwoFaced with a bit flip; a wiring that gives the node a second value's
-// payload as its second face builds that filter itself and passes the
-// remaining specs here.
+// for one corrupt node in a system of n nodes. Tamper and equivocate
+// compile to TwoFaced with a bit flip, tamper's face one empty; a
+// wiring that gives the node a second value's payload as its second face
+// builds that filter itself and passes the remaining specs here.
 func BuildBehaviors(specs []BehaviorSpec, n int) ([]Behavior, error) {
 	var out []Behavior
 	for _, spec := range specs {
@@ -326,7 +311,7 @@ func BuildBehaviors(specs []BehaviorSpec, n int) ([]Behavior, error) {
 			}
 			out = append(out, FloodTo(victims))
 		case BehaviorTamper:
-			out = append(out, TamperAll(FlipByte(0)))
+			out = append(out, TwoFaced(nil, FlipByte(0)))
 		case BehaviorEquivocate:
 			faceOne, err := PartitionFaceOne(spec.Partition, n)
 			if err != nil {
@@ -452,33 +437,24 @@ func ParseStrategy(input string) (Strategy, error) {
 			case "behavior":
 				s.Behaviors = append(s.Behaviors, BehaviorSpec{Name: val})
 				cur = &s.Behaviors[len(s.Behaviors)-1]
-			case "round", "delay":
+			case "round", "delay", "victims", "partition":
 				if cur == nil {
 					return Strategy{}, fmt.Errorf("adversary: parse %q: %s= before any behavior=", input, key)
 				}
-				v, err := strconv.Atoi(val)
+				var err error
+				switch key {
+				case "round":
+					cur.Round, err = strconv.Atoi(val)
+				case "delay":
+					cur.Delay, err = strconv.Atoi(val)
+				case "victims":
+					cur.Victims, err = parseIntList(val)
+				default:
+					cur.Partition = val
+				}
 				if err != nil {
 					return Strategy{}, fmt.Errorf("adversary: parse %q: bad %s %q", input, key, val)
 				}
-				if key == "round" {
-					cur.Round = v
-				} else {
-					cur.Delay = v
-				}
-			case "victims":
-				if cur == nil {
-					return Strategy{}, fmt.Errorf("adversary: parse %q: victims= before any behavior=", input)
-				}
-				ids, err := parseIntList(val)
-				if err != nil {
-					return Strategy{}, fmt.Errorf("adversary: parse %q: %w", input, err)
-				}
-				cur.Victims = ids
-			case "partition":
-				if cur == nil {
-					return Strategy{}, fmt.Errorf("adversary: parse %q: partition= before any behavior=", input)
-				}
-				cur.Partition = val
 			default:
 				return Strategy{}, fmt.Errorf("adversary: parse %q: unknown parameter %q", input, key)
 			}

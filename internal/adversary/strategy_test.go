@@ -235,7 +235,7 @@ func TestBuildBehaviorsCompositionOrder(t *testing.T) {
 func TestDelayBoundRespected(t *testing.T) {
 	for delay := 1; delay <= 3; delay++ {
 		d := DelayBy(delay)
-		out := d.Apply(1, []model.Message{{To: 1, Payload: []byte("x")}})
+		out := d.Apply(1, nil, []model.Message{{To: 1, Payload: []byte("x")}})
 		if len(out) != 0 {
 			t.Fatalf("delay=%d: released in the send round", delay)
 		}
@@ -243,11 +243,11 @@ func TestDelayBoundRespected(t *testing.T) {
 			t.Fatalf("delay=%d: not holding after buffering", delay)
 		}
 		for r := 2; r < 1+delay; r++ {
-			if out := d.Apply(r, nil); len(out) != 0 {
+			if out := d.Apply(r, nil, nil); len(out) != 0 {
 				t.Fatalf("delay=%d: released early in round %d", delay, r)
 			}
 		}
-		out = d.Apply(1+delay, nil)
+		out = d.Apply(1+delay, nil, nil)
 		if len(out) != 1 || out[0].To != 1 {
 			t.Fatalf("delay=%d: round %d released %v, want the held message", delay, 1+delay, out)
 		}
@@ -267,7 +267,7 @@ func TestDuplicateFloodOneCopyPerVictim(t *testing.T) {
 	}
 	out := []model.Message{{To: 1, Payload: []byte("a")}, {To: 2, Payload: []byte("b")}}
 	for _, b := range bs {
-		out = b.Apply(1, out)
+		out = b.Apply(1, nil, out)
 	}
 	// 2 originals + 3 victims × 2 copies.
 	if len(out) != 8 {

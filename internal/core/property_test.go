@@ -66,9 +66,9 @@ func randomBehaviour(rng *rand.Rand, c *core.Cluster, id model.NodeID, correct f
 		if err != nil {
 			return sim.Silent{}
 		}
-		return adversary.NewResignRelay(cfg, id, signer, []byte("forged"))
+		return adversary.Resign(cfg, id, signer, []byte("forged"))(correct())
 	default:
-		return adversary.Wrap(correct(), adversary.DuplicateTo(model.NodeID(rng.Intn(cfg.N))))
+		return adversary.Wrap(correct(), adversary.FloodTo([]model.NodeID{model.NodeID(rng.Intn(cfg.N))}))
 	}
 }
 
@@ -165,7 +165,8 @@ func TestPropertyF1F2F3RandomizedNonAuth(t *testing.T) {
 				case 1:
 					p = chaosProcess(rng, c.Config())
 				case 2:
-					p = adversary.NewLyingEchoer(c.Config(), id, []byte("lie"), randomSubset(rng, n))
+					opts = append(opts, core.WithWrappedProcess(id, adversary.LyingEcho(c.Config(), id, []byte("lie"), randomSubset(rng, n))))
+					continue
 				default:
 					faceOne := model.NewNodeSet()
 					for id, split := 0, rng.Intn(n); id < split; id++ {
@@ -296,7 +297,7 @@ func TestCheckG1G2(t *testing.T) {
 			return established(core.WithWrappedProcess(5, adversary.ForeignClaim(victim)))
 		}, "", ""},
 		{"challenge-relay", func() []*keydist.Node {
-			return established(core.WithProcess(5, adversary.NewChallengeRelayNode(cfg, 5, 1, victim)))
+			return established(core.WithWrappedProcess(5, adversary.ChallengeRelay(cfg, 5, 1, victim)))
 		}, "", ""},
 		{"mixed-predicate", func() []*keydist.Node { return established(core.WithWrappedProcess(5, mixed.Wrap)) }, "", ""},
 		{"shared-key", func() []*keydist.Node {

@@ -230,7 +230,7 @@ func E5Theorem2(runs int) *metrics.Table {
 			return []core.RunOption{core.WithWrappedProcess(5, adversary.ForeignClaim(victim(seed)))}
 		}},
 		{"challenge-relay", func(seed int64) []core.RunOption {
-			return []core.RunOption{core.WithProcess(5, adversary.NewChallengeRelayNode(cfg, 5, 1, victim(seed)))}
+			return []core.RunOption{core.WithWrappedProcess(5, adversary.ChallengeRelay(cfg, 5, 1, victim(seed)))}
 		}},
 		{"mixed-predicate", func(seed int64) []core.RunOption {
 			f, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed+7), model.NewNodeSet(0, 1))

@@ -43,10 +43,10 @@ func fdAttacks() []fdAttack {
 			return []core.RunOption{wrap(1, adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(9)))}
 		}},
 		{"resign-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithProcess(1, adversary.NewResignRelay(c.Config(), 1, c.Nodes()[1].Signer(), []byte("forged")))}
+			return []core.RunOption{core.WithWrappedProcess(1, adversary.Resign(c.Config(), 1, c.Nodes()[1].Signer(), []byte("forged")))}
 		}},
 		{"wrong-name-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithProcess(1, adversary.NewWrongNameRelay(c.Config(), 1, c.Nodes()[1].Signer(), 4))}
+			return []core.RunOption{core.WithWrappedProcess(1, adversary.WrongName(c.Nodes()[1].Signer(), 4))}
 		}},
 		{"equivocating-sender", 6, 2, model.NewNodeSet(0), func(c *core.Cluster) []core.RunOption {
 			// A correct sender of "a" that also sends P_1 a chain of "b".
@@ -68,7 +68,7 @@ func fdAttacks() []fdAttack {
 		{"colluding-pair", 6, 2, model.NewNodeSet(0, 2), func(c *core.Cluster) []core.RunOption {
 			return []core.RunOption{
 				core.WithProcess(0, sim.Silent{}),
-				core.WithProcess(2, adversary.NewResignRelay(c.Config(), 2, c.Nodes()[0].Signer(), []byte("forged"))),
+				core.WithWrappedProcess(2, adversary.Resign(c.Config(), 2, c.Nodes()[0].Signer(), []byte("forged"))),
 			}
 		}},
 	}

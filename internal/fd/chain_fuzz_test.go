@@ -112,11 +112,11 @@ var chainScenarios = []chainScenario{
 	{"tampered payload", func(_ model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
 		return 1, adversary.Wrap(honest(1), adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(10)))
 	}},
-	{"re-signing relay", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
-		return 1, adversary.NewResignRelay(cfg, 1, f.signers[1], []byte("forged"))
+	{"re-signing relay", func(cfg model.Config, f *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.Resign(cfg, 1, f.signers[1], []byte("forged"))(honest(1))
 	}},
-	{"wrong-name relay", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
-		return 1, adversary.NewWrongNameRelay(cfg, 1, f.signers[1], model.NodeID(4%cfg.N))
+	{"wrong-name relay", func(cfg model.Config, f *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
+		return 1, adversary.WrongName(f.signers[1], model.NodeID(4%cfg.N))(honest(1))
 	}},
 	{"equivocating sender", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
 		return 0, f.equivocatingSender(cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))
@@ -130,7 +130,7 @@ var chainScenarios = []chainScenario{
 	}},
 	{"duplicate dissemination", func(cfg model.Config, _ *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
 		d := model.NodeID(cfg.T)
-		return d, adversary.Wrap(honest(d), func(_ int, out []model.Message) []model.Message {
+		return d, adversary.Wrap(honest(d), func(_ int, _, out []model.Message) []model.Message {
 			if len(out) == 0 {
 				return out
 			}

@@ -249,7 +249,7 @@ func TestChainResignRelayDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 3)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.NewResignRelay(f.cfg, 1, f.signers[1], []byte("forged"))
+	procs[1] = adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged"))(procs[1])
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -278,7 +278,7 @@ func TestChainWrongNameRelayDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 4)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.NewWrongNameRelay(f.cfg, 1, f.signers[1], 4)
+	procs[1] = adversary.WrongName(f.signers[1], 4)(procs[1])
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -345,7 +345,7 @@ func TestChainColludersCannotForgeSkippedSignature(t *testing.T) {
 	faulty := model.NewNodeSet(0, 2)
 	procs[0] = sim.Silent{} // P_0 skips P_1 entirely
 	nodes[0] = nil
-	procs[2] = adversary.NewResignRelay(f.cfg, 2, f.signers[0], []byte("forged"))
+	procs[2] = adversary.Resign(f.cfg, 2, f.signers[0], []byte("forged"))(procs[2])
 	nodes[2] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -371,7 +371,7 @@ func TestChainFullVerifyCatchesInteriorForgery(t *testing.T) {
 	f := newFixture(t, 6, 2, 8)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.NewResignRelay(f.cfg, 1, f.signers[1], []byte("forged"))
+	procs[1] = adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged"))(procs[1])
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(f.cfg.T))
 	if ds := discoverers(nodes, faulty); len(ds) == 0 {
@@ -437,7 +437,7 @@ func TestChainDuplicateDisseminationDiscovered(t *testing.T) {
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(2)
 	_ = faulty
-	procs[2] = adversary.Wrap(nodes[2], func(round int, out []model.Message) []model.Message {
+	procs[2] = adversary.Wrap(nodes[2], func(round int, _, out []model.Message) []model.Message {
 		for _, m := range out {
 			if m.To == 4 {
 				return append(out, m)

@@ -109,7 +109,7 @@ func TestNonAuthLyingEchoerDiscovered(t *testing.T) {
 	procs, nodes := nonAuthProcs(t, cfg, []byte("truth"))
 	faulty := model.NewNodeSet(1)
 	victims := model.NewNodeSet(3, 4)
-	procs[1] = adversary.NewLyingEchoer(cfg, 1, []byte("lie"), victims)
+	procs[1] = adversary.LyingEcho(cfg, 1, []byte("lie"), victims)(procs[1])
 	nodes[1] = nil
 	runFD(t, cfg, procs, fd.NonAuthEngineRounds(cfg.T))
 
@@ -186,7 +186,7 @@ func TestNonAuthDuplicateEchoDiscovered(t *testing.T) {
 	procs, nodes := nonAuthProcs(t, cfg, []byte("v"))
 	faulty := model.NewNodeSet(1)
 	inner := nodes[1]
-	procs[1] = adversary.Wrap(inner, func(round int, out []model.Message) []model.Message {
+	procs[1] = adversary.Wrap(inner, func(round int, _, out []model.Message) []model.Message {
 		if round == 2 && len(out) > 0 {
 			return append(out, out[0]) // duplicate one echo
 		}

@@ -119,7 +119,7 @@ func TestVectorTamperedInstanceDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 630)
 	procs, nodes := vectorProcs(t, f)
 	inner := nodes[1]
-	procs[1] = adversary.Wrap(inner, func(round int, out []model.Message) []model.Message {
+	procs[1] = adversary.Wrap(inner, func(round int, _, out []model.Message) []model.Message {
 		for i := range out {
 			s, chain, err := fd.UnmarshalVectorPayload(out[i].Payload)
 			if err != nil || s != 0 {

@@ -123,7 +123,7 @@ func TestG1ChallengeRelayDefeated(t *testing.T) {
 	cfg := model.Config{N: 4, T: 1}
 	nodes, procs := correctNodes(t, cfg, 11)
 	victim := nodes[1]
-	procs[3] = adversary.NewChallengeRelayNode(cfg, 3, 1, victim.Signer().Predicate())
+	procs[3] = adversary.ChallengeRelay(cfg, 3, 1, victim.Signer().Predicate())(procs[3])
 	nodes[3] = nil
 	runKeyDist(t, cfg, procs)
 

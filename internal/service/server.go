@@ -456,16 +456,17 @@ func (s *Server) execute(t task) {
 	if err != nil {
 		payload = nil // impossible for plain-data Result; fail the frame below
 	}
-	// Counted before the reply leaves, so a client holding its reply
-	// finds it in the very next snapshot; latency therefore runs from
-	// admission to the reply being ready to send.
+	// Counted and its span ended before the reply leaves, so a client
+	// holding its reply finds it in the very next snapshot and trace
+	// flush; latency therefore runs from admission to the reply being
+	// ready to send.
 	conformant := res.Err == "" && res.Conformance != nil && res.Conformance.Conformant()
 	s.stats.served(t.sess.tenant, res.Err != "", conformant, time.Since(t.enqueued), queueWait)
+	t.span.End(obs.Attrs("conformant", conformant, "source", source,
+		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
 	// A send failure means the client went away mid-request; the run
 	// still counts (the work was done).
 	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
-	t.span.End(obs.Attrs("conformant", conformant, "source", source,
-		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
 }
 
 // Drain gracefully shuts the server down: admission stops (new submits

@@ -162,6 +162,17 @@ func (c *Chain) Signers(sender model.NodeID) []model.NodeID {
 	return model.CloneAppend(c.names, sender)
 }
 
+// Inner returns the chain without its outermost signature layer — the
+// chain the last signer received and extended — or nil for a one-layer
+// chain. It shares the receiver's value and signatures.
+func (c *Chain) Inner() *Chain {
+	k := len(c.sigs) - 1
+	if k < 1 {
+		return nil
+	}
+	return &Chain{value: c.value, names: c.names[: k-1 : k-1], sigs: c.sigs[:k:k]}
+}
+
 // The chain wire layouts are defined ONCE each, by the append helpers
 // below; every signing, verification, and cache-derivation path goes
 // through them. Anything that changes a layout changes it for all

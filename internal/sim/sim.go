@@ -36,6 +36,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -328,22 +330,38 @@ func (e *Engine) Run(maxRounds int) *Result {
 
 // runStore is the storage a run moves its messages through: the two
 // inbox arrays and the parallel step phase's hand-off with its slice of
-// per-node sends. Runs borrow one from storePool and give it back, so a
-// run re-grows nothing an earlier run of its size has grown: a store
-// keeps the largest n it has served, and each inbox the largest backing
-// array it has needed. Every message a store held is cleared before it
-// goes back, so the pool keeps no payload reachable, and the collections
-// that empty a sync.Pool take the stores with them.
+// per-node sends. Runs borrow one and give it back, so a run re-grows
+// nothing an earlier run of its size has grown: a store keeps the
+// largest n it has served, and each inbox the largest backing array it
+// has needed. Every message a store held is cleared before it goes back,
+// so an idle store keeps no payload reachable, and the collections that
+// empty a sync.Pool take idle stores with them.
 type runStore struct {
 	inFlight, next [][]model.Message
 	job            stepJob
+	// idle is set while no run holds the store; a borrower claims the
+	// store by clearing it.
+	idle atomic.Bool
 }
 
-var storePool sync.Pool
+// storePool holds the idle stores, and spare, weakly, the one released
+// last. A sync.Pool keeps what a goroutine gives it in that goroutine's
+// P's private slot, which no other P reads: a goroutine that moved to
+// another P between two runs — a parallel round's wake-ups and, under
+// load, preemption move it — found no store and grew a whole new one,
+// some 170 allocations at n=16. spare reaches the store from any P, and
+// as only the pool holds it strongly, collections free it when they
+// would free the pool's. A store lent through spare leaves its pool
+// entry behind; a borrower skips an entry it cannot claim.
+var (
+	storePool sync.Pool
+	spareMu   sync.Mutex
+	spare     weak.Pointer[runStore]
+)
 
 // borrowStore returns a store with room for n nodes.
 func borrowStore(n int) *runStore {
-	s, _ := storePool.Get().(*runStore)
+	s := claimStore()
 	if s == nil {
 		s = new(runStore)
 	}
@@ -356,15 +374,39 @@ func borrowStore(n int) *runStore {
 	return s
 }
 
+// claimStore lends out an idle store, or returns nil when there is none.
+func claimStore() *runStore {
+	for {
+		s, _ := storePool.Get().(*runStore)
+		if s == nil {
+			break
+		}
+		if s.idle.CompareAndSwap(true, false) {
+			return s
+		}
+	}
+	spareMu.Lock()
+	s := spare.Value()
+	spareMu.Unlock()
+	if s != nil && s.idle.CompareAndSwap(true, false) {
+		return s
+	}
+	return nil
+}
+
 // release clears the first n inboxes, in whichever order the run left
 // them, and the hand-off — a panicking round's included — and returns
-// the store to the pool.
+// the store to the pool and to spare.
 func (s *runStore) release(n int) {
 	empty(s.inFlight[:n])
 	empty(s.next[:n])
 	clear(s.job.outs[:n])
 	s.job.procs, s.job.inboxes, s.job.panicked = nil, nil, nil
+	s.idle.Store(true)
 	storePool.Put(s)
+	spareMu.Lock()
+	spare = weak.Make(s)
+	spareMu.Unlock()
 }
 
 // empty clears and truncates every inbox.

@@ -232,3 +232,26 @@ func TestConcurrentSizesSharePool(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStoreLentWithoutItsPoolEntry: a released store whose pool entry
+// no borrower can reach — left in another P's private slot — is still
+// lent, through spare, and to one borrower only; its entry, once seen
+// again, is skipped while the store is out.
+func TestStoreLentWithoutItsPoolEntry(t *testing.T) {
+	s := borrowStore(4)
+	s.release(4)
+	var stranded []any
+	for x := storePool.Get(); x != nil; x = storePool.Get() {
+		stranded = append(stranded, x)
+	}
+	if got := claimStore(); got != s {
+		t.Fatalf("claimed %p, want the released store %p", got, s)
+	}
+	for _, x := range stranded {
+		storePool.Put(x)
+	}
+	if got := claimStore(); got == s {
+		t.Fatal("the store was lent twice")
+	}
+	s.release(4)
+}

@@ -214,7 +214,7 @@ func TestCorruptSetupMatchesSimulator(t *testing.T) {
 			return []core.RunOption{core.WithWrappedProcess(4, adversary.ForeignClaim(victim))}
 		}},
 		{"relay", func(*testing.T) []core.RunOption {
-			return []core.RunOption{core.WithProcess(4, adversary.NewChallengeRelayNode(cfg, 4, 1, victim))}
+			return []core.RunOption{core.WithWrappedProcess(4, adversary.ChallengeRelay(cfg, 4, 1, victim))}
 		}},
 		{"mixed", func(t *testing.T) []core.RunOption {
 			faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(80), model.NewNodeSet(0, 1))
