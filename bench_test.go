@@ -267,8 +267,9 @@ func BenchmarkE12VectorFD(b *testing.B) {
 			}
 			kd := make([]*keydist.Node, n)
 			kdProcs := make([]sim.Process, n)
+			memo := new(sig.VerifyMemo)
 			for i := 0; i < n; i++ {
-				node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(12, i)))
+				node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(12, i)), memo)
 				if err != nil {
 					b.Fatal(err)
 				}

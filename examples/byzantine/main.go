@@ -33,7 +33,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fd"
-	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
@@ -178,7 +177,7 @@ func mixedPredicateScenario() {
 
 	// The correct sender, signing with the key P1 accepted; it reads no
 	// directory.
-	sender, err := fd.NewChainNode(cfg, fd.Sender, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	sender, err := fd.NewChainNode(cfg, fd.Sender, faces.SignerFor(1), sig.MapDirectory{}, fd.WithValue([]byte("v")))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func (floodDriver) Capabilities() protocol.Capabilities {
 
 // Verdicts: flood is unauthenticated, so the registry's canned
 // below-resilience excusal is the honest reading of its failures.
-func (floodDriver) Verdicts() protocol.VerdictMapper {
+func (floodDriver) Verdicts() protocol.VerdictProfile {
 	return protocol.VerdictsUnauthenticatedFD
 }
 

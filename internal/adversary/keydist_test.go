@@ -28,8 +28,9 @@ func buildKeydist(t *testing.T, n int, seed int64) ([]sim.Process, []*keydist.No
 	cfg := model.Config{N: n, T: 1}
 	procs := make([]sim.Process, n)
 	nodes := make([]*keydist.Node, n)
+	memo := new(sig.VerifyMemo)
 	for i := 0; i < n; i++ {
-		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
+		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)), memo)
 		if err != nil {
 			t.Fatalf("NewNode %v: %v", i, err)
 		}

@@ -44,9 +44,10 @@ func localAuth(t testing.TB, cfg model.Config, seed int64, wrap map[model.NodeID
 	}
 	procs := make([]sim.Process, cfg.N)
 	nodes := make([]*keydist.Node, cfg.N)
+	memo := new(sig.VerifyMemo)
 	for i := 0; i < cfg.N; i++ {
 		id := model.NodeID(i)
-		n, err := keydist.NewNode(cfg, id, scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
+		n, err := keydist.NewNode(cfg, id, scheme, sim.SeededReader(sim.NodeSeed(seed, i)), memo)
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}

@@ -31,9 +31,18 @@ func (p *countedPred) Test(msg, sg []byte) bool {
 type dedupeFixture struct {
 	cfg     model.Config
 	signers []sig.Signer
-	dir     sig.MapDirectory
+	dir     *memoDir
 	tests   int
 }
+
+// memoDir is a directory with a verify memo of its own, as a handshake's
+// keydist.Directory has: a fresh fixture starts from an empty memo.
+type memoDir struct {
+	sig.MapDirectory
+	memo *sig.VerifyMemo
+}
+
+func (d *memoDir) VerifyMemo() *sig.VerifyMemo { return d.memo }
 
 func newDedupeFixture(t testing.TB, schemeName string, n, tol int, seed int64) *dedupeFixture {
 	t.Helper()
@@ -41,14 +50,14 @@ func newDedupeFixture(t testing.TB, schemeName string, n, tol int, seed int64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &dedupeFixture{cfg: model.Config{N: n, T: tol}, dir: make(sig.MapDirectory, n)}
+	f := &dedupeFixture{cfg: model.Config{N: n, T: tol}, dir: &memoDir{make(sig.MapDirectory, n), new(sig.VerifyMemo)}}
 	for i := 0; i < n; i++ {
 		s, err := scheme.Generate(sim.SeededReader(sim.NodeSeed(seed, i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.signers = append(f.signers, s)
-		f.dir[model.NodeID(i)] = &countedPred{TestPredicate: s.Predicate(), tests: &f.tests}
+		f.dir.MapDirectory[model.NodeID(i)] = &countedPred{TestPredicate: s.Predicate(), tests: &f.tests}
 	}
 	return f
 }
@@ -81,7 +90,6 @@ func TestFDBAFloodDropsSeenEvidenceBeforeVerifying(t *testing.T) {
 	}
 	n.inFallback = true
 	ingestFlood := func(hop int, msgs []model.Message) []model.Message { return n.flood.relay(nil, hop, msgs, n.admit) }
-	sig.ResetVerifyMemo()
 
 	// Hop-round 1: node 1 presents the sender's one-layer evidence. New:
 	// the wrapping and the evidence are verified and it is relayed.
@@ -147,7 +155,6 @@ func TestSMDropsHeldValueBeforeVerifying(t *testing.T) {
 	handle := func(round int, m model.Message) []model.Message {
 		return n.flood.relay(nil, round-1, []model.Message{m}, n.admit)
 	}
-	sig.ResetVerifyMemo()
 	signed := func(from int, c *sig.Chain) model.Message {
 		return model.Message{From: model.NodeID(from), Kind: model.KindSigned, Payload: c.Marshal()}
 	}

@@ -181,7 +181,7 @@ type floodRound struct {
 // runScripted steps p through inboxes from an empty verify memo,
 // counting the predicate tests of each round.
 func (fx *floodFixture) runScripted(p floodProcess, inboxes [][]model.Message) []floodRound {
-	sig.ResetVerifyMemo()
+	fx.dir.memo = new(sig.VerifyMemo)
 	rounds := make([]floodRound, len(inboxes))
 	for i, inbox := range inboxes {
 		fx.tests = 0
@@ -372,10 +372,9 @@ func TestSignedFloodAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}
-	// sig's scratch pools must not be emptied mid-count, and no earlier
-	// test's memo entries may decide what the warm-up run stores.
+	// sig's scratch pools must not be emptied mid-count; the fixture's
+	// memo is its own, so no earlier test decides what the warm-up stores.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	sig.ResetVerifyMemo()
 	f := newDedupeFixture(t, sig.SchemeEd25519, 6, 2, 3402)
 	id := model.NodeID(4)
 

@@ -20,7 +20,7 @@ import (
 //     correct decision equals the sender's value (weak validity, F3).
 //
 // How each protocol family reads the predicates is not decided here: the
-// driver's protocol.VerdictMapper declares it. MayDisagree names the
+// driver's protocol.VerdictProfile declares it. MayDisagree names the
 // configurations whose disagreement the theory permits (their agreement
 // and validity failures are recorded but never counted as violations —
 // honest runs are never excused), and DiscoveryExempts distinguishes the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -83,5 +84,38 @@ func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
 	}
 	if len(overTCP) != len(spec.Protocols) {
 		t.Errorf("TCP loopback covered %d drivers, want %d", len(overTCP), len(spec.Protocols))
+	}
+}
+
+// TestFreshKeySetIsFreshMemo: the verify memo belongs to the key set a
+// handshake builds. Two clusters of one key seed sign identical chains,
+// yet each pays exactly the t+1 predicate tests of a failure-free chain
+// run, and a second run of the same value on either pays none — on the
+// simulator and on the memory mesh's goroutine-per-node runners.
+func TestFreshKeySetIsFreshMemo(t *testing.T) {
+	cfg := model.Config{N: 8, T: 2}
+	for _, kind := range []string{"sim", "memory"} {
+		for cluster := 1; cluster <= 2; cluster++ {
+			var engine core.Engine
+			if kind == "memory" {
+				engine = transport.MeshEngine(transport.NewMemoryMesh(cfg.N).Endpoints())
+			}
+			c, err := core.New(cfg, core.WithSeed(7), core.WithScheme(countedEd25519.Name()), core.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.EstablishAuthentication(); err != nil {
+				t.Fatal(err)
+			}
+			for run, want := range []int64{int64(cfg.T + 1), 0} {
+				countedEd25519.tests.Store(0)
+				if _, err := c.RunFailureDiscovery([]byte("one value")); err != nil {
+					t.Fatal(err)
+				}
+				if got := countedEd25519.tests.Load(); got != want {
+					t.Errorf("%s, cluster %d, run %d: %d predicate tests, want %d", kind, cluster, run+1, got, want)
+				}
+			}
+		}
 	}
 }

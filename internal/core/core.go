@@ -150,6 +150,8 @@ type Cluster struct {
 	nodes []*keydist.Node
 	// established marks that EstablishAuthentication completed.
 	established bool
+	// memo is the key set's verify memo, handed to each node it builds.
+	memo *sig.VerifyMemo
 
 	ledger Ledger
 
@@ -459,21 +461,23 @@ type keydistBuilder Cluster
 
 func (b *keydistBuilder) buildNode(id model.NodeID) (sim.Process, error) {
 	c := (*Cluster)(b)
-	return keydist.NewNode(c.cfg, id, c.scheme, c.runRand(int(id)), keydist.WithKeyRand(c.keyRand(int(id))))
+	return keydist.NewNode(c.cfg, id, c.scheme, c.runRand(int(id)), c.memo, keydist.WithKeyRand(c.keyRand(int(id))))
 }
 
 // EstablishAuthentication runs the paper's Fig. 1 key-distribution
 // protocol across the cluster and retains each correct node's signer and
-// directory. The options mean what they mean to Run (WithProtocol is
-// ignored likewise); a node they make faulty has no keys afterwards, and
-// later authenticated runs must replace it too. It returns the phase
-// report; the traffic is also added to the ledger under PhaseKeyDist.
+// directory, the n directories sharing one fresh verify memo. The options
+// mean what they mean to Run (WithProtocol is ignored likewise); a node
+// they make faulty has no keys afterwards, and later authenticated runs
+// must replace it too. It returns the phase report; the traffic is also
+// added to the ledger under PhaseKeyDist.
 func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
 	var run fdRun
 	for _, opt := range opts {
 		opt(&run)
 	}
 	run.protocol = 0 // Report.Protocol is PhaseFD's
+	c.memo = new(sig.VerifyMemo)
 	rep, honest, span, err := c.run(&run, PhaseKeyDist, "keydist", keydist.RoundsTotal, (*keydistBuilder)(c))
 	if err != nil {
 		return Report{}, err

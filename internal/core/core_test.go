@@ -12,6 +12,7 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/netcond"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -293,7 +294,7 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 	if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), sig.MapDirectory{}, fd.WithValue([]byte("v")))
 	if err != nil {
 		t.Fatalf("NewChainNode: %v", err)
 	}

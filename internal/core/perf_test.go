@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sig"
 )
 
 // fdRunFixture is an established n=16, t=5 cluster and a run that
@@ -15,8 +14,8 @@ import (
 // let every run after the first ride the verified-signature memo and
 // stop measuring verification at all. Within one run, receivers
 // re-verifying layers an earlier hop verified DO hit the memo — the
-// simulator's nodes share a process, as they do in every sim-backed
-// deployment here; a cluster of separate OS processes would pay more.
+// cluster's n directories share their handshake's memo, as they do on
+// every engine here; a cluster of separate OS processes would pay more.
 func fdRunFixture(tb testing.TB) (run func()) {
 	tb.Helper()
 	c, err := core.New(model.Config{N: 16, T: 5}, core.WithSeed(1))
@@ -51,12 +50,14 @@ func BenchmarkFDRun(b *testing.B) {
 // round — a view copy nobody read and a reflective sort's closure and
 // swapper — and the nested-encoding copy per verified chain, and 221
 // until the engine borrowed its inboxes from a pool and counted into
-// slices instead of maps. The 200 runs
-// counted here start from an empty verify memo, so that a rerun cannot
-// ride the previous one's entries; its shard maps growing back adds 0.9
-// per run, and the average truncates to 198 or 199. The collector is off
-// because a cycle empties the sync.Pools, and the few runs before the
-// count fill them.
+// slices instead of maps. The fixture's
+// cluster brings its own verify memo, so no other test's entries reach
+// the count, and each run stores its t+1 = 6 prefixes there: the 1,200
+// stored over the 200 counted runs make each of the 16 shards build a
+// generation map about three times (3 allocations each), 0.72 per run,
+// over 198.1 for the rest; the mean, 198.8, truncates to 198. The
+// collector is off because a cycle empties the sync.Pools, and the few
+// runs before the count fill them.
 func TestFDRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -65,7 +66,6 @@ func TestFDRunAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run()
 	}
-	sig.ResetVerifyMemo()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(200, run); allocs > 199 {
 		t.Errorf("a chain run at n=16, t=5 allocates %.0f times, pin is 199", allocs)

@@ -278,11 +278,11 @@ func e11Senders(cfg model.Config, faces *adversary.KeyFaces, v, u []byte) (sm, c
 	if err != nil {
 		panic(err)
 	}
-	smSender, err := ba.NewSMNode(cfg, 0, keyOne, keydist.NewDirectory(), ba.WithSMValue(v))
+	smSender, err := ba.NewSMNode(cfg, 0, keyOne, sig.MapDirectory{}, ba.WithSMValue(v))
 	if err != nil {
 		panic(err)
 	}
-	chainSender, err := fd.NewChainNode(cfg, 0, keyOne, keydist.NewDirectory(), fd.WithValue(v))
+	chainSender, err := fd.NewChainNode(cfg, 0, keyOne, sig.MapDirectory{}, fd.WithValue(v))
 	if err != nil {
 		panic(err)
 	}

@@ -32,8 +32,9 @@ func newFixture(t testing.TB, n, tol int, seed int64) *fixture {
 	f := &fixture{cfg: cfg}
 	procs := make([]sim.Process, n)
 	nodes := make([]*keydist.Node, n)
+	memo := new(sig.VerifyMemo)
 	for i := 0; i < n; i++ {
-		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
+		node, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)), memo)
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}

@@ -40,19 +40,19 @@ import (
 // correct nodes (G2) but may disagree about faulty ones.
 //
 // Directory implements sig.Directory, so chain-signature verification in
-// the failure-discovery protocols consumes it directly. It is safe for
-// concurrent use.
+// the failure-discovery protocols consumes it directly, through its
+// handshake's verify memo. It is safe for concurrent use.
 type Directory struct {
 	mu    sync.RWMutex
 	preds map[model.NodeID]sig.TestPredicate
+	memo  *sig.VerifyMemo
 }
 
 var _ sig.Directory = (*Directory)(nil)
 
-// NewDirectory creates an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{preds: make(map[model.NodeID]sig.TestPredicate)}
-}
+// VerifyMemo returns the memo Chain.Verify uses for this directory: its
+// handshake's, shared with that handshake's other nodes.
+func (d *Directory) VerifyMemo() *sig.VerifyMemo { return d.memo }
 
 // Accept records pred as belonging to node, as the final step of the
 // challenge/response exchange. Accepting a second predicate for the same

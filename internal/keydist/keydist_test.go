@@ -33,8 +33,9 @@ func correctNodes(t *testing.T, cfg model.Config, seed int64) ([]*keydist.Node, 
 	}
 	nodes := make([]*keydist.Node, cfg.N)
 	procs := make([]sim.Process, cfg.N)
+	memo := new(sig.VerifyMemo)
 	for i := 0; i < cfg.N; i++ {
-		n, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)))
+		n, err := keydist.NewNode(cfg, model.NodeID(i), scheme, sim.SeededReader(sim.NodeSeed(seed, i)), memo)
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)
 		}

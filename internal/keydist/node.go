@@ -79,8 +79,9 @@ func WithKeyRand(r io.Reader) NodeOption {
 // NewNode creates a correct key-distribution participant. It generates the
 // node's key pair immediately (the paper's "generate a secret key S_i and
 // an appropriate test predicate T_i"), drawing entropy from rand — or from
-// the WithKeyRand reader, when key material is pinned separately.
-func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reader, opts ...NodeOption) (*Node, error) {
+// the WithKeyRand reader, when key material is pinned separately. One
+// handshake's nodes share memo, their directories' verify memo.
+func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reader, memo *sig.VerifyMemo, opts ...NodeOption) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,7 +102,7 @@ func NewNode(cfg model.Config, id model.NodeID, scheme sig.Scheme, rand io.Reade
 		scheme:  scheme,
 		signer:  signer,
 		rand:    rand,
-		dir:     NewDirectory(),
+		dir:     &Directory{preds: make(map[model.NodeID]sig.TestPredicate), memo: memo},
 		pending: make(map[model.NodeID]*pendingPeer),
 	}
 	// A node trivially knows its own predicate.

@@ -26,13 +26,13 @@ type clusterDriver struct {
 	proto       core.Protocol
 	value       []byte
 	caps        Capabilities
-	verdicts    VerdictMapper
+	verdicts    VerdictProfile
 	equivocator equivocatorFunc
 }
 
 func (d *clusterDriver) Name() string               { return d.name }
 func (d *clusterDriver) Capabilities() Capabilities { return d.caps }
-func (d *clusterDriver) Verdicts() VerdictMapper    { return d.verdicts }
+func (d *clusterDriver) Verdicts() VerdictProfile   { return d.verdicts }
 
 // Run implements Driver. nonauth ignores keys entirely and runs over a
 // bare cluster; the authenticated protocols run over the shared nodes of

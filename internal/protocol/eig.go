@@ -24,7 +24,7 @@ func (eigDriver) Capabilities() Capabilities {
 	}
 }
 
-func (eigDriver) Verdicts() VerdictMapper { return VerdictsUnauthenticatedFD }
+func (eigDriver) Verdicts() VerdictProfile { return VerdictsUnauthenticatedFD }
 
 // eigNode builds node id's correct OM(t) process.
 func eigNode(inst Instance, id model.NodeID) (*ba.EIGNode, error) {

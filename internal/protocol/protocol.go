@@ -240,40 +240,29 @@ type Outcome struct {
 	SubRuns []SubRun
 }
 
-// VerdictMapper maps a driver's runs onto the paper's conformance
+// VerdictProfile maps a driver's runs onto the paper's conformance
 // predicates. The weak failure-discovery conditions F1–F3 read
 // differently per protocol family — what a discovery excuses and where
-// the theory permits disagreement — and the mapper is where a driver
+// the theory permits disagreement — and the profile is where a driver
 // declares its reading, so the scorer in internal/campaign stays free of
-// protocol-specific branches.
-type VerdictMapper interface {
-	// MayDisagree reports whether the theory permits correct nodes to
-	// disagree without discovery at (n, t) under a fault-injecting
-	// adversary. Honest runs are never excused; the scorer handles that
-	// generically.
-	MayDisagree(n, t int) bool
-	// DiscoveryExempts reports whether a correct node's failure discovery
-	// exempts the run from the agreement and validity predicates — the
-	// weak-FD reading of F2/F3. Full agreement protocols return false:
-	// their fallback must align every correct decision even in runs where
-	// failures were discovered, so discoveries never weaken the check.
-	DiscoveryExempts() bool
-}
-
-// VerdictProfile is a value-type VerdictMapper covering the repository's
-// protocol families; drivers embed one of the canned profiles below.
+// protocol-specific branches. Drivers return one of the canned profiles.
 type VerdictProfile struct {
 	disagreeAlways          bool
 	disagreeBelowResilience bool
 	strict                  bool
 }
 
-// MayDisagree implements VerdictMapper.
+// MayDisagree reports whether the theory permits correct nodes to
+// disagree without discovery at (n, t) under a fault-injecting adversary
+// (honest runs are never excused; the scorer handles that).
 func (p VerdictProfile) MayDisagree(n, t int) bool {
 	return p.disagreeAlways || (p.disagreeBelowResilience && n <= 3*t)
 }
 
-// DiscoveryExempts implements VerdictMapper.
+// DiscoveryExempts reports whether a correct node's failure discovery
+// exempts the run from agreement and validity — the weak-FD reading of
+// F2/F3. The full agreement protocols' fallback must align decisions even
+// after a discovery, so for them it never weakens the check.
 func (p VerdictProfile) DiscoveryExempts() bool { return !p.strict }
 
 var (
@@ -307,8 +296,8 @@ type Driver interface {
 	Name() string
 	// Capabilities declares the driver's axes; see Capabilities.
 	Capabilities() Capabilities
-	// Verdicts is the driver's conformance reading; see VerdictMapper.
-	Verdicts() VerdictMapper
+	// Verdicts is the driver's conformance reading; see VerdictProfile.
+	Verdicts() VerdictProfile
 	// Run executes the instance over c, the instance's own cluster from
 	// ClusterSetup.
 	Run(inst Instance, c *core.Cluster) (Outcome, error)

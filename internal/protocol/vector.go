@@ -27,7 +27,7 @@ func (vectorDriver) Capabilities() Capabilities {
 	}
 }
 
-func (vectorDriver) Verdicts() VerdictMapper { return VerdictsAuthenticatedFD }
+func (vectorDriver) Verdicts() VerdictProfile { return VerdictsAuthenticatedFD }
 
 // vectorProposal is node id's own proposal.
 func vectorProposal(id model.NodeID) []byte { return []byte(fmt.Sprintf("proposal-%d", id)) }

@@ -22,7 +22,7 @@ func (panicDriver) Name() string { return "test-sched-panic" }
 func (panicDriver) Capabilities() protocol.Capabilities {
 	return protocol.Capabilities{UsesSignatures: true}
 }
-func (panicDriver) Verdicts() protocol.VerdictMapper { return protocol.VerdictsAuthenticatedFD }
+func (panicDriver) Verdicts() protocol.VerdictProfile { return protocol.VerdictsAuthenticatedFD }
 func (panicDriver) Run(protocol.Instance, *core.Cluster) (protocol.Outcome, error) {
 	panic("driver bug")
 }

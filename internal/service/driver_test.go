@@ -26,7 +26,7 @@ func (signingDriver) Name() string { return "test-signing" }
 func (signingDriver) Capabilities() protocol.Capabilities {
 	return protocol.Capabilities{UsesSignatures: true}
 }
-func (signingDriver) Verdicts() protocol.VerdictMapper { return protocol.VerdictsAgreement }
+func (signingDriver) Verdicts() protocol.VerdictProfile { return protocol.VerdictsAgreement }
 
 func (signingDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Outcome, error) {
 	value := []byte("signed")

@@ -83,7 +83,7 @@ func (d testDriver) Name() string { return d.name }
 func (testDriver) Capabilities() protocol.Capabilities {
 	return protocol.Capabilities{UsesSignatures: true}
 }
-func (testDriver) Verdicts() protocol.VerdictMapper { return protocol.VerdictsAuthenticatedFD }
+func (testDriver) Verdicts() protocol.VerdictProfile { return protocol.VerdictsAuthenticatedFD }
 func (d testDriver) Run(protocol.Instance, *core.Cluster) (protocol.Outcome, error) {
 	d.run()
 	return protocol.Outcome{}, nil

@@ -72,6 +72,9 @@ type Directory interface {
 	PredicateOf(node model.NodeID) (TestPredicate, bool)
 }
 
+// memoDirectory is a Directory carrying its key set's verify memo.
+type memoDirectory interface{ VerifyMemo() *VerifyMemo }
+
 // Chain is a parsed chain-signed message. The zero value is not useful;
 // build chains with NewChain and Chain.Extend. A Chain is immutable after
 // construction except for its lazily-filled nested-encoding cache, so a
@@ -349,11 +352,12 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // to its stated node; Theorem 4 then guarantees all correct nodes make the
 // same assignments or some correct node discovers a failure.
 //
-// Verification goes through the verified-prefix memo (memo.go): one small
-// hash per layer derives the chain's prefix keys, and a chain the process
-// has already verified under the same predicates costs those and one map
-// probe. Otherwise the layers above the longest memoized prefix are
-// tested in order. The result (including which error, at which layer) is
+// Verification goes through the directory's verified-prefix memo
+// (memo.go; the package default if it carries none): one small hash per
+// layer derives the chain's prefix keys, and a chain the key set has
+// already verified under the same predicates costs those and one map
+// probe. Otherwise the layers above the longest memoized prefix are tested
+// in order. The result (including which error, at which layer) is
 // identical to checking the layers one by one in order; verifySerial in
 // the tests is that reference implementation. The chain itself is left
 // untouched.
@@ -371,7 +375,10 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 	// layers below that bound ("limit") are ever tested.
 	s := chainScratchPool.Get().(*chainScratch)
 	defer chainScratchPool.Put(s)
-	memo := chainVerifyMemo
+	memo := defaultVerifyMemo
+	if d, ok := dir.(memoDirectory); ok && d.VerifyMemo() != nil {
+		memo = d.VerifyMemo()
+	}
 	s.preds, s.keys = s.preds[:0], s.keys[:0]
 	limit := len(c.sigs)
 	var key memoKey

@@ -238,13 +238,14 @@ func BenchmarkChainVerify(b *testing.B) {
 				b.ReportMetric(float64(len(chain.Marshal())), "wire-bytes")
 				b.ReportAllocs()
 				b.ResetTimer()
+				dir := memoDir{f.dir, new(VerifyMemo)}
 				for i := 0; i < b.N; i++ {
 					if memo == "cold" {
 						b.StopTimer()
-						ResetVerifyMemo()
+						dir.memo = new(VerifyMemo)
 						b.StartTimer()
 					}
-					if _, err := chain.Verify(model.NodeID(hops-1), f.dir); err != nil {
+					if _, err := chain.Verify(model.NodeID(hops-1), dir); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -275,16 +276,16 @@ func BenchmarkChainExtend(b *testing.B) {
 // accepting a forgery: a chain that failed under one predicate set still
 // fails after an identical chain verified under the real predicates.
 func TestVerifyMemoSoundness(t *testing.T) {
-	ResetVerifyMemo()
+	memo := new(VerifyMemo)
 	f := newChainFixture(t, 3)
 	c := f.buildChain(t, []byte("memo"), 3)
-	if _, err := c.Verify(2, f.dir); err != nil {
+	if _, err := c.Verify(2, memoDir{f.dir, memo}); err != nil {
 		t.Fatalf("honest verify: %v", err)
 	}
 	// Same bytes, hostile directory: predicate identity differs, so the
 	// memo must not vouch for it.
 	other := newChainFixture(t, 3)
-	if _, err := c.Verify(2, other.dir); err == nil {
+	if _, err := c.Verify(2, memoDir{other.dir, memo}); err == nil {
 		t.Error("chain verified under an unrelated directory — memo leaked across predicates")
 	}
 	// Tampering after a successful verify must still be caught.
@@ -293,7 +294,7 @@ func TestVerifyMemoSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	parsed.sigs[0][0] ^= 0x01
-	if _, err := parsed.Verify(2, f.dir); err == nil {
+	if _, err := parsed.Verify(2, memoDir{f.dir, memo}); err == nil {
 		t.Error("tampered chain verified — memo matched despite changed signature bytes")
 	}
 }
@@ -303,10 +304,10 @@ func TestVerifyMemoSoundness(t *testing.T) {
 // (several schemes' Bytes() are unadorned key material) must not inherit
 // memo entries earned under the original scheme.
 func TestVerifyMemoSchemeSeparation(t *testing.T) {
-	ResetVerifyMemo()
+	memo := new(VerifyMemo)
 	f := newChainFixture(t, 2)
 	c := f.buildChain(t, []byte("cross-scheme"), 2)
-	if _, err := c.Verify(1, f.dir); err != nil {
+	if _, err := c.Verify(1, memoDir{f.dir, memo}); err != nil {
 		t.Fatalf("honest verify: %v", err)
 	}
 	// Re-key the directory with HMAC predicates over the ed25519 public
@@ -324,7 +325,7 @@ func TestVerifyMemoSchemeSeparation(t *testing.T) {
 		}
 		dir[node] = alias
 	}
-	if _, err := c.Verify(1, dir); err == nil {
+	if _, err := c.Verify(1, memoDir{dir, memo}); err == nil {
 		t.Error("chain verified under same-key-bytes predicates of another scheme — memo lacks scheme separation")
 	}
 }

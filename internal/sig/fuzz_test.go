@@ -84,12 +84,12 @@ func FuzzChainVerifyMemo(f *testing.F) {
 		f.Fatal(err)
 	}
 	signers := make([]Signer, maxDepth)
-	dir := make(MapDirectory, maxDepth)
+	preds := make(MapDirectory, maxDepth)
 	for i := range signers {
 		if signers[i], err = scheme.Generate(bytes.NewReader(bytes.Repeat([]byte{byte(i + 1)}, 64))); err != nil {
 			f.Fatal(err)
 		}
-		dir[model.NodeID(i)] = signers[i].Predicate()
+		preds[model.NodeID(i)] = signers[i].Predicate()
 	}
 	f.Add([]byte("v"), uint8(1), uint8(0), uint16(0), uint8(0))
 	f.Add([]byte("seed value"), uint8(6), uint8(3), uint16(40), uint8(1))
@@ -106,7 +106,7 @@ func FuzzChainVerifyMemo(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		ResetVerifyMemo()
+		dir := memoDir{preds, new(VerifyMemo)}
 		if p := int(warm) % (k + 1); p > 0 {
 			if _, err := prefixOf(c, p).Verify(model.NodeID(p-1), dir); err != nil {
 				t.Fatalf("warming %d of %d layers: %v", p, k, err)

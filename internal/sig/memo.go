@@ -61,8 +61,10 @@ import (
 // Keying by content digest, not predicate pointer, is what makes
 // cross-node hits real: every node parses its own TestPredicate instance
 // from the key-distribution wire bytes, so the n receivers of one chain
-// hold n pointers to the same key. (Hits span nodes only when they share
-// a process, as the simulator's do.)
+// hold n pointers to the same key. Hits span the nodes of one key set:
+// each handshake makes one memo for its n directories, so key sets share
+// nothing and a memo lives as long as its key set. A directory without
+// one (sig.MapDirectory) uses the package default.
 //
 // Concurrency: the memo is sharded by key, each shard under its own
 // mutex. Misses are single-flighted per key: the first goroutine to miss
@@ -94,13 +96,18 @@ func (c *Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byt
 }
 
 // memoShardCount shards the memo by key (a power of two).
-// memoGenerationLimit bounds each shard generation so the memo holds at
-// most 2*memoShardCount*memoGenerationLimit entries. predCacheLimit
-// bounds the predicate digest cache (and therefore how many predicate
-// instances it retains).
+// memoGenerationLimit bounds each shard generation: a memo holds at most
+// 1,024 entries (81 KiB) and keeps the newest 32 of each shard. That fits
+// one key set's working set, measured with an unbounded memo on the
+// benchmark's workloads: a serve_steady request reuses only the prefix it
+// stored last; a campaign_grid cell stores at most 305 in a sweep;
+// serve_churn's recurring small-range chains return after up to 2,278
+// stores, and re-testing them costs 2.80 tests a request against 2.78
+// under the old process-wide table of 32,768. predCacheLimit bounds the
+// predicate digest cache and the predicate instances it retains.
 const (
 	memoShardCount      = 16
-	memoGenerationLimit = (1 << 14) / memoShardCount
+	memoGenerationLimit = (1 << 10) / (2 * memoShardCount)
 	predCacheLimit      = 1 << 12
 )
 
@@ -129,21 +136,18 @@ func (s *memoShard) holds(key memoKey) bool {
 	return ok
 }
 
-type verifyMemo struct {
+// VerifyMemo is one key set's verified-prefix memo. A directory that
+// carries one (a keydist.Directory from a handshake) has Chain.Verify use
+// it. The zero value is an empty memo; its tables are made on first use.
+type VerifyMemo struct {
 	shards [memoShardCount]memoShard
 	predMu sync.RWMutex
 	preds  map[TestPredicate][sha256.Size]byte
 }
 
-func newVerifyMemo() *verifyMemo {
-	m := &verifyMemo{preds: make(map[TestPredicate][sha256.Size]byte)}
-	for i := range m.shards {
-		m.shards[i].cur = make(map[memoKey]struct{})
-	}
-	return m
-}
-
-var chainVerifyMemo = newVerifyMemo()
+// defaultVerifyMemo serves the directories that carry no memo of their
+// own: sig.MapDirectory and any other sig.Directory outside keydist.
+var defaultVerifyMemo = new(VerifyMemo)
 
 // computePredDigest derives the scheme-separated predicate digest.
 func computePredDigest(pred TestPredicate) [sha256.Size]byte {
@@ -162,7 +166,7 @@ func computePredDigest(pred TestPredicate) [sha256.Size]byte {
 // slice — Register is public) cannot key a map, so its digest is computed
 // every time; the test costs two loads and has to come first, because a
 // map read with an unhashable key panics even when the key is absent.
-func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
+func (m *VerifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
 	if !reflect.TypeOf(pred).Comparable() {
 		return computePredDigest(pred)
 	}
@@ -174,8 +178,8 @@ func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
 	}
 	d = computePredDigest(pred)
 	m.predMu.Lock()
-	if len(m.preds) >= predCacheLimit {
-		m.preds = make(map[TestPredicate][sha256.Size]byte, predCacheLimit)
+	if m.preds == nil || len(m.preds) >= predCacheLimit {
+		m.preds = make(map[TestPredicate][sha256.Size]byte)
 	}
 	m.preds[pred] = d
 	m.predMu.Unlock()
@@ -183,12 +187,12 @@ func (m *verifyMemo) digestOf(pred TestPredicate) [sha256.Size]byte {
 }
 
 // shardOf picks a key's shard: SHA-256 output is uniform, so by low bits.
-func (m *verifyMemo) shardOf(key *memoKey) *memoShard {
+func (m *VerifyMemo) shardOf(key *memoKey) *memoShard {
 	return &m.shards[key[0]&(memoShardCount-1)]
 }
 
 // has reports whether the prefix key names is memoized as verified.
-func (m *verifyMemo) has(key memoKey) bool {
+func (m *VerifyMemo) has(key memoKey) bool {
 	s := m.shardOf(&key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,7 +202,7 @@ func (m *verifyMemo) has(key memoKey) bool {
 // test is the memoized counterpart of pred.Test for the top layer of the
 // prefix key names. The caller vouches for the layers below it; key is
 // inserted when — and only when — the test passes.
-func (m *verifyMemo) test(key memoKey, pred TestPredicate, payload, sg []byte) bool {
+func (m *VerifyMemo) test(key memoKey, pred TestPredicate, payload, sg []byte) bool {
 	s := m.shardOf(&key)
 	s.mu.Lock()
 	if s.holds(key) {
@@ -227,7 +231,7 @@ func (m *verifyMemo) test(key memoKey, pred TestPredicate, payload, sg []byte) b
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if fl.ok {
-			if len(s.cur) >= memoGenerationLimit {
+			if s.cur == nil || len(s.cur) >= memoGenerationLimit {
 				s.prev = s.cur
 				s.cur = make(map[memoKey]struct{}, memoGenerationLimit)
 			}
@@ -240,22 +244,17 @@ func (m *verifyMemo) test(key memoKey, pred TestPredicate, payload, sg []byte) b
 	return fl.ok
 }
 
-// reset drops every memoized verification. The predicate digest cache
-// survives: digests are pure functions of their predicates, so keeping
-// them is always sound, and reset exists to measure cold VERIFICATION —
-// a long-lived process has its peers' digests cached even when every
-// chain is new. In-flight tests complete into the fresh maps.
-func (m *verifyMemo) reset() {
-	for i := range m.shards {
-		s := &m.shards[i]
+// ResetVerifyMemo drops the default memo's verifications, the ones made
+// for directories without a memo of their own; in-flight tests complete
+// into the emptied tables. Benchmarks call it to measure cold
+// verification. The predicate digest cache survives: digests are pure
+// functions of their predicates, and a long-lived process has its peers'
+// digests cached even when every chain is new.
+func ResetVerifyMemo() {
+	for i := range defaultVerifyMemo.shards {
+		s := &defaultVerifyMemo.shards[i]
 		s.mu.Lock()
-		s.cur = make(map[memoKey]struct{})
-		s.prev = nil
+		s.cur, s.prev = nil, nil
 		s.mu.Unlock()
 	}
 }
-
-// ResetVerifyMemo drops all memoized chain-signature verifications.
-// Benchmarks call it to measure cold verification; production code never
-// needs to.
-func ResetVerifyMemo() { chainVerifyMemo.reset() }

@@ -36,6 +36,15 @@ func (p *countingPred) Test(msg, sg []byte) bool {
 func (p *countingPred) Bytes() []byte       { return []byte("counting-pred/" + p.id) }
 func (p *countingPred) Fingerprint() string { return "counting/" + p.id }
 
+// memoDir is a directory carrying a verify memo of its own, as every
+// keydist.Directory a handshake leaves does.
+type memoDir struct {
+	Directory
+	memo *VerifyMemo
+}
+
+func (d memoDir) VerifyMemo() *VerifyMemo { return d.memo }
+
 // keyFor stands in for a prefix key in the tests that drive the memo
 // directly: any 32 bytes that differ when the label does.
 func keyFor(label string) memoKey { return sha256.Sum256([]byte(label)) }
@@ -48,7 +57,7 @@ func keyFor(label string) memoKey { return sha256.Sum256([]byte(label)) }
 func TestVerifyMemoSingleFlight(t *testing.T) {
 	payload, sg := []byte("single-flight payload"), []byte("single-flight sig")
 	for _, verdict := range []bool{true, false} {
-		m := newVerifyMemo()
+		m := new(VerifyMemo)
 		key := keyFor(fmt.Sprintf("sf-%v", verdict))
 		pred := &countingPred{id: fmt.Sprintf("sf-%v", verdict), verdict: verdict, gate: make(chan struct{})}
 		const goroutines = 8
@@ -118,7 +127,7 @@ func (p *panicOncePred) Fingerprint() string { return "panic-once" }
 // concurrent waiter on the same key returns instead of blocking on a
 // leader that is gone, and the next lookup runs Test again.
 func TestVerifyMemoSurvivesPanickingPredicate(t *testing.T) {
-	m := newVerifyMemo()
+	m := new(VerifyMemo)
 	pred := &panicOncePred{entered: make(chan struct{}), release: make(chan struct{})}
 	type outcome struct {
 		ok       bool
@@ -171,7 +180,7 @@ func TestVerifyMemoSurvivesPanickingPredicate(t *testing.T) {
 // over many distinct keys; under -race this pins the shard locking, and
 // the final assertions check hits land regardless of shard.
 func TestVerifyMemoShardedContention(t *testing.T) {
-	m := newVerifyMemo()
+	m := new(VerifyMemo)
 	pred := &countingPred{id: "contention", verdict: true}
 	const keys = 256
 	var wg sync.WaitGroup
@@ -276,9 +285,9 @@ func TestChainVerifyMatchesSerial(t *testing.T) {
 		want := verifyOutcome(sc.chain.verifySerial(sender, sc.dir))
 		// Cold (every layer tested) then warm (the longest passing prefix
 		// memoized).
-		ResetVerifyMemo()
-		gotCold := verifyOutcome(sc.chain.Verify(sender, sc.dir))
-		gotWarm := verifyOutcome(sc.chain.Verify(sender, sc.dir))
+		dir := memoDir{sc.dir, new(VerifyMemo)}
+		gotCold := verifyOutcome(sc.chain.Verify(sender, dir))
+		gotWarm := verifyOutcome(sc.chain.Verify(sender, dir))
 		if !gotCold.equal(want) {
 			t.Errorf("%s: cold Verify %+v != serial %+v", sc.name, gotCold, want)
 		}
@@ -341,14 +350,14 @@ func (p *passThroughPred) Test(msg, sg []byte) bool {
 }
 
 // newCountingDir wraps every predicate of dir in a passThroughPred over
-// one shared counter.
-func newCountingDir(dir MapDirectory) (MapDirectory, *atomic.Int32) {
+// one shared counter, in a directory that verifies through memo.
+func newCountingDir(dir MapDirectory, memo *VerifyMemo) (memoDir, *atomic.Int32) {
 	calls := new(atomic.Int32)
 	counted := make(MapDirectory, len(dir))
 	for n, p := range dir {
 		counted[n] = &passThroughPred{TestPredicate: p, calls: calls}
 	}
-	return counted, calls
+	return memoDir{counted, memo}, calls
 }
 
 // TestChainVerifyPrefixMemoMatchesSerial is the exhaustive differential
@@ -377,12 +386,12 @@ func TestChainVerifyPrefixMemoMatchesSerial(t *testing.T) {
 						dir[n] = pred
 					}
 				}
-				counted, calls := newCountingDir(dir)
+				memo := new(VerifyMemo)
+				counted, calls := newCountingDir(dir, memo)
 				want := verifyOutcome(chain.verifySerial(sender, dir))
 
-				ResetVerifyMemo()
 				if p > 0 {
-					if _, err := prefixOf(good, p).Verify(model.NodeID(p-1), f.dir); err != nil {
+					if _, err := prefixOf(good, p).Verify(model.NodeID(p-1), memoDir{f.dir, memo}); err != nil {
 						t.Fatalf("p=%d: warming the prefix: %v", p, err)
 					}
 				}
@@ -426,11 +435,11 @@ func TestChainVerifyFirstFailure(t *testing.T) {
 	for ci, tc := range cases {
 		k := len(tc.preds)
 		c := f.buildChain(t, []byte(fmt.Sprintf("first failure %d", ci)), k)
-		dir := make(MapDirectory, k)
+		preds := make(MapDirectory, k)
 		for i, p := range tc.preds {
-			dir[model.NodeID(i)] = p
+			preds[model.NodeID(i)] = p
 		}
-		ResetVerifyMemo()
+		dir := memoDir{preds, new(VerifyMemo)}
 		for rep := 0; rep < 3; rep++ {
 			_, err := c.Verify(model.NodeID(k-1), dir)
 			switch {
@@ -462,7 +471,7 @@ func TestChainVerifyFirstFailure(t *testing.T) {
 // generations however many keys pass through it, the newest generation's
 // worth of keys is still there, and the oldest are gone.
 func TestVerifyMemoTwoGenerationBound(t *testing.T) {
-	m := newVerifyMemo()
+	m := new(VerifyMemo)
 	pred := &countingPred{id: "two-gen", verdict: true}
 	// Every key lands in shard 0: the shard index is the key's first byte.
 	keyOf := func(i int) memoKey { return memoKey{0, byte(i), byte(i >> 8), byte(i >> 16)} }
@@ -503,8 +512,8 @@ func TestChainVerifyMemoBindsLowerPredicates(t *testing.T) {
 	f := newChainFixture(t, hops)
 	sender := model.NodeID(hops - 1)
 	c := f.buildChain(t, []byte("diverging directories"), hops)
-	ResetVerifyMemo()
-	dirA, callsA := newCountingDir(f.dir)
+	memo := new(VerifyMemo)
+	dirA, callsA := newCountingDir(f.dir, memo)
 	if _, err := c.Verify(sender, dirA); err != nil {
 		t.Fatalf("under A: %v", err)
 	}
@@ -512,9 +521,9 @@ func TestChainVerifyMemoBindsLowerPredicates(t *testing.T) {
 		t.Fatalf("cold Verify under A ran %d tests, want %d", got, hops)
 	}
 
-	dirB, callsB := newCountingDir(f.dir)
+	dirB, callsB := newCountingDir(f.dir, memo)
 	other := &countingPred{id: "b-holds-this-for-node-1", verdict: true}
-	dirB[1] = other
+	dirB.Directory.(MapDirectory)[1] = other
 	if _, err := c.Verify(sender, dirB); err != nil {
 		t.Fatalf("under B: %v", err)
 	}
@@ -535,7 +544,7 @@ func TestChainVerifyMemoBindsLowerPredicates(t *testing.T) {
 		strict[n] = p
 	}
 	strict[0] = stranger.dir[0]
-	_, err := c.Verify(sender, strict)
+	_, err := c.Verify(sender, memoDir{strict, memo})
 	if !errors.Is(err, ErrChainBadSignature) || !strings.Contains(err.Error(), "layer 0 ") {
 		t.Errorf("under a directory whose node-0 predicate rejects: %v, want a bad signature at layer 0", err)
 	}
@@ -562,11 +571,11 @@ func TestVerifyMemoAcceptsNonComparablePredicate(t *testing.T) {
 	f := newChainFixture(t, hops)
 	c := f.buildChain(t, []byte("non-comparable"), hops)
 	calls := new(atomic.Int32)
-	dir := make(MapDirectory, hops)
+	preds := make(MapDirectory, hops)
 	for n, p := range f.dir {
-		dir[n] = sliceKeyPred{key: p.Bytes(), inner: &passThroughPred{TestPredicate: p, calls: calls}}
+		preds[n] = sliceKeyPred{key: p.Bytes(), inner: &passThroughPred{TestPredicate: p, calls: calls}}
 	}
-	ResetVerifyMemo()
+	dir := memoDir{preds, new(VerifyMemo)}
 	for rep := 0; rep < 2; rep++ {
 		if _, err := c.Verify(hops-1, dir); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
@@ -579,5 +588,29 @@ func TestVerifyMemoAcceptsNonComparablePredicate(t *testing.T) {
 	tampered.sigs[1][0] ^= 0x01
 	if _, err := tampered.Verify(hops-1, dir); !errors.Is(err, ErrChainBadSignature) {
 		t.Errorf("tampered chain: %v, want a bad signature", err)
+	}
+}
+
+// TestChainVerifyUsesTheDirectorysMemo: Verify fills the memo its
+// directory carries and no other, so two key sets share nothing; a
+// directory without one uses the package default, which ResetVerifyMemo
+// alone empties.
+func TestChainVerifyUsesTheDirectorysMemo(t *testing.T) {
+	const hops = 3
+	f := newChainFixture(t, hops)
+	c := f.buildChain(t, []byte("whose memo"), hops)
+	own, ownCalls := newCountingDir(f.dir, new(VerifyMemo))
+	other, otherCalls := newCountingDir(f.dir, new(VerifyMemo))
+	plain, plainCalls := newCountingDir(f.dir, nil)
+	ResetVerifyMemo()
+	for i, dir := range []Directory{own, own, other, plain.Directory, plain.Directory, nil, own, plain.Directory} {
+		if dir == nil {
+			ResetVerifyMemo()
+		} else if _, err := c.Verify(hops-1, dir); err != nil {
+			t.Fatalf("verify %d: %v", i, err)
+		}
+	}
+	if own, other, plain := ownCalls.Load(), otherCalls.Load(), plainCalls.Load(); own != hops || other != hops || plain != 2*hops {
+		t.Errorf("predicate tests: own memo %d, another %d, default %d; want %d, %d and %d (once more after the reset)", own, other, plain, hops, hops, 2*hops)
 	}
 }

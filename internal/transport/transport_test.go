@@ -60,7 +60,7 @@ func mixedSender(t *testing.T, cfg model.Config) (setup, run []core.RunOption) {
 	if err != nil {
 		t.Fatalf("NewKeyFaces: %v", err)
 	}
-	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), keydist.NewDirectory(), fd.WithValue([]byte("v")))
+	sender, err := fd.NewChainNode(cfg, 0, faces.SignerFor(1), sig.MapDirectory{}, fd.WithValue([]byte("v")))
 	if err != nil {
 		t.Fatalf("NewChainNode: %v", err)
 	}
