@@ -137,7 +137,7 @@ func run(ctx context.Context, n, t, runs int, proto, scheme string, seed int64, 
 			fmt.Fprintf(os.Stderr, "  P%d @ %s\n", i, lb.Addrs[model.NodeID(i)])
 		}
 		defer func() { fmt.Fprintf(os.Stderr, "wire: %s\n", wire.Snapshot()) }()
-		coreOpts = append(coreOpts, core.WithEngine(transport.MeshEngine(lb.Endpoints)))
+		coreOpts = append(coreOpts, core.WithEngine(transport.MeshEngine(lb.Meshes)))
 	}
 	cluster, err := core.New(inst.Config(), coreOpts...)
 	if err != nil {

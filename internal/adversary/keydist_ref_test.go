@@ -316,7 +316,13 @@ func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) a
 	rec := &sim.RecordingTracer{}
 	clusterOpts := []core.Option{core.WithSeed(c.seed), core.WithScheme(c.scheme), core.WithTracer(rec)}
 	if c.mesh {
-		clusterOpts = append(clusterOpts, core.WithEngine(transport.MeshEngine(transport.NewMemoryMesh(c.n).Endpoints())))
+		meshes := transport.NewMemoryMesh(c.n)
+		defer func() {
+			for _, m := range meshes {
+				m.Close()
+			}
+		}()
+		clusterOpts = append(clusterOpts, core.WithEngine(transport.MeshEngine(meshes)))
 	}
 	cl, err := core.New(model.Config{N: c.n, T: c.t}, clusterOpts...)
 	if err != nil {

@@ -40,6 +40,21 @@ func runOnEngine(t *testing.T, inst Instance, engine core.Engine) protocol.Outco
 	return out
 }
 
+// runOnMeshes is runOnEngine over meshes, which it closes when the run
+// ends.
+func runOnMeshes(t *testing.T, inst Instance, meshes []*transport.Mesh) protocol.Outcome {
+	t.Helper()
+	defer closeMeshes(meshes)
+	return runOnEngine(t, inst, transport.MeshEngine(meshes))
+}
+
+// closeMeshes closes every node's mesh.
+func closeMeshes(meshes []*transport.Mesh) {
+	for _, m := range meshes {
+		m.Close()
+	}
+}
+
 // TestEnginesAgreeOnGoldenWiringSpec is the one-runner claim: every
 // instance of the committed wiring grid — 7 drivers × {none,
 // equivocating coalition, delay+tamper} × {ideal, churn, loss+latency,
@@ -62,7 +77,7 @@ func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
 	overTCP := make(map[string]bool)
 	for _, inst := range instances {
 		want := runOnEngine(t, inst, nil)
-		got := runOnEngine(t, inst, transport.MeshEngine(transport.NewMemoryMesh(inst.N).Endpoints()))
+		got := runOnMeshes(t, inst, transport.NewMemoryMesh(inst.N))
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s seed %d: memory mesh departs from the simulator\n sim:  %+v\n mesh: %+v", inst.GroupKey(), inst.Seed, want, got)
 		}
@@ -76,8 +91,7 @@ func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BootLoopback: %v", err)
 		}
-		got = runOnEngine(t, inst, transport.MeshEngine(lb.Endpoints))
-		lb.Close()
+		got = runOnMeshes(t, inst, lb.Meshes)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s seed %d: TCP loopback departs from the simulator\n sim: %+v\n tcp: %+v", inst.GroupKey(), inst.Seed, want, got)
 		}
@@ -98,7 +112,9 @@ func TestFreshKeySetIsFreshMemo(t *testing.T) {
 		for cluster := 1; cluster <= 2; cluster++ {
 			var engine core.Engine
 			if kind == "memory" {
-				engine = transport.MeshEngine(transport.NewMemoryMesh(cfg.N).Endpoints())
+				meshes := transport.NewMemoryMesh(cfg.N)
+				defer closeMeshes(meshes)
+				engine = transport.MeshEngine(meshes)
 			}
 			c, err := core.New(cfg, core.WithSeed(7), core.WithScheme(countedEd25519.Name()), core.WithEngine(engine))
 			if err != nil {

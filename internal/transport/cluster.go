@@ -11,10 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-// MeshEngine is the run engine over real links: one goroutine per
-// endpoint (endpoints[i] is node i's) drives that node's process through
-// the DONE barrier of runner.go. The returned function is a core.Engine —
-// core.WithEngine(transport.MeshEngine(endpoints)) puts a whole cluster
+// MeshEngine is the run engine over a mesh: one goroutine per node
+// (meshes[i] is node i's) drives that node's process through the DONE
+// barrier of runner.go. The returned function is a core.Engine —
+// core.WithEngine(transport.MeshEngine(meshes)) puts a whole cluster
 // lifecycle on the mesh — and is sim.Engine.Run's equal: same counters,
 // same deliveries, same fates, same round count.
 //
@@ -25,10 +25,10 @@ import (
 // never called concurrently, in either engine. Round boundaries
 // (sim.RoundTracer) are the lockstep engine's: the mesh has no global
 // round loop and reports none.
-func MeshEngine(endpoints []Transport) func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
+func MeshEngine(meshes []*Mesh) func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
 	return func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
-		if len(endpoints) != len(procs) {
-			return 0, fmt.Errorf("transport: %d endpoints for %d processes", len(endpoints), len(procs))
+		if len(meshes) != len(procs) {
+			return 0, fmt.Errorf("transport: %d meshes for %d processes", len(meshes), len(procs))
 		}
 		if maxRounds < 1 {
 			maxRounds = 1
@@ -41,7 +41,7 @@ func MeshEngine(endpoints []Transport) func(procs []sim.Process, maxRounds int, 
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r := runner{tr: endpoints[i], proc: procs[i], runShared: shared}
+				r := runner{mesh: meshes[i], proc: procs[i], runShared: shared}
 				rounds[i], errs[i] = r.run(maxRounds)
 			}(i)
 		}
@@ -58,11 +58,11 @@ func MeshEngine(endpoints []Transport) func(procs []sim.Process, maxRounds int, 
 }
 
 // Loopback is a fully connected TCP mesh on 127.0.0.1 with every node's
-// endpoint in this process: what MeshEngine needs to run a cluster over
+// end in this process: what MeshEngine needs to run a cluster over
 // real sockets from one binary.
 type Loopback struct {
-	// Endpoints holds node i's TCPMesh at index i.
-	Endpoints []Transport
+	// Meshes holds node i's mesh at index i.
+	Meshes []*Mesh
 	// Addrs is each node's listen address.
 	Addrs map[model.NodeID]string
 	stop  func() bool
@@ -72,11 +72,11 @@ type Loopback struct {
 // them concurrently (a mesh's boot blocks until its links are up); opts
 // configure every link. Every port is bound before anyone dials, so no
 // boot waits on a listener that lost its port. If a node fails to boot
-// the others are closed. The endpoints also close when ctx is done, so a
+// the others are closed. The meshes also close when ctx is done, so a
 // signal fails the run in progress instead of leaving it on a barrier
 // nobody will complete.
 func BootLoopback(ctx context.Context, n int, opts ...ConnOption) (*Loopback, error) {
-	l := &Loopback{Endpoints: make([]Transport, n), Addrs: make(map[model.NodeID]string, n)}
+	l := &Loopback{Meshes: make([]*Mesh, n), Addrs: make(map[model.NodeID]string, n)}
 	listeners := make([]net.Listener, n)
 	for i := range listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -100,7 +100,7 @@ func BootLoopback(ctx context.Context, n int, opts ...ConnOption) (*Loopback, er
 				errs[i] = err
 				return
 			}
-			l.Endpoints[i] = m
+			l.Meshes[i] = m
 		}(i)
 	}
 	wg.Wait()
@@ -114,14 +114,14 @@ func BootLoopback(ctx context.Context, n int, opts ...ConnOption) (*Loopback, er
 	return l, nil
 }
 
-// Close closes every endpoint. It is safe to call more than once.
+// Close closes every mesh. It is safe to call more than once.
 func (l *Loopback) Close() {
 	if l.stop != nil {
 		l.stop()
 	}
-	for _, ep := range l.Endpoints {
-		if ep != nil {
-			ep.Close()
+	for _, m := range l.Meshes {
+		if m != nil {
+			m.Close()
 		}
 	}
 }

@@ -6,19 +6,19 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
-// Point-to-point framed connections. The mesh types (MemoryMesh, TCPMesh)
-// model the all-to-all topology the agreement protocols need; the
-// campaign scheduler (internal/sched) and the agreement service
-// (internal/service) instead need plain client/server links — a
-// coordinator accepting many workers — so this file provides the
-// minimal framed-connection vocabulary: an in-memory Pipe for tests and
-// a TCP implementation with configurable I/O deadlines and
-// capped-backoff connect retry over length-prefixed frames
-// (writeFrame/readFrame). It is the only framed-socket implementation:
-// TCPMesh's links are these Conns too.
+// Point-to-point framed connections: the one link vocabulary of the
+// package. A Mesh (mesh.go) joins n nodes all-to-all with these Conns,
+// Pipes in memory or TCP sockets; the campaign scheduler
+// (internal/sched) and the agreement service (internal/service) use them
+// as plain client/server links — a coordinator accepting many workers.
+// This file provides an in-memory Pipe and a TCP implementation with
+// configurable I/O deadlines and capped-backoff connect retry over
+// length-prefixed frames (writeFrame/readFrame). It is the only
+// framed-socket implementation.
 
 // Conn is one bidirectional framed link. Send and Recv must be safe for
 // concurrent use (a worker heartbeats while its main loop sends results).
@@ -147,7 +147,8 @@ type connConfig struct {
 	stats        *ConnStats
 }
 
-// ConnOption configures DialConn, ListenConn, NewTCPConn and NewTCPMesh.
+// ConnOption configures DialConn, ListenConn, NewTCPConn, NewTCPMesh and
+// BootLoopback.
 type ConnOption func(*connConfig)
 
 func newConnConfig(opts []ConnOption) connConfig {
@@ -181,12 +182,13 @@ func DialConn(addr string, opts ...ConnOption) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return &tcpConn{raw: raw, cfg: cfg}, nil
+	return CountConn(&tcpConn{raw: raw, cfg: cfg}, cfg.stats), nil
 }
 
 // NewTCPConn wraps an established net.Conn as a framed Conn.
 func NewTCPConn(raw net.Conn, opts ...ConnOption) Conn {
-	return &tcpConn{raw: raw, cfg: newConnConfig(opts)}
+	cfg := newConnConfig(opts)
+	return CountConn(&tcpConn{raw: raw, cfg: cfg}, cfg.stats)
 }
 
 type tcpConn struct {
@@ -203,14 +205,7 @@ func (c *tcpConn) Send(frame []byte) error {
 			return err
 		}
 	}
-	if err := writeFrame(c.raw, frame); err != nil {
-		return err
-	}
-	if s := c.cfg.stats; s != nil {
-		s.FramesSent.Add(1)
-		s.BytesSent.Add(int64(len(frame)))
-	}
-	return nil
+	return linkErr(writeFrame(c.raw, frame))
 }
 
 func (c *tcpConn) Recv() ([]byte, error) {
@@ -220,20 +215,20 @@ func (c *tcpConn) Recv() ([]byte, error) {
 		}
 	}
 	frame, err := readFrame(c.raw)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return nil, ErrClosed
-		}
-		return nil, err
-	}
-	if s := c.cfg.stats; s != nil {
-		s.FramesRecv.Add(1)
-		s.BytesRecv.Add(int64(len(frame)))
-	}
-	return frame, nil
+	return frame, linkErr(err)
 }
 
 func (c *tcpConn) Close() error { return c.raw.Close() }
+
+// linkErr reports a link torn down by either end — EOF, a closed
+// socket, a reset or a broken pipe — as ErrClosed, as a Pipe does; nil
+// stays nil.
+func linkErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		return ErrClosed
+	}
+	return err
+}
 
 // TCPConnListener accepts framed Conns on a TCP address.
 type TCPConnListener struct {

@@ -20,7 +20,7 @@ import (
 // here; each protocol keeps its kind table and the few frames that are
 // its own:
 //
-//	hello    kind, tag, name                       first frame on a link
+//	hello    kind, tag, name                       first frame on a link (a TCP mesh's too)
 //	payload  kind, id, extra ints…, SHA-256, payload
 //
 // The checksum covers the payload, so a corrupted frame is DETECTED and

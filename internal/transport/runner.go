@@ -19,12 +19,12 @@ type runShared struct {
 	net      sim.Network
 }
 
-// runner drives one sim.Process over a Transport, recovering lockstep
+// runner drives one sim.Process over its node's Mesh, recovering lockstep
 // rounds with a DONE-marker barrier. Every node of a cluster runs its own
 // runner on its own goroutine; together they execute exactly the runs the
 // simulator executes, message for message and round for round.
 type runner struct {
-	tr   Transport
+	mesh *Mesh
 	proc sim.Process
 	*runShared
 }
@@ -47,12 +47,12 @@ const doneQuiet model.MessageKind = 1
 // modeled inside the round structure, not by breaking it.
 //
 // It must run concurrently on every node of the cluster; the barrier
-// blocks (until transport close) if a peer never participates, so
-// callers close the transport on timeout — in the paper's model N1 rules
+// blocks (until the mesh closes) if a peer never participates, so
+// callers close the mesh on timeout — in the paper's model N1 rules
 // lost messages out, and the demos inherit that assumption.
 func (r *runner) run(maxRounds int) (int, error) {
-	self := r.tr.Self()
-	peers := r.tr.Peers()
+	self := r.mesh.Self()
+	peers := r.mesh.Peers()
 	finisher, _ := r.proc.(sim.Finisher)
 
 	// Frames admitted ahead of their round (a faster peer may race ahead
@@ -102,7 +102,7 @@ func (r *runner) run(maxRounds int) (int, error) {
 		}
 		r.mu.Unlock()
 		for _, m := range ship {
-			if err := r.tr.Send(m.To, encodeFrame(frameMessage, m.Round, m.Kind, m.Payload)); err != nil {
+			if err := r.mesh.Send(m.To, encodeFrame(frameMessage, m.Round, m.Kind, m.Payload)); err != nil {
 				return round, fmt.Errorf("transport: send round %d: %w", round, err)
 			}
 		}
@@ -116,7 +116,7 @@ func (r *runner) run(maxRounds int) (int, error) {
 		}
 		done := encodeFrame(frameDone, round, kind, nil)
 		for _, p := range peers {
-			if err := r.tr.Send(p, done); err != nil {
+			if err := r.mesh.Send(p, done); err != nil {
 				return round, fmt.Errorf("transport: done round %d: %w", round, err)
 			}
 		}
@@ -130,7 +130,7 @@ func (r *runner) run(maxRounds int) (int, error) {
 		// so a peer can park at most maxRounds entries; the protocol's
 		// deadline logic treats the silence correctly.
 		for len(pendingDone[round]) < len(peers) {
-			from, frame, err := r.tr.Recv()
+			from, frame, err := r.mesh.Recv()
 			if err != nil {
 				return round, fmt.Errorf("transport: recv round %d: %w", round, err)
 			}

@@ -9,18 +9,25 @@ import (
 	"repro/internal/sim"
 )
 
-// junkEndpoint is a faulty node's raw access to its links. Around every
-// DONE marker its runner sends it writes frames no correct runner would:
-// bytes that do not decode, a message and a marker for a round already
-// passed, a message and a marker for a round far past any bound, and —
-// after the honest marker — one more for the same round claiming the node
-// was quiet, though it sends every round.
-type junkEndpoint struct{ Transport }
+// closeMeshes closes every node's mesh.
+func closeMeshes(meshes []*Mesh) {
+	for _, m := range meshes {
+		m.Close()
+	}
+}
 
-func (j junkEndpoint) Send(to model.NodeID, frame []byte) error {
+// junkConn is a faulty node's raw access to one of its links. Around
+// every DONE marker its runner sends it writes frames no correct runner
+// would: bytes that do not decode, a message and a marker for a round
+// already passed, a message and a marker for a round far past any bound,
+// and — after the honest marker — one more for the same round claiming
+// the node was quiet, though it sends every round.
+type junkConn struct{ Conn }
+
+func (j junkConn) Send(frame []byte) error {
 	ftype, round, _, _, err := decodeFrame(frame)
 	if err != nil || ftype != frameDone {
-		return j.Transport.Send(to, frame)
+		return j.Conn.Send(frame)
 	}
 	const farFuture = 1 << 30
 	for _, junk := range [][]byte{
@@ -32,7 +39,7 @@ func (j junkEndpoint) Send(to model.NodeID, frame []byte) error {
 		frame,
 		encodeFrame(frameDone, round, doneQuiet, nil),
 	} {
-		if err := j.Transport.Send(to, junk); err != nil {
+		if err := j.Conn.Send(junk); err != nil {
 			return err
 		}
 	}
@@ -45,12 +52,18 @@ func (j junkEndpoint) Send(to model.NodeID, frame []byte) error {
 // mis-deliver.
 func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 	n, tol := 5, 1
-	endpoints := NewMemoryMesh(n).Endpoints()
-	endpoints[1] = junkEndpoint{endpoints[1]}
+	meshes := NewMemoryMesh(n)
+	defer closeMeshes(meshes)
+	// Node 1's sends go through junkConn; its readers keep the pipes.
+	for p, conn := range meshes[1].conns {
+		if conn != nil {
+			meshes[1].conns[p] = junkConn{conn}
+		}
+	}
 
 	// Correct nodes 0,2,3,4 run key distribution + FD; node 1 floods
 	// junk payloads of a VALID frame shape in every round of both, over
-	// an endpoint that adds the raw junk.
+	// links that add the raw junk.
 	garbage := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		var out []model.Message
 		for to := 0; to < n; to++ {
@@ -66,7 +79,7 @@ func TestRunnerSurvivesGarbageFrames(t *testing.T) {
 		return out
 	})
 
-	c, err := core.New(model.Config{N: n, T: tol}, core.WithSeed(1), core.WithEngine(MeshEngine(endpoints)))
+	c, err := core.New(model.Config{N: n, T: tol}, core.WithSeed(1), core.WithEngine(MeshEngine(meshes)))
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}

@@ -56,9 +56,10 @@ func WithConnStats(s *ConnStats) ConnOption {
 	return func(c *connConfig) { c.stats = s }
 }
 
-// CountConn wraps any Conn so its traffic lands in s. It is the
-// counting path for conns that are not built through the ConnOption
-// plumbing (in-memory pipes, fault-injection wrappers).
+// CountConn wraps any Conn so its traffic lands in s. It is the one
+// counting path: TCP conns built with WithConnStats go through it, and
+// other conns (in-memory pipes, fault-injection wrappers) are wrapped
+// directly.
 func CountConn(c Conn, s *ConnStats) Conn {
 	if s == nil {
 		return c

@@ -123,13 +123,14 @@ func TestCountConnWrapsAnyConn(t *testing.T) {
 // must reach it, mirroring sim.WithTracer's contract.
 func TestRunnerTracerSeesDeliveries(t *testing.T) {
 	const rounds = 3
-	endpoints := NewMemoryMesh(2).Endpoints()
+	meshes := NewMemoryMesh(2)
+	defer closeMeshes(meshes)
 	sender := sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		return []model.Message{{To: 1, Kind: model.KindEcho, Payload: []byte{byte(round)}}}
 	})
 	procs := []sim.Process{sender, sim.Silent{}}
 	tracer := &sim.RecordingTracer{}
-	if _, err := MeshEngine(endpoints)(procs, rounds, metrics.NewCounters(), tracer, nil); err != nil {
+	if _, err := MeshEngine(meshes)(procs, rounds, metrics.NewCounters(), tracer, nil); err != nil {
 		t.Fatalf("MeshEngine: %v", err)
 	}
 	msgs := tracer.Messages()

@@ -45,8 +45,13 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	if peer, err := readHello(link, helloBootTimeout); err != nil || peer != 1 {
-		t.Fatalf("hello on the lower peer's side = %v, %v; want node 1", peer, err)
+	link.SetReadDeadline(time.Now().Add(helloBootTimeout))
+	frame, err := readFrame(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, err := DecodeHello(frame, meshHelloKind, meshHelloTag); err != nil || name != "1" {
+		t.Fatalf("hello on the lower peer's side = %q, %v; want node 1", name, err)
 	}
 
 	intruder, err := dialBackoff(self, nil)
@@ -54,7 +59,7 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer intruder.Close()
-	if err := writeHello(intruder, 7); err != nil {
+	if err := writeFrame(intruder, EncodeHello(meshHelloKind, meshHelloTag, "7")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -114,5 +119,43 @@ func TestTCPMeshSilentDialerFailsBoot(t *testing.T) {
 		}
 	case <-time.After(helloBootTimeout / 2):
 		t.Fatalf("NewTCPMesh still waiting for a hello %v after a %v read timeout", helloBootTimeout/2, timeout)
+	}
+}
+
+// A second hello naming an already linked peer fails the boot: it would
+// otherwise take the slot of a peer that never gets linked.
+func TestTCPMeshDuplicateHelloFailsBoot(t *testing.T) {
+	reserve, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := reserve.Addr().String()
+	reserve.Close()
+
+	booted := make(chan error, 1)
+	go func() {
+		m, err := NewTCPMesh(0, map[model.NodeID]string{0: self, 1: "127.0.0.1:1", 2: "127.0.0.1:1"})
+		if err == nil {
+			m.Close()
+		}
+		booted <- err
+	}()
+	for range 2 {
+		twin, err := dialBackoff(self, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+		if err := writeFrame(twin, EncodeHello(meshHelloKind, meshHelloTag, "1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-booted:
+		if err == nil {
+			t.Fatal("NewTCPMesh linked node 1 twice")
+		}
+	case <-time.After(helloBootTimeout / 2):
+		t.Fatal("NewTCPMesh still booting after a duplicate hello")
 	}
 }

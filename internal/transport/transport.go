@@ -1,21 +1,20 @@
-// Package transport runs the lockstep protocols over real byte transports
-// — an in-memory mesh for tests and a TCP mesh (stdlib net) for actual
-// sockets — demonstrating that nothing in the library depends on the
-// simulator. MeshEngine is the entry point: the run engine a core.Cluster
-// takes in place of the simulator (core.WithEngine), which is how
-// `fdsim -transport tcp` and examples/tcpcluster put whole lifecycles on
-// sockets.
+// Package transport runs the lockstep protocols over real byte links,
+// demonstrating that nothing in the library depends on the simulator.
+// One Mesh carries a node's links: a framed Conn to every peer, built
+// from in-memory Pipes (NewMemoryMesh) or TCP sockets (NewTCPMesh,
+// BootLoopback). MeshEngine is the entry point: the run engine a
+// core.Cluster takes in place of the simulator (core.WithEngine), which
+// is how `fdsim -transport tcp` puts whole lifecycles on sockets.
 //
 // The model's synchronous rounds are recovered over an asynchronous
 // transport with a standard synchronizer: each node sends its round-r
 // protocol messages followed by a round-r DONE marker to every peer, and
 // advances to round r+1 only after collecting DONE(r) from all peers.
-// Reliable in-order delivery (TCP / channels) plus the barrier gives
-// exactly the delivery guarantee N1 demands; the identity of the immediate
-// sender (N2) is the connection's identity. Each marker also says whether
-// its sender was quiet — finished, nothing of its own in flight — and a
-// run ends after the first round everyone was, which is the simulator's
-// early exit.
+// Reliable in-order links plus the barrier give exactly the delivery
+// guarantee N1 demands; the identity of the immediate sender (N2) is the
+// link's identity. Each marker also says whether its sender was quiet —
+// finished, nothing of its own in flight — and a run ends after the
+// first round everyone was, which is the simulator's early exit.
 //
 // Trust note: the TCP mesh authenticates peers by a plaintext hello frame,
 // and the runners believe a peer's quiet bit; both are fine for the
@@ -28,8 +27,7 @@
 // everything else rides on the signatures.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - NewTCPMesh, WithConnReadTimeout, TCPMesh.fail, TCPMesh.failure: a mesh over caller-supplied addresses and its fail-fast path, for one node per process; unit tests drive them.
-//   - memoryEndpoint.Close: the in-memory endpoint's Close, which tests call.
+//   - NewTCPMesh, WithConnReadTimeout, Mesh.fail, Mesh.failure: a mesh over caller-supplied addresses and its fail-fast path, for one node per process; unit tests drive them.
 //   - DebugMux: the /debug surface behind fdserve's and fdcampaign's -debug-addr, which no smoke serves.
 package transport
 
@@ -41,23 +39,7 @@ import (
 	"repro/internal/sig"
 )
 
-// Transport delivers raw frames between nodes. Implementations must allow
-// concurrent Send and Recv.
-type Transport interface {
-	// Self returns the local node ID.
-	Self() model.NodeID
-	// Peers returns the IDs of all reachable peers.
-	Peers() []model.NodeID
-	// Send transmits one frame to a peer.
-	Send(to model.NodeID, frame []byte) error
-	// Recv blocks for the next frame and its sender. It returns an error
-	// when the transport closes.
-	Recv() (from model.NodeID, frame []byte, err error)
-	// Close releases the transport's resources.
-	Close() error
-}
-
-// ErrClosed is returned by Recv after Close.
+// ErrClosed is returned by a closed mesh and by a link either end closed.
 var ErrClosed = errors.New("transport: closed")
 
 // Frame types multiplexed on the wire.

@@ -3,8 +3,10 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,20 +24,26 @@ import (
 	"repro/internal/transport"
 )
 
-// buildEndpoints returns one Transport per node for the given mesh kind,
-// closed when the test ends; opts configure the tcp mesh's links.
-func buildEndpoints(t *testing.T, kind string, n int, opts ...transport.ConnOption) []transport.Transport {
+// buildMeshes returns one mesh per node for the given mesh kind, closed
+// when the test ends; opts configure the tcp mesh's links.
+func buildMeshes(t *testing.T, kind string, n int, opts ...transport.ConnOption) []*transport.Mesh {
 	t.Helper()
 	switch kind {
 	case "memory":
-		return transport.NewMemoryMesh(n).Endpoints()
+		meshes := transport.NewMemoryMesh(n)
+		t.Cleanup(func() {
+			for _, m := range meshes {
+				m.Close()
+			}
+		})
+		return meshes
 	case "tcp":
 		lb, err := transport.BootLoopback(context.Background(), n, opts...)
 		if err != nil {
 			t.Fatalf("mesh: %v", err)
 		}
 		t.Cleanup(lb.Close)
-		return lb.Endpoints
+		return lb.Meshes
 	default:
 		t.Fatalf("unknown mesh kind %q", kind)
 		return nil
@@ -97,7 +105,7 @@ func TestFullLifecycleOverTransports(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			n, tol := 5, 1
 			value := []byte("over the wire")
-			engine := transport.MeshEngine(buildEndpoints(t, kind, n))
+			engine := transport.MeshEngine(buildMeshes(t, kind, n))
 			c, kd, rep := lifecycle(t, model.Config{N: n, T: tol}, engine, value, nil)
 
 			if got, want := kd.Snapshot.Messages, keydist.ExpectedMessages(n); got != want {
@@ -144,7 +152,7 @@ func TestRunnerViewMatchesSimulator(t *testing.T) {
 				t.Errorf("simulator run discovered = %v", simFD.FailureDiscovered())
 			}
 			for _, kind := range []string{"memory", "tcp"} {
-				c, kd, rep := lifecycle(t, cfg, transport.MeshEngine(buildEndpoints(t, kind, n)), []byte("v"), tc.faults)
+				c, kd, rep := lifecycle(t, cfg, transport.MeshEngine(buildMeshes(t, kind, n)), []byte("v"), tc.faults)
 				if !reflect.DeepEqual(kd, simKD) {
 					t.Errorf("keydist report over %s = %v, simulator's %v", kind, kd, simKD)
 				}
@@ -234,7 +242,7 @@ func TestCorruptSetupMatchesSimulator(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			simC, simRep := establish(t, nil, tc.opts(t)...)
 			for _, kind := range []string{"memory", "tcp"} {
-				c, rep := establish(t, transport.MeshEngine(buildEndpoints(t, kind, n)), tc.opts(t)...)
+				c, rep := establish(t, transport.MeshEngine(buildMeshes(t, kind, n)), tc.opts(t)...)
 				if !reflect.DeepEqual(rep, simRep) {
 					t.Errorf("%s: keydist report %v, simulator's %v", kind, rep, simRep)
 				}
@@ -341,7 +349,7 @@ func TestRunnersStopAtTheEnginesRound(t *testing.T) {
 				t.Fatalf("lockstep engine ran %d rounds, want %d", got, tc.want)
 			}
 			counters := metrics.NewCounters()
-			got, err := transport.MeshEngine(buildEndpoints(t, "memory", n))(tc.procs(), maxRounds, counters, nil, tc.net)
+			got, err := transport.MeshEngine(buildMeshes(t, "memory", n))(tc.procs(), maxRounds, counters, nil, tc.net)
 			if err != nil {
 				t.Fatalf("mesh engine: %v", err)
 			}
@@ -389,7 +397,7 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 	var trace bytes.Buffer
 	tracer := sim.NewWriterTracer(&trace)
 	got := run(core.WithObserver(rec), core.WithTracer(tracer),
-		core.WithEngine(transport.MeshEngine(buildEndpoints(t, "memory", n))))
+		core.WithEngine(transport.MeshEngine(buildMeshes(t, "memory", n))))
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -413,43 +421,76 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 	}
 }
 
-func TestMemoryMeshBasics(t *testing.T) {
-	mesh := transport.NewMemoryMesh(3)
-	a := mesh.Endpoint(0)
-	b := mesh.Endpoint(1)
-	if a.Self() != 0 {
-		t.Errorf("Self = %v", a.Self())
+// TestMeshBasics: the in-memory and the TCP mesh are one Mesh over
+// different links, and each answers the same way.
+func TestMeshBasics(t *testing.T) {
+	for _, kind := range []string{"memory", "tcp"} {
+		t.Run(kind, func(t *testing.T) {
+			meshes := buildMeshes(t, kind, 3)
+			a, b := meshes[0], meshes[1]
+			if a.Self() != 0 || b.Self() != 1 {
+				t.Errorf("Self = %v, %v", a.Self(), b.Self())
+			}
+			if got := a.Peers(); !reflect.DeepEqual(got, []model.NodeID{1, 2}) {
+				t.Errorf("Peers = %v", got)
+			}
+			if err := a.Send(1, []byte("ping")); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			from, frame, err := b.Recv()
+			if err != nil || from != 0 || string(frame) != "ping" {
+				t.Errorf("Recv = %v %q %v", from, frame, err)
+			}
+			for _, to := range []model.NodeID{0, 3, model.NoNode} {
+				if err := a.Send(to, []byte("nowhere")); err == nil {
+					t.Errorf("send from %v to %v accepted", a.Self(), to)
+				}
+			}
+			b.Close()
+			if _, _, err := b.Recv(); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Recv after Close = %v, want ErrClosed", err)
+			}
+			// A TCP peer's close reaches the sender with its reset: the
+			// first frames may still leave.
+			var sendErr error
+			for deadline := time.Now().Add(5 * time.Second); sendErr == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				sendErr = a.Send(1, []byte("late"))
+			}
+			if !errors.Is(sendErr, transport.ErrClosed) {
+				t.Errorf("Send to a closed peer = %v, want ErrClosed", sendErr)
+			}
+		})
 	}
-	if got := a.Peers(); len(got) != 2 {
-		t.Errorf("Peers = %v", got)
+}
+
+// Closing an in-memory mesh stops its readers: the goroutine count
+// returns to where it was before the mesh was built.
+func TestMemoryMeshCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	meshes := transport.NewMemoryMesh(6)
+	if got := runtime.NumGoroutine() - before; got < 6*5 {
+		t.Fatalf("%d goroutines for a 6-node mesh, want one reader per link end (30)", got)
 	}
-	if err := a.Send(1, []byte("ping")); err != nil {
-		t.Fatalf("Send: %v", err)
+	for _, m := range meshes {
+		m.Close()
 	}
-	from, frame, err := b.Recv()
-	if err != nil || from != 0 || string(frame) != "ping" {
-		t.Errorf("Recv = %v %q %v", from, frame, err)
-	}
-	if err := a.Send(0, []byte("self")); err == nil {
-		t.Error("send-to-self accepted")
-	}
-	if err := a.Send(9, []byte("oob")); err == nil {
-		t.Error("out-of-range destination accepted")
-	}
-	b.Close()
-	if _, _, err := b.Recv(); err == nil {
-		t.Error("Recv after Close succeeded")
+	// Close waits for the readers; an exiting goroutine may still be
+	// counted for a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the mesh", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
 func TestTCPMeshCloseUnblocksRecv(t *testing.T) {
-	endpoints := buildEndpoints(t, "tcp", 2)
+	meshes := buildMeshes(t, "tcp", 2)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := endpoints[0].Recv()
+		_, _, err := meshes[0].Recv()
 		done <- err
 	}()
-	endpoints[0].Close()
+	meshes[0].Close()
 	if err := <-done; err == nil {
 		t.Error("Recv not unblocked by Close")
 	}
@@ -459,8 +500,8 @@ func TestTCPMeshCloseUnblocksRecv(t *testing.T) {
 // fail — Recv returning an error that names the peer — instead of
 // blocking its reader, and the lockstep barrier behind it, forever.
 func TestTCPMeshSilentPeerFailsMesh(t *testing.T) {
-	endpoints := buildEndpoints(t, "tcp", 2, transport.WithConnReadTimeout(50*time.Millisecond))
-	_, _, err := endpoints[0].Recv()
+	meshes := buildMeshes(t, "tcp", 2, transport.WithConnReadTimeout(50*time.Millisecond))
+	_, _, err := meshes[0].Recv()
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("peer %v failed", model.NodeID(1))) {
 		t.Fatalf("Recv beside a silent peer = %v, want an error naming peer %v", err, model.NodeID(1))
 	}
