@@ -125,8 +125,10 @@ func DropTo(victims model.NodeSet) Filter {
 }
 
 // TamperPayload rewrites the payload of every message matching kind.
-// The mutation receives the original buffer and must not write to it
-// (FlipByte copies).
+// mutate receives the original buffer and must not write to it: a
+// broadcast shares one payload among its recipients, and a chain's
+// payload is the sig.Chain's own encoding (Marshal returns it read-only).
+// A mutation returns a new buffer instead (FlipByte copies).
 func TamperPayload(kind model.MessageKind, mutate func([]byte) []byte) Filter {
 	return func(_ int, _, out []model.Message) []model.Message {
 		for i := range out {

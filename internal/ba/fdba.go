@@ -70,6 +70,9 @@ type FDBANode struct {
 	bestValue    []byte
 	// conflict marks two strongest chains with different values.
 	conflict bool
+	// signers is VerifyTo's buffer for fault and evidence chains, apart
+	// from the flood's own: noteEvidence runs inside the flood's relay.
+	signers []model.NodeID
 
 	decision Decision
 	finished bool
@@ -228,7 +231,8 @@ func (n *FDBANode) firstValidFault(received []model.Message, layers int) (*sig.C
 		if !bytes.Equal(chain.Value(), []byte(faultTag)) {
 			continue
 		}
-		signers, err := chain.Verify(m.From, n.dir)
+		signers, err := chain.VerifyTo(n.signers[:0], m.From, n.dir)
+		n.signers = signers
 		if err != nil {
 			continue
 		}
@@ -270,7 +274,8 @@ func (n *FDBANode) noteEvidence(evBytes []byte) bool {
 	}
 	// Valid FD evidence is signed by the consecutive prefix P_0 … P_{k-1};
 	// the outer layer is therefore P_{k-1}'s.
-	signers, err := ev.Verify(model.NodeID(k-1), n.dir)
+	signers, err := ev.VerifyTo(n.signers[:0], model.NodeID(k-1), n.dir)
+	n.signers = signers
 	if err != nil {
 		return false
 	}

@@ -24,6 +24,9 @@ type signedFlood struct {
 	kind   model.MessageKind
 	// held is keyed by chain value: SM's V, FDBA's seen evidence.
 	held map[string]bool
+	// signers is VerifyTo's buffer: a chain's signers are read only
+	// until the next chain is verified.
+	signers []model.NodeID
 }
 
 func newSignedFlood(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, kind model.MessageKind) signedFlood {
@@ -57,7 +60,8 @@ func (f *signedFlood) relay(out []model.Message, hop int, received []model.Messa
 		if err != nil || chain.Len() != hop || hop < 1 || hop > f.cfg.T+1 {
 			continue // malformed, or late: a late chain would inject a value at the last moment
 		}
-		signers, err := chain.Verify(m.From, f.dir)
+		signers, err := chain.VerifyTo(f.signers[:0], m.From, f.dir)
+		f.signers = signers
 		if err != nil || !distinctValid(signers, f.cfg.N) || containsID(signers, f.id) {
 			continue
 		}

@@ -364,11 +364,15 @@ func TestFloodSeedsExerciseTheRelay(t *testing.T) {
 // The flood allocates no more than the bodies it replaced: one accepted
 // and relayed SM chain, and one FDBA flood relay, each measured on a
 // node and on its reference twin under the same warm verify memo. The
-// reference bodies made 14 and 22 allocations; the flood makes 13 (no
-// copy of each relay batch into the round's outbox) and 19 (no node
-// list, and a relay batch presized to n−1−h instead of grown).
+// reference bodies make 8 and 15 allocations; the flood makes 6 (no
+// copy of each relay batch into the round's outbox, and its signers in a
+// buffer it keeps) and 10 (no node list, a relay batch presized to
+// n−1−h instead of grown, and the evidence check's signers in the node's
+// buffer). Both sides run on sig.Chain, which since it became its wire
+// encoding parses in 2 allocations and extends in 3; over the spine-based
+// chain the pins were 13 and 19, the reference bodies 14 and 22.
 func TestSignedFloodAllocs(t *testing.T) {
-	const smPin, fdbaPin = 13, 19
+	const smPin, fdbaPin = 6, 10
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}

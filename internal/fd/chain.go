@@ -111,6 +111,9 @@ type chainParams struct {
 	silence []byte
 	// framed chains travel in the vector's (instance, chain) envelope.
 	framed bool
+	// signers is VerifyTo's buffer, shared by the runs the node sits in:
+	// a chain's signers are read only until the next chain is verified.
+	signers []model.NodeID
 }
 
 func newChainParams(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, what string) (chainParams, error) {
@@ -301,7 +304,8 @@ func (r *chainRun) receive(round int, from model.NodeID, payload []byte) []model
 // exactly positions 0 … len−1 — the only sequence a failure-free run of
 // Fig. 2 produces.
 func (r *chainRun) verify(chain *sig.Chain, from model.NodeID) error {
-	signers, err := chain.Verify(from, r.dir)
+	signers, err := chain.VerifyTo(r.signers[:0], from, r.dir)
+	r.signers = signers
 	if err != nil {
 		return err
 	}

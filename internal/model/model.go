@@ -10,6 +10,7 @@
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - View.Len, View.Received: accessors the view tests read.
+//   - CloneAppend: the copy-and-extend the reference chain (sig) and the OM(t) oracles (ba) are written in.
 package model
 
 import (

@@ -1,8 +1,10 @@
 package sig
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -25,16 +27,32 @@ import (
 // named node, so two correct nodes either make identical assignments for
 // every layer or one of them discovers a failure.
 //
-// On the wire a chain is encoded flat (value, names, signatures); the
-// nested encodings exist only as signature payloads. A chain caches its
-// own nested encoding: Extend derives the next one from the cache with a
-// single append-style pass instead of re-encoding every layer, and Verify
-// recomputes the per-layer payloads in one forward sweep over two pooled
-// scratch buffers that it keeps to itself. A chain built by
-// NewChain/Extend carries the cache from birth; one parsed by
-// UnmarshalChain fills it on its first Extend, in one exactly-sized
-// allocation — only relays ever extend, so the many receivers that verify
-// and decide never pay for an encoding they would not use.
+// Representation. A Chain IS its flat wire encoding, one byte string
+//
+//	len‖value ‖ K ‖ name_0 … name_{K-2} ‖ len‖sig_0 … len‖sig_{K-1}
+//
+// (integers as the package's 8-byte fields, lengths as 4-byte prefixes),
+// and nothing else: the value, the names and the signatures are read from
+// it by offset, and no per-layer slice exists. A chain validated once —
+// built by NewChain or Extend, or checked by UnmarshalChain — is never
+// re-checked: every accessor trusts the layout.
+//
+// Ownership. A chain owns its encoding and never writes it after
+// construction, so a Chain is immutable and safe to share between
+// goroutines. UnmarshalChain validates the caller's bytes in place and
+// then copies them once; NewChain, Extend and Inner each write the new
+// chain's encoding in one exactly-sized allocation. Marshal returns the
+// encoding itself, capped at its length: the result is READ-ONLY (a
+// caller that wants to change bytes copies first, as adversary.FlipByte
+// does), appending to it reallocates, and Value's and a signature's bytes
+// alias it under the same rule.
+//
+// The nested encodings exist only as signature payloads. Extend writes the
+// receiver's nested encoding straight into its pooled signing buffer — the
+// headers of the outer layers, then the value field and the signature
+// fields exactly as they sit in the flat encoding — and Verify recomputes
+// the per-layer payloads in one forward sweep over two pooled scratch
+// buffers that it keeps to itself. No chain keeps a nested encoding.
 
 // Domain-separation tags for chain signature payloads. Distinct tags keep
 // a signature obtained in one context (e.g. a key-distribution challenge
@@ -56,6 +74,11 @@ var (
 	// ErrChainBadSignature reports a layer whose signature fails its
 	// assigned node's test predicate.
 	ErrChainBadSignature = errors.New("sig: chain signature failed test predicate")
+
+	// errChainCount rejects a signature count below one, above 2¹⁶, or
+	// larger than the bytes behind it can hold. It is built once, so a
+	// receiver pays nothing for a lying count.
+	errChainCount = fmt.Errorf("%w: signature count does not fit the encoding", ErrChainEncoding)
 )
 
 // Directory resolves the test predicate a verifying node has accepted for
@@ -75,23 +98,11 @@ type Directory interface {
 // memoDirectory is a Directory carrying its key set's verify memo.
 type memoDirectory interface{ VerifyMemo() *VerifyMemo }
 
-// Chain is a parsed chain-signed message. The zero value is not useful;
-// build chains with NewChain and Chain.Extend. A Chain is immutable after
-// construction except for its lazily-filled nested-encoding cache, so a
-// single Chain must not be extended from multiple goroutines concurrently.
+// Chain is a chain-signed message: its validated flat wire encoding (see
+// the representation notes above). The zero value has no layers; build
+// chains with NewChain, Chain.Extend and UnmarshalChain.
 type Chain struct {
-	// value is the innermost payload m.
-	value []byte
-	// names[k] is the embedded assignee name for signature layer k,
-	// k = 0..len(sigs)-2. The outermost layer has no embedded name; its
-	// assignee is the immediate sender.
-	names []model.NodeID
-	// sigs[k] is the signature of layer k, innermost first.
-	sigs [][]byte
-	// nested caches the chain's nested encoding — the byte string the
-	// next signer would sign together with an assignee name. nil only for
-	// chains fresh off the wire; filled by nestedEncoding.
-	nested []byte
+	enc []byte
 }
 
 // NewChain creates the innermost chain message {value}_{signer}: the
@@ -107,79 +118,122 @@ func NewChain(value []byte, signer Signer) (*Chain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sig: sign chain value: %w", err)
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	nested := make([]byte, 0, BytesFieldSize(len(v))+BytesFieldSize(len(sig)))
-	nested = appendNestedRoot(nested, v, sig)
-	return &Chain{value: v, sigs: [][]byte{sig}, nested: nested}, nil
+	enc := make([]byte, 0, BytesFieldSize(len(value))+IntFieldSize+BytesFieldSize(len(sig)))
+	enc = AppendBytes(enc, value)
+	enc = AppendInt(enc, 1)
+	return &Chain{enc: AppendBytes(enc, sig)}, nil
 }
 
 // Extend returns a new chain with one more signature layer: the caller
 // signs the existing chain together with outerAssignee, the name of the
 // node the caller assigns the current outermost signature to (in the
 // protocols of this repository, the node it received the chain from).
-// The receiver chain is not modified. The new chain's nested encoding is
-// derived from the receiver's cache in one pass — no per-layer
-// re-encoding.
+// The receiver chain is not modified. The statement is signed in a pooled
+// buffer and the new chain's encoding is the receiver's with the count
+// bumped, one name and one signature field added.
 func (c *Chain) Extend(outerAssignee model.NodeID, signer Signer) (*Chain, error) {
-	if len(c.sigs) == 0 {
+	k := c.Len()
+	if k == 0 {
 		return nil, ErrChainEmpty
 	}
-	nested := c.nestedEncoding()
+	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k)
+	nestedSize := c.nestedSize(k)
 	e := GetEncoder()
-	e.Grow(BytesFieldSize(len(tagChainLink)) + IntFieldSize + BytesFieldSize(len(nested)))
-	e.Raw(appendLinkPayload(e.Encoding(), outerAssignee, nested))
+	e.Grow(BytesFieldSize(len(tagChainLink)) + IntFieldSize + BytesFieldSize(nestedSize))
+	e.Raw(c.appendNested(appendLinkHeader(e.Encoding(), outerAssignee, nestedSize), k))
 	sig, err := signer.Sign(e.Encoding())
 	e.Release()
 	if err != nil {
 		return nil, fmt.Errorf("sig: sign chain link: %w", err)
 	}
-	// The per-layer signature slices are never mutated, so the new chain
-	// shares them and only the spines (and the value, which Value exposes)
-	// are fresh.
-	value := make([]byte, len(c.value))
-	copy(value, c.value)
-	sigs := make([][]byte, len(c.sigs)+1)
-	copy(sigs, c.sigs)
-	sigs[len(c.sigs)] = sig
-	next := make([]byte, 0, IntFieldSize+BytesFieldSize(len(nested))+BytesFieldSize(len(sig)))
-	next = appendNestedLayer(next, outerAssignee, nested, sig)
-	return &Chain{
-		value:  value,
-		names:  model.CloneAppend(c.names, outerAssignee),
-		sigs:   sigs,
-		nested: next,
-	}, nil
+	enc := make([]byte, 0, len(c.enc)+IntFieldSize+BytesFieldSize(len(sig)))
+	enc = append(enc, c.enc[:valEnd]...)
+	enc = AppendInt(enc, k+1)
+	enc = append(enc, c.enc[valEnd+IntFieldSize:sigsAt]...)
+	enc = AppendInt(enc, int(outerAssignee))
+	enc = append(enc, c.enc[sigsAt:]...)
+	return &Chain{enc: AppendBytes(enc, sig)}, nil
 }
 
-// Value returns the innermost payload m.
-func (c *Chain) Value() []byte { return c.value }
+// Value returns the innermost payload m. It aliases the chain's
+// encoding: read-only.
+func (c *Chain) Value() []byte {
+	if len(c.enc) == 0 {
+		return nil
+	}
+	end := c.valueEnd()
+	return c.enc[4:end:end]
+}
 
 // Len returns the number of signature layers.
-func (c *Chain) Len() int { return len(c.sigs) }
+func (c *Chain) Len() int {
+	if len(c.enc) == 0 {
+		return 0
+	}
+	return int(int64(binary.BigEndian.Uint64(c.enc[c.valueEnd():])))
+}
 
 // Signers returns the full claimed signer sequence given the immediate
 // sender: embedded names followed by the sender, innermost first. This is
 // the "P_0 said m, P_1 said that P_0 said m, …" reading from the paper.
 func (c *Chain) Signers(sender model.NodeID) []model.NodeID {
-	return model.CloneAppend(c.names, sender)
+	return c.appendSigners(make([]model.NodeID, 0, c.Len()), sender)
+}
+
+// appendSigners appends the claimed signer sequence to dst.
+func (c *Chain) appendSigners(dst []model.NodeID, sender model.NodeID) []model.NodeID {
+	for k := range c.Len() - 1 {
+		dst = append(dst, c.name(k))
+	}
+	return append(dst, sender)
 }
 
 // Inner returns the chain without its outermost signature layer — the
 // chain the last signer received and extended — or nil for a one-layer
-// chain. It shares the receiver's value and signatures.
+// chain. Its encoding is a fresh copy of the receiver's lower layers.
 func (c *Chain) Inner() *Chain {
-	k := len(c.sigs) - 1
+	k := c.Len() - 1
 	if k < 1 {
 		return nil
 	}
-	return &Chain{value: c.value, names: c.names[: k-1 : k-1], sigs: c.sigs[:k:k]}
+	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k+1)
+	last := sigsAt
+	for range k {
+		_, last = c.sigAt(last)
+	}
+	enc := make([]byte, 0, valEnd+IntFieldSize*k+last-sigsAt)
+	enc = append(enc, c.enc[:valEnd]...)
+	enc = AppendInt(enc, k)
+	enc = append(enc, c.enc[valEnd+IntFieldSize:sigsAt-IntFieldSize]...)
+	return &Chain{enc: append(enc, c.enc[sigsAt:last]...)}
+}
+
+// The flat encoding's offsets. valueEnd is where the value field ends and
+// the count begins; name k is the k-th 8-byte field after the count; the
+// signature fields follow the k-1 names of a k-layer chain.
+
+func (c *Chain) valueEnd() int { return 4 + int(binary.BigEndian.Uint32(c.enc)) }
+
+func (c *Chain) name(k int) model.NodeID {
+	at := c.valueEnd() + IntFieldSize*(1+k)
+	return model.NodeID(int64(binary.BigEndian.Uint64(c.enc[at:])))
+}
+
+func (c *Chain) sigsAt(k int) int { return c.valueEnd() + IntFieldSize*k }
+
+// sigAt returns the signature field at offset off (its bytes, read-only)
+// and the offset of the next field.
+func (c *Chain) sigAt(off int) ([]byte, int) {
+	end := off + 4 + int(binary.BigEndian.Uint32(c.enc[off:]))
+	return c.enc[off+4 : end : end], end
 }
 
 // The chain wire layouts are defined ONCE each, by the append helpers
-// below; every signing, verification, and cache-derivation path goes
-// through them. Anything that changes a layout changes it for all
-// callers at once — signing and verification cannot drift apart.
+// below; every signing and verification path goes through them. Anything
+// that changes a layout changes it for all callers at once — signing and
+// verification cannot drift apart. appendNested writes the nested layers
+// outside-in; the tests hold it to the bottom-up layer-by-layer encoding
+// (slowEncodeNested) and to the spine-based reference chain.
 
 // appendValuePayload appends the byte string the originator signs.
 func appendValuePayload(dst, value []byte) []byte {
@@ -191,9 +245,15 @@ func appendValuePayload(dst, value []byte) []byte {
 // assignee name of the enclosed message plus the enclosed message's
 // nested encoding.
 func appendLinkPayload(dst []byte, assignee model.NodeID, nested []byte) []byte {
+	return append(appendLinkHeader(dst, assignee, len(nested)), nested...)
+}
+
+// appendLinkHeader appends a link payload up to the enclosed nested
+// encoding's bytes, for a signer that writes those bytes itself.
+func appendLinkHeader(dst []byte, assignee model.NodeID, nestedLen int) []byte {
 	dst = AppendString(dst, tagChainLink)
 	dst = AppendInt(dst, int(assignee))
-	return AppendBytes(dst, nested)
+	return AppendUint32(dst, uint32(nestedLen))
 }
 
 // appendNestedRoot appends the innermost nested-encoding layer
@@ -203,120 +263,82 @@ func appendNestedRoot(dst, value, sig0 []byte) []byte {
 	return AppendBytes(dst, sig0)
 }
 
-// appendNestedLayer appends one outer nested-encoding layer
-// (assignee, enclosed encoding, signature).
-func appendNestedLayer(dst []byte, assignee model.NodeID, enc, sg []byte) []byte {
-	dst = AppendInt(dst, int(assignee))
-	dst = AppendBytes(dst, enc)
-	return AppendBytes(dst, sg)
+// nestedLayerOverhead is what one outer nested layer adds around the
+// encoding it encloses, beyond its signature field: the assignee and the
+// enclosed encoding's length prefix.
+const nestedLayerOverhead = IntFieldSize + 4
+
+// nestedSize returns the size of the k-layer chain's nested encoding: the
+// value field, every signature field, and each outer layer's overhead.
+func (c *Chain) nestedSize(k int) int {
+	return c.valueEnd() + len(c.enc) - c.sigsAt(k) + nestedLayerOverhead*(k-1)
 }
 
-// nestedEncoding returns the chain's nested encoding — the byte string
-// that the NEXT signer would sign (together with an assignee name) —
-// computing and caching it for chains that came off the wire. Layer k's
-// nested encoding is (name_{k-1}, enc_{k-1}, sig_k) and the innermost is
-// (value, sig_0).
-func (c *Chain) nestedEncoding() []byte {
-	if c.nested == nil {
-		c.nested = c.computeNested()
+// appendNested appends the k-layer chain's nested encoding — the byte
+// string the NEXT signer signs together with an assignee name — to dst.
+// Layer j's nested encoding is (name_{j-1}, nested_{j-1}, sig_j) and the
+// innermost is (value, sig_0), so written outside-in it is the outer
+// layers' headers (assignee, enclosed length), outermost first, then the
+// value field and the signature fields exactly as the flat encoding holds
+// them. The headers are filled innermost first, from the running size.
+func (c *Chain) appendNested(dst []byte, k int) []byte {
+	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k)
+	at := len(dst)
+	dst = append(dst, make([]byte, nestedLayerOverhead*(k-1))...)
+	size := valEnd
+	sg, off := c.sigAt(sigsAt)
+	size += BytesFieldSize(len(sg))
+	for j := 1; j < k; j++ {
+		h := dst[at+nestedLayerOverhead*(k-1-j):]
+		binary.BigEndian.PutUint64(h, uint64(c.name(j-1)))
+		binary.BigEndian.PutUint32(h[IntFieldSize:], uint32(size))
+		sg, off = c.sigAt(off)
+		size += nestedLayerOverhead + BytesFieldSize(len(sg))
 	}
-	return c.nested
+	dst = append(dst, c.enc[:valEnd]...)
+	return append(dst, c.enc[sigsAt:]...)
 }
 
-// computeNested rebuilds the nested encoding of a chain parsed from the
-// wire, in one exactly-sized allocation written outside-in: every layer's
-// size is known up front, so the layers' headers (assignee, length of the
-// enclosed encoding) go first, outermost first, then the root, then the
-// signatures innermost first — the same bytes appendNestedLayer produces
-// bottom-up (slowEncodeNested in the tests is that oracle).
-func (c *Chain) computeNested() []byte {
-	// layerOverhead is what one outer layer adds around the encoding it
-	// encloses, its signature's bytes aside: the assignee and two length
-	// prefixes.
-	layerOverhead := IntFieldSize + 2*BytesFieldSize(0)
-	size := BytesFieldSize(len(c.value)) + BytesFieldSize(len(c.sigs[0]))
-	for _, sg := range c.sigs[1:] {
-		size += layerOverhead + len(sg)
-	}
-	enc := make([]byte, 0, size)
-	for k := len(c.sigs) - 1; k >= 1; k-- {
-		size -= layerOverhead + len(c.sigs[k])
-		enc = AppendInt(enc, int(c.names[k-1]))
-		enc = AppendUint32(enc, uint32(size))
-	}
-	enc = appendNestedRoot(enc, c.value, c.sigs[0])
-	for _, sg := range c.sigs[1:] {
-		enc = AppendBytes(enc, sg)
-	}
-	return enc
-}
-
-// Marshal produces the flat wire encoding of the chain in a single
-// exactly-sized allocation.
-func (c *Chain) Marshal() []byte {
-	return c.MarshalTo(make([]byte, 0, c.MarshalSize()))
-}
+// Marshal returns the flat wire encoding: the chain's own bytes, capped at
+// their length. It is READ-ONLY and costs nothing.
+func (c *Chain) Marshal() []byte { return c.enc[:len(c.enc):len(c.enc)] }
 
 // MarshalTo appends the flat wire encoding to dst and returns the
 // extended slice, for callers embedding a chain in a larger payload
 // without an intermediate copy.
-func (c *Chain) MarshalTo(dst []byte) []byte {
-	dst = AppendBytes(dst, c.value)
-	dst = AppendInt(dst, len(c.sigs))
-	for _, n := range c.names {
-		dst = AppendInt(dst, int(n))
-	}
-	for _, s := range c.sigs {
-		dst = AppendBytes(dst, s)
-	}
-	return dst
-}
+func (c *Chain) MarshalTo(dst []byte) []byte { return append(dst, c.enc...) }
 
 // MarshalSize returns the exact size of the flat wire encoding, so
 // callers of MarshalTo can presize the destination buffer.
-func (c *Chain) MarshalSize() int {
-	size := BytesFieldSize(len(c.value)) + IntFieldSize + IntFieldSize*len(c.names)
-	for _, s := range c.sigs {
-		size += BytesFieldSize(len(s))
-	}
-	return size
-}
+func (c *Chain) MarshalSize() int { return len(c.enc) }
 
 // UnmarshalChain parses a flat wire encoding. It validates structure only;
-// signature checking is Verify's job. The chain does not alias data: one
-// copy of the encoding backs the value and every signature, each sliced
-// out of it at full capacity so appending to one cannot reach the next.
+// signature checking is Verify's job. The structure is checked in data
+// itself, and a signature count the bytes cannot hold is refused before
+// anything is read or sized by it; only then is data copied, once, so the
+// chain shares nothing with the caller.
 func UnmarshalChain(data []byte) (*Chain, error) {
-	d := NewDecoder(append([]byte(nil), data...))
-	field := func() []byte {
-		f := d.Bytes()
-		return f[:len(f):len(f)]
-	}
-	value := field()
+	d := Decoder{buf: data}
+	d.Bytes()
 	nsigs := d.Int()
 	if d.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, d.Err())
 	}
-	// A chain never exceeds one signature per node plus slack; reject
-	// absurd counts before sizing the spines by them.
-	if nsigs < 1 || nsigs > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible signature count %d", ErrChainEncoding, nsigs)
+	// A chain never exceeds one signature per node plus slack, and each
+	// layer takes at least a name and a length prefix.
+	if nsigs < 1 || nsigs > 1<<16 || len(data)-d.off < IntFieldSize*(nsigs-1)+4*nsigs {
+		return nil, errChainCount
 	}
-	c := &Chain{
-		value: value,
-		names: make([]model.NodeID, 0, nsigs-1),
-		sigs:  make([][]byte, 0, nsigs),
-	}
-	for k := 0; k < nsigs-1; k++ {
-		c.names = append(c.names, model.NodeID(d.Int()))
-	}
-	for k := 0; k < nsigs; k++ {
-		c.sigs = append(c.sigs, field())
+	d.off += IntFieldSize * (nsigs - 1)
+	for range nsigs {
+		d.Bytes()
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, err)
 	}
-	return c, nil
+	enc := make([]byte, len(data))
+	copy(enc, data)
+	return &Chain{enc: enc}, nil
 }
 
 // PeekChainValue returns the value of a flat wire encoding (its first
@@ -345,12 +367,27 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // Verify checks every signature layer of the chain against the verifier's
 // directory, attributing the outermost layer to sender (per N2) and each
 // inner layer to its embedded name. On success it returns the full signer
-// sequence, innermost first.
+// sequence, innermost first, in a fresh slice; VerifyTo is the same check
+// appending to a caller's buffer.
 //
 // A correct node that accepts a chain via Verify has, in the paper's
 // terms, assigned the complete message to the sender and every sub-message
 // to its stated node; Theorem 4 then guarantees all correct nodes make the
 // same assignments or some correct node discovers a failure.
+func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
+	signers, err := c.VerifyTo(nil, sender, dir)
+	if err != nil {
+		return nil, err
+	}
+	return signers, nil
+}
+
+// VerifyTo is Verify appending the signer sequence to dst: on success it
+// returns dst extended by it, on failure dst unextended and the error;
+// dst grows at most once. A receiver that reads the signers only until
+// its next VerifyTo passes its own buffer back
+// (buf, err = chain.VerifyTo(buf[:0], …)) and allocates nothing for them
+// once the buffer holds its longest chain.
 //
 // Verification goes through the directory's verified-prefix memo
 // (memo.go; the package default if it carries none): one small hash per
@@ -358,18 +395,17 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // already verified under the same predicates costs those and one map
 // probe. Otherwise the layers above the longest memoized prefix are tested
 // in order. The result (including which error, at which layer) is
-// identical to checking the layers one by one in order; verifySerial in
-// the tests is that reference implementation. The chain itself is left
+// identical to checking the layers one by one in order; refChain.verify
+// in the tests is that reference implementation. The chain itself is left
 // untouched.
-func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
-	if len(c.sigs) == 0 {
-		return nil, ErrChainEmpty
+func (c *Chain) VerifyTo(dst []model.NodeID, sender model.NodeID, dir Directory) ([]model.NodeID, error) {
+	n := c.Len()
+	if n == 0 {
+		return dst, ErrChainEmpty
 	}
-	if len(c.names) != len(c.sigs)-1 {
-		return nil, fmt.Errorf("%w: %d names for %d signatures",
-			ErrChainEncoding, len(c.names), len(c.sigs))
-	}
-	signers := c.Signers(sender)
+	base := len(dst)
+	dst = c.appendSigners(slices.Grow(dst, n), sender)
+	signers := dst[base:]
 	// Resolve predicates and derive the prefix keys up front. A serial
 	// verifier stops at the first layer with no accepted predicate, so only
 	// layers below that bound ("limit") are ever tested.
@@ -380,15 +416,18 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 		memo = d.VerifyMemo()
 	}
 	s.preds, s.keys = s.preds[:0], s.keys[:0]
-	limit := len(c.sigs)
+	limit := n
 	var key memoKey
-	for k := range c.sigs {
+	var sg []byte
+	off := c.sigsAt(n)
+	for k := range n {
 		pred, ok := dir.PredicateOf(signers[k])
 		if !ok {
 			limit = k
 			break
 		}
-		key, s.kbuf = c.prefixKey(s.kbuf, k, &key, memo.digestOf(pred))
+		sg, off = c.sigAt(off)
+		key, s.kbuf = c.prefixKey(s.kbuf, k, &key, memo.digestOf(pred), sg)
 		s.preds, s.keys = append(s.preds, pred), append(s.keys, key)
 	}
 	// Layers 0…verified-1 are memoized as one prefix. The top key is asked
@@ -402,22 +441,25 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 		// (name_{k-1}, nested_{k-1}), and nested_k is that same body plus
 		// sig_k — so each step encodes the body once and copies it.
 		const tagLen = 4 + len(tagChainLink)
-		s.payload = appendValuePayload(s.payload[:0], c.value)
-		s.ne = appendNestedRoot(s.ne[:0], c.value, c.sigs[0])
-		for k := 0; k < limit; k++ {
+		value := c.Value()
+		sg, off = c.sigAt(c.sigsAt(n))
+		s.payload = appendValuePayload(s.payload[:0], value)
+		s.ne = appendNestedRoot(s.ne[:0], value, sg)
+		for k := range limit {
 			if k > 0 {
-				s.payload = appendLinkPayload(s.payload[:0], c.names[k-1], s.ne)
-				s.ne = AppendBytes(append(s.ne[:0], s.payload[tagLen:]...), c.sigs[k])
+				sg, off = c.sigAt(off)
+				s.payload = appendLinkPayload(s.payload[:0], signers[k-1], s.ne)
+				s.ne = AppendBytes(append(s.ne[:0], s.payload[tagLen:]...), sg)
 			}
-			if k >= verified && !memo.test(s.keys[k], s.preds[k], s.payload, c.sigs[k]) {
-				return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, k, signers[k])
+			if k >= verified && !memo.test(s.keys[k], s.preds[k], s.payload, sg) {
+				return dst[:base], fmt.Errorf("%w: layer %d assigned to %v", ErrChainBadSignature, k, signers[k])
 			}
 		}
 	}
-	if limit < len(c.sigs) {
-		return nil, fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, limit, signers[limit])
+	if limit < n {
+		return dst[:base], fmt.Errorf("%w: layer %d assigned to %v", ErrChainUnknownSigner, limit, signers[limit])
 	}
-	return signers, nil
+	return dst, nil
 }
 
 // MapDirectory is a Directory backed by a plain map, convenient for tests

@@ -2,7 +2,10 @@ package sig
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/model"
@@ -16,12 +19,13 @@ import (
 // slowEncodeNested is the original layer-by-layer nested encoding: a
 // fresh encoder per layer, quadratic re-encoding. Oracle only.
 func slowEncodeNested(c *Chain) []byte {
-	enc := NewEncoder().Bytes(c.value).Bytes(c.sigs[0]).Encoding()
-	for k := 1; k < len(c.sigs); k++ {
+	r := refOf(c)
+	enc := NewEncoder().Bytes(r.value).Bytes(r.sigs[0]).Encoding()
+	for k := 1; k < len(r.sigs); k++ {
 		enc = NewEncoder().
-			Int(int(c.names[k-1])).
+			Int(int(r.names[k-1])).
 			Bytes(enc).
-			Bytes(c.sigs[k]).
+			Bytes(r.sigs[k]).
 			Encoding()
 	}
 	return enc
@@ -41,35 +45,31 @@ func TestNestedEncodingMatchesSlowOracle(t *testing.T) {
 	f := newChainFixture(t, 6)
 	for k := 1; k <= 6; k++ {
 		c := f.buildChain(t, []byte("differential value"), k)
-
-		// Cache filled at construction time (NewChain/Extend path).
-		if got, want := c.nestedEncoding(), slowEncodeNested(c); !bytes.Equal(got, want) {
-			t.Errorf("k=%d: cached nested encoding diverges from slow oracle", k)
+		want := slowEncodeNested(c)
+		if got := nestedOf(c); !bytes.Equal(got, want) {
+			t.Errorf("k=%d: nested encoding diverges from slow oracle", k)
+		}
+		if got := c.nestedSize(k); got != len(want) {
+			t.Errorf("k=%d: nestedSize = %d, oracle's encoding is %d bytes", k, got, len(want))
+		}
+		if got := refOf(c).nestedEncoding(); !bytes.Equal(got, want) {
+			t.Errorf("k=%d: reference nested encoding diverges from slow oracle", k)
+		}
+		// Written behind other bytes, as Extend writes it behind the link
+		// header.
+		prefix := []byte("header")
+		if got := c.appendNested(prefix, k); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("k=%d: nested encoding appended to a prefix diverges", k)
 		}
 
-		// Cache filled lazily after a wire round-trip (computeNested path).
-		parsed, err := UnmarshalChain(c.Marshal())
-		if err != nil {
-			t.Fatalf("UnmarshalChain: %v", err)
-		}
-		if parsed.nested != nil {
-			t.Fatalf("k=%d: freshly parsed chain must not have a nested cache", k)
-		}
-		if got, want := parsed.nestedEncoding(), slowEncodeNested(parsed); !bytes.Equal(got, want) {
-			t.Errorf("k=%d: lazily computed nested encoding diverges from slow oracle", k)
-		}
-
-		// Computed after a Verify, the relay's receive → verify → extend
-		// order.
-		reparsed, err := UnmarshalChain(c.Marshal())
-		if err != nil {
-			t.Fatalf("UnmarshalChain: %v", err)
-		}
-		if _, err := reparsed.Verify(model.NodeID(k-1), f.dir); err != nil {
+		// After a wire round-trip and a Verify, the relay's receive →
+		// verify → extend order.
+		parsed := cloneChain(t, c)
+		if _, err := parsed.Verify(model.NodeID(k-1), f.dir); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
-		if got, want := reparsed.nestedEncoding(), slowEncodeNested(reparsed); !bytes.Equal(got, want) {
-			t.Errorf("k=%d: nested encoding after Verify diverges from slow oracle", k)
+		if got := nestedOf(parsed); !bytes.Equal(got, want) {
+			t.Errorf("k=%d: nested encoding of a parsed, verified chain diverges from slow oracle", k)
 		}
 	}
 }
@@ -119,9 +119,10 @@ func TestMarshalToMatchesMarshal(t *testing.T) {
 }
 
 // TestChainExtendAllocs pins the allocation budget of Extend: the
-// signature itself, the four fresh chain slices, and pool slack. The old
-// implementation re-encoded every layer (O(K) encoder allocations); any
-// regression past this bound reintroduces that.
+// signature itself, the new chain's encoding, the chain, and one of
+// slack. The spine-based chain made 6 (a value copy, two spines, a
+// nested-encoding cache); the implementation before that re-encoded every
+// layer (O(K) encoder allocations).
 func TestChainExtendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -133,14 +134,15 @@ func TestChainExtendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("Chain.Extend allocates %.1f times per op, want <= 8", allocs)
+	if allocs > 4 {
+		t.Errorf("Chain.Extend allocates %.1f times per op, want <= 4", allocs)
 	}
 }
 
 // TestChainVerifyAllocs pins the allocation budget of a warm Verify of a
 // chain fresh off the wire, what every receiver does: the returned signers
-// slice and nothing else. Each run verifies its own parsed chain, so an
+// slice and nothing else, and nothing at all from VerifyTo into a buffer
+// the caller passes back. Each run verifies its own parsed chain, so an
 // allocation Verify makes once per chain (it used to copy the nested
 // encoding into every chain it accepted) counts every run; the old
 // implementation's two encoders plus buffers per layer were ~70.
@@ -156,7 +158,7 @@ func TestChainVerifyAllocs(t *testing.T) {
 	}
 	const runs = 100
 	wire := c.Marshal()
-	parsed := make([]*Chain, runs+1) // AllocsPerRun adds a warm-up run
+	parsed := make([]*Chain, 2*(runs+1)) // AllocsPerRun adds a warm-up run
 	for i := range parsed {
 		var err error
 		if parsed[i], err = UnmarshalChain(wire); err != nil {
@@ -173,13 +175,23 @@ func TestChainVerifyAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("warm Chain.Verify of a wire chain allocates %.1f times per op, want <= 1", allocs)
 	}
+	buf := make([]model.NodeID, 0, 10)
+	allocs = testing.AllocsPerRun(runs, func() {
+		var err error
+		if buf, err = parsed[next].VerifyTo(buf[:0], 9, f.dir); err != nil || len(buf) != 10 {
+			t.Fatal(err, buf)
+		}
+		next++
+	})
+	if allocs > 0 {
+		t.Errorf("warm Chain.VerifyTo of a wire chain into a reused buffer allocates %.1f times per op, want 0", allocs)
+	}
 }
 
 // TestUnmarshalChainAllocs pins the parse a receiver does per hop: the
-// chain, its two spines and ONE copy of the encoding that the value and
-// all signatures are sliced from — flat in the chain's length. A copy per
-// signature (K+4 allocations at K hops) was a fifth of a sweep's
-// allocated bytes.
+// chain and ONE copy of the encoding, which is the chain — flat in the
+// chain's length. Two spines beside it made 4; a copy per signature (K+4
+// allocations at K hops) was a fifth of a sweep's allocated bytes.
 func TestUnmarshalChainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -192,18 +204,20 @@ func TestUnmarshalChainAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 4 {
-			t.Errorf("UnmarshalChain at %d hops allocates %.1f times per op, want <= 4", hops, allocs)
+		if allocs > 2 {
+			t.Errorf("UnmarshalChain at %d hops allocates %.1f times per op, want <= 2", hops, allocs)
 		}
 	}
 }
 
 // TestUnmarshalChainOwnsItsBytes: the parsed chain shares nothing with
-// the caller's buffer, and its fields cannot grow into one another.
+// the caller's buffer, and neither its fields nor its encoding can be
+// grown into one another.
 func TestUnmarshalChainOwnsItsBytes(t *testing.T) {
 	f := newChainFixture(t, 4)
 	c := f.buildChain(t, []byte("wire"), 4)
-	wire := c.Marshal()
+	want := bytes.Clone(c.Marshal())
+	wire := bytes.Clone(want)
 	parsed, err := UnmarshalChain(wire)
 	if err != nil {
 		t.Fatalf("UnmarshalChain: %v", err)
@@ -211,15 +225,47 @@ func TestUnmarshalChainOwnsItsBytes(t *testing.T) {
 	for i := range wire {
 		wire[i] ^= 0xff
 	}
-	_ = append(parsed.value, "overrun"...)
-	for _, s := range parsed.sigs {
+	_ = append(parsed.Value(), "overrun"...)
+	for _, s := range sigsOf(parsed) {
 		_ = append(s, "overrun"...)
 	}
-	if !bytes.Equal(parsed.Marshal(), c.Marshal()) {
+	_ = append(parsed.Marshal(), "overrun"...)
+	if !bytes.Equal(parsed.Marshal(), want) {
 		t.Error("parsed chain changed when the input buffer or a field's spare capacity was written")
 	}
 	if _, err := parsed.Verify(3, f.dir); err != nil {
 		t.Errorf("parsed chain no longer verifies: %v", err)
+	}
+}
+
+// TestLyingSignatureCountSizesNothing: a payload that claims more
+// signatures than its bytes can hold is refused before anything is sized
+// by the claim — a 13-byte payload claiming 65,536 signatures made each
+// receiver allocate 2 MiB of spines before it failed.
+func TestLyingSignatureCountSizesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes inflate under -race")
+	}
+	payload := NewEncoder().Bytes([]byte("v")).Int(1 << 16).Encoding()
+	if len(payload) != 13 {
+		t.Fatalf("payload is %d bytes, want 13", len(payload))
+	}
+	if _, err := UnmarshalChain(payload); !errors.Is(err, ErrChainEncoding) {
+		t.Fatalf("lying count: err = %v, want ErrChainEncoding", err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := UnmarshalChain(payload); err == nil {
+			t.Fatal("lying count parsed")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if copyBytes := uint64(len(payload)); perCall > copyBytes+4*uint64(len(payload)) {
+		t.Errorf("a 13-byte payload claiming 65,536 signatures allocates %d B, want at most %d", perCall, copyBytes+4*uint64(len(payload)))
 	}
 }
 
@@ -289,11 +335,7 @@ func TestVerifyMemoSoundness(t *testing.T) {
 		t.Error("chain verified under an unrelated directory — memo leaked across predicates")
 	}
 	// Tampering after a successful verify must still be caught.
-	parsed, err := UnmarshalChain(c.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed.sigs[0][0] ^= 0x01
+	parsed := forgeSig(t, c, 0, 0, 0x01)
 	if _, err := parsed.Verify(2, memoDir{f.dir, memo}); err == nil {
 		t.Error("tampered chain verified — memo matched despite changed signature bytes")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,39 @@ func cloneChain(t testing.TB, c *Chain) *Chain {
 	return out
 }
 
+// nestedOf returns c's nested encoding, the byte string its next signer
+// signs behind an assignee name.
+func nestedOf(c *Chain) []byte { return c.appendNested(nil, c.Len()) }
+
+// sigsOf returns c's signatures, innermost first, aliasing its encoding.
+func sigsOf(c *Chain) [][]byte {
+	var sigs [][]byte
+	off := c.sigsAt(c.Len())
+	for range c.Len() {
+		var sg []byte
+		sg, off = c.sigAt(off)
+		sigs = append(sigs, sg)
+	}
+	return sigs
+}
+
+// forgeSig returns a copy of c, through the wire, whose layer-th
+// signature has byte at xored with mask. c itself is untouched.
+func forgeSig(t testing.TB, c *Chain, layer, at int, mask byte) *Chain {
+	t.Helper()
+	off := c.sigsAt(c.Len())
+	for range layer {
+		_, off = c.sigAt(off)
+	}
+	wire := bytes.Clone(c.Marshal())
+	wire[off+4+at] ^= mask
+	out, err := UnmarshalChain(wire)
+	if err != nil {
+		t.Fatalf("UnmarshalChain: %v", err)
+	}
+	return out
+}
+
 func TestChainVerifyHappyPath(t *testing.T) {
 	f := newChainFixture(t, 5)
 	value := []byte("agreement value")
@@ -100,8 +134,8 @@ func TestChainMarshalRoundTrip(t *testing.T) {
 	if !bytes.Equal(parsed.Value(), []byte("wire")) {
 		t.Errorf("Value = %q, want %q", parsed.Value(), "wire")
 	}
-	if got, want := parsed.names, c.names; len(got) != len(want) {
-		t.Errorf("names length = %d, want %d", len(got), len(want))
+	if got, want := parsed.Signers(3), c.Signers(3); !slices.Equal(got, want) {
+		t.Errorf("Signers = %v, want %v", got, want)
 	}
 }
 
@@ -118,7 +152,7 @@ func TestChainVerifyWrongSender(t *testing.T) {
 func TestChainVerifyTamperedValue(t *testing.T) {
 	f := newChainFixture(t, 4)
 	c := f.buildChain(t, []byte("honest"), 3)
-	wire := c.Marshal()
+	wire := bytes.Clone(c.Marshal())
 	// Flip a byte inside the value region.
 	idx := bytes.Index(wire, []byte("honest"))
 	if idx < 0 {
@@ -143,8 +177,7 @@ func TestChainVerifyTamperedInteriorSignature(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChain: %v", err)
 	}
-	innerCp := cloneChain(t, inner)
-	innerCp.sigs[0][0] ^= 0x01 // forged P_0 signature
+	innerCp := forgeSig(t, inner, 0, 0, 0x01) // forged P_0 signature
 	mid, err := innerCp.Extend(0, f.signers[1])
 	if err != nil {
 		t.Fatalf("Extend: %v", err)
@@ -265,5 +298,28 @@ func TestChainVerifyQuickRandomValues(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnmarshalChainCountBound: a structurally complete encoding parses
+// up to 2¹⁶ signatures, and one more is refused as the reference decoder
+// refuses it, whatever the bytes behind the count hold.
+func TestUnmarshalChainCountBound(t *testing.T) {
+	for _, k := range []int{1 << 16, 1<<16 + 1} {
+		e := NewEncoder().Bytes([]byte("v")).Int(k)
+		for range k - 1 {
+			e.Int(0)
+		}
+		for range k {
+			e.Bytes(nil)
+		}
+		c, err := UnmarshalChain(e.Encoding())
+		_, refErr := refUnmarshalChain(e.Encoding())
+		switch {
+		case k <= 1<<16 && (err != nil || refErr != nil || c.Len() != k):
+			t.Errorf("%d signatures: err = %v, reference err = %v", k, err, refErr)
+		case k > 1<<16 && (!errors.Is(err, ErrChainEncoding) || !errors.Is(refErr, ErrChainEncoding)):
+			t.Errorf("%d signatures: err = %v, reference err = %v; want ErrChainEncoding from both", k, err, refErr)
+		}
 	}
 }

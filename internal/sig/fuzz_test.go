@@ -2,6 +2,9 @@ package sig
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -112,7 +115,7 @@ func FuzzChainVerifyMemo(f *testing.F) {
 				t.Fatalf("warming %d of %d layers: %v", p, k, err)
 			}
 		}
-		wire := c.Marshal()
+		wire := bytes.Clone(c.Marshal())
 		wire[int(flipAt)%len(wire)] ^= flipMask
 		parsed, err := UnmarshalChain(wire)
 		if err != nil {
@@ -126,4 +129,122 @@ func FuzzChainVerifyMemo(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzChainMatchesReference is the differential for the encoding-backed
+// Chain: a chain of random depth under random assignee names (some with
+// no predicate in the directory), built step by step beside the
+// spine-based reference (chain_ref_test.go), then one bit of its wire
+// encoding flipped, and arbitrary bytes. At every step NewChain, Extend,
+// Marshal, MarshalTo, Value, Len, Signers, Inner, the nested encoding and
+// Verify (cold and warm, and VerifyTo behind a prefix) must agree with the
+// reference byte for byte; UnmarshalChain must accept exactly what the
+// reference accepts, refusing the rest with ErrChainEncoding.
+func FuzzChainMatchesReference(f *testing.F) {
+	const maxDepth = 8
+	scheme, err := ByName(SchemeToy)
+	if err != nil {
+		f.Fatal(err)
+	}
+	signers := make([]Signer, maxDepth)
+	dir := make(MapDirectory, maxDepth)
+	for i := range signers {
+		if signers[i], err = scheme.Generate(bytes.NewReader(bytes.Repeat([]byte{byte(i + 1)}, 64))); err != nil {
+			f.Fatal(err)
+		}
+		dir[model.NodeID(i)] = signers[i].Predicate()
+	}
+	f.Add([]byte("v"), []byte{}, uint16(0), uint8(0), []byte{})
+	f.Add([]byte("seed value"), []byte{0, 1, 2, 3, 4, 5}, uint16(40), uint8(1), []byte{0, 0, 0, 0})
+	f.Add([]byte{}, []byte{0, 9, 2, 0xff}, uint16(17), uint8(0x80), NewEncoder().Bytes([]byte("v")).Int(1<<16).Encoding())
+	f.Add(bytes.Repeat([]byte("long value "), 20), []byte{0, 1, 2, 3, 4, 5, 6}, uint16(300), uint8(0xff), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, value, names []byte, flipAt uint16, flipMask uint8, raw []byte) {
+		c, err := NewChain(value, signers[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := refNewChain(value, signers[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth := 1 + len(names)%maxDepth
+		sender := model.NodeID(0)
+		checkChainAgainstRef(t, "NewChain", c, r, dir, sender)
+		for i := 1; i < depth; i++ {
+			// Mostly the honest predecessor; otherwise any name, known or not.
+			assignee := model.NodeID(i - 1)
+			if b := names[i-1]; b&0x80 != 0 {
+				assignee = model.NodeID(int(b&0x7f)%(maxDepth+2) - 1)
+			}
+			if c, err = c.Extend(assignee, signers[i]); err != nil {
+				t.Fatal(err)
+			}
+			if r, err = r.Extend(assignee, signers[i]); err != nil {
+				t.Fatal(err)
+			}
+			sender = model.NodeID(i)
+			checkChainAgainstRef(t, fmt.Sprintf("Extend %d", i), c, r, dir, sender)
+		}
+		wire := bytes.Clone(c.Marshal())
+		wire[int(flipAt)%len(wire)] ^= flipMask
+		for _, data := range [][]byte{wire, raw} {
+			pc, errC := UnmarshalChain(data)
+			pr, errR := refUnmarshalChain(data)
+			if (errC == nil) != (errR == nil) {
+				t.Fatalf("UnmarshalChain err = %v, reference err = %v", errC, errR)
+			}
+			if errC != nil {
+				if !errors.Is(errC, ErrChainEncoding) || !errors.Is(errR, ErrChainEncoding) {
+					t.Fatalf("UnmarshalChain err = %v, reference err = %v: want ErrChainEncoding from both", errC, errR)
+				}
+				continue
+			}
+			checkChainAgainstRef(t, "UnmarshalChain", pc, pr, dir, sender)
+			ec, err := pc.Extend(sender, signers[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			er, err := pr.Extend(sender, signers[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkChainAgainstRef(t, "Extend of a parsed chain", ec, er, dir, 0)
+		}
+	})
+}
+
+// checkChainAgainstRef fails t unless c and its reference twin r agree on
+// every accessor, on Inner and on verification from sender under dir.
+func checkChainAgainstRef(t *testing.T, where string, c *Chain, r *refChain, dir Directory, sender model.NodeID) {
+	t.Helper()
+	wire := r.Marshal()
+	if !bytes.Equal(c.Marshal(), wire) || c.MarshalSize() != len(wire) || !bytes.Equal(c.MarshalTo([]byte("p")), append([]byte("p"), wire...)) {
+		t.Fatalf("%s: Marshal = %x, reference %x", where, c.Marshal(), wire)
+	}
+	if !bytes.Equal(c.Value(), r.Value()) || c.Len() != r.Len() {
+		t.Fatalf("%s: value %q, %d layers; reference %q, %d", where, c.Value(), c.Len(), r.Value(), r.Len())
+	}
+	if got, want := c.Signers(sender), r.Signers(sender); !slices.Equal(got, want) {
+		t.Fatalf("%s: Signers = %v, reference %v", where, got, want)
+	}
+	if got, want := nestedOf(c), r.nestedEncoding(); !bytes.Equal(got, want) {
+		t.Fatalf("%s: nested encoding = %x, reference %x", where, got, want)
+	}
+	switch ci, ri := c.Inner(), r.Inner(); {
+	case (ci == nil) != (ri == nil):
+		t.Fatalf("%s: Inner nil = %v, reference nil = %v", where, ci == nil, ri == nil)
+	case ci != nil && !bytes.Equal(ci.Marshal(), ri.Marshal()):
+		t.Fatalf("%s: Inner = %x, reference %x", where, ci.Marshal(), ri.Marshal())
+	}
+	want := verifyOutcome(r.verify(sender, dir))
+	memo := memoDir{dir, new(VerifyMemo)}
+	for _, pass := range []string{"cold", "warm"} {
+		if got := verifyOutcome(c.Verify(sender, memo)); !got.equal(want) {
+			t.Fatalf("%s: %s Verify = %+v, reference %+v", where, pass, got, want)
+		}
+	}
+	got, err := c.VerifyTo([]model.NodeID{-7}, sender, memo)
+	if !verifyOutcome(got[1:], err).equal(want) || got[0] != -7 || (err != nil && len(got) != 1) {
+		t.Fatalf("%s: VerifyTo behind a prefix = %v, %v; reference %+v", where, got, err, want)
+	}
 }

@@ -53,7 +53,8 @@ type hmacSigner struct {
 var _ Signer = (*hmacSigner)(nil)
 
 func (s *hmacSigner) Sign(msg []byte) ([]byte, error) {
-	return s.pred.mac(msg), nil
+	mac := s.pred.mac(msg)
+	return mac[:], nil
 }
 
 func (s *hmacSigner) Predicate() TestPredicate { return s.pred }
@@ -64,14 +65,38 @@ type hmacPredicate struct {
 
 var _ TestPredicate = (*hmacPredicate)(nil)
 
-func (p *hmacPredicate) mac(msg []byte) []byte {
-	h := hmac.New(sha256.New, p.key)
-	h.Write(msg)
-	return h.Sum(nil)
+// mac computes HMAC-SHA256(key, msg) as RFC 2104 defines it,
+// H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ msg)) with K the key zero-padded to a
+// block (hashed first if longer), without hmac.New's per-call state: the
+// inner digest is one SHA-256 over the ipad-keyed message in a pooled
+// encoder buffer, the outer one over a stack array. It runs as many
+// compression-function blocks as crypto/hmac does and retains nothing.
+func (p *hmacPredicate) mac(msg []byte) [sha256.Size]byte {
+	var k [sha256.BlockSize]byte
+	if len(p.key) > sha256.BlockSize {
+		sum := sha256.Sum256(p.key)
+		copy(k[:], sum[:])
+	} else {
+		copy(k[:], p.key)
+	}
+	e := GetEncoder()
+	e.Grow(sha256.BlockSize + len(msg))
+	for _, b := range k {
+		e.buf = append(e.buf, b^0x36)
+	}
+	inner := sha256.Sum256(append(e.buf, msg...))
+	e.Release()
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, b := range k {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
 }
 
 func (p *hmacPredicate) Test(msg, sig []byte) bool {
-	return hmac.Equal(p.mac(msg), sig)
+	mac := p.mac(msg)
+	return hmac.Equal(mac[:], sig)
 }
 
 func (p *hmacPredicate) Bytes() []byte {

@@ -81,17 +81,17 @@ import (
 // memoKey identifies one verified chain prefix; it retains no pointers.
 type memoKey [sha256.Size]byte
 
-// prefixKey derives key_k of c for a layer-k predicate with digest pd,
-// from below = key_{k-1} (unread at k = 0). The preimage is assembled in
-// buf, which is returned for reuse.
-func (c *Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byte) (memoKey, []byte) {
+// prefixKey derives key_k of c for a layer-k predicate with digest pd and
+// layer-k signature sg, from below = key_{k-1} (unread at k = 0). The
+// preimage is assembled in buf, which is returned for reuse.
+func (c *Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byte, sg []byte) (memoKey, []byte) {
 	if k == 0 {
-		buf = AppendBytes(append(buf[:0], 0x00), c.value)
+		buf = AppendBytes(append(buf[:0], 0x00), c.Value())
 	} else {
 		buf = append(append(buf[:0], 0x01), below[:]...)
-		buf = AppendInt(buf, int(c.names[k-1]))
+		buf = AppendInt(buf, int(c.name(k-1)))
 	}
-	buf = AppendBytes(append(buf, pd[:]...), c.sigs[k])
+	buf = AppendBytes(append(buf, pd[:]...), sg)
 	return sha256.Sum256(buf), buf
 }
 

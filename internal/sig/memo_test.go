@@ -239,7 +239,7 @@ func (o chainVerifyOutcome) equal(p chainVerifyOutcome) bool {
 // TestChainVerifyMatchesSerial is the hand-picked half of the
 // differential oracle: for well-formed and adversarial chains alike,
 // Verify must return the same signers and the SAME error (sentinel and
-// layer) as the serial reference implementation (verify_oracle_test.go),
+// layer) as the serial reference implementation (chain_ref_test.go),
 // cold and warm — the memo must be unobservable.
 // TestChainVerifyPrefixMemoMatchesSerial below is the exhaustive half.
 func TestChainVerifyMatchesSerial(t *testing.T) {
@@ -253,9 +253,7 @@ func TestChainVerifyMatchesSerial(t *testing.T) {
 		dir   Directory
 	}
 	tamper := func(layer int) *Chain {
-		c := cloneChain(t, f.buildChain(t, []byte("differential"), hops))
-		c.sigs[layer][0] ^= 0x01
-		return c
+		return forgeSig(t, f.buildChain(t, []byte("differential"), hops), layer, 0, 0x01)
 	}
 	without := func(nodes ...model.NodeID) Directory {
 		dir := make(MapDirectory)
@@ -297,27 +295,21 @@ func TestChainVerifyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestNestedEncodingAfterVerifyMatchesSlowOracle: Verify leaves a chain
-// off the wire without a nested-encoding cache, and what the following
-// Extend computes for itself is the slow oracle's encoding.
+// TestNestedEncodingAfterVerifyMatchesSlowOracle: what Extend signs for
+// a chain off the wire that Verify accepted is the slow oracle's nested
+// encoding, and the relay's hop end to end — extending the verified wire
+// chain — builds the same chain as extending the chain it was marshalled
+// from.
 func TestNestedEncodingAfterVerifyMatchesSlowOracle(t *testing.T) {
 	f := newChainFixture(t, 5)
 	c := f.buildChain(t, []byte("cache fill"), 5)
-	parsed, err := UnmarshalChain(c.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := cloneChain(t, c)
 	if _, err := parsed.Verify(4, f.dir); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if parsed.nested != nil {
-		t.Error("Verify copied a nested encoding into the chain it accepted")
-	}
-	if !bytes.Equal(parsed.nestedEncoding(), slowEncodeNested(parsed)) {
+	if !bytes.Equal(nestedOf(parsed), slowEncodeNested(parsed)) {
 		t.Error("nested encoding computed after Verify diverges from the slow oracle")
 	}
-	// The relay's hop end to end: extending the verified wire chain signs
-	// the same statement as extending the chain it was marshalled from.
 	viaWire, err := parsed.Extend(4, f.signers[0])
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +323,13 @@ func TestNestedEncodingAfterVerifyMatchesSlowOracle(t *testing.T) {
 	}
 }
 
-// prefixOf returns the innermost p layers of c as a chain of their own,
-// sharing c's bytes; its sender is the name c embeds for layer p-1.
+// prefixOf returns the innermost p layers of c as a chain of their own;
+// its sender is the name c embeds for layer p-1.
 func prefixOf(c *Chain, p int) *Chain {
-	return &Chain{value: c.value, names: c.names[:p-1], sigs: c.sigs[:p]}
+	for c.Len() > p {
+		c = c.Inner()
+	}
+	return c
 }
 
 // passThroughPred counts the tests that reach a real predicate and keeps
@@ -377,8 +372,7 @@ func TestChainVerifyPrefixMemoMatchesSerial(t *testing.T) {
 			for unknown := -1; unknown < hops; unknown++ {
 				chain := good
 				if bad >= 0 {
-					chain = cloneChain(t, good)
-					chain.sigs[bad][5] ^= 0x20
+					chain = forgeSig(t, good, bad, 5, 0x20)
 				}
 				dir := make(MapDirectory, hops)
 				for n, pred := range f.dir {
@@ -584,8 +578,7 @@ func TestVerifyMemoAcceptsNonComparablePredicate(t *testing.T) {
 	if got := calls.Load(); got != hops {
 		t.Errorf("two Verifies ran %d predicate tests, want %d: the second is a memo hit", got, hops)
 	}
-	tampered := cloneChain(t, c)
-	tampered.sigs[1][0] ^= 0x01
+	tampered := forgeSig(t, c, 1, 0, 0x01)
 	if _, err := tampered.Verify(hops-1, dir); !errors.Is(err, ErrChainBadSignature) {
 		t.Errorf("tampered chain: %v, want a bad signature", err)
 	}

@@ -24,6 +24,7 @@
 //   - Encoder.Bytes, Uint64, Reset, Len: the chained encoder API the tests' reference encoders are written in.
 //   - ExtractToyKey, NewToySignerFromKey: the test that shows a toy signature gives its key away.
 //   - Names: keytool -list.
+//   - Chain.Signers: the signer reading the chain tests and the reference fuzz check; receivers take theirs from Verify.
 package sig
 
 import (
