@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sched/faults"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
 
@@ -33,9 +34,10 @@ type distFlags struct {
 	observer *obs.Recorder // -trace-out recorder (nil = tracing off)
 }
 
-// runWorkerMode dials the coordinator and serves leases until it sends
-// shutdown, the link dies, or ctx is canceled. Returns a process exit
-// code.
+// runWorkerMode dials the coordinator and serves its leased batches as
+// an agreement-service session (the run options configure the daemon's
+// executor) until the coordinator closes the link, the link dies, or
+// ctx is canceled. Returns a process exit code.
 func runWorkerMode(ctx context.Context, df distFlags, opts []campaign.Option) int {
 	conn, err := transport.DialConn(df.worker, transport.WithConnWriteTimeout(10*time.Second))
 	if err != nil {
@@ -55,7 +57,9 @@ func runWorkerMode(ctx context.Context, df distFlags, opts []campaign.Option) in
 		name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	fmt.Fprintf(os.Stderr, "fdcampaign: worker %q serving coordinator %s\n", name, df.worker)
-	err = sched.RunWorker(ctx, conn, sched.WorkerConfig{Name: name, Options: opts})
+	srv := service.NewServer(service.Config{Options: opts})
+	err = srv.ServeDialled(ctx, conn, name)
+	srv.Drain()
 	switch {
 	case err == nil:
 		fmt.Fprintf(os.Stderr, "fdcampaign: worker %q released\n", name)

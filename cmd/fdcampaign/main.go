@@ -19,17 +19,21 @@
 //	fdcampaign -workers 1 -json out.json   # reproducible machine output
 //	fdcampaign -json -                     # JSON to stdout
 //	fdcampaign -setupcache=false           # regenerate all key material per
-//	                                       # instance (differential baseline)
+//	                                       # instance (differential baseline;
+//	                                       # local sweeps only)
 //	fdcampaign -trace-out run.jsonl        # structured event trace (instance
 //	                                       # spans; report bytes unchanged)
 //
 // Distributed mode splits the sweep across processes: a coordinator
 // owns the spec and leases instance batches to workers over TCP
-// (internal/sched), surviving worker crashes, stalls, and disconnects
-// by requeueing with backoff and dead-lettering after a bounded retry
-// budget. The report is byte-identical to a single-process run; exit
-// status 3 means the sweep completed with a non-empty dead-letter
-// queue (written via -dlq):
+// (internal/sched). A worker is an agreement-service session
+// (internal/service, fdserve's daemon) dialled out to the coordinator,
+// whose only setup store is the daemon's warm pool. The coordinator
+// survives worker crashes, stalls, and disconnects by requeueing with
+// backoff and dead-lettering after a bounded retry budget. The report
+// is byte-identical to a single-process run; exit status 3 means the
+// sweep completed with a non-empty dead-letter queue (written via
+// -dlq):
 //
 //	fdcampaign -coordinator :9000 -expect-workers 2 -json out.json -dlq dlq.json
 //	fdcampaign -coordinator :9000 -debug-addr :9090  # live /debug/sched + pprof
@@ -99,7 +103,7 @@ import (
 func main() {
 	var df distFlags
 	flag.StringVar(&df.coordinator, "coordinator", "", "run as campaign coordinator listening on this address; instances are leased to connected -worker processes")
-	flag.StringVar(&df.worker, "worker", "", "run as campaign worker serving the coordinator at this address (grid flags are ignored; the coordinator owns the spec)")
+	flag.StringVar(&df.worker, "worker", "", "run as campaign worker: an agreement-service session dialled out to the coordinator at this address, serving its leased batches (grid flags are ignored, the coordinator owns the spec; -inst-timeout and -trace-out apply)")
 	flag.StringVar(&df.workerName, "worker-name", "", "worker name in the coordinator's attempt logs (default worker-<pid>)")
 	flag.StringVar(&df.faultSpec, "faults", "", "worker-side fault injection for testing: comma-separated crash@K, stall@K, disconnect@K, corrupt@K, corrupt-all")
 	flag.IntVar(&df.expect, "expect-workers", 1, "coordinator: delay dispatch until this many workers joined")
@@ -122,7 +126,7 @@ func main() {
 		seedBase    = flag.Int64("seed-base", 19950530, "base seed of the deterministic seed range")
 		seeds       = flag.Int("seeds", 10, "seeded repetitions per configuration")
 		workers     = flag.Int("workers", 0, "worker shards (0 = one per CPU)")
-		setupCache  = flag.Bool("setupcache", true, "reuse key material and established clusters across seeds (false = regenerate per instance; reports are byte-identical either way)")
+		setupCache  = flag.Bool("setupcache", true, "local sweeps: reuse key material and established clusters across seeds (false = regenerate per instance; reports are byte-identical either way). A -worker's only store is its daemon's pool")
 		jsonOut     = flag.String("json", "", "write the machine-readable report to this path ('-' = stdout)")
 		csv         = flag.Bool("csv", false, "render the summary table as CSV")
 		strict      = flag.Bool("strict", false, "exit with status 2 when any instance violates a conformance predicate")

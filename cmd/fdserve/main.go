@@ -6,8 +6,10 @@
 // campaign or benchmark, exit; fdserve turns the same deterministic
 // machinery into a service with tenancy, admission control, and
 // graceful drain, while serving verdicts byte-identical to what a local
-// campaign.Run would produce for the same (protocol, n, t, scheme,
-// seed, keySeed) request.
+// campaign.Run would produce for the same instance. A request is a full
+// campaign instance, adversary and network condition included (the
+// -connect client below sends honest ones); fdcampaign -worker runs the
+// same daemon as a session dialled out to a campaign coordinator.
 //
 // Server mode:
 //

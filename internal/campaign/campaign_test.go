@@ -520,6 +520,39 @@ func TestGoldenWiringReportByteIdentical(t *testing.T) {
 	assertGoldenReport(t, "testdata/golden_wiring_spec.json", "testdata/golden_wiring_report.json")
 }
 
+// Every instance Expand returns passes Instance.Validate, the check the
+// agreement service admits requests by — the golden wiring grid's
+// adversaries and network conditions included — and so does the same
+// instance after a JSON round trip, the form a served request takes.
+func TestExpandedInstancesValidate(t *testing.T) {
+	for _, path := range []string{"testdata/golden_spec.json", "testdata/golden_wiring_spec.json"} {
+		spec, err := LoadSpec(path)
+		if err != nil {
+			t.Fatalf("LoadSpec: %v", err)
+		}
+		instances, err := Expand(spec)
+		if err != nil {
+			t.Fatalf("Expand: %v", err)
+		}
+		for _, inst := range instances {
+			if err := inst.Validate(); err != nil {
+				t.Fatalf("%s: instance %d (%s): %v", path, inst.Index, inst.GroupKey(), err)
+			}
+			data, err := json.Marshal(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire Instance
+			if err := json.Unmarshal(data, &wire); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.Validate(); err != nil {
+				t.Fatalf("%s: instance %d (%s) after a JSON round trip: %v", path, inst.Index, inst.GroupKey(), err)
+			}
+		}
+	}
+}
+
 // assertGoldenReport runs the spec at 1 and 4 workers and requires the
 // canonical report to equal the committed one byte for byte.
 func assertGoldenReport(t *testing.T, specPath, reportPath string) {

@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"fmt"
+
 	"repro/internal/adversary"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/protocol"
+	"repro/internal/sig"
 )
 
 // Result is the outcome of one instance. Only plain data — it marshals
@@ -132,6 +135,38 @@ func (inst Instance) resolve() (protocol.Driver, protocol.Instance, error) {
 		Seed:     inst.Seed,
 		KeySeed:  inst.KeySeed,
 	}, nil
+}
+
+// Validate reports whether the instance can run as it stands: its
+// driver is registered, a signing driver's scheme is registered, its
+// adversary and network condition parse and validate, and the driver
+// supports both at (N, T) — the rules Expand skips combinations by.
+// Every instance Expand returns passes; the agreement service admits a
+// request only if it does.
+func (inst Instance) Validate() error {
+	drv, pinst, err := inst.resolve()
+	if err != nil {
+		return err
+	}
+	caps := drv.Capabilities()
+	if caps.UsesSignatures {
+		if _, err := sig.ByName(inst.Scheme); err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
+	}
+	if err := pinst.Strategy.Validate(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
+	if pinst.Net != nil {
+		if err := pinst.Net.Validate(); err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
+	}
+	if !caps.Supports(inst.N, inst.T, pinst.Strategy) || !caps.SupportsNet(inst.N, inst.T, pinst.Strategy, pinst.Net) {
+		return fmt.Errorf("campaign: protocol %s does not support n=%d t=%d under adversary %q and netcond %q",
+			inst.Protocol, inst.N, inst.T, pinst.Strategy.Name, inst.NetCond)
+	}
+	return nil
 }
 
 // runInto executes the instance and fills the result's measurement and

@@ -142,10 +142,11 @@ type Scheduler interface {
 
 // Executor runs instances over one amortized-setup store; it is the
 // execution unit every Scheduler builds on (one per Local sweep, shared
-// by its workers; one per remote worker process). It holds nothing an
-// instance can change — the store's material is read-only and each
-// instance gets its own cluster around it — so it is safe for concurrent
-// use, and a panicked or abandoned run leaves nothing to repair.
+// by its workers; one per agreement daemon, whose pool hands it a store
+// per run through RunWith). It holds nothing an instance can change —
+// the store's material is read-only and each instance gets its own
+// cluster around it — so it is safe for concurrent use, and a panicked
+// or abandoned run leaves nothing to repair.
 type Executor struct {
 	cache   *protocol.SetupCache
 	rec     *obs.Recorder
@@ -167,25 +168,31 @@ func NewExecutor(opts ...Option) *Executor {
 }
 
 // Run executes one instance, reusing the store's established material
-// where the driver allows it. With an instance timeout armed, the run is
-// raced against the watchdog (see WithInstanceTimeout). The watchdog
-// branch lives in its own method so the goroutine closure there cannot
-// make inst escape on this, the default, path — escape analysis is
-// function-wide, and the sweep benchmarks hold this path allocation-flat.
-func (e *Executor) Run(inst Instance) Result {
+// where the driver allows it.
+func (e *Executor) Run(inst Instance) Result { return e.RunWith(inst, e.cache) }
+
+// RunWith executes one instance like Run, but over cache (nil: fresh
+// setup) instead of the executor's own store — the agreement service
+// passes a pool cell. With an instance timeout armed, the run is raced
+// against the watchdog (see WithInstanceTimeout). The watchdog branch
+// lives in its own method so the goroutine closure there cannot make
+// inst escape on this, the default, path — escape analysis is
+// function-wide, and the sweep benchmarks hold this path
+// allocation-flat.
+func (e *Executor) RunWith(inst Instance, cache *protocol.SetupCache) Result {
 	if e.timeout <= 0 {
-		return e.run(inst)
+		return e.run(inst, cache)
 	}
-	return e.runWatched(inst)
+	return e.runWatched(inst, cache)
 }
 
 // runWatched races the instance against the armed watchdog timer. The
 // driver runs on a goroutine of its own, where runInstance contains a
 // panic as anywhere else. An abandoned goroutine keeps running over
 // material nobody writes, so the store stays in service.
-func (e *Executor) runWatched(inst Instance) Result {
+func (e *Executor) runWatched(inst Instance, cache *protocol.SetupCache) Result {
 	done := make(chan Result, 1)
-	go func() { done <- e.run(inst) }()
+	go func() { done <- e.run(inst, cache) }()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
 	select {
@@ -207,15 +214,15 @@ func (e *Executor) runWatched(inst Instance) Result {
 // the deterministic report cannot, and how this instance's own setup
 // lookup was served (cache=hit|miss|wait, off when it made none) — read
 // off the lookup, not the store's counters, which every worker moves.
-func (e *Executor) run(inst Instance) Result {
+func (e *Executor) run(inst Instance, cache *protocol.SetupCache) Result {
 	if !e.rec.Enabled() {
-		return RunInstanceWith(inst, e.cache)
+		return RunInstanceWith(inst, cache)
 	}
 	served := "off"
 	span := e.rec.Begin(obs.Event{Scope: "campaign.instance",
 		Inst: inst.Index, Proto: inst.Protocol, Node: -1,
 		Attrs: obs.Attrs("group", inst.GroupKey(), "seed", inst.Seed)})
-	res := runInstance(inst, e.cache, &served)
+	res := runInstance(inst, cache, &served)
 	verdict := "ok"
 	if res.Err != "" {
 		verdict = "err"

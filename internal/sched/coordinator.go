@@ -4,13 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
 
@@ -19,12 +20,12 @@ import (
 // leases them to connected workers, and collects results — requeueing
 // on expiry/disconnect/NACK/corruption and dead-lettering after the
 // retry budget. One Coordinator runs one campaign (Execute is
-// single-use); workers join at any time via Serve or Attach, before or
-// during the run.
+// single-use); workers — agreement-service sessions dialled out to it —
+// join at any time via Serve or Attach, before or during the run.
 type Coordinator struct {
 	ctx  context.Context
 	cfg  Config
-	join chan *link
+	join chan *workerState
 	done chan struct{}
 
 	mu      sync.Mutex
@@ -43,12 +44,6 @@ type Coordinator struct {
 	connStats transport.ConnStats
 }
 
-// link is a handshaken worker connection awaiting adoption by the loop.
-type link struct {
-	name string
-	conn transport.Conn
-}
-
 // NewCoordinator builds a coordinator. Canceling ctx triggers a graceful
 // drain: in-flight and pending batches are parked in the DLQ with reason
 // ReasonCanceled and Execute still returns a full positional result
@@ -60,7 +55,7 @@ func NewCoordinator(ctx context.Context, cfg Config) *Coordinator {
 	return &Coordinator{
 		ctx:  ctx,
 		cfg:  cfg.withDefaults(),
-		join: make(chan *link, 64),
+		join: make(chan *workerState, 64),
 		done: make(chan struct{}),
 	}
 }
@@ -83,8 +78,9 @@ func (c *Coordinator) Serve(a transport.Acceptor) error {
 	}
 }
 
-// Attach performs the hello handshake on conn and registers the worker.
-// Workers attaching after the campaign completed are told to shut down.
+// Attach reads the worker's service hello on conn and registers the
+// worker. A worker attaching after the campaign completed has its link
+// closed.
 func (c *Coordinator) Attach(conn transport.Conn) error {
 	conn = transport.CountConn(conn, &c.connStats)
 	frame, err := conn.Recv()
@@ -92,16 +88,15 @@ func (c *Coordinator) Attach(conn transport.Conn) error {
 		conn.Close()
 		return err
 	}
-	name, err := transport.DecodeHello(frame, KindHello, wireTag)
+	name, err := transport.DecodeHello(frame, service.KindHello, service.WireTag)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	select {
-	case c.join <- &link{name: name, conn: conn}:
+	case c.join <- &workerState{name: name, conn: conn}:
 		return nil
 	case <-c.done:
-		conn.Send(encodeShutdown("campaign complete"))
 		conn.Close()
 		return fmt.Errorf("sched: coordinator finished before worker %q joined", name)
 	}
@@ -187,7 +182,6 @@ type runLoop struct {
 	events    chan event
 	done      <-chan struct{}
 	leaseSeq  int
-	joined    int
 	remaining int
 	rr        int       // round-robin cursor over workers for fair lease spread
 	noWorkers time.Time // since when zero workers are connected (zero value: workers exist)
@@ -274,7 +268,6 @@ func (c *Coordinator) Execute(_ campaign.Spec, instances []campaign.Instance) ([
 	// Campaign complete: release the fleet.
 	for _, w := range r.workers {
 		if !w.gone {
-			w.conn.Send(encodeShutdown("campaign complete"))
 			w.conn.Close()
 		}
 	}
@@ -326,20 +319,18 @@ func (r *runLoop) nextWake(now time.Time) time.Duration {
 	return d
 }
 
-// addWorker adopts a handshaken link: unique name, reader goroutine.
-func (r *runLoop) addWorker(l *link) {
-	name := l.name
-	for i := 2; r.names[name]; i++ {
-		name = fmt.Sprintf("%s#%d", l.name, i)
+// addWorker adopts a handshaken worker: unique name, reader goroutine.
+func (r *runLoop) addWorker(w *workerState) {
+	hello := w.name
+	for i := 2; r.names[w.name]; i++ {
+		w.name = fmt.Sprintf("%s#%d", hello, i)
 	}
-	r.names[name] = true
-	w := &workerState{name: name, conn: l.conn}
+	r.names[w.name] = true
 	r.workers = append(r.workers, w)
-	r.joined++
 	r.outcome.Stats.WorkersJoined++
 	r.noWorkers = time.Time{}
 	if r.rec.Enabled() {
-		r.rec.Point("sched.worker.join", obs.Attrs("worker", name))
+		r.rec.Point("sched.worker.join", obs.Attrs("worker", w.name))
 	}
 	go func() {
 		for {
@@ -359,7 +350,7 @@ func (r *runLoop) addWorker(l *link) {
 // worker has already failed it), it is relaxed rather than deadlocked —
 // the retry budget still bounds the attempts.
 func (r *runLoop) dispatch(now time.Time) {
-	if r.joined < r.cfg.MinWorkers {
+	if r.outcome.Stats.WorkersJoined < r.cfg.MinWorkers {
 		return
 	}
 	for _, t := range r.tasks {
@@ -406,18 +397,18 @@ func (r *runLoop) pick(t *taskState) (*workerState, bool) {
 	return nil, false
 }
 
-// issue leases the task's batch to w.
+// issue leases the task's batch to w: one service batch frame, whose
+// deadline is the lease TTL.
 func (r *runLoop) issue(t *taskState, w *workerState, now time.Time) {
-	payload, err := json.Marshal(r.instances[t.lo:t.hi])
+	r.leaseSeq++
+	id := r.leaseSeq
+	frame, err := service.EncodeBatch(id, r.cfg.LeaseTTL, r.instances[t.lo:t.hi])
 	if err != nil {
 		// Instances are plain data; this cannot happen. Park defensively
 		// rather than looping forever on an unmarshalable batch.
 		r.deadLetter(t, "unmarshalable batch: "+err.Error(), ErrDeadLettered)
 		return
 	}
-	r.leaseSeq++
-	id := r.leaseSeq
-	frame := encodeLease(id, len(t.attempts)+1, int(r.cfg.LeaseTTL/time.Millisecond), payload)
 	if err := w.conn.Send(frame); err != nil {
 		r.loseWorker(w, err) // task stays pending; next dispatch retries
 		return
@@ -463,8 +454,8 @@ func (r *runLoop) handle(ev event) {
 		r.failAttempt(l, "lease expired without result or heartbeat")
 	case evMsg:
 		switch transport.FrameKind(ev.frame) {
-		case KindHeartbeat:
-			if id, err := decodeHeartbeat(ev.frame); err == nil {
+		case service.KindHeartbeat:
+			if id, _, err := transport.DecodePayload(ev.frame, service.KindHeartbeat, "service heartbeat"); err == nil {
 				if l := r.inflight[id]; l != nil && l.w == ev.w {
 					now := time.Now()
 					l.deadline = now.Add(r.cfg.LeaseTTL)
@@ -481,17 +472,17 @@ func (r *runLoop) handle(ev event) {
 					ev.w.lastBeat = now
 				}
 			}
-		case KindResult:
+		case service.KindResult:
 			r.handleResult(ev.w, ev.frame)
-		case KindNack:
-			r.handleNack(ev.w, ev.frame)
+		case service.KindReject:
+			r.handleReject(ev.w, ev.frame)
 		}
 	}
 }
 
 // handleResult validates and stores one result frame.
 func (r *runLoop) handleResult(w *workerState, frame []byte) {
-	id, payload, err := transport.DecodePayload(frame, KindResult, "sched result")
+	id, payload, err := transport.DecodePayload(frame, service.KindResult, "service result")
 	if err != nil {
 		// Corrupt frame: attribute it to the worker's current lease.
 		r.outcome.Stats.CorruptResults++
@@ -546,22 +537,19 @@ func (r *runLoop) handleResult(w *workerState, frame []byte) {
 	}
 }
 
-// handleNack records a worker-rejected lease.
-func (r *runLoop) handleNack(w *workerState, frame []byte) {
-	id, msg, err := decodeNack(frame)
+// handleReject records a lease the worker refused to admit (counted
+// as a NACK): a bad instance, a full queue, a draining daemon.
+func (r *runLoop) handleReject(w *workerState, frame []byte) {
+	id, rej, err := service.DecodeReject(frame)
 	if err != nil {
 		return
 	}
 	r.outcome.Stats.Nacks++
-	target := r.inflight[id]
-	if target == nil && id == 0 {
-		target = w.busy // worker could not read the lease ID
-	}
-	if w.busy != nil && (target == w.busy || w.busy.id == id) {
+	if w.busy != nil && w.busy.id == id {
 		w.busy = nil
 	}
-	if target != nil && target.w == w && r.inflight[target.id] == target {
-		r.failAttempt(target, "worker nack: "+msg)
+	if l := r.inflight[id]; l != nil && l.w == w {
+		r.failAttempt(l, "worker rejected the batch: "+rej.Error())
 	}
 }
 
@@ -593,26 +581,34 @@ func (r *runLoop) loseWorker(w *workerState, err error) {
 	}
 }
 
-// failAttempt records a failed attempt against the lease's batch,
-// excludes the worker, and requeues with backoff — or dead-letters when
-// the budget is spent.
-func (r *runLoop) failAttempt(l *leaseState, msg string) {
+// endAttempt closes lease l as a failed attempt of its batch: the lease
+// leaves the in-flight set, and the batch's attempt log and the lease's
+// span record how it ended.
+func (r *runLoop) endAttempt(l *leaseState, outcome, msg string, now time.Time) {
 	l.timer.Stop()
 	delete(r.inflight, l.id)
 	t := l.task
 	t.lease = nil
-	now := time.Now()
 	t.attempts = append(t.attempts, Attempt{
 		Worker:    l.w.name,
 		Err:       msg,
 		Start:     l.start,
 		ElapsedMS: now.Sub(l.start).Milliseconds(),
 	})
-	t.excluded[l.w.name] = true
 	if r.rec.Enabled() {
-		l.span.End(obs.Attrs("outcome", "fail", "lease", l.id, "batch", t.id,
+		l.span.End(obs.Attrs("outcome", outcome, "lease", l.id, "batch", t.id,
 			"worker", l.w.name, "err", msg))
 	}
+}
+
+// failAttempt records a failed attempt against the lease's batch,
+// excludes the worker, and requeues with backoff — or dead-letters when
+// the budget is spent.
+func (r *runLoop) failAttempt(l *leaseState, msg string) {
+	now := time.Now()
+	r.endAttempt(l, "fail", msg, now)
+	t := l.task
+	t.excluded[l.w.name] = true
 	if len(t.attempts) >= r.cfg.RetryBudget {
 		r.deadLetter(t, ReasonBudget, ErrDeadLettered)
 		return
@@ -633,18 +629,15 @@ func (r *runLoop) deadLetter(t *taskState, reason, resultErr string) {
 	t.lease = nil
 	r.remaining--
 	indices := make([]int, 0, t.hi-t.lo)
-	groupSet := make(map[string]bool)
+	groups := make([]string, 0, t.hi-t.lo)
 	for i := t.lo; i < t.hi; i++ {
 		inst := r.instances[i]
 		r.results[i] = campaign.Result{Index: inst.Index, Group: inst.GroupKey(), Seed: inst.Seed, Err: resultErr}
 		indices = append(indices, i)
-		groupSet[inst.GroupKey()] = true
+		groups = append(groups, r.results[i].Group)
 	}
-	groups := make([]string, 0, len(groupSet))
-	for g := range groupSet {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
+	slices.Sort(groups)
+	groups = slices.Compact(groups)
 	r.outcome.Stats.DeadLettered += t.hi - t.lo
 	r.outcome.DLQ = append(r.outcome.DLQ, DeadLetter{
 		Batch:     t.id,
@@ -666,20 +659,8 @@ func (r *runLoop) drain(reason, resultErr string) {
 	for _, t := range r.tasks {
 		switch t.state {
 		case taskInflight:
-			l := t.lease
-			l.timer.Stop()
-			delete(r.inflight, l.id)
-			l.w.busy = nil
-			t.attempts = append(t.attempts, Attempt{
-				Worker:    l.w.name,
-				Err:       "drained while in flight: " + reason,
-				Start:     l.start,
-				ElapsedMS: now.Sub(l.start).Milliseconds(),
-			})
-			if r.rec.Enabled() {
-				l.span.End(obs.Attrs("outcome", "drained", "lease", l.id,
-					"batch", t.id, "worker", l.w.name))
-			}
+			t.lease.w.busy = nil
+			r.endAttempt(t.lease, "drained", "drained while in flight: "+reason, now)
 			r.deadLetter(t, reason, resultErr)
 		case taskPending:
 			r.deadLetter(t, reason, resultErr)

@@ -1,4 +1,4 @@
-package sched_test
+package sched
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sched/faults"
 	"repro/internal/transport"
 )
@@ -24,7 +23,7 @@ import (
 func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 	sink := &obs.MemorySink{}
 	rec := obs.NewRecorder(sink)
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:  4,
 		LeaseTTL:   5 * time.Second,
 		MinWorkers: 2, // both joins precede the first lease, so both are recorded
@@ -32,7 +31,7 @@ func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 	}
 	spec := schedSpec()
 	ctx := context.Background()
-	coord := sched.NewCoordinator(ctx, cfg)
+	coord := NewCoordinator(ctx, cfg)
 	fleet := []workerSpec{{name: "w1"}, {name: "w2"}}
 	rep, outcome := runDistributedWith(t, ctx, spec, coord, fleet)
 	if err := rec.Flush(); err != nil {
@@ -72,7 +71,7 @@ func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 	}
 
 	snap := coord.Debug()
-	if snap.Schema != sched.DebugSchema {
+	if snap.Schema != DebugSchema {
 		t.Fatalf("snapshot schema = %q", snap.Schema)
 	}
 	if snap.Instances != rep.Instances {
@@ -101,12 +100,12 @@ func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 	// The HTTP surface serves the same snapshot plus stdlib expvar/pprof.
 	ts := httptest.NewServer(coord.DebugMux())
 	defer ts.Close()
-	var served sched.DebugSnapshot
+	var served DebugSnapshot
 	body := httpGet(t, ts.URL+"/debug/sched")
 	if err := json.Unmarshal(body, &served); err != nil {
 		t.Fatalf("/debug/sched: %v\n%s", err, body)
 	}
-	if served.Schema != sched.DebugSchema || served.Batches.Done != snap.Batches.Done {
+	if served.Schema != DebugSchema || served.Batches.Done != snap.Batches.Done {
 		t.Errorf("/debug/sched served %+v, want %+v", served, snap)
 	}
 	if body := httpGet(t, ts.URL+"/debug/vars"); !strings.Contains(string(body), "memstats") {
@@ -120,12 +119,12 @@ func TestCoordinatorTelemetryAndDebugSnapshot(t *testing.T) {
 // checks the DLQ telemetry matches the outcome.
 func TestDrainTelemetryRecordsDeadLetters(t *testing.T) {
 	sink := &obs.MemorySink{}
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:     4,
 		NoWorkerGrace: 30 * time.Millisecond,
 		Observer:      obs.NewRecorder(sink),
 	}
-	coord := sched.NewCoordinator(context.Background(), cfg)
+	coord := NewCoordinator(context.Background(), cfg)
 	rep, err := campaign.RunWith(schedSpec(), coord)
 	if err != nil {
 		t.Fatalf("RunWith: %v", err)
@@ -152,7 +151,7 @@ func TestDrainTelemetryRecordsDeadLetters(t *testing.T) {
 
 // runDistributedWith is runDistributed over a caller-built coordinator
 // (so tests can poke Debug and DebugMux afterwards).
-func runDistributedWith(t *testing.T, ctx context.Context, spec campaign.Spec, coord *sched.Coordinator, fleet []workerSpec) (*campaign.Report, sched.Outcome) {
+func runDistributedWith(t *testing.T, ctx context.Context, spec campaign.Spec, coord *Coordinator, fleet []workerSpec) (*campaign.Report, Outcome) {
 	t.Helper()
 	for _, w := range fleet {
 		server, client := transport.Pipe()
@@ -161,7 +160,7 @@ func runDistributedWith(t *testing.T, ctx context.Context, spec campaign.Spec, c
 		if len(w.stack) > 0 {
 			conn = faults.Wrap(client, w.stack...)
 		}
-		go sched.RunWorker(ctx, conn, sched.WorkerConfig{Name: w.name})
+		go RunWorker(ctx, conn, WorkerConfig{Name: w.name})
 	}
 	rep, err := campaign.RunWith(spec, coord)
 	if err != nil {

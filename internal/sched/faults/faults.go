@@ -1,12 +1,13 @@
 // Package faults injects worker failures into scheduler links for the
 // robustness tests: crash at the k-th batch, stall past the lease
 // deadline, disconnect mid-result, corrupt result payloads. A Behavior
-// filters the frames crossing a transport.Conn — the same composable
+// filters the service frames crossing a worker's transport.Conn —
+// batches in, results and heartbeats out — the same composable
 // behavior-stack idiom internal/adversary uses for protocol-level
 // faults, applied one layer down to the campaign control plane. Wrap a
-// worker's conn before handing it to sched.RunWorker and the worker
-// code itself stays untouched; the coordinator must survive whatever
-// the stack does.
+// worker's conn before handing it to sched.RunWorker (or
+// service.Server.ServeDialled) and the daemon itself stays untouched;
+// the coordinator must survive whatever the stack does.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - StallAtBatch, DisconnectAtResult, CorruptResultAt, CorruptAllResults and their methods, passthrough.Inbound: the unit fault suite fires each; CI fires only crash@2.
@@ -17,7 +18,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/sched"
+	"repro/internal/service"
 	"repro/internal/transport"
 )
 
@@ -100,7 +101,7 @@ type passthrough struct{}
 func (passthrough) Inbound(f []byte) ([]byte, error)  { return f, nil }
 func (passthrough) Outbound(f []byte) ([]byte, error) { return f, nil }
 
-// CrashAtBatch kills the connection when the k-th lease (1-based)
+// CrashAtBatch kills the connection when the k-th batch (1-based)
 // arrives: the worker "crashes" holding an unexecuted batch, and the
 // coordinator sees an abrupt disconnect.
 func CrashAtBatch(k int) Behavior { return &crashAtBatch{k: k} }
@@ -111,7 +112,7 @@ type crashAtBatch struct {
 }
 
 func (c *crashAtBatch) Inbound(f []byte) ([]byte, error) {
-	if transport.FrameKind(f) == sched.KindLease {
+	if transport.FrameKind(f) == service.KindBatch {
 		c.seen++
 		if c.seen >= c.k {
 			return nil, fmt.Errorf("%w: crash at batch %d", ErrInjected, c.seen)
@@ -120,8 +121,8 @@ func (c *crashAtBatch) Inbound(f []byte) ([]byte, error) {
 	return f, nil
 }
 
-// StallAtBatch turns the worker into a zombie from the k-th lease on:
-// the lease is delivered, but every outbound frame — heartbeats and
+// StallAtBatch turns the worker into a zombie from the k-th batch on:
+// the batch is delivered, but every outbound frame — heartbeats and
 // results alike — is silently dropped. The connection stays open, so
 // only lease expiry can unstick the coordinator.
 func StallAtBatch(k int) Behavior { return &stallAtBatch{k: k} }
@@ -133,7 +134,7 @@ type stallAtBatch struct {
 }
 
 func (s *stallAtBatch) Inbound(f []byte) ([]byte, error) {
-	if transport.FrameKind(f) == sched.KindLease {
+	if transport.FrameKind(f) == service.KindBatch {
 		s.seen++
 		if s.seen >= s.k {
 			s.stalling = true
@@ -160,7 +161,7 @@ type disconnectAtResult struct {
 }
 
 func (d *disconnectAtResult) Outbound(f []byte) ([]byte, error) {
-	if transport.FrameKind(f) == sched.KindResult {
+	if transport.FrameKind(f) == service.KindResult {
 		d.seen++
 		if d.seen >= d.k {
 			return nil, fmt.Errorf("%w: disconnect at result %d", ErrInjected, d.seen)
@@ -186,7 +187,7 @@ type corruptResult struct {
 }
 
 func (c *corruptResult) Outbound(f []byte) ([]byte, error) {
-	if transport.FrameKind(f) != sched.KindResult {
+	if transport.FrameKind(f) != service.KindResult {
 		return f, nil
 	}
 	c.seen++

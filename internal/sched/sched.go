@@ -4,12 +4,15 @@
 // so campaign.RunWith hands it the deterministically expanded instance
 // list — and leases contiguous instance batches to workers over
 // transport.Conn links (in-memory pipes in tests, TCP across processes).
+// A worker is an agreement-service session (internal/service) dialled
+// out to the coordinator: a lease is one service batch frame, answered
+// with results or a reject, and heartbeated while it runs.
 //
 // The paper's subject is agreement despite faulty participants; this
 // package applies the same discipline to the campaign infrastructure
 // itself. Leases carry deadlines extended by heartbeats; the coordinator
-// detects expiry, disconnect, NACK, and corrupt results, requeues the
-// batch with exponential backoff onto workers outside the batch's
+// detects expiry, disconnect, rejection, and corrupt results, requeues
+// the batch with exponential backoff onto workers outside the batch's
 // excluded-worker set, and after a bounded retry budget parks the batch
 // in a dead-letter queue recording every attempt's worker, error, and
 // timing — the sweep COMPLETES and reports the DLQ rather than hanging
@@ -27,7 +30,7 @@
 // corrupt-result schedules.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - runLoop.handleNack, deadLetter, drain, decodeNack, decodeHeartbeat: fault paths the unit fault suite fires; CI fires only crash@2.
+//   - runLoop.handleReject, deadLetter, drain: fault paths the unit fault suite fires; CI fires only crash@2.
 //   - Coordinator.Debug, DebugMux: fdcampaign -debug-addr's telemetry, which no smoke serves; debug_test reads it.
 package sched
 

@@ -1,4 +1,4 @@
-package sched_test
+package sched
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/sched"
 	"repro/internal/sched/faults"
 	"repro/internal/sig"
 	"repro/internal/transport"
@@ -40,9 +39,9 @@ type workerSpec struct {
 // runDistributed executes spec through a coordinator with the given
 // fleet over in-memory pipes and returns the report plus the scheduler
 // outcome.
-func runDistributed(t *testing.T, ctx context.Context, spec campaign.Spec, cfg sched.Config, fleet []workerSpec) (*campaign.Report, sched.Outcome) {
+func runDistributed(t *testing.T, ctx context.Context, spec campaign.Spec, cfg Config, fleet []workerSpec) (*campaign.Report, Outcome) {
 	t.Helper()
-	coord := sched.NewCoordinator(ctx, cfg)
+	coord := NewCoordinator(ctx, cfg)
 	for _, w := range fleet {
 		server, client := transport.Pipe()
 		go coord.Attach(server)
@@ -50,7 +49,7 @@ func runDistributed(t *testing.T, ctx context.Context, spec campaign.Spec, cfg s
 		if len(w.stack) > 0 {
 			conn = faults.Wrap(client, w.stack...)
 		}
-		go sched.RunWorker(ctx, conn, sched.WorkerConfig{Name: w.name})
+		go RunWorker(ctx, conn, WorkerConfig{Name: w.name})
 	}
 	rep, err := campaign.RunWith(spec, coord)
 	if err != nil {
@@ -76,7 +75,7 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 		t.Fatalf("CanonicalJSON: %v", err)
 	}
 
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:   4,
 		LeaseTTL:    400 * time.Millisecond,
 		RetryBudget: 5,
@@ -87,14 +86,14 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fleet []workerSpec
-		fired func(sched.Outcome) bool
+		fired func(Outcome) bool
 	}{
 		{
 			name: "no faults",
 			fleet: []workerSpec{
 				{name: "w1"}, {name: "w2"}, {name: "w3"}, {name: "w4"},
 			},
-			fired: func(o sched.Outcome) bool { return o.Stats.BatchesCompleted == 12 },
+			fired: func(o Outcome) bool { return o.Stats.BatchesCompleted == 12 },
 		},
 		// MinWorkers=4 gates the first dispatch wave until the whole fleet
 		// joined, so every worker is guaranteed to receive its FIRST lease
@@ -107,7 +106,7 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 				{name: "w2", stack: []faults.Behavior{faults.CrashAtBatch(1)}},
 				{name: "w3"}, {name: "w4"},
 			},
-			fired: func(o sched.Outcome) bool { return o.Stats.WorkersLost >= 2 },
+			fired: func(o Outcome) bool { return o.Stats.WorkersLost >= 2 },
 		},
 		{
 			name: "stall past deadline",
@@ -115,7 +114,7 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 				{name: "w1", stack: []faults.Behavior{faults.StallAtBatch(1)}},
 				{name: "w2"}, {name: "w3"}, {name: "w4"},
 			},
-			fired: func(o sched.Outcome) bool { return o.Stats.LeasesExpired >= 1 },
+			fired: func(o Outcome) bool { return o.Stats.LeasesExpired >= 1 },
 		},
 		{
 			name: "disconnect mid-result",
@@ -124,7 +123,7 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 				{name: "w2", stack: []faults.Behavior{faults.DisconnectAtResult(1)}},
 				{name: "w3"}, {name: "w4"},
 			},
-			fired: func(o sched.Outcome) bool { return o.Stats.WorkersLost >= 2 },
+			fired: func(o Outcome) bool { return o.Stats.WorkersLost >= 2 },
 		},
 		{
 			name: "corrupt result",
@@ -133,7 +132,7 @@ func TestSchedulerReportInvarianceUnderFaults(t *testing.T) {
 				{name: "w2", stack: []faults.Behavior{faults.CorruptResultAt(1)}},
 				{name: "w3"}, {name: "w4"},
 			},
-			fired: func(o sched.Outcome) bool { return o.Stats.CorruptResults >= 2 },
+			fired: func(o Outcome) bool { return o.Stats.CorruptResults >= 2 },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,7 +166,7 @@ func TestDeadLetterOnBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
 	}
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:   len(instances), // one batch: the whole sweep is doomed
 		LeaseTTL:    2 * time.Second,
 		RetryBudget: 3,
@@ -185,8 +184,8 @@ func TestDeadLetterOnBudgetExhaustion(t *testing.T) {
 		t.Fatalf("DLQ has %d entries, want 1: %+v", len(out.DLQ), out.DLQ)
 	}
 	dl := out.DLQ[0]
-	if dl.Reason != sched.ReasonBudget {
-		t.Errorf("reason = %q, want %q", dl.Reason, sched.ReasonBudget)
+	if dl.Reason != ReasonBudget {
+		t.Errorf("reason = %q, want %q", dl.Reason, ReasonBudget)
 	}
 	if len(dl.Attempts) != cfg.RetryBudget {
 		t.Fatalf("attempt log has %d entries, want the full budget %d: %+v",
@@ -225,12 +224,54 @@ func TestDeadLetterOnBudgetExhaustion(t *testing.T) {
 		t.Fatalf("report incomplete: %d/%d results", len(rep.Results), rep.Instances)
 	}
 	for i, res := range rep.Results {
-		if res.Index != i || res.Err != sched.ErrDeadLettered {
+		if res.Index != i || res.Err != ErrDeadLettered {
 			t.Fatalf("result %d = {Index:%d Err:%q}, want dead-letter marker", i, res.Index, res.Err)
 		}
 	}
 	if _, err := rep.CanonicalJSON(); err != nil {
 		t.Fatalf("dead-lettered report does not marshal: %v", err)
+	}
+}
+
+// TestRejectedBatchIsAFailedAttempt: a batch the worker's daemon
+// refuses at admission (here one member asks for t = n) is a failed
+// attempt like any other, counted as a NACK, and dead-lettered when the
+// budget is spent; every other batch completes.
+func TestRejectedBatchIsAFailedAttempt(t *testing.T) {
+	instances, err := campaign.Expand(schedSpec())
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	instances[5].T = instances[5].N
+	cfg := Config{
+		BatchSize:   4,
+		LeaseTTL:    2 * time.Second,
+		RetryBudget: 2,
+		BackoffBase: 5 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+	}
+	ctx := context.Background()
+	coord := NewCoordinator(ctx, cfg)
+	server, client := transport.Pipe()
+	go coord.Attach(server)
+	go RunWorker(ctx, client, WorkerConfig{Name: "w"})
+	results, err := coord.Execute(schedSpec(), instances)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	out := coord.Outcome()
+	if out.Stats.Nacks != cfg.RetryBudget || len(out.DLQ) != 1 || out.DLQ[0].Batch != 1 || out.DLQ[0].Reason != ReasonBudget {
+		t.Fatalf("stats %s, DLQ %+v: want %d NACKs and batch 1 dead-lettered", out.Stats, out.DLQ, cfg.RetryBudget)
+	}
+	for _, a := range out.DLQ[0].Attempts {
+		if !strings.Contains(a.Err, "bad-request") {
+			t.Errorf("attempt error %q does not name the rejection", a.Err)
+		}
+	}
+	for i, res := range results {
+		if inBatch := i >= 4 && i < 8; inBatch != (res.Err == ErrDeadLettered) {
+			t.Fatalf("result %d = %+v", i, res)
+		}
 	}
 }
 
@@ -244,7 +285,7 @@ func TestExcludedWorkerRetriesElsewhere(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 	want, _ := clean.CanonicalJSON()
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:   6,
 		LeaseTTL:    2 * time.Second,
 		RetryBudget: 4,
@@ -276,7 +317,7 @@ func TestGracefulDrainOnCancel(t *testing.T) {
 	spec := schedSpec()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:  4,
 		LeaseTTL:   30 * time.Second, // only cancel can end this run
 		MinWorkers: 1,
@@ -294,13 +335,13 @@ func TestGracefulDrainOnCancel(t *testing.T) {
 		t.Fatal("drain produced an empty DLQ")
 	}
 	for _, dl := range out.DLQ {
-		if dl.Reason != sched.ReasonCanceled {
-			t.Errorf("DLQ reason = %q, want %q", dl.Reason, sched.ReasonCanceled)
+		if dl.Reason != ReasonCanceled {
+			t.Errorf("DLQ reason = %q, want %q", dl.Reason, ReasonCanceled)
 		}
 	}
 	for i, res := range rep.Results {
-		if res.Err != sched.ErrCanceled {
-			t.Fatalf("result %d Err = %q, want %q", i, res.Err, sched.ErrCanceled)
+		if res.Err != ErrCanceled {
+			t.Fatalf("result %d Err = %q, want %q", i, res.Err, ErrCanceled)
 		}
 	}
 	if _, err := rep.CanonicalJSON(); err != nil {
@@ -313,11 +354,11 @@ func TestGracefulDrainOnCancel(t *testing.T) {
 // parked with ReasonNoWorkers.
 func TestNoWorkerGraceDeadLettersSweep(t *testing.T) {
 	spec := schedSpec()
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:     8,
 		NoWorkerGrace: 100 * time.Millisecond,
 	}
-	coord := sched.NewCoordinator(context.Background(), cfg)
+	coord := NewCoordinator(context.Background(), cfg)
 	start := time.Now()
 	rep, err := campaign.RunWith(spec, coord)
 	if err != nil {
@@ -331,13 +372,13 @@ func TestNoWorkerGraceDeadLettersSweep(t *testing.T) {
 		t.Fatal("no-worker sweep produced an empty DLQ")
 	}
 	for _, dl := range out.DLQ {
-		if dl.Reason != sched.ReasonNoWorkers {
-			t.Errorf("DLQ reason = %q, want %q", dl.Reason, sched.ReasonNoWorkers)
+		if dl.Reason != ReasonNoWorkers {
+			t.Errorf("DLQ reason = %q, want %q", dl.Reason, ReasonNoWorkers)
 		}
 	}
 	for i, res := range rep.Results {
-		if res.Err != sched.ErrDeadLettered {
-			t.Fatalf("result %d Err = %q, want %q", i, res.Err, sched.ErrDeadLettered)
+		if res.Err != ErrDeadLettered {
+			t.Fatalf("result %d Err = %q, want %q", i, res.Err, ErrDeadLettered)
 		}
 	}
 }
@@ -345,7 +386,7 @@ func TestNoWorkerGraceDeadLettersSweep(t *testing.T) {
 // TestCoordinatorSingleUse: Execute is one campaign; a second call is
 // refused rather than corrupting shared state.
 func TestCoordinatorSingleUse(t *testing.T) {
-	coord := sched.NewCoordinator(context.Background(), sched.Config{NoWorkerGrace: 50 * time.Millisecond})
+	coord := NewCoordinator(context.Background(), Config{NoWorkerGrace: 50 * time.Millisecond})
 	spec := campaign.Spec{
 		Name:      "single-use",
 		Protocols: []string{campaign.ProtoChain},
@@ -371,18 +412,18 @@ func TestWorkerJoinsMidCampaign(t *testing.T) {
 	}
 	want, _ := clean.CanonicalJSON()
 	ctx := context.Background()
-	cfg := sched.Config{
+	cfg := Config{
 		BatchSize:   4,
 		LeaseTTL:    2 * time.Second,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		MinWorkers:  1,
 	}
-	coord := sched.NewCoordinator(ctx, cfg)
+	coord := NewCoordinator(ctx, cfg)
 	attach := func(name string) {
 		server, client := transport.Pipe()
 		go coord.Attach(server)
-		go sched.RunWorker(ctx, client, sched.WorkerConfig{Name: name})
+		go RunWorker(ctx, client, WorkerConfig{Name: name})
 	}
 	attach("early")
 	go func() {
@@ -396,5 +437,33 @@ func TestWorkerJoinsMidCampaign(t *testing.T) {
 	got, _ := rep.CanonicalJSON()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("report diverged with a mid-campaign join; stats: %s", coord.Outcome().Stats)
+	}
+}
+
+func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
+	cfg := Config{BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second}.withDefaults()
+	if a, b := cfg.backoffDelay(3, 2), cfg.backoffDelay(3, 2); a != b {
+		t.Fatalf("backoff not deterministic: %v vs %v", a, b)
+	}
+	if a, b := cfg.backoffDelay(3, 1), cfg.backoffDelay(4, 1); a == b {
+		t.Fatalf("jitter did not separate batches: both %v", a)
+	}
+	for attempt := 1; attempt <= 20; attempt++ {
+		d := cfg.backoffDelay(0, attempt)
+		if d < cfg.BackoffBase || d > cfg.BackoffMax+cfg.BackoffMax/4 {
+			t.Fatalf("attempt %d: delay %v outside [base, max+max/4]", attempt, d)
+		}
+	}
+	// The exponential portion grows until the cap.
+	if cfg.backoffDelay(0, 1) >= cfg.BackoffMax {
+		t.Fatal("first retry already at cap")
+	}
+}
+
+func TestConfigWithDefaults(t *testing.T) {
+	c := Config{}.withDefaults()
+	if c.BatchSize < 1 || c.LeaseTTL <= 0 || c.RetryBudget < 1 ||
+		c.BackoffBase <= 0 || c.BackoffMax <= 0 || c.MinWorkers < 1 || c.NoWorkerGrace <= 0 {
+		t.Fatalf("zero Config did not default every field: %+v", c)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/protocol"
+	"repro/internal/service"
 	"repro/internal/sig"
 	"repro/internal/transport"
 )
@@ -30,20 +31,31 @@ func (panicDriver) Run(protocol.Instance, *core.Cluster) (protocol.Outcome, erro
 func init() { protocol.Register(panicDriver{}) }
 
 // A driver that panics costs its own instance and nothing else: the
-// lease comes back complete, with the fixed error in the panicking
+// batch comes back complete, with the fixed error in the panicking
 // slot and clean verdicts around it, and the worker takes the next
-// lease. (Uncontained, the worker process dies and the coordinator
+// batch. (Uncontained, the worker process dies and the coordinator
 // learns of it only when the lease expires.)
-func TestWorkerContainsDriverPanic(t *testing.T) { workerContainsDriverPanic(t) }
+func TestWorkerContainsDriverPanic(t *testing.T) {
+	workerContainsDriverPanic(t, func(conn transport.Conn) error {
+		return RunWorker(context.Background(), conn, WorkerConfig{Name: "w"})
+	})
+}
 
 // The same under -inst-timeout: the driver then runs on the campaign
 // watchdog's goroutine, and the panic is contained there — to the same
-// Err.
+// Err. The option reaches the worker as fdcampaign -worker passes it,
+// through the daemon's executor.
 func TestWatchdogContainsDriverPanic(t *testing.T) {
-	workerContainsDriverPanic(t, campaign.WithInstanceTimeout(time.Minute))
+	workerContainsDriverPanic(t, func(conn transport.Conn) error {
+		srv := service.NewServer(service.Config{Options: []campaign.Option{campaign.WithInstanceTimeout(time.Minute)}})
+		defer srv.Drain()
+		return srv.ServeDialled(context.Background(), conn, "w")
+	})
 }
 
-func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
+// workerContainsDriverPanic plays the coordinator's side of the service
+// frames against a worker that serve runs on the other end of a pipe.
+func workerContainsDriverPanic(t *testing.T, serve func(transport.Conn) error) {
 	chain, err := campaign.Expand(campaign.Spec{
 		Protocols: []string{campaign.ProtoChain}, Sizes: []int{4}, Schemes: []string{sig.SchemeToy},
 		SeedBase: 11, SeedCount: 3,
@@ -51,22 +63,27 @@ func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := campaign.Instance{Index: 1, Protocol: "test-sched-panic", N: 4, T: 1, Scheme: sig.SchemeToy, Seed: 3, KeySeed: 1}
+	bad := campaign.Instance{Index: 1, Protocol: "test-sched-panic", N: 4, T: 1, Scheme: sig.SchemeToy,
+		Adversary: campaign.AdvNone, Seed: 3, KeySeed: 1}
 
 	coord, conn := transport.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- RunWorker(context.Background(), conn, WorkerConfig{Name: "w", Options: opts}) }()
-	if frame, err := coord.Recv(); err != nil || transport.FrameKind(frame) != KindHello {
-		t.Fatalf("hello: kind %d, %v", transport.FrameKind(frame), err)
+	go func() { done <- serve(conn) }()
+	frame, err := coord.Recv()
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	if name, err := transport.DecodeHello(frame, service.KindHello, service.WireTag); err != nil || name != "w" {
+		t.Fatalf("hello = %q, %v", name, err)
 	}
 	// lease sends one batch and returns the results the worker reports.
 	lease := func(id int, batch ...campaign.Instance) []campaign.Result {
 		t.Helper()
-		payload, err := json.Marshal(batch)
+		frame, err := service.EncodeBatch(id, 5*time.Second, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := coord.Send(encodeLease(id, 1, 5000, payload)); err != nil {
+		if err := coord.Send(frame); err != nil {
 			t.Fatalf("lease %d: %v", id, err)
 		}
 		for {
@@ -74,10 +91,10 @@ func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
 			if err != nil {
 				t.Fatalf("lease %d: worker link lost: %v", id, err)
 			}
-			if transport.FrameKind(frame) == KindHeartbeat {
+			if transport.FrameKind(frame) == service.KindHeartbeat {
 				continue
 			}
-			gotID, resPayload, err := transport.DecodePayload(frame, KindResult, "sched result")
+			gotID, resPayload, err := transport.DecodePayload(frame, service.KindResult, "service result")
 			if err != nil || gotID != id {
 				t.Fatalf("lease %d: got kind %d id %d, %v", id, transport.FrameKind(frame), gotID, err)
 			}
@@ -101,9 +118,8 @@ func workerContainsDriverPanic(t *testing.T, opts ...campaign.Option) {
 		t.Fatalf("lease after the panic = %+v", next)
 	}
 
-	if err := coord.Send(encodeShutdown("test over")); err != nil {
-		t.Fatal(err)
-	}
+	// The coordinator closing the link is the worker's clean exit.
+	coord.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("worker exit: %v", err)
 	}

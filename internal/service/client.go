@@ -52,7 +52,7 @@ type response struct {
 // NewClient performs the hello handshake on conn and starts the reader.
 // The client owns the connection from here; Close releases it.
 func NewClient(conn transport.Conn, tenant string) (*Client, error) {
-	if err := conn.Send(transport.EncodeHello(KindHello, wireTag, tenant)); err != nil {
+	if err := conn.Send(transport.EncodeHello(KindHello, WireTag, tenant)); err != nil {
 		return nil, fmt.Errorf("service: hello: %w", err)
 	}
 	frame, err := conn.Recv()
@@ -111,12 +111,11 @@ func (c *Client) readLoop() {
 			}
 			c.deliver(id, response{payload: payload})
 		case KindReject:
-			id, code, retryMS, msg, err := decodeReject(frame)
+			id, rej, err := DecodeReject(frame)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			rej := &RejectError{Code: code, RetryAfter: time.Duration(retryMS) * time.Millisecond, Msg: msg}
 			c.deliver(id, response{rej: rej})
 		case KindStatsReply:
 			_, payload, err := transport.DecodePayload(frame, KindStatsReply, "service stats reply")

@@ -1,12 +1,15 @@
 // Package service is the agreement-as-a-service layer: a long-lived
 // daemon (cmd/fdserve is the CLI) that multiplexes many concurrent
 // agreement instances over shared framed connections, instead of the
-// one-shot set-up-run-exit shape every other entry point has. The
-// moving parts:
+// one-shot set-up-run-exit shape every other entry point has. It is the
+// one long-lived executor: a campaign worker is a session it dials out
+// to the coordinator (ServeDialled). The moving parts:
 //
 //   - a checksummed request/response wire protocol over transport.Conn
-//     (wire.go), carrying (tenant, protocol, n, t, scheme, value, seed)
-//     requests and verdict/latency replies;
+//     (wire.go): a request is any campaign.Instance, admitted by
+//     Instance.Validate and answered with a verdict/latency reply; a
+//     batch of them is answered with their results in order, with
+//     heartbeats while it waits or runs;
 //   - a warm-cluster pool (pool.go), pooled per key set (scheme, n,
 //     keySeed), at most 64 key sets, least recently used evicted, so a
 //     sustained request stream pays keygen and the authentication
@@ -19,23 +22,24 @@
 //     final stats snapshot (stats.go) is still valid mid-stream.
 //
 // Served verdicts are byte-identical to one-shot campaign.Run results
-// for the same instances — the warm-pool-vs-fresh differential test
-// pins that, exactly as the campaign setup cache's differential does.
+// for the same instances, request by request and batch by batch — the
+// differential tests pin that over the golden wiring grid.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - Server.reject, serverStats.rejected, decodeReject, RejectError.Error: the backpressure path TestBackpressureRejectsBusy fires.
+//   - Server.reject, serverStats.rejected, DecodeReject, RejectError.Error: the backpressure and bad-batch paths TestBackpressureRejectsBusy and TestRejectedBatchIsAFailedAttempt fire.
 //   - Client.Stats, Server.DebugMux: fdserve -stats and -debug-addr, which no smoke passes.
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -43,31 +47,11 @@ import (
 	"repro/internal/transport"
 )
 
-// Request is one agreement request as carried in a submit frame's JSON
-// payload. The tenant is connection state (from the hello), not
-// per-request.
-type Request struct {
-	// Index is echoed into Result.Index — clients correlating served
-	// results with a campaign expansion set it to the instance's index.
-	Index int `json:"index"`
-	// Protocol is a registered driver name.
-	Protocol string `json:"protocol"`
-	// N and T are the system size and fault bound.
-	N int `json:"n"`
-	T int `json:"t"`
-	// Scheme is the signature-scheme registry name; empty means
-	// sig.SchemeEd25519 (the core default) for signing drivers, so both
-	// spellings share one pool cell, and is forced empty for unsigned
-	// ones.
-	Scheme string `json:"scheme,omitempty"`
-	// Value optionally overrides the protocol's canonical sender
-	// proposal.
-	Value []byte `json:"value,omitempty"`
-	// Seed drives the run's randomness; KeySeed pins its key material
-	// (requests sharing (Scheme, N, KeySeed) share a warm pool cell).
-	Seed    int64 `json:"seed"`
-	KeySeed int64 `json:"key_seed"`
-}
+// Request is one agreement request, a submit frame's JSON payload: any
+// campaign instance, adversary and network condition included. resolve
+// normalises its scheme and adversary. The tenant is connection state
+// (from the hello), not per-request.
+type Request = campaign.Instance
 
 // Reply is one served request's response payload: the full campaign
 // result (verdict, conformance, traffic) plus the service-side latency
@@ -97,6 +81,9 @@ type Config struct {
 	// Recorder receives per-request "service.request" spans and
 	// reject/panic/drain points; nil disables tracing (the default).
 	Recorder *obs.Recorder
+	// Options configure the campaign.Executor every instance runs on
+	// (watchdog, observer); a signing run's store is its pool cell.
+	Options []campaign.Option
 }
 
 func (c Config) withDefaults() Config {
@@ -112,20 +99,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// session is one client connection's state.
+// session is one connection's state.
 type session struct {
 	conn   transport.Conn
 	tenant string
 }
 
-// task is one admitted request queued for execution.
+// task is one admitted submission queued for execution: a request (one
+// instance, answered with a Reply) or a batch (its instances run in
+// order and are answered together, heartbeats flowing meanwhile).
 type task struct {
-	sess      *session
-	reqID     int
-	inst      campaign.Instance
-	cacheable bool
-	enqueued  time.Time
-	span      obs.Span
+	sess     *session
+	reqID    int
+	insts    []campaign.Instance
+	spans    []obs.Span    // one per instance when tracing
+	beat     chan struct{} // a batch's: closing it stops the heartbeats
+	enqueued time.Time
 }
 
 // enqueue outcomes.
@@ -136,12 +125,14 @@ const (
 )
 
 // shard is one executor: a map of bounded per-tenant FIFO queues served
-// round-robin, so tenants progress fairly regardless of who floods.
+// round-robin, so tenants progress fairly regardless of who floods. A
+// tenant is on the ring and in the map exactly while its queue is
+// non-empty, so one-shot tenants leave nothing behind.
 type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queues  map[string][]task
-	ring    []string // tenant rotation, first-appearance order
+	ring    []string // tenants with queued work, in arrival order
 	next    int      // round-robin cursor into ring
 	pending int
 	stopped bool
@@ -164,14 +155,14 @@ func (sh *shard) enqueue(tenant string, t task, stats *serverStats) int {
 	if len(q) >= sh.depth {
 		return enqueueFull
 	}
-	if q == nil {
+	if len(q) == 0 {
 		sh.ring = append(sh.ring, tenant)
 	}
 	sh.queues[tenant] = append(q, t)
 	sh.pending++
 	// Counted before an executor can pop the task, so no snapshot shows
 	// more served than submitted (TestSnapshotNeverServesMoreThanSubmitted).
-	stats.submitted(tenant)
+	stats.submitted(tenant, len(t.insts))
 	sh.cond.Signal()
 	return enqueueOK
 }
@@ -188,20 +179,23 @@ func (sh *shard) pop() (task, bool) {
 	if sh.pending == 0 {
 		return task{}, false
 	}
-	for i := 0; i < len(sh.ring); i++ {
-		tenant := sh.ring[(sh.next+i)%len(sh.ring)]
-		q := sh.queues[tenant]
-		if len(q) == 0 {
-			continue
-		}
-		t := q[0]
+	tenant := sh.ring[sh.next]
+	q := sh.queues[tenant]
+	t := q[0]
+	sh.pending--
+	if len(q) == 1 {
+		// Drained: the tenant leaves, and the cursor already names the
+		// tenant after it.
+		delete(sh.queues, tenant)
+		sh.ring = slices.Delete(sh.ring, sh.next, sh.next+1)
+	} else {
 		sh.queues[tenant] = q[1:]
-		sh.pending--
-		sh.next = (sh.next + i + 1) % len(sh.ring)
-		return t, true
+		sh.next++
 	}
-	// Unreachable: pending > 0 implies a non-empty queue.
-	panic("service: shard pending count out of sync")
+	if sh.next >= len(sh.ring) {
+		sh.next = 0
+	}
+	return t, true
 }
 
 func (sh *shard) stop() {
@@ -218,11 +212,12 @@ func (sh *shard) queued() int {
 }
 
 // Server is the multiplexed agreement daemon. Construct with NewServer,
-// feed it connections with Serve (or Attach for a single in-memory
-// conn), and shut down with Drain.
+// feed it connections with Serve (ServeDialled for one it dialled out),
+// and shut down with Drain.
 type Server struct {
 	cfg      Config
 	rec      *obs.Recorder
+	exec     *campaign.Executor
 	pool     *pool
 	stats    *serverStats
 	shards   []*shard
@@ -244,6 +239,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		rec:   cfg.Recorder,
+		exec:  campaign.NewExecutor(cfg.Options...),
 		pool:  newPool(cfg.Shards),
 		stats: newServerStats(),
 	}
@@ -258,7 +254,7 @@ func NewServer(cfg Config) *Server {
 				if !ok {
 					return
 				}
-				s.execute(t)
+				s.run(t)
 			}
 		}()
 	}
@@ -277,65 +273,105 @@ func (s *Server) Serve(acc transport.Acceptor) error {
 			}
 			return err
 		}
-		s.Attach(conn)
+		go s.handleConn(conn)
 	}
 }
 
-// Attach adopts one established connection (the in-memory test path).
-func (s *Server) Attach(conn transport.Conn) {
-	go s.handleConn(conn)
-}
-
-// handleConn speaks the wire protocol on one connection: hello/ack,
-// then submit and stats frames until the link closes. A frame that
-// fails to decode or checksum closes the connection — a link that
-// corrupts bytes cannot be trusted with verdicts.
+// handleConn speaks the wire protocol on one accepted connection:
+// hello/ack, then the session's frames until the link closes.
 func (s *Server) handleConn(conn transport.Conn) {
 	defer conn.Close()
 	frame, err := conn.Recv()
 	if err != nil {
 		return
 	}
-	tenant, err := transport.DecodeHello(frame, KindHello, wireTag)
+	tenant, err := transport.DecodeHello(frame, KindHello, WireTag)
 	if err != nil {
 		return
 	}
 	if err := conn.Send(encodeHelloAck(len(s.shards))); err != nil {
 		return
 	}
-	sess := &session{conn: conn, tenant: tenant}
+	s.serveFrames(&session{conn: conn, tenant: tenant})
+}
+
+// ServeDialled serves a connection this server dialled out, to a
+// campaign coordinator: it says hello as name (the tenant), then
+// answers frames as on an accepted connection. It returns nil when the
+// peer closes the link, ctx's error when ctx ends it, and otherwise
+// why the link failed; admitted work still runs (Drain waits for it).
+func (s *Server) ServeDialled(ctx context.Context, conn transport.Conn, name string) error {
+	defer conn.Close()
+	if err := conn.Send(transport.EncodeHello(KindHello, WireTag, name)); err != nil {
+		return fmt.Errorf("service: hello: %w", err)
+	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
+	err := s.serveFrames(&session{conn: conn, tenant: name})
+	switch {
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case errors.Is(err, transport.ErrClosed):
+		return nil
+	}
+	return err
+}
+
+// serveFrames answers a session's submit, batch and stats frames until
+// the link closes or carries a frame that fails to decode or checksum —
+// a link that corrupts bytes cannot be trusted with verdicts — and
+// returns why it stopped.
+func (s *Server) serveFrames(sess *session) error {
 	for {
-		frame, err := conn.Recv()
+		frame, err := sess.conn.Recv()
 		if err != nil {
-			return
+			return err
 		}
-		switch transport.FrameKind(frame) {
+		switch kind := transport.FrameKind(frame); kind {
 		case KindSubmit:
 			reqID, payload, err := transport.DecodePayload(frame, KindSubmit, "service submit")
 			if err != nil {
-				return
+				return err
 			}
-			s.admit(sess, reqID, payload)
+			s.admit(sess, reqID, payload, false, 0)
+		case KindBatch:
+			var deadlineMS int
+			reqID, payload, err := transport.DecodePayload(frame, KindBatch, "service batch", &deadlineMS)
+			if err != nil {
+				return err
+			}
+			s.admit(sess, reqID, payload, true, time.Duration(deadlineMS)*time.Millisecond)
 		case KindStats:
 			data, err := json.Marshal(s.Snapshot())
 			if err != nil {
-				return
+				return err
 			}
-			if err := conn.Send(transport.EncodePayload(KindStatsReply, 0, data)); err != nil {
-				return
+			if err := sess.conn.Send(transport.EncodePayload(KindStatsReply, 0, data)); err != nil {
+				return err
 			}
 		default:
-			return
+			return fmt.Errorf("service: unexpected frame kind %d", kind)
 		}
 	}
 }
 
-// admit validates one submitted request and queues it on its shard, or
-// answers with the matching rejection. Admission control is explicit:
-// the only unbounded thing in this server is the request stream itself.
-func (s *Server) admit(sess *session, reqID int, payload []byte) {
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
+// admit decodes a submitted request or batch, admits every instance it
+// carries (a batch is refused whole if one fails) and queues them on one
+// shard as one task, or answers with the matching rejection. Admission
+// control is explicit: the only unbounded thing in this server is the
+// request stream itself.
+func (s *Server) admit(sess *session, reqID int, payload []byte, batch bool, deadline time.Duration) {
+	var insts []campaign.Instance
+	var err error
+	if batch {
+		if err = json.Unmarshal(payload, &insts); err == nil && len(insts) == 0 {
+			err = errors.New("empty batch")
+		}
+	} else {
+		insts = make([]campaign.Instance, 1)
+		err = json.Unmarshal(payload, &insts[0])
+	}
+	if err != nil {
 		s.reject(sess, reqID, RejectBadRequest, 0, "bad request payload: "+err.Error())
 		return
 	}
@@ -343,67 +379,70 @@ func (s *Server) admit(sess *session, reqID int, payload []byte) {
 		s.reject(sess, reqID, RejectDraining, 0, "server is draining")
 		return
 	}
-	inst, cacheable, err := s.resolve(req)
-	if err != nil {
-		s.reject(sess, reqID, RejectBadRequest, 0, err.Error())
-		return
+	for i := range insts {
+		if err := resolve(&insts[i]); err != nil {
+			msg := err.Error()
+			if batch {
+				msg = fmt.Sprintf("batch member %d: %s", i, msg)
+			}
+			s.reject(sess, reqID, RejectBadRequest, 0, msg)
+			return
+		}
 	}
 	instID := s.nextInst.Add(1)
 	sh := s.shards[int(instID%int64(len(s.shards)))]
-	t := task{sess: sess, reqID: reqID, inst: inst, cacheable: cacheable, enqueued: time.Now()}
+	t := task{sess: sess, reqID: reqID, insts: insts, enqueued: time.Now()}
 	if s.rec.Enabled() {
-		t.span = s.rec.Begin(obs.Event{
-			Scope: "service.request", Inst: int(instID), Proto: req.Protocol, Node: -1,
-			Attrs: obs.Attrs("tenant", sess.tenant, "n", req.N, "t", req.T, "seed", req.Seed),
-		})
-	}
-	switch sh.enqueue(sess.tenant, t, s.stats) {
-	case enqueueOK:
-	case enqueueFull:
-		t.span.End(obs.Attrs("rejected", RejectBusy))
-		s.reject(sess, reqID, RejectBusy, s.cfg.RetryAfter, fmt.Sprintf("tenant %s queue full on shard %d", sess.tenant, instID%int64(len(s.shards))))
-	case enqueueStopped:
-		t.span.End(obs.Attrs("rejected", RejectDraining))
-		s.reject(sess, reqID, RejectDraining, 0, "server is draining")
-	}
-}
-
-// resolve maps a wire request onto a runnable campaign instance,
-// rejecting combinations no driver can execute, and reports whether its
-// driver signs — and so runs over a setup checked out of the pool.
-func (s *Server) resolve(req Request) (campaign.Instance, bool, error) {
-	drv, err := protocol.Lookup(req.Protocol)
-	if err != nil {
-		return campaign.Instance{}, false, err
-	}
-	caps := drv.Capabilities()
-	scheme := req.Scheme
-	switch {
-	case !caps.UsesSignatures:
-		scheme = ""
-	case scheme == "":
-		scheme = sig.SchemeEd25519
-	default:
-		if _, err := sig.ByName(scheme); err != nil {
-			return campaign.Instance{}, false, err
+		t.spans = make([]obs.Span, len(insts))
+		for i, inst := range insts {
+			t.spans[i] = s.rec.Begin(obs.Event{
+				Scope: "service.request", Inst: int(instID), Proto: inst.Protocol, Node: -1,
+				Attrs: obs.Attrs("tenant", sess.tenant, "n", inst.N, "t", inst.T, "seed", inst.Seed),
+			})
 		}
 	}
-	if !caps.Supports(req.N, req.T, adversary.Strategy{}) {
-		return campaign.Instance{}, false,
-			fmt.Errorf("service: protocol %s does not support n=%d t=%d", req.Protocol, req.N, req.T)
+	if batch {
+		t.beat = make(chan struct{})
+		go heartbeat(sess.conn, reqID, deadline, t.beat)
 	}
-	inst := campaign.Instance{
-		Index:     req.Index,
-		Protocol:  req.Protocol,
-		N:         req.N,
-		T:         req.T,
-		Scheme:    scheme,
-		Adversary: campaign.AdvNone,
-		Seed:      req.Seed,
-		KeySeed:   req.KeySeed,
-		Value:     req.Value,
+	code, retryAfter, msg := RejectDraining, time.Duration(0), "server is draining"
+	switch sh.enqueue(sess.tenant, t, s.stats) {
+	case enqueueOK:
+		return
+	case enqueueFull:
+		code, retryAfter = RejectBusy, s.cfg.RetryAfter
+		msg = fmt.Sprintf("tenant %s queue full on shard %d", sess.tenant, instID%int64(len(s.shards)))
 	}
-	return inst, caps.UsesSignatures, nil
+	if batch {
+		close(t.beat)
+	}
+	for _, span := range t.spans {
+		span.End(obs.Attrs("rejected", code))
+	}
+	s.reject(sess, reqID, code, retryAfter, msg)
+}
+
+// resolve normalises an instance in place and admits it by campaign's
+// own check. An empty Scheme is sig.SchemeEd25519 (the core default)
+// for a signing driver, so both spellings share a pool cell, and an
+// unsigned driver's is forced empty: after resolve a Scheme marks
+// exactly the runs that take a pool cell. An empty Adversary is the
+// honest run.
+func resolve(inst *campaign.Instance) error {
+	drv, err := protocol.Lookup(inst.Protocol)
+	if err != nil {
+		return err
+	}
+	switch {
+	case !drv.Capabilities().UsesSignatures:
+		inst.Scheme = ""
+	case inst.Scheme == "":
+		inst.Scheme = sig.SchemeEd25519
+	}
+	if inst.Adversary == "" {
+		inst.Adversary = campaign.AdvNone
+	}
+	return inst.Validate()
 }
 
 func (s *Server) reject(sess *session, reqID int, code string, retryAfter time.Duration, msg string) {
@@ -415,19 +454,60 @@ func (s *Server) reject(sess *session, reqID int, code string, retryAfter time.D
 	_ = sess.conn.Send(encodeReject(reqID, code, int(retryAfter.Milliseconds()), msg))
 }
 
-// execute runs one admitted task on its executor shard: check a warm
-// setup out of the pool (signing drivers), run through the exact
-// campaign result/conformance path, check the setup back in, and answer
-// the client.
-func (s *Server) execute(t task) {
+// heartbeat tells the client that batch id is still queued or running,
+// every deadline/3 but at least 5ms apart, until stop closes or a send
+// fails.
+func heartbeat(conn transport.Conn, id int, deadline time.Duration, stop <-chan struct{}) {
+	tick := time.NewTicker(max(deadline/3, 5*time.Millisecond))
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			if conn.Send(transport.EncodePayload(KindHeartbeat, id, nil)) != nil {
+				return
+			}
+		case <-stop:
+			return
+		}
+	}
+}
+
+// run executes one task on its executor shard and answers it: a
+// request with its Reply, a batch with its results in batch order once
+// the last member has run.
+func (s *Server) run(t task) {
 	if s.execGate != nil {
 		<-s.execGate
 	}
+	var answer any
+	if t.beat == nil {
+		answer = s.execute(t, 0)
+	} else {
+		results := make([]campaign.Result, len(t.insts))
+		for i := range t.insts {
+			results[i] = s.execute(t, i).Result
+		}
+		close(t.beat)
+		answer = results
+	}
+	payload, _ := json.Marshal(answer) // plain data: cannot fail
+	// A send failure means the client went away mid-request; the run
+	// still counts (the work was done).
+	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
+}
+
+// execute runs the task's i-th instance, the one path every served
+// instance takes: check a warm setup out of the pool (signing drivers),
+// run it on the server's executor through the exact campaign
+// result/conformance path, check the setup back in, and count it.
+func (s *Server) execute(t task, i int) Reply {
+	inst := t.insts[i]
 	queueWait := time.Since(t.enqueued)
 	source := "none"
 	var sc *protocol.SetupCache
-	key := protocol.SetupKey{Scheme: t.inst.Scheme, N: t.inst.N, KeySeed: t.inst.KeySeed}
-	if t.cacheable {
+	key := protocol.SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}
+	cacheable := inst.Scheme != ""
+	if cacheable {
 		var warm bool
 		sc, warm = s.pool.checkout(key)
 		if warm {
@@ -437,7 +517,7 @@ func (s *Server) execute(t task) {
 		}
 	}
 	runStart := time.Now()
-	res := campaign.RunInstanceWith(t.inst, sc)
+	res := s.exec.RunWith(inst, sc)
 	runDur := time.Since(runStart)
 	if res.Err == campaign.ErrDriverPanic {
 		// The driver panicked (the campaign layer contained it): count
@@ -445,16 +525,11 @@ func (s *Server) execute(t task) {
 		// so the next checkout rebuilds from seeds.
 		s.panics.Add(1)
 		if s.rec.Enabled() {
-			s.rec.Point("service.panic", obs.Attrs("protocol", t.inst.Protocol,
-				"n", t.inst.N, "t", t.inst.T, "seed", t.inst.Seed))
+			s.rec.Point("service.panic", obs.Attrs("protocol", inst.Protocol,
+				"n", inst.N, "t", inst.T, "seed", inst.Seed))
 		}
-	} else if t.cacheable {
+	} else if cacheable {
 		s.pool.checkin(key, sc)
-	}
-	reply := Reply{Result: res, QueueNS: queueWait.Nanoseconds(), RunNS: runDur.Nanoseconds(), Source: source}
-	payload, err := json.Marshal(reply)
-	if err != nil {
-		payload = nil // impossible for plain-data Result; fail the frame below
 	}
 	// Counted and its span ended before the reply leaves, so a client
 	// holding its reply finds it in the very next snapshot and trace
@@ -462,11 +537,11 @@ func (s *Server) execute(t task) {
 	// ready to send.
 	conformant := res.Err == "" && res.Conformance != nil && res.Conformance.Conformant()
 	s.stats.served(t.sess.tenant, res.Err != "", conformant, time.Since(t.enqueued), queueWait)
-	t.span.End(obs.Attrs("conformant", conformant, "source", source,
-		"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
-	// A send failure means the client went away mid-request; the run
-	// still counts (the work was done).
-	_ = t.sess.conn.Send(transport.EncodePayload(KindResult, t.reqID, payload))
+	if t.spans != nil {
+		t.spans[i].End(obs.Attrs("conformant", conformant, "source", source,
+			"queue_ns", queueWait.Nanoseconds(), "run_ns", runDur.Nanoseconds(), "errored", res.Err != ""))
+	}
+	return Reply{Result: res, QueueNS: queueWait.Nanoseconds(), RunNS: runDur.Nanoseconds(), Source: source}
 }
 
 // Drain gracefully shuts the server down: admission stops (new submits

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/campaign"
+	"repro/internal/netcond"
 	"repro/internal/obs"
 	"repro/internal/sig"
 	"repro/internal/transport"
@@ -197,20 +200,106 @@ func TestSnapshotNeverServesMoreThanSubmitted(t *testing.T) {
 
 func TestBadRequestRejected(t *testing.T) {
 	_, _, cl := startServer(t, Config{Shards: 1}, "alpha")
-	cases := []Request{
-		{Protocol: "no-such-protocol", N: 4, T: 1, Seed: 1},
-		{Protocol: campaign.ProtoChain, N: 4, T: 4, Scheme: sig.SchemeToy, Seed: 1}, // t ≥ n
-		{Protocol: campaign.ProtoChain, N: 4, T: 1, Scheme: "no-such-scheme", Seed: 1},
+	crash := []adversary.BehaviorSpec{{Name: adversary.BehaviorCrash}}
+	with := func(edit func(*Request)) Request {
+		req := chainRequest(1)
+		edit(&req)
+		return req
 	}
-	for i, req := range cases {
-		_, err := cl.Do(req)
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"unknown protocol", Request{Protocol: "no-such-protocol", N: 4, T: 1, Seed: 1}},
+		{"t ≥ n", with(func(r *Request) { r.T = 4 })},
+		{"unknown scheme", with(func(r *Request) { r.Scheme = "no-such-scheme" })},
+		{"unknown behaviour", with(func(r *Request) {
+			r.Adversary = "bogus"
+			r.Strategy = adversary.Strategy{Name: "bogus", Nodes: []int{1}, Behaviors: []adversary.BehaviorSpec{{Name: "no-such-behavior"}}}
+		})},
+		{"fixed node ≥ n", with(func(r *Request) {
+			r.Adversary = "far"
+			r.Strategy = adversary.Strategy{Name: "far", Nodes: []int{4}, Behaviors: crash}
+		})},
+		{"negative coalition", with(func(r *Request) {
+			r.Adversary = "negative"
+			r.Strategy = adversary.Strategy{Name: "negative", Coalition: -1, Behaviors: crash}
+		})},
+		{"churned node out of range", with(func(r *Request) {
+			r.NetCond = "churn=9@2-4"
+		})},
+		{"churned node out of range, structured", with(func(r *Request) {
+			r.NetCond = "churn"
+			r.Net = &netcond.Spec{Name: "churn", Churn: []netcond.ChurnSpec{{Node: 4, Crash: 2, Restart: 4}}}
+		})},
+		{"unparseable adversary", with(func(r *Request) { r.Adversary = "coalition:size=" })},
+		{"unparseable netcond", with(func(r *Request) { r.NetCond = "latency=warp-9" })},
+	} {
+		_, err := cl.Do(tc.req)
 		var rej *RejectError
 		if !errors.As(err, &rej) {
-			t.Fatalf("case %d: err = %v, want RejectError", i, err)
+			t.Fatalf("%s: err = %v, want RejectError", tc.name, err)
 		}
 		if rej.Code != RejectBadRequest || rej.RetryAfter != 0 {
-			t.Fatalf("case %d: reject = %+v", i, rej)
+			t.Fatalf("%s: reject = %+v", tc.name, rej)
 		}
+		t.Logf("%s: %s", tc.name, rej.Msg)
+	}
+}
+
+// A shard holds a tenant exactly while it has queued work: 10,000
+// one-shot tenants drain out of the ring and the map, and round-robin
+// order survives tenants leaving and coming back.
+func TestDrainedTenantsLeaveTheShard(t *testing.T) {
+	sh := newShard(4)
+	stats := newServerStats()
+	push := func(tenant string, reqID int) {
+		t.Helper()
+		if got := sh.enqueue(tenant, task{reqID: reqID, insts: make([]campaign.Instance, 1)}, stats); got != enqueueOK {
+			t.Fatalf("enqueue %s/%d = %d", tenant, reqID, got)
+		}
+	}
+	popAll := func(n int) []int {
+		t.Helper()
+		var order []int
+		for i := 0; i < n; i++ {
+			tk, ok := sh.pop()
+			if !ok {
+				t.Fatalf("pop %d of %d: shard empty", i, n)
+			}
+			order = append(order, tk.reqID)
+		}
+		return order
+	}
+	const tenants = 10_000
+	for i := 0; i < tenants; i++ {
+		push(fmt.Sprintf("one-shot-%d", i), i)
+	}
+	for i, id := range popAll(tenants) {
+		if id != i {
+			t.Fatalf("pop %d served request %d, want arrival order", i, id)
+		}
+	}
+	if len(sh.ring) != 0 || len(sh.queues) != 0 || sh.next != 0 {
+		t.Fatalf("drained shard keeps ring %d, queues %d, cursor %d", len(sh.ring), len(sh.queues), sh.next)
+	}
+
+	// a has three, b two, c one: one each per turn. c leaves when it
+	// drains and comes back at the end of the ring, after b.
+	push("a", 1)
+	push("a", 2)
+	push("a", 3)
+	push("b", 4)
+	push("b", 5)
+	push("c", 6)
+	got := popAll(4) // a1 b4 c6 a2: c drains and leaves
+	push("c", 7)
+	got = append(got, popAll(3)...) // b5 c7 a3
+	if want := []int{1, 4, 6, 2, 5, 7, 3}; !slices.Equal(got, want) {
+		t.Fatalf("round-robin order = %v, want %v", got, want)
+	}
+	if len(sh.ring) != 0 || len(sh.queues) != 0 {
+		t.Fatalf("drained shard keeps ring %v, queues %d", sh.ring, len(sh.queues))
 	}
 }
 

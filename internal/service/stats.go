@@ -67,7 +67,6 @@ type Snapshot struct {
 type serverStats struct {
 	mu        sync.Mutex
 	tenants   map[string]*TenantSnapshot
-	order     []string
 	latency   *metrics.Window
 	queueWait *metrics.Window
 }
@@ -85,14 +84,13 @@ func (s *serverStats) tenant(name string) *TenantSnapshot {
 	if !ok {
 		t = &TenantSnapshot{Tenant: name}
 		s.tenants[name] = t
-		s.order = append(s.order, name)
 	}
 	return t
 }
 
-func (s *serverStats) submitted(tenant string) {
+func (s *serverStats) submitted(tenant string, n int) {
 	s.mu.Lock()
-	s.tenant(tenant).Submitted++
+	s.tenant(tenant).Submitted += int64(n)
 	s.mu.Unlock()
 }
 
@@ -122,8 +120,7 @@ func (s *serverStats) served(tenant string, errored, conformant bool, latency, q
 func (s *serverStats) fill(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, name := range s.order {
-		t := s.tenants[name]
+	for _, t := range s.tenants {
 		snap.Tenants = append(snap.Tenants, *t)
 		snap.Submitted += t.Submitted
 		snap.Served += t.Served

@@ -5,22 +5,23 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	tenant, err := transport.DecodeHello(transport.EncodeHello(KindHello, wireTag, "alpha"), KindHello, wireTag)
+	tenant, err := transport.DecodeHello(transport.EncodeHello(KindHello, WireTag, "alpha"), KindHello, WireTag)
 	if err != nil {
 		t.Fatalf("DecodeHello: %v", err)
 	}
 	if tenant != "alpha" {
 		t.Fatalf("tenant = %q, want alpha", tenant)
 	}
-	if _, err := transport.DecodeHello(transport.EncodeHello(KindHello, wireTag, ""), KindHello, wireTag); err == nil {
+	if _, err := transport.DecodeHello(transport.EncodeHello(KindHello, WireTag, ""), KindHello, WireTag); err == nil {
 		t.Fatalf("empty tenant accepted")
 	}
-	if _, err := transport.DecodeHello(encodeHelloAck(4), KindHello, wireTag); err == nil {
+	if _, err := transport.DecodeHello(encodeHelloAck(4), KindHello, WireTag); err == nil {
 		t.Fatalf("hello ack accepted as hello")
 	}
 }
@@ -70,12 +71,12 @@ func TestPayloadChecksumDetectsCorruption(t *testing.T) {
 }
 
 func TestRejectRoundTrip(t *testing.T) {
-	id, code, retryMS, msg, err := decodeReject(encodeReject(9, RejectBusy, 50, "queue full"))
+	id, rej, err := DecodeReject(encodeReject(9, RejectBusy, 50, "queue full"))
 	if err != nil {
-		t.Fatalf("decodeReject: %v", err)
+		t.Fatalf("DecodeReject: %v", err)
 	}
-	if id != 9 || code != RejectBusy || retryMS != 50 || msg != "queue full" {
-		t.Fatalf("decoded (%d, %q, %d, %q)", id, code, retryMS, msg)
+	if id != 9 || rej.Code != RejectBusy || rej.RetryAfter != 50*time.Millisecond || rej.Msg != "queue full" {
+		t.Fatalf("decoded (%d, %+v)", id, rej)
 	}
 }
 
@@ -94,16 +95,18 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 }
 
 // goldenFrames pins the service's wire format: one frame per kind,
-// whose hex was printed by the encoders of the commit before the
-// envelope moved to transport/rpc.go (8e18f9c), called with the
-// arguments below. A client built at that commit must keep talking to
-// this server, so the hex is never edited to make the test pass.
+// called with the arguments below. The hex of the first seven was
+// printed by the encoders of the commit before the envelope moved to
+// transport/rpc.go (8e18f9c), and a client built at that commit must
+// keep talking to this server; the batch and heartbeat hex was printed
+// when those kinds arrived. The hex is never edited to make the test
+// pass.
 var goldenFrames = []struct {
 	name  string
 	frame []byte
 	hex   string
 }{
-	{"hello", transport.EncodeHello(KindHello, wireTag, "alpha"),
+	{"hello", transport.EncodeHello(KindHello, WireTag, "alpha"),
 		"00000000000000010000000a666473657276652f763100000005616c706861"},
 	{"hello ack", encodeHelloAck(4),
 		"00000000000000020000000a666473657276652f76310000000000000004"},
@@ -117,6 +120,10 @@ var goldenFrames = []struct {
 		"0000000000000006"},
 	{"stats reply", transport.EncodePayload(KindStatsReply, 0, []byte(`{"schema":"fdserve-stats/v1"}`)),
 		"00000000000000070000000000000000000000208365e3bf6d8842884f25044e68abd2f513406a535240b76bd07a4bd0cdebdd450000001d7b22736368656d61223a22666473657276652d73746174732f7631227d"},
+	{"batch", transport.EncodePayload(KindBatch, 7, []byte(`[{"index":0}]`), 1500),
+		"0000000000000008000000000000000700000000000005dc00000020cb03dfa191224bfd69608a08701db9bbd3a0606d74d55ce83e6ac749d9c2ea830000000d5b7b22696e646578223a307d5d"},
+	{"heartbeat", transport.EncodePayload(KindHeartbeat, 7, nil),
+		"0000000000000009000000000000000700000020e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b85500000000"},
 }
 
 func TestGoldenWireBytes(t *testing.T) {
@@ -128,14 +135,19 @@ func TestGoldenWireBytes(t *testing.T) {
 }
 
 // TestGoldenFrameBitFlips flips every single bit of the checksum and of
-// the payload in the golden submit, result and stats-reply frames: each
-// must fail decode with a checksum error that names the frame.
+// the payload in the golden submit, result, stats-reply, batch and
+// heartbeat frames: each must fail decode with a checksum error that
+// names the frame.
 func TestGoldenFrameBitFlips(t *testing.T) {
-	const sumAt, sumLen, lenPrefix = 2*8 + 4, 32, 4
+	const sumLen, lenPrefix = 32, 4
 	for _, tc := range []struct {
-		name string
-		kind int
-	}{{"submit", KindSubmit}, {"result", KindResult}, {"stats reply", KindStatsReply}} {
+		name   string
+		kind   int
+		extras int
+	}{
+		{"submit", KindSubmit, 0}, {"result", KindResult, 0}, {"stats reply", KindStatsReply, 0},
+		{"batch", KindBatch, 1}, {"heartbeat", KindHeartbeat, 0},
+	} {
 		var golden []byte
 		for _, g := range goldenFrames {
 			if g.name == tc.name {
@@ -143,9 +155,14 @@ func TestGoldenFrameBitFlips(t *testing.T) {
 			}
 		}
 		what := "service " + tc.name
-		if _, _, err := transport.DecodePayload(golden, tc.kind, what); err != nil {
+		extra := make([]*int, tc.extras)
+		for i := range extra {
+			extra[i] = new(int)
+		}
+		if _, _, err := transport.DecodePayload(golden, tc.kind, what, extra...); err != nil {
 			t.Fatalf("golden %s does not decode: %v", tc.name, err)
 		}
+		sumAt := (2+tc.extras)*8 + lenPrefix
 		for i := sumAt; i < len(golden); i++ {
 			if i >= sumAt+sumLen && i < sumAt+sumLen+lenPrefix {
 				continue // the payload's length prefix: a shape error, not a checksum one
@@ -153,7 +170,7 @@ func TestGoldenFrameBitFlips(t *testing.T) {
 			for bit := 0; bit < 8; bit++ {
 				mut := append([]byte(nil), golden...)
 				mut[i] ^= 1 << bit
-				_, _, err := transport.DecodePayload(mut, tc.kind, what)
+				_, _, err := transport.DecodePayload(mut, tc.kind, what, extra...)
 				if err == nil || !strings.Contains(err.Error(), "checksum") || !strings.Contains(err.Error(), tc.name) {
 					t.Fatalf("%s: bit %d of byte %d flipped: err = %v, want a checksum error naming the frame", tc.name, bit, i, err)
 				}

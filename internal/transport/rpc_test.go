@@ -8,10 +8,11 @@ import (
 )
 
 // goldenRPCFrames is the fuzz seed corpus: the frame of every kind the
-// scheduler and the agreement service put on the wire, as pinned by the
-// golden tables in sched/wire_test.go and service/wire_test.go.
+// agreement service puts on the wire, as pinned by the golden table in
+// service/wire_test.go, after the six frames of the scheduler's retired
+// fdsched/v1 wire, kept as seeds.
 var goldenRPCFrames = []string{
-	// sched: hello, lease, result, nack, heartbeat, shutdown
+	// retired fdsched/v1: hello, lease, result, nack, heartbeat, shutdown
 	"00000000000000010000000a666473636865642f7631000000027731",
 	"00000000000000020000000000000007000000000000000200000000000005dc00000020cb03dfa191224bfd69608a08701db9bbd3a0606d74d55ce83e6ac749d9c2ea830000000d5b7b22696e646578223a307d5d",
 	"0000000000000003000000000000000700000020cb03dfa191224bfd69608a08701db9bbd3a0606d74d55ce83e6ac749d9c2ea830000000d5b7b22696e646578223a307d5d",
@@ -26,6 +27,9 @@ var goldenRPCFrames = []string{
 	"00000000000000050000000000000009000000046275737900000000000000320000000a71756575652066756c6c",
 	"0000000000000006",
 	"00000000000000070000000000000000000000208365e3bf6d8842884f25044e68abd2f513406a535240b76bd07a4bd0cdebdd450000001d7b22736368656d61223a22666473657276652d73746174732f7631227d",
+	// service: batch, heartbeat
+	"0000000000000008000000000000000700000000000005dc00000020cb03dfa191224bfd69608a08701db9bbd3a0606d74d55ce83e6ac749d9c2ea830000000d5b7b22696e646578223a307d5d",
+	"0000000000000009000000000000000700000020e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b85500000000",
 }
 
 // FuzzRPCFrame feeds arbitrary bytes to every decoder of the envelope —
