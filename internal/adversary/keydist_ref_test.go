@@ -1,11 +1,9 @@
 package adversary
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"io"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/transport"
 )
 
@@ -463,57 +462,54 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) 
 		func(cl *core.Cluster) []slot { return append([]slot{{id: c.faulty, wrap: wrap(cl)}}, bystanders...) }
 }
 
-// compareMessage orders delivered messages canonically: a mesh delivers
-// one round's messages in no fixed order.
-func compareMessage(a, b model.Message) int {
-	return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To),
-		cmp.Compare(a.Kind, b.Kind), bytes.Compare(a.Payload, b.Payload))
-}
-
-// checkAttackMatchesReference runs the case's reference attacker and its
-// filter form and asserts the same delivered traffic (every round's
-// messages, payload bytes included), report (rounds executed, traffic,
-// outcomes and discoveries), faulty processes finished, surviving
-// directories and G1/G2 verdicts.
-func checkAttackMatchesReference(t testing.TB, c attackCase) {
-	t.Helper()
-	ref, filter := c.refAndFilter(t)
-	want, got := c.establish(t, ref), c.establish(t, filter)
-	slices.SortFunc(want.delivered, compareMessage)
-	slices.SortFunc(got.delivered, compareMessage)
-	if !reflect.DeepEqual(got.delivered, want.delivered) {
-		t.Fatalf("%v: delivered traffic differs from the reference's (%d vs %d messages)", c, len(got.delivered), len(want.delivered))
+// diff returns the first way an attacked run differs from its reference:
+// delivered traffic (every round's messages, payload bytes included, in
+// canonical order, since a mesh delivers one round's messages in no fixed
+// order), report (rounds executed, traffic, outcomes and discoveries),
+// faulty processes finished, surviving directories and G1/G2 verdicts.
+func (got attackEstablishment) diff(want attackEstablishment) error {
+	if err := cmp.Or(simtest.Traffic(got.delivered, want.delivered, true), simtest.Equal("report", got.report, want.report),
+		simtest.Equal("faulty processes finished", got.finished, want.finished)); err != nil {
+		return err
 	}
-	if !reflect.DeepEqual(got.report, want.report) {
-		t.Fatalf("%v: report %+v, reference %+v", c, got.report, want.report)
-	}
-	if got.finished != want.finished {
-		t.Fatalf("%v: %d faulty processes finished, reference %d", c, got.finished, want.finished)
-	}
-	for i := range want.nodes {
-		a, b := want.nodes[i], got.nodes[i]
-		if (a == nil) != (b == nil) {
-			t.Fatalf("%v: P%d kept its keys under one form only", c, i)
+	for i, a := range want.nodes {
+		b := got.nodes[i]
+		if err := simtest.Equal(fmt.Sprintf("P%d kept its keys", i), b != nil, a != nil); err != nil {
+			return err
 		}
 		if a == nil {
 			continue
 		}
-		if a.Directory().Len() != b.Directory().Len() {
-			t.Fatalf("%v: P%d accepted %d predicates, reference %d", c, i, b.Directory().Len(), a.Directory().Len())
+		if err := simtest.Equal(fmt.Sprintf("P%d's accepted predicates", i), b.Directory().Len(), a.Directory().Len()); err != nil {
+			return err
 		}
-		for q := 0; q < c.n; q++ {
+		for q := range want.nodes {
 			if !a.Directory().AgreesWith(b.Directory(), model.NodeID(q)) {
-				t.Fatalf("%v: P%d's entry for P%d differs from the reference's", c, i, q)
+				return fmt.Errorf("P%d's entry for P%d differs from the reference's", i, q)
 			}
 		}
 	}
 	verdict := func(err error) string { return fmt.Sprint(err) }
-	if g, w := verdict(core.CheckG1(got.nodes)), verdict(core.CheckG1(want.nodes)); g != w {
-		t.Fatalf("%v: CheckG1 = %s, reference %s", c, g, w)
+	return cmp.Or(simtest.Equal("CheckG1", verdict(core.CheckG1(got.nodes)), verdict(core.CheckG1(want.nodes))),
+		simtest.Equal("CheckG2", verdict(core.CheckG2(got.nodes)), verdict(core.CheckG2(want.nodes))))
+}
+
+// matchesReference runs the case's reference attacker and its filter
+// form, the latter under m, and returns their first divergence.
+func (c attackCase) matchesReference(t testing.TB, m simtest.Mutant) error {
+	t.Helper()
+	ref, filter := c.refAndFilter(t)
+	want := c.establish(t, ref)
+	planted := func(cl *core.Cluster) []slot {
+		slots := filter(cl)
+		for i, s := range slots {
+			if s.wrap != nil {
+				slots[i].wrap = func(p sim.Process) sim.Process { return m.Wrap(int(s.id), s.wrap(p)) }
+			}
+		}
+		return slots
 	}
-	if g, w := verdict(core.CheckG2(got.nodes)), verdict(core.CheckG2(want.nodes)); g != w {
-		t.Fatalf("%v: CheckG2 = %s, reference %s", c, g, w)
-	}
+	return c.establish(t, planted).diff(want)
 }
 
 // attackCases covers n = 4…10: the first three setup attacks at five
@@ -583,7 +579,21 @@ func attackCases() []attackCase {
 
 func TestKeydistAttacksMatchReference(t *testing.T) {
 	for _, c := range attackCases() {
-		checkAttackMatchesReference(t, c)
+		if err := c.matchesReference(t, simtest.Mutant{}); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+	}
+}
+
+// TestKeydistDifferentialCatchesAPlantedByte: the foreign claimant P_0
+// at n=4 sends its round-1 claim to P_3 with one byte flipped, on the
+// simulator and on the memory mesh, and the differential names that
+// message.
+func TestKeydistDifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 0, Round: keydist.RoundBroadcast, Msg: 2}
+	for _, mesh := range []bool{false, true} {
+		c := attackCase{attack: "claim", n: 4, t: 1, seed: 300, scheme: sig.SchemeToy, mesh: mesh}
+		m.Caught(t, c.matchesReference(t, m))
 	}
 }
 
@@ -625,6 +635,8 @@ func FuzzKeydistAttacksMatchReference(f *testing.F) {
 				c.faceOne.Add(model.NodeID(id))
 			}
 		}
-		checkAttackMatchesReference(t, c)
+		if err := c.matchesReference(t, simtest.Mutant{}); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
 	})
 }

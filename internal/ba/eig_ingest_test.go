@@ -15,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // Tests for the interned, rank-indexed EIG tree: the slot layout against
@@ -248,12 +249,84 @@ func liar(inner sim.Process) sim.Process {
 	})
 }
 
+// finishingRefEIG is the reference OM(t) participant read as EIGNode
+// reports Finished: the reference has no Finished of its own, and it
+// decides, as EIGNode does, in the final round.
+type finishingRefEIG struct {
+	*refEIG
+	done bool
+}
+
+func (r *finishingRefEIG) Step(round int, received []model.Message) []model.Message {
+	r.done = round >= EIGEngineRounds(r.cfg.T)
+	return r.refEIG.Step(round, received)
+}
+
+func (r *finishingRefEIG) Finished() bool { return r.done }
+
+// diffEIGHostile runs one cluster in which the liars, the sender among
+// them or not, rewrite what they send, once with the real nodes (node
+// m.Node under m) and once with reference nodes. Every node is recorded:
+// it returns the first round whose outbox bytes or Finished differ, and
+// checks that every correct node decides what its reference twin
+// decides, and all of them the same value.
+func diffEIGHostile(t *testing.T, cfg model.Config, liars []model.NodeID, m simtest.Mutant) error {
+	t.Helper()
+	value := []byte("attack at dawn")
+	nodes := make([]*EIGNode, cfg.N)
+	refs := make([]*refEIG, cfg.N)
+	real, twin := make([]*simtest.Recorder, cfg.N), make([]*simtest.Recorder, cfg.N)
+	for i := range nodes {
+		id := model.NodeID(i)
+		n, err := NewEIGNode(cfg, id, WithEIGValue(value))
+		if err != nil {
+			t.Fatalf("NewEIGNode(%d): %v", i, err)
+		}
+		nodes[i], refs[i] = n, newRefEIG(cfg, id, value)
+		var p, ref sim.Process = n, &finishingRefEIG{refEIG: refs[i]}
+		if slices.Contains(liars, id) {
+			p, ref = liar(n), liar(ref)
+		}
+		real[i], twin[i] = simtest.Record(m.Wrap(i, p), 0, nil), simtest.Record(ref, 0, nil)
+	}
+	for _, recs := range [][]*simtest.Recorder{real, twin} {
+		procs := make([]sim.Process, cfg.N)
+		for i, r := range recs {
+			procs[i] = r
+		}
+		if _, err := sim.RunInstance(cfg, procs, EIGEngineRounds(cfg.T)); err != nil {
+			t.Fatalf("sim.RunInstance: %v", err)
+		}
+	}
+	var agreed []byte
+	for i, n := range nodes {
+		if slices.Contains(liars, model.NodeID(i)) {
+			continue
+		}
+		got := n.Decision().Value
+		if !bytes.Equal(got, refs[i].decision) {
+			t.Errorf("n=%d t=%d liars %v: node %d decides %q, reference decides %q",
+				cfg.N, cfg.T, liars, i, got, refs[i].decision)
+		}
+		if agreed == nil {
+			agreed = got
+		}
+		if !bytes.Equal(got, agreed) {
+			t.Errorf("n=%d t=%d liars %v: node %d decides %q, another correct node %q",
+				cfg.N, cfg.T, liars, i, got, agreed)
+		}
+	}
+	return simtest.Compare(real, twin, simtest.Options{})
+}
+
 // TestEIGHostileValuesMatchReference runs whole clusters in which t
 // nodes, the sender among them or not, are liars, once with the real
-// nodes and once with reference nodes: every correct node must decide
-// what its reference twin decides, and all of them the same value.
+// nodes and once with reference nodes: every node's outbox bytes and
+// Finished must match its twin's round by round (relay batches are
+// byte-equal to the reference's, see diffOralPayload), and every correct
+// node must decide what its reference twin decides, all of them the
+// same value.
 func TestEIGHostileValuesMatchReference(t *testing.T) {
-	value := []byte("attack at dawn")
 	for _, tc := range []struct {
 		n, t  int
 		liars []model.NodeID
@@ -264,48 +337,18 @@ func TestEIGHostileValuesMatchReference(t *testing.T) {
 		{10, 3, []model.NodeID{1, 4, 7}},
 		{10, 3, []model.NodeID{0, 8, 9}},
 	} {
-		cfg := model.Config{N: tc.n, T: tc.t}
-		nodes := make([]*EIGNode, cfg.N)
-		refs := make([]*refEIG, cfg.N)
-		real, twin := make([]sim.Process, cfg.N), make([]sim.Process, cfg.N)
-		for i := range nodes {
-			id := model.NodeID(i)
-			n, err := NewEIGNode(cfg, id, WithEIGValue(value))
-			if err != nil {
-				t.Fatalf("NewEIGNode(%d): %v", i, err)
-			}
-			nodes[i], refs[i] = n, newRefEIG(cfg, id, value)
-			real[i], twin[i] = n, refs[i]
-			if slices.Contains(tc.liars, id) {
-				real[i], twin[i] = liar(n), liar(refs[i])
-			}
-		}
-		for _, procs := range [][]sim.Process{real, twin} {
-			eng, err := sim.New(cfg, procs)
-			if err != nil {
-				t.Fatalf("sim.New: %v", err)
-			}
-			eng.Run(EIGEngineRounds(cfg.T))
-		}
-		var agreed []byte
-		for i, n := range nodes {
-			if slices.Contains(tc.liars, model.NodeID(i)) {
-				continue
-			}
-			got := n.Decision().Value
-			if !bytes.Equal(got, refs[i].decision) {
-				t.Errorf("n=%d t=%d liars %v: node %d decides %q, reference decides %q",
-					tc.n, tc.t, tc.liars, i, got, refs[i].decision)
-			}
-			if agreed == nil {
-				agreed = got
-			}
-			if !bytes.Equal(got, agreed) {
-				t.Errorf("n=%d t=%d liars %v: node %d decides %q, another correct node %q",
-					tc.n, tc.t, tc.liars, i, got, agreed)
-			}
+		if err := diffEIGHostile(t, model.Config{N: tc.n, T: tc.t}, tc.liars, simtest.Mutant{}); err != nil {
+			t.Errorf("n=%d t=%d liars %v: %v", tc.n, tc.t, tc.liars, err)
 		}
 	}
+}
+
+// TestEIGDifferentialCatchesAPlantedByte: at n=7 t=2 with no liars, relay
+// P_1 sends its round-2 batch to P_3 with one byte flipped, and the
+// differential names that message.
+func TestEIGDifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 1, Round: 2, Msg: 2}
+	m.Caught(t, diffEIGHostile(t, model.Config{N: 7, T: 2}, nil, m))
 }
 
 // newEIGCluster builds a failure-free OM(t) cluster sharing one entry

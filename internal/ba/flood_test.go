@@ -1,13 +1,15 @@
 package ba
 
 import (
-	"bytes"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/sig"
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // SM(t) and FDBA's fallback relay through one signed flood (flood.go).
@@ -16,13 +18,6 @@ import (
 // reference twin must send the same messages, finish together, reach the
 // same outcome and make the same predicate tests — and the flood may
 // allocate no more than they did.
-
-// floodProcess is what the fuzz target reads of a node and its twin.
-type floodProcess interface {
-	Step(round int, received []model.Message) []model.Message
-	Finished() bool
-	Outcome() model.Outcome
-}
 
 // floodConfigs are the system sizes a script picks from.
 var floodConfigs = []model.Config{{N: 4, T: 1}, {N: 5, T: 2}, {N: 6, T: 2}}
@@ -75,17 +70,6 @@ func floodScript(mode, cfg, receiver int, rounds ...[]floodMsg) []byte {
 	return b
 }
 
-type scriptReader struct{ b []byte }
-
-func (r *scriptReader) next() int {
-	if len(r.b) == 0 {
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return int(c)
-}
-
 // floodFixture is one config's signers, the values an SM script sends
 // and the evidence an FDBA script floods: valid FD evidence of two
 // values at several strengths, evidence not from the sender, evidence
@@ -120,10 +104,10 @@ func newFloodFixture(t testing.TB, cfg model.Config) *floodFixture {
 }
 
 // message decodes one scripted message for a node of the given mode.
-func (fx *floodFixture) message(t testing.TB, r *scriptReader, fdba bool) model.Message {
+func (fx *floodFixture) message(t testing.TB, r *simtest.Reader, fdba bool) model.Message {
 	n := fx.cfg.N
-	m0, m1 := r.next(), r.next()
-	sb := [4]int{r.next(), r.next(), r.next(), r.next()}
+	m0, m1 := r.Next(), r.Next()
+	sb := [4]int{r.Next(), r.Next(), r.Next(), r.Next()}
 	signers := make([]int, 1+m1&3)
 	for i := range signers {
 		signers[i] = sb[i] % n
@@ -170,37 +154,34 @@ func (fx *floodFixture) message(t testing.TB, r *scriptReader, fdba bool) model.
 	return msg
 }
 
-// floodRound is what one round of a scripted run shows.
-type floodRound struct {
-	out      []model.Message
-	finished bool
-	outcome  model.Outcome
-	tests    int
-}
-
-// runScripted steps p through inboxes from an empty verify memo,
-// counting the predicate tests of each round.
-func (fx *floodFixture) runScripted(p floodProcess, inboxes [][]model.Message) []floodRound {
-	fx.dir.memo = new(sig.VerifyMemo)
-	rounds := make([]floodRound, len(inboxes))
-	for i, inbox := range inboxes {
-		fx.tests = 0
-		out := p.Step(i+1, inbox)
-		rounds[i] = floodRound{out: out, finished: p.Finished(), outcome: p.Outcome(), tests: fx.tests}
-	}
-	return rounds
-}
-
-func sameOutbox(a, b []model.Message) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].To != b[i].To || a[i].Kind != b[i].Kind || !bytes.Equal(a[i].Payload, b[i].Payload) {
-			return false
+// inboxes decodes a script's rounds for a node of the given mode: per
+// round a message count (mod 8) and that many messages.
+func (fx *floodFixture) inboxes(t testing.TB, r *simtest.Reader, fdba bool, rounds int) [][]model.Message {
+	inboxes := make([][]model.Message, rounds)
+	for i := range inboxes {
+		for k := r.Next() % 8; k > 0; k-- {
+			inboxes[i] = append(inboxes[i], fx.message(t, r, fdba))
 		}
 	}
-	return true
+	return inboxes
+}
+
+// record steps node id's process p through inboxes from an empty verify
+// memo, under m, with each round's predicate tests as the probe.
+func (fx *floodFixture) record(id model.NodeID, p sim.Process, inboxes [][]model.Message, m simtest.Mutant) []*simtest.Recorder {
+	fx.dir.memo = new(sig.VerifyMemo)
+	fx.tests = 0
+	rec := simtest.Record(m.Wrap(int(id), p), 1, func() int {
+		n := fx.tests
+		fx.tests = 0
+		return n
+	})
+	for i, inbox := range inboxes {
+		rec.Step(i+1, inbox)
+	}
+	recs := make([]*simtest.Recorder, fx.cfg.N)
+	recs[id] = rec
+	return recs
 }
 
 // floodSeeds script every case the relay rule distinguishes, for SM at
@@ -254,6 +235,48 @@ func floodSeeds() [][]byte {
 	}
 }
 
+// diffFlood drives an SM(t) or FDBA node, under m, and its reference twin
+// through one scripted run, and returns the run's name and the first
+// round whose outbox (To, Kind, payload bytes), Finished, Outcome or
+// predicate-test count differs.
+func diffFlood(t testing.TB, fixtures []*floodFixture, script []byte, m simtest.Mutant) (string, error) {
+	r := simtest.Reader(script)
+	h := r.Next()
+	fdba, ci := h&1 == 1, (h>>1)%len(floodConfigs)
+	cfg := floodConfigs[ci]
+	if fixtures[ci] == nil {
+		fixtures[ci] = newFloodFixture(t, cfg)
+	}
+	fx := fixtures[ci]
+	id := model.NodeID(r.Next() % cfg.N)
+	rounds := SMEngineRounds(cfg.T)
+	if fdba {
+		rounds = FDBAEngineRounds(cfg.T)
+	}
+	inboxes := fx.inboxes(t, &r, fdba, rounds)
+
+	var got, want sim.Process
+	var err, refErr error
+	signer, value := fx.signers[id], []byte("v")
+	if fdba {
+		got, err = NewFDBANode(cfg, id, signer, fx.dir, value)
+		want, refErr = newRefFDBANode(cfg, id, signer, fx.dir, value)
+	} else {
+		var opts []SMOption
+		var refOpts []refSMOption
+		if id == Sender {
+			opts, refOpts = []SMOption{WithSMValue(value)}, []refSMOption{refWithSMValue(value)}
+		}
+		got, err = NewSMNode(cfg, id, signer, fx.dir, opts...)
+		want, refErr = newRefSMNode(cfg, id, signer, fx.dir, refOpts...)
+	}
+	if err != nil || refErr != nil {
+		t.Fatalf("building %v: %v / %v", id, err, refErr)
+	}
+	name := fmt.Sprintf("fdba=%v %v n=%d t=%d", fdba, id, cfg.N, cfg.T)
+	return name, simtest.Compare(fx.record(id, got, inboxes, m), fx.record(id, want, inboxes, simtest.Mutant{}), simtest.Options{})
+}
+
 // FuzzSignedFloodMatchesReference drives an SM(t) or FDBA node and its
 // reference twin through one scripted run: every round's outbox (To,
 // Kind, payload bytes), Finished, Outcome and predicate-test count must
@@ -264,54 +287,19 @@ func FuzzSignedFloodMatchesReference(f *testing.F) {
 	}
 	fixtures := make([]*floodFixture, len(floodConfigs))
 	f.Fuzz(func(t *testing.T, script []byte) {
-		r := &scriptReader{b: script}
-		h := r.next()
-		fdba, ci := h&1 == 1, (h>>1)%len(floodConfigs)
-		cfg := floodConfigs[ci]
-		if fixtures[ci] == nil {
-			fixtures[ci] = newFloodFixture(t, cfg)
-		}
-		fx := fixtures[ci]
-		id := model.NodeID(r.next() % cfg.N)
-		rounds := SMEngineRounds(cfg.T)
-		if fdba {
-			rounds = FDBAEngineRounds(cfg.T)
-		}
-		inboxes := make([][]model.Message, rounds)
-		for i := range inboxes {
-			for k := r.next() % 8; k > 0; k-- {
-				inboxes[i] = append(inboxes[i], fx.message(t, r, fdba))
-			}
-		}
-
-		var got, want floodProcess
-		var err, refErr error
-		signer, value := fx.signers[id], []byte("v")
-		if fdba {
-			got, err = NewFDBANode(cfg, id, signer, fx.dir, value)
-			want, refErr = newRefFDBANode(cfg, id, signer, fx.dir, value)
-		} else {
-			var opts []SMOption
-			var refOpts []refSMOption
-			if id == Sender {
-				opts, refOpts = []SMOption{WithSMValue(value)}, []refSMOption{refWithSMValue(value)}
-			}
-			got, err = NewSMNode(cfg, id, signer, fx.dir, opts...)
-			want, refErr = newRefSMNode(cfg, id, signer, fx.dir, refOpts...)
-		}
-		if err != nil || refErr != nil {
-			t.Fatalf("building %v: %v / %v", id, err, refErr)
-		}
-		g, w := fx.runScripted(got, inboxes), fx.runScripted(want, inboxes)
-		for i := range g {
-			if !sameOutbox(g[i].out, w[i].out) || g[i].finished != w[i].finished ||
-				!reflect.DeepEqual(g[i].outcome, w[i].outcome) || g[i].tests != w[i].tests {
-				t.Fatalf("fdba=%v %v n=%d t=%d round %d:\n got %d msgs, finished=%v, %v, %d tests\nwant %d msgs, finished=%v, %v, %d tests",
-					fdba, id, cfg.N, cfg.T, i+1, len(g[i].out), g[i].finished, g[i].outcome, g[i].tests,
-					len(w[i].out), w[i].finished, w[i].outcome, w[i].tests)
-			}
+		if name, err := diffFlood(t, fixtures, script, simtest.Mutant{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	})
+}
+
+// TestFloodDifferentialCatchesAPlantedByte: on the first seed, receiver
+// P_3 relays v in round 2 with one byte of its second relay flipped, and
+// the differential names that message.
+func TestFloodDifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 3, Round: 2, Msg: 1}
+	_, err := diffFlood(t, make([]*floodFixture, len(floodConfigs)), floodSeeds()[0], m)
+	m.Caught(t, err)
 }
 
 // The seeds reach every branch they are named for: the fuzz target
@@ -322,14 +310,10 @@ func TestFloodSeedsExerciseTheRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &scriptReader{b: floodSeeds()[0][2:]}
 	var relays int
-	for round := 1; round <= SMEngineRounds(fx.cfg.T); round++ {
-		var inbox []model.Message
-		for k := r.next() % 8; k > 0; k-- {
-			inbox = append(inbox, fx.message(t, r, false))
-		}
-		relays += len(sm.Step(round, inbox))
+	r := simtest.Reader(floodSeeds()[0][2:])
+	for i, inbox := range fx.inboxes(t, &r, false, SMEngineRounds(fx.cfg.T)) {
+		relays += len(sm.Step(i+1, inbox))
 	}
 	// Round 2 relays v to 3 nodes, round 3 relays w to 2, round 4 nothing.
 	if relays != 5 || !reflect.DeepEqual(sm.ValueSet(), []string{"v", "w", "x"}) {
@@ -340,16 +324,11 @@ func TestFloodSeedsExerciseTheRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := floodSeeds()
-	r = &scriptReader{b: seeds[10][2:]}
 	var opened, relayed int
-	for round := 1; round <= FDBAEngineRounds(fx.cfg.T); round++ {
-		var inbox []model.Message
-		for k := r.next() % 8; k > 0; k-- {
-			inbox = append(inbox, fx.message(t, r, true))
-		}
-		for _, out := range fdba.Step(round, inbox) {
-			if out.Kind == model.KindFallback && round == fx.cfg.T+5 {
+	r = simtest.Reader(floodSeeds()[10][2:])
+	for i, inbox := range fx.inboxes(t, &r, true, FDBAEngineRounds(fx.cfg.T)) {
+		for _, out := range fdba.Step(i+1, inbox) {
+			if out.Kind == model.KindFallback && i+1 == fx.cfg.T+5 {
 				opened++
 			} else if out.Kind == model.KindFallback {
 				relayed++

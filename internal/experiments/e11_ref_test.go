@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"reflect"
+	"cmp"
 	"testing"
 
 	"repro/internal/adversary"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // The two hand-rolled mixed-key senders E11 ran before its senders became
@@ -54,54 +55,63 @@ func refMixedChainSender(faces *adversary.KeyFaces, v []byte) sim.Process {
 	})
 }
 
-// TestE11SendersMatchReference runs E11's SM and chain runs at 30 seeds
-// with its senders and with the reference senders: the same messages
-// delivered in the same order, and the same reports.
-func TestE11SendersMatchReference(t *testing.T) {
+// diffE11 runs E11's SM run, or its chain run, at seed twice: with its
+// sender under m and with the reference sender. It returns the first
+// divergence in the messages delivered, in delivery order, or in the
+// report.
+func diffE11(t *testing.T, seed int64, chain bool, m simtest.Mutant) error {
 	scheme, err := sig.ByName(sig.SchemeEd25519)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := model.Config{N: 4, T: 1}
-	v, u := []byte("v"), []byte("u")
-	for r := 0; r < 30; r++ {
-		seed := Seed + int64(1100+r)
-		faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed), model.NewNodeSet(1))
+	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed), model.NewNodeSet(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, v, u := model.Config{N: 4, T: 1}, []byte("v"), []byte("u")
+	smSender, chainSender := e11Senders(cfg, faces, v, u)
+	sender, ref, opts := smSender, refMixedSMSender(faces, cfg, v, u), []core.RunOption{core.WithProtocol(core.ProtocolSM)}
+	if chain {
+		sender, ref, opts = chainSender, refMixedChainSender(faces, v), nil
+	}
+	run := func(sender sim.Process) ([]model.Message, core.Report) {
+		rec := &sim.RecordingTracer{}
+		c, err := core.New(cfg, core.WithSeed(seed), core.WithTracer(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(sender sim.Process, opts ...core.RunOption) ([]model.Message, core.Report) {
-			rec := &sim.RecordingTracer{}
-			c, err := core.New(cfg, core.WithSeed(seed), core.WithTracer(rec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := c.RunFailureDiscovery(nil, append(opts, core.WithProcess(0, sender))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rec.Messages(), rep
+		if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
+			t.Fatal(err)
 		}
-		smSender, chainSender := e11Senders(cfg, faces, v, u)
-		for _, tc := range []struct {
-			name      string
-			got, want sim.Process
-			opts      []core.RunOption
-		}{
-			{"sm", smSender, refMixedSMSender(faces, cfg, v, u), []core.RunOption{core.WithProtocol(core.ProtocolSM)}},
-			{"chain", chainSender, refMixedChainSender(faces, v), nil},
-		} {
-			gotMsgs, gotRep := run(tc.got, tc.opts...)
-			wantMsgs, wantRep := run(tc.want, tc.opts...)
-			if !reflect.DeepEqual(gotMsgs, wantMsgs) {
-				t.Fatalf("seed %d %s: delivered %v, reference %v", seed, tc.name, gotMsgs, wantMsgs)
-			}
-			if !reflect.DeepEqual(gotRep, wantRep) {
-				t.Fatalf("seed %d %s: report %v, reference %v", seed, tc.name, gotRep, wantRep)
+		rep, err := c.RunFailureDiscovery(nil, append(opts, core.WithProcess(0, sender))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Messages(), rep
+	}
+	gotMsgs, gotRep := run(m.Wrap(0, sender))
+	wantMsgs, wantRep := run(ref)
+	return cmp.Or(simtest.Traffic(gotMsgs, wantMsgs, false), simtest.Equal("report", gotRep, wantRep))
+}
+
+// TestE11SendersMatchReference runs E11's SM and chain runs at 30 seeds
+// with its senders and with the reference senders: the same messages
+// delivered in the same order, and the same reports.
+func TestE11SendersMatchReference(t *testing.T) {
+	for r := 0; r < 30; r++ {
+		seed := Seed + int64(1100+r)
+		for _, chain := range []bool{false, true} {
+			if err := diffE11(t, seed, chain, simtest.Mutant{}); err != nil {
+				t.Fatalf("seed %d chain=%v: %v", seed, chain, err)
 			}
 		}
 	}
+}
+
+// TestE11DifferentialCatchesAPlantedByte: E11's SM sender sends its
+// round-1 value to P_2 with one byte flipped, and the differential names
+// that message.
+func TestE11DifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 0, Round: 1, Msg: 1}
+	m.Caught(t, diffE11(t, Seed+1100, false, m))
 }

@@ -3,6 +3,7 @@ package fd_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,12 +12,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
-// The differential harness below runs every correct slot twice — the node
-// type under test and its reference twin from chain_ref_test.go — on the
-// same inboxes, and requires the same outbox (to, kind, payload bytes, in
-// order), the same Finished() and the same outcome after every step. An
+// The differential below runs every correct slot twice — the node type
+// under test and its reference twin from chain_ref_test.go — on the same
+// inboxes, records both through simtest and requires the same outbox (to,
+// kind, payload bytes, in order), the same Finished() and the same
+// outcome (node, decision, discovery round and reason) after every step. An
 // input picks the variant, n ≤ 7, t < n, one faulty slot out of the
 // scenarios fd_test.go builds, the sender's bit, and a script of extra
 // deliveries drawn from a bank of valid chains for every position (and,
@@ -79,23 +82,6 @@ func buildVariant(t *testing.T, v int, f *fixture, cfg model.Config, id model.No
 }
 
 func proposal(id model.NodeID) []byte { return []byte(fmt.Sprintf("from-P%d", id)) }
-
-// outcomesOf reads a node's outcome, or a vector node's n of them.
-func outcomesOf(p sim.Process, n int) []model.Outcome {
-	switch p := p.(type) {
-	case interface{ Outcome() model.Outcome }:
-		return []model.Outcome{p.Outcome()}
-	case interface {
-		Outcome(model.NodeID) model.Outcome
-	}:
-		out := make([]model.Outcome, n)
-		for s := range out {
-			out[s] = p.Outcome(model.NodeID(s))
-		}
-		return out
-	}
-	panic(fmt.Sprintf("no outcome on %T", p))
-}
 
 // chainScenario puts one faulty process in one slot; honest builds that
 // slot's correct node of the variant under test.
@@ -196,64 +182,12 @@ func fuzzBank(t *testing.T, v, n int) (*fixture, [][]byte) {
 	return f, bank
 }
 
-// scriptedDelivery is one extra message a fuzz input delivers.
-type scriptedDelivery struct {
-	round int
-	first bool // before the round's honest traffic
-	msg   model.Message
-}
-
-// decodeScript reads four bytes per delivery: round, receiver, sender
-// (its top bit: deliver first), and bank item (its two low bits: as is,
-// tampered, truncated, wrong kind).
-func decodeScript(data []byte, n, rounds int, bank [][]byte) []scriptedDelivery {
-	var script []scriptedDelivery
-	for ; len(data) >= 4 && len(script) < 32; data = data[4:] {
-		item := bank[int(data[3]>>2)%len(bank)]
-		m := model.Message{
-			From:    model.NodeID(int(data[2]&0x7f) % n),
-			To:      model.NodeID(int(data[1]) % n),
-			Kind:    model.KindChainValue,
-			Payload: append([]byte(nil), item...),
-		}
-		switch data[3] & 3 {
-		case 1:
-			m.Payload[int(data[0])*7%len(m.Payload)] ^= 0x01
-		case 2:
-			m.Payload = m.Payload[:len(m.Payload)/2]
-		case 3:
-			m.Kind = model.KindEcho
-		}
-		// No engine delivers in round 1: messages sent there land in 2.
-		script = append(script, scriptedDelivery{round: 2 + int(data[0])%(rounds-1), first: data[2]&0x80 != 0, msg: m})
-	}
-	return script
-}
-
-// sameOutcome compares two outcomes; loose lets the node under test name
-// a bad chain by its cause (unknown key, bad signature) where the
-// reference said bad chain.
-func sameOutcome(got, want model.Outcome, loose bool) bool {
-	if got.Node != want.Node || got.Decided != want.Decided || !bytes.Equal(got.Value, want.Value) ||
-		(got.Discovery == nil) != (want.Discovery == nil) {
-		return false
-	}
-	if got.Discovery == nil {
-		return true
-	}
-	g, w := got.Discovery, want.Discovery
-	if g.Round != w.Round {
-		return false
-	}
-	return g.Reason == w.Reason || (loose && w.Reason == model.ReasonBadChain &&
-		(g.Reason == model.ReasonUnknownKey || g.Reason == model.ReasonBadSignature))
-}
-
-// runAgainstReference plays one fuzz input; see the comment at the top of
-// the file.
-func runAgainstReference(t *testing.T, data []byte) {
+// diffAgainstReference plays one fuzz input, with m planted in the nodes
+// under test, and returns the run's name and its first divergence from
+// the reference twins.
+func diffAgainstReference(t *testing.T, data []byte, m simtest.Mutant) (string, error) {
 	if len(data) < 5 {
-		return
+		return "", nil
 	}
 	v := int(data[0]) % variantCount
 	n := 2 + int(data[1])%6
@@ -262,21 +196,43 @@ func runAgainstReference(t *testing.T, data []byte) {
 	bit := data[4] & 1
 	f, bank := fuzzBank(t, v, n)
 	rounds := fd.ChainEngineRounds(cfg.T) + 1
-	script := decodeScript(data[5:], n, rounds, bank)
+	build := func(id model.NodeID, ref bool) sim.Process { return buildVariant(t, v, f, cfg, id, bit, ref) }
 
-	nodes := make([]sim.Process, n)
-	refs := make([]sim.Process, n)
+	// Four bytes per extra delivery: round, receiver, sender (its top
+	// bit: before the round's honest traffic), and bank item (its two low
+	// bits: as is, tampered, truncated, wrong kind).
+	type delivery struct {
+		round int
+		first bool
+		msg   model.Message
+	}
+	var script []delivery
+	for data := data[5:]; len(data) >= 4 && len(script) < 32; data = data[4:] {
+		round, to, from, item := int(data[0]), int(data[1]), int(data[2]), int(data[3])
+		msg := model.Message{From: model.NodeID((from & 0x7f) % n), To: model.NodeID(to % n), Kind: model.KindChainValue,
+			Payload: bytes.Clone(bank[(item>>2)%len(bank)])}
+		switch item & 3 {
+		case 1:
+			msg.Payload[round*7%len(msg.Payload)] ^= 0x01
+		case 2:
+			msg.Payload = msg.Payload[:len(msg.Payload)/2]
+		case 3:
+			msg.Kind = model.KindEcho
+		}
+		// No engine delivers in round 1: messages sent there land in 2.
+		script = append(script, delivery{2 + round%(rounds-1), from&0x80 != 0, msg})
+	}
+
+	nodes, recs, refs := make([]sim.Process, n), make([]*simtest.Recorder, n), make([]*simtest.Recorder, n)
 	for i := range nodes {
-		nodes[i] = buildVariant(t, v, f, cfg, model.NodeID(i), bit, false)
-		refs[i] = buildVariant(t, v, f, cfg, model.NodeID(i), bit, true)
+		recs[i] = simtest.Record(m.Wrap(i, build(model.NodeID(i), false)), n, nil)
+		refs[i] = simtest.Record(build(model.NodeID(i), true), n, nil)
+		nodes[i] = recs[i]
 	}
 	if sc.faulty != nil {
-		id, p := sc.faulty(cfg, f, func(id model.NodeID) sim.Process {
-			return buildVariant(t, v, f, cfg, id, bit, false)
-		})
-		nodes[id], refs[id] = p, nil
+		id, p := sc.faulty(cfg, f, func(id model.NodeID) sim.Process { return build(id, false) })
+		nodes[id], recs[id], refs[id] = p, nil, nil
 	}
-
 	inbox := make([][]model.Message, n)
 	for round := 1; round <= rounds; round++ {
 		cur := inbox
@@ -291,27 +247,9 @@ func runAgainstReference(t *testing.T, data []byte) {
 			}
 		}
 		for i, node := range nodes {
-			out := node.Step(round, append([]model.Message(nil), cur[i]...))
-			if ref := refs[i]; ref != nil {
-				where := fmt.Sprintf("%s n=%d t=%d %s bit=%d: P%d round %d", variantNames[v], n, cfg.T, sc.name, bit, i, round)
-				want := ref.Step(round, append([]model.Message(nil), cur[i]...))
-				if len(out) != len(want) {
-					t.Fatalf("%s: %d messages, reference %d", where, len(out), len(want))
-				}
-				for k := range out {
-					if out[k].To != want[k].To || out[k].Kind != want[k].Kind || !bytes.Equal(out[k].Payload, want[k].Payload) {
-						t.Fatalf("%s: message %d is %v→%v, reference %v→%v", where, k, out[k].Kind, out[k].To, want[k].Kind, want[k].To)
-					}
-				}
-				if got, want := node.(sim.Finisher).Finished(), ref.(sim.Finisher).Finished(); got != want {
-					t.Fatalf("%s: Finished() = %v, reference %v", where, got, want)
-				}
-				got, wantOut := outcomesOf(node, n), outcomesOf(ref, n)
-				for s := range got {
-					if !sameOutcome(got[s], wantOut[s], v != variantChain) {
-						t.Fatalf("%s: outcome[%d] = %v, reference %v", where, s, got[s], wantOut[s])
-					}
-				}
+			out := node.Step(round, slices.Clone(cur[i]))
+			if refs[i] != nil {
+				refs[i].Step(round, slices.Clone(cur[i]))
 			}
 			for _, m := range out {
 				if m.To.Valid(n) {
@@ -321,6 +259,8 @@ func runAgainstReference(t *testing.T, data []byte) {
 			}
 		}
 	}
+	name := fmt.Sprintf("%s n=%d t=%d %s bit=%d", variantNames[v], n, cfg.T, sc.name, bit)
+	return name, simtest.Compare(recs, refs, simtest.Options{Verdicts: true, LooseCause: v != variantChain})
 }
 
 // FuzzChainVariantsMatchReference checks the chain, small-range and vector
@@ -352,5 +292,20 @@ func FuzzChainVariantsMatchReference(f *testing.F) {
 	// Small range: a chain carrying 2, the value no bit is, reaches P_1
 	// on time from a sender that kept silent (bank item 12).
 	f.Add([]byte{variantSmallRange, 4, 2, 0, 0, 0, 1, 0, 48})
-	f.Fuzz(runAgainstReference)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if name, err := diffAgainstReference(t, data, simtest.Mutant{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	})
+}
+
+// TestChainDifferentialCatchesAPlantedByte: in every variant's
+// failure-free run at n=6 t=2, the first relay P_1 sends its round-2
+// relay with one byte flipped, and the differential names that message.
+func TestChainDifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 1, Round: 2}
+	for v := byte(0); v < variantCount; v++ {
+		_, err := diffAgainstReference(t, []byte{v, 4, 2, 0, 1}, m)
+		m.Caught(t, err)
+	}
 }

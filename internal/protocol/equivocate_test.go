@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
 	"sort"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sig"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // TestSupportsEquivocateIsTheTwoFacedSet pins which drivers equivocate:
@@ -153,73 +154,33 @@ func refOptions(d *clusterDriver, inst Instance, c *core.Cluster) ([]core.RunOpt
 	})), nil
 }
 
-// step is what one node did in one round: its outbox, payloads copied,
-// and whether it reported finished after it.
-type step struct {
-	out      []model.Message
-	finished bool
-}
-
-// recorder logs every Step of the process it wraps.
-type recorder struct {
-	inner sim.Process
-	steps *[]step
-}
-
-func (r *recorder) Step(round int, in []model.Message) []model.Message {
-	out := r.inner.Step(round, in)
-	s := step{finished: r.Finished()}
-	for _, m := range out {
-		m.Payload = bytes.Clone(m.Payload)
-		s.out = append(s.out, m)
-	}
-	*r.steps = append(*r.steps, s)
-	return out
-}
-
-func (r *recorder) Finished() bool {
-	f, ok := r.inner.(sim.Finisher)
-	return !ok || f.Finished()
-}
-
-// recordingCluster is an established cluster of n nodes whose engine is
-// the simulator with every process under a recorder: steps[i] is node
-// i's log of the latest run.
-type recordingCluster struct {
-	c     *core.Cluster
-	steps [][]step
-}
-
 var (
-	recordingMu       sync.Mutex
-	recordingClusters = map[model.Config]*recordingCluster{}
+	clustersMu sync.Mutex
+	// clusters are the established clusters by (n, t), keyed as every
+	// row's instance is. Their simulator records each process, under the
+	// planted mutant, into recorders: the latest run's, by node.
+	clusters  = map[model.Config]*core.Cluster{}
+	recorders []*simtest.Recorder
+	planted   simtest.Mutant
 )
 
-// clusterFor returns the shared recording cluster of the instance's
-// (n, t), keyed as every row's instance is; callers hold recordingMu.
-func clusterFor(t testing.TB, inst Instance) *recordingCluster {
-	if rc := recordingClusters[inst.Config()]; rc != nil {
-		return rc
+// clusterFor returns the instance's cluster; callers hold clustersMu.
+func clusterFor(t testing.TB, inst Instance) *core.Cluster {
+	if c := clusters[inst.Config()]; c != nil {
+		return c
 	}
-	rc := &recordingCluster{}
 	engine := func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
-		rc.steps = make([][]step, len(procs))
+		recorders = make([]*simtest.Recorder, len(procs))
 		wrapped := make([]sim.Process, len(procs))
 		for i, p := range procs {
-			wrapped[i] = &recorder{inner: p, steps: &rc.steps[i]}
+			recorders[i] = simtest.Record(planted.Wrap(i, p), 0, nil)
+			wrapped[i] = recorders[i]
 		}
-		opts := []sim.Option{sim.WithCounters(counters)}
-		if tracer != nil {
-			opts = append(opts, sim.WithTracer(tracer))
-		}
-		if net != nil {
-			opts = append(opts, sim.WithNetwork(net))
-		}
-		e, err := sim.New(inst.Config(), wrapped, opts...)
+		res, err := sim.RunInstance(inst.Config(), wrapped, maxRounds, sim.WithCounters(counters), sim.WithTracer(tracer), sim.WithNetwork(net))
 		if err != nil {
 			return 0, err
 		}
-		return e.Run(maxRounds).Rounds, nil
+		return res.Rounds, nil
 	}
 	c, err := core.New(inst.Config(), core.WithScheme(inst.Scheme), core.WithSeed(inst.Seed),
 		core.WithKeySeed(inst.KeySeed), core.WithEngine(engine))
@@ -229,21 +190,20 @@ func clusterFor(t testing.TB, inst Instance) *recordingCluster {
 	if _, err := c.EstablishAuthentication(); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	rc.c = c
-	recordingClusters[inst.Config()] = rc
-	return rc
+	clusters[inst.Config()] = c
+	return c
 }
 
-// checkEquivocationRow runs the row twice through core.Cluster — once
+// diffEquivocationRow runs the row twice through core.Cluster — once
 // with the hand-written sender, once with the driver's two-faced sender
-// — and compares the runs round by round: every node's outbox
-// (recipient, kind and payload, in order), every correct node's Finished
-// after each round and every node's after the last, then the report's
-// rounds, traffic and outcomes. The sender's Finished is compared only
-// at the end: a hand-written sender was finished from the start, a
-// correct one at its protocol's end, and the engine reads it only to
-// stop early, which the rounds pin.
-func checkEquivocationRow(t *testing.T, row equivocationRow) {
+// under m — and returns the first divergence: round by round, every
+// node's outbox (recipient, kind and payload, in order) and Finished
+// after each round, then the report's rounds, traffic and outcomes. The
+// sender's Finished is compared only after the last round: a
+// hand-written sender was finished from the start, a correct one at its
+// protocol's end, and the engine reads it only to stop early, which the
+// rounds pin.
+func diffEquivocationRow(t *testing.T, row equivocationRow, m simtest.Mutant) error {
 	t.Helper()
 	drv, err := Lookup(equivocationDrivers[row.driver])
 	if err != nil {
@@ -252,55 +212,40 @@ func checkEquivocationRow(t *testing.T, row equivocationRow) {
 	d := drv.(*clusterDriver)
 	inst := row.instance()
 
-	recordingMu.Lock()
-	defer recordingMu.Unlock()
-	rc := clusterFor(t, inst)
-	run := func(opts []core.RunOption) (core.Report, [][]step) {
-		rep, err := rc.c.RunFailureDiscovery(proposal(inst, d.value), append(opts, core.WithProtocol(d.proto))...)
+	clustersMu.Lock()
+	defer clustersMu.Unlock()
+	c := clusterFor(t, inst)
+	run := func(opts []core.RunOption, plant simtest.Mutant) (core.Report, []*simtest.Recorder) {
+		planted = plant
+		rep, err := c.RunFailureDiscovery(proposal(inst, d.value), append(opts, core.WithProtocol(d.proto))...)
+		planted = simtest.Mutant{}
 		if err != nil {
 			t.Fatalf("%v: %v", row, err)
 		}
-		return rep, rc.steps
+		return rep, recorders
 	}
-	refOpts, err := refOptions(d, inst, rc.c)
+	refOpts, err := refOptions(d, inst, c)
 	if err != nil {
 		t.Fatalf("%v: %v", row, err)
 	}
-	wantRep, want := run(refOpts)
-	opts, err := runOptions(inst, rc.c, d.equivocator)
+	wantRep, want := run(refOpts, simtest.Mutant{})
+	opts, err := runOptions(inst, c, d.equivocator)
 	if err != nil {
 		t.Fatalf("%v: %v", row, err)
 	}
-	gotRep, got := run(opts)
+	gotRep, got := run(opts, m)
+	return cmp.Or(simtest.Compare(got, want, simtest.Options{FinishedAtEnd: model.NewNodeSet(0)}),
+		simtest.Equal("rounds", gotRep.Rounds, wantRep.Rounds),
+		simtest.Equal("traffic", gotRep.Snapshot, wantRep.Snapshot),
+		simtest.Equal("outcomes", gotRep.Outcomes, wantRep.Outcomes))
+}
 
-	for id := range want {
-		if len(got[id]) != len(want[id]) {
-			t.Fatalf("%v: P%d stepped %d rounds, reference %d", row, id, len(got[id]), len(want[id]))
-		}
-		for r := range want[id] {
-			g, w := got[id][r], want[id][r]
-			if len(g.out) != len(w.out) {
-				t.Fatalf("%v: P%d round %d sent %d messages, reference %d", row, id, r+1, len(g.out), len(w.out))
-			}
-			for k := range w.out {
-				if g.out[k].To != w.out[k].To || g.out[k].Kind != w.out[k].Kind || !bytes.Equal(g.out[k].Payload, w.out[k].Payload) {
-					t.Fatalf("%v: P%d round %d message %d is %v→%v, reference %v→%v", row, id, r+1, k, g.out[k].Kind, g.out[k].To, w.out[k].Kind, w.out[k].To)
-				}
-			}
-			if (id != 0 || r == len(want[id])-1) && g.finished != w.finished {
-				t.Fatalf("%v: P%d Finished after round %d = %v, reference %v", row, id, r+1, g.finished, w.finished)
-			}
-		}
-	}
-	if gotRep.Rounds != wantRep.Rounds {
-		t.Fatalf("%v: %d rounds, reference %d", row, gotRep.Rounds, wantRep.Rounds)
-	}
-	if !reflect.DeepEqual(gotRep.Snapshot, wantRep.Snapshot) {
-		t.Fatalf("%v: traffic %+v, reference %+v", row, gotRep.Snapshot, wantRep.Snapshot)
-	}
-	if !reflect.DeepEqual(gotRep.Outcomes, wantRep.Outcomes) {
-		t.Fatalf("%v: outcomes %v, reference %v", row, gotRep.Outcomes, wantRep.Outcomes)
-	}
+// TestEquivocationDifferentialCatchesAPlantedByte: chain's two-faced
+// sender at n=4 t=1 sends its round-1 value with one byte flipped, and
+// the differential names that message.
+func TestEquivocationDifferentialCatchesAPlantedByte(t *testing.T) {
+	m := simtest.Mutant{Node: 0, Round: 1}
+	m.Caught(t, diffEquivocationRow(t, equivocationRow{driver: 0, n: 4, t: 1}, m))
 }
 
 // TestEquivocationMatchesReference: on every row, each driver's
@@ -308,7 +253,9 @@ func checkEquivocationRow(t *testing.T, row equivocationRow) {
 // as the hand-written sender it replaced.
 func TestEquivocationMatchesReference(t *testing.T) {
 	for _, row := range equivocationRows() {
-		checkEquivocationRow(t, row)
+		if err := diffEquivocationRow(t, row, simtest.Mutant{}); err != nil {
+			t.Fatalf("%v: %v", row, err)
+		}
 	}
 }
 
@@ -327,6 +274,8 @@ func FuzzEquivocationMatchesReference(f *testing.F) {
 			param:     int(param),
 		}
 		row.t = int(tol) % row.n
-		checkEquivocationRow(t, row)
+		if err := diffEquivocationRow(t, row, simtest.Mutant{}); err != nil {
+			t.Fatalf("%v: %v", row, err)
+		}
 	})
 }

@@ -25,7 +25,8 @@
 // counter (an atomic.Int64) and its pool of leaf levels.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - RecordingTracer and its methods: the delivery record and Views the behaviour tests read.
+//   - RecordingTracer and its methods: the delivery record and Views the behaviour tests read,
+//     and the delivered traffic the reference-oracle suites hand to simtest.Traffic.
 //   - MultiTracer and its methods: a delivery trace beside engine-level spans, which no command turns on yet.
 package sim
 
