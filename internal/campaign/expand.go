@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/netcond"
@@ -69,13 +71,27 @@ func (i Instance) GroupKey() string {
 	if scheme == "" {
 		scheme = "-"
 	}
-	key := fmt.Sprintf("%s/n=%d/t=%d/%s/%s", i.Protocol, i.N, i.T, scheme, i.Adversary)
+	// One allocation: the builder is grown past the key's length (the
+	// separators and two 20-digit numbers fit in 64) before any write.
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(len(i.Protocol) + len(scheme) + len(i.Adversary) + len(i.NetCond) + 64)
+	b.WriteString(i.Protocol)
+	b.WriteString("/n=")
+	b.Write(strconv.AppendInt(num[:0], int64(i.N), 10))
+	b.WriteString("/t=")
+	b.Write(strconv.AppendInt(num[:0], int64(i.T), 10))
+	b.WriteByte('/')
+	b.WriteString(scheme)
+	b.WriteByte('/')
+	b.WriteString(i.Adversary)
 	if i.NetCond != "" {
 		// The netcond segment joins the key only when a condition is set,
 		// so ideal-network group keys are byte-identical to the pre-axis era.
-		key += "/" + i.NetCond
+		b.WriteByte('/')
+		b.WriteString(i.NetCond)
 	}
-	return key
+	return b.String()
 }
 
 // sameGroup reports whether two instances share a GroupKey, without

@@ -436,9 +436,13 @@ func assemble(spec Spec, instances []Instance, results []Result) *Report {
 		Results:   results,
 	}
 	// Group order: first appearance in instance order, which is the
-	// expansion order — deterministic.
+	// expansion order — deterministic. A group's seeds are adjacent, so
+	// a key is formatted only where the group changes.
 	seen := make(map[string]bool)
-	for _, inst := range instances {
+	for k, inst := range instances {
+		if k > 0 && inst.sameGroup(instances[k-1]) {
+			continue
+		}
 		key := inst.GroupKey()
 		if seen[key] {
 			continue

@@ -186,8 +186,7 @@ func (r *chainRun) deliver(round int, m model.Message, payload []byte) []model.M
 	}
 	if r.pos == 0 || round != r.expectRound() || m.From != r.expectFrom() ||
 		m.Kind != model.KindChainValue || r.gotChain {
-		r.discover(round, model.ReasonUnexpectedMessage,
-			fmt.Sprintf("%v message from %v in round %d", m.Kind, m.From, round))
+		r.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factUnexpected, Kind: m.Kind, Peer: m.From})
 		return nil
 	}
 	r.gotChain = true
@@ -208,8 +207,7 @@ func (r *chainRun) tick(round int) []model.Message {
 		out = r.start()
 	case round == r.expectRound() && !r.gotChain && r.pos != 0:
 		if r.silence == nil {
-			r.discover(round, model.ReasonMissingMessage,
-				fmt.Sprintf("no chain message from %v by round %d", r.expectFrom(), round))
+			r.discover(round, model.Discovery{Reason: model.ReasonMissingMessage, Fact: factMissingChain, Peer: r.expectFrom()})
 			break
 		}
 		// Under small range the silence is the value. A relay or the
@@ -249,14 +247,13 @@ func (r *chainRun) start() []model.Message {
 func (r *chainRun) receive(round int, from model.NodeID, payload []byte) []model.Message {
 	chain, err := sig.UnmarshalChain(payload)
 	if err != nil {
-		r.discover(round, model.ReasonBadFormat, fmt.Sprintf("chain from %v: %v", from, err))
+		r.discover(round, model.Discovery{Reason: model.ReasonBadFormat, Fact: factChain, Peer: from, Err: err})
 		return nil
 	}
 	// In a failure-free run position p's chain has exactly p signatures
 	// (S_0 … S_{p-1}); the tail's has t+1.
 	if want := min(r.pos, r.cfg.T+1); chain.Len() != want {
-		r.discover(round, model.ReasonBadChain,
-			fmt.Sprintf("chain from %v has %d signatures, want %d", from, chain.Len(), want))
+		r.discover(round, model.Discovery{Reason: model.ReasonBadChain, Fact: factChainLength, Peer: from, Got: chain.Len(), Want: want})
 		return nil
 	}
 	if err := r.verify(chain, from); err != nil {
@@ -267,14 +264,13 @@ func (r *chainRun) receive(round int, from model.NodeID, payload []byte) []model
 		case errors.Is(err, sig.ErrChainBadSignature):
 			reason = model.ReasonBadSignature
 		}
-		r.discover(round, reason, fmt.Sprintf("chain from %v: %v", from, err))
+		r.discover(round, model.Discovery{Reason: reason, Fact: factChain, Peer: from, Err: err})
 		return nil
 	}
 	if v := chain.Value(); r.silence != nil && (len(v) != 1 || v[0] > 1 || v[0] == r.silence[0]) {
 		// A chain carrying the silence value (or a non-bit) never occurs
 		// in a failure-free run: that value flows as silence.
-		r.discover(round, model.ReasonProtocol,
-			fmt.Sprintf("chain from %v carries invalid small-range value %v", from, v))
+		r.discover(round, model.Discovery{Reason: model.ReasonProtocol, Fact: &cited{fact: factSmallRange, got: v}, Peer: from})
 		return nil
 	}
 	r.decide(chain.Value())
@@ -311,12 +307,24 @@ func (r *chainRun) verify(chain *sig.Chain, from model.NodeID) error {
 	}
 	for k, s := range signers {
 		if want := r.at(k); s != want {
-			return fmt.Errorf("%w: layer %d assigned to %v, want %v",
-				sig.ErrChainBadSignature, k, s, want)
+			return &layerError{layer: k, got: s, want: want}
 		}
 	}
 	return nil
 }
+
+// layerError is a chain whose layer is signed by a node other than the
+// one its position names; the text is formatted when read.
+type layerError struct {
+	layer     int
+	got, want model.NodeID
+}
+
+func (e *layerError) Error() string {
+	return fmt.Sprintf("%v: layer %d assigned to %v, want %v", sig.ErrChainBadSignature, e.layer, e.got, e.want)
+}
+
+func (e *layerError) Unwrap() error { return sig.ErrChainBadSignature }
 
 // wire encodes a chain for this run's traffic.
 func (r *chainRun) wire(c *sig.Chain) []byte {
@@ -332,15 +340,15 @@ func (r *chainRun) decide(v []byte) {
 	r.outcome.Value = append([]byte(nil), v...)
 }
 
-// discover records a discovered failure and stops the seat, per Fig. 2's
-// "discover failure and stop". Discovery overrides any earlier decision:
-// the node's view has left every failure-free run. Only the first
-// discovery counts.
-func (r *chainRun) discover(round int, reason model.FailureReason, detail string) {
+// discover records a discovered failure, d's facts stamped with this
+// node and round, and stops the seat, per Fig. 2's "discover failure
+// and stop". Discovery overrides any earlier decision: the node's view
+// has left every failure-free run. Only the first discovery counts.
+func (r *chainRun) discover(round int, d model.Discovery) {
 	if r.stopped {
 		return
 	}
-	d := model.Discovery{Node: r.id, Round: round, Reason: reason, Detail: detail}
+	d.Node, d.Round = r.id, round
 	r.outcome.Decided = false
 	r.outcome.Value = nil
 	r.outcome.Discovery = &d

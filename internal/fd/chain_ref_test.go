@@ -272,7 +272,7 @@ func (n *refChainNode) decide(v []byte) {
 // "discover failure and stop". Discovery overrides any earlier decision:
 // the node's view has left every failure-free run.
 func (n *refChainNode) discover(round int, reason model.FailureReason, detail string) {
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
+	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Fact: refText(detail)}
 	n.outcome.Decided = false
 	n.outcome.Value = nil
 	n.outcome.Discovery = &d
@@ -503,7 +503,7 @@ func (n *refSmallRangeNode) decideBit(v byte) {
 }
 
 func (n *refSmallRangeNode) discover(round int, reason model.FailureReason, detail string) {
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
+	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Fact: refText(detail)}
 	n.outcome.Decided = false
 	n.outcome.Value = nil
 	n.outcome.Discovery = &d
@@ -779,7 +779,7 @@ func (n *refVectorNode) discoverInstance(s model.NodeID, round int, reason model
 	if inst.stopped {
 		return
 	}
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
+	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Fact: refText(detail)}
 	inst.outcome.Decided = false
 	inst.outcome.Value = nil
 	inst.outcome.Discovery = &d
@@ -797,3 +797,10 @@ func (n *refVectorNode) discoverAll(round int, reason model.FailureReason, detai
 		n.discoverInstance(model.NodeID(s), round, reason, detail)
 	}
 }
+
+// refText is an oracle's discovery sentence, formatted when the
+// discovery was made, as every node formatted it before discoveries kept
+// their facts.
+type refText string
+
+func (s refText) Detail(model.Discovery) string { return string(s) }

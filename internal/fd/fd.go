@@ -33,6 +33,8 @@
 //   - SmallRangeMessages: the cost formula the unit tests assert.
 //   - MarshalVectorPayload, UnmarshalVectorPayload: the codec the adversarial tests rewrite vector traffic with.
 //   - Role.String: a String method.
+//   - cited.Detail, valueOf: the sentences that cite values (a small-range chain's, a mismatched echo's), formatted
+//     only when a discovery is read; no artifact prints one, TestDiscoveryTextPinned does.
 package fd
 
 import (
@@ -136,6 +138,72 @@ type Outcomer interface {
 	// Outcome returns the node's terminal state for the run.
 	Outcome() model.Outcome
 }
+
+// fact names the sentence a discovery of this package states. The
+// sentence reads the discovery's own fields, so recording one formats
+// nothing; the text is built when the discovery is read.
+type fact uint8
+
+const (
+	factUnexpected    fact = iota // Kind message from Peer in round Round
+	factMissingChain              // no chain from Peer by the deadline
+	factChain                     // a chain from Peer failed: Err
+	factChainLength               // Got signatures from Peer, Want expected
+	factSmallRange                // a chain from Peer carries an invalid value
+	factNoValueByEcho             // an echoer heard nothing from the sender
+	factNoValue                   // nothing from the sender by the deadline
+	factDuplicateEcho             // Peer echoed twice
+	factNoEcho                    // Peer never echoed
+	factEchoMismatch              // Peer's echo differs from the value
+	factVectorKind                // a vector message of the wrong Kind
+	factVectorPayload             // an unparsable vector payload from Peer
+)
+
+// Detail implements the model.Discovery sentence.
+func (f fact) Detail(d model.Discovery) string { return f.detail(d, nil, nil) }
+
+// detail formats f's sentence; got and want are the values a sentence
+// cites, which a discovery's fields cannot hold (see cited).
+func (f fact) detail(d model.Discovery, got, want []byte) string {
+	switch f {
+	case factUnexpected:
+		return fmt.Sprintf("%v message from %v in round %d", d.Kind, d.Peer, d.Round)
+	case factMissingChain:
+		return fmt.Sprintf("no chain message from %v by round %d", d.Peer, d.Round)
+	case factChain:
+		return fmt.Sprintf("chain from %v: %v", d.Peer, d.Err)
+	case factChainLength:
+		return fmt.Sprintf("chain from %v has %d signatures, want %d", d.Peer, d.Got, d.Want)
+	case factSmallRange:
+		return fmt.Sprintf("chain from %v carries invalid small-range value %v", d.Peer, got)
+	case factNoValueByEcho:
+		return "no value from sender by echo round"
+	case factNoValue:
+		return "no value from sender"
+	case factDuplicateEcho:
+		return fmt.Sprintf("duplicate echo from %v", d.Peer)
+	case factNoEcho:
+		return fmt.Sprintf("no echo from %v", d.Peer)
+	case factEchoMismatch:
+		return fmt.Sprintf("echo from %v is %s, value is %s", d.Peer, valueOf(got), valueOf(want))
+	case factVectorKind:
+		return fmt.Sprintf("%v message from %v", d.Kind, d.Peer)
+	case factVectorPayload:
+		return fmt.Sprintf("unparsable vector payload from %v", d.Peer)
+	}
+	return fmt.Sprintf("fact(%d)", uint8(f))
+}
+
+// cited is a sentence that cites values. It is the one fact that costs
+// an allocation, made only by the discoveries that need one: a chain
+// carrying an invalid small-range value, an echo that differs.
+type cited struct {
+	fact
+	got, want []byte
+}
+
+// Detail implements the model.Discovery sentence.
+func (c *cited) Detail(d model.Discovery) string { return c.detail(d, c.got, c.want) }
 
 // valueOf formats a decision value for diagnostics.
 func valueOf(v []byte) string {

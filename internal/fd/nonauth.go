@@ -108,7 +108,7 @@ func (n *NonAuthNode) Step(round int, received []model.Message) []model.Message 
 	case round == 2 && n.IsEchoer():
 		if !n.gotValue {
 			// No failure-free run leaves an echoer without a value.
-			n.discover(round, model.ReasonMissingMessage, "no value from sender by echo round")
+			n.discover(round, model.Discovery{Reason: model.ReasonMissingMessage, Fact: factNoValueByEcho})
 			return nil
 		}
 		return n.broadcast(model.KindEcho, n.got)
@@ -131,14 +131,12 @@ func (n *NonAuthNode) ingest(round int, received []model.Message) {
 			n.gotValue = true
 		case m.Kind == model.KindEcho && round == 3 && m.From != Sender && int(m.From) <= n.cfg.T:
 			if _, dup := n.echoes[m.From]; dup {
-				n.discover(round, model.ReasonUnexpectedMessage,
-					fmt.Sprintf("duplicate echo from %v", m.From))
+				n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factDuplicateEcho, Peer: m.From})
 				return
 			}
 			n.echoes[m.From] = append([]byte(nil), m.Payload...)
 		default:
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%v message from %v in round %d", m.Kind, m.From, round))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factUnexpected, Kind: m.Kind, Peer: m.From})
 			return
 		}
 	}
@@ -157,7 +155,7 @@ func (n *NonAuthNode) conclude(round int) {
 		return
 	}
 	if !n.gotValue {
-		n.discover(round, model.ReasonMissingMessage, "no value from sender")
+		n.discover(round, model.Discovery{Reason: model.ReasonMissingMessage, Fact: factNoValue})
 		return
 	}
 	if !n.checkEchoes(round, n.got) {
@@ -176,13 +174,11 @@ func (n *NonAuthNode) checkEchoes(round int, want []byte) bool {
 		}
 		got, ok := n.echoes[echoer]
 		if !ok {
-			n.discover(round, model.ReasonMissingMessage,
-				fmt.Sprintf("no echo from %v", echoer))
+			n.discover(round, model.Discovery{Reason: model.ReasonMissingMessage, Fact: factNoEcho, Peer: echoer})
 			return false
 		}
 		if !bytes.Equal(got, want) {
-			n.discover(round, model.ReasonValueMismatch,
-				fmt.Sprintf("echo from %v is %s, value is %s", echoer, valueOf(got), valueOf(want)))
+			n.discover(round, model.Discovery{Reason: model.ReasonValueMismatch, Fact: &cited{fact: factEchoMismatch, got: got, want: want}, Peer: echoer})
 			return false
 		}
 	}
@@ -200,9 +196,10 @@ func (n *NonAuthNode) decide(v []byte) {
 	n.outcome.Value = append([]byte(nil), v...)
 }
 
-// discover records a discovered failure and stops the node.
-func (n *NonAuthNode) discover(round int, reason model.FailureReason, detail string) {
-	d := model.Discovery{Node: n.id, Round: round, Reason: reason, Detail: detail}
+// discover records a discovered failure, d's facts stamped with this
+// node and round, and stops the node.
+func (n *NonAuthNode) discover(round int, d model.Discovery) {
+	d.Node, d.Round = n.id, round
 	n.outcome.Decided = false
 	n.outcome.Value = nil
 	n.outcome.Discovery = &d

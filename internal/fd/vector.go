@@ -2,7 +2,6 @@ package fd
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -110,14 +109,12 @@ func (n *VectorNode) Step(round int, received []model.Message) []model.Message {
 	var out []model.Message
 	for _, m := range received {
 		if m.Kind != model.KindChainValue {
-			n.discoverAll(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%v message from %v", m.Kind, m.From))
+			n.discoverAll(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factVectorKind, Kind: m.Kind, Peer: m.From})
 			continue
 		}
 		s, chain, err := splitVectorPayload(m.Payload)
 		if err != nil || !s.Valid(n.params.cfg.N) {
-			n.discoverAll(round, model.ReasonBadFormat,
-				fmt.Sprintf("unparsable vector payload from %v", m.From))
+			n.discoverAll(round, model.Discovery{Reason: model.ReasonBadFormat, Fact: factVectorPayload, Peer: m.From})
 			continue
 		}
 		out = append(out, n.inst[s].deliver(round, m, chain)...)
@@ -134,10 +131,10 @@ func (n *VectorNode) Step(round int, received []model.Message) []model.Message {
 // discoverAll marks every still-open instance failed: used for messages
 // that cannot be attributed to any instance (no failure-free run of ANY
 // instance contains them).
-func (n *VectorNode) discoverAll(round int, reason model.FailureReason, detail string) {
+func (n *VectorNode) discoverAll(round int, d model.Discovery) {
 	for s := range n.inst {
 		if model.NodeID(s) != n.params.id { // our own proposal stands regardless
-			n.inst[s].discover(round, reason, detail)
+			n.inst[s].discover(round, d)
 		}
 	}
 }

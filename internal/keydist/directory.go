@@ -24,6 +24,7 @@
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - Directory.AgreesWith: G2 node by node across two directories, as the unit tests check it.
+//   - fact.Detail: a recorded deviation's text, formatted only when read; no artifact prints one, TestDiscoveryTextPinned does.
 package keydist
 
 import (

@@ -157,8 +157,7 @@ func (n *Node) Step(round int, received []model.Message) []model.Message {
 		// Messages outside the protocol's rounds never occur in
 		// failure-free runs; note the deviation and stay silent.
 		if len(received) > 0 {
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%d messages outside protocol rounds", len(received)))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factOutsideRounds, Got: len(received)})
 		}
 		return nil
 	}
@@ -183,23 +182,20 @@ func (n *Node) challengeAll(round int, received []model.Message) []model.Message
 	var out []model.Message
 	for _, m := range received {
 		if m.Kind != model.KindTestPredicate {
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%v sent %v during predicate broadcast", m.From, m.Kind))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factKindInBroadcast, Peer: m.From, Kind: m.Kind})
 			continue
 		}
 		pred, err := n.scheme.ParsePredicate(m.Payload)
 		if err != nil {
 			// An unparsable predicate can never be accepted; the sender
 			// has forfeited authentication with this node.
-			n.discover(round, model.ReasonBadFormat,
-				fmt.Sprintf("unparsable predicate from %v: %v", m.From, err))
+			n.discover(round, model.Discovery{Reason: model.ReasonBadFormat, Fact: factBadPredicate, Peer: m.From, Err: err})
 			continue
 		}
 		if prior, dup := n.pending[m.From]; dup {
 			// No failure-free run delivers two predicates from one node.
 			prior.duplicated = true
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("duplicate predicate from %v", m.From))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factDuplicatePredicate, Peer: m.From})
 			continue
 		}
 		ch, err := NewChallenge(n.id, m.From, n.rand)
@@ -221,8 +217,7 @@ func (n *Node) respondAll(round int, received []model.Message) []model.Message {
 	var out []model.Message
 	for _, m := range received {
 		if m.Kind != model.KindChallenge {
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%v sent %v during challenge round", m.From, m.Kind))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factKindInChallenge, Peer: m.From, Kind: m.Kind})
 			continue
 		}
 		// ParseChallenge aliases the payload instead of copying the nonce;
@@ -230,16 +225,15 @@ func (n *Node) respondAll(round int, received []model.Message) []model.Message {
 		// (the response wire bytes copy the nonce) and never retained.
 		ch, err := ParseChallenge(m.Payload)
 		if err != nil {
-			n.discover(round, model.ReasonBadFormat,
-				fmt.Sprintf("unparsable challenge from %v: %v", m.From, err))
+			n.discover(round, model.Discovery{Reason: model.ReasonBadFormat, Fact: factBadChallenge, Peer: m.From, Err: err})
 			continue
 		}
 		if !ShouldSign(ch, n.id, m.From) {
 			// Refuse: the challenge names the wrong parties. Signing here
 			// is exactly the hole that would let a faulty relay claim our
 			// key, or claim another node's key with our help.
-			n.discover(round, model.ReasonProtocol,
-				fmt.Sprintf("challenge from %v names (%v,%v)", m.From, ch.Challenger, ch.Challenged))
+			n.discover(round, model.Discovery{Reason: model.ReasonProtocol, Fact: factChallengeNames, Peer: m.From,
+				Got: int(ch.Challenger), Want: int(ch.Challenged)})
 			continue
 		}
 		resp, err := Respond(ch, n.signer)
@@ -256,22 +250,19 @@ func (n *Node) respondAll(round int, received []model.Message) []model.Message {
 func (n *Node) acceptAll(round int, received []model.Message) {
 	for _, m := range received {
 		if m.Kind != model.KindChallengeResponse {
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("%v sent %v during response round", m.From, m.Kind))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factKindInResponse, Peer: m.From, Kind: m.Kind})
 			continue
 		}
 		// Aliasing parse: the response is checked and dropped within this
 		// round, so no copy of nonce or signature is needed.
 		resp, err := ParseResponse(m.Payload)
 		if err != nil {
-			n.discover(round, model.ReasonBadFormat,
-				fmt.Sprintf("unparsable response from %v: %v", m.From, err))
+			n.discover(round, model.Discovery{Reason: model.ReasonBadFormat, Fact: factBadResponse, Peer: m.From, Err: err})
 			continue
 		}
 		p, ok := n.pending[m.From]
 		if !ok {
-			n.discover(round, model.ReasonUnexpectedMessage,
-				fmt.Sprintf("response from unchallenged node %v", m.From))
+			n.discover(round, model.Discovery{Reason: model.ReasonUnexpectedMessage, Fact: factUnchallenged, Peer: m.From})
 			continue
 		}
 		if p.duplicated {
@@ -279,20 +270,63 @@ func (n *Node) acceptAll(round int, received []model.Message) {
 			continue
 		}
 		if err := VerifyResponse(p.challenge, resp, p.pred); err != nil {
-			n.discover(round, model.ReasonBadSignature,
-				fmt.Sprintf("response from %v: %v", m.From, err))
+			n.discover(round, model.Discovery{Reason: model.ReasonBadSignature, Fact: factBadResponseSignature, Peer: m.From, Err: err})
 			continue
 		}
 		n.dir.Accept(m.From, p.pred)
 	}
 }
 
-// discover records a deviation from all failure-free runs.
-func (n *Node) discover(round int, reason model.FailureReason, detail string) {
-	n.discoveries = append(n.discoveries, model.Discovery{
-		Node:   n.id,
-		Round:  round,
-		Reason: reason,
-		Detail: detail,
-	})
+// discover records a deviation from all failure-free runs, d's facts
+// stamped with this node and round.
+func (n *Node) discover(round int, d model.Discovery) {
+	d.Node, d.Round = n.id, round
+	n.discoveries = append(n.discoveries, d)
+}
+
+// fact names the sentence a deviation this node records states, from the
+// discovery's own fields; the text is built when the discovery is read.
+type fact uint8
+
+const (
+	factOutsideRounds        fact = iota // Got messages outside the protocol's rounds
+	factKindInBroadcast                  // Peer sent a Kind message in round 2
+	factBadPredicate                     // Peer's predicate did not parse: Err
+	factDuplicatePredicate               // Peer sent two predicates
+	factKindInChallenge                  // Peer sent a Kind message in round 3
+	factBadChallenge                     // Peer's challenge did not parse: Err
+	factChallengeNames                   // Peer's challenge names (Got, Want)
+	factKindInResponse                   // Peer sent a Kind message in round 4
+	factBadResponse                      // Peer's response did not parse: Err
+	factUnchallenged                     // a response from Peer, never challenged
+	factBadResponseSignature             // Peer's response failed: Err
+)
+
+// Detail implements the model.Discovery sentence.
+func (f fact) Detail(d model.Discovery) string {
+	switch f {
+	case factOutsideRounds:
+		return fmt.Sprintf("%d messages outside protocol rounds", d.Got)
+	case factKindInBroadcast:
+		return fmt.Sprintf("%v sent %v during predicate broadcast", d.Peer, d.Kind)
+	case factBadPredicate:
+		return fmt.Sprintf("unparsable predicate from %v: %v", d.Peer, d.Err)
+	case factDuplicatePredicate:
+		return fmt.Sprintf("duplicate predicate from %v", d.Peer)
+	case factKindInChallenge:
+		return fmt.Sprintf("%v sent %v during challenge round", d.Peer, d.Kind)
+	case factBadChallenge:
+		return fmt.Sprintf("unparsable challenge from %v: %v", d.Peer, d.Err)
+	case factChallengeNames:
+		return fmt.Sprintf("challenge from %v names (%v,%v)", d.Peer, model.NodeID(d.Got), model.NodeID(d.Want))
+	case factKindInResponse:
+		return fmt.Sprintf("%v sent %v during response round", d.Peer, d.Kind)
+	case factBadResponse:
+		return fmt.Sprintf("unparsable response from %v: %v", d.Peer, d.Err)
+	case factUnchallenged:
+		return fmt.Sprintf("response from unchallenged node %v", d.Peer)
+	case factBadResponseSignature:
+		return fmt.Sprintf("response from %v: %v", d.Peer, d.Err)
+	}
+	return fmt.Sprintf("fact(%d)", uint8(f))
 }

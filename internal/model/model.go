@@ -16,6 +16,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -33,7 +34,7 @@ func (id NodeID) String() string {
 	if id == NoNode {
 		return "P(none)"
 	}
-	return fmt.Sprintf("P%d", int(id))
+	return "P" + strconv.Itoa(int(id))
 }
 
 // Valid reports whether the ID denotes a participant in a system of n nodes.
@@ -202,6 +203,10 @@ func (r FailureReason) String() string {
 
 // Discovery records that a node discovered a failure: in which round, why,
 // and (when attributable) which message triggered it.
+//
+// A discovery keeps the facts of the deviation and formats its detail
+// only when read (Detail, String): a campaign keeps only whether a node
+// discovered, so a run whose discoveries nobody prints formats nothing.
 type Discovery struct {
 	// Node is the discovering node.
 	Node NodeID
@@ -210,14 +215,32 @@ type Discovery struct {
 	Round int
 	// Reason classifies the deviation.
 	Reason FailureReason
-	// Detail is a human-readable explanation for traces and tests.
-	Detail string
+	// Kind is the offending message's kind, when a sentence cites it.
+	Kind MessageKind
+	// Peer is the node the deviation is attributed to.
+	Peer NodeID
+	// Got and Want are the counts a sentence cites, or the node IDs a
+	// message named.
+	Got, Want int
+	// Err is what a parse or a check returned.
+	Err error
+	// Fact names the sentence that states the fields above. Producers
+	// use small constants, so keeping one allocates nothing.
+	Fact interface{ Detail(Discovery) string }
+}
+
+// Detail is the human-readable explanation for traces and tests.
+func (d Discovery) Detail() string {
+	if d.Fact == nil {
+		return ""
+	}
+	return d.Fact.Detail(d)
 }
 
 // String implements fmt.Stringer.
 func (d Discovery) String() string {
 	return fmt.Sprintf("%v discovered failure in round %d: %v (%s)",
-		d.Node, d.Round, d.Reason, d.Detail)
+		d.Node, d.Round, d.Reason, d.Detail())
 }
 
 // Outcome is the terminal state of one node after a failure-discovery run:

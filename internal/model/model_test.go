@@ -130,10 +130,13 @@ func TestOutcomeString(t *testing.T) {
 	if !strings.Contains(o.String(), "decided") {
 		t.Errorf("decided outcome string: %q", o)
 	}
-	d := Discovery{Node: 2, Round: 3, Reason: ReasonBadChain, Detail: "x"}
+	d := Discovery{Node: 2, Round: 3, Reason: ReasonBadChain, Fact: text("x")}
 	o = Outcome{Node: 2, Discovery: &d}
-	if !strings.Contains(o.String(), "discovered") {
-		t.Errorf("discovery outcome string: %q", o)
+	if got, want := o.String(), "P2 discovered failure in round 3: bad-chain (x)"; got != want {
+		t.Errorf("discovery outcome string: %q, want %q", got, want)
+	}
+	if d.Fact = nil; d.Detail() != "" {
+		t.Errorf("a discovery with no fact has detail %q", d.Detail())
 	}
 	o = Outcome{Node: 2}
 	if !strings.Contains(o.String(), "undecided") {
@@ -180,3 +183,8 @@ func TestCloneAppend(t *testing.T) {
 		t.Error("CloneAppend without extras must still copy")
 	}
 }
+
+// text is a discovery sentence fixed in advance.
+type text string
+
+func (s text) Detail(Discovery) string { return string(s) }

@@ -25,8 +25,9 @@ type Model struct {
 	seed int64
 	// links holds the state of directed link from→to at from·n+to. The
 	// table is allocated on the first fate that draws from a link, so a
-	// run on an ideal or partition-only network allocates none, and a
-	// link's stream is seeded on its own first draw.
+	// run on an ideal or partition-only network allocates none. A link's
+	// stream lives in its slot by value and is seeded on the link's own
+	// first draw, so opening a link costs no heap object.
 	links []linkState
 	emit  Emitter
 	// partition bookkeeping for one-shot begin/heal events.
@@ -36,11 +37,12 @@ type Model struct {
 
 // linkState is one directed link's fate stream and bandwidth window.
 type linkState struct {
-	rng *rand.Rand
+	src sim.Source // zero until the link's first draw
 	// wndRound/wndUsed implement the per-round bandwidth cap: wndUsed
 	// counts messages that entered the link in send round wndRound.
-	wndRound int
-	wndUsed  int
+	// Both are int32 so a slot of the n·n table is 32 bytes.
+	wndRound int32
+	wndUsed  int32
 }
 
 // NewModel compiles spec for an n-node system under the given run
@@ -65,8 +67,8 @@ func (m *Model) link(from, to int) *linkState {
 		m.links = make([]linkState, m.n*m.n)
 	}
 	ls := &m.links[from*m.n+to]
-	if ls.rng == nil {
-		ls.rng = rand.New(sim.SeededSource(sim.NetLinkSeed(m.seed, from, to)))
+	if ls.src == (sim.Source{}) {
+		ls.src.Seed(sim.NetLinkSeed(m.seed, from, to))
 	}
 	return ls
 }
@@ -111,7 +113,10 @@ func (m *Model) Fate(msg model.Message, round int) int {
 	} else {
 		return 0
 	}
-	if m.spec.Loss > 0 && ls.rng.Float64() < m.spec.Loss {
+	// math/rand's own methods over the link's stream; the Rand is a
+	// stack value, rebuilt per call (it keeps no state Fate uses).
+	rng := rand.New(&ls.src)
+	if m.spec.Loss > 0 && rng.Float64() < m.spec.Loss {
 		m.point("net.drop", round, from, "reason=loss", msg)
 		return sim.Drop
 	}
@@ -121,13 +126,13 @@ func (m *Model) Fate(msg model.Message, round int) int {
 		case DistFixed:
 			d = l.Rounds
 		case DistUniform:
-			d = l.Min + ls.rng.Intn(l.Max-l.Min+1)
+			d = l.Min + rng.Intn(l.Max-l.Min+1)
 		case DistLognormal:
 			cap := l.Cap
 			if cap == 0 {
 				cap = defaultLognormalCap
 			}
-			draw := math.Exp(l.Mu + l.Sigma*ls.rng.NormFloat64())
+			draw := math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
 			if x := int(draw); x < cap {
 				d = x
 			} else {
@@ -135,19 +140,19 @@ func (m *Model) Fate(msg model.Message, round int) int {
 			}
 		}
 	}
-	if m.spec.Reorder > 0 && ls.rng.Float64() < m.spec.Reorder {
+	if m.spec.Reorder > 0 && rng.Float64() < m.spec.Reorder {
 		d++
 	}
 	if bw := m.spec.Bandwidth; bw > 0 {
-		if ls.wndRound != round {
-			ls.wndRound = round
+		if int(ls.wndRound) != round {
+			ls.wndRound = int32(round)
 			ls.wndUsed = 0
 		}
 		ls.wndUsed++
 		// Message k (1-based) on a cap-bw link waits (k-1)/bw extra
 		// rounds: the first bw go out on time, the next bw one round
 		// later, and so on.
-		d += (ls.wndUsed - 1) / bw
+		d += int(ls.wndUsed-1) / bw
 	}
 	if d > 0 && m.emit != nil {
 		// Checked here, not only in point: an untraced run must not

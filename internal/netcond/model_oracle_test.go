@@ -124,11 +124,12 @@ func BenchmarkNetcondFates(b *testing.B) {
 
 // TestModelLinkBytes bounds openLinks in bytes: the 240 directed links at
 // n=16. With math/rand's own source every link carried a 4.9 KB
-// register (~5.4 KB per link); sim.SeededSource holds 24 bytes. Until
-// the links were a flat table a link also cost its map entry and its own
-// state struct (208 B a link in all); now it is a 24-byte slot of the
-// n·n table plus its stream — the rand.Rand (48 B) and its source (24 B)
-// — about 99 B a link, the model included.
+// register (~5.4 KB per link); a seeded sim.Source holds 24 bytes.
+// Until the links were a flat table a link also cost its map entry and
+// its own state struct (208 B a link in all). Now a link's stream lives
+// in its 32-byte slot of the n·n table, so an opened link costs no heap
+// object of its own: the model and its 8 KB table are the whole bill,
+// two objects and 9.5 KB, or 39 B a link.
 // MemStats counts the whole process, so the collector is off and the
 // least of three runs is taken.
 func TestModelLinkBytes(t *testing.T) {
@@ -140,33 +141,96 @@ func TestModelLinkBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // warm up
 	var before, after runtime.MemStats
-	least := uint64(math.MaxUint64)
+	least, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for r := 0; r < 3; r++ {
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
-	if perLink := least / (n * (n - 1)); perLink > 104 {
-		t.Fatalf("opening a link allocates %d B (model included), want at most 104", perLink)
+	if perLink := least / (n * (n - 1)); perLink > 40 {
+		t.Fatalf("opening a link allocates %d B (model included), want at most 40", perLink)
+	}
+	if objects > 2 {
+		t.Fatalf("opening %d links allocates %d objects, want the model and its table", n*(n-1), objects)
 	}
 }
 
 // TestFateAllocatesNothingUntraced pins the untraced hot path: with no
-// emitter attached and the link already open, a delayed message's Fate
-// allocates nothing — the net.delay attribute is formatted only for an
+// emitter attached, a delayed message's Fate allocates nothing, whether
+// its link is open already or opened by this very message once the link
+// table exists — the net.delay attribute is formatted only for an
 // emitter that will take it (it used to be one string per delayed
-// message on every untraced sweep).
+// message on every untraced sweep), and a link's stream is a slot of the
+// table (it used to be a rand.Rand and its source per opened link).
 func TestFateAllocatesNothingUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}
-	m := NewModel(Spec{Latency: &LatencySpec{Dist: DistFixed, Rounds: 2}}, 4, 7)
+	const n = 12
+	m := NewModel(Spec{Latency: &LatencySpec{Dist: DistUniform, Min: 1, Max: 2}, Loss: 0.01}, n, 7)
 	msg := model.Message{From: 0, To: 1, Kind: model.KindPlainValue}
-	if d := m.Fate(msg, 1); d != 2 { // opens the link
-		t.Fatalf("fate = %d, want the fixed 2-round delay", d)
-	}
+	m.Fate(msg, 1) // builds the table and opens 0→1
 	if allocs := testing.AllocsPerRun(100, func() { m.Fate(msg, 1) }); allocs != 0 {
-		t.Fatalf("untraced Fate of a delayed message allocates %v times, want 0", allocs)
+		t.Fatalf("untraced Fate on an open link allocates %v times, want 0", allocs)
 	}
+	// AllocsPerRun makes one warm-up call and then 100 counted ones, each
+	// on a link no message has crossed yet.
+	next := 0
+	fresh := func() {
+		next++
+		m.Fate(model.Message{From: model.NodeID(1 + next/n), To: model.NodeID(next % n)}, 1)
+	}
+	if allocs := testing.AllocsPerRun(100, fresh); allocs != 0 {
+		t.Fatalf("untraced Fate opening a fresh link allocates %v times, want 0", allocs)
+	}
+}
+
+// FuzzModelFatesMatchMathRandOracle is TestModelFatesMatchMathRandOracle
+// over fuzzed seeds, sizes and specs: every link of an n ≤ 16 model takes
+// enough messages to cross the stream's 273-output hand-over, and each
+// fate must equal math/rand's oracle message for message.
+func FuzzModelFatesMatchMathRandOracle(f *testing.F) {
+	f.Add(int64(1995), uint8(4), uint8(5), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(-7), uint8(16), uint8(10), uint8(1), uint8(3), uint8(20), uint8(2))
+	f.Add(int64(0), uint8(2), uint8(0), uint8(0), uint8(2), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, size, loss, dist, maxDelay, reorder, bandwidth uint8) {
+		n := 2 + int(size)%15
+		spec := Spec{
+			Loss:      float64(loss%50) / 100,
+			Reorder:   float64(reorder%50) / 100,
+			Bandwidth: int(bandwidth % 4),
+		}
+		switch dist % 4 {
+		case 1:
+			spec.Latency = &LatencySpec{Dist: DistFixed, Rounds: int(maxDelay % 4)}
+		case 2:
+			lo := int(maxDelay % 3)
+			spec.Latency = &LatencySpec{Dist: DistUniform, Min: lo, Max: lo + int(maxDelay/3%3)}
+		case 3:
+			spec.Latency = &LatencySpec{Dist: DistLognormal, Mu: float64(maxDelay%10) / 10, Sigma: 0.3, Cap: 1 + int(maxDelay%6)}
+		}
+		const perLink, perRound = 300, 4
+		m := NewModel(spec, n, seed)
+		links := make([]oracleLink, n*n)
+		for i := 0; i < perLink; i++ {
+			round := 1 + i/perRound
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					if from == to {
+						continue
+					}
+					l := &links[from*n+to]
+					if l.rng == nil {
+						l.rng = rand.New(rand.NewSource(sim.NetLinkSeed(seed, from, to)))
+					}
+					msg := model.Message{From: model.NodeID(from), To: model.NodeID(to), Kind: model.KindPlainValue}
+					if got, want := m.Fate(msg, round), l.fate(spec, round); got != want {
+						t.Fatalf("%+v n=%d seed=%d: link %d→%d message %d: fate %d, math/rand oracle says %d", spec, n, seed, from, to, i, got, want)
+					}
+				}
+			}
+		}
+	})
 }

@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fd"
@@ -29,14 +29,24 @@ func (vectorDriver) Capabilities() Capabilities {
 
 func (vectorDriver) Verdicts() VerdictProfile { return VerdictsAuthenticatedFD }
 
-// vectorProposal is node id's own proposal.
-func vectorProposal(id model.NodeID) []byte { return []byte(fmt.Sprintf("proposal-%d", id)) }
+// vectorProposals returns every node's own proposal, "proposal-<id>",
+// built once per instance in one allocation each: the nodes copy theirs,
+// and the sub-runs score against the same bytes.
+func vectorProposals(n int) [][]byte {
+	const prefix = "proposal-"
+	out := make([][]byte, n)
+	for id := range out {
+		out[id] = strconv.AppendInt(append(make([]byte, 0, len(prefix)+20), prefix...), int64(id), 10)
+	}
+	return out
+}
 
 func (vectorDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 	maxRounds := fd.ChainEngineRounds(inst.T)
+	proposals := vectorProposals(inst.N)
 	rep, honest, err := RunNodes(inst, c, NameVector, maxRounds, func(id model.NodeID) (sim.Process, error) {
 		kd := c.Nodes()[id]
-		return fd.NewVectorNode(c.Config(), id, kd.Signer(), kd.Directory(), vectorProposal(id))
+		return fd.NewVectorNode(c.Config(), id, kd.Signer(), kd.Directory(), proposals[id])
 	})
 	if err != nil {
 		return Outcome{}, err
@@ -64,7 +74,7 @@ func (vectorDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 		if _, agreed := model.AgreedValue(outcomes); !agreed && !faulty.Contains(sid) {
 			out.Agreed = false
 		}
-		out.SubRuns = append(out.SubRuns, SubRun{Sender: sid, Initial: vectorProposal(sid), Outcomes: outcomes})
+		out.SubRuns = append(out.SubRuns, SubRun{Sender: sid, Initial: proposals[sid], Outcomes: outcomes})
 	}
 	return out, nil
 }

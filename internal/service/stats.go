@@ -61,54 +61,90 @@ type Snapshot struct {
 	QueueWaitMS metrics.Dist `json:"queue_wait_ms"`
 }
 
+// maxTenants bounds the per-tenant rows. A client names its own tenant,
+// so a daemon that kept a row per name ever sent would grow without
+// bound; past this many, the least recently active tenant's row goes.
+// The server totals are kept apart and stay exact.
+const maxTenants = 1024
+
 // serverStats aggregates per-tenant counters and the bounded sample
 // windows under one lock; executors record one completion each, so the
 // critical sections are tiny.
 type serverStats struct {
-	mu        sync.Mutex
-	tenants   map[string]*TenantSnapshot
+	mu      sync.Mutex
+	tenants map[string]*tenantRow
+	// total counts every request, evicted tenants' included.
+	total TenantSnapshot
+	// clock counts recordings; a row's seen is the clock at its last one.
+	clock     uint64
 	latency   *metrics.Window
 	queueWait *metrics.Window
 }
 
+// tenantRow is a tenant's counters and when it was last active.
+type tenantRow struct {
+	TenantSnapshot
+	seen uint64
+}
+
 func newServerStats() *serverStats {
 	return &serverStats{
-		tenants:   make(map[string]*TenantSnapshot),
+		tenants:   make(map[string]*tenantRow),
 		latency:   metrics.NewWindow(latencyWindow),
 		queueWait: metrics.NewWindow(latencyWindow),
 	}
 }
 
-func (s *serverStats) tenant(name string) *TenantSnapshot {
-	t, ok := s.tenants[name]
+// rows returns the tenant's counters and the server totals, for a
+// recording to bump both. A new tenant at the bound takes over the
+// least recently active tenant's row, so it allocates nothing.
+func (s *serverStats) rows(name string) [2]*TenantSnapshot {
+	s.clock++
+	r, ok := s.tenants[name]
 	if !ok {
-		t = &TenantSnapshot{Tenant: name}
-		s.tenants[name] = t
+		if len(s.tenants) < maxTenants {
+			r = new(tenantRow)
+		} else {
+			for _, o := range s.tenants {
+				if r == nil || o.seen < r.seen {
+					r = o
+				}
+			}
+			delete(s.tenants, r.Tenant)
+		}
+		*r = tenantRow{TenantSnapshot: TenantSnapshot{Tenant: name}}
+		s.tenants[name] = r
 	}
-	return t
+	r.seen = s.clock
+	return [2]*TenantSnapshot{&r.TenantSnapshot, &s.total}
 }
 
 func (s *serverStats) submitted(tenant string, n int) {
 	s.mu.Lock()
-	s.tenant(tenant).Submitted += int64(n)
+	for _, c := range s.rows(tenant) {
+		c.Submitted += int64(n)
+	}
 	s.mu.Unlock()
 }
 
 func (s *serverStats) rejected(tenant string) {
 	s.mu.Lock()
-	s.tenant(tenant).Rejected++
+	for _, c := range s.rows(tenant) {
+		c.Rejected++
+	}
 	s.mu.Unlock()
 }
 
 func (s *serverStats) served(tenant string, errored, conformant bool, latency, queueWait time.Duration) {
 	s.mu.Lock()
-	t := s.tenant(tenant)
-	t.Served++
-	if errored {
-		t.Errors++
-	}
-	if conformant {
-		t.Conformant++
+	for _, c := range s.rows(tenant) {
+		c.Served++
+		if errored {
+			c.Errors++
+		}
+		if conformant {
+			c.Conformant++
+		}
 	}
 	s.latency.Add(float64(latency.Nanoseconds()) / 1e6)
 	s.queueWait.Add(float64(queueWait.Nanoseconds()) / 1e6)
@@ -121,12 +157,10 @@ func (s *serverStats) fill(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, t := range s.tenants {
-		snap.Tenants = append(snap.Tenants, *t)
-		snap.Submitted += t.Submitted
-		snap.Served += t.Served
-		snap.Rejected += t.Rejected
-		snap.Errors += t.Errors
+		snap.Tenants = append(snap.Tenants, t.TenantSnapshot)
 	}
+	snap.Submitted, snap.Served = s.total.Submitted, s.total.Served
+	snap.Rejected, snap.Errors = s.total.Rejected, s.total.Errors
 	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
 	snap.LatencyMS = s.latency.Dist()
 	snap.QueueWaitMS = s.queueWait.Dist()

@@ -46,35 +46,39 @@ var seedPow = func() (pow [rngLen]uint32) {
 	return pow
 }()
 
-// seededSource is math/rand's NewSource(seed) without the 4.9 KB
-// register and the 1,841-step seeding loop. The generator's first
-// rngTap outputs never read a register word it has already overwritten,
-// so output k is word(334-k)+word(607-k) of the freshly seeded register
-// — a pure function of (seed, k), answered here with six modular
-// multiplications. Every stream the system seeds per link, per node
-// and per coalition draws a handful of values; the few that run past
-// rngTap (RSA key generation, long nonce streams) switch to the real
-// generator, fast-forwarded, so the sequence is math/rand's bit for
-// bit at any length. It is not safe for concurrent use, like the
-// source it replaces.
-type seededSource struct {
-	x    uint32        // seed normalised into [1, seedM), which seeds the same sequence
+// Source is math/rand's NewSource(seed) without the 4.9 KB register
+// and the 1,841-step seeding loop. The generator's first rngTap outputs
+// never read a register word it has already overwritten, so output k is
+// word(334-k)+word(607-k) of the freshly seeded register — a pure
+// function of (seed, k), answered here with six modular
+// multiplications. Every stream the system seeds per link, per node and
+// per coalition draws a handful of values; the few that run past rngTap
+// (RSA key generation, long nonce streams) switch to the real
+// generator, fast-forwarded, so the sequence is math/rand's bit for bit
+// at any length. It is 24 bytes and usable by value: a netcond link
+// holds one in its table slot, so opening a link costs no heap object
+// (rand.New over its address does not escape). The zero Source is
+// unseeded: call Seed before the first draw. It is not safe for
+// concurrent use, like the source it replaces.
+type Source struct {
+	x    uint32        // seed normalised into [1, seedM), which seeds the same sequence; 0 while unseeded
 	k    uint32        // outputs drawn so far, while tail is nil
 	tail rand.Source64 // the real generator, from output rngTap+1 on
 }
 
-// SeededSource returns a source whose output is exactly that of
-// math/rand's NewSource(seed), built in O(1) and 24 bytes. It is the
-// one seeded stream behind SeededReader and the NetLinkSeed, NodeSeed,
-// KeyMaterialSeed and CoalitionSeed draws.
+// SeededSource returns a Source seeded with seed, whose output is
+// exactly that of math/rand's NewSource(seed). It is the one seeded
+// stream behind SeededReader and the NetLinkSeed, NodeSeed,
+// KeyMaterialSeed and CoalitionSeed draws; a caller that keeps the
+// stream in a struct of its own holds a Source by value and seeds it.
 func SeededSource(seed int64) rand.Source64 {
-	s := new(seededSource)
+	s := new(Source)
 	s.Seed(seed)
 	return s
 }
 
 // Seed resets the stream to the start of seed's sequence.
-func (s *seededSource) Seed(seed int64) {
+func (s *Source) Seed(seed int64) {
 	x := seed % seedM
 	if x < 0 {
 		x += seedM
@@ -82,18 +86,19 @@ func (s *seededSource) Seed(seed int64) {
 	if x == 0 {
 		x = 89482311
 	}
-	*s = seededSource{x: uint32(x)}
+	*s = Source{x: uint32(x)}
 }
 
 // word returns word i of the freshly seeded register.
-func (s *seededSource) word(i int) int64 {
+func (s *Source) word(i int) int64 {
 	a := uint64(s.x) * uint64(seedPow[i]) % seedM
 	b := a * seedA % seedM
 	c := b * seedA % seedM
 	return int64(a<<40^b<<20^c) ^ rngCooked[i]
 }
 
-func (s *seededSource) Uint64() uint64 {
+// Uint64 implements rand.Source64.
+func (s *Source) Uint64() uint64 {
 	if s.tail != nil {
 		return s.tail.Uint64()
 	}
@@ -109,7 +114,8 @@ func (s *seededSource) Uint64() uint64 {
 	return uint64(s.word(rngLen-rngTap-k) + s.word(rngLen-k))
 }
 
-func (s *seededSource) Int63() int64 {
+// Int63 implements rand.Source.
+func (s *Source) Int63() int64 {
 	return int64(s.Uint64() & (1<<63 - 1))
 }
 

@@ -9,13 +9,16 @@ import (
 // recorded is one node's run of the given steps.
 func recorded(steps ...Step) []*Recorder { return []*Recorder{{Steps: steps}} }
 
-// TestCompareRules pins the suite rules Options carries: a verdict
-// ignores a discovery's node and detail, the loose cause is one-sided,
+// TestCompareRules pins the suite rules Options carries: a whole compare
+// reads a discovery's text, not the fields it is formatted from, a
+// verdict ignores a discovery's node and detail, the loose cause is one-sided,
 // and a FinishedAtEnd node's Finished counts at its last step only.
 func TestCompareRules(t *testing.T) {
 	discovery := func(reason model.FailureReason, detail string) Step {
-		return Step{Outcomes: []model.Outcome{{Node: 1, Discovery: &model.Discovery{Node: 1, Round: 3, Reason: reason, Detail: detail}}}}
+		return Step{Outcomes: []model.Outcome{{Node: 1, Discovery: &model.Discovery{Node: 1, Round: 3, Reason: reason, Fact: text(detail)}}}}
 	}
+	// lazy states the detail "P2 said so" from its fields, as producers do.
+	lazy := Step{Outcomes: []model.Outcome{{Node: 1, Discovery: &model.Discovery{Node: 1, Round: 3, Reason: model.ReasonBadChain, Peer: 2, Fact: peerSaid{}}}}}
 	bad, key := model.ReasonBadChain, model.ReasonUnknownKey
 	for _, tc := range []struct {
 		name      string
@@ -25,6 +28,8 @@ func TestCompareRules(t *testing.T) {
 	}{
 		{"detail, whole", discovery(bad, "a"), discovery(bad, "b"), Options{}, false},
 		{"detail, verdict", discovery(bad, "a"), discovery(bad, "b"), Options{Verdicts: true}, true},
+		{"facts against text, whole", lazy, discovery(bad, "P2 said so"), Options{}, true},
+		{"facts against other text, whole", lazy, discovery(bad, "P3 said so"), Options{}, false},
 		{"cause, strict", discovery(key, ""), discovery(bad, ""), Options{Verdicts: true}, false},
 		{"cause, loose", discovery(key, ""), discovery(bad, ""), Options{Verdicts: true, LooseCause: true}, true},
 		{"cause, loose the other way", discovery(bad, ""), discovery(key, ""), Options{Verdicts: true, LooseCause: true}, false},
@@ -61,3 +66,13 @@ func TestTrafficNamesTheSendersMessage(t *testing.T) {
 		t.Error("a missing message: no divergence")
 	}
 }
+
+// text is a discovery sentence fixed in advance, as the oracles write it.
+type text string
+
+func (s text) Detail(model.Discovery) string { return string(s) }
+
+// peerSaid is a sentence formatted from a discovery's fields when read.
+type peerSaid struct{}
+
+func (peerSaid) Detail(d model.Discovery) string { return d.Peer.String() + " said so" }
