@@ -61,7 +61,7 @@ func (a *refResignRelay) Step(round int, received []model.Message) []model.Messa
 // Finished implements sim.Finisher.
 func (a *refResignRelay) Finished() bool { return true }
 
-func chainSigners(c *sig.Chain, sender model.NodeID) []model.NodeID {
+func chainSigners(c sig.Chain, sender model.NodeID) []model.NodeID {
 	return c.Signers(sender)
 }
 

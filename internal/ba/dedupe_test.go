@@ -64,7 +64,7 @@ func newDedupeFixture(t testing.TB, schemeName string, n, tol int, seed int64) *
 
 // chain signs value by signers[0] and extends it through the rest, each
 // naming its predecessor.
-func (f *dedupeFixture) chain(t testing.TB, value []byte, signers ...int) *sig.Chain {
+func (f *dedupeFixture) chain(t testing.TB, value []byte, signers ...int) sig.Chain {
 	t.Helper()
 	c, err := sig.NewChain(value, f.signers[signers[0]])
 	if err != nil {
@@ -155,7 +155,7 @@ func TestSMDropsHeldValueBeforeVerifying(t *testing.T) {
 	handle := func(round int, m model.Message) []model.Message {
 		return n.flood.relay(nil, round-1, []model.Message{m}, n.admit)
 	}
-	signed := func(from int, c *sig.Chain) model.Message {
+	signed := func(from int, c sig.Chain) model.Message {
 		return model.Message{From: model.NodeID(from), Kind: model.KindSigned, Payload: c.Marshal()}
 	}
 

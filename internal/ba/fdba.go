@@ -3,6 +3,7 @@ package ba
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/fd"
 	"repro/internal/model"
@@ -147,14 +148,14 @@ func (n *FDBANode) Step(round int, received []model.Message) []model.Message {
 		// Announce a phase-1 discovery, if any.
 		if out := n.fdNode.Outcome(); out.Discovery != nil {
 			n.inFallback = true
-			return n.broadcastFault(nil, model.NoNode)
+			return n.broadcastFault(sig.Chain{}, model.NoNode)
 		}
 		return nil
 
 	case round == echoRound:
 		// Echo any valid FAULT heard in the fault round; either way the
 		// hearer itself joins the fallback.
-		if f, announcer := n.firstValidFault(received, 1); f != nil {
+		if f, announcer := n.firstValidFault(received, 1); f.Len() > 0 {
 			n.inFallback = true
 			return n.broadcastFault(f, announcer)
 		}
@@ -162,7 +163,7 @@ func (n *FDBANode) Step(round int, received []model.Message) []model.Message {
 
 	case round == echoRound+1:
 		// Join on echoed faults, then open the flood with our evidence.
-		if f, _ := n.firstValidFault(received, 2); !n.inFallback && f != nil {
+		if f, _ := n.firstValidFault(received, 2); !n.inFallback && f.Len() > 0 {
 			n.inFallback = true
 		}
 		if !n.inFallback {
@@ -188,15 +189,15 @@ func (n *FDBANode) Step(round int, received []model.Message) []model.Message {
 // broadcastFault sends a FAULT announcement. When echoing, inner is the
 // fault chain being echoed and announcer the node its signature was
 // assigned to; we extend it with our own signature so echoes are
-// attributable. An original announcement is a fresh one-layer chain over
-// the FAULT tag.
-func (n *FDBANode) broadcastFault(inner *sig.Chain, announcer model.NodeID) []model.Message {
+// attributable. An original announcement (inner the zero Chain) is a
+// fresh one-layer chain over the FAULT tag.
+func (n *FDBANode) broadcastFault(inner sig.Chain, announcer model.NodeID) []model.Message {
 	var (
-		chain *sig.Chain
+		chain sig.Chain
 		err   error
 		kind  model.MessageKind
 	)
-	if inner == nil {
+	if inner.Len() == 0 {
 		chain, err = sig.NewChain([]byte(faultTag), n.signer)
 		kind = model.KindFault
 	} else {
@@ -214,8 +215,8 @@ func (n *FDBANode) broadcastFault(inner *sig.Chain, announcer model.NodeID) []mo
 // firstValidFault scans received for a fault message with the expected
 // number of layers whose signatures verify under our directory, with the
 // outer layer assigned to the immediate sender. It returns the parsed
-// chain and the announcer (the innermost signer), or nil.
-func (n *FDBANode) firstValidFault(received []model.Message, layers int) (*sig.Chain, model.NodeID) {
+// chain and the announcer (the innermost signer), or the zero Chain.
+func (n *FDBANode) firstValidFault(received []model.Message, layers int) (sig.Chain, model.NodeID) {
 	wantKind := model.KindFault
 	if layers == 2 {
 		wantKind = model.KindFaultEcho
@@ -238,7 +239,7 @@ func (n *FDBANode) firstValidFault(received []model.Message, layers int) (*sig.C
 		}
 		return chain, signers[0]
 	}
-	return nil, model.NoNode
+	return sig.Chain{}, model.NoNode
 }
 
 // presentEvidence opens the flood: broadcast our FD evidence wrapped in a
@@ -247,7 +248,7 @@ func (n *FDBANode) firstValidFault(received []model.Message, layers int) (*sig.C
 // strongest-evidence rule handles.
 func (n *FDBANode) presentEvidence() []model.Message {
 	ev := n.fdNode.EvidenceChain()
-	if ev == nil {
+	if ev.Len() == 0 {
 		return nil
 	}
 	evBytes := ev.Marshal()
@@ -262,8 +263,14 @@ func (n *FDBANode) admit(evBytes []byte, _ []model.NodeID) bool { return n.noteE
 // noteEvidence validates an evidence chain under our directory and folds
 // it into the strongest-evidence state. It reports whether the evidence
 // was valid.
+//
+// evBytes is always new to the held set — presentEvidence runs before the
+// flood holds anything, and the flood drops a held value before it calls
+// admit — and nothing ever writes it: it is this node's evidence chain's
+// encoding or a parsed flood chain's value. So the held set keys it in
+// place, and the best value aliases the parsed evidence chain.
 func (n *FDBANode) noteEvidence(evBytes []byte) bool {
-	n.flood.held[string(evBytes)] = true
+	n.flood.held[unsafe.String(unsafe.SliceData(evBytes), len(evBytes))] = true
 	ev, err := sig.UnmarshalChain(evBytes)
 	if err != nil {
 		return false
@@ -287,7 +294,7 @@ func (n *FDBANode) noteEvidence(evBytes []byte) bool {
 	switch {
 	case k > n.bestStrength:
 		n.bestStrength = k
-		n.bestValue = append([]byte(nil), ev.Value()...)
+		n.bestValue = ev.Value()
 		n.conflict = false
 	case k == n.bestStrength && !bytes.Equal(ev.Value(), n.bestValue):
 		n.conflict = true
@@ -300,7 +307,7 @@ func (n *FDBANode) noteEvidence(evBytes []byte) bool {
 func (n *FDBANode) decide() {
 	if !n.inFallback {
 		if out := n.fdNode.Outcome(); out.Decided {
-			n.decision.Value = append([]byte(nil), out.Value...)
+			n.decision.Value = out.Value
 			return
 		}
 		// Unreachable for a correct node: a discovery joins the fallback.

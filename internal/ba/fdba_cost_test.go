@@ -104,12 +104,7 @@ func TestFDBARelayChainRoles(t *testing.T) {
 		5: 3,
 	}
 	for id, want := range wantLen {
-		ev := nodes[id].EvidenceChain()
-		if ev == nil {
-			t.Errorf("%v has no evidence", id)
-			continue
-		}
-		if ev.Len() != want {
+		if ev := nodes[id].EvidenceChain(); ev.Len() != want {
 			t.Errorf("%v evidence length = %d, want %d", id, ev.Len(), want)
 		}
 	}

@@ -324,14 +324,14 @@ func (n *refFDBANode) Step(round int, received []model.Message) []model.Message 
 		// Announce a phase-1 discovery, if any.
 		if out := n.fdNode.Outcome(); out.Discovery != nil {
 			n.inFallback = true
-			return n.broadcastFault(nil, model.NoNode)
+			return n.broadcastFault(sig.Chain{}, model.NoNode)
 		}
 		return nil
 
 	case round == echoRound:
 		// Echo any valid FAULT heard in the fault round; either way the
 		// hearer itself joins the fallback.
-		if f, announcer := n.firstValidFault(received, 1); f != nil {
+		if f, announcer := n.firstValidFault(received, 1); f.Len() > 0 {
 			n.inFallback = true
 			return n.broadcastFault(f, announcer)
 		}
@@ -339,7 +339,7 @@ func (n *refFDBANode) Step(round int, received []model.Message) []model.Message 
 
 	case round == echoRound+1:
 		// Join on echoed faults, then open the flood with our evidence.
-		if f, _ := n.firstValidFault(received, 2); !n.inFallback && f != nil {
+		if f, _ := n.firstValidFault(received, 2); !n.inFallback && f.Len() > 0 {
 			n.inFallback = true
 		}
 		if !n.inFallback {
@@ -367,13 +367,13 @@ func (n *refFDBANode) Step(round int, received []model.Message) []model.Message 
 // assigned to; we extend it with our own signature so echoes are
 // attributable. An original announcement is a fresh one-layer chain over
 // the FAULT tag.
-func (n *refFDBANode) broadcastFault(inner *sig.Chain, announcer model.NodeID) []model.Message {
+func (n *refFDBANode) broadcastFault(inner sig.Chain, announcer model.NodeID) []model.Message {
 	var (
-		chain *sig.Chain
+		chain sig.Chain
 		err   error
 		kind  model.MessageKind
 	)
-	if inner == nil {
+	if inner.Len() == 0 {
 		chain, err = sig.NewChain([]byte(faultTag), n.signer)
 		kind = model.KindFault
 	} else {
@@ -398,8 +398,8 @@ func (n *refFDBANode) broadcastFault(inner *sig.Chain, announcer model.NodeID) [
 // firstValidFault scans received for a fault message with the expected
 // number of layers whose signatures verify under our directory, with the
 // outer layer assigned to the immediate sender. It returns the parsed
-// chain and the announcer (the innermost signer), or nil.
-func (n *refFDBANode) firstValidFault(received []model.Message, layers int) (*sig.Chain, model.NodeID) {
+// chain and the announcer (the innermost signer), or the zero Chain.
+func (n *refFDBANode) firstValidFault(received []model.Message, layers int) (sig.Chain, model.NodeID) {
 	wantKind := model.KindFault
 	if layers == 2 {
 		wantKind = model.KindFaultEcho
@@ -421,7 +421,7 @@ func (n *refFDBANode) firstValidFault(received []model.Message, layers int) (*si
 		}
 		return chain, signers[0]
 	}
-	return nil, model.NoNode
+	return sig.Chain{}, model.NoNode
 }
 
 // presentEvidence opens the flood: broadcast our FD evidence wrapped in a
@@ -430,7 +430,7 @@ func (n *refFDBANode) firstValidFault(received []model.Message, layers int) (*si
 // strongest-evidence rule handles.
 func (n *refFDBANode) presentEvidence() []model.Message {
 	ev := n.fdNode.EvidenceChain()
-	if ev == nil {
+	if ev.Len() == 0 {
 		return nil
 	}
 	evBytes := ev.Marshal()
@@ -516,7 +516,7 @@ func (n *refFDBANode) noteEvidence(evBytes []byte) bool {
 
 // floodTo appends a flood chain, addressed to every node but us and
 // exclude, to out.
-func (n *refFDBANode) floodTo(out []model.Message, hop *sig.Chain, exclude []model.NodeID) []model.Message {
+func (n *refFDBANode) floodTo(out []model.Message, hop sig.Chain, exclude []model.NodeID) []model.Message {
 	payload := hop.Marshal()
 	for _, to := range n.cfg.Nodes() {
 		if to != n.id && !containsID(exclude, to) {

@@ -343,15 +343,17 @@ func TestFloodSeedsExerciseTheRelay(t *testing.T) {
 // The flood allocates no more than the bodies it replaced: one accepted
 // and relayed SM chain, and one FDBA flood relay, each measured on a
 // node and on its reference twin under the same warm verify memo. The
-// reference bodies make 8 and 15 allocations; the flood makes 6 (no
+// reference bodies make 6 and 12 allocations; the flood makes 4 (no
 // copy of each relay batch into the round's outbox, and its signers in a
-// buffer it keeps) and 10 (no node list, a relay batch presized to
-// n−1−h instead of grown, and the evidence check's signers in the node's
-// buffer). Both sides run on sig.Chain, which since it became its wire
-// encoding parses in 2 allocations and extends in 3; over the spine-based
-// chain the pins were 13 and 19, the reference bodies 14 and 22.
+// buffer it keeps) and 5 (no node list, a relay batch presized to
+// n−1−h instead of grown, the evidence check's signers in the node's
+// buffer, and the evidence kept where it was parsed: no copy for the
+// held set's key or the best value). Both sides run on sig.Chain, which
+// as a value parses in 1 allocation and extends in 2; with a chain header
+// on the heap the pins were 6 and 10 against 8 and 15, and over the
+// spine-based chain 13 and 19 against 14 and 22.
 func TestSignedFloodAllocs(t *testing.T) {
-	const smPin, fdbaPin = 6, 10
+	const smPin, fdbaPin = 4, 5
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")
 	}

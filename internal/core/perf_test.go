@@ -45,19 +45,21 @@ func BenchmarkFDRun(b *testing.B) {
 }
 
 // TestFDRunAllocs pins the run's allocation count as an upper bound.
-// 141 is the steady state (the value's Sprintf included). It read 409
+// 104 is the steady state (the value's Sprintf included). It read 409
 // until the engine stopped allocating per node per round (a view copy
 // nobody read, a reflective sort's closure and swapper) and Verify
 // stopped copying the nested encoding into each chain it accepted; 221
 // until the engine borrowed its inboxes from a pool and counted into
 // slices instead of maps; 198 until a chain became its wire encoding
 // (parse 4 → 2 allocations, extend 6 → 3, and each node's signers in one
-// buffer it keeps, where every Verify grew a fresh slice). The fixture's
+// buffer it keeps, where every Verify grew a fresh slice); 141 until a
+// chain became a value (no header per parse, extend or signing) and a
+// node kept its accepted value where the chain holds it. The fixture's
 // cluster brings its own verify memo, so
 // no other test's entries reach the count, and each run stores its
 // t+1 = 6 prefixes there: the 1,200 stored over the 200 counted runs
 // make each of the 16 shards build a generation map about three times
-// (3 allocations each), 0.72 per run; the mean truncates to 141. The
+// (3 allocations each), 0.72 per run; the mean truncates to 104. The
 // collector is off because a cycle empties the sync.Pools, and the few
 // runs before the count fill them.
 func TestFDRunAllocs(t *testing.T) {
@@ -69,7 +71,7 @@ func TestFDRunAllocs(t *testing.T) {
 		run()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, run); allocs > 142 {
-		t.Errorf("a chain run at n=16, t=5 allocates %.0f times, pin is 142", allocs)
+	if allocs := testing.AllocsPerRun(200, run); allocs > 105 {
+		t.Errorf("a chain run at n=16, t=5 allocates %.0f times, pin is 105", allocs)
 	}
 }

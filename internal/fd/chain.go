@@ -73,8 +73,9 @@ func (n *ChainNode) Finished() bool { return n.run.finished }
 
 // EvidenceChain returns the strongest chain this node can present for its
 // accepted value: its signer sequence is the consecutive prefix
-// P_0 … P_{k-1}. It is nil when the node accepted nothing.
-func (n *ChainNode) EvidenceChain() *sig.Chain { return n.run.evidence }
+// P_0 … P_{k-1}. It is the zero Chain (Len() == 0) when the node accepted
+// nothing.
+func (n *ChainNode) EvidenceChain() sig.Chain { return n.run.evidence }
 
 // Step implements the sim Process contract.
 func (n *ChainNode) Step(round int, received []model.Message) []model.Message {
@@ -147,7 +148,7 @@ type chainRun struct {
 	// accepted value: the sender's initial chain, a relay's or the
 	// disseminator's extended chain, or the tail's received full chain.
 	// The FD→BA extension floods it during fallback.
-	evidence *sig.Chain
+	evidence sig.Chain
 }
 
 func newChainRun(p *chainParams, origin model.NodeID) chainRun {
@@ -299,7 +300,7 @@ func (r *chainRun) receive(round int, from model.NodeID, payload []byte) []model
 // verify checks every layer of the chain and that the signer sequence is
 // exactly positions 0 … len−1 — the only sequence a failure-free run of
 // Fig. 2 produces.
-func (r *chainRun) verify(chain *sig.Chain, from model.NodeID) error {
+func (r *chainRun) verify(chain sig.Chain, from model.NodeID) error {
 	signers, err := chain.VerifyTo(r.signers[:0], from, r.dir)
 	r.signers = signers
 	if err != nil {
@@ -327,17 +328,19 @@ func (e *layerError) Error() string {
 func (e *layerError) Unwrap() error { return sig.ErrChainBadSignature }
 
 // wire encodes a chain for this run's traffic.
-func (r *chainRun) wire(c *sig.Chain) []byte {
+func (r *chainRun) wire(c sig.Chain) []byte {
 	if r.framed {
 		return marshalVectorChain(r.origin, c)
 	}
 	return c.Marshal()
 }
 
-// decide records the node's decision value ("accept v").
+// decide records the node's decision value ("accept v"). v is kept, not
+// copied: it is this node's own value, the small-range default, or an
+// accepted chain's value, and none of those bytes is ever written.
 func (r *chainRun) decide(v []byte) {
 	r.outcome.Decided = true
-	r.outcome.Value = append([]byte(nil), v...)
+	r.outcome.Value = v
 }
 
 // discover records a discovered failure, d's facts stamped with this

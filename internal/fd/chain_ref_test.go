@@ -55,7 +55,7 @@ type refChainNode struct {
 	// accepted value: the sender's initial chain, a relay's or the
 	// disseminator's extended chain, or the tail's received full chain.
 	// The FD→BA extension floods it during fallback.
-	evidence *sig.Chain
+	evidence sig.Chain
 }
 
 // refChainOption configures a refChainNode.
@@ -243,12 +243,12 @@ func (n *refChainNode) handleChain(round int, m model.Message) []model.Message {
 // EvidenceChain returns the strongest chain this node can present for its
 // accepted value: its signer sequence is the consecutive prefix
 // P_0 … P_{k-1}. It is nil when the node accepted nothing.
-func (n *refChainNode) EvidenceChain() *sig.Chain { return n.evidence }
+func (n *refChainNode) EvidenceChain() sig.Chain { return n.evidence }
 
 // verifyChain checks every layer of the chain and that the signer
 // sequence is exactly P_0 … P_{len-1} — the only sequence a failure-free
 // run of Fig. 2 produces.
-func (n *refChainNode) verifyChain(chain *sig.Chain, from model.NodeID) error {
+func (n *refChainNode) verifyChain(chain sig.Chain, from model.NodeID) error {
 	signers, err := chain.Verify(from, n.dir)
 	if err != nil {
 		return err
@@ -611,7 +611,7 @@ func (n *refVectorNode) expectRound(s model.NodeID) int {
 
 // refMarshalVectorChain packs (instance, chain) straight from the chain's
 // cached state: one allocation, no intermediate Marshal copy.
-func refMarshalVectorChain(s model.NodeID, chain *sig.Chain) []byte {
+func refMarshalVectorChain(s model.NodeID, chain sig.Chain) []byte {
 	msize := chain.MarshalSize()
 	out := make([]byte, 0, sig.IntFieldSize+sig.BytesFieldSize(msize))
 	out = sig.AppendInt(out, int(s))

@@ -17,14 +17,14 @@ import (
 func TestDiscoveryTextPinned(t *testing.T) {
 	f := newFixture(t, 4, 1, 46)
 	value := []byte("v")
-	chainFrom := func(signer int, value []byte) *sig.Chain {
+	chainFrom := func(signer int, value []byte) sig.Chain {
 		c, err := sig.NewChain(value, f.signers[signer])
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	extend := func(c *sig.Chain, from model.NodeID, signer int) *sig.Chain {
+	extend := func(c sig.Chain, from model.NodeID, signer int) sig.Chain {
 		next, err := c.Extend(from, f.signers[signer])
 		if err != nil {
 			t.Fatal(err)

@@ -98,7 +98,7 @@ func (f *fixture) equivocatingSender(cfg model.Config, v1, v2 []byte, faceOne mo
 
 // newTestChain signs value with the fixture's sender key, for crafting
 // protocol messages in adversarial tests.
-func newTestChain(f *fixture, value []byte) (*sig.Chain, error) {
+func newTestChain(f *fixture, value []byte) (sig.Chain, error) {
 	return sig.NewChain(value, f.signers[0])
 }
 

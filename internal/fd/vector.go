@@ -76,7 +76,7 @@ func MarshalVectorPayload(s model.NodeID, chain []byte) []byte {
 
 // marshalVectorChain packs (instance, chain) straight from the chain's
 // cached state: one allocation, no intermediate Marshal copy.
-func marshalVectorChain(s model.NodeID, chain *sig.Chain) []byte {
+func marshalVectorChain(s model.NodeID, chain sig.Chain) []byte {
 	msize := chain.MarshalSize()
 	out := make([]byte, 0, sig.IntFieldSize+sig.BytesFieldSize(msize))
 	out = sig.AppendInt(out, int(s))

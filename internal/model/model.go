@@ -251,7 +251,10 @@ type Outcome struct {
 	Node NodeID
 	// Decided reports whether the node chose a value.
 	Decided bool
-	// Value is the decision value when Decided.
+	// Value is the decision value when Decided. It is READ-ONLY: a node
+	// keeps what it accepted where it was parsed, so Value may alias an
+	// accepted chain's encoding, ba.DefaultValue or the small-range
+	// default, and a caller that wants to change it copies first.
 	Value []byte
 	// Discovery is set when the node discovered a failure instead.
 	Discovery *Discovery

@@ -37,15 +37,19 @@ import (
 // built by NewChain or Extend, or checked by UnmarshalChain — is never
 // re-checked: every accessor trusts the layout.
 //
-// Ownership. A chain owns its encoding and never writes it after
-// construction, so a Chain is immutable and safe to share between
-// goroutines. UnmarshalChain validates the caller's bytes in place and
-// then copies them once; NewChain, Extend and Inner each write the new
-// chain's encoding in one exactly-sized allocation. Marshal returns the
-// encoding itself, capped at its length: the result is READ-ONLY (a
-// caller that wants to change bytes copies first, as adversary.FlipByte
-// does), appending to it reallocates, and Value's and a signature's bytes
-// alias it under the same rule.
+// Ownership. A Chain is a value: one slice header over an encoding that
+// nothing writes after construction, so copying a Chain shares that
+// encoding, and a Chain is immutable and safe to share between goroutines.
+// The zero Chain is "no chain" (Len() == 0). UnmarshalChain validates the
+// caller's bytes in place and then copies them once — the one copy that
+// keeps a receiver's state apart from the sender's buffer; NewChain,
+// Extend and Inner each write the new chain's encoding in one
+// exactly-sized allocation. Marshal returns the encoding itself, capped at
+// its length: the result is READ-ONLY (a caller that wants to change bytes
+// copies first, as adversary.FlipByte does), appending to it reallocates,
+// and Value's and a signature's bytes alias it under the same rule. A
+// receiver may therefore keep an accepted chain's Value as its decision
+// without copying it: no one can write those bytes.
 //
 // The nested encodings exist only as signature payloads. Extend writes the
 // receiver's nested encoding straight into its pooled signing buffer — the
@@ -99,8 +103,9 @@ type Directory interface {
 type memoDirectory interface{ VerifyMemo() *VerifyMemo }
 
 // Chain is a chain-signed message: its validated flat wire encoding (see
-// the representation notes above). The zero value has no layers; build
-// chains with NewChain, Chain.Extend and UnmarshalChain.
+// the representation notes above), passed by value. The zero value has no
+// layers and stands for "no chain"; build chains with NewChain,
+// Chain.Extend and UnmarshalChain.
 type Chain struct {
 	enc []byte
 }
@@ -109,19 +114,19 @@ type Chain struct {
 // originator's statement. The originator's name is NOT part of the wire
 // encoding; the first receiver attributes the signature to the immediate
 // sender, and any later signer pins that name into the next layer.
-func NewChain(value []byte, signer Signer) (*Chain, error) {
+func NewChain(value []byte, signer Signer) (Chain, error) {
 	e := GetEncoder()
 	e.Grow(BytesFieldSize(len(tagChainValue)) + BytesFieldSize(len(value)))
 	e.Raw(appendValuePayload(e.Encoding(), value))
 	sig, err := signer.Sign(e.Encoding())
 	e.Release()
 	if err != nil {
-		return nil, fmt.Errorf("sig: sign chain value: %w", err)
+		return Chain{}, fmt.Errorf("sig: sign chain value: %w", err)
 	}
 	enc := make([]byte, 0, BytesFieldSize(len(value))+IntFieldSize+BytesFieldSize(len(sig)))
 	enc = AppendBytes(enc, value)
 	enc = AppendInt(enc, 1)
-	return &Chain{enc: AppendBytes(enc, sig)}, nil
+	return Chain{enc: AppendBytes(enc, sig)}, nil
 }
 
 // Extend returns a new chain with one more signature layer: the caller
@@ -131,10 +136,10 @@ func NewChain(value []byte, signer Signer) (*Chain, error) {
 // The receiver chain is not modified. The statement is signed in a pooled
 // buffer and the new chain's encoding is the receiver's with the count
 // bumped, one name and one signature field added.
-func (c *Chain) Extend(outerAssignee model.NodeID, signer Signer) (*Chain, error) {
+func (c Chain) Extend(outerAssignee model.NodeID, signer Signer) (Chain, error) {
 	k := c.Len()
 	if k == 0 {
-		return nil, ErrChainEmpty
+		return Chain{}, ErrChainEmpty
 	}
 	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k)
 	nestedSize := c.nestedSize(k)
@@ -144,7 +149,7 @@ func (c *Chain) Extend(outerAssignee model.NodeID, signer Signer) (*Chain, error
 	sig, err := signer.Sign(e.Encoding())
 	e.Release()
 	if err != nil {
-		return nil, fmt.Errorf("sig: sign chain link: %w", err)
+		return Chain{}, fmt.Errorf("sig: sign chain link: %w", err)
 	}
 	enc := make([]byte, 0, len(c.enc)+IntFieldSize+BytesFieldSize(len(sig)))
 	enc = append(enc, c.enc[:valEnd]...)
@@ -152,12 +157,12 @@ func (c *Chain) Extend(outerAssignee model.NodeID, signer Signer) (*Chain, error
 	enc = append(enc, c.enc[valEnd+IntFieldSize:sigsAt]...)
 	enc = AppendInt(enc, int(outerAssignee))
 	enc = append(enc, c.enc[sigsAt:]...)
-	return &Chain{enc: AppendBytes(enc, sig)}, nil
+	return Chain{enc: AppendBytes(enc, sig)}, nil
 }
 
 // Value returns the innermost payload m. It aliases the chain's
 // encoding: read-only.
-func (c *Chain) Value() []byte {
+func (c Chain) Value() []byte {
 	if len(c.enc) == 0 {
 		return nil
 	}
@@ -166,7 +171,7 @@ func (c *Chain) Value() []byte {
 }
 
 // Len returns the number of signature layers.
-func (c *Chain) Len() int {
+func (c Chain) Len() int {
 	if len(c.enc) == 0 {
 		return 0
 	}
@@ -176,12 +181,12 @@ func (c *Chain) Len() int {
 // Signers returns the full claimed signer sequence given the immediate
 // sender: embedded names followed by the sender, innermost first. This is
 // the "P_0 said m, P_1 said that P_0 said m, …" reading from the paper.
-func (c *Chain) Signers(sender model.NodeID) []model.NodeID {
+func (c Chain) Signers(sender model.NodeID) []model.NodeID {
 	return c.appendSigners(make([]model.NodeID, 0, c.Len()), sender)
 }
 
 // appendSigners appends the claimed signer sequence to dst.
-func (c *Chain) appendSigners(dst []model.NodeID, sender model.NodeID) []model.NodeID {
+func (c Chain) appendSigners(dst []model.NodeID, sender model.NodeID) []model.NodeID {
 	for k := range c.Len() - 1 {
 		dst = append(dst, c.name(k))
 	}
@@ -189,12 +194,13 @@ func (c *Chain) appendSigners(dst []model.NodeID, sender model.NodeID) []model.N
 }
 
 // Inner returns the chain without its outermost signature layer — the
-// chain the last signer received and extended — or nil for a one-layer
-// chain. Its encoding is a fresh copy of the receiver's lower layers.
-func (c *Chain) Inner() *Chain {
+// chain the last signer received and extended — or the zero Chain for a
+// one-layer chain. Its encoding is a fresh copy of the receiver's lower
+// layers.
+func (c Chain) Inner() Chain {
 	k := c.Len() - 1
 	if k < 1 {
-		return nil
+		return Chain{}
 	}
 	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k+1)
 	last := sigsAt
@@ -205,25 +211,25 @@ func (c *Chain) Inner() *Chain {
 	enc = append(enc, c.enc[:valEnd]...)
 	enc = AppendInt(enc, k)
 	enc = append(enc, c.enc[valEnd+IntFieldSize:sigsAt-IntFieldSize]...)
-	return &Chain{enc: append(enc, c.enc[sigsAt:last]...)}
+	return Chain{enc: append(enc, c.enc[sigsAt:last]...)}
 }
 
 // The flat encoding's offsets. valueEnd is where the value field ends and
 // the count begins; name k is the k-th 8-byte field after the count; the
 // signature fields follow the k-1 names of a k-layer chain.
 
-func (c *Chain) valueEnd() int { return 4 + int(binary.BigEndian.Uint32(c.enc)) }
+func (c Chain) valueEnd() int { return 4 + int(binary.BigEndian.Uint32(c.enc)) }
 
-func (c *Chain) name(k int) model.NodeID {
+func (c Chain) name(k int) model.NodeID {
 	at := c.valueEnd() + IntFieldSize*(1+k)
 	return model.NodeID(int64(binary.BigEndian.Uint64(c.enc[at:])))
 }
 
-func (c *Chain) sigsAt(k int) int { return c.valueEnd() + IntFieldSize*k }
+func (c Chain) sigsAt(k int) int { return c.valueEnd() + IntFieldSize*k }
 
 // sigAt returns the signature field at offset off (its bytes, read-only)
 // and the offset of the next field.
-func (c *Chain) sigAt(off int) ([]byte, int) {
+func (c Chain) sigAt(off int) ([]byte, int) {
 	end := off + 4 + int(binary.BigEndian.Uint32(c.enc[off:]))
 	return c.enc[off+4 : end : end], end
 }
@@ -270,7 +276,7 @@ const nestedLayerOverhead = IntFieldSize + 4
 
 // nestedSize returns the size of the k-layer chain's nested encoding: the
 // value field, every signature field, and each outer layer's overhead.
-func (c *Chain) nestedSize(k int) int {
+func (c Chain) nestedSize(k int) int {
 	return c.valueEnd() + len(c.enc) - c.sigsAt(k) + nestedLayerOverhead*(k-1)
 }
 
@@ -281,7 +287,7 @@ func (c *Chain) nestedSize(k int) int {
 // layers' headers (assignee, enclosed length), outermost first, then the
 // value field and the signature fields exactly as the flat encoding holds
 // them. The headers are filled innermost first, from the running size.
-func (c *Chain) appendNested(dst []byte, k int) []byte {
+func (c Chain) appendNested(dst []byte, k int) []byte {
 	valEnd, sigsAt := c.valueEnd(), c.sigsAt(k)
 	at := len(dst)
 	dst = append(dst, make([]byte, nestedLayerOverhead*(k-1))...)
@@ -301,44 +307,44 @@ func (c *Chain) appendNested(dst []byte, k int) []byte {
 
 // Marshal returns the flat wire encoding: the chain's own bytes, capped at
 // their length. It is READ-ONLY and costs nothing.
-func (c *Chain) Marshal() []byte { return c.enc[:len(c.enc):len(c.enc)] }
+func (c Chain) Marshal() []byte { return c.enc[:len(c.enc):len(c.enc)] }
 
 // MarshalTo appends the flat wire encoding to dst and returns the
 // extended slice, for callers embedding a chain in a larger payload
 // without an intermediate copy.
-func (c *Chain) MarshalTo(dst []byte) []byte { return append(dst, c.enc...) }
+func (c Chain) MarshalTo(dst []byte) []byte { return append(dst, c.enc...) }
 
 // MarshalSize returns the exact size of the flat wire encoding, so
 // callers of MarshalTo can presize the destination buffer.
-func (c *Chain) MarshalSize() int { return len(c.enc) }
+func (c Chain) MarshalSize() int { return len(c.enc) }
 
 // UnmarshalChain parses a flat wire encoding. It validates structure only;
 // signature checking is Verify's job. The structure is checked in data
 // itself, and a signature count the bytes cannot hold is refused before
 // anything is read or sized by it; only then is data copied, once, so the
 // chain shares nothing with the caller.
-func UnmarshalChain(data []byte) (*Chain, error) {
+func UnmarshalChain(data []byte) (Chain, error) {
 	d := Decoder{buf: data}
 	d.Bytes()
 	nsigs := d.Int()
 	if d.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, d.Err())
+		return Chain{}, fmt.Errorf("%w: %v", ErrChainEncoding, d.Err())
 	}
 	// A chain never exceeds one signature per node plus slack, and each
 	// layer takes at least a name and a length prefix.
 	if nsigs < 1 || nsigs > 1<<16 || len(data)-d.off < IntFieldSize*(nsigs-1)+4*nsigs {
-		return nil, errChainCount
+		return Chain{}, errChainCount
 	}
 	d.off += IntFieldSize * (nsigs - 1)
 	for range nsigs {
 		d.Bytes()
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChainEncoding, err)
+		return Chain{}, fmt.Errorf("%w: %v", ErrChainEncoding, err)
 	}
 	enc := make([]byte, len(data))
 	copy(enc, data)
-	return &Chain{enc: enc}, nil
+	return Chain{enc: enc}, nil
 }
 
 // PeekChainValue returns the value of a flat wire encoding (its first
@@ -374,7 +380,7 @@ var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 // terms, assigned the complete message to the sender and every sub-message
 // to its stated node; Theorem 4 then guarantees all correct nodes make the
 // same assignments or some correct node discovers a failure.
-func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
+func (c Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	signers, err := c.VerifyTo(nil, sender, dir)
 	if err != nil {
 		return nil, err
@@ -398,7 +404,7 @@ func (c *Chain) Verify(sender model.NodeID, dir Directory) ([]model.NodeID, erro
 // identical to checking the layers one by one in order; refChain.verify
 // in the tests is that reference implementation. The chain itself is left
 // untouched.
-func (c *Chain) VerifyTo(dst []model.NodeID, sender model.NodeID, dir Directory) ([]model.NodeID, error) {
+func (c Chain) VerifyTo(dst []model.NodeID, sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	n := c.Len()
 	if n == 0 {
 		return dst, ErrChainEmpty

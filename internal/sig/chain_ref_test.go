@@ -216,7 +216,7 @@ func (c *refChain) verify(sender model.NodeID, dir Directory) ([]model.NodeID, e
 }
 
 // refOf is c's reference twin, parsed from c's encoding.
-func refOf(c *Chain) *refChain {
+func refOf(c Chain) *refChain {
 	r, err := refUnmarshalChain(c.Marshal())
 	if err != nil {
 		panic(fmt.Sprintf("a chain's own encoding fails the reference decoder: %v", err))
@@ -225,6 +225,6 @@ func refOf(c *Chain) *refChain {
 }
 
 // verifySerial verifies c with the reference verifier.
-func (c *Chain) verifySerial(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
+func (c Chain) verifySerial(sender model.NodeID, dir Directory) ([]model.NodeID, error) {
 	return refOf(c).verify(sender, dir)
 }

@@ -37,7 +37,7 @@ func newChainFixture(t testing.TB, n int) *chainFixture {
 
 // buildChain signs value by node 0 and extends through nodes 1..k-1, each
 // naming its predecessor, as the FD protocol does.
-func (f *chainFixture) buildChain(t testing.TB, value []byte, k int) *Chain {
+func (f *chainFixture) buildChain(t testing.TB, value []byte, k int) Chain {
 	t.Helper()
 	c, err := NewChain(value, f.signers[0])
 	if err != nil {
@@ -55,7 +55,7 @@ func (f *chainFixture) buildChain(t testing.TB, value []byte, k int) *Chain {
 // cloneChain deep-copies c through the wire encoding, so the copy has no
 // nested-encoding cache and a signature forged in its bytes is re-encoded
 // on the next use.
-func cloneChain(t testing.TB, c *Chain) *Chain {
+func cloneChain(t testing.TB, c Chain) Chain {
 	t.Helper()
 	out, err := UnmarshalChain(c.Marshal())
 	if err != nil {
@@ -66,10 +66,10 @@ func cloneChain(t testing.TB, c *Chain) *Chain {
 
 // nestedOf returns c's nested encoding, the byte string its next signer
 // signs behind an assignee name.
-func nestedOf(c *Chain) []byte { return c.appendNested(nil, c.Len()) }
+func nestedOf(c Chain) []byte { return c.appendNested(nil, c.Len()) }
 
 // sigsOf returns c's signatures, innermost first, aliasing its encoding.
-func sigsOf(c *Chain) [][]byte {
+func sigsOf(c Chain) [][]byte {
 	var sigs [][]byte
 	off := c.sigsAt(c.Len())
 	for range c.Len() {
@@ -82,7 +82,7 @@ func sigsOf(c *Chain) [][]byte {
 
 // forgeSig returns a copy of c, through the wire, whose layer-th
 // signature has byte at xored with mask. c itself is untouched.
-func forgeSig(t testing.TB, c *Chain, layer, at int, mask byte) *Chain {
+func forgeSig(t testing.TB, c Chain, layer, at int, mask byte) Chain {
 	t.Helper()
 	off := c.sigsAt(c.Len())
 	for range layer {
@@ -253,7 +253,7 @@ func TestUnmarshalChainMalformed(t *testing.T) {
 func TestUnmarshalChainNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		c, err := UnmarshalChain(data)
-		if err == nil && c != nil {
+		if err == nil {
 			dir := MapDirectory{}
 			c.Verify(0, dir) // must not panic either
 		}

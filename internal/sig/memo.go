@@ -84,7 +84,7 @@ type memoKey [sha256.Size]byte
 // prefixKey derives key_k of c for a layer-k predicate with digest pd and
 // layer-k signature sg, from below = key_{k-1} (unread at k = 0). The
 // preimage is assembled in buf, which is returned for reuse.
-func (c *Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byte, sg []byte) (memoKey, []byte) {
+func (c Chain) prefixKey(buf []byte, k int, below *memoKey, pd [sha256.Size]byte, sg []byte) (memoKey, []byte) {
 	if k == 0 {
 		buf = AppendBytes(append(buf[:0], 0x00), c.Value())
 	} else {

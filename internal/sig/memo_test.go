@@ -249,10 +249,10 @@ func TestChainVerifyMatchesSerial(t *testing.T) {
 
 	type scenario struct {
 		name  string
-		chain *Chain
+		chain Chain
 		dir   Directory
 	}
-	tamper := func(layer int) *Chain {
+	tamper := func(layer int) Chain {
 		return forgeSig(t, f.buildChain(t, []byte("differential"), hops), layer, 0, 0x01)
 	}
 	without := func(nodes ...model.NodeID) Directory {
@@ -275,8 +275,8 @@ func TestChainVerifyMatchesSerial(t *testing.T) {
 		// Bad signature BELOW the unknown layer: serial reports the bad
 		// signature first. Unknown BELOW the bad signature: serial never
 		// reaches the bad layer.
-		{"bad1-then-unknown4", func() *Chain { c := tamper(1); return c }(), without(4)},
-		{"unknown1-then-bad4", func() *Chain { c := tamper(4); return c }(), without(1)},
+		{"bad1-then-unknown4", tamper(1), without(4)},
+		{"unknown1-then-bad4", tamper(4), without(1)},
 	}
 
 	for _, sc := range scenarios {
@@ -325,7 +325,7 @@ func TestNestedEncodingAfterVerifyMatchesSlowOracle(t *testing.T) {
 
 // prefixOf returns the innermost p layers of c as a chain of their own;
 // its sender is the name c embeds for layer p-1.
-func prefixOf(c *Chain, p int) *Chain {
+func prefixOf(c Chain, p int) Chain {
 	for c.Len() > p {
 		c = c.Inner()
 	}
