@@ -71,8 +71,8 @@
 // Every completed instance is scored against the paper's conformance
 // predicates (termination/agreement/validity, see campaign.Verdict); the
 // table's "conform" column reports the per-group pass fraction and
-// -strict exits with status 2 when any instance records an unexcused
-// violation — a campaign run is a property test over its whole grid.
+// -strict exits with status 2 when any instance errors or records an
+// unexcused violation — a campaign run is a property test over its grid.
 //
 // The aggregate output is byte-identical for any -workers value AND for
 // either -setupcache mode on the same spec — the determinism contracts
@@ -129,7 +129,7 @@ func main() {
 		setupCache  = flag.Bool("setupcache", true, "local sweeps: reuse key material and established clusters across seeds (false = regenerate per instance; reports are byte-identical either way). A -worker's only store is its daemon's pool")
 		jsonOut     = flag.String("json", "", "write the machine-readable report to this path ('-' = stdout)")
 		csv         = flag.Bool("csv", false, "render the summary table as CSV")
-		strict      = flag.Bool("strict", false, "exit with status 2 when any instance violates a conformance predicate")
+		strict      = flag.Bool("strict", false, "exit with status 2 when any instance violates a conformance predicate or errors")
 		traceOut    = flag.String("trace-out", "", "write a structured JSONL event trace (instance spans, scheduler lifecycle) to this path; reports stay byte-identical either way")
 	)
 	flag.Parse()
@@ -246,17 +246,20 @@ func main() {
 	if df.coordinator != "" {
 		deadLettered = emitOutcome(outcome, df.dlqPath)
 	}
-	if violations := report.Violations(); violations > 0 {
+	violations, errored := report.Violations(), 0
+	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "fdcampaign: %d conformance violation(s):\n", violations)
-		for _, g := range report.Groups {
-			if len(g.Violations) > 0 {
-				fmt.Fprintf(os.Stderr, "  %s: %s (%d/%d conformant)\n",
-					g.Key, strings.Join(g.Violations, ","), g.Conformant, g.Instances-g.Errors)
-			}
+	}
+	for _, g := range report.Groups {
+		errored += g.Errors // no verdict, so Violations skips them
+		if len(g.Violations) > 0 {
+			fmt.Fprintf(os.Stderr, "  %s: %s (%d/%d conformant)\n",
+				g.Key, strings.Join(g.Violations, ","), g.Conformant, g.Instances-g.Errors)
 		}
-		if *strict {
-			os.Exit(2)
-		}
+	}
+	if *strict && violations+errored > 0 {
+		fmt.Fprintf(os.Stderr, "fdcampaign: strict: %d violation(s), %d errored instance(s)\n", violations, errored)
+		os.Exit(2)
 	}
 	// DLQ non-emptiness is an exit-status signal of its own: the sweep
 	// COMPLETED, but not every instance executed.

@@ -1,22 +1,21 @@
 // Byzantine: what the protocols do when nodes actually misbehave.
 //
-// Four hand-wired scenarios against an 8-node cluster tolerating t=2
+// Three hand-wired scenarios against an 8-node cluster tolerating t=2
 // faults:
 //
 //  1. a relay goes silent mid-chain          → missing-message discovery
-//  2. a relay swaps in a forged chain        → sub-message check discovery
-//  3. the sender equivocates                 → duplicate-message discovery
-//  4. the key-distribution G3 attack (mixed
+//  2. the sender equivocates                 → duplicate-message discovery
+//  3. the key-distribution G3 attack (mixed
 //     predicates) followed by a chain run    → Theorem 4 discovery
 //
 // all through two options, in either phase — key distribution
-// (scenario 4) as much as a failure-discovery run: core.WithProcess
+// (scenario 3) as much as a failure-discovery run: core.WithProcess
 // replaces a node, core.WithWrappedProcess filters its correct process;
 //
 // then the same machinery driven declaratively: composable adversary
-// strategies (seeded coalitions, delayed delivery, behavior stacks)
-// parsed from the campaign syntax and scored against the paper's
-// conformance predicates.
+// strategies (seeded coalitions, delayed delivery, a relay that swaps in
+// a chain it signed alone, behavior stacks) parsed from the campaign
+// syntax and scored against the paper's conformance predicates.
 //
 // In every case the paper's weak properties hold: nodes either agree or
 // somebody correct discovers a failure — never a silent split.
@@ -41,15 +40,6 @@ import (
 func main() {
 	runScenario("silent relay P1", func(c *core.Cluster) []core.RunOption {
 		return []core.RunOption{core.WithProcess(1, sim.Silent{})}
-	})
-
-	runScenario("forging relay P1", func(c *core.Cluster) []core.RunOption {
-		signer, err := c.Signer(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return []core.RunOption{core.WithWrappedProcess(1,
-			adversary.Resign(c.Config(), 1, signer, []byte("forged value")))}
 	})
 
 	runScenario("equivocating sender P0", func(c *core.Cluster) []core.RunOption {
@@ -88,6 +78,7 @@ func strategyScenarios() {
 		"coalition:size=2,behavior=crash,round=2",
 		"coalition:size=1,behavior=delay,delay=2",
 		"sender:behavior=equivocate,partition=even-odd",
+		"relay:behavior=resign",
 		"nodes=2:behavior=drop,victims=5+6,behavior=duplicate,victims=1",
 	} {
 		strat, err := campaign.ParseAdversary(syntax)
@@ -143,7 +134,7 @@ func runScenario(name string, faults func(*core.Cluster) []core.RunOption) {
 	// injected above — simplest to re-check all three with the worst case
 	// assumption that the overridden node was faulty.
 	switch name {
-	case "silent relay P1", "forging relay P1":
+	case "silent relay P1":
 		faulty.Add(1)
 	case "equivocating sender P0":
 		faulty.Add(0)

@@ -10,14 +10,16 @@ import (
 
 // Adversaries against the failure-discovery protocols (F1–F3, paper §4;
 // Theorem 4): each leaves correct nodes agreeing or makes one discover a
-// failure, the dichotomy E6/E7 measure. Pass them to core.WithWrappedProcess.
+// failure, the dichotomy E6/E7 measure. Resign and WrongName are the
+// strategy behaviors resign and wrong-name, which the protocol wiring
+// stacks with the rest; LyingEcho goes to core.WithWrappedProcess.
 
 // Resign silences relay id of Fig. 2 and, in its round, sends in its
 // place a fresh chain over value signed by signer alone, padded with
 // self-extensions to the length the next hop expects: only the signer
 // identities are wrong, isolating the sub-message check as the detecting
 // mechanism.
-func Resign(cfg model.Config, id model.NodeID, signer sig.Signer, value []byte) func(sim.Process) sim.Process {
+func Resign(cfg model.Config, id model.NodeID, signer sig.Signer, value []byte) Filter {
 	chain, err := sig.NewChain(value, signer)
 	for err == nil && chain.Len() <= int(id) {
 		chain, err = chain.Extend(id, signer)
@@ -31,15 +33,16 @@ func Resign(cfg model.Config, id model.NodeID, signer sig.Signer, value []byte) 
 			sends = append(sends, model.Message{To: q, Kind: model.KindChainValue, Payload: chain.Marshal()})
 		}
 	}
-	return func(p sim.Process) sim.Process { return Wrap(p, DropAll(1), InjectAt(int(id)+1, sends...)) }
+	inject := InjectAt(int(id)+1, sends...)
+	return func(round int, in, _ []model.Message) []model.Message { return inject(round, in, nil) }
 }
 
 // WrongName re-signs a relay's outgoing chain naming wrongName, not its
 // true predecessor, as the assignee of the chain it received — the exact
 // misbehaviour the "signed together with the name of the node it is
 // assigned to" rule exists to expose (Theorem 4's assignment check).
-func WrongName(signer sig.Signer, wrongName model.NodeID) func(sim.Process) sim.Process {
-	rename := func(payload []byte) []byte {
+func WrongName(signer sig.Signer, wrongName model.NodeID) Filter {
+	return TamperPayload(model.KindChainValue, func(payload []byte) []byte {
 		chain, err := sig.UnmarshalChain(payload)
 		if err == nil && chain.Len() > 1 {
 			if chain, err = chain.Inner().Extend(wrongName, signer); err == nil {
@@ -47,8 +50,7 @@ func WrongName(signer sig.Signer, wrongName model.NodeID) func(sim.Process) sim.
 			}
 		}
 		return payload
-	}
-	return func(p sim.Process) sim.Process { return Wrap(p, TamperPayload(model.KindChainValue, rename)) }
+	})
 }
 
 // LyingEcho makes echoer id of the NON-authenticated baseline echo forged

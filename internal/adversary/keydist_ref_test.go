@@ -438,14 +438,16 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) 
 			return newRefResignRelay(cfg, c.faulty, signer(cl), []byte("forged"))
 		}
 		wrap = func(cl *core.Cluster) func(sim.Process) sim.Process {
-			return Resign(cfg, c.faulty, signer(cl), []byte("forged"))
+			filter := Resign(cfg, c.faulty, signer(cl), []byte("forged"))
+			return func(p sim.Process) sim.Process { return Wrap(p, filter) }
 		}
 	case "wrong-name":
 		refProc = func(cl *core.Cluster) sim.Process {
 			return newRefWrongNameRelay(cfg, c.faulty, cl.Nodes()[c.faulty].Signer(), peer(3))
 		}
 		wrap = func(cl *core.Cluster) func(sim.Process) sim.Process {
-			return WrongName(cl.Nodes()[c.faulty].Signer(), peer(3))
+			filter := WrongName(cl.Nodes()[c.faulty].Signer(), peer(3))
+			return func(p sim.Process) sim.Process { return Wrap(p, filter) }
 		}
 	case "echo", "echo-silent":
 		refProc = func(*core.Cluster) sim.Process { return newRefLyingEchoer(cfg, c.faulty, []byte("lie"), c.faceOne) }

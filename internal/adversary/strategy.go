@@ -42,6 +42,12 @@ const (
 	// second face is the protocol's own payload for a second value;
 	// everywhere else TwoFaced flips a payload bit.
 	BehaviorEquivocate = "equivocate"
+	// BehaviorResign silences the node and, in its round, sends a chain
+	// of a second value signed with one corrupt node's key (Resign).
+	BehaviorResign = "resign"
+	// BehaviorWrongName re-signs the outgoing chain naming the node's
+	// successor as the assignee (WrongName).
+	BehaviorWrongName = "wrong-name"
 )
 
 // Partition names accepted in BehaviorSpec.Partition.
@@ -178,6 +184,8 @@ var behaviorParams = map[string]struct{ round, delay, victims, partition bool }{
 	BehaviorDuplicate:  {victims: true},
 	BehaviorTamper:     {},
 	BehaviorEquivocate: {partition: true},
+	BehaviorResign:     {},
+	BehaviorWrongName:  {},
 }
 
 // validate checks one behavior's name and that exactly its parameters
@@ -282,8 +290,10 @@ func PartitionFaceOne(partition string, n int) (model.NodeSet, error) {
 // for one corrupt node in a system of n nodes. Tamper and equivocate
 // compile to TwoFaced with a bit flip, tamper's face one empty; a
 // wiring that gives the node a second value's payload as its second face
-// builds that filter itself and passes the remaining specs here.
-func BuildBehaviors(specs []BehaviorSpec, n int) ([]Behavior, error) {
+// builds that filter itself and passes the remaining specs here. Resign
+// and wrong-name sign: keyed, from a wiring that holds the keys, builds
+// them in their place in the stack, and without it they are an error.
+func BuildBehaviors(specs []BehaviorSpec, n int, keyed func(BehaviorSpec) (Behavior, error)) ([]Behavior, error) {
 	var out []Behavior
 	for _, spec := range specs {
 		if err := spec.validate(); err != nil {
@@ -318,6 +328,15 @@ func BuildBehaviors(specs []BehaviorSpec, n int) ([]Behavior, error) {
 				return nil, err
 			}
 			out = append(out, TwoFaced(faceOne, FlipByte(0)))
+		case BehaviorResign, BehaviorWrongName:
+			if keyed == nil {
+				return nil, fmt.Errorf("adversary: %s needs signing keys", spec.Name)
+			}
+			b, err := keyed(spec)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, b)
 		}
 	}
 	return out, nil

@@ -35,6 +35,12 @@ func TestParseStrategy(t *testing.T) {
 			Strategy{Name: "my-fault", Nodes: []int{0}, Behaviors: []BehaviorSpec{{Name: BehaviorCrash, Round: 2}}}, true},
 		{"duplicate flood", "nodes=2:behavior=duplicate,victims=0+1",
 			Strategy{Nodes: []int{2}, Behaviors: []BehaviorSpec{{Name: BehaviorDuplicate, Victims: []int{0, 1}}}}, true},
+		{"resign relay", "relay:behavior=resign",
+			Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, true},
+		{"resigning pair", "nodes=0+2:behavior=resign",
+			Strategy{Nodes: []int{0, 2}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, true},
+		{"wrong-name relay", "relay:behavior=wrong-name",
+			Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorWrongName}}}, true},
 
 		{"unknown selector", "gremlin:behavior=crash", Strategy{}, false},
 		{"unknown behavior", "sender:behavior=teleport", Strategy{}, false},
@@ -57,6 +63,8 @@ func TestParseStrategy(t *testing.T) {
 		{"bad node list", "nodes=1+x:behavior=crash", Strategy{}, false},
 		{"duplicate node id", "nodes=1+1:behavior=crash", Strategy{}, false},
 		{"unknown parameter", "sender:behavior=crash,color=red", Strategy{}, false},
+		{"stray round on resign", "relay:behavior=resign,round=2", Strategy{}, false},
+		{"stray victims on wrong-name", "relay:behavior=wrong-name,victims=3", Strategy{}, false},
 	} {
 		got, err := ParseStrategy(tc.input)
 		if tc.ok && err != nil {
@@ -200,7 +208,7 @@ func TestBuildBehaviorsCompositionOrder(t *testing.T) {
 
 	// delay → drop: round 1 emits nothing, round 2 releases both messages
 	// through the drop, which suppresses the one to node 2.
-	bs, err := BuildBehaviors([]BehaviorSpec{delaySpec, dropSpec}, 4)
+	bs, err := BuildBehaviors([]BehaviorSpec{delaySpec, dropSpec}, 4, nil)
 	if err != nil {
 		t.Fatalf("BuildBehaviors: %v", err)
 	}
@@ -215,7 +223,7 @@ func TestBuildBehaviorsCompositionOrder(t *testing.T) {
 
 	// drop → delay: identical end state, but the drop already happened in
 	// round 1, so only one message was ever held.
-	bs, err = BuildBehaviors([]BehaviorSpec{dropSpec, delaySpec}, 4)
+	bs, err = BuildBehaviors([]BehaviorSpec{dropSpec, delaySpec}, 4, nil)
 	if err != nil {
 		t.Fatalf("BuildBehaviors: %v", err)
 	}
@@ -261,7 +269,7 @@ func TestDelayBoundRespected(t *testing.T) {
 // victim receives exactly one copy of every ORIGINAL message — stacked
 // victims never re-copy earlier victims' duplicates.
 func TestDuplicateFloodOneCopyPerVictim(t *testing.T) {
-	bs, err := BuildBehaviors([]BehaviorSpec{{Name: BehaviorDuplicate, Victims: []int{4, 5, 6}}}, 8)
+	bs, err := BuildBehaviors([]BehaviorSpec{{Name: BehaviorDuplicate, Victims: []int{4, 5, 6}}}, 8, nil)
 	if err != nil {
 		t.Fatalf("BuildBehaviors: %v", err)
 	}
@@ -292,8 +300,10 @@ func TestBuildBehaviorsRejectsInvalid(t *testing.T) {
 		{{Name: BehaviorDrop}},
 		{{Name: BehaviorEquivocate, Partition: "thirds"}},
 		{{Name: BehaviorCrash, Round: -3}},
+		{{Name: BehaviorResign}},    // keyed, without keys
+		{{Name: BehaviorWrongName}}, // keyed, without keys
 	} {
-		if _, err := BuildBehaviors(specs, 4); err == nil {
+		if _, err := BuildBehaviors(specs, 4, nil); err == nil {
 			t.Errorf("BuildBehaviors(%+v) accepted invalid spec", specs)
 		}
 	}
@@ -315,6 +325,9 @@ func TestCanonicalName(t *testing.T) {
 			{Name: BehaviorDrop, Victims: []int{3, 1}},
 		}}, "coalition-1.delay-2.drop-v1-v3"},
 		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorEquivocate}}}, "nodes-1.equivocate"},
+		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, "nodes-1.resign"},
+		{Strategy{Nodes: []int{2, 0}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, "nodes-0-2.resign"},
+		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorWrongName}}}, "nodes-1.wrong-name"},
 	} {
 		if got := tc.s.CanonicalName(); got != tc.want {
 			t.Errorf("CanonicalName(%+v) = %q, want %q", tc.s, got, tc.want)
@@ -337,6 +350,10 @@ func FuzzParseStrategy(f *testing.F) {
 		"coalition:size=2,behavior=equivocate,partition=even-odd",
 		"coalition:size=2,behavior=delay,delay=1,behavior=drop,victims=3",
 		"sender:name=x,behavior=tamper",
+		"relay:behavior=resign",
+		"coalition:size=2,behavior=resign,behavior=delay,delay=1",
+		"nodes=1:behavior=wrong-name,behavior=tamper",
+		"relay:behavior=resign,round=2",
 		"coalition:size=-1,behavior=crash",
 		"sender:behavior=crash,round=999999",
 		"sender:behavior=warp",
@@ -357,7 +374,8 @@ func FuzzParseStrategy(f *testing.F) {
 		}
 		// Building behaviors and resolving corrupt sets on accepted
 		// strategies must not panic either.
-		if _, berr := BuildBehaviors(s.Behaviors, 8); berr != nil {
+		keyed := func(BehaviorSpec) (Behavior, error) { return DropAll(1), nil }
+		if _, berr := BuildBehaviors(s.Behaviors, 8, keyed); berr != nil {
 			t.Fatalf("ParseStrategy(%q) accepted behaviors BuildBehaviors rejects: %v", input, berr)
 		}
 		s.CorruptSet(8, 42)

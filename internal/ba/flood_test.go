@@ -343,9 +343,10 @@ func TestFloodSeedsExerciseTheRelay(t *testing.T) {
 // The flood allocates no more than the bodies it replaced: one accepted
 // and relayed SM chain, and one FDBA flood relay, each measured on a
 // node and on its reference twin under the same warm verify memo. The
-// reference bodies make 6 and 12 allocations; the flood makes 4 (no
-// copy of each relay batch into the round's outbox, and its signers in a
-// buffer it keeps) and 5 (no node list, a relay batch presized to
+// reference bodies make 7 and 12 allocations; the flood makes 4 (no
+// copy of each relay batch into the round's outbox, its signers in a
+// buffer it keeps, and V keyed by the value where it was parsed: 5 with
+// a copy for the key) and 5 (no node list, a relay batch presized to
 // n−1−h instead of grown, the evidence check's signers in the node's
 // buffer, and the evidence kept where it was parsed: no copy for the
 // held set's key or the best value). Both sides run on sig.Chain, which
@@ -363,7 +364,9 @@ func TestSignedFloodAllocs(t *testing.T) {
 	f := newDedupeFixture(t, sig.SchemeEd25519, 6, 2, 3402)
 	id := model.NodeID(4)
 
-	smInbox := []model.Message{{From: 0, Kind: model.KindSigned, Payload: f.chain(t, []byte("v"), 0).Marshal()}}
+	// A value of more than one byte: Go converts a one-byte slice to a
+	// string without allocating, which would hide a copy for V's key.
+	smInbox := []model.Message{{From: 0, Kind: model.KindSigned, Payload: f.chain(t, []byte("value"), 0).Marshal()}}
 	sm, err := NewSMNode(f.cfg, id, f.signers[id], f.dir)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package ba
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -115,20 +116,21 @@ func (n *SMNode) Step(round int, received []model.Message) []model.Message {
 }
 
 // admit is SM's admit rule: a chain must start at the sender, and its
-// value joins V.
+// value — a parsed chain's, which nothing writes — joins V in place.
 func (n *SMNode) admit(value []byte, signers []model.NodeID) bool {
 	if signers[0] != Sender {
 		return false
 	}
-	n.flood.held[string(value)] = true
+	n.flood.held[unsafe.String(unsafe.SliceData(value), len(value))] = true
 	return true
 }
 
-// decide applies choice(V): the unique value, or the default.
+// decide applies choice(V): the unique value (aliased: it is read-only),
+// or the default.
 func (n *SMNode) decide() {
 	if len(n.flood.held) == 1 {
 		for v := range n.flood.held {
-			n.decision.Value = []byte(v)
+			n.decision.Value = unsafe.Slice(unsafe.StringData(v), len(v))
 			return
 		}
 	}

@@ -17,6 +17,8 @@ func FuzzParseAdversary(f *testing.F) {
 		"coalition:size=2,behavior=equivocate,partition=even-odd",
 		"relay:behavior=delay,delay=2",
 		"nodes=1+2:behavior=drop,victims=0",
+		"relay:behavior=resign", "nodes=0+2:behavior=resign", "relay:behavior=wrong-name",
+		"coalition:size=2,behavior=resign", "relay:behavior=wrong-name,victims=3",
 		"gremlin", "none:extra", "coalition:size=99999999999999999999,behavior=crash",
 	} {
 		f.Add(seed)

@@ -66,7 +66,7 @@ func randomBehaviour(rng *rand.Rand, c *core.Cluster, id model.NodeID, correct f
 		if err != nil {
 			return sim.Silent{}
 		}
-		return adversary.Resign(cfg, id, signer, []byte("forged"))(correct())
+		return adversary.Wrap(correct(), adversary.Resign(cfg, id, signer, []byte("forged")))
 	default:
 		return adversary.Wrap(correct(), adversary.FloodTo([]model.NodeID{model.NodeID(rng.Intn(cfg.N))}))
 	}

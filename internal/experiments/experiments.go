@@ -8,7 +8,7 @@
 //	E3    the non-authenticated baseline costs (t+1)(n−1)
 //	E4    amortization: setup once, then O(n) a run beats O(n·t); formula and measured
 //	E5    Theorem 2: G1 and G2 hold under every key-distribution attack
-//	E6/7  Theorem 4 and F1–F3 under chain-protocol attacks
+//	E6/7  Theorem 4 and F1–F3 under chain-protocol attacks: one campaign spec
 //	E8    cost context: OM(t) entries, SM(t) and FDBA messages, rounds per protocol
 //	E9    small-value-range variant: its savings and its split-attack gap
 //	E10   signature-scheme cost; bytes on the wire per protocol

@@ -16,93 +16,45 @@ import (
 	"repro/internal/sim"
 )
 
-// fdAttack describes one adversarial failure-discovery scenario for
-// E6/E7: which nodes are faulty and what they run instead.
-type fdAttack struct {
-	name   string
-	n, t   int
-	faulty model.NodeSet
-	// build returns the run options that make faulty so, given the
-	// honestly established cluster.
-	build func(c *core.Cluster) []core.RunOption
-}
-
-// fdAttacks is the E6/E7 scenario matrix.
-func fdAttacks() []fdAttack {
-	wrap := func(id model.NodeID, filters ...adversary.Filter) core.RunOption {
-		return core.WithWrappedProcess(id, func(p sim.Process) sim.Process { return adversary.Wrap(p, filters...) })
-	}
-	return []fdAttack{
-		{"silent-relay", 6, 2, model.NewNodeSet(1), func(*core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithProcess(1, sim.Silent{})}
-		}},
-		{"silent-sender", 6, 2, model.NewNodeSet(0), func(*core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithProcess(0, sim.Silent{})}
-		}},
-		{"tamper-relay", 6, 2, model.NewNodeSet(1), func(*core.Cluster) []core.RunOption {
-			return []core.RunOption{wrap(1, adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(9)))}
-		}},
-		{"resign-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithWrappedProcess(1, adversary.Resign(c.Config(), 1, c.Nodes()[1].Signer(), []byte("forged")))}
-		}},
-		{"wrong-name-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{core.WithWrappedProcess(1, adversary.WrongName(c.Nodes()[1].Signer(), 4))}
-		}},
-		{"equivocating-sender", 6, 2, model.NewNodeSet(0), func(c *core.Cluster) []core.RunOption {
-			// A correct sender of "a" that also sends P_1 a chain of "b".
-			keys := c.Nodes()[0]
-			sender, err := fd.NewChainNode(c.Config(), 0, keys.Signer(), keys.Directory(), fd.WithValue([]byte("a")))
-			if err != nil {
-				panic(err)
-			}
-			second, err := sig.NewChain([]byte("b"), keys.Signer())
-			if err != nil {
-				panic(err)
-			}
-			return []core.RunOption{core.WithProcess(0, adversary.Wrap(sender, adversary.InjectAt(1,
-				model.Message{To: 1, Kind: model.KindChainValue, Payload: second.Marshal()})))}
-		}},
-		{"split-disseminator", 7, 2, model.NewNodeSet(2), func(*core.Cluster) []core.RunOption {
-			return []core.RunOption{wrap(2, adversary.DropTo(model.NewNodeSet(4, 5)))}
-		}},
-		{"colluding-pair", 6, 2, model.NewNodeSet(0, 2), func(c *core.Cluster) []core.RunOption {
-			return []core.RunOption{
-				core.WithProcess(0, sim.Silent{}),
-				core.WithWrappedProcess(2, adversary.Resign(c.Config(), 2, c.Nodes()[0].Signer(), []byte("forged"))),
-			}
-		}},
-	}
-}
-
-// E6E7Properties runs the adversarial matrix and checks F1–F3 plus the
-// Theorem 4 dichotomy (consistent assignment or discovery) on every run.
+// E6E7Properties sweeps the chain protocol at (n, t) = (6, 2) over eight
+// attack strategies, runs seeds each, and counts the runs whose verdict
+// fails termination (F1), agreement (F2) or validity (F3), and those that
+// discovered a failure: Theorem 4's dichotomy, agreement or discovery.
 func E6E7Properties(runs int) *metrics.Table {
+	rep, err := campaign.Run(campaign.Spec{
+		Name:      "E6/E7",
+		Protocols: []string{campaign.ProtoChain},
+		Cases:     []campaign.Case{{N: 6, T: 2}},
+		Adversaries: []string{
+			"relay:name=silent-relay,behavior=crash",
+			"sender:name=silent-sender,behavior=crash",
+			"relay:name=tamper-relay,behavior=tamper",
+			"relay:name=resign-relay,behavior=resign",
+			"relay:name=wrong-name-relay,behavior=wrong-name",
+			"sender:name=equivocating-sender,behavior=equivocate",
+			"nodes=2:name=split-disseminator,behavior=drop,victims=4+5",
+			"nodes=0+2:name=colluding-pair,behavior=resign",
+		},
+		SeedBase:  Seed,
+		SeedCount: runs,
+	}, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: e6/e7 campaign: %v", err))
+	}
 	tbl := metrics.NewTable(
 		"E6/E7 — Theorem 4 and F1–F3 under chain-protocol attacks (local authentication)",
 		"attack", "runs", "F1 viol", "F2 viol", "F3 viol", "runs w/ discovery")
-	value := []byte("v")
-	for _, atk := range fdAttacks() {
-		var f1, f2, f3, disc int
-		for r := 0; r < runs; r++ {
-			c := mustCluster(atk.n, atk.t, Seed+int64(1000+r))
-			rep, err := c.RunFailureDiscovery(value, atk.build(c)...)
-			if err != nil {
-				panic(err)
-			}
-			if core.CheckF1(rep.Outcomes, atk.faulty) != nil {
-				f1++
-			}
-			if core.CheckF2(rep.Outcomes, atk.faulty) != nil {
-				f2++
-			}
-			if core.CheckF3(rep.Outcomes, atk.faulty, fd.Sender, value) != nil {
-				f3++
-			}
-			if rep.FailureDiscovered() {
-				disc++
+	for i, g := range mustCleanGroups(rep) {
+		var count [4]int
+		for _, res := range rep.Results[i*runs : (i+1)*runs] { // a group's seeds are adjacent
+			v := res.Conformance
+			for k, hit := range [4]bool{!v.Termination, !v.Agreement, !v.Validity, res.Discovered} {
+				if hit {
+					count[k]++
+				}
 			}
 		}
-		tbl.AddRow(atk.name, runs, f1, f2, f3, disc)
+		tbl.AddRow(g.Adversary, g.Instances, count[0], count[1], count[2], count[3])
 	}
 	return tbl
 }

@@ -99,10 +99,10 @@ var chainScenarios = []chainScenario{
 		return 1, adversary.Wrap(honest(1), adversary.TamperPayload(model.KindChainValue, adversary.FlipByte(10)))
 	}},
 	{"re-signing relay", func(cfg model.Config, f *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
-		return 1, adversary.Resign(cfg, 1, f.signers[1], []byte("forged"))(honest(1))
+		return 1, adversary.Wrap(honest(1), adversary.Resign(cfg, 1, f.signers[1], []byte("forged")))
 	}},
 	{"wrong-name relay", func(cfg model.Config, f *fixture, honest func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
-		return 1, adversary.WrongName(f.signers[1], model.NodeID(4%cfg.N))(honest(1))
+		return 1, adversary.Wrap(honest(1), adversary.WrongName(f.signers[1], model.NodeID(4%cfg.N)))
 	}},
 	{"equivocating sender", func(cfg model.Config, f *fixture, _ func(model.NodeID) sim.Process) (model.NodeID, sim.Process) {
 		return 0, f.equivocatingSender(cfg, []byte("v1"), []byte("v2"), model.NewNodeSet(0, 1, 2))

@@ -250,7 +250,7 @@ func TestChainResignRelayDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 3)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged"))(procs[1])
+	procs[1] = adversary.Wrap(procs[1], adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged")))
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -279,7 +279,7 @@ func TestChainWrongNameRelayDiscovered(t *testing.T) {
 	f := newFixture(t, 6, 2, 4)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.WrongName(f.signers[1], 4)(procs[1])
+	procs[1] = adversary.Wrap(procs[1], adversary.WrongName(f.signers[1], 4))
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -346,7 +346,7 @@ func TestChainColludersCannotForgeSkippedSignature(t *testing.T) {
 	faulty := model.NewNodeSet(0, 2)
 	procs[0] = sim.Silent{} // P_0 skips P_1 entirely
 	nodes[0] = nil
-	procs[2] = adversary.Resign(f.cfg, 2, f.signers[0], []byte("forged"))(procs[2])
+	procs[2] = adversary.Wrap(procs[2], adversary.Resign(f.cfg, 2, f.signers[0], []byte("forged")))
 	nodes[2] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(2))
 
@@ -372,7 +372,7 @@ func TestChainFullVerifyCatchesInteriorForgery(t *testing.T) {
 	f := newFixture(t, 6, 2, 8)
 	procs, nodes := f.chainProcs(t, []byte("v"))
 	faulty := model.NewNodeSet(1)
-	procs[1] = adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged"))(procs[1])
+	procs[1] = adversary.Wrap(procs[1], adversary.Resign(f.cfg, 1, f.signers[1], []byte("forged")))
 	nodes[1] = nil
 	runFD(t, f.cfg, procs, fd.ChainEngineRounds(f.cfg.T))
 	if ds := discoverers(nodes, faulty); len(ds) == 0 {

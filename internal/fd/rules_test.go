@@ -1,96 +1,143 @@
 package fd_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
-	"repro/internal/adversary"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/protocol"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
-// TestEveryRuleHasAKiller holds each rule the paper states to an attack
-// that kills a node without it: the mutant (the correct node with that
-// one rule removed, built in a test file only) must violate a predicate
-// on every run where the correct node violates none. A rule no attack
-// kills is a rule no table shows necessary.
+// mutantDriver is the chain driver with every node built by node, a
+// mutant of the correct chain node: registered under a test- name, it
+// joins campaign sweeps and their conformance scoring like any driver.
+type mutantDriver struct {
+	name string
+	node func(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, opts ...fd.ChainOption) (sim.Process, error)
+}
+
+func (d mutantDriver) Name() string { return d.name }
+
+func (mutantDriver) Capabilities() protocol.Capabilities {
+	return protocol.Capabilities{UsesSignatures: true}
+}
+
+func (mutantDriver) Verdicts() protocol.VerdictProfile { return protocol.VerdictsAuthenticatedFD }
+
+func (d mutantDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Outcome, error) {
+	value := []byte("value") // the chain driver's proposal
+	rounds := fd.ChainEngineRounds(inst.T)
+	rep, honest, err := protocol.RunNodes(inst, c, d.name, rounds, func(id model.NodeID) (sim.Process, error) {
+		signer, err := c.Signer(id)
+		if err != nil {
+			return nil, err
+		}
+		dir, err := c.Directory(id)
+		if err != nil {
+			return nil, err
+		}
+		var opts []fd.ChainOption
+		if id == fd.Sender {
+			opts = append(opts, fd.WithValue(value))
+		}
+		return d.node(inst.Config(), id, signer, dir, opts...)
+	})
+	if err != nil {
+		return protocol.Outcome{}, err
+	}
+	var outcomes []model.Outcome
+	agreed := true
+	for _, p := range honest {
+		if p != nil {
+			o := p.(fd.Outcomer).Outcome()
+			outcomes = append(outcomes, o)
+			agreed = agreed && o.Decided && bytes.Equal(o.Value, outcomes[0].Value)
+		}
+	}
+	return protocol.Outcome{
+		Rounds:     rep.Rounds,
+		RoundBound: rounds,
+		Snapshot:   rep.Snapshot,
+		Agreed:     agreed,
+		Discovered: len(rep.Discoveries) > 0,
+		SubRuns:    []protocol.SubRun{{Sender: fd.Sender, Initial: value, Outcomes: outcomes}},
+	}, nil
+}
+
+const noVerifyDriver = "test-noverify-chain"
+
+func init() {
+	protocol.Register(mutantDriver{name: noVerifyDriver, node: fd.NewNoVerifyChainNode})
+}
+
+// TestEveryRuleHasAKiller holds each rule the paper states to a campaign
+// strategy that kills a node without it: under the killer, every run of
+// the mutant (the correct node with that one rule removed, built in a
+// test file only) must record an unexcused predicate violation, and no
+// run of the chain driver may. A rule no strategy kills is a rule no
+// campaign shows necessary.
 func TestEveryRuleHasAKiller(t *testing.T) {
-	type attack struct {
-		name   string
-		n, t   int
-		faulty model.NodeSet
-		opts   func(c *core.Cluster) []core.RunOption
-	}
-	// resignRelay is E6/E7's resign-relay: P_1 stays silent and in its
-	// round sends P_2 a chain of "forged" it signed alone.
-	resignRelay := attack{"resign-relay", 6, 2, model.NewNodeSet(1), func(c *core.Cluster) []core.RunOption {
-		return []core.RunOption{core.WithWrappedProcess(1, adversary.Resign(c.Config(), 1, c.Nodes()[1].Signer(), []byte("forged")))}
-	}}
-	// Predicates over the correct nodes' outcomes of a run whose sender
-	// proposed value.
-	f2 := func(out []model.Outcome, faulty model.NodeSet, _ []byte) error { return core.CheckF2(out, faulty) }
-	f3 := func(out []model.Outcome, faulty model.NodeSet, value []byte) error {
-		return core.CheckF3(out, faulty, fd.Sender, value)
-	}
-	type predicate struct {
-		name  string
-		check func(out []model.Outcome, faulty model.NodeSet, value []byte) error
-	}
 	rows := []struct {
-		rule       string
-		mutant     func(c *core.Cluster, value []byte) core.NodeBuilder
-		killer     attack
-		predicates []predicate
+		rule, mutant string
+		// killer is the strategy that must kill the mutant; survivor is
+		// one that does not, kept so the table says so.
+		killer, survivor string
+		predicates       []string
 	}{
 		{
-			rule: "Fig. 2: check the signatures of the message and the submessages",
-			mutant: func(c *core.Cluster, value []byte) core.NodeBuilder {
-				return func(id model.NodeID) (sim.Process, error) {
-					var opts []fd.ChainOption
-					if id == fd.Sender {
-						opts = append(opts, fd.WithValue(value))
-					}
-					keys := c.Nodes()[id]
-					return fd.NewNoVerifyChainNode(c.Config(), id, keys.Signer(), keys.Directory(), opts...)
-				}
-			},
-			killer:     resignRelay,
-			predicates: []predicate{{"F2", f2}, {"F3", f3}},
+			rule:   "Fig. 2: check the signatures of the message and the submessages",
+			mutant: noVerifyDriver,
+			// P_1 stays silent and in its round sends P_2 a chain of
+			// "forged" it signed alone: only the signatures are wrong.
+			killer: "relay:behavior=resign",
+			// P_1 re-signs the sender's chain naming P_2 as its
+			// assignee: the mutant relays the sender's own value, so
+			// every node still decides it.
+			survivor:   "relay:behavior=wrong-name",
+			predicates: []string{campaign.PredAgreement, campaign.PredValidity},
 		},
 	}
-	value := []byte("v")
 	for _, row := range rows {
-		atk := row.killer
-		for seed := int64(0); seed < 3; seed++ {
-			c, err := core.New(model.Config{N: atk.n, T: atk.t}, core.WithSeed(1000+seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.EstablishAuthentication(); err != nil {
-				t.Fatal(err)
-			}
-			correct, err := c.RunFailureDiscovery(value, atk.opts(c)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, honest, err := c.Run("mutant", fd.ChainEngineRounds(atk.t), row.mutant(c, value), atk.opts(c)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mutant []model.Outcome
-			for _, p := range honest {
-				if p != nil {
-					mutant = append(mutant, p.(fd.Outcomer).Outcome())
+		rep, err := campaign.Run(campaign.Spec{
+			Name:        "rules",
+			Protocols:   []string{protocol.NameChain, row.mutant},
+			Cases:       []campaign.Case{{N: 6, T: 2}},
+			Adversaries: []string{row.killer, row.survivor},
+			SeedBase:    1000,
+			SeedCount:   3,
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Groups) != 4 {
+			t.Fatalf("%s: %d groups, want 4", row.rule, len(rep.Groups))
+		}
+		killer, err := campaign.ParseAdversary(row.killer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range rep.Groups {
+			switch {
+			case g.Errors > 0:
+				t.Fatalf("%s: %s: %d instances errored", row.rule, g.Key, g.Errors)
+			case g.Protocol != row.mutant:
+				if g.Conformant != g.Instances {
+					t.Errorf("%s: the correct node violates %v under %s", row.rule, g.Violations, g.Adversary)
 				}
-			}
-			for _, pred := range row.predicates {
-				if err := pred.check(correct.Outcomes, atk.faulty, value); err != nil {
-					t.Errorf("%s, seed %d: the correct node violates %s under %s: %v", row.rule, seed, pred.name, atk.name, err)
+			case g.Adversary == killer.Name:
+				if g.Conformant != 0 || len(g.Violations) == 0 ||
+					slices.ContainsFunc(g.Violations, func(v string) bool { return !slices.Contains(row.predicates, v) }) {
+					t.Errorf("%s: the mutant survives %s: %d/%d runs conformant, violations %v, want %v on every run",
+						row.rule, row.killer, g.Conformant, g.Instances, g.Violations, row.predicates)
 				}
-				if pred.check(mutant, atk.faulty, value) == nil {
-					t.Errorf("%s, seed %d: the mutant survives %s: no %s violation", row.rule, seed, atk.name, pred.name)
-				}
+			case g.Conformant != g.Instances:
+				t.Errorf("%s: %s now kills the mutant (%v): make it a killer", row.rule, row.survivor, g.Violations)
 			}
 		}
 	}

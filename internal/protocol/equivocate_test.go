@@ -145,7 +145,7 @@ func refOptions(d *clusterDriver, inst Instance, c *core.Cluster) ([]core.RunOpt
 	if len(specs) == 0 {
 		return opts, nil
 	}
-	behaviors, err := adversary.BuildBehaviors(specs, inst.N)
+	behaviors, err := adversary.BuildBehaviors(specs, inst.N, nil)
 	if err != nil {
 		return nil, err
 	}

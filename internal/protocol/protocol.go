@@ -143,7 +143,8 @@ type Capabilities struct {
 //   - a strategy that can corrupt a non-sender node (any coalition, or a
 //     fixed set naming one) needs n ≥ 3 so P_1 is never the only other
 //     node;
-//   - equivocate needs SupportsEquivocate.
+//   - equivocate needs SupportsEquivocate;
+//   - resign and wrong-name sign, so they need UsesSignatures.
 func (c Capabilities) Supports(n, t int, strat adversary.Strategy) bool {
 	if err := (model.Config{N: n, T: t}).Validate(); err != nil {
 		return false
@@ -167,6 +168,9 @@ func (c Capabilities) Supports(n, t int, strat adversary.Strategy) bool {
 		return false
 	}
 	if strat.HasBehavior(adversary.BehaviorEquivocate) && !c.SupportsEquivocate {
+		return false
+	}
+	if (strat.HasBehavior(adversary.BehaviorResign) || strat.HasBehavior(adversary.BehaviorWrongName)) && !c.UsesSignatures {
 		return false
 	}
 	return true

@@ -196,6 +196,15 @@ func TestCapabilitiesSupports(t *testing.T) {
 	eig := Capabilities{RequiresSupermajority: true, MaxN: 256, SupportsEquivocate: true}
 	plain := Capabilities{SupportsEquivocate: true}
 	noEquiv := Capabilities{}
+	resign := adversary.Strategy{Nodes: []int{1}, Behaviors: []adversary.BehaviorSpec{{Name: adversary.BehaviorResign}}}
+	wrongName := adversary.Strategy{Nodes: []int{1}, Behaviors: []adversary.BehaviorSpec{{Name: adversary.BehaviorWrongName}}}
+	caps := func(name string) Capabilities {
+		d, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Capabilities()
+	}
 	for _, tc := range []struct {
 		name  string
 		caps  Capabilities
@@ -214,6 +223,12 @@ func TestCapabilitiesSupports(t *testing.T) {
 		{"non-sender corruption needs n>=3", plain, 2, 1, crashRelay, false},
 		{"equivocate supported", plain, 5, 1, equivocate, true},
 		{"equivocate unsupported", noEquiv, 5, 1, equivocate, false},
+		{"chain resigns", caps(NameChain), 7, 2, resign, true},
+		{"chain names wrong", caps(NameChain), 7, 2, wrongName, true},
+		{"nonauth holds no keys to resign", caps(NameNonAuth), 7, 2, resign, false},
+		{"nonauth holds no keys to name wrong", caps(NameNonAuth), 7, 2, wrongName, false},
+		{"eig holds no keys to resign", caps(NameEIG), 7, 2, resign, false},
+		{"eig holds no keys to name wrong", caps(NameEIG), 7, 2, wrongName, false},
 	} {
 		if got := tc.caps.Supports(tc.n, tc.t, tc.strat); got != tc.want {
 			t.Errorf("%s: Supports(n=%d, t=%d) = %v, want %v", tc.name, tc.n, tc.t, got, tc.want)

@@ -67,8 +67,9 @@ func runOptions(inst Instance, c *core.Cluster, equivocator equivocatorFunc) ([]
 	corrupt := inst.Strategy.CorruptSet(inst.N, inst.Seed)
 	var opts []core.RunOption
 	var err error
-	for _, id := range corrupt.Sorted() {
-		if opts, err = appendFault(opts, inst, c, id, equivocator); err != nil {
+	ids := corrupt.Sorted()
+	for _, id := range ids {
+		if opts, err = appendFault(opts, inst, c, id, ids[0], equivocator); err != nil {
 			return nil, err
 		}
 	}
@@ -95,8 +96,10 @@ func runOptions(inst Instance, c *core.Cluster, equivocator equivocatorFunc) ([]
 // than stepping a wrapped node whose every send is dropped anyway.
 // Otherwise the node's correct process runs under the compiled behavior
 // stack; an equivocating sender's stack opens with its driver's second
-// face in place of the bit-flipping TwoFaced.
-func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id model.NodeID, equivocator equivocatorFunc) ([]core.RunOption, error) {
+// face in place of the bit-flipping TwoFaced. Resign signs with the key
+// of lowest, the corrupt set's lowest-numbered node, and wrong-name with
+// the node's own: a faulty node only ever holds faulty keys.
+func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id, lowest model.NodeID, equivocator equivocatorFunc) ([]core.RunOption, error) {
 	specs := inst.Strategy.Behaviors
 	if len(specs) == 1 && specs[0].Name == adversary.BehaviorCrash && specs[0].Round <= 1 {
 		return append(opts, core.WithProcess(id, sim.Silent{})), nil
@@ -117,7 +120,21 @@ func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id model
 			return opts, nil
 		}
 	}
-	behaviors, err := adversary.BuildBehaviors(specs, inst.N)
+	var keyed func(adversary.BehaviorSpec) (adversary.Behavior, error)
+	if inst.Strategy.HasBehavior(adversary.BehaviorResign) || inst.Strategy.HasBehavior(adversary.BehaviorWrongName) {
+		keyed = func(spec adversary.BehaviorSpec) (adversary.Behavior, error) {
+			if spec.Name == adversary.BehaviorWrongName {
+				signer, err := c.Signer(id)
+				return adversary.WrongName(signer, (id+1)%model.NodeID(inst.N)), err
+			}
+			signer, err := c.Signer(lowest)
+			if err != nil {
+				return nil, err
+			}
+			return adversary.Resign(c.Config(), id, signer, altSenderValue), nil
+		}
+	}
+	behaviors, err := adversary.BuildBehaviors(specs, inst.N, keyed)
 	if err != nil {
 		return nil, err
 	}

@@ -234,6 +234,9 @@ func TestBadRequestRejected(t *testing.T) {
 		})},
 		{"unparseable adversary", with(func(r *Request) { r.Adversary = "coalition:size=" })},
 		{"unparseable netcond", with(func(r *Request) { r.NetCond = "latency=warp-9" })},
+		{"resign on an unsigned driver", with(func(r *Request) {
+			r.Protocol, r.Scheme, r.Adversary = campaign.ProtoNonAuth, "", "relay:behavior=resign"
+		})},
 	} {
 		_, err := cl.Do(tc.req)
 		var rej *RejectError
@@ -243,7 +246,14 @@ func TestBadRequestRejected(t *testing.T) {
 		if rej.Code != RejectBadRequest || rej.RetryAfter != 0 {
 			t.Fatalf("%s: reject = %+v", tc.name, rej)
 		}
+		if rej.Msg == "" {
+			t.Fatalf("%s: rejected without a reason", tc.name)
+		}
 		t.Logf("%s: %s", tc.name, rej.Msg)
+	}
+	// The session outlives its rejections: the next request is served.
+	if reply, err := cl.Do(chainRequest(2)); err != nil || reply.Result.Err != "" {
+		t.Fatalf("request after the rejections: err %v, reply %+v", err, reply)
 	}
 }
 
