@@ -13,6 +13,7 @@
 //	fdsim -n 7 -t 2 -protocol eig           # OM(t) oral messages
 //	fdsim -n 8 -t 2 -adversary crash-relay  # inject a fault (campaign adversary syntax)
 //	fdsim -n 8 -t 2 -adversary "coalition:size=2,behavior=equivocate,partition=even-odd"
+//	fdsim -n 4 -t 1 -protocol sm -adversary "sender:setup=equivocate-keys"  # two keys in key distribution
 //	fdsim -n 8 -t 2 -trace -                # log every delivery to stderr
 //	fdsim -n 8 -t 2 -trace run.trace        # ... or to a file
 //	fdsim -n 8 -t 2 -netcond "latency=fixed-1,loss=0.05"    # degraded network
@@ -145,7 +146,11 @@ func run(ctx context.Context, n, t, runs int, proto, scheme string, seed int64, 
 	}
 
 	if caps.UsesSignatures {
-		rep, err := cluster.EstablishAuthentication()
+		setup, err := protocol.SetupOptions(inst)
+		if err != nil {
+			return err
+		}
+		rep, err := cluster.EstablishAuthentication(setup...)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,6 @@
 package adversary
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -82,27 +79,10 @@ type KeyFaces struct {
 	one, two sig.Signer
 }
 
-// NewKeyFaces draws key one, then key two, from rand: the
-// mixed-predicate attacker showing key one to faceOne.
-func NewKeyFaces(scheme sig.Scheme, rand io.Reader, faceOne model.NodeSet) (*KeyFaces, error) {
-	one, err := scheme.Generate(rand)
-	if err != nil {
-		return nil, fmt.Errorf("adversary: generate key one: %w", err)
-	}
-	two, err := scheme.Generate(rand)
-	if err != nil {
-		return nil, fmt.Errorf("adversary: generate key two: %w", err)
-	}
-	return &KeyFaces{faceOne: faceOne, one: one, two: two}, nil
-}
-
-// NewSharedKey draws one key from rand, shown to every recipient.
-func NewSharedKey(scheme sig.Scheme, rand io.Reader) (*KeyFaces, error) {
-	key, err := scheme.Generate(rand)
-	if err != nil {
-		return nil, fmt.Errorf("adversary: generate shared key: %w", err)
-	}
-	return &KeyFaces{one: key, two: key}, nil
+// NewKeyFaces is the attacker showing key one to faceOne and key two to
+// everyone else; one key as both is key sharing.
+func NewKeyFaces(faceOne model.NodeSet, one, two sig.Signer) *KeyFaces {
+	return &KeyFaces{faceOne: faceOne, one: one, two: two}
 }
 
 // SignerFor returns the signer whose predicate the given node accepted,

@@ -301,6 +301,8 @@ type attackEstablishment struct {
 	delivered []model.Message
 	report    core.Report
 	nodes     []*keydist.Node
+	// faulty holds the attacked slots' IDs.
+	faulty model.NodeSet
 	// finished counts the faulty slots whose process is Finished at the
 	// end of the run.
 	finished int
@@ -328,9 +330,11 @@ func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) a
 		t.Fatalf("%v: core.New: %v", c, err)
 	}
 	var faulty []sim.Process
+	ids := model.NewNodeSet()
 	options := func() []core.RunOption {
 		var opts []core.RunOption
 		for _, s := range attack(cl) {
+			ids.Add(s.id)
 			if s.proc != nil {
 				faulty = append(faulty, s.proc)
 				opts = append(opts, core.WithProcess(s.id, s.proc))
@@ -367,7 +371,7 @@ func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) a
 			done++
 		}
 	}
-	return attackEstablishment{delivered: rec.Messages(), report: rep, nodes: cl.Nodes(), finished: done}
+	return attackEstablishment{delivered: rec.Messages(), report: rep, nodes: cl.Nodes(), faulty: ids, finished: done}
 }
 
 // refAndFilter returns the case's attack in its reference form and in
@@ -395,10 +399,16 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		faces, err := NewKeyFaces(scheme, keys(), c.faceOne)
+		keyRand := keys()
+		keyOne, err := scheme.Generate(keyRand)
 		if err != nil {
 			t.Fatal(err)
 		}
+		keyTwo, err := scheme.Generate(keyRand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faces := NewKeyFaces(c.faceOne, keyOne, keyTwo)
 		refProc = func(*core.Cluster) sim.Process { return mixed }
 		wrap = func(*core.Cluster) func(sim.Process) sim.Process { return faces.Wrap }
 	case "shared":
@@ -406,10 +416,11 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := NewSharedKey(scheme, keys())
+		sharedKey, err := scheme.Generate(keys())
 		if err != nil {
 			t.Fatal(err)
 		}
+		shared := NewKeyFaces(nil, sharedKey, sharedKey)
 		return func(*core.Cluster) []slot {
 				return []slot{{id: c.faulty, proc: group[0]}, {id: peer(1), proc: group[1]}}
 			},
@@ -468,7 +479,9 @@ func (c attackCase) refAndFilter(t testing.TB) (ref, filter func(*core.Cluster) 
 // delivered traffic (every round's messages, payload bytes included, in
 // canonical order, since a mesh delivers one round's messages in no fixed
 // order), report (rounds executed, traffic, outcomes and discoveries),
-// faulty processes finished, surviving directories and G1/G2 verdicts.
+// faulty processes finished, the correct nodes' directories and G1/G2
+// verdicts. (A filter's node keeps its keys where the reference process
+// kept none, so faulty slots are not compared.)
 func (got attackEstablishment) diff(want attackEstablishment) error {
 	if err := cmp.Or(simtest.Traffic(got.delivered, want.delivered, true), simtest.Equal("report", got.report, want.report),
 		simtest.Equal("faulty processes finished", got.finished, want.finished)); err != nil {
@@ -476,10 +489,7 @@ func (got attackEstablishment) diff(want attackEstablishment) error {
 	}
 	for i, a := range want.nodes {
 		b := got.nodes[i]
-		if err := simtest.Equal(fmt.Sprintf("P%d kept its keys", i), b != nil, a != nil); err != nil {
-			return err
-		}
-		if a == nil {
+		if want.faulty.Contains(model.NodeID(i)) {
 			continue
 		}
 		if err := simtest.Equal(fmt.Sprintf("P%d's accepted predicates", i), b.Directory().Len(), a.Directory().Len()); err != nil {
@@ -492,8 +502,8 @@ func (got attackEstablishment) diff(want attackEstablishment) error {
 		}
 	}
 	verdict := func(err error) string { return fmt.Sprint(err) }
-	return cmp.Or(simtest.Equal("CheckG1", verdict(core.CheckG1(got.nodes)), verdict(core.CheckG1(want.nodes))),
-		simtest.Equal("CheckG2", verdict(core.CheckG2(got.nodes)), verdict(core.CheckG2(want.nodes))))
+	return cmp.Or(simtest.Equal("CheckG1", verdict(core.CheckG1(got.nodes, got.faulty)), verdict(core.CheckG1(want.nodes, want.faulty))),
+		simtest.Equal("CheckG2", verdict(core.CheckG2(got.nodes, got.faulty)), verdict(core.CheckG2(want.nodes, want.faulty))))
 }
 
 // matchesReference runs the case's reference attacker and its filter

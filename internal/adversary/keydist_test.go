@@ -78,12 +78,12 @@ func TestKeydistHonestHandshake(t *testing.T) {
 
 // checkG1G2 asserts the Theorem 2 guarantees after an adversarial run
 // over nodes, nil at the faulty slots.
-func checkG1G2(t *testing.T, nodes []*keydist.Node) {
+func checkG1G2(t *testing.T, nodes []*keydist.Node, faulty model.NodeID) {
 	t.Helper()
-	if err := core.CheckG1(nodes); err != nil {
+	if err := core.CheckG1(nodes, model.NewNodeSet(faulty)); err != nil {
 		t.Error(err)
 	}
-	if err := core.CheckG2(nodes); err != nil {
+	if err := core.CheckG2(nodes, model.NewNodeSet(faulty)); err != nil {
 		t.Error(err)
 	}
 }
@@ -99,7 +99,7 @@ func TestKeydistForeignClaimInterleaving(t *testing.T) {
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
-	checkG1G2(t, nodes)
+	checkG1G2(t, nodes, faulty)
 	// Stronger than G1: the unanswered claim must not be accepted at all.
 	for _, node := range nodes {
 		if node == nil {
@@ -124,7 +124,7 @@ func TestKeydistChallengeRelayInterleaving(t *testing.T) {
 	if _, err := sim.RunInstance(cfg, procs, keydist.RoundsTotal); err != nil {
 		t.Fatalf("RunInstance: %v", err)
 	}
-	checkG1G2(t, nodes)
+	checkG1G2(t, nodes, faulty)
 	for _, node := range nodes {
 		if node == nil || node.ID() == victim {
 			continue
@@ -142,10 +142,11 @@ func TestKeydistSharedKeyGroupAcceptedConsistently(t *testing.T) {
 	const n = 6
 	cfg := model.Config{N: n, T: 2}
 	procs, nodes, scheme := buildKeydist(t, n, 53)
-	shared, err := NewSharedKey(scheme, sim.SeededReader(101))
+	sharedKey, err := scheme.Generate(sim.SeededReader(101))
 	if err != nil {
-		t.Fatalf("NewSharedKey: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	shared := NewKeyFaces(nil, sharedKey, sharedKey)
 	for _, id := range []model.NodeID{4, 5} {
 		procs[id], nodes[id] = shared.Wrap(procs[id]), nil
 	}

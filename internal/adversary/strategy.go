@@ -50,6 +50,22 @@ const (
 	BehaviorWrongName = "wrong-name"
 )
 
+// Key-distribution attacks accepted in Strategy.Setup, each a filter over
+// the corrupt node's correct Fig. 1 node: drop every send; claim a
+// correct node's predicate (ForeignClaim); claim it and relay challenges
+// (ChallengeRelay); show the lower half one key and the rest another
+// (KeyFaces, the G3 violation); show everyone one key, the lowest
+// corrupt node's.
+const (
+	SetupSilent         = "silent"
+	SetupForeignClaim   = "foreign-claim"
+	SetupRelayChallenge = "relay-challenge"
+	SetupEquivocateKeys = "equivocate-keys"
+	SetupSharedKey      = "shared-key"
+)
+
+var setupNames = []string{SetupSilent, SetupForeignClaim, SetupRelayChallenge, SetupEquivocateKeys, SetupSharedKey}
+
 // Partition names accepted in BehaviorSpec.Partition.
 const (
 	// PartitionHalves shows face one to nodes below n/2 (the default).
@@ -86,9 +102,10 @@ type BehaviorSpec struct {
 	Partition string `json:"partition,omitempty"`
 }
 
-// Strategy declares a composable adversary: the corrupt-set selection
-// plus the behavior stack every corrupt node runs. The zero Strategy is
-// the honest (no-fault) strategy.
+// Strategy declares a composable adversary: the corrupt-set selection,
+// the behavior stack every corrupt node runs, and what the corrupt nodes
+// do in key distribution. The zero Strategy is the honest (no-fault)
+// strategy.
 type Strategy struct {
 	// Name labels the strategy in reports and group keys; empty means the
 	// canonical rendering of the fields (CanonicalName).
@@ -102,6 +119,11 @@ type Strategy struct {
 	Coalition int `json:"coalition,omitempty"`
 	// Behaviors stack onto every corrupt node, applied in order.
 	Behaviors []BehaviorSpec `json:"behaviors,omitempty"`
+	// Setup, when set, is the key-distribution attack (a Setup* name) of
+	// a fixed corrupt set; empty runs the handshake honestly. After setup
+	// a corrupt node runs its behaviors, or with none its correct process
+	// with the keys it kept.
+	Setup string `json:"setup,omitempty"`
 }
 
 // IsHonest reports the no-fault strategy.
@@ -157,13 +179,19 @@ func (s Strategy) Validate() error {
 		seen[id] = true
 	}
 	if s.IsHonest() {
-		if len(s.Behaviors) > 0 {
-			return fmt.Errorf("adversary: behaviors declared without a corrupt set")
+		if len(s.Behaviors) > 0 || s.Setup != "" {
+			return fmt.Errorf("adversary: behaviors or setup declared without a corrupt set")
 		}
 		return nil
 	}
-	if len(s.Behaviors) == 0 {
-		return fmt.Errorf("adversary: corrupt set declared without behaviors")
+	if len(s.Behaviors) == 0 && s.Setup == "" {
+		return fmt.Errorf("adversary: corrupt set declared without behaviors or setup")
+	}
+	if s.Setup != "" && !slices.Contains(setupNames, s.Setup) {
+		return fmt.Errorf("adversary: unknown setup %q", s.Setup)
+	}
+	if s.Setup != "" && s.Coalition > 0 { // a coalition's members, and so its setup, vary per seed
+		return fmt.Errorf("adversary: setup needs a fixed corrupt set, not a coalition")
 	}
 	for i, b := range s.Behaviors {
 		if err := b.validate(); err != nil {
@@ -368,6 +396,9 @@ func (s Strategy) CanonicalName() string {
 	for _, b := range s.Behaviors {
 		parts = append(parts, b.token())
 	}
+	if s.Setup != "" {
+		parts = append(parts, "setup-"+s.Setup)
+	}
 	return strings.Join(parts, ".")
 }
 
@@ -408,7 +439,8 @@ func (b BehaviorSpec) token() string {
 // size=<f>). Parameters: "behavior=<name>" opens a behavior (several
 // compose in order); "round=", "delay=", "victims=<i>+<j>", "partition="
 // attach to the behavior opened last; "size=<f>" sets the coalition size;
-// "name=<label>" overrides the canonical name. Example:
+// "setup=<name>" sets the key-distribution attack; "name=<label>"
+// overrides the canonical name. Example:
 //
 //	coalition:size=2,behavior=equivocate,partition=even-odd
 //
@@ -444,6 +476,8 @@ func ParseStrategy(input string) (Strategy, error) {
 			switch key {
 			case "name":
 				s.Name = val
+			case "setup":
+				s.Setup = val
 			case "size":
 				if s.Coalition == 0 {
 					return Strategy{}, fmt.Errorf("adversary: parse %q: size= outside a coalition selector", input)

@@ -41,6 +41,10 @@ func TestParseStrategy(t *testing.T) {
 			Strategy{Nodes: []int{0, 2}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, true},
 		{"wrong-name relay", "relay:behavior=wrong-name",
 			Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorWrongName}}}, true},
+		{"setup only", "nodes=5:setup=foreign-claim", Strategy{Nodes: []int{5}, Setup: SetupForeignClaim}, true},
+		{"setup then behavior", "relay:setup=relay-challenge,behavior=resign",
+			Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}, Setup: SetupRelayChallenge}, true},
+		{"setup shared by a pair", "nodes=4+5:setup=shared-key", Strategy{Nodes: []int{4, 5}, Setup: SetupSharedKey}, true},
 
 		{"unknown selector", "gremlin:behavior=crash", Strategy{}, false},
 		{"unknown behavior", "sender:behavior=teleport", Strategy{}, false},
@@ -65,6 +69,9 @@ func TestParseStrategy(t *testing.T) {
 		{"unknown parameter", "sender:behavior=crash,color=red", Strategy{}, false},
 		{"stray round on resign", "relay:behavior=resign,round=2", Strategy{}, false},
 		{"stray victims on wrong-name", "relay:behavior=wrong-name,victims=3", Strategy{}, false},
+		{"unknown setup", "sender:setup=forge-keys", Strategy{}, false},
+		{"setup over a coalition", "coalition:size=2,setup=equivocate-keys", Strategy{}, false},
+		{"setup over a coalition with behaviors", "coalition:behavior=crash,setup=silent", Strategy{}, false},
 	} {
 		got, err := ParseStrategy(tc.input)
 		if tc.ok && err != nil {
@@ -99,6 +106,10 @@ func TestStrategyValidate(t *testing.T) {
 		{"corrupt set without behaviors", Strategy{Nodes: []int{1}}, false},
 		{"negative node", Strategy{Nodes: []int{-1}, Behaviors: []BehaviorSpec{{Name: BehaviorCrash}}}, false},
 		{"empty behavior name", Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{}}}, false},
+		{"setup alone", Strategy{Nodes: []int{0}, Setup: SetupEquivocateKeys}, true},
+		{"setup without corrupt set", Strategy{Setup: SetupSilent}, false},
+		{"setup over a coalition", Strategy{Coalition: 1, Setup: SetupSilent}, false},
+		{"unknown setup", Strategy{Nodes: []int{0}, Setup: "teleport"}, false},
 	} {
 		err := tc.s.Validate()
 		if tc.ok && err != nil {
@@ -328,6 +339,9 @@ func TestCanonicalName(t *testing.T) {
 		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, "nodes-1.resign"},
 		{Strategy{Nodes: []int{2, 0}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}}, "nodes-0-2.resign"},
 		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorWrongName}}}, "nodes-1.wrong-name"},
+		{Strategy{Nodes: []int{5}, Setup: SetupForeignClaim}, "nodes-5.setup-foreign-claim"},
+		{Strategy{Nodes: []int{1}, Behaviors: []BehaviorSpec{{Name: BehaviorResign}}, Setup: SetupForeignClaim},
+			"nodes-1.resign.setup-foreign-claim"},
 	} {
 		if got := tc.s.CanonicalName(); got != tc.want {
 			t.Errorf("CanonicalName(%+v) = %q, want %q", tc.s, got, tc.want)
@@ -354,6 +368,10 @@ func FuzzParseStrategy(f *testing.F) {
 		"coalition:size=2,behavior=resign,behavior=delay,delay=1",
 		"nodes=1:behavior=wrong-name,behavior=tamper",
 		"relay:behavior=resign,round=2",
+		"nodes=5:setup=foreign-claim",
+		"nodes=1+2:setup=shared-key,behavior=delay,delay=1",
+		"coalition:size=2,setup=equivocate-keys",
+		"sender:setup=",
 		"coalition:size=-1,behavior=crash",
 		"sender:behavior=crash,round=999999",
 		"sender:behavior=warp",

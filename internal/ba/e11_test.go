@@ -38,10 +38,16 @@ func e11Fixture(t *testing.T, n, tol int, seed int64) (signers []sig.Signer, dir
 		t.Fatalf("ByName: %v", err)
 	}
 	groupA := model.NewNodeSet(1) // P_1 gets predicate A, the rest B
-	mixed, err = adversary.NewKeyFaces(scheme, sim.SeededReader(seed), groupA)
+	keyRand := sim.SeededReader(seed)
+	keyOne, err := scheme.Generate(keyRand)
 	if err != nil {
-		t.Fatalf("NewKeyFaces: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	keyTwo, err := scheme.Generate(keyRand)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	mixed = adversary.NewKeyFaces(groupA, keyOne, keyTwo)
 	signers, dirs = localAuth(t, cfg, seed, map[model.NodeID]func(sim.Process) sim.Process{0: mixed.Wrap})
 	return signers, dirs, mixed
 }

@@ -18,8 +18,10 @@ import (
 // pass with ZERO excusals — which is exactly why their drivers register
 // protocol.VerdictsAgreement and not a MayDisagree escape. (The known
 // gap for both protocols is the paper's §6 LOCAL-authentication G3
-// attack, which needs a corrupt key-distribution phase; campaign runs
-// always distribute keys honestly, so it cannot arise here.)
+// attack, which needs a corrupt key-distribution phase: the
+// setup=equivocate-keys strategy, the one excusal VerdictsAgreement
+// makes, swept in setup_test.go. The grid below distributes keys
+// honestly.)
 
 // agreementGridSpec sweeps fdba and sm across coalition, equivocate, and
 // delay stacks (plus drops, duplicate floods, and tampering) — the

@@ -59,7 +59,9 @@ type Verdict struct {
 	// and are scored in full.
 	NetExcused bool `json:"net_excused,omitempty"`
 	// Violations lists the predicates that failed and were not excused,
-	// in the fixed termination/agreement/validity order.
+	// in the fixed termination/agreement/validity order, then the
+	// key-distribution guarantees ("G1", "G2") a corrupt setup broke,
+	// which nothing excuses.
 	Violations []string `json:"violations,omitempty"`
 }
 
@@ -67,10 +69,10 @@ type Verdict struct {
 func (v *Verdict) Conformant() bool { return v != nil && len(v.Violations) == 0 }
 
 // newVerdict assembles a Verdict, recording a violation for every failed
-// predicate the driver's theory does not excuse. netExcused suppresses
-// all violations (the raw predicate results stay visible): no paper
-// guarantee survives a broken N1.
-func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool) *Verdict {
+// predicate the driver's theory does not excuse, then the setup's. netExcused
+// suppresses the predicates' violations (the raw results stay visible): no
+// paper guarantee of the run survives a broken N1.
+func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool, setup []string) *Verdict {
 	v := &Verdict{
 		Termination: termination,
 		Agreement:   agreement,
@@ -78,18 +80,16 @@ func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool) 
 		MayDisagree: mayDisagree,
 		NetExcused:  netExcused,
 	}
-	if netExcused {
-		return v
-	}
-	if !termination {
+	if !termination && !netExcused {
 		v.Violations = append(v.Violations, PredTermination)
 	}
-	if !agreement && !v.MayDisagree {
+	if !agreement && !v.MayDisagree && !netExcused {
 		v.Violations = append(v.Violations, PredAgreement)
 	}
-	if !validity && !v.MayDisagree {
+	if !validity && !v.MayDisagree && !netExcused {
 		v.Violations = append(v.Violations, PredValidity)
 	}
+	v.Violations = append(v.Violations, setup...)
 	return v
 }
 
@@ -105,14 +105,14 @@ func scoreOutcome(drv protocol.Driver, pinst protocol.Instance, out protocol.Out
 	// may legitimately hit the driver's MayDisagree regime even under an
 	// honest strategy.
 	honest := pinst.Strategy.IsHonest() && (pinst.Net == nil || pinst.Net.IsIdeal())
-	may := !honest && verdicts.MayDisagree(pinst.N, pinst.T)
+	may := !honest && verdicts.MayDisagree(pinst.N, pinst.T, pinst.Strategy.Setup)
 	netExcused := pinst.Net != nil && pinst.Net.DegradesLinks()
 	if len(out.SubRuns) == 0 {
 		// No conformance material is itself a violation: a driver that
 		// reports nothing to score must not silently pass the -strict
 		// gate. Even a degraded network does not excuse it — the excusal
 		// covers predicate failures, not missing material.
-		v := newVerdict(false, false, false, may, false)
+		v := newVerdict(false, false, false, may, false, out.SetupViolations)
 		v.NetExcused = netExcused
 		return v
 	}
@@ -124,7 +124,7 @@ func scoreOutcome(drv protocol.Driver, pinst protocol.Instance, out protocol.Out
 		agreement = agreement && a
 		validity = validity && v
 	}
-	return newVerdict(termination, agreement, validity, may, netExcused)
+	return newVerdict(termination, agreement, validity, may, netExcused, out.SetupViolations)
 }
 
 // evaluateSubRun runs the core property checkers over one sub-run's

@@ -89,6 +89,15 @@ func TestVerdictPredicates(t *testing.T) {
 			Instance{Protocol: ProtoSmallRange, N: 5, T: 1, Adversary: AdvNone},
 			decidedOutcomes("\x00", "\x01", "\x00"), honest, 3, 3,
 			false, []string{PredAgreement, PredValidity}, false},
+		{"sm under a two-keyed sender may disagree (§6)",
+			Instance{Protocol: ProtoSM, N: 4, T: 1, Adversary: "sender:setup=equivocate-keys"},
+			decidedOutcomes("v", "x", "x"), faultySender, 3, 3, true, nil, true},
+		{"sm under a foreign claim may not",
+			Instance{Protocol: ProtoSM, N: 4, T: 1, Adversary: "sender:setup=foreign-claim"},
+			decidedOutcomes("v", "x", "x"), faultySender, 3, 3, false, []string{PredAgreement}, false},
+		{"chain under a two-keyed sender may not",
+			Instance{Protocol: ProtoChain, N: 4, T: 1, Adversary: "sender:setup=equivocate-keys"},
+			decidedOutcomes("v", "x", "x"), faultySender, 3, 3, false, []string{PredAgreement}, false},
 		{"faulty sender makes validity vacuous",
 			Instance{Protocol: ProtoChain, N: 4, T: 1, Adversary: AdvCrashSender},
 			decidedOutcomes("x", "x", "x"), faultySender, 3, 3, true, nil, false},

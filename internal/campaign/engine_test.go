@@ -29,7 +29,11 @@ func runOnEngine(t *testing.T, inst Instance, engine core.Engine) protocol.Outco
 		t.Fatalf("%s: core.New: %v", inst.GroupKey(), err)
 	}
 	if drv.Capabilities().UsesSignatures {
-		if _, err := c.EstablishAuthentication(); err != nil {
+		setup, err := protocol.SetupOptions(pinst)
+		if err != nil {
+			t.Fatalf("%s: setup: %v", inst.GroupKey(), err)
+		}
+		if _, err := c.EstablishAuthentication(setup...); err != nil {
 			t.Fatalf("%s: establish: %v", inst.GroupKey(), err)
 		}
 	}
@@ -63,7 +67,22 @@ func closeMeshes(meshes []*transport.Mesh) {
 // the lockstep simulator and on the mesh engine's goroutine-per-node
 // runners, and one instance per driver does over TCP loopback sockets.
 func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
-	spec, err := LoadSpec("testdata/golden_wiring_spec.json")
+	enginesAgreeOn(t, "testdata/golden_wiring_spec.json", 294)
+}
+
+// TestEnginesAgreeOnSetupWiringSpec is the same claim with key
+// distribution corrupted: the five signing drivers × the five setup=
+// attacks × n=7 × 2 seeds, each instance's setup (SetupOptions) crossing
+// the same engine as its run.
+func TestEnginesAgreeOnSetupWiringSpec(t *testing.T) {
+	enginesAgreeOn(t, "testdata/setup_wiring_spec.json", 50)
+}
+
+// enginesAgreeOn runs every instance of the spec at path, which must
+// expand to count, on the simulator and the memory mesh, and the last
+// instance of each driver over TCP loopback too.
+func enginesAgreeOn(t *testing.T, path string, count int) {
+	spec, err := LoadSpec(path)
 	if err != nil {
 		t.Fatalf("LoadSpec: %v", err)
 	}
@@ -71,8 +90,8 @@ func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
 	}
-	if len(instances) != 294 {
-		t.Fatalf("golden wiring spec expands to %d instances, want 294", len(instances))
+	if len(instances) != count {
+		t.Fatalf("%s expands to %d instances, want %d", path, len(instances), count)
 	}
 	overTCP := make(map[string]bool)
 	for _, inst := range instances {
@@ -81,8 +100,7 @@ func TestEnginesAgreeOnGoldenWiringSpec(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s seed %d: memory mesh departs from the simulator\n sim:  %+v\n mesh: %+v", inst.GroupKey(), inst.Seed, want, got)
 		}
-		// The last instance of each driver is its hardest cell: n=10,
-		// delay+tamper under a healing partition.
+		// The last instance of each driver is its hardest cell.
 		if next := inst.Index + 1; next < len(instances) && instances[next].Protocol == inst.Protocol {
 			continue
 		}

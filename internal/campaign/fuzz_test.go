@@ -19,6 +19,8 @@ func FuzzParseAdversary(f *testing.F) {
 		"nodes=1+2:behavior=drop,victims=0",
 		"relay:behavior=resign", "nodes=0+2:behavior=resign", "relay:behavior=wrong-name",
 		"coalition:size=2,behavior=resign", "relay:behavior=wrong-name,victims=3",
+		"sender:setup=equivocate-keys", "relay:setup=relay-challenge,name=r", "nodes=1+2:setup=shared-key",
+		"coalition:setup=silent", "sender:setup=keys",
 		"gremlin", "none:extra", "coalition:size=99999999999999999999,behavior=crash",
 	} {
 		f.Add(seed)

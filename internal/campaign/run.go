@@ -169,6 +169,13 @@ func (inst Instance) Validate() error {
 	return nil
 }
 
+// SetupKey is the instance's cell in a setup store (protocol.KeyOf); an
+// instance that does not resolve gets the zero key, and fails when run.
+func (inst Instance) SetupKey() protocol.SetupKey {
+	_, pinst, _ := inst.resolve()
+	return protocol.KeyOf(pinst)
+}
+
 // runInto executes the instance and fills the result's measurement and
 // conformance fields.
 func runInto(inst Instance, cache *protocol.SetupCache, served *string, res *Result) error {

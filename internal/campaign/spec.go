@@ -7,9 +7,9 @@
 //
 // The paper's evaluation is about *families* of runs: failure-discovery
 // and agreement costs as n, t, the authentication scheme, and the
-// adversary vary. Package experiments hand-wires single configurations;
-// campaign is the scaffolding that sweeps them systematically and as
-// fast as the hardware allows.
+// adversary vary. Most of package experiments' tables are campaign specs
+// plus a column formula; campaign is the scaffolding that sweeps them
+// systematically and as fast as the hardware allows.
 //
 // Determinism contract: a campaign's aggregate output is a pure function
 // of its Spec. Expansion order is fixed, every instance derives its own
@@ -62,10 +62,10 @@ const (
 // Legacy adversary alias names accepted in Spec.Adversaries, kept from
 // the era when these four were the whole vocabulary. Each resolves to a
 // composable adversary.Strategy (see aliasStrategy); arbitrary strategies
-// are declared with the compact syntax or the AdversarySpecs block. All
-// fault placements apply to the protocol phase only (key distribution,
-// where a protocol needs it, always runs honestly — the paper's setting:
-// authentication is established once, failures happen in later runs).
+// are declared with the compact syntax or the AdversarySpecs block. Their
+// behaviors apply to the protocol phase; key distribution, where a
+// protocol needs it, runs honestly unless the strategy names a setup=
+// attack (local authentication: a faulty node may show peers any keys).
 const (
 	// AdvNone runs every node honestly.
 	AdvNone = "none"

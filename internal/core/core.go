@@ -15,8 +15,8 @@
 //
 // Fault injection: any node can be replaced by an arbitrary process for
 // either phase with the WithProcess run option, or wrapped with
-// WithWrappedProcess, which is how the experiments wire in package
-// adversary's behaviours.
+// WithWrappedProcess, which is how internal/protocol wires in package
+// adversary's behaviours and key-distribution attacks.
 //
 // Both phases are wrappers. The run itself — per node: replaced,
 // wrapped, churned or honest; then engine, counters, ledger, span — is
@@ -264,7 +264,13 @@ func (c *Cluster) keyRand(node int) io.Reader {
 	if !c.keySeeded {
 		return rand.Reader
 	}
-	return sim.SeededReader(sim.KeyMaterialSeed(c.keySeed, node))
+	return KeyRand(c.keySeed, node)
+}
+
+// KeyRand is node's key-generation stream under keySeed: its key pair is
+// the scheme's first draw, derivable without running the handshake.
+func KeyRand(keySeed int64, node int) io.Reader {
+	return sim.SeededReader(sim.KeyMaterialSeed(keySeed, node))
 }
 
 // runRand is node's per-run entropy stream.
@@ -331,9 +337,9 @@ func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 func (c *Cluster) Established() bool { return c.established }
 
 // Nodes returns the established key-distribution nodes by node ID (nil
-// where a run option made the node faulty during key distribution; nil
-// before establishment) — what CheckG1 and CheckG2 read. Callers must
-// not modify them: NewEstablished shares them.
+// where WithProcess replaced the node during key distribution; nil before
+// establishment) — what CheckG1 and CheckG2 read. Callers must not modify
+// them: NewEstablished shares them.
 func (c *Cluster) Nodes() []*keydist.Node { return c.nodes }
 
 // engineTracer combines the cluster's message tracer and, when an
@@ -465,14 +471,16 @@ func (b *keydistBuilder) buildNode(id model.NodeID) (sim.Process, error) {
 }
 
 // EstablishAuthentication runs the paper's Fig. 1 key-distribution
-// protocol across the cluster and retains each correct node's signer and
+// protocol across the cluster and retains each node's signer and
 // directory, the n directories sharing one fresh verify memo. The options
-// mean what they mean to Run (WithProtocol is ignored likewise); a node
-// they make faulty has no keys afterwards, and later authenticated runs
-// must replace it too. It returns the phase report; the traffic is also
-// added to the ledger under PhaseKeyDist.
+// mean what they mean to Run (WithProtocol is ignored likewise). A node
+// they wrap is faulty but keeps its own keydist.Node — its key pair and
+// what it accepted — so a later run may sign with it; a node they replace
+// keeps no keys, and later authenticated runs must replace it too. It
+// returns the phase report, the correct nodes' discoveries included; the
+// traffic is also added to the ledger under PhaseKeyDist.
 func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
-	var run fdRun
+	run := fdRun{kept: make([]sim.Process, c.cfg.N)}
 	for _, opt := range opts {
 		opt(&run)
 	}
@@ -485,6 +493,7 @@ func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
 	nodes := make([]*keydist.Node, c.cfg.N)
 	for i, p := range honest {
 		if p == nil {
+			nodes[i], _ = run.kept[i].(*keydist.Node) // nil where replaced or churned
 			continue
 		}
 		nodes[i] = p.(*keydist.Node)
@@ -509,6 +518,8 @@ type fdRun struct {
 	wrappers  map[model.NodeID]func(sim.Process) sim.Process
 	network   sim.Network
 	churn     map[model.NodeID]netcond.ChurnSpec
+	// kept, when set, receives each wrapped node's process as first built.
+	kept []sim.Process
 }
 
 // WithProtocol selects the protocol RunFailureDiscovery runs (default
@@ -545,8 +556,8 @@ func WithWrappedProcess(id model.NodeID, wrap func(sim.Process) sim.Process) Run
 // WithNetwork layers a network-condition model (typically a
 // *netcond.Model) under this run's engine: message delivery follows the
 // model's fates instead of the ideal next-round schedule. The protocol
-// drivers pass key distribution no option — the paper's setup assumes an
-// intact network — which is what keeps the campaign's setup store
+// drivers never pass it to key distribution — the paper's setup assumes
+// an intact network — which is what keeps the campaign's setup store
 // condition-independent. When an observer is attached and the
 // network supports it, partition/heal/drop/delay events are emitted.
 func WithNetwork(net sim.Network) RunOption {
@@ -648,8 +659,8 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 // run is the one wiring loop of both phases: per node it decides
 // overridden, wrapped, churned or honest, then runs the engine to the
 // round bound. Faulty nodes — everything but the last case — owe no
-// outcome and keep no keys, so honest is nil at their slots. The caller
-// completes the report and finishes it.
+// outcome, so honest is nil at their slots. The caller completes the
+// report and finishes it.
 func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, obs.Span, error) {
 	scope := "core.fdrun"
 	if phase == PhaseKeyDist {
@@ -681,6 +692,9 @@ func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b no
 		}
 		honest[i] = p
 		if wrap, ok := run.wrappers[id]; ok {
+			if run.kept != nil {
+				run.kept[i] = p
+			}
 			p = wrap(p)
 			honest[i] = nil
 		}

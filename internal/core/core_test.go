@@ -202,17 +202,22 @@ func TestClusterKeyDistFaultInjection(t *testing.T) {
 		t.Errorf("%d correct nodes decided, want 4", agreed)
 	}
 
-	// A wrapped key-distribution node is faulty like a replaced one: P2
-	// runs the correct protocol but never talks to P4, so P4 cannot accept
-	// it, P2 keeps no keys, and G1/G2 hold over the other four.
+	// A wrapped key-distribution node is faulty but, unlike a replaced
+	// one, keeps its keys: P2 runs the correct protocol but never talks
+	// to P4, so P4 cannot accept it, P2 still signs with its own key, and
+	// G1/G2 hold over the other four.
 	c = newCluster(t, 5, 1, 7)
 	mute := func(p sim.Process) sim.Process { return adversary.Wrap(p, adversary.DropTo(model.NewNodeSet(4))) }
 	if _, err := c.EstablishAuthentication(core.WithWrappedProcess(2, mute)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
 	nodes := c.Nodes()
-	if nodes[2] != nil {
-		t.Error("wrapped P2 kept its keys")
+	own, err := c.Scheme().Generate(core.KeyRand(7, 2)) // P2's key under key seed 7
+	if err != nil {
+		t.Fatal(err)
+	}
+	if signer, err := c.Signer(2); err != nil || signer.Predicate().Fingerprint() != own.Predicate().Fingerprint() {
+		t.Errorf("wrapped P2 did not keep its own keys: %v", err)
 	}
 	if _, ok := nodes[4].Directory().PredicateOf(2); ok {
 		t.Error("P4 accepted P2, which never sent it a message")
@@ -220,10 +225,10 @@ func TestClusterKeyDistFaultInjection(t *testing.T) {
 	if _, ok := nodes[0].Directory().PredicateOf(2); !ok {
 		t.Error("P0 did not accept P2, which answered its challenge")
 	}
-	if err := core.CheckG1(nodes); err != nil {
+	if err := core.CheckG1(nodes, model.NewNodeSet(2)); err != nil {
 		t.Error(err)
 	}
-	if err := core.CheckG2(nodes); err != nil {
+	if err := core.CheckG2(nodes, model.NewNodeSet(2)); err != nil {
 		t.Error(err)
 	}
 }
@@ -287,10 +292,16 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 	cfg := model.Config{N: n, T: tol}
 	c := newCluster(t, n, tol, 10)
 	scheme := c.Scheme()
-	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(123), model.NewNodeSet(1))
+	keyRand := sim.SeededReader(123)
+	keyOne, err := scheme.Generate(keyRand)
 	if err != nil {
-		t.Fatalf("NewKeyFaces: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	keyTwo, err := scheme.Generate(keyRand)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	faces := adversary.NewKeyFaces(model.NewNodeSet(1), keyOne, keyTwo)
 	if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}

@@ -17,8 +17,8 @@ import (
 // no checker: local authentication does not promise it.
 //
 // The F-checkers take the set of faulty node IDs so they can restrict the
-// conditions to correct nodes, exactly as the definitions do; the
-// G-checkers take Cluster.Nodes, where a nil slot is a faulty node.
+// conditions to correct nodes, exactly as the definitions do; so do the
+// G-checkers, over Cluster.Nodes.
 
 // PropertyViolation describes a failed F- or G-condition for diagnostics.
 type PropertyViolation struct {
@@ -110,19 +110,20 @@ func anyCorrectDiscovered(outcomes []model.Outcome, faulty model.NodeSet) bool {
 
 // CheckG1 verifies that no faulty node passes for a correct one: no
 // correct node accepted a correct node's predicate under a faulty node's
-// identity.
-func CheckG1(nodes []*keydist.Node) error {
-	for _, holder := range nodes {
-		for id, claimant := range nodes {
-			if holder == nil || claimant != nil {
+// identity. A nil slot is a faulty node that kept no keys.
+func CheckG1(nodes []*keydist.Node, faulty model.NodeSet) error {
+	correct := func(id int) bool { return nodes[id] != nil && !faulty.Contains(model.NodeID(id)) }
+	for h, holder := range nodes {
+		for id := range nodes {
+			if !correct(h) || correct(id) {
 				continue
 			}
 			p, ok := holder.Directory().PredicateOf(model.NodeID(id))
 			if !ok {
 				continue
 			}
-			for _, victim := range nodes {
-				if victim != nil && p.Fingerprint() == victim.Signer().Predicate().Fingerprint() {
+			for v, victim := range nodes {
+				if correct(v) && p.Fingerprint() == victim.Signer().Predicate().Fingerprint() {
 					return &PropertyViolation{
 						Property: "G1",
 						Detail: fmt.Sprintf("%v accepted %v's predicate for faulty %v",
@@ -137,10 +138,11 @@ func CheckG1(nodes []*keydist.Node) error {
 
 // CheckG2 verifies that every correct node accepted, under every correct
 // node's identity, that node's own predicate.
-func CheckG2(nodes []*keydist.Node) error {
-	for _, holder := range nodes {
-		for _, peer := range nodes {
-			if holder == nil || peer == nil {
+func CheckG2(nodes []*keydist.Node, faulty model.NodeSet) error {
+	correct := func(id int) bool { return nodes[id] != nil && !faulty.Contains(model.NodeID(id)) }
+	for h, holder := range nodes {
+		for q, peer := range nodes {
+			if !correct(h) || !correct(q) {
 				continue
 			}
 			p, ok := holder.Directory().PredicateOf(peer.ID())

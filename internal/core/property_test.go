@@ -236,18 +236,19 @@ func TestPropertyKeyDistChaos(t *testing.T) {
 		}
 		// Theorem 2 regardless of the chaos: no chaos node passes for a
 		// correct one, and correct nodes hold each other's true keys.
-		if err := core.CheckG1(c.Nodes()); err != nil {
+		if err := core.CheckG1(c.Nodes(), faulty); err != nil {
 			t.Errorf("seed %d: %v", s, err)
 		}
-		if err := core.CheckG2(c.Nodes()); err != nil {
+		if err := core.CheckG2(c.Nodes(), faulty); err != nil {
 			t.Errorf("seed %d: %v", s, err)
 		}
 	}
 }
 
 // TestCheckG1G2 shows the Theorem 2 checkers can fail — on honestly
-// established directories doctored by hand — and hold under each of
-// experiment E5's key-distribution attacks.
+// established directories doctored by hand, whether the faulty node kept
+// its keys or not — and hold under each of experiment E5's
+// key-distribution attacks.
 func TestCheckG1G2(t *testing.T) {
 	cfg := model.Config{N: 6, T: 2}
 	property := func(err error) string {
@@ -268,42 +269,57 @@ func TestCheckG1G2(t *testing.T) {
 	}
 	honest := established()
 	victim, scheme := honest[1].Signer().Predicate(), honest[1].Scheme()
-	mixed, err := adversary.NewKeyFaces(scheme, sim.SeededReader(32), model.NewNodeSet(0, 1))
+	keyRand := sim.SeededReader(32)
+	keyOne, err := scheme.Generate(keyRand)
 	if err != nil {
-		t.Fatalf("NewKeyFaces: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
-	shared, err := adversary.NewSharedKey(scheme, sim.SeededReader(32))
+	keyTwo, err := scheme.Generate(keyRand)
 	if err != nil {
-		t.Fatalf("NewSharedKey: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	mixed := adversary.NewKeyFaces(model.NewNodeSet(0, 1), keyOne, keyTwo)
+	sharedKey, err := scheme.Generate(sim.SeededReader(32))
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	shared := adversary.NewKeyFaces(nil, sharedKey, sharedKey)
+	p5 := model.NewNodeSet(5)
 	for _, tc := range []struct {
 		name           string
+		faulty         model.NodeSet
 		nodes          func() []*keydist.Node
 		wantG1, wantG2 string
 	}{
-		{"honest", func() []*keydist.Node { return honest }, "", ""},
-		{"a correct node's predicate accepted under a faulty id", func() []*keydist.Node {
-			nodes := append([]*keydist.Node(nil), established()...)
-			nodes[5] = nil // P5 turns out to be faulty …
+		{"honest", nil, func() []*keydist.Node { return honest }, "", ""},
+		// P5 turns out to be faulty, and kept its keys …
+		{"a correct node's predicate accepted under a faulty id", p5, func() []*keydist.Node {
+			nodes := established()
 			nodes[0].Directory().Accept(5, nodes[1].Signer().Predicate())
 			return nodes // … and P0 took P1's key for P5's
 		}, "G1", ""},
-		{"a correct node's entry replaced", func() []*keydist.Node {
+		{"the same, P5 keeping no keys", p5, func() []*keydist.Node {
+			nodes := append([]*keydist.Node(nil), established()...)
+			nodes[5] = nil
+			nodes[0].Directory().Accept(5, nodes[1].Signer().Predicate())
+			return nodes
+		}, "G1", ""},
+		{"a correct node's entry replaced", nil, func() []*keydist.Node {
 			nodes := established()
 			nodes[0].Directory().Accept(1, nodes[2].Signer().Predicate())
 			return nodes
 		}, "", "G2"},
-		{"foreign-claim", func() []*keydist.Node {
+		{"foreign-claim", p5, func() []*keydist.Node {
 			return established(core.WithWrappedProcess(5, adversary.ForeignClaim(victim)))
 		}, "", ""},
-		{"challenge-relay", func() []*keydist.Node {
+		{"challenge-relay", p5, func() []*keydist.Node {
 			return established(core.WithWrappedProcess(5, adversary.ChallengeRelay(cfg, 5, 1, victim)))
 		}, "", ""},
-		{"mixed-predicate", func() []*keydist.Node { return established(core.WithWrappedProcess(5, mixed.Wrap)) }, "", ""},
-		{"shared-key", func() []*keydist.Node {
+		{"mixed-predicate", p5, func() []*keydist.Node { return established(core.WithWrappedProcess(5, mixed.Wrap)) }, "", ""},
+		{"shared-key", model.NewNodeSet(4, 5), func() []*keydist.Node {
 			return established(core.WithWrappedProcess(4, shared.Wrap), core.WithWrappedProcess(5, shared.Wrap))
 		}, "", ""},
-		{"silent", func() []*keydist.Node { return established(core.WithProcess(5, sim.Silent{})) }, "", ""},
+		{"silent", p5, func() []*keydist.Node { return established(core.WithProcess(5, sim.Silent{})) }, "", ""},
 	} {
 		nodes := tc.nodes()
 		// The stolen predicate is the one P1 holds in this very run: key
@@ -311,10 +327,10 @@ func TestCheckG1G2(t *testing.T) {
 		if nodes[1].Signer().Predicate().Fingerprint() != victim.Fingerprint() {
 			t.Fatalf("%s: P1's predicate differs from the honest establishment's", tc.name)
 		}
-		if err := core.CheckG1(nodes); property(err) != tc.wantG1 {
+		if err := core.CheckG1(nodes, tc.faulty); property(err) != tc.wantG1 {
 			t.Errorf("%s: CheckG1 = %v, want %q", tc.name, err, tc.wantG1)
 		}
-		if err := core.CheckG2(nodes); property(err) != tc.wantG2 {
+		if err := core.CheckG2(nodes, tc.faulty); property(err) != tc.wantG2 {
 			t.Errorf("%s: CheckG2 = %v, want %q", tc.name, err, tc.wantG2)
 		}
 	}

@@ -5,98 +5,95 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/ba"
+	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
 
-// The two hand-rolled mixed-key senders E11 ran before its senders became
-// the correct SM and chain senders, kept as their oracles.
+// E11's senders are the wiring's: under sender:setup=equivocate-keys P_0
+// keeps its own key pair — key one, the key the lower half accepted — and
+// runs its correct SM or chain sender with it. The oracle is that sender
+// built by hand from key one over an empty directory, which neither
+// sender reads.
 
-// refMixedSMSender signs v with key one toward P_1 and u with key two
-// toward everyone else, over KindSigned.
-func refMixedSMSender(faces *adversary.KeyFaces, cfg model.Config, v, u []byte) sim.Process {
-	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		var out []model.Message
-		for _, to := range cfg.Nodes() {
-			if to == 0 {
-				continue
-			}
-			value := u
-			if to == 1 {
-				value = v
-			}
-			c, err := sig.NewChain(value, faces.SignerFor(to))
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, model.Message{To: to, Kind: model.KindSigned, Payload: c.Marshal()})
-		}
-		return out
-	})
-}
-
-// refMixedChainSender starts the FD chain signed with key one.
-func refMixedChainSender(faces *adversary.KeyFaces, v []byte) sim.Process {
-	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
-		if round != 1 {
-			return nil
-		}
-		c, err := sig.NewChain(v, faces.SignerFor(1))
-		if err != nil {
-			panic(err)
-		}
-		return []model.Message{{To: 1, Kind: model.KindChainValue, Payload: c.Marshal()}}
-	})
-}
-
-// diffE11 runs E11's SM run, or its chain run, at seed twice: with its
-// sender under m and with the reference sender. It returns the first
-// divergence in the messages delivered, in delivery order, or in the
-// report.
-func diffE11(t *testing.T, seed int64, chain bool, m simtest.Mutant) error {
+// refE11Sender is the correct SM, or chain, sender of value signing with
+// P_0's key under keySeed.
+func refE11Sender(t *testing.T, cfg model.Config, keySeed int64, chain bool, value []byte) sim.Process {
 	scheme, err := sig.ByName(sig.SchemeEd25519)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed), model.NewNodeSet(1))
+	keyOne, err := scheme.Generate(core.KeyRand(keySeed, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, v, u := model.Config{N: 4, T: 1}, []byte("v"), []byte("u")
-	smSender, chainSender := e11Senders(cfg, faces, v, u)
-	sender, ref, opts := smSender, refMixedSMSender(faces, cfg, v, u), []core.RunOption{core.WithProtocol(core.ProtocolSM)}
+	var sender sim.Process
 	if chain {
-		sender, ref, opts = chainSender, refMixedChainSender(faces, v), nil
+		sender, err = fd.NewChainNode(cfg, fd.Sender, keyOne, sig.MapDirectory{}, fd.WithValue(value))
+	} else {
+		sender, err = ba.NewSMNode(cfg, fd.Sender, keyOne, sig.MapDirectory{}, ba.WithSMValue(value))
 	}
-	run := func(sender sim.Process) ([]model.Message, core.Report) {
-		rec := &sim.RecordingTracer{}
-		c, err := core.New(cfg, core.WithSeed(seed), core.WithTracer(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.EstablishAuthentication(core.WithWrappedProcess(0, faces.Wrap)); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.RunFailureDiscovery(nil, append(opts, core.WithProcess(0, sender))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec.Messages(), rep
+	if err != nil {
+		t.Fatal(err)
 	}
-	gotMsgs, gotRep := run(m.Wrap(0, sender))
-	wantMsgs, wantRep := run(ref)
-	return cmp.Or(simtest.Traffic(gotMsgs, wantMsgs, false), simtest.Equal("report", gotRep, wantRep))
+	return sender
 }
 
-// TestE11SendersMatchReference runs E11's SM and chain runs at 30 seeds
-// with its senders and with the reference senders: the same messages
-// delivered in the same order, and the same reports.
+// diffE11 runs E11's SM instance, or its chain instance, at seed through
+// its driver, and again over the same setup with P_0 replaced by the
+// reference sender under m. It returns the first divergence in the
+// messages delivered, in delivery order, or in the correct nodes'
+// outcomes and the run's traffic.
+func diffE11(t *testing.T, seed int64, chain bool, m simtest.Mutant) error {
+	name, proto := campaign.ProtoSM, core.ProtocolSM
+	if chain {
+		name, proto = campaign.ProtoChain, core.ProtocolChain
+	}
+	drv, err := protocol.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := protocol.Instance{N: 4, T: 1, Scheme: sig.SchemeEd25519, Seed: seed, KeySeed: Seed + 1100,
+		Strategy: adversary.Strategy{Nodes: []int{0}, Setup: adversary.SetupEquivocateKeys}}
+	cluster := func(rec *sim.RecordingTracer) *core.Cluster {
+		c, err := core.New(inst.Config(), core.WithSeed(seed), core.WithKeySeed(inst.KeySeed), core.WithTracer(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup, err := protocol.SetupOptions(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EstablishAuthentication(setup...); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	got, want := &sim.RecordingTracer{}, &sim.RecordingTracer{}
+	out, err := drv.Run(inst, cluster(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := []byte("value")
+	sender := m.Wrap(0, refE11Sender(t, inst.Config(), inst.KeySeed, chain, value))
+	rep, err := cluster(want).RunFailureDiscovery(value, core.WithProtocol(proto), core.WithProcess(0, sender))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cmp.Or(simtest.Traffic(want.Messages(), got.Messages(), false),
+		simtest.Equal("outcomes", rep.Outcomes, out.SubRuns[0].Outcomes),
+		simtest.Equal("traffic", rep.Snapshot, out.Snapshot))
+}
+
+// TestE11SendersMatchReference runs E11's SM and chain instances at 30
+// seeds through the wiring and with the reference senders: the same
+// messages delivered in the same order, the same outcomes and traffic.
 func TestE11SendersMatchReference(t *testing.T) {
 	for r := 0; r < 30; r++ {
 		seed := Seed + int64(1100+r)
@@ -108,9 +105,9 @@ func TestE11SendersMatchReference(t *testing.T) {
 	}
 }
 
-// TestE11DifferentialCatchesAPlantedByte: E11's SM sender sends its
-// round-1 value to P_2 with one byte flipped, and the differential names
-// that message.
+// TestE11DifferentialCatchesAPlantedByte: the reference SM sender sends
+// its round-1 value to P_2 with one byte flipped, and the differential
+// names that message.
 func TestE11DifferentialCatchesAPlantedByte(t *testing.T) {
 	m := simtest.Mutant{Node: 0, Round: 1, Msg: 1}
 	m.Caught(t, diffE11(t, Seed+1100, false, m))

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/campaign"
 	"repro/internal/fd"
 	"repro/internal/metrics"
@@ -23,17 +21,14 @@ func E12VectorFD(sizes []int) *metrics.Table {
 	for i, n := range sizes {
 		cases[i] = campaign.Case{N: n, T: tolFor(n)}
 	}
-	rep, err := campaign.Run(campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "e12-vector-fd",
 		Protocols: []string{campaign.ProtoVector},
 		Cases:     cases,
 		SeedBase:  Seed + 12,
 		SeedCount: 1,
-	}, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: e12 campaign: %v", err))
-	}
-	for _, g := range mustCleanGroups(rep) {
+	})
+	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
 		want := fd.VectorMessages(g.N)
 		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,

@@ -25,7 +25,7 @@ func E13AdversaryGrid(seeds int) *metrics.Table {
 	if seeds < 1 {
 		seeds = 1
 	}
-	spec := campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "E13",
 		Protocols: protocol.Names(),
 		Sizes:     []int{7},
@@ -42,15 +42,11 @@ func E13AdversaryGrid(seeds int) *metrics.Table {
 		},
 		SeedBase:  19950530,
 		SeedCount: seeds,
-	}
-	rep, err := campaign.Run(spec, 0)
-	if err != nil {
-		panic(err)
-	}
+	})
 	tbl := metrics.NewTable(
 		"E13 — Adversary-strategy conformance grid (F1–F3 as a measured property test)",
 		"protocol", "n", "t", "adversary", "runs", "agree", "discover", "conform", "violations")
-	for _, g := range mustCleanGroups(rep) {
+	for _, g := range rep.Groups {
 		violations := "-"
 		if len(g.Violations) > 0 {
 			violations = strings.Join(g.Violations, " ")

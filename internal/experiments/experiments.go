@@ -7,12 +7,12 @@
 //	E2    authenticated chain FD costs n−1 messages
 //	E3    the non-authenticated baseline costs (t+1)(n−1)
 //	E4    amortization: setup once, then O(n) a run beats O(n·t); formula and measured
-//	E5    Theorem 2: G1 and G2 hold under every key-distribution attack
+//	E5    Theorem 2: G1 and G2 under every key-distribution attack: one campaign spec
 //	E6/7  Theorem 4 and F1–F3 under chain-protocol attacks: one campaign spec
 //	E8    cost context: OM(t) entries, SM(t) and FDBA messages, rounds per protocol
 //	E9    small-value-range variant: its savings and its split-attack gap
 //	E10   signature-scheme cost; bytes on the wire per protocol
-//	E11   §6: a G3 attacker splits SM(t) silently, chain FD discovers it
+//	E11   §6: a two-keyed sender splits SM(t), chain FD discovers it: one campaign spec
 //	E12   vector FD: n simultaneous senders in n(n−1) messages
 //	E13   adversary strategy × protocol driver conformance grid
 //
@@ -22,16 +22,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/adversary"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sig"
-	"repro/internal/sim"
 )
 
 // Seed is the deterministic base seed for all experiments, so every table
@@ -46,15 +44,14 @@ var DefaultSizes = []int{4, 8, 16, 32, 64, 128}
 // becomes O(n²).
 func tolFor(n int) int { return (n - 1) / 3 }
 
-// mustCluster builds an established cluster — setupFaults say which nodes
-// are faulty in key distribution, if any — or panics (experiments are
+// mustCluster builds an established cluster or panics (experiments are
 // deterministic; failure is a programming error).
-func mustCluster(n, t int, seed int64, setupFaults ...core.RunOption) *core.Cluster {
+func mustCluster(n, t int, seed int64) *core.Cluster {
 	c, err := core.New(model.Config{N: n, T: t}, core.WithSeed(seed))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	if _, err := c.EstablishAuthentication(setupFaults...); err != nil {
+	if _, err := c.EstablishAuthentication(); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return c
@@ -92,17 +89,14 @@ func E2AuthenticatedFD(sizes []int) *metrics.Table {
 	tbl := metrics.NewTable(
 		"E2 — Authenticated failure discovery (paper Fig. 2: n−1 messages)",
 		"n", "t", "messages", "paper n-1", "match", "comm rounds", "bytes")
-	rep, err := campaign.Run(campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "e2-authenticated-fd",
 		Protocols: []string{campaign.ProtoChain},
 		Sizes:     sizes, // classical t = ⌊(n−1)/3⌋ per size
 		SeedBase:  Seed,
 		SeedCount: 1,
-	}, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: e2 campaign: %v", err))
-	}
-	for _, g := range mustCleanGroups(rep) {
+	})
+	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
 		tbl.AddRow(g.N, g.T, msgs, g.N-1, msgs == g.N-1,
 			int(g.CommRounds.Mean), int(g.Bytes.Mean))
@@ -128,17 +122,14 @@ func E3NonAuthFD(sizes []int) *metrics.Table {
 			cases = append(cases, c)
 		}
 	}
-	rep, err := campaign.Run(campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "e3-nonauth-fd",
 		Protocols: []string{campaign.ProtoNonAuth},
 		Cases:     cases,
 		SeedBase:  Seed,
 		SeedCount: 1,
-	}, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: e3 campaign: %v", err))
-	}
-	for _, g := range mustCleanGroups(rep) {
+	})
+	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
 		want := fd.NonAuthMessages(g.N, g.T)
 		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,
@@ -147,16 +138,31 @@ func E3NonAuthFD(sizes []int) *metrics.Table {
 	return tbl
 }
 
-// mustCleanGroups returns the report's groups after asserting no
-// instance errored (experiments are deterministic; an error is a
-// programming mistake, not a measurement).
-func mustCleanGroups(rep *campaign.Report) []campaign.GroupSummary {
+// mustRun runs a campaign spec on every core and returns its report,
+// panicking on an error or an errored instance (experiments are
+// deterministic; either is a programming mistake, not a measurement).
+func mustRun(spec campaign.Spec) *campaign.Report {
+	rep, err := campaign.Run(spec, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s campaign: %v", spec.Name, err))
+	}
 	for _, g := range rep.Groups {
 		if g.Errors > 0 {
 			panic(fmt.Sprintf("experiments: campaign group %s had %d errors", g.Key, g.Errors))
 		}
 	}
-	return rep.Groups
+	return rep
+}
+
+// countRuns counts the results that meet pred.
+func countRuns(results []campaign.Result, pred func(campaign.Result) bool) int {
+	n := 0
+	for _, r := range results {
+		if pred(r) {
+			n++
+		}
+	}
+	return n
 }
 
 // E4Amortization reproduces the paper's headline: one 3n(n−1) key
@@ -205,64 +211,32 @@ func E4Measured(n, t, k int) *metrics.Table {
 	return tbl
 }
 
-// E5Theorem2 exercises the key-distribution guarantees G1/G2 under every
-// key-distribution adversary, over `runs` seeded repetitions each.
+// E5Theorem2 sweeps the chain protocol at (n, t) = (6, 2) over every
+// key-distribution attack, runs seeds each, and counts the runs whose
+// post-setup directories break G1 or G2.
 func E5Theorem2(runs int) *metrics.Table {
+	rep := mustRun(campaign.Spec{
+		Name:      "E5",
+		Protocols: []string{campaign.ProtoChain},
+		Cases:     []campaign.Case{{N: 6, T: 2}},
+		Adversaries: []string{
+			"nodes=5:name=foreign-claim,setup=foreign-claim",
+			"nodes=5:name=challenge-relay,setup=relay-challenge",
+			"nodes=5:name=mixed-predicate,setup=equivocate-keys",
+			"nodes=4+5:name=shared-key,setup=shared-key",
+			"nodes=5:name=silent,setup=silent",
+		},
+		SeedBase:  Seed,
+		SeedCount: runs,
+	})
 	tbl := metrics.NewTable(
 		"E5 — Theorem 2: G1 and G2 hold under local authentication",
 		"attack", "runs", "G1 violations", "G2 violations")
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		panic(err)
-	}
-	cfg := model.Config{N: 6, T: 2}
-	// victim is the predicate P1 presents under seed, for the attackers
-	// that claim it: public, and — key material being a pure function of
-	// the seed — read off an honest establishment of the same cluster.
-	victim := func(seed int64) sig.TestPredicate {
-		return mustCluster(cfg.N, cfg.T, seed).Nodes()[1].Signer().Predicate()
-	}
-	attacks := []struct {
-		name  string
-		build func(seed int64) []core.RunOption
-	}{
-		{"foreign-claim", func(seed int64) []core.RunOption {
-			return []core.RunOption{core.WithWrappedProcess(5, adversary.ForeignClaim(victim(seed)))}
-		}},
-		{"challenge-relay", func(seed int64) []core.RunOption {
-			return []core.RunOption{core.WithWrappedProcess(5, adversary.ChallengeRelay(cfg, 5, 1, victim(seed)))}
-		}},
-		{"mixed-predicate", func(seed int64) []core.RunOption {
-			f, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed+7), model.NewNodeSet(0, 1))
-			if err != nil {
-				panic(err)
-			}
-			return []core.RunOption{core.WithWrappedProcess(5, f.Wrap)}
-		}},
-		{"shared-key", func(seed int64) []core.RunOption {
-			k, err := adversary.NewSharedKey(scheme, sim.SeededReader(seed+7))
-			if err != nil {
-				panic(err)
-			}
-			return []core.RunOption{core.WithWrappedProcess(4, k.Wrap), core.WithWrappedProcess(5, k.Wrap)}
-		}},
-		{"silent", func(int64) []core.RunOption {
-			return []core.RunOption{core.WithProcess(5, sim.Silent{})}
-		}},
-	}
-	for _, atk := range attacks {
-		g1viol, g2viol := 0, 0
-		for r := 0; r < runs; r++ {
-			seed := Seed + int64(r*100)
-			nodes := mustCluster(cfg.N, cfg.T, seed, atk.build(seed)...).Nodes()
-			if core.CheckG1(nodes) != nil {
-				g1viol++
-			}
-			if core.CheckG2(nodes) != nil {
-				g2viol++
-			}
-		}
-		tbl.AddRow(atk.name, runs, g1viol, g2viol)
+	for i, g := range rep.Groups {
+		res := rep.Results[i*runs : (i+1)*runs] // a group's seeds are adjacent
+		tbl.AddRow(g.Adversary, g.Instances,
+			countRuns(res, func(r campaign.Result) bool { return slices.Contains(r.Conformance.Violations, "G1") }),
+			countRuns(res, func(r campaign.Result) bool { return slices.Contains(r.Conformance.Violations, "G2") }))
 	}
 	return tbl
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"sync/atomic"
 
-	"repro/internal/adversary"
 	"repro/internal/ba"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -21,7 +18,7 @@ import (
 // fails termination (F1), agreement (F2) or validity (F3), and those that
 // discovered a failure: Theorem 4's dichotomy, agreement or discovery.
 func E6E7Properties(runs int) *metrics.Table {
-	rep, err := campaign.Run(campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "E6/E7",
 		Protocols: []string{campaign.ProtoChain},
 		Cases:     []campaign.Case{{N: 6, T: 2}},
@@ -37,24 +34,17 @@ func E6E7Properties(runs int) *metrics.Table {
 		},
 		SeedBase:  Seed,
 		SeedCount: runs,
-	}, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: e6/e7 campaign: %v", err))
-	}
+	})
 	tbl := metrics.NewTable(
 		"E6/E7 — Theorem 4 and F1–F3 under chain-protocol attacks (local authentication)",
 		"attack", "runs", "F1 viol", "F2 viol", "F3 viol", "runs w/ discovery")
-	for i, g := range mustCleanGroups(rep) {
-		var count [4]int
-		for _, res := range rep.Results[i*runs : (i+1)*runs] { // a group's seeds are adjacent
-			v := res.Conformance
-			for k, hit := range [4]bool{!v.Termination, !v.Agreement, !v.Validity, res.Discovered} {
-				if hit {
-					count[k]++
-				}
-			}
-		}
-		tbl.AddRow(g.Adversary, g.Instances, count[0], count[1], count[2], count[3])
+	for i, g := range rep.Groups {
+		res := rep.Results[i*runs : (i+1)*runs] // a group's seeds are adjacent
+		tbl.AddRow(g.Adversary, g.Instances,
+			countRuns(res, func(r campaign.Result) bool { return !r.Conformance.Termination }),
+			countRuns(res, func(r campaign.Result) bool { return !r.Conformance.Agreement }),
+			countRuns(res, func(r campaign.Result) bool { return !r.Conformance.Validity }),
+			countRuns(res, func(r campaign.Result) bool { return r.Discovered }))
 	}
 	return tbl
 }
@@ -68,22 +58,19 @@ func E8Baselines() *metrics.Table {
 		"E8 — Protocol cost context ([4] OM/SM vs failure discovery)",
 		"n", "t", "OM(t) entries", "SM(t) messages", "FDBA failure-free msgs", "FD messages")
 	cases := []campaign.Case{{N: 4, T: 1}, {N: 7, T: 2}, {N: 10, T: 3}, {N: 13, T: 4}}
-	rep, err := campaign.Run(campaign.Spec{
+	rep := mustRun(campaign.Spec{
 		Name:      "e8-baselines",
 		Protocols: []string{campaign.ProtoSM, campaign.ProtoFDBA},
 		Cases:     cases,
 		SeedBase:  Seed,
 		SeedCount: 1,
-	}, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: e8 campaign: %v", err))
-	}
+	})
 	type cell struct {
 		proto string
 		campaign.Case
 	}
 	msgs := make(map[cell]int)
-	for _, g := range mustCleanGroups(rep) {
+	for _, g := range rep.Groups {
 		msgs[cell{g.Protocol, campaign.Case{N: g.N, T: g.T}}] = int(g.Messages.Mean)
 	}
 	for _, tc := range cases {
@@ -165,81 +152,29 @@ func E10Bytes() *metrics.Table {
 	return tbl
 }
 
-// E11LocalAuthBA reproduces the paper's §6 open problem: the mixed-
-// predicate G3 attack splits SM(t) agreement silently, while the chain FD
-// protocol discovers the same attack.
+// E11LocalAuthBA reproduces the paper's §6 open problem: a sender that
+// showed two keys in key distribution splits SM(t) agreement silently,
+// while the chain FD protocol discovers the same attack.
 func E11LocalAuthBA(runs int) *metrics.Table {
+	rep := mustRun(campaign.Spec{
+		Name:        "E11",
+		Protocols:   []string{campaign.ProtoSM, campaign.ProtoChain},
+		Cases:       []campaign.Case{{N: 4, T: 1}},
+		Adversaries: []string{"sender:setup=equivocate-keys"},
+		SeedBase:    Seed + 1100,
+		SeedCount:   runs,
+	})
 	tbl := metrics.NewTable(
 		"E11 — BA vs FD under local authentication with a G3 (mixed-predicate) attacker",
 		"protocol", "runs", "agreement violations", "silent violations", "runs w/ discovery")
-	scheme, err := sig.ByName(sig.SchemeEd25519)
-	if err != nil {
-		panic(err)
+	split := func(r campaign.Result) bool { return !r.Conformance.Agreement }
+	for i, row := range []string{"SM(t) byzantine agreement", "chain failure discovery"} {
+		res := rep.Results[i*runs : (i+1)*runs]
+		tbl.AddRow(row, rep.Groups[i].Instances, countRuns(res, split),
+			countRuns(res, func(r campaign.Result) bool { return split(r) && !r.Discovered }),
+			countRuns(res, func(r campaign.Result) bool { return r.Discovered }))
 	}
-	cfg := model.Config{N: 4, T: 1}
-	faulty := model.NewNodeSet(0)
-
-	var smViol, smSilent, smDisc int
-	var fdViol, fdSilent, fdDisc int
-	for r := 0; r < runs; r++ {
-		seed := Seed + int64(1100+r)
-		faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(seed), model.NewNodeSet(1))
-		if err != nil {
-			panic(err)
-		}
-		c := mustCluster(cfg.N, cfg.T, seed, core.WithWrappedProcess(0, faces.Wrap))
-		smSender, chainSender := e11Senders(cfg, faces, []byte("v"), []byte("u"))
-
-		// SM(t) run with the equivocating mixed-key sender.
-		sm, err := c.RunFailureDiscovery(nil, core.WithProtocol(core.ProtocolSM), core.WithProcess(0, smSender))
-		if err != nil {
-			panic(err)
-		}
-		if core.CheckF2(sm.Outcomes, faulty) != nil {
-			smViol++
-			smSilent++ // SM has no discovery notion at all
-		}
-
-		// Chain FD run with the same attack shape.
-		chain, err := c.RunFailureDiscovery(nil, core.WithProcess(0, chainSender))
-		if err != nil {
-			panic(err)
-		}
-		if chain.FailureDiscovered() {
-			fdDisc++
-		}
-		if core.CheckF2(chain.Outcomes, faulty) != nil {
-			fdViol++
-			if !chain.FailureDiscovered() {
-				fdSilent++
-			}
-		}
-	}
-	tbl.AddRow("SM(t) byzantine agreement", runs, smViol, smSilent, smDisc)
-	tbl.AddRow("chain failure discovery", runs, fdViol, fdSilent, fdDisc)
 	return tbl
-}
-
-// e11Senders returns E11's two mixed-key senders of v: the correct SM
-// and chain senders, signing with key one (the key P_1 accepted) over an
-// empty directory, which neither reads. The SM sender shows everyone but
-// P_1 the chain of u under key two.
-func e11Senders(cfg model.Config, faces *adversary.KeyFaces, v, u []byte) (sm, chain sim.Process) {
-	keyOne, keyTwo := faces.SignerFor(1), faces.SignerFor(2)
-	second, err := sig.NewChain(u, keyTwo)
-	if err != nil {
-		panic(err)
-	}
-	smSender, err := ba.NewSMNode(cfg, 0, keyOne, sig.MapDirectory{}, ba.WithSMValue(v))
-	if err != nil {
-		panic(err)
-	}
-	chainSender, err := fd.NewChainNode(cfg, 0, keyOne, sig.MapDirectory{}, fd.WithValue(v))
-	if err != nil {
-		panic(err)
-	}
-	payload := second.Marshal()
-	return adversary.Wrap(smSender, adversary.TwoFaced(model.NewNodeSet(1), func([]byte) []byte { return payload })), chainSender
 }
 
 // RoundsTable summarizes round counts per protocol (part of E8's context).

@@ -161,10 +161,16 @@ func TestG3GapMixedPredicates(t *testing.T) {
 	}
 	nodes, procs := correctNodes(t, cfg, 13)
 	groupA := model.NewNodeSet(0, 1, 2)
-	faces, err := adversary.NewKeyFaces(scheme, sim.SeededReader(99), groupA)
+	keyRand := sim.SeededReader(99)
+	keyOne, err := scheme.Generate(keyRand)
 	if err != nil {
-		t.Fatalf("NewKeyFaces: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	keyTwo, err := scheme.Generate(keyRand)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	faces := adversary.NewKeyFaces(groupA, keyOne, keyTwo)
 	procs[5], nodes[5] = faces.Wrap(procs[5]), nil
 	runKeyDist(t, cfg, procs)
 
@@ -207,10 +213,11 @@ func TestSharedKeyCoalitionAccepted(t *testing.T) {
 		t.Fatalf("ByName: %v", err)
 	}
 	nodes, procs := correctNodes(t, cfg, 17)
-	shared, err := adversary.NewSharedKey(scheme, sim.SeededReader(5))
+	sharedKey, err := scheme.Generate(sim.SeededReader(5))
 	if err != nil {
-		t.Fatalf("NewSharedKey: %v", err)
+		t.Fatalf("Generate: %v", err)
 	}
+	shared := adversary.NewKeyFaces(nil, sharedKey, sharedKey)
 	procs[3], procs[4] = shared.Wrap(procs[3]), shared.Wrap(procs[4])
 	nodes[3], nodes[4] = nil, nil
 	runKeyDist(t, cfg, procs)

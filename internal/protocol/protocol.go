@@ -24,8 +24,8 @@
 // One setup step, seven drivers, one loop: no driver prepares setup or
 // wires faults. RunInstance hands each driver its instance's cluster
 // (ClusterSetup) — established authentication from the setup store for
-// a driver that signs, a bare cluster for one that does not — and one
-// function compiles the instance's adversary strategy and network
+// a driver that signs, its setup attack compiled by SetupOptions — and
+// one function compiles the instance's adversary strategy and network
 // condition into core run options (wiring.go) for the cluster's run
 // loop, which decides silent, wrapped, churned or honest per node. A
 // driver supplies only what is its own — what a correct node is, a
@@ -38,8 +38,11 @@
 package protocol
 
 import (
+	"errors"
+
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/netcond"
@@ -144,7 +147,7 @@ type Capabilities struct {
 //     fixed set naming one) needs n ≥ 3 so P_1 is never the only other
 //     node;
 //   - equivocate needs SupportsEquivocate;
-//   - resign and wrong-name sign, so they need UsesSignatures.
+//   - resign, wrong-name and a setup attack need UsesSignatures.
 func (c Capabilities) Supports(n, t int, strat adversary.Strategy) bool {
 	if err := (model.Config{N: n, T: t}).Validate(); err != nil {
 		return false
@@ -170,7 +173,7 @@ func (c Capabilities) Supports(n, t int, strat adversary.Strategy) bool {
 	if strat.HasBehavior(adversary.BehaviorEquivocate) && !c.SupportsEquivocate {
 		return false
 	}
-	if (strat.HasBehavior(adversary.BehaviorResign) || strat.HasBehavior(adversary.BehaviorWrongName)) && !c.UsesSignatures {
+	if (strat.HasBehavior(adversary.BehaviorResign) || strat.HasBehavior(adversary.BehaviorWrongName) || strat.Setup != "") && !c.UsesSignatures {
 		return false
 	}
 	return true
@@ -242,6 +245,9 @@ type Outcome struct {
 	Discovered bool
 	// SubRuns are the conformance inputs; see SubRun.
 	SubRuns []SubRun
+	// SetupViolations names the key-distribution guarantees ("G1", "G2")
+	// a corrupt setup broke, checked on the post-setup directories.
+	SetupViolations []string
 }
 
 // VerdictProfile maps a driver's runs onto the paper's conformance
@@ -253,14 +259,17 @@ type Outcome struct {
 type VerdictProfile struct {
 	disagreeAlways          bool
 	disagreeBelowResilience bool
+	disagreeMixedKeys       bool
 	strict                  bool
 }
 
 // MayDisagree reports whether the theory permits correct nodes to
 // disagree without discovery at (n, t) under a fault-injecting adversary
-// (honest runs are never excused; the scorer handles that).
-func (p VerdictProfile) MayDisagree(n, t int) bool {
-	return p.disagreeAlways || (p.disagreeBelowResilience && n <= 3*t)
+// whose key-distribution attack is setup (honest runs are never excused;
+// the scorer handles that).
+func (p VerdictProfile) MayDisagree(n, t int, setup string) bool {
+	return p.disagreeAlways || (p.disagreeBelowResilience && n <= 3*t) ||
+		(p.disagreeMixedKeys && setup == adversary.SetupEquivocateKeys)
 }
 
 // DiscoveryExempts reports whether a correct node's failure discovery
@@ -286,10 +295,11 @@ var (
 	// documented limitation).
 	VerdictsSilenceDefault = VerdictProfile{disagreeAlways: true}
 	// VerdictsAgreement is the strict profile of the full agreement
-	// protocols (fdba, sm): disagreement is never excused AND a discovery
-	// does not exempt a run — agreement must hold even when the fallback
-	// was triggered.
-	VerdictsAgreement = VerdictProfile{strict: true}
+	// protocols (fdba, sm): a discovery does not exempt a run — agreement
+	// must hold even when the fallback was triggered — and disagreement is
+	// excused only under equivocate-keys, §6's open problem: a node that
+	// showed two keys splits agreement under local authentication.
+	VerdictsAgreement = VerdictProfile{strict: true, disagreeMixedKeys: true}
 )
 
 // Driver is the uniform run path of one agreement protocol. Drivers are
@@ -311,10 +321,21 @@ type Driver interface {
 // own cluster: established from the setup store when the driver signs,
 // bare — the store untouched — when it does not. It is the one setup
 // step; no driver prepares its own, so none can bypass it.
+// A corrupt setup's directories are scored against G1 and G2.
 func RunInstance(d Driver, inst Instance, cache *SetupCache) (Outcome, error) {
 	c, err := ClusterSetup(inst, cache, d.Capabilities().UsesSignatures)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return d.Run(inst, c)
+	out, err := d.Run(inst, c)
+	if err == nil && inst.Strategy.Setup != "" {
+		corrupt := inst.Strategy.CorruptSet(inst.N, inst.Seed)
+		for _, check := range []func([]*keydist.Node, model.NodeSet) error{core.CheckG1, core.CheckG2} {
+			var v *core.PropertyViolation
+			if errors.As(check(c.Nodes(), corrupt), &v) {
+				out.SetupViolations = append(out.SetupViolations, v.Property)
+			}
+		}
+	}
+	return out, err
 }

@@ -198,6 +198,7 @@ func TestCapabilitiesSupports(t *testing.T) {
 	noEquiv := Capabilities{}
 	resign := adversary.Strategy{Nodes: []int{1}, Behaviors: []adversary.BehaviorSpec{{Name: adversary.BehaviorResign}}}
 	wrongName := adversary.Strategy{Nodes: []int{1}, Behaviors: []adversary.BehaviorSpec{{Name: adversary.BehaviorWrongName}}}
+	setup := adversary.Strategy{Nodes: []int{0}, Setup: adversary.SetupEquivocateKeys}
 	caps := func(name string) Capabilities {
 		d, err := Lookup(name)
 		if err != nil {
@@ -229,6 +230,10 @@ func TestCapabilitiesSupports(t *testing.T) {
 		{"nonauth holds no keys to name wrong", caps(NameNonAuth), 7, 2, wrongName, false},
 		{"eig holds no keys to resign", caps(NameEIG), 7, 2, resign, false},
 		{"eig holds no keys to name wrong", caps(NameEIG), 7, 2, wrongName, false},
+		{"chain runs a corrupt setup", caps(NameChain), 7, 2, setup, true},
+		{"sm runs a corrupt setup", caps(NameSM), 4, 1, setup, true},
+		{"nonauth has no setup to corrupt", caps(NameNonAuth), 7, 2, setup, false},
+		{"eig has no setup to corrupt", caps(NameEIG), 7, 2, setup, false},
 	} {
 		if got := tc.caps.Supports(tc.n, tc.t, tc.strat); got != tc.want {
 			t.Errorf("%s: Supports(n=%d, t=%d) = %v, want %v", tc.name, tc.n, tc.t, got, tc.want)
@@ -236,19 +241,33 @@ func TestCapabilitiesSupports(t *testing.T) {
 	}
 }
 
-// TestVerdictProfiles pins the canned conformance readings.
+// TestVerdictProfiles pins the canned conformance readings: which
+// configurations may disagree, and whether a discovery exempts a run.
 func TestVerdictProfiles(t *testing.T) {
-	if VerdictsAuthenticatedFD.MayDisagree(4, 2) || !VerdictsAuthenticatedFD.DiscoveryExempts() {
-		t.Error("authenticated FD profile wrong")
-	}
-	if !VerdictsUnauthenticatedFD.MayDisagree(6, 2) || VerdictsUnauthenticatedFD.MayDisagree(7, 2) {
-		t.Error("unauthenticated FD resilience bound wrong")
-	}
-	if !VerdictsSilenceDefault.MayDisagree(100, 1) {
-		t.Error("silence-default profile must always excuse disagreement")
-	}
-	if VerdictsAgreement.MayDisagree(4, 2) || VerdictsAgreement.DiscoveryExempts() {
-		t.Error("agreement profile must be strict: no excusals, discoveries never exempt")
+	keys := adversary.SetupEquivocateKeys
+	for _, tc := range []struct {
+		name    string
+		p       VerdictProfile
+		n, t    int
+		setup   string
+		may     bool
+		exempts bool
+	}{
+		{"authenticated FD", VerdictsAuthenticatedFD, 4, 2, "", false, true},
+		{"authenticated FD under two keys", VerdictsAuthenticatedFD, 4, 1, keys, false, true},
+		{"unauthenticated FD at n <= 3t", VerdictsUnauthenticatedFD, 6, 2, "", true, true},
+		{"unauthenticated FD at n > 3t", VerdictsUnauthenticatedFD, 7, 2, "", false, true},
+		{"silence default", VerdictsSilenceDefault, 100, 1, "", true, true},
+		{"agreement", VerdictsAgreement, 4, 2, "", false, false},
+		{"agreement under a foreign claim", VerdictsAgreement, 4, 1, adversary.SetupForeignClaim, false, false},
+		{"agreement under two keys (§6)", VerdictsAgreement, 4, 1, keys, true, false},
+	} {
+		if got := tc.p.MayDisagree(tc.n, tc.t, tc.setup); got != tc.may {
+			t.Errorf("%s: MayDisagree(n=%d, t=%d, %q) = %v, want %v", tc.name, tc.n, tc.t, tc.setup, got, tc.may)
+		}
+		if got := tc.p.DiscoveryExempts(); got != tc.exempts {
+			t.Errorf("%s: DiscoveryExempts() = %v, want %v", tc.name, got, tc.exempts)
+		}
 	}
 }
 

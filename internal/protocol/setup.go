@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/keydist"
 	"repro/internal/sig"
@@ -25,12 +26,24 @@ import (
 // step keep that true forever.
 
 // SetupKey identifies one cell of established material: exactly what
-// key material is a function of (key distribution never reads the fault
-// bound).
+// the handshake's outcome is a function of (key distribution never reads
+// the fault bound).
 type SetupKey struct {
 	Scheme  string
 	N       int
 	KeySeed int64
+	// Setup is "" for the honest handshake, else the canonical name of the
+	// corrupt set and its attack ("nodes-5.setup-foreign-claim").
+	Setup string
+}
+
+// KeyOf returns the instance's cell: the one key every setup store uses.
+func KeyOf(inst Instance) SetupKey {
+	k := SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}
+	if s := inst.Strategy; s.Setup != "" {
+		k.Setup = adversary.Strategy{Nodes: s.Nodes, Setup: s.Setup}.CanonicalName()
+	}
+	return k
 }
 
 // DefaultSetupCacheCap bounds a store. A sweep shares one key seed, so
@@ -122,7 +135,7 @@ func (sc *SetupCache) Established(inst Instance) ([]*keydist.Node, error) {
 }
 
 func (sc *SetupCache) lookup(inst Instance) (nodes []*keydist.Node, served string, err error) {
-	k := SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}
+	k := KeyOf(inst)
 	served = "hit"
 	sc.mu.Lock()
 	for cell := sc.cells[k]; cell != nil; cell = sc.cells[k] {
@@ -169,17 +182,22 @@ func (sc *SetupCache) lookup(inst Instance) (nodes []*keydist.Node, served strin
 }
 
 // establish is the one place setup is paid: generate the instance's key
-// material, run the honest Fig. 1 handshake, return the established nodes.
+// material, run the Fig. 1 handshake under the instance's setup attack
+// (SetupOptions), return the established nodes.
 func establish(inst Instance) ([]*keydist.Node, error) {
 	c, err := newCluster(inst)
+	var opts []core.RunOption
 	if err == nil {
-		_, err = c.EstablishAuthentication()
+		opts, err = SetupOptions(inst)
+	}
+	if err == nil {
+		_, err = c.EstablishAuthentication(opts...)
 	}
 	if err != nil {
 		return nil, err
 	}
 	for _, node := range c.Nodes() {
-		if !node.Accepted() {
+		if inst.Strategy.Setup == "" && !node.Accepted() {
 			return nil, fmt.Errorf("protocol: honest key distribution left node %v unestablished", node.ID())
 		}
 	}

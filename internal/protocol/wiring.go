@@ -1,11 +1,15 @@
 package protocol
 
 import (
+	"cmp"
+	"fmt"
+
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/model"
 	"repro/internal/netcond"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -141,6 +145,64 @@ func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id, lowe
 	return append(opts, core.WithWrappedProcess(id, func(p sim.Process) sim.Process {
 		return adversary.WrapBehaviors(p, behaviors...)
 	})), nil
+}
+
+// SetupOptions compiles the instance's key-distribution attack into
+// EstablishAuthentication run options, none for an honest setup: each
+// corrupt node runs its correct keydist node under the attack's filter.
+// A claim names the lowest-numbered correct node's predicate;
+// equivocate-keys shows the lower half the node's own key and the rest a
+// key no node draws; shared-key shows everyone the lowest corrupt node's.
+// Every key derives from the key seed (core.KeyRand).
+func SetupOptions(inst Instance) ([]core.RunOption, error) {
+	attack := inst.Strategy.Setup
+	if attack == "" {
+		return nil, nil
+	}
+	scheme, err := sig.ByName(cmp.Or(inst.Scheme, sig.SchemeEd25519))
+	if err != nil {
+		return nil, err
+	}
+	key := func(node int) (sig.Signer, error) { return scheme.Generate(core.KeyRand(inst.KeySeed, node)) }
+	corrupt := inst.Strategy.CorruptSet(inst.N, inst.Seed)
+	ids := corrupt.Sorted()
+	victim := model.NodeID(0)
+	for corrupt.Contains(victim) {
+		victim++
+	}
+	var opts []core.RunOption
+	for _, id := range ids {
+		var wrap func(sim.Process) sim.Process
+		var one, two sig.Signer
+		switch attack {
+		case adversary.SetupSilent:
+			wrap = func(p sim.Process) sim.Process { return adversary.Wrap(p, adversary.DropAll(1)) }
+		case adversary.SetupForeignClaim:
+			if one, err = key(int(victim)); err == nil {
+				wrap = adversary.ForeignClaim(one.Predicate())
+			}
+		case adversary.SetupRelayChallenge:
+			if one, err = key(int(victim)); err == nil {
+				wrap = adversary.ChallengeRelay(inst.Config(), id, victim, one.Predicate())
+			}
+		case adversary.SetupEquivocateKeys:
+			if one, err = key(int(id)); err == nil {
+				two, err = key(-1 - int(id)) // a stream no node's key comes from
+			}
+			faceOne, _ := adversary.PartitionFaceOne(adversary.PartitionHalves, inst.N)
+			wrap = adversary.NewKeyFaces(faceOne, one, two).Wrap
+		case adversary.SetupSharedKey:
+			one, err = key(int(ids[0]))
+			wrap = adversary.NewKeyFaces(nil, one, one).Wrap
+		default:
+			err = fmt.Errorf("protocol: unknown setup %q", attack)
+		}
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, core.WithWrappedProcess(id, wrap))
+	}
+	return opts, nil
 }
 
 // splitEquivocate takes equivocate out of a behavior stack — the

@@ -27,10 +27,11 @@ func diffSpec() campaign.Spec {
 			campaign.ProtoChain, campaign.ProtoFDBA, campaign.ProtoVector,
 			campaign.ProtoEIG, campaign.ProtoSmallRange, campaign.ProtoSM,
 		},
-		Sizes:     []int{4, 7},
-		Schemes:   []string{sig.SchemeToy},
-		SeedBase:  1,
-		SeedCount: 4,
+		Sizes:       []int{4, 7},
+		Schemes:     []string{sig.SchemeToy},
+		Adversaries: []string{campaign.AdvNone, "sender:setup=equivocate-keys", "relay:setup=relay-challenge"},
+		SeedBase:    1,
+		SeedCount:   4,
 	}
 }
 
@@ -91,10 +92,11 @@ func TestServedVerdictsMatchFreshRuns(t *testing.T) {
 	if snap.Served != int64(len(insts)) || snap.Errors != 0 {
 		t.Fatalf("snapshot = %+v, want %d served with 0 errors", snap, len(insts))
 	}
-	// Requests go one at a time, so each key set — (toy, 4, 1) and
-	// (toy, 7, 1) — is built once, whatever protocol and t ride on it.
-	if snap.Pool.Misses != 2 {
-		t.Fatalf("pool = %+v, want 2 misses (one per key set)", snap.Pool)
+	// Requests go one at a time, so each setup — (toy, 4, 1) and
+	// (toy, 7, 1), honest and under each of two attacks — is built once,
+	// whatever protocol and t ride on it.
+	if snap.Pool.Misses != 6 {
+		t.Fatalf("pool = %+v, want 6 misses (one per setup)", snap.Pool)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // The warm-cluster pool. A long-lived daemon serving a sustained
 // request stream must not pay keygen plus the 3n(n−1)-message handshake
 // per request — the paper's amortization argument, made a service
-// property. Idle *protocol.SetupCache values are pooled per key set
-// (scheme, n, keySeed), at most 64 key sets, least recently used
+// property. Idle *protocol.SetupCache values are pooled per setup
+// (protocol.KeyOf: scheme, n, keySeed, setup=), at most 64, least recently used
 // evicted: an executor checks one out, runs the request through
 // protocol.RunInstance → ClusterSetup (a warm cache wraps its established
 // nodes in the request's own cluster, a cold one runs the handshake and

@@ -177,6 +177,30 @@ func TestPoolSharesKeySetAcrossProtocols(t *testing.T) {
 	}
 }
 
+// An honest and a corrupt setup of one key set are two setups: the pool
+// keys them apart (protocol.KeyOf), so alternating the two hits after
+// the first request of each, and each verdict is the fresh run's.
+func TestPoolKeysCorruptSetupsApart(t *testing.T) {
+	srv, _, cl := startServer(t, Config{Shards: 1}, "alpha")
+	for i := 0; i < 6; i++ {
+		req := Request{Index: i, Protocol: campaign.ProtoSM, N: 4, T: 1, Scheme: sig.SchemeToy,
+			Adversary: []string{campaign.AdvNone, "sender:setup=equivocate-keys"}[i%2], Seed: int64(i + 1), KeySeed: 5}
+		reply, err := cl.Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if want := map[bool]string{true: "pool-miss", false: "pool-hit"}[i < 2]; reply.Source != want {
+			t.Errorf("request %d (%s) served as %s, want %s", i, req.Adversary, reply.Source, want)
+		}
+		if got, want := mustJSON(t, reply.Result), mustJSON(t, campaign.RunInstance(req)); got != want {
+			t.Fatalf("request %d diverges:\nserved %s\nfresh  %s", i, got, want)
+		}
+	}
+	if s := srv.Snapshot().Pool; s.Misses != 2 || s.Hits != 4 || s.Cells != 2 {
+		t.Fatalf("pool = %+v, want 2 misses, 4 hits, 2 cells", s)
+	}
+}
+
 // An empty scheme is ed25519, the core default: a signing request that
 // leaves it empty and one that names it share one key set's cell, and
 // both report the group a campaign run of the named scheme reports.

@@ -505,7 +505,7 @@ func (s *Server) execute(t task, i int) Reply {
 	queueWait := time.Since(t.enqueued)
 	source := "none"
 	var sc *protocol.SetupCache
-	key := protocol.SetupKey{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed}
+	key := inst.SetupKey()
 	cacheable := inst.Scheme != ""
 	if cacheable {
 		var warm bool

@@ -237,6 +237,10 @@ func TestBadRequestRejected(t *testing.T) {
 		{"resign on an unsigned driver", with(func(r *Request) {
 			r.Protocol, r.Scheme, r.Adversary = campaign.ProtoNonAuth, "", "relay:behavior=resign"
 		})},
+		{"a setup attack on an unsigned driver", with(func(r *Request) {
+			r.Protocol, r.Scheme, r.Adversary = campaign.ProtoEIG, "", "relay:setup=silent"
+		})},
+		{"a setup attack over a coalition", with(func(r *Request) { r.Adversary = "coalition:setup=equivocate-keys" })},
 	} {
 		_, err := cl.Do(tc.req)
 		var rej *RejectError
