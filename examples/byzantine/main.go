@@ -28,6 +28,7 @@ import (
 
 func main() {
 	fmt.Println("── adversary strategies (campaign syntax + conformance verdicts) ──")
+	violated := 0
 	for _, syntax := range []string{
 		"relay:behavior=crash",
 		"sender:behavior=equivocate",
@@ -55,9 +56,13 @@ func main() {
 		verdict := "CONFORMANT"
 		if !v.Conformant() {
 			verdict = "VIOLATED " + strings.Join(v.Violations, ",")
+			violated++
 		}
 		fmt.Printf("  %-55s corrupt=%v agreed=%v discovered=%v → %s\n",
 			strat.Name, strat.CorruptSet(inst.N, inst.Seed), res.Agreed, res.Discovered, verdict)
+	}
+	if violated > 0 {
+		log.Fatalf("%d strategies left the paper's dichotomy", violated)
 	}
 	fmt.Println("  every strategy lands in the paper's dichotomy: agree, or somebody correct discovers")
 }

@@ -187,11 +187,9 @@ func (s Strategy) Validate() error {
 	if len(s.Behaviors) == 0 && s.Setup == "" {
 		return fmt.Errorf("adversary: corrupt set declared without behaviors or setup")
 	}
-	if s.Setup != "" && !slices.Contains(setupNames, s.Setup) {
-		return fmt.Errorf("adversary: unknown setup %q", s.Setup)
-	}
-	if s.Setup != "" && s.Coalition > 0 { // a coalition's members, and so its setup, vary per seed
-		return fmt.Errorf("adversary: setup needs a fixed corrupt set, not a coalition")
+	if s.Setup != "" && (!slices.Contains(setupNames, s.Setup) || s.Coalition > 0) {
+		// A coalition's members, and so its setup, vary per seed.
+		return fmt.Errorf("adversary: setup %q needs a known name and a fixed corrupt set", s.Setup)
 	}
 	for i, b := range s.Behaviors {
 		if err := b.validate(); err != nil {

@@ -169,11 +169,12 @@ func (inst Instance) Validate() error {
 	return nil
 }
 
-// SetupKey is the instance's cell in a setup store (protocol.KeyOf); an
-// instance that does not resolve gets the zero key, and fails when run.
-func (inst Instance) SetupKey() protocol.SetupKey {
-	_, pinst, _ := inst.resolve()
-	return protocol.KeyOf(pinst)
+// ResolveStrategy parses the instance's adversary into Strategy when
+// Strategy is unset, so that no later run parses it again.
+func (inst *Instance) ResolveStrategy() error {
+	strat, err := inst.strategy()
+	inst.Strategy = strat
+	return err
 }
 
 // runInto executes the instance and fills the result's measurement and

@@ -156,21 +156,19 @@ func E10Bytes() *metrics.Table {
 // showed two keys in key distribution splits SM(t) agreement silently,
 // while the chain FD protocol discovers the same attack.
 func E11LocalAuthBA(runs int) *metrics.Table {
-	rep := mustRun(campaign.Spec{
+	_, results := mustRunKeySets(campaign.Spec{
 		Name:        "E11",
 		Protocols:   []string{campaign.ProtoSM, campaign.ProtoChain},
 		Cases:       []campaign.Case{{N: 4, T: 1}},
 		Adversaries: []string{"sender:setup=equivocate-keys"},
-		SeedBase:    Seed + 1100,
-		SeedCount:   runs,
-	})
+	}, runs, func(r int) int64 { return Seed + int64(1100+r) })
 	tbl := metrics.NewTable(
 		"E11 — BA vs FD under local authentication with a G3 (mixed-predicate) attacker",
 		"protocol", "runs", "agreement violations", "silent violations", "runs w/ discovery")
 	split := func(r campaign.Result) bool { return !r.Conformance.Agreement }
 	for i, row := range []string{"SM(t) byzantine agreement", "chain failure discovery"} {
-		res := rep.Results[i*runs : (i+1)*runs]
-		tbl.AddRow(row, rep.Groups[i].Instances, countRuns(res, split),
+		res := results[i]
+		tbl.AddRow(row, len(res), countRuns(res, split),
 			countRuns(res, func(r campaign.Result) bool { return split(r) && !r.Discovered }),
 			countRuns(res, func(r campaign.Result) bool { return r.Discovered }))
 	}

@@ -259,17 +259,17 @@ type Outcome struct {
 type VerdictProfile struct {
 	disagreeAlways          bool
 	disagreeBelowResilience bool
-	disagreeMixedKeys       bool
 	strict                  bool
 }
 
 // MayDisagree reports whether the theory permits correct nodes to
 // disagree without discovery at (n, t) under a fault-injecting adversary
 // whose key-distribution attack is setup (honest runs are never excused;
-// the scorer handles that).
+// the scorer handles that). A strict profile is excused only under
+// equivocate-keys.
 func (p VerdictProfile) MayDisagree(n, t int, setup string) bool {
 	return p.disagreeAlways || (p.disagreeBelowResilience && n <= 3*t) ||
-		(p.disagreeMixedKeys && setup == adversary.SetupEquivocateKeys)
+		(p.strict && setup == adversary.SetupEquivocateKeys)
 }
 
 // DiscoveryExempts reports whether a correct node's failure discovery
@@ -299,7 +299,7 @@ var (
 	// must hold even when the fallback was triggered — and disagreement is
 	// excused only under equivocate-keys, §6's open problem: a node that
 	// showed two keys splits agreement under local authentication.
-	VerdictsAgreement = VerdictProfile{strict: true, disagreeMixedKeys: true}
+	VerdictsAgreement = VerdictProfile{strict: true}
 )
 
 // Driver is the uniform run path of one agreement protocol. Drivers are

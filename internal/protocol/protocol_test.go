@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/netcond"
 	"repro/internal/sig"
@@ -237,6 +238,47 @@ func TestCapabilitiesSupports(t *testing.T) {
 	} {
 		if got := tc.caps.Supports(tc.n, tc.t, tc.strat); got != tc.want {
 			t.Errorf("%s: Supports(n=%d, t=%d) = %v, want %v", tc.name, tc.n, tc.t, got, tc.want)
+		}
+	}
+}
+
+// TestSetupAttacksUseTheKeysNodesHold: under every scheme, a key that
+// SetupOptions derives for another node (a claim's victim, shared-key's
+// lowest corrupt node) is the key that node drew, and an equivocate-keys
+// node shows its lower half the key it keeps and signs with later.
+func TestSetupAttacksUseTheKeysNodesHold(t *testing.T) {
+	for _, name := range sig.Names() {
+		if name == sig.SchemeRSA && testing.Short() {
+			continue // RSA key generation is slow
+		}
+		scheme, err := sig.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := Instance{N: 4, T: 1, Scheme: name, Seed: 49, KeySeed: 49}
+		honest, err := establish(inst)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, node := range honest {
+			derived, err := scheme.Generate(core.KeyRand(inst.KeySeed, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if derived.Predicate().Fingerprint() != node.Signer().Predicate().Fingerprint() {
+				t.Errorf("%s: P%d holds a key other than its key seed derives", name, i)
+			}
+		}
+		inst.Strategy = adversary.Strategy{Nodes: []int{0}, Setup: adversary.SetupEquivocateKeys}
+		nodes, err := establish(inst)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		kept := nodes[0].Signer().Predicate().Fingerprint()
+		one, _ := nodes[1].Directory().PredicateOf(0)
+		two, _ := nodes[2].Directory().PredicateOf(0)
+		if one == nil || two == nil || one.Fingerprint() != kept || two.Fingerprint() == kept {
+			t.Errorf("%s: P1 and P2 accepted %v and %v for P0, want P0's kept key and another", name, one, two)
 		}
 	}
 }

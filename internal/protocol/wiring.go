@@ -7,6 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fd"
+	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/netcond"
 	"repro/internal/sig"
@@ -151,9 +152,11 @@ func appendFault(opts []core.RunOption, inst Instance, c *core.Cluster, id, lowe
 // EstablishAuthentication run options, none for an honest setup: each
 // corrupt node runs its correct keydist node under the attack's filter.
 // A claim names the lowest-numbered correct node's predicate;
-// equivocate-keys shows the lower half the node's own key and the rest a
-// key no node draws; shared-key shows everyone the lowest corrupt node's.
-// Every key derives from the key seed (core.KeyRand).
+// equivocate-keys shows the lower half the key the node drew and keeps,
+// and the rest a key no node draws; shared-key shows everyone the lowest
+// corrupt node's. Another node's key derives from the key seed
+// (core.KeyRand), as that node draws it: sig.Scheme.Generate is a pure
+// function of its stream.
 func SetupOptions(inst Instance) ([]core.RunOption, error) {
 	attack := inst.Strategy.Setup
 	if attack == "" {
@@ -186,11 +189,11 @@ func SetupOptions(inst Instance) ([]core.RunOption, error) {
 				wrap = adversary.ChallengeRelay(inst.Config(), id, victim, one.Predicate())
 			}
 		case adversary.SetupEquivocateKeys:
-			if one, err = key(int(id)); err == nil {
-				two, err = key(-1 - int(id)) // a stream no node's key comes from
-			}
+			two, err = key(-1 - int(id)) // a stream no node's key comes from
 			faceOne, _ := adversary.PartitionFaceOne(adversary.PartitionHalves, inst.N)
-			wrap = adversary.NewKeyFaces(faceOne, one, two).Wrap
+			wrap = func(p sim.Process) sim.Process {
+				return adversary.NewKeyFaces(faceOne, p.(*keydist.Node).Signer(), two).Wrap(p)
+			}
 		case adversary.SetupSharedKey:
 			one, err = key(int(ids[0]))
 			wrap = adversary.NewKeyFaces(nil, one, one).Wrap

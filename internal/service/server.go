@@ -427,7 +427,8 @@ func (s *Server) admit(sess *session, reqID int, payload []byte, batch bool, dea
 // for a signing driver, so both spellings share a pool cell, and an
 // unsigned driver's is forced empty: after resolve a Scheme marks
 // exactly the runs that take a pool cell. An empty Adversary is the
-// honest run.
+// honest run. The adversary is parsed here, once: the pool key
+// (protocol.KeyOf) and the run read the parsed strategy.
 func resolve(inst *campaign.Instance) error {
 	drv, err := protocol.Lookup(inst.Protocol)
 	if err != nil {
@@ -441,6 +442,9 @@ func resolve(inst *campaign.Instance) error {
 	}
 	if inst.Adversary == "" {
 		inst.Adversary = campaign.AdvNone
+	}
+	if err := inst.ResolveStrategy(); err != nil {
+		return err
 	}
 	return inst.Validate()
 }
@@ -505,7 +509,7 @@ func (s *Server) execute(t task, i int) Reply {
 	queueWait := time.Since(t.enqueued)
 	source := "none"
 	var sc *protocol.SetupCache
-	key := inst.SetupKey()
+	key := protocol.KeyOf(protocol.Instance{Scheme: inst.Scheme, N: inst.N, KeySeed: inst.KeySeed, Strategy: inst.Strategy})
 	cacheable := inst.Scheme != ""
 	if cacheable {
 		var warm bool

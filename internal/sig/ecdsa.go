@@ -23,11 +23,23 @@ type ecdsaScheme struct{}
 func (ecdsaScheme) Name() string { return SchemeECDSA }
 
 func (ecdsaScheme) Generate(rnd io.Reader) (Signer, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rnd)
+	priv, err := ecdsa.GenerateKey(elliptic.P256(), keyStream{rnd})
 	if err != nil {
 		return nil, fmt.Errorf("sig/ecdsa: generate: %w", err)
 	}
 	return &ecdsaSigner{priv: priv, pred: &ecdsaPredicate{pub: &priv.PublicKey}}, nil
+}
+
+// keyStream makes a key a pure function of its stream: the standard
+// library's ECDSA and RSA generators also make one-byte reads, each with
+// probability ½ (randutil.MaybeReadByte), which it answers unconsumed.
+type keyStream struct{ io.Reader }
+
+func (r keyStream) Read(p []byte) (int, error) {
+	if len(p) == 1 {
+		return 1, nil // the byte is discarded
+	}
+	return r.Reader.Read(p)
 }
 
 func (ecdsaScheme) ParsePredicate(data []byte) (TestPredicate, error) {

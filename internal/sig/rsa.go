@@ -27,7 +27,7 @@ type rsaScheme struct{}
 func (rsaScheme) Name() string { return SchemeRSA }
 
 func (rsaScheme) Generate(rnd io.Reader) (Signer, error) {
-	priv, err := rsa.GenerateKey(rnd, rsaBits)
+	priv, err := rsa.GenerateKey(keyStream{rnd}, rsaBits)
 	if err != nil {
 		return nil, fmt.Errorf("sig/rsa: generate: %w", err)
 	}

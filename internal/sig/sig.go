@@ -92,7 +92,7 @@ func SignCounts(s Signer) (requested, computed uint64) {
 type Scheme interface {
 	// Name returns the registry name of the scheme (e.g. "ed25519").
 	Name() string
-	// Generate creates a fresh key pair using entropy from rand.
+	// Generate creates a fresh key pair, a pure function of rand's bytes.
 	Generate(rand io.Reader) (Signer, error)
 	// ParsePredicate decodes a predicate previously produced by
 	// TestPredicate.Bytes. It returns ErrBadKey (possibly wrapped) on

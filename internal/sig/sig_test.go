@@ -3,6 +3,7 @@ package sig
 import (
 	"bytes"
 	"crypto/rand"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -134,6 +135,42 @@ func TestTwoKeysDistinct(t *testing.T) {
 			}
 			if s2.Predicate().Test(msg, sig1) {
 				t.Error("signature verified under a different key's predicate")
+			}
+		})
+	}
+}
+
+// TestGenerateIsSeedPure: a key pair is a pure function of its stream,
+// which the seeded key domain (core.KeyRand) and every setup attack that
+// names another node's key rely on. The standard library's ECDSA and RSA
+// generators read an extra byte with probability ½ per draw; repeated
+// draws from one seed would expose a leak almost surely.
+func TestGenerateIsSeedPure(t *testing.T) {
+	schemes := fastSchemes(t)
+	if !testing.Short() {
+		rsaScheme, err := ByName(SchemeRSA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, rsaScheme)
+	}
+	for _, scheme := range schemes {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			tries := 8
+			if scheme.Name() == SchemeRSA {
+				tries = 3 // each prime search flips many coins
+			}
+			var want []byte
+			for i := 0; i < tries; i++ {
+				s, err := scheme.Generate(mrand.New(mrand.NewSource(49)))
+				if err != nil {
+					t.Fatalf("Generate: %v", err)
+				}
+				if got := s.Predicate().Bytes(); want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("draw %d from the same seed gave a different key", i)
+				}
 			}
 		})
 	}
