@@ -19,13 +19,12 @@
 // adversary's behaviours and key-distribution attacks.
 //
 // Both phases are wrappers. The run itself — per node: replaced,
-// wrapped, churned or honest; then engine, counters, ledger, span — is
+// wrapped, churned or honest; then engine, counters, ledger — is
 // Cluster.Run, which takes any protocol as a NodeBuilder and a round
 // bound and hands back the honest processes for the caller to read.
 // Every protocol driver in internal/protocol runs through it.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - WithObserver: engine-level spans, which no command turns on yet; the observer-invariance tests drive it.
 //   - Cluster.Established: an accessor the behaviour tests read.
 //   - PropertyViolation.Error: an Error method.
 package core
@@ -42,7 +41,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/netcond"
-	"repro/internal/obs"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
@@ -155,13 +153,9 @@ type Cluster struct {
 
 	ledger Ledger
 
-	// rec receives structured phase spans and per-round engine events
-	// when set (WithObserver); nil — the default — is the disabled
-	// recorder and costs one nil check per phase. Tracing is a pure
-	// reader: it never changes a report.
-	rec *obs.Recorder
-	// tracer additionally observes every delivered message in both
-	// phases (WithTracer), e.g. a sim.WriterTracer behind a -trace flag.
+	// tracer observes every delivered message in both phases
+	// (WithTracer), e.g. a sim.WriterTracer behind a -trace flag. It is
+	// a pure reader: it never changes a report.
 	tracer sim.Tracer
 	// engine, when set (WithEngine), runs both phases in place of the
 	// lockstep simulator.
@@ -214,21 +208,8 @@ func WithKeySeed(keySeed int64) Option {
 	}
 }
 
-// WithObserver attaches a structured-event recorder: the cluster emits
-// "core.keydist" and "core.fdrun" spans around its phases and per-round
-// "sim.round" spans from the engines underneath. A nil recorder is the
-// disabled default; observation never changes protocol behaviour or
-// report contents.
-func WithObserver(rec *obs.Recorder) Option {
-	return func(c *Cluster) error {
-		c.rec = rec
-		return nil
-	}
-}
-
 // WithTracer attaches a message tracer (e.g. sim.WriterTracer) to every
-// engine the cluster runs, across both phases. It composes with
-// WithObserver via sim.MultiTracer.
+// engine the cluster runs, across both phases.
 func WithTracer(t sim.Tracer) Option {
 	return func(c *Cluster) error {
 		c.tracer = t
@@ -249,9 +230,7 @@ type Engine func(procs []sim.Process, maxRounds int, counters *metrics.Counters,
 // later run — on e instead of the in-process lockstep simulator; nil
 // keeps the simulator. transport.MeshEngine is the other implementation:
 // one goroutine per node over real links, the same reports message for
-// message. Per-round "sim.round" spans (WithObserver) are the
-// simulator's: an engine without a global round loop emits none, and the
-// phase spans, network points and WithTracer deliveries stay.
+// message and the same WithTracer deliveries.
 func WithEngine(e Engine) Option {
 	return func(c *Cluster) error {
 		c.engine = e
@@ -342,31 +321,12 @@ func (c *Cluster) Established() bool { return c.established }
 // them: NewEstablished shares them.
 func (c *Cluster) Nodes() []*keydist.Node { return c.nodes }
 
-// engineTracer combines the cluster's message tracer and, when an
-// observer is attached, a fresh per-run obs.EngineTracer. nil when the
-// run needs no tracing at all — the engine then skips the tracer seam
-// entirely.
-func (c *Cluster) engineTracer(proto string) sim.Tracer {
-	var et sim.Tracer
-	if c.rec.Enabled() {
-		et = obs.NewEngineTracer(c.rec, -1, proto)
-	}
-	switch {
-	case c.tracer == nil:
-		return et // may be nil: no tracing
-	case et == nil:
-		return c.tracer
-	default:
-		return sim.MultiTracer(c.tracer, et)
-	}
-}
-
 // runEngine runs procs to the round bound on the cluster's engine and
 // returns the rounds executed. On the simulator the tracer and network
 // seams are attached only when live — the disabled path must not pay even
 // the options-slice allocation (one per instance adds up across a sweep).
-func (c *Cluster) runEngine(proto string, procs []sim.Process, maxRounds int, counters *metrics.Counters, net sim.Network) (int, error) {
-	t := c.engineTracer(proto)
+func (c *Cluster) runEngine(procs []sim.Process, maxRounds int, counters *metrics.Counters, net sim.Network) (int, error) {
+	t := c.tracer
 	if c.engine != nil {
 		return c.engine(procs, maxRounds, counters, t, net)
 	}
@@ -386,19 +346,6 @@ func (c *Cluster) runEngine(proto string, procs []sim.Process, maxRounds int, co
 		return 0, err
 	}
 	return engine.Run(maxRounds).Rounds, nil
-}
-
-// netEmitter adapts the cluster's observer into a netcond.Emitter for
-// partition/heal/churn/delivery-delay points; nil when no observer is
-// attached, so the disabled path costs one nil check.
-func (c *Cluster) netEmitter() netcond.Emitter {
-	if !c.rec.Enabled() {
-		return nil
-	}
-	rec := c.rec
-	return func(scope string, round, node int, attrs string) {
-		rec.Emit(obs.Event{Kind: obs.KindPoint, Scope: scope, Inst: -1, Round: round, Node: node, Attrs: attrs})
-	}
 }
 
 // Reset re-arms the cluster for a new deterministic run sequence under
@@ -486,7 +433,7 @@ func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
 	}
 	run.protocol = 0 // Report.Protocol is PhaseFD's
 	c.memo = new(sig.VerifyMemo)
-	rep, honest, span, err := c.run(&run, PhaseKeyDist, "keydist", keydist.RoundsTotal, (*keydistBuilder)(c))
+	rep, honest, err := c.run(&run, PhaseKeyDist, "keydist", keydist.RoundsTotal, (*keydistBuilder)(c))
 	if err != nil {
 		return Report{}, err
 	}
@@ -500,7 +447,7 @@ func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
 		rep.Discoveries = append(rep.Discoveries, nodes[i].Discoveries()...)
 	}
 	c.nodes, c.established = nodes, true
-	c.finish(span, rep)
+	c.ledger.Add(rep)
 	return rep, nil
 }
 
@@ -558,8 +505,7 @@ func WithWrappedProcess(id model.NodeID, wrap func(sim.Process) sim.Process) Run
 // model's fates instead of the ideal next-round schedule. The protocol
 // drivers never pass it to key distribution — the paper's setup assumes
 // an intact network — which is what keeps the campaign's setup store
-// condition-independent. When an observer is attached and the
-// network supports it, partition/heal/drop/delay events are emitted.
+// condition-independent.
 func WithNetwork(net sim.Network) RunOption {
 	return func(r *fdRun) { r.network = net }
 }
@@ -603,11 +549,11 @@ func (r *fdRun) buildNode(id model.NodeID) (sim.Process, error) {
 }
 
 // Run executes one run of any lockstep protocol over the cluster's
-// engine, observers and ledger: build says what a correct node is, the
+// engine, tracer and ledger: build says what a correct node is, the
 // options say which nodes are not (WithProcess, WithWrappedProcess,
 // WithChurn) and what the network does to them (WithNetwork), and
 // maxRounds is the protocol's deadline. label names the protocol in
-// spans and engine events. It returns the metered report (PhaseFD,
+// build errors. It returns the metered report (PhaseFD,
 // ProtocolCustom, no outcomes — reading them is the caller's protocol
 // knowledge) and the processes build returned by node ID, nil where the
 // node was overridden, wrapped or churned: the honest nodes, whose
@@ -618,11 +564,11 @@ func (c *Cluster) Run(label string, maxRounds int, build NodeBuilder, opts ...Ru
 		opt(&run)
 	}
 	run.protocol = ProtocolCustom
-	rep, honest, span, err := c.run(&run, PhaseFD, label, maxRounds, build)
+	rep, honest, err := c.run(&run, PhaseFD, label, maxRounds, build)
 	if err != nil {
 		return Report{}, nil, err
 	}
-	c.finish(span, rep)
+	c.ledger.Add(rep)
 	return rep, honest, nil
 }
 
@@ -638,7 +584,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 	if run.protocol != ProtocolNonAuth && !c.established {
 		return Report{}, errors.New("core: establish authentication before running an authenticated protocol")
 	}
-	rep, honest, span, err := c.run(&run, PhaseFD, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
+	rep, honest, err := c.run(&run, PhaseFD, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
 	if err != nil {
 		return Report{}, err
 	}
@@ -652,7 +598,7 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 			rep.Discoveries = append(rep.Discoveries, *out.Discovery)
 		}
 	}
-	c.finish(span, rep)
+	c.ledger.Add(rep)
 	return rep, nil
 }
 
@@ -660,21 +606,8 @@ func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, 
 // overridden, wrapped, churned or honest, then runs the engine to the
 // round bound. Faulty nodes — everything but the last case — owe no
 // outcome, so honest is nil at their slots. The caller completes the
-// report and finishes it.
-func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, obs.Span, error) {
-	scope := "core.fdrun"
-	if phase == PhaseKeyDist {
-		scope = "core.keydist"
-	}
-	span := c.rec.Begin(obs.Event{Scope: scope, Inst: -1, Node: -1, Proto: label})
-
-	emitter := c.netEmitter()
-	if run.network != nil && emitter != nil {
-		if o, ok := run.network.(interface{ SetEmitter(netcond.Emitter) }); ok {
-			o.SetEmitter(emitter)
-		}
-	}
-
+// report and adds it to the ledger.
+func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b nodeBuilder) (Report, []sim.Process, error) {
 	procs := make([]sim.Process, c.cfg.N)
 	honest := make([]sim.Process, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
@@ -688,7 +621,7 @@ func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b no
 		}
 		p, err := b.buildNode(id)
 		if err != nil {
-			return Report{}, nil, span, fmt.Errorf("core: build %s node %v: %w", label, id, err)
+			return Report{}, nil, fmt.Errorf("core: build %s node %v: %w", label, id, err)
 		}
 		honest[i] = p
 		if wrap, ok := run.wrappers[id]; ok {
@@ -700,33 +633,23 @@ func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b no
 		}
 		if ch, ok := run.churn[id]; ok {
 			rebuild := func() (sim.Process, error) { return b.buildNode(id) }
-			p = netcond.NewChurner(p, ch, rebuild, emitter)
+			p = netcond.NewChurner(p, ch, rebuild)
 			honest[i] = nil
 		}
 		procs[i] = p
 	}
 
 	counters := metrics.NewCounters()
-	rounds, err := c.runEngine(label, procs, maxRounds, counters, run.network)
+	rounds, err := c.runEngine(procs, maxRounds, counters, run.network)
 	if err != nil {
-		return Report{}, nil, span, err
+		return Report{}, nil, err
 	}
 	return Report{
 		Phase:    phase,
 		Protocol: run.protocol,
 		Rounds:   rounds,
 		Snapshot: counters.Snapshot(),
-	}, honest, span, nil
-}
-
-// finish books a completed phase: the report joins the ledger and the
-// phase span closes with its traffic summary.
-func (c *Cluster) finish(span obs.Span, rep Report) {
-	c.ledger.Add(rep)
-	if c.rec.Enabled() {
-		span.End(obs.Attrs("rounds", rep.Rounds, "msgs", rep.Snapshot.Messages,
-			"bytes", rep.Snapshot.Bytes, "discoveries", len(rep.Discoveries)))
-	}
+	}, honest, nil
 }
 
 // buildNode constructs node id's protocol process from the cluster's

@@ -25,8 +25,6 @@ type Churner struct {
 	crash   int
 	restart int
 	rebuild RebuildFunc
-	emit    Emitter
-	node    int
 	// rebuilt latches the one-shot restart; dead latches a failed
 	// rebuild (the node stays down).
 	rebuilt bool
@@ -35,14 +33,12 @@ type Churner struct {
 
 // NewChurner wraps proc according to spec. rebuild may be nil, in
 // which case a scheduled restart leaves the node down permanently.
-func NewChurner(proc sim.Process, spec ChurnSpec, rebuild RebuildFunc, emit Emitter) *Churner {
+func NewChurner(proc sim.Process, spec ChurnSpec, rebuild RebuildFunc) *Churner {
 	return &Churner{
 		proc:    proc,
 		crash:   spec.Crash,
 		restart: spec.Restart,
 		rebuild: rebuild,
-		emit:    emit,
-		node:    spec.Node,
 	}
 }
 
@@ -54,9 +50,6 @@ func (c *Churner) down(round int) bool {
 // Step implements sim.Process.
 func (c *Churner) Step(round int, received []model.Message) []model.Message {
 	if c.down(round) {
-		if round == c.crash && c.emit != nil {
-			c.emit("net.churn.crash", round, c.node, "")
-		}
 		// Down: messages delivered to a crashed node are lost with it.
 		return nil
 	}
@@ -68,9 +61,6 @@ func (c *Churner) Step(round int, received []model.Message) []model.Message {
 			c.dead = true
 		} else {
 			c.proc = p
-			if c.emit != nil {
-				c.emit("net.churn.restart", round, c.node, "")
-			}
 		}
 	}
 	if c.dead {

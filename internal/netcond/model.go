@@ -1,7 +1,6 @@
 package netcond
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -29,10 +28,6 @@ type Model struct {
 	// stream lives in its slot by value and is seeded on the link's own
 	// first draw, so opening a link costs no heap object.
 	links []linkState
-	emit  Emitter
-	// partition bookkeeping for one-shot begin/heal events.
-	began  []bool
-	healed []bool
 }
 
 // linkState is one directed link's fate stream and bandwidth window.
@@ -49,17 +44,11 @@ type linkState struct {
 // seed. Callers should Validate the spec first; NewModel trusts it.
 func NewModel(spec Spec, n int, seed int64) *Model {
 	return &Model{
-		spec:   spec,
-		n:      n,
-		seed:   seed,
-		began:  make([]bool, len(spec.Partitions)),
-		healed: make([]bool, len(spec.Partitions)),
+		spec: spec,
+		n:    n,
+		seed: seed,
 	}
 }
-
-// SetEmitter attaches an observability sink for partition/heal/drop/
-// delay points. Emission never changes a fate.
-func (m *Model) SetEmitter(e Emitter) { m.emit = e }
 
 // link returns the state for from→to, seeding its stream on first use.
 func (m *Model) link(from, to int) *linkState {
@@ -79,7 +68,6 @@ func (m *Model) link(from, to int) *linkState {
 // sequence of messages its sender pushed through it, never on other
 // links or on which features other messages triggered.
 func (m *Model) Fate(msg model.Message, round int) int {
-	m.noteRound(round)
 	from, to := int(msg.From), int(msg.To)
 	// Scripted partitions first: messages crossing an active cut are
 	// held until the heal round (or dropped if the cut never heals),
@@ -93,7 +81,6 @@ func (m *Model) Fate(msg model.Message, round int) int {
 			continue
 		}
 		if p.Heal == 0 {
-			m.point("net.drop", round, from, "reason=partition", msg)
 			return sim.Drop
 		}
 		// Held until healing: delivered in round p.Heal, i.e. as if
@@ -101,9 +88,6 @@ func (m *Model) Fate(msg model.Message, round int) int {
 		d := p.Heal - 1 - round
 		if d < 0 {
 			d = 0
-		}
-		if d > 0 && m.emit != nil {
-			m.point("net.delay", round, from, fmt.Sprintf("reason=partition d=%d", d), msg)
 		}
 		return d
 	}
@@ -117,7 +101,6 @@ func (m *Model) Fate(msg model.Message, round int) int {
 	// stack value, rebuilt per call (it keeps no state Fate uses).
 	rng := rand.New(&ls.src)
 	if m.spec.Loss > 0 && rng.Float64() < m.spec.Loss {
-		m.point("net.drop", round, from, "reason=loss", msg)
 		return sim.Drop
 	}
 	d := 0
@@ -154,37 +137,5 @@ func (m *Model) Fate(msg model.Message, round int) int {
 		// later, and so on.
 		d += int(ls.wndUsed-1) / bw
 	}
-	if d > 0 && m.emit != nil {
-		// Checked here, not only in point: an untraced run must not
-		// format an attribute nobody reads — one allocation per
-		// delayed message.
-		m.point("net.delay", round, from, fmt.Sprintf("d=%d", d), msg)
-	}
 	return d
-}
-
-// noteRound emits one-shot partition begin/heal events the first time a
-// fate is computed at or past each scripted boundary.
-func (m *Model) noteRound(round int) {
-	if m.emit == nil {
-		return
-	}
-	for i, p := range m.spec.Partitions {
-		if !m.began[i] && round >= p.From {
-			m.began[i] = true
-			m.emit("net.partition", round, -1, fmt.Sprintf("split=%s from=%d heal=%d", p.Split, p.From, p.Heal))
-		}
-		if p.Heal != 0 && !m.healed[i] && round >= p.Heal {
-			m.healed[i] = true
-			m.emit("net.heal", round, -1, fmt.Sprintf("split=%s", p.Split))
-		}
-	}
-}
-
-// point emits one message-scoped event.
-func (m *Model) point(scope string, round, node int, attrs string, msg model.Message) {
-	if m.emit == nil {
-		return
-	}
-	m.emit(scope, round, node, fmt.Sprintf("%s to=%d kind=%v", attrs, msg.To, msg.Kind))
 }

@@ -157,13 +157,11 @@ func TestModelLinkBytes(t *testing.T) {
 	}
 }
 
-// TestFateAllocatesNothingUntraced pins the untraced hot path: with no
-// emitter attached, a delayed message's Fate allocates nothing, whether
-// its link is open already or opened by this very message once the link
-// table exists — the net.delay attribute is formatted only for an
-// emitter that will take it (it used to be one string per delayed
-// message on every untraced sweep), and a link's stream is a slot of the
-// table (it used to be a rand.Rand and its source per opened link).
+// TestFateAllocatesNothingUntraced pins the hot path: a delayed
+// message's Fate allocates nothing, whether its link is open already or
+// opened by this very message once the link table exists — a link's
+// stream is a slot of the table (it used to be a rand.Rand and its
+// source per opened link).
 func TestFateAllocatesNothingUntraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflate under -race")

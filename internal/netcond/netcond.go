@@ -17,9 +17,6 @@
 // stream — so the lockstep simulator and the concurrent transport
 // runners compute identical fates, and a (seed, spec) pair yields a
 // byte-identical run at any worker count.
-//
-// Kept though no benchmark row, golden or CI smoke reaches them:
-//   - Model.SetEmitter: network events for engine-level spans, which no command turns on yet.
 package netcond
 
 import (
@@ -323,8 +320,3 @@ func sameSide(split string, n, a, b int) bool {
 		return true
 	}
 }
-
-// Emitter receives netcond observability points (partition, heal,
-// churn, delivery-delay events). A nil Emitter disables emission; all
-// emission is observation only and never changes a fate.
-type Emitter func(scope string, round, node int, attrs string)

@@ -346,32 +346,6 @@ func TestModelBandwidthWindow(t *testing.T) {
 	}
 }
 
-func TestModelEmitsOneShotPartitionEvents(t *testing.T) {
-	spec := Spec{Partitions: []PartitionSpec{{Split: SplitEvenOdd, From: 2, Heal: 4}}}
-	m := NewModel(spec, 4, 1)
-	var events []string
-	m.SetEmitter(func(scope string, round, node int, attrs string) {
-		events = append(events, scope)
-	})
-	cross := model.Message{From: 0, To: 1, Kind: model.KindPlainValue}
-	for r := 1; r <= 5; r++ {
-		m.Fate(cross, r)
-		m.Fate(cross, r)
-	}
-	var partitions, heals int
-	for _, e := range events {
-		switch e {
-		case "net.partition":
-			partitions++
-		case "net.heal":
-			heals++
-		}
-	}
-	if partitions != 1 || heals != 1 {
-		t.Errorf("partition/heal events = %d/%d, want one of each (got %v)", partitions, heals, events)
-	}
-}
-
 // scriptProc is a minimal process for Churner tests: it records the
 // rounds it was stepped in and echoes a single message per step.
 type scriptProc struct {
@@ -393,7 +367,7 @@ func TestChurnerCrashAndRestart(t *testing.T) {
 	ch := NewChurner(orig, ChurnSpec{Node: 2, Crash: 2, Restart: 4}, func() (sim.Process, error) {
 		rebuilds++
 		return rebuilt, nil
-	}, nil)
+	})
 
 	if out := ch.Step(1, nil); len(out) != 1 {
 		t.Errorf("round 1 (up): sent %d messages, want 1", len(out))
@@ -430,7 +404,7 @@ func TestChurnerCrashAndRestart(t *testing.T) {
 
 func TestChurnerPermanentCrash(t *testing.T) {
 	orig := &scriptProc{finished: true}
-	ch := NewChurner(orig, ChurnSpec{Node: 1, Crash: 2}, nil, nil)
+	ch := NewChurner(orig, ChurnSpec{Node: 1, Crash: 2}, nil)
 	if out := ch.Step(1, nil); len(out) != 1 {
 		t.Error("pre-crash step suppressed")
 	}
@@ -448,7 +422,7 @@ func TestChurnerRebuildFailureStaysDown(t *testing.T) {
 	orig := &scriptProc{}
 	ch := NewChurner(orig, ChurnSpec{Node: 0, Crash: 1, Restart: 2}, func() (sim.Process, error) {
 		return nil, errors.New("durable state corrupted")
-	}, nil)
+	})
 	if out := ch.Step(1, nil); out != nil {
 		t.Errorf("crash round sent %v", out)
 	}
@@ -457,26 +431,6 @@ func TestChurnerRebuildFailureStaysDown(t *testing.T) {
 	}
 	if !ch.Finished() {
 		t.Error("a dead node must report finished so the run can end")
-	}
-}
-
-func TestChurnerEmitsCrashAndRestart(t *testing.T) {
-	var scopes []string
-	ch := NewChurner(&scriptProc{finished: true}, ChurnSpec{Node: 3, Crash: 2, Restart: 3},
-		func() (sim.Process, error) { return &scriptProc{finished: true}, nil },
-		func(scope string, round, node int, attrs string) {
-			if node != 3 {
-				scopes = append(scopes, "WRONG-NODE")
-				return
-			}
-			scopes = append(scopes, scope)
-		})
-	ch.Step(1, nil)
-	ch.Step(2, nil)
-	ch.Step(3, nil)
-	want := []string{"net.churn.crash", "net.churn.restart"}
-	if len(scopes) != 2 || scopes[0] != want[0] || scopes[1] != want[1] {
-		t.Errorf("emitted %v, want %v", scopes, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package obs is the repository's structured observability layer: a
-// low-overhead event/tracing model threaded through the simulator, the
-// cluster front door, the campaign engine, and the distributed
-// scheduler. Every layer that matters emits Events — span-style
-// begin/end pairs for phases and instances, points for discrete
-// occurrences — into a per-worker Recorder that buffers them in a ring
+// low-overhead event/tracing model threaded through the campaign
+// engine, the agreement daemon and the distributed scheduler. Each emits
+// Events — span-style begin/end pairs for instances, requests and
+// leases, points for discrete occurrences — into a per-worker Recorder that buffers them in a ring
 // and flushes batches to a pluggable Sink (JSONL file for operators,
 // in-memory for tests).
 //
@@ -18,7 +17,6 @@
 // compare per site.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - NewEngineTracer and its methods: per-round spans, which no command turns on yet.
 //   - Recorder.Flush, MemorySink and its methods: how tests read what a recorder holds.
 package obs
 
@@ -47,14 +45,12 @@ type Event struct {
 	// Kind is KindBegin, KindEnd, or KindPoint.
 	Kind string `json:"kind"`
 	// Scope is the dotted event name, e.g. "campaign.instance",
-	// "sim.round", "sched.lease", "core.keydist".
+	// "service.request", "sched.lease".
 	Scope string `json:"scope"`
 	// Inst is the campaign instance index (-1 outside campaigns).
 	Inst int `json:"inst"`
 	// Proto is the protocol driver name ("" when not protocol-scoped).
 	Proto string `json:"proto,omitempty"`
-	// Round is the engine round (0 when not round-scoped).
-	Round int `json:"round,omitempty"`
 	// Node is the node ID (-1 when not node-scoped).
 	Node int `json:"node"`
 	// Dur is, for KindEnd events, the span's duration in nanoseconds.

@@ -27,7 +27,6 @@
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - RecordingTracer and its methods: the delivery record and Views the behaviour tests read,
 //     and the delivered traffic the reference-oracle suites hand to simtest.Traffic.
-//   - MultiTracer and its methods: a delivery trace beside engine-level spans, which no command turns on yet.
 package sim
 
 import (
@@ -127,9 +126,6 @@ type Engine struct {
 	procs  []Process
 	count  *metrics.Counters
 	tracer Tracer
-	// rounds is tracer when it also implements RoundTracer, resolved
-	// once at option time so Run pays no per-round type assertions.
-	rounds RoundTracer
 	// net, when non-nil, decides per-message delivery fates; nil is the
 	// ideal synchronous network and keeps Run on its original path.
 	net Network
@@ -139,13 +135,9 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithTracer attaches a trace sink that observes every delivered
-// message — and, when t also implements RoundTracer, every round
-// boundary.
+// message.
 func WithTracer(t Tracer) Option {
-	return func(e *Engine) {
-		e.tracer = t
-		e.rounds, _ = t.(RoundTracer)
-	}
+	return func(e *Engine) { e.tracer = t }
 }
 
 // WithNetwork layers a network-condition model under the engine: every
@@ -236,9 +228,6 @@ func (e *Engine) Run(maxRounds int) *Result {
 	rounds := 0
 	for round := 1; round <= maxRounds; round++ {
 		rounds = round
-		if e.rounds != nil {
-			e.rounds.RoundStart(round)
-		}
 		// Cleared as well as truncated: a slot past an inbox's length
 		// holds no message, so no payload outlives the run in the pool.
 		empty(next)
@@ -273,7 +262,6 @@ func (e *Engine) Run(maxRounds int) *Result {
 			job.step(round, inFlight)
 		}
 		sentAny := false
-		sent := 0
 		for i, p := range e.procs {
 			id := model.NodeID(i)
 			var out []model.Message
@@ -297,7 +285,6 @@ func (e *Engine) Run(maxRounds int) *Result {
 						// Lost in transit: the send happened (and is
 						// counted), the delivery never does.
 						e.count.Record(m)
-						sent++
 						continue
 					case d > 0:
 						// Restamped as if sent d rounds later — the same
@@ -306,7 +293,6 @@ func (e *Engine) Run(maxRounds int) *Result {
 						m.Round = round + d
 						e.count.Record(m)
 						sentAny = true
-						sent++
 						delayed[round+1+d] = append(delayed[round+1+d], m)
 						pending++
 						continue
@@ -314,12 +300,8 @@ func (e *Engine) Run(maxRounds int) *Result {
 				}
 				e.count.Record(m)
 				sentAny = true
-				sent++
 				next[m.To] = append(next[m.To], m)
 			}
-		}
-		if e.rounds != nil {
-			e.rounds.RoundEnd(round, sent)
 		}
 		inFlight, next = next, inFlight
 		if !sentAny && pending == 0 && e.allFinished() {

@@ -19,25 +19,6 @@ type Tracer interface {
 	Delivered(m model.Message)
 }
 
-// RoundTracer is the extended tracer seam: a Tracer that also wants
-// round boundaries implements it and the engine calls RoundStart before
-// delivering a round's inboxes and RoundEnd after every process
-// stepped. The observability layer's obs.EngineTracer rides this seam
-// to emit per-round spans; plain Tracers keep working unchanged.
-//
-// RoundEnd's sent count is the number of messages the round put in
-// flight (post fan-out, invalid destinations dropped) — with
-// RoundStart/Delivered it gives a tracer the full per-round traffic
-// picture without the engine exporting its internals.
-type RoundTracer interface {
-	Tracer
-	// RoundStart is called before round's inboxes are delivered.
-	RoundStart(round int)
-	// RoundEnd is called after every process stepped in round; sent is
-	// the number of messages the round enqueued for the next one.
-	RoundEnd(round, sent int)
-}
-
 // WriterTracer logs one line per delivered message, for debugging runs.
 // Output is buffered: lines reach w one buffer flush at a time, not one
 // syscall per message, so tracing a large run does not serialize on the
@@ -127,50 +108,4 @@ func (t *RecordingTracer) Views(n int) []model.View {
 		v.Rounds[m.Round] = append(v.Rounds[m.Round], m)
 	}
 	return views
-}
-
-// MultiTracer fans deliveries out to several tracers, forwarding round
-// boundaries to the members that implement RoundTracer. It lets a run
-// carry a human trace (WriterTracer) and a structured one
-// (obs.EngineTracer) at once. nil members are skipped, so callers can
-// pass optional tracers unconditionally; a MultiTracer of zero live
-// members still works (and traces nothing).
-func MultiTracer(tracers ...Tracer) RoundTracer {
-	mt := multiTracer{}
-	for _, t := range tracers {
-		if t == nil {
-			continue
-		}
-		mt.all = append(mt.all, t)
-		if rt, ok := t.(RoundTracer); ok {
-			mt.rounds = append(mt.rounds, rt)
-		}
-	}
-	return mt
-}
-
-type multiTracer struct {
-	all    []Tracer
-	rounds []RoundTracer
-}
-
-// Delivered implements Tracer.
-func (m multiTracer) Delivered(msg model.Message) {
-	for _, t := range m.all {
-		t.Delivered(msg)
-	}
-}
-
-// RoundStart implements RoundTracer.
-func (m multiTracer) RoundStart(round int) {
-	for _, t := range m.rounds {
-		t.RoundStart(round)
-	}
-}
-
-// RoundEnd implements RoundTracer.
-func (m multiTracer) RoundEnd(round, sent int) {
-	for _, t := range m.rounds {
-		t.RoundEnd(round, sent)
-	}
 }

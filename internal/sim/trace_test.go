@@ -2,59 +2,21 @@ package sim
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// roundRecorder records the round-boundary callbacks in call order.
-type roundRecorder struct {
-	RecordingTracer
-	calls []string
-}
-
-func (r *roundRecorder) RoundStart(round int) {
-	r.calls = append(r.calls, fmt.Sprintf("start %d", round))
-}
-
-func (r *roundRecorder) RoundEnd(round, sent int) {
-	r.calls = append(r.calls, fmt.Sprintf("end %d sent=%d", round, sent))
-}
-
-func TestRoundTracerSeesEveryRoundBoundary(t *testing.T) {
-	cfg := model.Config{N: 2, T: 0}
-	a := &echoProc{id: 0, peer: 1}
-	tracer := &roundRecorder{}
-	eng, err := New(cfg, []Process{a, Silent{}}, WithTracer(tracer))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	eng.Run(3)
-	want := []string{
-		"start 1", "end 1 sent=1",
-		"start 2", "end 2 sent=1",
-		"start 3", "end 3 sent=1",
-	}
-	if got := strings.Join(tracer.calls, ", "); got != strings.Join(want, ", ") {
-		t.Errorf("round calls = %s\nwant %s", got, strings.Join(want, ", "))
-	}
-	// The embedded plain Tracer still works through the same seam.
-	if got := len(tracer.Messages()); got != 2 {
-		t.Errorf("traced %d deliveries, want 2", got)
-	}
-}
-
 func TestPlainTracerGetsNoRoundCallbacks(t *testing.T) {
 	cfg := model.Config{N: 2, T: 0}
 	a := &echoProc{id: 0, peer: 1}
-	tracer := &RecordingTracer{} // does not implement RoundTracer
+	tracer := &RecordingTracer{}
 	eng, err := New(cfg, []Process{a, Silent{}}, WithTracer(tracer))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	eng.Run(2) // must not panic on the nil rounds field
+	eng.Run(2)
 	if got := len(tracer.Messages()); got != 1 {
 		t.Errorf("traced %d deliveries, want 1", got)
 	}
@@ -95,23 +57,5 @@ func TestWriterTracerCloseFlushesAndClosesCloser(t *testing.T) {
 	}
 	if !strings.Contains(w.String(), "P1 -> P0") {
 		t.Errorf("Close did not flush: %q", w.String())
-	}
-}
-
-func TestMultiTracerFansOutAndSkipsNil(t *testing.T) {
-	rec := &RecordingTracer{}
-	rounds := &roundRecorder{}
-	mt := MultiTracer(rec, nil, rounds)
-	mt.Delivered(model.Message{From: 0, To: 1, Round: 1, Kind: model.KindEcho})
-	mt.RoundStart(1)
-	mt.RoundEnd(1, 3)
-	if got := len(rec.Messages()); got != 1 {
-		t.Errorf("plain member saw %d deliveries, want 1", got)
-	}
-	if got := len(rounds.Messages()); got != 1 {
-		t.Errorf("round member saw %d deliveries, want 1", got)
-	}
-	if got := strings.Join(rounds.calls, ","); got != "start 1,end 1 sent=3" {
-		t.Errorf("round member calls = %q", got)
 	}
 }

@@ -22,9 +22,7 @@ import (
 // under one lock. A link's fate depends only on what its sender pushed
 // through it (netcond.Model), never on how senders interleave, so the
 // one model answers as it answers the lockstep engine; and a tracer is
-// never called concurrently, in either engine. Round boundaries
-// (sim.RoundTracer) are the lockstep engine's: the mesh has no global
-// round loop and reports none.
+// never called concurrently, in either engine.
 func MeshEngine(meshes []*Mesh) func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
 	return func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
 		if len(meshes) != len(procs) {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/netcond"
-	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/sim"
@@ -319,7 +318,7 @@ func TestRunnersStopAtTheEnginesRound(t *testing.T) {
 			name: "never-finishing churner",
 			procs: func() []sim.Process {
 				procs := quietAt3()
-				procs[1] = netcond.NewChurner(procs[1], netcond.ChurnSpec{Node: 1, Crash: 2, Restart: maxRounds + 1}, nil, nil)
+				procs[1] = netcond.NewChurner(procs[1], netcond.ChurnSpec{Node: 1, Crash: 2, Restart: maxRounds + 1}, nil)
 				return procs
 			},
 			want: maxRounds,
@@ -352,10 +351,9 @@ func TestRunnersStopAtTheEnginesRound(t *testing.T) {
 }
 
 // TestMeshEngineSerialisesTracers is the one-tracer contract under the
-// race detector: an observer's per-run engine tracer (not safe for
-// concurrent use), a writer tracer and a lossy network model with an
-// emitter are each shared by the n runner goroutines of a churned run,
-// and the report still equals the bare simulator's.
+// race detector: a writer tracer and a lossy network model are each
+// shared by the n runner goroutines of a churned run, and the report
+// still equals the bare simulator's.
 func TestMeshEngineSerialisesTracers(t *testing.T) {
 	n, tol := 7, 2
 	cfg := model.Config{N: n, T: tol}
@@ -380,32 +378,18 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 	}
 	want := run()
 
-	sink := &obs.MemorySink{}
-	rec := obs.NewRecorder(sink)
 	var trace bytes.Buffer
 	tracer := sim.NewWriterTracer(&trace)
-	got := run(core.WithObserver(rec), core.WithTracer(tracer),
+	got := run(core.WithTracer(tracer),
 		core.WithEngine(transport.MeshEngine(buildMeshes(t, "memory", n))))
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("observed mesh report %v, bare simulator's %v", got, want)
+		t.Errorf("traced mesh report %v, bare simulator's %v", got, want)
 	}
 	if trace.Len() == 0 {
 		t.Error("writer tracer saw no deliveries")
-	}
-	for _, scope := range []string{"core.keydist", "core.fdrun", "net.churn.crash", "net.churn.restart", "net.drop", "net.delay"} {
-		if len(sink.Scoped(scope)) == 0 {
-			t.Errorf("no %s event from the mesh run", scope)
-		}
-	}
-	// Round spans are the lockstep engine's; the mesh emits none.
-	if evs := sink.Scoped("sim.round"); len(evs) != 0 {
-		t.Errorf("%d sim.round events from the mesh engine, want none", len(evs))
 	}
 }
 
