@@ -36,7 +36,8 @@ type distFlags struct {
 
 // runWorkerMode dials the coordinator and serves its leased batches as
 // an agreement-service session (the run options configure the daemon's
-// executor) until the coordinator closes the link, the link dies, or
+// executor, and the -trace-out recorder gets its service.request spans)
+// until the coordinator closes the link, the link dies, or
 // ctx is canceled. Returns a process exit code.
 func runWorkerMode(ctx context.Context, df distFlags, opts []campaign.Option) int {
 	conn, err := transport.DialConn(df.worker, transport.WithConnWriteTimeout(10*time.Second))
@@ -57,7 +58,7 @@ func runWorkerMode(ctx context.Context, df distFlags, opts []campaign.Option) in
 		name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
 	fmt.Fprintf(os.Stderr, "fdcampaign: worker %q serving coordinator %s\n", name, df.worker)
-	srv := service.NewServer(service.Config{Options: opts})
+	srv := service.NewServer(service.Config{Options: opts, Recorder: df.observer})
 	err = srv.ServeDialled(ctx, conn, name)
 	srv.Drain()
 	switch {
@@ -82,6 +83,11 @@ func runCoordinatorMode(ctx context.Context, df distFlags, spec campaign.Spec) (
 	if err != nil {
 		return nil, sched.Outcome{}, err
 	}
+	return coordinate(ctx, df, spec, listener)
+}
+
+// coordinate is runCoordinatorMode on a bound listener, which it closes.
+func coordinate(ctx context.Context, df distFlags, spec campaign.Spec, listener *transport.TCPConnListener) (*campaign.Report, sched.Outcome, error) {
 	defer listener.Close()
 	fmt.Fprintf(os.Stderr, "fdcampaign: coordinator on %s (waiting for %d worker(s))\n",
 		listener.Addr(), df.expect)

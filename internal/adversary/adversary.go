@@ -83,6 +83,13 @@ func (w *Wrapped) Step(round int, received []model.Message) []model.Message {
 	return out
 }
 
+// Work implements sim.Worker: the inner process's declaration. Filters
+// run on the engine's goroutine or a helper alike, so they must be safe
+// for concurrent use across nodes (a shared signer is).
+func (w *Wrapped) Work(round int, received []model.Message) int {
+	return sim.DeclaredWork(w.inner, round, received)
+}
+
 // Finished implements sim.Finisher: done only when the inner process is
 // done AND no behavior still buffers undelivered messages. The engine
 // therefore keeps stepping a finished inner process while a Delayer holds

@@ -451,22 +451,40 @@ func (n *EIGNode) Step(round int, received []model.Message) []model.Message {
 // relayBound is an exact upper bound on the relay batch one round's inbox
 // can produce, so the batch is allocated once and never grows: the count
 // field, and per oral payload its body plus 8 bytes per entry — a relayed
-// entry is the entry it extends plus one hop. The entries counted are the
-// payload's own claim, capped at what its body can hold, so a lying count
-// cannot inflate the batch: the smallest entry on the wire is a one-hop
-// path under an empty value.
+// entry is the entry it extends plus one hop.
 func relayBound(received []model.Message) int {
-	minEntry := sig.IntFieldSize*2 + sig.BytesFieldSize(0)
 	size := sig.IntFieldSize
 	for _, m := range received {
-		if m.Kind != model.KindOral || len(m.Payload) < sig.IntFieldSize {
-			continue
+		if m.Kind == model.KindOral && len(m.Payload) >= sig.IntFieldSize {
+			size += len(m.Payload) - sig.IntFieldSize + sig.IntFieldSize*claimedEntries(m)
 		}
-		body := len(m.Payload) - sig.IntFieldSize
-		claimed := binary.BigEndian.Uint64(m.Payload)
-		size += body + sig.IntFieldSize*int(min(claimed, uint64(body/minEntry)))
 	}
 	return size
+}
+
+// claimedEntries is the entry count an oral payload claims, capped at
+// what its body can hold, so a lying count inflates nothing: the
+// smallest entry on the wire is a one-hop path under an empty value.
+func claimedEntries(m model.Message) int {
+	if m.Kind != model.KindOral || len(m.Payload) < sig.IntFieldSize {
+		return 0
+	}
+	minEntry := sig.IntFieldSize*2 + sig.BytesFieldSize(0)
+	body := len(m.Payload) - sig.IntFieldSize
+	return int(min(binary.BigEndian.Uint64(m.Payload), uint64(body/minEntry)))
+}
+
+// Work implements sim.Worker: the entries the round's oral payloads
+// claim, which ingest will walk. The commander ingests nothing.
+func (n *EIGNode) Work(round int, received []model.Message) int {
+	if n.id == Sender {
+		return 0
+	}
+	entries := 0
+	for _, m := range received {
+		entries += claimedEntries(m)
+	}
+	return entries
 }
 
 // ingest streams one round's inbox into level, the tree level of paths of

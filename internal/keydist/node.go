@@ -163,6 +163,30 @@ func (n *Node) Step(round int, received []model.Message) []model.Message {
 	}
 }
 
+// Work implements sim.Worker: one signature per challenge the response
+// round will answer and one verification per response the acceptance
+// step will check, at the scheme's static price (sig.CostOf). The other
+// rounds only copy keys, parse them and draw nonces, and declare nothing.
+func (n *Node) Work(round int, received []model.Message) int {
+	var kind model.MessageKind
+	var price int
+	switch round {
+	case RoundResponse:
+		kind, price = model.KindChallenge, sig.CostOf(n.scheme).Sign
+	case RoundsTotal:
+		kind, price = model.KindChallengeResponse, sig.CostOf(n.scheme).Verify
+	default:
+		return 0
+	}
+	ops := 0
+	for _, m := range received {
+		if m.Kind == kind {
+			ops++
+		}
+	}
+	return ops * price
+}
+
 // broadcastPredicate implements "send T_i to all other nodes".
 func (n *Node) broadcastPredicate() []model.Message {
 	pred := n.signer.Predicate().Bytes()

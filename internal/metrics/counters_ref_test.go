@@ -78,9 +78,6 @@ func (c *refCounters) Snapshot() Snapshot {
 		LastRound:           c.maxRound,
 		ByKind:              make(map[model.MessageKind]int, len(c.byKind)),
 	}
-	for _, b := range c.roundBytes {
-		s.MaxRoundBytes = max(s.MaxRoundBytes, b)
-	}
 	for k, v := range c.byKind {
 		s.ByKind[k] = v
 	}

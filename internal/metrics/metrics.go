@@ -35,8 +35,7 @@ type Counters struct {
 	bytes    int
 	byKind   tally
 	bySender tally
-	// byRound holds the sends and payload bytes under each round stamp; a
-	// round with traffic has sends even when its payloads are empty.
+	// byRound holds the sends under each round stamp.
 	byRound  tally
 	maxRound int
 }
@@ -53,9 +52,9 @@ func (c *Counters) Record(m model.Message) {
 	defer c.mu.Unlock()
 	c.messages++
 	c.bytes += len(m.Payload)
-	c.byKind.add(int(m.Kind), 0)
-	c.bySender.add(int(m.From), 0)
-	c.byRound.add(m.Round, len(m.Payload))
+	c.byKind.add(int(m.Kind))
+	c.bySender.add(int(m.From))
+	c.byRound.add(m.Round)
 	if m.Round > c.maxRound {
 		c.maxRound = m.Round
 	}
@@ -72,7 +71,7 @@ func (c *Counters) Messages() int {
 func (c *Counters) MessagesFrom(id model.NodeID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bySender.get(int(id)).sends
+	return c.bySender.get(int(id))
 }
 
 // Snapshot returns an immutable copy of the counters for reporting.
@@ -85,18 +84,12 @@ func (c *Counters) Snapshot() Snapshot {
 		LastRound: c.maxRound,
 	}
 	kinds := 0
-	c.byKind.each(func(int, count) { kinds++ })
+	c.byKind.each(func(int, int) { kinds++ })
 	s.ByKind = make(map[model.MessageKind]int, kinds)
-	c.byRound.each(func(_ int, n count) {
-		s.CommunicationRounds++
-		s.MaxRoundBytes = max(s.MaxRoundBytes, n.bytes)
-	})
-	c.byKind.each(func(k int, n count) { s.ByKind[model.MessageKind(k)] = n.sends })
+	c.byRound.each(func(int, int) { s.CommunicationRounds++ })
+	c.byKind.each(func(k, sends int) { s.ByKind[model.MessageKind(k)] = sends })
 	return s
 }
-
-// count is what a tally holds per key: the sends and their payload bytes.
-type count struct{ sends, bytes int }
 
 // tally counts sends per key. A key in [0, len(near)) indexes near
 // directly; near grows geometrically to reach a new key up to nearLimit,
@@ -106,75 +99,70 @@ type count struct{ sends, bytes int }
 // stamps — goes to far, searched linearly, so counting stays exact for
 // every key without a map.
 type tally struct {
-	near []count
+	near []int
 	far  []keyedCount
 }
 
-type keyedCount struct {
-	key int
-	count
-}
+type keyedCount struct{ key, sends int }
 
 // nearLimit is how far a tally's slice grows for a key beyond twice its
-// length: 64 KiB of counts.
+// length: 32 KiB of counts.
 const nearLimit = 1 << 12
 
-// add counts one send of the given payload bytes under key.
-func (t *tally) add(key, bytes int) {
+// add counts one send under key.
+func (t *tally) add(key int) {
 	if uint(key) >= uint(len(t.near)) {
 		if key < 0 || key >= max(nearLimit, 2*len(t.near)) {
-			t.addFar(key, bytes)
+			t.addFar(key)
 			return
 		}
-		grown := make([]count, max(key+1, 2*len(t.near), 8))
+		grown := make([]int, max(key+1, 2*len(t.near), 8))
 		copy(grown, t.near)
 		// A far key the slice now reaches moves in, so no key is in both.
 		t.far = slices.DeleteFunc(t.far, func(f keyedCount) bool {
 			if f.key < len(grown) && f.key >= 0 {
-				grown[f.key] = f.count
+				grown[f.key] = f.sends
 				return true
 			}
 			return false
 		})
 		t.near = grown
 	}
-	t.near[key].sends++
-	t.near[key].bytes += bytes
+	t.near[key]++
 }
 
-func (t *tally) addFar(key, bytes int) {
+func (t *tally) addFar(key int) {
 	for i := range t.far {
 		if t.far[i].key == key {
 			t.far[i].sends++
-			t.far[i].bytes += bytes
 			return
 		}
 	}
-	t.far = append(t.far, keyedCount{key, count{1, bytes}})
+	t.far = append(t.far, keyedCount{key, 1})
 }
 
-// get returns the count under key.
-func (t *tally) get(key int) count {
+// get returns the sends under key.
+func (t *tally) get(key int) int {
 	if uint(key) < uint(len(t.near)) {
 		return t.near[key]
 	}
 	for _, f := range t.far {
 		if f.key == key {
-			return f.count
+			return f.sends
 		}
 	}
-	return count{}
+	return 0
 }
 
 // each calls fn for every key with at least one send.
-func (t *tally) each(fn func(key int, n count)) {
+func (t *tally) each(fn func(key, sends int)) {
 	for k, n := range t.near {
-		if n.sends > 0 {
+		if n > 0 {
 			fn(k, n)
 		}
 	}
 	for _, f := range t.far {
-		fn(f.key, f.count)
+		fn(f.key, f.sends)
 	}
 }
 
@@ -191,12 +179,7 @@ type Snapshot struct {
 	// it is delivered with, not the round it was sent in.
 	CommunicationRounds int
 	LastRound           int
-	// MaxRoundBytes is the largest payload sum sent under one round
-	// stamp. Every message the lockstep engine delivers in round r+1 was
-	// stamped r, so it bounds what any one round delivers — the quantity
-	// sim.ParallelRoundBytes is compared with.
-	MaxRoundBytes int
-	ByKind        map[model.MessageKind]int
+	ByKind              map[model.MessageKind]int
 }
 
 // String summarizes the snapshot on one line.

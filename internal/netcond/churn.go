@@ -69,6 +69,15 @@ func (c *Churner) Step(round int, received []model.Message) []model.Message {
 	return c.proc.Step(round, received)
 }
 
+// Work implements sim.Worker: the wrapped process's declaration while
+// the node is up, none while it is down.
+func (c *Churner) Work(round int, received []model.Message) int {
+	if c.dead || c.down(round) {
+		return 0
+	}
+	return sim.DeclaredWork(c.proc, round, received)
+}
+
 // Finished implements sim.Finisher. Until a scheduled restart has
 // happened the node reports unfinished, so the engine keeps the run
 // alive long enough for the recovery (and whatever the recovered node

@@ -22,6 +22,11 @@ type ecdsaScheme struct{}
 
 func (ecdsaScheme) Name() string { return SchemeECDSA }
 
+// cost is CostOf's price: a signature and a verification take
+// about 60 µs and 130 µs on a 2-vCPU Xeon where one OM(t) entry
+// ingest takes 37 ns.
+func (ecdsaScheme) cost() Cost { return Cost{1600, 3500} }
+
 func (ecdsaScheme) Generate(rnd io.Reader) (Signer, error) {
 	priv, err := ecdsa.GenerateKey(elliptic.P256(), keyStream{rnd})
 	if err != nil {

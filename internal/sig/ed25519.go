@@ -22,6 +22,11 @@ type ed25519Scheme struct{}
 
 func (ed25519Scheme) Name() string { return SchemeEd25519 }
 
+// cost is CostOf's price: a signature and a verification take
+// about 40 µs and 105 µs on a 2-vCPU Xeon where one OM(t) entry
+// ingest takes 37 ns.
+func (ed25519Scheme) cost() Cost { return Cost{1000, 2800} }
+
 func (ed25519Scheme) Generate(rand io.Reader) (Signer, error) {
 	pub, priv, err := ed25519.GenerateKey(rand)
 	if err != nil {

@@ -27,6 +27,11 @@ type hmacScheme struct{}
 
 func (hmacScheme) Name() string { return SchemeHMAC }
 
+// cost is CostOf's price: a signature and a verification take
+// about 0.7 µs and 0.6 µs on a 2-vCPU Xeon where one OM(t) entry
+// ingest takes 37 ns.
+func (hmacScheme) cost() Cost { return Cost{18, 17} }
+
 func (hmacScheme) Generate(rnd io.Reader) (Signer, error) {
 	key := make([]byte, hmacKeySize)
 	if _, err := io.ReadFull(rnd, key); err != nil {

@@ -26,6 +26,11 @@ type rsaScheme struct{}
 
 func (rsaScheme) Name() string { return SchemeRSA }
 
+// cost is CostOf's price: a signature and a verification take
+// about 1.2 ms and 55 µs on a 2-vCPU Xeon where one OM(t) entry
+// ingest takes 37 ns.
+func (rsaScheme) cost() Cost { return Cost{33000, 1500} }
+
 func (rsaScheme) Generate(rnd io.Reader) (Signer, error) {
 	priv, err := rsa.GenerateKey(keyStream{rnd}, rsaBits)
 	if err != nil {

@@ -100,6 +100,23 @@ type Scheme interface {
 	ParsePredicate(data []byte) (TestPredicate, error)
 }
 
+// Cost is what one signature and one verification of a scheme cost, in
+// the unit sim.ParallelWork counts: one unit is ba's ingest of one
+// relayed OM(t) entry. The prices are constants, set once from the
+// ratios of the schemes' timings to that ingest (each scheme's cost
+// method has them) and never measured at run time, so a process that
+// declares its work through them declares the same on every machine.
+type Cost struct{ Sign, Verify int }
+
+// CostOf returns s's static price. A scheme registered from outside this
+// package is priced as Ed25519, the default scheme.
+func CostOf(s Scheme) Cost {
+	if p, ok := s.(interface{ cost() Cost }); ok {
+		return p.cost()
+	}
+	return ed25519Scheme{}.cost()
+}
+
 var (
 	registryMu sync.RWMutex
 	registry   = make(map[string]Scheme)

@@ -29,6 +29,11 @@ type toyScheme struct{}
 
 func (toyScheme) Name() string { return SchemeToy }
 
+// cost is CostOf's price: a signature and a verification take
+// about 0.3 µs and 0.4 µs on a 2-vCPU Xeon where one OM(t) entry
+// ingest takes 37 ns.
+func (toyScheme) cost() Cost { return Cost{9, 10} }
+
 func (toyScheme) Generate(rnd io.Reader) (Signer, error) {
 	key := make([]byte, toyKeySize)
 	if _, err := io.ReadFull(rnd, key); err != nil {

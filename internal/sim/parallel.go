@@ -8,12 +8,44 @@ import (
 	"repro/internal/model"
 )
 
-// ParallelRoundBytes is the payload one round must deliver before the
-// engine steps its nodes on more than one core. It sits far above the
-// largest round of every signed protocol in the repository's campaign
-// grid (under 200 KB, pinned below a quarter of this), so those runs keep
-// the serial path, and below OM(t)'s final round at n=16 t=3 (2 MB).
-const ParallelRoundBytes = 1 << 20
+// ParallelWork is the work a round's processes must declare (Worker)
+// before the engine steps its nodes on more than one core. One unit is
+// ba's ingest of one relayed OM(t) entry, a few tens of nanoseconds, and
+// sig prices a signature and a verification in the same unit
+// (sig.CostOf), so 24,576 units is about a millisecond of one core:
+// enough to pay for waking a helper many times over. It sits between
+// the largest round eig_grid's OM(t) shapes step serially (n=128 t=2's
+// relay round, 16,002 entries) and the smallest they step in parallel
+// (n=16 t=3's final round, 38,220), the rounds that crossed the one
+// mebibyte the engine once required of a round's payload. Key
+// distribution's response and acceptance rounds reach it from n=6 under
+// ed25519 (acceptance alone from n=4); under hmac-sha256 they stay
+// under it up to n=37.
+const ParallelWork = 24 << 10
+
+// Worker is an optional interface: a process that knows what its next
+// Step will cost declares it, and the engine sums the declarations of a
+// round's processes against ParallelWork. Processes that do not
+// implement it declare 0.
+type Worker interface {
+	// Work returns the work Step(round, received) will do, in
+	// ParallelWork's unit. It is a pure function of the process's state
+	// and its arguments, never of the wall clock, so a run takes the same
+	// path on every machine; it changes no state. At GOMAXPROCS > 1 the
+	// engine calls it in node order, before any Step of the round; on one
+	// core it need not call it at all.
+	Work(round int, received []model.Message) int
+}
+
+// DeclaredWork returns what p declares for round over received: 0 unless
+// p is a Worker. A process that wraps another forwards its inner
+// process's declaration through it.
+func DeclaredWork(p Process, round int, received []model.Message) int {
+	if w, ok := p.(Worker); ok {
+		return w.Work(round, received)
+	}
+	return 0
+}
 
 // stepJob is one run's parallel step phase: the engine's goroutine and
 // whichever parked helpers are idle claim node indices from one counter

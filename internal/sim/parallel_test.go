@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"hash/fnv"
 	"reflect"
 	"runtime"
@@ -12,11 +13,12 @@ import (
 	"repro/internal/model"
 )
 
-// bulkProc sends every peer a payload large enough that a round of them
-// crosses ParallelRoundBytes, its bytes a function of everything the
-// node received so far — so an inbox in another order, or a message
-// lost or added, changes every later payload. It sleeps inside Step so
-// that rounds stepped on two goroutines overlap, which active measures.
+// bulkProc sends every peer a payload that is a function of everything
+// the node received so far — so an inbox in another order, or a message
+// lost or added, changes every later payload — and declares an eighth of
+// ParallelWork per message it receives, so a round of n=8 crosses the
+// threshold even after losses. It sleeps inside Step so that rounds
+// stepped on two goroutines overlap, which active measures.
 type bulkProc struct {
 	n      int
 	digest uint64
@@ -25,7 +27,11 @@ type bulkProc struct {
 	most   *atomic.Int32
 }
 
-const bulkPayload = 40 << 10
+const bulkPayload = 1 << 10
+
+func (p *bulkProc) Work(_ int, received []model.Message) int {
+	return len(received) * ParallelWork / 8
+}
 
 func (p *bulkProc) Step(round int, received []model.Message) []model.Message {
 	now := p.active.Add(1)
@@ -104,16 +110,13 @@ func runBulk(t *testing.T, procs int) bulkRun {
 	return run
 }
 
-// TestParallelRoundsMatchSerial: a run whose rounds cross
-// ParallelRoundBytes under a lossy, delaying network delivers, fates,
-// counts and ends exactly as at GOMAXPROCS 1, and every node sees the
-// same view — while at GOMAXPROCS 2 its Step calls did overlap.
+// TestParallelRoundsMatchSerial: a run whose rounds declare ParallelWork
+// under a lossy, delaying network delivers, fates, counts and ends
+// exactly as at GOMAXPROCS 1, and every node sees the same view — while
+// at GOMAXPROCS 2 its Step calls did overlap.
 func TestParallelRoundsMatchSerial(t *testing.T) {
 	serial := runBulk(t, 1)
 	parallel := runBulk(t, 2)
-	if serial.snapshot.MaxRoundBytes < 4*ParallelRoundBytes/3 {
-		t.Fatalf("largest round sent %d bytes: too few to cross ParallelRoundBytes after losses", serial.snapshot.MaxRoundBytes)
-	}
 	if serial.overlap != 1 {
 		t.Errorf("GOMAXPROCS 1: %d Step calls overlapped", serial.overlap)
 	}
@@ -149,16 +152,12 @@ func TestParallelRoundPanicReachesCaller(t *testing.T) {
 	ps := make([]Process, n)
 	for i := range ps {
 		bulk := &bulkProc{n: n, active: &active, most: &most}
-		ps[i] = ProcessFunc(func(round int, received []model.Message) []model.Message {
+		ps[i] = declaring{ProcessFunc(func(round int, received []model.Message) []model.Message {
 			if round == 2 && i == n-1 {
 				panic("node fails")
 			}
-			out := bulk.Step(round, received)
-			for j := range out {
-				out[j].Payload = append(out[j].Payload, make([]byte, 3*bulkPayload)...)
-			}
-			return out
-		})
+			return bulk.Step(round, received)
+		}), ParallelWork}
 	}
 	func() {
 		defer func() {
@@ -173,5 +172,94 @@ func TestParallelRoundPanicReachesCaller(t *testing.T) {
 	}()
 	if run := runBulk(t, 2); run.rounds == 0 {
 		t.Error("the run after a panicking one did not run")
+	}
+}
+
+// declaring is a process that declares work for every round.
+type declaring struct {
+	Process
+	work int
+}
+
+func (d declaring) Work(int, []model.Message) int { return d.work }
+
+// TestUndeclaredRoundsStaySerial: at GOMAXPROCS 2, a round steps in node
+// order on one goroutine, however many bytes it carries, unless its
+// processes declare ParallelWork between them: processes that declare
+// nothing, and processes whose declarations add up to one unit short,
+// never overlap; one more unit and they do.
+func TestUndeclaredRoundsStaySerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 4
+	for _, tc := range []struct {
+		name    string
+		work    int // per process
+		overlap bool
+	}{
+		{"none", 0, false},
+		{"one unit short", ParallelWork/n - 1, false},
+		{"at the threshold", ParallelWork / n, true},
+	} {
+		var active, most atomic.Int32
+		ps := make([]Process, n)
+		for i := range ps {
+			bulk := &bulkProc{n: n, active: &active, most: &most}
+			big := ProcessFunc(func(round int, received []model.Message) []model.Message {
+				out := bulk.Step(round, received)
+				for j := range out {
+					out[j].Payload = append(out[j].Payload, make([]byte, 256<<10)...)
+				}
+				return out
+			})
+			ps[i] = declaring{big, tc.work}
+			if tc.work == 0 {
+				ps[i] = big
+			}
+		}
+		if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 3); err != nil {
+			t.Fatal(err)
+		}
+		if got := most.Load() > 1; got != tc.overlap {
+			t.Errorf("%s: Step calls overlapped %v, want %v", tc.name, got, tc.overlap)
+		}
+	}
+}
+
+// workOrder records, for one node, each Work and Step call in one shared
+// log.
+type workOrder struct {
+	id  int
+	log *[]string
+}
+
+func (w workOrder) Work(round int, received []model.Message) int {
+	*w.log = append(*w.log, fmt.Sprintf("work %d/%d got %d", round, w.id, len(received)))
+	return 0
+}
+
+func (w workOrder) Step(round int, received []model.Message) []model.Message {
+	*w.log = append(*w.log, fmt.Sprintf("step %d/%d", round, w.id))
+	if round == 1 {
+		return []model.Message{{To: model.NodeID(1 - w.id), Kind: model.KindPlainValue}}
+	}
+	return nil
+}
+
+// TestWorkDeclaredBeforeStep: at GOMAXPROCS 2, in every round the engine
+// asks each process for its work in node order, over the inbox its Step then receives, and
+// before any Step of that round.
+func TestWorkDeclaredBeforeStep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var log []string
+	ps := []Process{workOrder{0, &log}, workOrder{1, &log}}
+	if _, err := RunInstance(model.Config{N: 2, T: 0}, ps, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"work 1/0 got 0", "work 1/1 got 0", "step 1/0", "step 1/1",
+		"work 2/0 got 1", "work 2/1 got 1", "step 2/0", "step 2/1",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("calls %q, want %q", log, want)
 	}
 }

@@ -18,11 +18,18 @@
 // Concurrency: the Step calls of different nodes in one round may run at
 // the same time, on both engines. The transport runners step every node
 // on its own goroutine; this engine steps a round's nodes on several
-// cores when the round delivers at least ParallelRoundBytes, and in node
-// order on one goroutine otherwise. Processes of one run may therefore
-// share only values that are safe for concurrent use and whose result
-// does not depend on the order of use, such as ba's shared relayed-entry
-// counter (an atomic.Int64) and its pool of leaf levels.
+// cores when the work its processes declare for the round (Worker) adds
+// up to ParallelWork, and in node order on one goroutine otherwise. A
+// declaration is a pure function of a process's state and inbox, priced
+// by static constants: ba's OM(t) node declares the entries it will
+// ingest, keydist's node the signatures it will make and check, each at
+// its scheme's sig.CostOf. Whether a round may go parallel is therefore
+// a property of the run, never of the machine's speed, and a process
+// that declares nothing adds nothing. Processes of one run may share
+// only values that are safe for concurrent use and whose result does not
+// depend on the order of use, such as ba's shared relayed-entry counter
+// (an atomic.Int64) and its pool of leaf levels, or an established
+// signer (sig.Signer is safe for concurrent use).
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - RecordingTracer and its methods: the delivery record and Views the behaviour tests read,
@@ -194,12 +201,12 @@ func New(cfg model.Config, procs []Process, opts ...Option) (*Engine, error) {
 // discovered as a failure.
 //
 // A round runs in three phases. First, serially in node order, every
-// inbox is sorted and traced and its payload bytes summed. Then every
-// process steps: in node order on this goroutine, or — when the round
-// delivers at least ParallelRoundBytes and GOMAXPROCS > 1 — on this
-// goroutine and the parked helpers at once (see stepJob). Last, serially
-// in node order, each node's sends are stamped, given their fates,
-// counted and queued. Only the middle phase can run concurrently, so every
+// inbox is sorted and traced, and each process's declared work (Worker)
+// summed. Then every process steps: in node order on this goroutine, or
+// — when the declarations reach ParallelWork and GOMAXPROCS > 1 — on
+// this goroutine and the parked helpers at once (see stepJob). Last,
+// serially in node order, each node's sends are stamped, given their
+// fates, counted and queued. Only the middle phase can run concurrently, so every
 // Fate call, counter update, delivery and trace event happens in the same
 // order at any GOMAXPROCS.
 func (e *Engine) Run(maxRounds int) *Result {
@@ -243,17 +250,15 @@ func (e *Engine) Run(maxRounds int) *Result {
 				delete(delayed, round)
 			}
 		}
-		delivered := 0
 		for _, inbox := range inFlight {
 			SortMessages(inbox)
-			for _, m := range inbox {
-				if e.tracer != nil {
+			if e.tracer != nil {
+				for _, m := range inbox {
 					e.tracer.Delivered(m)
 				}
-				delivered += len(m.Payload)
 			}
 		}
-		parallel := delivered >= ParallelRoundBytes && runtime.GOMAXPROCS(0) > 1
+		parallel := runtime.GOMAXPROCS(0) > 1 && e.declared(round, inFlight) >= ParallelWork
 		if parallel {
 			if job == nil {
 				job = &store.job
@@ -412,6 +417,15 @@ func RunInstance(cfg model.Config, procs []Process, maxRounds int, opts ...Optio
 		return nil, err
 	}
 	return e.Run(maxRounds), nil
+}
+
+// declared sums what the processes declare for round over inboxes.
+func (e *Engine) declared(round int, inboxes [][]model.Message) int {
+	work := 0
+	for i, p := range e.procs {
+		work += DeclaredWork(p, round, inboxes[i])
+	}
+	return work
 }
 
 // allFinished reports whether every Finisher process is done. Processes

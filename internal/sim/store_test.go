@@ -138,8 +138,10 @@ func TestPooledInboxesKeepNoPayload(t *testing.T) {
 // chainProc sends every peer, in each of its first rounds, a payload
 // derived from everything it has received: a message of another run
 // leaking into its inbox, or one of its own going missing, changes every
-// later payload and its digest. At n=128 its rounds cross
-// ParallelRoundBytes, so at GOMAXPROCS > 1 they take the pooled hand-off.
+// later payload and its digest. It declares a ten-thousandth of
+// ParallelWork per message received, so n=128's rounds (16,256 messages)
+// cross the threshold and n=4's and n=16's do not: at GOMAXPROCS > 1 the
+// largest size takes the pooled hand-off beside serial runs.
 type chainProc struct {
 	id, n, rounds int
 	digest        uint64
@@ -167,6 +169,10 @@ func (p *chainProc) Step(round int, received []model.Message) []model.Message {
 		p.out = append(p.out, model.Message{To: model.NodeID(to), Kind: model.KindPlainValue, Payload: payload})
 	}
 	return p.out
+}
+
+func (p *chainProc) Work(_ int, received []model.Message) int {
+	return len(received) * ParallelWork / 10000
 }
 
 // sizedRun is what one chainProc run makes observable.
@@ -208,8 +214,8 @@ func TestConcurrentSizesSharePool(t *testing.T) {
 		}
 		serial[n] = run
 	}
-	if serial[128].snapshot.MaxRoundBytes < ParallelRoundBytes {
-		t.Fatalf("n=128 rounds send %d bytes: too few to take the parallel hand-off", serial[128].snapshot.MaxRoundBytes)
+	if got := serial[128].snapshot.Messages / serial[128].snapshot.CommunicationRounds * ParallelWork / 10000; got < ParallelWork {
+		t.Fatalf("n=128 rounds declare %d: too little to take the parallel hand-off", got)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

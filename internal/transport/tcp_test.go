@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -30,7 +29,13 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 	reserve.Close()
 	addrs := map[model.NodeID]string{0: lower.Addr().String(), 1: self, 2: "127.0.0.1:1"}
 
-	before := runtime.NumGoroutine()
+	// The call's goroutines: the one running it, its acceptor and any
+	// link reader it started.
+	owned := func() int {
+		return goroutinesIn("repro/internal/transport.NewTCPMesh(", "created by repro/internal/transport.newTCPMesh ",
+			"created by repro/internal/transport.newMesh ")
+	}
+	before := owned()
 	booted := make(chan error, 1)
 	go func() {
 		m, err := NewTCPMesh(1, addrs)
@@ -75,9 +80,9 @@ func TestTCPMeshFailedBootClosesLinks(t *testing.T) {
 	if _, err := link.Read(make([]byte, 1)); err != io.EOF {
 		t.Errorf("lower peer's read after the failed boot = %v, want EOF (link closed)", err)
 	}
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); owned() > before; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines after the failed boot, %d before", runtime.NumGoroutine(), before)
+			t.Errorf("%d goroutines of the boot after it failed, %d before", owned(), before)
 			break
 		}
 	}
