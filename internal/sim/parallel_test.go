@@ -216,7 +216,7 @@ func TestUndeclaredRoundsStaySerial(t *testing.T) {
 				ps[i] = big
 			}
 		}
-		if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 3); err != nil {
+		if _, err := RunInstance(model.Config{N: n, T: 1}, ps, 8); err != nil {
 			t.Fatal(err)
 		}
 		if got := most.Load() > 1; got != tc.overlap {
