@@ -19,6 +19,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
@@ -34,6 +35,18 @@ func mustCluster(b *testing.B, n, t int, seed int64) *core.Cluster {
 		b.Fatal(err)
 	}
 	return c
+}
+
+// declared returns the failure-free message count the named driver
+// declares at (n, t).
+func declared(b *testing.B, name string, n, t int) int {
+	b.Helper()
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	msgs, _ := d.Verdicts().FailureFree(protocol.Instance{N: n, T: t})
+	return msgs
 }
 
 // BenchmarkE1KeyDistribution measures the cost of establishing local
@@ -104,15 +117,17 @@ func BenchmarkE3NonAuthFD(b *testing.B) {
 				msgs = rep.Snapshot.Messages
 			}
 			b.ReportMetric(float64(msgs), "messages")
-			b.ReportMetric(float64(fd.NonAuthMessages(n, t)), "paper-(t+1)(n-1)")
+			b.ReportMetric(float64(declared(b, protocol.NameNonAuth, n, t)), "paper-(t+1)(n-1)")
 		})
 	}
 }
 
 // BenchmarkE4Amortization measures the full lifecycle — key distribution
-// plus k authenticated runs — and reports the crossover run count.
+// plus k authenticated runs — and reports its messages, k baseline runs'
+// and the crossover run count.
 func BenchmarkE4Amortization(b *testing.B) {
 	const n, t, k = 16, 5, 10
+	var local int
 	for i := 0; i < b.N; i++ {
 		c := mustCluster(b, n, t, int64(i))
 		for r := 0; r < k; r++ {
@@ -120,11 +135,13 @@ func BenchmarkE4Amortization(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		local = c.Ledger().TotalMessages()
 	}
-	a := core.AmortizationFor(n, t, k)
-	b.ReportMetric(float64(a.CrossoverRun), "crossover-k*")
-	b.ReportMetric(float64(a.LocalAuthTotal), "localauth-msgs")
-	b.ReportMetric(float64(a.NonAuthTotal), "nonauth-msgs")
+	chain, base := declared(b, protocol.NameChain, n, t), declared(b, protocol.NameNonAuth, n, t)
+	saving := base - chain
+	b.ReportMetric(float64((keydist.ExpectedMessages(n)+saving-1)/saving), "crossover-k*")
+	b.ReportMetric(float64(local), "localauth-msgs")
+	b.ReportMetric(float64(k*base), "nonauth-msgs")
 }
 
 // BenchmarkE8Baselines contrasts OM(t), SM(t), and FD costs.
@@ -282,6 +299,7 @@ func BenchmarkE12VectorFD(b *testing.B) {
 			}
 			eng.Run(keydist.RoundsTotal)
 			b.ResetTimer()
+			var msgs int
 			for i := 0; i < b.N; i++ {
 				procs := make([]sim.Process, n)
 				for j := 0; j < n; j++ {
@@ -295,9 +313,10 @@ func BenchmarkE12VectorFD(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng.Run(fd.ChainEngineRounds(tol))
+				msgs = eng.Run(fd.ChainEngineRounds(tol)).Counters.Messages()
 			}
-			b.ReportMetric(float64(fd.VectorMessages(n)), "messages")
+			b.ReportMetric(float64(msgs), "messages")
+			b.ReportMetric(float64(declared(b, protocol.NameVector, n, tol)), "declared-n(n-1)")
 		})
 	}
 }

@@ -69,7 +69,8 @@
 // into a fixed-string error instead of a hung sweep.
 //
 // Every completed instance is scored against the paper's conformance
-// predicates (termination/agreement/validity, see campaign.Verdict); the
+// predicates (termination/agreement/validity, and complexity for an
+// honest run on the ideal network; see campaign.Verdict); the
 // table's "conform" column reports the per-group pass fraction and
 // -strict exits with status 2 when any instance errors or records an
 // unexcused violation — a campaign run is a property test over its grid.

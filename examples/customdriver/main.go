@@ -100,9 +100,16 @@ func (floodDriver) Capabilities() protocol.Capabilities {
 }
 
 // Verdicts: flood is unauthenticated, so the registry's canned
-// below-resilience excusal is the honest reading of its failures.
+// below-resilience excusal is the honest reading of its failures. Its
+// failure-free cost is declared too — the sender's broadcast, then every
+// node's, sender included: n−1 + n(n−1) messages in 2 rounds — and every
+// honest run on the ideal network is scored against it.
 func (floodDriver) Verdicts() protocol.VerdictProfile {
-	return protocol.VerdictsUnauthenticatedFD
+	p := protocol.VerdictsUnauthenticatedFD
+	p.FailureFree = func(inst protocol.Instance) (messages, commRounds int) {
+		return (inst.N - 1) + inst.N*(inst.N-1), 2
+	}
+	return p
 }
 
 // Run hands protocol.RunNodes the one thing only this file knows — what

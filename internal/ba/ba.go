@@ -29,7 +29,6 @@
 // E11 exhibits the concrete G3 attack that separates the two settings.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - EIGEntries, SMMessagesFailureFree: the cost formulas the unit tests assert.
 //   - FDBANode.Decision, FDBANode.InFallback, SMNode.Decision, SMNode.ValueSet: accessors the behaviour tests read.
 //   - Decision.String: a String method.
 package ba

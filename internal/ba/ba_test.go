@@ -268,7 +268,7 @@ func TestSMFailureFree(t *testing.T) {
 				t.Errorf("n=%d t=%d: %v decided %q", tc.n, tc.t, d.Node, d.Value)
 			}
 		}
-		if got, want := counters.Messages(), ba.SMMessagesFailureFree(tc.n, tc.t); got != want {
+		if got, want := counters.Messages(), (tc.n-1)+(tc.n-1)*(tc.n-2); got != want {
 			t.Errorf("n=%d t=%d: messages = %d, want %d (O(n²) failure-free)", tc.n, tc.t, got, want)
 		}
 	}

@@ -171,19 +171,6 @@ func (n *EIGNode) Finished() bool { return n.finished }
 // communication rounds plus the resolution step.
 func EIGEngineRounds(t int) int { return t + 2 }
 
-// EIGEntries returns the classical OM(t) relayed-entry count of a
-// failure-free run. There are (n−1)(n−2)⋯(n−r+1) sender-rooted paths of r
-// distinct nodes, and in round r each is reported, by the node that
-// extended it, to n−1 destinations.
-func EIGEntries(n, t int) int {
-	total, paths := 0, 1
-	for r := 1; r <= t+1; r++ {
-		total += paths * (n - 1)
-		paths *= n - r
-	}
-	return total
-}
-
 // levelSize is the number of depth-d tree vertices: the sender-rooted
 // paths of d+1 distinct nodes that exclude the resolver. It saturates at
 // maxEIGLeaf+1, so no configuration overflows it.

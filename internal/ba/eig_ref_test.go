@@ -225,3 +225,16 @@ func (n *EIGNode) validPath(path []model.NodeID, from model.NodeID) bool {
 	}
 	return true
 }
+
+// EIGEntries returns the classical OM(t) relayed-entry count of a
+// failure-free run. There are (n−1)(n−2)⋯(n−r+1) sender-rooted paths of r
+// distinct nodes, and in round r each is reported, by the node that
+// extended it, to n−1 destinations.
+func EIGEntries(n, t int) int {
+	total, paths := 0, 1
+	for r := 1; r <= t+1; r++ {
+		total += paths * (n - 1)
+		paths *= n - r
+	}
+	return total
+}

@@ -38,7 +38,7 @@ func TestFDBAFailureFreeCostsSameAsFD(t *testing.T) {
 		procs, nodes := fdbaProcs(t, cfg, signers, func(int) sig.Directory { return dir }, value)
 		counters := runBA(t, cfg, procs, ba.FDBAEngineRounds(tc.t))
 
-		if got, want := counters.Messages(), fd.ChainMessages(tc.n, tc.t); got != want {
+		if got, want := counters.Messages(), tc.n-1; got != want {
 			t.Errorf("n=%d t=%d: messages = %d, want %d (failure-free must equal FD)", tc.n, tc.t, got, want)
 		}
 		for _, n := range nodes {
@@ -182,7 +182,7 @@ func TestFDBALocalAuthCleanRun(t *testing.T) {
 	procs, nodes := fdbaProcs(t, cfg, signers, func(i int) sig.Directory { return dirs[i] }, value)
 	counters := runBA(t, cfg, procs, ba.FDBAEngineRounds(cfg.T))
 
-	if got, want := counters.Messages(), fd.ChainMessages(cfg.N, cfg.T); got != want {
+	if got, want := counters.Messages(), cfg.N-1; got != want {
 		t.Errorf("messages = %d, want %d", got, want)
 	}
 	fdbaAgreement(t, nodes, model.NewNodeSet())

@@ -91,15 +91,6 @@ func (n *SMNode) Finished() bool { return n.finished }
 // communication rounds plus the decision step.
 func SMEngineRounds(t int) int { return t + 2 }
 
-// SMMessagesFailureFree returns SM(t)'s failure-free message count: the
-// sender's broadcast plus one relay per receiver when t ≥ 1.
-func SMMessagesFailureFree(n, t int) int {
-	if t == 0 {
-		return n - 1
-	}
-	return (n - 1) + (n-1)*(n-2)
-}
-
 // Step implements the sim Process contract. A chain with k signatures
 // was sent in round k, so round r's inbox is hop-round r−1.
 func (n *SMNode) Step(round int, received []model.Message) []model.Message {

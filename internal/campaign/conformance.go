@@ -31,12 +31,18 @@ import (
 // check strictly stronger. Termination is never excused: weak
 // termination is exactly what failure discovery buys at every
 // authentication level.
+//
+// complexity: an honest instance on the ideal network sends exactly the
+// messages, in exactly the communication rounds, its driver declares
+// (protocol.VerdictProfile.FailureFree). Nothing excuses it; faulty and
+// degraded runs are not held to it.
 
 // Predicate names recorded in Verdict.Violations.
 const (
 	PredTermination = "termination"
 	PredAgreement   = "agreement"
 	PredValidity    = "validity"
+	PredComplexity  = "complexity"
 )
 
 // Verdict is one instance's conformance evaluation.
@@ -60,8 +66,8 @@ type Verdict struct {
 	NetExcused bool `json:"net_excused,omitempty"`
 	// Violations lists the predicates that failed and were not excused,
 	// in the fixed termination/agreement/validity order, then the
-	// key-distribution guarantees ("G1", "G2") a corrupt setup broke,
-	// which nothing excuses.
+	// key-distribution guarantees ("G1", "G2") a corrupt setup broke and
+	// complexity, which nothing excuses.
 	Violations []string `json:"violations,omitempty"`
 }
 
@@ -69,10 +75,10 @@ type Verdict struct {
 func (v *Verdict) Conformant() bool { return v != nil && len(v.Violations) == 0 }
 
 // newVerdict assembles a Verdict, recording a violation for every failed
-// predicate the driver's theory does not excuse, then the setup's. netExcused
-// suppresses the predicates' violations (the raw results stay visible): no
-// paper guarantee of the run survives a broken N1.
-func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool, setup []string) *Verdict {
+// predicate the driver's theory does not excuse, then those in unexcused.
+// netExcused suppresses the predicates' violations (the raw results stay
+// visible): no paper guarantee of the run survives a broken N1.
+func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool, unexcused []string) *Verdict {
 	v := &Verdict{
 		Termination: termination,
 		Agreement:   agreement,
@@ -89,7 +95,7 @@ func newVerdict(termination, agreement, validity, mayDisagree, netExcused bool, 
 	if !validity && !v.MayDisagree && !netExcused {
 		v.Violations = append(v.Violations, PredValidity)
 	}
-	v.Violations = append(v.Violations, setup...)
+	v.Violations = append(v.Violations, unexcused...)
 	return v
 }
 
@@ -107,12 +113,18 @@ func scoreOutcome(drv protocol.Driver, pinst protocol.Instance, out protocol.Out
 	honest := pinst.Strategy.IsHonest() && (pinst.Net == nil || pinst.Net.IsIdeal())
 	may := !honest && verdicts.MayDisagree(pinst.N, pinst.T, pinst.Strategy.Setup)
 	netExcused := pinst.Net != nil && pinst.Net.DegradesLinks()
+	unexcused := out.SetupViolations
+	if honest && verdicts.FailureFree != nil {
+		if msgs, rounds := verdicts.FailureFree(pinst); msgs != out.Snapshot.Messages || rounds != out.Snapshot.CommunicationRounds {
+			unexcused = append(unexcused, PredComplexity)
+		}
+	}
 	if len(out.SubRuns) == 0 {
 		// No conformance material is itself a violation: a driver that
 		// reports nothing to score must not silently pass the -strict
 		// gate. Even a degraded network does not excuse it — the excusal
 		// covers predicate failures, not missing material.
-		v := newVerdict(false, false, false, may, false, out.SetupViolations)
+		v := newVerdict(false, false, false, may, false, unexcused)
 		v.NetExcused = netExcused
 		return v
 	}
@@ -124,7 +136,7 @@ func scoreOutcome(drv protocol.Driver, pinst protocol.Instance, out protocol.Out
 		agreement = agreement && a
 		validity = validity && v
 	}
-	return newVerdict(termination, agreement, validity, may, netExcused, out.SetupViolations)
+	return newVerdict(termination, agreement, validity, may, netExcused, unexcused)
 }
 
 // evaluateSubRun runs the core property checkers over one sub-run's

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/protocol"
 	"repro/internal/sig"
@@ -34,7 +35,11 @@ func scoreSynthetic(t *testing.T, inst Instance, wantFaulty model.NodeSet, outco
 	if got := pinst.Faulty(); !reflect.DeepEqual(got, wantFaulty) {
 		t.Fatalf("adversary %q corrupts %v, want %v", inst.Adversary, got.Sorted(), wantFaulty.Sorted())
 	}
-	return scoreOutcome(drv, pinst, protocol.Outcome{Rounds: rounds, RoundBound: bound,
+	// The synthetic run costs what its driver declares, so only the
+	// predicates under test can fail.
+	var traffic metrics.Snapshot
+	traffic.Messages, traffic.CommunicationRounds = drv.Verdicts().FailureFree(pinst)
+	return scoreOutcome(drv, pinst, protocol.Outcome{Rounds: rounds, RoundBound: bound, Snapshot: traffic,
 		SubRuns: []protocol.SubRun{{Sender: 0, Initial: []byte("v"), Outcomes: outcomes}}})
 }
 
@@ -309,5 +314,49 @@ func TestEmptySubRunsIsViolation(t *testing.T) {
 	v := scoreOutcome(drv, protocol.Instance{N: 4, T: 1}, protocol.Outcome{})
 	if v.Conformant() {
 		t.Errorf("outcome with zero sub-runs scored conformant: %+v", v)
+	}
+}
+
+// TestHonestRunsCostWhatTheirDriverDeclares runs every registered
+// driver that declares a failure-free cost honestly on the ideal network
+// and holds the run's protocol-phase messages and communication rounds
+// to the declaration: at t = 0, at t = n−1, at (8, 2) and (16, 5), and
+// small-range with either bit. A declaration that is off shows here
+// before any campaign reports complexity.
+func TestHonestRunsCostWhatTheirDriverDeclares(t *testing.T) {
+	cases := []struct {
+		n, t  int
+		value []byte
+	}{{4, 0, nil}, {2, 1, nil}, {5, 4, nil}, {8, 2, nil}, {16, 5, nil}, {8, 2, []byte{0}}, {8, 2, []byte{1}}}
+	for _, drv := range protocol.Drivers() {
+		profile := drv.Verdicts()
+		if profile.FailureFree == nil {
+			continue
+		}
+		caps := drv.Capabilities()
+		for _, tc := range cases {
+			if tc.value != nil && drv.Name() != ProtoSmallRange {
+				continue
+			}
+			inst := Instance{Protocol: drv.Name(), N: tc.n, T: tc.t, Value: tc.value, Seed: 7, KeySeed: 7}
+			if !caps.Supports(tc.n, tc.t, adversary.Strategy{}) {
+				continue
+			}
+			if caps.UsesSignatures {
+				inst.Scheme = sig.SchemeToy
+			}
+			res := RunInstance(inst)
+			if res.Err != "" {
+				t.Fatalf("%s n=%d t=%d: %s", drv.Name(), tc.n, tc.t, res.Err)
+			}
+			msgs, rounds := profile.FailureFree(protocol.Instance{N: tc.n, T: tc.t, Value: tc.value})
+			if res.Messages != msgs || res.CommRounds != rounds {
+				t.Errorf("%s n=%d t=%d value=%v: %d messages in %d rounds, declared %d in %d",
+					drv.Name(), tc.n, tc.t, tc.value, res.Messages, res.CommRounds, msgs, rounds)
+			}
+			if !res.Conformance.Conformant() {
+				t.Errorf("%s n=%d t=%d value=%v: violations %v", drv.Name(), tc.n, tc.t, tc.value, res.Conformance.Violations)
+			}
+		}
 	}
 }

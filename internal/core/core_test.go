@@ -105,7 +105,7 @@ func TestClusterNonAuthMatchesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunFailureDiscovery: %v", err)
 	}
-	if got, want := rep.Snapshot.Messages, fd.NonAuthMessages(16, 5); got != want {
+	if got, want := rep.Snapshot.Messages, 6*15; got != want { // (t+1)(n−1)
 		t.Errorf("messages = %d, want %d", got, want)
 	}
 	if _, ok := model.AgreedValue(rep.Outcomes); !ok {
@@ -230,58 +230,6 @@ func TestClusterKeyDistFaultInjection(t *testing.T) {
 	}
 	if err := core.CheckG2(nodes, model.NewNodeSet(2)); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAmortizationFormula(t *testing.T) {
-	a := core.AmortizationFor(16, 5, 10)
-	if a.LocalAuthTotal != keydist.ExpectedMessages(16)+10*15 {
-		t.Errorf("LocalAuthTotal = %d", a.LocalAuthTotal)
-	}
-	if a.NonAuthTotal != 10*6*15 {
-		t.Errorf("NonAuthTotal = %d", a.NonAuthTotal)
-	}
-	// Crossover: 3·16·15 = 720 over a per-run saving of 5·15 = 75 → 10.
-	if a.CrossoverRun != 10 {
-		t.Errorf("CrossoverRun = %d, want 10", a.CrossoverRun)
-	}
-	// At the crossover the totals actually cross.
-	at := core.AmortizationFor(16, 5, a.CrossoverRun)
-	if at.LocalAuthTotal > at.NonAuthTotal {
-		t.Errorf("no crossover at k=%d: %d > %d", a.CrossoverRun, at.LocalAuthTotal, at.NonAuthTotal)
-	}
-	before := core.AmortizationFor(16, 5, a.CrossoverRun-1)
-	if before.LocalAuthTotal <= before.NonAuthTotal {
-		t.Errorf("crossover too late: already cheaper at k=%d", a.CrossoverRun-1)
-	}
-}
-
-func TestAmortizationMeasuredMatchesFormula(t *testing.T) {
-	// The analytic crossover must match MEASURED traffic: run k real FD
-	// runs on a real cluster and compare ledgers.
-	n, tol, k := 8, 2, 13
-	cLocal := newCluster(t, n, tol, 8)
-	if _, err := cLocal.EstablishAuthentication(); err != nil {
-		t.Fatalf("EstablishAuthentication: %v", err)
-	}
-	cBase := newCluster(t, n, tol, 9)
-	for i := 0; i < k; i++ {
-		if _, err := cLocal.RunFailureDiscovery([]byte("v")); err != nil {
-			t.Fatalf("local run: %v", err)
-		}
-		if _, err := cBase.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth)); err != nil {
-			t.Fatalf("baseline run: %v", err)
-		}
-	}
-	a := core.AmortizationFor(n, tol, k)
-	if got := cLocal.Ledger().TotalMessages(); got != a.LocalAuthTotal {
-		t.Errorf("measured local total = %d, formula %d", got, a.LocalAuthTotal)
-	}
-	if got := cBase.Ledger().TotalMessages(); got != a.NonAuthTotal {
-		t.Errorf("measured baseline total = %d, formula %d", got, a.NonAuthTotal)
-	}
-	if cLocal.Ledger().TotalMessages() >= cBase.Ledger().TotalMessages() {
-		t.Error("local authentication did not win at k=13 for n=8,t=2")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/fd"
-	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -136,38 +134,4 @@ func (l *Ledger) FDRuns() int {
 		}
 	}
 	return runs
-}
-
-// Amortization is the measured cost comparison after k runs.
-type Amortization struct {
-	// N, T are the system parameters.
-	N, T int
-	// Runs is the number of FD runs compared.
-	Runs int
-	// LocalAuthTotal is keydist cost plus Runs× authenticated-run cost.
-	LocalAuthTotal int
-	// NonAuthTotal is Runs× baseline-run cost.
-	NonAuthTotal int
-	// CrossoverRun is the smallest k at which LocalAuthTotal ≤
-	// NonAuthTotal, computed from the per-run costs; 0 if never.
-	CrossoverRun int
-}
-
-// AmortizationFor computes the paper's headline comparison analytically
-// from the protocol cost formulas for a system of n nodes and fault bound
-// t, over k failure-discovery runs.
-func AmortizationFor(n, t, k int) Amortization {
-	a := Amortization{
-		N:              n,
-		T:              t,
-		Runs:           k,
-		LocalAuthTotal: keydist.ExpectedMessages(n) + k*fd.ChainMessages(n, t),
-		NonAuthTotal:   k * fd.NonAuthMessages(n, t),
-	}
-	perRunSaving := fd.NonAuthMessages(n, t) - fd.ChainMessages(n, t)
-	if perRunSaving > 0 {
-		// Smallest k with keydist + k(n−1) ≤ k(t+1)(n−1).
-		a.CrossoverRun = (keydist.ExpectedMessages(n) + perRunSaving - 1) / perRunSaving
-	}
-	return a
 }

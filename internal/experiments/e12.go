@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/campaign"
-	"repro/internal/fd"
 	"repro/internal/metrics"
 )
 
@@ -30,9 +29,9 @@ func E12VectorFD(sizes []int) *metrics.Table {
 	})
 	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
-		want := fd.VectorMessages(g.N)
-		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,
-			int(g.CommRounds.Mean), g.N*fd.NonAuthMessages(g.N, g.T))
+		want, _ := failureFree(campaign.ProtoVector, g.N, g.T)
+		baseline, _ := failureFree(campaign.ProtoNonAuth, g.N, g.T)
+		tbl.AddRow(g.N, g.T, msgs, want, msgs == want, int(g.CommRounds.Mean), g.N*baseline)
 	}
 	return tbl
 }

@@ -16,6 +16,9 @@
 //	E12   vector FD: n simultaneous senders in n(n−1) messages
 //	E13   adversary strategy × protocol driver conformance grid
 //
+// Formula columns print what each driver declares failure-free
+// (protocol.VerdictProfile.FailureFree).
+//
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - E10Schemes, All: fdbench's timed scheme table and its every-table run; timings have no golden.
 package experiments
@@ -26,10 +29,10 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/protocol"
 )
 
 // Seed is the deterministic base seed for all experiments, so every table
@@ -43,6 +46,15 @@ var DefaultSizes = []int{4, 8, 16, 32, 64, 128}
 // "constant portion of the nodes" regime in which the paper's O(n·t)
 // becomes O(n²).
 func tolFor(n int) int { return (n - 1) / 3 }
+
+// failureFree returns the failure-free cost proto's driver declares.
+func failureFree(proto string, n, t int) (messages, commRounds int) {
+	d, err := protocol.Lookup(proto)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return d.Verdicts().FailureFree(protocol.Instance{N: n, T: t})
+}
 
 // mustCluster builds an established cluster or panics (experiments are
 // deterministic; failure is a programming error).
@@ -98,7 +110,8 @@ func E2AuthenticatedFD(sizes []int) *metrics.Table {
 	})
 	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
-		tbl.AddRow(g.N, g.T, msgs, g.N-1, msgs == g.N-1,
+		want, _ := failureFree(campaign.ProtoChain, g.N, g.T)
+		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,
 			int(g.CommRounds.Mean), int(g.Bytes.Mean))
 	}
 	return tbl
@@ -131,7 +144,7 @@ func E3NonAuthFD(sizes []int) *metrics.Table {
 	})
 	for _, g := range rep.Groups {
 		msgs := int(g.Messages.Mean)
-		want := fd.NonAuthMessages(g.N, g.T)
+		want, _ := failureFree(campaign.ProtoNonAuth, g.N, g.T)
 		tbl.AddRow(g.N, g.T, msgs, want, msgs == want,
 			float64(msgs)/float64(g.N-1))
 	}
@@ -184,6 +197,19 @@ func countRuns(results []campaign.Result, pred func(campaign.Result) bool) int {
 	return n
 }
 
+// amortize is E4's comparison after k runs at (n, t): keydist plus k chain
+// runs against k baseline runs, and the smallest k at which local ≤
+// nonAuth (0 if none).
+func amortize(n, t, k int) (local, nonAuth, crossover int) {
+	chain, _ := failureFree(campaign.ProtoChain, n, t)
+	base, _ := failureFree(campaign.ProtoNonAuth, n, t)
+	setup := keydist.ExpectedMessages(n)
+	if saving := base - chain; saving > 0 {
+		crossover = (setup + saving - 1) / saving
+	}
+	return setup + k*chain, k * base, crossover
+}
+
 // E4Amortization reproduces the paper's headline: one 3n(n−1) key
 // distribution plus k×(n−1) authenticated runs, versus k×(t+1)(n−1)
 // non-authenticated runs, with the measured crossover.
@@ -197,9 +223,8 @@ func E4Amortization(sizes []int, ks []int) *metrics.Table {
 			continue
 		}
 		for _, k := range ks {
-			a := core.AmortizationFor(n, t, k)
-			tbl.AddRow(n, t, k, a.LocalAuthTotal, a.NonAuthTotal,
-				a.LocalAuthTotal <= a.NonAuthTotal, a.CrossoverRun)
+			local, nonAuth, crossover := amortize(n, t, k)
+			tbl.AddRow(n, t, k, local, nonAuth, local <= nonAuth, crossover)
 		}
 	}
 	return tbl
@@ -223,9 +248,8 @@ func E4Measured(n, t, k int) *metrics.Table {
 		if _, err := base.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth)); err != nil {
 			panic(err)
 		}
-		a := core.AmortizationFor(n, t, run)
-		tbl.AddRow(run, local.Ledger().TotalMessages(), base.Ledger().TotalMessages(),
-			a.LocalAuthTotal, a.NonAuthTotal)
+		formulaLocal, formulaNonAuth, _ := amortize(n, t, run)
+		tbl.AddRow(run, local.Ledger().TotalMessages(), base.Ledger().TotalMessages(), formulaLocal, formulaNonAuth)
 	}
 	return tbl
 }

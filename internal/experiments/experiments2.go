@@ -6,10 +6,10 @@ import (
 	"repro/internal/ba"
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/sig"
 	"repro/internal/sim"
 )
 
@@ -105,14 +105,14 @@ func E9SmallRange() *metrics.Table {
 		"n", "t", "value", "messages", "chain-protocol messages", "saving")
 	for _, n := range []int{8, 16, 32} {
 		t := tolFor(n)
+		chain, _ := failureFree(campaign.ProtoChain, n, t)
 		for _, v := range []byte{0, 1} {
-			c := mustCluster(n, t, Seed+int64(9*n)+int64(v))
-			rep, err := c.RunFailureDiscovery([]byte{v}, core.WithProtocol(core.ProtocolSmallRange))
-			if err != nil {
-				panic(err)
+			res := campaign.RunInstance(campaign.Instance{Protocol: campaign.ProtoSmallRange, N: n, T: t,
+				Scheme: sig.SchemeToy, Value: []byte{v}, Seed: Seed + int64(9*n) + int64(v)})
+			if res.Err != "" {
+				panic("experiments: E9: " + res.Err)
 			}
-			saving := (n - 1) - rep.Snapshot.Messages
-			tbl.AddRow(n, t, v, rep.Snapshot.Messages, n-1, saving)
+			tbl.AddRow(n, t, v, res.Messages, chain, chain-res.Messages)
 		}
 	}
 	return tbl
@@ -175,7 +175,8 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 	return tbl
 }
 
-// RoundsTable summarizes round counts per protocol (part of E8's context).
+// RoundsTable summarizes round counts per protocol (part of E8's context):
+// failure-free as declared at n = 100, SM(t) and FDBA's worst at its bound.
 func RoundsTable() *metrics.Table {
 	tbl := metrics.NewTable(
 		"E8b — Communication rounds per protocol",
@@ -183,17 +184,18 @@ func RoundsTable() *metrics.Table {
 	row := func(name, formula string, f func(t int) int) {
 		tbl.AddRow(name, formula, f(1), f(3), f(5))
 	}
-	row("key distribution", "3", func(int) int { return keydist.CommunicationRounds })
-	row("chain FD", "t+1", func(t int) int { return fd.ChainCommunicationRounds(100, t) })
-	row("non-auth FD", "2", func(t int) int {
-		if t == 0 {
-			return 1
+	declared := func(proto string) func(t int) int {
+		return func(t int) int {
+			_, rounds := failureFree(proto, 100, t)
+			return rounds
 		}
-		return 2
-	})
-	row("OM(t)", "t+1", func(t int) int { return t + 1 })
-	row("SM(t)", "t+1", func(t int) int { return t + 1 })
-	row("FDBA failure-free", "t+1", func(t int) int { return fd.ChainCommunicationRounds(100, t) })
-	row("FDBA worst case", "2t+5", func(t int) int { return 2*t + 5 })
+	}
+	row("key distribution", "3", func(int) int { return keydist.CommunicationRounds })
+	row("chain FD", "t+1", declared(campaign.ProtoChain))
+	row("non-auth FD", "2", declared(campaign.ProtoNonAuth))
+	row("OM(t)", "t+1", declared(campaign.ProtoEIG))
+	row("SM(t)", "t+1", func(t int) int { return ba.SMEngineRounds(t) - 1 })
+	row("FDBA failure-free", "t+1", declared(campaign.ProtoFDBA))
+	row("FDBA worst case", "2t+5", func(t int) int { return ba.FDBAEngineRounds(t) - 1 })
 	return tbl
 }

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/keydist"
 	"repro/internal/metrics"
+	"repro/internal/model"
 )
 
 // These tests pin the SHAPE of every experiment table: the paper's claims
@@ -52,6 +55,56 @@ func TestE4CrossoverSmall(t *testing.T) {
 	out := renderOf(t, tbl)
 	if strings.Contains(out, "false") {
 		t.Errorf("E4: local auth not winning by k=50:\n%s", out)
+	}
+}
+
+func TestAmortizationFormula(t *testing.T) {
+	local, nonAuth, crossover := amortize(16, 5, 10)
+	if local != keydist.ExpectedMessages(16)+10*15 {
+		t.Errorf("local-auth total = %d", local)
+	}
+	if nonAuth != 10*6*15 {
+		t.Errorf("non-auth total = %d", nonAuth)
+	}
+	// Crossover: 3·16·15 = 720 over a per-run saving of 5·15 = 75 → 10.
+	if crossover != 10 {
+		t.Errorf("crossover = %d, want 10", crossover)
+	}
+	// At the crossover the totals actually cross.
+	if local, nonAuth, _ := amortize(16, 5, crossover); local > nonAuth {
+		t.Errorf("no crossover at k=%d: %d > %d", crossover, local, nonAuth)
+	}
+	if local, nonAuth, _ := amortize(16, 5, crossover-1); local <= nonAuth {
+		t.Errorf("crossover too late: already cheaper at k=%d", crossover-1)
+	}
+}
+
+func TestAmortizationMeasuredMatchesFormula(t *testing.T) {
+	// The analytic crossover must match MEASURED traffic: run k real FD
+	// runs on a real cluster and compare ledgers.
+	n, tol, k := 8, 2, 13
+	cLocal := mustCluster(n, tol, 8)
+	cBase, err := core.New(model.Config{N: n, T: tol}, core.WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if _, err := cLocal.RunFailureDiscovery([]byte("v")); err != nil {
+			t.Fatalf("local run: %v", err)
+		}
+		if _, err := cBase.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth)); err != nil {
+			t.Fatalf("baseline run: %v", err)
+		}
+	}
+	local, nonAuth, _ := amortize(n, tol, k)
+	if got := cLocal.Ledger().TotalMessages(); got != local {
+		t.Errorf("measured local total = %d, formula %d", got, local)
+	}
+	if got := cBase.Ledger().TotalMessages(); got != nonAuth {
+		t.Errorf("measured baseline total = %d, formula %d", got, nonAuth)
+	}
+	if cLocal.Ledger().TotalMessages() >= cBase.Ledger().TotalMessages() {
+		t.Error("local authentication did not win at k=13 for n=8,t=2")
 	}
 }
 

@@ -29,8 +29,10 @@
 // with (t+1)(n−1) = O(n·t) messages, the complexity class the paper
 // quotes for non-authenticated solutions.
 //
+// What each costs failure-free is declared once, by its driver in
+// internal/protocol (protocol.VerdictProfile.FailureFree).
+//
 // Kept though no benchmark row, golden or CI smoke reaches them:
-//   - SmallRangeMessages: the cost formula the unit tests assert.
 //   - MarshalVectorPayload, UnmarshalVectorPayload: the codec the adversarial tests rewrite vector traffic with.
 //   - Role.String: a String method.
 //   - cited.Detail, valueOf: the sentences that cite values (a small-range chain's, a mismatched echo's), formatted
@@ -96,32 +98,10 @@ func RoleOf(id model.NodeID, t int) Role {
 	}
 }
 
-// ChainMessages returns the chain protocol's message count in failure-free
-// runs: one hop per relay plus the dissemination fan-out — always n−1,
-// which Baum-Waidner showed is the minimum for agreement in the faultless
-// case.
-func ChainMessages(n, t int) int { return n - 1 }
-
-// ChainCommunicationRounds returns the number of message-carrying rounds
-// of the chain protocol: the t chain hops plus the dissemination round —
-// except when t = n−1, where the chain already covers every node and no
-// dissemination round exists.
-func ChainCommunicationRounds(n, t int) int {
-	if t == n-1 {
-		return t
-	}
-	return t + 1
-}
-
 // ChainEngineRounds returns the number of lockstep engine rounds a chain
 // run needs: each communication round plus the final message-free
 // verification step at the tail.
 func ChainEngineRounds(t int) int { return t + 2 }
-
-// NonAuthMessages returns the non-authenticated baseline's message count
-// in failure-free runs: the sender's broadcast plus t echo broadcasts,
-// (t+1)(n−1) = O(n·t).
-func NonAuthMessages(n, t int) int { return (t + 1) * (n - 1) }
 
 // NonAuthEngineRounds returns the engine rounds for the baseline: value
 // broadcast, echo broadcast, and the message-free cross-check step.

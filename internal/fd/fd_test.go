@@ -9,9 +9,21 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
+
+// declared returns the failure-free messages and communication rounds
+// the named driver declares for an honest run of inst.
+func declared(t *testing.T, name string, inst protocol.Instance) (messages, commRounds int) {
+	t.Helper()
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Verdicts().FailureFree(inst)
+}
 
 // fixture holds a cluster with completed local authentication.
 type fixture struct {
@@ -158,11 +170,12 @@ func TestChainFailureFree(t *testing.T) {
 		counters := runFD(t, f.cfg, procs, fd.ChainEngineRounds(tc.t))
 
 		// Paper Fig. 2: exactly n−1 messages, the minimum.
-		if got, want := counters.Messages(), fd.ChainMessages(tc.n, tc.t); got != want {
-			t.Errorf("n=%d t=%d: messages = %d, want %d", tc.n, tc.t, got, want)
+		msgs, rounds := declared(t, protocol.NameChain, protocol.Instance{N: tc.n, T: tc.t})
+		if got := counters.Messages(); got != msgs || got != tc.n-1 {
+			t.Errorf("n=%d t=%d: messages = %d, declared %d, want n-1", tc.n, tc.t, got, msgs)
 		}
-		if got, want := counters.Snapshot().CommunicationRounds, fd.ChainCommunicationRounds(tc.n, tc.t); got != want {
-			t.Errorf("n=%d t=%d: rounds = %d, want %d", tc.n, tc.t, got, want)
+		if got := counters.Snapshot().CommunicationRounds; got != rounds {
+			t.Errorf("n=%d t=%d: rounds = %d, want %d", tc.n, tc.t, got, rounds)
 		}
 		assertAllDecided(t, nodes, model.NewNodeSet(), value)
 		if ds := discoverers(nodes, model.NewNodeSet()); len(ds) != 0 {

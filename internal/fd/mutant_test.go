@@ -88,3 +88,23 @@ func (n *noVerifySeat) receive(round int, from model.NodeID, payload []byte) []m
 	}
 	return out
 }
+
+// twiceRelaySeat is a relay's chain seat that sends what it forwards
+// twice: Fig. 2's relay sends its chain once, to its one successor.
+type twiceRelaySeat struct{ *ChainNode }
+
+// NewTwiceRelayChainNode builds node id of a chain run, as a
+// twiceRelaySeat when id is a relay; the arguments are NewChainNode's.
+func NewTwiceRelayChainNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, opts ...ChainOption) (sim.Process, error) {
+	n, err := NewChainNode(cfg, id, signer, dir, opts...)
+	if err != nil || RoleOf(id, cfg.T) != RoleRelay {
+		return n, err
+	}
+	return twiceRelaySeat{n}, nil
+}
+
+// Step is ChainNode.Step with every send made twice.
+func (n twiceRelaySeat) Step(round int, received []model.Message) []model.Message {
+	out := n.ChainNode.Step(round, received)
+	return append(out, out...)
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -57,8 +58,12 @@ func TestNonAuthFailureFree(t *testing.T) {
 
 		// The baseline costs exactly (t+1)(n−1): the O(n·t) class the
 		// paper quotes for non-authenticated failure discovery.
-		if got, want := counters.Messages(), fd.NonAuthMessages(tc.n, tc.t); got != want {
-			t.Errorf("n=%d t=%d: messages = %d, want %d", tc.n, tc.t, got, want)
+		msgs, rounds := declared(t, protocol.NameNonAuth, protocol.Instance{N: tc.n, T: tc.t})
+		if got := counters.Messages(); got != msgs || got != (tc.t+1)*(tc.n-1) {
+			t.Errorf("n=%d t=%d: messages = %d, declared %d, want (t+1)(n-1)", tc.n, tc.t, got, msgs)
+		}
+		if got := counters.Snapshot().CommunicationRounds; got != rounds {
+			t.Errorf("n=%d t=%d: rounds = %d, want %d", tc.n, tc.t, got, rounds)
 		}
 		for _, n := range nodes {
 			o := n.Outcome()

@@ -28,7 +28,15 @@ func (mutantDriver) Capabilities() protocol.Capabilities {
 	return protocol.Capabilities{UsesSignatures: true}
 }
 
-func (mutantDriver) Verdicts() protocol.VerdictProfile { return protocol.VerdictsAuthenticatedFD }
+// Verdicts is the chain driver's, its failure-free cost included: a
+// mutant is held to what the correct protocol declares.
+func (mutantDriver) Verdicts() protocol.VerdictProfile {
+	chain, err := protocol.Lookup(protocol.NameChain)
+	if err != nil {
+		panic(err)
+	}
+	return chain.Verdicts()
+}
 
 func (d mutantDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Outcome, error) {
 	value := []byte("value") // the chain driver's proposal
@@ -70,10 +78,14 @@ func (d mutantDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Out
 	}, nil
 }
 
-const noVerifyDriver = "test-noverify-chain"
+const (
+	noVerifyDriver   = "test-noverify-chain"
+	twiceRelayDriver = "test-twice-relay-chain"
+)
 
 func init() {
 	protocol.Register(mutantDriver{name: noVerifyDriver, node: fd.NewNoVerifyChainNode})
+	protocol.Register(mutantDriver{name: twiceRelayDriver, node: fd.NewTwiceRelayChainNode})
 }
 
 // TestEveryRuleHasAKiller holds each rule the paper states to a campaign
@@ -101,6 +113,16 @@ func TestEveryRuleHasAKiller(t *testing.T) {
 			// every node still decides it.
 			survivor:   "relay:behavior=wrong-name",
 			predicates: []string{campaign.PredAgreement, campaign.PredValidity},
+		},
+		{
+			rule:   "Fig. 2: a relay sends its chain once",
+			mutant: twiceRelayDriver,
+			// P_2 discovers the second copy, so every predicate holds;
+			// only the count, n−1, tells the run from a correct one.
+			killer: campaign.AdvNone,
+			// A faulty run is not held to the failure-free count.
+			survivor:   "relay:behavior=crash",
+			predicates: []string{campaign.PredComplexity},
 		},
 	}
 	for _, row := range rows {
@@ -139,6 +161,34 @@ func TestEveryRuleHasAKiller(t *testing.T) {
 			case g.Conformant != g.Instances:
 				t.Errorf("%s: %s now kills the mutant (%v): make it a killer", row.rule, row.survivor, g.Violations)
 			}
+		}
+	}
+}
+
+// TestComplexityScoresHonestIdealRunsOnly: the relay that forwards twice
+// overspends Fig. 2's n−1 in every run, but only the runs with no faulty
+// node on the ideal network are held to the count — not a faulty relay,
+// a churned node or a delaying link.
+func TestComplexityScoresHonestIdealRunsOnly(t *testing.T) {
+	rep, err := campaign.Run(campaign.Spec{
+		Name:        "complexity",
+		Protocols:   []string{twiceRelayDriver},
+		Cases:       []campaign.Case{{N: 6, T: 2}},
+		Adversaries: []string{campaign.AdvNone, "relay:behavior=crash"},
+		NetConds:    []string{"ideal", "churn=5@2-4", "latency=uniform-0-2"},
+		SeedBase:    1000,
+		SeedCount:   2,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Groups) != 6 {
+		t.Fatalf("%d groups, want 6", len(rep.Groups))
+	}
+	for _, g := range rep.Groups {
+		want := g.Adversary == campaign.AdvNone && g.NetCond == ""
+		if got := slices.Contains(g.Violations, campaign.PredComplexity); got != want || g.Errors > 0 {
+			t.Errorf("%s: violations %v (%d errors), complexity scored %v, want %v", g.Key, g.Violations, g.Errors, got, want)
 		}
 	}
 }

@@ -60,15 +60,6 @@ func NewSmallRangeNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir
 	return n, nil
 }
 
-// SmallRangeMessages returns the failure-free message count: zero when
-// the sender's value is the default, n−1 otherwise.
-func SmallRangeMessages(n int, value, def byte) int {
-	if value&1 == def&1 {
-		return 0
-	}
-	return n - 1
-}
-
 // Outcome implements Outcomer.
 func (n *SmallRangeNode) Outcome() model.Outcome { return n.chain.Outcome() }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -66,11 +67,13 @@ func TestSmallRangeNonDefaultCostsChain(t *testing.T) {
 }
 
 func TestSmallRangeExpectedMessagesHelper(t *testing.T) {
-	if got := fd.SmallRangeMessages(8, 0, 0); got != 0 {
-		t.Errorf("SmallRangeMessages(8,0,0) = %d", got)
-	}
-	if got := fd.SmallRangeMessages(8, 1, 0); got != 7 {
-		t.Errorf("SmallRangeMessages(8,1,0) = %d", got)
+	for _, tc := range []struct {
+		value        []byte
+		msgs, rounds int
+	}{{[]byte{0}, 0, 0}, {[]byte{1}, 7, 3}, {nil, 7, 3}} {
+		if msgs, rounds := declared(t, protocol.NameSmallRange, protocol.Instance{N: 8, T: 2, Value: tc.value}); msgs != tc.msgs || rounds != tc.rounds {
+			t.Errorf("value %v: declared %d messages in %d rounds, want %d in %d", tc.value, msgs, rounds, tc.msgs, tc.rounds)
+		}
 	}
 }
 

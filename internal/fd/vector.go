@@ -50,10 +50,6 @@ func NewVectorNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig
 	return n, nil
 }
 
-// VectorMessages returns the failure-free message count: one chain
-// protocol per sender.
-func VectorMessages(n int) int { return n * (n - 1) }
-
 // Finished implements sim.Finisher. A vector node listens to the last
 // round, whatever its instances have settled.
 func (n *VectorNode) Finished() bool { return n.finished }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/fd"
 	"repro/internal/model"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -35,11 +36,12 @@ func TestVectorFailureFree(t *testing.T) {
 		counters := runFD(t, f.cfg, procs, fd.ChainEngineRounds(tc.t))
 
 		// n parallel chains: n(n−1) messages, same t+1 rounds.
-		if got, want := counters.Messages(), fd.VectorMessages(tc.n); got != want {
-			t.Errorf("n=%d t=%d: messages = %d, want %d", tc.n, tc.t, got, want)
+		msgs, rounds := declared(t, protocol.NameVector, protocol.Instance{N: tc.n, T: tc.t})
+		if got := counters.Messages(); got != msgs || got != tc.n*(tc.n-1) {
+			t.Errorf("n=%d t=%d: messages = %d, declared %d, want n(n-1)", tc.n, tc.t, got, msgs)
 		}
-		if got, want := counters.Snapshot().CommunicationRounds, fd.ChainCommunicationRounds(tc.n, tc.t); got != want {
-			t.Errorf("n=%d t=%d: rounds = %d, want %d", tc.n, tc.t, got, want)
+		if got := counters.Snapshot().CommunicationRounds; got != rounds {
+			t.Errorf("n=%d t=%d: rounds = %d, want %d", tc.n, tc.t, got, rounds)
 		}
 		// Every node decided every instance with the right value.
 		for _, n := range nodes {

@@ -129,6 +129,25 @@ func senderKeys(c *core.Cluster) (sig.Signer, sig.Directory, []byte, error) {
 	return signer, dir, second.Marshal(), nil
 }
 
+// chainCost is Fig. 2's failure-free cost (chain, fdba): n−1 messages,
+// the minimum, in the t hops plus the dissemination round, which t = n−1
+// has none of.
+func chainCost(inst Instance) (messages, commRounds int) {
+	return inst.N - 1, min(inst.T+1, inst.N-1)
+}
+
+// smallRangeBit is the small-range sender's canonical proposal; its cost
+// is none at all for the default bit 0, which silence encodes, and
+// Fig. 2's chain for 1.
+var smallRangeBit = []byte{1}
+
+func smallRangeCost(inst Instance) (messages, commRounds int) {
+	if proposal(inst, smallRangeBit)[0] == 0 {
+		return 0, 0
+	}
+	return chainCost(inst)
+}
+
 func init() {
 	Register(&clusterDriver{
 		name:  NameChain,
@@ -138,7 +157,7 @@ func init() {
 			UsesSignatures:     true,
 			SupportsEquivocate: true,
 		},
-		verdicts:    VerdictsAuthenticatedFD,
+		verdicts:    VerdictsAuthenticatedFD.declaring(chainCost),
 		equivocator: chainEquivocator,
 	})
 	Register(&clusterDriver{
@@ -148,17 +167,21 @@ func init() {
 		caps: Capabilities{
 			SupportsEquivocate: true,
 		},
-		verdicts:    VerdictsUnauthenticatedFD,
+		// The sender's broadcast and t echo broadcasts, (t+1)(n−1) =
+		// O(n·t), in one round at t = 0 and two after.
+		verdicts: VerdictsUnauthenticatedFD.declaring(func(inst Instance) (int, int) {
+			return (inst.T + 1) * (inst.N - 1), 1 + min(inst.T, 1)
+		}),
 		equivocator: plainEquivocator,
 	})
 	Register(&clusterDriver{
 		name:  NameSmallRange,
 		proto: core.ProtocolSmallRange,
-		value: []byte{1},
+		value: smallRangeBit,
 		caps: Capabilities{
 			UsesSignatures: true,
 		},
-		verdicts: VerdictsSilenceDefault,
+		verdicts: VerdictsSilenceDefault.declaring(smallRangeCost),
 	})
 	Register(&clusterDriver{
 		name:  NameFDBA,
@@ -168,7 +191,7 @@ func init() {
 			UsesSignatures:     true,
 			SupportsEquivocate: true,
 		},
-		verdicts:    VerdictsAgreement,
+		verdicts:    VerdictsAgreement.declaring(chainCost),
 		equivocator: chainEquivocator,
 	})
 	Register(&clusterDriver{
@@ -179,7 +202,14 @@ func init() {
 			UsesSignatures:     true,
 			SupportsEquivocate: true,
 		},
-		verdicts:    VerdictsAgreement,
+		// The sender's broadcast, then (t ≥ 1) each receiver relays it
+		// to the n−2 nodes that have not signed it, in one more round.
+		verdicts: VerdictsAgreement.declaring(func(inst Instance) (int, int) {
+			if inst.T == 0 {
+				return inst.N - 1, 1
+			}
+			return (inst.N - 1) * (inst.N - 1), 1 + min(inst.N-2, 1)
+		}),
 		equivocator: signedEquivocator,
 	})
 }

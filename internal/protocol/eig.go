@@ -24,7 +24,14 @@ func (eigDriver) Capabilities() Capabilities {
 	}
 }
 
-func (eigDriver) Verdicts() VerdictProfile { return VerdictsUnauthenticatedFD }
+// Verdicts declares OM(t)'s failure-free cost as this code counts it,
+// one message per node pair and round (ba's tests pin the relayed
+// entries inside, which grow as n^t): (n−1)+t(n−1)² in t+1 rounds.
+func (eigDriver) Verdicts() VerdictProfile {
+	return VerdictsUnauthenticatedFD.declaring(func(inst Instance) (int, int) {
+		return (inst.N - 1) + inst.T*(inst.N-1)*(inst.N-1), inst.T + 1
+	})
+}
 
 // eigNode builds node id's correct OM(t) process.
 func eigNode(inst Instance, id model.NodeID) (*ba.EIGNode, error) {

@@ -255,8 +255,14 @@ type Outcome struct {
 // differently per protocol family — what a discovery excuses and where
 // the theory permits disagreement — and the profile is where a driver
 // declares its reading, so the scorer in internal/campaign stays free of
-// protocol-specific branches. Drivers return one of the canned profiles.
+// protocol-specific branches. Drivers start from one of the canned
+// profiles and declare their failure-free cost in it.
 type VerdictProfile struct {
+	// FailureFree, when non-nil, declares the protocol-phase messages and
+	// communication rounds of an honest run of inst on the ideal network:
+	// the paper's counts, which campaigns score and the tables print.
+	FailureFree func(inst Instance) (messages, commRounds int)
+
 	disagreeAlways          bool
 	disagreeBelowResilience bool
 	strict                  bool
@@ -270,6 +276,12 @@ type VerdictProfile struct {
 func (p VerdictProfile) MayDisagree(n, t int, setup string) bool {
 	return p.disagreeAlways || (p.disagreeBelowResilience && n <= 3*t) ||
 		(p.strict && setup == adversary.SetupEquivocateKeys)
+}
+
+// declaring returns p with cost as its failure-free declaration.
+func (p VerdictProfile) declaring(cost func(Instance) (int, int)) VerdictProfile {
+	p.FailureFree = cost
+	return p
 }
 
 // DiscoveryExempts reports whether a correct node's failure discovery

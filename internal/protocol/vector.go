@@ -27,7 +27,14 @@ func (vectorDriver) Capabilities() Capabilities {
 	}
 }
 
-func (vectorDriver) Verdicts() VerdictProfile { return VerdictsAuthenticatedFD }
+// Verdicts declares n chain runs' failure-free cost: n(n−1) messages in
+// the rounds of one.
+func (vectorDriver) Verdicts() VerdictProfile {
+	return VerdictsAuthenticatedFD.declaring(func(inst Instance) (int, int) {
+		_, rounds := chainCost(inst)
+		return inst.N * (inst.N - 1), rounds
+	})
+}
 
 // vectorProposals returns every node's own proposal, "proposal-<id>",
 // built once per instance in one allocation each: the nodes copy theirs,

@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math/big"
 )
 
 // SchemeECDSA is the name of the ECDSA P-256 scheme. ECDSA is the direct
@@ -66,13 +67,19 @@ type ecdsaSigner struct {
 
 var _ Signer = (*ecdsaSigner)(nil)
 
+// ecdsaSize is a signature's fixed length, r‖s; DER's varies with the nonce.
+const ecdsaSize = 64
+
 func (s *ecdsaSigner) Sign(msg []byte) ([]byte, error) {
 	digest := sha256.Sum256(msg)
-	sig, err := ecdsa.SignASN1(rand.Reader, s.priv, digest[:])
+	r, ss, err := ecdsa.Sign(rand.Reader, s.priv, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("sig/ecdsa: sign: %w", err)
 	}
-	return sig, nil
+	out := make([]byte, ecdsaSize)
+	r.FillBytes(out[:ecdsaSize/2])
+	ss.FillBytes(out[ecdsaSize/2:])
+	return out, nil
 }
 
 func (s *ecdsaSigner) Predicate() TestPredicate { return s.pred }
@@ -84,8 +91,12 @@ type ecdsaPredicate struct {
 var _ TestPredicate = (*ecdsaPredicate)(nil)
 
 func (p *ecdsaPredicate) Test(msg, sig []byte) bool {
+	if len(sig) != ecdsaSize {
+		return false
+	}
 	digest := sha256.Sum256(msg)
-	return ecdsa.VerifyASN1(p.pub, digest[:], sig)
+	half := ecdsaSize / 2
+	return ecdsa.Verify(p.pub, digest[:], new(big.Int).SetBytes(sig[:half]), new(big.Int).SetBytes(sig[half:]))
 }
 
 func (p *ecdsaPredicate) Bytes() []byte {

@@ -273,3 +273,34 @@ func ByNameGenerateFromHMACKey(key []byte) (Signer, error) {
 	pred := &hmacPredicate{key: append([]byte(nil), key...)}
 	return &hmacSigner{pred: pred}, nil
 }
+
+// TestECDSASignatureIsFixedWidth: an ECDSA signature is r‖s in 64 bytes
+// whatever its nonce, and any other length — a truncated or padded
+// signature, DER's variable encoding — fails Test.
+func TestECDSASignatureIsFixedWidth(t *testing.T) {
+	scheme, err := ByName(SchemeECDSA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := scheme.Generate(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := signer.Predicate()
+	for i := 0; i < 32; i++ {
+		msg := []byte{byte(i), 'm'}
+		sg, err := signer.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sg) != 64 {
+			t.Fatalf("signature %d is %d bytes, want 64", i, len(sg))
+		}
+		if !pred.Test(msg, sg) {
+			t.Fatalf("signature %d does not verify", i)
+		}
+		if pred.Test(msg, sg[:63]) || pred.Test(msg, append(sg[:64:64], 0)) {
+			t.Fatalf("signature %d verifies at another length", i)
+		}
+	}
+}

@@ -77,17 +77,24 @@ var (
 	helpersStarted int
 )
 
-// startHelpers makes sure k helpers are parked or working.
-func startHelpers(k int) {
+// startHelpers makes sure k helpers are parked or working, and returns
+// how many it started. A new helper works on first before it parks: the
+// handoff cannot reach it yet, so first would otherwise run on one core.
+func startHelpers(k int, first *stepJob) int {
 	helpersMu.Lock()
 	defer helpersMu.Unlock()
+	started := 0
 	for ; helpersStarted < k; helpersStarted++ {
+		started++
+		first.done.Add(1)
 		go func() {
+			first.work()
 			for j := range helperJobs {
 				j.work()
 			}
 		}()
 	}
+	return started
 }
 
 // step runs every process's Step for round over inboxes, filling outs.
@@ -99,7 +106,7 @@ func (j *stepJob) step(round int, inboxes [][]model.Message) {
 	j.round, j.inboxes = round, inboxes
 	j.claim.Store(0)
 	k := min(runtime.GOMAXPROCS(0), len(j.procs)) - 1
-	startHelpers(k)
+	k -= startHelpers(k, j)
 handoff:
 	for range k {
 		j.done.Add(1)

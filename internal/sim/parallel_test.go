@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -261,5 +263,46 @@ func TestWorkDeclaredBeforeStep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(log, want) {
 		t.Errorf("calls %q, want %q", log, want)
+	}
+}
+
+// firstRoundEnv marks the fresh test process TestFirstParallelRoundIsShared
+// runs its round in.
+const firstRoundEnv = "SIM_TEST_FIRST_PARALLEL_ROUND"
+
+// TestFirstParallelRoundIsShared: the first round of a process that
+// reaches ParallelWork is stepped on two goroutines, like every later
+// one — a helper started for it takes its share rather than parking for
+// the next. The round runs in a fresh copy of the test binary, where no
+// helper has started yet; its two Steps each wait, up to a timeout, until
+// both are in flight.
+func TestFirstParallelRoundIsShared(t *testing.T) {
+	if os.Getenv(firstRoundEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestFirstParallelRoundIsShared$", "-test.count=1")
+		cmd.Env = append(os.Environ(), firstRoundEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("first parallel round: %v\n%s", err, out)
+		}
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var arrived atomic.Int32
+	var met [2]bool
+	ps := make([]Process, len(met))
+	for i := range ps {
+		ps[i] = declaring{ProcessFunc(func(int, []model.Message) []model.Message {
+			arrived.Add(1)
+			for deadline := time.Now().Add(5 * time.Second); arrived.Load() < 2 && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+			met[i] = arrived.Load() == 2
+			return nil
+		}), ParallelWork}
+	}
+	if _, err := RunInstance(model.Config{N: len(ps)}, ps, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !met[0] || !met[1] {
+		t.Errorf("the first parallel round's Steps were never both in flight: %v", met)
 	}
 }
