@@ -40,13 +40,18 @@ func mustCluster(b *testing.B, n, t int, seed int64) *core.Cluster {
 // declared returns the failure-free message count the named driver
 // declares at (n, t).
 func declared(b *testing.B, name string, n, t int) int {
+	msgs, _ := driver(b, name).Verdicts().FailureFree(protocol.Instance{N: n, T: t})
+	return msgs
+}
+
+// driver resolves a built-in driver.
+func driver(b *testing.B, name string) protocol.Driver {
 	b.Helper()
 	d, err := protocol.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	msgs, _ := d.Verdicts().FailureFree(protocol.Instance{N: n, T: t})
-	return msgs
+	return d
 }
 
 // BenchmarkE1KeyDistribution measures the cost of establishing local
@@ -108,13 +113,14 @@ func BenchmarkE3NonAuthFD(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			nonauth := driver(b, protocol.NameNonAuth)
 			var msgs int
 			for i := 0; i < b.N; i++ {
-				rep, err := c.RunFailureDiscovery([]byte("value"), core.WithProtocol(core.ProtocolNonAuth))
+				out, err := nonauth.Run(protocol.Instance{N: n, T: t}, c)
 				if err != nil {
 					b.Fatal(err)
 				}
-				msgs = rep.Snapshot.Messages
+				msgs = out.Snapshot.Messages
 			}
 			b.ReportMetric(float64(msgs), "messages")
 			b.ReportMetric(float64(declared(b, protocol.NameNonAuth, n, t)), "paper-(t+1)(n-1)")
@@ -189,14 +195,15 @@ func BenchmarkE9SmallRange(b *testing.B) {
 	for _, v := range []byte{0, 1} {
 		b.Run(fmt.Sprintf("value=%d", v), func(b *testing.B) {
 			c := mustCluster(b, 16, 5, 11)
+			smallRange := driver(b, protocol.NameSmallRange)
 			b.ResetTimer()
 			var msgs int
 			for i := 0; i < b.N; i++ {
-				rep, err := c.RunFailureDiscovery([]byte{v}, core.WithProtocol(core.ProtocolSmallRange))
+				out, err := smallRange.Run(protocol.Instance{N: 16, T: 5, Value: []byte{v}}, c)
 				if err != nil {
 					b.Fatal(err)
 				}
-				msgs = rep.Snapshot.Messages
+				msgs = out.Snapshot.Messages
 			}
 			b.ReportMetric(float64(msgs), "messages")
 		})

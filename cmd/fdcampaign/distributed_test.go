@@ -10,8 +10,9 @@ import (
 	"repro/internal/transport"
 )
 
-// TestWorkerTraceHasRequestSpans: a worker's -trace-out recorder reaches
-// the agreement-service session it serves leases on, so its trace holds a
+// TestWorkerTraceHasRequestSpans: a worker's -trace-out recorder, passed
+// once as the server's Recorder, reaches the agreement-service session it
+// serves leases on and that session's executor, so its trace holds a
 // service.request span per leased instance beside its campaign.instance
 // span.
 func TestWorkerTraceHasRequestSpans(t *testing.T) {
@@ -38,7 +39,7 @@ func TestWorkerTraceHasRequestSpans(t *testing.T) {
 	sink := &obs.MemorySink{}
 	rec := obs.NewRecorder(sink)
 	df := distFlags{worker: listener.Addr(), workerName: "traced", observer: rec}
-	if code := runWorkerMode(context.Background(), df, []campaign.Option{campaign.WithObserver(rec)}); code != 0 {
+	if code := runWorkerMode(context.Background(), df, nil); code != 0 {
 		t.Fatalf("worker exited %d", code)
 	}
 	got := <-done

@@ -165,7 +165,6 @@ func main() {
 			fatal(err)
 		}
 		rec = obs.NewRecorder(sink)
-		runOpts = append(runOpts, campaign.WithObserver(rec))
 	}
 	df.observer = rec
 
@@ -215,7 +214,7 @@ func main() {
 	if df.coordinator != "" {
 		report, outcome, err = runCoordinatorMode(ctx, df, spec)
 	} else {
-		report, err = campaign.Run(spec, *workers, runOpts...)
+		report, err = campaign.Run(spec, *workers, append(runOpts, campaign.WithObserver(rec))...)
 	}
 	closeTrace(rec, *traceOut)
 	if err != nil {

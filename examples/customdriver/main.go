@@ -115,6 +115,7 @@ func (floodDriver) Verdicts() protocol.VerdictProfile {
 // Run hands protocol.RunNodes the one thing only this file knows — what
 // a correct flood node is — and gets the whole strategy grammar and
 // network axis wired for it: crashes, delays, tampering, churn, loss.
+// It is the path every built-in driver takes too; none has another.
 func (floodDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Outcome, error) {
 	value := []byte("value")
 	rep, honest, err := protocol.RunNodes(inst, c, "flood", 3,

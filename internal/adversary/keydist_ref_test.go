@@ -357,12 +357,13 @@ func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) a
 		t.Fatalf("%v: EstablishAuthentication: %v", c, err)
 	}
 	if attack != nil && c.onFD() {
-		opts := options()
 		if strings.HasPrefix(c.attack, "echo") {
-			opts = append(opts, core.WithProtocol(core.ProtocolNonAuth))
+			rep, err = runNonAuth(cl, []byte("v"), options()...)
+		} else {
+			rep, err = cl.RunFailureDiscovery([]byte("v"), options()...)
 		}
-		if rep, err = cl.RunFailureDiscovery([]byte("v"), opts...); err != nil {
-			t.Fatalf("%v: RunFailureDiscovery: %v", c, err)
+		if err != nil {
+			t.Fatalf("%v: failure-discovery run: %v", c, err)
 		}
 	}
 	done := 0
@@ -372,6 +373,32 @@ func (c attackCase) establish(t testing.TB, attack func(*core.Cluster) []slot) a
 		}
 	}
 	return attackEstablishment{delivered: rec.Messages(), report: rep, nodes: cl.Nodes(), faulty: ids, finished: done}
+}
+
+// runNonAuth runs the non-authenticated baseline over cl through
+// Cluster.Run, P_0 sending value, and reads the correct nodes' outcomes
+// and discoveries into the report as RunFailureDiscovery does.
+func runNonAuth(cl *core.Cluster, value []byte, opts ...core.RunOption) (core.Report, error) {
+	cfg := cl.Config()
+	rep, honest, err := cl.Run("nonauth", fd.NonAuthEngineRounds(cfg.T), func(id model.NodeID) (sim.Process, error) {
+		if id == fd.Sender {
+			return fd.NewNonAuthNode(cfg, id, fd.WithNonAuthValue(value))
+		}
+		return fd.NewNonAuthNode(cfg, id)
+	}, opts...)
+	if err != nil {
+		return core.Report{}, err
+	}
+	for _, p := range honest {
+		if p != nil {
+			out := p.(fd.Outcomer).Outcome()
+			rep.Outcomes = append(rep.Outcomes, out)
+			if out.Discovery != nil {
+				rep.Discoveries = append(rep.Discoveries, *out.Discovery)
+			}
+		}
+	}
+	return rep, nil
 }
 
 // refAndFilter returns the case's attack in its reference form and in

@@ -164,6 +164,13 @@ func NewEIGNode(cfg model.Config, id model.NodeID, opts ...EIGOption) (*EIGNode,
 // Decision implements Decider.
 func (n *EIGNode) Decision() Decision { return n.decision }
 
+// Outcome implements fd.Outcomer, so OM(t) runs are read like every
+// other protocol's: a node has decided once it resolved a value. OM(t)
+// has no discovery concept.
+func (n *EIGNode) Outcome() model.Outcome {
+	return model.Outcome{Node: n.id, Decided: n.decision.Value != nil, Value: n.decision.Value}
+}
+
 // Finished implements sim.Finisher.
 func (n *EIGNode) Finished() bool { return n.finished }
 

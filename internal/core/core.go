@@ -18,11 +18,13 @@
 // WithWrappedProcess, which is how internal/protocol wires in package
 // adversary's behaviours and key-distribution attacks.
 //
-// Both phases are wrappers. The run itself — per node: replaced,
-// wrapped, churned or honest; then engine, counters, ledger — is
-// Cluster.Run, which takes any protocol as a NodeBuilder and a round
-// bound and hands back the honest processes for the caller to read.
-// Every protocol driver in internal/protocol runs through it.
+// One run loop serves every run — per node: replaced, wrapped, churned
+// or honest; then engine, counters, ledger. Cluster.Run is its door for
+// any protocol: it takes a NodeBuilder and a round bound and hands back
+// the honest processes for the caller to read, and every protocol driver
+// in internal/protocol runs through it. core itself builds only Fig. 1's
+// nodes (EstablishAuthentication) and Fig. 2's (RunFailureDiscovery,
+// the chain-only front door).
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - Cluster.Established: an accessor the behaviour tests read.
@@ -35,7 +37,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/ba"
 	"repro/internal/fd"
 	"repro/internal/keydist"
 	"repro/internal/metrics"
@@ -45,76 +46,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Protocol selects which failure-discovery protocol a run uses.
+// Protocol names a protocol to EngineRounds; ProtocolChain is its one
+// value. Protocols are drivers in internal/protocol: this type,
+// ProtocolChain and EngineRounds exist only because benchmark/layers.go
+// compiles against them. A benchmark change can call
+// fd.ChainEngineRounds(cfg.T) there instead and delete all three.
 type Protocol uint8
 
-// Protocols runnable through Cluster.RunFailureDiscovery, and the mark
-// of one that is not.
-const (
-	// ProtocolChain is the authenticated chain protocol of paper Fig. 2
-	// (n−1 messages). The default.
-	ProtocolChain Protocol = iota
-	// ProtocolNonAuth is the non-authenticated baseline ((t+1)(n−1)
-	// messages). It ignores the cluster's keys entirely.
-	ProtocolNonAuth
-	// ProtocolSmallRange is the binary silence-as-default variant.
-	ProtocolSmallRange
-	// ProtocolFDBA is the Failure-Discovery-to-Byzantine-Agreement
-	// extension (paper §4, Hadzilacos & Halpern): chain FD, then a signed
-	// fallback flood only when a failure was discovered. Unlike the FD
-	// protocols its correct nodes always decide; a phase-1 discovery rides
-	// along in the outcome.
-	ProtocolFDBA
-	// ProtocolSM is the signed-messages Byzantine-agreement algorithm
-	// SM(t) of Lamport, Shostak & Pease: O(n²) messages, tolerates any
-	// t < n under authentication.
-	ProtocolSM
-	// ProtocolCustom marks the report of a Cluster.Run: a protocol whose
-	// nodes and round bound the caller supplied (vector, eig, any
-	// registered driver). Not runnable through RunFailureDiscovery.
-	ProtocolCustom
-)
+// ProtocolChain is the authenticated chain protocol of paper Fig. 2, the
+// one RunFailureDiscovery runs. It stays only for benchmark/layers.go;
+// see Protocol.
+const ProtocolChain Protocol = 0
 
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolChain:
-		return "chain"
-	case ProtocolNonAuth:
-		return "nonauth"
-	case ProtocolSmallRange:
-		return "smallrange"
-	case ProtocolFDBA:
-		return "fdba"
-	case ProtocolSM:
-		return "sm"
-	case ProtocolCustom:
-		return "custom"
-	default:
-		return fmt.Sprintf("protocol(%d)", uint8(p))
-	}
-}
-
-// EngineRounds returns the lockstep engine rounds a full run of the
-// protocol needs at fault bound t. This is the round bound
-// RunFailureDiscovery enforces and conformance checks runs against.
-// Every protocol is enumerated: a new Protocol value without a case
-// here panics instead of silently running under the chain bound and
-// truncating its schedule.
-func EngineRounds(p Protocol, t int) int {
-	switch p {
-	case ProtocolChain, ProtocolSmallRange:
-		return fd.ChainEngineRounds(t)
-	case ProtocolNonAuth:
-		return fd.NonAuthEngineRounds(t)
-	case ProtocolFDBA:
-		return ba.FDBAEngineRounds(t)
-	case ProtocolSM:
-		return ba.SMEngineRounds(t)
-	default:
-		panic(fmt.Sprintf("core: EngineRounds has no case for %v", p))
-	}
-}
+// EngineRounds returns the lockstep engine rounds of a full chain run at
+// fault bound t, fd.ChainEngineRounds(t). It stays only for
+// benchmark/layers.go; see Protocol.
+func EngineRounds(_ Protocol, t int) int { return fd.ChainEngineRounds(t) }
 
 // Cluster owns n logical nodes, their keys and directories, and a message
 // ledger spanning all protocol phases.
@@ -420,18 +367,17 @@ func (b *keydistBuilder) buildNode(id model.NodeID) (sim.Process, error) {
 // EstablishAuthentication runs the paper's Fig. 1 key-distribution
 // protocol across the cluster and retains each node's signer and
 // directory, the n directories sharing one fresh verify memo. The options
-// mean what they mean to Run (WithProtocol is ignored likewise). A node
-// they wrap is faulty but keeps its own keydist.Node — its key pair and
-// what it accepted — so a later run may sign with it; a node they replace
-// keeps no keys, and later authenticated runs must replace it too. It
-// returns the phase report, the correct nodes' discoveries included; the
-// traffic is also added to the ledger under PhaseKeyDist.
+// mean what they mean to Run. A node they wrap is faulty but keeps its
+// own keydist.Node — its key pair and what it accepted — so a later run
+// may sign with it; a node they replace keeps no keys, and later
+// authenticated runs must replace it too. It returns the phase report,
+// the correct nodes' discoveries included; the traffic is also added to
+// the ledger under PhaseKeyDist.
 func (c *Cluster) EstablishAuthentication(opts ...RunOption) (Report, error) {
 	run := fdRun{kept: make([]sim.Process, c.cfg.N)}
 	for _, opt := range opts {
 		opt(&run)
 	}
-	run.protocol = 0 // Report.Protocol is PhaseFD's
 	c.memo = new(sig.VerifyMemo)
 	rep, honest, err := c.run(&run, PhaseKeyDist, "keydist", keydist.RoundsTotal, (*keydistBuilder)(c))
 	if err != nil {
@@ -456,23 +402,17 @@ type RunOption func(*fdRun)
 
 // fdRun is one run's options. RunFailureDiscovery also parks its cluster
 // and value here, which makes the struct — on the heap anyway, options
-// take its address — the run's node builder at no further allocation.
+// take its address — the chain run's node builder at no further
+// allocation.
 type fdRun struct {
 	cluster   *Cluster
 	value     []byte
-	protocol  Protocol
 	overrides map[model.NodeID]sim.Process
 	wrappers  map[model.NodeID]func(sim.Process) sim.Process
 	network   sim.Network
 	churn     map[model.NodeID]netcond.ChurnSpec
 	// kept, when set, receives each wrapped node's process as first built.
 	kept []sim.Process
-}
-
-// WithProtocol selects the protocol RunFailureDiscovery runs (default
-// ProtocolChain). Run ignores it: its builder is the protocol.
-func WithProtocol(p Protocol) RunOption {
-	return func(r *fdRun) { r.protocol = p }
 }
 
 // WithProcess replaces node id's process for this run — key distribution
@@ -536,16 +476,25 @@ func WithChurn(spec netcond.ChurnSpec) RunOption {
 type NodeBuilder func(id model.NodeID) (sim.Process, error)
 
 // nodeBuilder is what run calls; an interface rather than the func type
-// so RunFailureDiscovery can hand over its options struct instead of a
-// per-run closure.
+// so RunFailureDiscovery and key distribution hand over a struct they
+// already hold instead of a per-run closure.
 type nodeBuilder interface {
 	buildNode(id model.NodeID) (sim.Process, error)
 }
 
 func (b NodeBuilder) buildNode(id model.NodeID) (sim.Process, error) { return b(id) }
 
+// buildNode is the chain protocol's correct node: Fig. 2 over id's
+// established signer and directory, P_0 sending the run's value.
 func (r *fdRun) buildNode(id model.NodeID) (sim.Process, error) {
-	return r.cluster.buildNode(r.protocol, r.value, id)
+	n, err := r.cluster.node(id)
+	if err != nil {
+		return nil, err
+	}
+	if id == fd.Sender {
+		return fd.NewChainNode(r.cluster.cfg, id, n.Signer(), n.Directory(), fd.WithValue(r.value))
+	}
+	return fd.NewChainNode(r.cluster.cfg, id, n.Signer(), n.Directory())
 }
 
 // Run executes one run of any lockstep protocol over the cluster's
@@ -553,17 +502,17 @@ func (r *fdRun) buildNode(id model.NodeID) (sim.Process, error) {
 // options say which nodes are not (WithProcess, WithWrappedProcess,
 // WithChurn) and what the network does to them (WithNetwork), and
 // maxRounds is the protocol's deadline. label names the protocol in
-// build errors. It returns the metered report (PhaseFD,
-// ProtocolCustom, no outcomes — reading them is the caller's protocol
+// build errors and in the report. It returns the metered report
+// (PhaseFD, no outcomes — reading them is the caller's protocol
 // knowledge) and the processes build returned by node ID, nil where the
 // node was overridden, wrapped or churned: the honest nodes, whose
-// terminal state the caller scores.
+// terminal state the caller scores. Every driver in internal/protocol
+// runs through it.
 func (c *Cluster) Run(label string, maxRounds int, build NodeBuilder, opts ...RunOption) (Report, []sim.Process, error) {
 	var run fdRun
 	for _, opt := range opts {
 		opt(&run)
 	}
-	run.protocol = ProtocolCustom
 	rep, honest, err := c.run(&run, PhaseFD, label, maxRounds, build)
 	if err != nil {
 		return Report{}, nil, err
@@ -572,19 +521,17 @@ func (c *Cluster) Run(label string, maxRounds int, build NodeBuilder, opts ...Ru
 	return rep, honest, nil
 }
 
-// RunFailureDiscovery executes one failure-discovery run with P_0 as the
-// sender of value. The authenticated protocols require
-// EstablishAuthentication to have run first; the non-authenticated
-// baseline does not.
+// RunFailureDiscovery executes one run of Fig. 2's chain protocol with
+// P_0 as the sender of value, reading the correct nodes' outcomes and
+// discoveries into the report. It requires EstablishAuthentication to
+// have run first. Every other protocol is a driver in internal/protocol,
+// which runs through Run.
 func (c *Cluster) RunFailureDiscovery(value []byte, opts ...RunOption) (Report, error) {
 	run := fdRun{cluster: c, value: value}
 	for _, opt := range opts {
 		opt(&run)
 	}
-	if run.protocol != ProtocolNonAuth && !c.established {
-		return Report{}, errors.New("core: establish authentication before running an authenticated protocol")
-	}
-	rep, honest, err := c.run(&run, PhaseFD, run.protocol.String(), EngineRounds(run.protocol, c.cfg.T), &run)
+	rep, honest, err := c.run(&run, PhaseFD, "chain", fd.ChainEngineRounds(c.cfg.T), &run)
 	if err != nil {
 		return Report{}, err
 	}
@@ -646,56 +593,8 @@ func (c *Cluster) run(run *fdRun, phase Phase, label string, maxRounds int, b no
 	}
 	return Report{
 		Phase:    phase,
-		Protocol: run.protocol,
+		Protocol: label,
 		Rounds:   rounds,
 		Snapshot: counters.Snapshot(),
 	}, honest, nil
-}
-
-// buildNode constructs node id's protocol process from the cluster's
-// durable state (signer, directory, key material). It is pure with
-// respect to volatile protocol state, so calling it again mid-run is
-// exactly restart-with-recovery: the netcond churn wrapper uses it as
-// the rebuild hook when a crashed node rejoins. A method rather than a
-// per-run closure so the ideal path stays allocation-flat.
-func (c *Cluster) buildNode(proto Protocol, value []byte, id model.NodeID) (sim.Process, error) {
-	if proto == ProtocolNonAuth {
-		var nodeOpts []fd.NonAuthOption
-		if id == fd.Sender {
-			nodeOpts = append(nodeOpts, fd.WithNonAuthValue(value))
-		}
-		return fd.NewNonAuthNode(c.cfg, id, nodeOpts...)
-	}
-	n, err := c.node(id)
-	if err != nil {
-		return nil, err
-	}
-	signer, dir := n.Signer(), n.Directory()
-	switch proto {
-	case ProtocolChain:
-		var nodeOpts []fd.ChainOption
-		if id == fd.Sender {
-			nodeOpts = append(nodeOpts, fd.WithValue(value))
-		}
-		return fd.NewChainNode(c.cfg, id, signer, dir, nodeOpts...)
-	case ProtocolSmallRange:
-		var nodeOpts []fd.SmallRangeOption
-		if id == fd.Sender {
-			if len(value) != 1 {
-				return nil, fmt.Errorf("core: small-range values are single bits, got %d bytes", len(value))
-			}
-			nodeOpts = append(nodeOpts, fd.WithBinaryValue(value[0]))
-		}
-		return fd.NewSmallRangeNode(c.cfg, id, signer, dir, nodeOpts...)
-	case ProtocolFDBA:
-		return ba.NewFDBANode(c.cfg, id, signer, dir, value)
-	case ProtocolSM:
-		var nodeOpts []ba.SMOption
-		if id == fd.Sender {
-			nodeOpts = append(nodeOpts, ba.WithSMValue(value))
-		}
-		return ba.NewSMNode(c.cfg, id, signer, dir, nodeOpts...)
-	default:
-		return nil, fmt.Errorf("core: unknown protocol %v", proto)
-	}
 }

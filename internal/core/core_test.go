@@ -12,6 +12,7 @@ import (
 	"repro/internal/keydist"
 	"repro/internal/model"
 	"repro/internal/netcond"
+	"repro/internal/protocol"
 	"repro/internal/sig"
 	"repro/internal/sim"
 )
@@ -61,13 +62,25 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
+// runDriver runs the built-in driver name once over c, its instance at
+// c's (n, t) with P_0 sending value.
+func runDriver(t *testing.T, c *core.Cluster, name string, value []byte) (protocol.Outcome, error) {
+	t.Helper()
+	d, err := protocol.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.Config()
+	return d.Run(protocol.Instance{N: cfg.N, T: cfg.T, Value: value}, c)
+}
+
 func TestClusterRequiresEstablishmentForAuthProtocols(t *testing.T) {
 	c := newCluster(t, 4, 1, 2)
 	if _, err := c.RunFailureDiscovery([]byte("v")); err == nil {
 		t.Error("chain run allowed before establishment")
 	}
 	// The non-authenticated baseline needs no keys.
-	if _, err := c.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth)); err != nil {
+	if _, err := runDriver(t, c, protocol.NameNonAuth, []byte("v")); err != nil {
 		t.Errorf("non-auth run refused: %v", err)
 	}
 }
@@ -101,14 +114,14 @@ func TestClusterLedgerAccumulates(t *testing.T) {
 
 func TestClusterNonAuthMatchesFormula(t *testing.T) {
 	c := newCluster(t, 16, 5, 4)
-	rep, err := c.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth))
+	out, err := runDriver(t, c, protocol.NameNonAuth, []byte("v"))
 	if err != nil {
-		t.Fatalf("RunFailureDiscovery: %v", err)
+		t.Fatalf("nonauth run: %v", err)
 	}
-	if got, want := rep.Snapshot.Messages, 6*15; got != want { // (t+1)(n−1)
+	if got, want := out.Snapshot.Messages, 6*15; got != want { // (t+1)(n−1)
 		t.Errorf("messages = %d, want %d", got, want)
 	}
-	if _, ok := model.AgreedValue(rep.Outcomes); !ok {
+	if !out.Agreed {
 		t.Error("no agreement in failure-free baseline run")
 	}
 }
@@ -118,21 +131,21 @@ func TestClusterSmallRange(t *testing.T) {
 	if _, err := c.EstablishAuthentication(); err != nil {
 		t.Fatalf("EstablishAuthentication: %v", err)
 	}
-	rep, err := c.RunFailureDiscovery([]byte{0}, core.WithProtocol(core.ProtocolSmallRange))
+	out, err := runDriver(t, c, protocol.NameSmallRange, []byte{0})
 	if err != nil {
-		t.Fatalf("RunFailureDiscovery: %v", err)
+		t.Fatalf("smallrange run: %v", err)
 	}
-	if rep.Snapshot.Messages != 0 {
-		t.Errorf("default-bit run cost %d messages, want 0", rep.Snapshot.Messages)
+	if out.Snapshot.Messages != 0 {
+		t.Errorf("default-bit run cost %d messages, want 0", out.Snapshot.Messages)
 	}
-	rep, err = c.RunFailureDiscovery([]byte{1}, core.WithProtocol(core.ProtocolSmallRange))
+	out, err = runDriver(t, c, protocol.NameSmallRange, []byte{1})
 	if err != nil {
-		t.Fatalf("RunFailureDiscovery: %v", err)
+		t.Fatalf("smallrange run: %v", err)
 	}
-	if rep.Snapshot.Messages != 7 {
-		t.Errorf("non-default run cost %d messages, want 7", rep.Snapshot.Messages)
+	if out.Snapshot.Messages != 7 {
+		t.Errorf("non-default run cost %d messages, want 7", out.Snapshot.Messages)
 	}
-	if _, err := c.RunFailureDiscovery([]byte("too long"), core.WithProtocol(core.ProtocolSmallRange)); err == nil {
+	if _, err := runDriver(t, c, protocol.NameSmallRange, []byte("too long")); err == nil {
 		t.Error("multi-byte small-range value accepted")
 	}
 }
@@ -267,7 +280,7 @@ func TestClusterWithAdversaryMixedPredicates(t *testing.T) {
 }
 
 // TestRunIsTheFailureDiscoveryRunMadeGeneric drives Cluster.Run with the
-// non-authenticated protocol's own nodes: same options, same traffic as
+// chain protocol's own nodes: same options, same traffic as
 // RunFailureDiscovery, the honest processes handed back with nil at
 // every faulty slot, and one PhaseFD entry in the ledger.
 func TestRunIsTheFailureDiscoveryRunMadeGeneric(t *testing.T) {
@@ -278,20 +291,37 @@ func TestRunIsTheFailureDiscoveryRunMadeGeneric(t *testing.T) {
 		core.WithWrappedProcess(3, func(p sim.Process) sim.Process { return adversary.Wrap(p, adversary.DropAll(2)) }),
 		core.WithChurn(netcond.ChurnSpec{Node: 5, Crash: 2, Restart: 3}),
 	}
-	want, err := newCluster(t, cfg.N, cfg.T, 4).RunFailureDiscovery(value,
-		append(opts, core.WithProtocol(core.ProtocolNonAuth))...)
+	established := func() *core.Cluster {
+		c := newCluster(t, cfg.N, cfg.T, 4)
+		if _, err := c.EstablishAuthentication(); err != nil {
+			t.Fatalf("EstablishAuthentication: %v", err)
+		}
+		return c
+	}
+	want, err := established().RunFailureDiscovery(value, opts...)
 	if err != nil {
 		t.Fatalf("RunFailureDiscovery: %v", err)
 	}
+	if want.Protocol != "chain" {
+		t.Errorf("RunFailureDiscovery's report is labelled %q, want chain", want.Protocol)
+	}
 
-	c := newCluster(t, cfg.N, cfg.T, 4)
+	c := established()
 	built := 0
-	rep, honest, err := c.Run("nonauth-by-hand", fd.NonAuthEngineRounds(cfg.T), func(id model.NodeID) (sim.Process, error) {
+	rep, honest, err := c.Run("chain-by-hand", fd.ChainEngineRounds(cfg.T), func(id model.NodeID) (sim.Process, error) {
 		built++
-		if id == fd.Sender {
-			return fd.NewNonAuthNode(cfg, id, fd.WithNonAuthValue(value))
+		signer, err := c.Signer(id)
+		if err != nil {
+			return nil, err
 		}
-		return fd.NewNonAuthNode(cfg, id)
+		dir, err := c.Directory(id)
+		if err != nil {
+			return nil, err
+		}
+		if id == fd.Sender {
+			return fd.NewChainNode(cfg, id, signer, dir, fd.WithValue(value))
+		}
+		return fd.NewChainNode(cfg, id, signer, dir)
 	}, opts...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -300,8 +330,8 @@ func TestRunIsTheFailureDiscoveryRunMadeGeneric(t *testing.T) {
 		t.Errorf("Run = %d rounds, %+v; RunFailureDiscovery = %d rounds, %+v",
 			rep.Rounds, rep.Snapshot, want.Rounds, want.Snapshot)
 	}
-	if rep.Phase != core.PhaseFD || rep.Protocol != core.ProtocolCustom || rep.Outcomes != nil {
-		t.Errorf("report = %+v, want a bare PhaseFD/ProtocolCustom report", rep)
+	if rep.Phase != core.PhaseFD || rep.Protocol != "chain-by-hand" || rep.Outcomes != nil {
+		t.Errorf("report = %+v, want a bare PhaseFD report labelled chain-by-hand", rep)
 	}
 	// The overridden node is never built; the churned one is built twice.
 	if built != cfg.N {

@@ -182,18 +182,28 @@ func TestPropertyF1F2F3RandomizedNonAuth(t *testing.T) {
 				}
 				opts = append(opts, core.WithProcess(id, p))
 			}
-			opts = append(opts, core.WithProtocol(core.ProtocolNonAuth))
-			rep, err := c.RunFailureDiscovery(value, opts...)
+			_, honest, err := c.Run("nonauth", fd.NonAuthEngineRounds(tol), func(id model.NodeID) (sim.Process, error) {
+				if id == fd.Sender {
+					return fd.NewNonAuthNode(c.Config(), id, fd.WithNonAuthValue(value))
+				}
+				return fd.NewNonAuthNode(c.Config(), id)
+			}, opts...)
 			if err != nil {
-				t.Fatalf("RunFailureDiscovery: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
-			if err := core.CheckF1(rep.Outcomes, faulty); err != nil {
+			var outcomes []model.Outcome
+			for _, p := range honest {
+				if p != nil {
+					outcomes = append(outcomes, p.(fd.Outcomer).Outcome())
+				}
+			}
+			if err := core.CheckF1(outcomes, faulty); err != nil {
 				t.Errorf("faulty=%v: %v", faulty, err)
 			}
-			if err := core.CheckF2(rep.Outcomes, faulty); err != nil {
+			if err := core.CheckF2(outcomes, faulty); err != nil {
 				t.Errorf("faulty=%v: %v", faulty, err)
 			}
-			if err := core.CheckF3(rep.Outcomes, faulty, fd.Sender, value); err != nil {
+			if err := core.CheckF3(outcomes, faulty, fd.Sender, value); err != nil {
 				t.Errorf("faulty=%v: %v", faulty, err)
 			}
 		})

@@ -36,8 +36,9 @@ func (p Phase) String() string {
 type Report struct {
 	// Phase identifies the protocol phase.
 	Phase Phase
-	// Protocol is the FD protocol used (PhaseFD only).
-	Protocol Protocol
+	// Protocol is the run's label: the driver name Run was given,
+	// "chain" for RunFailureDiscovery, "keydist" for key distribution.
+	Protocol string
 	// Rounds is the number of lockstep rounds executed.
 	Rounds int
 	// Snapshot holds the traffic statistics.

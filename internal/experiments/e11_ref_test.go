@@ -47,13 +47,14 @@ func refE11Sender(t *testing.T, cfg model.Config, keySeed int64, chain bool, val
 
 // diffE11 runs E11's SM instance, or its chain instance, at seed through
 // its driver, and again over the same setup with P_0 replaced by the
-// reference sender under m. It returns the first divergence in the
-// messages delivered, in delivery order, or in the correct nodes'
-// outcomes and the run's traffic.
+// reference sender under m, the other nodes built from the driver's
+// exported constructors. It returns the first divergence in the messages
+// delivered, in delivery order, or in the correct nodes' outcomes and the
+// run's traffic.
 func diffE11(t *testing.T, seed int64, chain bool, m simtest.Mutant) error {
-	name, proto := campaign.ProtoSM, core.ProtocolSM
+	name, rounds := campaign.ProtoSM, ba.SMEngineRounds(1)
 	if chain {
-		name, proto = campaign.ProtoChain, core.ProtocolChain
+		name, rounds = campaign.ProtoChain, fd.ChainEngineRounds(1)
 	}
 	drv, err := protocol.Lookup(name)
 	if err != nil {
@@ -82,12 +83,32 @@ func diffE11(t *testing.T, seed int64, chain bool, m simtest.Mutant) error {
 	}
 	value := []byte("value")
 	sender := m.Wrap(0, refE11Sender(t, inst.Config(), inst.KeySeed, chain, value))
-	rep, err := cluster(want).RunFailureDiscovery(value, core.WithProtocol(proto), core.WithProcess(0, sender))
+	c := cluster(want)
+	rep, honest, err := c.Run(name, rounds, func(id model.NodeID) (sim.Process, error) {
+		signer, err := c.Signer(id)
+		if err != nil {
+			return nil, err
+		}
+		dir, err := c.Directory(id)
+		if err != nil {
+			return nil, err
+		}
+		if chain {
+			return fd.NewChainNode(inst.Config(), id, signer, dir)
+		}
+		return ba.NewSMNode(inst.Config(), id, signer, dir)
+	}, core.WithProcess(0, sender))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var outcomes []model.Outcome
+	for _, p := range honest {
+		if p != nil {
+			outcomes = append(outcomes, p.(fd.Outcomer).Outcome())
+		}
+	}
 	return cmp.Or(simtest.Traffic(want.Messages(), got.Messages(), false),
-		simtest.Equal("outcomes", rep.Outcomes, out.SubRuns[0].Outcomes),
+		simtest.Equal("outcomes", outcomes, out.SubRuns[0].Outcomes),
 		simtest.Equal("traffic", rep.Snapshot, out.Snapshot))
 }
 

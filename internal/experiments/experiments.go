@@ -167,6 +167,16 @@ func mustRun(spec campaign.Spec) *campaign.Report {
 	return rep
 }
 
+// mustInstance runs one campaign instance through its driver and
+// returns its result, panicking if it errored.
+func mustInstance(inst campaign.Instance) campaign.Result {
+	res := campaign.RunInstance(inst)
+	if res.Err != "" {
+		panic(fmt.Sprintf("experiments: %s: %s", inst.Protocol, res.Err))
+	}
+	return res
+}
+
 // mustRunKeySets runs spec once per run r over its own key set and
 // handshake — one seed, SeedBase and so KeySeed seed(r) — and returns
 // each group's results across the runs, in group order: the form of the
@@ -237,19 +247,14 @@ func E4Measured(n, t, k int) *metrics.Table {
 		fmt.Sprintf("E4b — Amortization, measured (n=%d t=%d)", n, t),
 		"runs k", "local-auth measured", "non-auth measured", "formula local", "formula non-auth")
 	local := mustCluster(n, t, Seed+41)
-	base, err := core.New(model.Config{N: n, T: t}, core.WithSeed(Seed+42))
-	if err != nil {
-		panic(err)
-	}
+	nonAuth := 0
 	for run := 1; run <= k; run++ {
 		if _, err := local.RunFailureDiscovery([]byte("v")); err != nil {
 			panic(err)
 		}
-		if _, err := base.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolNonAuth)); err != nil {
-			panic(err)
-		}
+		nonAuth += mustInstance(campaign.Instance{Protocol: campaign.ProtoNonAuth, N: n, T: t}).Messages
 		formulaLocal, formulaNonAuth, _ := amortize(n, t, run)
-		tbl.AddRow(run, local.Ledger().TotalMessages(), base.Ledger().TotalMessages(), formulaLocal, formulaNonAuth)
+		tbl.AddRow(run, local.Ledger().TotalMessages(), nonAuth, formulaLocal, formulaNonAuth)
 	}
 	return tbl
 }

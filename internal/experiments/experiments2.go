@@ -107,11 +107,8 @@ func E9SmallRange() *metrics.Table {
 		t := tolFor(n)
 		chain, _ := failureFree(campaign.ProtoChain, n, t)
 		for _, v := range []byte{0, 1} {
-			res := campaign.RunInstance(campaign.Instance{Protocol: campaign.ProtoSmallRange, N: n, T: t,
+			res := mustInstance(campaign.Instance{Protocol: campaign.ProtoSmallRange, N: n, T: t,
 				Scheme: sig.SchemeToy, Value: []byte{v}, Seed: Seed + int64(9*n) + int64(v)})
-			if res.Err != "" {
-				panic("experiments: E9: " + res.Err)
-			}
 			tbl.AddRow(n, t, v, res.Messages, chain, chain-res.Messages)
 		}
 	}
@@ -131,22 +128,21 @@ func E10Bytes() *metrics.Table {
 		if err != nil {
 			panic(err)
 		}
-		naRep, err := c.RunFailureDiscovery([]byte("value"), core.WithProtocol(core.ProtocolNonAuth))
-		if err != nil {
-			panic(err)
-		}
-		kd := c.Ledger().Reports()[0]
+		kd := c.Ledger().Reports()[0].Snapshot
+		nonAuth := mustInstance(campaign.Instance{Protocol: campaign.ProtoNonAuth, N: n, T: t})
 		for _, row := range []struct {
-			name string
-			rep  core.Report
-		}{{"keydist", kd}, {"chain-fd", chainRep}, {"nonauth-fd", naRep}} {
-			msgs := row.rep.Snapshot.Messages
-			bytesTotal := row.rep.Snapshot.Bytes
+			name        string
+			msgs, bytes int
+		}{
+			{"keydist", kd.Messages, kd.Bytes},
+			{"chain-fd", chainRep.Snapshot.Messages, chainRep.Snapshot.Bytes},
+			{"nonauth-fd", nonAuth.Messages, nonAuth.Bytes},
+		} {
 			per := 0.0
-			if msgs > 0 {
-				per = float64(bytesTotal) / float64(msgs)
+			if row.msgs > 0 {
+				per = float64(row.bytes) / float64(row.msgs)
 			}
-			tbl.AddRow(n, t, row.name, msgs, bytesTotal, per)
+			tbl.AddRow(n, t, row.name, row.msgs, row.bytes, per)
 		}
 	}
 	return tbl

@@ -60,12 +60,13 @@ func (d mutantDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Out
 		return protocol.Outcome{}, err
 	}
 	var outcomes []model.Outcome
-	agreed := true
+	agreed, discovered := true, false
 	for _, p := range honest {
 		if p != nil {
 			o := p.(fd.Outcomer).Outcome()
 			outcomes = append(outcomes, o)
 			agreed = agreed && o.Decided && bytes.Equal(o.Value, outcomes[0].Value)
+			discovered = discovered || o.Discovery != nil
 		}
 	}
 	return protocol.Outcome{
@@ -73,7 +74,7 @@ func (d mutantDriver) Run(inst protocol.Instance, c *core.Cluster) (protocol.Out
 		RoundBound: rounds,
 		Snapshot:   rep.Snapshot,
 		Agreed:     agreed,
-		Discovered: len(rep.Discoveries) > 0,
+		Discovered: discovered,
 		SubRuns:    []protocol.SubRun{{Sender: fd.Sender, Initial: value, Outcomes: outcomes}},
 	}, nil
 }

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+
 	"repro/internal/adversary"
 	"repro/internal/ba"
 	"repro/internal/core"
@@ -10,53 +12,121 @@ import (
 	"repro/internal/sim"
 )
 
-// Seven drivers, one loop. The five protocols core.Cluster builds nodes
-// for itself — the chain FD protocol, the non-authenticated baseline,
-// the binary small-range variant, and the two full agreement protocols
-// FDBA and SM(t) — share the Driver implementation below, parameterized
-// by the core protocol selector, the sender's proposal, its
-// capabilities, its verdict profile, and (where supported) its two-faced
-// sender, the correct sender under a second-face filter; vector and eig
-// bring their own node builder and outcome reading instead (vector.go,
-// eig.go). All of them wire faults and network through runOptions and
-// reach the engine through the cluster's one run loop.
+// Seven drivers, one path. Every built-in driver but vector is a row
+// of this table: a name, the sender's canonical proposal, capabilities,
+// a verdict profile, the engine-round bound, what a correct node is, and
+// (where supported) a two-faced sender — the correct sender under a
+// second-face filter. A row reads its nodes' outcomes through
+// fd.Outcomer; vector reads one sub-run per sender itself (vector.go).
+// Every driver reaches the engine through runNodes, the path RunNodes
+// gives a driver registered from outside.
 
 type clusterDriver struct {
 	name        string
-	proto       core.Protocol
 	value       []byte
 	caps        Capabilities
 	verdicts    VerdictProfile
+	rounds      func(t int) int
+	node        nodeFunc
 	equivocator equivocatorFunc
 }
+
+// nodeFunc builds node id's correct process, the sender proposing
+// value, over id's established signer and directory (nil for a protocol
+// that signs nothing). It reads nothing else, so a churned node's
+// rebuild is restart-with-recovery.
+type nodeFunc func(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (sim.Process, error)
 
 func (d *clusterDriver) Name() string               { return d.name }
 func (d *clusterDriver) Capabilities() Capabilities { return d.caps }
 func (d *clusterDriver) Verdicts() VerdictProfile   { return d.verdicts }
 
-// Run implements Driver. nonauth ignores keys entirely and runs over a
-// bare cluster; the authenticated protocols run over the shared nodes of
-// their (scheme, n, keySeed) cell, paying keygen and the
-// 3n(n−1)-message handshake once per cell instead of once per seed.
+// Run implements Driver: the row's nodes under the instance's strategy
+// and network condition, one SubRun of the correct nodes' outcomes.
 func (d *clusterDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 	value := proposal(inst, d.value)
-	opts, err := runOptions(inst, c, d.equivocator)
+	maxRounds := d.rounds(inst.T)
+	rep, honest, err := runNodes(inst, c, d.name, maxRounds, d.equivocator, d.builder(c, value))
 	if err != nil {
 		return Outcome{}, err
 	}
-	rep, err := c.RunFailureDiscovery(value, append(opts, core.WithProtocol(d.proto))...)
-	if err != nil {
-		return Outcome{}, err
+	out := Outcome{Rounds: rep.Rounds, RoundBound: maxRounds, Snapshot: rep.Snapshot}
+	outcomes := make([]model.Outcome, 0, inst.N)
+	for _, p := range honest {
+		if p != nil {
+			o := p.(fd.Outcomer).Outcome()
+			outcomes = append(outcomes, o)
+			out.Discovered = out.Discovered || o.Discovery != nil
+		}
 	}
-	_, agreed := model.AgreedValue(rep.Outcomes)
-	return Outcome{
-		Rounds:     rep.Rounds,
-		RoundBound: core.EngineRounds(d.proto, inst.T),
-		Snapshot:   rep.Snapshot,
-		Agreed:     agreed,
-		Discovered: len(rep.Discoveries) > 0,
-		SubRuns:    []SubRun{{Sender: fd.Sender, Initial: value, Outcomes: rep.Outcomes}},
-	}, nil
+	_, out.Agreed = model.AgreedValue(outcomes)
+	out.SubRuns = []SubRun{{Sender: fd.Sender, Initial: value, Outcomes: outcomes}}
+	return out, nil
+}
+
+// builder is the row's correct node over c, the sender proposing value.
+func (d *clusterDriver) builder(c *core.Cluster, value []byte) core.NodeBuilder {
+	return func(id model.NodeID) (sim.Process, error) {
+		if !d.caps.UsesSignatures {
+			return d.node(c.Config(), id, nil, nil, value)
+		}
+		signer, dir, err := nodeKeys(c, id)
+		if err != nil {
+			return nil, err
+		}
+		return d.node(c.Config(), id, signer, dir, value)
+	}
+}
+
+// nodeKeys returns node id's signer and directory from c's established
+// authentication, or why it holds none.
+func nodeKeys(c *core.Cluster, id model.NodeID) (sig.Signer, sig.Directory, error) {
+	signer, err := c.Signer(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	dir, err := c.Directory(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return signer, dir, nil
+}
+
+// The rows' node functions: each protocol's correct node, P_0 sending
+// value (FDBA's constructor reads it for P_0 only).
+func chainNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (sim.Process, error) {
+	if id == fd.Sender {
+		return fd.NewChainNode(cfg, id, signer, dir, fd.WithValue(value))
+	}
+	return fd.NewChainNode(cfg, id, signer, dir)
+}
+
+func nonAuthNode(cfg model.Config, id model.NodeID, _ sig.Signer, _ sig.Directory, value []byte) (sim.Process, error) {
+	if id == fd.Sender {
+		return fd.NewNonAuthNode(cfg, id, fd.WithNonAuthValue(value))
+	}
+	return fd.NewNonAuthNode(cfg, id)
+}
+
+func smallRangeNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (sim.Process, error) {
+	if id != fd.Sender {
+		return fd.NewSmallRangeNode(cfg, id, signer, dir)
+	}
+	if len(value) != 1 {
+		return nil, fmt.Errorf("protocol: small-range values are single bits, got %d bytes", len(value))
+	}
+	return fd.NewSmallRangeNode(cfg, id, signer, dir, fd.WithBinaryValue(value[0]))
+}
+
+func fdbaNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (sim.Process, error) {
+	return ba.NewFDBANode(cfg, id, signer, dir, value)
+}
+
+func smNode(cfg model.Config, id model.NodeID, signer sig.Signer, dir sig.Directory, value []byte) (sim.Process, error) {
+	if id == fd.Sender {
+		return ba.NewSMNode(cfg, id, signer, dir, ba.WithSMValue(value))
+	}
+	return ba.NewSMNode(cfg, id, signer, dir)
 }
 
 // chainEquivocator is the two-faced sender of the chain-signed
@@ -68,11 +138,7 @@ func (d *clusterDriver) Run(inst Instance, c *core.Cluster) (Outcome, error) {
 // too, so it plays no fallback part — a faulty node owes the protocol
 // nothing, and the correct nodes' fallback must align without it.
 func chainEquivocator(c *core.Cluster, inst Instance, faceOne model.NodeSet) (sim.Process, error) {
-	signer, dir, second, err := senderKeys(c)
-	if err != nil {
-		return nil, err
-	}
-	sender, err := fd.NewChainNode(c.Config(), fd.Sender, signer, dir, fd.WithValue(senderValue))
+	sender, second, err := signedFaces(c, chainNode)
 	if err != nil {
 		return nil, err
 	}
@@ -100,33 +166,26 @@ func plainEquivocator(c *core.Cluster, _ Instance, faceOne model.NodeSet) (sim.P
 // signedEquivocator is the two-faced SM(t) sender: its correct sender,
 // altSenderValue's chain outside faceOne.
 func signedEquivocator(c *core.Cluster, _ Instance, faceOne model.NodeSet) (sim.Process, error) {
-	signer, dir, second, err := senderKeys(c)
-	if err != nil {
-		return nil, err
-	}
-	sender, err := ba.NewSMNode(c.Config(), fd.Sender, signer, dir, ba.WithSMValue(senderValue))
+	sender, second, err := signedFaces(c, smNode)
 	if err != nil {
 		return nil, err
 	}
 	return adversary.Wrap(sender, secondFace(faceOne, second)), nil
 }
 
-// senderKeys returns P_0's signer and directory, and altSenderValue's
-// chain signed by P_0: a signing sender's second face.
-func senderKeys(c *core.Cluster) (sig.Signer, sig.Directory, []byte, error) {
-	signer, err := c.Signer(fd.Sender)
+// signedFaces returns a signing sender's two faces: node's correct P_0
+// sending senderValue, and altSenderValue's chain signed by P_0.
+func signedFaces(c *core.Cluster, node nodeFunc) (sim.Process, []byte, error) {
+	signer, dir, err := nodeKeys(c, fd.Sender)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	dir, err := c.Directory(fd.Sender)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	second, err := sig.NewChain(altSenderValue, signer)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return signer, dir, second.Marshal(), nil
+	sender, err := node(c.Config(), fd.Sender, signer, dir, senderValue)
+	return sender, second.Marshal(), err
 }
 
 // chainCost is Fig. 2's failure-free cost (chain, fdba): n−1 messages,
@@ -150,9 +209,10 @@ func smallRangeCost(inst Instance) (messages, commRounds int) {
 
 func init() {
 	Register(&clusterDriver{
-		name:  NameChain,
-		proto: core.ProtocolChain,
-		value: senderValue,
+		name:   NameChain,
+		rounds: fd.ChainEngineRounds,
+		node:   chainNode,
+		value:  senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
 			SupportsEquivocate: true,
@@ -161,9 +221,10 @@ func init() {
 		equivocator: chainEquivocator,
 	})
 	Register(&clusterDriver{
-		name:  NameNonAuth,
-		proto: core.ProtocolNonAuth,
-		value: senderValue,
+		name:   NameNonAuth,
+		rounds: fd.NonAuthEngineRounds,
+		node:   nonAuthNode,
+		value:  senderValue,
 		caps: Capabilities{
 			SupportsEquivocate: true,
 		},
@@ -175,18 +236,20 @@ func init() {
 		equivocator: plainEquivocator,
 	})
 	Register(&clusterDriver{
-		name:  NameSmallRange,
-		proto: core.ProtocolSmallRange,
-		value: smallRangeBit,
+		name:   NameSmallRange,
+		rounds: fd.ChainEngineRounds,
+		node:   smallRangeNode,
+		value:  smallRangeBit,
 		caps: Capabilities{
 			UsesSignatures: true,
 		},
 		verdicts: VerdictsSilenceDefault.declaring(smallRangeCost),
 	})
 	Register(&clusterDriver{
-		name:  NameFDBA,
-		proto: core.ProtocolFDBA,
-		value: senderValue,
+		name:   NameFDBA,
+		rounds: ba.FDBAEngineRounds,
+		node:   fdbaNode,
+		value:  senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
 			SupportsEquivocate: true,
@@ -195,9 +258,10 @@ func init() {
 		equivocator: chainEquivocator,
 	})
 	Register(&clusterDriver{
-		name:  NameSM,
-		proto: core.ProtocolSM,
-		value: senderValue,
+		name:   NameSM,
+		rounds: ba.SMEngineRounds,
+		node:   smNode,
+		value:  senderValue,
 		caps: Capabilities{
 			UsesSignatures:     true,
 			SupportsEquivocate: true,

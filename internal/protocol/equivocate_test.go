@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/fd"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sig"
@@ -23,10 +24,8 @@ import (
 func TestSupportsEquivocateIsTheTwoFacedSet(t *testing.T) {
 	var got []string
 	for _, d := range Drivers() {
-		twoFaced := d.Name() == NameEIG
-		if cd, ok := d.(*clusterDriver); ok {
-			twoFaced = cd.equivocator != nil
-		}
+		cd, ok := d.(*clusterDriver)
+		twoFaced := ok && cd.equivocator != nil
 		if d.Capabilities().SupportsEquivocate != twoFaced {
 			t.Errorf("%s: SupportsEquivocate = %v, has a two-faced sender = %v", d.Name(), !twoFaced, twoFaced)
 		}
@@ -194,15 +193,15 @@ func clusterFor(t testing.TB, inst Instance) *core.Cluster {
 	return c
 }
 
-// diffEquivocationRow runs the row twice through core.Cluster — once
-// with the hand-written sender, once with the driver's two-faced sender
-// under m — and returns the first divergence: round by round, every
-// node's outbox (recipient, kind and payload, in order) and Finished
-// after each round, then the report's rounds, traffic and outcomes. The
-// sender's Finished is compared only after the last round: a
-// hand-written sender was finished from the start, a correct one at its
-// protocol's end, and the engine reads it only to stop early, which the
-// rounds pin.
+// diffEquivocationRow runs the row twice over one cluster — once with
+// the hand-written sender, once through the driver's Run, whose two-faced
+// sender runs under m — and returns the first divergence: round by
+// round, every node's outbox (recipient, kind and payload, in order) and
+// Finished after each round, then the runs' rounds, traffic and
+// outcomes. The sender's Finished is compared only after the last round:
+// a hand-written sender was finished from the start, a correct one at
+// its protocol's end, and the engine reads it only to stop early, which
+// the rounds pin.
 func diffEquivocationRow(t *testing.T, row equivocationRow, m simtest.Mutant) error {
 	t.Helper()
 	drv, err := Lookup(equivocationDrivers[row.driver])
@@ -215,29 +214,30 @@ func diffEquivocationRow(t *testing.T, row equivocationRow, m simtest.Mutant) er
 	clustersMu.Lock()
 	defer clustersMu.Unlock()
 	c := clusterFor(t, inst)
-	run := func(opts []core.RunOption, plant simtest.Mutant) (core.Report, []*simtest.Recorder) {
-		planted = plant
-		rep, err := c.RunFailureDiscovery(proposal(inst, d.value), append(opts, core.WithProtocol(d.proto))...)
-		planted = simtest.Mutant{}
-		if err != nil {
-			t.Fatalf("%v: %v", row, err)
-		}
-		return rep, recorders
-	}
 	refOpts, err := refOptions(d, inst, c)
 	if err != nil {
 		t.Fatalf("%v: %v", row, err)
 	}
-	wantRep, want := run(refOpts, simtest.Mutant{})
-	opts, err := runOptions(inst, c, d.equivocator)
+	wantRep, honest, err := c.Run(d.name, d.rounds(inst.T), d.builder(c, proposal(inst, d.value)), refOpts...)
 	if err != nil {
 		t.Fatalf("%v: %v", row, err)
 	}
-	gotRep, got := run(opts, m)
-	return cmp.Or(simtest.Compare(got, want, simtest.Options{FinishedAtEnd: model.NewNodeSet(0)}),
-		simtest.Equal("rounds", gotRep.Rounds, wantRep.Rounds),
-		simtest.Equal("traffic", gotRep.Snapshot, wantRep.Snapshot),
-		simtest.Equal("outcomes", gotRep.Outcomes, wantRep.Outcomes))
+	want, wantOutcomes := recorders, []model.Outcome{}
+	for _, p := range honest {
+		if p != nil {
+			wantOutcomes = append(wantOutcomes, p.(fd.Outcomer).Outcome())
+		}
+	}
+	planted = m
+	got, err := d.Run(inst, c)
+	planted = simtest.Mutant{}
+	if err != nil {
+		t.Fatalf("%v: %v", row, err)
+	}
+	return cmp.Or(simtest.Compare(recorders, want, simtest.Options{FinishedAtEnd: model.NewNodeSet(0)}),
+		simtest.Equal("rounds", got.Rounds, wantRep.Rounds),
+		simtest.Equal("traffic", got.Snapshot, wantRep.Snapshot),
+		simtest.Equal("outcomes", got.SubRuns[0].Outcomes, wantOutcomes))
 }
 
 // TestEquivocationDifferentialCatchesAPlantedByte: chain's two-faced

@@ -30,8 +30,9 @@
 // loop, which decides silent, wrapped, churned or honest per node. A
 // driver supplies only what is its own — what a correct node is, a
 // bespoke two-faced sender where it has one, and how its nodes'
-// terminal state maps to SubRuns. RunNodes is that path in the form a
-// driver registered from outside needs.
+// terminal state maps to SubRuns. RunNodes is every driver's path: the
+// built-ins reach the engine through it, adding only their two-faced
+// senders, exactly as a driver registered from outside does.
 //
 // Kept though no benchmark row, golden or CI smoke reaches them:
 //   - SetupCache.Len, SetupCache.SignCounts: accessors the setup-store and signing-count tests read.

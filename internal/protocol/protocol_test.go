@@ -321,7 +321,11 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register(eigDriver{})
+	d, err := Lookup(NameEIG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Register(d)
 }
 
 // TestRunNodesWiresStrategyAndChurn: a driver that brings nothing but a

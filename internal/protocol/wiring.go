@@ -56,26 +56,23 @@ func secondFace(faceOne model.NodeSet, payload []byte) adversary.Filter {
 // condition. It is all a registered driver needs besides its own nodes:
 // the report carries rounds and traffic, and honest holds the built
 // processes by node ID, nil at every faulty slot, for the driver to read
-// outcomes from.
+// outcomes from. It is every driver's path without a two-faced sender.
 func RunNodes(inst Instance, c *core.Cluster, name string, maxRounds int, build core.NodeBuilder) (rep core.Report, honest []sim.Process, err error) {
-	opts, err := runOptions(inst, c, nil)
-	if err != nil {
-		return core.Report{}, nil, err
-	}
-	return c.Run(name, maxRounds, build, opts...)
+	return runNodes(inst, c, name, maxRounds, nil, build)
 }
 
-// runOptions compiles the instance's strategy and network condition
-// into run options, for every driver; equivocator is the driver's
-// two-faced sender, nil for one that has none.
-func runOptions(inst Instance, c *core.Cluster, equivocator equivocatorFunc) ([]core.RunOption, error) {
+// runNodes is every driver's one way to the engine: RunNodes, with
+// equivocator as the driver's two-faced sender (nil: none). It compiles
+// the instance's strategy and network condition into run options for
+// the cluster's run loop.
+func runNodes(inst Instance, c *core.Cluster, name string, maxRounds int, equivocator equivocatorFunc, build core.NodeBuilder) (core.Report, []sim.Process, error) {
 	corrupt := inst.Strategy.CorruptSet(inst.N, inst.Seed)
 	var opts []core.RunOption
 	var err error
 	ids := corrupt.Sorted()
 	for _, id := range ids {
 		if opts, err = appendFault(opts, inst, c, id, ids[0], equivocator); err != nil {
-			return nil, err
+			return core.Report{}, nil, err
 		}
 	}
 	if net := inst.Net; net != nil {
@@ -93,7 +90,7 @@ func runOptions(inst Instance, c *core.Cluster, equivocator equivocatorFunc) ([]
 			opts = append(opts, core.WithNetwork(netcond.NewModel(*net, inst.N, inst.Seed)))
 		}
 	}
-	return opts, nil
+	return c.Run(name, maxRounds, build, opts...)
 }
 
 // appendFault appends the run options that corrupt node id under the

@@ -78,11 +78,14 @@ type Config struct {
 	// RetryAfter is the backoff hint sent with busy rejections
 	// (default 50ms).
 	RetryAfter time.Duration
-	// Recorder receives per-request "service.request" spans and
-	// reject/panic/drain points; nil disables tracing (the default).
+	// Recorder receives per-request "service.request" spans,
+	// reject/panic/drain points and, through the executor, one
+	// "campaign.instance" span per served instance; nil disables tracing
+	// (the default).
 	Recorder *obs.Recorder
 	// Options configure the campaign.Executor every instance runs on
-	// (watchdog, observer); a signing run's store is its pool cell.
+	// (the watchdog); a signing run's store is its pool cell. Recorder,
+	// not an option here, is the executor's observer.
 	Options []campaign.Option
 }
 
@@ -239,7 +242,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		rec:   cfg.Recorder,
-		exec:  campaign.NewExecutor(cfg.Options...),
+		exec:  campaign.NewExecutor(append(slices.Clip(cfg.Options), campaign.WithObserver(cfg.Recorder))...),
 		pool:  newPool(cfg.Shards),
 		stats: newServerStats(),
 	}

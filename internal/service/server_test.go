@@ -491,6 +491,47 @@ func TestServiceObservability(t *testing.T) {
 	}
 }
 
+// TestRecorderReachesTheExecutor: Config.Recorder is the executor's
+// observer too, so a traced server records one campaign.instance span per
+// served instance, and its replies are the untraced server's byte for
+// byte (timings aside).
+func TestRecorderReachesTheExecutor(t *testing.T) {
+	reqs := []Request{chainRequest(1), chainRequest(2),
+		{Protocol: campaign.ProtoNonAuth, N: 4, T: 1, Adversary: campaign.AdvCrashRelay, Seed: 3},
+		{Protocol: campaign.ProtoFDBA, N: 4, T: 1, Scheme: sig.SchemeToy, Adversary: campaign.AdvCrashRelay, Seed: 4, KeySeed: 1},
+		{Protocol: campaign.ProtoEIG, N: 4, T: 1, Seed: 5}}
+	serve := func(rec *obs.Recorder) []string {
+		_, _, cl := startServer(t, Config{Shards: 2, Recorder: rec}, "alpha")
+		var out []string
+		for _, req := range reqs {
+			reply, err := cl.Do(req)
+			if err != nil {
+				t.Fatalf("do %s: %v", req.Protocol, err)
+			}
+			out = append(out, mustJSON(t, reply.Result)+" "+reply.Source)
+		}
+		return out
+	}
+	sink := &obs.MemorySink{}
+	rec := obs.NewRecorder(sink)
+	traced, bare := serve(rec), serve(nil)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(traced, bare) {
+		t.Errorf("traced replies differ from untraced ones:\n%s\n%s", strings.Join(traced, "\n"), strings.Join(bare, "\n"))
+	}
+	ended := 0
+	for _, e := range sink.Scoped("campaign.instance") {
+		if e.Kind == obs.KindEnd {
+			ended++
+		}
+	}
+	if ended != len(reqs) {
+		t.Errorf("%d campaign.instance spans for %d served instances", ended, len(reqs))
+	}
+}
+
 // Custom values thread end to end: a served request carrying a caller
 // value produces exactly the result a local run with that value does.
 func TestCustomValueRoundTrip(t *testing.T) {

@@ -360,7 +360,11 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("netcond.Parse: %v", err)
 	}
-	run := func(opts ...core.Option) core.Report {
+	sm, err := protocol.Lookup(protocol.NameSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...core.Option) protocol.Outcome {
 		c, err := core.New(cfg, append(opts, core.WithSeed(5))...)
 		if err != nil {
 			t.Fatalf("core.New: %v", err)
@@ -368,12 +372,11 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 		if _, err := c.EstablishAuthentication(); err != nil {
 			t.Fatalf("EstablishAuthentication: %v", err)
 		}
-		rep, err := c.RunFailureDiscovery([]byte("v"), core.WithProtocol(core.ProtocolSM),
-			core.WithNetwork(netcond.NewModel(spec, n, 5)), core.WithChurn(spec.Churn[0]))
+		out, err := sm.Run(protocol.Instance{N: n, T: tol, Value: []byte("v"), Seed: 5, Net: &spec}, c)
 		if err != nil {
-			t.Fatalf("RunFailureDiscovery: %v", err)
+			t.Fatalf("sm run: %v", err)
 		}
-		return rep
+		return out
 	}
 	want := run()
 
