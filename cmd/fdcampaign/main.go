@@ -18,9 +18,6 @@
 //	fdcampaign -protocols chain,fdba,sm -sizes 4,7 -seeds 5
 //	fdcampaign -workers 1 -json out.json   # reproducible machine output
 //	fdcampaign -json -                     # JSON to stdout
-//	fdcampaign -setupcache=false           # regenerate all key material per
-//	                                       # instance (differential baseline;
-//	                                       # local sweeps only)
 //	fdcampaign -trace-out run.jsonl        # structured event trace (instance
 //	                                       # spans; report bytes unchanged)
 //
@@ -75,12 +72,12 @@
 // -strict exits with status 2 when any instance errors or records an
 // unexcused violation — a campaign run is a property test over its grid.
 //
-// The aggregate output is byte-identical for any -workers value AND for
-// either -setupcache mode on the same spec — the determinism contracts
-// the campaign tests and CI enforce. The setup cache only changes how
-// fast a sweep runs: key material is a pure function of the spec's seed
-// base, so a 1000-seed cell pays key generation and the authentication
-// handshake once per worker instead of once per seed.
+// The aggregate output is byte-identical for any -workers value, and to
+// a sweep that sets every instance up afresh — the determinism contracts
+// the campaign tests and CI enforce. A local sweep owns one setup store
+// that only changes how fast it runs: key material is a pure function of
+// the spec's seed base, so a 1000-seed cell pays key generation and the
+// authentication handshake once per sweep instead of once per seed.
 package main
 
 import (
@@ -127,7 +124,6 @@ func main() {
 		seedBase    = flag.Int64("seed-base", 19950530, "base seed of the deterministic seed range")
 		seeds       = flag.Int("seeds", 10, "seeded repetitions per configuration")
 		workers     = flag.Int("workers", 0, "worker shards (0 = one per CPU)")
-		setupCache  = flag.Bool("setupcache", true, "local sweeps: reuse key material and established clusters across seeds (false = regenerate per instance; reports are byte-identical either way). A -worker's only store is its daemon's pool")
 		jsonOut     = flag.String("json", "", "write the machine-readable report to this path ('-' = stdout)")
 		csv         = flag.Bool("csv", false, "render the summary table as CSV")
 		strict      = flag.Bool("strict", false, "exit with status 2 when any instance violates a conformance predicate or errors")
@@ -147,9 +143,6 @@ func main() {
 	defer stop()
 
 	var runOpts []campaign.Option
-	if !*setupCache {
-		runOpts = append(runOpts, campaign.WithoutSetupCache())
-	}
 	if *instTimeout > 0 {
 		runOpts = append(runOpts, campaign.WithInstanceTimeout(*instTimeout))
 	}

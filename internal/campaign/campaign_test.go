@@ -402,13 +402,17 @@ func TestReportJSONRoundTrips(t *testing.T) {
 
 // TestReportSetupCacheInvariance is the amortization determinism
 // contract: a sweep that reuses cached key material and established
-// clusters must emit a report byte-identical to one that regenerates all
-// setup per instance — across every cluster-backed protocol, both
-// deterministic signature schemes, and every adversary mix. It runs the
-// cached side at two worker counts so which worker builds a cell, and
-// under which instance's run seed, is also shown not to matter.
+// clusters must emit a report byte-identical to the same Local walk with
+// no store, where every instance regenerates its setup — across every
+// cluster-backed protocol, both deterministic signature schemes, and
+// every adversary mix. It runs the cached side at two worker counts so
+// which worker builds a cell, and under which instance's run seed, is
+// also shown not to matter. The second spec is the grid `fdcampaign
+// -protocols chain,smallrange,vector,fdba,sm -sizes 4,6 -schemes
+// toy,ed25519 -seeds 4 -workers 2` sweeps with every other flag at its
+// default.
 func TestReportSetupCacheInvariance(t *testing.T) {
-	spec := Spec{
+	specs := []Spec{{
 		Name:        "setup-cache-differential",
 		Protocols:   []string{ProtoChain, ProtoSmallRange, ProtoVector, ProtoFDBA, ProtoSM},
 		Sizes:       []int{4, 6},
@@ -416,31 +420,41 @@ func TestReportSetupCacheInvariance(t *testing.T) {
 		Adversaries: []string{AdvNone, AdvCrashRelay, AdvEquivocate},
 		SeedBase:    11,
 		SeedCount:   4,
-	}
-	fresh, err := Run(spec, 2, WithoutSetupCache())
-	if err != nil {
-		t.Fatalf("Run(uncached): %v", err)
-	}
-	jFresh, err := fresh.CanonicalJSON()
-	if err != nil {
-		t.Fatalf("CanonicalJSON: %v", err)
-	}
-	for _, workers := range []int{1, 3} {
-		cached, err := Run(spec, workers)
+	}, {
+		Name:        "fdcampaign",
+		Protocols:   []string{ProtoChain, ProtoSmallRange, ProtoVector, ProtoFDBA, ProtoSM},
+		Sizes:       []int{4, 6},
+		Schemes:     []string{sig.SchemeToy, sig.SchemeEd25519},
+		Adversaries: []string{AdvNone, AdvCrashRelay},
+		SeedBase:    19950530,
+		SeedCount:   4,
+	}}
+	for _, spec := range specs {
+		fresh, err := RunWith(spec, onStore{2, nil})
 		if err != nil {
-			t.Fatalf("Run(cached, workers=%d): %v", workers, err)
+			t.Fatalf("%s: Run(uncached): %v", spec.Name, err)
 		}
-		jCached, err := cached.CanonicalJSON()
+		jFresh, err := fresh.CanonicalJSON()
 		if err != nil {
 			t.Fatalf("CanonicalJSON: %v", err)
 		}
-		if !bytes.Equal(jFresh, jCached) {
-			t.Fatalf("cached (workers=%d) and uncached reports differ; setup reuse changed what the campaign measured", workers)
+		for _, workers := range []int{1, 3} {
+			cached, err := Run(spec, workers)
+			if err != nil {
+				t.Fatalf("%s: Run(cached, workers=%d): %v", spec.Name, workers, err)
+			}
+			jCached, err := cached.CanonicalJSON()
+			if err != nil {
+				t.Fatalf("CanonicalJSON: %v", err)
+			}
+			if !bytes.Equal(jFresh, jCached) {
+				t.Fatalf("%s: cached (workers=%d) and uncached reports differ; setup reuse changed what the campaign measured", spec.Name, workers)
+			}
 		}
-	}
-	for _, g := range fresh.Groups {
-		if g.Errors != 0 {
-			t.Errorf("group %s: %d errored instances", g.Key, g.Errors)
+		for _, g := range fresh.Groups {
+			if g.Errors != 0 {
+				t.Errorf("%s: group %s: %d errored instances", spec.Name, g.Key, g.Errors)
+			}
 		}
 	}
 }
@@ -464,7 +478,7 @@ func TestReportSetupCacheInvarianceUnderEviction(t *testing.T) {
 	}
 	jRoomy, _ := roomy.CanonicalJSON()
 	for _, workers := range []int{1, 2} {
-		tight, err := RunWith(spec, onExecutor{workers, &Executor{cache: protocol.NewSetupCache(1)}})
+		tight, err := RunWith(spec, onStore{workers, protocol.NewSetupCache(1)})
 		if err != nil {
 			t.Fatalf("Run(cap=1, workers=%d): %v", workers, err)
 		}

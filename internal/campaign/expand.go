@@ -112,9 +112,12 @@ func capabilities(name string) protocol.Capabilities {
 	return drv.Capabilities()
 }
 
-// classicTol is the classical fault bound t = ⌊(n−1)/3⌋, floored at 1 so
-// small systems still exercise a non-trivial bound.
-func classicTol(n int) int {
+// ClassicTol is the classical fault bound t = ⌊(n−1)/3⌋ — the "constant
+// portion of the nodes" regime in which the paper's O(n·t) becomes
+// O(n²) — floored at 1 so small systems still exercise a non-trivial
+// bound. A spec without Cases or Tols sweeps it, and so do the
+// experiments' tables.
+func ClassicTol(n int) int {
 	t := (n - 1) / 3
 	if t < 1 {
 		t = 1
@@ -134,7 +137,7 @@ func (s Spec) cases() []Case {
 	var out []Case
 	for _, n := range s.Sizes {
 		if len(s.Tols) == 0 {
-			out = append(out, Case{N: n, T: classicTol(n)})
+			out = append(out, Case{N: n, T: ClassicTol(n)})
 			continue
 		}
 		for _, t := range s.Tols {

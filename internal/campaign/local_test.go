@@ -12,15 +12,16 @@ import (
 	"repro/internal/sig"
 )
 
-// onExecutor is Local with the executor supplied, so a test can read the
-// store the sweep ran over.
-type onExecutor struct {
+// onStore is Local with the store supplied, so a test can read the store
+// the sweep ran over, or run the same walk with none (a nil store: every
+// instance sets up afresh).
+type onStore struct {
 	workers int
-	exec    *Executor
+	store   *protocol.SetupCache
 }
 
-func (s onExecutor) Execute(_ Spec, instances []Instance) ([]Result, error) {
-	return NewLocal(s.workers).executeOn(s.exec, instances), nil
+func (s onStore) Execute(instances []Instance) ([]Result, error) {
+	return NewLocal(s.workers).executeOn(s.store, instances), nil
 }
 
 // TestSetupPaidOncePerSweep is the paper's economics as a count: a sweep
@@ -54,7 +55,7 @@ func TestSetupPaidOncePerSweep(t *testing.T) {
 		t.Fatalf("spec has %d cells and %d/%d cacheable instances; the test wants 4 and a mix", len(cells), cacheable, len(instances))
 	}
 
-	uncached, err := Run(spec, 2, WithoutSetupCache())
+	uncached, err := RunWith(spec, onStore{2, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +64,12 @@ func TestSetupPaidOncePerSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
-		exec := NewExecutor()
-		rep, err := RunWith(spec, onExecutor{workers, exec})
+		store := protocol.NewSetupCache(0)
+		rep, err := RunWith(spec, onStore{workers, store})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		hits, misses := exec.cache.Stats()
+		hits, misses := store.Stats()
 		if misses != len(cells) || hits != cacheable-len(cells) {
 			t.Errorf("workers=%d: %d handshakes and %d hits; want %d (the distinct cells) and %d",
 				workers, misses, hits, len(cells), cacheable-len(cells))
@@ -116,12 +117,12 @@ func TestSweepSignsEachStatementOnce(t *testing.T) {
 		t.Skip("runs a 1,100-instance sweep twice")
 	}
 	spec := benchmarkGridSweep0(sig.SchemeEd25519, sig.SchemeHMAC)
-	exec := NewExecutor()
-	rep, err := RunWith(spec, onExecutor{1, exec})
+	store := protocol.NewSetupCache(0)
+	rep, err := RunWith(spec, onStore{1, store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requested, computed := exec.cache.SignCounts()
+	requested, computed := store.SignCounts()
 	if requested != 9297 || computed > 1800 {
 		t.Errorf("sweep requested %d ed25519 signatures and computed %d; want 9297 and at most 1800", requested, computed)
 	}
@@ -129,7 +130,7 @@ func TestSweepSignsEachStatementOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := Run(spec, 1, WithoutSetupCache())
+	uncached, err := RunWith(spec, onStore{1, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestSweepVerifiesEachPrefixOnce(t *testing.T) {
 	for run := 1; run <= 2; run++ {
 		countedEd25519.tests.Store(0)
 		countedHMAC.tests.Store(0)
-		if _, err := RunWith(spec, onExecutor{1, NewExecutor()}); err != nil {
+		if _, err := RunWith(spec, onStore{1, protocol.NewSetupCache(0)}); err != nil {
 			t.Fatal(err)
 		}
 		if ed, hm := countedEd25519.tests.Load(), countedHMAC.tests.Load(); ed != 672 || hm != 672 {
@@ -373,12 +374,12 @@ func TestLocalSkewedSweepFillsEverySlot(t *testing.T) {
 	for i := range instances {
 		instances[i].Index = i
 	}
-	want, err := NewLocal(1).Execute(Spec{}, instances)
+	want, err := NewLocal(1).Execute(instances)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := NewLocal(workers).Execute(Spec{}, instances)
+		got, err := NewLocal(workers).Execute(instances)
 		if err != nil {
 			t.Fatal(err)
 		}

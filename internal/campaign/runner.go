@@ -72,14 +72,9 @@ func (r *Report) CanonicalJSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Option configures one Run call.
-type Option func(*runConfig)
-
-type runConfig struct {
-	setupCache  bool
-	rec         *obs.Recorder
-	instTimeout time.Duration
-}
+// Option configures the Executor a Run, a Local or an agreement daemon
+// runs its instances on.
+type Option func(*Executor)
 
 // WithObserver attaches a structured-event recorder to the run: every
 // executor stamps one "campaign.instance" span per instance with its
@@ -89,18 +84,7 @@ type runConfig struct {
 // deterministic report deliberately omits, lives only in the trace.
 // Recorders are safe to share across the local scheduler's shards.
 func WithObserver(rec *obs.Recorder) Option {
-	return func(c *runConfig) { c.rec = rec }
-}
-
-// WithoutSetupCache runs without a setup store at all, forcing every
-// instance to regenerate key material and redo the key-distribution
-// handshake from scratch. It exists as the differential baseline: a
-// cached and an uncached run of the same spec must produce
-// byte-identical reports (TestReportSetupCacheInvariance and the CI
-// campaign differential enforce it), so setup reuse can never silently
-// change what a campaign measures.
-func WithoutSetupCache() Option {
-	return func(c *runConfig) { c.setupCache = false }
+	return func(e *Executor) { e.rec = rec }
 }
 
 // ErrInstanceTimeout is the fixed Err string recorded for instances the
@@ -124,7 +108,7 @@ const ErrDriverPanic = "campaign: driver panicked"
 // liveness — only results near the deadline can differ, and only by
 // becoming this fixed error.
 func WithInstanceTimeout(d time.Duration) Option {
-	return func(c *runConfig) { c.instTimeout = d }
+	return func(e *Executor) { e.timeout = d }
 }
 
 // Scheduler abstracts HOW a campaign's expanded instances execute: the
@@ -135,49 +119,39 @@ func WithInstanceTimeout(d time.Duration) Option {
 // outcome, so the engine assembles the report from the slice and any two
 // schedulers that produce the same per-instance results produce
 // byte-identical reports — worker count, placement, and retry history
-// included.
+// included. A scheduler owns the setup store its instances run over.
 type Scheduler interface {
-	Execute(spec Spec, instances []Instance) ([]Result, error)
+	Execute(instances []Instance) ([]Result, error)
 }
 
-// Executor runs instances over one amortized-setup store; it is the
-// execution unit every Scheduler builds on (one per Local sweep, shared
-// by its workers; one per agreement daemon, whose pool hands it a store
-// per run through RunWith). It holds nothing an instance can change —
-// the store's material is read-only and each instance gets its own
-// cluster around it — so it is safe for concurrent use, and a panicked
-// or abandoned run leaves nothing to repair.
+// Executor runs instances; it is the execution unit every Scheduler
+// builds on. It holds no setup store: whoever schedules a run hands it
+// one through RunWith — a Local sweep its own store, an agreement daemon
+// a pool cell. It holds nothing an instance can change — a store's
+// material is read-only and each instance gets its own cluster around it
+// — so it is safe for concurrent use, and a panicked or abandoned run
+// leaves nothing to repair.
 type Executor struct {
-	cache   *protocol.SetupCache
 	rec     *obs.Recorder
 	timeout time.Duration
 }
 
-// NewExecutor builds an executor honoring the run options (setup store
-// enabled by default).
+// NewExecutor builds an executor honoring the run options.
 func NewExecutor(opts ...Option) *Executor {
-	cfg := runConfig{setupCache: true}
+	e := &Executor{}
 	for _, opt := range opts {
-		opt(&cfg)
-	}
-	e := &Executor{rec: cfg.rec, timeout: cfg.instTimeout}
-	if cfg.setupCache {
-		e.cache = protocol.NewSetupCache(0)
+		opt(e)
 	}
 	return e
 }
 
-// Run executes one instance, reusing the store's established material
-// where the driver allows it.
-func (e *Executor) Run(inst Instance) Result { return e.RunWith(inst, e.cache) }
-
-// RunWith executes one instance like Run, but over cache (nil: fresh
-// setup) instead of the executor's own store — the agreement service
-// passes a pool cell. With an instance timeout armed, the run is raced
-// against the watchdog (see WithInstanceTimeout). The watchdog branch
-// lives in its own method so the goroutine closure there cannot make
-// inst escape on this, the default, path — escape analysis is
-// function-wide, and the sweep benchmarks hold this path
+// RunWith executes one instance over cache, reusing its established
+// material where the driver allows it; a nil cache is a fresh setup,
+// the reference a stored run must match. With an instance timeout armed,
+// the run is raced against the watchdog (see WithInstanceTimeout). The
+// watchdog branch lives in its own method so the goroutine closure there
+// cannot make inst escape on this, the default, path — escape analysis
+// is function-wide, and the sweep benchmarks hold this path
 // allocation-flat.
 func (e *Executor) RunWith(inst Instance, cache *protocol.SetupCache) Result {
 	if e.timeout <= 0 {
@@ -234,10 +208,11 @@ func (e *Executor) run(inst Instance, cache *protocol.SetupCache) Result {
 }
 
 // Local is the in-process Scheduler: workers goroutines (one per CPU if
-// workers < 1) over one Executor, so one setup store — a sweep pays key
-// generation and the handshake once per (scheme, n, keySeed) cell,
-// whatever the worker count. The store cannot affect the report: key
-// material is pinned by Instance.KeySeed whether or not it is cached.
+// workers < 1) over one Executor and one setup store, which the sweep
+// makes and owns — it pays key generation and the handshake once per
+// (scheme, n, keySeed) cell, whatever the worker count. The store cannot
+// affect the report: key material is pinned by Instance.KeySeed whether
+// or not it is cached.
 //
 // Each worker walks its own contiguous block of the expansion order (see
 // blocks), so workers sit in different cells instead of reaching every
@@ -249,21 +224,22 @@ func (e *Executor) run(inst Instance, cache *protocol.SetupCache) Result {
 // is identical however they raced.
 type Local struct {
 	workers int
-	opts    []Option
+	exec    *Executor
 }
 
 // NewLocal builds the in-process scheduler.
 func NewLocal(workers int, opts ...Option) *Local {
-	return &Local{workers: workers, opts: opts}
+	return &Local{workers: workers, exec: NewExecutor(opts...)}
 }
 
-// Execute implements Scheduler.
-func (l *Local) Execute(_ Spec, instances []Instance) ([]Result, error) {
-	return l.executeOn(NewExecutor(l.opts...), instances), nil
+// Execute implements Scheduler over a store of the sweep's own.
+func (l *Local) Execute(instances []Instance) ([]Result, error) {
+	return l.executeOn(protocol.NewSetupCache(0), instances), nil
 }
 
-// executeOn runs the instances on the workers, all sharing exec.
-func (l *Local) executeOn(exec *Executor, instances []Instance) []Result {
+// executeOn runs the instances on the workers, all sharing store (nil:
+// every instance sets up afresh).
+func (l *Local) executeOn(store *protocol.SetupCache, instances []Instance) []Result {
 	workers := l.workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -288,7 +264,7 @@ func (l *Local) executeOn(exec *Executor, instances []Instance) []Result {
 					return
 				}
 				for i := cuts[c]; i < cuts[c+1]; i++ {
-					results[i] = exec.Run(instances[i])
+					results[i] = l.exec.RunWith(instances[i], store)
 				}
 			}
 		}(w)
@@ -371,7 +347,7 @@ func RunWith(spec Spec, sched Scheduler) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := sched.Execute(spec, instances)
+	results, err := sched.Execute(instances)
 	if err != nil {
 		return nil, err
 	}

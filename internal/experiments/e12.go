@@ -18,7 +18,7 @@ func E12VectorFD(sizes []int) *metrics.Table {
 		"n", "t", "messages", "n(n-1)", "match", "rounds", "baseline n runs")
 	cases := make([]campaign.Case, len(sizes))
 	for i, n := range sizes {
-		cases[i] = campaign.Case{N: n, T: tolFor(n)}
+		cases[i] = campaign.Case{N: n, T: campaign.ClassicTol(n)}
 	}
 	rep := mustRun(campaign.Spec{
 		Name:      "e12-vector-fd",

@@ -42,11 +42,6 @@ const Seed int64 = 19950530 // ICDCS 1995 vintage
 // DefaultSizes is the n-sweep used by the message-count experiments.
 var DefaultSizes = []int{4, 8, 16, 32, 64, 128}
 
-// tolFor is the default fault bound: the classical t = ⌊(n−1)/3⌋, the
-// "constant portion of the nodes" regime in which the paper's O(n·t)
-// becomes O(n²).
-func tolFor(n int) int { return (n - 1) / 3 }
-
 // failureFree returns the failure-free cost proto's driver declares.
 func failureFree(proto string, n, t int) (messages, commRounds int) {
 	d, err := protocol.Lookup(proto)
@@ -76,7 +71,7 @@ func E1KeyDistribution(sizes []int) *metrics.Table {
 		"E1 — Key distribution cost (paper §3.1: 3n(n−1) messages, 3 rounds)",
 		"n", "messages", "paper 3n(n-1)", "match", "comm rounds", "bytes")
 	for _, n := range sizes {
-		c, err := core.New(model.Config{N: n, T: tolFor(n)}, core.WithSeed(Seed+int64(n)))
+		c, err := core.New(model.Config{N: n, T: campaign.ClassicTol(n)}, core.WithSeed(Seed+int64(n)))
 		if err != nil {
 			panic(err)
 		}
@@ -126,7 +121,7 @@ func E3NonAuthFD(sizes []int) *metrics.Table {
 	var cases []campaign.Case
 	seen := make(map[campaign.Case]bool)
 	for _, n := range sizes {
-		for _, t := range []int{1, n / 8, tolFor(n)} {
+		for _, t := range []int{1, n / 8, campaign.ClassicTol(n)} {
 			c := campaign.Case{N: n, T: t}
 			if t < 1 || t >= n || seen[c] {
 				continue
@@ -228,10 +223,7 @@ func E4Amortization(sizes []int, ks []int) *metrics.Table {
 		"E4 — Amortization (paper abstract: keydist once, then O(n) per run beats O(n·t))",
 		"n", "t", "runs k", "local-auth total", "non-auth total", "local wins", "crossover k*")
 	for _, n := range sizes {
-		t := tolFor(n)
-		if t < 1 {
-			continue
-		}
+		t := campaign.ClassicTol(n)
 		for _, k := range ks {
 			local, nonAuth, crossover := amortize(n, t, k)
 			tbl.AddRow(n, t, k, local, nonAuth, local <= nonAuth, crossover)

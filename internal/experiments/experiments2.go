@@ -104,7 +104,7 @@ func E9SmallRange() *metrics.Table {
 		"E9 — Small value range variant (paper §5: values for missing messages)",
 		"n", "t", "value", "messages", "chain-protocol messages", "saving")
 	for _, n := range []int{8, 16, 32} {
-		t := tolFor(n)
+		t := campaign.ClassicTol(n)
 		chain, _ := failureFree(campaign.ProtoChain, n, t)
 		for _, v := range []byte{0, 1} {
 			res := mustInstance(campaign.Instance{Protocol: campaign.ProtoSmallRange, N: n, T: t,
@@ -122,7 +122,7 @@ func E10Bytes() *metrics.Table {
 		"E10b — Bytes on the wire (chain signatures grow linearly in hops)",
 		"n", "t", "protocol", "messages", "total bytes", "bytes/message")
 	for _, n := range []int{8, 16, 32} {
-		t := tolFor(n)
+		t := campaign.ClassicTol(n)
 		c := mustCluster(n, t, Seed+int64(10*n))
 		chainRep, err := c.RunFailureDiscovery([]byte("value"))
 		if err != nil {
@@ -172,7 +172,8 @@ func E11LocalAuthBA(runs int) *metrics.Table {
 }
 
 // RoundsTable summarizes round counts per protocol (part of E8's context):
-// failure-free as declared at n = 100, SM(t) and FDBA's worst at its bound.
+// failure-free as declared at n = 100, and SM(t)'s and FDBA's worst case
+// at its round bound beside their failure-free rows.
 func RoundsTable() *metrics.Table {
 	tbl := metrics.NewTable(
 		"E8b — Communication rounds per protocol",
@@ -190,7 +191,8 @@ func RoundsTable() *metrics.Table {
 	row("chain FD", "t+1", declared(campaign.ProtoChain))
 	row("non-auth FD", "2", declared(campaign.ProtoNonAuth))
 	row("OM(t)", "t+1", declared(campaign.ProtoEIG))
-	row("SM(t)", "t+1", func(t int) int { return ba.SMEngineRounds(t) - 1 })
+	row("SM(t) failure-free", "2", declared(campaign.ProtoSM))
+	row("SM(t) worst case", "t+1", func(t int) int { return ba.SMEngineRounds(t) - 1 })
 	row("FDBA failure-free", "t+1", declared(campaign.ProtoFDBA))
 	row("FDBA worst case", "2t+5", func(t int) int { return ba.FDBAEngineRounds(t) - 1 })
 	return tbl

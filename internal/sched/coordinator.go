@@ -195,7 +195,7 @@ type runLoop struct {
 // completed or dead-lettered and always returns one Result per instance;
 // the error return is reserved for misuse (a second Execute call), never
 // for worker faults — those are the scheduler's job to absorb.
-func (c *Coordinator) Execute(_ campaign.Spec, instances []campaign.Instance) ([]campaign.Result, error) {
+func (c *Coordinator) Execute(instances []campaign.Instance) ([]campaign.Result, error) {
 	c.mu.Lock()
 	if c.started {
 		c.mu.Unlock()

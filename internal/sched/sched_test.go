@@ -255,7 +255,7 @@ func TestRejectedBatchIsAFailedAttempt(t *testing.T) {
 	server, client := transport.Pipe()
 	go coord.Attach(server)
 	go RunWorker(ctx, client, WorkerConfig{Name: "w"})
-	results, err := coord.Execute(schedSpec(), instances)
+	results, err := coord.Execute(instances)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

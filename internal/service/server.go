@@ -84,7 +84,8 @@ type Config struct {
 	// (the default).
 	Recorder *obs.Recorder
 	// Options configure the campaign.Executor every instance runs on
-	// (the watchdog); a signing run's store is its pool cell. Recorder,
+	// (the watchdog). The executor holds no setup store: a signing run's
+	// store is its pool cell, the only one the daemon builds. Recorder,
 	// not an option here, is the executor's observer.
 	Options []campaign.Option
 }

@@ -22,7 +22,8 @@ import (
 // under one lock. A link's fate depends only on what its sender pushed
 // through it (netcond.Model), never on how senders interleave, so the
 // one model answers as it answers the lockstep engine; and a tracer is
-// never called concurrently, in either engine.
+// never called concurrently, in either engine, and sees the deliveries
+// in the lockstep engine's order (runShared.trace).
 func MeshEngine(meshes []*Mesh) func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
 	return func(procs []sim.Process, maxRounds int, counters *metrics.Counters, tracer sim.Tracer, net sim.Network) (int, error) {
 		if len(meshes) != len(procs) {
@@ -31,7 +32,10 @@ func MeshEngine(meshes []*Mesh) func(procs []sim.Process, maxRounds int, counter
 		if maxRounds < 1 {
 			maxRounds = 1
 		}
-		shared := &runShared{counters: counters, tracer: tracer, net: net}
+		shared := &runShared{counters: counters, tracer: tracer, net: net, n: len(procs)}
+		if tracer != nil {
+			shared.traced = make(map[int]*tracedRound)
+		}
 		rounds := make([]int, len(procs))
 		errs := make([]error, len(procs))
 		var wg sync.WaitGroup

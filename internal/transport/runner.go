@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -11,12 +12,47 @@ import (
 
 // runShared is what the n runners of one run share, serialised by mu:
 // the run's counters, its tracer (nil: none) and its network model (nil:
-// ideal).
+// ideal). With a tracer, traced holds each round's inboxes by receiver
+// until all n runners have delivered that round.
 type runShared struct {
 	mu       sync.Mutex
 	counters *metrics.Counters
 	tracer   sim.Tracer
 	net      sim.Network
+	n        int
+	traced   map[int]*tracedRound
+}
+
+// tracedRound is one round's deliveries, inboxes[i] node i's, and how
+// many runners have yet to deliver it.
+type tracedRound struct {
+	inboxes [][]model.Message
+	left    int
+}
+
+// trace reports self's sorted inbox of round to the tracer in
+// sim.Engine's order: by round, then by receiver. It keeps a copy until
+// the round's last runner delivers, then hands the round over. A runner
+// delivers round r only after its own round r−1, so whole rounds
+// complete, and reach the tracer, in order.
+func (s *runShared) trace(round int, self model.NodeID, inbox []model.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tr := s.traced[round]
+	if tr == nil {
+		tr = &tracedRound{inboxes: make([][]model.Message, s.n), left: s.n}
+		s.traced[round] = tr
+	}
+	tr.inboxes[self] = slices.Clone(inbox)
+	if tr.left--; tr.left > 0 {
+		return
+	}
+	delete(s.traced, round)
+	for _, in := range tr.inboxes {
+		for _, m := range in {
+			s.tracer.Delivered(m)
+		}
+	}
 }
 
 // runner drives one sim.Process over its node's Mesh, recovering lockstep
@@ -69,12 +105,8 @@ func (r *runner) run(maxRounds int) (int, error) {
 		inbox := pendingMsgs[round]
 		delete(pendingMsgs, round)
 		sim.SortMessages(inbox)
-		if r.tracer != nil && len(inbox) > 0 {
-			r.mu.Lock()
-			for _, m := range inbox {
-				r.tracer.Delivered(m)
-			}
-			r.mu.Unlock()
+		if r.tracer != nil {
+			r.trace(round, self, inbox)
 		}
 
 		out := r.proc.Step(round, inbox)

@@ -395,6 +395,51 @@ func TestMeshEngineSerialisesTracers(t *testing.T) {
 	}
 }
 
+// TestMeshEngineTracesInEngineOrder pins the delivery order a tracer
+// sees: a seeded lifecycle — key distribution, whose every round has
+// several receivers, then an SM run under latency and churn — records
+// over the memory mesh exactly the sequence the simulator records (by
+// round, then receiver, then SortMessages order), however the n runner
+// goroutines are scheduled. Twenty runs give the runners' interleaving
+// every chance to show.
+func TestMeshEngineTracesInEngineOrder(t *testing.T) {
+	n, tol := 5, 1
+	cfg := model.Config{N: n, T: tol}
+	spec, err := netcond.Parse("latency=uniform-0-2,churn=2@2-4")
+	if err != nil {
+		t.Fatalf("netcond.Parse: %v", err)
+	}
+	sm, err := protocol.Lookup(protocol.NameSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(opts ...core.Option) []model.Message {
+		tracer := &sim.RecordingTracer{}
+		c, err := core.New(cfg, append(opts, core.WithSeed(9), core.WithTracer(tracer))...)
+		if err != nil {
+			t.Fatalf("core.New: %v", err)
+		}
+		if _, err := c.EstablishAuthentication(); err != nil {
+			t.Fatalf("EstablishAuthentication: %v", err)
+		}
+		if _, err := sm.Run(protocol.Instance{N: n, T: tol, Value: []byte("v"), Seed: 9, Net: &spec}, c); err != nil {
+			t.Fatalf("sm run: %v", err)
+		}
+		return tracer.Messages()
+	}
+	want := record()
+	for run := 0; run < 20; run++ {
+		meshes := transport.NewMemoryMesh(n)
+		got := record(core.WithEngine(transport.MeshEngine(meshes)))
+		for _, m := range meshes {
+			m.Close()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: the mesh engine's %d traced deliveries are not the simulator's %d in its order", run, len(got), len(want))
+		}
+	}
+}
+
 // TestMeshBasics: the in-memory and the TCP mesh are one Mesh over
 // different links, and each answers the same way.
 func TestMeshBasics(t *testing.T) {
