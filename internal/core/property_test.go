@@ -23,8 +23,11 @@ import (
 
 // chaosProcess sends random bytes with random kinds to random nodes at
 // random rounds: the bluntest Byzantine node. It doubles as a fuzzer for
-// every decoder on the receive path (none may panic).
+// every decoder on the receive path (none may panic). Its stream is its
+// own, seeded from rng once when it is built: a parallel round steps
+// processes at once, so two chaos nodes must not draw from one stream.
 func chaosProcess(rng *rand.Rand, cfg model.Config) sim.Process {
+	rng = rand.New(rand.NewSource(rng.Int63()))
 	return sim.ProcessFunc(func(round int, _ []model.Message) []model.Message {
 		var out []model.Message
 		for i := 0; i < rng.Intn(4); i++ {
