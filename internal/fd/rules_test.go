@@ -130,47 +130,55 @@ func groups(t *testing.T, m mutant, rep *campaign.Report) map[cell]campaign.Grou
 	return out
 }
 
-// TestEveryRuleHasAKiller holds each rule the paper states to a campaign
-// cell that kills the real code with that one line changed, built with
-// go build -overlay, while the correct chain stays conformant in every
-// cell. The verdicts are the kill matrix in testdata.
-func TestEveryRuleHasAKiller(t *testing.T) {
+// runMutant builds fdcampaign with m's line changed, using go build
+// -overlay from the module root, and returns its report on m.spec().
+func runMutant(t *testing.T, m mutant) *campaign.Report {
+	t.Helper()
 	goCmd, err := exec.LookPath("go")
 	if err != nil {
 		t.Fatalf("mutants are built with the go command: %v", err)
 	}
 	const root = "../.." // the module, where go build runs and m.file is
+	dir := t.TempDir()
+	src, err := os.ReadFile(filepath.Join(root, m.file))
+	if err == nil {
+		src, err = mutate(src, m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlay, _ := json.Marshal(map[string]map[string]string{"Replace": {m.file: filepath.Join(dir, "mutant.go")}})
+	spec, _ := json.Marshal(m.spec())
+	for name, data := range map[string][]byte{"mutant.go": src, "overlay.json": overlay, "spec.json": spec} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := exec.Command(goCmd, "build", "-overlay", filepath.Join(dir, "overlay.json"), "-o", filepath.Join(dir, "fdcampaign"), "./cmd/fdcampaign")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("%s: building the mutant: %v\n%s", m.rule, err, out)
+	}
+	var rep campaign.Report
+	out, err := exec.Command(filepath.Join(dir, "fdcampaign"), "-spec", filepath.Join(dir, "spec.json"), "-json", "-", "-workers", "1").Output()
+	if err == nil {
+		err = json.Unmarshal(out, &rep)
+	}
+	if err != nil {
+		t.Fatalf("%s: running the mutant: %v", m.rule, err)
+	}
+	return &rep
+}
+
+// TestEveryRuleHasAKiller holds each rule the paper states to a campaign
+// cell that kills the real code with that one line changed, built with
+// go build -overlay, while the correct chain stays conformant in every
+// cell. The verdicts are the kill matrix in testdata.
+func TestEveryRuleHasAKiller(t *testing.T) {
 	var matrix []string
 	killed := 0
 	for _, m := range mutants {
-		dir := t.TempDir()
-		src, err := os.ReadFile(filepath.Join(root, m.file))
-		if err == nil {
-			src, err = mutate(src, m)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		overlay, _ := json.Marshal(map[string]map[string]string{"Replace": {m.file: filepath.Join(dir, "mutant.go")}})
-		spec, _ := json.Marshal(m.spec())
-		for name, data := range map[string][]byte{"mutant.go": src, "overlay.json": overlay, "spec.json": spec} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		build := exec.Command(goCmd, "build", "-overlay", filepath.Join(dir, "overlay.json"), "-o", filepath.Join(dir, "fdcampaign"), "./cmd/fdcampaign")
-		build.Dir = root
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("%s: building the mutant: %v\n%s", m.rule, err, out)
-		}
-		var rep campaign.Report
-		out, err := exec.Command(filepath.Join(dir, "fdcampaign"), "-spec", filepath.Join(dir, "spec.json"), "-json", "-", "-workers", "1").Output()
-		if err == nil {
-			err = json.Unmarshal(out, &rep)
-		}
-		if err != nil {
-			t.Fatalf("%s: running the mutant: %v", m.rule, err)
-		}
+		rep := runMutant(t, m)
 		correct, err := campaign.Run(m.spec(), 1)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +189,7 @@ func TestEveryRuleHasAKiller(t *testing.T) {
 			}
 		}
 
-		got, killer, verdict := groups(t, m, &rep), "none known", "killed no"
+		got, killer, verdict := groups(t, m, rep), "none known", "killed no"
 		if k, ok := got[m.killer]; ok {
 			killer = fmt.Sprintf("%s violates %s", m.killer, cmp.Or(strings.Join(k.Violations, ","), "nothing"))
 			if k.Conformant == 0 && slices.Equal(k.Violations, m.predicates) {
@@ -218,6 +226,27 @@ func TestMutantLineOccursOnce(t *testing.T) {
 	for _, src := range []string{"y++\n", "x++\n\tx++\n"} {
 		if _, err := mutate([]byte(src), m); err == nil || !strings.Contains(err.Error(), m.rule) {
 			t.Errorf("mutate(%q) = %v, want an error naming %q", src, err, m.rule)
+		}
+	}
+}
+
+// TestComplexityScoresHonestIdealRunsOnly: the relay that forwards twice
+// overspends Fig. 2's n−1 in every run, but only the runs with no faulty
+// node on the ideal network are held to the count — not a faulty relay,
+// a churned node or a delaying link.
+func TestComplexityScoresHonestIdealRunsOnly(t *testing.T) {
+	i := slices.IndexFunc(mutants, func(m mutant) bool { return m.rule == "Fig. 2: a relay sends its chain once" })
+	if i < 0 {
+		t.Fatal("no twice-sending relay row in the mutant table")
+	}
+	rep := runMutant(t, mutants[i])
+	if len(rep.Groups) != 6 {
+		t.Fatalf("%d groups, want 6", len(rep.Groups))
+	}
+	for _, g := range rep.Groups {
+		want := g.Adversary == campaign.AdvNone && g.NetCond == ""
+		if got := slices.Contains(g.Violations, campaign.PredComplexity); got != want || g.Errors > 0 {
+			t.Errorf("%s: violations %v (%d errors), complexity scored %v, want %v", g.Key, g.Violations, g.Errors, got, want)
 		}
 	}
 }
